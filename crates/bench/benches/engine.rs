@@ -3,7 +3,6 @@
 //! Drives the same deterministic packet storm as `harness engine`
 //! (multi-network topology, periodic fault injection) through criterion
 //! so regressions in the event-queue fast path show up in `cargo bench`.
-//! The `cached` / `uncached` pair isolates what the route cache buys;
 //! `results/bench_engine.json` (written by the harness) tracks the
 //! headline events/second figure across PRs.
 
@@ -16,12 +15,7 @@ fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.sample_size(10);
     let sim = SimDuration::from_millis(200);
-    g.bench_function("storm_16h_200ms_cached", |b| {
-        b.iter(|| engine::storm_with("cached", 16, sim, 42, true))
-    });
-    g.bench_function("storm_16h_200ms_uncached", |b| {
-        b.iter(|| engine::storm_with("uncached", 16, sim, 42, false))
-    });
+    g.bench_function("storm_16h_200ms", |b| b.iter(|| engine::storm("storm", 16, sim, 42)));
     g.finish();
 }
 

@@ -9,7 +9,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use snipe_netsim::actor::{Actor, Ctx, Event};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
@@ -218,7 +218,7 @@ struct StalenessProbe {
 }
 
 impl StalenessProbe {
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+    fn flush(&mut self, ctx: &mut dyn SimCtx) {
         for (to, bytes) in self.rc.drain_sends() {
             ctx.send(to, snipe_wire::frame::seal(snipe_wire::frame::Proto::Raw, bytes));
         }
@@ -236,7 +236,7 @@ impl StalenessProbe {
 }
 
 impl Actor for StalenessProbe {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { token: TIMER_PROBE } => {
                 if self.visible_at.lock().unwrap().is_none() {
@@ -271,7 +271,7 @@ struct OneShotWriter {
 }
 
 impl Actor for OneShotWriter {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let now = ctx.now();
@@ -404,7 +404,7 @@ pub fn run_a3(slice: u64, seed: u64) -> A3Point {
         done: Arc<Mutex<Option<SimTime>>>,
     }
     impl Actor for Sup {
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
             if let Event::Packet { payload, .. } = event {
                 if let Ok((snipe_wire::frame::Proto::Raw, body)) = snipe_wire::frame::open(payload)
                 {

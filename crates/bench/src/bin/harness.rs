@@ -105,7 +105,7 @@ fn run_e4() {
     t.emit("e4.txt");
 }
 
-/// `harness e4-shard`: the E4 spawn burst on the sharded engine — a
+/// `harness e4-shard`: the E4 spawn burst on a partitioned world — a
 /// 6-cluster campus (one region per cluster) at 1/2/4/8 worker
 /// threads. Virtual completion time and the engine digest must be
 /// thread-count invariant; wall-clock is what threads buy. Writes
@@ -390,28 +390,20 @@ const SEED_ENGINE_EVENTS_PER_SEC: f64 = 1_861_863.0;
 
 fn run_engine() {
     let sim = SimDuration::from_secs(2);
-    let run = engine::storm_with("cached", 32, sim, 42, true);
-    let uncached = engine::storm_with("uncached", 32, sim, 42, false);
-    assert_eq!(
-        engine::fingerprint(&run),
-        engine::fingerprint(&uncached),
-        "route cache changed the traffic — it must be a pure memo"
-    );
+    let run = engine::storm("storm", 32, sim, 42);
     let mut t = Table::new(
         "ENGINE: event-loop throughput, 32-host multi-net storm with fault injection",
         &["config", "events", "sent", "delivered", "drops", "wall (s)", "events/sec"],
     );
-    for r in [&run, &uncached] {
-        t.row(vec![
-            r.label.clone(),
-            format!("{}", r.events),
-            format!("{}", r.sent),
-            format!("{}", r.delivered),
-            format!("{}", r.drops),
-            format!("{:.3}", r.wall_seconds),
-            format!("{:.0}", r.events_per_sec),
-        ]);
-    }
+    t.row(vec![
+        run.label.clone(),
+        format!("{}", run.events),
+        format!("{}", run.sent),
+        format!("{}", run.delivered),
+        format!("{}", run.drops),
+        format!("{:.3}", run.wall_seconds),
+        format!("{:.0}", run.events_per_sec),
+    ]);
     t.row(vec![
         "seed engine".into(),
         "-".into(),
@@ -422,7 +414,7 @@ fn run_engine() {
         format!("{SEED_ENGINE_EVENTS_PER_SEC:.0}"),
     ]);
     let mut c = Table::new(
-        "ENGINE: queue-tier and route-cache counters (cached run)",
+        "ENGINE: queue-tier and route-cache counters",
         &["heap pops", "now pops", "stream pops", "cache hits", "cache misses", "peak depth"],
     );
     c.row(vec![
@@ -436,11 +428,10 @@ fn run_engine() {
     t.emit("engine.txt");
     c.emit("engine.txt");
     let json = format!(
-        "{{\n  \"experiment\": \"bench_engine\",\n  \"storm\": {{\"hosts\": 32, \"sim_seconds\": {:.1}, \"seed\": 42}},\n  \"seed_engine_events_per_sec\": {:.0},\n  \"events_per_sec\": {:.0},\n  \"events_per_sec_uncached\": {:.0},\n  \"speedup_vs_seed\": {:.2},\n  \"events\": {},\n  \"sent\": {},\n  \"delivered\": {},\n  \"drops\": {},\n  \"wall_seconds\": {:.4},\n  \"engine\": {{\n    \"heap_pops\": {},\n    \"now_pops\": {},\n    \"stream_pops\": {},\n    \"route_cache_hits\": {},\n    \"route_cache_misses\": {},\n    \"peak_queue_depth\": {}\n  }},\n  \"metrics\": {}\n}}\n",
+        "{{\n  \"experiment\": \"bench_engine\",\n  \"storm\": {{\"hosts\": 32, \"sim_seconds\": {:.1}, \"seed\": 42}},\n  \"seed_engine_events_per_sec\": {:.0},\n  \"events_per_sec\": {:.0},\n  \"speedup_vs_seed\": {:.2},\n  \"events\": {},\n  \"sent\": {},\n  \"delivered\": {},\n  \"drops\": {},\n  \"wall_seconds\": {:.4},\n  \"engine\": {{\n    \"heap_pops\": {},\n    \"now_pops\": {},\n    \"stream_pops\": {},\n    \"route_cache_hits\": {},\n    \"route_cache_misses\": {},\n    \"peak_queue_depth\": {}\n  }},\n  \"metrics\": {}\n}}\n",
         run.sim_seconds,
         SEED_ENGINE_EVENTS_PER_SEC,
         run.events_per_sec,
-        uncached.events_per_sec,
         run.events_per_sec / SEED_ENGINE_EVENTS_PER_SEC,
         run.events,
         run.sent,
@@ -618,7 +609,7 @@ const GATE_TRIALS: usize = 7;
 /// comparison.
 fn run_engine_probe() {
     assert!(!snipe_netsim::trace::enabled(), "probe measures the recorder-disabled configuration");
-    let r = engine::storm_with("probe", 32, SimDuration::from_secs(2), 42, true);
+    let r = engine::storm("probe", 32, SimDuration::from_secs(2), 42);
     println!("{:.0}", r.events_per_sec);
 }
 
@@ -630,7 +621,7 @@ fn run_engine_gate(baseline: f64) -> bool {
     let sim = SimDuration::from_secs(2);
     let mut best = 0.0f64;
     for trial in 0..GATE_TRIALS {
-        let r = engine::storm_with("gate", 32, sim, 42, true);
+        let r = engine::storm("gate", 32, sim, 42);
         println!("  trial {trial}: {:.0} events/s", r.events_per_sec);
         if r.events_per_sec > best {
             best = r.events_per_sec;

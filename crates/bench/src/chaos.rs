@@ -7,16 +7,17 @@
 //! `(plan_seed, workload_seed)` pair replays bit-for-bit and is greedily
 //! shrunk to a minimal violating plan.
 
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
 use snipe_core::SnipeWorldBuilder;
 use snipe_files::{FetchActor, FileServerActor, FileServerConfig};
-use snipe_netsim::actor::{Actor, Ctx, Event, TimerGate};
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::chaos::{shrink_plan, ChaosBinding, ChaosOp, ChaosPlan, ChaosShape};
 use snipe_netsim::medium::Medium;
+use snipe_netsim::shard::ActorFactory;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::trace::{self, TraceKind};
 use snipe_netsim::world::World;
@@ -646,7 +647,7 @@ struct ChaosWriter {
 }
 
 impl ChaosWriter {
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+    fn flush(&mut self, ctx: &mut dyn SimCtx) {
         for (to, bytes) in self.rc.drain_sends() {
             ctx.send(to, seal(Proto::Raw, bytes));
         }
@@ -659,7 +660,7 @@ impl ChaosWriter {
 }
 
 impl Actor for ChaosWriter {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { token: TIMER_FIRE } => {
                 if self.writes_left > 0 {
@@ -697,7 +698,7 @@ struct ReplicaProbe {
 }
 
 impl ReplicaProbe {
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+    fn flush(&mut self, ctx: &mut dyn SimCtx) {
         for (to, bytes) in self.rc.drain_sends() {
             ctx.send(to, seal(Proto::Raw, bytes));
         }
@@ -725,7 +726,7 @@ impl ReplicaProbe {
 }
 
 impl Actor for ReplicaProbe {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let delay = self.at.saturating_since(ctx.now());
@@ -750,6 +751,27 @@ impl Actor for ReplicaProbe {
             _ => {}
         }
     }
+}
+
+/// Restart factories for a replica set: each crash brings the server
+/// back as a *fresh* replica (new server id from a shared counter, empty
+/// store) on the same endpoint — anti-entropy must repopulate it.
+pub(crate) fn fresh_rc_factories(
+    eps: &[Endpoint],
+    sync: SimDuration,
+) -> Vec<(Endpoint, ActorFactory)> {
+    let restarts = Arc::new(AtomicU64::new(0));
+    eps.iter()
+        .map(|&ep| {
+            let peers: Vec<Endpoint> = eps.iter().copied().filter(|e| *e != ep).collect();
+            let restarts = restarts.clone();
+            let factory: ActorFactory = Arc::new(move || {
+                let id = 1001 + restarts.fetch_add(1, Ordering::Relaxed);
+                Box::new(RcServerActor::new(id, peers.clone(), sync))
+            });
+            (ep, factory)
+        })
+        .collect()
 }
 
 fn run_rcds_converge(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
@@ -784,23 +806,7 @@ fn run_rcds_converge(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
         }),
     );
 
-    // Process-level crash/restart: kill one server actor and respawn a
-    // *fresh* replica (new server id, empty store) on the same
-    // endpoint — anti-entropy must repopulate it.
-    let restart_counter = Arc::new(Mutex::new(0u64));
-    let mut procs: Vec<snipe_netsim::chaos::RestartFn> = Vec::new();
-    for i in 0..replicas {
-        let eps = eps.clone();
-        let counter = restart_counter.clone();
-        procs.push(Rc::new(move |w: &mut World| {
-            let ep = eps[i];
-            w.kill(ep);
-            *counter.lock().unwrap() += 1;
-            let id = 1000 + *counter.lock().unwrap();
-            let peers: Vec<Endpoint> = eps.iter().copied().filter(|e| *e != ep).collect();
-            let _ = w.spawn(ep.host, ep.port, Box::new(RcServerActor::new(id, peers, sync)));
-        }));
-    }
+    let procs = fresh_rc_factories(&eps, sync);
     let binding = ChaosBinding { hosts: rc_hosts.clone(), nets: vec![net], ifaces: vec![], procs };
     plan.apply(&mut world, &binding);
 
@@ -942,31 +948,12 @@ fn run_replica_crash(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
         )),
     );
 
-    // Crash/restart closures: RC servers come back with a *fresh,
-    // empty* store (anti-entropy must repopulate them); file servers
+    // RC servers come back with a *fresh, empty* store; file servers
     // come back as fresh processes over surviving disk contents.
-    let restart_counter = Arc::new(Mutex::new(0u64));
-    let mut procs: Vec<snipe_netsim::chaos::RestartFn> = Vec::new();
-    for i in 0..replicas {
-        let eps = rc_eps.clone();
-        let counter = restart_counter.clone();
-        procs.push(Rc::new(move |w: &mut World| {
-            let ep = eps[i];
-            w.kill(ep);
-            *counter.lock().unwrap() += 1;
-            let id = 1000 + *counter.lock().unwrap();
-            let peers: Vec<Endpoint> = eps.iter().copied().filter(|e| *e != ep).collect();
-            let _ = w.spawn(ep.host, ep.port, Box::new(RcServerActor::new(id, peers, sync)));
-        }));
-    }
-    for i in 0..replicas {
+    let mut procs = fresh_rc_factories(&rc_eps, sync);
+    for (i, &ep) in fs_eps.iter().enumerate() {
         let make_fs = make_fs.clone();
-        let eps = fs_eps.clone();
-        procs.push(Rc::new(move |w: &mut World| {
-            let ep = eps[i];
-            w.kill(ep);
-            let _ = w.spawn(ep.host, ep.port, Box::new(make_fs(i)));
-        }));
+        procs.push((ep, Arc::new(move || Box::new(make_fs(i)) as Box<dyn Actor>)));
     }
     let mut cast = rc_hosts.clone();
     cast.extend(fs_hosts.iter().copied());
@@ -996,7 +983,7 @@ fn run_replica_crash(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
         world.run_for(SimDuration::from_millis(500));
         let all_answered = answers.iter().all(|a| a.lock().unwrap().is_some());
         let fetch_done = world
-            .portable_ref::<FetchActor>(fetch_ep)
+            .actor_ref::<FetchActor>(fetch_ep)
             .map(|f| f.result.is_some() || f.failed)
             .unwrap_or(false);
         if (all_answered && fetch_done) || world.now() >= deadline {
@@ -1007,7 +994,7 @@ fn run_replica_crash(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
     let replies: Vec<Option<Vec<Assertion>>> =
         answers.iter().map(|a| a.lock().unwrap().clone()).collect();
     let mut violations = oracles::check_replicas_converged("replica-crash", &replies);
-    match world.portable_ref::<FetchActor>(fetch_ep) {
+    match world.actor_ref::<FetchActor>(fetch_ep) {
         Some(f) => {
             if f.result.as_ref() != Some(&content) {
                 violations.push(format!(
@@ -1046,7 +1033,7 @@ struct ChaosMcastMember {
 }
 
 impl Actor for ChaosMcastMember {
-    fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, _ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { payload, .. } = event {
             let Ok((Proto::Mcast, body)) = open(payload) else {
                 return;
@@ -1070,7 +1057,7 @@ struct ChaosMcastSender {
 }
 
 impl Actor for ChaosMcastSender {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             // HostUp: a flap swallows the pacing timer; restart it.
             Event::Start | Event::Timer { .. } | Event::HostUp => {
@@ -1101,7 +1088,7 @@ struct ChaosMcastRouter {
 }
 
 impl Actor for ChaosMcastRouter {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { payload, .. } = event {
             let Ok((Proto::Mcast, body)) = open(payload) else {
                 return;

@@ -1,15 +1,13 @@
-//! C2 — the chaos soak for the sharded engine.
+//! C2 — the chaos soak for partitioned, multi-threaded worlds.
 //!
-//! The single-world soak ([`crate::chaos`]) exercises the full SNIPE
-//! protocol stack on the serial engine. This soak targets
-//! [`ShardedWorld`]: six bespoke `Send` workloads exercise the
+//! The one-region soak ([`crate::chaos`]) exercises the full SNIPE
+//! protocol stack on a single core. This soak targets
+//! [`World::sharded`]: six bespoke workloads exercise the
 //! *engine-level* contracts — mailbox routing, fault dispatch across
 //! regions, chaos determinism, bounded per-shard queues, erasure-coded
-//! share spraying — and, now that every service actor is a
-//! [`PortableActor`], a
-//! **full-protocol** workload runs the real stack (per-host daemons,
-//! RCDS replication, file transfer) on a multi-cluster
-//! [`ShardedSnipeWorld`] under the same chaos plans.
+//! share spraying — and a **full-protocol** workload runs the real
+//! stack (per-host daemons, RCDS replication, file transfer) on a
+//! multi-cluster [`SnipeWorld`] under the same chaos plans.
 //!
 //! The engine-level runs happen on a 1000-host campus (16 regions)
 //! with a small active cast; the full-protocol run uses a 48-host
@@ -20,16 +18,18 @@
 //! digests must match bit-for-bit.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 
 use snipe_core::api::TicketResult;
-use snipe_core::{ShardedSnipeWorld, SnipeApi, SnipeProcess, SnipeWorldBuilder, SpawnTarget};
+use snipe_core::{SnipeApi, SnipeProcess, SnipeWorld, SnipeWorldBuilder, SpawnTarget};
 use snipe_files::{FetchActor, FileServerActor, FileServerConfig};
-use snipe_netsim::actor::{Event, PortableActor, SimCtx, TimerGate};
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::chaos::{ChaosBinding, ChaosPlan, ChaosShape};
-use snipe_netsim::shard::{ShardActor, ShardCtx, ShardedWorld};
+use snipe_netsim::shard::ActorFactory;
 use snipe_netsim::topology::Endpoint;
+use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::server::RcServerActor;
@@ -122,7 +122,7 @@ struct XferSender {
 }
 
 impl XferSender {
-    fn pump(&mut self, ctx: &mut ShardCtx<'_>) {
+    fn pump(&mut self, ctx: &mut dyn SimCtx) {
         let mut sent = 0;
         for seq in 0..self.total {
             if !self.acked[seq as usize] {
@@ -141,8 +141,8 @@ impl XferSender {
     }
 }
 
-impl ShardActor for XferSender {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for XferSender {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } | Event::HostUp => self.pump(ctx),
             Event::Packet { payload, .. } => {
@@ -167,8 +167,8 @@ struct XferReceiver {
     distinct: u32,
 }
 
-impl ShardActor for XferReceiver {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for XferReceiver {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { from, payload } = event {
             if let Some((TAG_DATA, seq, _)) = parse(&payload) {
                 if (seq as usize) < self.seen.len() {
@@ -203,7 +203,7 @@ fn run_transfer(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, u
     let rx = w
         .spawn(b, PORT, Box::new(XferReceiver { seen: vec![false; TOTAL as usize], distinct: 0 }))
         .unwrap();
-    apply(&mut w, plan, &[a, b]);
+    apply(&mut w, plan, &[a, b], Vec::new());
     let mut v = run_to_deadline(&mut w, plan, |w| {
         w.actor_ref::<XferSender>(tx).map(|s| s.done).unwrap_or(false)
     });
@@ -230,7 +230,7 @@ struct StreamSender {
 }
 
 impl StreamSender {
-    fn pump(&mut self, ctx: &mut ShardCtx<'_>) {
+    fn pump(&mut self, ctx: &mut dyn SimCtx) {
         if self.base >= self.total {
             return;
         }
@@ -241,8 +241,8 @@ impl StreamSender {
     }
 }
 
-impl ShardActor for StreamSender {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for StreamSender {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } | Event::HostUp => self.pump(ctx),
             Event::Packet { payload, .. } => {
@@ -266,8 +266,8 @@ struct StreamReceiver {
     log: Vec<u32>,
 }
 
-impl ShardActor for StreamReceiver {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for StreamReceiver {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { from, payload } = event {
             if let Some((TAG_DATA, seq, _)) = parse(&payload) {
                 if seq == self.next {
@@ -298,7 +298,7 @@ fn run_stream(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, u64
         )
         .unwrap();
     let rx = w.spawn(b, PORT, Box::new(StreamReceiver { next: 0, log: Vec::new() })).unwrap();
-    apply(&mut w, plan, &[a, b]);
+    apply(&mut w, plan, &[a, b], Vec::new());
     let mut v = run_to_deadline(&mut w, plan, |w| {
         w.actor_ref::<StreamSender>(tx).map(|s| s.base >= TOTAL).unwrap_or(false)
     });
@@ -321,7 +321,7 @@ struct MigDriver {
 }
 
 impl MigDriver {
-    fn pump(&mut self, ctx: &mut ShardCtx<'_>) {
+    fn pump(&mut self, ctx: &mut dyn SimCtx) {
         if self.acked >= self.total {
             return;
         }
@@ -330,8 +330,8 @@ impl MigDriver {
     }
 }
 
-impl ShardActor for MigDriver {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for MigDriver {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } | Event::HostUp => self.pump(ctx),
             Event::Packet { payload, .. } => match parse(&payload) {
@@ -362,8 +362,8 @@ struct MigService {
     move_to: Option<HostId>,
 }
 
-impl ShardActor for MigService {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for MigService {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::HostUp => {
                 if self.move_to.is_some() {
@@ -378,7 +378,7 @@ impl ShardActor for MigService {
                         driver: self.driver,
                         move_to: None,
                     };
-                    if ctx.spawn(dest, PORT + 1, Box::new(successor)).is_some() {
+                    if ctx.spawn_portable(dest, PORT + 1, Box::new(successor)).is_some() {
                         ctx.send(self.driver, frame(TAG_SWITCH, 0, dest.0));
                         let me = ctx.me();
                         ctx.kill(me);
@@ -429,7 +429,7 @@ fn run_migration(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, 
         }),
     )
     .unwrap();
-    apply(&mut w, plan, &[driver_h, dest_h]);
+    apply(&mut w, plan, &[driver_h, dest_h], Vec::new());
     let mut v = run_to_deadline(&mut w, plan, |w| {
         w.actor_ref::<MigDriver>(drv).map(|d| d.acked >= TOTAL).unwrap_or(false)
     });
@@ -465,8 +465,8 @@ struct Gossip {
     cursor: usize,
 }
 
-impl ShardActor for Gossip {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for Gossip {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } | Event::HostUp => {
                 let peer = self.peers[self.cursor % self.peers.len()];
@@ -498,7 +498,7 @@ fn run_gossip(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, u64
         let peers: Vec<Endpoint> = eps.iter().copied().filter(|e| e.host != h).collect();
         w.spawn(h, PORT, Box::new(Gossip { peers, value: 1_000 + i as u32, cursor: i }));
     }
-    apply(&mut w, plan, &hosts);
+    apply(&mut w, plan, &hosts, Vec::new());
     let eps2 = eps.clone();
     let mut v = run_to_deadline(&mut w, plan, move |w| {
         eps2.iter()
@@ -528,8 +528,8 @@ struct McastSource {
     rounds: u32,
 }
 
-impl ShardActor for McastSource {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for McastSource {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } | Event::HostUp => {
                 if self.sent == self.total {
@@ -556,8 +556,8 @@ struct McastRelay {
     leaves: Vec<Endpoint>,
 }
 
-impl ShardActor for McastRelay {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for McastRelay {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { payload, .. } = event {
             if parse(&payload).is_some() {
                 for &l in &self.leaves {
@@ -573,8 +573,8 @@ struct McastLeaf {
     seen: Vec<bool>,
 }
 
-impl ShardActor for McastLeaf {
-    fn on_event(&mut self, _ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for McastLeaf {
+    fn on_event(&mut self, _ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { payload, .. } = event {
             if let Some((TAG_DATA, seq, _)) = parse(&payload) {
                 if (seq as usize) < self.seen.len() {
@@ -610,7 +610,7 @@ fn run_mcast(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, u64)
     );
     // Only the source host may flap (matching the single-world mcast
     // contract: relays are unreliable but must stay up).
-    apply(&mut w, plan, &[src]);
+    apply(&mut w, plan, &[src], Vec::new());
     let eps2 = leaf_eps.clone();
     let mut v = run_to_deadline(&mut w, plan, move |w| {
         eps2.iter().all(|&e| {
@@ -631,7 +631,7 @@ fn run_mcast(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, u64)
 }
 
 // ---------------------------------------------------------------------------
-// W6: erasure-coded share spray (the wire FEC codec on the sharded engine)
+// W6: erasure-coded share spray (the wire FEC codec across regions)
 // ---------------------------------------------------------------------------
 // The same Reed-Solomon codec SRUDP's `FragStrategy::Fec` uses, driven
 // as a raw Send workload: each message is encoded into `2b-1` shares
@@ -709,7 +709,7 @@ struct FecShardSender {
 }
 
 impl FecShardSender {
-    fn pump(&mut self, ctx: &mut ShardCtx<'_>) {
+    fn pump(&mut self, ctx: &mut dyn SimCtx) {
         let mut live = 0;
         for seq in 0..self.total {
             if self.acked[seq as usize] {
@@ -737,8 +737,8 @@ impl FecShardSender {
     }
 }
 
-impl ShardActor for FecShardSender {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for FecShardSender {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } | Event::HostUp => self.pump(ctx),
             Event::Packet { payload, .. } => {
@@ -775,8 +775,8 @@ struct FecShardReceiver {
     partial: BTreeMap<u32, BTreeMap<u32, Bytes>>,
 }
 
-impl ShardActor for FecShardReceiver {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for FecShardReceiver {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { from, payload } = event {
             let Some(f) = parse_fec(&payload) else { return };
             if f.b as usize != self.expect_b
@@ -863,7 +863,7 @@ fn run_fec(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, u64) {
             }),
         )
         .unwrap();
-    apply(&mut w, plan, &[src, dst]);
+    apply(&mut w, plan, &[src, dst], Vec::new());
     let mut v = run_to_deadline(&mut w, plan, |w| {
         w.actor_ref::<FecShardSender>(tx).map(|s| s.done).unwrap_or(false)
     });
@@ -904,9 +904,10 @@ fn run_fec(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, u64) {
 // writes a file and registers a service, a daemon-spawned child calls
 // home across clusters, and three subscribers in other regions resolve
 // the service and fetch the file. All progress is judged from process
-// logs read back through `portable_ref` — no shared-memory side
-// channels — so the same milestones double as the engine-agnostic
-// application digest for the serial-vs-sharded differential tests.
+// logs read back through `process_ref` — no shared-memory side
+// channels — so the same milestones double as the partition-agnostic
+// application digest for the one-region-vs-natural-partition
+// differential tests.
 
 /// Clusters / hosts-per-cluster of the full-protocol campus.
 const FP_CLUSTERS: usize = 6;
@@ -914,7 +915,7 @@ const FP_PER_CLUSTER: usize = 8;
 /// Hosts in the full-protocol world.
 pub const FP_HOSTS: usize = FP_CLUSTERS * FP_PER_CLUSTER;
 
-/// The published file and its content (fixed so every engine and
+/// The published file and its content (fixed so every partition and
 /// thread count must log the same checksum).
 const FP_LIFN: &str = "lifn:soak/blob";
 
@@ -1082,29 +1083,21 @@ struct FpCast {
     subscribers: Vec<Endpoint>,
 }
 
-/// Register programs and bootstrap the cast — identical on either
-/// engine (the two world types share the `SnipeWorld` API surface).
-macro_rules! install_full_protocol {
-    ($w:expr) => {{
-        $w.register_process("soak-pub", |_| {
-            Box::new(SoakPublisher {
-                published: false,
-                spawned: false,
-                child_ok: false,
-                reg_left: 20,
-            })
-        });
-        $w.register_process("soak-echo", |args| Box::new(SoakEcho::from_args(&args)));
-        $w.register_process("soak-sub", |_| {
-            Box::new(SoakSubscriber { fetched: false, svc_ok: false, kicks_left: 45 })
-        });
-        let publisher = $w.spawn_on("c0h1", "soak-pub", Bytes::new()).expect("spawn pub").1;
-        let subscribers: Vec<Endpoint> = ["c3h1", "c4h1", "c5h1"]
-            .iter()
-            .map(|h| $w.spawn_on(h, "soak-sub", Bytes::new()).expect("spawn sub").1)
-            .collect();
-        FpCast { publisher, subscribers }
-    }};
+/// Register programs and bootstrap the cast.
+fn install_full_protocol(w: &mut SnipeWorld) -> FpCast {
+    w.register_process("soak-pub", |_| {
+        Box::new(SoakPublisher { published: false, spawned: false, child_ok: false, reg_left: 20 })
+    });
+    w.register_process("soak-echo", |args| Box::new(SoakEcho::from_args(&args)));
+    w.register_process("soak-sub", |_| {
+        Box::new(SoakSubscriber { fetched: false, svc_ok: false, kicks_left: 45 })
+    });
+    let publisher = w.spawn_on("c0h1", "soak-pub", Bytes::new()).expect("spawn pub").1;
+    let subscribers: Vec<Endpoint> = ["c3h1", "c4h1", "c5h1"]
+        .iter()
+        .map(|h| w.spawn_on(h, "soak-sub", Bytes::new()).expect("spawn sub").1)
+        .collect();
+    FpCast { publisher, subscribers }
 }
 
 /// The milestone lines every complete run must log, publisher first.
@@ -1114,7 +1107,7 @@ fn fp_expected() -> (Vec<&'static str>, String) {
 }
 
 /// Milestone check: log lines present on the publisher and every
-/// subscriber. `lines` come time-stripped from [`fp_app_lines`].
+/// subscriber. `lines` come time-stripped from [`fp_lines`].
 fn fp_violations(lines: &[String]) -> Vec<String> {
     let (pub_marks, fetched) = fp_expected();
     let mut v = Vec::new();
@@ -1136,8 +1129,13 @@ fn fp_violations(lines: &[String]) -> Vec<String> {
 }
 
 /// Time-stripped, labelled, sorted log lines of the cast — the
-/// engine-agnostic application digest.
-fn fp_app_lines(log_of: impl Fn(Endpoint) -> Vec<String>, cast: &FpCast) -> Vec<String> {
+/// partition-agnostic application digest.
+fn fp_lines(w: &SnipeWorld, cast: &FpCast) -> Vec<String> {
+    let log_of = |ep| -> Vec<String> {
+        w.process_ref(ep)
+            .map(|p| p.log.iter().map(|(_, l)| l.clone()).collect())
+            .unwrap_or_default()
+    };
     let mut lines: Vec<String> =
         log_of(cast.publisher).into_iter().map(|l| format!("pub: {l}")).collect();
     for (i, &ep) in cast.subscribers.iter().enumerate() {
@@ -1147,74 +1145,56 @@ fn fp_app_lines(log_of: impl Fn(Endpoint) -> Vec<String>, cast: &FpCast) -> Vec<
     lines
 }
 
-fn fp_world(wseed: u64, threads: usize) -> (ShardedSnipeWorld, FpCast) {
+fn fp_world(wseed: u64, threads: usize) -> (SnipeWorld, FpCast) {
     let mut w =
         SnipeWorldBuilder::campus(FP_CLUSTERS, FP_PER_CLUSTER, wseed).build_sharded(threads);
-    let cast = install_full_protocol!(w);
+    let cast = install_full_protocol(&mut w);
     (w, cast)
-}
-
-fn fp_lines_sharded(w: &ShardedSnipeWorld, cast: &FpCast) -> Vec<String> {
-    fp_app_lines(
-        |ep| {
-            w.process_ref(ep)
-                .map(|p| p.log.iter().map(|(_, l)| l.clone()).collect())
-                .unwrap_or_default()
-        },
-        cast,
-    )
 }
 
 fn run_full_protocol(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, u64) {
     let (mut w, cast) = fp_world(wseed, threads);
     // No host flaps: SNIPE processes exit on a host crash by contract,
     // so the cast must stay up; packet and net chaos are in contract.
-    apply(w.sim(), plan, &[]);
+    apply(w.sim(), plan, &[], Vec::new());
     let deadline = plan.quiesce_at() + RECOVERY_TAIL;
     let step = SimDuration::from_millis(250);
     let mut v = loop {
         w.run_for(step);
-        if fp_violations(&fp_lines_sharded(&w, &cast)).is_empty() {
+        if fp_violations(&fp_lines(&w, &cast)).is_empty() {
             w.run_for(SimDuration::from_secs(1));
             break Vec::new();
         }
         if w.now() >= deadline {
-            break fp_violations(&fp_lines_sharded(&w, &cast));
+            break fp_violations(&fp_lines(&w, &cast));
         }
     };
     v.extend(bounded("shard-full-protocol", w.sim_ref()));
     (v, w.sim_ref().digest())
 }
 
-/// Chaos-free full-protocol run on the sharded engine for a fixed
-/// virtual duration: returns the engine digest and the sorted
+/// Chaos-free full-protocol run over the natural partition for a
+/// fixed virtual duration: returns the engine digest and the sorted
 /// application log lines. The `full-proto-digest` gate byte-compares
 /// this across thread counts; the differential tests compare the app
-/// lines against [`full_protocol_serial`].
+/// lines against [`full_protocol_one_region`].
 pub fn full_protocol_sharded(wseed: u64, threads: usize, secs: u64) -> (u64, Vec<String>) {
     let (mut w, cast) = fp_world(wseed, threads);
     w.run_for_secs(secs);
-    let lines = fp_lines_sharded(&w, &cast);
+    let lines = fp_lines(&w, &cast);
     (w.digest(), lines)
 }
 
-/// The same workload, world layout and duration on the serial
-/// [`World`](snipe_netsim::world::World): returns the sorted
-/// application log lines. Engine digests are not comparable across
-/// engines (the serial world draws from one RNG stream, shards from
-/// per-region streams), but the application outcome must match.
-pub fn full_protocol_serial(wseed: u64, secs: u64) -> Vec<String> {
+/// The same workload, world layout and duration forced into one
+/// region: returns the sorted application log lines. Engine digests
+/// are not comparable across partitions (one RNG stream and one queue
+/// here, one of each per region there), but the application outcome
+/// must match.
+pub fn full_protocol_one_region(wseed: u64, secs: u64) -> Vec<String> {
     let mut w = SnipeWorldBuilder::campus(FP_CLUSTERS, FP_PER_CLUSTER, wseed).build();
-    let cast = install_full_protocol!(w);
+    let cast = install_full_protocol(&mut w);
     w.run_for_secs(secs);
-    fp_app_lines(
-        |ep| {
-            w.process_ref(ep)
-                .map(|p| p.log.iter().map(|(_, l)| l.clone()).collect())
-                .unwrap_or_default()
-        },
-        &cast,
-    )
+    fp_lines(&w, &cast)
 }
 
 /// Debug hook: run `plan` against the full-protocol world and hand
@@ -1225,14 +1205,14 @@ pub fn fp_debug_world(
     wseed: u64,
     threads: usize,
     plan: &ChaosPlan,
-) -> (ShardedSnipeWorld, (Endpoint, Vec<Endpoint>)) {
+) -> (SnipeWorld, (Endpoint, Vec<Endpoint>)) {
     let (mut w, cast) = fp_world(wseed, threads);
-    apply(w.sim(), plan, &[]);
+    apply(w.sim(), plan, &[], Vec::new());
     let deadline = plan.quiesce_at() + RECOVERY_TAIL;
     let step = SimDuration::from_millis(250);
     loop {
         w.run_for(step);
-        if fp_violations(&fp_lines_sharded(&w, &cast)).is_empty() || w.now() >= deadline {
+        if fp_violations(&fp_lines(&w, &cast)).is_empty() || w.now() >= deadline {
             break;
         }
     }
@@ -1243,19 +1223,16 @@ pub fn fp_debug_world(
 // W8: replica crash — sharded metadata plus a striped cross-region file
 // read while RCDS servers and file replicas crash/restart mid-flight
 // ---------------------------------------------------------------------------
-// The sharded twin of the serial soak's `replica-crash` workload: the
-// same service actors (they are [`PortableActor`]s) on the 1000-host
-// campus, with the cast spread over three regions so every RC sync,
+// The partitioned twin of the one-region soak's `replica-crash`
+// workload: the same service actors on the 1000-host campus, with the cast spread over three regions so every RC sync,
 // stripe request and anti-entropy push crosses shard boundaries.
 
 const RC_TIMER_FIRE: u64 = 20;
 const RC_TIMER_GATE: u64 = 21;
-const TIMER_CRASH: u64 = 51;
-const TIMER_RESPAWN: u64 = 52;
 
-/// Portable twin of the serial soak's `ChaosWriter`: puts an evolving
-/// assertion during the fault window. No `Arc` side-channels — the
-/// actor must be `Send`, so results are read back via `portable_ref`.
+/// Twin of the one-region soak's `ChaosWriter`: puts an evolving
+/// assertion during the fault window. No `Arc` side-channels — results
+/// are read back via `actor_ref`.
 struct ShardRcWriter {
     rc: RcClient,
     uri: Uri,
@@ -1277,7 +1254,7 @@ impl ShardRcWriter {
     }
 }
 
-impl PortableActor for ShardRcWriter {
+impl Actor for ShardRcWriter {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { token: RC_TIMER_FIRE } => {
@@ -1307,9 +1284,9 @@ impl PortableActor for ShardRcWriter {
     }
 }
 
-/// Portable twin of `ReplicaProbe`: queries exactly one replica after
-/// faults quiesce, retrying on timeout; `answer` is read back via
-/// `portable_ref` once the run settles.
+/// Twin of `ReplicaProbe`: queries exactly one replica after faults
+/// quiesce, retrying on timeout; `answer` is read back via `actor_ref`
+/// once the run settles.
 struct ShardRcProbe {
     rc: RcClient,
     uri: Uri,
@@ -1346,7 +1323,7 @@ impl ShardRcProbe {
     }
 }
 
-impl PortableActor for ShardRcProbe {
+impl Actor for ShardRcProbe {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
@@ -1375,53 +1352,6 @@ impl PortableActor for ShardRcProbe {
     }
 }
 
-/// Process-crash chaos for the sharded engine. Plan-level `ProcRestart`
-/// ops are skipped by `apply_chaos_plan` (their restart closures are
-/// `Rc`-bound to the serial world), so this supervisor lives on the
-/// victim's own host — same region by construction, which is what
-/// [`SimCtx::kill`] requires — kills the target at each scheduled
-/// virtual time, and respawns a fresh process after a short downtime.
-struct ProcRestarter {
-    target: Endpoint,
-    /// Ascending absolute crash times.
-    crashes: Vec<SimTime>,
-    downtime: SimDuration,
-    /// Builds the replacement process; the argument is the restart
-    /// generation (used for fresh RC server identities).
-    make: Box<dyn FnMut(u64) -> Box<dyn PortableActor> + Send>,
-    generation: u64,
-}
-
-impl ProcRestarter {
-    fn arm_next(&mut self, ctx: &mut dyn SimCtx) {
-        if !self.crashes.is_empty() {
-            let at = self.crashes.remove(0);
-            ctx.set_timer(at.saturating_since(ctx.now()), TIMER_CRASH);
-        }
-    }
-}
-
-impl PortableActor for ProcRestarter {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            Event::Start => self.arm_next(ctx),
-            Event::Timer { token: TIMER_CRASH } => {
-                if ctx.is_bound(self.target) {
-                    ctx.kill(self.target);
-                }
-                ctx.set_timer(self.downtime, TIMER_RESPAWN);
-            }
-            Event::Timer { token: TIMER_RESPAWN } => {
-                self.generation += 1;
-                let fresh = (self.make)(self.generation);
-                let _ = ctx.spawn_portable(self.target.host, self.target.port, fresh);
-                self.arm_next(ctx);
-            }
-            _ => {}
-        }
-    }
-}
-
 fn run_shard_replica_crash(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, u64) {
     let label = "shard-replica-crash";
     let mut w = soak_world(wseed, threads);
@@ -1437,11 +1367,7 @@ fn run_shard_replica_crash(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec
         rc_hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
     for (i, ep) in rc_eps.iter().enumerate() {
         let peers: Vec<Endpoint> = rc_eps.iter().copied().filter(|e| e != ep).collect();
-        let _ = w.spawn_portable(
-            ep.host,
-            ep.port,
-            Box::new(RcServerActor::new(i as u64 + 1, peers, sync)),
-        );
+        let _ = w.spawn(ep.host, ep.port, Box::new(RcServerActor::new(i as u64 + 1, peers, sync)));
     }
 
     let fs_eps: Vec<Endpoint> =
@@ -1463,12 +1389,12 @@ fn run_shard_replica_crash(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec
         }
     };
     for (i, ep) in fs_eps.iter().enumerate() {
-        let _ = w.spawn_portable(ep.host, ep.port, Box::new(make_fs(i)));
+        let _ = w.spawn(ep.host, ep.port, Box::new(make_fs(i)));
     }
 
     // Metadata writes land throughout the fault window.
     let uri = Uri::process(7);
-    let _ = w.spawn_portable(
+    let _ = w.spawn(
         client,
         50,
         Box::new(ShardRcWriter {
@@ -1484,7 +1410,7 @@ fn run_shard_replica_crash(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec
     // The striped read starts two seconds in, mid-fault-window, and
     // must survive replica crashes mid-transfer.
     let fetch_ep = Endpoint::new(client, 51);
-    let _ = w.spawn_portable(
+    let _ = w.spawn(
         client,
         fetch_ep.port,
         Box::new(FetchActor::new(
@@ -1495,56 +1421,23 @@ fn run_shard_replica_crash(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec
         )),
     );
 
-    // One supervisor per server: RC replicas come back as *fresh,
-    // empty* stores (anti-entropy must repopulate them); file replicas
-    // come back as fresh processes over surviving disk contents. The
-    // schedule staggers crashes across the fault window.
-    let t0 = SimTime::from_nanos(0);
-    for (i, &ep) in rc_eps.iter().enumerate() {
-        let peers: Vec<Endpoint> = rc_eps.iter().copied().filter(|e| *e != ep).collect();
-        let _ = w.spawn_portable(
-            ep.host,
-            7900,
-            Box::new(ProcRestarter {
-                target: ep,
-                crashes: vec![t0 + SimDuration::from_millis(1200 + 700 * i as u64)],
-                downtime: SimDuration::from_millis(150),
-                make: Box::new(move |generation| {
-                    Box::new(RcServerActor::new(
-                        1000 + i as u64 * 100 + generation,
-                        peers.clone(),
-                        sync,
-                    ))
-                }),
-                generation: 0,
-            }),
-        );
-    }
+    // Plan `ProcRestart` ops crash these: RC replicas come back as
+    // *fresh, empty* stores (anti-entropy must repopulate them); file
+    // replicas come back as fresh processes over surviving disk
+    // contents. No host flaps; net partitions and per-packet chaos are
+    // in contract.
+    let mut procs = crate::chaos::fresh_rc_factories(&rc_eps, sync);
     for (i, &ep) in fs_eps.iter().enumerate() {
         let make_fs = make_fs.clone();
-        let _ = w.spawn_portable(
-            ep.host,
-            7901,
-            Box::new(ProcRestarter {
-                target: ep,
-                crashes: vec![t0 + SimDuration::from_millis(1500 + 700 * i as u64)],
-                downtime: SimDuration::from_millis(150),
-                make: Box::new(move |_| Box::new(make_fs(i))),
-                generation: 0,
-            }),
-        );
+        procs.push((ep, Arc::new(move || Box::new(make_fs(i)) as Box<dyn Actor>)));
     }
-
-    // No host flaps: process crash/restart chaos comes from the
-    // supervisors above (a host flap would also swallow their pending
-    // timers); net partitions and per-packet chaos are in contract.
-    apply(&mut w, plan, &[]);
+    apply(&mut w, plan, &[], procs);
 
     // Probe every RC replica individually several sync rounds after the
     // last fault healed.
     let probe_at = plan.quiesce_at() + SimDuration::from_secs(4);
     for (i, &ep) in rc_eps.iter().enumerate() {
-        let _ = w.spawn_portable(
+        let _ = w.spawn(
             client,
             60 + i as u16,
             Box::new(ShardRcProbe {
@@ -1560,12 +1453,12 @@ fn run_shard_replica_crash(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec
 
     let mut violations = run_to_deadline(&mut w, plan, |w| {
         let probes_done = (0..replicas).all(|i| {
-            w.portable_ref::<ShardRcProbe>(Endpoint::new(client, 60 + i as u16))
+            w.actor_ref::<ShardRcProbe>(Endpoint::new(client, 60 + i as u16))
                 .map(|p| p.answer.is_some())
                 .unwrap_or(false)
         });
         let fetch_done = w
-            .portable_ref::<FetchActor>(fetch_ep)
+            .actor_ref::<FetchActor>(fetch_ep)
             .map(|f| f.result.is_some() || f.failed)
             .unwrap_or(false);
         probes_done && fetch_done
@@ -1573,12 +1466,12 @@ fn run_shard_replica_crash(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec
 
     let replies: Vec<Option<Vec<Assertion>>> = (0..replicas)
         .map(|i| {
-            w.portable_ref::<ShardRcProbe>(Endpoint::new(client, 60 + i as u16))
+            w.actor_ref::<ShardRcProbe>(Endpoint::new(client, 60 + i as u16))
                 .and_then(|p| p.answer.clone())
         })
         .collect();
     violations.extend(oracles::check_replicas_converged(label, &replies));
-    match w.portable_ref::<FetchActor>(fetch_ep) {
+    match w.actor_ref::<FetchActor>(fetch_ep) {
         Some(f) => {
             if f.result.as_ref() != Some(&content) {
                 violations.push(format!(
@@ -1607,29 +1500,24 @@ fn run_shard_replica_crash(plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec
 // Soak plumbing
 // ---------------------------------------------------------------------------
 
-fn soak_world(wseed: u64, threads: usize) -> ShardedWorld {
-    ShardedWorld::new(cluster_topology(SOAK_HOSTS), wseed, threads)
+fn soak_world(wseed: u64, threads: usize) -> World {
+    World::sharded(cluster_topology(SOAK_HOSTS), wseed, threads)
 }
 
 /// Translate the plan and bind its abstract targets: flappable hosts
 /// are the workload's cast, net-level faults rotate over the first six
 /// cluster LANs, interface flaps over the cast's interfaces.
-fn apply(w: &mut ShardedWorld, plan: &ChaosPlan, cast: &[HostId]) {
+fn apply(w: &mut World, plan: &ChaosPlan, cast: &[HostId], procs: Vec<(Endpoint, ActorFactory)>) {
     let nets: Vec<NetId> = (0..6).map(NetId).collect();
     let ifaces: Vec<(HostId, NetId)> =
         cast.iter().map(|&h| (h, NetId(h.index() as u32 / 64))).collect();
-    let binding = ChaosBinding { hosts: cast.to_vec(), nets, ifaces, procs: Vec::new() };
-    w.apply_chaos_plan(plan, &binding);
+    plan.apply(w, &ChaosBinding { hosts: cast.to_vec(), nets, ifaces, procs });
 }
 
 /// Drive the world in 250 ms slices until `done` or the deadline
 /// (quiesce + recovery tail). A missed deadline is the liveness
 /// violation; invariant details are the caller's to report.
-fn run_to_deadline(
-    w: &mut ShardedWorld,
-    plan: &ChaosPlan,
-    done: impl Fn(&ShardedWorld) -> bool,
-) -> Vec<String> {
+fn run_to_deadline(w: &mut World, plan: &ChaosPlan, done: impl Fn(&World) -> bool) -> Vec<String> {
     let deadline = plan.quiesce_at() + RECOVERY_TAIL;
     let step = SimDuration::from_millis(250);
     loop {
@@ -1649,7 +1537,7 @@ fn run_to_deadline(
     }
 }
 
-fn bounded(label: &str, w: &ShardedWorld) -> Vec<String> {
+fn bounded(label: &str, w: &World) -> Vec<String> {
     oracles::check_shard_bounded(label, w, MAX_RESIDUAL_EVENTS, MAX_PEAK_DEPTH, MAX_MAILBOX_BURST)
 }
 
@@ -1799,16 +1687,14 @@ impl ShardWorkload {
                 jitter_max: SimDuration::from_millis(10),
                 ..ChaosShape::default()
             },
-            // Process crash/restart chaos is supplied by the workload's
-            // own supervisors (plan `ProcRestart` ops are serial-only),
-            // and host flaps would swallow the supervisors' timers, so
-            // the plan contributes net partitions and packet chaos.
+            // Process crash/restart of the three RC and three file
+            // servers, net partitions and packet chaos; no host flaps.
             ShardWorkload::ReplicaCrash => ChaosShape {
                 horizon: SimDuration::from_secs(4),
                 hosts: 0,
                 nets: 3,
                 ifaces: 0,
-                procs: 0,
+                procs: 6,
                 max_ops: 4,
                 corrupt_max: 0.02,
                 jitter_max: SimDuration::from_millis(10),
@@ -1923,11 +1809,12 @@ pub const SHARD_REGRESSION_CORPUS: &[(ShardWorkload, u64, u64)] = &[
     (ShardWorkload::FecSpray, 0xC0FF_EE02, 0x5EED + 2),
     (ShardWorkload::FullProtocol, 0xC0FF_EE00, 0x5EED),
     // Replica crash/restart under cross-region RC sync and a striped
-    // read: the soak's leading seed plus the plan carrying the fullest
-    // fault envelope in the sweep (four ops incl. net partitions, with
-    // packet corruption on). Pins supervisor-driven process restarts —
-    // kill + respawn inside shard regions — and the fetch layer's
-    // straggler re-dispatch, alongside cross-thread digest equality.
+    // read: the soak's leading seed (one file replica restarted
+    // mid-read) plus a four-op plan (a file-replica restart, a loss
+    // burst, a gray link and a net flap). Pins plan-driven process
+    // restarts — the engine's restart fault inside shard regions — and
+    // the fetch layer's straggler re-dispatch, alongside cross-thread
+    // digest equality.
     (ShardWorkload::ReplicaCrash, 0xC0FF_EE00, 0x5EED),
     (ShardWorkload::ReplicaCrash, 0xC0FF_EE02, 0x5EED + 2),
 ];

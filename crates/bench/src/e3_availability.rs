@@ -9,7 +9,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use snipe_netsim::actor::{Actor, Ctx, Event};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::fault::{schedule_host_failures, FailureModel};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
@@ -47,7 +47,7 @@ struct LookupLoad {
 }
 
 impl LookupLoad {
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+    fn flush(&mut self, ctx: &mut dyn SimCtx) {
         for (to, bytes) in self.rc.drain_sends() {
             ctx.send(to, seal(Proto::Raw, bytes));
         }
@@ -68,7 +68,7 @@ impl LookupLoad {
 }
 
 impl Actor for LookupLoad {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let now = ctx.now();

@@ -106,12 +106,12 @@ pub fn run_snipe(n: usize, seed: u64) -> E4Point {
     }
 }
 
-// --- SNIPE on the sharded engine -------------------------------------------
+// --- SNIPE on a partitioned world ------------------------------------------
 
-/// One measured row of the sharded-engine scalability run.
+/// One measured row of the partitioned-world scalability run.
 #[derive(Clone, Debug)]
 pub struct E4ShardPoint {
-    /// Worker threads driving the sharded engine.
+    /// Worker threads driving the regions.
     pub threads: usize,
     /// Host count (== clusters × per-cluster == task count).
     pub hosts: usize,
@@ -128,7 +128,7 @@ pub struct E4ShardPoint {
 }
 
 /// The same one-task-per-host burst, but on a multi-cluster campus
-/// hosted by the sharded engine: the coordinator in cluster 0 spawns
+/// over its natural partition: the coordinator in cluster 0 spawns
 /// through every per-host daemon while regions execute in parallel.
 pub fn run_snipe_sharded(
     clusters: usize,

@@ -7,8 +7,9 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Actor, Ctx, Event};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
+use snipe_netsim::shard::FaultCmd;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_util::time::{SimDuration, SimTime};
@@ -36,7 +37,7 @@ struct RouterActor {
 }
 
 impl Actor for RouterActor {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { payload, .. } = event {
             let Ok((Proto::Mcast, body)) = open(payload) else {
                 return;
@@ -64,7 +65,7 @@ struct MemberActor {
 }
 
 impl Actor for MemberActor {
-    fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, _ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { payload, .. } = event {
             let Ok((Proto::Mcast, body)) = open(payload) else {
                 return;
@@ -90,7 +91,7 @@ struct SenderActor {
 }
 
 impl Actor for SenderActor {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } => {
                 if self.seq as u32 >= self.total {
@@ -185,7 +186,7 @@ pub fn run(routers: usize, members: usize, kill: usize, total: u32, seed: u64) -
     // Kill `kill` routers midway through the stream.
     let mid = SimTime::ZERO + SimDuration::from_millis(5) * (total as u64 / 2);
     for &h in router_hosts.iter().take(kill) {
-        world.schedule_fn(mid, move |w| w.host_down(h));
+        world.schedule_fault(mid, FaultCmd::HostDown(h));
     }
     world.run_for(SimDuration::from_millis(5) * total as u64 + SimDuration::from_secs(2));
     let min_delivered = delivered_counters.iter().map(|c| *c.lock().unwrap()).min().unwrap_or(0);

@@ -11,6 +11,7 @@
 use std::sync::{Arc, Mutex};
 
 use snipe_netsim::medium::Medium;
+use snipe_netsim::shard::FaultCmd;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_util::time::{SimDuration, SimTime};
@@ -77,7 +78,7 @@ pub fn run(total: usize, seed: u64) -> E7Point {
     world.spawn(a, 20, Box::new(sender));
     // Blackhole the ATM fabric at 40% of the expected transfer time.
     let fault_at = SimTime::ZERO + SimDuration::from_millis(100);
-    world.schedule_fn(fault_at, move |w| w.set_net_loss(atm, Some(1.0)));
+    world.schedule_fault(fault_at, FaultCmd::NetLoss(atm, Some(1.0)));
     for _ in 0..300 {
         world.run_for(SimDuration::from_millis(100));
         if done_at.lock().unwrap().is_some() {

@@ -5,8 +5,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use snipe_netsim::actor::{Actor, Ctx, Event};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
+use snipe_netsim::shard::FaultCmd;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
@@ -62,7 +63,7 @@ struct SnipeLoad {
 }
 
 impl SnipeLoad {
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+    fn flush(&mut self, ctx: &mut dyn SimCtx) {
         for (to, bytes) in self.rc.drain_sends() {
             ctx.send(to, seal(Proto::Raw, bytes));
         }
@@ -89,7 +90,7 @@ impl SnipeLoad {
 }
 
 impl Actor for SnipeLoad {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let now = ctx.now();
@@ -153,7 +154,7 @@ pub fn run_snipe(seed: u64) -> E8Point {
         Box::new(RcServerActor::new(2, vec![eps[0]], SimDuration::from_millis(200))),
     );
     let kill_at = SimTime::ZERO + SimDuration::from_secs(5);
-    world.schedule_fn(kill_at, move |w| w.host_down(r0));
+    world.schedule_fault(kill_at, FaultCmd::HostDown(r0));
     let issued = Arc::new(Mutex::new((0u64, 0u64)));
     let answered = Arc::new(Mutex::new((0u64, 0u64)));
     let load = SnipeLoad {
@@ -189,7 +190,7 @@ struct PvmLoad {
 }
 
 impl Actor for PvmLoad {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 // Register tid 3 so lookups succeed while the master
@@ -252,7 +253,7 @@ pub fn run_pvm(seed: u64) -> E8Point {
     let master_ep = Endpoint::new(m, MASTER_PORT);
     world.spawn(m, MASTER_PORT, Box::new(PvmMaster::new()));
     let kill_at = SimTime::ZERO + SimDuration::from_secs(5);
-    world.schedule_fn(kill_at, move |w| w.host_down(m));
+    world.schedule_fault(kill_at, FaultCmd::HostDown(m));
     let issued = Arc::new(Mutex::new((0u64, 0u64)));
     let answered = Arc::new(Mutex::new((0u64, 0u64)));
     let load = PvmLoad {

@@ -1,7 +1,7 @@
 //! Engine benchmark: raw event-loop throughput of the netsim world.
 //!
-//! Every experiment in this repro funnels through `World::send_packet`
-//! and the event queue, so wall-clock events/second is the ceiling on
+//! Every experiment in this repro funnels through the engine's send
+//! path and event queue, so wall-clock events/second is the ceiling on
 //! how large E4 host counts and how long E3 horizons can get. This
 //! module drives a packet storm over a multi-network topology with
 //! periodic fault injection (the workload shape of E3/E7) and reports
@@ -14,8 +14,9 @@
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Actor, Ctx, Event};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
+use snipe_netsim::shard::FaultCmd;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_util::id::{HostId, NetId};
@@ -24,7 +25,7 @@ use snipe_util::time::SimDuration;
 /// Outcome of one storm run.
 #[derive(Clone, Debug)]
 pub struct EngineRun {
-    /// Configuration label (e.g. `cached` / `uncached`).
+    /// Configuration label.
     pub label: String,
     /// Simulated span.
     pub sim_seconds: f64,
@@ -74,7 +75,7 @@ struct StormActor {
 }
 
 impl Actor for StormActor {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } => {
                 for i in 0..self.burst {
@@ -130,20 +131,17 @@ fn schedule_faults(world: &mut World, ids: &[HostId], nets: [NetId; 3], sim: Sim
     let flapper = ids[ids.len() / 2];
     for k in 0..steps {
         let at = snipe_util::time::SimTime::ZERO + step * k as u64;
-        match k % 8 {
-            0 => world.schedule_fn(at, move |w| {
-                w.set_iface_up(victim, atm, false);
-            }),
-            1 => world.schedule_fn(at, move |w| {
-                w.set_iface_up(victim, atm, true);
-            }),
-            2 => world.schedule_fn(at, move |w| w.set_net_loss(eth0, Some(0.02))),
-            3 => world.schedule_fn(at, move |w| w.set_net_loss(eth0, None)),
-            4 => world.schedule_fn(at, move |w| w.set_partition(eth1, 1)),
-            5 => world.schedule_fn(at, move |w| w.set_partition(eth1, 0)),
-            6 => world.schedule_fn(at, move |w| w.host_down(flapper)),
-            _ => world.schedule_fn(at, move |w| w.host_up(flapper)),
-        }
+        let cmd = match k % 8 {
+            0 => FaultCmd::IfaceUp(victim, atm, false),
+            1 => FaultCmd::IfaceUp(victim, atm, true),
+            2 => FaultCmd::NetLoss(eth0, Some(0.02)),
+            3 => FaultCmd::NetLoss(eth0, None),
+            4 => FaultCmd::PartitionNet(eth1, 1),
+            5 => FaultCmd::PartitionNet(eth1, 0),
+            6 => FaultCmd::HostDown(flapper),
+            _ => FaultCmd::HostUp(flapper),
+        };
+        world.schedule_fault(at, cmd);
     }
 }
 
@@ -170,20 +168,7 @@ pub fn build_storm(hosts: usize, sim: SimDuration, seed: u64) -> World {
 /// Run the storm for `sim` simulated time and measure engine
 /// throughput.
 pub fn storm(label: &str, hosts: usize, sim: SimDuration, seed: u64) -> EngineRun {
-    storm_with(label, hosts, sim, seed, true)
-}
-
-/// [`storm`] with the route cache optionally disabled (A/B runs; the
-/// traffic fingerprint must be identical either way).
-pub fn storm_with(
-    label: &str,
-    hosts: usize,
-    sim: SimDuration,
-    seed: u64,
-    route_cache: bool,
-) -> EngineRun {
     let mut world = build_storm(hosts, sim, seed);
-    world.set_route_cache(route_cache);
     let t0 = std::time::Instant::now();
     world.run_for(sim);
     let wall = t0.elapsed().as_secs_f64();

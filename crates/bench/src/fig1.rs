@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Actor, Ctx, Event, TimerGate};
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
@@ -81,7 +81,7 @@ const TIMER_STACK: u64 = 1;
 fn flush_wire(
     stack: &mut WireStack,
     gate: &mut TimerGate,
-    ctx: &mut Ctx<'_>,
+    ctx: &mut dyn SimCtx,
     delivered: &mut usize,
 ) {
     for o in stack.drain() {
@@ -100,7 +100,7 @@ fn flush_wire(
 }
 
 impl SrudpSender {
-    fn pump_app(&mut self, ctx: &mut Ctx<'_>) {
+    fn pump_app(&mut self, ctx: &mut dyn SimCtx) {
         let now = ctx.now();
         let Some(stack) = self.stack.as_mut() else {
             return;
@@ -125,7 +125,7 @@ fn stack_backlog(stack: &WireStack) -> usize {
 }
 
 impl Actor for SrudpSender {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let me = ctx.me();
@@ -171,7 +171,7 @@ pub(crate) struct SrudpReceiver {
 }
 
 impl Actor for SrudpReceiver {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let me = ctx.me();
@@ -258,7 +258,7 @@ pub(crate) struct FecSender {
 }
 
 impl FecSender {
-    fn pump_app(&mut self, ctx: &mut Ctx<'_>) {
+    fn pump_app(&mut self, ctx: &mut dyn SimCtx) {
         let now = ctx.now();
         let Some(stack) = self.stack.as_mut() else {
             return;
@@ -274,7 +274,7 @@ impl FecSender {
 }
 
 impl Actor for FecSender {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let me = ctx.me();
@@ -323,7 +323,7 @@ pub(crate) struct FecReceiver {
 }
 
 impl FecReceiver {
-    fn drain_verified(&mut self, ctx: &mut Ctx<'_>) {
+    fn drain_verified(&mut self, ctx: &mut dyn SimCtx) {
         let Some(stack) = self.stack.as_mut() else {
             return;
         };
@@ -365,7 +365,7 @@ impl FecReceiver {
 }
 
 impl Actor for FecReceiver {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let me = ctx.me();
@@ -417,7 +417,7 @@ pub(crate) struct RstreamSender {
 }
 
 impl RstreamSender {
-    fn pump(&mut self, ctx: &mut Ctx<'_>) {
+    fn pump(&mut self, ctx: &mut dyn SimCtx) {
         let now = ctx.now();
         let Some(stack) = self.stack.as_mut() else {
             return;
@@ -438,7 +438,7 @@ impl RstreamSender {
 }
 
 impl Actor for RstreamSender {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let me = ctx.me();
@@ -482,7 +482,7 @@ pub(crate) struct RstreamReceiver {
 }
 
 impl RstreamReceiver {
-    fn drain(&mut self, ctx: &mut Ctx<'_>) {
+    fn drain(&mut self, ctx: &mut dyn SimCtx) {
         let Some(stack) = self.stack.as_mut() else {
             return;
         };
@@ -499,7 +499,7 @@ impl RstreamReceiver {
 }
 
 impl Actor for RstreamReceiver {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let me = ctx.me();
@@ -540,7 +540,7 @@ struct McastSource {
 }
 
 impl Actor for McastSource {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             // HostUp: a flap swallows the pacing timer; restart it.
             Event::Start | Event::Timer { .. } | Event::HostUp => {
@@ -572,7 +572,7 @@ struct McastRouterHost {
 }
 
 impl Actor for McastRouterHost {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { payload, .. } = event {
             let Ok((Proto::Mcast, body)) = open(payload) else {
                 return;
@@ -600,7 +600,7 @@ struct McastMemberHost {
 }
 
 impl McastMemberHost {
-    fn drain(&mut self, ctx: &mut Ctx<'_>) {
+    fn drain(&mut self, ctx: &mut dyn SimCtx) {
         let Some(stack) = self.stack.as_mut() else {
             return;
         };
@@ -632,7 +632,7 @@ impl McastMemberHost {
 }
 
 impl Actor for McastMemberHost {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let me = ctx.me();

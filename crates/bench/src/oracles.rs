@@ -164,13 +164,13 @@ pub fn check_reasm_bounded(
     }
 }
 
-/// Per-shard boundedness for the sharded engine: aggregate totals can
+/// Per-region boundedness: aggregate totals can
 /// hide one runaway region, so every shard's residual queue, peak
 /// depth, slab/stream high-water marks and per-round mailbox burst
 /// must each stay under its bound.
 pub fn check_shard_bounded(
     label: &str,
-    world: &snipe_netsim::shard::ShardedWorld,
+    world: &World,
     max_residual: usize,
     max_peak: u64,
     max_mailbox: u64,

@@ -1,9 +1,9 @@
-//! Shard-engine scaling benchmark: the storm workload on the
-//! [`ShardedWorld`] at 1k–100k hosts.
+//! Scaling benchmark: the storm workload on a partitioned [`World`]
+//! at 1k–100k hosts.
 //!
-//! The single-threaded storm ([`crate::engine`]) measures the event
-//! loop's ceiling; this module measures how far the sharded engine
-//! pushes that ceiling with worker threads. The world is a campus of
+//! The one-region storm ([`crate::engine`]) measures one core's
+//! ceiling; this module measures how far partitioning the world onto
+//! worker threads pushes it. The world is a campus of
 //! routable switched LANs ("clusters") of [`CLUSTER`] hosts each — one
 //! partition region per LAN — with ~10% of each burst crossing
 //! clusters through the deterministic mailbox. `harness shard` runs
@@ -14,10 +14,11 @@
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::Event;
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
-use snipe_netsim::shard::{ShardActor, ShardCtx, ShardLoad, ShardedWorld};
+use snipe_netsim::shard::ShardLoad;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
+use snipe_netsim::world::World;
 use snipe_util::id::HostId;
 use snipe_util::time::SimDuration;
 
@@ -58,7 +59,7 @@ pub fn cluster_topology(hosts: usize) -> Topology {
     t
 }
 
-/// Timer-driven burst generator, `Send` for the sharded engine. Every
+/// Timer-driven burst generator. Every
 /// millisecond it emits `burst` datagrams: most to a neighbor
 /// in its own cluster, every tenth to a fixed far host in another
 /// cluster (cross-region traffic through the mailbox). Counts
@@ -71,8 +72,8 @@ pub struct ShardStormActor {
     pub got: u64,
 }
 
-impl ShardActor for ShardStormActor {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+impl Actor for ShardStormActor {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } => {
                 for i in 0..self.burst {
@@ -90,9 +91,9 @@ impl ShardActor for ShardStormActor {
 /// Build the storm world: every host runs a [`ShardStormActor`] whose
 /// near peer is the next host in its cluster and whose far peer sits
 /// half the campus away.
-pub fn build_storm(hosts: usize, seed: u64, threads: usize) -> ShardedWorld {
+pub fn build_storm(hosts: usize, seed: u64, threads: usize) -> World {
     let topo = cluster_topology(hosts);
-    let mut w = ShardedWorld::new(topo, seed, threads);
+    let mut w = World::sharded(topo, seed, threads);
     for i in 0..hosts {
         let cluster = i / CLUSTER;
         let base = cluster * CLUSTER;

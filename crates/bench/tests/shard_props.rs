@@ -1,7 +1,7 @@
-//! Differential determinism properties of the sharded engine.
+//! Differential determinism properties of partitioned worlds.
 //!
 //! The contract under test: for any seed and any fault script, a
-//! [`ShardedWorld`] run is a pure function of the world — the worker
+//! `World::sharded` run is a pure function of the world — the worker
 //! thread count must never leak into behaviour. Each case runs a small
 //! multi-region storm (with a seed-derived host flap so the coordinator
 //! path is exercised) at 1, 2, 4 and 8 threads and demands bit-identical
@@ -90,14 +90,15 @@ fn fec_spray_digest_is_thread_count_invariant() {
     }
 }
 
-/// The same workload on the serial [`World`] must reach the same
-/// application outcome (milestone log lines) as the sharded engine.
-/// Engine digests are incomparable across engines — the serial world
-/// draws from one global RNG stream, shards from per-region streams —
-/// so the differential is judged at the SNIPE-process level.
+/// The same workload forced into one region (`build()`) must reach the
+/// same application outcome (milestone log lines) as over the natural
+/// partition (`build_sharded`). Engine digests are incomparable across
+/// partitions — one region draws from one RNG stream, several regions
+/// from one each — so the differential is judged at the SNIPE-process
+/// level.
 #[test]
-fn full_protocol_serial_matches_sharded_app_log() {
-    let serial = chaos_shard::full_protocol_serial(42, 20);
-    let (_, sharded) = chaos_shard::full_protocol_sharded(42, 1, 20);
-    assert_eq!(serial, sharded, "serial vs sharded full-protocol app log diverged");
+fn full_protocol_one_region_matches_natural_partition_app_log() {
+    let one_region = chaos_shard::full_protocol_one_region(42, 20);
+    let (_, natural) = chaos_shard::full_protocol_sharded(42, 1, 20);
+    assert_eq!(one_region, natural, "forced one region vs natural partition app log diverged");
 }

@@ -11,8 +11,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Event, PortableActor, SimCtx, TimerGate};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, MigrationPhase, TraceKind};
 use snipe_rcds::assertion::Assertion;
@@ -1165,7 +1164,7 @@ impl ProcessActor {
     }
 }
 
-impl PortableActor for ProcessActor {
+impl Actor for ProcessActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         if self.exited {
             return;
@@ -1383,5 +1382,3 @@ impl PortableActor for ProcessActor {
         }
     }
 }
-
-portable_actor!(ProcessActor);

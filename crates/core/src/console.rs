@@ -10,8 +10,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use snipe_netsim::actor::{Event, PortableActor, SimCtx};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
@@ -135,7 +134,7 @@ impl ConsoleActor {
     }
 }
 
-impl PortableActor for ConsoleActor {
+impl Actor for ConsoleActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::HostUp => {
@@ -245,7 +244,7 @@ impl BrowserActor {
     }
 }
 
-impl PortableActor for BrowserActor {
+impl Actor for BrowserActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
@@ -294,6 +293,3 @@ impl PortableActor for BrowserActor {
         }
     }
 }
-
-portable_actor!(ConsoleActor);
-portable_actor!(BrowserActor);

@@ -4,19 +4,17 @@
 //! installs the full SNIPE runtime on them — RC metadata servers,
 //! per-host daemons, resource managers and file servers — and returns a
 //! [`SnipeWorld`] ready to register programs and spawn processes.
-//! `build_sharded(threads)` installs the *same* runtime on a
-//! [`ShardedWorld`] instead, returning a [`ShardedSnipeWorld`]: every
-//! service actor is a [`PortableActor`], so the full protocol stack
-//! runs unchanged on either engine and the choice is made once, here.
+//! `build()` runs the testbed as one region on the calling thread;
+//! `build_sharded(threads)` runs the same roster over the topology's
+//! natural partition (one region per cluster LAN) on worker threads.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::PortableActor;
+use snipe_netsim::actor::Actor;
 use snipe_netsim::medium::Medium;
-use snipe_netsim::shard::ShardedWorld;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_util::error::{SnipeError, SnipeResult};
@@ -37,15 +35,15 @@ use crate::api::SnipeProcess;
 pub const MIGRATE_PROGRAM: &str = "__snipe_migrate__";
 
 /// Application process factory: constructor args → process. `Send +
-/// Sync` because the registry holding it is shared across the shards
-/// of a sharded world.
+/// Sync` because the registry holding it is shared across the regions
+/// of a world.
 pub type ProcessFactory = Box<dyn Fn(Bytes) -> Box<dyn SnipeProcess> + Send + Sync>;
 
 /// The shared name → factory map behind [`SnipeWorld::register_process`].
 type ProgramMap = Arc<RwLock<HashMap<String, Arc<ProcessFactory>>>>;
 
 /// Infrastructure actors to install: `(host, port, actor)` triples.
-type ServiceRoster = Vec<(HostId, u16, Box<dyn PortableActor>)>;
+type ServiceRoster = Vec<(HostId, u16, Box<dyn Actor>)>;
 
 /// Builder for a SNIPE testbed.
 pub struct SnipeWorldBuilder {
@@ -175,7 +173,7 @@ impl SnipeWorldBuilder {
         b
     }
 
-    /// A multi-cluster campus for the sharded engine: `clusters`
+    /// A multi-cluster campus for `build_sharded`: `clusters`
     /// separate routable Ethernet LANs (`cluster{c}`), each with
     /// `per_cluster` hosts (`c{c}h{i}`), no shared backbone — so the
     /// partition yields one region per cluster and cross-cluster
@@ -211,9 +209,9 @@ impl SnipeWorldBuilder {
         &mut self.topo
     }
 
-    /// Engine-agnostic service roster: every infrastructure actor the
-    /// runtime needs, as `(host, port, portable actor)` triples, plus
-    /// the shared registry/config the processes will use.
+    /// The service roster: every infrastructure actor the runtime
+    /// needs, as `(host, port, actor)` triples, plus the shared
+    /// registry/config the processes will use.
     fn services(&self) -> (SnipeRuntime, ServiceRoster) {
         let registry = ProgramRegistry::new();
         let rc_eps: Vec<Endpoint> =
@@ -273,26 +271,26 @@ impl SnipeWorldBuilder {
         (rt, actors)
     }
 
-    /// Assemble the runtime on the serial engine.
+    /// Assemble the runtime on a one-region world, run inline.
     pub fn build(self) -> SnipeWorld {
-        let (rt, actors) = self.services();
-        let mut world = World::new(self.topo, self.seed);
-        for (h, port, actor) in actors {
-            world.spawn_portable(h, port, actor);
-        }
-        SnipeWorld { world, rt }
+        self.install(World::new)
     }
 
-    /// Assemble the *same* runtime on the sharded engine, executing on
-    /// up to `threads` worker threads. Requires routable media with
-    /// nonzero latency between regions (see [`ShardedWorld::new`]).
-    pub fn build_sharded(self, threads: usize) -> ShardedSnipeWorld {
+    /// Assemble the *same* runtime over the natural partition,
+    /// executing on up to `threads` worker threads. Requires routable
+    /// media with nonzero latency between regions (see
+    /// [`World::sharded`]).
+    pub fn build_sharded(self, threads: usize) -> SnipeWorld {
+        self.install(|topo, seed| World::sharded(topo, seed, threads))
+    }
+
+    fn install(self, engine: impl FnOnce(Topology, u64) -> World) -> SnipeWorld {
         let (rt, actors) = self.services();
-        let mut world = ShardedWorld::new(self.topo, self.seed, threads);
+        let mut world = engine(self.topo, self.seed);
         for (h, port, actor) in actors {
-            world.spawn_portable(h, port, actor);
+            world.spawn(h, port, actor);
         }
-        ShardedSnipeWorld { world, rt }
+        SnipeWorld { world, rt }
     }
 }
 
@@ -317,7 +315,7 @@ fn register_migration_shim(
             )?;
         let process = factory(payload.args.clone());
         Ok(Box::new(ProcessActor::resume_from(proc_cfg.clone(), sctx.proc_key, payload, process))
-            as Box<dyn PortableActor>)
+            as Box<dyn Actor>)
     });
 }
 
@@ -418,7 +416,7 @@ impl SnipeWorld {
         let port = self.world.alloc_port(h);
         let ep = self
             .world
-            .spawn_portable(h, port, Box::new(actor))
+            .spawn(h, port, Box::new(actor))
             .ok_or_else(|| SnipeError::WrongState("port collision".into()))?;
         Ok((key, ep))
     }
@@ -455,7 +453,7 @@ impl SnipeWorld {
         &self.rt.registry
     }
 
-    /// The underlying simulator (fault injection, stats, time).
+    /// The underlying simulator (fault injection, stats, digests).
     pub fn sim(&mut self) -> &mut World {
         &mut self.world
     }
@@ -485,122 +483,18 @@ impl SnipeWorld {
         self.world.now()
     }
 
-    /// Borrow a root process spawned via [`SnipeWorld::spawn_on`]
-    /// (between runs), e.g. to read its log.
-    pub fn process_ref(&self, ep: Endpoint) -> Option<&ProcessActor> {
-        self.world.portable_ref::<ProcessActor>(ep)
-    }
-}
-
-/// A running SNIPE testbed on the sharded engine: the same protocol
-/// stack as [`SnipeWorld`], hosted region-per-shard on a
-/// [`ShardedWorld`]. Results are bit-identical at any thread count.
-pub struct ShardedSnipeWorld {
-    world: ShardedWorld,
-    rt: SnipeRuntime,
-}
-
-impl ShardedSnipeWorld {
-    /// Echo every `api.log` line to stdout. Call **before** registering
-    /// programs — each registration captures the configuration.
-    pub fn echo_logs(&mut self) {
-        self.rt.proc_cfg.echo_logs = true;
-    }
-
-    /// Register an application program so daemons (and migration) can
-    /// instantiate it.
-    pub fn register_process(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn(Bytes) -> Box<dyn SnipeProcess> + Send + Sync + 'static,
-    ) {
-        self.rt.register_process(name.into(), factory);
-    }
-
-    /// Bootstrap a root process directly on a host. Returns the
-    /// process key and endpoint.
-    pub fn spawn_on(
-        &mut self,
-        hostname: &str,
-        program: &str,
-        args: Bytes,
-    ) -> SnipeResult<(u64, Endpoint)> {
-        let Some(h) = self.world.topology().host_by_name(hostname) else {
-            return Err(SnipeError::NameNotFound(format!("host {hostname}")));
-        };
-        let (key, actor) = self.rt.make_root(h, program, args)?;
-        let port = self.world.alloc_port(h);
-        let ep = self
-            .world
-            .spawn_portable(h, port, Box::new(actor))
-            .ok_or_else(|| SnipeError::WrongState("port collision".into()))?;
-        Ok((key, ep))
-    }
-
-    /// RC replica endpoints.
-    pub fn rc_endpoints(&self) -> &[Endpoint] {
-        &self.rt.rc_eps
-    }
-
-    /// Resource manager endpoints.
-    pub fn rm_endpoints(&self) -> &[Endpoint] {
-        &self.rt.rm_eps
-    }
-
-    /// File server endpoints.
-    pub fn file_endpoints(&self) -> &[Endpoint] {
-        &self.rt.file_eps
-    }
-
-    /// The shared process configuration (mutate **before** registering
-    /// programs).
-    pub fn process_config(&self) -> &ProcessConfig {
-        &self.rt.proc_cfg
-    }
-
-    /// Mutate the shared process configuration.
-    pub fn process_config_mut(&mut self) -> &mut ProcessConfig {
-        &mut self.rt.proc_cfg
-    }
-
-    /// The program registry (for registering non-process actors).
-    pub fn registry(&self) -> &ProgramRegistry {
-        &self.rt.registry
-    }
-
-    /// The underlying sharded simulator (faults, digests, loads).
-    pub fn sim(&mut self) -> &mut ShardedWorld {
-        &mut self.world
-    }
-
-    /// Immutable simulator access.
-    pub fn sim_ref(&self) -> &ShardedWorld {
-        &self.world
-    }
-
-    /// Run for a simulated duration.
-    pub fn run_for(&mut self, d: SimDuration) {
-        self.world.run_for(d);
-    }
-
-    /// Run for whole simulated seconds.
-    pub fn run_for_secs(&mut self, s: u64) {
-        self.world.run_for(SimDuration::from_secs(s));
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.world.now()
-    }
-
-    /// Engine digest over all shards (thread-count invariant).
+    /// Engine digest over all regions (thread-count invariant).
     pub fn digest(&self) -> u64 {
         self.world.digest()
     }
 
-    /// Borrow a root process spawned via
-    /// [`ShardedSnipeWorld::spawn_on`] (between runs).
+    /// Borrow a root process spawned via [`SnipeWorld::spawn_on`]
+    /// (between runs), e.g. to read its log.
     pub fn process_ref(&self, ep: Endpoint) -> Option<&ProcessActor> {
-        self.world.portable_ref::<ProcessActor>(ep)
+        self.world.actor_ref::<ProcessActor>(ep)
     }
 }
+
+// benchmark/ compat — delete when benchmark/ stops importing it
+#[doc(hidden)]
+pub type ShardedSnipeWorld = SnipeWorld;

@@ -565,32 +565,29 @@ fn resource_manager_initiated_migration() {
     let msg = RmMsg::Migrate { task: task_ep, target_host: "host3".into() };
     let h2 = w.sim_ref().topology().host_by_name("host2").unwrap();
     let injector = snipe_netsim::topology::Endpoint::new(h2, 999);
-    // Inject via a scheduled raw send from the simulator.
-    let now = w.now();
-    w.sim().schedule_fn(now, move |world| {
-        struct OneShot {
-            to: snipe_netsim::topology::Endpoint,
-            bytes: Bytes,
-        }
-        impl snipe_netsim::actor::Actor for OneShot {
-            fn on_event(
-                &mut self,
-                ctx: &mut snipe_netsim::actor::Ctx<'_>,
-                event: snipe_netsim::actor::Event,
-            ) {
-                if matches!(event, snipe_netsim::actor::Event::Start) {
-                    ctx.send(self.to, self.bytes.clone());
-                    let me = ctx.me();
-                    ctx.kill(me);
-                }
+    // Inject via a one-shot raw sender on the simulator.
+    struct OneShot {
+        to: snipe_netsim::topology::Endpoint,
+        bytes: Bytes,
+    }
+    impl snipe_netsim::actor::Actor for OneShot {
+        fn on_event(
+            &mut self,
+            ctx: &mut dyn snipe_netsim::actor::SimCtx,
+            event: snipe_netsim::actor::Event,
+        ) {
+            if matches!(event, snipe_netsim::actor::Event::Start) {
+                ctx.send(self.to, self.bytes.clone());
+                let me = ctx.me();
+                ctx.kill(me);
             }
         }
-        world.spawn(
-            injector.host,
-            injector.port,
-            Box::new(OneShot { to: rm_ep, bytes: seal(Proto::Raw, msg.encode_to_bytes()) }),
-        );
-    });
+    }
+    w.sim().spawn(
+        injector.host,
+        injector.port,
+        Box::new(OneShot { to: rm_ep, bytes: seal(Proto::Raw, msg.encode_to_bytes()) }),
+    );
     w.run_for_secs(8);
     let got = log.lock().unwrap();
     assert!(got.contains(&"moved to host3".to_string()), "{got:?}");

@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use snipe_crypto::channel::{Handshake, HandshakeMsg, Record, Role, SecureChannel};
 use snipe_crypto::sign::KeyPair;
-use snipe_netsim::actor::{Actor, Ctx, Event};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
@@ -46,7 +46,7 @@ struct Sender {
 }
 
 impl Actor for Sender {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let mut rng = Xoshiro256::seed_from_u64(100);
@@ -91,7 +91,7 @@ struct Receiver {
 }
 
 impl Actor for Receiver {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         let Event::Packet { from, payload } = event else {
             return;
         };
@@ -140,7 +140,7 @@ struct Tap {
 }
 
 impl Actor for Tap {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { payload, .. } = event {
             if payload.first() == Some(&2) {
                 // Replay, delayed so the original arrives first.

@@ -3,8 +3,7 @@
 use std::collections::HashMap;
 
 use snipe_crypto::cert::{Certificate, TrustPurpose, TrustStore};
-use snipe_netsim::actor::{Event, PortableActor, SimCtx, TimerGate};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, FaultOp, TraceKind};
 use snipe_rcds::assertion::Assertion;
@@ -359,7 +358,7 @@ impl DaemonActor {
     }
 }
 
-impl PortableActor for DaemonActor {
+impl Actor for DaemonActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
@@ -462,5 +461,3 @@ impl PortableActor for DaemonActor {
         }
     }
 }
-
-portable_actor!(DaemonActor);

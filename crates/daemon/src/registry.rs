@@ -2,18 +2,18 @@
 //!
 //! The 1997 daemon exec'd program images from disk (or mobile code via
 //! a playground). In the simulator a "program image" is a factory
-//! closure producing a [`PortableActor`] from its argument bytes. The
+//! closure producing an [`Actor`] from its argument bytes. The
 //! registry is shared by all daemons of one world — the moral
 //! equivalent of a shared filesystem of binaries — and `Send + Sync`,
-//! because those daemons may be hosted on different shards of a
-//! [`snipe_netsim::shard::ShardedWorld`].
+//! because those daemons may sit in different regions of the world,
+//! driven by different worker threads.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::PortableActor;
+use snipe_netsim::actor::Actor;
 use snipe_util::error::SnipeResult;
 
 /// Everything a program factory learns at spawn time.
@@ -30,8 +30,7 @@ pub struct SpawnCtx {
 /// error when the spawn arguments are unusable (e.g. a corrupt
 /// migration payload arriving over a chaotic wire). Factories must
 /// never panic on hostile argument bytes.
-pub type ProgramFactory =
-    Box<dyn Fn(&SpawnCtx) -> SnipeResult<Box<dyn PortableActor>> + Send + Sync>;
+pub type ProgramFactory = Box<dyn Fn(&SpawnCtx) -> SnipeResult<Box<dyn Actor>> + Send + Sync>;
 
 /// A shared, name-indexed collection of spawnable programs.
 #[derive(Clone, Default)]
@@ -51,7 +50,7 @@ impl ProgramRegistry {
     pub fn register(
         &self,
         name: impl Into<String>,
-        factory: impl Fn(&SpawnCtx) -> Box<dyn PortableActor> + Send + Sync + 'static,
+        factory: impl Fn(&SpawnCtx) -> Box<dyn Actor> + Send + Sync + 'static,
     ) {
         self.register_fallible(name, move |ctx| Ok(factory(ctx)));
     }
@@ -60,7 +59,7 @@ impl ProgramRegistry {
     pub fn register_fallible(
         &self,
         name: impl Into<String>,
-        factory: impl Fn(&SpawnCtx) -> SnipeResult<Box<dyn PortableActor>> + Send + Sync + 'static,
+        factory: impl Fn(&SpawnCtx) -> SnipeResult<Box<dyn Actor>> + Send + Sync + 'static,
     ) {
         self.inner
             .write()
@@ -70,11 +69,7 @@ impl ProgramRegistry {
 
     /// Instantiate a program: `None` if unknown, `Some(Err)` if the
     /// factory rejected the spawn context.
-    pub fn instantiate(
-        &self,
-        name: &str,
-        ctx: &SpawnCtx,
-    ) -> Option<SnipeResult<Box<dyn PortableActor>>> {
+    pub fn instantiate(&self, name: &str, ctx: &SpawnCtx) -> Option<SnipeResult<Box<dyn Actor>>> {
         let f = self.inner.read().expect("registry poisoned").get(name).cloned()?;
         Some(f(ctx))
     }
@@ -101,7 +96,7 @@ mod tests {
     use snipe_netsim::actor::{Event, SimCtx};
 
     struct Nop;
-    impl PortableActor for Nop {
+    impl Actor for Nop {
         fn on_event(&mut self, _ctx: &mut dyn SimCtx, _event: Event) {}
     }
 
@@ -124,7 +119,7 @@ mod tests {
             if sctx.args.is_empty() {
                 return Err(snipe_util::error::SnipeError::Codec("empty args".into()));
             }
-            Ok(Box::new(Nop) as Box<dyn PortableActor>)
+            Ok(Box::new(Nop) as Box<dyn Actor>)
         });
         let bad = SpawnCtx { args: Bytes::new(), proc_key: 1 };
         let good = SpawnCtx { args: Bytes::from_static(b"x"), proc_key: 1 };

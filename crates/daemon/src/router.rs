@@ -5,8 +5,7 @@
 //! dedup) lives in the wire-layer state machine so it is unit-testable
 //! without a world.
 
-use snipe_netsim::actor::{Event, PortableActor, SimCtx};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_wire::frame::{open, Proto};
 use snipe_wire::mcast::{McastMsg, McastRouter};
 use snipe_wire::Out;
@@ -29,7 +28,7 @@ impl McastRouterActor {
     }
 }
 
-impl PortableActor for McastRouterActor {
+impl Actor for McastRouterActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { payload, .. } = event {
             let Ok((Proto::Mcast, body)) = open(payload) else {
@@ -51,5 +50,3 @@ impl PortableActor for McastRouterActor {
         }
     }
 }
-
-portable_actor!(McastRouterActor);

@@ -7,7 +7,7 @@ use snipe_crypto::sign::KeyPair;
 use snipe_daemon::proto::{DaemonMsg, SpawnSpec, TaskState};
 use snipe_daemon::registry::ProgramRegistry;
 use snipe_daemon::{DaemonActor, DaemonConfig};
-use snipe_netsim::actor::{Actor, Ctx, Event, PortableActor, SimCtx};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
@@ -25,7 +25,7 @@ struct ShortLived {
     lifetime: SimDuration,
 }
 
-impl PortableActor for ShortLived {
+impl Actor for ShortLived {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => ctx.set_timer(self.lifetime, 1),
@@ -47,7 +47,7 @@ struct Driver {
 }
 
 impl Actor for Driver {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 if !self.script.is_empty() {

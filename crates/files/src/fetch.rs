@@ -9,16 +9,14 @@
 //! next-best replica if it times out, fails, or arrives corrupt.
 //!
 //! [`StripedFetch`] is the sans-IO state machine (fully unit-testable);
-//! [`FetchActor`] wraps it with a [`WireStack`] so it runs on both the
-//! serial and sharded engines.
+//! [`FetchActor`] wraps it with a [`WireStack`] as a simulator actor.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
 
 use snipe_crypto::sha256::sha256;
-use snipe_netsim::actor::{Event, PortableActor, SimCtx, TimerGate};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::{SimDuration, SimTime};
@@ -307,9 +305,9 @@ const TIMER_STACK: u64 = 1;
 const TIMER_FETCH: u64 = 2;
 const TIMER_BEGIN: u64 = 3;
 
-/// Portable actor that runs one [`StripedFetch`] over a [`WireStack`].
-/// It stays alive after completion so harnesses can read the result
-/// back via `actor_ref`/`portable_ref`.
+/// Actor that runs one [`StripedFetch`] over a [`WireStack`]. It stays
+/// alive after completion so harnesses can read the result back via
+/// `actor_ref`.
 pub struct FetchActor {
     lifn: String,
     candidates: Vec<Endpoint>,
@@ -421,7 +419,7 @@ impl FetchActor {
     }
 }
 
-impl PortableActor for FetchActor {
+impl Actor for FetchActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
@@ -483,8 +481,6 @@ impl PortableActor for FetchActor {
         }
     }
 }
-
-portable_actor!(FetchActor);
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 
 use snipe_crypto::sha256::sha256;
-use snipe_netsim::actor::{Event, PortableActor, SimCtx, TimerGate};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
@@ -225,7 +224,7 @@ impl FileServerActor {
     }
 }
 
-impl PortableActor for FileServerActor {
+impl Actor for FileServerActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::HostUp => {
@@ -417,5 +416,3 @@ impl FileServerActor {
         }
     }
 }
-
-portable_actor!(FileServerActor);

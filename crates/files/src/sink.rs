@@ -2,8 +2,7 @@
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Event, PortableActor, SimCtx};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_wire::frame::{open, seal, Proto};
@@ -26,7 +25,7 @@ impl FileSinkActor {
     }
 }
 
-impl PortableActor for FileSinkActor {
+impl Actor for FileSinkActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         let Event::Packet { payload, .. } = event else {
             return;
@@ -72,7 +71,7 @@ impl FileSourceActor {
     }
 }
 
-impl PortableActor for FileSourceActor {
+impl Actor for FileSourceActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } => {
@@ -107,6 +106,3 @@ impl PortableActor for FileSourceActor {
         }
     }
 }
-
-portable_actor!(FileSinkActor);
-portable_actor!(FileSourceActor);

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use snipe_files::proto::FileMsg;
 use snipe_files::{FileServerActor, FileServerConfig};
-use snipe_netsim::actor::{Actor, Ctx, Event};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
@@ -43,7 +43,7 @@ impl StackDriver {
         StackDriver { stack: None, script, log }
     }
 
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+    fn flush(&mut self, ctx: &mut dyn SimCtx) {
         let Some(stack) = self.stack.as_mut() else {
             return;
         };
@@ -69,7 +69,7 @@ impl StackDriver {
 }
 
 impl Actor for StackDriver {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 let me = ctx.me();
@@ -383,7 +383,7 @@ fn striped_read_assembles_across_replicas() {
     world.spawn(client, 50, Box::new(fetcher));
     world.run_for(SimDuration::from_secs(3));
     let fa = world
-        .portable_ref::<snipe_files::FetchActor>(Endpoint::new(client, 50))
+        .actor_ref::<snipe_files::FetchActor>(Endpoint::new(client, 50))
         .expect("fetch actor alive");
     assert_eq!(fa.result.as_ref(), Some(&content), "striped fetch must reassemble the file");
     assert!(!fa.failed);
@@ -431,7 +431,7 @@ fn striped_read_survives_replica_death_mid_transfer() {
     world.host_down(eps[1].host);
     world.run_for(SimDuration::from_secs(8));
     let fa = world
-        .portable_ref::<snipe_files::FetchActor>(Endpoint::new(client, 50))
+        .actor_ref::<snipe_files::FetchActor>(Endpoint::new(client, 50))
         .expect("fetch actor alive");
     assert_eq!(fa.result.as_ref(), Some(&content), "fetch must survive a replica crash");
     let mut sorted = fa.completions.clone();

@@ -3,17 +3,18 @@
 //! playgrounds and application tasks — is an [`Actor`].
 //!
 //! Actors are event handlers: the world delivers [`Event`]s and the
-//! actor reacts through its [`Ctx`] (sending packets, setting timers,
-//! spawning further actors). This shape is what makes process
+//! actor reacts through its [`SimCtx`] (sending packets, setting
+//! timers, spawning further actors). This shape is what makes process
 //! *migration* (paper §5.6) implementable: an actor's entire state is a
 //! value that can be checkpointed, shipped and resumed on another host.
+
+use std::any::Any;
 
 use bytes::Bytes;
 
 use snipe_util::id::HostId;
 use snipe_util::time::SimTime;
 
-use crate::shard::AsAny;
 use crate::topology::Endpoint;
 
 /// Dense actor handle within one world.
@@ -32,7 +33,7 @@ pub enum Event {
         /// Payload bytes (headers already stripped by the simulator).
         payload: Bytes,
     },
-    /// A timer set via [`Ctx::set_timer`] fired.
+    /// A timer set via [`SimCtx::set_timer`] fired.
     Timer {
         /// The caller-chosen token identifying which timer.
         token: u64,
@@ -53,126 +54,46 @@ pub enum Event {
     },
 }
 
-/// The trait every simulated process implements.
-///
-/// The [`AsAny`] supertrait (blanket-implemented for every `'static`
-/// type) lets tests and benches read concrete actor state back through
-/// [`crate::world::World::actor_ref`].
-pub trait Actor: AsAny {
+/// Upcast helper so concrete actor state can be read back through
+/// `dyn Actor` (see [`crate::world::World::actor_ref`]) without
+/// requiring trait-object upcasting support. Blanket-implemented for
+/// every `'static` type.
+pub trait AsAny {
+    /// This value as `&dyn Any` (for downcasting).
+    fn as_any(&self) -> &dyn Any;
+    /// This value as `&mut dyn Any`.
+    fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+impl<T: Any> AsAny for T {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// The trait every simulated process implements. `Send` because a
+/// region's core (and every actor on it) may be driven by any worker
+/// thread; `Rc`-webbed state cannot live in an actor — give each actor
+/// owned state, or share through `Arc`.
+pub trait Actor: AsAny + Send {
     /// Handle one event. `ctx` exposes the world: current time, packet
     /// sending, timers, spawning.
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event);
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event);
 }
+
+// benchmark/ compat — delete when benchmark/ stops importing it
+pub use self::Actor as PortableActor;
 
 /// The world-facing API handed to an actor while it handles an event.
 ///
-/// Constructed by [`crate::world::World`]; the lifetime ties it to the
-/// event dispatch so actors cannot stash it.
-pub struct Ctx<'w> {
-    pub(crate) world: &'w mut crate::world::World,
-    pub(crate) me: ActorId,
-    pub(crate) my_endpoint: Endpoint,
-}
-
-impl<'w> Ctx<'w> {
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.world.now()
-    }
-
-    /// This actor's own endpoint.
-    pub fn me(&self) -> Endpoint {
-        self.my_endpoint
-    }
-
-    /// This actor's host.
-    pub fn host(&self) -> HostId {
-        self.my_endpoint.host
-    }
-
-    /// This actor's id.
-    pub fn actor_id(&self) -> ActorId {
-        self.me
-    }
-
-    /// Send a datagram to `to`. Unreliable: the packet may be lost or
-    /// the destination may be down; reliability lives in `snipe-wire`.
-    ///
-    /// `via` optionally pins the outgoing network (multi-path routing);
-    /// `None` lets the simulator pick per §5.3 (fastest common network,
-    /// else normal IP routing).
-    pub fn send(&mut self, to: Endpoint, payload: Bytes) {
-        self.world.send_packet(self.my_endpoint, to, payload, None);
-    }
-
-    /// Send pinned to a specific network (used by the multi-path layer).
-    pub fn send_via(&mut self, to: Endpoint, payload: Bytes, via: snipe_util::id::NetId) {
-        self.world.send_packet(self.my_endpoint, to, payload, Some(via));
-    }
-
-    /// Schedule a [`Event::Timer`] for this actor after `delay`.
-    pub fn set_timer(&mut self, delay: snipe_util::time::SimDuration, token: u64) {
-        self.world.set_timer(self.me, delay, token);
-    }
-
-    /// Spawn a new actor on `host` at `port`; it receives
-    /// [`Event::Start`] immediately (same timestamp, later in order).
-    ///
-    /// Returns the endpoint, or `None` if the port is taken or host
-    /// unknown.
-    pub fn spawn(&mut self, host: HostId, port: u16, actor: Box<dyn Actor>) -> Option<Endpoint> {
-        self.world.spawn(host, port, actor)
-    }
-
-    /// Allocate an unused ephemeral port on a host.
-    pub fn alloc_port(&mut self, host: HostId) -> u16 {
-        self.world.alloc_port(host)
-    }
-
-    /// Is an actor currently bound at `ep`?
-    pub fn is_bound(&self, ep: Endpoint) -> bool {
-        self.world.is_bound(ep)
-    }
-
-    /// Terminate an actor (exit, or kill of a local task).
-    pub fn kill(&mut self, ep: Endpoint) {
-        self.world.kill(ep);
-    }
-
-    /// Deliver a signal to another actor at the same timestamp.
-    pub fn signal(&mut self, to: Endpoint, signum: u32) {
-        self.world.signal(Some(self.my_endpoint), to, signum);
-    }
-
-    /// Deterministic per-world RNG stream.
-    pub fn rng(&mut self) -> &mut snipe_util::rng::Xoshiro256 {
-        self.world.rng()
-    }
-
-    /// Immutable view of the topology (route metadata is public in
-    /// SNIPE: hosts advertise interfaces in RC metadata, §5.2.1).
-    pub fn topology(&self) -> &crate::topology::Topology {
-        self.world.topology()
-    }
-
-    /// Is a host currently up? (Daemons monitor local resources.)
-    pub fn host_up(&self, h: HostId) -> bool {
-        self.world.topology().host(h).up
-    }
-}
-
-/// The engine-agnostic world API: the intersection of [`Ctx`] (serial
-/// [`crate::world::World`]) and [`crate::shard::ShardCtx`]
-/// ([`crate::shard::ShardedWorld`]) that the full SNIPE protocol stack
-/// actually needs. Actors written against `&mut dyn SimCtx` — see
-/// [`PortableActor`] — run unchanged on either engine.
-///
-/// Deliberately absent: `actor_id` (a serial-world detail) and raw
-/// `spawn` of engine-specific boxed actors (use
-/// [`SimCtx::spawn_portable`]). Spawns are same-host/same-region only
-/// on the sharded engine; every spawn in the protocol stack is local
-/// (daemons exec on their own host), so portable code should only ever
-/// spawn on `self.host()`.
+/// `spawn_portable`, `kill`, `signal` and `is_bound` act on the actor's
+/// own region: a world built with [`crate::world::World::new`] is one
+/// region, so they reach every host; on a partitioned world they reach
+/// the hosts sharing a network segment with the caller (every spawn in
+/// the protocol stack is host-local — daemons exec on their own host).
 pub trait SimCtx {
     /// Current simulation time.
     fn now(&self) -> SimTime;
@@ -180,19 +101,23 @@ pub trait SimCtx {
     fn me(&self) -> Endpoint;
     /// This actor's host.
     fn host(&self) -> HostId;
-    /// Send a datagram (unreliable; reliability lives in `snipe-wire`).
+    /// Send a datagram to `to`. Unreliable: the packet may be lost or
+    /// the destination may be down; reliability lives in `snipe-wire`.
+    /// The simulator picks the route per §5.3 (fastest common network,
+    /// else normal IP routing).
     fn send(&mut self, to: Endpoint, payload: Bytes);
     /// Send pinned to a specific network (multi-path layer).
     fn send_via(&mut self, to: Endpoint, payload: Bytes, via: snipe_util::id::NetId);
     /// Schedule an [`Event::Timer`] for this actor after `delay`.
     fn set_timer(&mut self, delay: snipe_util::time::SimDuration, token: u64);
-    /// Spawn a portable actor; same restrictions as the engine's own
-    /// `spawn` (taken port / unknown host / cross-region → `None`).
+    /// Spawn an actor on `host` at `port`; it receives [`Event::Start`]
+    /// at the same timestamp, later in order. `None` for a taken port,
+    /// an unknown host or a host in another region.
     fn spawn_portable(
         &mut self,
         host: HostId,
         port: u16,
-        actor: Box<dyn PortableActor>,
+        actor: Box<dyn Actor>,
     ) -> Option<Endpoint>;
     /// Allocate an unused ephemeral port on a host.
     fn alloc_port(&mut self, host: HostId) -> u16;
@@ -202,109 +127,19 @@ pub trait SimCtx {
     fn kill(&mut self, ep: Endpoint);
     /// Deliver a signal to another actor at the same timestamp.
     fn signal(&mut self, to: Endpoint, signum: u32);
-    /// Deterministic RNG stream (per-world serial, per-region sharded —
-    /// draws are reproducible per engine, not across engines).
+    /// The region's deterministic RNG stream.
     fn rng(&mut self) -> &mut snipe_util::rng::Xoshiro256;
-    /// Immutable view of the topology.
+    /// Immutable view of the topology (route metadata is public in
+    /// SNIPE: hosts advertise interfaces in RC metadata, §5.2.1).
     fn topology(&self) -> &crate::topology::Topology;
-    /// Is a host currently up?
+    /// Is a host currently up? (Daemons monitor local resources.)
     fn host_up(&self, h: HostId) -> bool;
 }
 
-impl SimCtx for Ctx<'_> {
-    fn now(&self) -> SimTime {
-        Ctx::now(self)
-    }
-    fn me(&self) -> Endpoint {
-        Ctx::me(self)
-    }
-    fn host(&self) -> HostId {
-        Ctx::host(self)
-    }
-    fn send(&mut self, to: Endpoint, payload: Bytes) {
-        Ctx::send(self, to, payload);
-    }
-    fn send_via(&mut self, to: Endpoint, payload: Bytes, via: snipe_util::id::NetId) {
-        Ctx::send_via(self, to, payload, via);
-    }
-    fn set_timer(&mut self, delay: snipe_util::time::SimDuration, token: u64) {
-        Ctx::set_timer(self, delay, token);
-    }
-    fn spawn_portable(
-        &mut self,
-        host: HostId,
-        port: u16,
-        actor: Box<dyn PortableActor>,
-    ) -> Option<Endpoint> {
-        Ctx::spawn(self, host, port, Box::new(OnWorld(actor)))
-    }
-    fn alloc_port(&mut self, host: HostId) -> u16 {
-        Ctx::alloc_port(self, host)
-    }
-    fn is_bound(&self, ep: Endpoint) -> bool {
-        Ctx::is_bound(self, ep)
-    }
-    fn kill(&mut self, ep: Endpoint) {
-        Ctx::kill(self, ep);
-    }
-    fn signal(&mut self, to: Endpoint, signum: u32) {
-        Ctx::signal(self, to, signum);
-    }
-    fn rng(&mut self) -> &mut snipe_util::rng::Xoshiro256 {
-        Ctx::rng(self)
-    }
-    fn topology(&self) -> &crate::topology::Topology {
-        Ctx::topology(self)
-    }
-    fn host_up(&self, h: HostId) -> bool {
-        Ctx::host_up(self, h)
-    }
-}
-
-/// An engine-agnostic actor: `Send` (it must be hostable on a shard
-/// core that migrates across worker threads) and written against
-/// [`SimCtx`] instead of a concrete engine context.
-///
-/// Concrete types get the engine-specific [`Actor`] /
-/// [`crate::shard::ShardActor`] impls generated by
-/// [`crate::portable_actor!`]; registry-produced `Box<dyn
-/// PortableActor>`s are hosted through [`OnWorld`] /
-/// [`crate::shard::OnShard`] (normally via [`SimCtx::spawn_portable`]).
-pub trait PortableActor: AsAny + Send {
-    /// Handle one event.
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event);
-}
-
-/// Hosts a boxed [`PortableActor`] on the serial [`crate::world::World`].
-pub struct OnWorld(pub Box<dyn PortableActor>);
-
-impl Actor for OnWorld {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
-        self.0.on_event(ctx, event);
-    }
-}
-
-/// Generates the [`Actor`] and [`crate::shard::ShardActor`] impls for a
-/// concrete [`PortableActor`] type, so existing call sites can keep
-/// spawning and downcasting the concrete type on either engine.
+// benchmark/ compat — delete when benchmark/ stops importing it
 #[macro_export]
 macro_rules! portable_actor {
-    ($ty:ty) => {
-        impl $crate::actor::Actor for $ty {
-            fn on_event(&mut self, ctx: &mut $crate::actor::Ctx<'_>, event: $crate::actor::Event) {
-                $crate::actor::PortableActor::on_event(self, ctx, event);
-            }
-        }
-        impl $crate::shard::ShardActor for $ty {
-            fn on_event(
-                &mut self,
-                ctx: &mut $crate::shard::ShardCtx<'_>,
-                event: $crate::actor::Event,
-            ) {
-                $crate::actor::PortableActor::on_event(self, ctx, event);
-            }
-        }
-    };
+    ($ty:ty) => {};
 }
 
 /// Deduplicates wake-up timers for one token.
@@ -352,16 +187,14 @@ mod timer_gate_tests {
     use crate::topology::{HostCfg, Topology};
     use crate::world::World;
     use snipe_util::time::SimDuration;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     struct Spammer {
         gate: TimerGate,
-        fired: Rc<RefCell<u32>>,
+        fired: u32,
     }
 
     impl Actor for Spammer {
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
             match event {
                 Event::Start => {
                     // Request the same deadline many times: one timer.
@@ -372,7 +205,7 @@ mod timer_gate_tests {
                 }
                 Event::Timer { .. } => {
                     self.gate.fired();
-                    *self.fired.borrow_mut() += 1;
+                    self.fired += 1;
                 }
                 _ => {}
             }
@@ -385,9 +218,9 @@ mod timer_gate_tests {
         let _ = t.add_network("n", Medium::ethernet100(), true);
         let h = t.add_host(HostCfg::named("h"));
         let mut w = World::new(t, 1);
-        let fired = Rc::new(RefCell::new(0));
-        w.spawn(h, 5, Box::new(Spammer { gate: TimerGate::new(), fired: fired.clone() }));
+        let ep = w.spawn(h, 5, Box::new(Spammer { gate: TimerGate::new(), fired: 0 })).unwrap();
         w.run_until_idle(1000);
-        assert_eq!(*fired.borrow(), 1, "100 arm requests must yield one timer");
+        let fired = w.actor_ref::<Spammer>(ep).unwrap().fired;
+        assert_eq!(fired, 1, "100 arm requests must yield one timer");
     }
 }

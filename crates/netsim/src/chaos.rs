@@ -22,13 +22,12 @@
 //!   concrete world via [`ChaosBinding`]), and a greedy minimizer for
 //!   violating plans (the vendored proptest has no shrinking).
 
-use std::rc::Rc;
-
 use snipe_util::id::{HostId, NetId};
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::{SimDuration, SimTime};
 
-use crate::topology::GrayLevel;
+use crate::shard::{ActorFactory, FaultCmd};
+use crate::topology::{Endpoint, GrayLevel};
 use crate::world::World;
 
 /// Per-packet fault injection levels. Installed on a world via
@@ -93,6 +92,19 @@ pub enum ChaosOp {
 }
 
 impl ChaosOp {
+    /// When this op strikes.
+    fn at(&self) -> SimTime {
+        match *self {
+            ChaosOp::HostFlap { at, .. }
+            | ChaosOp::NetFlap { at, .. }
+            | ChaosOp::IfaceFlap { at, .. }
+            | ChaosOp::Gray { at, .. }
+            | ChaosOp::LossBurst { at, .. }
+            | ChaosOp::Partition { at, .. }
+            | ChaosOp::ProcRestart { at, .. } => at,
+        }
+    }
+
     /// When this op has fully restored what it broke.
     fn end(&self) -> SimTime {
         match *self {
@@ -154,10 +166,6 @@ impl Default for ChaosShape {
     }
 }
 
-/// A process-restart action: kills and respawns one workload process
-/// in whatever way the workload defines.
-pub type RestartFn = Rc<dyn Fn(&mut World)>;
-
 /// Maps a plan's abstract target indices onto a concrete world.
 /// Indices wrap modulo the vector length; an empty vector silently
 /// skips ops of that class (e.g. a workload that cannot tolerate host
@@ -170,8 +178,9 @@ pub struct ChaosBinding {
     pub nets: Vec<NetId>,
     /// `(host, net)` interfaces eligible for [`ChaosOp::IfaceFlap`].
     pub ifaces: Vec<(HostId, NetId)>,
-    /// Restart actions for [`ChaosOp::ProcRestart`].
-    pub procs: Vec<RestartFn>,
+    /// Processes eligible for [`ChaosOp::ProcRestart`]: the endpoint to
+    /// crash and the factory building its replacement.
+    pub procs: Vec<(Endpoint, ActorFactory)>,
 }
 
 /// A complete, replayable fault schedule.
@@ -309,76 +318,47 @@ impl ChaosPlan {
     }
 
     /// Install the plan on a world: packet chaos switches on now (and
-    /// off at `packet_until`), every op is scheduled through
-    /// [`World::schedule_fn`]. Ops whose target class has an empty
-    /// binding vector are skipped.
+    /// off at `packet_until`), every op becomes a pair of scheduled
+    /// [`FaultCmd`]s (the break and its restore). Ops whose target
+    /// class has an empty binding vector are skipped.
     pub fn apply(&self, world: &mut World, binding: &ChaosBinding) {
         if let Some(pc) = self.packet {
             world.set_packet_chaos(Some(pc), self.packet_seed());
-            world.schedule_fn(self.packet_until, |w| w.set_packet_chaos(None, 0));
+            world.schedule_fault(self.packet_until, FaultCmd::PacketChaos(None, 0));
+        }
+        // Abstract index → concrete target, `None` for an unbound class.
+        fn pick<T: Clone>(targets: &[T], i: u8) -> Option<T> {
+            (!targets.is_empty()).then(|| targets[i as usize % targets.len()].clone())
         }
         for op in &self.ops {
-            match *op {
-                ChaosOp::HostFlap { host, at, down_for } => {
-                    if binding.hosts.is_empty() {
-                        continue;
-                    }
-                    let h = binding.hosts[host as usize % binding.hosts.len()];
-                    world.schedule_fn(at, move |w| w.host_down(h));
-                    world.schedule_fn(at + down_for, move |w| w.host_up(h));
+            let (at, end) = (op.at(), op.end());
+            let cmds = match *op {
+                ChaosOp::HostFlap { host, .. } => pick(&binding.hosts, host)
+                    .map(|h| (FaultCmd::HostDown(h), Some(FaultCmd::HostUp(h)))),
+                ChaosOp::NetFlap { net, .. } => pick(&binding.nets, net)
+                    .map(|n| (FaultCmd::NetUp(n, false), Some(FaultCmd::NetUp(n, true)))),
+                ChaosOp::IfaceFlap { iface, .. } => pick(&binding.ifaces, iface).map(|(h, n)| {
+                    (FaultCmd::IfaceUp(h, n, false), Some(FaultCmd::IfaceUp(h, n, true)))
+                }),
+                ChaosOp::Gray { net, latency_factor, bandwidth_factor, .. } => {
+                    pick(&binding.nets, net).map(|n| {
+                        let g = GrayLevel { latency_factor, bandwidth_factor };
+                        (FaultCmd::Gray(n, Some(g)), Some(FaultCmd::Gray(n, None)))
+                    })
                 }
-                ChaosOp::NetFlap { net, at, down_for } => {
-                    if binding.nets.is_empty() {
-                        continue;
-                    }
-                    let n = binding.nets[net as usize % binding.nets.len()];
-                    world.schedule_fn(at, move |w| w.set_net_up(n, false));
-                    world.schedule_fn(at + down_for, move |w| w.set_net_up(n, true));
+                ChaosOp::LossBurst { net, loss, .. } => pick(&binding.nets, net)
+                    .map(|n| (FaultCmd::NetLoss(n, Some(loss)), Some(FaultCmd::NetLoss(n, None)))),
+                ChaosOp::Partition { net, group, .. } => pick(&binding.nets, net).map(|n| {
+                    (FaultCmd::PartitionNet(n, group), Some(FaultCmd::PartitionNet(n, 0)))
+                }),
+                ChaosOp::ProcRestart { proc, .. } => {
+                    pick(&binding.procs, proc).map(|(ep, f)| (FaultCmd::Restart(ep, f), None))
                 }
-                ChaosOp::IfaceFlap { iface, at, down_for } => {
-                    if binding.ifaces.is_empty() {
-                        continue;
-                    }
-                    let (h, n) = binding.ifaces[iface as usize % binding.ifaces.len()];
-                    world.schedule_fn(at, move |w| {
-                        let _ = w.set_iface_up(h, n, false);
-                    });
-                    world.schedule_fn(at + down_for, move |w| {
-                        let _ = w.set_iface_up(h, n, true);
-                    });
-                }
-                ChaosOp::Gray { net, at, duration, latency_factor, bandwidth_factor } => {
-                    if binding.nets.is_empty() {
-                        continue;
-                    }
-                    let n = binding.nets[net as usize % binding.nets.len()];
-                    world.schedule_fn(at, move |w| {
-                        w.set_gray(n, Some(GrayLevel { latency_factor, bandwidth_factor }));
-                    });
-                    world.schedule_fn(at + duration, move |w| w.set_gray(n, None));
-                }
-                ChaosOp::LossBurst { net, at, duration, loss } => {
-                    if binding.nets.is_empty() {
-                        continue;
-                    }
-                    let n = binding.nets[net as usize % binding.nets.len()];
-                    world.schedule_fn(at, move |w| w.set_net_loss(n, Some(loss)));
-                    world.schedule_fn(at + duration, move |w| w.set_net_loss(n, None));
-                }
-                ChaosOp::Partition { net, at, duration, group } => {
-                    if binding.nets.is_empty() {
-                        continue;
-                    }
-                    let n = binding.nets[net as usize % binding.nets.len()];
-                    world.schedule_fn(at, move |w| w.set_partition(n, group));
-                    world.schedule_fn(at + duration, move |w| w.set_partition(n, 0));
-                }
-                ChaosOp::ProcRestart { proc, at } => {
-                    if binding.procs.is_empty() {
-                        continue;
-                    }
-                    let f = binding.procs[proc as usize % binding.procs.len()].clone();
-                    world.schedule_fn(at, move |w| f(w));
+            };
+            if let Some((start, restore)) = cmds {
+                world.schedule_fault(at, start);
+                if let Some(restore) = restore {
+                    world.schedule_fault(end, restore);
                 }
             }
         }
@@ -454,8 +434,15 @@ pub fn shrink_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{Actor, Event, SimCtx};
     use crate::medium::Medium;
     use crate::topology::{HostCfg, Topology};
+    use std::sync::Arc;
+
+    struct Idle;
+    impl Actor for Idle {
+        fn on_event(&mut self, _ctx: &mut dyn SimCtx, _event: Event) {}
+    }
 
     fn shape() -> ChaosShape {
         ChaosShape { hosts: 2, nets: 2, ifaces: 4, procs: 2, max_ops: 8, ..ChaosShape::default() }
@@ -478,16 +465,7 @@ mod tests {
             let lo = SimTime::from_nanos((s.horizon.as_nanos() as f64 * 0.05) as u64);
             let hi = SimTime::from_nanos((s.horizon.as_nanos() as f64 * 0.9) as u64);
             for op in &plan.ops {
-                let at = match *op {
-                    ChaosOp::HostFlap { at, .. }
-                    | ChaosOp::NetFlap { at, .. }
-                    | ChaosOp::IfaceFlap { at, .. }
-                    | ChaosOp::Gray { at, .. }
-                    | ChaosOp::LossBurst { at, .. }
-                    | ChaosOp::Partition { at, .. }
-                    | ChaosOp::ProcRestart { at, .. } => at,
-                };
-                assert!(at >= lo, "op starts too early: {op:?}");
+                assert!(op.at() >= lo, "op starts too early: {op:?}");
                 assert!(op.end() <= hi, "op quiesces too late: {op:?}");
             }
             assert!(plan.quiesce_at() <= hi.max(plan.packet_until));
@@ -513,7 +491,7 @@ mod tests {
                 hosts: vec![a, b],
                 nets: vec![eth, atm],
                 ifaces: vec![(a, eth), (a, atm), (b, eth), (b, atm)],
-                procs: vec![Rc::new(|_w: &mut World| {})],
+                procs: vec![(Endpoint::new(a, 9), Arc::new(|| Box::new(Idle) as Box<dyn Actor>))],
             };
             plan.apply(&mut w, &binding);
             w.run_until(plan.quiesce_at() + SimDuration::from_secs(1));

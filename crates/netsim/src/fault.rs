@@ -10,6 +10,7 @@ use snipe_util::id::HostId;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::{SimDuration, SimTime};
 
+use crate::shard::FaultCmd;
 use crate::world::World;
 
 /// Parameters of a crash/repair renewal process.
@@ -47,17 +48,17 @@ pub fn schedule_host_failures(
             break;
         }
         let down_at = t;
-        world.schedule_fn(down_at, move |w| w.host_down(host));
+        world.schedule_fault(down_at, FaultCmd::HostDown(host));
         let down_for = SimDuration::from_secs_f64(rng.gen_exp(model.mttr.as_secs_f64()));
         t += down_for;
         if t >= horizon {
             // Leave it down past the horizon; still schedule recovery so
             // post-horizon queries find a live system.
-            world.schedule_fn(t, move |w| w.host_up(host));
+            world.schedule_fault(t, FaultCmd::HostUp(host));
             break;
         }
         let up_at = t;
-        world.schedule_fn(up_at, move |w| w.host_up(host));
+        world.schedule_fault(up_at, FaultCmd::HostUp(host));
     }
 }
 

@@ -11,22 +11,25 @@
 //!   overhead;
 //! * [`topology`] — hosts, interfaces and network segments, including
 //!   multi-homed hosts (the basis of SNIPE's multi-path communication);
-//! * [`world::World`] — the event loop, actor scheduling and packet
-//!   delivery, with link-level serialization so protocols saturate a
-//!   medium realistically (that is what Fig. 1 measures);
+//! * [`world::World`] — the simulation world: actor scheduling and
+//!   packet delivery, with link-level serialization so protocols
+//!   saturate a medium realistically (that is what Fig. 1 measures);
+//! * [`shard`] — the one engine behind every world: a per-region event
+//!   core plus a deterministic round driver. `World::new` runs the
+//!   whole topology as one region inline; `World::sharded` runs the
+//!   natural partition on worker threads, bit-for-bit identically at
+//!   any thread count, for 10k–100k-host worlds;
 //! * [`actor`] — the process model: SNIPE daemons, RC servers, file
-//!   servers and application tasks are all [`actor::Actor`]s;
-//! * [`fault`] — failure injection: host crash/repair processes, link
-//!   failures and network partitions;
+//!   servers and application tasks are all [`actor::Actor`]s, written
+//!   against one context trait, [`actor::SimCtx`];
+//! * [`fault`] — failure injection: host crash/repair processes for
+//!   availability studies (all faults are [`shard::FaultCmd`] data);
 //! * [`chaos`] — declarative, seed-driven fault plans: packet
 //!   corruption/duplication/reordering, gray links, flapping and
 //!   process restarts, replayable bit-for-bit from a plan seed;
 //! * [`trace`] — flat stats counters plus the thread-local flight
 //!   recorder: a fixed-capacity ring of virtual-time-stamped events
-//!   every layer records into, dumped on chaos-oracle violations;
-//! * [`shard`] — the sharded engine: conservative parallel
-//!   discrete-event simulation over per-region shards, bit-for-bit
-//!   deterministic at any thread count, for 10k–100k-host worlds.
+//!   every layer records into, dumped on chaos-oracle violations.
 
 pub mod actor;
 pub mod chaos;
@@ -38,10 +41,10 @@ pub mod topology;
 pub mod trace;
 pub mod world;
 
-pub use actor::{Actor, ActorId, Ctx, Event, OnWorld, PortableActor, SimCtx, TimerGate};
+pub use actor::{Actor, Event, SimCtx, TimerGate};
 pub use chaos::{ChaosBinding, ChaosOp, ChaosPlan, ChaosShape, PacketChaos};
 pub use medium::Medium;
-pub use shard::{FaultCmd, OnShard, Partition, ShardActor, ShardCtx, ShardLoad, ShardedWorld};
+pub use shard::{ActorFactory, FaultCmd, Partition, ShardLoad};
 pub use topology::{Endpoint, HostCfg, Topology};
 pub use trace::{FaultOp, MigrationPhase, TraceEvent, TraceKind};
 pub use world::World;

@@ -1,12 +1,10 @@
 //! The three-tier event queue: now-queue, per-transmitter delivery
 //! streams, and a slab-backed future heap.
 //!
-//! Extracted from [`crate::world::World`] so the sharded engine
-//! ([`crate::shard`]) can give every shard its own queue of the exact
-//! same shape. The queue is generic over the event body `T` (the
-//! single-threaded world queues closures; shard events must be `Send`)
-//! and knows nothing about actors, packets or the clock — callers pass
-//! `now` in and account pops against their own stats.
+//! Every region's core ([`crate::shard`]) owns one. The queue is
+//! generic over the event body `T` and knows nothing about actors,
+//! packets or the clock — callers pass `now` in and account pops
+//! against their own stats.
 //!
 //! ## Why three tiers
 //!
@@ -18,7 +16,7 @@
 //! * **Delivery streams** — FIFOs of pending deliveries that share a
 //!   serializing transmitter and a propagation latency. Such deliveries
 //!   arrive in exactly the order they were sent: each transmitter's
-//!   `busy_until` only moves forward, so serialization finish times are
+//!   free-at time only moves forward, so serialization finish times are
 //!   monotone per channel, and adding a constant latency preserves
 //!   that. An oversubscribed segment can have hundreds of thousands of
 //!   packets in flight — as a heap they are `O(log n)` sift traffic

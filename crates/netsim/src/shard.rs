@@ -1,21 +1,37 @@
-//! The sharded deterministic engine: conservative parallel
-//! discrete-event simulation over per-region shards.
+//! The engine: one `ShardCore` per topology region, advanced by a
+//! deterministic round driver. Every [`World`] is this engine; there is
+//! no other event loop.
 //!
-//! [`World`](crate::world::World) is a single event loop; it tops out
-//! around a few million events per second no matter how many cores the
-//! machine has. This module partitions a topology into independent
-//! **regions** (connected components of "hosts share a network
-//! segment" — every segment, with all its attached hosts, lives wholly
-//! inside one region), gives each region its own `ShardCore` — a
-//! private three-tier event queue, flat stats, RNG streams, route
-//! cache, transmitter busy-tracking and trace ring — and advances all
-//! cores in **deterministic barrier rounds** with conservative
-//! lookahead.
+//! A topology is partitioned into independent **regions**. Each region
+//! gets its own `ShardCore` — a private three-tier event queue, flat
+//! stats, RNG streams, route cache, transmitter busy-tracking, actors
+//! and trace sink — which implements queueing, routing, transmission,
+//! packet chaos, timers, signals, spawn/kill and dispatch exactly once.
+//!
+//! ## Region rule
+//!
+//! * [`World::new`] forces **one region** ([`Partition::single`]). The
+//!   single core runs inline on the calling thread straight to the
+//!   horizon: no lookahead bound, no barrier, no mailbox traffic. One
+//!   queue means global same-timestamp ordering, zero-latency routable
+//!   media are fine, and an actor may spawn/kill/signal on any host.
+//! * [`World::sharded`] uses the **natural partition**
+//!   ([`Partition::of`]: connected components of "hosts share a network
+//!   segment" — every segment, with all its attached hosts, lives
+//!   wholly inside one region) and advances all cores in barrier rounds
+//!   with conservative lookahead on up to `threads` worker threads.
+//!
+//! ## Seed rule
+//!
+//! A one-region world seeds its workload RNG and its packet-chaos RNG
+//! from the seed directly; a world with ≥ 2 regions derives one
+//! decorrelated stream per region (`mix_seed`). Either way the mapping
+//! is pure, so it is identical at every thread count.
 //!
 //! ## Why determinism survives parallelism
 //!
 //! * Regions are a property of the *topology*, not of the thread
-//!   count: `--shards N` only chooses how many OS threads execute the
+//!   count: `threads` only chooses how many OS threads execute the
 //!   fixed region set. Every per-core decision (event order, RNG
 //!   draws, sequence numbers) depends only on that core's own inputs.
 //! * Cross-region packets never touch another core directly. They are
@@ -24,11 +40,11 @@
 //!   by `(at, src_region, src_seq)` and enqueued into their
 //!   destination cores in that order, so destination-side sequence
 //!   numbers are identical at any thread count.
-//! * The inline (single-thread) path and the thread-pool path execute
-//!   the *same* per-round core methods in the same per-core order —
-//!   equality of results across 1/2/4/8 threads holds by construction
-//!   and is pinned by differential tests and the `shard-determinism`
-//!   gate in `scripts/check.sh`.
+//! * The inline path and the thread-pool path execute the *same*
+//!   per-round core methods in the same per-core order — equality of
+//!   results across 1/2/4/8 threads holds by construction and is
+//!   pinned by differential tests and the `shard-determinism` gate in
+//!   `scripts/check.sh`.
 //!
 //! ## Conservative lookahead
 //!
@@ -43,19 +59,27 @@
 //! latency (the fault scheduler clamps `latency_factor` to ≥ 1.0), so
 //! the static bound stays sound under chaos.
 //!
-//! ## Faults and chaos
+//! ## Faults are data
 //!
-//! Scripted faults are data ([`FaultCmd`]), not closures: a sorted
-//! timeline the coordinator applies between rounds (windows are capped
-//! at the next fault time, so a fault at `t` is observed by every core
-//! before any event at or after `t` runs). [`ChaosPlan`]s translate
-//! op-for-op except `ProcRestart`, whose restart closures are
-//! inherently single-threaded (`Rc`); engine-level soaks exercise
-//! restarts through actor-level kill/respawn instead.
+//! Scripted faults are [`FaultCmd`] values on a sorted timeline the
+//! coordinator applies between rounds (windows are capped at the next
+//! fault time, so a fault at `t` is observed by every core before any
+//! event at or after `t` runs). The immediate fault API
+//! ([`World::host_down`] …) applies the same command now. Process
+//! crashes are data too: [`FaultCmd::Restart`] kills the actor at an
+//! endpoint and spawns a factory-built replacement on the owning core
+//! at the fault's timestamp, at any thread count.
+//!
+//! ## Trace sinks
+//!
+//! A world whose cores run inline on the constructing thread records
+//! engine events into that thread's flight recorder when it was enabled
+//! at construction ([`crate::trace`]); otherwise
+//! [`World::enable_trace`] gives every core its own ring.
 
-use std::any::Any;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use bytes::Bytes;
 
@@ -64,18 +88,42 @@ use snipe_util::metrics::{Log2Histogram, Registry};
 use snipe_util::rng::{SplitMix64, Xoshiro256};
 use snipe_util::time::{SimDuration, SimTime};
 
-use crate::actor::{ActorId, Event, PortableActor, SimCtx};
-use crate::chaos::{ChaosBinding, ChaosOp, ChaosPlan, PacketChaos};
+use crate::actor::{Actor, Event, SimCtx};
+use crate::chaos::PacketChaos;
 use crate::queue::{EventQueue, FnvMap, Tier, TxChannel};
 use crate::topology::{Endpoint, GrayLevel, PathInfo, Topology};
-use crate::trace::{DropReason, FaultOp, NetStats, TraceKind};
-use crate::world::{compute_path, SIGSTART};
+use crate::trace::{self, DropReason, FaultOp, NetStats, Recorder, TraceEvent, TraceKind};
+use crate::world::{compute_path, EPHEMERAL_BASE, SIGSTART};
 
 /// Derive a per-region seed from the world seed. Distinct regions get
-/// decorrelated streams; the mapping is pure, so it is identical at
-/// every thread count.
+/// decorrelated streams.
 fn mix_seed(seed: u64, region: u32) -> u64 {
     SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(region as u64 + 1)).next_u64()
+}
+
+/// The seed rule (module docs): the seed itself for a one-region world,
+/// a per-region stream otherwise.
+fn region_seed(seed: u64, region: u32, regions: u32) -> u64 {
+    if regions == 1 {
+        seed
+    } else {
+        mix_seed(seed, region)
+    }
+}
+
+// The only `expect`s in the engine. A poisoned lock means a worker (or
+// an actor on it) already panicked; propagating that panic is the only
+// sound continuation.
+fn read_topo(topo: &RwLock<Topology>) -> RwLockReadGuard<'_, Topology> {
+    topo.read().expect("topology lock poisoned by an earlier panic")
+}
+
+fn write_topo(topo: &RwLock<Topology>) -> RwLockWriteGuard<'_, Topology> {
+    topo.write().expect("topology lock poisoned by an earlier panic")
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().expect("round slot poisoned by an earlier panic")
 }
 
 // ---------------------------------------------------------------------------
@@ -161,16 +209,35 @@ impl Partition {
                 // No routable media: regions cannot talk at all.
                 None => u64::MAX,
                 Some(0) => panic!(
-                    "sharded engine requires routable media with nonzero latency \
+                    "a partitioned world requires routable media with nonzero latency \
                      (conservative lookahead would be zero)"
                 ),
                 Some(ns) => ns.saturating_mul(2),
             }
         };
-        // Dense per-region transmitter slots, so a core's busy vectors
-        // are sized by its own region, not the whole world.
+        Partition::with_regions(topo, region_of_host, region_of_net, regions, la_ns)
+    }
+
+    /// The whole topology as one region — the [`World::new`] case.
+    /// With a single core nothing is ever cross-region, so there is no
+    /// lookahead bound and zero-latency routable media are fine.
+    pub fn single(topo: &Topology) -> Partition {
+        let hosts = vec![0; topo.host_count()];
+        let nets = vec![0; topo.net_count()];
+        Partition::with_regions(topo, hosts, nets, 1, u64::MAX)
+    }
+
+    /// Dense per-region transmitter slots, so a core's busy vectors
+    /// are sized by its own region, not the whole world.
+    fn with_regions(
+        topo: &Topology,
+        region_of_host: Vec<u32>,
+        region_of_net: Vec<u32>,
+        regions: u32,
+        la_ns: u64,
+    ) -> Partition {
         let mut bus_counts = vec![0u32; regions as usize];
-        let mut net_slot = vec![0u32; n];
+        let mut net_slot = vec![0u32; region_of_net.len()];
         for (j, slot) in net_slot.iter_mut().enumerate() {
             let r = region_of_net[j] as usize;
             *slot = bus_counts[r];
@@ -225,43 +292,16 @@ impl Partition {
 }
 
 // ---------------------------------------------------------------------------
-// Actor model (Send)
+// The actor-facing context
 // ---------------------------------------------------------------------------
 
-/// Upcast helper so concrete actor state can be read back through
-/// `dyn ShardActor` without requiring trait-object upcasting support.
-/// Blanket-implemented for every `'static` type.
-pub trait AsAny {
-    /// This value as `&dyn Any` (for downcasting).
-    fn as_any(&self) -> &dyn Any;
-    /// This value as `&mut dyn Any`.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
+/// Dense actor handle within one core.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ActorId(u64);
 
-impl<T: Any> AsAny for T {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// The actor trait for the sharded engine. Identical in shape to
-/// [`crate::actor::Actor`], but `Send` (cores move across worker
-/// threads) and reachable back through [`ShardedWorld::actor_ref`] via
-/// [`AsAny`]. `Rc`-webbed single-threaded actors cannot implement
-/// this; give each actor owned state instead.
-pub trait ShardActor: AsAny + Send {
-    /// Handle one event.
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event);
-}
-
-/// The world-facing API handed to a [`ShardActor`] during dispatch.
-/// Mirrors [`crate::actor::Ctx`]; `spawn`/`kill`/`signal`/`is_bound`
-/// are region-local (cross-region control is not a thing SNIPE
-/// processes can do without a message anyway — send a packet).
-pub struct ShardCtx<'a> {
+/// The [`SimCtx`] handed to an actor during dispatch: its core plus
+/// the shared read-only topology and partition.
+struct ShardCtx<'a> {
     core: &'a mut ShardCore,
     topo: &'a Topology,
     part: &'a Partition,
@@ -269,48 +309,47 @@ pub struct ShardCtx<'a> {
     my_endpoint: Endpoint,
 }
 
-impl ShardCtx<'_> {
-    /// Current simulation time (this core's clock).
-    pub fn now(&self) -> SimTime {
+/// The region owning `host`, or `None` for an unknown host id.
+fn spawn_region(topo: &Topology, part: &Partition, host: HostId) -> Option<usize> {
+    if host.index() >= topo.host_count() {
+        return None;
+    }
+    Some(part.region_of_host(host))
+}
+
+impl SimCtx for ShardCtx<'_> {
+    fn now(&self) -> SimTime {
         self.core.now
     }
 
-    /// This actor's own endpoint.
-    pub fn me(&self) -> Endpoint {
+    fn me(&self) -> Endpoint {
         self.my_endpoint
     }
 
-    /// This actor's host.
-    pub fn host(&self) -> HostId {
+    fn host(&self) -> HostId {
         self.my_endpoint.host
     }
 
-    /// Send a datagram (cross-region destinations go through the
-    /// deterministic mailbox transparently).
-    pub fn send(&mut self, to: Endpoint, payload: Bytes) {
+    fn send(&mut self, to: Endpoint, payload: Bytes) {
         let from = self.my_endpoint;
         self.core.send_packet(self.topo, self.part, from, to, payload, None);
     }
 
-    /// Send pinned to a specific network.
-    pub fn send_via(&mut self, to: Endpoint, payload: Bytes, via: NetId) {
+    fn send_via(&mut self, to: Endpoint, payload: Bytes, via: NetId) {
         let from = self.my_endpoint;
         self.core.send_packet(self.topo, self.part, from, to, payload, Some(via));
     }
 
-    /// Schedule an [`Event::Timer`] for this actor after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let at = self.core.now + delay;
-        self.core.push(at, ShardQueued::Timer { actor: self.me, token });
+        self.core.push(at, Queued::Timer { actor: self.me, token });
     }
 
-    /// Spawn an actor on `host` at `port` — same region only. Returns
-    /// `None` for a taken port, unknown host, or cross-region target.
-    pub fn spawn(
+    fn spawn_portable(
         &mut self,
         host: HostId,
         port: u16,
-        actor: Box<dyn ShardActor>,
+        actor: Box<dyn Actor>,
     ) -> Option<Endpoint> {
         let r = spawn_region(self.topo, self.part, host)?;
         if r != self.core.region as usize {
@@ -324,18 +363,15 @@ impl ShardCtx<'_> {
         self.core.spawn(host, port, actor)
     }
 
-    /// Allocate an unused ephemeral port on a host in this region.
-    pub fn alloc_port(&mut self, host: HostId) -> u16 {
+    fn alloc_port(&mut self, host: HostId) -> u16 {
         self.core.alloc_port(host)
     }
 
-    /// Is an actor bound at `ep`? Region-local view.
-    pub fn is_bound(&self, ep: Endpoint) -> bool {
+    fn is_bound(&self, ep: Endpoint) -> bool {
         self.core.bindings.contains_key(&ep)
     }
 
-    /// Terminate an actor in this region.
-    pub fn kill(&mut self, ep: Endpoint) {
+    fn kill(&mut self, ep: Endpoint) {
         debug_assert_eq!(
             self.part.region_of_host(ep.host),
             self.core.region as usize,
@@ -344,9 +380,7 @@ impl ShardCtx<'_> {
         self.core.kill(ep);
     }
 
-    /// Deliver a signal to another actor in this region at the same
-    /// timestamp.
-    pub fn signal(&mut self, to: Endpoint, signum: u32) {
+    fn signal(&mut self, to: Endpoint, signum: u32) {
         debug_assert_eq!(
             self.part.region_of_host(to.host),
             self.core.region as usize,
@@ -354,91 +388,19 @@ impl ShardCtx<'_> {
         );
         let from = Some(self.my_endpoint);
         let now = self.core.now;
-        self.core.push(now, ShardQueued::Signal { from, to, signum });
+        self.core.push(now, Queued::Signal { from, to, signum });
     }
 
-    /// This region's deterministic RNG stream.
-    pub fn rng(&mut self) -> &mut Xoshiro256 {
+    fn rng(&mut self) -> &mut Xoshiro256 {
         &mut self.core.rng
     }
 
-    /// Immutable view of the (shared) topology.
-    pub fn topology(&self) -> &Topology {
-        self.topo
-    }
-
-    /// Is a host currently up?
-    pub fn host_up(&self, h: HostId) -> bool {
-        self.topo.host(h).up
-    }
-}
-
-/// Shared spawn validation for [`ShardCtx::spawn`] and
-/// [`ShardedWorld::spawn`]: the region owning `host`, or `None` for an
-/// unknown host id.
-fn spawn_region(topo: &Topology, part: &Partition, host: HostId) -> Option<usize> {
-    if host.index() >= topo.host_count() {
-        return None;
-    }
-    Some(part.region_of_host(host))
-}
-
-impl SimCtx for ShardCtx<'_> {
-    fn now(&self) -> SimTime {
-        ShardCtx::now(self)
-    }
-    fn me(&self) -> Endpoint {
-        ShardCtx::me(self)
-    }
-    fn host(&self) -> HostId {
-        ShardCtx::host(self)
-    }
-    fn send(&mut self, to: Endpoint, payload: Bytes) {
-        ShardCtx::send(self, to, payload);
-    }
-    fn send_via(&mut self, to: Endpoint, payload: Bytes, via: NetId) {
-        ShardCtx::send_via(self, to, payload, via);
-    }
-    fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        ShardCtx::set_timer(self, delay, token);
-    }
-    fn spawn_portable(
-        &mut self,
-        host: HostId,
-        port: u16,
-        actor: Box<dyn PortableActor>,
-    ) -> Option<Endpoint> {
-        ShardCtx::spawn(self, host, port, Box::new(OnShard(actor)))
-    }
-    fn alloc_port(&mut self, host: HostId) -> u16 {
-        ShardCtx::alloc_port(self, host)
-    }
-    fn is_bound(&self, ep: Endpoint) -> bool {
-        ShardCtx::is_bound(self, ep)
-    }
-    fn kill(&mut self, ep: Endpoint) {
-        ShardCtx::kill(self, ep);
-    }
-    fn signal(&mut self, to: Endpoint, signum: u32) {
-        ShardCtx::signal(self, to, signum);
-    }
-    fn rng(&mut self) -> &mut Xoshiro256 {
-        ShardCtx::rng(self)
-    }
     fn topology(&self) -> &Topology {
         self.topo
     }
+
     fn host_up(&self, h: HostId) -> bool {
-        ShardCtx::host_up(self, h)
-    }
-}
-
-/// Hosts a boxed [`PortableActor`] on the sharded engine.
-pub struct OnShard(pub Box<dyn PortableActor>);
-
-impl ShardActor for OnShard {
-    fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
-        self.0.on_event(ctx, event);
+        self.topo.host(h).up
     }
 }
 
@@ -446,14 +408,14 @@ impl ShardActor for OnShard {
 // Core-internal types
 // ---------------------------------------------------------------------------
 
-enum ShardQueued {
+enum Queued {
     Deliver { from: Endpoint, to: Endpoint, payload: Bytes },
     Timer { actor: ActorId, token: u64 },
     Signal { from: Option<Endpoint>, to: Endpoint, signum: u32 },
 }
 
-struct ShardSlot {
-    actor: Option<Box<dyn ShardActor>>,
+struct Slot {
+    actor: Option<Box<dyn Actor>>,
     endpoint: Endpoint,
     alive: bool,
 }
@@ -477,57 +439,18 @@ enum Inbound {
     Deliver { at: SimTime, from: Endpoint, to: Endpoint, payload: Bytes },
     HostEvent { at: SimTime, host: HostId, up: bool },
     SetChaos { at: SimTime, chaos: Option<PacketChaos>, seed: u64 },
+    Restart { at: SimTime, ep: Endpoint, actor: Box<dyn Actor> },
 }
 
-/// One retained per-shard flight-recorder event.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardTraceEvent {
-    /// Per-core monotone sequence number.
-    pub seq: u64,
-    /// Virtual time.
-    pub at: SimTime,
-    /// Region that recorded it.
-    pub region: u32,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// Per-shard drop-oldest trace ring (the thread-local flight recorder
-/// cannot serve cores that migrate across worker threads).
-#[derive(Default)]
-struct ShardRing {
-    cap: usize,
-    buf: Vec<ShardTraceEvent>,
-    next: usize,
-    seq: u64,
-    dropped: u64,
-    kind_counts: [u64; TraceKind::COUNT],
-}
-
-impl ShardRing {
-    fn enable(&mut self, cap: usize) {
-        *self = ShardRing::default();
-        self.cap = cap.max(1);
-        self.buf.reserve_exact(self.cap);
-    }
-
-    fn push(&mut self, region: u32, at: SimTime, kind: TraceKind) {
-        let ev = ShardTraceEvent { seq: self.seq, at, region, kind };
-        self.seq += 1;
-        self.kind_counts[kind.tag()] += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
-            self.next = (self.next + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    fn iter_ordered(&self) -> impl Iterator<Item = &ShardTraceEvent> {
-        let (tail, head) = self.buf.split_at(self.next.min(self.buf.len()));
-        head.iter().chain(tail.iter())
-    }
+/// Where a core's engine events are recorded (module docs, "Trace
+/// sinks").
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum TraceSink {
+    Off,
+    /// The constructing thread's flight recorder.
+    Thread,
+    /// This core's own ring.
+    Ring,
 }
 
 // ---------------------------------------------------------------------------
@@ -541,20 +464,30 @@ type RouteKey = (HostId, HostId, Option<NetId>);
 struct ShardCore {
     region: u32,
     now: SimTime,
-    queue: EventQueue<ShardQueued>,
-    slots: Vec<ShardSlot>,
+    queue: EventQueue<Queued>,
+    slots: Vec<Slot>,
     bindings: FnvMap<Endpoint, ActorId>,
     ephemeral: FnvMap<HostId, u16>,
     rng: Xoshiro256,
+    /// Per-packet chaos injection, `None` when chaos is off (the common
+    /// case — one branch per send).
     chaos: Option<PacketChaos>,
+    /// Chaos draws come from their own stream so a chaos plan never
+    /// perturbs the workload's RNG: a failing run replays bit-for-bit
+    /// from `(plan seed, workload seed)` independently.
     chaos_rng: Xoshiro256,
     stats: NetStats,
+    /// End-to-end delivery latency (queue + serialization +
+    /// propagation) in nanoseconds, one sample per queued delivery.
     h_latency: Log2Histogram,
     /// Busy-until per shared-bus segment of this region (dense local
     /// slots via [`Partition::net_slot`]).
     bus_busy: Vec<SimTime>,
     /// Busy-until per switched interface of this region.
     link_busy: Vec<SimTime>,
+    /// Memoized `compute_path` results, valid while `route_epoch`
+    /// matches the topology epoch. Negative results (`None`) are cached
+    /// too: a partitioned destination is asked for just as often.
     route_cache: FnvMap<RouteKey, Option<PathInfo>>,
     route_epoch: u64,
     outbox: Vec<MailboxItem>,
@@ -563,11 +496,20 @@ struct ShardCore {
     out_seq: u64,
     /// High-water mark of the longest single delivery stream.
     stream_hwm: usize,
-    ring: ShardRing,
+    /// One predictable branch on a plain field per hot-path record
+    /// site, not a TLS lookup per event.
+    sink: TraceSink,
+    ring: Recorder,
 }
 
 impl ShardCore {
-    fn new(region: u32, topo: &Topology, part: &Partition, seed: u64) -> ShardCore {
+    fn new(
+        region: u32,
+        topo: &Topology,
+        part: &Partition,
+        seed: u64,
+        sink: TraceSink,
+    ) -> ShardCore {
         let mut stats = NetStats::default();
         stats.reserve_nets(topo.net_count());
         ShardCore {
@@ -577,7 +519,7 @@ impl ShardCore {
             slots: Vec::new(),
             bindings: FnvMap::default(),
             ephemeral: FnvMap::default(),
-            rng: Xoshiro256::seed_from_u64(mix_seed(seed, region)),
+            rng: Xoshiro256::seed_from_u64(region_seed(seed, region, part.regions)),
             chaos: None,
             chaos_rng: Xoshiro256::seed_from_u64(0),
             stats,
@@ -589,16 +531,34 @@ impl ShardCore {
             outbox: Vec::new(),
             out_seq: 0,
             stream_hwm: 0,
-            ring: ShardRing::default(),
+            sink,
+            ring: Recorder::empty(),
         }
     }
 
-    #[inline]
-    fn record(&mut self, kind: TraceKind) {
-        if cfg!(not(feature = "obs-off")) && self.ring.cap > 0 {
-            let (region, at) = (self.region, self.now);
-            self.ring.push(region, at, kind);
+    /// Record an engine event if a sink is on. Takes a closure so the
+    /// event is only built on the (cold) recording path.
+    #[inline(always)]
+    fn record(&mut self, kind: impl FnOnce() -> TraceKind) {
+        if cfg!(not(feature = "obs-off")) && self.sink != TraceSink::Off {
+            self.record_to_sink(kind());
         }
+    }
+
+    /// Outlined like [`trace::record_cached`]: the ring machinery must
+    /// not be inlined, dead, into every guarded hot-loop site.
+    #[cold]
+    #[inline(never)]
+    fn record_to_sink(&mut self, kind: TraceKind) {
+        if self.sink == TraceSink::Thread {
+            trace::record_cached(self.now, kind);
+        } else {
+            self.ring.push(self.now, kind);
+        }
+    }
+
+    fn record_fault(&mut self, what: &'static str, a: u64, b: u64) {
+        self.record(|| TraceKind::Fault { op: FaultOp { what, a, b } });
     }
 
     fn note_depth(&mut self) {
@@ -610,18 +570,21 @@ impl ShardCore {
 
     fn note_drop(&mut self, reason: DropReason) {
         self.stats.drop(reason);
-        self.record(TraceKind::Drop { reason });
+        self.record(|| TraceKind::Drop { reason });
     }
 
-    fn push(&mut self, at: SimTime, kind: ShardQueued) {
+    fn push(&mut self, at: SimTime, kind: Queued) {
         self.queue.push(self.now, at, kind);
         self.note_depth();
     }
 
+    /// Queue a delivery serialized by `channel` with a fixed
+    /// propagation latency, using its FIFO stream when the arrival
+    /// order allows.
     fn push_delivery(
         &mut self,
         at: SimTime,
-        kind: ShardQueued,
+        kind: Queued,
         channel: TxChannel,
         latency: SimDuration,
     ) {
@@ -633,25 +596,25 @@ impl ShardCore {
         self.queue.peek_at().map(|t| t.as_nanos()).unwrap_or(u64::MAX)
     }
 
-    fn spawn(&mut self, host: HostId, port: u16, actor: Box<dyn ShardActor>) -> Option<Endpoint> {
+    fn spawn(&mut self, host: HostId, port: u16, actor: Box<dyn Actor>) -> Option<Endpoint> {
         let ep = Endpoint::new(host, port);
         if self.bindings.contains_key(&ep) {
             return None;
         }
         let id = ActorId(self.slots.len() as u64);
-        self.slots.push(ShardSlot { actor: Some(actor), endpoint: ep, alive: true });
+        self.slots.push(Slot { actor: Some(actor), endpoint: ep, alive: true });
         self.bindings.insert(ep, id);
         let now = self.now;
-        self.push(now, ShardQueued::Signal { from: None, to: ep, signum: SIGSTART });
+        self.push(now, Queued::Signal { from: None, to: ep, signum: SIGSTART });
         Some(ep)
     }
 
     fn alloc_port(&mut self, host: HostId) -> u16 {
-        let ctr = self.ephemeral.entry(host).or_insert(crate::world::EPHEMERAL_BASE);
-        let span = (u16::MAX - crate::world::EPHEMERAL_BASE) as u32 + 1;
+        let ctr = self.ephemeral.entry(host).or_insert(EPHEMERAL_BASE);
+        let span = (u16::MAX - EPHEMERAL_BASE) as u32 + 1;
         for _ in 0..span {
             let p = *ctr;
-            *ctr = p.checked_add(1).unwrap_or(crate::world::EPHEMERAL_BASE);
+            *ctr = p.checked_add(1).unwrap_or(EPHEMERAL_BASE);
             if !self.bindings.contains_key(&Endpoint::new(host, p)) {
                 return p;
             }
@@ -663,8 +626,13 @@ impl ShardCore {
         if let Some(id) = self.bindings.remove(&ep) {
             let slot = &mut self.slots[id.0 as usize];
             slot.alive = false;
-            slot.actor = None;
+            slot.actor = None; // drop immediately unless currently executing
         }
+    }
+
+    fn actor_at(&self, ep: Endpoint) -> Option<&dyn Actor> {
+        let id = self.bindings.get(&ep)?;
+        self.slots[id.0 as usize].actor.as_deref()
     }
 
     fn endpoints_on(&self, h: HostId) -> Vec<Endpoint> {
@@ -674,8 +642,8 @@ impl ShardCore {
         eps
     }
 
-    /// Route selection, memoized per core (same policy as the
-    /// single-threaded world — both call [`compute_path`]).
+    /// Route selection per §5.3, memoized. Cache entries live until the
+    /// next topology epoch bump (any fault/attach mutation).
     fn select_path(
         &mut self,
         topo: &Topology,
@@ -697,10 +665,10 @@ impl ShardCore {
         path
     }
 
-    /// Mirror of `World::send_packet`, with two differences: wire
-    /// occupancy lives in the core's dense busy vectors (the shared
-    /// topology is read-only during a window), and deliveries whose
-    /// destination is another region go to the outbox.
+    /// Send a datagram (the delivery model is in [`crate::world`]).
+    /// Wire occupancy lives in the core's dense busy vectors (the
+    /// shared topology is read-only during a window), and deliveries
+    /// whose destination is another region go to the outbox.
     fn send_packet(
         &mut self,
         topo: &Topology,
@@ -711,14 +679,16 @@ impl ShardCore {
         via: Option<NetId>,
     ) {
         self.stats.sent += 1;
-        self.record(TraceKind::Send { from, to, len: payload.len() as u32 });
+        let len = payload.len() as u32;
+        self.record(|| TraceKind::Send { from, to, len });
         if from.host == to.host {
+            // Loopback: constant small cost, no shared wire.
             let m = crate::medium::Medium::loopback();
             let at = self.now + m.tx_time(payload.len()) + m.latency;
             if cfg!(not(feature = "obs-off")) {
                 self.h_latency.observe(at.since(self.now).as_nanos());
             }
-            self.push(at, ShardQueued::Deliver { from, to, payload });
+            self.push(at, Queued::Deliver { from, to, payload });
             return;
         }
         if !topo.host(from.host).up {
@@ -733,6 +703,8 @@ impl ShardCore {
             self.note_drop(DropReason::TooBig);
             return;
         }
+        // Serialization on the first-hop transmitter, at the bottleneck
+        // bandwidth for routed paths.
         let src_net = path.first_net();
         let medium = &topo.net(src_net).medium;
         let tx = medium.tx_time_at(path.bandwidth_bps, payload.len());
@@ -774,17 +746,12 @@ impl ShardCore {
             self.h_latency.observe(at.since(self.now).as_nanos());
         }
         let cross = part.region_of_host(to.host) != self.region as usize;
-        if self.chaos.is_some() {
-            self.chaos_deliver(at, from, to, payload, channel, path.latency, cross);
+        if let Some(fx) = self.chaos {
+            self.chaos_deliver(fx, at, from, to, payload, channel, path.latency, cross);
         } else if cross {
             self.push_outbox(at, from, to, payload);
         } else {
-            self.push_delivery(
-                at,
-                ShardQueued::Deliver { from, to, payload },
-                channel,
-                latency_of(path),
-            );
+            self.push_delivery(at, Queued::Deliver { from, to, payload }, channel, path.latency);
         }
     }
 
@@ -795,12 +762,17 @@ impl ShardCore {
         self.outbox.push(item);
     }
 
-    /// Per-packet chaos, mirroring `World::chaos_deliver`. Cross-region
-    /// copies (jittered or not) ride the mailbox; their arrival times
-    /// only grow (jitter ≥ 1ns), so the lookahead bound still holds.
+    /// Deliver one packet under per-packet chaos `fx`: maybe corrupt
+    /// the payload, maybe inject a duplicate, maybe jitter the arrival.
+    /// Jittered copies go through the heap, not the delivery streams —
+    /// their arrival times are not monotone per channel, which is the
+    /// invariant the streams rely on. Cross-region copies (jittered or
+    /// not) ride the mailbox; their arrival times only grow (jitter ≥
+    /// 1ns), so the lookahead bound still holds.
     #[allow(clippy::too_many_arguments)]
     fn chaos_deliver(
         &mut self,
+        fx: PacketChaos,
         at: SimTime,
         from: Endpoint,
         to: Endpoint,
@@ -809,7 +781,6 @@ impl ShardCore {
         latency: SimDuration,
         cross: bool,
     ) {
-        let fx = self.chaos.expect("chaos_deliver called without chaos");
         let mut payload = payload;
         if fx.corrupt > 0.0 && !payload.is_empty() && self.chaos_rng.gen_bool(fx.corrupt) {
             let mut bytes = payload.to_vec();
@@ -827,7 +798,7 @@ impl ShardCore {
             if cross {
                 self.push_outbox(dup_at, from, to, payload.clone());
             } else {
-                self.push(dup_at, ShardQueued::Deliver { from, to, payload: payload.clone() });
+                self.push(dup_at, Queued::Deliver { from, to, payload: payload.clone() });
             }
             self.stats.chaos.duplicated += 1;
         }
@@ -836,7 +807,7 @@ impl ShardCore {
             if cross {
                 self.push_outbox(late_at, from, to, payload);
             } else {
-                self.push(late_at, ShardQueued::Deliver { from, to, payload });
+                self.push(late_at, Queued::Deliver { from, to, payload });
             }
             self.stats.chaos.reordered += 1;
             return;
@@ -844,7 +815,7 @@ impl ShardCore {
         if cross {
             self.push_outbox(at, from, to, payload);
         } else {
-            self.push_delivery(at, ShardQueued::Deliver { from, to, payload }, channel, latency);
+            self.push_delivery(at, Queued::Deliver { from, to, payload }, channel, latency);
         }
     }
 
@@ -868,7 +839,7 @@ impl ShardCore {
         event: Event,
     ) {
         let Some(mut actor) = self.slots[id.0 as usize].actor.take() else {
-            return; // re-entrant dispatch: drop
+            return; // re-entrant dispatch to the same actor: drop
         };
         {
             let mut ctx = ShardCtx { core: self, topo, part, me: id, my_endpoint: ep };
@@ -880,7 +851,7 @@ impl ShardCore {
         }
     }
 
-    /// Run one queued event (the shard-side mirror of `World::step`).
+    /// Run one queued event. Returns false if the queue is empty.
     fn step(&mut self, topo: &Topology, part: &Partition) -> bool {
         let Some((ev, tier)) = self.queue.pop() else {
             return false;
@@ -894,28 +865,30 @@ impl ShardCore {
         self.now = ev.at;
         self.stats.events += 1;
         match ev.kind {
-            ShardQueued::Deliver { from, to, payload } => {
+            Queued::Deliver { from, to, payload } => {
                 if !topo.host(to.host).up {
                     self.note_drop(DropReason::HostDown);
                 } else if let Some(&id) = self.bindings.get(&to) {
                     self.stats.delivered += 1;
-                    self.record(TraceKind::Recv { from, to, len: payload.len() as u32 });
+                    let len = payload.len() as u32;
+                    self.record(|| TraceKind::Recv { from, to, len });
                     self.dispatch_id(topo, part, id, to, Event::Packet { from, payload });
                 } else {
                     self.note_drop(DropReason::NoListener);
                 }
             }
-            ShardQueued::Timer { actor, token } => {
+            Queued::Timer { actor, token } => {
                 let idx = actor.0 as usize;
                 if idx < self.slots.len() && self.slots[idx].alive {
                     let ep = self.slots[idx].endpoint;
+                    // Timers do not fire while the host is down.
                     if topo.host(ep.host).up {
-                        self.record(TraceKind::TimerFire { token });
+                        self.record(|| TraceKind::TimerFire { token });
                         self.dispatch_to(topo, part, ep, Event::Timer { token });
                     }
                 }
             }
-            ShardQueued::Signal { from, to, signum } => {
+            Queued::Signal { from, to, signum } => {
                 if topo.host(to.host).up {
                     if signum == SIGSTART {
                         self.dispatch_to(topo, part, to, Event::Start);
@@ -928,46 +901,57 @@ impl ShardCore {
         true
     }
 
-    /// Apply a round's inbound list (mailbox deliveries first, then
-    /// fault dispatches, then chaos toggles — the coordinator built it
-    /// in that order) and then run all events with `at < end_ns`.
-    fn run_round(&mut self, topo: &Topology, part: &Partition, inbound: Vec<Inbound>, end_ns: u64) {
-        for item in inbound {
+    /// Apply (and drain) a round's inbound list: mailbox deliveries,
+    /// fault dispatches, chaos toggles and restarts, in the order the
+    /// coordinator built it.
+    fn apply_inbound(&mut self, topo: &Topology, part: &Partition, inbound: &mut Vec<Inbound>) {
+        for item in inbound.drain(..) {
             match item {
                 Inbound::Deliver { at, from, to, payload } => {
                     debug_assert!(at >= self.now, "mailbox item in this core's past");
-                    self.queue.push(self.now, at, ShardQueued::Deliver { from, to, payload });
-                    self.note_depth();
+                    self.push(at, Queued::Deliver { from, to, payload });
                 }
                 Inbound::HostEvent { at, host, up } => {
-                    if at > self.now {
-                        self.now = at;
-                    }
-                    self.record(TraceKind::Fault {
-                        op: FaultOp {
-                            what: if up { "host_up" } else { "host_down" },
-                            a: host.index() as u64,
-                            b: 0,
-                        },
-                    });
+                    self.now = self.now.max(at);
+                    self.record_fault(
+                        if up { "host_up" } else { "host_down" },
+                        host.index() as u64,
+                        0,
+                    );
                     for ep in self.endpoints_on(host) {
-                        self.dispatch_to(
-                            topo,
-                            part,
-                            ep,
-                            if up { Event::HostUp } else { Event::HostDown },
-                        );
+                        let event = if up { Event::HostUp } else { Event::HostDown };
+                        self.dispatch_to(topo, part, ep, event);
                     }
                 }
                 Inbound::SetChaos { at, chaos, seed } => {
-                    if at > self.now {
-                        self.now = at;
-                    }
+                    self.now = self.now.max(at);
+                    self.record_fault("set_packet_chaos", chaos.is_some() as u64, seed);
                     self.chaos = chaos;
+                    // Reseeded on every toggle, so the injection pattern
+                    // depends only on `(seed, traffic)` — never on how
+                    // long a previous chaos window ran.
                     self.chaos_rng = Xoshiro256::seed_from_u64(seed);
+                }
+                Inbound::Restart { at, ep, actor } => {
+                    self.now = self.now.max(at);
+                    self.record_fault("restart", ep.host.index() as u64, ep.port as u64);
+                    self.kill(ep);
+                    self.spawn(ep.host, ep.port, actor);
                 }
             }
         }
+    }
+
+    /// One round: apply `inbound`, then run all events with
+    /// `at < end_ns`.
+    fn run_round(
+        &mut self,
+        topo: &Topology,
+        part: &Partition,
+        inbound: &mut Vec<Inbound>,
+        end_ns: u64,
+    ) {
+        self.apply_inbound(topo, part, inbound);
         while let Some(at) = self.queue.peek_at() {
             if at.as_nanos() >= end_ns {
                 break;
@@ -981,18 +965,17 @@ impl ShardCore {
     }
 }
 
-fn latency_of(path: PathInfo) -> SimDuration {
-    path.latency
-}
-
 // ---------------------------------------------------------------------------
 // Faults
 // ---------------------------------------------------------------------------
 
-/// A scripted fault as plain data, routable to the owning shard at a
-/// round boundary. The `Send`-safe replacement for
-/// [`World::schedule_fn`](crate::world::World::schedule_fn) closures.
-#[derive(Clone, Copy, Debug)]
+/// Builds the replacement actor for a [`FaultCmd::Restart`].
+pub type ActorFactory = Arc<dyn Fn() -> Box<dyn Actor> + Send + Sync>;
+
+/// A fault as plain data: scheduled with [`World::schedule_fault`] or
+/// applied immediately by the fault methods on [`World`], and routed to
+/// the owning core at a round boundary.
+#[derive(Clone)]
 pub enum FaultCmd {
     /// Crash a host (actors on it get [`Event::HostDown`]).
     HostDown(HostId),
@@ -1011,49 +994,97 @@ pub enum FaultCmd {
     /// only *raise* latency — the conservative lookahead depends on it.
     Gray(NetId, Option<GrayLevel>),
     /// Install (or clear) per-packet chaos. Each core's chaos RNG is
-    /// reseeded from `(seed, region)`.
+    /// reseeded from the seed (per the module's seed rule).
     PacketChaos(Option<PacketChaos>, u64),
+    /// Crash the process at an endpoint and start the factory's
+    /// replacement there at the same instant (the host stays up): the
+    /// new actor gets [`Event::Start`] at the fault's timestamp and
+    /// every later packet to the endpoint.
+    Restart(Endpoint, ActorFactory),
 }
 
 // ---------------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------------
 
-/// Round-planning state shared verbatim by the inline and threaded
-/// execution paths — one implementation, so the two paths cannot
-/// diverge.
-struct Coordinator<'a> {
-    topo: &'a RwLock<Topology>,
-    part: &'a Partition,
-    faults: &'a mut Vec<(SimTime, u64, FaultCmd)>,
-    next_fault: &'a mut usize,
-    mailbox_hwm: &'a mut [u64],
+/// Round-planning state: the fault timeline, the per-core inbound
+/// lists and the mailbox. One implementation serves the inline path,
+/// the threaded path and the immediate fault API, so they cannot
+/// diverge. Every buffer is reused across rounds and runs — the
+/// steady state allocates nothing.
+struct Coordinator {
+    /// Pending faults; `(at, seq)`-sorted when `faults_sorted`.
+    faults: VecDeque<(SimTime, u64, FaultCmd)>,
+    fault_seq: u64,
+    faults_sorted: bool,
+    /// Most mailbox items routed into each core in one round.
+    mailbox_hwm: Vec<u64>,
     inbound: Vec<Vec<Inbound>>,
     /// Lower bound (ns) on any event the pending inbound lists can
     /// introduce. Cores report their queue minima *before* inbound
     /// application, so the window planner folds this in.
     floor_ns: u64,
     have_inbound: bool,
-    la_ns: u64,
-    horizon_ns: u64,
+    /// Each core's earliest pending event after the previous window.
+    mins: Vec<u64>,
+    /// The round's outbox items, gathered from every core.
+    items: Vec<MailboxItem>,
+    counts: Vec<u64>,
+    /// Record segment-level faults into the calling thread's flight
+    /// recorder (host faults, chaos toggles and restarts are recorded
+    /// by the core that applies them).
+    thread_trace: bool,
 }
 
-impl Coordinator<'_> {
+impl Coordinator {
+    fn new(regions: usize, thread_trace: bool) -> Coordinator {
+        Coordinator {
+            faults: VecDeque::new(),
+            fault_seq: 0,
+            faults_sorted: true,
+            mailbox_hwm: vec![0; regions],
+            inbound: (0..regions).map(|_| Vec::new()).collect(),
+            floor_ns: u64::MAX,
+            have_inbound: false,
+            mins: vec![u64::MAX; regions],
+            items: Vec::new(),
+            counts: vec![0; regions],
+            thread_trace,
+        }
+    }
+
+    fn sort_faults(&mut self) {
+        if !self.faults_sorted {
+            self.faults.make_contiguous().sort_by_key(|f| (f.0, f.1));
+            self.faults_sorted = true;
+        }
+    }
+
     fn next_fault_ns(&self) -> Option<u64> {
-        self.faults.get(*self.next_fault).map(|(at, _, _)| at.as_nanos())
+        self.faults.front().map(|(at, _, _)| at.as_nanos())
+    }
+
+    /// Pop the next fault if it is due at or before `by_ns`.
+    fn pop_fault_due(&mut self, by_ns: u64) -> Option<(SimTime, FaultCmd)> {
+        if self.next_fault_ns()? > by_ns {
+            return None;
+        }
+        self.faults.pop_front().map(|(at, _, cmd)| (at, cmd))
     }
 
     /// Apply every fault due at or before `completed_ns` (and within
     /// the horizon): mutate the shared topology, and emit host-event /
-    /// chaos inbounds to the owning cores.
-    fn apply_due_faults(&mut self, completed_ns: u64) {
-        while let Some(&(at, _, cmd)) = self.faults.get(*self.next_fault) {
-            let ns = at.as_nanos();
-            if ns > completed_ns || ns >= self.horizon_ns {
-                break;
-            }
-            *self.next_fault += 1;
-            self.apply_fault(at, cmd);
+    /// chaos / restart inbounds to the owning cores.
+    fn apply_due_faults(
+        &mut self,
+        topo: &RwLock<Topology>,
+        part: &Partition,
+        completed_ns: u64,
+        horizon_ns: u64,
+    ) {
+        // `horizon_ns` is exclusive and at least 1.
+        while let Some((at, cmd)) = self.pop_fault_due(completed_ns.min(horizon_ns - 1)) {
+            self.apply_fault(topo, part, at, cmd);
         }
     }
 
@@ -1064,116 +1095,129 @@ impl Coordinator<'_> {
         }
     }
 
-    fn apply_fault(&mut self, at: SimTime, cmd: FaultCmd) {
-        let mut topo = self.topo.write().unwrap();
-        match cmd {
-            FaultCmd::HostDown(h) => {
-                if topo.host(h).up {
-                    topo.host_mut(h).up = false;
+    /// Apply one fault at `at`. Idempotent: a command that does not
+    /// change state leaves the topology epoch (and thus every route
+    /// cache) alone and notifies nobody.
+    fn apply_fault(
+        &mut self,
+        topo: &RwLock<Topology>,
+        part: &Partition,
+        at: SimTime,
+        cmd: FaultCmd,
+    ) {
+        /// Store `v`; did that change anything?
+        fn set<T: PartialEq>(slot: &mut T, v: T) -> bool {
+            let changed = *slot != v;
+            *slot = v;
+            changed
+        }
+        let mut topo = write_topo(topo);
+        // Segment-level faults yield `(what, a, b)` for the flight
+        // recorder when they changed state; the rest are recorded by
+        // the core that applies their inbound.
+        let changed = match cmd {
+            FaultCmd::HostDown(host) | FaultCmd::HostUp(host) => {
+                let up = matches!(cmd, FaultCmd::HostUp(_));
+                if set(&mut topo.host_mut(host).up, up) {
                     topo.bump_epoch();
-                    let r = self.part.region_of_host(h);
-                    self.inbound[r].push(Inbound::HostEvent { at, host: h, up: false });
+                    let event = Inbound::HostEvent { at, host, up };
+                    self.inbound[part.region_of_host(host)].push(event);
                     self.note_inbound(at.as_nanos());
                 }
-            }
-            FaultCmd::HostUp(h) => {
-                if !topo.host(h).up {
-                    topo.host_mut(h).up = true;
-                    topo.bump_epoch();
-                    let r = self.part.region_of_host(h);
-                    self.inbound[r].push(Inbound::HostEvent { at, host: h, up: true });
-                    self.note_inbound(at.as_nanos());
-                }
+                None
             }
             FaultCmd::NetUp(n, up) => {
-                if topo.net(n).up != up {
-                    topo.net_mut(n).up = up;
-                    topo.bump_epoch();
-                }
+                set(&mut topo.net_mut(n).up, up).then_some(("set_net_up", n.index(), up as u64))
             }
             FaultCmd::IfaceUp(h, n, up) => {
-                if let Some(i) = topo.host_mut(h).interfaces.iter_mut().find(|i| i.net == n) {
-                    if i.up != up {
-                        i.up = up;
-                        topo.bump_epoch();
-                    }
-                }
+                let iface = topo.host_mut(h).interfaces.iter_mut().find(|i| i.net == n);
+                iface.is_some_and(|i| set(&mut i.up, up)).then_some((
+                    "set_iface_up",
+                    h.index(),
+                    n.index() as u64,
+                ))
             }
-            FaultCmd::NetLoss(n, loss) => {
-                if topo.net(n).loss_override != loss {
-                    topo.net_mut(n).loss_override = loss;
-                    topo.bump_epoch();
-                }
-            }
-            FaultCmd::PartitionNet(n, group) => {
-                if topo.net(n).partition != group {
-                    topo.net_mut(n).partition = group;
-                    topo.bump_epoch();
-                }
-            }
-            FaultCmd::Gray(n, gray) => {
-                if topo.net(n).gray != gray {
-                    topo.net_mut(n).gray = gray;
-                    topo.bump_epoch();
-                }
-            }
+            FaultCmd::NetLoss(n, loss) => set(&mut topo.net_mut(n).loss_override, loss)
+                .then_some(("set_net_loss", n.index(), loss.is_some() as u64)),
+            FaultCmd::PartitionNet(n, group) => set(&mut topo.net_mut(n).partition, group)
+                .then_some(("set_partition", n.index(), group as u64)),
+            FaultCmd::Gray(n, gray) => set(&mut topo.net_mut(n).gray, gray).then_some((
+                "set_gray",
+                n.index(),
+                gray.is_some() as u64,
+            )),
             FaultCmd::PacketChaos(pc, seed) => {
+                let regions = part.regions;
                 for (r, inb) in self.inbound.iter_mut().enumerate() {
-                    inb.push(Inbound::SetChaos { at, chaos: pc, seed: mix_seed(seed, r as u32) });
+                    let seed = region_seed(seed, r as u32, regions);
+                    inb.push(Inbound::SetChaos { at, chaos: pc, seed });
                 }
                 self.note_inbound(at.as_nanos());
+                None
+            }
+            FaultCmd::Restart(ep, factory) => {
+                let actor = factory();
+                self.inbound[part.region_of_host(ep.host)].push(Inbound::Restart { at, ep, actor });
+                self.note_inbound(at.as_nanos());
+                None
+            }
+        };
+        if let Some((what, a, b)) = changed {
+            topo.bump_epoch();
+            if cfg!(not(feature = "obs-off")) && self.thread_trace {
+                let op = FaultOp { what, a: a as u64, b };
+                trace::record_cached(at, TraceKind::Fault { op });
             }
         }
     }
 
     /// Plan the next window end (exclusive, in ns), or `None` when the
-    /// run is complete. `mins` are the cores' pending-event minima as
-    /// reported after the previous window.
-    fn plan(&mut self, mins: &[u64]) -> Option<u64> {
-        let ev_min = mins.iter().copied().min().unwrap_or(u64::MAX);
+    /// run is complete.
+    fn plan(&mut self, la_ns: u64, horizon_ns: u64) -> Option<u64> {
+        let ev_min = self.mins.iter().copied().min().unwrap_or(u64::MAX);
         let t_min = ev_min.min(self.floor_ns);
-        let fault = self.next_fault_ns().filter(|&f| f < self.horizon_ns);
+        let fault = self.next_fault_ns().filter(|&f| f < horizon_ns);
         let next = t_min.min(fault.unwrap_or(u64::MAX));
-        if next >= self.horizon_ns {
+        if next >= horizon_ns {
             if self.have_inbound {
                 // Final apply-only round: pending cross-region arrivals
                 // (due after the horizon) still need to land in their
                 // cores' queues for a later `run_until`.
-                return Some(self.horizon_ns);
+                return Some(horizon_ns);
             }
             return None;
         }
-        let mut end = self.horizon_ns;
-        end = end.min(t_min.saturating_add(self.la_ns));
+        let mut end = horizon_ns;
+        end = end.min(t_min.saturating_add(la_ns));
         if let Some(f) = fault {
             end = end.min(f);
         }
         Some(end)
     }
 
-    fn take_inbounds(&mut self) -> Vec<Vec<Inbound>> {
+    /// The inbound lists are about to be handed to the cores.
+    fn begin_round(&mut self) {
         self.have_inbound = false;
         self.floor_ns = u64::MAX;
-        let n = self.inbound.len();
-        std::mem::replace(&mut self.inbound, (0..n).map(|_| Vec::new()).collect())
     }
 
-    /// Route a round's outbox items through the deterministic mailbox:
-    /// global `(at, src_region, src_seq)` order, then appended to the
-    /// destination cores' inbound lists.
-    fn route(&mut self, mut items: Vec<MailboxItem>, end_ns: u64) {
-        if items.is_empty() {
+    /// Route the round's outbox items (`self.items`) through the
+    /// deterministic mailbox: global `(at, src_region, src_seq)` order,
+    /// then appended to the destination cores' inbound lists.
+    fn route(&mut self, part: &Partition, end_ns: u64) {
+        if self.items.is_empty() {
             return;
         }
-        items.sort_by_key(|i| (i.at, i.src_region, i.src_seq));
-        let mut counts = vec![0u64; self.inbound.len()];
-        for it in items {
+        self.items.sort_by_key(|i| (i.at, i.src_region, i.src_seq));
+        self.counts.fill(0);
+        let mut items = std::mem::take(&mut self.items);
+        for it in items.drain(..) {
             debug_assert!(
                 it.at.as_nanos() >= end_ns,
                 "cross-region arrival inside the window violates lookahead"
             );
-            let r = self.part.region_of_host(it.to.host);
-            counts[r] += 1;
+            let r = part.region_of_host(it.to.host);
+            self.counts[r] += 1;
             self.note_inbound(it.at.as_nanos());
             self.inbound[r].push(Inbound::Deliver {
                 at: it.at,
@@ -1182,10 +1226,9 @@ impl Coordinator<'_> {
                 payload: it.payload,
             });
         }
-        for (r, c) in counts.iter().enumerate() {
-            if *c > self.mailbox_hwm[r] {
-                self.mailbox_hwm[r] = *c;
-            }
+        self.items = items; // keep the capacity
+        for (hwm, c) in self.mailbox_hwm.iter_mut().zip(&self.counts) {
+            *hwm = (*hwm).max(*c);
         }
     }
 }
@@ -1199,7 +1242,7 @@ struct CoreSlot {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedWorld
+// World
 // ---------------------------------------------------------------------------
 
 /// Per-shard load figures for the boundedness oracle: aggregate totals
@@ -1222,54 +1265,68 @@ pub struct ShardLoad {
     pub events: u64,
 }
 
-/// The sharded simulation world: a drop-in sibling of
-/// [`World`](crate::world::World) that runs one [`Partition`] region
-/// per core on `threads` OS threads, bit-for-bit identically at any
-/// thread count. See the module docs for the execution model.
-pub struct ShardedWorld {
+/// The simulation world: one `ShardCore` per region of its
+/// [`Partition`], executed on up to `threads` OS threads, bit-for-bit
+/// identically at any thread count. See the module docs for the
+/// execution model and for what [`World::new`] and [`World::sharded`]
+/// each guarantee.
+pub struct World {
     topo: RwLock<Topology>,
     part: Partition,
     cores: Vec<ShardCore>,
+    coord: Coordinator,
+    slots: Vec<CoreSlot>,
     threads: usize,
     now: SimTime,
-    faults: Vec<(SimTime, u64, FaultCmd)>,
-    next_fault: usize,
-    fault_seq: u64,
-    faults_sorted: bool,
-    mailbox_hwm: Vec<u64>,
+    /// The registry is fully off the hot path: counters accumulate in
+    /// each core's flat `NetStats` and are mirrored in at snapshot time.
     metrics: Registry,
-    trace_cap: usize,
 }
 
-impl ShardedWorld {
-    /// A sharded world over `topo`, seeded for determinism, executing
-    /// on up to `threads` worker threads (clamped to the region count;
-    /// `<= 1` runs inline). The seed/thread-count split is the whole
-    /// point: `threads` never influences results.
-    pub fn new(topo: Topology, seed: u64, threads: usize) -> ShardedWorld {
+impl World {
+    /// A one-region world over `topo`, seeded for determinism, run
+    /// inline on the calling thread.
+    pub fn new(topo: Topology, seed: u64) -> World {
+        let part = Partition::single(&topo);
+        World::over(topo, part, seed, 1)
+    }
+
+    /// A world over the natural partition of `topo`, executing on up to
+    /// `threads` worker threads (clamped to the region count; `<= 1`
+    /// runs inline). The seed/thread-count split is the whole point:
+    /// `threads` never influences results. Requires routable media with
+    /// nonzero latency between regions (see [`Partition::of`]).
+    pub fn sharded(topo: Topology, seed: u64, threads: usize) -> World {
         let part = Partition::of(&topo);
-        let cores: Vec<ShardCore> =
-            (0..part.regions).map(|r| ShardCore::new(r, &topo, &part, seed)).collect();
-        let mailbox_hwm = vec![0; part.regions()];
-        ShardedWorld {
+        World::over(topo, part, seed, threads)
+    }
+
+    fn over(topo: Topology, part: Partition, seed: u64, threads: usize) -> World {
+        let regions = part.regions();
+        let threads = threads.max(1);
+        // Inline execution stays on this thread, so its recorder (if
+        // on) is a valid sink for the cores' engine events.
+        let thread_trace = threads.min(regions) <= 1 && trace::enabled();
+        let sink = if thread_trace { TraceSink::Thread } else { TraceSink::Off };
+        let cores =
+            (0..part.regions).map(|r| ShardCore::new(r, &topo, &part, seed, sink)).collect();
+        let slots = (0..regions)
+            .map(|_| CoreSlot {
+                inbound: Mutex::new(Vec::new()),
+                outbox: Mutex::new(Vec::new()),
+                min_ns: AtomicU64::new(0),
+            })
+            .collect();
+        World {
             topo: RwLock::new(topo),
             part,
             cores,
-            threads: threads.max(1),
+            coord: Coordinator::new(regions, thread_trace),
+            slots,
+            threads,
             now: SimTime::ZERO,
-            faults: Vec::new(),
-            next_fault: 0,
-            fault_seq: 0,
-            faults_sorted: true,
-            mailbox_hwm,
             metrics: Registry::new(),
-            trace_cap: 0,
         }
-    }
-
-    /// The partition (region count, lookahead, host→region map).
-    pub fn partition(&self) -> &Partition {
-        &self.part
     }
 
     /// Number of regions.
@@ -1277,43 +1334,34 @@ impl ShardedWorld {
         self.part.regions()
     }
 
-    /// Configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Read access to the shared topology.
-    pub fn topology(&self) -> std::sync::RwLockReadGuard<'_, Topology> {
-        self.topo.read().unwrap()
+    /// Read access to the topology (use the fault APIs to mutate).
+    pub fn topology(&self) -> RwLockReadGuard<'_, Topology> {
+        read_topo(&self.topo)
     }
 
-    /// Total events executed across all shards.
-    pub fn events(&self) -> u64 {
-        self.cores.iter().map(|c| c.stats.events).sum()
-    }
-
-    /// Total events pending across all shards.
+    /// Total events pending across all regions and queue tiers.
+    /// Invariant oracles use this to assert the engine quiesces.
     pub fn queue_depth(&self) -> usize {
         self.cores.iter().map(|c| c.queue.depth()).sum()
     }
 
     /// Merged delivery statistics (sums; `peak_queue_depth` is the
-    /// worst single shard).
+    /// worst single region).
     pub fn stats(&self) -> NetStats {
         let mut s = NetStats::default();
-        s.reserve_nets(self.topo.read().unwrap().net_count());
+        s.reserve_nets(self.topology().net_count());
         for c in &self.cores {
             s.merge(&c.stats);
         }
         s
     }
 
-    /// Per-shard load/high-water figures for the boundedness oracle.
+    /// Per-region load/high-water figures for the boundedness oracle.
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
         self.cores
             .iter()
@@ -1323,80 +1371,91 @@ impl ShardedWorld {
                 queue_depth: c.queue.depth(),
                 slab_hwm: c.queue.slab_high_water(),
                 stream_hwm: c.stream_hwm,
-                mailbox_hwm: self.mailbox_hwm[r],
+                mailbox_hwm: self.coord.mailbox_hwm[r],
                 peak_queue_depth: c.stats.engine.peak_queue_depth,
                 events: c.stats.events,
             })
             .collect()
     }
 
-    /// Spawn an actor bound to `(host, port)` on its owning shard.
+    fn core_of(&self, host: HostId) -> &ShardCore {
+        &self.cores[self.part.region_of_host(host)]
+    }
+
+    fn core_of_mut(&mut self, host: HostId) -> &mut ShardCore {
+        &mut self.cores[self.part.region_of_host(host)]
+    }
+
+    /// Spawn an actor bound to `(host, port)` on its owning core.
     /// Delivers [`Event::Start`] at the current time. `None` if the
     /// port is taken or the host id is unknown.
-    pub fn spawn(
-        &mut self,
-        host: HostId,
-        port: u16,
-        actor: Box<dyn ShardActor>,
-    ) -> Option<Endpoint> {
-        let r = spawn_region(&self.topo.read().unwrap(), &self.part, host)?;
+    pub fn spawn(&mut self, host: HostId, port: u16, actor: Box<dyn Actor>) -> Option<Endpoint> {
+        let r = spawn_region(&self.topology(), &self.part, host)?;
         self.cores[r].spawn(host, port, actor)
     }
 
-    /// Spawn a boxed [`PortableActor`] (wrapped in [`OnShard`]) on its
-    /// owning shard.
-    pub fn spawn_portable(
-        &mut self,
-        host: HostId,
-        port: u16,
-        actor: Box<dyn PortableActor>,
-    ) -> Option<Endpoint> {
-        self.spawn(host, port, Box::new(OnShard(actor)))
+    // benchmark/ compat — delete when benchmark/ stops importing it
+    #[doc(hidden)]
+    pub fn spawn_portable(&mut self, h: HostId, port: u16, a: Box<dyn Actor>) -> Option<Endpoint> {
+        self.spawn(h, port, a)
     }
 
     /// Allocate an unused ephemeral port on `host`.
+    ///
+    /// # Panics
+    /// Panics if every ephemeral port on the host is bound — scanning
+    /// is bounded to one full wrap of the ephemeral range so exhaustion
+    /// fails loudly instead of spinning forever.
     pub fn alloc_port(&mut self, host: HostId) -> u16 {
-        let r = self.part.region_of_host(host);
-        self.cores[r].alloc_port(host)
+        self.core_of_mut(host).alloc_port(host)
     }
 
     /// Is an actor currently bound at `ep`?
     pub fn is_bound(&self, ep: Endpoint) -> bool {
-        self.cores[self.part.region_of_host(ep.host)].bindings.contains_key(&ep)
+        self.core_of(ep.host).bindings.contains_key(&ep)
+    }
+
+    /// Kill the actor at `ep` (no-op if none). Packets already in
+    /// flight to it are dropped as [`DropReason::NoListener`].
+    pub fn kill(&mut self, ep: Endpoint) {
+        self.core_of_mut(ep.host).kill(ep);
+    }
+
+    /// Deliver a signal at the current time.
+    pub fn signal(&mut self, from: Option<Endpoint>, to: Endpoint, signum: u32) {
+        let core = self.core_of_mut(to.host);
+        core.push(core.now, Queued::Signal { from, to, signum });
     }
 
     /// Borrow the concrete actor state at `ep` (between runs), e.g.
     /// for workload invariant checks. `None` if nothing is bound there
     /// or the bound actor is not a `T`.
-    pub fn actor_ref<T: ShardActor + 'static>(&self, ep: Endpoint) -> Option<&T> {
-        let core = &self.cores[self.part.region_of_host(ep.host)];
-        let id = core.bindings.get(&ep)?;
-        let actor = core.slots[id.0 as usize].actor.as_ref()?;
-        let actor: &dyn ShardActor = &**actor;
-        actor.as_any().downcast_ref::<T>()
+    pub fn actor_ref<T: Actor + 'static>(&self, ep: Endpoint) -> Option<&T> {
+        self.core_of(ep.host).actor_at(ep)?.as_any().downcast_ref::<T>()
     }
 
-    /// Like [`ShardedWorld::actor_ref`], but also looks through an
-    /// [`OnShard`] wrapper, so registry-spawned portable actors are
-    /// reachable by their concrete type.
-    pub fn portable_ref<T: PortableActor + 'static>(&self, ep: Endpoint) -> Option<&T> {
-        let core = &self.cores[self.part.region_of_host(ep.host)];
-        let id = core.bindings.get(&ep)?;
-        let actor = core.slots[id.0 as usize].actor.as_ref()?;
-        let actor: &dyn ShardActor = &**actor;
-        if let Some(t) = actor.as_any().downcast_ref::<T>() {
-            return Some(t);
-        }
-        let wrapped = actor.as_any().downcast_ref::<OnShard>()?;
-        // Deref the box explicitly: calling `as_any` on the `Box`
-        // itself would hit the blanket `AsAny` impl for the box type
-        // and the downcast would miss the hosted actor.
-        let inner: &dyn PortableActor = &*wrapped.0;
-        inner.as_any().downcast_ref::<T>()
+    // benchmark/ compat — delete when benchmark/ stops importing it
+    #[doc(hidden)]
+    pub fn portable_ref<T: Actor + 'static>(&self, ep: Endpoint) -> Option<&T> {
+        self.actor_ref(ep)
     }
 
-    /// Schedule a fault command for `at`. Gray faults are clamped to
-    /// `latency_factor >= 1.0` (see [`FaultCmd::Gray`]).
+    /// The route the engine would use for a packet from `from` to `to`
+    /// right now (memoized, exactly as the send path sees it).
+    pub fn route(&mut self, from: HostId, to: HostId, via: Option<NetId>) -> Option<PathInfo> {
+        let topo = read_topo(&self.topo);
+        self.cores[self.part.region_of_host(from)].select_path(&topo, from, to, via)
+    }
+
+    /// Fresh, uncached route computation — the reference the cache is
+    /// validated against in tests.
+    pub fn route_uncached(&self, from: HostId, to: HostId, via: Option<NetId>) -> Option<PathInfo> {
+        compute_path(&self.topology(), from, to, via)
+    }
+
+    /// Schedule a fault command for `at`; it is applied before any
+    /// event at `at`. Gray faults are clamped to `latency_factor >=
+    /// 1.0` (see [`FaultCmd::Gray`]).
     pub fn schedule_fault(&mut self, at: SimTime, cmd: FaultCmd) {
         let cmd = match cmd {
             FaultCmd::Gray(n, Some(mut g)) => {
@@ -1407,100 +1466,96 @@ impl ShardedWorld {
             }
             c => c,
         };
-        self.faults.push((at, self.fault_seq, cmd));
-        self.fault_seq += 1;
-        self.faults_sorted = false;
+        self.coord.faults.push_back((at, self.coord.fault_seq, cmd));
+        self.coord.fault_seq += 1;
+        self.coord.faults_sorted = false;
     }
 
-    /// Translate a chaos plan into the fault timeline, op-for-op with
-    /// [`ChaosPlan::apply`] except [`ChaosOp::ProcRestart`] (restart
-    /// closures are `Rc`-bound to the single-threaded world; sharded
-    /// soaks model restarts at the workload level instead).
-    pub fn apply_chaos_plan(&mut self, plan: &ChaosPlan, binding: &ChaosBinding) {
-        if let Some(pc) = plan.packet {
-            self.schedule_fault(SimTime::ZERO, FaultCmd::PacketChaos(Some(pc), plan.packet_seed()));
-            self.schedule_fault(plan.packet_until, FaultCmd::PacketChaos(None, 0));
-        }
-        for op in &plan.ops {
-            match *op {
-                ChaosOp::HostFlap { host, at, down_for } => {
-                    if binding.hosts.is_empty() {
-                        continue;
-                    }
-                    let h = binding.hosts[host as usize % binding.hosts.len()];
-                    self.schedule_fault(at, FaultCmd::HostDown(h));
-                    self.schedule_fault(at + down_for, FaultCmd::HostUp(h));
-                }
-                ChaosOp::NetFlap { net, at, down_for } => {
-                    if binding.nets.is_empty() {
-                        continue;
-                    }
-                    let n = binding.nets[net as usize % binding.nets.len()];
-                    self.schedule_fault(at, FaultCmd::NetUp(n, false));
-                    self.schedule_fault(at + down_for, FaultCmd::NetUp(n, true));
-                }
-                ChaosOp::IfaceFlap { iface, at, down_for } => {
-                    if binding.ifaces.is_empty() {
-                        continue;
-                    }
-                    let (h, n) = binding.ifaces[iface as usize % binding.ifaces.len()];
-                    self.schedule_fault(at, FaultCmd::IfaceUp(h, n, false));
-                    self.schedule_fault(at + down_for, FaultCmd::IfaceUp(h, n, true));
-                }
-                ChaosOp::Gray { net, at, duration, latency_factor, bandwidth_factor } => {
-                    if binding.nets.is_empty() {
-                        continue;
-                    }
-                    let n = binding.nets[net as usize % binding.nets.len()];
-                    let g = GrayLevel { latency_factor, bandwidth_factor };
-                    self.schedule_fault(at, FaultCmd::Gray(n, Some(g)));
-                    self.schedule_fault(at + duration, FaultCmd::Gray(n, None));
-                }
-                ChaosOp::LossBurst { net, at, duration, loss } => {
-                    if binding.nets.is_empty() {
-                        continue;
-                    }
-                    let n = binding.nets[net as usize % binding.nets.len()];
-                    self.schedule_fault(at, FaultCmd::NetLoss(n, Some(loss)));
-                    self.schedule_fault(at + duration, FaultCmd::NetLoss(n, None));
-                }
-                ChaosOp::Partition { net, at, duration, group } => {
-                    if binding.nets.is_empty() {
-                        continue;
-                    }
-                    let n = binding.nets[net as usize % binding.nets.len()];
-                    self.schedule_fault(at, FaultCmd::PartitionNet(n, group));
-                    self.schedule_fault(at + duration, FaultCmd::PartitionNet(n, 0));
-                }
-                ChaosOp::ProcRestart { .. } => {}
+    /// Apply a fault at the current time, notifying affected actors
+    /// before returning.
+    fn fault_now(&mut self, at: SimTime, cmd: FaultCmd) {
+        self.coord.apply_fault(&self.topo, &self.part, at, cmd);
+        if self.coord.have_inbound {
+            self.coord.begin_round();
+            let topo = read_topo(&self.topo);
+            for (core, inb) in self.cores.iter_mut().zip(&mut self.coord.inbound) {
+                core.apply_inbound(&topo, &self.part, inb);
             }
         }
     }
 
-    /// Enable per-shard trace rings of `cap` events each (a fresh ring
-    /// per call, like `trace::enable`).
+    /// Take a host down; every actor on it gets [`Event::HostDown`].
+    /// Like every fault method here, a no-op when already in the
+    /// requested state: the topology epoch (and so every route cache)
+    /// is left alone.
+    pub fn host_down(&mut self, h: HostId) {
+        self.fault_now(self.now, FaultCmd::HostDown(h));
+    }
+
+    /// Bring a host back up; every actor on it gets [`Event::HostUp`].
+    pub fn host_up(&mut self, h: HostId) {
+        self.fault_now(self.now, FaultCmd::HostUp(h));
+    }
+
+    /// Take a network segment down/up.
+    pub fn set_net_up(&mut self, n: NetId, up: bool) {
+        self.fault_now(self.now, FaultCmd::NetUp(n, up));
+    }
+
+    /// Take one host's interface on `n` down/up. Returns `false` if the
+    /// host has no interface on that network.
+    pub fn set_iface_up(&mut self, h: HostId, n: NetId, up: bool) -> bool {
+        let exists = self.topology().host(h).interfaces.iter().any(|i| i.net == n);
+        self.fault_now(self.now, FaultCmd::IfaceUp(h, n, up));
+        exists
+    }
+
+    /// Override the loss rate of a network (None restores the medium).
+    pub fn set_net_loss(&mut self, n: NetId, loss: Option<f64>) {
+        self.fault_now(self.now, FaultCmd::NetLoss(n, loss));
+    }
+
+    /// Put a network segment in a partition group.
+    pub fn set_partition(&mut self, n: NetId, group: u32) {
+        self.fault_now(self.now, FaultCmd::PartitionNet(n, group));
+    }
+
+    /// Degrade a network into a gray link (None restores the medium).
+    pub fn set_gray(&mut self, n: NetId, gray: Option<GrayLevel>) {
+        self.fault_now(self.now, FaultCmd::Gray(n, gray));
+    }
+
+    /// Install (or clear) per-packet chaos injection, reseeding the
+    /// chaos RNG.
+    pub fn set_packet_chaos(&mut self, chaos: Option<PacketChaos>, seed: u64) {
+        self.fault_now(self.now, FaultCmd::PacketChaos(chaos, seed));
+    }
+
+    /// Give every core its own trace ring of `cap` events (a fresh ring
+    /// per call, like `trace::enable`). A world already recording into
+    /// its thread's flight recorder keeps that sink.
     pub fn enable_trace(&mut self, cap: usize) {
-        self.trace_cap = cap.max(1);
-        for c in &mut self.cores {
-            c.ring.enable(cap);
+        for c in self.cores.iter_mut().filter(|c| c.sink != TraceSink::Thread) {
+            c.sink = TraceSink::Ring;
+            c.ring = Recorder::with_capacity(cap);
         }
     }
 
-    /// Render the last `n` retained trace events across all shards,
+    /// Render the last `n` events retained by the per-core rings,
     /// merged in `(at, region, seq)` order.
     pub fn render_trace(&self, n: usize) -> String {
-        let mut evs: Vec<ShardTraceEvent> =
-            self.cores.iter().flat_map(|c| c.ring.iter_ordered().copied()).collect();
-        evs.sort_by_key(|e| (e.at, e.region, e.seq));
+        let mut evs: Vec<(u32, TraceEvent)> =
+            self.cores.iter().flat_map(|c| c.ring.iter_ordered().map(|e| (c.region, *e))).collect();
+        evs.sort_by_key(|(r, e)| (e.at, *r, e.seq));
         let total: u64 = self.cores.iter().map(|c| c.ring.seq).sum();
         let dropped: u64 = self.cores.iter().map(|c| c.ring.dropped).sum();
         let shown = evs.len().min(n);
         let mut out =
             format!("shard flight recorder: {total} events total, {dropped} overwritten, showing last {shown}\n");
-        for ev in evs.iter().skip(evs.len() - shown) {
+        for (region, ev) in evs.iter().skip(evs.len() - shown) {
             out.push_str(&format!(
                 "  r{:<4} #{:<8} t={:>12.6}ms  {:?}\n",
-                ev.region,
+                region,
                 ev.seq,
                 ev.at.as_secs_f64() * 1e3,
                 ev.kind
@@ -1509,20 +1564,42 @@ impl ShardedWorld {
         out
     }
 
-    /// Run events with timestamps `<= t`, then set every clock to `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.run_rounds(t);
-    }
-
     /// Run for a span of simulated time.
     pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.now + d;
-        self.run_rounds(t);
+        self.run_until(self.now + d);
     }
 
-    /// FNV-1a digest of every shard's behavioural counters: events,
+    /// Step one event (or one due fault) at a time until nothing is
+    /// pending or `limit` events have fired; returns the number of
+    /// events processed. The clock stops at the last thing that
+    /// happened.
+    ///
+    /// # Panics
+    /// One-region worlds only: with several regions "the next event"
+    /// is a per-core notion and the round driver is the only scheduler.
+    pub fn run_until_idle(&mut self, limit: u64) -> u64 {
+        assert_eq!(self.cores.len(), 1, "run_until_idle needs a one-region world (World::new)");
+        self.coord.sort_faults();
+        let mut n = 0;
+        while n < limit {
+            let next_event = self.cores[0].peek_ns();
+            if let Some((at, cmd)) = self.coord.pop_fault_due(next_event) {
+                self.cores[0].now = self.cores[0].now.max(at);
+                self.fault_now(at, cmd);
+            } else if next_event == u64::MAX {
+                break;
+            } else {
+                self.cores[0].step(&read_topo(&self.topo), &self.part);
+                n += 1;
+            }
+        }
+        self.now = self.now.max(self.cores[0].now);
+        n
+    }
+
+    /// FNV-1a digest of every core's behavioural counters: events,
     /// traffic, drops, chaos injections, queue sequence numbers,
-    /// clocks, cross-shard emissions and per-net bytes. Two runs are
+    /// clocks, cross-region emissions and per-net bytes. Two runs are
     /// behaviourally identical iff their digests match — this is what
     /// the differential determinism tests and the check.sh
     /// `shard-determinism` gate compare across thread counts.
@@ -1556,13 +1633,13 @@ impl ShardedWorld {
         h
     }
 
-    /// Mirror merged and per-shard counters into the registry: the
-    /// same 16 counters, peak-depth gauge, latency histogram and
-    /// per-net byte counters as [`World::sync_metrics`](crate::world::World::sync_metrics)
-    /// (crate::world::World::sync_metrics), plus per-shard
+    /// Mirror the flat hot-path counters into the registry: merged
+    /// `NetStats`/`EngineStats`/`ChaosStats`, the peak-depth gauge, the
+    /// latency histogram and per-net bytes, per-region
     /// `shard.<i>.{slab_hwm,stream_hwm,mailbox_hwm,peak_queue_depth}`
-    /// gauges so the boundedness oracle sees each shard, not just the
-    /// aggregate.
+    /// gauges (so the boundedness oracle sees each region, not just the
+    /// aggregate) and the trace sink's per-kind totals. Cold: call at
+    /// snapshot/render time, idempotent across repeated syncs.
     pub fn sync_metrics(&mut self) {
         let s = self.stats();
         let m = &mut self.metrics;
@@ -1608,14 +1685,18 @@ impl ShardedWorld {
             for (name, v) in [
                 (format!("shard.{r}.slab_hwm"), c.queue.slab_high_water() as u64),
                 (format!("shard.{r}.stream_hwm"), c.stream_hwm as u64),
-                (format!("shard.{r}.mailbox_hwm"), self.mailbox_hwm[r]),
+                (format!("shard.{r}.mailbox_hwm"), self.coord.mailbox_hwm[r]),
                 (format!("shard.{r}.peak_queue_depth"), c.stats.engine.peak_queue_depth),
             ] {
                 let id = m.gauge(&name);
                 m.set(id, v);
             }
         }
-        if self.trace_cap > 0 {
+        // Trace totals (exact even after ring overwrite): retransmit
+        // and rotation *rates* come from here.
+        let totals = if self.coord.thread_trace {
+            Some((trace::kind_counts(), trace::trace_dropped()))
+        } else if self.cores.iter().any(|c| c.sink == TraceSink::Ring) {
             let mut kinds = [0u64; TraceKind::COUNT];
             let mut dropped = 0u64;
             for c in &self.cores {
@@ -1624,6 +1705,11 @@ impl ShardedWorld {
                 }
                 dropped += c.ring.dropped;
             }
+            Some((kinds, dropped))
+        } else {
+            None
+        };
+        if let Some((kinds, dropped)) = totals {
             for (name, v) in TraceKind::NAMES.iter().zip(kinds) {
                 let id = m.counter(&format!("trace.{name}"));
                 m.set_counter(id, v);
@@ -1639,59 +1725,45 @@ impl ShardedWorld {
         self.metrics.render_json(indent)
     }
 
-    /// The barrier-round driver. Inline when effective threads ≤ 1,
-    /// otherwise a scoped thread pool; both paths run the same
+    /// Run events with timestamps `<= t`, then set every clock to `t`.
+    ///
+    /// This is the round driver. Inline when one thread drives the
+    /// cores, otherwise a scoped thread pool; both paths run the same
     /// per-core methods against the same coordinator decisions, which
-    /// is the determinism argument.
-    fn run_rounds(&mut self, t: SimTime) {
-        if !self.faults_sorted {
-            self.faults[self.next_fault..].sort_by_key(|&(at, seq, _)| (at, seq));
-            self.faults_sorted = true;
-        }
+    /// is the determinism argument. A one-region world has no lookahead
+    /// bound, so its single round per fault-free stretch runs straight
+    /// to the horizon.
+    pub fn run_until(&mut self, t: SimTime) {
+        let World { topo, part, cores, coord, slots, threads, .. } = self;
+        let (topo, part, slots) = (&*topo, &*part, &*slots);
+        let threads = (*threads).min(cores.len());
+        coord.sort_faults();
         let horizon_ns = t.as_nanos().saturating_add(1);
-        let regions = self.cores.len();
-        let threads = self.threads.min(regions).max(1);
-        let mut coord = Coordinator {
-            topo: &self.topo,
-            part: &self.part,
-            faults: &mut self.faults,
-            next_fault: &mut self.next_fault,
-            mailbox_hwm: &mut self.mailbox_hwm,
-            inbound: (0..regions).map(|_| Vec::new()).collect(),
-            floor_ns: u64::MAX,
-            have_inbound: false,
-            la_ns: self.part.la_ns,
-            horizon_ns,
-        };
-        let mut mins: Vec<u64> = self.cores.iter().map(|c| c.peek_ns()).collect();
+        let la_ns = part.la_ns;
+        for (min, core) in coord.mins.iter_mut().zip(cores.iter()) {
+            *min = core.peek_ns();
+        }
         if threads <= 1 {
             let mut completed = 0u64;
             loop {
-                coord.apply_due_faults(completed);
-                let Some(end) = coord.plan(&mins) else { break };
-                let inbs = coord.take_inbounds();
+                coord.apply_due_faults(topo, part, completed, horizon_ns);
+                let Some(end) = coord.plan(la_ns, horizon_ns) else { break };
+                coord.begin_round();
                 {
-                    let topo = self.topo.read().unwrap();
-                    for (core, inb) in self.cores.iter_mut().zip(inbs) {
-                        core.run_round(&topo, &self.part, inb, end);
+                    let topo = read_topo(topo);
+                    for (core, inb) in cores.iter_mut().zip(&mut coord.inbound) {
+                        core.run_round(&topo, part, inb, end);
                     }
                 }
                 completed = end;
-                let mut items = Vec::new();
-                for (i, core) in self.cores.iter_mut().enumerate() {
-                    items.append(&mut core.outbox);
-                    mins[i] = core.peek_ns();
+                for (min, core) in coord.mins.iter_mut().zip(cores.iter_mut()) {
+                    coord.items.append(&mut core.outbox);
+                    *min = core.peek_ns();
                 }
-                coord.route(items, end);
+                coord.route(part, end);
             }
         } else {
-            let slots: Vec<CoreSlot> = (0..regions)
-                .map(|_| CoreSlot {
-                    inbound: Mutex::new(Vec::new()),
-                    outbox: Mutex::new(Vec::new()),
-                    min_ns: AtomicU64::new(0),
-                })
-                .collect();
+            let regions = cores.len();
             let end_ns = AtomicU64::new(0);
             let stop = AtomicBool::new(false);
             let chunk = regions.div_ceil(threads);
@@ -1700,12 +1772,10 @@ impl ShardedWorld {
             // barrier by the real worker count or the round deadlocks.
             let workers = regions.div_ceil(chunk);
             let barrier = Barrier::new(workers + 1);
-            let part = &self.part;
-            let topo = &self.topo;
             std::thread::scope(|scope| {
-                for (w, cores) in self.cores.chunks_mut(chunk).enumerate() {
+                for (w, cores) in cores.chunks_mut(chunk).enumerate() {
                     let base = w * chunk;
-                    let (slots, end_ns, stop, barrier) = (&slots, &end_ns, &stop, &barrier);
+                    let (end_ns, stop, barrier) = (&end_ns, &stop, &barrier);
                     scope.spawn(move || loop {
                         barrier.wait(); // coordinator published end/stop + inbounds
                         if stop.load(Ordering::Acquire) {
@@ -1713,12 +1783,13 @@ impl ShardedWorld {
                         }
                         let end = end_ns.load(Ordering::Acquire);
                         {
-                            let topo = topo.read().unwrap();
+                            let topo = read_topo(topo);
                             for (k, core) in cores.iter_mut().enumerate() {
                                 let slot = &slots[base + k];
-                                let inb = std::mem::take(&mut *slot.inbound.lock().unwrap());
-                                core.run_round(&topo, part, inb, end);
-                                *slot.outbox.lock().unwrap() = std::mem::take(&mut core.outbox);
+                                core.run_round(&topo, part, &mut lock(&slot.inbound), end);
+                                // Swap, not take: both vectors keep
+                                // their capacity for the next round.
+                                std::mem::swap(&mut *lock(&slot.outbox), &mut core.outbox);
                                 slot.min_ns.store(core.peek_ns(), Ordering::Release);
                             }
                         }
@@ -1727,45 +1798,63 @@ impl ShardedWorld {
                 }
                 let mut completed = 0u64;
                 loop {
-                    coord.apply_due_faults(completed);
-                    let Some(end) = coord.plan(&mins) else {
+                    coord.apply_due_faults(topo, part, completed, horizon_ns);
+                    let Some(end) = coord.plan(la_ns, horizon_ns) else {
                         stop.store(true, Ordering::Release);
                         barrier.wait();
                         break;
                     };
-                    for (slot, inb) in slots.iter().zip(coord.take_inbounds()) {
-                        *slot.inbound.lock().unwrap() = inb;
+                    coord.begin_round();
+                    for (slot, inb) in slots.iter().zip(&mut coord.inbound) {
+                        std::mem::swap(&mut *lock(&slot.inbound), inb);
                     }
                     end_ns.store(end, Ordering::Release);
                     barrier.wait(); // release the round
                     barrier.wait(); // wait for every core's window
                     completed = end;
-                    let mut items = Vec::new();
-                    for (i, slot) in slots.iter().enumerate() {
-                        items.append(&mut slot.outbox.lock().unwrap());
-                        mins[i] = slot.min_ns.load(Ordering::Acquire);
+                    for (min, slot) in coord.mins.iter_mut().zip(slots) {
+                        coord.items.append(&mut lock(&slot.outbox));
+                        *min = slot.min_ns.load(Ordering::Acquire);
                     }
-                    coord.route(items, end);
+                    coord.route(part, end);
                 }
             });
         }
-        for core in &mut self.cores {
-            if t > core.now {
-                core.now = t;
-            }
+        for core in cores.iter_mut() {
+            core.now = core.now.max(t);
         }
-        if t > self.now {
-            self.now = t;
-        }
-        self.faults.drain(..self.next_fault);
-        self.next_fault = 0;
+        self.now = self.now.max(t);
+    }
+}
+
+// benchmark/ compat — delete when benchmark/ stops importing it
+#[doc(hidden)]
+pub struct ShardedWorld(World);
+
+impl ShardedWorld {
+    #[doc(hidden)]
+    pub fn new(topo: Topology, seed: u64, threads: usize) -> ShardedWorld {
+        ShardedWorld(World::sharded(topo, seed, threads))
+    }
+}
+
+impl std::ops::Deref for ShardedWorld {
+    type Target = World;
+    fn deref(&self) -> &World {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for ShardedWorld {
+    fn deref_mut(&mut self) -> &mut World {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::ChaosShape;
+    use crate::chaos::{ChaosBinding, ChaosPlan, ChaosShape};
     use crate::medium::Medium;
     use crate::topology::HostCfg;
 
@@ -1779,8 +1868,8 @@ mod tests {
         echo: bool,
     }
 
-    impl ShardActor for Pinger {
-        fn on_event(&mut self, ctx: &mut ShardCtx<'_>, event: Event) {
+    impl Actor for Pinger {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
             match event {
                 Event::Start => {
                     for i in 0..self.burst {
@@ -1826,16 +1915,16 @@ mod tests {
             };
             let net = t.add_network("lan", medium.clone(), true);
             for i in 0..per {
-                let h = t.add_host(HostCfg::named(&format!("h{c}x{i}")));
+                let h = t.add_host(HostCfg::named(format!("h{c}x{i}")));
                 t.attach(h, net);
             }
         }
         t
     }
 
-    fn pinger_world(seed: u64, threads: usize) -> ShardedWorld {
+    fn pinger_world(seed: u64, threads: usize) -> World {
         let topo = cluster_topology(4, 4);
-        let mut w = ShardedWorld::new(topo, seed, threads);
+        let mut w = World::sharded(topo, seed, threads);
         // Every host pings the "next" host — 1/4 of pairs cross regions.
         let hosts = 16u32;
         for i in 0..hosts {
@@ -1936,7 +2025,7 @@ mod tests {
         };
         let run = |threads: usize| {
             let mut w = pinger_world(11, threads);
-            w.apply_chaos_plan(&plan, &binding);
+            plan.apply(&mut w, &binding);
             w.run_for(SimDuration::from_millis(80));
             w.digest()
         };
@@ -1948,7 +2037,7 @@ mod tests {
     #[test]
     fn echo_round_trips_cross_region() {
         let topo = cluster_topology(2, 2);
-        let mut w = ShardedWorld::new(topo, 3, 2);
+        let mut w = World::sharded(topo, 3, 2);
         let a = Endpoint::new(HostId(0), 5);
         let b = Endpoint::new(HostId(2), 5); // other region
         w.spawn(
@@ -1973,7 +2062,7 @@ mod tests {
     #[test]
     fn single_region_world_runs_inline_to_horizon() {
         let topo = cluster_topology(1, 4);
-        let mut w = ShardedWorld::new(topo, 1, 8);
+        let mut w = World::sharded(topo, 1, 8);
         assert_eq!(w.regions(), 1);
         let a = Endpoint::new(HostId(0), 5);
         let b = Endpoint::new(HostId(1), 5);
@@ -1995,7 +2084,7 @@ mod tests {
     #[test]
     fn packet_chaos_duplicates_cross_region_packets() {
         let topo = cluster_topology(2, 2);
-        let mut w = ShardedWorld::new(topo, 5, 2);
+        let mut w = World::sharded(topo, 5, 2);
         w.schedule_fault(
             SimTime::ZERO,
             FaultCmd::PacketChaos(
@@ -2055,5 +2144,132 @@ mod tests {
         assert!(dump.contains("Send"), "{dump}");
         let json = w.metrics_json(0);
         assert!(json.contains("\"trace.send\""), "{json}");
+    }
+
+    /// Streams one datagram per millisecond to `peer`.
+    struct Ticker {
+        peer: Endpoint,
+    }
+
+    impl Actor for Ticker {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+            if matches!(event, Event::Start | Event::Timer { .. }) {
+                ctx.send(self.peer, Bytes::from_static(&[7; 32]));
+                ctx.set_timer(SimDuration::from_millis(1), 1);
+            }
+        }
+    }
+
+    /// One incarnation of a restartable service: logs its start time
+    /// and every arrival as `(incarnation, at)`.
+    struct Service {
+        incarnation: u64,
+        log: Arc<Mutex<Vec<(u64, SimTime)>>>,
+        started: Option<SimTime>,
+    }
+
+    impl Actor for Service {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+            match event {
+                Event::Start => self.started = Some(ctx.now()),
+                Event::Packet { .. } => lock(&self.log).push((self.incarnation, ctx.now())),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn restart_respawns_at_fault_time_at_any_thread_count() {
+        let fault_at = SimTime::from_nanos(10_500_000);
+        let run = |threads: usize| {
+            let mut w = World::sharded(cluster_topology(2, 2), 21, threads);
+            let svc = Endpoint::new(HostId(2), 9); // other region than the ticker
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let first = Service { incarnation: 0, log: log.clone(), started: None };
+            w.spawn(svc.host, svc.port, Box::new(first));
+            w.spawn(HostId(0), 9, Box::new(Ticker { peer: svc }));
+            let (born, flog) = (Arc::new(AtomicU64::new(0)), log.clone());
+            let factory: ActorFactory = Arc::new(move || {
+                let incarnation = born.fetch_add(1, Ordering::Relaxed) + 1;
+                Box::new(Service { incarnation, log: flog.clone(), started: None })
+            });
+            w.schedule_fault(fault_at, FaultCmd::Restart(svc, factory));
+            w.run_for(SimDuration::from_millis(20));
+            let started = w.actor_ref::<Service>(svc).unwrap().started;
+            let log = lock(&log).clone();
+            (w.digest(), started, log)
+        };
+        let (digest, started, log) = run(1);
+        assert_eq!(started, Some(fault_at), "replacement sees Start at the fault time");
+        // The endpoint is rebound at the same instant: packets in
+        // flight across the restart reach the new incarnation, none
+        // are lost, and the old one hears nothing afterwards.
+        assert_eq!(log.len(), 20, "every tick delivered");
+        assert!(log.iter().all(|&(inc, at)| (inc == 1) == (at >= fault_at)), "{log:?}");
+        assert!(log.iter().any(|&(inc, _)| inc == 0) && log.iter().any(|&(inc, _)| inc == 1));
+        for threads in [2, 4] {
+            assert_eq!(run(threads), (digest, started, log.clone()), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn kill_turns_in_flight_packets_into_no_listener_drops() {
+        let mut w = World::sharded(cluster_topology(2, 2), 22, 2);
+        let svc = Endpoint::new(HostId(2), 9);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        w.spawn(svc.host, svc.port, Box::new(Service { incarnation: 0, log, started: None }));
+        w.spawn(HostId(0), 9, Box::new(Ticker { peer: svc }));
+        w.run_for(SimDuration::from_millis(5));
+        let before = w.stats();
+        assert_eq!(before.drops(DropReason::NoListener), 0);
+        w.kill(svc);
+        assert!(!w.is_bound(svc));
+        w.run_for(SimDuration::from_millis(5));
+        let after = w.stats();
+        assert_eq!(after.delivered, before.delivered, "nothing reaches a killed process");
+        // Conservation: everything sent was delivered before the kill,
+        // dropped after it, or is still on the wire (the queue holds
+        // those plus the ticker's one timer).
+        let on_wire = w.queue_depth() as u64 - 1;
+        assert!(after.drops(DropReason::NoListener) >= 4);
+        assert_eq!(after.delivered + after.drops(DropReason::NoListener) + on_wire, after.sent);
+    }
+
+    #[test]
+    fn one_region_natural_partition_equals_forced_single_region() {
+        // One LAN: the natural partition is a single region, so the
+        // two constructors build the same engine.
+        let build = |mut w: World| {
+            for i in 0..4u32 {
+                let peer = Endpoint::new(HostId((i + 1) % 4), 5);
+                let p = Pinger { peer, burst: 3, ticks: 10, got: 0, echo: true };
+                w.spawn(HostId(i), 5, Box::new(p));
+            }
+            w.schedule_fault(
+                SimTime::from_nanos(2_000_000),
+                FaultCmd::NetLoss(NetId(0), Some(0.2)),
+            );
+            w.schedule_fault(
+                SimTime::ZERO,
+                FaultCmd::PacketChaos(
+                    Some(PacketChaos {
+                        corrupt: 0.1,
+                        duplicate: 0.1,
+                        reorder: 0.1,
+                        jitter: SimDuration::from_millis(1),
+                    }),
+                    5,
+                ),
+            );
+            w.run_for(SimDuration::from_millis(30));
+            (w.digest(), w.stats())
+        };
+        let forced = build(World::new(cluster_topology(1, 4), 31));
+        assert!(forced.1.drops(DropReason::Loss) > 0 && forced.1.chaos.duplicated > 0);
+        for threads in [1, 4] {
+            let natural = World::sharded(cluster_topology(1, 4), 31, threads);
+            assert_eq!(natural.regions(), 1);
+            assert_eq!(build(natural), forced, "{threads} threads");
+        }
     }
 }

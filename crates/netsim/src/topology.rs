@@ -9,7 +9,6 @@
 use std::collections::HashMap;
 
 use snipe_util::id::{HostId, LinkId, NetId};
-use snipe_util::time::SimTime;
 
 use crate::medium::Medium;
 
@@ -48,8 +47,6 @@ pub struct Interface {
     pub net: NetId,
     /// Administratively/faultily down?
     pub up: bool,
-    /// When this interface's transmitter is next free (switched media).
-    pub busy_until: SimTime,
 }
 
 /// A simulated host.
@@ -96,8 +93,6 @@ pub struct Network {
     pub routable: bool,
     /// Segment up (false models a switch/hub failure)?
     pub up: bool,
-    /// When the shared bus is next free (shared-bus media only).
-    pub busy_until: SimTime,
     /// Optional loss override injected by fault scripts.
     pub loss_override: Option<f64>,
     /// Partition group: two hosts can only communicate over routable
@@ -199,7 +194,6 @@ impl Topology {
             attached: Vec::new(),
             routable,
             up: true,
-            busy_until: SimTime::ZERO,
             loss_override: None,
             partition: 0,
             gray: None,
@@ -217,7 +211,7 @@ impl Topology {
         let h = &mut self.hosts[host.index()];
         assert!(!h.interfaces.iter().any(|i| i.net == net), "{host} already attached to {net}");
         let link = LinkId::from_index(self.nets.iter().map(|n| n.attached.len()).sum::<usize>());
-        h.interfaces.push(Interface { link, net, up: true, busy_until: SimTime::ZERO });
+        h.interfaces.push(Interface { link, net, up: true });
         self.nets[net.index()].attached.push((host, link));
         self.bump_epoch();
         link
@@ -233,9 +227,7 @@ impl Topology {
     /// Record a routing-relevant mutation. [`Topology::attach`] calls
     /// this itself; the world's fault APIs call it after flipping
     /// up/down flags, loss overrides or partition groups through
-    /// [`Topology::host_mut`] / [`Topology::net_mut`]. (Those accessors
-    /// deliberately do *not* bump: the packet hot path updates
-    /// `busy_until` through them, which never affects route choice.)
+    /// [`Topology::host_mut`] / [`Topology::net_mut`].
     pub fn bump_epoch(&mut self) {
         self.epoch += 1;
     }

@@ -106,7 +106,7 @@ pub struct ChaosStats {
 }
 
 /// Aggregate statistics kept by the world.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Packets handed to `send_packet`.
     pub sent: u64,
@@ -172,7 +172,7 @@ impl NetStats {
     /// Fold another stats block into this one. Counters add;
     /// `peak_queue_depth` takes the max (it is a high-water mark of one
     /// queue, and the merged view reports the worst single queue). The
-    /// sharded engine merges per-shard stats through this.
+    /// world merges its per-region stats through this.
     pub(crate) fn merge(&mut self, other: &NetStats) {
         self.sent += other.sent;
         self.delivered += other.delivered;
@@ -330,18 +330,22 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-struct Recorder {
+/// The drop-oldest ring behind both trace sinks: the thread-local
+/// flight recorder below and the per-core rings a threaded world
+/// records engine events into (see [`crate::world::World::enable_trace`]).
+pub(crate) struct Recorder {
     buf: Vec<TraceEvent>,
-    cap: usize,
+    /// Ring capacity; 0 while disabled.
+    pub(crate) cap: usize,
     /// Next slot to (over)write once the ring is full.
     next: usize,
-    seq: u64,
-    dropped: u64,
-    kind_counts: [u64; TraceKind::COUNT],
+    pub(crate) seq: u64,
+    pub(crate) dropped: u64,
+    pub(crate) kind_counts: [u64; TraceKind::COUNT],
 }
 
 impl Recorder {
-    const fn empty() -> Recorder {
+    pub(crate) const fn empty() -> Recorder {
         Recorder {
             buf: Vec::new(),
             cap: 0,
@@ -352,7 +356,15 @@ impl Recorder {
         }
     }
 
-    fn push(&mut self, at: SimTime, kind: TraceKind) {
+    /// A fresh ring preallocated for `capacity` events (at least 1).
+    pub(crate) fn with_capacity(capacity: usize) -> Recorder {
+        let mut r = Recorder::empty();
+        r.cap = capacity.max(1);
+        r.buf.reserve_exact(r.cap);
+        r
+    }
+
+    pub(crate) fn push(&mut self, at: SimTime, kind: TraceKind) {
         let ev = TraceEvent { seq: self.seq, at, kind };
         self.seq += 1;
         self.kind_counts[kind.tag()] += 1;
@@ -367,7 +379,7 @@ impl Recorder {
     }
 
     /// Events in chronological order, oldest retained first.
-    fn iter_ordered(&self) -> impl Iterator<Item = &TraceEvent> {
+    pub(crate) fn iter_ordered(&self) -> impl Iterator<Item = &TraceEvent> {
         let (tail, head) = self.buf.split_at(self.next.min(self.buf.len()));
         head.iter().chain(tail.iter())
     }
@@ -383,13 +395,7 @@ thread_local! {
 /// per-kind counts and the `trace_dropped` counter — one `enable` per
 /// seeded run is what keeps traces replayable.
 pub fn enable(capacity: usize) {
-    RECORDER.with(|r| {
-        let mut r = r.borrow_mut();
-        let cap = capacity.max(1);
-        *r = Recorder::empty();
-        r.cap = cap;
-        r.buf.reserve_exact(cap);
-    });
+    RECORDER.with(|r| *r.borrow_mut() = Recorder::with_capacity(capacity));
     TRACE_ON.with(|t| t.set(true));
 }
 
@@ -400,7 +406,7 @@ pub fn disable() {
 }
 
 /// Is the recorder on for this thread? One `Cell` load — cheap enough
-/// for cold call sites; hot loops should cache it (the `World` does).
+/// for cold call sites; hot loops should cache it (the engine cores do).
 /// Constant `false` under the `obs-off` gate-baseline feature, which
 /// compile-folds every recording branch away.
 #[inline]
@@ -424,8 +430,8 @@ pub fn record(at: SimTime, kind: TraceKind) {
 }
 
 /// [`record`] minus the thread-local `enabled()` re-check, for call
-/// sites that already guard on a cached copy of the flag (the `World`
-/// keeps one in a plain field). A stale `true` after [`disable`] just
+/// sites that already guard on a cached copy of the flag (each engine
+/// core keeps one in a plain field). A stale `true` after [`disable`] just
 /// writes into the ring that `disable` deliberately keeps around.
 #[cold]
 #[inline(never)]

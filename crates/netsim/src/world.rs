@@ -1,5 +1,7 @@
-//! The discrete-event world: clock, event queue, actor dispatch and
-//! packet delivery with link-level serialization.
+//! The world's public face plus route selection. The event loop
+//! itself — queueing, transmission, chaos, dispatch — is the per-region
+//! core in [`crate::shard`]; [`World`] is defined there and re-exported
+//! here, and this module's tests pin its engine semantics.
 //!
 //! ## Delivery model
 //!
@@ -19,779 +21,21 @@
 //! Reliability is the job of `snipe-wire`, exactly as UDP left it to
 //! SNIPE's selective-resend protocol.
 
-use std::collections::HashMap;
-
-use bytes::Bytes;
-
 use snipe_util::id::{HostId, NetId};
-use snipe_util::metrics::{HistoId, Log2Histogram, Registry};
-use snipe_util::rng::Xoshiro256;
-use snipe_util::time::{SimDuration, SimTime};
 
-use crate::actor::{Actor, ActorId, Ctx, Event};
-use crate::chaos::PacketChaos;
-use crate::queue::{EventQueue, FnvMap, Tier, TxChannel};
-use crate::topology::{Endpoint, GrayLevel, PathInfo, Topology};
-use crate::trace::{self, DropReason, FaultOp, NetStats, TraceKind};
+use crate::topology::{PathInfo, Topology};
+
+pub use crate::shard::World;
 
 /// First ephemeral port handed out by [`World::alloc_port`].
 pub const EPHEMERAL_BASE: u16 = 49152;
-
-type RouteKey = (HostId, HostId, Option<NetId>);
-type RouteCache = FnvMap<RouteKey, Option<PathInfo>>;
-
-/// A one-shot closure scheduled via [`World::schedule_fn`].
-type ScheduledFn = Box<dyn FnOnce(&mut World)>;
-
-enum Queued {
-    Deliver { from: Endpoint, to: Endpoint, payload: Bytes },
-    Timer { actor: ActorId, token: u64 },
-    Signal { from: Option<Endpoint>, to: Endpoint, signum: u32 },
-    Func { token: u64 },
-}
-
-struct Slot {
-    actor: Option<Box<dyn Actor>>,
-    endpoint: Endpoint,
-    alive: bool,
-}
-
-/// The simulation world.
-pub struct World {
-    now: SimTime,
-    /// The three-tier event queue (now-queue, delivery streams,
-    /// slab-backed heap) — see [`crate::queue`].
-    equeue: EventQueue<Queued>,
-    topo: Topology,
-    slots: Vec<Slot>,
-    bindings: FnvMap<Endpoint, ActorId>,
-    ephemeral: HashMap<HostId, u16>,
-    rng: Xoshiro256,
-    stats: NetStats,
-    funcs: HashMap<u64, ScheduledFn>,
-    next_func: u64,
-    /// Memoized `select_path` results, valid while `route_epoch`
-    /// matches `topo.epoch()`. Negative results (`None`) are cached
-    /// too: a partitioned destination is asked for just as often.
-    route_cache: RouteCache,
-    route_epoch: u64,
-    route_cache_enabled: bool,
-    /// Per-packet chaos injection (corruption/duplication/reorder),
-    /// None when chaos is off (the common case — one branch per send).
-    chaos: Option<PacketChaos>,
-    /// Chaos draws come from their own stream so a chaos plan never
-    /// perturbs the workload's RNG: a failing run replays bit-for-bit
-    /// from `(plan seed, workload seed)` independently.
-    chaos_rng: Xoshiro256,
-    /// Snapshot of `trace::enabled()` — the flight-recorder check on
-    /// the packet/timer hot paths is one predictable branch on this
-    /// field, not a TLS lookup per event.
-    recording: bool,
-    /// The world's metrics registry. Hot counters still accumulate in
-    /// `NetStats` (flat struct fields, same as ever) and the latency
-    /// histogram in [`World::h_latency`]; everything is mirrored in at
-    /// snapshot time so the registry itself is fully off the hot path.
-    metrics: Registry,
-    /// End-to-end delivery latency (queue + serialization +
-    /// propagation) in nanoseconds, one sample per queued delivery.
-    /// Inline field, not a registry slot: recording is a direct
-    /// fixed-array bump with no id indirection.
-    h_latency: Log2Histogram,
-    /// Registry slot `net.delivery_latency_ns` mirrors into.
-    h_latency_id: HistoId,
-}
-
-impl World {
-    /// A world over the given topology, seeded for determinism.
-    pub fn new(topo: Topology, seed: u64) -> World {
-        let mut stats = NetStats::default();
-        stats.reserve_nets(topo.net_count());
-        let route_epoch = topo.epoch();
-        let mut metrics = Registry::new();
-        let h_latency_id = metrics.histogram("net.delivery_latency_ns");
-        World {
-            now: SimTime::ZERO,
-            equeue: EventQueue::new(),
-            topo,
-            slots: Vec::new(),
-            bindings: FnvMap::default(),
-            ephemeral: HashMap::new(),
-            rng: Xoshiro256::seed_from_u64(seed),
-            stats,
-            funcs: HashMap::new(),
-            next_func: 0,
-            route_cache: RouteCache::default(),
-            route_epoch,
-            route_cache_enabled: true,
-            chaos: None,
-            chaos_rng: Xoshiro256::seed_from_u64(0),
-            recording: trace::enabled(),
-            metrics,
-            h_latency: Log2Histogram::default(),
-            h_latency_id,
-        }
-    }
-
-    /// Re-sample the thread-local flight-recorder flag. Only needed
-    /// when `trace::enable`/`disable` ran *after* this world was
-    /// constructed (`World::new` samples it once).
-    pub fn sync_recording(&mut self) {
-        self.recording = trace::enabled();
-    }
-
-    /// Enable/disable route memoization (on by default). Disabling
-    /// recomputes every lookup — route decisions and traffic are
-    /// identical either way (a property the test suite asserts); this
-    /// exists for A/B measurement and cache-validation tests.
-    pub fn set_route_cache(&mut self, enabled: bool) {
-        self.route_cache_enabled = enabled;
-        self.route_cache.clear();
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The topology (immutable; use the fault APIs to mutate).
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Aggregate delivery statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    /// The world's metrics registry (latency histogram plus, after
-    /// [`World::sync_metrics`], mirrors of every flat counter).
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
-    }
-
-    /// Mirror the flat hot-path counters (`NetStats`, `EngineStats`,
-    /// `ChaosStats`, per-net bytes) and the flight recorder's per-kind
-    /// totals into the registry. Cold: call at snapshot/render time,
-    /// idempotent across repeated syncs.
-    pub fn sync_metrics(&mut self) {
-        let s = self.stats.clone();
-        let m = &mut self.metrics;
-        let pairs: [(&str, u64); 16] = [
-            ("net.sent", s.sent),
-            ("net.delivered", s.delivered),
-            ("net.events", s.events),
-            ("net.drop.loss", s.drops(DropReason::Loss)),
-            ("net.drop.no_route", s.drops(DropReason::NoRoute)),
-            ("net.drop.host_down", s.drops(DropReason::HostDown)),
-            ("net.drop.no_listener", s.drops(DropReason::NoListener)),
-            ("net.drop.too_big", s.drops(DropReason::TooBig)),
-            ("net.chaos.corrupted", s.chaos.corrupted),
-            ("net.chaos.duplicated", s.chaos.duplicated),
-            ("net.chaos.reordered", s.chaos.reordered),
-            ("engine.heap_pops", s.engine.heap_pops),
-            ("engine.now_pops", s.engine.now_pops),
-            ("engine.stream_pops", s.engine.stream_pops),
-            ("engine.route_cache_hits", s.engine.route_cache_hits),
-            ("engine.route_cache_misses", s.engine.route_cache_misses),
-        ];
-        for (name, v) in pairs {
-            let id = m.counter(name);
-            m.set_counter(id, v);
-        }
-        let depth = m.gauge("engine.peak_queue_depth");
-        m.set(depth, s.engine.peak_queue_depth);
-        m.set_histo(self.h_latency_id, &self.h_latency);
-        for (net, bytes) in s.bytes_by_net() {
-            let id = m.counter(&format!("net.bytes.{}", net.index()));
-            m.set_counter(id, bytes);
-        }
-        // Flight-recorder totals (exact even after ring overwrite):
-        // retransmit and rotation *rates* come from here.
-        if trace::enabled() {
-            for (name, v) in TraceKind::NAMES.iter().zip(trace::kind_counts()) {
-                let id = m.counter(&format!("trace.{name}"));
-                m.set_counter(id, v);
-            }
-            let id = m.counter("trace.ring_dropped");
-            m.set_counter(id, trace::trace_dropped());
-        }
-    }
-
-    /// Sync and render the registry as a JSON object string.
-    pub fn metrics_json(&mut self, indent: usize) -> String {
-        self.sync_metrics();
-        self.metrics.render_json(indent)
-    }
-
-    /// Total events pending across all three queue tiers. Invariant
-    /// oracles use this to assert the engine quiesces after a run.
-    pub fn queue_depth(&self) -> usize {
-        self.equeue.depth()
-    }
-
-    /// The world RNG (actors reach it through [`Ctx::rng`]).
-    pub fn rng(&mut self) -> &mut Xoshiro256 {
-        &mut self.rng
-    }
-
-    fn push(&mut self, at: SimTime, kind: Queued) {
-        self.equeue.push(self.now, at, kind);
-        self.note_depth();
-    }
-
-    /// Queue a delivery serialized by `channel` with a fixed
-    /// propagation latency, using its FIFO stream when the arrival
-    /// order allows.
-    fn push_delivery(
-        &mut self,
-        at: SimTime,
-        kind: Queued,
-        channel: TxChannel,
-        latency: SimDuration,
-    ) {
-        self.equeue.push_delivery(self.now, at, kind, channel, latency);
-        self.note_depth();
-    }
-
-    fn note_depth(&mut self) {
-        let depth = self.equeue.depth() as u64;
-        if depth > self.stats.engine.peak_queue_depth {
-            self.stats.engine.peak_queue_depth = depth;
-        }
-    }
-
-    /// Count a drop and, when the flight recorder is on, record it.
-    fn note_drop(&mut self, reason: DropReason) {
-        self.stats.drop(reason);
-        if cfg!(not(feature = "obs-off")) && self.recording {
-            trace::record_cached(self.now, TraceKind::Drop { reason });
-        }
-    }
-
-    /// Record a fault-layer operation in the flight recorder.
-    fn note_fault(&mut self, what: &'static str, a: u64, b: u64) {
-        if cfg!(not(feature = "obs-off")) && self.recording {
-            trace::record_cached(self.now, TraceKind::Fault { op: FaultOp { what, a, b } });
-        }
-    }
-
-    /// Pop the globally next event by `(at, seq)` across the three
-    /// tiers, accounting the pop against the engine's tier counters.
-    fn pop_event(&mut self) -> Option<crate::queue::QueuedEvent<Queued>> {
-        let (ev, tier) = self.equeue.pop()?;
-        match tier {
-            Tier::Now => self.stats.engine.now_pops += 1,
-            Tier::Heap => self.stats.engine.heap_pops += 1,
-            Tier::Stream => self.stats.engine.stream_pops += 1,
-        }
-        Some(ev)
-    }
-
-    /// Timestamp of the next pending event, if any.
-    fn peek_at(&self) -> Option<SimTime> {
-        self.equeue.peek_at()
-    }
-
-    /// Spawn an actor bound to `(host, port)`. Delivers `Event::Start`
-    /// at the current time. Returns `None` if the port is in use or the
-    /// host id is unknown.
-    pub fn spawn(&mut self, host: HostId, port: u16, actor: Box<dyn Actor>) -> Option<Endpoint> {
-        if host.index() >= self.topo.host_count() {
-            return None;
-        }
-        let ep = Endpoint::new(host, port);
-        if self.bindings.contains_key(&ep) {
-            return None;
-        }
-        let id = ActorId(self.slots.len() as u64);
-        self.slots.push(Slot { actor: Some(actor), endpoint: ep, alive: true });
-        self.bindings.insert(ep, id);
-        self.push(self.now, Queued::Signal { from: None, to: ep, signum: SIGSTART });
-        Some(ep)
-    }
-
-    /// Spawn a boxed [`crate::actor::PortableActor`] (wrapped in
-    /// [`crate::actor::OnWorld`]).
-    pub fn spawn_portable(
-        &mut self,
-        host: HostId,
-        port: u16,
-        actor: Box<dyn crate::actor::PortableActor>,
-    ) -> Option<Endpoint> {
-        self.spawn(host, port, Box::new(crate::actor::OnWorld(actor)))
-    }
-
-    /// Borrow the concrete actor state at `ep` (between runs), e.g. for
-    /// workload invariant checks. `None` if nothing is bound there or
-    /// the bound actor is not a `T`.
-    pub fn actor_ref<T: Actor + 'static>(&self, ep: Endpoint) -> Option<&T> {
-        let id = self.bindings.get(&ep)?;
-        let actor = self.slots[id.0 as usize].actor.as_ref()?;
-        let actor: &dyn Actor = &**actor;
-        actor.as_any().downcast_ref::<T>()
-    }
-
-    /// Like [`World::actor_ref`], but also looks through an
-    /// [`crate::actor::OnWorld`] wrapper, so registry-spawned portable
-    /// actors are reachable by their concrete type.
-    pub fn portable_ref<T: crate::actor::PortableActor + 'static>(
-        &self,
-        ep: Endpoint,
-    ) -> Option<&T> {
-        let id = self.bindings.get(&ep)?;
-        let actor = self.slots[id.0 as usize].actor.as_ref()?;
-        let actor: &dyn Actor = &**actor;
-        if let Some(t) = actor.as_any().downcast_ref::<T>() {
-            return Some(t);
-        }
-        let wrapped = actor.as_any().downcast_ref::<crate::actor::OnWorld>()?;
-        // Deref the box explicitly: calling `as_any` on the `Box`
-        // itself could hit the blanket `AsAny` impl for the box type
-        // and the downcast would miss the hosted actor.
-        let inner: &dyn crate::actor::PortableActor = &*wrapped.0;
-        inner.as_any().downcast_ref::<T>()
-    }
-
-    /// Allocate an unused ephemeral port on `host`.
-    ///
-    /// # Panics
-    /// Panics if every ephemeral port on the host is bound — scanning
-    /// is bounded to one full wrap of the ephemeral range so exhaustion
-    /// fails loudly instead of spinning forever.
-    pub fn alloc_port(&mut self, host: HostId) -> u16 {
-        let ctr = self.ephemeral.entry(host).or_insert(EPHEMERAL_BASE);
-        let span = (u16::MAX - EPHEMERAL_BASE) as u32 + 1;
-        for _ in 0..span {
-            let p = *ctr;
-            *ctr = p.checked_add(1).unwrap_or(EPHEMERAL_BASE);
-            if !self.bindings.contains_key(&Endpoint::new(host, p)) {
-                return p;
-            }
-        }
-        panic!("alloc_port: all {span} ephemeral ports on host {host} are bound");
-    }
-
-    /// Kill the actor at `ep` (no-op if none).
-    pub fn kill(&mut self, ep: Endpoint) {
-        if let Some(id) = self.bindings.remove(&ep) {
-            let slot = &mut self.slots[id.0 as usize];
-            slot.alive = false;
-            slot.actor = None; // drop immediately unless currently executing
-        }
-    }
-
-    /// Is an actor currently bound at `ep`?
-    pub fn is_bound(&self, ep: Endpoint) -> bool {
-        self.bindings.contains_key(&ep)
-    }
-
-    /// Deliver a signal at the current time.
-    pub fn signal(&mut self, from: Option<Endpoint>, to: Endpoint, signum: u32) {
-        self.push(self.now, Queued::Signal { from, to, signum });
-    }
-
-    /// Schedule a timer for an actor.
-    pub fn set_timer(&mut self, actor: ActorId, delay: SimDuration, token: u64) {
-        self.push(self.now + delay, Queued::Timer { actor, token });
-    }
-
-    /// Schedule a closure to run against the world at `at` (fault
-    /// scripts, experiment scenarios).
-    pub fn schedule_fn(&mut self, at: SimTime, f: impl FnOnce(&mut World) + 'static) {
-        let token = self.next_func;
-        self.next_func += 1;
-        self.funcs.insert(token, Box::new(f));
-        self.push(at, Queued::Func { token });
-    }
-
-    /// Take a host down; every actor on it gets [`Event::HostDown`].
-    pub fn host_down(&mut self, h: HostId) {
-        if !self.topo.host(h).up {
-            return;
-        }
-        self.note_fault("host_down", h.index() as u64, 0);
-        self.topo.host_mut(h).up = false;
-        self.topo.bump_epoch();
-        for ep in self.endpoints_on(h) {
-            self.dispatch_to(ep, Event::HostDown);
-        }
-    }
-
-    /// Bring a host back up; every actor on it gets [`Event::HostUp`].
-    pub fn host_up(&mut self, h: HostId) {
-        if self.topo.host(h).up {
-            return;
-        }
-        self.note_fault("host_up", h.index() as u64, 0);
-        self.topo.host_mut(h).up = true;
-        self.topo.bump_epoch();
-        for ep in self.endpoints_on(h) {
-            self.dispatch_to(ep, Event::HostUp);
-        }
-    }
-
-    /// Take a network segment down/up. A no-op mutation (already in the
-    /// requested state) leaves the topology epoch alone, so it does not
-    /// needlessly invalidate the route cache.
-    pub fn set_net_up(&mut self, n: NetId, up: bool) {
-        let net = self.topo.net_mut(n);
-        if net.up == up {
-            return;
-        }
-        net.up = up;
-        self.topo.bump_epoch();
-        self.note_fault("set_net_up", n.index() as u64, up as u64);
-    }
-
-    /// Take one host's interface on `n` down/up. Returns `false` if the
-    /// host has no interface on that network (previously a silent
-    /// no-op); unchanged state is acknowledged with `true` but does not
-    /// bump the topology epoch.
-    pub fn set_iface_up(&mut self, h: HostId, n: NetId, up: bool) -> bool {
-        match self.topo.host_mut(h).interfaces.iter_mut().find(|i| i.net == n) {
-            Some(i) if i.up == up => true,
-            Some(i) => {
-                i.up = up;
-                self.topo.bump_epoch();
-                self.note_fault("set_iface_up", h.index() as u64, n.index() as u64);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Override the loss rate of a network (None restores the medium).
-    /// Idempotent: re-setting the current override does not bump the
-    /// topology epoch.
-    pub fn set_net_loss(&mut self, n: NetId, loss: Option<f64>) {
-        let net = self.topo.net_mut(n);
-        if net.loss_override == loss {
-            return;
-        }
-        net.loss_override = loss;
-        self.topo.bump_epoch();
-        self.note_fault("set_net_loss", n.index() as u64, loss.is_some() as u64);
-    }
-
-    /// Put a network segment in a partition group. Idempotent: joining
-    /// the current group does not bump the topology epoch.
-    pub fn set_partition(&mut self, n: NetId, group: u32) {
-        let net = self.topo.net_mut(n);
-        if net.partition == group {
-            return;
-        }
-        net.partition = group;
-        self.topo.bump_epoch();
-        self.note_fault("set_partition", n.index() as u64, group as u64);
-    }
-
-    /// Degrade a network into a gray link (None restores the medium).
-    /// Idempotent like the other fault APIs.
-    pub fn set_gray(&mut self, n: NetId, gray: Option<GrayLevel>) {
-        let net = self.topo.net_mut(n);
-        if net.gray == gray {
-            return;
-        }
-        net.gray = gray;
-        self.topo.bump_epoch();
-        self.note_fault("set_gray", n.index() as u64, gray.is_some() as u64);
-    }
-
-    /// Install (or clear) per-packet chaos injection. The chaos RNG is
-    /// reseeded on every call, so the injection pattern depends only on
-    /// `(seed, traffic)` — never on how long a previous chaos window
-    /// ran.
-    pub fn set_packet_chaos(&mut self, chaos: Option<PacketChaos>, seed: u64) {
-        self.note_fault("set_packet_chaos", chaos.is_some() as u64, seed);
-        self.chaos = chaos;
-        self.chaos_rng = Xoshiro256::seed_from_u64(seed);
-    }
-
-    fn endpoints_on(&self, h: HostId) -> Vec<Endpoint> {
-        let mut eps: Vec<Endpoint> =
-            self.bindings.keys().filter(|ep| ep.host == h).copied().collect();
-        eps.sort(); // determinism
-        eps
-    }
-
-    /// Route selection per §5.3, memoized. Cache entries live until the
-    /// next topology epoch bump (any fault/attach mutation).
-    fn select_path(&mut self, from: HostId, to: HostId, via: Option<NetId>) -> Option<PathInfo> {
-        if !self.route_cache_enabled {
-            return self.compute_path(from, to, via);
-        }
-        if self.route_epoch != self.topo.epoch() {
-            self.route_cache.clear();
-            self.route_epoch = self.topo.epoch();
-        }
-        if let Some(&hit) = self.route_cache.get(&(from, to, via)) {
-            self.stats.engine.route_cache_hits += 1;
-            return hit;
-        }
-        self.stats.engine.route_cache_misses += 1;
-        let path = self.compute_path(from, to, via);
-        self.route_cache.insert((from, to, via), path);
-        path
-    }
-
-    /// The route the engine would use for a packet from `from` to `to`
-    /// right now (memoized, exactly as `send_packet` sees it).
-    pub fn route(&mut self, from: HostId, to: HostId, via: Option<NetId>) -> Option<PathInfo> {
-        self.select_path(from, to, via)
-    }
-
-    /// Fresh, uncached route computation — the reference the cache is
-    /// validated against in tests.
-    pub fn route_uncached(&self, from: HostId, to: HostId, via: Option<NetId>) -> Option<PathInfo> {
-        self.compute_path(from, to, via)
-    }
-
-    /// Uncached route selection per §5.3 (shared with the sharded
-    /// engine via [`compute_path`]).
-    fn compute_path(&self, from: HostId, to: HostId, via: Option<NetId>) -> Option<PathInfo> {
-        compute_path(&self.topo, from, to, via)
-    }
-
-    /// Send a datagram. Called by [`Ctx::send`].
-    pub(crate) fn send_packet(
-        &mut self,
-        from: Endpoint,
-        to: Endpoint,
-        payload: Bytes,
-        via: Option<NetId>,
-    ) {
-        self.stats.sent += 1;
-        if cfg!(not(feature = "obs-off")) && self.recording {
-            trace::record_cached(self.now, TraceKind::Send { from, to, len: payload.len() as u32 });
-        }
-        if from.host == to.host {
-            // Loopback: constant small cost, no shared wire.
-            let m = crate::medium::Medium::loopback();
-            let at = self.now + m.tx_time(payload.len()) + m.latency;
-            if cfg!(not(feature = "obs-off")) {
-                self.h_latency.observe(at.since(self.now).as_nanos());
-            }
-            self.push(at, Queued::Deliver { from, to, payload });
-            return;
-        }
-        if !self.topo.host(from.host).up {
-            self.note_drop(DropReason::HostDown);
-            return;
-        }
-        let Some(path) = self.select_path(from.host, to.host, via) else {
-            self.note_drop(DropReason::NoRoute);
-            return;
-        };
-        if payload.len() > path.mtu {
-            self.note_drop(DropReason::TooBig);
-            return;
-        }
-        // Serialization on the first-hop transmitter, at the bottleneck
-        // bandwidth for routed paths.
-        let src_net = path.first_net();
-        let medium = &self.topo.net(src_net).medium;
-        let shared = medium.shared_bus;
-        let tx = medium.tx_time_at(path.bandwidth_bps, payload.len());
-        let (free, channel) = if shared {
-            (self.topo.net(src_net).busy_until, TxChannel::Bus(src_net))
-        } else {
-            self.topo
-                .host(from.host)
-                .interfaces
-                .iter()
-                .find(|i| i.net == src_net)
-                .map(|i| (i.busy_until, TxChannel::Link(i.link)))
-                .unwrap_or((SimTime::ZERO, TxChannel::Bus(src_net)))
-        };
-        let start = if free > self.now { free } else { self.now };
-        let finish = start + tx;
-        if shared {
-            self.topo.net_mut(src_net).busy_until = finish;
-        } else if let Some(i) =
-            self.topo.host_mut(from.host).interfaces.iter_mut().find(|i| i.net == src_net)
-        {
-            i.busy_until = finish;
-        }
-        // Random loss (checked after wire occupancy: a lost frame still
-        // burned air time).
-        if path.loss > 0.0 && self.rng.gen_bool(path.loss) {
-            self.note_drop(DropReason::Loss);
-            return;
-        }
-        for &n in path.nets() {
-            self.stats.add_bytes(n, payload.len() as u64);
-        }
-        let at = finish + path.latency;
-        if cfg!(not(feature = "obs-off")) {
-            self.h_latency.observe(at.since(self.now).as_nanos());
-        }
-        if self.chaos.is_some() {
-            self.chaos_deliver(at, from, to, payload, channel, path.latency);
-        } else {
-            self.push_delivery(at, Queued::Deliver { from, to, payload }, channel, path.latency);
-        }
-    }
-
-    /// Deliver one packet under per-packet chaos: maybe corrupt the
-    /// payload, maybe inject a duplicate, maybe jitter the arrival.
-    /// Jittered copies go through the heap, not the delivery streams —
-    /// their arrival times are not monotone per channel, which is the
-    /// invariant the streams rely on.
-    fn chaos_deliver(
-        &mut self,
-        at: SimTime,
-        from: Endpoint,
-        to: Endpoint,
-        payload: Bytes,
-        channel: TxChannel,
-        latency: SimDuration,
-    ) {
-        let fx = self.chaos.expect("chaos_deliver called without chaos");
-        let mut payload = payload;
-        if fx.corrupt > 0.0 && !payload.is_empty() && self.chaos_rng.gen_bool(fx.corrupt) {
-            let mut bytes = payload.to_vec();
-            let flips = self.chaos_rng.gen_range_inclusive(1, 3);
-            for _ in 0..flips {
-                let i = self.chaos_rng.gen_range(bytes.len() as u64) as usize;
-                let bit = self.chaos_rng.gen_range(8) as u8;
-                bytes[i] ^= 1 << bit;
-            }
-            payload = Bytes::from(bytes);
-            self.stats.chaos.corrupted += 1;
-        }
-        if fx.duplicate > 0.0 && self.chaos_rng.gen_bool(fx.duplicate) {
-            let dup_at = at + self.jitter_draw(fx.jitter);
-            self.push(dup_at, Queued::Deliver { from, to, payload: payload.clone() });
-            self.stats.chaos.duplicated += 1;
-        }
-        if fx.reorder > 0.0 && self.chaos_rng.gen_bool(fx.reorder) {
-            let late_at = at + self.jitter_draw(fx.jitter);
-            self.push(late_at, Queued::Deliver { from, to, payload });
-            self.stats.chaos.reordered += 1;
-            return;
-        }
-        self.push_delivery(at, Queued::Deliver { from, to, payload }, channel, latency);
-    }
-
-    fn jitter_draw(&mut self, max: SimDuration) -> SimDuration {
-        SimDuration::from_nanos(1 + self.chaos_rng.gen_range(max.as_nanos().max(1)))
-    }
-
-    fn dispatch_to(&mut self, ep: Endpoint, event: Event) {
-        let Some(&id) = self.bindings.get(&ep) else {
-            return;
-        };
-        self.dispatch_id(id, ep, event);
-    }
-
-    fn dispatch_id(&mut self, id: ActorId, ep: Endpoint, event: Event) {
-        let Some(mut actor) = self.slots[id.0 as usize].actor.take() else {
-            return; // re-entrant dispatch to the same actor: drop
-        };
-        {
-            let mut ctx = Ctx { world: self, me: id, my_endpoint: ep };
-            actor.on_event(&mut ctx, event);
-        }
-        let slot = &mut self.slots[id.0 as usize];
-        if slot.alive {
-            slot.actor = Some(actor);
-        }
-    }
-
-    /// Run one queued event. Returns false if the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some(ev) = self.pop_event() else {
-            return false;
-        };
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
-        self.stats.events += 1;
-        match ev.kind {
-            Queued::Deliver { from, to, payload } => {
-                if !self.topo.host(to.host).up {
-                    self.note_drop(DropReason::HostDown);
-                } else if let Some(&id) = self.bindings.get(&to) {
-                    self.stats.delivered += 1;
-                    if cfg!(not(feature = "obs-off")) && self.recording {
-                        trace::record_cached(
-                            self.now,
-                            TraceKind::Recv { from, to, len: payload.len() as u32 },
-                        );
-                    }
-                    self.dispatch_id(id, to, Event::Packet { from, payload });
-                } else {
-                    self.note_drop(DropReason::NoListener);
-                }
-            }
-            Queued::Timer { actor, token } => {
-                let idx = actor.0 as usize;
-                if idx < self.slots.len() && self.slots[idx].alive {
-                    let ep = self.slots[idx].endpoint;
-                    // Timers do not fire while the host is down.
-                    if self.topo.host(ep.host).up {
-                        if cfg!(not(feature = "obs-off")) && self.recording {
-                            trace::record_cached(self.now, TraceKind::TimerFire { token });
-                        }
-                        self.dispatch_to(ep, Event::Timer { token });
-                    }
-                }
-            }
-            Queued::Signal { from, to, signum } => {
-                if self.topo.host(to.host).up {
-                    if signum == SIGSTART {
-                        self.dispatch_to(to, Event::Start);
-                    } else {
-                        self.dispatch_to(to, Event::Signal { signum, from });
-                    }
-                }
-            }
-            Queued::Func { token } => {
-                if let Some(f) = self.funcs.remove(&token) {
-                    f(self);
-                }
-            }
-        }
-        true
-    }
-
-    /// Run until the queue is empty or `limit` events have fired.
-    /// Returns the number of events processed.
-    pub fn run_until_idle(&mut self, limit: u64) -> u64 {
-        let mut n = 0;
-        while n < limit && self.step() {
-            n += 1;
-        }
-        n
-    }
-
-    /// Run events with timestamps `<= t`, then set the clock to `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        while let Some(at) = self.peek_at() {
-            if at > t {
-                break;
-            }
-            self.step();
-        }
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Run for a span of simulated time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.now + d;
-        self.run_until(t);
-    }
-}
 
 /// Internal signal number used to carry `Event::Start`.
 pub(crate) const SIGSTART: u32 = u32::MAX;
 
 /// Uncached route selection per §5.3, over an explicit topology. Runs
 /// allocation-free: the candidate scans are iterator-based and
-/// `PathInfo` is `Copy`. Both [`World`] and the sharded engine
-/// ([`crate::shard`]) route through this one function, so their route
-/// decisions can never drift apart.
+/// `PathInfo` is `Copy`.
 pub(crate) fn compute_path(
     topo: &Topology,
     from: HostId,
@@ -837,22 +81,26 @@ pub(crate) fn compute_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::actor::{Actor, Event, SimCtx};
     use crate::medium::Medium;
-    use crate::topology::HostCfg;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::shard::FaultCmd;
+    use crate::topology::{Endpoint, HostCfg};
+    use crate::trace::DropReason;
+    use bytes::Bytes;
+    use snipe_util::time::{SimDuration, SimTime};
+    use std::sync::{Arc, Mutex};
 
     /// Test actor: records received payload lengths + timestamps,
     /// optionally echoes packets back.
     struct Recorder {
-        log: Rc<RefCell<Vec<(SimTime, usize)>>>,
+        log: Arc<Mutex<Vec<(SimTime, usize)>>>,
         echo: bool,
     }
 
     impl Actor for Recorder {
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
             if let Event::Packet { from, payload } = event {
-                self.log.borrow_mut().push((ctx.now(), payload.len()));
+                self.log.lock().unwrap().push((ctx.now(), payload.len()));
                 if self.echo {
                     ctx.send(from, payload);
                 }
@@ -866,7 +114,7 @@ mod tests {
     }
 
     impl Actor for SendOnStart {
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
             if matches!(event, Event::Start) {
                 for &s in &self.sizes {
                     ctx.send(self.to, Bytes::from(vec![0u8; s]));
@@ -888,11 +136,11 @@ mod tests {
     #[test]
     fn packet_delivery_with_latency() {
         let (mut w, a, b) = eth_pair();
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![1000] }));
         w.run_until_idle(100);
-        let entries = log.borrow();
+        let entries = log.lock().unwrap();
         assert_eq!(entries.len(), 1);
         let (at, len) = entries[0];
         assert_eq!(len, 1000);
@@ -904,11 +152,11 @@ mod tests {
     #[test]
     fn shared_bus_serializes_packets() {
         let (mut w, a, b) = eth_pair();
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![1000, 1000] }));
         w.run_until_idle(100);
-        let entries = log.borrow();
+        let entries = log.lock().unwrap();
         assert_eq!(entries.len(), 2);
         let gap = entries[1].0.since(entries[0].0);
         // Second packet waits for the first to clear the bus: gap ≈ tx time ≈ 83us.
@@ -918,9 +166,9 @@ mod tests {
     #[test]
     fn echo_round_trip() {
         let (mut w, a, b) = eth_pair();
-        let log_a = Rc::new(RefCell::new(Vec::new()));
+        let log_a = Arc::new(Mutex::new(Vec::new()));
         w.spawn(a, 7, Box::new(Recorder { log: log_a.clone(), echo: false }));
-        w.spawn(b, 5, Box::new(Recorder { log: Rc::new(RefCell::new(Vec::new())), echo: true }));
+        w.spawn(b, 5, Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())), echo: true }));
         // a:7 sends to b:5 which echoes back to a:7.
         w.spawn(a, 8, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![64] }));
         // redirect: make the sender the recorder instead
@@ -933,19 +181,19 @@ mod tests {
     #[test]
     fn host_down_drops_and_notifies() {
         let (mut w, a, b) = eth_pair();
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.run_until_idle(10);
         w.host_down(b);
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![100] }));
         w.run_until_idle(100);
-        assert!(log.borrow().is_empty());
+        assert!(log.lock().unwrap().is_empty());
         let d = w.stats().drops(DropReason::NoRoute) + w.stats().drops(DropReason::HostDown);
         assert_eq!(d, 1);
         w.host_up(b);
         w.spawn(a, 9, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![100] }));
         w.run_until_idle(100);
-        assert_eq!(log.borrow().len(), 1);
+        assert_eq!(log.lock().unwrap().len(), 1);
     }
 
     #[test]
@@ -959,7 +207,7 @@ mod tests {
     #[test]
     fn mtu_enforced() {
         let (mut w, a, b) = eth_pair();
-        w.spawn(b, 5, Box::new(Recorder { log: Rc::new(RefCell::new(Vec::new())), echo: false }));
+        w.spawn(b, 5, Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())), echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![2000] }));
         w.run_until_idle(100);
         assert_eq!(w.stats().drops(DropReason::TooBig), 1);
@@ -974,11 +222,11 @@ mod tests {
         t.attach(a, n);
         t.attach(b, n);
         let mut w = World::new(t, 7);
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![100; 1000] }));
         w.run_until_idle(5000);
-        let received = log.borrow().len() as f64;
+        let received = log.lock().unwrap().len() as f64;
         assert!((received / 1000.0 - 0.7).abs() < 0.05, "received {received}");
     }
 
@@ -994,7 +242,7 @@ mod tests {
         t.attach(a, atm);
         t.attach(b, atm);
         let mut w = World::new(t, 1);
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log, echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![1000] }));
         w.run_until_idle(100);
@@ -1019,19 +267,19 @@ mod tests {
             via: NetId,
         }
         impl Actor for PinnedSend {
-            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+            fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
                 if matches!(event, Event::Start) {
                     ctx.send_via(self.to, Bytes::from_static(&[0; 100]), self.via);
                 }
             }
         }
         let mut w = World::new(t, 1);
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.spawn(a, 6, Box::new(PinnedSend { to: Endpoint::new(b, 5), via: eth }));
         w.run_until_idle(100);
         assert_eq!(w.stats().bytes_on(eth), 100);
-        assert_eq!(log.borrow().len(), 1);
+        assert_eq!(log.lock().unwrap().len(), 1);
     }
 
     #[test]
@@ -1044,11 +292,11 @@ mod tests {
         t.attach(a, n1);
         t.attach(b, n2);
         let mut w = World::new(t, 1);
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![500] }));
         w.run_until_idle(100);
-        assert_eq!(log.borrow().len(), 1);
+        assert_eq!(log.lock().unwrap().len(), 1);
         // Both edge networks carried the payload.
         assert_eq!(w.stats().bytes_on(n1), 500);
         assert_eq!(w.stats().bytes_on(n2), 500);
@@ -1058,46 +306,68 @@ mod tests {
     fn timers_fire_in_order() {
         let (mut w, a, _b) = eth_pair();
         struct TimerActor {
-            log: Rc<RefCell<Vec<u64>>>,
+            log: Arc<Mutex<Vec<u64>>>,
         }
         impl Actor for TimerActor {
-            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+            fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
                 match event {
                     Event::Start => {
                         ctx.set_timer(SimDuration::from_millis(20), 2);
                         ctx.set_timer(SimDuration::from_millis(10), 1);
                         ctx.set_timer(SimDuration::from_millis(30), 3);
                     }
-                    Event::Timer { token } => self.log.borrow_mut().push(token),
+                    Event::Timer { token } => self.log.lock().unwrap().push(token),
                     _ => {}
                 }
             }
         }
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(a, 5, Box::new(TimerActor { log: log.clone() }));
         w.run_until_idle(100);
-        assert_eq!(&*log.borrow(), &[1, 2, 3]);
+        assert_eq!(&*log.lock().unwrap(), &[1, 2, 3]);
     }
 
     #[test]
-    fn scheduled_fn_runs_at_time() {
-        let (mut w, a, _b) = eth_pair();
-        let flag = Rc::new(RefCell::new(SimTime::ZERO));
-        let f2 = flag.clone();
-        w.schedule_fn(SimTime::from_nanos(5_000_000), move |w| {
-            *f2.borrow_mut() = w.now();
-            w.host_down(a);
-        });
+    fn scheduled_fault_applies_at_its_time_before_same_time_events() {
+        let (mut w, a, b) = eth_pair();
+        /// Logs when its host went down; on its 5 ms timer, whether
+        /// `peer` was still up.
+        struct Watch {
+            peer: HostId,
+            down_at: Option<SimTime>,
+            peer_up_at_timer: Option<bool>,
+        }
+        impl Actor for Watch {
+            fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+                match event {
+                    Event::Start => ctx.set_timer(SimDuration::from_millis(5), 1),
+                    Event::Timer { .. } => self.peer_up_at_timer = Some(ctx.host_up(self.peer)),
+                    Event::HostDown => self.down_at = Some(ctx.now()),
+                    _ => {}
+                }
+            }
+        }
+        let watch = |peer| Box::new(Watch { peer, down_at: None, peer_up_at_timer: None });
+        let on_a = w.spawn(a, 5, watch(b)).unwrap();
+        let on_b = w.spawn(b, 5, watch(a)).unwrap();
+        let at = SimTime::from_nanos(5_000_000);
+        w.schedule_fault(at, FaultCmd::HostDown(b));
         w.run_until_idle(10);
-        assert_eq!(*flag.borrow(), SimTime::from_nanos(5_000_000));
-        assert!(!w.topology().host(a).up);
+        assert!(!w.topology().host(b).up);
+        assert_eq!(w.actor_ref::<Watch>(on_b).unwrap().down_at, Some(at));
+        // a's timer is due at exactly the fault time: the fault wins.
+        assert_eq!(w.actor_ref::<Watch>(on_a).unwrap().peer_up_at_timer, Some(false));
+        // b's own timer never fires (host down), and the clock stopped
+        // at the last thing that happened.
+        assert_eq!(w.actor_ref::<Watch>(on_b).unwrap().peer_up_at_timer, None);
+        assert_eq!(w.now(), at);
     }
 
     #[test]
     fn kill_unbinds() {
         let (mut w, _a, b) = eth_pair();
         let ep = w
-            .spawn(b, 5, Box::new(Recorder { log: Rc::new(RefCell::new(Vec::new())), echo: false }))
+            .spawn(b, 5, Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())), echo: false }))
             .unwrap();
         w.run_until_idle(10);
         assert!(w.is_bound(ep));
@@ -1105,14 +375,14 @@ mod tests {
         assert!(!w.is_bound(ep));
         // Port is reusable.
         assert!(w
-            .spawn(b, 5, Box::new(Recorder { log: Rc::new(RefCell::new(Vec::new())), echo: false }))
+            .spawn(b, 5, Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())), echo: false }))
             .is_some());
     }
 
     #[test]
     fn duplicate_port_rejected() {
         let (mut w, _a, b) = eth_pair();
-        let r = || Box::new(Recorder { log: Rc::new(RefCell::new(Vec::new())), echo: false });
+        let r = || Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())), echo: false });
         assert!(w.spawn(b, 5, r()).is_some());
         assert!(w.spawn(b, 5, r()).is_none());
     }
@@ -1136,11 +406,7 @@ mod tests {
             t.attach(a, n);
             t.attach(b, n);
             let mut w = World::new(t, seed);
-            w.spawn(
-                b,
-                5,
-                Box::new(Recorder { log: Rc::new(RefCell::new(Vec::new())), echo: true }),
-            );
+            w.spawn(b, 5, Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())), echo: true }));
             w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![100; 200] }));
             w.run_until_idle(10_000);
             (w.stats().delivered, w.stats().total_drops())
@@ -1153,42 +419,44 @@ mod tests {
     fn timers_suppressed_while_host_down() {
         let (mut w, a, _b) = eth_pair();
         struct T {
-            fired: Rc<RefCell<u32>>,
+            fired: Arc<Mutex<u32>>,
         }
         impl Actor for T {
-            fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+            fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
                 match event {
                     Event::Start => ctx.set_timer(SimDuration::from_millis(10), 1),
-                    Event::Timer { .. } => *self.fired.borrow_mut() += 1,
+                    Event::Timer { .. } => *self.fired.lock().unwrap() += 1,
                     _ => {}
                 }
             }
         }
-        let fired = Rc::new(RefCell::new(0));
+        let fired = Arc::new(Mutex::new(0));
         w.spawn(a, 5, Box::new(T { fired: fired.clone() }));
         w.run_until_idle(1); // deliver Start only
         w.host_down(a);
         w.run_for(SimDuration::from_millis(50));
-        assert_eq!(*fired.borrow(), 0);
+        assert_eq!(*fired.lock().unwrap(), 0);
     }
 }
 
 #[cfg(test)]
 mod more_tests {
     use super::*;
+    use crate::actor::{Actor, Event, SimCtx};
     use crate::medium::Medium;
-    use crate::topology::HostCfg;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::topology::{Endpoint, GrayLevel, HostCfg};
+    use bytes::Bytes;
+    use snipe_util::time::{SimDuration, SimTime};
+    use std::sync::{Arc, Mutex};
 
     struct Recorder {
-        log: Rc<RefCell<Vec<usize>>>,
+        log: Arc<Mutex<Vec<usize>>>,
     }
 
     impl Actor for Recorder {
-        fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: Event) {
+        fn on_event(&mut self, _ctx: &mut dyn SimCtx, event: Event) {
             if let Event::Packet { payload, .. } = event {
-                self.log.borrow_mut().push(payload.len());
+                self.log.lock().unwrap().push(payload.len());
             }
         }
     }
@@ -1199,7 +467,7 @@ mod more_tests {
     }
 
     impl Actor for Sender {
-        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
             if matches!(event, Event::Start) {
                 ctx.send(self.to, Bytes::from(vec![0u8; self.size]));
             }
@@ -1213,12 +481,12 @@ mod more_tests {
         let a = t.add_host(HostCfg::named("a"));
         // Loopback works even with no attached interface.
         let mut w = World::new(t, 1);
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(a, 5, Box::new(Recorder { log: log.clone() }));
         w.spawn(a, 6, Box::new(Sender { to: Endpoint::new(a, 5), size: 1 << 20 }));
         w.run_until_idle(100);
         // Huge loopback datagrams pass (MTU is effectively unlimited).
-        assert_eq!(&*log.borrow(), &[1 << 20]);
+        assert_eq!(&*log.lock().unwrap(), &[1 << 20]);
     }
 
     #[test]
@@ -1244,11 +512,11 @@ mod more_tests {
         // ATM preferred (faster); kill a's ATM interface: traffic must
         // flow over Ethernet instead, automatically.
         w.set_iface_up(a, atm, false);
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone() }));
         w.spawn(a, 6, Box::new(Sender { to: Endpoint::new(b, 5), size: 500 }));
         w.run_until_idle(100);
-        assert_eq!(log.borrow().len(), 1);
+        assert_eq!(log.lock().unwrap().len(), 1);
         assert_eq!(w.stats().bytes_on(eth), 500);
         assert_eq!(w.stats().bytes_on(atm), 0);
     }
@@ -1264,15 +532,15 @@ mod more_tests {
         t.attach(b, n2);
         let mut w = World::new(t, 1);
         w.set_partition(n2, 9);
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone() }));
         w.spawn(a, 6, Box::new(Sender { to: Endpoint::new(b, 5), size: 10 }));
         w.run_until_idle(100);
-        assert!(log.borrow().is_empty(), "partitioned: nothing may arrive");
+        assert!(log.lock().unwrap().is_empty(), "partitioned: nothing may arrive");
         w.set_partition(n2, 0);
         w.spawn(a, 7, Box::new(Sender { to: Endpoint::new(b, 5), size: 10 }));
         w.run_until_idle(100);
-        assert_eq!(log.borrow().len(), 1, "healed: delivery resumes");
+        assert_eq!(log.lock().unwrap().len(), 1, "healed: delivery resumes");
     }
 
     #[test]
@@ -1281,7 +549,7 @@ mod more_tests {
         let _ = t.add_network("lan", Medium::ethernet100(), true);
         let a = t.add_host(HostCfg::named("a"));
         let mut w = World::new(t, 1);
-        w.spawn(a, EPHEMERAL_BASE, Box::new(Recorder { log: Rc::new(RefCell::new(Vec::new())) }));
+        w.spawn(a, EPHEMERAL_BASE, Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())) }));
         assert_eq!(w.alloc_port(a), EPHEMERAL_BASE + 1);
     }
 
@@ -1293,7 +561,7 @@ mod more_tests {
         let a = t.add_host(HostCfg::named("a"));
         let mut w = World::new(t, 1);
         for p in EPHEMERAL_BASE..=u16::MAX {
-            w.spawn(a, p, Box::new(Recorder { log: Rc::new(RefCell::new(Vec::new())) }));
+            w.spawn(a, p, Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())) }));
         }
         let _ = w.alloc_port(a); // must panic, not spin forever
     }
@@ -1346,7 +614,7 @@ mod more_tests {
         t.attach(a, eth);
         t.attach(b, eth);
         let mut w = World::new(t, 1);
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log }));
         w.spawn(a, 6, Box::new(Sender { to: Endpoint::new(b, 5), size: 100 }));
         w.spawn(a, 7, Box::new(Sender { to: Endpoint::new(b, 5), size: 100 }));
@@ -1421,12 +689,12 @@ mod more_tests {
             }),
             99,
         );
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone() }));
         w.spawn(a, 6, Box::new(Sender { to: Endpoint::new(b, 5), size: 100 }));
         w.run_until_idle(100);
         // Corruption is not a drop: the mangled payload arrives.
-        assert_eq!(log.borrow().len(), 1);
+        assert_eq!(log.lock().unwrap().len(), 1);
         assert_eq!(w.stats().chaos.corrupted, 1);
         assert_eq!(w.stats().total_drops(), 0);
     }
@@ -1449,13 +717,13 @@ mod more_tests {
             }),
             7,
         );
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone() }));
         for p in 0..4 {
             w.spawn(a, 10 + p, Box::new(Sender { to: Endpoint::new(b, 5), size: 64 }));
         }
         w.run_until_idle(1000);
-        assert_eq!(log.borrow().len(), 8, "every packet arrives twice");
+        assert_eq!(log.lock().unwrap().len(), 8, "every packet arrives twice");
         assert_eq!(w.stats().chaos.duplicated, 4);
     }
 
@@ -1477,13 +745,13 @@ mod more_tests {
             }),
             7,
         );
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone() }));
         for p in 0..8 {
             w.spawn(a, 10 + p, Box::new(Sender { to: Endpoint::new(b, 5), size: 64 }));
         }
         w.run_until_idle(1000);
-        assert_eq!(log.borrow().len(), 8, "reordering never loses packets");
+        assert_eq!(log.lock().unwrap().len(), 8, "reordering never loses packets");
         assert_eq!(w.stats().chaos.reordered, 8);
     }
 
@@ -1508,7 +776,7 @@ mod more_tests {
                     5,
                 );
             }
-            let log = Rc::new(RefCell::new(Vec::new()));
+            let log = Arc::new(Mutex::new(Vec::new()));
             w.spawn(b, 5, Box::new(Recorder { log }));
             for p in 0..50 {
                 w.spawn(a, 10 + p, Box::new(Sender { to: Endpoint::new(b, 5), size: 100 }));
@@ -1556,21 +824,20 @@ mod more_tests {
         let _ = t.add_network("lan", Medium::ethernet100(), true);
         let a = t.add_host(HostCfg::named("a"));
         struct SignalLog {
-            got: Rc<RefCell<Vec<(u32, Option<Endpoint>)>>>,
+            got: Vec<(u32, Option<Endpoint>)>,
         }
         impl Actor for SignalLog {
-            fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: Event) {
+            fn on_event(&mut self, _ctx: &mut dyn SimCtx, event: Event) {
                 if let Event::Signal { signum, from } = event {
-                    self.got.borrow_mut().push((signum, from));
+                    self.got.push((signum, from));
                 }
             }
         }
-        let got = Rc::new(RefCell::new(Vec::new()));
         let mut w = World::new(t, 1);
-        let ep = w.spawn(a, 5, Box::new(SignalLog { got: got.clone() })).unwrap();
+        let ep = w.spawn(a, 5, Box::new(SignalLog { got: Vec::new() })).unwrap();
         w.run_until_idle(5);
         w.signal(None, ep, 15);
         w.run_until_idle(5);
-        assert_eq!(&*got.borrow(), &[(15, None)]);
+        assert_eq!(w.actor_ref::<SignalLog>(ep).unwrap().got, [(15, None)]);
     }
 }

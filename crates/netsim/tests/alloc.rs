@@ -7,23 +7,36 @@
 //! makes any regression an immediate test failure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+// Per thread: libtest runs sibling tests on other threads, and their
+// allocations must not land in this test's count. `const`-initialised,
+// so reading it never allocates.
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(|c| c.get())
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(p, l, new)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
@@ -35,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static COUNTER: CountingAlloc = CountingAlloc;
 
 use bytes::Bytes;
-use snipe_netsim::actor::{Actor, Ctx, Event};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
@@ -50,7 +63,7 @@ struct Flooder {
 }
 
 impl Actor for Flooder {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::Timer { .. } => {
                 for _ in 0..self.burst {
@@ -81,9 +94,9 @@ fn steady_state_send_path_does_not_allocate() {
     let sent_before = w.stats().sent;
     assert!(w.stats().engine.route_cache_hits > 0, "cache should be warm");
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     w.run_for(SimDuration::from_millis(200));
-    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocated = allocs() - before;
 
     let sent = w.stats().sent - sent_before;
     assert!(sent > 1_000, "workload too quiet: {sent} packets");

@@ -9,23 +9,36 @@
 //! regression into an immediate test failure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+// Per thread: libtest runs sibling tests on other threads, and their
+// allocations must not land in this test's count. `const`-initialised,
+// so reading it never allocates.
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(|c| c.get())
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(p, l, new)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
@@ -62,7 +75,7 @@ fn recorder_and_registry_steady_state_do_not_allocate() {
     }
     assert!(trace::trace_dropped() > 0, "ring must have wrapped during warm-up");
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..10_000u64 {
         let at = SimTime::from_nanos(i * 1000);
         trace::record(at, TraceKind::Send { from, to, len: 64 });
@@ -76,7 +89,7 @@ fn recorder_and_registry_steady_state_do_not_allocate() {
         reg.set_max(g_depth, i + 1);
         reg.observe(h_latency, i * 17 + 1);
     }
-    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocated = allocs() - before;
     assert_eq!(allocated, 0, "recorder/registry steady state allocated {allocated} times");
 
     // The events and counts are all there despite the zero-alloc path.
@@ -94,11 +107,11 @@ fn disabled_recorder_steady_state_does_not_allocate() {
     trace::disable();
     let from = Endpoint::new(HostId(1), 40);
     let to = Endpoint::new(HostId(2), 40);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..10_000u64 {
         trace::record(SimTime::from_nanos(i), TraceKind::Send { from, to, len: 64 });
     }
-    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocated = allocs() - before;
     assert_eq!(allocated, 0, "disabled recorder allocated {allocated} times");
     assert!(trace::last_events(4).is_empty());
 }

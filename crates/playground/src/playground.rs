@@ -15,8 +15,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 
 use snipe_crypto::sign::PublicKey;
-use snipe_netsim::actor::{Event, PortableActor, SimCtx};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
@@ -218,7 +217,7 @@ impl PlaygroundActor {
     }
 }
 
-impl PortableActor for PlaygroundActor {
+impl Actor for PlaygroundActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
@@ -286,40 +285,37 @@ impl PortableActor for PlaygroundActor {
     }
 }
 
-portable_actor!(PlaygroundActor);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bytecode::{Instr, Program};
     use crate::vm::{sys, CAP_EMIT};
     use snipe_crypto::sign::KeyPair;
-    use snipe_netsim::actor::{Actor, Ctx};
+    use snipe_netsim::actor::{Actor, SimCtx};
     use snipe_netsim::medium::Medium;
     use snipe_netsim::topology::{HostCfg, Topology};
     use snipe_netsim::world::World;
     use snipe_util::rng::Xoshiro256;
     use snipe_wire::frame::open;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use std::sync::{Arc, Mutex};
 
     struct Collector {
-        log: Rc<RefCell<Vec<PlaygroundMsg>>>,
+        log: Arc<Mutex<Vec<PlaygroundMsg>>>,
     }
 
     impl Actor for Collector {
-        fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: Event) {
+        fn on_event(&mut self, _ctx: &mut dyn SimCtx, event: Event) {
             if let Event::Packet { payload, .. } = event {
                 if let Ok((Proto::Raw, body)) = open(payload) {
                     if let Ok(m) = PlaygroundMsg::decode_from_bytes(body) {
-                        self.log.borrow_mut().push(m);
+                        self.log.lock().unwrap().push(m);
                     }
                 }
             }
         }
     }
 
-    fn setup() -> (World, Endpoint, snipe_util::id::HostId, Rc<RefCell<Vec<PlaygroundMsg>>>) {
+    fn setup() -> (World, Endpoint, snipe_util::id::HostId, Arc<Mutex<Vec<PlaygroundMsg>>>) {
         let mut topo = Topology::new();
         let net = topo.add_network("lan", Medium::ethernet100(), true);
         let h = topo.add_host(HostCfg::named("pg"));
@@ -327,7 +323,7 @@ mod tests {
         topo.attach(h, net);
         topo.attach(s, net);
         let mut world = World::new(topo, 1);
-        let log = Rc::new(RefCell::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         let sup_ep = Endpoint::new(s, 10);
         world.spawn(s, 10, Box::new(Collector { log: log.clone() }));
         (world, sup_ep, h, log)
@@ -365,7 +361,7 @@ mod tests {
         let pg = PlaygroundActor::new(cfg(&signer, sup), image, vec![]);
         world.spawn(h, 100, Box::new(pg));
         world.run_for(SimDuration::from_secs(1));
-        let log = log.borrow();
+        let log = log.lock().unwrap();
         assert!(
             matches!(&log[..], [PlaygroundMsg::Done { outputs, .. }] if outputs == &vec![42]),
             "{log:?}"
@@ -383,7 +379,7 @@ mod tests {
         let pg = PlaygroundActor::new(cfg(&signer, sup), image, vec![]);
         world.spawn(h, 100, Box::new(pg));
         world.run_for(SimDuration::from_secs(1));
-        let log = log.borrow();
+        let log = log.lock().unwrap();
         assert!(
             matches!(&log[..], [PlaygroundMsg::Failed { reason }] if reason.contains("image rejected")),
             "{log:?}"
@@ -404,7 +400,7 @@ mod tests {
         let pg = PlaygroundActor::new(cfg(&signer, sup), image, vec![]);
         world.spawn(h, 100, Box::new(pg));
         world.run_for(SimDuration::from_secs(1));
-        let log = log.borrow();
+        let log = log.lock().unwrap();
         assert!(
             matches!(&log[..], [PlaygroundMsg::Failed { reason }] if reason.contains("capabilities")),
             "{log:?}"
@@ -423,7 +419,7 @@ mod tests {
         let pg = PlaygroundActor::new(c, image, vec![]);
         world.spawn(h, 100, Box::new(pg));
         world.run_for(SimDuration::from_secs(1));
-        let log = log.borrow();
+        let log = log.lock().unwrap();
         assert!(
             matches!(&log[..], [PlaygroundMsg::Failed { reason }] if reason.contains("FuelExhausted")),
             "{log:?}"
@@ -463,7 +459,8 @@ mod tests {
         world.signal(None, pg_ep, SIG_CHECKPOINT);
         world.run_for(SimDuration::from_millis(5));
         let state = log
-            .borrow()
+            .lock()
+            .unwrap()
             .iter()
             .find_map(|m| match m {
                 PlaygroundMsg::Checkpoint { state } => Some(state.clone()),
@@ -478,7 +475,7 @@ mod tests {
         let pg2 = PlaygroundActor::from_checkpoint(cfg(&signer2, sup2), image, state).unwrap();
         world2.spawn(h2, 100, Box::new(pg2));
         world2.run_for(SimDuration::from_secs(60));
-        let log2 = log2.borrow();
+        let log2 = log2.lock().unwrap();
         assert!(
             matches!(&log2[..], [PlaygroundMsg::Done { outputs, .. }] if outputs == &vec![7]),
             "restored code must finish: {log2:?}"

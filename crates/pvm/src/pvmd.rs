@@ -12,8 +12,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Event, PortableActor, SimCtx};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::{SimDuration, SimTime};
@@ -46,7 +45,7 @@ pub struct PvmMaster {
     next_tid: Tid,
     next_spawn_slave: usize,
     /// When the master's single service queue is next free.
-    busy_until: SimTime,
+    cpu_free_at: SimTime,
     /// Replies waiting for their service turn, ordered by release time.
     deferred: Vec<(SimTime, Endpoint, Bytes)>,
     /// Requests served (diagnostics).
@@ -65,7 +64,7 @@ impl PvmMaster {
             tasks: HashMap::new(),
             next_tid: 1,
             next_spawn_slave: 0,
-            busy_until: SimTime::ZERO,
+            cpu_free_at: SimTime::ZERO,
             deferred: Vec::new(),
             served: 0,
             committed_version: 0,
@@ -82,9 +81,9 @@ impl PvmMaster {
     fn reply_after_service(&mut self, ctx: &mut dyn SimCtx, to: Endpoint, msg: &PvmMsg) {
         let now = ctx.now();
         let per_req = SERVICE_BASE + SERVICE_PER_HOST * self.slaves.len() as u64;
-        let start = if self.busy_until > now { self.busy_until } else { now };
+        let start = if self.cpu_free_at > now { self.cpu_free_at } else { now };
         let finish = start + per_req;
-        self.busy_until = finish;
+        self.cpu_free_at = finish;
         self.served += 1;
         self.deferred.push((finish, to, seal(Proto::Raw, msg.encode_to_bytes())));
         ctx.set_timer(finish.saturating_since(now), TIMER_FLUSH);
@@ -110,7 +109,7 @@ impl Default for PvmMaster {
     }
 }
 
-impl PortableActor for PvmMaster {
+impl Actor for PvmMaster {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Timer { token: TIMER_FLUSH } => self.flush_deferred(ctx),
@@ -268,7 +267,7 @@ impl PvmSlave {
     }
 }
 
-impl PortableActor for PvmSlave {
+impl Actor for PvmSlave {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
@@ -337,6 +336,3 @@ impl PortableActor for PvmSlave {
         }
     }
 }
-
-portable_actor!(PvmMaster);
-portable_actor!(PvmSlave);

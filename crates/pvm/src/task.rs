@@ -8,8 +8,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Event, PortableActor, SimCtx};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::{SimDuration, SimTime};
@@ -185,7 +184,7 @@ impl PvmTaskActor {
     }
 }
 
-impl PortableActor for PvmTaskActor {
+impl Actor for PvmTaskActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
@@ -253,5 +252,3 @@ impl PortableActor for PvmTaskActor {
         }
     }
 }
-
-portable_actor!(PvmTaskActor);

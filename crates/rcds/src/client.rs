@@ -265,8 +265,11 @@ impl RcClient {
 
     /// Retry / fail over requests whose deadline passed.
     pub fn on_timer(&mut self, now: SimTime) {
-        let expired: Vec<u64> =
+        let mut expired: Vec<u64> =
             self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(id, _)| *id).collect();
+        // Each retry rotates `preferred`, so the order decides which
+        // replica every request lands on: id order, not hash order.
+        expired.sort_unstable();
         for id in expired {
             let mut p = self.pending.remove(&id).expect("expired id present");
             if p.attempts >= self.max_attempts {
@@ -345,6 +348,29 @@ mod tests {
         let sends = c.drain_sends();
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].0, ep(2), "retry must target the next replica");
+    }
+
+    /// Each retry rotates the preferred replica, so when several
+    /// requests expire in one tick the retry *order* decides where each
+    /// lands. It must be request-id order (a replayable function of the
+    /// seed), never `HashMap` iteration order.
+    #[test]
+    fn simultaneous_expiries_retry_in_id_order() {
+        let mut c = RcClient::new(vec![ep(1), ep(2), ep(3)], SimDuration::from_millis(100));
+        let ids: Vec<u64> = (0..5).map(|i| c.get(SimTime::ZERO, &Uri::process(i))).collect();
+        assert!(c.drain_sends().iter().all(|(to, _)| *to == ep(1)));
+        c.on_timer(SimTime::ZERO + SimDuration::from_millis(150));
+        let retries: Vec<(u64, Endpoint)> = c
+            .drain_sends()
+            .into_iter()
+            .map(|(to, bytes)| match RcMsg::decode_from_bytes(bytes) {
+                Ok(RcMsg::Request { id, .. }) => (id, to),
+                other => panic!("retry is not a request: {other:?}"),
+            })
+            .collect();
+        let want: Vec<(u64, Endpoint)> =
+            ids.iter().zip([ep(2), ep(3), ep(1), ep(2), ep(3)]).map(|(&id, to)| (id, to)).collect();
+        assert_eq!(retries, want);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! reordering or crash/recovery — host state survives crashes as the
 //! paper's disk-backed servers did.
 
-use snipe_netsim::actor::{Event, PortableActor, SimCtx};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::SimDuration;
@@ -154,7 +153,7 @@ impl RcServerActor {
     }
 }
 
-impl PortableActor for RcServerActor {
+impl Actor for RcServerActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::HostUp => self.arm_timer(ctx),
@@ -223,5 +222,3 @@ impl PortableActor for RcServerActor {
         }
     }
 }
-
-portable_actor!(RcServerActor);

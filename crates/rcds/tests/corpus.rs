@@ -9,7 +9,7 @@
 //! decode_drops`) so chaos soaks can assert drops instead of silence.
 
 use bytes::Bytes;
-use snipe_netsim::actor::{Event, PortableActor, SimCtx};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::{Endpoint, Topology};
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
@@ -68,7 +68,7 @@ impl SimCtx for FakeCtx {
         &mut self,
         _host: HostId,
         _port: u16,
-        _actor: Box<dyn PortableActor>,
+        _actor: Box<dyn Actor>,
     ) -> Option<Endpoint> {
         None
     }

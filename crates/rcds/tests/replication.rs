@@ -2,8 +2,9 @@
 //! anti-entropy and availability through replica failover (paper §2.1,
 //! §6; basis of experiment E3).
 
-use snipe_netsim::actor::{Actor, Ctx, Event};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
+use snipe_netsim::shard::FaultCmd;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
@@ -32,7 +33,7 @@ const TIMER_SCRIPT: u64 = 100;
 const TIMER_RC: u64 = 101;
 
 impl ClientActor {
-    fn flush(&mut self, ctx: &mut Ctx<'_>) {
+    fn flush(&mut self, ctx: &mut dyn SimCtx) {
         for (to, bytes) in self.rc.drain_sends() {
             ctx.send(to, seal(Proto::Raw, bytes));
         }
@@ -50,7 +51,7 @@ impl ClientActor {
 }
 
 impl Actor for ClientActor {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 if !self.script.is_empty() {
@@ -154,7 +155,7 @@ fn client_fails_over_when_preferred_replica_dies() {
     world.spawn(client_host, 50, Box::new(writer));
     world.spawn(client_host, 51, Box::new(reader));
     let dead = eps[0].host;
-    world.schedule_fn(SimTime::ZERO + SimDuration::from_secs(1), move |w| w.host_down(dead));
+    world.schedule_fault(SimTime::ZERO + SimDuration::from_secs(1), FaultCmd::HostDown(dead));
     world.run_for(SimDuration::from_secs(4));
     let res = results.lock().unwrap();
     let get = res.iter().find(|(_, _, a)| !a.is_empty());
@@ -169,13 +170,13 @@ fn recovered_replica_catches_up() {
     // Kill replica 1 first; write to replica 0 while 1 is down; revive
     // 1; then read from 1 only.
     let dead = eps[1].host;
-    world.schedule_fn(SimTime::ZERO + SimDuration::from_millis(10), move |w| w.host_down(dead));
+    world.schedule_fault(SimTime::ZERO + SimDuration::from_millis(10), FaultCmd::HostDown(dead));
     let writer = ClientActor {
         rc: RcClient::new(vec![eps[0]], SimDuration::from_millis(50)),
         script: vec![(SimDuration::from_millis(100), Op::Put(uri.clone(), "k", "late"))],
         results: results.clone(),
     };
-    world.schedule_fn(SimTime::ZERO + SimDuration::from_secs(1), move |w| w.host_up(dead));
+    world.schedule_fault(SimTime::ZERO + SimDuration::from_secs(1), FaultCmd::HostUp(dead));
     let reader = ClientActor {
         rc: RcClient::new(vec![eps[1]], SimDuration::from_millis(50)),
         script: vec![(SimDuration::from_secs(3), Op::Get(uri.clone()))],

@@ -13,8 +13,7 @@ use bytes::Bytes;
 
 use snipe_crypto::cert::{CertClaim, Certificate, TrustPurpose, TrustStore};
 use snipe_crypto::sign::KeyPair;
-use snipe_netsim::actor::{Event, PortableActor, SimCtx, TimerGate};
-use snipe_netsim::portable_actor;
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::uri::Uri;
@@ -334,12 +333,15 @@ impl RmActor {
     /// Timeout path: retry missing spawns on other hosts, or fail.
     fn check_pending(&mut self, ctx: &mut dyn SimCtx) {
         let now = ctx.now();
-        let expired: Vec<u64> = self
+        let mut expired: Vec<u64> = self
             .pending
             .iter()
             .filter(|(_, p)| p.deadline <= now && !p.outstanding.is_empty())
             .map(|(k, _)| *k)
             .collect();
+        // Retries draw replacement hosts and fresh spawn ids in turn:
+        // id order, not hash order, or a seed does not replay.
+        expired.sort_unstable();
         for alloc_id in expired {
             let p = self.pending.get_mut(&alloc_id).expect("expired present");
             p.outstanding.clear();
@@ -462,7 +464,7 @@ impl RmActor {
     }
 }
 
-impl PortableActor for RmActor {
+impl Actor for RmActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::HostUp => self.refresh(ctx),
@@ -521,4 +523,116 @@ impl PortableActor for RmActor {
     }
 }
 
-portable_actor!(RmActor);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snipe_netsim::topology::Topology;
+    use snipe_util::id::NetId;
+
+    /// Records what the RM sends; everything else is inert.
+    struct FakeCtx {
+        now: SimTime,
+        sent: Vec<(Endpoint, Bytes)>,
+        rng: Xoshiro256,
+        topo: Topology,
+    }
+
+    impl SimCtx for FakeCtx {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn me(&self) -> Endpoint {
+            Endpoint::new(HostId(0), 1)
+        }
+        fn host(&self) -> HostId {
+            HostId(0)
+        }
+        fn send(&mut self, to: Endpoint, payload: Bytes) {
+            self.sent.push((to, payload));
+        }
+        fn send_via(&mut self, to: Endpoint, payload: Bytes, _via: NetId) {
+            self.sent.push((to, payload));
+        }
+        fn set_timer(&mut self, _delay: SimDuration, _token: u64) {}
+        fn spawn_portable(&mut self, _: HostId, _: u16, _: Box<dyn Actor>) -> Option<Endpoint> {
+            None
+        }
+        fn alloc_port(&mut self, _host: HostId) -> u16 {
+            9999
+        }
+        fn is_bound(&self, _ep: Endpoint) -> bool {
+            false
+        }
+        fn kill(&mut self, _ep: Endpoint) {}
+        fn signal(&mut self, _to: Endpoint, _signum: u32) {}
+        fn rng(&mut self) -> &mut Xoshiro256 {
+            &mut self.rng
+        }
+        fn topology(&self) -> &Topology {
+            &self.topo
+        }
+        fn host_up(&self, _h: HostId) -> bool {
+            true
+        }
+    }
+
+    /// Several allocations whose daemons never answer expire in one
+    /// tick. Their retries draw spawn ids from one counter and their
+    /// failures are replies on the wire, so both must come out in
+    /// allocation-id order, never `HashMap` iteration order.
+    #[test]
+    fn simultaneous_expiries_retry_and_fail_in_id_order() {
+        let mut rm = RmActor::new(RmConfig::new(vec![]));
+        for i in 0..12u32 {
+            rm.hosts.push(HostInfo {
+                hostname: format!("w{i:02}"),
+                daemon: Endpoint::new(HostId(10 + i), 7),
+                cpu_factor: 1.0,
+                load: 0.0,
+                arch: String::new(),
+            });
+        }
+        let mut ctx = FakeCtx {
+            now: SimTime::ZERO,
+            sent: Vec::new(),
+            rng: Xoshiro256::seed_from_u64(7),
+            topo: Topology::new(),
+        };
+        let client = Endpoint::new(HostId(1), 40);
+        let spec = SpawnSpec::program("idle", Bytes::new());
+        for req_id in 1..=4u64 {
+            rm.handle_alloc(&mut ctx, client, req_id, spec.clone(), 1, AllocMode::Active);
+        }
+        // Two rounds of retries: one fresh spawn id per allocation,
+        // handed out oldest allocation first.
+        for _ in 0..2 {
+            ctx.now += rm.cfg.spawn_timeout + SimDuration::from_micros(1);
+            rm.check_pending(&mut ctx);
+            let mut by_alloc: Vec<(u64, u64)> = rm
+                .pending
+                .iter()
+                .map(|(alloc, p)| (*alloc, *p.outstanding.keys().next().expect("one retry each")))
+                .collect();
+            by_alloc.sort_unstable();
+            assert_eq!(by_alloc.len(), 4);
+            assert!(by_alloc.windows(2).all(|w| w[0].1 < w[1].1), "spawn ids: {by_alloc:?}");
+        }
+        ctx.sent.clear();
+        // Third expiry: every allocation fails, replies oldest first.
+        ctx.now += rm.cfg.spawn_timeout + SimDuration::from_micros(1);
+        rm.check_pending(&mut ctx);
+        let failed: Vec<u64> = ctx
+            .sent
+            .iter()
+            .map(|(to, b)| {
+                assert_eq!(*to, client);
+                let (_, body) = open(b.clone()).expect("sealed");
+                match RmMsg::decode_from_bytes(body) {
+                    Ok(RmMsg::AllocResp { req_id, ok: false, .. }) => req_id,
+                    other => panic!("expected a failed allocation, got {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(failed, vec![1, 2, 3, 4]);
+    }
+}

@@ -8,8 +8,9 @@ use snipe_crypto::sign::KeyPair;
 use snipe_daemon::proto::SpawnSpec;
 use snipe_daemon::registry::ProgramRegistry;
 use snipe_daemon::{DaemonActor, DaemonConfig};
-use snipe_netsim::actor::{Actor, Ctx, Event, PortableActor, SimCtx};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
+use snipe_netsim::shard::FaultCmd;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_rcds::server::RcServerActor;
@@ -23,7 +24,7 @@ use snipe_wire::ports;
 use std::sync::{Arc, Mutex};
 
 struct Idle;
-impl PortableActor for Idle {
+impl Actor for Idle {
     fn on_event(&mut self, _ctx: &mut dyn SimCtx, _event: Event) {}
 }
 
@@ -33,7 +34,7 @@ struct Driver {
 }
 
 impl Actor for Driver {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
                 if !self.script.is_empty() {
@@ -205,9 +206,10 @@ fn dead_worker_worked_around() {
     // Kill the least-loaded (first-ranked) worker before the request:
     // the RM will pick it first, time out, and retry on another host.
     let w0 = world.topology().host_by_name("w0").unwrap();
-    world.schedule_fn(snipe_util::time::SimTime::ZERO + SimDuration::from_millis(2500), move |w| {
-        w.host_down(w0)
-    });
+    world.schedule_fault(
+        snipe_util::time::SimTime::ZERO + SimDuration::from_millis(2500),
+        FaultCmd::HostDown(w0),
+    );
     let driver = Driver {
         script: vec![(
             SimDuration::from_secs(3),

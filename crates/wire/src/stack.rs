@@ -145,8 +145,8 @@ fn stack_registry() -> (Registry, [CounterId; FrameError::COUNT], CounterId, Cou
 
 impl WireStack {
     /// New stack for a process with the given stable key.
-    /// Compile-time proof that a whole stack can live inside a `Send`
-    /// actor hosted on the sharded engine.
+    /// Compile-time proof that a whole stack can live inside an actor
+    /// (actors are `Send`: any worker thread may drive their region).
     const _ASSERT_SEND: () = {
         const fn assert_send<T: Send>() {}
         assert_send::<WireStack>()

@@ -8,23 +8,36 @@
 //! global allocator makes any regression an immediate test failure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+// Per thread: libtest runs sibling tests on other threads, and their
+// allocations must not land in this test's count. `const`-initialised,
+// so reading it never allocates.
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(|c| c.get())
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(l)
     }
     unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(l)
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(p, l, new)
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
@@ -69,7 +82,7 @@ fn steady_state_peer_queries_do_not_allocate() {
     stack.on_timer(now);
     let _ = stack.drain();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..10_000 {
         keys.clear();
         stack.known_peers_into(&mut keys);
@@ -77,7 +90,7 @@ fn steady_state_peer_queries_do_not_allocate() {
         stack.peers_in_trouble_into(1, &mut trouble);
         stack.on_timer(now);
     }
-    let allocated = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocated = allocs() - before;
 
     assert_eq!(keys.len(), PEERS as usize);
     assert!(trouble.is_empty(), "no peer has timed out");

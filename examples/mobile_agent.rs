@@ -10,7 +10,7 @@
 
 use bytes::Bytes;
 use snipe::crypto::sign::KeyPair;
-use snipe::netsim::actor::{Actor, Ctx, Event};
+use snipe::netsim::actor::{Actor, Event, SimCtx};
 use snipe::netsim::medium::Medium;
 use snipe::netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe::netsim::world::World;
@@ -31,7 +31,7 @@ struct Supervisor {
 }
 
 impl Actor for Supervisor {
-    fn on_event(&mut self, _ctx: &mut Ctx<'_>, event: Event) {
+    fn on_event(&mut self, _ctx: &mut dyn SimCtx, event: Event) {
         if let Event::Packet { payload, .. } = event {
             if let Ok((Proto::Raw, body)) = open(payload) {
                 if let Ok(m) = PlaygroundMsg::decode_from_bytes(body) {

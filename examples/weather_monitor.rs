@@ -130,15 +130,10 @@ fn main() {
 
     // Crash sensor host 1 at t=6s: the feed must keep flowing.
     let h1 = world.sim_ref().topology().host_by_name("host1").unwrap();
-    world.sim().schedule_fn(
-        snipe::util::time::SimTime::ZERO + SimDuration::from_secs(6),
-        move |w| {
-            println!(">>> host1 (sensor 1) crashes");
-            w.host_down(h1);
-        },
-    );
-
-    world.run_for_secs(14);
+    world.run_for_secs(6);
+    println!(">>> host1 (sensor 1) crashes");
+    world.sim().host_down(h1);
+    world.run_for_secs(8);
 
     println!("\n--- console fetches ---");
     for (status, body) in responses.lock().unwrap().iter() {

@@ -17,34 +17,9 @@ use snipe::util::rng::Xoshiro256;
 use snipe::util::time::{SimDuration, SimTime};
 use snipe::wire::frag::{split, ReassemblySet};
 use snipe::wire::srudp::{Srudp, SrudpConfig};
-use snipe_netsim::actor::{Actor, Ctx, Event};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
-
-/// Timer-driven flooder for the route-cache A/B test: bursts to a peer
-/// every millisecond and echoes whatever comes back.
-struct Flood {
-    peer: Endpoint,
-    burst: usize,
-}
-
-impl Actor for Flood {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: Event) {
-        match event {
-            Event::Start | Event::Timer { .. } => {
-                for _ in 0..self.burst {
-                    ctx.send(self.peer, Bytes::from_static(b"flood"));
-                }
-                ctx.set_timer(SimDuration::from_millis(1), 1);
-            }
-            Event::Packet { from, payload } if from.host != ctx.host() => {
-                ctx.send(from, payload);
-            }
-            _ => {}
-        }
-    }
-}
 
 proptest! {
     #[test]
@@ -267,53 +242,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn netstats_identical_with_route_cache_on_and_off(seed in any::<u64>()) {
-        // E7-style run (dual-homed pair, mid-run blackhole and repair):
-        // the route cache is a pure memo, so every traffic counter must
-        // be identical whether it is enabled or not.
-        let run = |cache: bool| {
-            let mut topo = Topology::new();
-            let eth = topo.add_network("eth", Medium::ethernet100(), true);
-            let atm = topo.add_network("atm", Medium::atm155(), false);
-            let mut hosts = Vec::new();
-            for i in 0..4 {
-                let h = topo.add_host(HostCfg::named(format!("h{i}")));
-                topo.attach(h, eth);
-                if i % 2 == 0 {
-                    topo.attach(h, atm);
-                }
-                hosts.push(h);
-            }
-            let mut w = World::new(topo, seed);
-            w.set_route_cache(cache);
-            for (i, &h) in hosts.iter().enumerate() {
-                let peer = Endpoint::new(hosts[(i + 1) % hosts.len()], 30);
-                w.spawn(h, 30, Box::new(Flood { peer, burst: 3 }));
-            }
-            let flapper = hosts[1];
-            w.schedule_fn(SimTime::ZERO + SimDuration::from_millis(20),
-                          move |w| w.set_net_loss(eth, Some(0.3)));
-            w.schedule_fn(SimTime::ZERO + SimDuration::from_millis(40),
-                          move |w| w.host_down(flapper));
-            w.schedule_fn(SimTime::ZERO + SimDuration::from_millis(60),
-                          move |w| { w.host_up(flapper); w.set_net_loss(eth, None); });
-            w.run_for(SimDuration::from_millis(100));
-            (w.stats().clone(), eth, atm)
-        };
-        let (on, eth, atm) = run(true);
-        let (off, _, _) = run(false);
-        prop_assert_eq!(on.sent, off.sent);
-        prop_assert_eq!(on.delivered, off.delivered);
-        prop_assert_eq!(on.events, off.events);
-        prop_assert_eq!(on.total_drops(), off.total_drops());
-        prop_assert_eq!(on.bytes_on(eth), off.bytes_on(eth));
-        prop_assert_eq!(on.bytes_on(atm), off.bytes_on(atm));
-        // The memo did real work in the cached run.
-        prop_assert_eq!(off.engine.route_cache_hits, 0);
-        prop_assert!(on.engine.route_cache_hits > 0);
     }
 
     #[test]

@@ -148,14 +148,12 @@ fn same_seed_is_bit_identical_different_seed_is_not() {
         w.register_process("producer", |_| Box::new(Producer { remaining: 30 }));
         w.spawn_on("host1", "collector", Bytes::new()).unwrap();
         w.spawn_on("host2", "producer", Bytes::new()).unwrap();
-        // Random failure injection driven by the world seed.
+        // Random failure injection driven by the seed.
         let h2 = w.sim_ref().topology().host_by_name("host2").unwrap();
         let at = snipe::util::time::SimTime::ZERO + SimDuration::from_secs(2);
-        w.sim().schedule_fn(at, move |world| {
-            if world.rng().gen_bool(0.5) {
-                world.host_down(h2);
-            }
-        });
+        if snipe::util::rng::Xoshiro256::seed_from_u64(seed).gen_bool(0.5) {
+            w.sim().schedule_fault(at, snipe::netsim::shard::FaultCmd::HostDown(h2));
+        }
         w.run_for_secs(10);
         let stats = w.sim_ref().stats();
         (stats.events, stats.delivered, format!("{:?}", log.lock().unwrap()))
