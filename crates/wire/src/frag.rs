@@ -120,16 +120,19 @@ impl Reassembly {
     /// Panics if not [`Self::complete`].
     pub fn assemble(mut self) -> Bytes {
         assert!(self.complete(), "assembling incomplete message");
+        // Complete means every slot is `Some`: the `flatten`s and the
+        // `unwrap_or_default` below never skip or default anything.
+        //
         // A message that fit in one fragment needs no concatenation:
         // hand the original buffer back without copying (the common
         // case for sub-MTU traffic).
         if self.frags.len() == 1 {
-            return self.frags[0].take().expect("complete");
+            return self.frags[0].take().unwrap_or_default();
         }
-        let total: usize = self.frags.iter().map(|f| f.as_ref().expect("complete").len()).sum();
+        let total: usize = self.frags.iter().flatten().map(|f| f.len()).sum();
         let mut out = Vec::with_capacity(total);
-        for f in self.frags {
-            out.extend_from_slice(&f.expect("complete"));
+        for f in self.frags.iter().flatten() {
+            out.extend_from_slice(f);
         }
         Bytes::from(out)
     }
@@ -210,8 +213,7 @@ impl ReassemblySet {
             r.last_activity = now;
         }
         if r.complete() {
-            let r = self.msgs.remove(&msg_id).expect("present");
-            Ok(Some(r.assemble()))
+            Ok(self.msgs.remove(&msg_id).map(Reassembly::assemble))
         } else {
             Ok(None)
         }

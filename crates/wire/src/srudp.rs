@@ -123,7 +123,8 @@ struct FecMeta {
     b: u8,
     /// Original message length (strips the last chunk's padding).
     msg_len: u32,
-    /// FNV-1a over the original message, verified after reconstruction.
+    /// [`fec::msg_checksum`] of the original message, verified after
+    /// reconstruction.
     checksum: u32,
 }
 
@@ -375,7 +376,7 @@ impl Srudp {
                     msg_len: msg.len() as u32,
                     checksum: fec::msg_checksum(&msg),
                 };
-                (fec::encode(&msg, b)?, Some(meta))
+                (fec::encode_bytes(&msg, b)?, Some(meta))
             } else {
                 (split(&msg, frag_size)?, None)
             };
@@ -472,7 +473,7 @@ impl Srudp {
             // take the next untransmitted fragment (skipping fragments
             // already acknowledged, e.g. after an imported checkpoint
             // reset the cursor).
-            loop {
+            let m = loop {
                 let Some(m) = peer.queue.get_mut(peer.pump_hint) else {
                     return;
                 };
@@ -480,11 +481,10 @@ impl Srudp {
                     m.next_tx += 1;
                 }
                 if m.next_tx < m.frags.len() {
-                    break;
+                    break m;
                 }
                 peer.pump_hint += 1;
-            }
-            let m = peer.queue.get_mut(peer.pump_hint).expect("cursor in range");
+            };
             let idx = m.next_tx;
             m.next_tx += 1;
             let frag = m.frags[idx].clone();
@@ -650,7 +650,13 @@ impl Srudp {
                 }
             }
             (None, Some(meta)) if peer.reasm.received(msg_id) >= meta.b as usize => {
-                let shares = peer.reasm.take(msg_id).expect("quorum present");
+                // Cannot fire: the guard's `received(msg_id) >= b >= 1`
+                // is only nonzero while the partial exists.
+                let Some(shares) = peer.reasm.take(msg_id) else {
+                    return Err(SnipeError::Protocol(format!(
+                        "FEC quorum for msg {msg_id} vanished before reconstruction"
+                    )));
+                };
                 match Self::fec_reconstruct(&mut self.stats, meta, &shares) {
                     Ok(msg) => Some(msg),
                     Err(e) => {
@@ -869,6 +875,7 @@ impl Srudp {
                         resend.push((idx, m.frags[idx as usize].clone()));
                     }
                 }
+                // Invariant: `m` above was borrowed out of this very entry.
                 let peer = self.peers.get_mut(&src_key).expect("peer exists");
                 for (idx, frag) in resend {
                     let count_total = peer
@@ -917,18 +924,19 @@ impl Srudp {
 
     fn update_rtt(peer: &mut Peer, sample: SimDuration, cfg: &SrudpConfig) {
         // RFC 6298 style.
-        match peer.srtt {
+        let srtt = match peer.srtt {
             None => {
-                peer.srtt = Some(sample);
                 peer.rttvar = sample / 2;
+                sample
             }
             Some(srtt) => {
                 let diff = if srtt > sample { srtt - sample } else { sample - srtt };
                 peer.rttvar = (peer.rttvar * 3 + diff) / 4;
-                peer.srtt = Some((srtt * 7 + sample) / 8);
+                (srtt * 7 + sample) / 8
             }
-        }
-        let rto = peer.srtt.expect("just set") + peer.rttvar * 4;
+        };
+        peer.srtt = Some(srtt);
+        let rto = srtt + peer.rttvar * 4;
         peer.rto = rto.clamp(cfg.rto_min, cfg.rto_max);
     }
 
@@ -1224,6 +1232,8 @@ impl Srudp {
         peer.rto = (rto * 2).clamp(self.cfg.rto_min, self.cfg.rto_max);
         let mut gave_up: Vec<u64> = Vec::new();
         for (msg_id, idx) in expired {
+            // Invariant: `expired` was collected from `inflight`'s own
+            // keys just above and nothing has been removed since.
             let f = peer.inflight.get_mut(&(msg_id, idx)).expect("expired entry");
             if f.retries >= self.cfg.max_retries {
                 gave_up.push(msg_id);
