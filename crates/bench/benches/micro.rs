@@ -103,7 +103,7 @@ fn bench_srudp(c: &mut Criterion) {
                         break;
                     }
                     if !moved {
-                        now = now + SimDuration::from_millis(10);
+                        now += SimDuration::from_millis(10);
                         a.on_timer(now);
                     }
                 }

@@ -238,14 +238,16 @@ impl StalenessProbe {
 impl Actor for StalenessProbe {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start | Event::Timer { token: TIMER_PROBE } => {
-                if self.visible_at.lock().unwrap().is_none() {
-                    let now = ctx.now();
-                    self.rc.get(now, &self.uri);
-                    self.flush(ctx);
-                    ctx.set_timer(SimDuration::from_millis(10), TIMER_PROBE);
-                }
+            Event::Start | Event::Timer { token: TIMER_PROBE }
+                if self.visible_at.lock().unwrap().is_none() =>
+            {
+                let now = ctx.now();
+                self.rc.get(now, &self.uri);
+                self.flush(ctx);
+                ctx.set_timer(SimDuration::from_millis(10), TIMER_PROBE);
             }
+            // A probe tick already pending when the value became visible.
+            Event::Timer { token: TIMER_PROBE } => {}
             Event::Timer { .. } => {
                 self.rc.on_timer(ctx.now());
                 self.flush(ctx);

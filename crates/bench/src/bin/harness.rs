@@ -2,16 +2,20 @@
 //! paper's evaluation (see DESIGN.md §4 for the index).
 //!
 //! ```text
-//! cargo run -p snipe-bench --release --bin harness            # everything
+//! cargo run -p snipe-bench --release --bin harness            # the paper set
 //! cargo run -p snipe-bench --release --bin harness -- f1 e3   # selected
+//! cargo run -p snipe-bench --release --bin harness -- chaos 4 # with operands
 //! ```
 //!
-//! Output goes to stdout and `results/<exp>.txt`.
+//! Every word naming a row of [`COMMANDS`] starts a command; the words
+//! after it are that command's operands. Output goes to stdout and
+//! `results/`; a command clears only the files it writes. An unknown
+//! command prints the table and exits 2.
 
 use snipe_bench::report::{mbps, Table};
 use snipe_bench::{
-    ablations, chaos, chaos_shard, e2_mpiconnect, e3_availability, e4_scalability, e5_migration,
-    e6_multicast, e7_failover, e8_spof, engine, fig1, par_map, rcds_bench, shard_storm,
+    ablations, chaos, e2_mpiconnect, e3_availability, e4_scalability, e5_migration, e6_multicast,
+    e7_failover, e8_spof, engine, fig1, par_map, rcds_bench, shard_storm,
 };
 use snipe_util::time::SimDuration;
 
@@ -111,7 +115,7 @@ fn run_e4() {
 /// thread-count invariant; wall-clock is what threads buy. Writes
 /// `results/bench_e4_shard.json`.
 fn run_e4_shard() -> bool {
-    let _ = std::fs::remove_file("results/e4_shard.txt");
+    fresh("e4_shard.txt");
     let (clusters, per_cluster, seed) = (6usize, 8usize, 40u64);
     let points: Vec<_> = [1usize, 2, 4, 8]
         .iter()
@@ -158,28 +162,31 @@ fn run_e4_shard() -> bool {
     ok
 }
 
+/// Operands of the two digest commands: `<threads> [seed]` (seed 42
+/// by default).
+fn threads_and_seed(name: &str, rest: &[String]) -> Option<(usize, u64)> {
+    let parsed = match rest {
+        [threads] => threads.parse().ok().zip(Some(42)),
+        [threads, seed] => threads.parse().ok().zip(parse_seed(seed)),
+        _ => None,
+    };
+    let parsed = parsed.filter(|&(threads, _)| threads > 0);
+    if parsed.is_none() {
+        eprintln!("usage: harness {name} <threads> [seed]");
+    }
+    parsed
+}
+
 /// `harness full-proto-digest <threads> [seed]`: run the chaos-free
 /// full-protocol campus workload (daemons + RCDS + files + RM) for a
 /// fixed virtual duration and print the engine digest plus the sorted
 /// application log. The `shard-determinism` gate byte-compares the
 /// whole output across thread counts.
 fn run_full_proto_digest(rest: &[String]) -> bool {
-    let Some(threads) = rest.first().and_then(|s| s.parse::<usize>().ok()).filter(|t| *t > 0)
-    else {
-        eprintln!("usage: harness full-proto-digest <threads> [seed]");
+    let Some((threads, seed)) = threads_and_seed("full-proto-digest", rest) else {
         return false;
     };
-    let seed = match rest.get(1) {
-        Some(s) => match parse_seed(s) {
-            Some(seed) => seed,
-            None => {
-                eprintln!("unparseable seed {s:?}");
-                return false;
-            }
-        },
-        None => 42,
-    };
-    let (digest, lines) = chaos_shard::full_protocol_sharded(seed, threads, 20);
+    let (digest, lines) = chaos::full_protocol_calm(seed, Some(threads), 20);
     println!("{digest:#018x}");
     for l in &lines {
         println!("{l}");
@@ -286,6 +293,7 @@ fn run_a1() {
 /// flight. Writes `results/bench_fec.json` and fails if FEC is not
 /// strictly ahead at every loss rate ≥ 5%.
 fn run_fec() -> bool {
+    fresh("fec.txt");
     const SEEDS: [u64; 3] = [11, 12, 13];
     const LOSSES: [f64; 6] = [0.0, 0.02, 0.05, 0.10, 0.15, 0.20];
     let mut jobs = Vec::new();
@@ -450,16 +458,41 @@ fn run_engine() {
     let _ = std::fs::write("results/bench_engine.json", json);
 }
 
-/// The chaos soak (C1): fan seeded fault plans over every workload,
-/// demand green oracles, then prove the oracles have teeth by catching
-/// the planted migration-freeze bug and shrinking its plan.
-fn run_chaos(seeds_per_workload: u64) -> bool {
+fn print_dump(what: &str, dump: Option<&String>) {
+    if let Some(dump) = dump {
+        println!("  flight recorder — last {} events {what}:", chaos::TRACE_DUMP_EVENTS);
+        for line in dump.lines() {
+            println!("    {line}");
+        }
+    }
+}
+
+/// `harness chaos [seeds-per-workload]` (C1): fan seeded fault plans
+/// over every workload row, demand green oracles (and, on multi-region
+/// rows, equal digests at two thread counts), then prove the oracles
+/// have teeth by catching the planted migration-freeze bug and
+/// shrinking its plan.
+fn run_chaos(rest: &[String]) -> bool {
+    let seeds = match rest {
+        [] => Some(16),
+        [n] => n.parse::<u64>().ok().filter(|n| *n > 0),
+        _ => None,
+    };
+    let Some(seeds) = seeds else {
+        eprintln!("usage: harness chaos [seeds-per-workload]");
+        return false;
+    };
+    chaos_soak(seeds)
+}
+
+fn chaos_soak(seeds_per_workload: u64) -> bool {
+    fresh("chaos.txt");
     let runs = chaos::soak(seeds_per_workload);
     let mut t = Table::new(
         "C1: chaos soak — seeded fault plans vs invariant oracles",
-        &["workload", "plan seed", "wseed", "ops", "packet", "verdict"],
+        &["workload", "plan seed", "wseed", "ops", "packet", "regions", "digest", "verdict"],
     );
-    let mut failures = Vec::new();
+    let failures: Vec<_> = runs.iter().filter(|r| !r.violations.is_empty()).collect();
     for r in &runs {
         t.row(vec![
             r.workload.to_string(),
@@ -467,25 +500,16 @@ fn run_chaos(seeds_per_workload: u64) -> bool {
             format!("{:#x}", r.workload_seed),
             format!("{}", r.ops),
             format!("{}", r.packet),
+            format!("{}", r.regions),
+            format!("{:#x}", r.digest),
             if r.violations.is_empty() { "green".into() } else { "VIOLATED".into() },
         ]);
-        if !r.violations.is_empty() {
-            failures.push(r.clone());
-        }
     }
     t.emit("chaos.txt");
     for f in &failures {
         println!("VIOLATION in {}: {}", f.workload, f.violations[0]);
         println!("  {}", f.replay);
-        if let Some(dump) = &f.trace_dump {
-            println!(
-                "  flight recorder — last {} events before the verdict:",
-                chaos::TRACE_DUMP_EVENTS
-            );
-            for line in dump.lines() {
-                println!("    {line}");
-            }
-        }
+        print_dump("before the verdict", f.trace_dump.as_ref());
     }
 
     let drill = chaos::planted_bug_drill(8);
@@ -498,40 +522,40 @@ fn run_chaos(seeds_per_workload: u64) -> bool {
     if drill.caught {
         println!("planted bug caught: {}", drill.first_violation);
         println!("  {}", drill.replay);
-        if let Some(dump) = &drill.trace_dump {
-            println!(
-                "  flight recorder — last {} events of the shrunk replay:",
-                chaos::TRACE_DUMP_EVENTS
-            );
-            for line in dump.lines() {
-                println!("    {line}");
-            }
-        }
+        print_dump("of the shrunk replay", drill.trace_dump.as_ref());
     } else {
         println!("planted bug NOT caught — the oracle layer has a blind spot");
     }
 
-    let per_workload: Vec<String> = chaos::ALL_WORKLOADS
+    let per_workload: Vec<String> = chaos::WORKLOADS
         .iter()
         .map(|w| {
-            let bad =
-                runs.iter().filter(|r| r.workload == w.name() && !r.violations.is_empty()).count();
+            let mine = || runs.iter().filter(|r| r.workload == w.name);
             format!(
-                "    {{\"workload\": \"{}\", \"plans\": {}, \"violations\": {}}}",
-                w.name(),
+                "    {{\"workload\": \"{}\", \"plans\": {}, \"regions\": {}, \
+                 \"violations\": {}, \"digest_divergences\": {}, \"metrics\": {}}}",
+                w.name,
                 seeds_per_workload,
-                bad
+                mine().next().map_or(0, |r| r.regions),
+                mine().filter(|r| !r.violations.is_empty()).count(),
+                mine().filter(|r| r.diverged).count(),
+                chaos::trace_metrics_json(mine(), 4).trim_end(),
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"chaos_soak\",\n  \"plans\": {},\n  \"violations\": {},\n  \"workloads\": [\n{}\n  ],\n  \"planted_bug_caught\": {},\n  \"planted_bug_replay\": \"{}\",\n  \"metrics\": {}\n}}\n",
+        "{{\n  \"experiment\": \"chaos_soak\",\n  \"plans\": {},\n  \"violations\": {},\n  \
+         \"digest_divergences\": {},\n  \"workloads\": [\n{}\n  ],\n  \
+         \"planted_bug_caught\": {},\n  \"planted_bug_replay\": \"{}\",\n  \
+         \"metrics_one_region\": {},\n  \"metrics\": {}\n}}\n",
         runs.len(),
         failures.len(),
+        runs.iter().filter(|r| r.diverged).count(),
         per_workload.join(",\n"),
         drill.caught,
         drill.replay.replace('"', "'"),
-        chaos::aggregate_metrics_json(&runs, 2).trim_end(),
+        chaos::trace_metrics_json(runs.iter().filter(|r| r.regions == 1), 2).trim_end(),
+        chaos::trace_metrics_json(&runs, 2).trim_end(),
     );
     let _ = std::fs::create_dir_all("results");
     let _ = std::fs::write("results/chaos.json", json);
@@ -549,36 +573,38 @@ fn parse_seed(s: &str) -> Option<u64> {
 }
 
 /// `harness trace <plan-seed> <workload-seed> [workload]`: replay any
-/// chaos run with the flight recorder armed and print the full trace,
-/// green or not. Defaults to replaying the seed pair against every
-/// workload; name one (as printed in replay lines) to narrow it.
+/// chaos run with the flight recorder armed and print the full trace
+/// (merged across regions on a multi-region row) and the digest, green
+/// or not. Defaults to replaying the seed pair against every workload;
+/// name one (as printed in replay lines) to narrow it.
 fn run_trace(rest: &[String]) -> bool {
-    let (Some(plan_seed), Some(workload_seed)) =
-        (rest.first().and_then(|s| parse_seed(s)), rest.get(1).and_then(|s| parse_seed(s)))
-    else {
+    let names = || chaos::WORKLOADS.iter().map(|w| w.name).collect::<Vec<_>>().join(", ");
+    let (Some(plan_seed), Some(workload_seed), true) = (
+        rest.first().and_then(|s| parse_seed(s)),
+        rest.get(1).and_then(|s| parse_seed(s)),
+        rest.len() <= 3,
+    ) else {
         eprintln!("usage: harness trace <plan-seed> <workload-seed> [workload]");
-        eprintln!("workloads: {}", chaos::ALL_WORKLOADS.map(|w| w.name()).join(", "));
+        eprintln!("workloads: {}", names());
         return false;
     };
-    let workloads: Vec<chaos::Workload> = match rest.get(2) {
+    let workloads: Vec<&chaos::Workload> = match rest.get(2) {
         Some(name) => match chaos::Workload::from_name(name) {
             Some(w) => vec![w],
             None => {
-                eprintln!(
-                    "unknown workload {name:?}; expected one of: {}",
-                    chaos::ALL_WORKLOADS.map(|w| w.name()).join(", ")
-                );
+                eprintln!("unknown workload {name:?}; expected one of: {}", names());
                 return false;
             }
         },
-        None => chaos::ALL_WORKLOADS.to_vec(),
+        None => chaos::WORKLOADS.iter().collect(),
     };
     let mut ok = true;
     for w in workloads {
         let r = chaos::trace_one(w, plan_seed, workload_seed);
         println!("=== {} | {}", r.workload, r.replay);
         println!("{}", r.trace_dump.as_deref().unwrap_or("(no events recorded)"));
-        println!("event totals: {}", r.metrics_json.trim_end());
+        println!("event totals: {}", chaos::trace_metrics_json([&r], 6).trim_end());
+        println!("regions: {}  digest: {:#018x}", r.regions, r.digest);
         if r.violations.is_empty() {
             println!("verdict: green");
         } else {
@@ -607,16 +633,26 @@ const GATE_TRIALS: usize = 7;
 /// compile-folded out of the same tree -- the hot path as it was before
 /// the flight recorder landed) so machine-load drift cancels out of the
 /// comparison.
-fn run_engine_probe() {
+fn run_engine_probe() -> bool {
     assert!(!snipe_netsim::trace::enabled(), "probe measures the recorder-disabled configuration");
     let r = engine::storm("probe", 32, SimDuration::from_secs(2), 42);
     println!("{:.0}", r.events_per_sec);
+    true
 }
 
 /// `harness engine-gate <baseline-events-per-sec>`: best-of-N of the
 /// recorder-disabled storm must reach [`GATE_FRACTION`] of `baseline`
 /// (an `engine-probe` reading from the `obs-off` build of this tree).
-fn run_engine_gate(baseline: f64) -> bool {
+fn run_engine_gate(rest: &[String]) -> bool {
+    let baseline = match rest {
+        [b] => b.parse::<f64>().ok().filter(|b| *b > 0.0),
+        _ => None,
+    };
+    let Some(baseline) = baseline else {
+        eprintln!("usage: harness engine-gate <baseline-events-per-sec>");
+        eprintln!("(get the baseline from `harness engine-probe` built with --features obs-off)");
+        return false;
+    };
     assert!(!snipe_netsim::trace::enabled(), "gate measures the recorder-disabled configuration");
     let sim = SimDuration::from_secs(2);
     let mut best = 0.0f64;
@@ -644,9 +680,7 @@ fn run_engine_gate(baseline: f64) -> bool {
 /// counts at each size (determinism is not optional in a benchmark
 /// that exists to prove it). Writes `results/bench_shard.json`.
 fn run_shard() -> bool {
-    // Early-return dispatch skips main()'s per-experiment cleanup, and
-    // Table::emit appends — clear our own file or reruns stack tables.
-    let _ = std::fs::remove_file("results/shard.txt");
+    fresh("shard.txt");
     let mut t = Table::new(
         "SHARD: sharded-engine storm scaling, hosts x worker threads",
         &[
@@ -733,78 +767,11 @@ fn run_shard() -> bool {
 /// `shard-determinism` gate in `scripts/check.sh` compares the output
 /// at 1 and 4 threads byte-for-byte.
 fn run_shard_digest(rest: &[String]) -> bool {
-    let Some(threads) = rest.first().and_then(|s| s.parse::<usize>().ok()).filter(|t| *t > 0)
-    else {
-        eprintln!("usage: harness shard-digest <threads> [seed]");
+    let Some((threads, seed)) = threads_and_seed("shard-digest", rest) else {
         return false;
-    };
-    let seed = match rest.get(1) {
-        Some(s) => match parse_seed(s) {
-            Some(seed) => seed,
-            None => {
-                eprintln!("unparseable seed {s:?}");
-                return false;
-            }
-        },
-        None => 42,
     };
     println!("{:#018x}", shard_storm::digest_run(threads, seed));
     true
-}
-
-/// `harness shard-soak [seeds-per-workload]` (C2): seeded fault plans
-/// against the sharded-engine workloads, every run doubled at a second
-/// thread count as a differential determinism check.
-fn run_shard_soak(seeds_per_workload: u64) -> bool {
-    let _ = std::fs::remove_file("results/chaos_shard.txt");
-    let runs = chaos_shard::soak(seeds_per_workload);
-    let mut t = Table::new(
-        "C2: sharded-engine chaos soak — fault plans vs engine-level oracles",
-        &["workload", "plan seed", "wseed", "ops", "packet", "digest", "verdict"],
-    );
-    let mut failures = Vec::new();
-    for r in &runs {
-        t.row(vec![
-            r.workload.to_string(),
-            format!("{:#x}", r.plan_seed),
-            format!("{:#x}", r.workload_seed),
-            format!("{}", r.ops),
-            format!("{}", r.packet),
-            format!("{:#x}", r.digest),
-            if r.violations.is_empty() { "green".into() } else { "VIOLATED".into() },
-        ]);
-        if !r.violations.is_empty() {
-            failures.push(r.clone());
-        }
-    }
-    t.emit("chaos_shard.txt");
-    for f in &failures {
-        println!("VIOLATION in {}: {}", f.workload, f.violations[0]);
-        println!("  {}", f.replay);
-    }
-    let per_workload: Vec<String> = chaos_shard::ALL_SHARD_WORKLOADS
-        .iter()
-        .map(|w| {
-            let bad =
-                runs.iter().filter(|r| r.workload == w.name() && !r.violations.is_empty()).count();
-            format!(
-                "    {{\"workload\": \"{}\", \"plans\": {}, \"violations\": {}}}",
-                w.name(),
-                seeds_per_workload,
-                bad
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"chaos_shard_soak\",\n  \"hosts\": {},\n  \"plans\": {},\n  \"violations\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        chaos_shard::SOAK_HOSTS,
-        runs.len(),
-        failures.len(),
-        per_workload.join(",\n"),
-    );
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/chaos_shard.json", json);
-    failures.is_empty()
 }
 
 /// `harness rcds` (RCDS): register [`rcds_bench::NAMES`] names into the
@@ -812,6 +779,7 @@ fn run_shard_soak(seeds_per_workload: u64) -> bool {
 /// the metrics registry. The check.sh gate requires ≥1M registered
 /// names and a written `results/bench_rcds.json`.
 fn run_rcds() -> bool {
+    fresh("bench_rcds.txt");
     let r = rcds_bench::run(rcds_bench::NAMES);
     let mut t = Table::new(
         "RCDS: sharded metadata plane — 1M-name registration and resolution",
@@ -855,135 +823,164 @@ fn run_rcds() -> bool {
     ok
 }
 
+/// Remove the `results/<file>` a command is about to regenerate
+/// ([`Table::emit`] appends).
+fn fresh(file: &str) {
+    let _ = std::fs::remove_file(format!("results/{file}"));
+}
+
+/// An experiment without operands that regenerates `results/<file>`.
+fn plain(rest: &[String], file: &str, run: fn()) -> bool {
+    if let Some(extra) = rest.first() {
+        eprintln!("unexpected operand {extra:?}");
+        return false;
+    }
+    fresh(file);
+    run();
+    true
+}
+
+type Command = (&'static str, fn(&[String]) -> bool);
+
+/// Every subcommand. A command returns `false` on bad operands or a
+/// failed gate.
+const COMMANDS: &[Command] = &[
+    ("f1", |r| plain(r, "f1.txt", run_f1)),
+    ("e2", |r| plain(r, "e2.txt", run_e2)),
+    ("e3", |r| plain(r, "e3.txt", run_e3)),
+    ("e4", |r| plain(r, "e4.txt", run_e4)),
+    ("e5", |r| plain(r, "e5.txt", run_e5)),
+    ("e6", |r| plain(r, "e6.txt", run_e6)),
+    ("e7", |r| plain(r, "e7.txt", run_e7)),
+    ("e8", |r| plain(r, "e8.txt", run_e8)),
+    ("a1", |r| plain(r, "a1.txt", run_a1)),
+    ("a2", |r| plain(r, "a2.txt", run_a2)),
+    ("a3", |r| plain(r, "a3.txt", run_a3)),
+    ("engine", |r| plain(r, "engine.txt", run_engine)),
+    ("chaos", run_chaos),
+    // Bounded gate for CI: 2 plans per workload plus the drill.
+    ("chaos-smoke", |r| r.is_empty() && chaos_soak(2)),
+    ("trace", run_trace),
+    ("fec", |r| r.is_empty() && run_fec()),
+    ("rcds", |r| r.is_empty() && run_rcds()),
+    ("shard", |r| r.is_empty() && run_shard()),
+    ("shard-digest", run_shard_digest),
+    ("full-proto-digest", run_full_proto_digest),
+    ("e4-shard", |r| r.is_empty() && run_e4_shard()),
+    ("engine-probe", |r| r.is_empty() && run_engine_probe()),
+    ("engine-gate", run_engine_gate),
+];
+
+/// What bare `harness` regenerates: the paper's figures and tables, the
+/// ablations, the engine storm and the full chaos soak.
+fn paper_set() -> Vec<String> {
+    let set = ["f1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a2", "a3", "engine", "chaos"];
+    set.map(String::from).to_vec()
+}
+
+/// Split `args` into `(command, operands)` runs: every word naming a
+/// row of `table` starts a command, the words after it are its
+/// operands. `Err` carries a leading word that names no command.
+fn parse<'a>(
+    table: &[Command],
+    args: &'a [String],
+) -> Result<Vec<(Command, &'a [String])>, &'a str> {
+    let find = |word: &str| table.iter().find(|c| c.0 == word).copied();
+    let mut runs = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let cmd = find(&args[i]).ok_or(args[i].as_str())?;
+        let operands = args[i + 1..].iter().take_while(|w| find(w).is_none()).count();
+        runs.push((cmd, &args[i + 1..i + 1 + operands]));
+        i += 1 + operands;
+    }
+    Ok(runs)
+}
+
+/// Run `args` (the paper set when empty) against `table`; returns the
+/// process exit code: 0, 1 if a command failed, 2 — with nothing run —
+/// if a word where a command belongs names none.
+fn dispatch(table: &[Command], args: &[String]) -> i32 {
+    let paper_set = paper_set();
+    match parse(table, if args.is_empty() { &paper_set } else { args }) {
+        Err(word) => {
+            let names: Vec<&str> = table.iter().map(|c| c.0).collect();
+            eprintln!("unknown command {word:?}; commands: {}", names.join(", "));
+            2
+        }
+        Ok(runs) => {
+            let failed = runs.into_iter().filter(|(cmd, operands)| !(cmd.1)(operands)).count();
+            i32::from(failed > 0)
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("rcds") {
-        let _ = std::fs::remove_file("results/bench_rcds.txt");
-        if !run_rcds() {
-            std::process::exit(1);
+    std::process::exit(dispatch(COMMANDS, &args));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Mutex;
+
+    static RAN: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
+    /// Record the call; the fake command named `gate` fails.
+    fn note(name: &str, rest: &[String]) -> bool {
+        RAN.lock().unwrap().push(format!("{name}{rest:?}"));
+        name != "gate"
+    }
+
+    const FAKE: &[Command] = &[
+        ("chaos", |r| note("chaos", r)),
+        ("chaos-smoke", |r| note("chaos-smoke", r)),
+        ("e5", |r| note("e5", r)),
+        ("gate", |r| note("gate", r)),
+    ];
+
+    fn words(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    /// A typo must not be a vacuous pass: nothing runs, exit code 2 —
+    /// wherever a command is expected, not only in first position.
+    #[test]
+    fn unknown_command_runs_nothing_and_exits_2() {
+        assert!(parse(FAKE, &words("chaos-smok")).is_err());
+        assert!(parse(COMMANDS, &words("chaos-smok")).is_err());
+        let before = RAN.lock().unwrap().len();
+        assert_eq!(dispatch(FAKE, &words("chaos-smok")), 2);
+        assert_eq!(dispatch(FAKE, &words("soak 4")), 2);
+        assert_eq!(RAN.lock().unwrap().len(), before, "a command ran");
+        // Operands go to the command before them; a failed command is 1.
+        assert_eq!(dispatch(FAKE, &words("chaos 4 e5")), 0);
+        assert_eq!(dispatch(FAKE, &words("e5 gate")), 1);
+        let ran = RAN.lock().unwrap()[before..].join(" ");
+        assert_eq!(ran, r#"chaos["4"] e5[] e5[] gate[]"#);
+        // Bare `harness` is the paper set, every word of it a command.
+        assert_eq!(parse(COMMANDS, &paper_set()).map(|runs| runs.len()), Ok(13));
+        // A stray operand on an operand-less experiment is refused.
+        assert_eq!(dispatch(COMMANDS, &words("e5 e55")), 1);
+    }
+
+    /// A command regenerates its own files and leaves every other
+    /// artefact in `results/` alone.
+    #[test]
+    fn a_command_clears_only_the_files_it_writes() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join(format!("../../target/tmp/harness-test-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("results")).unwrap();
+        std::env::set_current_dir(&dir).unwrap();
+        for f in ["bench_shard.json", "e6.txt", "e5.txt"] {
+            std::fs::write(format!("results/{f}"), "stale").unwrap();
         }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("shard") {
-        if !run_shard() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("shard-digest") {
-        if !run_shard_digest(&args[1..]) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("shard-soak") {
-        let seeds = args.get(1).and_then(|a| a.parse::<u64>().ok()).unwrap_or(4);
-        if !run_shard_soak(seeds) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("full-proto-digest") {
-        if !run_full_proto_digest(&args[1..]) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("e4-shard") {
-        if !run_e4_shard() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("trace") {
-        if !run_trace(&args[1..]) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("fec") {
-        let _ = std::fs::remove_file("results/fec.txt");
-        if !run_fec() {
-            std::process::exit(1);
-        }
-        println!("done. tables written under results/");
-        return;
-    }
-    if args.first().map(String::as_str) == Some("engine-probe") {
-        run_engine_probe();
-        return;
-    }
-    if args.first().map(String::as_str) == Some("engine-gate") {
-        let Some(baseline) = args.get(1).and_then(|a| a.parse::<f64>().ok()).filter(|b| *b > 0.0)
-        else {
-            eprintln!("usage: harness engine-gate <baseline-events-per-sec>");
-            eprintln!(
-                "(get the baseline from `harness engine-probe` built with --features obs-off)"
-            );
-            std::process::exit(1);
-        };
-        if !run_engine_gate(baseline) {
-            std::process::exit(1);
-        }
-        return;
-    }
-    let all = args.is_empty();
-    let want = |k: &str| all || args.iter().any(|a| a == k);
-    if all {
-        // Fresh full run: clear old tables. Selective runs append /
-        // replace only their own files.
-        let _ = std::fs::remove_dir_all("results");
-    } else {
-        for a in &args {
-            let _ = std::fs::remove_file(format!("results/{a}.txt"));
-        }
-    }
-    if want("f1") {
-        run_f1();
-    }
-    if want("e2") {
-        run_e2();
-    }
-    if want("e3") {
-        run_e3();
-    }
-    if want("e4") {
-        run_e4();
-    }
-    if want("e5") {
-        run_e5();
-    }
-    if want("e6") {
-        run_e6();
-    }
-    if want("e7") {
-        run_e7();
-    }
-    if want("e8") {
-        run_e8();
-    }
-    if want("a1") {
-        run_a1();
-    }
-    if want("a2") {
-        run_a2();
-    }
-    if want("a3") {
-        run_a3();
-    }
-    if want("engine") {
-        run_engine();
-    }
-    let mut chaos_ok = true;
-    if args.iter().any(|a| a == "chaos-smoke") {
-        // Bounded gate for CI: 2 plans per workload plus the drill.
-        let _ = std::fs::remove_file("results/chaos.txt");
-        chaos_ok = run_chaos(2);
-    } else if want("chaos") {
-        chaos_ok = run_chaos(16);
-    }
-    println!("done. tables written under results/");
-    if !chaos_ok {
-        std::process::exit(1);
+        assert_eq!(dispatch(COMMANDS, &words("e5")), 0);
+        assert_eq!(std::fs::read_to_string("results/bench_shard.json").unwrap(), "stale");
+        assert_eq!(std::fs::read_to_string("results/e6.txt").unwrap(), "stale");
+        let e5 = std::fs::read_to_string("results/e5.txt").unwrap();
+        assert!(e5.starts_with("== E5") && !e5.contains("stale"), "{e5}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

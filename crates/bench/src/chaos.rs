@@ -1,18 +1,34 @@
 //! C1 — the chaos soak: adversarial fault plans vs invariant oracles.
 //!
-//! Each workload wires one of the paper's experiment shapes (E7-style
-//! failover transfer, E5 migration, E3-style replicated metadata, E6
-//! multicast) to a seeded [`ChaosPlan`] and, after the plan quiesces,
-//! asserts the cross-stack invariants in [`crate::oracles`]. A failing
-//! `(plan_seed, workload_seed)` pair replays bit-for-bit and is greedily
-//! shrunk to a minimal violating plan.
+//! A workload is data: a row of [`WORKLOADS`] names a [`ChaosShape`]
+//! (the fault envelope its contract tolerates), a *stage* and a *body*.
+//! The body is the experiment — it spawns the real actors of one of the
+//! paper's shapes (E7-style failover transfer, Fig. 1 stream, FEC
+//! spray, E5 migration, E3-style replicated metadata, E6 multicast, a
+//! striped read under replica crashes, the full protocol stack) onto
+//! the world it is handed, binds the seeded [`ChaosPlan`] to its cast,
+//! drives to done-or-deadline and judges with [`crate::oracles`]. The
+//! stage is the placement — it builds that world and says who plays
+//! where: a bespoke one-region LAN, or the multi-region campus with the
+//! cast spread over regions (`…@campus` rows) so every exchange crosses
+//! the engine's region mailbox.
+//!
+//! [`run_one`] runs a row with the flight recorder armed; when the
+//! world it ran on turned out to have more than one region it re-runs
+//! the plan at a second thread count and demands the same digest. A
+//! failing `(plan_seed, workload_seed)` pair replays bit-for-bit, is
+//! greedily shrunk to a minimal violating plan, and gets pinned in
+//! [`REGRESSION_CORPUS`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use snipe_core::SnipeWorldBuilder;
+use snipe_core::api::TicketResult;
+use snipe_core::{
+    ProcessActor, SnipeApi, SnipeProcess, SnipeWorld, SnipeWorldBuilder, SpawnTarget,
+};
 use snipe_files::{FetchActor, FileServerActor, FileServerConfig};
 use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::chaos::{shrink_plan, ChaosBinding, ChaosOp, ChaosPlan, ChaosShape};
@@ -25,24 +41,23 @@ use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::server::RcServerActor;
 use snipe_rcds::uri::Uri;
-use snipe_util::id::NetId;
+use snipe_util::id::{HostId, NetId};
 use snipe_util::metrics::Registry;
 use snipe_util::time::{SimDuration, SimTime};
-use snipe_wire::fec::FragStrategy;
+use snipe_wire::fec::{msg_checksum, FragStrategy};
 use snipe_wire::frame::{open, seal, Proto};
-use snipe_wire::mcast::{majority, McastMember, McastMsg, McastRouter};
 use snipe_wire::ports;
 use snipe_wire::rstream::RstreamConfig;
 use snipe_wire::stack::StackConfig;
-use snipe_wire::Out;
 
+use crate::e6_multicast::{self, MemberActor};
 use crate::fig1::{
     FecReceiver, FecSender, RstreamReceiver, RstreamSender, SrudpReceiver, SrudpSender,
 };
-use crate::oracles;
-use crate::{e5_migration, par_map};
+use crate::shard_storm::cluster_topology;
+use crate::{e5_migration, oracles, par_map};
 
-/// How long a workload may sit with zero progress while a physical path
+/// How long a transfer may sit with zero progress while a physical path
 /// exists before the liveness watchdog declares a violation.
 const STALL_LIMIT: SimDuration = SimDuration::from_secs(10);
 
@@ -50,221 +65,600 @@ const STALL_LIMIT: SimDuration = SimDuration::from_secs(10);
 /// recovery (covers full RTO escalation to `rto_max` plus anti-entropy).
 const RECOVERY_TAIL: SimDuration = SimDuration::from_secs(30);
 
-/// Queue-population bounds for the engine oracle: residual events after
-/// quiesce (steady-state timers only) and peak depth during the run.
+/// Per-region bounds for [`oracles::check_bounded`]: residual events
+/// after quiesce (steady-state timers only), peak depth during the run
+/// and mailbox items routed into one region in one round.
 const MAX_RESIDUAL_EVENTS: usize = 512;
 const MAX_PEAK_DEPTH: u64 = 250_000;
+const MAX_MAILBOX_BURST: u64 = 10_000;
 
-/// The chaos workloads, one per experiment family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Workload {
-    /// E7-shape: dual-homed SRUDP bulk transfer with route pinning.
-    SrudpTransfer,
-    /// Fig.1-shape: RSTREAM bulk transfer under host flaps and packet
-    /// chaos (exercises the stream driver's timer re-arm paths).
-    RstreamTransfer,
-    /// E5-shape: process migration under a message stream.
-    Migration,
-    /// E3-shape: replicated metadata with crash/restart servers.
-    RcdsConverge,
-    /// E6-shape: majority-routed multicast (duplication/reorder chaos).
-    Mcast,
-    /// FEC-shape: erasure-coded message stream with shares sprayed
-    /// across two media, under loss-burst / gray-link plans; the
-    /// integrity oracle proves a corrupted reconstruction is never
-    /// delivered.
-    FecSpray,
-    /// PR10-shape: replicated metadata *and* a striped file read while
-    /// RCDS servers and file replicas crash/restart mid-lookup and
-    /// mid-transfer; convergence, content-integrity and exactly-once
-    /// stripe completion must all hold.
-    ReplicaCrash,
+/// Worker threads of every primary run, and of the differential re-run
+/// a multi-region run gets (the digests must match).
+const SOAK_THREADS: usize = 4;
+const DIFF_THREADS: usize = 1;
+
+/// Hosts of the campus the `@campus` rows of the bare-engine bodies run
+/// on (16 regions of 64).
+const CAMPUS_HOSTS: usize = 1000;
+
+const fn secs(s: u64) -> SimDuration {
+    SimDuration::from_secs(s)
 }
 
-/// Every workload, in soak order.
-pub const ALL_WORKLOADS: [Workload; 7] = [
-    Workload::SrudpTransfer,
-    Workload::RstreamTransfer,
-    Workload::Migration,
-    Workload::RcdsConverge,
-    Workload::Mcast,
-    Workload::FecSpray,
-    Workload::ReplicaCrash,
+const fn ms(m: u64) -> SimDuration {
+    SimDuration::from_millis(m)
+}
+
+// ---------------------------------------------------------------------------
+// Stages: the world a body runs on and who plays where
+// ---------------------------------------------------------------------------
+
+/// What a stage hands a body. Everything that differs between two
+/// placements of one body is a value here, never a branch there.
+struct Stage<W> {
+    world: W,
+    /// The cast's hosts, in the order the body documents.
+    cast: Vec<HostId>,
+    /// Networks the plan's net-level faults rotate over.
+    nets: Vec<NetId>,
+    /// Ranked routes the multi-path bodies pin (`None`: single-homed
+    /// cast, the engine routes).
+    pin: Option<Vec<NetId>>,
+    /// How much the body pushes through this placement — bytes for the
+    /// transfers, messages for the spray — sized so the run spans the
+    /// shape's fault horizon at this placement's bandwidth and latency.
+    work: usize,
+    /// Payload bytes the sender keeps in flight.
+    window: usize,
+}
+
+/// The simulator under a stage's world.
+trait Arena {
+    fn sim(&mut self) -> &mut World;
+}
+
+impl Arena for World {
+    fn sim(&mut self) -> &mut World {
+        self
+    }
+}
+
+impl Arena for SnipeWorld {
+    fn sim(&mut self) -> &mut World {
+        SnipeWorld::sim(self)
+    }
+}
+
+impl<W: Arena> Stage<W> {
+    /// Bind the plan's abstract targets to this placement and schedule
+    /// it: `flappable` cast members may crash (and their interfaces
+    /// flap), net-level faults rotate over the stage's networks, `procs`
+    /// may be crashed and respawned. The shape decides which of these
+    /// classes the plan actually contains.
+    fn bind(
+        &mut self,
+        plan: &ChaosPlan,
+        flappable: &[HostId],
+        procs: Vec<(Endpoint, ActorFactory)>,
+    ) {
+        let world = self.world.sim();
+        let ifaces = {
+            let topo = world.topology();
+            let of = |h: HostId| topo.host(h).interfaces.iter().map(move |i| (h, i.net));
+            flappable.iter().flat_map(|&h| of(h)).collect()
+        };
+        let binding =
+            ChaosBinding { hosts: flappable.to_vec(), nets: self.nets.clone(), ifaces, procs };
+        plan.apply(world, &binding);
+    }
+}
+
+/// A one-region LAN: `hosts` hosts, each attached to every one of
+/// `media` in order (the first routable, the rest not). The cast is
+/// every host; net faults rotate over every medium.
+fn lan(wseed: u64, media: &[Medium], hosts: usize) -> Stage<World> {
+    let mut topo = Topology::new();
+    let nets: Vec<NetId> = media
+        .iter()
+        .enumerate()
+        .map(|(i, m)| topo.add_network(format!("net{i}"), m.clone(), i == 0))
+        .collect();
+    let cast = (0..hosts)
+        .map(|i| {
+            let h = topo.add_host(HostCfg::named(format!("h{i}")));
+            for &n in &nets {
+                topo.attach(h, n);
+            }
+            h
+        })
+        .collect();
+    Stage { world: World::new(topo, wseed), cast, nets, pin: None, work: 0, window: 0 }
+}
+
+/// The [`CAMPUS_HOSTS`]-host campus over its natural partition, the
+/// cast at the given host ids (64 per cluster, so `h / 64` is a host's
+/// region). Net faults rotate over the first six cluster LANs.
+fn campus(wseed: u64, threads: usize, cast: &[u32]) -> Stage<World> {
+    Stage {
+        world: World::sharded(cluster_topology(CAMPUS_HOSTS), wseed, threads),
+        cast: cast.iter().map(|&h| HostId(h)).collect(),
+        nets: (0..6).map(NetId).collect(),
+        pin: None,
+        work: 0,
+        window: 0,
+    }
+}
+
+/// A full SNIPE runtime with the cast at the named hosts; net faults
+/// rotate over every network of the world.
+fn snipe(mut world: SnipeWorld, cast: &[&str]) -> Stage<SnipeWorld> {
+    let (cast, nets) = {
+        let topo = world.sim().topology();
+        let host = |n: &&str| topo.host_by_name(n).expect("cast host exists in the stage's world");
+        (cast.iter().map(host).collect(), (0..topo.net_count() as u32).map(NetId).collect())
+    };
+    Stage { world, cast, nets, pin: None, work: 0, window: 0 }
+}
+
+/// The full-protocol cast: publisher, three subscribers, and the host
+/// the publisher's daemon-spawned child lands on — five regions.
+const FP_CAST: [&str; 5] = ["c0h1", "c3h1", "c4h1", "c5h1", "c4h2"];
+
+/// The full-protocol campus: six clusters (regions) of eight hosts.
+fn fp_campus(wseed: u64) -> SnipeWorldBuilder {
+    SnipeWorldBuilder::campus(6, 8, wseed)
+}
+
+// ---------------------------------------------------------------------------
+// The workload table
+// ---------------------------------------------------------------------------
+
+type Body<W> = fn(&mut Stage<W>, &ChaosPlan, &str) -> Vec<String>;
+
+/// A stage paired with a body over the same kind of world.
+enum Play {
+    /// Bare engine world: the body spawns raw actors.
+    Net(fn(u64, usize) -> Stage<World>, Body<World>),
+    /// Full SNIPE runtime: the body spawns SNIPE processes.
+    Snipe(fn(u64, usize) -> Stage<SnipeWorld>, Body<SnipeWorld>),
+}
+
+/// One chaos workload: a body staged somewhere, under a fault envelope.
+pub struct Workload {
+    /// Stable name used in replay lines and reports; `@campus` marks a
+    /// multi-region placement of the body the bare name runs on a LAN.
+    pub name: &'static str,
+    shape: fn() -> ChaosShape,
+    play: Play,
+}
+
+/// Every workload, in soak order: the LAN placements first, then the
+/// campus ones. Each campus row is also the check of an engine
+/// contract: cross-region mailbox routing and fault dispatch to the
+/// owning region (all of them), per-region bounds (all of them),
+/// interface flaps of hosts in two regions (`srudp-transfer@campus`,
+/// `rstream-transfer@campus`, `fec-spray@campus`), six flapping LANs
+/// and host flaps in three regions at once (`rcds-converge@campus`),
+/// fan-out over nine regions (`mcast@campus`), spawn inside a region
+/// while a peer streams in from another (`migration@campus`), restart
+/// inside a region (`rcds-converge@campus`, `replica-crash@campus`).
+pub static WORKLOADS: [Workload; 15] = [
+    // E7-shape: dual-homed SRUDP bulk transfer with route pinning. 64
+    // MiB is ~3.4 s at ATM rate against the 5 s horizon, so faults land
+    // mid-flight, not on an idle world.
+    Workload {
+        name: "srudp-transfer",
+        shape: || ChaosShape {
+            horizon: secs(5),
+            hosts: 2,
+            nets: 2,
+            ifaces: 4,
+            jitter_max: ms(20),
+            ..ChaosShape::default()
+        },
+        play: Play::Net(
+            |s, _| Stage {
+                pin: Some(vec![NetId(1), NetId(0)]),
+                work: 64 << 20,
+                window: 64 * 1400,
+                ..lan(s, &[Medium::ethernet100(), Medium::atm155()], 2)
+            },
+            srudp_transfer,
+        ),
+    },
+    // Fig.1-shape: RSTREAM bulk transfer on a single network (RSTREAM
+    // does not fail over routes); host and interface flaps plus packet
+    // chaos are in contract — the stream must resume once connectivity
+    // heals. 32 MiB is ~2.7 s at Ethernet rate.
+    Workload {
+        name: "rstream-transfer",
+        shape: || ChaosShape {
+            horizon: secs(5),
+            hosts: 2,
+            ifaces: 2,
+            jitter_max: ms(20),
+            ..ChaosShape::default()
+        },
+        play: Play::Net(
+            |s, _| Stage {
+                work: 32 << 20,
+                window: 64 * 1400,
+                ..lan(s, &[Medium::ethernet100()], 2)
+            },
+            rstream_transfer,
+        ),
+    },
+    // E5-shape: process migration under a message stream. No host
+    // crashes: SNIPE processes exit when their host does (the paper's
+    // contract), which would kill the cast.
+    Workload {
+        name: "migration",
+        shape: || ChaosShape {
+            horizon: secs(4),
+            max_ops: 4,
+            corrupt_max: 0.02,
+            jitter_max: ms(10),
+            ..ChaosShape::default()
+        },
+        play: Play::Snipe(
+            |s, _| snipe(SnipeWorldBuilder::lan(4, s).build(), &["host1", "host3", "host2"]),
+            migration,
+        ),
+    },
+    // E3-shape: replicated metadata with crash/restart servers.
+    Workload {
+        name: "rcds-converge",
+        shape: || ChaosShape { horizon: secs(8), hosts: 3, procs: 3, ..ChaosShape::default() },
+        play: Play::Net(|s, _| lan(s, &[Medium::ethernet100()], 4), rcds_converge),
+    },
+    // E6-shape: majority-routed multicast. Routers relay unreliably:
+    // only duplication, reordering and gray degradation are within
+    // contract (corruption/loss of every redundant copy may drop a
+    // message, which §5.4 does not promise to survive). The one host
+    // eligible for flapping is the *source* — it must resume its paced
+    // stream after recovery.
+    Workload {
+        name: "mcast",
+        shape: || ChaosShape {
+            horizon: secs(3),
+            hosts: 1,
+            max_ops: 4,
+            packet_prob: 0.9,
+            corrupt_max: 0.0,
+            duplicate_max: 0.3,
+            reorder_max: 0.3,
+            jitter_max: ms(15),
+            ..ChaosShape::default()
+        },
+        play: Play::Net(|s, _| lan(s, &[Medium::ethernet100()], 9), mcast),
+    },
+    // FEC-shape: 200 × 7000-byte messages, each split into 9 erasure
+    // shares sprayed across two WAN paths. With ~2 messages pipelined
+    // the stream is latency-bound (~7 s at a 72 ms RTT), so the plan's
+    // loss bursts and gray links land on live traffic for the whole
+    // horizon. No host crashes, but both networks may flap, gray out,
+    // burst-lose and partition, and per-packet corruption, duplication
+    // and reordering run hot: the envelope share-spraying is built for.
+    Workload {
+        name: "fec-spray",
+        shape: || ChaosShape {
+            horizon: secs(8),
+            nets: 2,
+            ifaces: 4,
+            packet_prob: 0.9,
+            duplicate_max: 0.15,
+            reorder_max: 0.15,
+            jitter_max: ms(20),
+            ..ChaosShape::default()
+        },
+        play: Play::Net(
+            |s, _| Stage {
+                pin: Some(vec![NetId(0), NetId(1)]),
+                work: 200,
+                window: 26_000,
+                ..lan(s, &[Medium::wan(), Medium::wan()], 2)
+            },
+            fec_spray,
+        ),
+    },
+    // Both planes under fire: host flaps over every replica, process
+    // crash/restart of RC servers (fresh empty store; anti-entropy
+    // repopulates) and of file servers (fresh process, disk contents
+    // survive), while a client writes metadata and another stripes a
+    // read across the replicas.
+    Workload {
+        name: "replica-crash",
+        shape: || ChaosShape { horizon: secs(8), hosts: 6, procs: 6, ..ChaosShape::default() },
+        play: Play::Net(|s, _| lan(s, &[Medium::ethernet100()], 7), replica_crash),
+    },
+    // The campus placements. The transfers are stop-and-wait per
+    // message across two cluster LANs (~1 ms round trip), so they are
+    // latency-bound and span most of their horizon.
+    Workload {
+        name: "srudp-transfer@campus",
+        shape: || ChaosShape {
+            horizon: secs(2),
+            hosts: 2,
+            nets: 4,
+            ifaces: 2,
+            jitter_max: ms(20),
+            ..ChaosShape::default()
+        },
+        play: Play::Net(
+            |s, t| Stage { work: 12 << 20, window: 1, ..campus(s, t, &[3, 200]) },
+            srudp_transfer,
+        ),
+    },
+    Workload {
+        name: "rstream-transfer@campus",
+        shape: || ChaosShape {
+            horizon: secs(2),
+            hosts: 2,
+            nets: 4,
+            ifaces: 2,
+            jitter_max: ms(20),
+            ..ChaosShape::default()
+        },
+        play: Play::Net(
+            |s, t| Stage { work: 16 << 20, window: 16 * 1024, ..campus(s, t, &[70, 400]) },
+            rstream_transfer,
+        ),
+    },
+    // Intra-region move (spawn is region-guarded) with the streamer in
+    // another region; both of their LANs are in the fault set.
+    Workload {
+        name: "migration@campus",
+        shape: || ChaosShape {
+            horizon: secs(4),
+            nets: 3,
+            max_ops: 4,
+            corrupt_max: 0.02,
+            jitter_max: ms(10),
+            ..ChaosShape::default()
+        },
+        play: Play::Snipe(
+            |s, t| {
+                let world = SnipeWorldBuilder::campus(4, 4, s).build_sharded(t);
+                snipe(world, &["c2h1", "c2h2", "c0h1"])
+            },
+            migration,
+        ),
+    },
+    // Three replicas in three regions, the client in a fourth.
+    Workload {
+        name: "rcds-converge@campus",
+        shape: || ChaosShape {
+            horizon: secs(5),
+            hosts: 3,
+            nets: 6,
+            ifaces: 3,
+            procs: 3,
+            ..ChaosShape::default()
+        },
+        play: Play::Net(|s, t| campus(s, t, &[10, 74, 138, 222]), rcds_converge),
+    },
+    // Five routers, three members and the source in nine regions.
+    Workload {
+        name: "mcast@campus",
+        shape: || ChaosShape {
+            horizon: secs(3),
+            hosts: 1,
+            nets: 2,
+            max_ops: 4,
+            packet_prob: 0.9,
+            corrupt_max: 0.0,
+            duplicate_max: 0.3,
+            reorder_max: 0.3,
+            jitter_max: ms(15),
+            ..ChaosShape::default()
+        },
+        play: Play::Net(|s, t| campus(s, t, &[64, 128, 192, 256, 320, 384, 448, 512, 0]), mcast),
+    },
+    // The real `FragStrategy::Fec` driver between two regions: endpoint
+    // and interface flaps, net faults and hot packet chaos — including
+    // corruption — are all in contract.
+    Workload {
+        name: "fec-spray@campus",
+        shape: || ChaosShape {
+            horizon: secs(2),
+            hosts: 2,
+            nets: 4,
+            ifaces: 2,
+            duplicate_max: 0.15,
+            reorder_max: 0.15,
+            jitter_max: ms(20),
+            ..ChaosShape::default()
+        },
+        play: Play::Net(
+            |s, t| Stage { work: 1500, window: 0, ..campus(s, t, &[10, 300]) },
+            fec_spray,
+        ),
+    },
+    // The full SNIPE stack (daemons, RCDS, files, RM) on a 48-host
+    // campus. Only net partitions and per-packet chaos are in envelope
+    // (host flaps would kill the cast, see `migration`).
+    Workload {
+        name: "full-protocol",
+        shape: || ChaosShape {
+            horizon: secs(4),
+            nets: 3,
+            max_ops: 4,
+            corrupt_max: 0.02,
+            jitter_max: ms(10),
+            ..ChaosShape::default()
+        },
+        play: Play::Snipe(|s, t| snipe(fp_campus(s).build_sharded(t), &FP_CAST), full_protocol),
+    },
+    // Process crash/restart of three RC and three file servers spread
+    // over three regions, net partitions and packet chaos; every RC
+    // sync, stripe request and anti-entropy push crosses regions.
+    Workload {
+        name: "replica-crash@campus",
+        shape: || ChaosShape {
+            horizon: secs(4),
+            nets: 3,
+            procs: 6,
+            max_ops: 4,
+            corrupt_max: 0.02,
+            jitter_max: ms(10),
+            ..ChaosShape::default()
+        },
+        play: Play::Net(|s, t| campus(s, t, &[10, 74, 138, 20, 84, 148, 30]), replica_crash),
+    },
 ];
 
 impl Workload {
-    /// Stable name used in replay lines and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Workload::SrudpTransfer => "srudp-transfer",
-            Workload::RstreamTransfer => "rstream-transfer",
-            Workload::Migration => "migration",
-            Workload::RcdsConverge => "rcds-converge",
-            Workload::Mcast => "mcast",
-            Workload::FecSpray => "fec-spray",
-            Workload::ReplicaCrash => "replica-crash",
-        }
-    }
-
     /// Inverse of [`Workload::name`] — resolves the workload named in a
-    /// replay line (for the `harness trace` subcommand).
-    pub fn from_name(name: &str) -> Option<Workload> {
-        ALL_WORKLOADS.iter().copied().find(|w| w.name() == name)
+    /// replay line or a corpus entry.
+    pub fn from_name(name: &str) -> Option<&'static Workload> {
+        WORKLOADS.iter().find(|w| w.name == name)
     }
 
     /// The fault envelope this workload's contract tolerates.
     pub fn shape(&self) -> ChaosShape {
-        match self {
-            Workload::SrudpTransfer => ChaosShape {
-                horizon: SimDuration::from_secs(5),
-                hosts: 2,
-                nets: 2,
-                ifaces: 4,
-                procs: 0,
-                max_ops: 6,
-                jitter_max: SimDuration::from_millis(20),
-                ..ChaosShape::default()
-            },
-            // Single network (RSTREAM does not fail over routes); host
-            // and interface flaps plus packet chaos are in contract —
-            // the stream must resume once connectivity heals.
-            Workload::RstreamTransfer => ChaosShape {
-                horizon: SimDuration::from_secs(5),
-                hosts: 2,
-                nets: 1,
-                ifaces: 2,
-                procs: 0,
-                max_ops: 6,
-                jitter_max: SimDuration::from_millis(20),
-                ..ChaosShape::default()
-            },
-            Workload::Migration => ChaosShape {
-                horizon: SimDuration::from_secs(4),
-                hosts: 0,
-                nets: 1,
-                ifaces: 0,
-                procs: 0,
-                max_ops: 4,
-                corrupt_max: 0.02,
-                duplicate_max: 0.1,
-                reorder_max: 0.1,
-                jitter_max: SimDuration::from_millis(10),
-                ..ChaosShape::default()
-            },
-            Workload::RcdsConverge => ChaosShape {
-                horizon: SimDuration::from_secs(8),
-                hosts: 3,
-                nets: 1,
-                ifaces: 0,
-                procs: 3,
-                max_ops: 6,
-                ..ChaosShape::default()
-            },
-            // Multicast routers relay unreliably: only duplication,
-            // reordering and gray degradation are within contract
-            // (corruption/loss of every redundant copy may drop a
-            // message, which §5.4 does not promise to survive). The
-            // one host eligible for flapping is the *source* — it must
-            // resume its paced stream after recovery.
-            Workload::Mcast => ChaosShape {
-                horizon: SimDuration::from_secs(3),
-                hosts: 1,
-                nets: 1,
-                ifaces: 0,
-                procs: 0,
-                max_ops: 4,
-                packet_prob: 0.9,
-                corrupt_max: 0.0,
-                duplicate_max: 0.3,
-                reorder_max: 0.3,
-                jitter_max: SimDuration::from_millis(15),
-                ..ChaosShape::default()
-            },
-            // No host crashes (no state loss in contract), but both
-            // networks may flap, gray out, burst-lose and partition,
-            // and per-packet corruption/duplication/reordering runs
-            // hot: exactly the envelope share-spraying is built for.
-            Workload::FecSpray => ChaosShape {
-                horizon: SimDuration::from_secs(8),
-                hosts: 0,
-                nets: 2,
-                ifaces: 4,
-                procs: 0,
-                max_ops: 6,
-                packet_prob: 0.9,
-                corrupt_max: 0.05,
-                duplicate_max: 0.15,
-                reorder_max: 0.15,
-                jitter_max: SimDuration::from_millis(20),
-                ..ChaosShape::default()
-            },
-            // Both planes under fire: host flaps over every replica,
-            // process crash/restart of RC servers (fresh empty store;
-            // anti-entropy repopulates) and of file servers (fresh
-            // process, disk contents survive), while a client writes
-            // metadata and another stripes a read across the replicas.
-            Workload::ReplicaCrash => ChaosShape {
-                horizon: SimDuration::from_secs(8),
-                hosts: 6,
-                nets: 1,
-                ifaces: 0,
-                procs: 6,
-                max_ops: 6,
-                ..ChaosShape::default()
-            },
+        (self.shape)()
+    }
+
+    /// Stage the placement at `threads` workers, play the body under
+    /// `plan` and judge per-region boundedness; `inspect` reads what it
+    /// needs off the finished world.
+    fn play<R>(
+        &self,
+        plan: &ChaosPlan,
+        wseed: u64,
+        threads: usize,
+        inspect: impl FnOnce(&mut World, Vec<String>) -> R,
+    ) -> R {
+        match self.play {
+            Play::Net(stage, body) => judge(self.name, stage(wseed, threads), body, plan, inspect),
+            Play::Snipe(stage, body) => {
+                judge(self.name, stage(wseed, threads), body, plan, inspect)
+            }
         }
     }
 
-    /// Run the workload under `plan`; empty result = every oracle held.
-    pub fn run(&self, plan: &ChaosPlan, wseed: u64) -> Vec<String> {
-        match self {
-            Workload::SrudpTransfer => run_srudp_transfer(plan, wseed),
-            Workload::RstreamTransfer => run_rstream_transfer(plan, wseed),
-            Workload::Migration => run_migration(plan, wseed, false),
-            Workload::RcdsConverge => run_rcds_converge(plan, wseed),
-            Workload::Mcast => run_mcast(plan, wseed),
-            Workload::FecSpray => run_fec_spray(plan, wseed),
-            Workload::ReplicaCrash => run_replica_crash(plan, wseed),
+    /// Run the workload under `plan` at `threads` workers; returns the
+    /// oracle violations (empty = every oracle held) and the world
+    /// digest.
+    pub fn run(&self, plan: &ChaosPlan, wseed: u64, threads: usize) -> (Vec<String>, u64) {
+        self.play(plan, wseed, threads, |world, violations| (violations, world.digest()))
+    }
+}
+
+fn judge<W: Arena, R>(
+    label: &str,
+    mut stage: Stage<W>,
+    body: Body<W>,
+    plan: &ChaosPlan,
+    inspect: impl FnOnce(&mut World, Vec<String>) -> R,
+) -> R {
+    // A world already recording into this thread's flight recorder (it
+    // runs inline) keeps that sink; a threaded one gets per-region rings.
+    if trace::enabled() {
+        stage.world.sim().enable_trace(TRACE_RING);
+    }
+    let mut violations = body(&mut stage, plan, label);
+    let world = stage.world.sim();
+    violations.extend(oracles::check_bounded(
+        label,
+        world,
+        MAX_RESIDUAL_EVENTS,
+        MAX_PEAK_DEPTH,
+        MAX_MAILBOX_BURST,
+    ));
+    inspect(world, violations)
+}
+
+// ---------------------------------------------------------------------------
+// Drive loops
+// ---------------------------------------------------------------------------
+
+/// Drive `world` in `step` slices until `done` or `deadline`.
+fn drive(world: &mut World, step: SimDuration, deadline: SimTime, done: impl Fn(&World) -> bool) {
+    loop {
+        world.run_for(step);
+        if done(world) || world.now() >= deadline {
+            return;
         }
     }
 }
 
+/// Drive a point-to-point transfer until `progress` reaches `total`,
+/// under a virtual-time liveness watchdog: stalling while a physical
+/// path exists is a violation even before the completion deadline
+/// (quiesce plus the recovery tail). Overshooting `total` is one too.
+fn drive_transfer(
+    label: &str,
+    world: &mut World,
+    plan: &ChaosPlan,
+    (a, b): (HostId, HostId),
+    (total, unit): (usize, &str),
+    progress: impl Fn() -> usize,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    let deadline = plan.quiesce_at() + RECOVERY_TAIL;
+    let step = ms(250);
+    let (mut last, mut stall) = (0, SimDuration::from_nanos(0));
+    loop {
+        world.run_for(step);
+        let got = progress();
+        if got >= total {
+            break;
+        }
+        if got > last {
+            last = got;
+            stall = SimDuration::from_nanos(0);
+        } else if world.topology().reachable(a, b) {
+            stall += step;
+            if stall >= STALL_LIMIT {
+                violations.push(format!(
+                    "{label}: no progress for {:.1}s of virtual time with a live path \
+                     ({last} of {total} {unit})",
+                    stall.as_secs_f64()
+                ));
+                break;
+            }
+        }
+        if world.now() >= deadline {
+            violations.push(format!(
+                "{label}: transfer incomplete at quiesce+{}s ({got} of {total} {unit})",
+                RECOVERY_TAIL.as_secs_f64()
+            ));
+            break;
+        }
+    }
+    let got = progress();
+    if got > total {
+        violations.push(format!(
+            "{label}: exactly-once violated — {got} {unit} delivered for {total} sent"
+        ));
+    }
+    violations
+}
+
 // ---------------------------------------------------------------------------
-// W1: dual-homed SRUDP transfer (E7 shape) + liveness watchdog
+// Bodies: point-to-point transfers (cast: sender, receiver)
 // ---------------------------------------------------------------------------
 
-fn run_srudp_transfer(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
-    // Sized so the transfer (~3.4s at ATM rate) spans most of the 5s
-    // fault horizon — faults land mid-flight, not on an idle world.
-    let total: usize = 64 << 20;
-    let mut topo = Topology::new();
-    let eth = topo.add_network("eth", Medium::ethernet100(), true);
-    let atm = topo.add_network("atm", Medium::atm155(), false);
-    let a = topo.add_host(HostCfg::named("a"));
-    let b = topo.add_host(HostCfg::named("b"));
-    for h in [a, b] {
-        topo.attach(h, eth);
-        topo.attach(h, atm);
-    }
-    let mut world = World::new(topo, wseed);
+fn srudp_transfer(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
+    let (a, b, total) = (st.cast[0], st.cast[1], st.work);
     let received = Arc::new(Mutex::new(0usize));
-    let done_at: Arc<Mutex<Option<SimTime>>> = Arc::new(Mutex::new(None));
     let mut cfg = StackConfig::default();
-    cfg.srudp.rto_initial = SimDuration::from_millis(20);
-    world.spawn(
+    cfg.srudp.rto_initial = ms(20);
+    st.world.spawn(
         b,
         20,
         Box::new(SrudpReceiver {
             stack: None,
             received: received.clone(),
-            done_at: done_at.clone(),
+            done_at: Arc::default(),
             expect: total,
             cfg: cfg.clone(),
-            pin: Some(vec![atm, eth]),
+            pin: st.pin.clone(),
             gate: TimerGate::new(),
         }),
     );
-    world.spawn(
+    st.world.spawn(
         a,
         20,
         Box::new(SrudpSender {
@@ -272,318 +666,136 @@ fn run_srudp_transfer(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
             peer: Endpoint::new(b, 20),
             msg_size: 16 * 1024,
             remaining: total,
-            inflight: 64 * 1400,
+            inflight: st.window,
             cfg,
-            pin: Some(vec![atm, eth]),
+            pin: st.pin.clone(),
             gate: TimerGate::new(),
         }),
     );
-    let binding = ChaosBinding {
-        hosts: vec![a, b],
-        nets: vec![eth, atm],
-        ifaces: vec![(a, eth), (a, atm), (b, eth), (b, atm)],
-        procs: vec![],
-    };
-    plan.apply(&mut world, &binding);
-
-    // Virtual-time liveness watchdog: stalling while a physical path
-    // exists is a violation even before the completion deadline.
-    let mut violations = Vec::new();
-    let deadline = plan.quiesce_at() + RECOVERY_TAIL;
-    let step = SimDuration::from_millis(250);
-    let mut last = 0usize;
-    let mut stall = SimDuration::from_nanos(0);
-    loop {
-        world.run_for(step);
-        if done_at.lock().unwrap().is_some() {
-            break;
-        }
-        let got = *received.lock().unwrap();
-        if got > last {
-            last = got;
-            stall = SimDuration::from_nanos(0);
-        } else if world.topology().reachable(a, b) {
-            stall = stall + step;
-            if stall >= STALL_LIMIT {
-                violations.push(format!(
-                    "srudp-transfer: no progress for {:.1}s of virtual time with a live path \
-                     ({last} of {total} bytes)",
-                    stall.as_secs_f64()
-                ));
-                break;
-            }
-        }
-        if world.now() >= deadline {
-            violations.push(format!(
-                "srudp-transfer: transfer incomplete at quiesce+{}s ({} of {total} bytes)",
-                RECOVERY_TAIL.as_secs_f64(),
-                *received.lock().unwrap()
-            ));
-            break;
-        }
-    }
-    let got = *received.lock().unwrap();
-    if done_at.lock().unwrap().is_some() && got != total {
-        violations.push(format!(
-            "srudp-transfer: exactly-once violated — {got} bytes delivered for {total} sent"
-        ));
-    }
-    violations.extend(oracles::check_engine_bounded(
-        "srudp-transfer",
-        &world,
-        MAX_RESIDUAL_EVENTS,
-        MAX_PEAK_DEPTH,
-    ));
-    violations
+    st.bind(plan, &[a, b], Vec::new());
+    drive_transfer(label, &mut st.world, plan, (a, b), (total, "bytes"), || {
+        *received.lock().unwrap()
+    })
 }
 
-// ---------------------------------------------------------------------------
-// W1c: FEC share-spray message stream under loss bursts and gray links
-// ---------------------------------------------------------------------------
+fn rstream_transfer(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
+    let (a, b, total) = (st.cast[0], st.cast[1], st.work);
+    let received = Arc::new(Mutex::new(0usize));
+    // Faults may sever connectivity for most of the horizon; widen the
+    // abort budget so the stream outlives them and resumes.
+    let cfg = RstreamConfig { max_timeouts: 100, ..RstreamConfig::default() };
+    st.world.spawn(
+        b,
+        20,
+        Box::new(RstreamReceiver {
+            stack: None,
+            cfg: cfg.clone(),
+            received: received.clone(),
+            done_at: Arc::default(),
+            expect: total,
+            gate: TimerGate::new(),
+        }),
+    );
+    st.world.spawn(
+        a,
+        20,
+        Box::new(RstreamSender {
+            stack: None,
+            cfg,
+            conn: 0,
+            peer: Endpoint::new(b, 20),
+            msg_size: 16 * 1024,
+            remaining: total,
+            inflight_cap: st.window,
+            gate: TimerGate::new(),
+        }),
+    );
+    st.bind(plan, &[a, b], Vec::new());
+    drive_transfer(label, &mut st.world, plan, (a, b), (total, "bytes"), || {
+        *received.lock().unwrap()
+    })
+}
 
-fn run_fec_spray(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
-    // 200 × 7000-byte messages, each split into 9 erasure shares and
-    // sprayed across two WAN paths. With ~2 messages pipelined the
-    // stream is latency-bound (~7s at a 72ms RTT) so the plan's loss
-    // bursts and gray links land on live traffic for the whole 8s
-    // horizon. The contract: exactly-once in-order delivery, every
-    // delivered message byte-exact (reconstruct-then-verify gate), no
-    // in-contract peer evicted from partial-reassembly state.
-    let count: u64 = 200;
+/// The contract: exactly-once in-order delivery, every delivered
+/// message byte-exact (reconstruct-then-verify gate), no in-contract
+/// peer evicted from partial-reassembly state.
+fn fec_spray(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
+    let (a, b, count) = (st.cast[0], st.cast[1], st.work);
     let msg_size: usize = 7000;
-    let mut topo = Topology::new();
-    let wan_a = topo.add_network("wan-a", Medium::wan(), true);
-    let wan_b = topo.add_network("wan-b", Medium::wan(), false);
-    let a = topo.add_host(HostCfg::named("a"));
-    let b = topo.add_host(HostCfg::named("b"));
-    for h in [a, b] {
-        topo.attach(h, wan_a);
-        topo.attach(h, wan_b);
-    }
-    let mut world = World::new(topo, wseed);
-    let seqs: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
-    let mismatches: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let stats = Arc::new(Mutex::new(snipe_wire::srudp::SrudpStats::default()));
-    let done_at: Arc<Mutex<Option<SimTime>>> = Arc::new(Mutex::new(None));
+    let seqs: Arc<Mutex<Vec<u32>>> = Arc::default();
+    let mismatches: Arc<Mutex<Vec<String>>> = Arc::default();
+    let stats: Arc<Mutex<snipe_wire::srudp::SrudpStats>> = Arc::default();
     let mut cfg = StackConfig::default();
     cfg.srudp.frag_strategy = FragStrategy::Fec;
-    world.spawn(
+    st.world.spawn(
         b,
         20,
         Box::new(FecReceiver {
             stack: None,
             cfg: cfg.clone(),
-            pin: Some(vec![wan_a, wan_b]),
+            pin: st.pin.clone(),
             gate: TimerGate::new(),
-            expect: count,
+            expect: count as u64,
             msg_size,
             seqs: seqs.clone(),
             mismatches: mismatches.clone(),
             stats: stats.clone(),
-            done_at: done_at.clone(),
+            done_at: Arc::default(),
         }),
     );
-    world.spawn(
+    st.world.spawn(
         a,
         20,
         Box::new(FecSender {
             stack: None,
             peer: Endpoint::new(b, 20),
             msg_size,
-            count,
+            count: count as u64,
             next: 0,
-            inflight: 26_000,
+            inflight: st.window,
             cfg,
-            pin: Some(vec![wan_a, wan_b]),
+            pin: st.pin.clone(),
             gate: TimerGate::new(),
         }),
     );
-    let binding = ChaosBinding {
-        hosts: vec![a, b],
-        nets: vec![wan_a, wan_b],
-        ifaces: vec![(a, wan_a), (a, wan_b), (b, wan_a), (b, wan_b)],
-        procs: vec![],
-    };
-    plan.apply(&mut world, &binding);
-
-    let mut violations = Vec::new();
-    let deadline = plan.quiesce_at() + RECOVERY_TAIL;
-    let step = SimDuration::from_millis(250);
-    let mut last = 0usize;
-    let mut stall = SimDuration::from_nanos(0);
-    loop {
-        world.run_for(step);
-        if done_at.lock().unwrap().is_some() {
-            break;
-        }
-        let got = seqs.lock().unwrap().len();
-        if got > last {
-            last = got;
-            stall = SimDuration::from_nanos(0);
-        } else if world.topology().reachable(a, b) {
-            stall = stall + step;
-            if stall >= STALL_LIMIT {
-                violations.push(format!(
-                    "fec-spray: no progress for {:.1}s of virtual time with a live path \
-                     ({last} of {count} messages)",
-                    stall.as_secs_f64()
-                ));
-                break;
-            }
-        }
-        if world.now() >= deadline {
-            violations.push(format!(
-                "fec-spray: transfer incomplete at quiesce+{}s ({} of {count} messages)",
-                RECOVERY_TAIL.as_secs_f64(),
-                seqs.lock().unwrap().len()
-            ));
-            break;
-        }
+    st.bind(plan, &[a, b], Vec::new());
+    let mut violations =
+        drive_transfer(label, &mut st.world, plan, (a, b), (count, "messages"), || {
+            seqs.lock().unwrap().len()
+        });
+    let seqs = seqs.lock().unwrap();
+    let done = seqs.len() >= count;
+    if done {
+        violations.extend(oracles::check_exactly_once_in_order(label, count as u32, &seqs));
     }
-    let seqs = seqs.lock().unwrap().clone();
-    if done_at.lock().unwrap().is_some() {
-        violations.extend(oracles::check_exactly_once_in_order("fec-spray", count as u32, &seqs));
-    }
-    let st = stats.lock().unwrap().clone();
+    let stats = stats.lock().unwrap();
     violations.extend(oracles::check_fec_integrity(
-        "fec-spray",
+        label,
         &mismatches.lock().unwrap(),
-        &st,
-        done_at.lock().unwrap().is_some(),
+        &stats,
+        done,
     ));
     // REASM_TTL (60s) exceeds the whole watchdog window, so an
     // in-contract sender must never be swept from reassembly state.
-    violations.extend(oracles::check_reasm_bounded("fec-spray", &st, 0));
-    violations.extend(oracles::check_engine_bounded(
-        "fec-spray",
-        &world,
-        MAX_RESIDUAL_EVENTS,
-        MAX_PEAK_DEPTH,
-    ));
+    violations.extend(oracles::check_reasm_bounded(label, &stats, 0));
     violations
 }
 
 // ---------------------------------------------------------------------------
-// W1b: RSTREAM bulk transfer (Fig.1 shape) under host flaps
+// Body: migration under load (cast: worker's host, its destination,
+// the streamer's host) — and the planted-bug drill
 // ---------------------------------------------------------------------------
 
-fn run_rstream_transfer(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
-    // ~2.7s at Ethernet rate against the 5s fault horizon.
-    let total: usize = 32 << 20;
-    let mut topo = Topology::new();
-    let net = topo.add_network("eth", Medium::ethernet100(), true);
-    let a = topo.add_host(HostCfg::named("a"));
-    let b = topo.add_host(HostCfg::named("b"));
-    for h in [a, b] {
-        topo.attach(h, net);
-    }
-    let mut world = World::new(topo, wseed);
-    let received = Arc::new(Mutex::new(0usize));
-    let done_at: Arc<Mutex<Option<SimTime>>> = Arc::new(Mutex::new(None));
-    // Faults may sever connectivity for most of the 5s horizon; widen
-    // the abort budget so the stream outlives them and resumes.
-    let mut rcfg = RstreamConfig::default();
-    rcfg.max_timeouts = 100;
-    world.spawn(
-        b,
-        20,
-        Box::new(RstreamReceiver {
-            stack: None,
-            cfg: rcfg.clone(),
-            received: received.clone(),
-            done_at: done_at.clone(),
-            expect: total,
-            gate: TimerGate::new(),
-        }),
-    );
-    world.spawn(
-        a,
-        20,
-        Box::new(RstreamSender {
-            stack: None,
-            cfg: rcfg,
-            conn: 0,
-            peer: Endpoint::new(b, 20),
-            msg_size: 16 * 1024,
-            remaining: total,
-            inflight_cap: 64 * 1400,
-            gate: TimerGate::new(),
-        }),
-    );
-    let binding = ChaosBinding {
-        hosts: vec![a, b],
-        nets: vec![net],
-        ifaces: vec![(a, net), (b, net)],
-        procs: vec![],
-    };
-    plan.apply(&mut world, &binding);
-
-    let mut violations = Vec::new();
-    let deadline = plan.quiesce_at() + RECOVERY_TAIL;
-    let step = SimDuration::from_millis(250);
-    let mut last = 0usize;
-    let mut stall = SimDuration::from_nanos(0);
-    loop {
-        world.run_for(step);
-        if done_at.lock().unwrap().is_some() {
-            break;
-        }
-        let got = *received.lock().unwrap();
-        if got > last {
-            last = got;
-            stall = SimDuration::from_nanos(0);
-        } else if world.topology().reachable(a, b) {
-            stall = stall + step;
-            if stall >= STALL_LIMIT {
-                violations.push(format!(
-                    "rstream-transfer: no progress for {:.1}s of virtual time with a live \
-                     path ({last} of {total} bytes)",
-                    stall.as_secs_f64()
-                ));
-                break;
-            }
-        }
-        if world.now() >= deadline {
-            violations.push(format!(
-                "rstream-transfer: transfer incomplete at quiesce+{}s ({} of {total} bytes)",
-                RECOVERY_TAIL.as_secs_f64(),
-                *received.lock().unwrap()
-            ));
-            break;
-        }
-    }
-    let got = *received.lock().unwrap();
-    if done_at.lock().unwrap().is_some() && got != total {
-        violations.push(format!(
-            "rstream-transfer: exactly-once violated — {got} bytes delivered for {total} sent"
-        ));
-    }
-    violations.extend(oracles::check_engine_bounded(
-        "rstream-transfer",
-        &world,
-        MAX_RESIDUAL_EVENTS,
-        MAX_PEAK_DEPTH,
-    ));
-    violations
-}
-
-// ---------------------------------------------------------------------------
-// W2: migration under load (E5 shape) — and the planted-bug drill
-// ---------------------------------------------------------------------------
-
-/// Run the E5 migration stream under a chaos plan. `disable_freeze`
-/// switches off the packet freeze that protects in-flight traffic while
-/// a process moves — the deliberately planted bug the oracles must
-/// catch (`ProcessConfig::chaos_disable_migration_freeze`).
-pub fn run_migration(plan: &ChaosPlan, wseed: u64, disable_freeze: bool) -> Vec<String> {
-    // 2.8s of stream against a 4s fault horizon: the move at 300ms and
-    // most fault ops land while messages are in flight.
+/// 2.8 s of stream against the 4 s fault horizon: the move at 300 ms
+/// and most fault ops land while messages are in flight. The drill
+/// plants its bug on the stage (`chaos_disable_migration_freeze`)
+/// before handing it over.
+fn migration(st: &mut Stage<SnipeWorld>, plan: &ChaosPlan, label: &str) -> Vec<String> {
     let total: u32 = 700;
-    let interval = SimDuration::from_millis(4);
-    let mut w = SnipeWorldBuilder::lan(4, wseed).build();
-    if disable_freeze {
-        w.process_config_mut().chaos_disable_migration_freeze = true;
-    }
+    let interval = ms(4);
+    let name = |h: HostId| st.world.sim_ref().topology().host(h).name.clone();
+    let (from, target, streamer) = (name(st.cast[0]), name(st.cast[1]), name(st.cast[2]));
+    let w = &mut st.world;
     let deliveries = Arc::new(Mutex::new(Vec::new()));
     let migrated_at = Arc::new(Mutex::new(None));
     let (dl, ma) = (deliveries.clone(), migrated_at.clone());
@@ -591,47 +803,35 @@ pub fn run_migration(plan: &ChaosPlan, wseed: u64, disable_freeze: bool) -> Vec<
         Box::new(e5_migration::Worker {
             deliveries: dl.clone(),
             migrated_at: ma.clone(),
-            move_after: SimDuration::from_millis(300),
-            target: "host3".into(),
+            move_after: ms(300),
+            target: target.clone(),
         })
     });
-    let (wkey, _) = w.spawn_on("host1", "worker", Bytes::new()).expect("spawn worker");
+    let (wkey, _) = w.spawn_on(&from, "worker", Bytes::new()).expect("spawn worker");
     w.register_process("streamer", move |_| {
         Box::new(e5_migration::Streamer { peer: wkey, total, sent: 0, interval })
     });
-    w.spawn_on("host2", "streamer", Bytes::new()).expect("spawn streamer");
-    let binding =
-        ChaosBinding { hosts: vec![], nets: vec![NetId(0)], ifaces: vec![], procs: vec![] };
-    plan.apply(w.sim(), &binding);
+    w.spawn_on(&streamer, "streamer", Bytes::new()).expect("spawn streamer");
+    st.bind(plan, &[], Vec::new());
 
     let stream_end = SimTime::ZERO + interval * (total as u64 + 2);
     let deadline = plan.quiesce_at().max(stream_end) + RECOVERY_TAIL;
-    loop {
-        w.run_for(SimDuration::from_millis(500));
-        let done = deliveries.lock().unwrap().len() as u32 >= total
-            && migrated_at.lock().unwrap().is_some();
-        if done || w.now() >= deadline {
-            break;
-        }
-    }
+    drive(st.world.sim(), ms(500), deadline, |_| {
+        deliveries.lock().unwrap().len() as u32 >= total && migrated_at.lock().unwrap().is_some()
+    });
 
-    let mut violations = Vec::new();
     let seqs: Vec<u32> = deliveries.lock().unwrap().iter().map(|&(_, s)| s).collect();
-    violations.extend(oracles::check_exactly_once_in_order("migration", total, &seqs));
+    let mut violations = oracles::check_exactly_once_in_order(label, total, &seqs);
     if migrated_at.lock().unwrap().is_none() {
-        violations.push("migration: process never completed its move".into());
+        violations.push(format!("{label}: process never completed its move"));
     }
-    violations.extend(oracles::check_engine_bounded(
-        "migration",
-        w.sim_ref(),
-        MAX_RESIDUAL_EVENTS,
-        MAX_PEAK_DEPTH,
-    ));
     violations
 }
 
 // ---------------------------------------------------------------------------
-// W3: replicated metadata convergence (E3 shape) with server restarts
+// Bodies: replicated metadata (cast: three RC hosts, the client) and
+// the striped read under replica crashes (cast: three RC hosts, three
+// file-server hosts, the client)
 // ---------------------------------------------------------------------------
 
 const TIMER_FIRE: u64 = 20;
@@ -662,16 +862,13 @@ impl ChaosWriter {
 impl Actor for ChaosWriter {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start | Event::Timer { token: TIMER_FIRE } => {
-                if self.writes_left > 0 {
-                    self.writes_left -= 1;
-                    let v = format!("v{}", self.next_val);
-                    self.next_val += 1;
-                    let now = ctx.now();
-                    self.rc.put(now, &self.uri, vec![Assertion::new("k", v)]);
-                    self.flush(ctx);
-                    ctx.set_timer(self.interval, TIMER_FIRE);
-                }
+            Event::Start | Event::Timer { token: TIMER_FIRE } if self.writes_left > 0 => {
+                self.writes_left -= 1;
+                let v = format!("v{}", self.next_val);
+                self.next_val += 1;
+                self.rc.put(ctx.now(), &self.uri, vec![Assertion::new("k", v)]);
+                self.flush(ctx);
+                ctx.set_timer(self.interval, TIMER_FIRE);
             }
             Event::Timer { token: TIMER_RC } => {
                 self.rc.on_timer(ctx.now());
@@ -688,13 +885,14 @@ impl Actor for ChaosWriter {
     }
 }
 
-/// Queries exactly one replica once faults quiesce; retries on timeout.
+/// Queries exactly one replica once faults quiesce, retrying on
+/// timeout; `answer` is read back through `actor_ref`.
 struct ReplicaProbe {
     rc: RcClient,
     uri: Uri,
     at: SimTime,
-    out: Arc<Mutex<Option<Vec<Assertion>>>>,
     attempts: u32,
+    answer: Option<Vec<Assertion>>,
 }
 
 impl ReplicaProbe {
@@ -705,15 +903,11 @@ impl ReplicaProbe {
         for (_, result) in self.rc.drain_done() {
             match result {
                 Ok(reply) => {
-                    if self.out.lock().unwrap().is_none() {
-                        *self.out.lock().unwrap() = Some(reply.assertions);
-                    }
+                    self.answer.get_or_insert(reply.assertions);
                 }
                 Err(_) if self.attempts < 30 => {
                     self.attempts += 1;
-                    let now = ctx.now();
-                    let uri = self.uri.clone();
-                    self.rc.get(now, &uri);
+                    self.rc.get(ctx.now(), &self.uri);
                 }
                 Err(_) => {}
             }
@@ -728,14 +922,9 @@ impl ReplicaProbe {
 impl Actor for ReplicaProbe {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start => {
-                let delay = self.at.saturating_since(ctx.now());
-                ctx.set_timer(delay, TIMER_FIRE);
-            }
+            Event::Start => ctx.set_timer(self.at.saturating_since(ctx.now()), TIMER_FIRE),
             Event::Timer { token: TIMER_FIRE } => {
-                let now = ctx.now();
-                let uri = self.uri.clone();
-                self.rc.get(now, &uri);
+                self.rc.get(ctx.now(), &self.uri);
                 self.flush(ctx);
             }
             Event::Timer { token: TIMER_RC } => {
@@ -753,13 +942,24 @@ impl Actor for ReplicaProbe {
     }
 }
 
+const RC_SYNC: SimDuration = ms(500);
+const RC_TIMEOUT: SimDuration = ms(300);
+const PROBE_PORT: u16 = 60;
+
+/// Spawn an RC replica group on `hosts`; returns the endpoints.
+fn spawn_rc_group(world: &mut World, hosts: &[HostId]) -> Vec<Endpoint> {
+    let eps: Vec<Endpoint> = hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
+    for (i, ep) in eps.iter().enumerate() {
+        let peers: Vec<Endpoint> = eps.iter().copied().filter(|e| e != ep).collect();
+        world.spawn(ep.host, ep.port, Box::new(RcServerActor::new(i as u64 + 1, peers, RC_SYNC)));
+    }
+    eps
+}
+
 /// Restart factories for a replica set: each crash brings the server
 /// back as a *fresh* replica (new server id from a shared counter, empty
 /// store) on the same endpoint — anti-entropy must repopulate it.
-pub(crate) fn fresh_rc_factories(
-    eps: &[Endpoint],
-    sync: SimDuration,
-) -> Vec<(Endpoint, ActorFactory)> {
+fn fresh_rc_factories(eps: &[Endpoint]) -> Vec<(Endpoint, ActorFactory)> {
     let restarts = Arc::new(AtomicU64::new(0));
     eps.iter()
         .map(|&ep| {
@@ -767,238 +967,138 @@ pub(crate) fn fresh_rc_factories(
             let restarts = restarts.clone();
             let factory: ActorFactory = Arc::new(move || {
                 let id = 1001 + restarts.fetch_add(1, Ordering::Relaxed);
-                Box::new(RcServerActor::new(id, peers.clone(), sync))
+                Box::new(RcServerActor::new(id, peers.clone(), RC_SYNC))
             });
             (ep, factory)
         })
         .collect()
 }
 
-fn run_rcds_converge(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
-    let replicas = 3usize;
-    let sync = SimDuration::from_millis(500);
-    let mut topo = Topology::new();
-    let net = topo.add_network("lan", Medium::ethernet100(), true);
-    let mut rc_hosts = Vec::new();
-    for i in 0..replicas {
-        let h = topo.add_host(HostCfg::named(format!("rc{i}")));
-        topo.attach(h, net);
-        rc_hosts.push(h);
-    }
-    let client = topo.add_host(HostCfg::named("client"));
-    topo.attach(client, net);
-    let mut world = World::new(topo, wseed);
-    let eps: Vec<Endpoint> = rc_hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
-    for (i, ep) in eps.iter().enumerate() {
-        let peers: Vec<Endpoint> = eps.iter().copied().filter(|e| e != ep).collect();
-        world.spawn(ep.host, ep.port, Box::new(RcServerActor::new(i as u64 + 1, peers, sync)));
-    }
+/// Spawn a writer on `client` whose puts land throughout the fault
+/// window; returns the URI it writes.
+fn spawn_writer(world: &mut World, client: HostId, eps: &[Endpoint]) -> Uri {
     let uri = Uri::process(7);
     world.spawn(
         client,
         50,
         Box::new(ChaosWriter {
-            rc: RcClient::new(eps.clone(), SimDuration::from_millis(300)),
+            rc: RcClient::new(eps.to_vec(), RC_TIMEOUT),
             uri: uri.clone(),
-            interval: SimDuration::from_millis(300),
+            interval: ms(300),
             writes_left: 12,
             next_val: 0,
         }),
     );
+    uri
+}
 
-    let procs = fresh_rc_factories(&eps, sync);
-    let binding = ChaosBinding { hosts: rc_hosts.clone(), nets: vec![net], ifaces: vec![], procs };
-    plan.apply(&mut world, &binding);
-
-    // Probe every replica individually several sync rounds after the
-    // last fault healed.
-    let probe_at = plan.quiesce_at() + SimDuration::from_secs(4);
-    let mut answers = Vec::new();
-    for (i, ep) in eps.iter().enumerate() {
-        let out = Arc::new(Mutex::new(None));
-        answers.push(out.clone());
+/// Spawn one probe per replica on `client`, firing several sync rounds
+/// after the plan's last fault healed; returns that time.
+fn spawn_probes(
+    world: &mut World,
+    plan: &ChaosPlan,
+    client: HostId,
+    eps: &[Endpoint],
+    uri: &Uri,
+) -> SimTime {
+    let at = plan.quiesce_at() + secs(4);
+    for (i, &ep) in eps.iter().enumerate() {
         world.spawn(
             client,
-            60 + i as u16,
+            PROBE_PORT + i as u16,
             Box::new(ReplicaProbe {
-                rc: RcClient::new(vec![*ep], SimDuration::from_millis(300)),
+                rc: RcClient::new(vec![ep], RC_TIMEOUT),
                 uri: uri.clone(),
-                at: probe_at,
-                out,
+                at,
                 attempts: 0,
+                answer: None,
             }),
         );
     }
-
-    let deadline = probe_at + RECOVERY_TAIL;
-    loop {
-        world.run_for(SimDuration::from_millis(500));
-        let all_answered = answers.iter().all(|a| a.lock().unwrap().is_some());
-        if all_answered || world.now() >= deadline {
-            break;
-        }
-    }
-
-    let replies: Vec<Option<Vec<Assertion>>> =
-        answers.iter().map(|a| a.lock().unwrap().clone()).collect();
-    let mut violations = oracles::check_replicas_converged("rcds-converge", &replies);
-    violations.extend(oracles::check_engine_bounded(
-        "rcds-converge",
-        &world,
-        MAX_RESIDUAL_EVENTS,
-        MAX_PEAK_DEPTH,
-    ));
-    violations
+    at
 }
 
-// ---------------------------------------------------------------------------
-// W7: replica crash — sharded-era metadata plus a striped file read
-// while RCDS servers and file replicas crash/restart mid-flight
-// ---------------------------------------------------------------------------
-
-/// Deterministic file body for the replica-crash workloads (shared
-/// with the sharded-engine variant in [`crate::chaos_shard`]).
-pub(crate) fn replica_crash_content(wseed: u64) -> Bytes {
-    Bytes::from(
-        (0..24_000usize)
-            .map(|i| ((i as u64).wrapping_mul(31).wrapping_add(wseed) % 251) as u8)
-            .collect::<Vec<u8>>(),
-    )
+/// What each of the three replicas' probes heard, in replica order.
+fn probe_answers(world: &World, client: HostId) -> Vec<Option<Vec<Assertion>>> {
+    (0..3)
+        .map(|i| {
+            let probe = world.actor_ref::<ReplicaProbe>(Endpoint::new(client, PROBE_PORT + i));
+            probe.and_then(|p| p.answer.clone())
+        })
+        .collect()
 }
 
-pub(crate) const REPLICA_CRASH_LIFN: &str = "lifn:snipe:chaos:staged";
+fn rcds_converge(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
+    let (rc_hosts, client) = (st.cast[..3].to_vec(), st.cast[3]);
+    let eps = spawn_rc_group(&mut st.world, &rc_hosts);
+    let uri = spawn_writer(&mut st.world, client, &eps);
+    st.bind(plan, &rc_hosts, fresh_rc_factories(&eps));
+    let probe_at = spawn_probes(&mut st.world, plan, client, &eps, &uri);
+    drive(&mut st.world, ms(500), probe_at + RECOVERY_TAIL, |w| {
+        probe_answers(w, client).iter().all(Option::is_some)
+    });
+    oracles::check_replicas_converged(label, &probe_answers(&st.world, client))
+}
+
+const REPLICA_CRASH_LIFN: &str = "lifn:snipe:chaos:staged";
 /// 24 000 bytes at 2048-byte stripes.
-pub(crate) const REPLICA_CRASH_STRIPES: u32 = 12;
+const REPLICA_CRASH_STRIPES: u32 = 12;
 
-fn run_replica_crash(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
-    let replicas = 3usize;
-    let sync = SimDuration::from_millis(500);
-    let mut topo = Topology::new();
-    let net = topo.add_network("lan", Medium::ethernet100(), true);
-    let mut rc_hosts = Vec::new();
-    for i in 0..replicas {
-        let h = topo.add_host(HostCfg::named(format!("rc{i}")));
-        topo.attach(h, net);
-        rc_hosts.push(h);
-    }
-    let mut fs_hosts = Vec::new();
-    for i in 0..replicas {
-        let h = topo.add_host(HostCfg::named(format!("fs{i}")));
-        topo.attach(h, net);
-        fs_hosts.push(h);
-    }
-    let client = topo.add_host(HostCfg::named("client"));
-    topo.attach(client, net);
-    let mut world = World::new(topo, wseed);
-
-    let rc_eps: Vec<Endpoint> =
-        rc_hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
-    for (i, ep) in rc_eps.iter().enumerate() {
-        let peers: Vec<Endpoint> = rc_eps.iter().copied().filter(|e| e != ep).collect();
-        world.spawn(ep.host, ep.port, Box::new(RcServerActor::new(i as u64 + 1, peers, sync)));
-    }
-
+fn replica_crash(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
+    let (rc_hosts, fs_hosts, client) = (st.cast[..3].to_vec(), st.cast[3..6].to_vec(), st.cast[6]);
+    let rc_eps = spawn_rc_group(&mut st.world, &rc_hosts);
     let fs_eps: Vec<Endpoint> =
         fs_hosts.iter().map(|&h| Endpoint::new(h, ports::FILE_SERVER)).collect();
-    let content = replica_crash_content(wseed);
+    let content = Bytes::from(
+        (0..24_000usize).map(|i| (i.wrapping_mul(31) % 251) as u8).collect::<Vec<u8>>(),
+    );
     let make_fs = {
-        let fs_eps = fs_eps.clone();
-        let rc_eps = rc_eps.clone();
-        let content = content.clone();
+        let (fs_eps, rc_eps, content) = (fs_eps.clone(), rc_eps.clone(), content.clone());
         move |i: usize| {
-            let ep = fs_eps[i];
-            let peers: Vec<Endpoint> = fs_eps.iter().copied().filter(|e| *e != ep).collect();
+            let peers: Vec<Endpoint> = fs_eps.iter().copied().filter(|e| *e != fs_eps[i]).collect();
             let mut cfg = FileServerConfig::new(format!("fs{i}"), rc_eps.clone(), peers);
-            cfg.replication_factor = replicas;
+            cfg.replication_factor = fs_eps.len();
             let mut fs = FileServerActor::new(cfg);
-            // Disk-backed seed: survives process restarts below.
+            // Disk-backed seed: survives the process restarts below.
             fs.preload(REPLICA_CRASH_LIFN, content.clone());
             fs
         }
     };
     for (i, ep) in fs_eps.iter().enumerate() {
-        world.spawn(ep.host, ep.port, Box::new(make_fs(i)));
+        st.world.spawn(ep.host, ep.port, Box::new(make_fs(i)));
     }
-
-    // Metadata writes land throughout the fault window.
-    let uri = Uri::process(7);
-    world.spawn(
-        client,
-        50,
-        Box::new(ChaosWriter {
-            rc: RcClient::new(rc_eps.clone(), SimDuration::from_millis(300)),
-            uri: uri.clone(),
-            interval: SimDuration::from_millis(300),
-            writes_left: 12,
-            next_val: 0,
-        }),
-    );
-
+    let uri = spawn_writer(&mut st.world, client, &rc_eps);
     // The striped read starts two seconds in, well inside the fault
     // window, and must survive replica crashes mid-transfer.
     let fetch_ep = Endpoint::new(client, 51);
-    world.spawn(
+    st.world.spawn(
         client,
         fetch_ep.port,
-        Box::new(FetchActor::new(
-            REPLICA_CRASH_LIFN,
-            fs_eps.clone(),
-            2048,
-            SimDuration::from_secs(2),
-        )),
+        Box::new(FetchActor::new(REPLICA_CRASH_LIFN, fs_eps.clone(), 2048, secs(2))),
     );
-
     // RC servers come back with a *fresh, empty* store; file servers
     // come back as fresh processes over surviving disk contents.
-    let mut procs = fresh_rc_factories(&rc_eps, sync);
+    let mut procs = fresh_rc_factories(&rc_eps);
     for (i, &ep) in fs_eps.iter().enumerate() {
         let make_fs = make_fs.clone();
         procs.push((ep, Arc::new(move || Box::new(make_fs(i)) as Box<dyn Actor>)));
     }
-    let mut cast = rc_hosts.clone();
-    cast.extend(fs_hosts.iter().copied());
-    let binding = ChaosBinding { hosts: cast, nets: vec![net], ifaces: vec![], procs };
-    plan.apply(&mut world, &binding);
+    st.bind(plan, &[rc_hosts, fs_hosts].concat(), procs);
+    let probe_at = spawn_probes(&mut st.world, plan, client, &rc_eps, &uri);
+    drive(&mut st.world, ms(500), probe_at + RECOVERY_TAIL, |w| {
+        let fetched =
+            w.actor_ref::<FetchActor>(fetch_ep).is_some_and(|f| f.result.is_some() || f.failed);
+        fetched && probe_answers(w, client).iter().all(Option::is_some)
+    });
 
-    let probe_at = plan.quiesce_at() + SimDuration::from_secs(4);
-    let mut answers = Vec::new();
-    for (i, ep) in rc_eps.iter().enumerate() {
-        let out = Arc::new(Mutex::new(None));
-        answers.push(out.clone());
-        world.spawn(
-            client,
-            60 + i as u16,
-            Box::new(ReplicaProbe {
-                rc: RcClient::new(vec![*ep], SimDuration::from_millis(300)),
-                uri: uri.clone(),
-                at: probe_at,
-                out,
-                attempts: 0,
-            }),
-        );
-    }
-
-    let deadline = probe_at + RECOVERY_TAIL;
-    loop {
-        world.run_for(SimDuration::from_millis(500));
-        let all_answered = answers.iter().all(|a| a.lock().unwrap().is_some());
-        let fetch_done = world
-            .actor_ref::<FetchActor>(fetch_ep)
-            .map(|f| f.result.is_some() || f.failed)
-            .unwrap_or(false);
-        if (all_answered && fetch_done) || world.now() >= deadline {
-            break;
-        }
-    }
-
-    let replies: Vec<Option<Vec<Assertion>>> =
-        answers.iter().map(|a| a.lock().unwrap().clone()).collect();
-    let mut violations = oracles::check_replicas_converged("replica-crash", &replies);
-    match world.actor_ref::<FetchActor>(fetch_ep) {
+    let mut violations =
+        oracles::check_replicas_converged(label, &probe_answers(&st.world, client));
+    match st.world.actor_ref::<FetchActor>(fetch_ep) {
         Some(f) => {
             if f.result.as_ref() != Some(&content) {
                 violations.push(format!(
-                    "replica-crash: striped fetch wrong/incomplete (got {:?} bytes, failed={}, stats={:?})",
+                    "{label}: striped fetch wrong/incomplete (got {:?} bytes, failed={}, \
+                     stats={:?})",
                     f.result.as_ref().map(Bytes::len),
                     f.failed,
                     f.stats
@@ -1007,212 +1107,331 @@ fn run_replica_crash(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
             let mut sorted = f.completions.clone();
             sorted.sort_unstable();
             violations.extend(oracles::check_exactly_once_in_order(
-                "replica-crash: stripe completion",
+                &format!("{label}: stripe completion"),
                 REPLICA_CRASH_STRIPES,
                 &sorted,
             ));
         }
-        None => violations.push("replica-crash: fetch actor disappeared".into()),
+        None => violations.push(format!("{label}: fetch actor disappeared")),
     }
-    violations.extend(oracles::check_engine_bounded(
-        "replica-crash",
-        &world,
-        MAX_RESIDUAL_EVENTS,
-        MAX_PEAK_DEPTH,
-    ));
     violations
 }
 
 // ---------------------------------------------------------------------------
-// W4: majority-routed multicast (E6 shape) under duplication/reorder
+// Body: majority-routed multicast (cast: five routers, three members,
+// the source)
 // ---------------------------------------------------------------------------
 
-struct ChaosMcastMember {
-    dedup: McastMember,
-    delivered: Arc<Mutex<u32>>,
+fn mcast(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
+    // 2 s of stream against the 3 s fault horizon.
+    let total = 400u32;
+    // Multicast relays are fire-and-forget: of the net-level ops only
+    // gray degradation (no loss) is within the §5.4 contract. Host
+    // flaps are kept too — only the source host is flappable, and its
+    // paced stream must survive a flap. The plan is deterministically
+    // narrowed before applying.
+    let mut plan = plan.clone();
+    plan.ops.retain(|o| matches!(o, ChaosOp::Gray { .. } | ChaosOp::HostFlap { .. }));
+    let (routers, members, source) = (&st.cast[..5], st.cast[5..8].to_vec(), st.cast[8]);
+    e6_multicast::spawn_group(&mut st.world, routers, &members, source, total);
+    st.bind(&plan, &[source], Vec::new());
+
+    let delivered = |w: &World, m: HostId| {
+        let ep = Endpoint::new(m, e6_multicast::MEMBER_PORT);
+        w.actor_ref::<MemberActor>(ep).map_or(0, |a| a.delivered)
+    };
+    let stream_end = SimTime::ZERO + e6_multicast::SEND_INTERVAL * (total as u64 + 2);
+    let deadline = plan.quiesce_at().max(stream_end) + RECOVERY_TAIL;
+    drive(&mut st.world, ms(500), deadline, |w| members.iter().all(|&m| delivered(w, m) >= total));
+
+    let mut violations = Vec::new();
+    for (i, &m) in members.iter().enumerate() {
+        let got = delivered(&st.world, m);
+        if got != total {
+            violations
+                .push(format!("{label}: member {i} delivered {got} of {total} distinct messages"));
+        }
+    }
+    violations
 }
 
-impl Actor for ChaosMcastMember {
-    fn on_event(&mut self, _ctx: &mut dyn SimCtx, event: Event) {
-        if let Event::Packet { payload, .. } = event {
-            let Ok((Proto::Mcast, body)) = open(payload) else {
-                return;
-            };
-            let Ok(McastMsg::Data { group, origin, seq, payload, .. }) = McastMsg::decode(body)
-            else {
-                return;
-            };
-            if self.dedup.accept(group, origin, seq, payload).is_some() {
-                *self.delivered.lock().unwrap() += 1;
+// ---------------------------------------------------------------------------
+// Body: the full SNIPE protocol stack (cast: publisher, three
+// subscribers, the spawned child's host)
+// ---------------------------------------------------------------------------
+// A daemon on every host, RC replicas on three cluster heads,
+// replicated file servers on two, a resource manager on one. The
+// workload crosses every subsystem *and* every region: a publisher
+// writes a file and registers a service, a daemon-spawned child calls
+// home across clusters, and three subscribers in other regions resolve
+// the service and fetch the file. All progress is judged from process
+// logs read back through `actor_ref` — no shared-memory side channels —
+// so the same milestones double as the partition-agnostic application
+// digest for the one-region-vs-natural-partition differential tests.
+
+/// The published file and its content (fixed so every partition and
+/// thread count must log the same checksum).
+const FP_LIFN: &str = "lifn:soak/blob";
+
+fn fp_payload() -> Bytes {
+    Bytes::from((0..1024u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect::<Vec<u8>>())
+}
+
+struct SoakPublisher {
+    /// Where the daemon-spawned child goes.
+    child_host: String,
+    published: bool,
+    spawned: bool,
+    child_ok: bool,
+    /// Registration is fire-and-forget soft state; re-announce on a
+    /// bounded schedule so a registration lost to chaos heals.
+    reg_left: u32,
+}
+
+impl SoakPublisher {
+    fn spawn_child(&self, api: &mut SnipeApi<'_, '_>) {
+        let key = api.my_key();
+        api.spawn(
+            SpawnTarget::Host(self.child_host.clone()),
+            "soak-echo",
+            Bytes::copy_from_slice(&key.to_be_bytes()),
+        );
+    }
+}
+
+impl SnipeProcess for SoakPublisher {
+    fn on_start(&mut self, api: &mut SnipeApi<'_, '_>) {
+        api.register_service("soak.pub");
+        api.write_file(FP_LIFN, fp_payload());
+        api.set_timer(secs(2), 3);
+    }
+
+    fn on_ticket(&mut self, api: &mut SnipeApi<'_, '_>, _ticket: u64, result: TicketResult) {
+        match result {
+            TicketResult::FileWritten(Ok(())) => {
+                if !self.published {
+                    self.published = true;
+                    api.log(format!("published {:08x}", msg_checksum(&fp_payload())));
+                }
+                if !self.spawned {
+                    self.spawn_child(api);
+                }
             }
+            TicketResult::FileWritten(Err(_)) => api.set_timer(ms(500), 1),
+            TicketResult::Spawned(Ok(_)) if !self.spawned => {
+                self.spawned = true;
+                api.log("spawn ok");
+            }
+            TicketResult::Spawned(Err(_)) => api.set_timer(ms(700), 2),
+            _ => {}
+        }
+    }
+
+    fn on_timer(&mut self, api: &mut SnipeApi<'_, '_>, token: u64) {
+        match token {
+            1 if !self.published => {
+                api.write_file(FP_LIFN, fp_payload());
+            }
+            2 if !self.spawned => self.spawn_child(api),
+            3 if self.reg_left > 0 => {
+                self.reg_left -= 1;
+                api.register_service("soak.pub");
+                // A spawn request is one datagram and its ticket has no
+                // timeout (ROADMAP 4d): if it or its reply is lost no
+                // error ever arrives, so ask again on the same
+                // soft-state tick. The child's hello is deduplicated.
+                if self.published && !self.spawned {
+                    self.spawn_child(api);
+                }
+                api.set_timer(secs(2), 3);
+            }
+            _ => {}
+        }
+    }
+
+    fn on_message(&mut self, api: &mut SnipeApi<'_, '_>, _from: snipe_core::ProcRef, msg: Bytes) {
+        if msg.as_ref() == b"hello" && !self.child_ok {
+            self.child_ok = true;
+            api.log("child hello");
         }
     }
 }
 
-struct ChaosMcastSender {
-    routers: Vec<Endpoint>,
-    total: u32,
-    seq: u64,
-    interval: SimDuration,
+/// Daemon-spawned child: calls home across clusters until the send
+/// has had time to land (the publisher dedups).
+struct SoakEcho {
+    parent: u64,
+    tries: u32,
 }
 
-impl Actor for ChaosMcastSender {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            // HostUp: a flap swallows the pacing timer; restart it.
-            Event::Start | Event::Timer { .. } | Event::HostUp => {
-                if self.seq as u32 >= self.total {
-                    return;
-                }
-                let m = majority(self.routers.len());
-                for r in self.routers.iter().take(m) {
-                    let msg = McastMsg::Data {
-                        group: 1,
-                        origin: 7,
-                        seq: self.seq,
-                        ttl: 8,
-                        payload: Bytes::from(vec![0u8; 256]),
-                    };
-                    ctx.send(*r, seal(Proto::Mcast, msg.encode()));
-                }
-                self.seq += 1;
-                ctx.set_timer(self.interval, 1);
+impl SnipeProcess for SoakEcho {
+    fn on_start(&mut self, api: &mut SnipeApi<'_, '_>) {
+        api.send(self.parent, Bytes::from_static(b"hello"));
+        api.set_timer(secs(1), 1);
+    }
+
+    fn on_timer(&mut self, api: &mut SnipeApi<'_, '_>, _token: u64) {
+        if self.tries > 0 {
+            self.tries -= 1;
+            api.send(self.parent, Bytes::from_static(b"hello"));
+            api.set_timer(secs(1), 1);
+        }
+    }
+}
+
+struct SoakSubscriber {
+    fetched: bool,
+    svc_ok: bool,
+    /// Remaining periodic retry kicks. Requests can vanish without an
+    /// error ticket (e.g. during a partition), so progress is driven
+    /// by a bounded periodic timer, not by failure responses.
+    kicks_left: u32,
+}
+
+impl SnipeProcess for SoakSubscriber {
+    fn on_start(&mut self, api: &mut SnipeApi<'_, '_>) {
+        api.set_timer(secs(1), 1);
+    }
+
+    fn on_timer(&mut self, api: &mut SnipeApi<'_, '_>, _token: u64) {
+        if !self.fetched {
+            api.read_file(FP_LIFN);
+        }
+        if !self.svc_ok {
+            api.lookup_service("soak.pub");
+        }
+        if !(self.fetched && self.svc_ok) && self.kicks_left > 0 {
+            self.kicks_left -= 1;
+            api.set_timer(secs(1), 1);
+        }
+    }
+
+    fn on_ticket(&mut self, api: &mut SnipeApi<'_, '_>, _ticket: u64, result: TicketResult) {
+        match result {
+            TicketResult::FileRead(Ok(content)) if !self.fetched => {
+                self.fetched = true;
+                api.log(format!("fetched {:08x}", msg_checksum(&content)));
+            }
+            TicketResult::Service(Ok(refs)) if !refs.is_empty() && !self.svc_ok => {
+                self.svc_ok = true;
+                api.log("svc ok");
             }
             _ => {}
         }
     }
 }
 
-struct ChaosMcastRouter {
-    state: McastRouter,
+/// Register the programs and bootstrap the cast; returns the root
+/// endpoints, publisher first.
+fn install_full_protocol(st: &mut Stage<SnipeWorld>) -> Vec<Endpoint> {
+    let names: Vec<String> = {
+        let topo = st.world.sim_ref().topology();
+        st.cast.iter().map(|&h| topo.host(h).name.clone()).collect()
+    };
+    let w = &mut st.world;
+    let child_host = names[4].clone();
+    w.register_process("soak-pub", move |_| {
+        Box::new(SoakPublisher {
+            child_host: child_host.clone(),
+            published: false,
+            spawned: false,
+            child_ok: false,
+            reg_left: 20,
+        })
+    });
+    w.register_process("soak-echo", |args| {
+        let parent =
+            args.get(..8).map_or(0, |b| u64::from_be_bytes(b.try_into().expect("8 bytes")));
+        Box::new(SoakEcho { parent, tries: 5 })
+    });
+    w.register_process("soak-sub", |_| {
+        Box::new(SoakSubscriber { fetched: false, svc_ok: false, kicks_left: 45 })
+    });
+    let programs = ["soak-pub", "soak-sub", "soak-sub", "soak-sub"];
+    programs
+        .iter()
+        .zip(&names)
+        .map(|(program, host)| w.spawn_on(host, program, Bytes::new()).expect("spawn the cast").1)
+        .collect()
 }
 
-impl Actor for ChaosMcastRouter {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        if let Event::Packet { payload, .. } = event {
-            let Ok((Proto::Mcast, body)) = open(payload) else {
-                return;
-            };
-            let Ok(msg) = McastMsg::decode(body) else {
-                return;
-            };
-            let mut outs = Vec::new();
-            self.state.on_message(msg, &mut outs);
-            for o in outs {
-                if let Out::Send { to, bytes, .. } = o {
-                    if to != ctx.me() {
-                        ctx.send(to, bytes);
-                    }
-                }
-            }
-        }
+/// Time-stripped, labelled, sorted log lines of the cast — the
+/// partition-agnostic application digest.
+fn fp_lines(w: &World, cast: &[Endpoint]) -> Vec<String> {
+    let mut lines = Vec::new();
+    for (i, &ep) in cast.iter().enumerate() {
+        let who = if i == 0 { "pub".to_string() } else { format!("sub{}", i - 1) };
+        let log = w.actor_ref::<ProcessActor>(ep).map(|p| p.log.as_slice()).unwrap_or_default();
+        lines.extend(log.iter().map(|(_, l)| format!("{who}: {l}")));
     }
+    lines.sort();
+    lines
 }
 
-fn run_mcast(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
-    let routers = 5usize;
-    let members = 3usize;
-    // 2s of stream against the 3s fault horizon.
-    let total = 400u32;
-    // Multicast relays are fire-and-forget: of the net-level ops only
-    // gray degradation (no loss) is within the §5.4 contract. Host
-    // flaps are kept too — the binding exposes only the source host,
-    // whose paced stream must survive a flap. The plan is
-    // deterministically narrowed before applying.
-    let mut plan = plan.clone();
-    plan.ops.retain(|o| matches!(o, ChaosOp::Gray { .. } | ChaosOp::HostFlap { .. }));
+/// Milestone check: every line a complete run must log is present on
+/// the publisher and on every subscriber.
+fn fp_violations(label: &str, lines: &[String]) -> Vec<String> {
+    let has = |who: &str, mark: &str| lines.iter().any(|l| l.starts_with(who) && l.contains(mark));
+    let fetched = format!("fetched {:08x}", msg_checksum(&fp_payload()));
+    let mut v = Vec::new();
+    for mark in ["published", "spawn ok", "child hello"] {
+        if !has("pub:", mark) {
+            v.push(format!("{label}: publisher never logged {mark:?}"));
+        }
+    }
+    for i in 0..3 {
+        let who = format!("sub{i}:");
+        if !has(&who, &fetched) {
+            v.push(format!("{label}: subscriber {i} never fetched the published file"));
+        }
+        if !has(&who, "svc ok") {
+            v.push(format!("{label}: subscriber {i} never resolved the service"));
+        }
+    }
+    v
+}
 
-    let mut topo = Topology::new();
-    let net = topo.add_network("eth", Medium::ethernet100(), true);
-    let mut router_hosts = Vec::new();
-    for i in 0..routers {
-        let h = topo.add_host(HostCfg::named(format!("r{i}")));
-        topo.attach(h, net);
-        router_hosts.push(h);
+fn full_protocol(st: &mut Stage<SnipeWorld>, plan: &ChaosPlan, label: &str) -> Vec<String> {
+    let cast = install_full_protocol(st);
+    st.bind(plan, &[], Vec::new());
+    let deadline = plan.quiesce_at() + RECOVERY_TAIL;
+    let world = st.world.sim();
+    let pending = |w: &World| fp_violations(label, &fp_lines(w, &cast));
+    drive(world, ms(250), deadline, |w| pending(w).is_empty());
+    let violations = pending(world);
+    if violations.is_empty() {
+        // A short drain so in-flight retransmissions and acks settle
+        // before the residual-queue bound is checked.
+        world.run_for(secs(1));
     }
-    let mut member_hosts = Vec::new();
-    for i in 0..members {
-        let h = topo.add_host(HostCfg::named(format!("m{i}")));
-        topo.attach(h, net);
-        member_hosts.push(h);
-    }
-    let sender_host = topo.add_host(HostCfg::named("s"));
-    topo.attach(sender_host, net);
-    let mut world = World::new(topo, wseed);
-    let router_eps: Vec<Endpoint> = router_hosts.iter().map(|&h| Endpoint::new(h, 5)).collect();
-    let member_eps: Vec<Endpoint> = member_hosts.iter().map(|&h| Endpoint::new(h, 20)).collect();
-    for (i, &h) in router_hosts.iter().enumerate() {
-        let mut state = McastRouter::new();
-        let mut scratch = Vec::new();
-        for (j, &peer) in router_eps.iter().enumerate() {
-            if i != j {
-                state.on_message(McastMsg::Peer { group: 1, router: peer }, &mut scratch);
-            }
-        }
-        for (mi, &member) in member_eps.iter().enumerate() {
-            let m = majority(routers);
-            let covers = (0..m).map(|k| (mi + k) % routers).any(|idx| idx == i);
-            if covers {
-                state.on_message(McastMsg::Join { group: 1, member }, &mut scratch);
-            }
-        }
-        world.spawn(h, 5, Box::new(ChaosMcastRouter { state }));
-    }
-    let mut delivered = Vec::new();
-    for &h in &member_hosts {
-        let d = Arc::new(Mutex::new(0u32));
-        delivered.push(d.clone());
-        world.spawn(h, 20, Box::new(ChaosMcastMember { dedup: McastMember::new(), delivered: d }));
-    }
-    world.spawn(
-        sender_host,
-        20,
-        Box::new(ChaosMcastSender {
-            routers: router_eps,
-            total,
-            seq: 0,
-            interval: SimDuration::from_millis(5),
-        }),
-    );
-    plan.apply(
-        &mut world,
-        &ChaosBinding { hosts: vec![sender_host], nets: vec![net], ..ChaosBinding::default() },
-    );
-
-    let stream_end = SimTime::ZERO + SimDuration::from_millis(5) * (total as u64 + 2);
-    let deadline = plan.quiesce_at().max(stream_end) + RECOVERY_TAIL;
-    loop {
-        world.run_for(SimDuration::from_millis(500));
-        let all = delivered.iter().all(|d| *d.lock().unwrap() >= total);
-        if all || world.now() >= deadline {
-            break;
-        }
-    }
-
-    let mut violations = Vec::new();
-    for (i, d) in delivered.iter().enumerate() {
-        let got = *d.lock().unwrap();
-        if got != total {
-            violations
-                .push(format!("mcast: member {i} delivered {got} of {total} distinct messages"));
-        }
-    }
-    violations.extend(oracles::check_engine_bounded(
-        "mcast",
-        &world,
-        MAX_RESIDUAL_EVENTS,
-        MAX_PEAK_DEPTH,
-    ));
     violations
+}
+
+/// Chaos-free full-protocol run for a fixed virtual duration — over the
+/// natural partition at `Some(threads)` workers, or with `None` forced
+/// into one region. Returns the engine digest and the sorted
+/// application log lines. The `full-proto-digest` gate byte-compares
+/// both across thread counts; engine digests are not comparable across
+/// partitions (one RNG stream and one queue in one region, one of each
+/// per region otherwise), but the application log must match.
+pub fn full_protocol_calm(wseed: u64, threads: Option<usize>, secs: u64) -> (u64, Vec<String>) {
+    let world = match threads {
+        Some(threads) => fp_campus(wseed).build_sharded(threads),
+        None => fp_campus(wseed).build(),
+    };
+    let mut st = snipe(world, &FP_CAST);
+    let cast = install_full_protocol(&mut st);
+    st.world.run_for_secs(secs);
+    (st.world.digest(), fp_lines(st.world.sim_ref(), &cast))
 }
 
 // ---------------------------------------------------------------------------
 // Soak driver, shrinking and the planted-bug drill
 // ---------------------------------------------------------------------------
 
-/// Flight-recorder ring capacity for chaos runs: big enough to hold
-/// the last fault window's worth of events, small enough to stay cheap
-/// (one reserve per run).
+/// Flight-recorder ring capacity for chaos runs (per region on a
+/// threaded world): big enough to hold the last fault window's worth
+/// of events, small enough to stay cheap (one reserve per run).
 pub const TRACE_RING: usize = 8192;
 
 /// How many trailing events a violation dump shows.
@@ -1235,40 +1454,31 @@ pub struct ChaosRun {
     pub violations: Vec<String>,
     /// One-line replay recipe.
     pub replay: String,
+    /// Regions of the world the run happened on.
+    pub regions: usize,
+    /// World digest of the primary run.
+    pub digest: u64,
+    /// The differential re-run (multi-region worlds only) disagreed.
+    pub diverged: bool,
     /// Flight-recorder dump of the run's last events — populated only
     /// when an oracle was violated (the diagnosis trail).
     pub trace_dump: Option<String>,
-    /// Per-kind flight-recorder event totals for the whole run,
-    /// rendered as a metrics-registry JSON object.
-    pub metrics_json: String,
-    /// Raw per-kind event totals (indexed by `TraceKind::tag()`), kept
-    /// alongside the rendered JSON so the harness can aggregate across
-    /// a soak without re-parsing.
+    /// Per-kind flight-recorder event totals for the whole run
+    /// (indexed by `TraceKind::tag()`). A threaded world records engine
+    /// events only: its actors run on worker threads, out of the
+    /// wire-level recorder's reach.
     pub kind_counts: [u64; TraceKind::COUNT],
     /// Events overwritten by ring wrap-around during the run.
     pub ring_dropped: u64,
 }
 
-/// Render per-kind event totals as a metrics-registry JSON object.
-fn trace_metrics_json(
-    kind_counts: &[u64; TraceKind::COUNT],
-    ring_dropped: u64,
+/// Sum the flight-recorder totals over `runs` and render them as one
+/// metrics-registry snapshot (for `results/chaos.json` and `harness
+/// trace`).
+pub fn trace_metrics_json<'a>(
+    runs: impl IntoIterator<Item = &'a ChaosRun>,
     indent: usize,
 ) -> String {
-    let mut metrics = Registry::new();
-    for (i, n) in TraceKind::NAMES.iter().enumerate() {
-        let name = format!("trace.{n}");
-        let id = metrics.counter(&name);
-        metrics.set_counter(id, kind_counts[i]);
-    }
-    let id = metrics.counter("trace.ring_dropped");
-    metrics.set_counter(id, ring_dropped);
-    metrics.render_json(indent)
-}
-
-/// Sum the per-run flight-recorder totals over a whole soak and render
-/// them as one metrics-registry snapshot (for `results/chaos.json`).
-pub fn aggregate_metrics_json(runs: &[ChaosRun], indent: usize) -> String {
     let mut counts = [0u64; TraceKind::COUNT];
     let mut dropped = 0u64;
     for r in runs {
@@ -1277,7 +1487,24 @@ pub fn aggregate_metrics_json(runs: &[ChaosRun], indent: usize) -> String {
         }
         dropped += r.ring_dropped;
     }
-    trace_metrics_json(&counts, dropped, indent)
+    let mut metrics = Registry::new();
+    for (name, n) in TraceKind::NAMES.iter().zip(counts).chain([(&"ring_dropped", dropped)]) {
+        let id = metrics.counter(&format!("trace.{name}"));
+        metrics.set_counter(id, n);
+    }
+    metrics.render_json(indent)
+}
+
+/// Read the trace sink's per-kind totals back out of the world's
+/// metrics snapshot (the one place both sinks — this thread's recorder
+/// and the per-region rings — are summed).
+fn trace_totals(world: &mut World) -> ([u64; TraceKind::COUNT], u64) {
+    let json = world.metrics_json(0);
+    let read = |name: &str| {
+        let (_, rest) = json.split_once(&format!("\"trace.{name}\": ")).unwrap_or_default();
+        rest.bytes().take_while(u8::is_ascii_digit).fold(0, |n, d| n * 10 + u64::from(d - b'0'))
+    };
+    (std::array::from_fn(|i| read(TraceKind::NAMES[i])), read("ring_dropped"))
 }
 
 /// Derive the `(plan_seed, workload_seed)` pair for soak index `i`.
@@ -1286,54 +1513,82 @@ pub fn soak_seeds(i: u64) -> (u64, u64) {
     (0xC0FF_EE00 + i, 0x5EED + i)
 }
 
-/// Run one seeded plan against one workload, with the flight recorder
-/// armed for the whole run. The recorder is thread-local, so parallel
-/// soak runs each get their own ring; on an oracle violation the run
+/// Run one seeded plan against one workload at 4 worker threads, with
+/// the flight recorder armed for the whole run (thread-local, so
+/// parallel soak runs each get their own). If the world turned out to
+/// span several regions the plan runs again at 1 thread and a
+/// digest mismatch is itself a violation. On a violation the run
 /// carries a readable dump of the last [`TRACE_DUMP_EVENTS`] events.
-pub fn run_one(w: Workload, plan_seed: u64, workload_seed: u64) -> ChaosRun {
+pub fn run_one(w: &'static Workload, plan_seed: u64, workload_seed: u64) -> ChaosRun {
     run_traced(w, plan_seed, workload_seed, false)
 }
 
 /// [`run_one`], but the trace dump covers the full ring regardless of
 /// verdict — the `harness trace <plan-seed> <workload-seed>` replay
 /// path for post-mortems on green-looking seeds.
-pub fn trace_one(w: Workload, plan_seed: u64, workload_seed: u64) -> ChaosRun {
+pub fn trace_one(w: &'static Workload, plan_seed: u64, workload_seed: u64) -> ChaosRun {
     run_traced(w, plan_seed, workload_seed, true)
 }
 
-fn run_traced(w: Workload, plan_seed: u64, workload_seed: u64, dump_always: bool) -> ChaosRun {
+fn run_traced(
+    w: &'static Workload,
+    plan_seed: u64,
+    workload_seed: u64,
+    dump_all: bool,
+) -> ChaosRun {
     let plan = ChaosPlan::generate(plan_seed, &w.shape());
     trace::enable(TRACE_RING);
-    let violations = w.run(&plan, workload_seed);
-    let trace_dump = if dump_always {
-        Some(trace::render_last(TRACE_RING))
-    } else if violations.is_empty() {
-        None
-    } else {
-        Some(trace::render_last(TRACE_DUMP_EVENTS))
-    };
-    let kind_counts = trace::kind_counts();
-    let ring_dropped = trace::trace_dropped();
+    let mut run = w.play(&plan, workload_seed, SOAK_THREADS, |world, violations| {
+        let shown = match (dump_all, violations.is_empty()) {
+            (true, _) => Some(TRACE_RING),
+            (false, false) => Some(TRACE_DUMP_EVENTS),
+            (false, true) => None,
+        };
+        let regions = world.regions();
+        let (kind_counts, ring_dropped) = trace_totals(world);
+        ChaosRun {
+            workload: w.name,
+            plan_seed,
+            workload_seed,
+            ops: plan.ops.len(),
+            packet: plan.packet.is_some(),
+            violations,
+            replay: plan.replay_line(w.name, workload_seed),
+            regions,
+            digest: world.digest(),
+            diverged: false,
+            // Several regions at several threads record per region;
+            // render those rings merged. One region recorded here.
+            trace_dump: shown.map(|n| {
+                if regions > 1 {
+                    world.render_trace(n)
+                } else {
+                    trace::render_last(n)
+                }
+            }),
+            kind_counts,
+            ring_dropped,
+        }
+    });
     trace::disable();
-    ChaosRun {
-        workload: w.name(),
-        plan_seed,
-        workload_seed,
-        ops: plan.ops.len(),
-        packet: plan.packet.is_some(),
-        violations,
-        replay: plan.replay_line(w.name(), workload_seed),
-        trace_dump,
-        metrics_json: trace_metrics_json(&kind_counts, ring_dropped, 6),
-        kind_counts,
-        ring_dropped,
+    if run.regions > 1 {
+        let (_, again) = w.run(&plan, workload_seed, DIFF_THREADS);
+        if again != run.digest {
+            run.diverged = true;
+            run.violations.push(format!(
+                "{}: digest diverged across thread counts ({SOAK_THREADS} -> {:#x}, \
+                 {DIFF_THREADS} -> {again:#x})",
+                w.name, run.digest
+            ));
+        }
     }
+    run
 }
 
 /// Fan `seeds_per_workload` plans over every workload in parallel.
 pub fn soak(seeds_per_workload: u64) -> Vec<ChaosRun> {
     let mut jobs = Vec::new();
-    for w in ALL_WORKLOADS {
+    for w in &WORKLOADS {
         for i in 0..seeds_per_workload {
             let (ps, ws) = soak_seeds(i);
             jobs.push((w, ps, ws));
@@ -1343,8 +1598,8 @@ pub fn soak(seeds_per_workload: u64) -> Vec<ChaosRun> {
 }
 
 /// Shrink a violating plan to a minimal one that still fails.
-pub fn shrink_violation(w: Workload, plan: &ChaosPlan, workload_seed: u64) -> ChaosPlan {
-    shrink_plan(plan.clone(), |cand| !w.run(cand, workload_seed).is_empty())
+pub fn shrink_violation(w: &Workload, plan: &ChaosPlan, workload_seed: u64) -> ChaosPlan {
+    shrink_plan(plan.clone(), |cand| !w.run(cand, workload_seed, SOAK_THREADS).0.is_empty())
 }
 
 /// Outcome of the planted-bug drill.
@@ -1366,21 +1621,33 @@ pub struct PlantedBugReport {
     pub trace_dump: Option<String>,
 }
 
-/// The planted-bug drill: disable the migration packet freeze (the
-/// `chaos_disable_migration_freeze` knob) and verify the exactly-once
-/// oracle catches the resulting in-flight loss, then shrink the plan.
-/// A healthy oracle stack returns `caught: true` — this is a test *of
-/// the chaos engine*, not of the product code.
+/// The `migration` row with the packet freeze that protects in-flight
+/// traffic during a move switched off — the deliberately planted bug
+/// (`ProcessConfig::chaos_disable_migration_freeze`).
+pub fn run_migration_unfrozen(plan: &ChaosPlan, wseed: u64) -> Vec<String> {
+    let Play::Snipe(stage, body) = Workload::from_name("migration").expect("table row").play else {
+        unreachable!("migration is staged on a SNIPE world")
+    };
+    let mut st = stage(wseed, SOAK_THREADS);
+    st.world.process_config_mut().chaos_disable_migration_freeze = true;
+    judge("migration", st, body, plan, |_, violations| violations)
+}
+
+/// The planted-bug drill: disable the migration packet freeze and
+/// verify the exactly-once oracle catches the resulting in-flight loss,
+/// then shrink the plan. A healthy oracle stack returns `caught: true`
+/// — this is a test *of the chaos engine*, not of the product code.
 pub fn planted_bug_drill(max_seeds: u64) -> PlantedBugReport {
-    let shape = Workload::Migration.shape();
+    let shape = Workload::from_name("migration").expect("table row").shape();
     for i in 0..max_seeds {
         let (plan_seed, workload_seed) = soak_seeds(i);
         let plan = ChaosPlan::generate(plan_seed, &shape);
-        let violations = run_migration(&plan, workload_seed, true);
+        let violations = run_migration_unfrozen(&plan, workload_seed);
         if violations.is_empty() {
             continue;
         }
-        let shrunk = shrink_plan(plan, |cand| !run_migration(cand, workload_seed, true).is_empty());
+        let shrunk =
+            shrink_plan(plan, |cand| !run_migration_unfrozen(cand, workload_seed).is_empty());
         let replay = format!(
             "{} disable_freeze=true shrunk_ops={} shrunk_packet={:?}",
             shrunk.replay_line("migration", workload_seed),
@@ -1391,7 +1658,7 @@ pub fn planted_bug_drill(max_seeds: u64) -> PlantedBugReport {
         // drill's report carries the trace that pins the loss to the
         // cutover window, same as any organic violation would.
         trace::enable(TRACE_RING);
-        let _ = run_migration(&shrunk, workload_seed, true);
+        let _ = run_migration_unfrozen(&shrunk, workload_seed);
         let trace_dump = trace::render_last(TRACE_DUMP_EVENTS);
         trace::disable();
         return PlantedBugReport {
@@ -1418,51 +1685,93 @@ pub fn planted_bug_drill(max_seeds: u64) -> PlantedBugReport {
 /// Violating `(workload, plan_seed, workload_seed)` triples found during
 /// development, pinned forever: each must stay green now that the
 /// underlying behavior is specified. (Plans regenerate from the seed, so
-/// a pinned triple is a complete regression test.)
-pub const REGRESSION_CORPUS: &[(Workload, u64, u64)] = &[
-    (Workload::SrudpTransfer, 0xC0FF_EE00, 0x5EED),
-    (Workload::SrudpTransfer, 0xC0FF_EE07, 0x5EED + 7),
+/// a pinned triple is a complete regression test.) Campus rows are
+/// pinned at the soak's leading seed plus one multi-op plan each; they
+/// additionally pin 4-vs-1-thread digest equality.
+pub const REGRESSION_CORPUS: &[(&str, u64, u64)] = &[
+    ("srudp-transfer", 0xC0FF_EE00, 0x5EED),
+    ("srudp-transfer", 0xC0FF_EE07, 0x5EED + 7),
     // These three wedged permanently before the SRUDP drivers learned to
     // re-arm their timer gates on `Event::HostUp` (a host flap swallows
     // any timer queued while the host is down). Shrunk repro: a single
     // flap of the sender host mid-transfer.
-    (Workload::SrudpTransfer, 0xC0FF_EE01, 0x5EED + 1),
-    (Workload::SrudpTransfer, 0xC0FF_EE0A, 0x5EED + 10),
-    (Workload::SrudpTransfer, 0xC0FF_EE0D, 0x5EED + 13),
-    (Workload::RstreamTransfer, 0xC0FF_EE00, 0x5EED),
+    ("srudp-transfer", 0xC0FF_EE01, 0x5EED + 1),
+    ("srudp-transfer", 0xC0FF_EE0A, 0x5EED + 10),
+    ("srudp-transfer", 0xC0FF_EE0D, 0x5EED + 13),
+    ("rstream-transfer", 0xC0FF_EE00, 0x5EED),
     // These wedged in the RTO death crawl: a receiver-side flap loses a
     // whole window, and without NewReno partial-ACK recovery the stream
     // refills the hole at one segment per fully-escalated RTO (~4s per
     // 1400 bytes). Also covers the driver's HostUp timer re-arm and SYN
     // retransmission (a connect whose SYN is lost used to wedge forever).
-    (Workload::RstreamTransfer, 0xC0FF_EE02, 0x5EED + 2),
-    (Workload::RstreamTransfer, 0xC0FF_EE04, 0x5EED + 4),
-    (Workload::RstreamTransfer, 0xC0FF_EE07, 0x5EED + 7),
-    (Workload::Migration, 0xC0FF_EE00, 0x5EED),
-    (Workload::Migration, 0xC0FF_EE03, 0x5EED + 3),
-    (Workload::RcdsConverge, 0xC0FF_EE00, 0x5EED),
-    (Workload::RcdsConverge, 0xC0FF_EE05, 0x5EED + 5),
-    (Workload::Mcast, 0xC0FF_EE00, 0x5EED),
+    ("rstream-transfer", 0xC0FF_EE02, 0x5EED + 2),
+    ("rstream-transfer", 0xC0FF_EE04, 0x5EED + 4),
+    ("rstream-transfer", 0xC0FF_EE07, 0x5EED + 7),
+    ("migration", 0xC0FF_EE00, 0x5EED),
+    ("migration", 0xC0FF_EE03, 0x5EED + 3),
+    ("rcds-converge", 0xC0FF_EE00, 0x5EED),
+    ("rcds-converge", 0xC0FF_EE05, 0x5EED + 5),
+    ("mcast", 0xC0FF_EE00, 0x5EED),
     // Both plans flap the multicast source host mid-stream: without the
     // `Event::HostUp` re-arm the pacing timer is swallowed and the
     // stream never resumes.
-    (Workload::Mcast, 0xC0FF_EE01, 0x5EED + 1),
-    (Workload::Mcast, 0xC0FF_EE06, 0x5EED + 6),
+    ("mcast", 0xC0FF_EE01, 0x5EED + 1),
+    ("mcast", 0xC0FF_EE06, 0x5EED + 6),
     // FEC share-spray under loss bursts / gray links / partitions plus
     // hot per-packet corruption: pins the reconstruct-then-verify
     // delivery gate (no mismatch ever delivered) and the reassembly
     // boundedness contract (no in-contract peer evicted).
-    (Workload::FecSpray, 0xC0FF_EE00, 0x5EED),
-    (Workload::FecSpray, 0xC0FF_EE02, 0x5EED + 2),
-    (Workload::FecSpray, 0xC0FF_EE04, 0x5EED + 4),
+    ("fec-spray", 0xC0FF_EE00, 0x5EED),
+    ("fec-spray", 0xC0FF_EE02, 0x5EED + 2),
+    ("fec-spray", 0xC0FF_EE04, 0x5EED + 4),
     // Replica-crash: host flaps plus process restarts over both the RC
     // replica group and the file replica set while a striped read is
     // in flight. The six-op plan at index 6 restarts servers back to
     // back mid-transfer; stripe re-dispatch plus RC anti-entropy must
     // still deliver convergence, byte-exact content and exactly-once
     // stripe completion.
-    (Workload::ReplicaCrash, 0xC0FF_EE00, 0x5EED),
-    (Workload::ReplicaCrash, 0xC0FF_EE06, 0x5EED + 6),
+    ("replica-crash", 0xC0FF_EE00, 0x5EED),
+    ("replica-crash", 0xC0FF_EE06, 0x5EED + 6),
+    // The real drivers between campus regions: the soak's leading seed
+    // (one op, packet chaos) and the six-op plan at index 2 (endpoint
+    // and interface flaps in two regions, net faults, corruption).
+    ("srudp-transfer@campus", 0xC0FF_EE00, 0x5EED),
+    ("srudp-transfer@campus", 0xC0FF_EE02, 0x5EED + 2),
+    ("rstream-transfer@campus", 0xC0FF_EE00, 0x5EED),
+    ("rstream-transfer@campus", 0xC0FF_EE02, 0x5EED + 2),
+    ("fec-spray@campus", 0xC0FF_EE00, 0x5EED),
+    ("fec-spray@campus", 0xC0FF_EE02, 0x5EED + 2),
+    // Index 2 flaps replica hosts and cluster LANs and restarts a
+    // replica inside its region; anti-entropy crosses three regions.
+    ("rcds-converge@campus", 0xC0FF_EE00, 0x5EED),
+    ("rcds-converge@campus", 0xC0FF_EE02, 0x5EED + 2),
+    // Index 1 flaps the source host (it must resume pacing across nine
+    // regions); index 2 is four gray links under hot duplication.
+    ("mcast@campus", 0xC0FF_EE00, 0x5EED),
+    ("mcast@campus", 0xC0FF_EE01, 0x5EED + 1),
+    ("mcast@campus", 0xC0FF_EE02, 0x5EED + 2),
+    ("migration@campus", 0xC0FF_EE00, 0x5EED),
+    ("migration@campus", 0xC0FF_EE02, 0x5EED + 2),
+    // The full-protocol workload failed until RC anti-entropy learned
+    // to size its SyncPush batches to the path MTU: on a catalog busy
+    // with daemon soft-state churn, every count-only push exceeded 1500
+    // bytes and was dropped `TooBig`, so replicas never converged and
+    // any client whose retries had failed over to a secondary replica
+    // could never resolve a service registered at the primary. Index 1
+    // is the seed that still fails that way with `PUSH_BYTES` disabled
+    // (the leading seed no longer does). Index 11 corrupts the one
+    // datagram carrying the publisher's spawn reply; the spawn ticket
+    // has no timeout (ROADMAP 4d), so the publisher asks again.
+    ("full-protocol", 0xC0FF_EE00, 0x5EED),
+    ("full-protocol", 0xC0FF_EE01, 0x5EED + 1),
+    ("full-protocol", 0xC0FF_EE0B, 0x5EED + 11),
+    // Replica crash/restart under cross-region RC sync and a striped
+    // read: the leading seed (one file replica restarted mid-read) plus
+    // a four-op plan (a file-replica restart, a loss burst, a gray link
+    // and a net flap). Pins plan-driven process restarts inside a
+    // region and the fetch layer's straggler re-dispatch.
+    ("replica-crash@campus", 0xC0FF_EE00, 0x5EED),
+    ("replica-crash@campus", 0xC0FF_EE02, 0x5EED + 2),
 ];
 
 #[cfg(test)]
@@ -1471,15 +1780,20 @@ mod tests {
 
     #[test]
     fn regression_corpus_stays_green() {
-        for &(w, ps, ws) in REGRESSION_CORPUS {
-            let run = run_one(w, ps, ws);
-            assert!(
-                run.violations.is_empty(),
-                "{} plan_seed={ps} wseed={ws}: {:?}",
-                w.name(),
-                run.violations
-            );
+        let runs = par_map(REGRESSION_CORPUS.to_vec(), |&(name, ps, ws)| {
+            run_one(Workload::from_name(name).expect("corpus names a table row"), ps, ws)
+        });
+        for run in runs {
+            assert!(run.violations.is_empty(), "{:?}\n  {}", run.violations, run.replay);
         }
+    }
+
+    #[test]
+    fn workload_names_round_trip() {
+        for w in &WORKLOADS {
+            assert!(std::ptr::eq(Workload::from_name(w.name).expect("resolves"), w), "{}", w.name);
+        }
+        assert!(Workload::from_name("nope").is_none());
     }
 
     #[test]
@@ -1493,7 +1807,7 @@ mod tests {
             let mut cand = shrunk.clone();
             cand.ops.remove(i);
             assert!(
-                run_migration(&cand, report.workload_seed, true).is_empty(),
+                run_migration_unfrozen(&cand, report.workload_seed).is_empty(),
                 "op {i} of the shrunk plan is not load-bearing"
             );
         }

@@ -3,8 +3,6 @@
 //! fully peered — so killing any minority of routers mid-stream must
 //! not lose a single group message.
 
-use std::sync::{Arc, Mutex};
-
 use bytes::Bytes;
 
 use snipe_netsim::actor::{Actor, Event, SimCtx};
@@ -12,6 +10,7 @@ use snipe_netsim::medium::Medium;
 use snipe_netsim::shard::FaultCmd;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
+use snipe_util::id::HostId;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
 use snipe_wire::mcast::{majority, McastMember, McastMsg, McastRouter};
@@ -58,10 +57,12 @@ impl Actor for RouterActor {
     }
 }
 
-struct MemberActor {
+/// A group member: counts distinct and suppressed-duplicate deliveries
+/// (read back through `actor_ref` once the run settles).
+pub(crate) struct MemberActor {
     dedup: McastMember,
-    delivered: Arc<Mutex<u32>>,
-    duplicates: Arc<Mutex<u64>>,
+    pub(crate) delivered: u32,
+    pub(crate) duplicates: u64,
 }
 
 impl Actor for MemberActor {
@@ -75,9 +76,9 @@ impl Actor for MemberActor {
                 return;
             };
             if self.dedup.accept(group, origin, seq, payload).is_some() {
-                *self.delivered.lock().unwrap() += 1;
+                self.delivered += 1;
             } else {
-                *self.duplicates.lock().unwrap() += 1;
+                self.duplicates += 1;
             }
         }
     }
@@ -87,13 +88,13 @@ struct SenderActor {
     routers: Vec<Endpoint>,
     total: u32,
     seq: u64,
-    interval: SimDuration,
 }
 
 impl Actor for SenderActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start | Event::Timer { .. } => {
+            // HostUp: a flap swallows the pacing timer; restart it.
+            Event::Start | Event::Timer { .. } | Event::HostUp => {
                 if self.seq as u32 >= self.total {
                     return;
                 }
@@ -109,38 +110,30 @@ impl Actor for SenderActor {
                     ctx.send(*r, seal(Proto::Mcast, msg.encode()));
                 }
                 self.seq += 1;
-                ctx.set_timer(self.interval, 1);
+                ctx.set_timer(SEND_INTERVAL, 1);
             }
             _ => {}
         }
     }
 }
 
-/// Run the router-kill drill.
-pub fn run(routers: usize, members: usize, kill: usize, total: u32, seed: u64) -> E6Point {
-    assert!(kill < majority(routers), "killing a majority is out of contract");
-    let mut topo = Topology::new();
-    let net = topo.add_network("eth", Medium::ethernet100(), true);
-    let mut router_hosts = Vec::new();
-    for i in 0..routers {
-        let h = topo.add_host(HostCfg::named(format!("r{i}")));
-        topo.attach(h, net);
-        router_hosts.push(h);
-    }
-    let mut member_hosts = Vec::new();
-    for i in 0..members {
-        let h = topo.add_host(HostCfg::named(format!("m{i}")));
-        topo.attach(h, net);
-        member_hosts.push(h);
-    }
-    let sender_host = topo.add_host(HostCfg::named("s"));
-    topo.attach(sender_host, net);
-    let mut world = World::new(topo, seed);
-    let router_eps: Vec<Endpoint> = router_hosts.iter().map(|&h| Endpoint::new(h, 5)).collect();
-    let member_eps: Vec<Endpoint> = member_hosts.iter().map(|&h| Endpoint::new(h, 20)).collect();
-    // Routers: fully peered, each member registered with a majority
-    // (the §5.4 registration discipline).
-    for (i, &h) in router_hosts.iter().enumerate() {
+/// Pacing of the group sender.
+pub(crate) const SEND_INTERVAL: SimDuration = SimDuration::from_millis(5);
+/// Port every member binds.
+pub(crate) const MEMBER_PORT: u16 = 20;
+
+/// Spawn the §5.4 group onto `world`: fully peered routers, every member
+/// registered with a majority of them, and a sender pacing `total`
+/// messages at a majority of the routers.
+pub(crate) fn spawn_group(
+    world: &mut World,
+    routers: &[HostId],
+    members: &[HostId],
+    sender: HostId,
+    total: u32,
+) {
+    let router_eps: Vec<Endpoint> = routers.iter().map(|&h| Endpoint::new(h, 5)).collect();
+    for (i, &h) in routers.iter().enumerate() {
         let mut state = McastRouter::new();
         let mut scratch = Vec::new();
         for (j, &peer) in router_eps.iter().enumerate() {
@@ -148,50 +141,55 @@ pub fn run(routers: usize, members: usize, kill: usize, total: u32, seed: u64) -
                 state.on_message(McastMsg::Peer { group: 1, router: peer }, &mut scratch);
             }
         }
-        for (mi, &member) in member_eps.iter().enumerate() {
-            // Member mi registers with majority starting at offset mi.
-            let m = majority(routers);
-            let covers = (0..m).map(|k| (mi + k) % routers).any(|idx| idx == i);
-            if covers {
+        for (mi, &m) in members.iter().enumerate() {
+            // Member mi registers with a majority starting at offset mi.
+            if (0..majority(routers.len())).any(|k| (mi + k) % routers.len() == i) {
+                let member = Endpoint::new(m, MEMBER_PORT);
                 state.on_message(McastMsg::Join { group: 1, member }, &mut scratch);
             }
         }
         world.spawn(h, 5, Box::new(RouterActor { state }));
     }
-    let mut delivered_counters = Vec::new();
-    let duplicates = Arc::new(Mutex::new(0u64));
-    for &h in &member_hosts {
-        let d = Arc::new(Mutex::new(0u32));
-        delivered_counters.push(d.clone());
-        world.spawn(
-            h,
-            20,
-            Box::new(MemberActor {
-                dedup: McastMember::new(),
-                delivered: d,
-                duplicates: duplicates.clone(),
-            }),
-        );
+    for &h in members {
+        let member = MemberActor { dedup: McastMember::new(), delivered: 0, duplicates: 0 };
+        world.spawn(h, MEMBER_PORT, Box::new(member));
     }
-    world.spawn(
-        sender_host,
-        20,
-        Box::new(SenderActor {
-            routers: router_eps,
-            total,
-            seq: 0,
-            interval: SimDuration::from_millis(5),
-        }),
-    );
+    world.spawn(sender, 20, Box::new(SenderActor { routers: router_eps, total, seq: 0 }));
+}
+
+/// Run the router-kill drill.
+pub fn run(routers: usize, members: usize, kill: usize, total: u32, seed: u64) -> E6Point {
+    assert!(kill < majority(routers), "killing a majority is out of contract");
+    let mut topo = Topology::new();
+    let net = topo.add_network("eth", Medium::ethernet100(), true);
+    let hosts: Vec<HostId> = (0..routers + members + 1)
+        .map(|i| {
+            let h = topo.add_host(HostCfg::named(format!("h{i}")));
+            topo.attach(h, net);
+            h
+        })
+        .collect();
+    let (router_hosts, rest) = hosts.split_at(routers);
+    let (member_hosts, sender_host) = rest.split_at(members);
+    let mut world = World::new(topo, seed);
+    spawn_group(&mut world, router_hosts, member_hosts, sender_host[0], total);
     // Kill `kill` routers midway through the stream.
-    let mid = SimTime::ZERO + SimDuration::from_millis(5) * (total as u64 / 2);
+    let mid = SimTime::ZERO + SEND_INTERVAL * (total as u64 / 2);
     for &h in router_hosts.iter().take(kill) {
         world.schedule_fault(mid, FaultCmd::HostDown(h));
     }
-    world.run_for(SimDuration::from_millis(5) * total as u64 + SimDuration::from_secs(2));
-    let min_delivered = delivered_counters.iter().map(|c| *c.lock().unwrap()).min().unwrap_or(0);
-    let dups = *duplicates.lock().unwrap();
-    E6Point { routers, killed: kill, sent: total, min_delivered, duplicates: dups }
+    world.run_for(SEND_INTERVAL * total as u64 + SimDuration::from_secs(2));
+    let stats: Vec<&MemberActor> = member_hosts
+        .iter()
+        .filter_map(|&h| world.actor_ref::<MemberActor>(Endpoint::new(h, MEMBER_PORT)))
+        .collect();
+    E6Point {
+        routers,
+        killed: kill,
+        sent: total,
+        min_delivered: stats.iter().map(|m| m.delivered).min().unwrap_or(0),
+        duplicates: stats.iter().map(|m| m.duplicates).sum(),
+    }
 }
 
 #[cfg(test)]

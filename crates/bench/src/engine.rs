@@ -87,12 +87,8 @@ impl Actor for StormActor {
                 ctx.signal(self.neighbor, 7);
                 ctx.set_timer(self.period, 1);
             }
-            Event::Packet { from, payload } => {
-                // Echo, except loopback (which would self-amplify).
-                if from.host != ctx.host() {
-                    ctx.send(from, payload);
-                }
-            }
+            // Echo, except loopback (which would self-amplify).
+            Event::Packet { from, payload } if from.host != ctx.host() => ctx.send(from, payload),
             _ => {}
         }
     }
@@ -101,7 +97,7 @@ impl Actor for StormActor {
 /// Two Ethernet sites bridged by IP routing, with an ATM fabric
 /// spanning every third host — the multi-homed UTK shape scaled up.
 fn storm_topology(hosts: usize) -> (Topology, Vec<HostId>, [NetId; 3]) {
-    assert!(hosts >= 4 && hosts % 2 == 0, "need an even host count >= 4");
+    assert!(hosts >= 4 && hosts.is_multiple_of(2), "need an even host count >= 4");
     let mut t = Topology::new();
     let eth0 = t.add_network("site0-eth", Medium::ethernet100(), true);
     let eth1 = t.add_network("site1-eth", Medium::ethernet100(), true);

@@ -53,29 +53,6 @@ pub fn check_exactly_once_in_order(label: &str, sent: u32, delivered: &[u32]) ->
     v
 }
 
-/// Engine-boundedness: after a run the event/timer population must be
-/// bounded (steady-state timers only, no unbounded retransmit storms)
-/// and the peak queue depth must stay under a generous ceiling.
-pub fn check_engine_bounded(
-    label: &str,
-    world: &World,
-    max_residual: usize,
-    max_peak: u64,
-) -> Vec<String> {
-    let mut v = Vec::new();
-    let depth = world.queue_depth();
-    if depth > max_residual {
-        v.push(format!(
-            "{label}: {depth} events still queued after quiesce (bound {max_residual})"
-        ));
-    }
-    let peak = world.stats().engine.peak_queue_depth;
-    if peak > max_peak {
-        v.push(format!("{label}: peak queue depth {peak} exceeded bound {max_peak}"));
-    }
-    v
-}
-
 /// Replica convergence: once faults quiesce and anti-entropy has had
 /// time to run, every replica must report the same non-empty assertion
 /// set for the probed URI.
@@ -164,11 +141,13 @@ pub fn check_reasm_bounded(
     }
 }
 
-/// Per-region boundedness: aggregate totals can
-/// hide one runaway region, so every shard's residual queue, peak
-/// depth, slab/stream high-water marks and per-round mailbox burst
-/// must each stay under its bound.
-pub fn check_shard_bounded(
+/// Per-region boundedness: after a run the event/timer population must
+/// be bounded (steady-state timers only, no retransmit storms or timer
+/// leaks) and the peak queue depth and per-round mailbox burst must
+/// stay under generous ceilings — in *every* region, because aggregate
+/// totals can hide one runaway region. A one-region world is the
+/// one-row case.
+pub fn check_bounded(
     label: &str,
     world: &World,
     max_residual: usize,
@@ -179,19 +158,19 @@ pub fn check_shard_bounded(
     for l in world.shard_loads() {
         if l.queue_depth > max_residual {
             v.push(format!(
-                "{label}: shard {} holds {} events after quiesce (bound {max_residual})",
+                "{label}: region {} holds {} events after quiesce (bound {max_residual})",
                 l.region, l.queue_depth
             ));
         }
         if l.peak_queue_depth > max_peak {
             v.push(format!(
-                "{label}: shard {} peak queue depth {} exceeded bound {max_peak}",
+                "{label}: region {} peak queue depth {} exceeded bound {max_peak}",
                 l.region, l.peak_queue_depth
             ));
         }
         if l.mailbox_hwm > max_mailbox {
             v.push(format!(
-                "{label}: shard {} took {} mailbox items in one round (bound {max_mailbox})",
+                "{label}: region {} took {} mailbox items in one round (bound {max_mailbox})",
                 l.region, l.mailbox_hwm
             ));
         }
@@ -235,5 +214,38 @@ mod tests {
         assert!(v.iter().any(|s| s.contains("never answered")), "{v:?}");
         let v = check_replicas_converged("t", &[Some(a.clone()), Some(a)]);
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    /// The oracle must fire, and on the right row: an actor that breeds
+    /// timers in region 1 trips the residual bound there and nowhere
+    /// else.
+    #[test]
+    fn bounded_fires_on_exactly_the_runaway_region() {
+        use snipe_netsim::actor::{Actor, Event, SimCtx};
+        use snipe_util::id::HostId;
+        use snipe_util::time::SimDuration;
+
+        struct Breeder;
+        impl Actor for Breeder {
+            fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+                if let Event::Start | Event::Timer { .. } = event {
+                    // Two far-future timers per fire: the population
+                    // doubles every 10 ms and never drains.
+                    ctx.set_timer(SimDuration::from_millis(10), 1);
+                    ctx.set_timer(SimDuration::from_secs(3600), 2);
+                    ctx.set_timer(SimDuration::from_secs(3600), 2);
+                }
+            }
+        }
+        let mut w = World::sharded(crate::shard_storm::cluster_topology(128), 7, 1);
+        assert_eq!(w.regions(), 2);
+        w.spawn(HostId(100), 9, Box::new(Breeder));
+        w.run_for(SimDuration::from_secs(1));
+        assert!(check_bounded("t", &w, 1_000, u64::MAX, u64::MAX).is_empty(), "under the bound");
+        let v = check_bounded("t", &w, 100, u64::MAX, u64::MAX);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("region 1 holds 2"), "{v:?}");
+        let v = check_bounded("t", &w, usize::MAX, 100, u64::MAX);
+        assert!(v.len() == 1 && v[0].contains("region 1 peak queue depth"), "{v:?}");
     }
 }

@@ -1,4 +1,5 @@
-//! Structural properties of chaos plans for every workload shape.
+//! Structural properties of chaos plans for every row of the workload
+//! table (LAN and campus placements alike).
 //!
 //! These run the *generator and minimizer* over many seeds, not full
 //! simulations, so they are cheap enough for tier-1. The contracts:
@@ -8,7 +9,7 @@
 //! reaches a fixpoint where every surviving op is load-bearing.
 
 use proptest::{prop_assert, prop_assert_eq, proptest};
-use snipe_bench::chaos::{Workload, ALL_WORKLOADS};
+use snipe_bench::chaos::{Workload, WORKLOADS};
 use snipe_netsim::chaos::{shrink_plan, ChaosOp, ChaosPlan};
 use snipe_util::time::SimTime;
 
@@ -27,7 +28,7 @@ fn op_start(op: &ChaosOp) -> SimTime {
 proptest! {
     #[test]
     fn plans_are_pure_functions_of_their_seed(seed in proptest::any::<u32>()) {
-        for w in ALL_WORKLOADS {
+        for w in &WORKLOADS {
             let shape = w.shape();
             let a = ChaosPlan::generate(seed as u64, &shape);
             let b = ChaosPlan::generate(seed as u64, &shape);
@@ -38,7 +39,7 @@ proptest! {
 
     #[test]
     fn every_workload_shape_respects_horizon_discipline(seed in proptest::any::<u32>()) {
-        for w in ALL_WORKLOADS {
+        for w in &WORKLOADS {
             let shape = w.shape();
             let plan = ChaosPlan::generate(seed as u64, &shape);
             let h = shape.horizon.as_nanos();
@@ -47,13 +48,13 @@ proptest! {
             prop_assert!(!plan.ops.is_empty());
             prop_assert!(plan.ops.len() <= shape.max_ops as usize);
             for op in &plan.ops {
-                prop_assert!(op_start(op) >= lo, "{}: op starts too early: {op:?}", w.name());
+                prop_assert!(op_start(op) >= lo, "{}: op starts too early: {op:?}", w.name);
             }
             // Quiesce covers both the last op end and packet cutoff.
             prop_assert!(
                 plan.quiesce_at() <= hi.max(plan.packet_until),
                 "{}: plan quiesces too late",
-                w.name()
+                w.name
             );
             if let Some(pc) = plan.packet {
                 prop_assert!(pc.corrupt <= shape.corrupt_max);
@@ -66,11 +67,14 @@ proptest! {
 
     #[test]
     fn mcast_shape_never_generates_corruption(seed in proptest::any::<u32>()) {
-        // W4's contract: duplication/reordering only — a corrupt-capable
-        // plan would make the distinct-delivery oracle unsound.
-        let plan = ChaosPlan::generate(seed as u64, &Workload::Mcast.shape());
-        if let Some(pc) = plan.packet {
-            prop_assert_eq!(pc.corrupt, 0.0);
+        // The multicast contract: duplication/reordering only — a
+        // corrupt-capable plan would make the distinct-delivery oracle
+        // unsound, wherever the group is staged.
+        for name in ["mcast", "mcast@campus"] {
+            let shape = Workload::from_name(name).expect("table row").shape();
+            if let Some(pc) = ChaosPlan::generate(seed as u64, &shape).packet {
+                prop_assert_eq!(pc.corrupt, 0.0);
+            }
         }
     }
 
@@ -78,7 +82,8 @@ proptest! {
     fn shrinker_reaches_a_load_bearing_fixpoint(seed in proptest::any::<u32>()) {
         // Synthetic failure predicate: "fails iff ≥2 net-level ops
         // remain". The shrunk plan must sit exactly on the boundary.
-        let plan = ChaosPlan::generate(seed as u64, &Workload::SrudpTransfer.shape());
+        let shape = Workload::from_name("srudp-transfer@campus").expect("table row").shape();
+        let plan = ChaosPlan::generate(seed as u64, &shape);
         let net_ops = |p: &ChaosPlan| {
             p.ops
                 .iter()

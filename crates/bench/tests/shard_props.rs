@@ -10,7 +10,7 @@
 //! taxonomies, chaos counters and per-shard clocks).
 
 use proptest::{prop_assert_eq, proptest};
-use snipe_bench::{chaos_shard, shard_storm};
+use snipe_bench::{chaos, shard_storm};
 use snipe_netsim::shard::FaultCmd;
 use snipe_util::id::HostId;
 use snipe_util::time::{SimDuration, SimTime};
@@ -61,26 +61,28 @@ const PINNED_DIGEST: u64 = 0x9493_0970_f057_78f1;
 /// engine digest and same application log at every thread count.
 #[test]
 fn full_protocol_digest_is_thread_count_invariant() {
-    let (d1, l1) = chaos_shard::full_protocol_sharded(42, 1, 20);
+    let (d1, l1) = chaos::full_protocol_calm(42, Some(1), 20);
     assert!(
         !l1.is_empty(),
         "full-protocol run produced no application log lines — workload broken"
     );
     for threads in [2usize, 4, 8] {
-        let (dt, lt) = chaos_shard::full_protocol_sharded(42, threads, 20);
+        let (dt, lt) = chaos::full_protocol_calm(42, Some(threads), 20);
         assert_eq!(d1, dt, "full-protocol digest diverged at {threads} threads");
         assert_eq!(l1, lt, "full-protocol app log diverged at {threads} threads");
     }
 }
 
-/// The erasure-coded share-spray chaos workload must be a pure
-/// function of the world too: same digest (and a green verdict) at
-/// every thread count, under a six-op plan with packet corruption.
+/// The erasure-coded share-spray chaos workload — the real
+/// `FragStrategy::Fec` driver between two campus regions — must be a
+/// pure function of the world too: same digest (and a green verdict)
+/// at every thread count, under a six-op plan with packet corruption.
 #[test]
 fn fec_spray_digest_is_thread_count_invariant() {
     use snipe_netsim::chaos::ChaosPlan;
-    let w = chaos_shard::ShardWorkload::FecSpray;
+    let w = chaos::Workload::from_name("fec-spray@campus").expect("table row");
     let plan = ChaosPlan::generate(0xC0FF_EE02, &w.shape());
+    assert!(plan.ops.len() == 6 && plan.packet.is_some_and(|p| p.corrupt > 0.0), "{plan:?}");
     let (v1, d1) = w.run(&plan, 0x5EED + 2, 1);
     assert!(v1.is_empty(), "fec spray violated its oracles at 1 thread: {v1:?}");
     for threads in [2usize, 4, 8] {
@@ -98,7 +100,7 @@ fn fec_spray_digest_is_thread_count_invariant() {
 /// level.
 #[test]
 fn full_protocol_one_region_matches_natural_partition_app_log() {
-    let one_region = chaos_shard::full_protocol_one_region(42, 20);
-    let (_, natural) = chaos_shard::full_protocol_sharded(42, 1, 20);
+    let (_, one_region) = chaos::full_protocol_calm(42, None, 20);
+    let (_, natural) = chaos::full_protocol_calm(42, Some(1), 20);
     assert_eq!(one_region, natural, "forced one region vs natural partition app log diverged");
 }

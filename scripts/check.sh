@@ -14,11 +14,10 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo fmt --check
-# The umbrella package plus every workspace crate it depends on (what
-# this gate has always linted), and all of the engine crate's targets.
-# The remaining test/bench targets carry style-lint debt under current
-# clippy; CHANGES.md (PR 13) lists it.
-cargo clippy -p snipe -p snipe-netsim --all-targets -- -D warnings
+# The umbrella package plus every workspace crate it depends on, and
+# every target of the engine and bench crates. The other crates' test
+# targets still carry style-lint debt under current clippy (ROADMAP 6b).
+cargo clippy -p snipe -p snipe-netsim -p snipe-bench --all-targets -- -D warnings
 # Rustdoc gate: first-party crates must document cleanly. Broken
 # intra-doc links and malformed examples rot fastest in the wire layer,
 # where the Driver trait docs double as the transport-author guide.
@@ -26,9 +25,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p snipe-util -p snipe-netsim -p snipe-wire -p snipe-rcds \
     -p snipe-core -p snipe-crypto -p snipe-daemon -p snipe-files \
     -p snipe-rm -p snipe-bench -p snipe-playground -p snipe
-# Bounded chaos smoke: a few seeded fault plans per workload plus the
-# planted-bug drill; exits nonzero on any oracle violation and writes
-# results/chaos.json for inspection.
+# Bounded chaos smoke: two seeded fault plans for every row of the
+# workload table — LAN and campus placements alike, the campus ones run
+# at 4 threads and again at 1 with equal digests demanded — plus the
+# planted-bug drill; exits nonzero on any oracle violation or digest
+# divergence and writes results/chaos.json for inspection.
 cargo run -q --release -p snipe-bench --bin harness -- chaos-smoke
 # Observability overhead gate: the flight recorder + metrics layer is
 # compiled into the engine hot path, so the recorder-disabled build must
