@@ -965,14 +965,37 @@ mod tests {
         assert_eq!(dispatch(COMMANDS, &words("e5 e55")), 1);
     }
 
+    /// Run in a scratch directory; the process-wide cwd is put back (and
+    /// the scratch removed) on drop, so a failed assert restores it too.
+    struct Scratch {
+        home: std::path::PathBuf,
+        dir: std::path::PathBuf,
+    }
+
+    impl Scratch {
+        fn enter() -> Scratch {
+            let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join(format!("../../target/tmp/harness-test-{}", std::process::id()));
+            std::fs::create_dir_all(dir.join("results")).unwrap();
+            let home = std::env::current_dir().unwrap();
+            std::env::set_current_dir(&dir).unwrap();
+            Scratch { home, dir }
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::env::set_current_dir(&self.home);
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
     /// A command regenerates its own files and leaves every other
-    /// artefact in `results/` alone.
+    /// artefact in `results/` alone. The only test of this binary that
+    /// may touch a relative path: the cwd is process-global.
     #[test]
     fn a_command_clears_only_the_files_it_writes() {
-        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join(format!("../../target/tmp/harness-test-{}", std::process::id()));
-        std::fs::create_dir_all(dir.join("results")).unwrap();
-        std::env::set_current_dir(&dir).unwrap();
+        let _scratch = Scratch::enter();
         for f in ["bench_shard.json", "e6.txt", "e5.txt"] {
             std::fs::write(format!("results/{f}"), "stale").unwrap();
         }
@@ -981,6 +1004,5 @@ mod tests {
         assert_eq!(std::fs::read_to_string("results/e6.txt").unwrap(), "stale");
         let e5 = std::fs::read_to_string("results/e5.txt").unwrap();
         assert!(e5.starts_with("== E5") && !e5.contains("stale"), "{e5}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

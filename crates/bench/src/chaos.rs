@@ -67,9 +67,11 @@ const RECOVERY_TAIL: SimDuration = SimDuration::from_secs(30);
 
 /// Per-region bounds for [`oracles::check_bounded`]: residual events
 /// after quiesce (steady-state timers only), peak depth during the run
-/// and mailbox items routed into one region in one round.
+/// and mailbox items routed into one region in one round. The peak is
+/// the tighter of the two parent soaks' bounds (LAN 250 000, campus
+/// 100 000 per region); no row needs more at `harness chaos 16`.
 const MAX_RESIDUAL_EVENTS: usize = 512;
-const MAX_PEAK_DEPTH: u64 = 250_000;
+const MAX_PEAK_DEPTH: u64 = 100_000;
 const MAX_MAILBOX_BURST: u64 = 10_000;
 
 /// Worker threads of every primary run, and of the differential re-run
@@ -1240,6 +1242,9 @@ impl SnipeProcess for SoakPublisher {
                 // timeout (ROADMAP 4d): if it or its reply is lost no
                 // error ever arrives, so ask again on the same
                 // soft-state tick. The child's hello is deduplicated.
+                // WORKAROUND, to be deleted with 4d's fix: once the
+                // ticket times out, `Spawned(Err(_))` above re-spawns
+                // and this retry would only hide a regression of it.
                 if self.published && !self.spawned {
                     self.spawn_child(api);
                 }
@@ -1495,14 +1500,20 @@ pub fn trace_metrics_json<'a>(
     metrics.render_json(indent)
 }
 
-/// Read the trace sink's per-kind totals back out of the world's
-/// metrics snapshot (the one place both sinks — this thread's recorder
-/// and the per-region rings — are summed).
+/// The trace sink's per-kind totals: this thread's flight recorder for
+/// a one-region world (it runs inline), else the per-region rings,
+/// which `World` sums only into its metrics snapshot — a `trace.*` key
+/// missing from that snapshot panics rather than reading as zero.
 fn trace_totals(world: &mut World) -> ([u64; TraceKind::COUNT], u64) {
+    if world.regions() == 1 {
+        return (trace::kind_counts(), trace::trace_dropped());
+    }
     let json = world.metrics_json(0);
     let read = |name: &str| {
-        let (_, rest) = json.split_once(&format!("\"trace.{name}\": ")).unwrap_or_default();
-        rest.bytes().take_while(u8::is_ascii_digit).fold(0, |n, d| n * 10 + u64::from(d - b'0'))
+        let key = format!("\"trace.{name}\": ");
+        let (_, rest) = json.split_once(&key).unwrap_or_else(|| panic!("no {key}in {json}"));
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        rest[..digits].parse::<u64>().unwrap_or_else(|e| panic!("{key}{e}"))
     };
     (std::array::from_fn(|i| read(TraceKind::NAMES[i])), read("ring_dropped"))
 }
@@ -1761,7 +1772,10 @@ pub const REGRESSION_CORPUS: &[(&str, u64, u64)] = &[
     // is the seed that still fails that way with `PUSH_BYTES` disabled
     // (the leading seed no longer does). Index 11 corrupts the one
     // datagram carrying the publisher's spawn reply; the spawn ticket
-    // has no timeout (ROADMAP 4d), so the publisher asks again.
+    // has no timeout (ROADMAP 4d), so the publisher asks again. Until
+    // 4d is fixed that pin guards `SoakPublisher`'s retry, not the
+    // product: the fix must delete the retry, after which this triple
+    // is green only while the ticket timeout works.
     ("full-protocol", 0xC0FF_EE00, 0x5EED),
     ("full-protocol", 0xC0FF_EE01, 0x5EED + 1),
     ("full-protocol", 0xC0FF_EE0B, 0x5EED + 11),
