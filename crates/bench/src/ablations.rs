@@ -21,8 +21,7 @@ use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::ports;
 use snipe_wire::stack::StackConfig;
 
-use crate::fig1::{SrudpReceiver, SrudpSender};
-use snipe_netsim::actor::TimerGate;
+use crate::fig1::{Hosted, Receiver, SrudpSender};
 
 /// A1 result row.
 #[derive(Clone, Debug)]
@@ -56,29 +55,25 @@ pub fn run_a1(window: usize, frag_size: usize, loss: f64, seed: u64) -> A1Point 
     world.spawn(
         b,
         20,
-        Box::new(SrudpReceiver {
-            stack: None,
+        Box::new(Hosted::new(Receiver {
+            cfg: cfg.clone(),
+            pin: None,
             received: received.clone(),
             done_at: done_at.clone(),
             expect: total,
-            cfg: cfg.clone(),
-            pin: None,
-            gate: TimerGate::new(),
-        }),
+        })),
     );
     world.spawn(
         a,
         20,
-        Box::new(SrudpSender {
-            stack: None,
+        Box::new(Hosted::new(SrudpSender {
             peer: Endpoint::new(b, 20),
             msg_size: 64 * 1024,
             remaining: total,
             inflight: window * frag_size * 2,
             cfg,
             pin: None,
-            gate: TimerGate::new(),
-        }),
+        })),
     );
     for _ in 0..1200 {
         world.run_for(SimDuration::from_millis(100));
@@ -144,24 +139,21 @@ pub fn run_fec_ab(fec: bool, loss: f64, seed: u64) -> FecAbPoint {
     world.spawn(
         b,
         20,
-        Box::new(FecReceiver {
-            stack: None,
+        Box::new(Hosted::new(FecReceiver {
             cfg: cfg.clone(),
             pin: None,
-            gate: TimerGate::new(),
             expect: FEC_AB_COUNT,
             msg_size: FEC_AB_MSG,
             seqs: seqs.clone(),
             mismatches: mismatches.clone(),
             stats: stats.clone(),
             done_at: done_at.clone(),
-        }),
+        })),
     );
     world.spawn(
         a,
         20,
-        Box::new(FecSender {
-            stack: None,
+        Box::new(Hosted::new(FecSender {
             peer: Endpoint::new(b, 20),
             msg_size: FEC_AB_MSG,
             count: FEC_AB_COUNT,
@@ -175,8 +167,7 @@ pub fn run_fec_ab(fec: bool, loss: f64, seed: u64) -> FecAbPoint {
             inflight: 0,
             cfg,
             pin: None,
-            gate: TimerGate::new(),
-        }),
+        })),
     );
     for _ in 0..600 {
         world.run_for(SimDuration::from_millis(100));

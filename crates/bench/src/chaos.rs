@@ -30,7 +30,7 @@ use snipe_core::{
     ProcessActor, SnipeApi, SnipeProcess, SnipeWorld, SnipeWorldBuilder, SpawnTarget,
 };
 use snipe_files::{FetchActor, FileServerActor, FileServerConfig};
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::chaos::{shrink_plan, ChaosBinding, ChaosOp, ChaosPlan, ChaosShape};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::shard::ActorFactory;
@@ -52,7 +52,7 @@ use snipe_wire::stack::StackConfig;
 
 use crate::e6_multicast::{self, MemberActor};
 use crate::fig1::{
-    FecReceiver, FecSender, RstreamReceiver, RstreamSender, SrudpReceiver, SrudpSender,
+    rstream_stack, FecReceiver, FecSender, Hosted, Receiver, RstreamSender, SrudpSender,
 };
 use crate::shard_storm::cluster_topology;
 use crate::{e5_migration, oracles, par_map};
@@ -650,29 +650,25 @@ fn srudp_transfer(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<S
     st.world.spawn(
         b,
         20,
-        Box::new(SrudpReceiver {
-            stack: None,
+        Box::new(Hosted::new(Receiver {
+            cfg: cfg.clone(),
+            pin: st.pin.clone(),
             received: received.clone(),
             done_at: Arc::default(),
             expect: total,
-            cfg: cfg.clone(),
-            pin: st.pin.clone(),
-            gate: TimerGate::new(),
-        }),
+        })),
     );
     st.world.spawn(
         a,
         20,
-        Box::new(SrudpSender {
-            stack: None,
+        Box::new(Hosted::new(SrudpSender {
             peer: Endpoint::new(b, 20),
             msg_size: 16 * 1024,
             remaining: total,
             inflight: st.window,
             cfg,
             pin: st.pin.clone(),
-            gate: TimerGate::new(),
-        }),
+        })),
     );
     st.bind(plan, &[a, b], Vec::new());
     drive_transfer(label, &mut st.world, plan, (a, b), (total, "bytes"), || {
@@ -689,28 +685,25 @@ fn rstream_transfer(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec
     st.world.spawn(
         b,
         20,
-        Box::new(RstreamReceiver {
-            stack: None,
-            cfg: cfg.clone(),
+        Box::new(Hosted::new(Receiver {
+            cfg: rstream_stack(&cfg),
+            pin: None,
             received: received.clone(),
             done_at: Arc::default(),
             expect: total,
-            gate: TimerGate::new(),
-        }),
+        })),
     );
     st.world.spawn(
         a,
         20,
-        Box::new(RstreamSender {
-            stack: None,
+        Box::new(Hosted::new(RstreamSender {
             cfg,
             conn: 0,
             peer: Endpoint::new(b, 20),
             msg_size: 16 * 1024,
             remaining: total,
             inflight_cap: st.window,
-            gate: TimerGate::new(),
-        }),
+        })),
     );
     st.bind(plan, &[a, b], Vec::new());
     drive_transfer(label, &mut st.world, plan, (a, b), (total, "bytes"), || {
@@ -732,24 +725,21 @@ fn fec_spray(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String
     st.world.spawn(
         b,
         20,
-        Box::new(FecReceiver {
-            stack: None,
+        Box::new(Hosted::new(FecReceiver {
             cfg: cfg.clone(),
             pin: st.pin.clone(),
-            gate: TimerGate::new(),
             expect: count as u64,
             msg_size,
             seqs: seqs.clone(),
             mismatches: mismatches.clone(),
             stats: stats.clone(),
             done_at: Arc::default(),
-        }),
+        })),
     );
     st.world.spawn(
         a,
         20,
-        Box::new(FecSender {
-            stack: None,
+        Box::new(Hosted::new(FecSender {
             peer: Endpoint::new(b, 20),
             msg_size,
             count: count as u64,
@@ -757,8 +747,7 @@ fn fec_spray(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String
             inflight: st.window,
             cfg,
             pin: st.pin.clone(),
-            gate: TimerGate::new(),
-        }),
+        })),
     );
     st.bind(plan, &[a, b], Vec::new());
     let mut violations =

@@ -5,6 +5,7 @@
 
 use bytes::Bytes;
 
+use snipe_daemon::McastRouterActor;
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::shard::FaultCmd;
@@ -14,7 +15,6 @@ use snipe_util::id::HostId;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
 use snipe_wire::mcast::{majority, McastMember, McastMsg, McastRouter};
-use snipe_wire::Out;
 
 /// Measured outcome.
 #[derive(Clone, Debug)]
@@ -29,32 +29,6 @@ pub struct E6Point {
     pub min_delivered: u32,
     /// Duplicate deliveries suppressed at members (sum).
     pub duplicates: u64,
-}
-
-struct RouterActor {
-    state: McastRouter,
-}
-
-impl Actor for RouterActor {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        if let Event::Packet { payload, .. } = event {
-            let Ok((Proto::Mcast, body)) = open(payload) else {
-                return;
-            };
-            let Ok(msg) = McastMsg::decode(body) else {
-                return;
-            };
-            let mut outs = Vec::new();
-            self.state.on_message(msg, &mut outs);
-            for o in outs {
-                if let Out::Send { to, bytes, .. } = o {
-                    if to != ctx.me() {
-                        ctx.send(to, bytes);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// A group member: counts distinct and suppressed-duplicate deliveries
@@ -148,7 +122,7 @@ pub(crate) fn spawn_group(
                 state.on_message(McastMsg::Join { group: 1, member }, &mut scratch);
             }
         }
-        world.spawn(h, 5, Box::new(RouterActor { state }));
+        world.spawn(h, 5, Box::new(McastRouterActor::with_state(state)));
     }
     for &h in members {
         let member = MemberActor { dedup: McastMember::new(), delivered: 0, duplicates: 0 };

@@ -17,8 +17,7 @@ use snipe_netsim::world::World;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::stack::StackConfig;
 
-use crate::fig1::{SrudpReceiver, SrudpSender};
-use snipe_netsim::actor::TimerGate;
+use crate::fig1::{Hosted, Receiver, SrudpSender};
 
 /// Measured outcome.
 #[derive(Clone, Debug)]
@@ -54,28 +53,24 @@ pub fn run(total: usize, seed: u64) -> E7Point {
     world.spawn(
         b,
         20,
-        Box::new(SrudpReceiver {
-            stack: None,
+        Box::new(Hosted::new(Receiver {
+            cfg: cfg.clone(),
+            pin: Some(vec![atm, eth]),
             received: received.clone(),
             done_at: done_at.clone(),
             expect: total,
-            cfg: cfg.clone(),
-            pin: Some(vec![atm, eth]),
-            gate: TimerGate::new(),
-        }),
+        })),
     );
     // Pin routes: prefer ATM, fall back to Ethernet.
     let sender = SrudpSender {
-        stack: None,
         peer: Endpoint::new(b, 20),
         msg_size: 16 * 1024,
         remaining: total,
         inflight: 64 * 1400,
         cfg,
         pin: Some(vec![atm, eth]),
-        gate: TimerGate::new(),
     };
-    world.spawn(a, 20, Box::new(sender));
+    world.spawn(a, 20, Box::new(Hosted::new(sender)));
     // Blackhole the ATM fabric at 40% of the expected transfer time.
     let fault_at = SimTime::ZERO + SimDuration::from_millis(100);
     world.schedule_fault(fault_at, FaultCmd::NetLoss(atm, Some(1.0)));

@@ -11,16 +11,18 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_daemon::McastRouterActor;
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
+use snipe_util::id::NetId;
 use snipe_util::time::{SimDuration, SimTime};
-use snipe_wire::frame::{open, seal, Proto};
+use snipe_wire::frame::{seal, Proto};
+use snipe_wire::host::{Delivery, StackHost};
 use snipe_wire::mcast::{McastMsg, McastRouter};
 use snipe_wire::rstream::RstreamConfig;
 use snipe_wire::stack::{endpoint_key, StackConfig, WireStack};
-use snipe_wire::Out;
 
 /// Protocol module under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,11 +62,88 @@ pub struct Fig1Point {
 }
 
 // ---------------------------------------------------------------------------
-// SRUDP driver
+// One host for every stack-driving endpoint
+// ---------------------------------------------------------------------------
+
+const TIMER_STACK: u64 = 1;
+
+/// What tells one Fig. 1 endpoint from another: how its stack is
+/// built, what it enqueues and what a delivery means to it. The event
+/// loop around that is [`Hosted`].
+pub(crate) trait StackApp: Send + 'static {
+    /// Build the stack at `Event::Start`.
+    fn open(&mut self, now: SimTime, me: Endpoint) -> WireStack;
+    /// Runs after every stack input and before the flush: enqueue more
+    /// payload, pin routes toward peers just learned.
+    fn pump(&mut self, _now: SimTime, _stack: &mut WireStack) {}
+    /// A complete message came up.
+    fn deliver(&mut self, _now: SimTime, _d: Delivery) {}
+}
+
+/// The actor around a [`StackApp`]: feeds the hosted stack, lets the
+/// app top it up, flushes, hands deliveries back.
+pub(crate) struct Hosted<A> {
+    app: A,
+    stack: StackHost,
+}
+
+impl<A: StackApp> Hosted<A> {
+    pub(crate) fn new(app: A) -> Hosted<A> {
+        Hosted { app, stack: StackHost::new(TIMER_STACK) }
+    }
+}
+
+impl<A: StackApp> Actor for Hosted<A> {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+        let now = ctx.now();
+        match event {
+            Event::Start => self.stack.start(self.app.open(now, ctx.me())),
+            Event::Packet { from, payload } => {
+                let _ = self.stack.on_packet(now, from, payload);
+            }
+            Event::Timer { token: TIMER_STACK } | Event::HostUp => self.stack.on_timer(now),
+            _ => return,
+        }
+        if let Some(stack) = self.stack.as_mut() {
+            self.app.pump(now, stack);
+        }
+        for d in self.stack.flush(ctx) {
+            self.app.deliver(now, d);
+        }
+    }
+}
+
+/// A stack with one configured peer (the senders).
+fn stack_toward(
+    now: SimTime,
+    me: Endpoint,
+    cfg: &StackConfig,
+    peer: Endpoint,
+    pin: &Option<Vec<NetId>>,
+) -> WireStack {
+    let mut stack = WireStack::new(endpoint_key(me), cfg.clone());
+    stack.set_peer_at(now, endpoint_key(peer), peer, pin.clone().unwrap_or_default());
+    stack
+}
+
+/// Pin our return routes toward every sender whose key the stack has
+/// learned from its packets (multi-path, E7).
+fn pin_learned_peers(now: SimTime, stack: &mut WireStack, pin: &Option<Vec<NetId>>) {
+    let Some(pin) = pin else { return };
+    for key in stack.known_peers() {
+        if stack.route_candidates(key).is_empty() {
+            if let Some(ep) = stack.peer_endpoint(key) {
+                stack.set_peer_at(now, key, ep, pin.clone());
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Byte-stream endpoints: SRUDP and RSTREAM senders, one receiver
 // ---------------------------------------------------------------------------
 
 pub(crate) struct SrudpSender {
-    pub(crate) stack: Option<WireStack>,
     pub(crate) peer: Endpoint,
     pub(crate) msg_size: usize,
     pub(crate) remaining: usize,
@@ -72,162 +151,100 @@ pub(crate) struct SrudpSender {
     pub(crate) inflight: usize,
     pub(crate) cfg: StackConfig,
     /// Ranked pinned routes toward the peer (multi-path, E7).
-    pub(crate) pin: Option<Vec<snipe_util::id::NetId>>,
-    pub(crate) gate: TimerGate,
+    pub(crate) pin: Option<Vec<NetId>>,
 }
 
-const TIMER_STACK: u64 = 1;
-
-fn flush_wire(
-    stack: &mut WireStack,
-    gate: &mut TimerGate,
-    ctx: &mut dyn SimCtx,
-    delivered: &mut usize,
-) {
-    for o in stack.drain() {
-        match o {
-            Out::Send { to, via, bytes, .. } => match via {
-                Some(n) => ctx.send_via(to, bytes, n),
-                None => ctx.send(to, bytes),
-            },
-            Out::Deliver { msg, .. } => *delivered += msg.len(),
-            Out::Wake { .. } => {}
-        }
+impl StackApp for SrudpSender {
+    fn open(&mut self, now: SimTime, me: Endpoint) -> WireStack {
+        stack_toward(now, me, &self.cfg, self.peer, &self.pin)
     }
-    if let Some(dl) = stack.next_deadline() {
-        gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_STACK);
-    }
-}
 
-impl SrudpSender {
-    fn pump_app(&mut self, ctx: &mut dyn SimCtx) {
-        let now = ctx.now();
-        let Some(stack) = self.stack.as_mut() else {
-            return;
-        };
+    fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
         // Keep a bounded amount of payload queued in the transport so
         // the wire stays saturated without unbounded memory use.
-        while self.remaining > 0 && stack_backlog(stack) < self.inflight {
+        while self.remaining > 0 && stack.backlog_total() < self.inflight {
             let size = self.msg_size.min(self.remaining);
             stack
                 .send(now, endpoint_key(self.peer), Bytes::from(vec![0xAB; size]))
                 .expect("configured frag size");
             self.remaining -= size;
         }
-        let mut sink = 0;
-        flush_wire(stack, &mut self.gate, ctx, &mut sink);
     }
 }
 
-fn stack_backlog(stack: &WireStack) -> usize {
-    // Unacked bytes toward all peers — our pipeline depth proxy.
-    stack.backlog_total()
+pub(crate) struct RstreamSender {
+    pub(crate) cfg: RstreamConfig,
+    pub(crate) conn: u64,
+    pub(crate) peer: Endpoint,
+    pub(crate) msg_size: usize,
+    pub(crate) remaining: usize,
+    pub(crate) inflight_cap: usize,
 }
 
-impl Actor for SrudpSender {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            Event::Start => {
-                let me = ctx.me();
-                let mut stack = WireStack::new(endpoint_key(me), self.cfg.clone());
-                let routes = self.pin.clone().unwrap_or_default();
-                stack.set_peer_at(ctx.now(), endpoint_key(self.peer), self.peer, routes);
-                self.stack = Some(stack);
-                self.pump_app(ctx);
+/// The stack both ends of an RSTREAM transfer run.
+pub(crate) fn rstream_stack(cfg: &RstreamConfig) -> StackConfig {
+    StackConfig { rstream: Some(cfg.clone()), ..StackConfig::default() }
+}
+
+impl StackApp for RstreamSender {
+    fn open(&mut self, now: SimTime, me: Endpoint) -> WireStack {
+        let mut stack = WireStack::new(endpoint_key(me), rstream_stack(&self.cfg));
+        self.conn = stack.rstream_mut().expect("RSTREAM driver registered").connect(now, self.peer);
+        stack
+    }
+
+    fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
+        let rs = stack.rstream_mut().expect("RSTREAM driver registered");
+        while self.remaining > 0 && rs.unacked_bytes(self.conn) < self.inflight_cap {
+            let size = self.msg_size.min(self.remaining);
+            if rs.send_message(now, self.conn, &vec![0xCD; size]).is_err() {
+                break;
             }
-            Event::Timer { token: TIMER_STACK } | Event::HostUp => {
-                // HostUp: timers queued while the host was down were
-                // swallowed by the engine, so the gate may reference a
-                // deadline that will never fire. Re-drive the stack now
-                // to resume retransmission after recovery.
-                self.gate.fired();
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    s.on_timer(now);
-                }
-                self.pump_app(ctx);
-            }
-            Event::Packet { from, payload } => {
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    let _ = s.on_datagram(now, from, payload);
-                }
-                self.pump_app(ctx);
-            }
-            _ => {}
+            self.remaining -= size;
         }
     }
 }
 
-pub(crate) struct SrudpReceiver {
-    pub(crate) stack: Option<WireStack>,
+/// Counts delivered payload bytes, whichever driver of `cfg` they come
+/// up through, and notes when `expect` of them have arrived.
+pub(crate) struct Receiver {
+    pub(crate) cfg: StackConfig,
+    /// Ranked routes to pin toward senders (multi-path, E7).
+    pub(crate) pin: Option<Vec<NetId>>,
     pub(crate) received: Arc<Mutex<usize>>,
     pub(crate) done_at: Arc<Mutex<Option<SimTime>>>,
     pub(crate) expect: usize,
-    pub(crate) cfg: StackConfig,
-    /// Ranked routes to pin toward senders (multi-path, E7).
-    pub(crate) pin: Option<Vec<snipe_util::id::NetId>>,
-    pub(crate) gate: TimerGate,
 }
 
-impl Actor for SrudpReceiver {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            Event::Start => {
-                let me = ctx.me();
-                self.stack = Some(WireStack::new(endpoint_key(me), self.cfg.clone()));
-            }
-            Event::Packet { from, payload } => {
-                let now = ctx.now();
-                let Some(stack) = self.stack.as_mut() else {
-                    return;
-                };
-                let _ = stack.on_datagram(now, from, payload);
-                // Pin our return routes toward the sender (its key was
-                // learned from the packet).
-                if let Some(pin) = &self.pin {
-                    for key in stack.known_peers() {
-                        if stack.route_candidates(key).is_empty() {
-                            if let Some(ep) = stack.peer_endpoint(key) {
-                                stack.set_peer_at(now, key, ep, pin.clone());
-                            }
-                        }
-                    }
-                }
-                let mut got = 0;
-                flush_wire(stack, &mut self.gate, ctx, &mut got);
-                if got > 0 {
-                    let mut r = self.received.lock().unwrap();
-                    *r += got;
-                    if *r >= self.expect && self.done_at.lock().unwrap().is_none() {
-                        *self.done_at.lock().unwrap() = Some(ctx.now());
-                    }
-                }
-            }
-            Event::Timer { token: TIMER_STACK } | Event::HostUp => {
-                // See SrudpSender: re-arm after a flap swallowed timers.
-                self.gate.fired();
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    s.on_timer(now);
-                    let mut got = 0;
-                    flush_wire(s, &mut self.gate, ctx, &mut got);
-                    if got > 0 {
-                        let mut r = self.received.lock().unwrap();
-                        *r += got;
-                        if *r >= self.expect && self.done_at.lock().unwrap().is_none() {
-                            *self.done_at.lock().unwrap() = Some(ctx.now());
-                        }
-                    }
-                }
-            }
-            _ => {}
+impl StackApp for Receiver {
+    fn open(&mut self, _now: SimTime, me: Endpoint) -> WireStack {
+        WireStack::new(endpoint_key(me), self.cfg.clone())
+    }
+
+    fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
+        pin_learned_peers(now, stack, &self.pin);
+    }
+
+    fn deliver(&mut self, now: SimTime, d: Delivery) {
+        let len = match d.proto {
+            // Member deliveries carry the whole MCAST envelope; goodput
+            // counts only the application payload.
+            Proto::Mcast => match McastMsg::decode(d.msg) {
+                Ok(McastMsg::Data { payload, .. }) => payload.len(),
+                _ => return,
+            },
+            _ => d.msg.len(),
+        };
+        let mut r = self.received.lock().unwrap();
+        *r += len;
+        if *r >= self.expect && self.done_at.lock().unwrap().is_none() {
+            *self.done_at.lock().unwrap() = Some(now);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// FEC integrity workload actors (chaos + A/B bench)
+// FEC integrity workload endpoints (chaos + A/B bench)
 // ---------------------------------------------------------------------------
 
 /// Deterministic patterned payload for message `i`: an 8-byte index
@@ -246,60 +263,25 @@ pub(crate) fn fec_payload(i: u64, size: usize) -> Bytes {
 /// backlog under `inflight` bytes (set `inflight` below one message's
 /// wire cost for stop-and-wait pacing).
 pub(crate) struct FecSender {
-    pub(crate) stack: Option<WireStack>,
     pub(crate) peer: Endpoint,
     pub(crate) msg_size: usize,
     pub(crate) count: u64,
     pub(crate) next: u64,
     pub(crate) inflight: usize,
     pub(crate) cfg: StackConfig,
-    pub(crate) pin: Option<Vec<snipe_util::id::NetId>>,
-    pub(crate) gate: TimerGate,
+    pub(crate) pin: Option<Vec<NetId>>,
 }
 
-impl FecSender {
-    fn pump_app(&mut self, ctx: &mut dyn SimCtx) {
-        let now = ctx.now();
-        let Some(stack) = self.stack.as_mut() else {
-            return;
-        };
-        while self.next < self.count && stack_backlog(stack) <= self.inflight {
+impl StackApp for FecSender {
+    fn open(&mut self, now: SimTime, me: Endpoint) -> WireStack {
+        stack_toward(now, me, &self.cfg, self.peer, &self.pin)
+    }
+
+    fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
+        while self.next < self.count && stack.backlog_total() <= self.inflight {
             let msg = fec_payload(self.next, self.msg_size);
             stack.send(now, endpoint_key(self.peer), msg).expect("configured frag size");
             self.next += 1;
-        }
-        let mut sink = 0;
-        flush_wire(stack, &mut self.gate, ctx, &mut sink);
-    }
-}
-
-impl Actor for FecSender {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            Event::Start => {
-                let me = ctx.me();
-                let mut stack = WireStack::new(endpoint_key(me), self.cfg.clone());
-                let routes = self.pin.clone().unwrap_or_default();
-                stack.set_peer_at(ctx.now(), endpoint_key(self.peer), self.peer, routes);
-                self.stack = Some(stack);
-                self.pump_app(ctx);
-            }
-            Event::Timer { token: TIMER_STACK } | Event::HostUp => {
-                self.gate.fired();
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    s.on_timer(now);
-                }
-                self.pump_app(ctx);
-            }
-            Event::Packet { from, payload } => {
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    let _ = s.on_datagram(now, from, payload);
-                }
-                self.pump_app(ctx);
-            }
-            _ => {}
         }
     }
 }
@@ -307,13 +289,11 @@ impl Actor for FecSender {
 /// Verifies every delivered message against [`fec_payload`]: indices
 /// land in `seqs` (order preserved), content mismatches in
 /// `mismatches` (each one is an integrity violation — reconstruction
-/// must fail closed, never fabricate), and the final SRUDP stats
+/// must fail closed, never fabricate), and the latest SRUDP stats
 /// snapshot in `stats`.
 pub(crate) struct FecReceiver {
-    pub(crate) stack: Option<WireStack>,
     pub(crate) cfg: StackConfig,
-    pub(crate) pin: Option<Vec<snipe_util::id::NetId>>,
-    pub(crate) gate: TimerGate,
+    pub(crate) pin: Option<Vec<NetId>>,
     pub(crate) expect: u64,
     pub(crate) msg_size: usize,
     pub(crate) seqs: Arc<Mutex<Vec<u32>>>,
@@ -322,212 +302,42 @@ pub(crate) struct FecReceiver {
     pub(crate) done_at: Arc<Mutex<Option<SimTime>>>,
 }
 
-impl FecReceiver {
-    fn drain_verified(&mut self, ctx: &mut dyn SimCtx) {
-        let Some(stack) = self.stack.as_mut() else {
-            return;
-        };
-        for o in stack.drain() {
-            match o {
-                Out::Send { to, via, bytes, .. } => match via {
-                    Some(n) => ctx.send_via(to, bytes, n),
-                    None => ctx.send(to, bytes),
-                },
-                Out::Deliver { msg, .. } => {
-                    let mut seqs = self.seqs.lock().unwrap();
-                    if msg.len() >= 8 {
-                        let i = u64::from_be_bytes(msg[..8].try_into().unwrap());
-                        if msg != fec_payload(i, self.msg_size) {
-                            self.mismatches.lock().unwrap().push(format!(
-                                "message {i}: {} bytes delivered with corrupted content",
-                                msg.len()
-                            ));
-                        }
-                        seqs.push(i as u32);
-                    } else {
-                        self.mismatches
-                            .lock()
-                            .unwrap()
-                            .push(format!("runt message delivered ({} bytes)", msg.len()));
-                    }
-                    if seqs.len() as u64 >= self.expect && self.done_at.lock().unwrap().is_none() {
-                        *self.done_at.lock().unwrap() = Some(ctx.now());
-                    }
-                }
-                Out::Wake { .. } => {}
-            }
-        }
+impl StackApp for FecReceiver {
+    fn open(&mut self, _now: SimTime, me: Endpoint) -> WireStack {
+        WireStack::new(endpoint_key(me), self.cfg.clone())
+    }
+
+    fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
+        pin_learned_peers(now, stack, &self.pin);
         *self.stats.lock().unwrap() = stack.srudp_stats();
-        if let Some(dl) = stack.next_deadline() {
-            self.gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_STACK);
-        }
     }
-}
 
-impl Actor for FecReceiver {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            Event::Start => {
-                let me = ctx.me();
-                self.stack = Some(WireStack::new(endpoint_key(me), self.cfg.clone()));
+    fn deliver(&mut self, now: SimTime, d: Delivery) {
+        let msg = d.msg;
+        let mut seqs = self.seqs.lock().unwrap();
+        if msg.len() >= 8 {
+            let i = u64::from_be_bytes(msg[..8].try_into().unwrap());
+            if msg != fec_payload(i, self.msg_size) {
+                self.mismatches.lock().unwrap().push(format!(
+                    "message {i}: {} bytes delivered with corrupted content",
+                    msg.len()
+                ));
             }
-            Event::Packet { from, payload } => {
-                let now = ctx.now();
-                let Some(stack) = self.stack.as_mut() else {
-                    return;
-                };
-                let _ = stack.on_datagram(now, from, payload);
-                if let Some(pin) = &self.pin {
-                    for key in stack.known_peers() {
-                        if stack.route_candidates(key).is_empty() {
-                            if let Some(ep) = stack.peer_endpoint(key) {
-                                stack.set_peer_at(now, key, ep, pin.clone());
-                            }
-                        }
-                    }
-                }
-                self.drain_verified(ctx);
-            }
-            Event::Timer { token: TIMER_STACK } | Event::HostUp => {
-                self.gate.fired();
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    s.on_timer(now);
-                }
-                self.drain_verified(ctx);
-            }
-            _ => {}
+            seqs.push(i as u32);
+        } else {
+            self.mismatches
+                .lock()
+                .unwrap()
+                .push(format!("runt message delivered ({} bytes)", msg.len()));
+        }
+        if seqs.len() as u64 >= self.expect && self.done_at.lock().unwrap().is_none() {
+            *self.done_at.lock().unwrap() = Some(now);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// RSTREAM driver
-// ---------------------------------------------------------------------------
-
-pub(crate) struct RstreamSender {
-    pub(crate) stack: Option<WireStack>,
-    pub(crate) cfg: RstreamConfig,
-    pub(crate) conn: u64,
-    pub(crate) peer: Endpoint,
-    pub(crate) msg_size: usize,
-    pub(crate) remaining: usize,
-    pub(crate) inflight_cap: usize,
-    pub(crate) gate: TimerGate,
-}
-
-impl RstreamSender {
-    fn pump(&mut self, ctx: &mut dyn SimCtx) {
-        let now = ctx.now();
-        let Some(stack) = self.stack.as_mut() else {
-            return;
-        };
-        {
-            let rs = stack.rstream_mut().expect("RSTREAM driver registered");
-            while self.remaining > 0 && rs.unacked_bytes(self.conn) < self.inflight_cap {
-                let size = self.msg_size.min(self.remaining);
-                if rs.send_message(now, self.conn, &vec![0xCD; size]).is_err() {
-                    break;
-                }
-                self.remaining -= size;
-            }
-        }
-        let mut sink = 0;
-        flush_wire(stack, &mut self.gate, ctx, &mut sink);
-    }
-}
-
-impl Actor for RstreamSender {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            Event::Start => {
-                let me = ctx.me();
-                let cfg = StackConfig { rstream: Some(self.cfg.clone()), ..StackConfig::default() };
-                let mut stack = WireStack::new(endpoint_key(me), cfg);
-                self.conn = stack
-                    .rstream_mut()
-                    .expect("RSTREAM driver registered")
-                    .connect(ctx.now(), self.peer);
-                self.stack = Some(stack);
-                self.pump(ctx);
-            }
-            Event::Timer { token: TIMER_STACK } | Event::HostUp => {
-                // See SrudpSender: re-drive after a flap swallowed timers.
-                self.gate.fired();
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    s.on_timer(now);
-                }
-                self.pump(ctx);
-            }
-            Event::Packet { from, payload } => {
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    let _ = s.on_datagram(now, from, payload);
-                }
-                self.pump(ctx);
-            }
-            _ => {}
-        }
-    }
-}
-
-pub(crate) struct RstreamReceiver {
-    pub(crate) stack: Option<WireStack>,
-    pub(crate) cfg: RstreamConfig,
-    pub(crate) received: Arc<Mutex<usize>>,
-    pub(crate) done_at: Arc<Mutex<Option<SimTime>>>,
-    pub(crate) expect: usize,
-    pub(crate) gate: TimerGate,
-}
-
-impl RstreamReceiver {
-    fn drain(&mut self, ctx: &mut dyn SimCtx) {
-        let Some(stack) = self.stack.as_mut() else {
-            return;
-        };
-        let mut got = 0;
-        flush_wire(stack, &mut self.gate, ctx, &mut got);
-        if got > 0 {
-            let mut r = self.received.lock().unwrap();
-            *r += got;
-            if *r >= self.expect && self.done_at.lock().unwrap().is_none() {
-                *self.done_at.lock().unwrap() = Some(ctx.now());
-            }
-        }
-    }
-}
-
-impl Actor for RstreamReceiver {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            Event::Start => {
-                let me = ctx.me();
-                let cfg = StackConfig { rstream: Some(self.cfg.clone()), ..StackConfig::default() };
-                self.stack = Some(WireStack::new(endpoint_key(me), cfg));
-            }
-            Event::Packet { from, payload } => {
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    let _ = s.on_datagram(now, from, payload);
-                }
-                self.drain(ctx);
-            }
-            Event::Timer { token: TIMER_STACK } | Event::HostUp => {
-                self.gate.fired();
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    s.on_timer(now);
-                }
-                self.drain(ctx);
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Multicast driver (sender → router → member; per-receiver goodput)
+// Multicast source (sender → router → member; per-receiver goodput)
 // ---------------------------------------------------------------------------
 
 struct McastSource {
@@ -567,98 +377,6 @@ impl Actor for McastSource {
     }
 }
 
-struct McastRouterHost {
-    state: McastRouter,
-}
-
-impl Actor for McastRouterHost {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        if let Event::Packet { payload, .. } = event {
-            let Ok((Proto::Mcast, body)) = open(payload) else {
-                return;
-            };
-            let Ok(msg) = McastMsg::decode(body) else {
-                return;
-            };
-            let mut outs = Vec::new();
-            self.state.on_message(msg, &mut outs);
-            for o in outs {
-                if let Out::Send { to, bytes, .. } = o {
-                    ctx.send(to, bytes);
-                }
-            }
-        }
-    }
-}
-
-struct McastMemberHost {
-    stack: Option<WireStack>,
-    received: Arc<Mutex<usize>>,
-    done_at: Arc<Mutex<Option<SimTime>>>,
-    expect: usize,
-    gate: TimerGate,
-}
-
-impl McastMemberHost {
-    fn drain(&mut self, ctx: &mut dyn SimCtx) {
-        let Some(stack) = self.stack.as_mut() else {
-            return;
-        };
-        for o in stack.drain() {
-            match o {
-                Out::Send { to, via, bytes, .. } => match via {
-                    Some(n) => ctx.send_via(to, bytes, n),
-                    None => ctx.send(to, bytes),
-                },
-                // Member deliveries carry the whole MCAST envelope;
-                // goodput counts only the application payload.
-                Out::Deliver { msg, .. } => {
-                    let Ok(McastMsg::Data { payload, .. }) = McastMsg::decode(msg) else {
-                        continue;
-                    };
-                    let mut r = self.received.lock().unwrap();
-                    *r += payload.len();
-                    if *r >= self.expect && self.done_at.lock().unwrap().is_none() {
-                        *self.done_at.lock().unwrap() = Some(ctx.now());
-                    }
-                }
-                Out::Wake { .. } => {}
-            }
-        }
-        if let Some(dl) = stack.next_deadline() {
-            self.gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_STACK);
-        }
-    }
-}
-
-impl Actor for McastMemberHost {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            Event::Start => {
-                let me = ctx.me();
-                let cfg = StackConfig { mcast_member: true, ..StackConfig::default() };
-                self.stack = Some(WireStack::new(endpoint_key(me), cfg));
-            }
-            Event::Packet { from, payload } => {
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    let _ = s.on_datagram(now, from, payload);
-                }
-                self.drain(ctx);
-            }
-            Event::Timer { token: TIMER_STACK } | Event::HostUp => {
-                self.gate.fired();
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    s.on_timer(now);
-                }
-                self.drain(ctx);
-            }
-            _ => {}
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Runner
 // ---------------------------------------------------------------------------
@@ -688,26 +406,22 @@ pub fn measure(medium: Medium, protocol: Protocol, msg_size: usize) -> Option<Fi
     let total = total_for(msg_size);
     let received = Arc::new(Mutex::new(0usize));
     let done_at = Arc::new(Mutex::new(None));
+    let receiver = |cfg| {
+        Box::new(Hosted::new(Receiver {
+            cfg,
+            pin: None,
+            received: received.clone(),
+            done_at: done_at.clone(),
+            expect: total,
+        }))
+    };
     match protocol {
         Protocol::Srudp => {
-            world.spawn(
-                b,
-                20,
-                Box::new(SrudpReceiver {
-                    stack: None,
-                    received: received.clone(),
-                    done_at: done_at.clone(),
-                    expect: total,
-                    cfg: StackConfig::default(),
-                    pin: None,
-                    gate: TimerGate::new(),
-                }),
-            );
+            world.spawn(b, 20, receiver(StackConfig::default()));
             world.spawn(
                 a,
                 20,
-                Box::new(SrudpSender {
-                    stack: None,
+                Box::new(Hosted::new(SrudpSender {
                     peer: Endpoint::new(b, 20),
                     msg_size,
                     remaining: total,
@@ -716,57 +430,35 @@ pub fn measure(medium: Medium, protocol: Protocol, msg_size: usize) -> Option<Fi
                     inflight: (4 * msg_size).max(64 * 1400),
                     cfg: StackConfig::default(),
                     pin: None,
-                    gate: TimerGate::new(),
-                }),
+                })),
             );
         }
         Protocol::Rstream => {
-            world.spawn(
-                b,
-                20,
-                Box::new(RstreamReceiver {
-                    stack: None,
-                    cfg: RstreamConfig::default(),
-                    received: received.clone(),
-                    done_at: done_at.clone(),
-                    expect: total,
-                    gate: TimerGate::new(),
-                }),
-            );
+            let cfg = RstreamConfig::default();
+            world.spawn(b, 20, receiver(rstream_stack(&cfg)));
             world.spawn(
                 a,
                 20,
-                Box::new(RstreamSender {
-                    stack: None,
-                    cfg: RstreamConfig::default(),
+                Box::new(Hosted::new(RstreamSender {
+                    cfg,
                     conn: 0,
                     peer: Endpoint::new(b, 20),
                     msg_size,
                     remaining: total,
                     inflight_cap: 64 * 1400,
-                    gate: TimerGate::new(),
-                }),
+                })),
             );
         }
         Protocol::Mcast => {
-            world.spawn(
-                c,
-                20,
-                Box::new(McastMemberHost {
-                    stack: None,
-                    received: received.clone(),
-                    done_at: done_at.clone(),
-                    expect: total,
-                    gate: TimerGate::new(),
-                }),
-            );
+            let member = StackConfig { mcast_member: true, ..StackConfig::default() };
+            world.spawn(c, 20, receiver(member));
             let mut router = McastRouter::new();
             let mut scratch = Vec::new();
             router.on_message(
                 McastMsg::Join { group: 1, member: Endpoint::new(c, 20) },
                 &mut scratch,
             );
-            world.spawn(b, 20, Box::new(McastRouterHost { state: router }));
+            world.spawn(b, 20, Box::new(McastRouterActor::with_state(router)));
             world.spawn(
                 a,
                 20,
@@ -799,67 +491,6 @@ pub fn measure(medium: Medium, protocol: Protocol, msg_size: usize) -> Option<Fi
         goodput: total as f64 / secs,
         ceiling,
     })
-}
-
-/// Instrumented variant of [`measure`] printing progress (debugging).
-pub fn measure_debug(medium: Medium, protocol: Protocol, msg_size: usize) {
-    let medium_name = medium.name;
-    let _ = medium_name;
-    let mut topo = Topology::new();
-    let net = topo.add_network("m", medium, true);
-    let a = topo.add_host(HostCfg::named("a"));
-    let b = topo.add_host(HostCfg::named("b"));
-    let c = topo.add_host(HostCfg::named("c"));
-    for h in [a, b, c] {
-        topo.attach(h, net);
-    }
-    let mut world = World::new(topo, 99);
-    let total = total_for(msg_size);
-    let received = Arc::new(Mutex::new(0usize));
-    let done_at = Arc::new(Mutex::new(None));
-    assert_eq!(protocol, Protocol::Srudp);
-    world.spawn(
-        b,
-        20,
-        Box::new(SrudpReceiver {
-            stack: None,
-            received: received.clone(),
-            done_at: done_at.clone(),
-            expect: total,
-            cfg: StackConfig::default(),
-            pin: None,
-            gate: TimerGate::new(),
-        }),
-    );
-    world.spawn(
-        a,
-        20,
-        Box::new(SrudpSender {
-            stack: None,
-            peer: Endpoint::new(b, 20),
-            msg_size,
-            remaining: total,
-            inflight: (4 * msg_size).max(64 * 1400),
-            cfg: StackConfig::default(),
-            pin: None,
-            gate: TimerGate::new(),
-        }),
-    );
-    for i in 0..600 {
-        let t0 = std::time::Instant::now();
-        world.run_for(SimDuration::from_millis(100));
-        eprintln!(
-            "iter {i}: wall {:?} received {} / {} events {}",
-            t0.elapsed(),
-            *received.lock().unwrap(),
-            total,
-            world.stats().events
-        );
-        if done_at.lock().unwrap().is_some() {
-            eprintln!("DONE at {:?}", *done_at.lock().unwrap());
-            break;
-        }
-    }
 }
 
 /// The standard message-size series of the figure.

@@ -11,20 +11,21 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, MigrationPhase, TraceKind};
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
+use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{seal, Proto};
+use snipe_wire::host::StackHost;
 use snipe_wire::mcast::{majority, McastMsg};
 use snipe_wire::ports;
 use snipe_wire::stack::{Incoming, StackConfig, WireStack};
-use snipe_wire::Out;
 
 use snipe_daemon::proto::{DaemonMsg, SpawnSpec, TaskState};
 use snipe_files::proto::FileMsg;
@@ -167,8 +168,8 @@ pub struct ProcessActor {
     /// Restore data when resuming from migration.
     resume: Option<MigrationPayload>,
 
-    stack: Option<WireStack>,
-    rc: RcClient,
+    stack: StackHost,
+    rc: RcHost,
     rc_pending: HashMap<u64, RcPending>,
     /// Peers with an in-flight location resolution.
     resolving: HashMap<u64, u32>,
@@ -178,8 +179,6 @@ pub struct ProcessActor {
     next_req: u64,
     hostname: String,
 
-    stack_gate: TimerGate,
-    rc_gate: TimerGate,
     /// Reused scratch for the peers-in-trouble scan (no steady-state
     /// allocation on the stack timer path).
     trouble_scratch: Vec<u64>,
@@ -211,8 +210,8 @@ impl ProcessActor {
             args,
             process,
             resume: None,
-            stack: None,
-            rc,
+            stack: StackHost::new(TIMER_STACK),
+            rc: RcHost::new(rc, TIMER_RC),
             rc_pending: HashMap::new(),
             resolving: HashMap::new(),
             groups: HashMap::new(),
@@ -220,8 +219,6 @@ impl ProcessActor {
             file_pending: HashMap::new(),
             next_req: 1,
             hostname: String::new(),
-            stack_gate: TimerGate::new(),
-            rc_gate: TimerGate::new(),
             trouble_scratch: Vec::new(),
             commands: Vec::new(),
             next_ticket: 1,
@@ -298,31 +295,12 @@ impl ProcessActor {
         c
     }
 
-    fn flush_stack(&mut self, ctx: &mut dyn SimCtx) {
-        let Some(stack) = self.stack.as_mut() else {
-            return;
-        };
-        let outs = stack.drain();
-        let mut delivered = Vec::new();
-        for o in outs {
-            match o {
-                Out::Send { to, via, bytes, .. } => match via {
-                    Some(n) => ctx.send_via(to, bytes, n),
-                    None => ctx.send(to, bytes),
-                },
-                Out::Deliver { proto, from_key, from_ep, msg } => {
-                    delivered.push((proto, from_key, from_ep, msg))
-                }
-                Out::Wake { .. } => {}
-            }
-        }
-        if let Some(dl) = self.stack.as_ref().and_then(|s| s.next_deadline()) {
-            self.stack_gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_STACK);
-        }
-        for (proto, from_key, from_ep, msg) in delivered {
-            match proto {
-                Proto::Srudp => self.on_reliable(ctx, from_key, from_ep, msg),
-                Proto::Mcast => self.on_group_deliver(ctx, msg),
+    /// Flush the stack and dispatch what it delivered.
+    fn pump_stack(&mut self, ctx: &mut dyn SimCtx) {
+        for d in self.stack.flush(ctx) {
+            match d.proto {
+                Proto::Srudp => self.on_reliable(ctx, d.from_key, d.from_ep, d.msg),
+                Proto::Mcast => self.on_group_deliver(ctx, d.msg),
                 _ => {}
             }
         }
@@ -360,15 +338,9 @@ impl ProcessActor {
 
     // ---- RC ----------------------------------------------------------------
 
-    fn flush_rc(&mut self, ctx: &mut dyn SimCtx) {
-        for (to, bytes) in self.rc.drain_sends() {
-            ctx.send(to, seal(Proto::Raw, bytes));
-        }
-        if let Some(dl) = self.rc.next_deadline() {
-            self.rc_gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_RC);
-        }
-        let done = self.rc.drain_done();
-        for (id, result) in done {
+    /// Flush the RC client and dispatch what it completed.
+    fn pump_rc(&mut self, ctx: &mut dyn SimCtx) {
+        for (id, result) in self.rc.flush(ctx) {
             self.on_rc_done(ctx, id, result);
         }
     }
@@ -398,7 +370,7 @@ impl ProcessActor {
                         if let Some(stack) = self.stack.as_mut() {
                             stack.set_peer_at(now, peer_key, ep, vec![]);
                         }
-                        self.flush_stack(ctx);
+                        self.pump_stack(ctx);
                         if let Some(t) = ticket {
                             self.complete_ticket(
                                 ctx,
@@ -512,7 +484,7 @@ impl ProcessActor {
             ],
         );
         self.rc_pending.insert(id, RcPending::Publish);
-        self.flush_rc(ctx);
+        self.pump_rc(ctx);
     }
 
     // ---- groups ------------------------------------------------------------
@@ -522,7 +494,7 @@ impl ProcessActor {
         let now = ctx.now();
         let id = self.rc.get(now, &uri);
         self.rc_pending.insert(id, RcPending::GroupRouters { name: name.to_string(), refresh });
-        self.flush_rc(ctx);
+        self.pump_rc(ctx);
     }
 
     fn on_group_routers(
@@ -696,7 +668,7 @@ impl ProcessActor {
             stack.set_peer_at(now, key, to, vec![]);
             stack.send(now, key, payload).expect("configured frag size");
         }
-        self.flush_stack(ctx);
+        self.pump_stack(ctx);
     }
 
     // ---- command execution ---------------------------------------------------
@@ -738,7 +710,7 @@ impl ProcessActor {
                 if !known {
                     self.resolve_peer(ctx, to_key, None);
                 }
-                self.flush_stack(ctx);
+                self.pump_stack(ctx);
             }
             Command::PinRoutes { to_key, routes } => {
                 if let Some(stack) = self.stack.as_mut() {
@@ -861,7 +833,7 @@ impl ProcessActor {
                 self.rc_pending.insert(id, RcPending::Publish);
                 // The registrar is usually also a replica coordinator;
                 // joining the group is the replicas' job.
-                self.flush_rc(ctx);
+                self.pump_rc(ctx);
             }
             Command::SendPseudo { name, payload } => {
                 let Ok(uri) = Uri::parse(format!("urn:snipe:pseudo:{name}")) else {
@@ -870,7 +842,7 @@ impl ProcessActor {
                 let now = ctx.now();
                 let id = self.rc.get(now, &uri);
                 self.rc_pending.insert(id, RcPending::PseudoLookup { name, payload });
-                self.flush_rc(ctx);
+                self.pump_rc(ctx);
             }
             Command::RegisterService { name } => {
                 let uri = Uri::service(&name);
@@ -885,21 +857,21 @@ impl ProcessActor {
                     )],
                 );
                 self.rc_pending.insert(id, RcPending::Publish);
-                self.flush_rc(ctx);
+                self.pump_rc(ctx);
             }
             Command::LookupService { ticket, name } => {
                 let uri = Uri::service(&name);
                 let now = ctx.now();
                 let id = self.rc.get(now, &uri);
                 self.rc_pending.insert(id, RcPending::ServiceLookup { ticket, name });
-                self.flush_rc(ctx);
+                self.pump_rc(ctx);
             }
             Command::WatchProcess { proc_key } => {
                 let uri = Uri::process(proc_key);
                 let now = ctx.now();
                 let id = self.rc.get(now, &uri);
                 self.rc_pending.insert(id, RcPending::WatchLookup { peer_key: proc_key });
-                self.flush_rc(ctx);
+                self.pump_rc(ctx);
             }
             Command::MigrateTo { hostname } => {
                 self.start_migration(ctx, hostname);
@@ -923,7 +895,7 @@ impl ProcessActor {
         let now = ctx.now();
         let id = self.rc.get(now, &uri);
         self.rc_pending.insert(id, RcPending::ResolvePeer { peer_key, ticket });
-        self.flush_rc(ctx);
+        self.pump_rc(ctx);
     }
 
     fn do_spawn(
@@ -1050,7 +1022,7 @@ impl ProcessActor {
                         TraceKind::Migration { phase: MigrationPhase::Cutover, key: self.proc_key },
                     );
                 }
-                self.stack = None;
+                self.stack.stop();
                 self.redirect_to = Some(endpoint);
                 let me = ctx.me();
                 let daemon = Endpoint::new(ctx.host(), ports::DAEMON);
@@ -1102,7 +1074,7 @@ impl ProcessActor {
         if let Some(stack) = self.stack.as_mut() {
             stack.set_peer_at(now, key, ep, vec![]);
         }
-        self.flush_stack(ctx);
+        self.pump_stack(ctx);
         true
     }
 
@@ -1133,7 +1105,7 @@ impl ProcessActor {
             // traffic; peers that *send to us* re-resolve via RC after
             // repeated timeouts (see TIMER_STACK) or get a redirect
             // from the shell we left behind.
-            self.stack = Some(stack);
+            self.stack.start(stack);
             self.process.restore(payload.user_state);
             self.publish_location(ctx);
             // Re-join groups on the new host.
@@ -1149,14 +1121,14 @@ impl ProcessActor {
                 );
                 self.start_join(ctx, &name, true);
             }
-            self.flush_stack(ctx);
+            self.pump_stack(ctx);
             if migrated {
                 self.with_process(ctx, |p, api| p.on_migrated(api));
                 self.run_commands(ctx);
             }
             let _ = me;
         } else {
-            self.stack = Some(WireStack::new(self.proc_key, self.stack_config()));
+            self.stack.start(WireStack::new(self.proc_key, self.stack_config()));
             self.publish_location(ctx);
             self.with_process(ctx, |p, api| p.on_start(api));
             self.run_commands(ctx);
@@ -1191,17 +1163,12 @@ impl Actor for ProcessActor {
                 }
                 match token {
                     TIMER_RC => {
-                        self.rc_gate.fired();
                         self.rc.on_timer(ctx.now());
-                        self.flush_rc(ctx);
+                        self.pump_rc(ctx);
                     }
                     TIMER_STACK => {
-                        self.stack_gate.fired();
-                        let now = ctx.now();
-                        if let Some(stack) = self.stack.as_mut() {
-                            stack.on_timer(now);
-                        }
-                        self.flush_stack(ctx);
+                        self.stack.on_timer(ctx.now());
+                        self.pump_stack(ctx);
                         // Peers timing out repeatedly may have migrated:
                         // re-resolve their location from RC metadata
                         // (§5.6: "processes that do not notice its
@@ -1296,7 +1263,7 @@ impl Actor for ProcessActor {
                             self.rc_pending
                                 .insert(id, RcPending::ResolvePeer { peer_key: k, ticket: None });
                         }
-                        self.flush_rc(ctx);
+                        self.pump_rc(ctx);
                     }
                     _ => {}
                 }
@@ -1332,11 +1299,7 @@ impl Actor for ProcessActor {
                     return;
                 }
                 let now = ctx.now();
-                let incoming = match self.stack.as_mut() {
-                    Some(stack) => stack.on_datagram(now, from, payload).unwrap_or(None),
-                    None => None,
-                };
-                match incoming {
+                match self.stack.on_packet(now, from, payload) {
                     None => {}
                     // MCAST traffic is consumed by the stack's member
                     // driver and arrives as tagged deliveries.
@@ -1373,11 +1336,11 @@ impl Actor for ProcessActor {
                             }
                         } else {
                             self.rc.on_packet(now, from, msg);
-                            self.flush_rc(ctx);
+                            self.pump_rc(ctx);
                         }
                     }
                 }
-                self.flush_stack(ctx);
+                self.pump_stack(ctx);
             }
         }
     }

@@ -3,11 +3,12 @@
 use std::collections::HashMap;
 
 use snipe_crypto::cert::{Certificate, TrustPurpose, TrustStore};
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, FaultOp, TraceKind};
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
+use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::SimDuration;
@@ -61,7 +62,7 @@ struct TaskInfo {
 pub struct DaemonActor {
     cfg: DaemonConfig,
     registry: ProgramRegistry,
-    rc: RcClient,
+    rc: RcHost,
     tasks: HashMap<u16, TaskInfo>,
     next_task_port: u16,
     next_local_key: u64,
@@ -69,7 +70,6 @@ pub struct DaemonActor {
     routing: HashMap<u64, Endpoint>,
     /// Pending RC reads of group router sets: req id → group id.
     router_lookups: HashMap<u64, u64>,
-    rc_gate: TimerGate,
     /// Spawns served (diagnostics).
     pub spawns: u64,
     /// Spawns rejected for authorization failures.
@@ -83,13 +83,12 @@ impl DaemonActor {
         DaemonActor {
             cfg,
             registry,
-            rc,
+            rc: RcHost::new(rc, TIMER_RC),
             tasks: HashMap::new(),
             next_task_port: ports::TASK_BASE,
             next_local_key: 1,
             routing: HashMap::new(),
             router_lookups: HashMap::new(),
-            rc_gate: TimerGate::new(),
             spawns: 0,
             rejected: 0,
         }
@@ -104,12 +103,10 @@ impl DaemonActor {
         ctx.send(to, seal(Proto::Raw, msg.encode_to_bytes()));
     }
 
-    fn flush_rc(&mut self, ctx: &mut dyn SimCtx) {
-        for (to, bytes) in self.rc.drain_sends() {
-            ctx.send(to, seal(Proto::Raw, bytes));
-        }
-        let done = self.rc.drain_done();
-        for (id, result) in done {
+    /// Flush the RC client; a completed router-set lookup peers us with
+    /// the routers it names.
+    fn pump_rc(&mut self, ctx: &mut dyn SimCtx) {
+        for (id, result) in self.rc.flush(ctx) {
             let Some(group) = self.router_lookups.remove(&id) else {
                 continue;
             };
@@ -140,9 +137,6 @@ impl DaemonActor {
                 ctx.send(mine, seal(Proto::Mcast, m2.encode()));
             }
         }
-        if let Some(dl) = self.rc.next_deadline() {
-            self.rc_gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_RC);
-        }
     }
 
     fn publish_host_metadata(&mut self, ctx: &mut dyn SimCtx) {
@@ -165,7 +159,7 @@ impl DaemonActor {
         }
         let now = ctx.now();
         self.rc.put(now, &uri, asserts);
-        self.flush_rc(ctx);
+        self.pump_rc(ctx);
     }
 
     fn authorize(&self, spec: &SpawnSpec) -> Result<(), String> {
@@ -284,7 +278,7 @@ impl DaemonActor {
                 Assertion::new("state", "running"),
             ],
         );
-        self.flush_rc(ctx);
+        self.pump_rc(ctx);
         let resp =
             DaemonMsg::SpawnResp { req_id, ok: true, endpoint: ep, proc_key, error: String::new() };
         self.send_msg(ctx, from, &resp);
@@ -301,7 +295,7 @@ impl DaemonActor {
         let uri = Uri::process(proc_key);
         let now = ctx.now();
         self.rc.put(now, &uri, vec![Assertion::new("state", state.as_str().to_string())]);
-        self.flush_rc(ctx);
+        self.pump_rc(ctx);
         // Fan out to the notify list.
         for ep in notify {
             self.send_msg(ctx, ep, &DaemonMsg::TaskEvent { proc_key, state });
@@ -351,7 +345,7 @@ impl DaemonActor {
             // Discover and peer with the routers that beat us here.
             let lookup = self.rc.get(now, &uri);
             self.router_lookups.insert(lookup, group);
-            self.flush_rc(ctx);
+            self.pump_rc(ctx);
             ep
         };
         self.send_msg(ctx, from, &DaemonMsg::ElectResp { group, router: router_ep });
@@ -380,9 +374,8 @@ impl Actor for DaemonActor {
                 ctx.set_timer(self.cfg.load_interval, TIMER_LOAD);
             }
             Event::Timer { token: TIMER_RC } => {
-                self.rc_gate.fired();
                 self.rc.on_timer(ctx.now());
-                self.flush_rc(ctx);
+                self.pump_rc(ctx);
             }
             Event::Timer { .. } => {}
             Event::Signal { .. } => {}
@@ -440,7 +433,7 @@ impl Actor for DaemonActor {
                             }
                         } else {
                             self.rc.on_packet(ctx.now(), from, body);
-                            self.flush_rc(ctx);
+                            self.pump_rc(ctx);
                         }
                     }
                     Proto::Mcast => {

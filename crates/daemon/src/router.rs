@@ -22,6 +22,12 @@ impl McastRouterActor {
         McastRouterActor::default()
     }
 
+    /// A router that starts from `state` — peers and members already
+    /// registered (experiments that skip the election and join traffic).
+    pub fn with_state(state: McastRouter) -> McastRouterActor {
+        McastRouterActor { state }
+    }
+
     /// Relay statistics: (relayed, duplicates).
     pub fn stats(&self) -> (u64, u64) {
         (self.state.relayed, self.state.duplicates)

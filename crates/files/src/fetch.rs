@@ -20,9 +20,9 @@ use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::{SimDuration, SimTime};
+use snipe_wire::host::StackHost;
 use snipe_wire::path::UNMEASURED_RTT_SCORE;
-use snipe_wire::stack::{endpoint_key, Incoming, StackConfig, WireStack};
-use snipe_wire::Out;
+use snipe_wire::stack::{endpoint_key, StackConfig, WireStack};
 
 use crate::proto::FileMsg;
 
@@ -315,8 +315,7 @@ pub struct FetchActor {
     stripe_len: u32,
     timeout: SimDuration,
     fetch: Option<StripedFetch>,
-    stack: Option<WireStack>,
-    stack_gate: TimerGate,
+    stack: StackHost,
     fetch_gate: TimerGate,
     /// Assembled content once every stripe verified.
     pub result: Option<Bytes>,
@@ -344,8 +343,7 @@ impl FetchActor {
             stripe_len,
             timeout: SimDuration::from_millis(400),
             fetch: None,
-            stack: None,
-            stack_gate: TimerGate::new(),
+            stack: StackHost::new(TIMER_STACK),
             fetch_gate: TimerGate::new(),
             result: None,
             completions: Vec::new(),
@@ -362,6 +360,8 @@ impl FetchActor {
 
     fn pump(&mut self, ctx: &mut dyn SimCtx) {
         let now = ctx.now();
+        // Requests go down, replies come up and may release more
+        // requests: go round until a pass moves nothing.
         loop {
             let (Some(stack), Some(fetch)) = (self.stack.as_mut(), self.fetch.as_mut()) else {
                 return;
@@ -374,40 +374,18 @@ impl FetchActor {
                     .send(now, endpoint_key(to), msg.encode_to_bytes())
                     .expect("stripe request fits default frag");
             }
-            let mut delivered = Vec::new();
-            for o in stack.drain() {
-                match o {
-                    Out::Send { to, via, bytes, .. } => match via {
-                        Some(n) => ctx.send_via(to, bytes, n),
-                        None => ctx.send(to, bytes),
-                    },
-                    Out::Deliver { from_ep, msg, .. } => {
-                        if let Ok(m) = FileMsg::decode_from_bytes(msg) {
-                            delivered.push((from_ep, m));
-                        }
-                    }
-                    Out::Wake { .. } => {}
-                }
-            }
-            let had_deliveries = !delivered.is_empty();
-            for (from, m) in delivered {
-                if let Some(f) = self.fetch.as_mut() {
-                    f.on_msg(now, from, m);
-                }
-            }
-            if !had_sends && !had_deliveries {
+            let delivered = self.stack.flush(ctx);
+            if !had_sends && delivered.is_empty() {
                 break;
             }
-        }
-        if let Some(stack) = self.stack.as_ref() {
-            if let Some(dl) = stack.next_deadline() {
-                self.stack_gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_STACK);
+            for d in delivered {
+                if let Ok(m) = FileMsg::decode_from_bytes(d.msg) {
+                    fetch.on_msg(now, d.from_ep, m);
+                }
             }
         }
         if let Some(fetch) = self.fetch.as_ref() {
-            if let Some(dl) = fetch.next_deadline() {
-                self.fetch_gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_FETCH);
-            }
+            self.fetch_gate.arm_deadline(ctx, fetch.next_deadline(), TIMER_FETCH);
             // Mirror progress into the readback fields.
             self.completions = fetch.completions.clone();
             self.stats = fetch.stats;
@@ -428,14 +406,11 @@ impl Actor for FetchActor {
                 for &peer in &self.candidates {
                     stack.set_peer(endpoint_key(peer), peer, vec![]);
                 }
-                self.stack = Some(stack);
+                self.stack.start(stack);
                 ctx.set_timer(self.start_after, TIMER_BEGIN);
             }
             Event::HostUp => {
-                let now = ctx.now();
-                if let Some(stack) = self.stack.as_mut() {
-                    stack.on_host_up(now);
-                }
+                self.stack.on_host_up(ctx.now());
                 self.pump(ctx);
             }
             Event::Timer { token: TIMER_BEGIN } => {
@@ -452,11 +427,7 @@ impl Actor for FetchActor {
                 }
             }
             Event::Timer { token: TIMER_STACK } => {
-                self.stack_gate.fired();
-                let now = ctx.now();
-                if let Some(stack) = self.stack.as_mut() {
-                    stack.on_timer(now);
-                }
+                self.stack.on_timer(ctx.now());
                 self.pump(ctx);
             }
             Event::Timer { token: TIMER_FETCH } => {
@@ -468,13 +439,8 @@ impl Actor for FetchActor {
                 self.pump(ctx);
             }
             Event::Packet { from, payload } => {
-                let now = ctx.now();
-                let incoming = self
-                    .stack
-                    .as_mut()
-                    .and_then(|stack| stack.on_datagram(now, from, payload).unwrap_or_default());
                 // Raw datagrams are not part of the stripe protocol.
-                let _ = matches!(incoming, Some(Incoming::Raw { .. }));
+                let _ = self.stack.on_packet(ctx.now(), from, payload);
                 self.pump(ctx);
             }
             Event::Timer { .. } | Event::HostDown | Event::Signal { .. } => {}

@@ -5,16 +5,17 @@ use std::collections::HashMap;
 use bytes::Bytes;
 
 use snipe_crypto::sha256::sha256;
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
+use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::SimDuration;
 use snipe_wire::frame::{seal, Proto};
+use snipe_wire::host::StackHost;
 use snipe_wire::stack::{endpoint_key, Incoming, StackConfig, WireStack};
-use snipe_wire::Out;
 
 use crate::proto::FileMsg;
 use crate::sink::{FileSinkActor, FileSourceActor};
@@ -67,10 +68,8 @@ struct Stored {
 /// (already MTU-sized) and RC lookups stay on raw datagrams.
 pub struct FileServerActor {
     cfg: FileServerConfig,
-    rc: RcClient,
-    stack: Option<WireStack>,
-    stack_gate: TimerGate,
-    rc_gate: TimerGate,
+    rc: RcHost,
+    stack: StackHost,
     files: HashMap<String, Stored>,
     /// Integrity rejections observed (diagnostics).
     pub rejected_pushes: u64,
@@ -84,43 +83,22 @@ impl FileServerActor {
         let rc = RcClient::new(cfg.rc_replicas.clone(), SimDuration::from_millis(250));
         FileServerActor {
             cfg,
-            rc,
-            stack: None,
-            stack_gate: TimerGate::new(),
-            rc_gate: TimerGate::new(),
+            rc: RcHost::new(rc, TIMER_RC),
+            stack: StackHost::new(TIMER_STACK),
             files: HashMap::new(),
             rejected_pushes: 0,
             decode_drops: 0,
         }
     }
 
-    fn flush_stack(&mut self, ctx: &mut dyn SimCtx) -> Vec<(u64, Endpoint, FileMsg)> {
-        let mut delivered = Vec::new();
-        let mut drops = 0u64;
-        let Some(stack) = self.stack.as_mut() else {
-            return delivered;
-        };
-        for o in stack.drain() {
-            match o {
-                Out::Send { to, via, bytes, .. } => match via {
-                    Some(n) => ctx.send_via(to, bytes, n),
-                    None => ctx.send(to, bytes),
-                },
-                Out::Deliver { from_key, from_ep, msg, .. } => {
-                    match FileMsg::decode_from_bytes(msg) {
-                        Ok(m) => delivered.push((from_key, from_ep, m)),
-                        Err(_) => drops += 1,
-                    }
-                }
-                Out::Wake { .. } => {}
+    /// Flush the stack and serve the file operations it delivered.
+    fn pump_stack(&mut self, ctx: &mut dyn SimCtx) {
+        for d in self.stack.flush(ctx) {
+            match FileMsg::decode_from_bytes(d.msg) {
+                Ok(m) => self.handle_file_msg(ctx, d.from_key, d.from_ep, m),
+                Err(_) => self.decode_drops += 1,
             }
         }
-        let deadline = stack.next_deadline();
-        self.decode_drops += drops;
-        if let Some(dl) = deadline {
-            self.stack_gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_STACK);
-        }
-        delivered
     }
 
     fn reliable_send(&mut self, ctx: &mut dyn SimCtx, to_key: u64, msg: &FileMsg) {
@@ -128,7 +106,7 @@ impl FileServerActor {
         if let Some(stack) = self.stack.as_mut() {
             stack.send(now, to_key, msg.encode_to_bytes()).expect("default frag size");
         }
-        let _ = self.flush_stack(ctx);
+        self.pump_stack(ctx);
     }
 
     /// Pre-load a file before the world starts (models the server's
@@ -151,16 +129,6 @@ impl FileServerActor {
         self.files.contains_key(lifn)
     }
 
-    fn flush_rc(&mut self, ctx: &mut dyn SimCtx) {
-        for (to, bytes) in self.rc.drain_sends() {
-            ctx.send(to, seal(Proto::Raw, bytes));
-        }
-        self.rc.drain_done();
-        if let Some(dl) = self.rc.next_deadline() {
-            self.rc_gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_RC);
-        }
-    }
-
     fn register_replica(&mut self, ctx: &mut dyn SimCtx, lifn: &str, hash: &[u8]) {
         // Name-to-location binding in RC (§3.2): one attribute per
         // replica location, plus the integrity hash.
@@ -181,7 +149,7 @@ impl FileServerActor {
                 Assertion::new("type", "file"),
             ],
         );
-        self.flush_rc(ctx);
+        self.rc.flush(ctx);
     }
 
     fn store(&mut self, ctx: &mut dyn SimCtx, lifn: String, content: Bytes) {
@@ -228,44 +196,28 @@ impl Actor for FileServerActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::HostUp => {
-                if self.stack.is_none() {
+                if self.stack.as_ref().is_none() {
                     let me = ctx.me();
                     let mut stack = WireStack::new(endpoint_key(me), StackConfig::default());
                     for &peer in &self.cfg.peers {
                         stack.set_peer(endpoint_key(peer), peer, vec![]);
                     }
-                    self.stack = Some(stack);
+                    self.stack.start(stack);
                 } else if matches!(event, Event::HostUp) {
-                    // Reboot: pending timers were swallowed while the
-                    // host was down; kick every transport awake.
-                    let now = ctx.now();
-                    if let Some(stack) = self.stack.as_mut() {
-                        stack.on_host_up(now);
-                    }
-                    let delivered = self.flush_stack(ctx);
-                    for (from_key, from_ep, msg) in delivered {
-                        self.handle_file_msg(ctx, from_key, from_ep, msg);
-                    }
+                    self.stack.on_host_up(ctx.now());
+                    self.pump_stack(ctx);
                 }
                 ctx.set_timer(self.cfg.replicate_interval, TIMER_REPLICATE);
             }
             Event::HostDown => {}
             Event::Timer { token: TIMER_REPLICATE } => self.replicate_tick(ctx),
             Event::Timer { token: TIMER_RC } => {
-                self.rc_gate.fired();
                 self.rc.on_timer(ctx.now());
-                self.flush_rc(ctx);
+                self.rc.flush(ctx);
             }
             Event::Timer { token: TIMER_STACK } => {
-                self.stack_gate.fired();
-                let now = ctx.now();
-                if let Some(stack) = self.stack.as_mut() {
-                    stack.on_timer(now);
-                }
-                let delivered = self.flush_stack(ctx);
-                for (from_key, from_ep, msg) in delivered {
-                    self.handle_file_msg(ctx, from_key, from_ep, msg);
-                }
+                self.stack.on_timer(ctx.now());
+                self.pump_stack(ctx);
             }
             Event::Timer { .. } | Event::Signal { .. } => {}
             Event::Packet { from, payload } => {
@@ -273,22 +225,16 @@ impl Actor for FileServerActor {
                 // loopback datagram; everything else goes through the
                 // reliable stack (SRUDP) or is an RC response.
                 let now = ctx.now();
-                let incoming = self
-                    .stack
-                    .as_mut()
-                    .and_then(|stack| stack.on_datagram(now, from, payload).unwrap_or_default());
-                if let Some(Incoming::Raw { from, msg }) = incoming {
+                if let Some(Incoming::Raw { from, msg }) = self.stack.on_packet(now, from, payload)
+                {
                     if let Ok(fmsg) = FileMsg::decode_from_bytes(msg.clone()) {
                         self.handle_raw_file_msg(ctx, from, fmsg);
                     } else {
                         self.rc.on_packet(now, from, msg);
-                        self.flush_rc(ctx);
+                        self.rc.flush(ctx);
                     }
                 }
-                let delivered = self.flush_stack(ctx);
-                for (from_key, from_ep, msg) in delivered {
-                    self.handle_file_msg(ctx, from_key, from_ep, msg);
-                }
+                self.pump_stack(ctx);
             }
         }
     }

@@ -13,7 +13,7 @@ use std::any::Any;
 use bytes::Bytes;
 
 use snipe_util::id::HostId;
-use snipe_util::time::SimTime;
+use snipe_util::time::{SimDuration, SimTime};
 
 use crate::topology::Endpoint;
 
@@ -174,11 +174,27 @@ impl TimerGate {
         self.armed_until = Some(deadline);
     }
 
+    /// Request a wake-up for a sans-IO machine's `next_deadline()`:
+    /// nothing when it has none, else `DEADLINE_SKEW` past it.
+    pub fn arm_deadline(&mut self, ctx: &mut dyn SimCtx, deadline: Option<SimTime>, token: u64) {
+        if let Some(dl) = deadline {
+            self.arm_at(ctx, dl + DEADLINE_SKEW, token);
+        }
+    }
+
     /// Must be called when the gated timer fires, before re-arming.
     pub fn fired(&mut self) {
         self.armed_until = None;
     }
 }
+
+/// How far past a machine's deadline its wake-up lands. A wake-up at
+/// the deadline itself would rely on every machine treating "due" as
+/// `deadline <= now`; one that compares strictly, or answers
+/// `next_deadline` at a coarser grain than it expires, would be woken
+/// with nothing due, re-arm for the same instant and spin there
+/// forever. One tick of slack makes the wake-up land strictly after.
+const DEADLINE_SKEW: SimDuration = SimDuration::from_micros(1);
 
 #[cfg(test)]
 mod timer_gate_tests {
@@ -186,7 +202,6 @@ mod timer_gate_tests {
     use crate::medium::Medium;
     use crate::topology::{HostCfg, Topology};
     use crate::world::World;
-    use snipe_util::time::SimDuration;
 
     struct Spammer {
         gate: TimerGate,

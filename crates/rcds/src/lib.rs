@@ -19,11 +19,14 @@
 //!   anti-entropy between replicas;
 //! * [`client`] — the sans-IO client used by every SNIPE component,
 //!   with replica failover, a TTL lookup cache and shard routing;
+//! * [`host`] — the one adapter that embeds that client in a simulator
+//!   actor (transmit, wake-ups, recovery after a host outage);
 //! * [`shard`] — consistent-hash sharding of the URI namespace across
 //!   replica groups (ROADMAP open item 2).
 
 pub mod assertion;
 pub mod client;
+pub mod host;
 pub mod proto;
 pub mod server;
 pub mod shard;
@@ -32,6 +35,7 @@ pub mod uri;
 
 pub use assertion::{Assertion, Stamp};
 pub use client::{RcClient, RcClientStats};
+pub use host::RcHost;
 pub use server::RcServerActor;
 pub use shard::ShardMap;
 pub use store::RcStore;

@@ -13,9 +13,10 @@ use bytes::Bytes;
 
 use snipe_crypto::cert::{CertClaim, Certificate, TrustPurpose, TrustStore};
 use snipe_crypto::sign::KeyPair;
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::client::RcClient;
+use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::id::HostId;
@@ -87,7 +88,7 @@ struct PendingAlloc {
 /// The resource manager actor (listens on `snipe_wire::ports::RESOURCE_MANAGER`).
 pub struct RmActor {
     cfg: RmConfig,
-    rc: RcClient,
+    rc: RcHost,
     keypair: KeyPair,
     hosts: Vec<HostInfo>,
     /// Soft reservations: hostname -> count, decayed on refresh.
@@ -95,7 +96,6 @@ pub struct RmActor {
     /// RC request id -> host URI being fetched.
     rc_gets: HashMap<u64, String>,
     pending: HashMap<u64, PendingAlloc>,
-    rc_gate: TimerGate,
     next_id: u64,
     /// Allocations served (diagnostics).
     pub allocations_served: u64,
@@ -113,13 +113,12 @@ impl RmActor {
         let rc = RcClient::new(cfg.rc_replicas.clone(), SimDuration::from_millis(250));
         RmActor {
             cfg,
-            rc,
+            rc: RcHost::new(rc, TIMER_RC),
             keypair,
             hosts: Vec::new(),
             reserved: HashMap::new(),
             rc_gets: HashMap::new(),
             pending: HashMap::new(),
-            rc_gate: TimerGate::new(),
             next_id: 1,
             allocations_served: 0,
             auth_granted: 0,
@@ -147,14 +146,14 @@ impl RmActor {
         ctx.send(to, seal(Proto::Raw, msg.encode_to_bytes()));
     }
 
-    fn flush_rc(&mut self, ctx: &mut dyn SimCtx) {
-        for (to, bytes) in self.rc.drain_sends() {
-            ctx.send(to, seal(Proto::Raw, bytes));
-        }
-        let done = self.rc.drain_done();
-        for (id, result) in done {
+    /// Flush the RC client and fold completed host lookups into the
+    /// host table.
+    fn pump_rc(&mut self, ctx: &mut dyn SimCtx) {
+        for (id, result) in self.rc.flush(ctx) {
             let Some(uri) = self.rc_gets.remove(&id) else {
-                // A Find completion: schedule Gets for each found host.
+                // A Find completion: schedule Gets for each found host
+                // (they go out with the next flush, the pending
+                // wake-up's at the latest).
                 if let Ok(reply) = &result {
                     for u in &reply.uris {
                         if let Ok(parsed) = Uri::parse(u.clone()) {
@@ -201,9 +200,6 @@ impl RmActor {
                     None => self.hosts.push(HostInfo { hostname, daemon, cpu_factor, load, arch }),
                 }
             }
-        }
-        if let Some(dl) = self.rc.next_deadline() {
-            self.rc_gate.arm_at(ctx, dl + SimDuration::from_micros(1), TIMER_RC);
         }
     }
 
@@ -459,7 +455,7 @@ impl RmActor {
         // Decay reservations (daemon load reports supersede them).
         self.reserved.clear();
         self.rc.find(ctx.now(), "type", "host");
-        self.flush_rc(ctx);
+        self.pump_rc(ctx);
         ctx.set_timer(self.cfg.refresh_interval, TIMER_REFRESH);
     }
 }
@@ -471,9 +467,8 @@ impl Actor for RmActor {
             Event::HostDown => {}
             Event::Timer { token: TIMER_REFRESH } => self.refresh(ctx),
             Event::Timer { token: TIMER_RC } => {
-                self.rc_gate.fired();
                 self.rc.on_timer(ctx.now());
-                self.flush_rc(ctx);
+                self.pump_rc(ctx);
             }
             Event::Timer { token: TIMER_PENDING } => self.check_pending(ctx),
             Event::Timer { .. } | Event::Signal { .. } => {}
@@ -517,7 +512,7 @@ impl Actor for RmActor {
                     return;
                 }
                 self.rc.on_packet(ctx.now(), from, body);
-                self.flush_rc(ctx);
+                self.pump_rc(ctx);
             }
         }
     }

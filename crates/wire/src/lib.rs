@@ -24,12 +24,14 @@
 //! shared [`timers::TimerWheel`], and is registered with
 //! [`stack::WireStack`] — a thin registry-plus-demux that seals
 //! envelopes, applies [`path::PathSelector`] routing, and glues the
-//! modules together for embedding in a `snipe-netsim` actor.
+//! modules together. [`host::StackHost`] is the one adapter that embeds
+//! a stack in a `snipe-netsim` actor.
 
 pub mod driver;
 pub mod fec;
 pub mod frag;
 pub mod frame;
+pub mod host;
 pub mod mcast;
 pub mod path;
 pub mod ports;
@@ -76,7 +78,10 @@ pub enum Out {
         /// Message payload.
         msg: Bytes,
     },
-    /// The stack wants `on_timer` called no later than this instant.
+    /// benchmark/ compat — never constructed: wake-ups are pulled from
+    /// `next_deadline()` by the hosting adapter ([`host::StackHost`]),
+    /// not pushed as actions. Delete with the other compat shims when
+    /// `benchmark/` stops matching on it.
     Wake {
         /// Deadline.
         at: SimTime,
