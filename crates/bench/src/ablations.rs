@@ -14,6 +14,8 @@ use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
+use snipe_rcds::client::RcClient;
+use snipe_rcds::host::RcHost;
 use snipe_rcds::server::RcServerActor;
 use snipe_rcds::store::RcStore;
 use snipe_rcds::uri::Uri;
@@ -198,22 +200,21 @@ pub struct A2Point {
 }
 
 const TIMER_PROBE: u64 = 3;
+const TIMER_RC: u64 = 4;
 
 /// Probes replica 1 until the expected value appears; records when.
 struct StalenessProbe {
-    target: Endpoint,
     uri: Uri,
     expect: String,
-    rc: snipe_rcds::client::RcClient,
+    rc: RcHost,
     visible_at: Arc<Mutex<Option<SimTime>>>,
 }
 
 impl StalenessProbe {
-    fn flush(&mut self, ctx: &mut dyn SimCtx) {
-        for (to, bytes) in self.rc.drain_sends() {
-            ctx.send(to, snipe_wire::frame::seal(snipe_wire::frame::Proto::Raw, bytes));
-        }
-        for (_, result) in self.rc.drain_done() {
+    /// Flush the RC client and look for the expected value in what it
+    /// completed.
+    fn pump(&mut self, ctx: &mut dyn SimCtx) {
+        for (_, result) in self.rc.flush(ctx) {
             if let Ok(reply) = result {
                 if reply.assertions.iter().any(|a| a.value == self.expect)
                     && self.visible_at.lock().unwrap().is_none()
@@ -222,67 +223,53 @@ impl StalenessProbe {
                 }
             }
         }
-        let _ = self.target;
     }
 }
 
 impl Actor for StalenessProbe {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+        let now = ctx.now();
         match event {
             Event::Start | Event::Timer { token: TIMER_PROBE }
                 if self.visible_at.lock().unwrap().is_none() =>
             {
-                let now = ctx.now();
                 self.rc.get(now, &self.uri);
-                self.flush(ctx);
+                self.pump(ctx);
                 ctx.set_timer(SimDuration::from_millis(10), TIMER_PROBE);
+                return;
             }
-            // A probe tick already pending when the value became visible.
-            Event::Timer { token: TIMER_PROBE } => {}
-            Event::Timer { .. } => {
-                self.rc.on_timer(ctx.now());
-                self.flush(ctx);
-            }
-            Event::Packet { from, payload } => {
-                if let Ok((snipe_wire::frame::Proto::Raw, body)) = snipe_wire::frame::open(payload)
-                {
-                    self.rc.on_packet(ctx.now(), from, body);
-                }
-                self.flush(ctx);
-            }
-            _ => {}
+            Event::Timer { token: TIMER_RC } => self.rc.on_timer(now),
+            Event::HostUp => self.rc.on_host_up(now),
+            Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
+            // Including a probe tick still pending when the value
+            // became visible.
+            _ => return,
         }
+        self.pump(ctx);
     }
 }
 
 struct OneShotWriter {
-    target: Endpoint,
     uri: Uri,
     value: String,
-    rc: snipe_rcds::client::RcClient,
+    rc: RcHost,
     wrote_at: Arc<Mutex<Option<SimTime>>>,
 }
 
 impl Actor for OneShotWriter {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+        let now = ctx.now();
         match event {
             Event::Start => {
-                let now = ctx.now();
                 self.rc.put(now, &self.uri, vec![Assertion::new("k", self.value.clone())]);
                 *self.wrote_at.lock().unwrap() = Some(now);
-                for (to, bytes) in self.rc.drain_sends() {
-                    ctx.send(to, snipe_wire::frame::seal(snipe_wire::frame::Proto::Raw, bytes));
-                }
-                let _ = self.target;
             }
-            Event::Packet { from, payload } => {
-                if let Ok((snipe_wire::frame::Proto::Raw, body)) = snipe_wire::frame::open(payload)
-                {
-                    self.rc.on_packet(ctx.now(), from, body);
-                }
-            }
-            _ => {}
+            Event::Timer { token: TIMER_RC } => self.rc.on_timer(now),
+            Event::HostUp => self.rc.on_host_up(now),
+            Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
+            _ => return,
         }
+        self.rc.flush(ctx);
     }
 }
 
@@ -311,10 +298,9 @@ pub fn run_a2(sync_interval: SimDuration, seed: u64) -> A2Point {
         c,
         50,
         Box::new(OneShotWriter {
-            target: ep0,
             uri: uri.clone(),
             value: "fresh".into(),
-            rc: snipe_rcds::client::RcClient::new(vec![ep0], SimDuration::from_millis(200)),
+            rc: RcHost::new(RcClient::new(vec![ep0], SimDuration::from_millis(200)), TIMER_RC),
             wrote_at: wrote_at.clone(),
         }),
     );
@@ -322,10 +308,9 @@ pub fn run_a2(sync_interval: SimDuration, seed: u64) -> A2Point {
         c,
         51,
         Box::new(StalenessProbe {
-            target: ep1,
             uri,
             expect: "fresh".into(),
-            rc: snipe_rcds::client::RcClient::new(vec![ep1], SimDuration::from_millis(200)),
+            rc: RcHost::new(RcClient::new(vec![ep1], SimDuration::from_millis(200)), TIMER_RC),
             visible_at: visible_at.clone(),
         }),
     );

@@ -39,13 +39,13 @@ use snipe_netsim::trace::{self, TraceKind};
 use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
+use snipe_rcds::host::RcHost;
 use snipe_rcds::server::RcServerActor;
 use snipe_rcds::uri::Uri;
 use snipe_util::id::{HostId, NetId};
 use snipe_util::metrics::Registry;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::fec::{msg_checksum, FragStrategy};
-use snipe_wire::frame::{open, seal, Proto};
 use snipe_wire::ports;
 use snipe_wire::rstream::RstreamConfig;
 use snipe_wire::stack::StackConfig;
@@ -830,105 +830,79 @@ const TIMER_RC: u64 = 21;
 
 /// Writes an evolving assertion during the fault window.
 struct ChaosWriter {
-    rc: RcClient,
+    rc: RcHost,
     uri: Uri,
     interval: SimDuration,
     writes_left: u32,
     next_val: u32,
 }
 
-impl ChaosWriter {
-    fn flush(&mut self, ctx: &mut dyn SimCtx) {
-        for (to, bytes) in self.rc.drain_sends() {
-            ctx.send(to, seal(Proto::Raw, bytes));
-        }
-        let _ = self.rc.drain_done();
-        if let Some(dl) = self.rc.next_deadline() {
-            let delay = dl.saturating_since(ctx.now()) + SimDuration::from_micros(1);
-            ctx.set_timer(delay, TIMER_RC);
-        }
-    }
-}
-
 impl Actor for ChaosWriter {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+        let now = ctx.now();
         match event {
             Event::Start | Event::Timer { token: TIMER_FIRE } if self.writes_left > 0 => {
                 self.writes_left -= 1;
                 let v = format!("v{}", self.next_val);
                 self.next_val += 1;
-                self.rc.put(ctx.now(), &self.uri, vec![Assertion::new("k", v)]);
-                self.flush(ctx);
+                self.rc.put(now, &self.uri, vec![Assertion::new("k", v)]);
+                self.rc.flush(ctx);
                 ctx.set_timer(self.interval, TIMER_FIRE);
+                return;
             }
-            Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(ctx.now());
-                self.flush(ctx);
-            }
-            Event::Packet { from, payload } => {
-                if let Ok((Proto::Raw, body)) = open(payload) {
-                    self.rc.on_packet(ctx.now(), from, body);
-                }
-                self.flush(ctx);
-            }
-            _ => {}
+            Event::Timer { token: TIMER_RC } => self.rc.on_timer(now),
+            Event::HostUp => self.rc.on_host_up(now),
+            Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
+            _ => return,
         }
+        self.rc.flush(ctx);
     }
 }
 
 /// Queries exactly one replica once faults quiesce, retrying on
 /// timeout; `answer` is read back through `actor_ref`.
 struct ReplicaProbe {
-    rc: RcClient,
+    rc: RcHost,
     uri: Uri,
     at: SimTime,
     attempts: u32,
     answer: Option<Vec<Assertion>>,
 }
 
-impl ReplicaProbe {
-    fn flush(&mut self, ctx: &mut dyn SimCtx) {
-        for (to, bytes) in self.rc.drain_sends() {
-            ctx.send(to, seal(Proto::Raw, bytes));
-        }
-        for (_, result) in self.rc.drain_done() {
-            match result {
-                Ok(reply) => {
-                    self.answer.get_or_insert(reply.assertions);
-                }
-                Err(_) if self.attempts < 30 => {
-                    self.attempts += 1;
-                    self.rc.get(ctx.now(), &self.uri);
-                }
-                Err(_) => {}
-            }
-        }
-        if let Some(dl) = self.rc.next_deadline() {
-            let delay = dl.saturating_since(ctx.now()) + SimDuration::from_micros(1);
-            ctx.set_timer(delay, TIMER_RC);
-        }
-    }
-}
-
 impl Actor for ReplicaProbe {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+        let now = ctx.now();
         match event {
-            Event::Start => ctx.set_timer(self.at.saturating_since(ctx.now()), TIMER_FIRE),
+            Event::Start => {
+                ctx.set_timer(self.at.saturating_since(now), TIMER_FIRE);
+                return;
+            }
             Event::Timer { token: TIMER_FIRE } => {
-                self.rc.get(ctx.now(), &self.uri);
-                self.flush(ctx);
+                self.rc.get(now, &self.uri);
             }
-            Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(ctx.now());
-                self.flush(ctx);
+            Event::Timer { token: TIMER_RC } => self.rc.on_timer(now),
+            Event::HostUp => self.rc.on_host_up(now),
+            Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
+            _ => return,
+        }
+        // A failed lookup is re-issued, which wants another flush.
+        loop {
+            let done = self.rc.flush(ctx);
+            if done.is_empty() {
+                return;
             }
-            Event::Packet { from, payload } => {
-                if let Ok((Proto::Raw, body)) = open(payload) {
-                    self.rc.on_packet(ctx.now(), from, body);
+            for (_, result) in done {
+                match result {
+                    Ok(reply) => {
+                        self.answer.get_or_insert(reply.assertions);
+                    }
+                    Err(_) if self.attempts < 30 => {
+                        self.attempts += 1;
+                        self.rc.get(now, &self.uri);
+                    }
+                    Err(_) => {}
                 }
-                self.flush(ctx);
             }
-            _ => {}
         }
     }
 }
@@ -973,7 +947,7 @@ fn spawn_writer(world: &mut World, client: HostId, eps: &[Endpoint]) -> Uri {
         client,
         50,
         Box::new(ChaosWriter {
-            rc: RcClient::new(eps.to_vec(), RC_TIMEOUT),
+            rc: RcHost::new(RcClient::new(eps.to_vec(), RC_TIMEOUT), TIMER_RC),
             uri: uri.clone(),
             interval: ms(300),
             writes_left: 12,
@@ -998,7 +972,7 @@ fn spawn_probes(
             client,
             PROBE_PORT + i as u16,
             Box::new(ReplicaProbe {
-                rc: RcClient::new(vec![ep], RC_TIMEOUT),
+                rc: RcHost::new(RcClient::new(vec![ep], RC_TIMEOUT), TIMER_RC),
                 uri: uri.clone(),
                 at,
                 attempts: 0,

@@ -16,11 +16,11 @@ use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
+use snipe_rcds::host::RcHost;
 use snipe_rcds::server::RcServerActor;
 use snipe_rcds::uri::Uri;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::{SimDuration, SimTime};
-use snipe_wire::frame::{open, seal, Proto};
 use snipe_wire::ports;
 
 /// One measured row.
@@ -38,7 +38,7 @@ const TIMER_TICK: u64 = 10;
 const TIMER_RC: u64 = 11;
 
 struct LookupLoad {
-    rc: RcClient,
+    rc: RcHost,
     interval: SimDuration,
     uri: Uri,
     issued: Arc<Mutex<u64>>,
@@ -47,11 +47,9 @@ struct LookupLoad {
 }
 
 impl LookupLoad {
-    fn flush(&mut self, ctx: &mut dyn SimCtx) {
-        for (to, bytes) in self.rc.drain_sends() {
-            ctx.send(to, seal(Proto::Raw, bytes));
-        }
-        for (_, result) in self.rc.drain_done() {
+    /// Flush the RC client and count the lookups it answered.
+    fn pump(&mut self, ctx: &mut dyn SimCtx) {
+        for (_, result) in self.rc.flush(ctx) {
             if let Ok(reply) = result {
                 if !self.seeded {
                     self.seeded = true; // the initial put
@@ -60,38 +58,35 @@ impl LookupLoad {
                 }
             }
         }
-        if let Some(dl) = self.rc.next_deadline() {
-            let delay = dl.saturating_since(ctx.now()) + SimDuration::from_micros(1);
-            ctx.set_timer(delay, TIMER_RC);
-        }
     }
 }
 
 impl Actor for LookupLoad {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+        let now = ctx.now();
         match event {
             Event::Start => {
-                let now = ctx.now();
                 self.rc.put(now, &self.uri, vec![Assertion::new("k", "v")]);
-                self.flush(ctx);
+                self.pump(ctx);
                 ctx.set_timer(self.interval, TIMER_TICK);
             }
             Event::Timer { token: TIMER_TICK } => {
-                let now = ctx.now();
                 self.rc.get(now, &self.uri);
                 *self.issued.lock().unwrap() += 1;
-                self.flush(ctx);
+                self.pump(ctx);
                 ctx.set_timer(self.interval, TIMER_TICK);
             }
             Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(ctx.now());
-                self.flush(ctx);
+                self.rc.on_timer(now);
+                self.pump(ctx);
+            }
+            Event::HostUp => {
+                self.rc.on_host_up(now);
+                self.pump(ctx);
             }
             Event::Packet { from, payload } => {
-                if let Ok((Proto::Raw, body)) = open(payload) {
-                    self.rc.on_packet(ctx.now(), from, body);
-                }
-                self.flush(ctx);
+                self.rc.on_datagram(now, from, payload);
+                self.pump(ctx);
             }
             _ => {}
         }
@@ -134,7 +129,7 @@ pub fn run(replicas: usize, horizon_days: u64, seed: u64) -> E3Point {
     let issued = Arc::new(Mutex::new(0u64));
     let answered = Arc::new(Mutex::new(0u64));
     let load = LookupLoad {
-        rc: RcClient::new(eps, SimDuration::from_millis(300)),
+        rc: RcHost::new(RcClient::new(eps, SimDuration::from_millis(300)), TIMER_RC),
         interval: SimDuration::from_secs(600),
         uri: Uri::process(7),
         issued: issued.clone(),

@@ -12,6 +12,7 @@ use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
+use snipe_rcds::host::RcHost;
 use snipe_rcds::server::RcServerActor;
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{WireDecode, WireEncode};
@@ -52,7 +53,7 @@ const TIMER_TICK: u64 = 1;
 const TIMER_RC: u64 = 2;
 
 struct SnipeLoad {
-    rc: RcClient,
+    rc: RcHost,
     uri: Uri,
     kill_at: SimTime,
     stop_at: SimTime,
@@ -63,11 +64,9 @@ struct SnipeLoad {
 }
 
 impl SnipeLoad {
-    fn flush(&mut self, ctx: &mut dyn SimCtx) {
-        for (to, bytes) in self.rc.drain_sends() {
-            ctx.send(to, seal(Proto::Raw, bytes));
-        }
-        for (id, result) in self.rc.drain_done() {
+    /// Flush the RC client and count the lookups it answered.
+    fn pump(&mut self, ctx: &mut dyn SimCtx) {
+        for (id, result) in self.rc.flush(ctx) {
             if !self.seeded {
                 self.seeded = true;
                 continue;
@@ -82,24 +81,19 @@ impl SnipeLoad {
                 }
             }
         }
-        if let Some(dl) = self.rc.next_deadline() {
-            let delay = dl.saturating_since(ctx.now()) + SimDuration::from_micros(1);
-            ctx.set_timer(delay, TIMER_RC);
-        }
     }
 }
 
 impl Actor for SnipeLoad {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+        let now = ctx.now();
         match event {
             Event::Start => {
-                let now = ctx.now();
                 self.rc.put(now, &self.uri, vec![Assertion::new("k", "v")]);
-                self.flush(ctx);
+                self.pump(ctx);
                 ctx.set_timer(SimDuration::from_millis(100), TIMER_TICK);
             }
             Event::Timer { token: TIMER_TICK } => {
-                let now = ctx.now();
                 if now >= self.stop_at {
                     return; // drain window: let pending ops finish
                 }
@@ -113,18 +107,20 @@ impl Actor for SnipeLoad {
                     i.0 += 1;
                 }
                 drop(i);
-                self.flush(ctx);
+                self.pump(ctx);
                 ctx.set_timer(SimDuration::from_millis(100), TIMER_TICK);
             }
             Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(ctx.now());
-                self.flush(ctx);
+                self.rc.on_timer(now);
+                self.pump(ctx);
+            }
+            Event::HostUp => {
+                self.rc.on_host_up(now);
+                self.pump(ctx);
             }
             Event::Packet { from, payload } => {
-                if let Ok((Proto::Raw, body)) = open(payload) {
-                    self.rc.on_packet(ctx.now(), from, body);
-                }
-                self.flush(ctx);
+                self.rc.on_datagram(now, from, payload);
+                self.pump(ctx);
             }
             _ => {}
         }
@@ -158,7 +154,7 @@ pub fn run_snipe(seed: u64) -> E8Point {
     let issued = Arc::new(Mutex::new((0u64, 0u64)));
     let answered = Arc::new(Mutex::new((0u64, 0u64)));
     let load = SnipeLoad {
-        rc: RcClient::new(eps, SimDuration::from_millis(200)),
+        rc: RcHost::new(RcClient::new(eps, SimDuration::from_millis(200)), TIMER_RC),
         uri: Uri::process(3),
         kill_at,
         stop_at: SimTime::ZERO + SimDuration::from_secs(10),

@@ -101,7 +101,8 @@ impl<A: StackApp> Actor for Hosted<A> {
             Event::Packet { from, payload } => {
                 let _ = self.stack.on_packet(now, from, payload);
             }
-            Event::Timer { token: TIMER_STACK } | Event::HostUp => self.stack.on_timer(now),
+            Event::Timer { token: TIMER_STACK } => self.stack.on_timer(now),
+            Event::HostUp => self.stack.on_host_up(now),
             _ => return,
         }
         if let Some(stack) = self.stack.as_mut() {

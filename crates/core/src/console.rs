@@ -14,6 +14,7 @@ use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
+use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
@@ -88,8 +89,7 @@ impl WireDecode for HttpMsg {
 pub struct ConsoleActor {
     /// The console's URL (e.g. `http://console.snipe/`).
     url: Uri,
-    rc_replicas: Vec<Endpoint>,
-    rc: Option<RcClient>,
+    rc: RcHost,
     pages: HashMap<String, Box<dyn Fn() -> String + Send>>,
     /// Requests served (diagnostics).
     pub served: u64,
@@ -98,7 +98,8 @@ pub struct ConsoleActor {
 impl ConsoleActor {
     /// A console registered under `url`.
     pub fn new(url: Uri, rc_replicas: Vec<Endpoint>) -> ConsoleActor {
-        ConsoleActor { url, rc_replicas, rc: None, pages: HashMap::new(), served: 0 }
+        let rc = RcClient::new(rc_replicas, SimDuration::from_millis(250));
+        ConsoleActor { url, rc: RcHost::new(rc, TIMER_RC), pages: HashMap::new(), served: 0 }
     }
 
     /// Register a page.
@@ -111,47 +112,24 @@ impl ConsoleActor {
         self
     }
 
-    fn flush_rc(&mut self, ctx: &mut dyn SimCtx) {
-        let Some(rc) = self.rc.as_mut() else { return };
-        for (to, bytes) in rc.drain_sends() {
-            ctx.send(to, seal(Proto::Raw, bytes));
-        }
-        rc.drain_done();
-        if let Some(dl) = rc.next_deadline() {
-            let delay = dl.saturating_since(ctx.now()) + SimDuration::from_micros(1);
-            ctx.set_timer(delay, TIMER_RC);
-        }
-    }
-
     fn publish(&mut self, ctx: &mut dyn SimCtx) {
-        let me = ctx.me();
-        let url = self.url.clone();
-        let now = ctx.now();
-        if let Some(rc) = self.rc.as_mut() {
-            rc.put(now, &url, vec![Assertion::new(ATTR_COMM_ADDRESS, format_endpoint(me))]);
-        }
-        self.flush_rc(ctx);
+        let binding = Assertion::new(ATTR_COMM_ADDRESS, format_endpoint(ctx.me()));
+        self.rc.put(ctx.now(), &self.url, vec![binding]);
+        self.rc.flush(ctx);
     }
 }
 
 impl Actor for ConsoleActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start | Event::HostUp => {
-                if self.rc.is_none() {
-                    self.rc = Some(RcClient::new(
-                        self.rc_replicas.clone(),
-                        SimDuration::from_millis(250),
-                    ));
-                }
+            Event::Start => self.publish(ctx),
+            Event::HostUp => {
+                self.rc.on_host_up(ctx.now());
                 self.publish(ctx);
             }
             Event::Timer { token: TIMER_RC } => {
-                let now = ctx.now();
-                if let Some(rc) = self.rc.as_mut() {
-                    rc.on_timer(now);
-                }
-                self.flush_rc(ctx);
+                self.rc.on_timer(ctx.now());
+                self.rc.flush(ctx);
             }
             Event::Packet { from, payload } => {
                 let Ok((Proto::Raw, body)) = open(payload) else {
@@ -165,9 +143,9 @@ impl Actor for ConsoleActor {
                         None => HttpMsg::Resp { req_id, status: 404, body: "not found".into() },
                     };
                     ctx.send(from, seal(Proto::Raw, resp.encode_to_bytes()));
-                } else if let Some(rc) = self.rc.as_mut() {
-                    rc.on_packet(ctx.now(), from, body);
-                    self.flush_rc(ctx);
+                } else {
+                    self.rc.on_packet(ctx.now(), from, body);
+                    self.rc.flush(ctx);
                 }
             }
             _ => {}
@@ -178,8 +156,7 @@ impl Actor for ConsoleActor {
 /// A scripted "web browser": resolves console URLs via RC metadata (the
 /// §3.7 proxy behaviour) and fetches paths, logging responses.
 pub struct BrowserActor {
-    rc_replicas: Vec<Endpoint>,
-    rc: Option<RcClient>,
+    rc: RcHost,
     /// (delay, url, path) fetches to perform in order.
     script: Vec<(SimDuration, Uri, String)>,
     /// Pending RC lookups: rc req id → (req_id for HTTP, path).
@@ -196,9 +173,9 @@ impl BrowserActor {
         script: Vec<(SimDuration, Uri, String)>,
         responses: Arc<Mutex<Vec<(u16, String)>>>,
     ) -> BrowserActor {
+        let rc = RcClient::new(rc_replicas, SimDuration::from_millis(250));
         BrowserActor {
-            rc_replicas,
-            rc: None,
+            rc: RcHost::new(rc, TIMER_RC),
             script,
             pending_resolve: HashMap::new(),
             next_req: 1,
@@ -206,29 +183,19 @@ impl BrowserActor {
         }
     }
 
-    fn flush_rc(&mut self, ctx: &mut dyn SimCtx) {
-        let mut resolved = Vec::new();
-        if let Some(rc) = self.rc.as_mut() {
-            for (to, bytes) in rc.drain_sends() {
-                ctx.send(to, seal(Proto::Raw, bytes));
-            }
-            for (id, result) in rc.drain_done() {
-                if let Some((req_id, path)) = self.pending_resolve.remove(&id) {
-                    let ep = result.ok().and_then(|r| {
-                        r.assertions
-                            .iter()
-                            .find(|a| a.name == ATTR_COMM_ADDRESS)
-                            .and_then(|a| parse_endpoint(&a.value))
-                    });
-                    resolved.push((req_id, path, ep));
-                }
-            }
-            if let Some(dl) = rc.next_deadline() {
-                let delay = dl.saturating_since(ctx.now()) + SimDuration::from_micros(1);
-                ctx.set_timer(delay, TIMER_RC);
-            }
-        }
-        for (req_id, path, ep) in resolved {
+    /// Flush the RC client; every resolved console URL turns into the
+    /// HTTP request that was waiting for it.
+    fn pump_rc(&mut self, ctx: &mut dyn SimCtx) {
+        for (id, result) in self.rc.flush(ctx) {
+            let Some((req_id, path)) = self.pending_resolve.remove(&id) else {
+                continue;
+            };
+            let ep = result.ok().and_then(|r| {
+                r.assertions
+                    .iter()
+                    .find(|a| a.name == ATTR_COMM_ADDRESS)
+                    .and_then(|a| parse_endpoint(&a.value))
+            });
             match ep {
                 Some(ep) => {
                     let msg = HttpMsg::Get { req_id, path };
@@ -248,8 +215,6 @@ impl Actor for BrowserActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start => {
-                self.rc =
-                    Some(RcClient::new(self.rc_replicas.clone(), SimDuration::from_millis(250)));
                 if !self.script.is_empty() {
                     ctx.set_timer(self.script[0].0, TIMER_FETCH);
                 }
@@ -258,22 +223,20 @@ impl Actor for BrowserActor {
                 let (_, url, path) = self.script.remove(0);
                 let req_id = self.next_req;
                 self.next_req += 1;
-                let now = ctx.now();
-                if let Some(rc) = self.rc.as_mut() {
-                    let id = rc.get(now, &url);
-                    self.pending_resolve.insert(id, (req_id, path));
-                }
+                let id = self.rc.get(ctx.now(), &url);
+                self.pending_resolve.insert(id, (req_id, path));
                 if !self.script.is_empty() {
                     ctx.set_timer(self.script[0].0, TIMER_FETCH);
                 }
-                self.flush_rc(ctx);
+                self.pump_rc(ctx);
             }
             Event::Timer { token: TIMER_RC } => {
-                let now = ctx.now();
-                if let Some(rc) = self.rc.as_mut() {
-                    rc.on_timer(now);
-                }
-                self.flush_rc(ctx);
+                self.rc.on_timer(ctx.now());
+                self.pump_rc(ctx);
+            }
+            Event::HostUp => {
+                self.rc.on_host_up(ctx.now());
+                self.pump_rc(ctx);
             }
             Event::Timer { .. } => {}
             Event::Packet { from, payload } => {
@@ -284,9 +247,9 @@ impl Actor for BrowserActor {
                     HttpMsg::decode_from_bytes(body.clone())
                 {
                     self.responses.lock().expect("responses poisoned").push((status, body));
-                } else if let Some(rc) = self.rc.as_mut() {
-                    rc.on_packet(ctx.now(), from, body);
-                    self.flush_rc(ctx);
+                } else {
+                    self.rc.on_packet(ctx.now(), from, body);
+                    self.pump_rc(ctx);
                 }
             }
             _ => {}

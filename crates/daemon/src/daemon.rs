@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use snipe_crypto::cert::{Certificate, TrustPurpose, TrustStore};
-use snipe_netsim::actor::{Actor, Event, SimCtx};
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, FaultOp, TraceKind};
 use snipe_rcds::assertion::Assertion;
@@ -63,6 +63,9 @@ pub struct DaemonActor {
     cfg: DaemonConfig,
     registry: ProgramRegistry,
     rc: RcHost,
+    /// The periodic load tick: gated, so a host flap shorter than the
+    /// time to the pending tick does not start a second chain.
+    load_gate: TimerGate,
     tasks: HashMap<u16, TaskInfo>,
     next_task_port: u16,
     next_local_key: u64,
@@ -84,6 +87,7 @@ impl DaemonActor {
             cfg,
             registry,
             rc: RcHost::new(rc, TIMER_RC),
+            load_gate: TimerGate::new(),
             tasks: HashMap::new(),
             next_task_port: ports::TASK_BASE,
             next_local_key: 1,
@@ -160,6 +164,7 @@ impl DaemonActor {
         let now = ctx.now();
         self.rc.put(now, &uri, asserts);
         self.pump_rc(ctx);
+        self.load_gate.arm_after(ctx, self.cfg.load_interval, TIMER_LOAD);
     }
 
     fn authorize(&self, spec: &SpawnSpec) -> Result<(), String> {
@@ -355,23 +360,20 @@ impl DaemonActor {
 impl Actor for DaemonActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start => {
-                self.publish_host_metadata(ctx);
-                ctx.set_timer(self.cfg.load_interval, TIMER_LOAD);
-            }
+            Event::Start => self.publish_host_metadata(ctx),
             Event::HostUp => {
+                self.rc.on_host_up(ctx.now());
                 // Reboot: tasks died with the host.
                 let ports_list: Vec<u16> = self.tasks.keys().copied().collect();
                 for p in ports_list {
                     self.broadcast_state(ctx, p, TaskState::Crashed);
                 }
                 self.publish_host_metadata(ctx);
-                ctx.set_timer(self.cfg.load_interval, TIMER_LOAD);
             }
             Event::HostDown => {}
             Event::Timer { token: TIMER_LOAD } => {
+                self.load_gate.fired();
                 self.publish_host_metadata(ctx);
-                ctx.set_timer(self.cfg.load_interval, TIMER_LOAD);
             }
             Event::Timer { token: TIMER_RC } => {
                 self.rc.on_timer(ctx.now());

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use bytes::Bytes;
 
 use snipe_crypto::sha256::sha256;
-use snipe_netsim::actor::{Actor, Event, SimCtx};
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
@@ -70,6 +70,9 @@ pub struct FileServerActor {
     cfg: FileServerConfig,
     rc: RcHost,
     stack: StackHost,
+    /// The periodic replicate tick: gated, so a host flap shorter than
+    /// the time to the pending tick does not start a second chain.
+    replicate_gate: TimerGate,
     files: HashMap<String, Stored>,
     /// Integrity rejections observed (diagnostics).
     pub rejected_pushes: u64,
@@ -85,6 +88,7 @@ impl FileServerActor {
             cfg,
             rc: RcHost::new(rc, TIMER_RC),
             stack: StackHost::new(TIMER_STACK),
+            replicate_gate: TimerGate::new(),
             files: HashMap::new(),
             rejected_pushes: 0,
             decode_drops: 0,
@@ -188,7 +192,7 @@ impl FileServerActor {
                 self.reliable_send(ctx, key, &msg);
             }
         }
-        ctx.set_timer(self.cfg.replicate_interval, TIMER_REPLICATE);
+        self.replicate_gate.arm_after(ctx, self.cfg.replicate_interval, TIMER_REPLICATE);
     }
 }
 
@@ -206,11 +210,16 @@ impl Actor for FileServerActor {
                 } else if matches!(event, Event::HostUp) {
                     self.stack.on_host_up(ctx.now());
                     self.pump_stack(ctx);
+                    self.rc.on_host_up(ctx.now());
+                    self.rc.flush(ctx);
                 }
-                ctx.set_timer(self.cfg.replicate_interval, TIMER_REPLICATE);
+                self.replicate_gate.arm_after(ctx, self.cfg.replicate_interval, TIMER_REPLICATE);
             }
             Event::HostDown => {}
-            Event::Timer { token: TIMER_REPLICATE } => self.replicate_tick(ctx),
+            Event::Timer { token: TIMER_REPLICATE } => {
+                self.replicate_gate.fired();
+                self.replicate_tick(ctx);
+            }
             Event::Timer { token: TIMER_RC } => {
                 self.rc.on_timer(ctx.now());
                 self.rc.flush(ctx);

@@ -8,15 +8,16 @@ use snipe_files::proto::FileMsg;
 use snipe_files::{FileServerActor, FileServerConfig};
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
+use snipe_netsim::shard::FaultCmd;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_rcds::server::RcServerActor;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::SimDuration;
 use snipe_wire::frame::{seal, Proto};
+use snipe_wire::host::StackHost;
 use snipe_wire::ports;
 use snipe_wire::stack::{endpoint_key, Incoming, StackConfig, WireStack};
-use snipe_wire::Out;
 use std::sync::{Arc, Mutex};
 
 /// What the driver does at each script step.
@@ -30,7 +31,7 @@ enum Step {
 /// Test driver speaking the reliable stack, logging every FileMsg that
 /// arrives either reliably or raw.
 struct StackDriver {
-    stack: Option<WireStack>,
+    stack: StackHost,
     script: Vec<(SimDuration, Step)>,
     log: Arc<Mutex<Vec<FileMsg>>>,
 }
@@ -40,30 +41,14 @@ const TIMER_STACK: u64 = 2;
 
 impl StackDriver {
     fn new(script: Vec<(SimDuration, Step)>, log: Arc<Mutex<Vec<FileMsg>>>) -> StackDriver {
-        StackDriver { stack: None, script, log }
+        StackDriver { stack: StackHost::new(TIMER_STACK), script, log }
     }
 
-    fn flush(&mut self, ctx: &mut dyn SimCtx) {
-        let Some(stack) = self.stack.as_mut() else {
-            return;
-        };
-        for o in stack.drain() {
-            match o {
-                Out::Send { to, via, bytes, .. } => match via {
-                    Some(n) => ctx.send_via(to, bytes, n),
-                    None => ctx.send(to, bytes),
-                },
-                Out::Deliver { msg, .. } => {
-                    if let Ok(m) = FileMsg::decode_from_bytes(msg) {
-                        self.log.lock().unwrap().push(m);
-                    }
-                }
-                Out::Wake { .. } => {}
+    fn pump(&mut self, ctx: &mut dyn SimCtx) {
+        for d in self.stack.flush(ctx) {
+            if let Ok(m) = FileMsg::decode_from_bytes(d.msg) {
+                self.log.lock().unwrap().push(m);
             }
-        }
-        if let Some(dl) = stack.next_deadline() {
-            let delay = dl.saturating_since(ctx.now()) + SimDuration::from_micros(1);
-            ctx.set_timer(delay, TIMER_STACK);
         }
     }
 }
@@ -73,7 +58,7 @@ impl Actor for StackDriver {
         match event {
             Event::Start => {
                 let me = ctx.me();
-                self.stack = Some(WireStack::new(endpoint_key(me), StackConfig::default()));
+                self.stack.start(WireStack::new(endpoint_key(me), StackConfig::default()));
                 if !self.script.is_empty() {
                     ctx.set_timer(self.script[0].0, TIMER_SCRIPT);
                 }
@@ -94,28 +79,26 @@ impl Actor for StackDriver {
                 if !self.script.is_empty() {
                     ctx.set_timer(self.script[0].0, TIMER_SCRIPT);
                 }
-                self.flush(ctx);
+                self.pump(ctx);
             }
             Event::Timer { token: TIMER_STACK } => {
-                let now = ctx.now();
-                if let Some(s) = self.stack.as_mut() {
-                    s.on_timer(now);
-                }
-                self.flush(ctx);
+                self.stack.on_timer(ctx.now());
+                self.pump(ctx);
             }
             Event::Timer { .. } => {}
+            Event::HostUp => {
+                self.stack.on_host_up(ctx.now());
+                self.pump(ctx);
+            }
             Event::Packet { from, payload } => {
-                let now = ctx.now();
-                if let Some(stack) = self.stack.as_mut() {
-                    if let Ok(Some(Incoming::Raw { msg, .. })) =
-                        stack.on_datagram(now, from, payload)
-                    {
-                        if let Ok(m) = FileMsg::decode_from_bytes(msg) {
-                            self.log.lock().unwrap().push(m);
-                        }
+                if let Some(Incoming::Raw { msg, .. }) =
+                    self.stack.on_packet(ctx.now(), from, payload)
+                {
+                    if let Ok(m) = FileMsg::decode_from_bytes(msg) {
+                        self.log.lock().unwrap().push(m);
                     }
                 }
-                self.flush(ctx);
+                self.pump(ctx);
             }
             _ => {}
         }
@@ -480,4 +463,59 @@ fn replica_survives_origin_server_death() {
         .iter()
         .any(|m| matches!(m, FileMsg::ReadResp { req_id: 2, ok: true, .. }));
     assert!(ok, "surviving replica must serve the file");
+}
+
+/// The file server re-arms its replicate tick on `HostUp`; a flap
+/// shorter than the time to the pending tick leaves that tick queued,
+/// so a blind re-arm starts a second chain for good (see the RC
+/// replica's twin of this test). An idle server with no peers does
+/// nothing but tick: 20 events in 10 s at 500 ms, however often its
+/// host flapped before.
+#[test]
+fn short_host_flaps_do_not_multiply_the_replicate_tick() {
+    for flaps in [0u64, 1, 5, 10] {
+        let (mut world, eps, _) = build(1);
+        for i in 0..flaps {
+            let down = snipe_util::time::SimTime::ZERO + SimDuration::from_millis(1_050 + 100 * i);
+            world.schedule_fault(down, FaultCmd::HostDown(eps[0].host));
+            world
+                .schedule_fault(down + SimDuration::from_millis(10), FaultCmd::HostUp(eps[0].host));
+        }
+        world.run_for(SimDuration::from_secs(3));
+        let before = world.stats().events;
+        world.run_for(SimDuration::from_secs(10));
+        let ticks = world.stats().events - before;
+        assert!((19..=21).contains(&ticks), "{flaps} flaps: {ticks} ticks in 10 s idle");
+    }
+}
+
+/// A stored file's replica registration is an RC put. Here it is
+/// pending when the server's host goes down and times out during the
+/// outage, so its wake-up is swallowed; the server must retry it when
+/// the host returns rather than leave the file unregistered until some
+/// later store happens to flush the RC client.
+#[test]
+fn replica_registration_survives_a_host_outage() {
+    let (mut world, eps, client) = build(1);
+    let at = |ms| snipe_util::time::SimTime::ZERO + SimDuration::from_millis(ms);
+    let rc_host = world.topology().host_by_name("rc0").unwrap();
+    // The catalog misses the first attempt (down until 200 ms); the
+    // file server is down from 20 ms to 600 ms, across the 260 ms
+    // deadline of the put it issued at 10 ms.
+    world.schedule_fault(at(1), FaultCmd::HostDown(rc_host));
+    world.schedule_fault(at(200), FaultCmd::HostUp(rc_host));
+    world.schedule_fault(at(20), FaultCmd::HostDown(eps[0].host));
+    world.schedule_fault(at(600), FaultCmd::HostUp(eps[0].host));
+    let lifn = "lifn:snipe:file:data";
+    let store = FileMsg::StoreReq { req_id: 1, lifn: lifn.into(), content: Bytes::from("x") };
+    let driver = StackDriver::new(
+        vec![(SimDuration::from_millis(10), Step::Reliable(eps[0], store))],
+        Arc::default(),
+    );
+    world.spawn(client, 40, Box::new(driver));
+    world.run_for(SimDuration::from_secs(2));
+    let rc = world.actor_ref::<RcServerActor>(Endpoint::new(rc_host, ports::RC_SERVER)).unwrap();
+    let uri = snipe_rcds::uri::Uri::parse(lifn.to_string()).unwrap();
+    let registered = rc.store().get(&uri);
+    assert!(registered.iter().any(|a| a.name == "replica:fs0"), "catalog holds {registered:?}");
 }

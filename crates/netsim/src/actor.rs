@@ -174,6 +174,15 @@ impl TimerGate {
         self.armed_until = Some(deadline);
     }
 
+    /// Request a wake-up `delay` from now — a periodic tick. Re-arming
+    /// on `Event::HostUp` is then safe: a tick still queued after a
+    /// short flap keeps its claim, one the outage swallowed lies in the
+    /// past and is replaced.
+    pub fn arm_after(&mut self, ctx: &mut dyn SimCtx, delay: SimDuration, token: u64) {
+        let at = ctx.now() + delay;
+        self.arm_at(ctx, at, token);
+    }
+
     /// Request a wake-up for a sans-IO machine's `next_deadline()`:
     /// nothing when it has none, else `DEADLINE_SKEW` past it.
     pub fn arm_deadline(&mut self, ctx: &mut dyn SimCtx, deadline: Option<SimTime>, token: u64) {

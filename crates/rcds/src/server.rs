@@ -8,7 +8,7 @@
 //! reordering or crash/recovery — host state survives crashes as the
 //! paper's disk-backed servers did.
 
-use snipe_netsim::actor::{Actor, Event, SimCtx};
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::SimDuration;
@@ -35,6 +35,9 @@ pub struct RcServerActor {
     store: RcStore,
     peers: Vec<Endpoint>,
     sync_interval: SimDuration,
+    /// The periodic anti-entropy tick: gated, so a host flap shorter
+    /// than the time to the pending tick does not start a second chain.
+    sync_gate: TimerGate,
     /// When set, this replica owns exactly one shard of the namespace:
     /// URI-addressed requests routed here by mistake are rejected (and
     /// counted) instead of being stored where anti-entropy would never
@@ -57,6 +60,7 @@ impl RcServerActor {
             store: RcStore::new(server_id),
             peers,
             sync_interval,
+            sync_gate: TimerGate::new(),
             shard: None,
             requests_served: 0,
             sync_rounds: 0,
@@ -146,9 +150,9 @@ impl RcServerActor {
         self.send(ctx, from, &resp);
     }
 
-    fn arm_timer(&self, ctx: &mut dyn SimCtx) {
+    fn arm_timer(&mut self, ctx: &mut dyn SimCtx) {
         if !self.peers.is_empty() {
-            ctx.set_timer(self.sync_interval, TIMER_SYNC);
+            self.sync_gate.arm_after(ctx, self.sync_interval, TIMER_SYNC);
         }
     }
 }
@@ -158,6 +162,7 @@ impl Actor for RcServerActor {
         match event {
             Event::Start | Event::HostUp => self.arm_timer(ctx),
             Event::Timer { token: TIMER_SYNC } => {
+                self.sync_gate.fired();
                 self.sync_rounds += 1;
                 let peers: Vec<Endpoint> =
                     self.peers.iter().copied().filter(|p| p.host != ctx.host()).collect();

@@ -9,17 +9,17 @@ use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
+use snipe_rcds::host::RcHost;
 use snipe_rcds::server::RcServerActor;
 use snipe_rcds::uri::Uri;
 use snipe_util::id::HostId;
 use snipe_util::time::{SimDuration, SimTime};
-use snipe_wire::frame::{open, seal, Proto};
 use snipe_wire::ports;
 use std::sync::{Arc, Mutex};
 
 /// A test client actor wrapping RcClient.
 struct ClientActor {
-    rc: RcClient,
+    rc: RcHost,
     script: Vec<(SimDuration, Op)>,
     results: Arc<Mutex<Vec<(u64, bool, Vec<Assertion>)>>>,
 }
@@ -32,20 +32,17 @@ enum Op {
 const TIMER_SCRIPT: u64 = 100;
 const TIMER_RC: u64 = 101;
 
+fn client(replicas: Vec<Endpoint>) -> RcHost {
+    RcHost::new(RcClient::new(replicas, SimDuration::from_millis(50)), TIMER_RC)
+}
+
 impl ClientActor {
-    fn flush(&mut self, ctx: &mut dyn SimCtx) {
-        for (to, bytes) in self.rc.drain_sends() {
-            ctx.send(to, seal(Proto::Raw, bytes));
-        }
-        for (id, result) in self.rc.drain_done() {
+    fn pump(&mut self, ctx: &mut dyn SimCtx) {
+        for (id, result) in self.rc.flush(ctx) {
             match result {
                 Ok(reply) => self.results.lock().unwrap().push((id, true, reply.assertions)),
                 Err(_) => self.results.lock().unwrap().push((id, false, vec![])),
             }
-        }
-        if let Some(dl) = self.rc.next_deadline() {
-            let delay = dl.saturating_since(ctx.now()) + SimDuration::from_micros(1);
-            ctx.set_timer(delay, TIMER_RC);
         }
     }
 }
@@ -72,17 +69,19 @@ impl Actor for ClientActor {
                     let next = self.script[0].0;
                     ctx.set_timer(next, TIMER_SCRIPT);
                 }
-                self.flush(ctx);
+                self.pump(ctx);
             }
             Event::Timer { token: TIMER_RC } => {
                 self.rc.on_timer(ctx.now());
-                self.flush(ctx);
+                self.pump(ctx);
+            }
+            Event::HostUp => {
+                self.rc.on_host_up(ctx.now());
+                self.pump(ctx);
             }
             Event::Packet { from, payload } => {
-                if let Ok((Proto::Raw, body)) = open(payload) {
-                    self.rc.on_packet(ctx.now(), from, body);
-                }
-                self.flush(ctx);
+                self.rc.on_datagram(ctx.now(), from, payload);
+                self.pump(ctx);
             }
             _ => {}
         }
@@ -116,12 +115,12 @@ fn put_on_one_replica_readable_from_another_after_sync() {
     let uri = Uri::process(7);
     // Writer talks only to replica 0; reader only to replica 2.
     let writer = ClientActor {
-        rc: RcClient::new(vec![eps[0]], SimDuration::from_millis(50)),
+        rc: client(vec![eps[0]]),
         script: vec![(SimDuration::from_millis(1), Op::Put(uri.clone(), "loc", "h9:100"))],
         results: results.clone(),
     };
     let reader = ClientActor {
-        rc: RcClient::new(vec![eps[2]], SimDuration::from_millis(50)),
+        rc: client(vec![eps[2]]),
         script: vec![(SimDuration::from_secs(2), Op::Get(uri.clone()))],
         results: results.clone(),
     };
@@ -142,13 +141,13 @@ fn client_fails_over_when_preferred_replica_dies() {
     let uri = Uri::process(9);
     // Seed data into replica 1 (which gossips to all).
     let writer = ClientActor {
-        rc: RcClient::new(vec![eps[1]], SimDuration::from_millis(50)),
+        rc: client(vec![eps[1]]),
         script: vec![(SimDuration::from_millis(1), Op::Put(uri.clone(), "k", "v"))],
         results: results.clone(),
     };
     // Reader prefers replica 0, which we kill before the read.
     let reader = ClientActor {
-        rc: RcClient::new(vec![eps[0], eps[1], eps[2]], SimDuration::from_millis(50)),
+        rc: client(vec![eps[0], eps[1], eps[2]]),
         script: vec![(SimDuration::from_secs(2), Op::Get(uri.clone()))],
         results: results.clone(),
     };
@@ -172,13 +171,13 @@ fn recovered_replica_catches_up() {
     let dead = eps[1].host;
     world.schedule_fault(SimTime::ZERO + SimDuration::from_millis(10), FaultCmd::HostDown(dead));
     let writer = ClientActor {
-        rc: RcClient::new(vec![eps[0]], SimDuration::from_millis(50)),
+        rc: client(vec![eps[0]]),
         script: vec![(SimDuration::from_millis(100), Op::Put(uri.clone(), "k", "late"))],
         results: results.clone(),
     };
     world.schedule_fault(SimTime::ZERO + SimDuration::from_secs(1), FaultCmd::HostUp(dead));
     let reader = ClientActor {
-        rc: RcClient::new(vec![eps[1]], SimDuration::from_millis(50)),
+        rc: client(vec![eps[1]]),
         script: vec![(SimDuration::from_secs(3), Op::Get(uri.clone()))],
         results: results.clone(),
     };
@@ -189,4 +188,44 @@ fn recovered_replica_catches_up() {
     let get = res.iter().find(|(_, _, a)| !a.is_empty());
     assert!(get.is_some(), "revived replica must have caught up: {res:?}");
     assert_eq!(get.unwrap().2[0].value, "late");
+}
+
+/// Every replica re-arms its anti-entropy tick on `HostUp`. The engine
+/// only drops a timer that pops *while* the host is down, so after a
+/// flap shorter than the time to the pending tick the old tick is
+/// still queued — re-arming blindly starts a second chain beside it,
+/// for good. However often a host flaps, it must keep syncing once per
+/// interval: 20 rounds in 10 s at 500 ms.
+#[test]
+fn short_host_flaps_do_not_multiply_the_sync_tick() {
+    for flaps in [0u64, 1, 5, 10] {
+        let mut topo = Topology::new();
+        let net = topo.add_network("lan", Medium::ethernet100(), true);
+        let hosts: Vec<HostId> = (0..2)
+            .map(|i| {
+                let h = topo.add_host(HostCfg::named(format!("rc{i}")));
+                topo.attach(h, net);
+                h
+            })
+            .collect();
+        let eps: Vec<Endpoint> =
+            hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
+        let mut world = World::new(topo, 42);
+        for (i, ep) in eps.iter().enumerate() {
+            let server =
+                RcServerActor::new(i as u64 + 1, vec![eps[1 - i]], SimDuration::from_millis(500));
+            world.spawn(ep.host, ep.port, Box::new(server));
+        }
+        // 10 ms flaps of host 0, 100 ms apart, each well inside a tick.
+        for i in 0..flaps {
+            let down = SimTime::ZERO + SimDuration::from_millis(1_050 + 100 * i);
+            world.schedule_fault(down, FaultCmd::HostDown(hosts[0]));
+            world.schedule_fault(down + SimDuration::from_millis(10), FaultCmd::HostUp(hosts[0]));
+        }
+        world.run_for(SimDuration::from_secs(3));
+        let before = world.actor_ref::<RcServerActor>(eps[0]).unwrap().sync_rounds;
+        world.run_for(SimDuration::from_secs(10));
+        let rounds = world.actor_ref::<RcServerActor>(eps[0]).unwrap().sync_rounds - before;
+        assert!((19..=21).contains(&rounds), "{flaps} flaps: {rounds} sync rounds in 10 s idle");
+    }
 }

@@ -13,7 +13,7 @@ use bytes::Bytes;
 
 use snipe_crypto::cert::{CertClaim, Certificate, TrustPurpose, TrustStore};
 use snipe_crypto::sign::KeyPair;
-use snipe_netsim::actor::{Actor, Event, SimCtx};
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
@@ -89,6 +89,9 @@ struct PendingAlloc {
 pub struct RmActor {
     cfg: RmConfig,
     rc: RcHost,
+    /// The periodic refresh tick: gated, so a host flap shorter than
+    /// the time to the pending tick does not start a second chain.
+    refresh_gate: TimerGate,
     keypair: KeyPair,
     hosts: Vec<HostInfo>,
     /// Soft reservations: hostname -> count, decayed on refresh.
@@ -114,6 +117,7 @@ impl RmActor {
         RmActor {
             cfg,
             rc: RcHost::new(rc, TIMER_RC),
+            refresh_gate: TimerGate::new(),
             keypair,
             hosts: Vec::new(),
             reserved: HashMap::new(),
@@ -456,16 +460,23 @@ impl RmActor {
         self.reserved.clear();
         self.rc.find(ctx.now(), "type", "host");
         self.pump_rc(ctx);
-        ctx.set_timer(self.cfg.refresh_interval, TIMER_REFRESH);
+        self.refresh_gate.arm_after(ctx, self.cfg.refresh_interval, TIMER_REFRESH);
     }
 }
 
 impl Actor for RmActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start | Event::HostUp => self.refresh(ctx),
+            Event::Start => self.refresh(ctx),
+            Event::HostUp => {
+                self.rc.on_host_up(ctx.now());
+                self.refresh(ctx);
+            }
             Event::HostDown => {}
-            Event::Timer { token: TIMER_REFRESH } => self.refresh(ctx),
+            Event::Timer { token: TIMER_REFRESH } => {
+                self.refresh_gate.fired();
+                self.refresh(ctx);
+            }
             Event::Timer { token: TIMER_RC } => {
                 self.rc.on_timer(ctx.now());
                 self.pump_rc(ctx);

@@ -128,3 +128,114 @@ impl StackHost {
         delivered
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stack::{endpoint_key, StackConfig};
+    use snipe_netsim::actor::{Actor, Event};
+    use snipe_netsim::medium::Medium;
+    use snipe_netsim::shard::FaultCmd;
+    use snipe_netsim::topology::{HostCfg, Topology};
+    use snipe_netsim::world::World;
+    use snipe_util::id::HostId;
+    use snipe_util::time::SimDuration;
+
+    const TOKEN: u64 = 7;
+
+    /// Sends "hello" to `peer` at start (when it has one); counts its
+    /// wake-ups and keeps what it is delivered.
+    struct Node {
+        stack: StackHost,
+        peer: Option<Endpoint>,
+        wakeups: u32,
+        got: Vec<Bytes>,
+    }
+
+    impl Actor for Node {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+            let now = ctx.now();
+            match event {
+                Event::Start => {
+                    let mut stack = WireStack::new(endpoint_key(ctx.me()), StackConfig::default());
+                    if let Some(peer) = self.peer {
+                        stack.set_peer_at(now, endpoint_key(peer), peer, vec![]);
+                        stack.send(now, endpoint_key(peer), Bytes::from_static(b"hello")).unwrap();
+                    }
+                    self.stack.start(stack);
+                }
+                Event::Packet { from, payload } => {
+                    let _ = self.stack.on_packet(now, from, payload);
+                }
+                Event::Timer { token: TOKEN } => {
+                    self.wakeups += 1;
+                    self.stack.on_timer(now);
+                }
+                Event::HostUp => self.stack.on_host_up(now),
+                _ => return,
+            }
+            self.got.extend(self.stack.flush(ctx).into_iter().map(|d| d.msg));
+        }
+    }
+
+    fn ms(n: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(n)
+    }
+
+    /// Sender on host a, receiver on host b, one LAN.
+    fn world() -> (World, Endpoint, Endpoint, HostId, HostId) {
+        let mut t = Topology::new();
+        let net = t.add_network("lan", Medium::ethernet100(), true);
+        let a = t.add_host(HostCfg::named("a"));
+        let b = t.add_host(HostCfg::named("b"));
+        t.attach(a, net);
+        t.attach(b, net);
+        let mut w = World::new(t, 5);
+        let node = |peer| Node { stack: StackHost::new(TOKEN), peer, wakeups: 0, got: Vec::new() };
+        let rx = w.spawn(b, 20, Box::new(node(None))).unwrap();
+        let tx = w.spawn(a, 20, Box::new(node(Some(rx)))).unwrap();
+        (w, tx, rx, a, b)
+    }
+
+    /// The sender's host is down across its retransmit deadline, so
+    /// the engine swallows the wake-up; `on_host_up` + `flush` must
+    /// re-arm it and get the message through.
+    #[test]
+    fn outage_across_the_deadline_resumes_and_delivers() {
+        let (mut w, tx, rx, a, b) = world();
+        // The receiver misses the first transmission: the data stays
+        // unacked with its RTO (100 ms) pending.
+        w.schedule_fault(SimTime::ZERO + SimDuration::from_micros(1), FaultCmd::HostDown(b));
+        w.schedule_fault(ms(50), FaultCmd::HostUp(b));
+        w.schedule_fault(ms(1), FaultCmd::HostDown(a));
+        w.schedule_fault(ms(300), FaultCmd::HostUp(a));
+        w.run_for(SimDuration::from_millis(299));
+        assert_eq!(w.actor_ref::<Node>(tx).unwrap().wakeups, 0, "the wake-up was swallowed");
+        w.run_for(SimDuration::from_secs(2));
+        assert_eq!(w.actor_ref::<Node>(rx).unwrap().got, vec![Bytes::from_static(b"hello")]);
+        let sender = w.actor_ref::<Node>(tx).unwrap();
+        assert!(sender.stack.as_ref().unwrap().quiescent(), "acked after recovery");
+    }
+
+    /// A flap shorter than the pending deadline leaves that wake-up
+    /// queued. Recovery must not arm a second one beside it: over the
+    /// next seconds of retransmission the flapped sender wakes exactly
+    /// as often as one that never flapped.
+    #[test]
+    fn a_short_flap_keeps_exactly_one_wake_up() {
+        let wakeups = |flap: bool| {
+            let (mut w, tx, _, a, b) = world();
+            // No receiver for the whole run: the chain keeps going.
+            w.schedule_fault(SimTime::ZERO + SimDuration::from_micros(1), FaultCmd::HostDown(b));
+            if flap {
+                w.schedule_fault(ms(1), FaultCmd::HostDown(a));
+                w.schedule_fault(ms(2), FaultCmd::HostUp(a));
+            }
+            w.run_for(SimDuration::from_secs(3));
+            w.actor_ref::<Node>(tx).unwrap().wakeups
+        };
+        let calm = wakeups(false);
+        assert!(calm >= 4, "RTO backoff fires several times in 3 s, got {calm}");
+        assert_eq!(wakeups(true), calm);
+    }
+}

@@ -96,3 +96,58 @@ fn steady_state_peer_queries_do_not_allocate() {
     assert!(trouble.is_empty(), "no peer has timed out");
     assert_eq!(allocated, 0, "steady-state peer queries allocated {allocated} times");
 }
+
+/// The hosting adapter runs after every event an actor handles, most
+/// of which leave the stack with nothing to send, deliver or re-arm.
+/// That flush must not touch the heap (the engine around it does not
+/// either: `netsim/tests/alloc.rs`).
+#[test]
+fn an_idle_flush_does_not_allocate() {
+    use snipe_netsim::actor::{Actor, Event, SimCtx};
+    use snipe_netsim::medium::Medium;
+    use snipe_netsim::topology::{HostCfg, Topology};
+    use snipe_netsim::world::World;
+    use snipe_util::time::SimDuration;
+    use snipe_wire::host::StackHost;
+
+    const TICK: u64 = 1;
+    const TIMER_STACK: u64 = 2;
+
+    struct Idle {
+        stack: StackHost,
+        flushes: u32,
+    }
+
+    impl Actor for Idle {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+            match event {
+                Event::Start => {
+                    let mut stack = WireStack::new(1, StackConfig::default());
+                    stack.set_peer(100, Endpoint::new(HostId(7), 40), Vec::new());
+                    self.stack.start(stack);
+                }
+                Event::Timer { token: TICK } => {}
+                _ => return,
+            }
+            assert!(self.stack.flush(ctx).is_empty());
+            self.flushes += 1;
+            ctx.set_timer(SimDuration::from_millis(1), TICK);
+        }
+    }
+
+    let mut topo = Topology::new();
+    let net = topo.add_network("lan", Medium::ethernet100(), true);
+    let h = topo.add_host(HostCfg::named("h"));
+    topo.attach(h, net);
+    let mut world = World::new(topo, 1);
+    let ep = world.spawn(h, 40, Box::new(Idle { stack: StackHost::new(TIMER_STACK), flushes: 0 }));
+    world.run_for(SimDuration::from_millis(100));
+
+    let before = allocs();
+    world.run_for(SimDuration::from_secs(10));
+    let allocated = allocs() - before;
+
+    let flushes = world.actor_ref::<Idle>(ep.unwrap()).unwrap().flushes;
+    assert!(flushes > 10_000, "only {flushes} flushes ran");
+    assert_eq!(allocated, 0, "{flushes} idle flushes allocated {allocated} times");
+}

@@ -11,6 +11,26 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Hosting-glue gate: turning a sans-IO machine's outputs into engine
+# calls (transmit, arm the wake-up, recover on HostUp) is written once,
+# in `snipe_wire::host` for a `WireStack` and `snipe_rcds::host` for an
+# `RcClient`. A hand copy in an actor is how every timer wedge in this
+# repo was born, so its two fingerprints may appear nowhere else:
+# `ctx.send_via(` (only a stack host pins routes; the engine crate
+# defines and tests the call) and `.drain_sends()` (`rcds_bench.rs`
+# drives a client with no world at all).
+glue=$(
+    grep -rn --include='*.rs' 'ctx\.send_via(' crates/*/src |
+        grep -v -e '^crates/netsim/' -e '^crates/wire/src/host\.rs:' || true
+    grep -rn --include='*.rs' '\.drain_sends()' crates/*/src |
+        grep -v -e '^crates/rcds/src/client\.rs:' -e '^crates/rcds/src/host\.rs:' \
+            -e '^crates/bench/src/rcds_bench\.rs:' || true
+)
+if [ -n "$glue" ]; then
+    echo "hosting-glue gate: FAIL — host the machine through StackHost / RcHost instead:"
+    echo "$glue"
+    exit 1
+fi
 cargo build --release
 cargo test -q
 cargo fmt --check
