@@ -13,9 +13,8 @@ use std::sync::{Arc, Mutex};
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
-use snipe_rcds::client::RcClient;
-use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
+use snipe_rcds::{RcClient, RcHost};
 use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::SimDuration;
@@ -122,8 +121,7 @@ impl ConsoleActor {
 impl Actor for ConsoleActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start => self.publish(ctx),
-            Event::HostUp => {
+            Event::Start | Event::HostUp => {
                 self.rc.on_host_up(ctx.now());
                 self.publish(ctx);
             }

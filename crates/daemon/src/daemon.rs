@@ -7,9 +7,8 @@ use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, FaultOp, TraceKind};
 use snipe_rcds::assertion::Assertion;
-use snipe_rcds::client::RcClient;
-use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
+use snipe_rcds::{RcClient, RcHost};
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::SimDuration;
 use snipe_wire::frame::{open, seal, Proto};
@@ -63,8 +62,7 @@ pub struct DaemonActor {
     cfg: DaemonConfig,
     registry: ProgramRegistry,
     rc: RcHost,
-    /// The periodic load tick: gated, so a host flap shorter than the
-    /// time to the pending tick does not start a second chain.
+    /// Keeps the periodic load tick to one chain across host flaps.
     load_gate: TimerGate,
     tasks: HashMap<u16, TaskInfo>,
     next_task_port: u16,
@@ -107,8 +105,7 @@ impl DaemonActor {
         ctx.send(to, seal(Proto::Raw, msg.encode_to_bytes()));
     }
 
-    /// Flush the RC client; a completed router-set lookup peers us with
-    /// the routers it names.
+    /// Flush the RC client; a completed router lookup peers us with them.
     fn pump_rc(&mut self, ctx: &mut dyn SimCtx) {
         for (id, result) in self.rc.flush(ctx) {
             let Some(group) = self.router_lookups.remove(&id) else {
@@ -371,10 +368,7 @@ impl Actor for DaemonActor {
                 self.publish_host_metadata(ctx);
             }
             Event::HostDown => {}
-            Event::Timer { token: TIMER_LOAD } => {
-                self.load_gate.fired();
-                self.publish_host_metadata(ctx);
-            }
+            Event::Timer { token: TIMER_LOAD } => self.publish_host_metadata(ctx),
             Event::Timer { token: TIMER_RC } => {
                 self.rc.on_timer(ctx.now());
                 self.pump_rc(ctx);

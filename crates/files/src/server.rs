@@ -8,9 +8,8 @@ use snipe_crypto::sha256::sha256;
 use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
-use snipe_rcds::client::RcClient;
-use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
+use snipe_rcds::{RcClient, RcHost};
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::SimDuration;
 use snipe_wire::frame::{seal, Proto};
@@ -70,8 +69,7 @@ pub struct FileServerActor {
     cfg: FileServerConfig,
     rc: RcHost,
     stack: StackHost,
-    /// The periodic replicate tick: gated, so a host flap shorter than
-    /// the time to the pending tick does not start a second chain.
+    /// Keeps the periodic replicate tick to one chain across host flaps.
     replicate_gate: TimerGate,
     files: HashMap<String, Stored>,
     /// Integrity rejections observed (diagnostics).
@@ -216,10 +214,7 @@ impl Actor for FileServerActor {
                 self.replicate_gate.arm_after(ctx, self.cfg.replicate_interval, TIMER_REPLICATE);
             }
             Event::HostDown => {}
-            Event::Timer { token: TIMER_REPLICATE } => {
-                self.replicate_gate.fired();
-                self.replicate_tick(ctx);
-            }
+            Event::Timer { token: TIMER_REPLICATE } => self.replicate_tick(ctx),
             Event::Timer { token: TIMER_RC } => {
                 self.rc.on_timer(ctx.now());
                 self.rc.flush(ctx);

@@ -174,13 +174,20 @@ impl TimerGate {
         self.armed_until = Some(deadline);
     }
 
-    /// Request a wake-up `delay` from now — a periodic tick. Re-arming
-    /// on `Event::HostUp` is then safe: a tick still queued after a
-    /// short flap keeps its claim, one the outage swallowed lies in the
-    /// past and is replaced.
+    /// Keep a periodic tick going: request a wake-up `delay` from now
+    /// unless one is still to come. Call it wherever the tick is
+    /// (re)started — `Event::Start`, the tick itself, `Event::HostUp`:
+    /// a tick still queued after a short host flap keeps its claim, one
+    /// the outage swallowed lies in the past and is replaced, so there
+    /// is always exactly one chain. A gate used only this way needs no
+    /// [`TimerGate::fired`].
     pub fn arm_after(&mut self, ctx: &mut dyn SimCtx, delay: SimDuration, token: u64) {
-        let at = ctx.now() + delay;
-        self.arm_at(ctx, at, token);
+        let now = ctx.now();
+        if self.armed_until.is_some_and(|armed| armed > now) {
+            return;
+        }
+        ctx.set_timer(delay, token);
+        self.armed_until = Some(now + delay);
     }
 
     /// Request a wake-up for a sans-IO machine's `next_deadline()`:
@@ -246,5 +253,46 @@ mod timer_gate_tests {
         w.run_until_idle(1000);
         let fired = w.actor_ref::<Spammer>(ep).unwrap().fired;
         assert_eq!(fired, 1, "100 arm requests must yield one timer");
+    }
+
+    struct Ticker {
+        gate: TimerGate,
+        ticks: u32,
+    }
+
+    impl Actor for Ticker {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+            match event {
+                Event::Timer { .. } => self.ticks += 1,
+                Event::Start | Event::HostUp => {}
+                _ => return,
+            }
+            self.gate.arm_after(ctx, SimDuration::from_millis(100), 1);
+        }
+    }
+
+    /// A periodic tick restarted on every `HostUp` stays one chain:
+    /// whether the flap left the pending tick queued, swallowed it, or
+    /// ended at the very instant it was due.
+    #[test]
+    fn arm_after_keeps_one_tick_chain_across_host_flaps() {
+        use crate::shard::FaultCmd;
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        for flap in [None, Some((250, 260)), Some((250, 300)), Some((250, 1000))] {
+            let mut t = Topology::new();
+            let _ = t.add_network("n", Medium::ethernet100(), true);
+            let h = t.add_host(HostCfg::named("h"));
+            let mut w = World::new(t, 1);
+            let ep = w.spawn(h, 5, Box::new(Ticker { gate: TimerGate::new(), ticks: 0 })).unwrap();
+            if let Some((down, up)) = flap {
+                w.schedule_fault(at(down), FaultCmd::HostDown(h));
+                w.schedule_fault(at(up), FaultCmd::HostUp(h));
+            }
+            w.run_for(SimDuration::from_secs(2));
+            let before = w.actor_ref::<Ticker>(ep).unwrap().ticks;
+            w.run_for(SimDuration::from_secs(10));
+            let ticks = w.actor_ref::<Ticker>(ep).unwrap().ticks - before;
+            assert_eq!(ticks, 100, "flap {flap:?}");
+        }
     }
 }

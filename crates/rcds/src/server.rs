@@ -35,8 +35,8 @@ pub struct RcServerActor {
     store: RcStore,
     peers: Vec<Endpoint>,
     sync_interval: SimDuration,
-    /// The periodic anti-entropy tick: gated, so a host flap shorter
-    /// than the time to the pending tick does not start a second chain.
+    /// Keeps the periodic anti-entropy tick to one chain across host
+    /// flaps.
     sync_gate: TimerGate,
     /// When set, this replica owns exactly one shard of the namespace:
     /// URI-addressed requests routed here by mistake are rejected (and
@@ -162,7 +162,6 @@ impl Actor for RcServerActor {
         match event {
             Event::Start | Event::HostUp => self.arm_timer(ctx),
             Event::Timer { token: TIMER_SYNC } => {
-                self.sync_gate.fired();
                 self.sync_rounds += 1;
                 let peers: Vec<Endpoint> =
                     self.peers.iter().copied().filter(|p| p.host != ctx.host()).collect();

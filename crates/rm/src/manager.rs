@@ -15,9 +15,8 @@ use snipe_crypto::cert::{CertClaim, Certificate, TrustPurpose, TrustStore};
 use snipe_crypto::sign::KeyPair;
 use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
-use snipe_rcds::client::RcClient;
-use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
+use snipe_rcds::{RcClient, RcHost};
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::id::HostId;
 use snipe_util::rng::Xoshiro256;
@@ -89,8 +88,7 @@ struct PendingAlloc {
 pub struct RmActor {
     cfg: RmConfig,
     rc: RcHost,
-    /// The periodic refresh tick: gated, so a host flap shorter than
-    /// the time to the pending tick does not start a second chain.
+    /// Keeps the periodic refresh tick to one chain across host flaps.
     refresh_gate: TimerGate,
     keypair: KeyPair,
     hosts: Vec<HostInfo>,
@@ -150,14 +148,13 @@ impl RmActor {
         ctx.send(to, seal(Proto::Raw, msg.encode_to_bytes()));
     }
 
-    /// Flush the RC client and fold completed host lookups into the
-    /// host table.
+    /// Flush the RC client; completed lookups update the host table.
     fn pump_rc(&mut self, ctx: &mut dyn SimCtx) {
         for (id, result) in self.rc.flush(ctx) {
             let Some(uri) = self.rc_gets.remove(&id) else {
                 // A Find completion: schedule Gets for each found host
-                // (they go out with the next flush, the pending
-                // wake-up's at the latest).
+                // (sent by the next flush: the pending wake-up's, if
+                // nothing comes sooner).
                 if let Ok(reply) = &result {
                     for u in &reply.uris {
                         if let Ok(parsed) = Uri::parse(u.clone()) {
@@ -467,16 +464,12 @@ impl RmActor {
 impl Actor for RmActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start => self.refresh(ctx),
-            Event::HostUp => {
+            Event::Start | Event::HostUp => {
                 self.rc.on_host_up(ctx.now());
                 self.refresh(ctx);
             }
             Event::HostDown => {}
-            Event::Timer { token: TIMER_REFRESH } => {
-                self.refresh_gate.fired();
-                self.refresh(ctx);
-            }
+            Event::Timer { token: TIMER_REFRESH } => self.refresh(ctx),
             Event::Timer { token: TIMER_RC } => {
                 self.rc.on_timer(ctx.now());
                 self.pump_rc(ctx);
