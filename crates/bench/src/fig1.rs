@@ -75,7 +75,7 @@ pub(crate) trait StackApp: Send + 'static {
     fn open(&mut self, now: SimTime, me: Endpoint) -> WireStack;
     /// Runs after every stack input and before the flush: enqueue more
     /// payload, pin routes toward peers just learned.
-    fn pump(&mut self, _now: SimTime, _stack: &mut WireStack) {}
+    fn pump(&mut self, now: SimTime, stack: &mut WireStack);
     /// A complete message came up.
     fn deliver(&mut self, _now: SimTime, _d: Delivery) {}
 }

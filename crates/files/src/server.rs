@@ -198,6 +198,8 @@ impl Actor for FileServerActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
             Event::Start | Event::HostUp => {
+                // A host that is down at spawn swallows `Start`; the
+                // first `HostUp` then finds no stack and starts one.
                 if self.stack.as_ref().is_none() {
                     let me = ctx.me();
                     let mut stack = WireStack::new(endpoint_key(me), StackConfig::default());
@@ -205,7 +207,7 @@ impl Actor for FileServerActor {
                         stack.set_peer(endpoint_key(peer), peer, vec![]);
                     }
                     self.stack.start(stack);
-                } else if matches!(event, Event::HostUp) {
+                } else {
                     self.stack.on_host_up(ctx.now());
                     self.pump_stack(ctx);
                     self.rc.on_host_up(ctx.now());

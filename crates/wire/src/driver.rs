@@ -10,10 +10,11 @@
 //!
 //! * datagrams whose envelope tag matches a registered driver are fed
 //!   to [`Driver::on_datagram`];
-//! * the stack's single timer arms at the min over
+//! * the stack answers `next_deadline` with the min over
 //!   [`Driver::next_deadline`] (each driver gets its deadlines from
-//!   the shared [`TimerWheel`](crate::timers::TimerWheel)) and fans
-//!   [`Driver::on_timer`] back out;
+//!   the shared [`TimerWheel`](crate::timers::TimerWheel)); its host
+//!   ([`StackHost`](crate::host::StackHost)) keeps one wake-up armed
+//!   for that instant and the stack fans [`Driver::on_timer`] back out;
 //! * emitted actions are collected via [`Driver::drain`], with `Send`
 //!   bodies sealed under the driver's [`Proto`] tag and routed through
 //!   the stack's [`PathSelector`](crate::path::PathSelector);
@@ -22,10 +23,10 @@
 //!   stack can hand each section back to the matching driver.
 //!
 //! `on_timer` must tolerate early or spurious firing (re-check your
-//! own state, reschedule if nothing is due): that is what makes the
-//! HostUp re-arm pattern — fire everything on resurrection, let
-//! drivers sort out what was real — wedge-proof for every transport
-//! at once instead of per-protocol hand patches.
+//! own state, reschedule if nothing is due): that is what lets the
+//! host recover from an outage by firing everything on `HostUp` and
+//! letting drivers sort out what was real — wedge-proof for every
+//! transport at once instead of per-protocol hand patches.
 
 use std::any::Any;
 

@@ -14,9 +14,9 @@
 //!   `Event::Timer { token }` with the host's token means "call
 //!   `on_timer`, then `flush`";
 //! * after a host outage the wake-up that died with the host is
-//!   re-armed and everything unacknowledged is retransmitted, while a
-//!   wake-up that survived a short flap is left alone — never two live
-//!   chains.
+//!   re-armed and the timers that came due meanwhile fire (so what is
+//!   unacknowledged is retransmitted), while a wake-up that survived a
+//!   short flap is left alone — never two live chains.
 //!
 //! Completed messages come back from `flush` as [`Delivery`]s; what
 //! they mean is the actor's business.

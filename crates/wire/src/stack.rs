@@ -17,10 +17,11 @@
 //! * migration snapshots concatenate each driver's exported state
 //!   under its protocol tag ([`WireStack::export_state`]).
 //!
-//! The stack is still sans-IO; a `snipe-netsim` actor drives it:
-//! packets in via [`WireStack::on_datagram`], timer events via
-//! [`WireStack::on_timer`], and emitted [`Out`] actions are translated
-//! into `ctx.send`/`ctx.set_timer` calls by the embedding actor.
+//! The stack is still sans-IO. Inside a `snipe-netsim` actor it lives
+//! in a [`StackHost`](crate::host::StackHost), the one adapter that
+//! feeds it packets and timer events, turns emitted [`Out`] actions
+//! into `ctx.send` calls and keeps a wake-up armed for
+//! [`WireStack::next_deadline`]; actors do not do that by hand.
 
 use bytes::Bytes;
 
@@ -373,12 +374,14 @@ impl WireStack {
     }
 
     /// Recover after the hosting actor's machine rebooted
-    /// (`Event::HostUp`): force-retransmit everything unacknowledged and
-    /// fire every driver timer, then let the owner re-arm its gate from
-    /// [`WireStack::next_deadline`]. Pending timers were swallowed while
-    /// the host was down, so without this kick an idle-but-unacked stack
-    /// wedges forever — a bug re-fixed per-actor three times before this
-    /// helper existed. Call it from every actor embedding a stack.
+    /// (`Event::HostUp`): fill every peer's window from its backlog and
+    /// fire every driver timer that came due during the outage (the
+    /// retransmissions are those timers' work). The wake-up itself
+    /// is the host's: [`StackHost::on_host_up`](crate::host::StackHost::on_host_up)
+    /// calls this and the flush that follows re-arms the timer the
+    /// outage swallowed — without which an idle-but-unacked stack wedges
+    /// forever, a bug fixed actor by actor three times before the
+    /// adapter existed.
     pub fn on_host_up(&mut self, now: SimTime) {
         self.srudp_mut().retransmit_all(now);
         self.on_timer(now);

@@ -11,13 +11,14 @@
 //!
 //! Two properties matter more than raw speed here:
 //!
-//! 1. **`next_deadline` is exact.** The netsim [`TimerGate`] pattern
-//!    arms a wake at `next_deadline + 1µs`; a slot-granular answer
-//!    (rounded down ~131µs) would cause spurious-wake loops where the
-//!    gate fires, nothing is due, and the stack re-arms at the same
-//!    rounded instant forever. The wheel therefore keeps an
-//!    authoritative `token → deadline` map and answers `next_deadline`
-//!    from it, using the slot hierarchy only to make expiry cheap.
+//! 1. **`next_deadline` is exact.** The hosting adapter
+//!    ([`StackHost`](crate::host::StackHost)) arms its [`TimerGate`] one
+//!    tick past `next_deadline`; a slot-granular answer (rounded down
+//!    ~131µs) would cause spurious-wake loops where the gate fires,
+//!    nothing is due, and the host re-arms at the same rounded instant
+//!    forever. The wheel therefore keeps an authoritative
+//!    `token → deadline` map and answers `next_deadline` from it, using
+//!    the slot hierarchy only to make expiry cheap.
 //!
 //! 2. **Arbitrary forward jumps are cheap.** Experiment E3 jumps the
 //!    sim clock by days, and a host coming back from a long outage
