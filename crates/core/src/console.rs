@@ -212,10 +212,8 @@ impl BrowserActor {
 impl Actor for BrowserActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start => {
-                if !self.script.is_empty() {
-                    ctx.set_timer(self.script[0].0, TIMER_FETCH);
-                }
+            Event::Start if !self.script.is_empty() => {
+                ctx.set_timer(self.script[0].0, TIMER_FETCH);
             }
             Event::Timer { token: TIMER_FETCH } => {
                 let (_, url, path) = self.script.remove(0);
