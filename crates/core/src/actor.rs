@@ -19,6 +19,7 @@ use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
+use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{seal, Proto};
@@ -119,7 +120,6 @@ struct FilePending {
     content: Bytes,
     /// Remaining servers to try (failover for reads *and* writes).
     remaining: Vec<Endpoint>,
-    deadline: SimTime,
 }
 
 /// Serialized state shipped to the new host during migration.
@@ -175,7 +175,8 @@ pub struct ProcessActor {
     resolving: HashMap<u64, u32>,
     groups: HashMap<String, GroupState>,
     spawn_pending: HashMap<u64, SpawnPending>,
-    file_pending: HashMap<u64, FilePending>,
+    /// File operations awaiting their server's answer, by request id.
+    file_pending: Deadlines<u64, FilePending>,
     next_req: u64,
     hostname: String,
 
@@ -216,7 +217,7 @@ impl ProcessActor {
             resolving: HashMap::new(),
             groups: HashMap::new(),
             spawn_pending: HashMap::new(),
-            file_pending: HashMap::new(),
+            file_pending: Deadlines::new(),
             next_req: 1,
             hostname: String::new(),
             trouble_scratch: Vec::new(),
@@ -637,15 +638,10 @@ impl ProcessActor {
                     if ok {
                         self.complete_ticket(ctx, fp.ticket, TicketResult::FileRead(Ok(content)));
                         self.run_commands(ctx);
-                    } else if let Some(next) = fp.remaining.first().copied() {
+                    } else if !fp.remaining.is_empty() {
                         // Closest-replica failover: try the next server.
-                        fp.remaining.remove(0);
-                        fp.deadline = ctx.now() + FILE_OP_TIMEOUT;
-                        ctx.set_timer(FILE_OP_TIMEOUT + SimDuration::from_micros(1), TIMER_FILE);
-                        let new_req = self.req_id();
-                        let m = FileMsg::ReadReq { req_id: new_req, lifn: fp.lifn.clone() };
-                        self.file_pending.insert(new_req, fp);
-                        self.send_to_infra(ctx, next, m.encode_to_bytes());
+                        let next = fp.remaining.remove(0);
+                        self.send_file_req(ctx, next, fp);
                     } else {
                         self.complete_ticket(
                             ctx,
@@ -658,6 +654,21 @@ impl ProcessActor {
             }
             _ => {}
         }
+    }
+
+    /// Put `fp`'s request to `server` under a fresh id and keep it
+    /// pending until the server answers or [`FILE_OP_TIMEOUT`] passes.
+    fn send_file_req(&mut self, ctx: &mut dyn SimCtx, server: Endpoint, fp: FilePending) {
+        let req_id = self.req_id();
+        let lifn = fp.lifn.clone();
+        let m = if fp.write {
+            FileMsg::StoreReq { req_id, lifn, content: fp.content.clone() }
+        } else {
+            FileMsg::ReadReq { req_id, lifn }
+        };
+        self.file_pending.insert(req_id, ctx.now() + FILE_OP_TIMEOUT, fp);
+        ctx.set_timer(FILE_OP_TIMEOUT + SimDuration::from_micros(1), TIMER_FILE);
+        self.send_to_infra(ctx, server, m.encode_to_bytes());
     }
 
     /// Reliable message to an infrastructure endpoint (file server...).
@@ -777,21 +788,8 @@ impl ProcessActor {
                     return;
                 }
                 let first = servers.remove(0);
-                let req = self.req_id();
-                self.file_pending.insert(
-                    req,
-                    FilePending {
-                        ticket,
-                        lifn: lifn.clone(),
-                        write: true,
-                        content: content.clone(),
-                        remaining: servers,
-                        deadline: ctx.now() + FILE_OP_TIMEOUT,
-                    },
-                );
-                ctx.set_timer(FILE_OP_TIMEOUT + SimDuration::from_micros(1), TIMER_FILE);
-                let m = FileMsg::StoreReq { req_id: req, lifn, content };
-                self.send_to_infra(ctx, first, m.encode_to_bytes());
+                let fp = FilePending { ticket, lifn, write: true, content, remaining: servers };
+                self.send_file_req(ctx, first, fp);
             }
             Command::ReadFile { ticket, lifn } => {
                 let mut servers = self.cfg.file_servers.clone();
@@ -806,21 +804,9 @@ impl ProcessActor {
                     return;
                 }
                 let first = servers.remove(0);
-                let req = self.req_id();
-                self.file_pending.insert(
-                    req,
-                    FilePending {
-                        ticket,
-                        lifn: lifn.clone(),
-                        write: false,
-                        content: Bytes::new(),
-                        remaining: servers,
-                        deadline: ctx.now() + FILE_OP_TIMEOUT,
-                    },
-                );
-                ctx.set_timer(FILE_OP_TIMEOUT + SimDuration::from_micros(1), TIMER_FILE);
-                let m = FileMsg::ReadReq { req_id: req, lifn };
-                self.send_to_infra(ctx, first, m.encode_to_bytes());
+                let content = Bytes::new();
+                let fp = FilePending { ticket, lifn, write: false, content, remaining: servers };
+                self.send_file_req(ctx, first, fp);
             }
             Command::RegisterPseudo { name, group } => {
                 // §5.7: metadata for the pseudo-process, with the group
@@ -1210,35 +1196,13 @@ impl Actor for ProcessActor {
                         ctx.kill(me);
                     }
                     TIMER_FILE => {
-                        let now = ctx.now();
-                        let expired: Vec<u64> = self
-                            .file_pending
-                            .iter()
-                            .filter(|(_, fp)| fp.deadline <= now)
-                            .map(|(id, _)| *id)
-                            .collect();
-                        for id in expired {
-                            let mut fp = self.file_pending.remove(&id).expect("expired id");
-                            if let Some(next) = fp.remaining.first().copied() {
+                        // Failovers draw fresh request ids in turn: the
+                        // table's request-id order.
+                        for (_, mut fp) in self.file_pending.take_due(ctx.now()) {
+                            if !fp.remaining.is_empty() {
                                 // Server unresponsive: fail over.
-                                fp.remaining.remove(0);
-                                fp.deadline = now + FILE_OP_TIMEOUT;
-                                ctx.set_timer(
-                                    FILE_OP_TIMEOUT + SimDuration::from_micros(1),
-                                    TIMER_FILE,
-                                );
-                                let req = self.req_id();
-                                let m = if fp.write {
-                                    FileMsg::StoreReq {
-                                        req_id: req,
-                                        lifn: fp.lifn.clone(),
-                                        content: fp.content.clone(),
-                                    }
-                                } else {
-                                    FileMsg::ReadReq { req_id: req, lifn: fp.lifn.clone() }
-                                };
-                                self.file_pending.insert(req, fp);
-                                self.send_to_infra(ctx, next, m.encode_to_bytes());
+                                let next = fp.remaining.remove(0);
+                                self.send_file_req(ctx, next, fp);
                             } else {
                                 let err = SnipeError::Timeout(format!(
                                     "file operation on {} timed out on every server",

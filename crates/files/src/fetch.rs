@@ -11,14 +11,13 @@
 //! [`StripedFetch`] is the sans-IO state machine (fully unit-testable);
 //! [`FetchActor`] wraps it with a [`WireStack`] as a simulator actor.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 
 use snipe_crypto::sha256::sha256;
 use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
+use snipe_util::deadlines::Deadlines;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::host::StackHost;
 use snipe_wire::path::UNMEASURED_RTT_SCORE;
@@ -73,7 +72,6 @@ struct Slot {
 struct Pending {
     slot: usize,
     target: Endpoint,
-    deadline: SimTime,
 }
 
 /// Default cap on per-stripe dispatch attempts. Generous because chaos
@@ -92,7 +90,9 @@ pub struct StripedFetch {
     next_id: u64,
     total_len: Option<u32>,
     slots: Vec<Slot>,
-    pending: HashMap<u64, Pending>,
+    /// Stripe requests on the wire by request id, each due for
+    /// re-dispatch at its deadline.
+    pending: Deadlines<u64, Pending>,
     outbox: Vec<(Endpoint, FileMsg)>,
     /// Stripe indices in completion order — the exactly-once oracle
     /// checks this log (sorted) for loss and duplication.
@@ -122,7 +122,7 @@ impl StripedFetch {
             next_id: 1,
             total_len: None,
             slots: Vec::new(),
-            pending: HashMap::new(),
+            pending: Deadlines::new(),
             outbox: Vec::new(),
             completions: Vec::new(),
             result: None,
@@ -168,7 +168,7 @@ impl StripedFetch {
 
     /// Earliest pending-stripe deadline.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.pending.values().map(|p| p.deadline).min()
+        self.pending.next_deadline()
     }
 
     /// Kick off the fetch: stripe 0 goes to the best replica; its
@@ -200,20 +200,17 @@ impl StripedFetch {
         let req_id = self.next_id;
         self.next_id += 1;
         let (offset, len) = (slot.offset, slot.len);
-        self.pending
-            .insert(req_id, Pending { slot: slot_idx, target, deadline: now + self.timeout });
+        self.pending.insert(req_id, now + self.timeout, Pending { slot: slot_idx, target });
         self.outbox
             .push((target, FileMsg::ReadStripe { req_id, lifn: self.lifn.clone(), offset, len }));
         self.stats.requests_sent += 1;
     }
 
-    /// Re-dispatch every stripe whose request passed its deadline. The
-    /// stale request stays forgotten: a late reply counts as stale.
+    /// Re-dispatch every stripe whose request passed its deadline, in
+    /// request-id order (each re-dispatch draws the next id). The stale
+    /// request stays forgotten: a late reply counts as stale.
     pub fn on_timer(&mut self, now: SimTime) {
-        let expired: Vec<u64> =
-            self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(&id, _)| id).collect();
-        for id in expired {
-            let p = self.pending.remove(&id).expect("collected above");
+        for (_, p) in self.pending.take_due(now) {
             self.stats.timeouts += 1;
             if self.slots[p.slot].data.is_none() && !self.done() {
                 self.dispatch(now, p.slot);

@@ -205,8 +205,8 @@ impl TimerGate {
 }
 
 /// How far past a machine's deadline its wake-up lands. A wake-up at
-/// the deadline itself would rely on every machine treating "due" as
-/// `deadline <= now`; one that compares strictly, or answers
+/// the deadline itself would rely on every machine counting a deadline
+/// equal to `now` as due; one that compares strictly, or answers
 /// `next_deadline` at a coarser grain than it expires, would be woken
 /// with nothing due, re-arm for the same instant and spin there
 /// forever. One tick of slack makes the wake-up land strictly after.

@@ -20,6 +20,7 @@ use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
+use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
 
@@ -62,7 +63,6 @@ pub struct RcClientStats {
 
 struct Pending {
     op: RcOp,
-    deadline: SimTime,
     attempts: u32,
     /// The replica this request was last transmitted to; replies from
     /// anyone else are dropped as mismatched.
@@ -82,7 +82,8 @@ pub struct RcClient {
     timeout: SimDuration,
     max_attempts: u32,
     next_id: u64,
-    pending: HashMap<u64, Pending>,
+    /// Outstanding requests by id, each due for a retry at its deadline.
+    pending: Deadlines<u64, Pending>,
     sends: Vec<(Endpoint, Bytes)>,
     done: Vec<Completion>,
     cache_ttl: Option<SimDuration>,
@@ -100,7 +101,7 @@ impl RcClient {
             timeout,
             max_attempts: 6,
             next_id: 1,
-            pending: HashMap::new(),
+            pending: Deadlines::new(),
             sends: Vec::new(),
             done: Vec::new(),
             cache_ttl: None,
@@ -127,11 +128,6 @@ impl RcClient {
     /// Known replica endpoints (the flat fallback list).
     pub fn replicas(&self) -> &[Endpoint] {
         &self.replicas
-    }
-
-    /// Outstanding request count.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
     }
 
     /// Drop/cache counters.
@@ -164,9 +160,8 @@ impl RcClient {
     fn issue(&mut self, now: SimTime, op: RcOp) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let deadline = now + self.timeout;
         let target = self.transmit(id, &op);
-        self.pending.insert(id, Pending { op, deadline, attempts: 1, target });
+        self.pending.insert(id, now + self.timeout, Pending { op, attempts: 1, target });
         id
     }
 
@@ -265,13 +260,9 @@ impl RcClient {
 
     /// Retry / fail over requests whose deadline passed.
     pub fn on_timer(&mut self, now: SimTime) {
-        let mut expired: Vec<u64> =
-            self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(id, _)| *id).collect();
         // Each retry rotates `preferred`, so the order decides which
-        // replica every request lands on: id order, not hash order.
-        expired.sort_unstable();
-        for id in expired {
-            let mut p = self.pending.remove(&id).expect("expired id present");
+        // replica every request lands on: the table's id order.
+        for (id, mut p) in self.pending.take_due(now) {
             if p.attempts >= self.max_attempts {
                 self.done.push((
                     id,
@@ -285,15 +276,14 @@ impl RcClient {
             // Fail over to the next replica.
             self.preferred = (self.preferred + 1) % self.replicas.len().max(1);
             p.attempts += 1;
-            p.deadline = now + self.timeout;
             p.target = self.transmit(id, &p.op);
-            self.pending.insert(id, p);
+            self.pending.insert(id, now + self.timeout, p);
         }
     }
 
     /// Earliest wanted wake-up.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.pending.values().map(|p| p.deadline).min()
+        self.pending.next_deadline()
     }
 
     /// Datagrams to transmit (payloads for `WireStack::send_raw` /
@@ -336,7 +326,7 @@ mod tests {
         let done = c.drain_done();
         assert_eq!(done.len(), 1);
         assert!(done[0].1.is_ok());
-        assert_eq!(c.pending_count(), 0);
+        assert!(c.next_deadline().is_none(), "nothing left pending");
     }
 
     #[test]
@@ -433,7 +423,7 @@ mod tests {
         let a1 = vec![Assertion::new("v", "old")];
         c.on_packet(SimTime::ZERO + SimDuration::from_millis(160), ep(1), reply_with(id, a1));
         assert!(c.drain_done().is_empty(), "stale replica must not complete the request");
-        assert_eq!(c.pending_count(), 1);
+        assert!(c.next_deadline().is_some(), "the request stays pending");
         assert_eq!(c.stats().mismatched_replies, 1);
         // The queried replica answers: that is the completion.
         let a2 = vec![Assertion::new("v", "new")];
@@ -441,7 +431,7 @@ mod tests {
         let done = c.drain_done();
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1.as_ref().unwrap().assertions[0].value, "new");
-        assert_eq!(c.pending_count(), 0);
+        assert!(c.next_deadline().is_none(), "nothing left pending");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use snipe_netsim::topology::Endpoint;
 use snipe_rcds::uri::Uri;
 use snipe_rcds::{RcClient, RcHost};
 use snipe_util::codec::{WireDecode, WireEncode};
+use snipe_util::deadlines::Deadlines;
 use snipe_util::id::HostId;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::{SimDuration, SimTime};
@@ -30,6 +31,9 @@ use crate::proto::{AllocMode, Allocation, RmMsg};
 const TIMER_REFRESH: u64 = 1;
 const TIMER_RC: u64 = 2;
 const TIMER_PENDING: u64 = 3;
+/// How long the daemons of one placement round may take to answer
+/// before the missing spawns are re-placed on other hosts.
+const SPAWN_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 
 /// RM configuration.
 #[derive(Clone)]
@@ -38,8 +42,6 @@ pub struct RmConfig {
     pub rc_replicas: Vec<Endpoint>,
     /// How often to refresh the host cache.
     pub refresh_interval: SimDuration,
-    /// Per-allocation daemon response timeout.
-    pub spawn_timeout: SimDuration,
     /// Keys this RM trusts for user/host certification (§4 CA role).
     pub trust: TrustStore,
     /// Deterministic seed for this RM's signing key.
@@ -52,7 +54,6 @@ impl RmConfig {
         RmConfig {
             rc_replicas,
             refresh_interval: SimDuration::from_secs(2),
-            spawn_timeout: SimDuration::from_millis(500),
             trust: TrustStore::new(),
             key_seed: 0x524d,
         }
@@ -80,7 +81,6 @@ struct PendingAlloc {
     outstanding: HashMap<u64, (String, Endpoint)>,
     /// Hosts already tried (avoid retrying a dead host).
     tried: Vec<String>,
-    deadline: SimTime,
     retries: u32,
 }
 
@@ -96,7 +96,9 @@ pub struct RmActor {
     reserved: HashMap<String, u32>,
     /// RC request id -> host URI being fetched.
     rc_gets: HashMap<u64, String>,
-    pending: HashMap<u64, PendingAlloc>,
+    /// Active allocations by allocation id, each due for re-placement
+    /// at its deadline.
+    pending: Deadlines<u64, PendingAlloc>,
     next_id: u64,
     /// Allocations served (diagnostics).
     pub allocations_served: u64,
@@ -120,7 +122,7 @@ impl RmActor {
             hosts: Vec::new(),
             reserved: HashMap::new(),
             rc_gets: HashMap::new(),
-            pending: HashMap::new(),
+            pending: Deadlines::new(),
             next_id: 1,
             allocations_served: 0,
             auth_granted: 0,
@@ -273,9 +275,9 @@ impl RmActor {
                     outstanding.insert(did, (h.hostname.clone(), h.daemon));
                     tried.push(h.hostname.clone());
                 }
-                let deadline = ctx.now() + self.cfg.spawn_timeout;
                 self.pending.insert(
                     alloc_id,
+                    ctx.now() + SPAWN_TIMEOUT,
                     PendingAlloc {
                         client: from,
                         client_req: req_id,
@@ -284,11 +286,10 @@ impl RmActor {
                         granted: Vec::new(),
                         outstanding,
                         tried,
-                        deadline,
                         retries: 0,
                     },
                 );
-                ctx.set_timer(self.cfg.spawn_timeout + SimDuration::from_micros(1), TIMER_PENDING);
+                ctx.set_timer(SPAWN_TIMEOUT + SimDuration::from_micros(1), TIMER_PENDING);
             }
         }
     }
@@ -301,15 +302,11 @@ impl RmActor {
         endpoint: Endpoint,
         proc_key: u64,
     ) {
-        let Some((alloc_id, _)) = self
-            .pending
-            .iter()
-            .find(|(_, p)| p.outstanding.contains_key(&did))
-            .map(|(k, p)| (*k, p.client))
+        let Some((alloc_id, p)) =
+            self.pending.iter_mut().find(|(_, p)| p.outstanding.contains_key(&did))
         else {
             return;
         };
-        let p = self.pending.get_mut(&alloc_id).expect("found above");
         let (hostname, daemon) = p.outstanding.remove(&did).expect("contains did");
         if ok {
             p.granted.push(Allocation { hostname, daemon, task: endpoint, proc_key });
@@ -330,64 +327,50 @@ impl RmActor {
     /// Timeout path: retry missing spawns on other hosts, or fail.
     fn check_pending(&mut self, ctx: &mut dyn SimCtx) {
         let now = ctx.now();
-        let mut expired: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now && !p.outstanding.is_empty())
-            .map(|(k, _)| *k)
-            .collect();
         // Retries draw replacement hosts and fresh spawn ids in turn:
-        // id order, not hash order, or a seed does not replay.
-        expired.sort_unstable();
-        for alloc_id in expired {
-            let p = self.pending.get_mut(&alloc_id).expect("expired present");
+        // the table's allocation-id order, so a seed replays.
+        for (alloc_id, mut p) in self.pending.take_due(now) {
+            if p.outstanding.is_empty() {
+                // Every daemon of the round refused. The parent skipped
+                // such an allocation and left it pending for good; kept
+                // until the fix lands on top of this refactor.
+                self.pending.insert(alloc_id, SimTime::MAX, p);
+                continue;
+            }
             p.outstanding.clear();
             let missing = p.want as usize - p.granted.len();
             if p.retries >= 2 {
-                let p = self.pending.remove(&alloc_id).expect("present");
-                let resp = RmMsg::AllocResp {
-                    req_id: p.client_req,
-                    ok: false,
-                    allocations: p.granted,
-                    error: "spawn timeout".into(),
-                };
-                self.send_msg(ctx, p.client, &resp);
+                self.fail_alloc(ctx, p, "spawn timeout");
                 continue;
             }
             p.retries += 1;
-            p.deadline = now + self.cfg.spawn_timeout;
-            let spec = p.spec.clone();
-            let tried = p.tried.clone();
-            let replacement = self.select_hosts(&spec, missing, &tried);
+            let replacement = self.select_hosts(&p.spec, missing, &p.tried);
             if replacement.len() < missing {
-                let p = self.pending.remove(&alloc_id).expect("present");
-                let resp = RmMsg::AllocResp {
-                    req_id: p.client_req,
-                    ok: false,
-                    allocations: p.granted,
-                    error: "no replacement hosts".into(),
-                };
-                self.send_msg(ctx, p.client, &resp);
+                self.fail_alloc(ctx, p, "no replacement hosts");
                 continue;
             }
-            let mut new_outstanding = Vec::new();
-            for h in &replacement {
+            for h in replacement {
                 let did = self.next_id;
                 self.next_id += 1;
-                new_outstanding.push((did, h.hostname.clone(), h.daemon));
+                let msg = DaemonMsg::SpawnReq { req_id: did, spec: p.spec.clone() };
+                ctx.send(h.daemon, seal(Proto::Raw, msg.encode_to_bytes()));
+                p.outstanding.insert(did, (h.hostname.clone(), h.daemon));
+                p.tried.push(h.hostname);
             }
-            let p = self.pending.get_mut(&alloc_id).expect("still present");
-            for (did, hostname, daemon) in &new_outstanding {
-                p.outstanding.insert(*did, (hostname.clone(), *daemon));
-                p.tried.push(hostname.clone());
-            }
-            let spec = p.spec.clone();
-            for (did, _, daemon) in new_outstanding {
-                let msg = DaemonMsg::SpawnReq { req_id: did, spec: spec.clone() };
-                ctx.send(daemon, seal(Proto::Raw, msg.encode_to_bytes()));
-            }
-            ctx.set_timer(self.cfg.spawn_timeout + SimDuration::from_micros(1), TIMER_PENDING);
+            self.pending.insert(alloc_id, now + SPAWN_TIMEOUT, p);
+            ctx.set_timer(SPAWN_TIMEOUT + SimDuration::from_micros(1), TIMER_PENDING);
         }
+    }
+
+    /// Give up on an allocation: the client hears what was granted.
+    fn fail_alloc(&self, ctx: &mut dyn SimCtx, p: PendingAlloc, error: &str) {
+        let resp = RmMsg::AllocResp {
+            req_id: p.client_req,
+            ok: false,
+            allocations: p.granted,
+            error: error.into(),
+        };
+        self.send_msg(ctx, p.client, &resp);
     }
 
     /// §4: verify the two certificates and issue a signed authorization.
@@ -605,20 +588,19 @@ mod tests {
         // Two rounds of retries: one fresh spawn id per allocation,
         // handed out oldest allocation first.
         for _ in 0..2 {
-            ctx.now += rm.cfg.spawn_timeout + SimDuration::from_micros(1);
+            ctx.now += SPAWN_TIMEOUT + SimDuration::from_micros(1);
             rm.check_pending(&mut ctx);
-            let mut by_alloc: Vec<(u64, u64)> = rm
+            let by_alloc: Vec<(u64, u64)> = rm
                 .pending
-                .iter()
-                .map(|(alloc, p)| (*alloc, *p.outstanding.keys().next().expect("one retry each")))
+                .iter_mut()
+                .map(|(alloc, p)| (alloc, *p.outstanding.keys().next().expect("one retry each")))
                 .collect();
-            by_alloc.sort_unstable();
             assert_eq!(by_alloc.len(), 4);
             assert!(by_alloc.windows(2).all(|w| w[0].1 < w[1].1), "spawn ids: {by_alloc:?}");
         }
         ctx.sent.clear();
         // Third expiry: every allocation fails, replies oldest first.
-        ctx.now += rm.cfg.spawn_timeout + SimDuration::from_micros(1);
+        ctx.now += SPAWN_TIMEOUT + SimDuration::from_micros(1);
         rm.check_pending(&mut ctx);
         let failed: Vec<u64> = ctx
             .sent

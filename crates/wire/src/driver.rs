@@ -11,8 +11,8 @@
 //! * datagrams whose envelope tag matches a registered driver are fed
 //!   to [`Driver::on_datagram`];
 //! * the stack answers `next_deadline` with the min over
-//!   [`Driver::next_deadline`] (each driver gets its deadlines from
-//!   the shared [`TimerWheel`](crate::timers::TimerWheel)); its host
+//!   [`Driver::next_deadline`] (each driver answers from its
+//!   [`Deadlines`](snipe_util::deadlines::Deadlines) table); its host
 //!   ([`StackHost`](crate::host::StackHost)) keeps one wake-up armed
 //!   for that instant and the stack fans [`Driver::on_timer`] back out;
 //! * emitted actions are collected via [`Driver::drain`], with `Send`

@@ -20,8 +20,9 @@
 //!
 //! All protocol logic is *sans-IO*: state machines consume
 //! `(now, packet)` and emit [`Out`] actions. Every transport
-//! implements the [`driver::Driver`] trait, schedules deadlines on the
-//! shared [`timers::TimerWheel`], and is registered with
+//! implements the [`driver::Driver`] trait, keeps its deadlines in a
+//! [`Deadlines`](snipe_util::deadlines::Deadlines) table, and is
+//! registered with
 //! [`stack::WireStack`] — a thin registry-plus-demux that seals
 //! envelopes, applies [`path::PathSelector`] routing, and glues the
 //! modules together. [`host::StackHost`] is the one adapter that embeds
@@ -38,7 +39,6 @@ pub mod ports;
 pub mod rstream;
 pub mod srudp;
 pub mod stack;
-pub mod timers;
 
 use bytes::Bytes;
 use snipe_netsim::topology::Endpoint;

@@ -19,10 +19,10 @@ use bytes::Bytes;
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, TraceKind};
 use snipe_util::codec::{Decoder, Encoder};
+use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
 
-use crate::timers::TimerWheel;
 use crate::Out;
 
 /// RSTREAM tuning knobs.
@@ -141,9 +141,9 @@ pub struct RstreamStats {
 pub struct Rstream {
     cfg: RstreamConfig,
     conns: HashMap<ConnId, Conn>,
-    /// Per-connection RTO deadlines, shared-wheel scheduled; the only
-    /// timer source in this driver.
-    wheel: TimerWheel<ConnId>,
+    /// Per-connection RTO deadlines; the only timer source in this
+    /// driver. Due together, they fire in connection-id order.
+    timers: Deadlines<ConnId>,
     out: Vec<Out>,
     stats: RstreamStats,
     next_conn_seed: u64,
@@ -155,7 +155,7 @@ impl Rstream {
         Rstream {
             cfg,
             conns: HashMap::new(),
-            wheel: TimerWheel::new(),
+            timers: Deadlines::new(),
             out: Vec::new(),
             stats: RstreamStats::default(),
             next_conn_seed: seed,
@@ -175,9 +175,9 @@ impl Rstream {
             self.next_conn_seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let id = self.next_conn_seed | 1;
         let conn = Conn::new(peer, State::SynSent, &self.cfg.clone());
-        // The handshake has no ACK clock: arm the wheel so a lost SYN
+        // The handshake has no ACK clock: arm the RTO so a lost SYN
         // is retransmitted instead of wedging the connection.
-        self.wheel.schedule(id, now + conn.rto);
+        self.timers.insert(id, now + conn.rto, ());
         self.conns.insert(id, conn);
         Self::emit_syn(&mut self.out, peer, id);
         id
@@ -235,7 +235,7 @@ impl Rstream {
                     bytes: enc.finish(),
                 });
                 c.state = State::Closed;
-                self.wheel.cancel(id);
+                self.timers.remove(&id);
             }
         }
     }
@@ -246,14 +246,14 @@ impl Rstream {
             if c.peer == peer && c.state != State::Closed {
                 c.state = State::Closed;
                 self.stats.aborted += 1;
-                self.wheel.cancel(*id);
+                self.timers.remove(id);
             }
         }
     }
 
     /// Earliest RTO deadline across connections.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.wheel.next_deadline()
+        self.timers.next_deadline()
     }
 
     /// Drain queued output actions.
@@ -313,8 +313,8 @@ impl Rstream {
             conn.snd_nxt += take as u64;
             conn.sent_at.insert(offset, (now, false));
             Self::emit_data(&mut self.out, &mut self.stats, now, conn, id, offset, &seg, false);
-            if self.wheel.deadline_of(id).is_none() {
-                self.wheel.schedule(id, now + conn.rto);
+            if self.timers.get(&id).is_none() {
+                self.timers.insert(id, now + conn.rto, ());
             }
         }
     }
@@ -344,7 +344,7 @@ impl Rstream {
                         // established connection's abort budget.
                         c.timeouts = 0;
                         c.rto = self.cfg.rto_initial;
-                        self.wheel.cancel(id);
+                        self.timers.remove(&id);
                         self.pump(now, id);
                     }
                 }
@@ -364,7 +364,7 @@ impl Rstream {
             KIND_FIN => {
                 if let Some(c) = self.conns.get_mut(&id) {
                     c.state = State::Closed;
-                    self.wheel.cancel(id);
+                    self.timers.remove(&id);
                 }
                 Ok(())
             }
@@ -494,9 +494,9 @@ impl Rstream {
             }
             if conn.snd_una == conn.snd_nxt {
                 conn.recover = 0;
-                self.wheel.cancel(id);
+                self.timers.remove(&id);
             } else {
-                self.wheel.schedule(id, now + conn.rto);
+                self.timers.insert(id, now + conn.rto, ());
             }
             self.pump(now, id);
         } else if cum == conn.snd_una && conn.snd_nxt > conn.snd_una {
@@ -525,14 +525,11 @@ impl Rstream {
         }
     }
 
-    /// Fire due RTO wheel tokens. Safe to call early or spuriously —
+    /// Fire due RTO deadlines. Safe to call early or spuriously —
     /// a connection whose oldest outstanding segment has not actually
     /// outlived its RTO is re-armed without escalation.
     pub fn on_timer(&mut self, now: SimTime) {
-        let mut due: Vec<ConnId> = Vec::new();
-        self.wheel.expire_into(now, &mut due);
-        due.sort_unstable();
-        for id in due {
+        for (id, ()) in self.timers.take_due(now) {
             self.fire_rto(now, id);
         }
     }
@@ -552,7 +549,7 @@ impl Rstream {
             conn.rto = (conn.rto * 2).clamp(cfg.rto_min, cfg.rto_max);
             self.stats.retransmits += 1;
             Self::emit_syn(&mut self.out, conn.peer, id);
-            self.wheel.schedule(id, now + conn.rto);
+            self.timers.insert(id, now + conn.rto, ());
             return;
         }
         if conn.state != State::Established || conn.snd_una == conn.snd_nxt {
@@ -562,7 +559,7 @@ impl Rstream {
         // outstanding segment has genuinely outlived the RTO.
         if let Some(oldest) = conn.sent_at.values().map(|&(t, _)| t).min() {
             if oldest + conn.rto > now {
-                self.wheel.schedule(id, oldest + conn.rto);
+                self.timers.insert(id, oldest + conn.rto, ());
                 return;
             }
         }
@@ -580,7 +577,7 @@ impl Rstream {
             let offset = conn.snd_una;
             conn.sent_at.insert(offset, (now, true));
             Self::emit_data(&mut self.out, &mut self.stats, now, conn, id, offset, &seg, true);
-            self.wheel.schedule(id, now + conn.rto);
+            self.timers.insert(id, now + conn.rto, ());
         }
     }
 }

@@ -25,26 +25,28 @@ use bytes::Bytes;
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, TraceKind};
 use snipe_util::codec::{Decoder, Encoder};
+use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
 
 use crate::fec::{self, FragStrategy};
 use crate::frag::{split, ReassemblySet};
-use crate::timers::TimerWheel;
 use crate::Out;
 
 /// Stable logical identity of a wire peer (a SNIPE process or daemon).
 pub type NodeKey = u64;
 
-/// What a scheduled wheel token means for a peer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// What a scheduled deadline means for a peer. Declaration order is
+/// firing order among deadlines due together: sweeps, then SACK
+/// flushes, then RTO escalations.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum TimerKind {
-    /// Retransmission timeout: the earliest in-flight fragment's RTO.
-    Rto,
-    /// Delayed-ACK flush for the pending unsacked message.
-    Sack,
     /// Stale partial-reassembly sweep (bounded receiver memory).
     Evict,
+    /// Delayed-ACK flush for the pending unsacked message.
+    Sack,
+    /// Retransmission timeout: the earliest in-flight fragment's RTO.
+    Rto,
 }
 
 /// SRUDP tuning knobs.
@@ -172,7 +174,7 @@ struct Peer {
     /// divergent header is a counted protocol error).
     fec_meta: HashMap<u64, FecMeta>,
     /// Message id awaiting a delayed-ACK flush; the deadline itself
-    /// lives in the stack-shared [`TimerWheel`].
+    /// is the driver's `(Sack, peer)` entry in `Srudp::timers`.
     pending_sack: Option<u64>,
     /// Consecutive duplicate DATA packets received — a sign our SACKs
     /// are not reaching the sender (path trouble on our return route).
@@ -241,9 +243,10 @@ pub struct Srudp {
     peers: HashMap<NodeKey, Peer>,
     /// Current location of each peer.
     locations: HashMap<NodeKey, Endpoint>,
-    /// All deadlines (per-peer RTO and delayed-ACK), shared-wheel
-    /// scheduled; the only timer source in this driver.
-    wheel: TimerWheel<(NodeKey, TimerKind)>,
+    /// All deadlines (per-peer RTO, delayed-ACK and reassembly sweep);
+    /// the only timer source in this driver. Due together, they fire
+    /// in key order: by kind, then by peer key.
+    timers: Deadlines<(TimerKind, NodeKey)>,
     out: Vec<Out>,
     stats: SrudpStats,
 }
@@ -256,7 +259,7 @@ impl Srudp {
             cfg,
             peers: HashMap::new(),
             locations: HashMap::new(),
-            wheel: TimerWheel::new(),
+            timers: Deadlines::new(),
             out: Vec::new(),
             stats: SrudpStats::default(),
         }
@@ -402,7 +405,7 @@ impl Srudp {
 
     /// Earliest instant at which [`Self::on_timer`] needs to run.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.wheel.next_deadline()
+        self.timers.next_deadline()
     }
 
     /// Drain pending output actions.
@@ -495,7 +498,7 @@ impl Srudp {
                 (msg_id, idx as u32),
                 InFlight { sent_at: now, retries: 0, retransmitted: false },
             );
-            self.wheel.schedule_min((key, TimerKind::Rto), now + peer.rto);
+            self.timers.insert_earlier((TimerKind::Rto, key), now + peer.rto, ());
             Self::emit_data(
                 &mut self.out,
                 &mut self.stats,
@@ -625,7 +628,7 @@ impl Srudp {
         // First partial arms the stale sweep (schedule_min keeps the
         // earliest pending deadline).
         if peer.reasm.in_progress() > 0 {
-            self.wheel.schedule_min((src_key, TimerKind::Evict), now + REASM_TTL);
+            self.timers.insert_earlier((TimerKind::Evict, src_key), now + REASM_TTL, ());
         }
         // A plain message is ready when every fragment arrived; an
         // FEC-framed one as soon as any `b` distinct shares are in.
@@ -675,7 +678,7 @@ impl Srudp {
                 peer.counts.remove(&msg_id);
                 peer.fec_meta.remove(&msg_id);
                 peer.pending_sack = None;
-                self.wheel.cancel((src_key, TimerKind::Sack));
+                self.timers.remove(&(TimerKind::Sack, src_key));
                 Self::emit_done_sack(&mut self.out, &mut self.stats, self.my_key, from_ep, msg_id);
                 peer.held.insert(msg_id, full_msg);
                 // FIFO delivery of any now-in-order messages.
@@ -696,7 +699,7 @@ impl Srudp {
                 if *c >= ack_every {
                     *c = 0;
                     peer.pending_sack = None;
-                    self.wheel.cancel((src_key, TimerKind::Sack));
+                    self.timers.remove(&(TimerKind::Sack, src_key));
                     let missing = peer.reasm.missing(msg_id);
                     Self::emit_bitmap_sack(
                         &mut self.out,
@@ -709,7 +712,7 @@ impl Srudp {
                     );
                 } else if peer.pending_sack.is_none() {
                     peer.pending_sack = Some(msg_id);
-                    self.wheel.schedule((src_key, TimerKind::Sack), now + self.cfg.ack_delay);
+                    self.timers.insert((TimerKind::Sack, src_key), now + self.cfg.ack_delay, ());
                 }
             }
         }
@@ -894,7 +897,7 @@ impl Srudp {
                             InFlight { sent_at: now, retries: 1, retransmitted: true },
                         );
                     }
-                    self.wheel.schedule_min((src_key, TimerKind::Rto), now + peer.rto);
+                    self.timers.insert_earlier((TimerKind::Rto, src_key), now + peer.rto, ());
                     Self::emit_data(
                         &mut self.out,
                         &mut self.stats,
@@ -917,7 +920,7 @@ impl Srudp {
         // report goes quiet with the peer.
         if let Some(p) = self.peers.get(&src_key) {
             if p.inflight.is_empty() {
-                self.wheel.cancel((src_key, TimerKind::Rto));
+                self.timers.remove(&(TimerKind::Rto, src_key));
             }
         }
     }
@@ -1107,7 +1110,7 @@ impl Srudp {
             let arm_evict = peer.reasm.in_progress() > 0;
             s.peers.insert(k, peer);
             if arm_evict {
-                s.wheel.schedule((k, TimerKind::Evict), now + REASM_TTL);
+                s.timers.insert((TimerKind::Evict, k), now + REASM_TTL, ());
             }
         }
         d.expect_end()?;
@@ -1125,19 +1128,14 @@ impl Srudp {
         }
     }
 
-    /// Fire due wheel tokens: retransmit fragments whose RTO expired
+    /// Fire due deadlines: retransmit fragments whose RTO expired
     /// (escalating backoff) and flush due delayed SACKs. Safe to call
     /// early or spuriously — a token whose work turns out not to be
     /// due is re-armed at its true deadline without escalation, which
     /// is what makes the HostUp "fire everything on resurrection"
     /// pattern harmless.
     pub fn on_timer(&mut self, now: SimTime) {
-        let mut due: Vec<(NodeKey, TimerKind)> = Vec::new();
-        self.wheel.expire_into(now, &mut due);
-        // Deterministic firing order (SACK flushes before RTO
-        // escalations, peers by key), independent of wheel layout.
-        due.sort_unstable_by_key(|&(k, kind)| (std::cmp::Reverse(kind as u8), k));
-        for (key, kind) in due {
+        for ((kind, key), ()) in self.timers.take_due(now) {
             match kind {
                 TimerKind::Evict => self.fire_evict(now, key),
                 TimerKind::Sack => self.fire_sack(now, key),
@@ -1163,7 +1161,7 @@ impl Srudp {
             self.stats.reasm_evicted += 1;
         }
         if peer.reasm.in_progress() > 0 {
-            self.wheel.schedule((key, TimerKind::Evict), now + REASM_TTL);
+            self.timers.insert((TimerKind::Evict, key), now + REASM_TTL, ());
         }
     }
 
@@ -1174,7 +1172,7 @@ impl Srudp {
             // DATA from, but keep the deadline alive rather than lose
             // the flush).
             if self.peers.get(&key).is_some_and(|p| p.pending_sack.is_some()) {
-                self.wheel.schedule((key, TimerKind::Sack), now + self.cfg.ack_delay);
+                self.timers.insert((TimerKind::Sack, key), now + self.cfg.ack_delay, ());
             }
             return;
         };
@@ -1208,7 +1206,7 @@ impl Srudp {
             // the flight isn't orphaned when the location resolves.
             if let Some(p) = self.peers.get(&key) {
                 if !p.inflight.is_empty() {
-                    self.wheel.schedule((key, TimerKind::Rto), now + p.rto);
+                    self.timers.insert((TimerKind::Rto, key), now + p.rto, ());
                 }
             }
             return;
@@ -1222,7 +1220,7 @@ impl Srudp {
         if expired.is_empty() {
             // Early fire (flight shrank since arming): re-arm exactly.
             if let Some(min) = peer.inflight.values().map(|f| f.sent_at + rto).min() {
-                self.wheel.schedule((key, TimerKind::Rto), min);
+                self.timers.insert((TimerKind::Rto, key), min, ());
             }
             return;
         }
@@ -1285,7 +1283,7 @@ impl Srudp {
         }
         // Re-arm for the earliest surviving in-flight fragment.
         if let Some(min) = peer.inflight.values().map(|f| f.sent_at + peer.rto).min() {
-            self.wheel.schedule((key, TimerKind::Rto), min);
+            self.timers.insert((TimerKind::Rto, key), min, ());
         }
     }
 }
