@@ -1201,16 +1201,6 @@ impl SnipeProcess for SoakPublisher {
             3 if self.reg_left > 0 => {
                 self.reg_left -= 1;
                 api.register_service("soak.pub");
-                // A spawn request is one datagram and its ticket has no
-                // timeout (ROADMAP 4d): if it or its reply is lost no
-                // error ever arrives, so ask again on the same
-                // soft-state tick. The child's hello is deduplicated.
-                // WORKAROUND, to be deleted with 4d's fix: once the
-                // ticket times out, `Spawned(Err(_))` above re-spawns
-                // and this retry would only hide a regression of it.
-                if self.published && !self.spawned {
-                    self.spawn_child(api);
-                }
                 api.set_timer(secs(2), 3);
             }
             _ => {}
@@ -1734,11 +1724,12 @@ pub const REGRESSION_CORPUS: &[(&str, u64, u64)] = &[
     // could never resolve a service registered at the primary. Index 1
     // is the seed that still fails that way with `PUSH_BYTES` disabled
     // (the leading seed no longer does). Index 11 corrupts the one
-    // datagram carrying the publisher's spawn reply; the spawn ticket
-    // has no timeout (ROADMAP 4d), so the publisher asks again. Until
-    // 4d is fixed that pin guards `SoakPublisher`'s retry, not the
-    // product: the fix must delete the retry, after which this triple
-    // is green only while the ticket timeout works.
+    // datagram carrying the publisher's spawn reply. A spawn request
+    // is a single unreliable datagram each way, so the only way the
+    // publisher ever hears is the spawn ticket's deadline
+    // (`ProcessActor`'s `SPAWN_TIMEOUT`): `Spawned(Err(Unavailable))`,
+    // on which it spawns again. Without that deadline this triple
+    // times out short of `spawn ok` / `child hello`.
     ("full-protocol", 0xC0FF_EE00, 0x5EED),
     ("full-protocol", 0xC0FF_EE01, 0x5EED + 1),
     ("full-protocol", 0xC0FF_EE0B, 0x5EED + 11),

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Actor, Event, SimCtx};
+use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, MigrationPhase, TraceKind};
 use snipe_rcds::assertion::Assertion;
@@ -44,8 +44,14 @@ const TIMER_GROUP: u64 = 3;
 const TIMER_MIGRATE_GRACE: u64 = 4;
 const TIMER_RESOLVE_RETRY: u64 = 5;
 const TIMER_FILE: u64 = 6;
+const TIMER_SPAWN: u64 = 7;
 /// Per-attempt deadline for file server operations.
 const FILE_OP_TIMEOUT: SimDuration = SimDuration::from_millis(800);
+/// How long a spawn request (to a daemon, or to a resource manager)
+/// may go unanswered before its ticket fails. Longer than the RM's own
+/// budget of three 500 ms placement rounds, so that when the RM has an
+/// answer, the RM's answer is the one the caller hears.
+const SPAWN_TIMEOUT: SimDuration = SimDuration::from_secs(2);
 /// App timers: `(token << 4) | APP_TIMER_BIT`.
 const APP_TIMER_BIT: u64 = 0x8;
 
@@ -174,9 +180,16 @@ pub struct ProcessActor {
     /// Peers with an in-flight location resolution.
     resolving: HashMap<u64, u32>,
     groups: HashMap<String, GroupState>,
-    spawn_pending: HashMap<u64, SpawnPending>,
+    /// Spawn requests awaiting a daemon's or RM's answer, by request id.
+    spawn_pending: Deadlines<u64, SpawnPending>,
     /// File operations awaiting their server's answer, by request id.
     file_pending: Deadlines<u64, FilePending>,
+    /// One wake-up per table. Each table files `now + one constant`,
+    /// so its earliest deadline never moves earlier while a wake-up is
+    /// armed and each gate keeps exactly one timer chain (no stale fire
+    /// for [`TimerGate::fired`] to mistake, ROADMAP 2).
+    spawn_gate: TimerGate,
+    file_gate: TimerGate,
     next_req: u64,
     hostname: String,
 
@@ -216,8 +229,10 @@ impl ProcessActor {
             rc_pending: HashMap::new(),
             resolving: HashMap::new(),
             groups: HashMap::new(),
-            spawn_pending: HashMap::new(),
+            spawn_pending: Deadlines::new(),
             file_pending: Deadlines::new(),
+            spawn_gate: TimerGate::new(),
+            file_gate: TimerGate::new(),
             next_req: 1,
             hostname: String::new(),
             trouble_scratch: Vec::new(),
@@ -667,7 +682,7 @@ impl ProcessActor {
             FileMsg::ReadReq { req_id, lifn }
         };
         self.file_pending.insert(req_id, ctx.now() + FILE_OP_TIMEOUT, fp);
-        ctx.set_timer(FILE_OP_TIMEOUT + SimDuration::from_micros(1), TIMER_FILE);
+        self.file_gate.arm_deadline(ctx, self.file_pending.next_deadline(), TIMER_FILE);
         self.send_to_infra(ctx, server, m.encode_to_bytes());
     }
 
@@ -905,8 +920,7 @@ impl ProcessActor {
                     );
                     return;
                 };
-                let req = self.req_id();
-                self.spawn_pending.insert(req, SpawnPending::App { ticket });
+                let req = self.await_spawn(ctx, SpawnPending::App { ticket });
                 let msg = DaemonMsg::SpawnReq { req_id: req, spec };
                 ctx.send(Endpoint::new(h, ports::DAEMON), seal(Proto::Raw, msg.encode_to_bytes()));
             }
@@ -921,12 +935,21 @@ impl ProcessActor {
                     );
                     return;
                 };
-                let req = self.req_id();
-                self.spawn_pending.insert(req, SpawnPending::App { ticket });
+                let req = self.await_spawn(ctx, SpawnPending::App { ticket });
                 let msg = RmMsg::AllocReq { req_id: req, spec, count: 1, mode: AllocMode::Active };
                 ctx.send(rm, seal(Proto::Raw, msg.encode_to_bytes()));
             }
         }
+    }
+
+    /// File a spawn request about to go out as one unreliable datagram:
+    /// if no answer comes within [`SPAWN_TIMEOUT`] it fails like a
+    /// refusal. Returns the request id to send it under.
+    fn await_spawn(&mut self, ctx: &mut dyn SimCtx, pending: SpawnPending) -> u64 {
+        let req = self.req_id();
+        self.spawn_pending.insert(req, ctx.now() + SPAWN_TIMEOUT, pending);
+        self.spawn_gate.arm_deadline(ctx, self.spawn_pending.next_deadline(), TIMER_SPAWN);
+        req
     }
 
     // ---- migration -----------------------------------------------------------
@@ -963,8 +986,7 @@ impl ProcessActor {
         };
         let mut spec = SpawnSpec::program(crate::world::MIGRATE_PROGRAM, payload.encode());
         spec.fixed_key = self.proc_key;
-        let req = self.req_id();
-        self.spawn_pending.insert(req, SpawnPending::Migration);
+        let req = self.await_spawn(ctx, SpawnPending::Migration);
         let msg = DaemonMsg::SpawnReq { req_id: req, spec };
         ctx.send(Endpoint::new(target, ports::DAEMON), seal(Proto::Raw, msg.encode_to_bytes()));
     }
@@ -978,25 +1000,35 @@ impl ProcessActor {
         proc_key: u64,
         error: String,
     ) {
-        let Some(pending) = self.spawn_pending.remove(&req_id) else {
-            return;
-        };
+        if let Some(pending) = self.spawn_pending.remove(&req_id) {
+            let outcome = if ok { Ok(ProcRef { key: proc_key, endpoint }) } else { Err(error) };
+            self.finish_spawn(ctx, pending, outcome);
+        }
+    }
+
+    /// A spawn request was answered, refused, or timed out.
+    fn finish_spawn(
+        &mut self,
+        ctx: &mut dyn SimCtx,
+        pending: SpawnPending,
+        outcome: Result<ProcRef, String>,
+    ) {
         match pending {
             SpawnPending::App { ticket } => {
-                let res = if ok {
-                    Ok(ProcRef { key: proc_key, endpoint })
-                } else {
-                    Err(SnipeError::Unavailable(format!("spawn failed: {error}")))
-                };
+                let res =
+                    outcome.map_err(|e| SnipeError::Unavailable(format!("spawn failed: {e}")));
                 self.complete_ticket(ctx, ticket, TicketResult::Spawned(res));
                 self.run_commands(ctx);
             }
             SpawnPending::Migration => {
-                if !ok {
-                    self.migrating = false;
-                    self.log.push((ctx.now(), format!("migration rejected: {error}")));
-                    return;
-                }
+                let endpoint = match outcome {
+                    Ok(new) => new.endpoint,
+                    Err(error) => {
+                        self.migrating = false;
+                        self.log.push((ctx.now(), format!("migration rejected: {error}")));
+                        return;
+                    }
+                };
                 // Handoff: the new incarnation owns all protocol state
                 // now — drop ours so stale retransmissions from the old
                 // address can never confuse peers — then detach from
@@ -1138,8 +1170,11 @@ impl Actor for ProcessActor {
             }
             Event::HostDown => {}
             Event::Timer { token } => {
-                if self.migrating && token != TIMER_MIGRATE_GRACE {
-                    return; // frozen for migration: no timers may mutate state
+                // Frozen for migration: no timers may mutate state. Except
+                // the two that end the freeze: the cutover's grace period,
+                // and the spawn deadline when the target daemon stays silent.
+                if self.migrating && !matches!(token, TIMER_MIGRATE_GRACE | TIMER_SPAWN) {
+                    return;
                 }
                 if token & APP_TIMER_BIT != 0 {
                     let app_token = token >> 4;
@@ -1195,7 +1230,16 @@ impl Actor for ProcessActor {
                         let me = ctx.me();
                         ctx.kill(me);
                     }
+                    TIMER_SPAWN => {
+                        self.spawn_gate.fired();
+                        for (_, pending) in self.spawn_pending.take_due(ctx.now()) {
+                            self.finish_spawn(ctx, pending, Err("no answer".into()));
+                        }
+                        let next = self.spawn_pending.next_deadline();
+                        self.spawn_gate.arm_deadline(ctx, next, TIMER_SPAWN);
+                    }
                     TIMER_FILE => {
+                        self.file_gate.fired();
                         // Failovers draw fresh request ids in turn: the
                         // table's request-id order.
                         for (_, mut fp) in self.file_pending.take_due(ctx.now()) {
@@ -1217,6 +1261,8 @@ impl Actor for ProcessActor {
                                 self.run_commands(ctx);
                             }
                         }
+                        let next = self.file_pending.next_deadline();
+                        self.file_gate.arm_deadline(ctx, next, TIMER_FILE);
                     }
                     TIMER_RESOLVE_RETRY => {
                         let keys: Vec<u64> = self.resolving.keys().copied().collect();

@@ -225,6 +225,52 @@ fn file_write_then_read() {
     assert!(got.contains(&"read:remember the milk".to_string()), "{got:?}");
 }
 
+/// Reads three files in one callback and logs the failures in the
+/// order their tickets complete.
+struct TripleReader {
+    log: Log,
+}
+impl SnipeProcess for TripleReader {
+    fn on_start(&mut self, api: &mut SnipeApi<'_, '_>) {
+        for name in ["a", "b", "c"] {
+            api.read_file(format!("lifn:snipe:file:{name}"));
+        }
+    }
+    fn on_ticket(&mut self, _api: &mut SnipeApi<'_, '_>, _ticket: u64, result: TicketResult) {
+        if let TicketResult::FileRead(Err(e)) = result {
+            self.log.lock().unwrap().push(e.to_string());
+        }
+    }
+}
+
+/// Three reads put to a dead server share a deadline and time out in
+/// one tick. Each failover draws the next request id and the next slot
+/// in the stack's send queue, so the order they expire in reaches the
+/// wire and the application: request order on every run, not whatever
+/// a hash map iterates in.
+#[test]
+fn reads_timing_out_together_fail_over_in_request_order() {
+    for _ in 0..20 {
+        let mut w = SnipeWorldBuilder::lan(3, 5).build();
+        // Nothing listens on port 999; the live servers (which hold
+        // none of the files) come after it.
+        let mut dead = w.file_endpoints()[0];
+        dead.port = 999;
+        w.process_config_mut().file_servers.insert(0, dead);
+        let log: Log = Arc::new(Mutex::new(Vec::new()));
+        let l = log.clone();
+        w.register_process("reader", move |_| Box::new(TripleReader { log: l.clone() }));
+        w.spawn_on("host2", "reader", Bytes::new()).unwrap();
+        w.run_for_secs(3);
+        let got = log.lock().unwrap();
+        let want: Vec<String> = ["a", "b", "c"]
+            .iter()
+            .map(|n| snipe_util::SnipeError::NameNotFound(format!("lifn:snipe:file:{n}")).to_string())
+            .collect();
+        assert_eq!(*got, want);
+    }
+}
+
 /// A counter that walks to another host midway, proving state and
 /// in-flight messages survive (§5.6).
 struct Wanderer {

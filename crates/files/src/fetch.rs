@@ -620,6 +620,36 @@ mod tests {
         assert_eq!(f.stats.timeouts, 3);
     }
 
+    /// Fifteen stripes fanned out in one instant share a deadline. Each
+    /// re-dispatch draws the next request id, so the order they expire
+    /// in is on the wire: it must be stripe order on every instance,
+    /// not whatever a hash map iterates in.
+    #[test]
+    fn stripes_due_together_redispatch_in_request_order() {
+        let body = content(16 * 64);
+        let redispatched = || -> Vec<(u64, u32)> {
+            let mut f =
+                StripedFetch::new("lifn:h", vec![ep(1), ep(2)], 64, SimDuration::from_millis(100));
+            f.start(t(0));
+            let first = f.drain_outbox();
+            f.on_msg(t(1), ep(1), reply_for(&first[0].1, &body, 64));
+            assert_eq!(f.drain_outbox().len(), 15);
+            f.on_timer(t(101));
+            assert_eq!(f.stats.timeouts, 15);
+            f.drain_outbox()
+                .into_iter()
+                .map(|(_, m)| match m {
+                    FileMsg::ReadStripe { req_id, offset, .. } => (req_id, offset),
+                    other => panic!("expected ReadStripe, got {other:?}"),
+                })
+                .collect()
+        };
+        let want: Vec<(u64, u32)> = (1..16).map(|i| (16 + i, i as u32 * 64)).collect();
+        for _ in 0..20 {
+            assert_eq!(redispatched(), want);
+        }
+    }
+
     #[test]
     fn unmeasured_ranking_is_deterministic_by_endpoint() {
         let me = Endpoint { host: HostId(99), port: 7100 };

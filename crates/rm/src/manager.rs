@@ -21,7 +21,7 @@ use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
 use snipe_util::id::HostId;
 use snipe_util::rng::Xoshiro256;
-use snipe_util::time::{SimDuration, SimTime};
+use snipe_util::time::SimDuration;
 use snipe_wire::frame::{open, seal, Proto};
 
 use snipe_daemon::proto::{DaemonMsg, SpawnSpec};
@@ -99,6 +99,11 @@ pub struct RmActor {
     /// Active allocations by allocation id, each due for re-placement
     /// at its deadline.
     pending: Deadlines<u64, PendingAlloc>,
+    /// One wake-up for the earliest of them. Every deadline filed is
+    /// `now + SPAWN_TIMEOUT`, so the earliest never moves earlier while
+    /// a wake-up is armed and the gate keeps exactly one timer chain
+    /// (no stale fire for [`TimerGate::fired`] to mistake, ROADMAP 2).
+    pending_gate: TimerGate,
     next_id: u64,
     /// Allocations served (diagnostics).
     pub allocations_served: u64,
@@ -123,6 +128,7 @@ impl RmActor {
             reserved: HashMap::new(),
             rc_gets: HashMap::new(),
             pending: Deadlines::new(),
+            pending_gate: TimerGate::new(),
             next_id: 1,
             allocations_served: 0,
             auth_granted: 0,
@@ -289,7 +295,7 @@ impl RmActor {
                         retries: 0,
                     },
                 );
-                ctx.set_timer(SPAWN_TIMEOUT + SimDuration::from_micros(1), TIMER_PENDING);
+                self.pending_gate.arm_deadline(ctx, self.pending.next_deadline(), TIMER_PENDING);
             }
         }
     }
@@ -324,19 +330,13 @@ impl RmActor {
         }
     }
 
-    /// Timeout path: retry missing spawns on other hosts, or fail.
+    /// Timeout path: re-place the spawns still missing — unanswered or
+    /// refused — on other hosts, or fail.
     fn check_pending(&mut self, ctx: &mut dyn SimCtx) {
         let now = ctx.now();
         // Retries draw replacement hosts and fresh spawn ids in turn:
         // the table's allocation-id order, so a seed replays.
         for (alloc_id, mut p) in self.pending.take_due(now) {
-            if p.outstanding.is_empty() {
-                // Every daemon of the round refused. The parent skipped
-                // such an allocation and left it pending for good; kept
-                // until the fix lands on top of this refactor.
-                self.pending.insert(alloc_id, SimTime::MAX, p);
-                continue;
-            }
             p.outstanding.clear();
             let missing = p.want as usize - p.granted.len();
             if p.retries >= 2 {
@@ -358,8 +358,8 @@ impl RmActor {
                 p.tried.push(h.hostname);
             }
             self.pending.insert(alloc_id, now + SPAWN_TIMEOUT, p);
-            ctx.set_timer(SPAWN_TIMEOUT + SimDuration::from_micros(1), TIMER_PENDING);
         }
+        self.pending_gate.arm_deadline(ctx, self.pending.next_deadline(), TIMER_PENDING);
     }
 
     /// Give up on an allocation: the client hears what was granted.
@@ -450,6 +450,8 @@ impl Actor for RmActor {
             Event::Start | Event::HostUp => {
                 self.rc.on_host_up(ctx.now());
                 self.refresh(ctx);
+                // Allocations that expired during the outage.
+                self.check_pending(ctx);
             }
             Event::HostDown => {}
             Event::Timer { token: TIMER_REFRESH } => self.refresh(ctx),
@@ -457,7 +459,10 @@ impl Actor for RmActor {
                 self.rc.on_timer(ctx.now());
                 self.pump_rc(ctx);
             }
-            Event::Timer { token: TIMER_PENDING } => self.check_pending(ctx),
+            Event::Timer { token: TIMER_PENDING } => {
+                self.pending_gate.fired();
+                self.check_pending(ctx);
+            }
             Event::Timer { .. } | Event::Signal { .. } => {}
             Event::Packet { from, payload } => {
                 let Ok((Proto::Raw, body)) = open(payload) else {
@@ -510,6 +515,7 @@ mod tests {
     use super::*;
     use snipe_netsim::topology::Topology;
     use snipe_util::id::NetId;
+    use snipe_util::time::SimTime;
 
     /// Records what the RM sends; everything else is inert.
     struct FakeCtx {
@@ -558,14 +564,9 @@ mod tests {
         }
     }
 
-    /// Several allocations whose daemons never answer expire in one
-    /// tick. Their retries draw spawn ids from one counter and their
-    /// failures are replies on the wire, so both must come out in
-    /// allocation-id order, never `HashMap` iteration order.
-    #[test]
-    fn simultaneous_expiries_retry_and_fail_in_id_order() {
+    fn rm_with_hosts(n: u32) -> (RmActor, FakeCtx) {
         let mut rm = RmActor::new(RmConfig::new(vec![]));
-        for i in 0..12u32 {
+        for i in 0..n {
             rm.hosts.push(HostInfo {
                 hostname: format!("w{i:02}"),
                 daemon: Endpoint::new(HostId(10 + i), 7),
@@ -574,12 +575,58 @@ mod tests {
                 arch: String::new(),
             });
         }
-        let mut ctx = FakeCtx {
+        let ctx = FakeCtx {
             now: SimTime::ZERO,
             sent: Vec::new(),
             rng: Xoshiro256::seed_from_u64(7),
             topo: Topology::new(),
         };
+        (rm, ctx)
+    }
+
+    /// The failed `AllocResp`s among what the RM sent, as request ids.
+    fn failed_allocs(sent: &[(Endpoint, Bytes)], client: Endpoint) -> Vec<u64> {
+        sent.iter()
+            .filter(|(to, _)| *to == client)
+            .map(|(_, b)| {
+                let (_, body) = open(b.clone()).expect("sealed");
+                match RmMsg::decode_from_bytes(body) {
+                    Ok(RmMsg::AllocResp { req_id, ok: false, .. }) => req_id,
+                    other => panic!("expected a failed allocation, got {other:?}"),
+                }
+            })
+            .collect()
+    }
+
+    /// A daemon that *refuses* (unknown program, rejected credential)
+    /// answers at once with `ok: false`. That allocation is still the
+    /// RM's to finish: re-placed while untried hosts remain, then
+    /// answered `ok: false` — never left pending with nobody told.
+    #[test]
+    fn a_refused_allocation_is_replaced_then_answered() {
+        let (mut rm, mut ctx) = rm_with_hosts(2);
+        let client = Endpoint::new(HostId(1), 40);
+        let spec = SpawnSpec::program("no-such-program", Bytes::new());
+        rm.handle_alloc(&mut ctx, client, 9, spec, 1, AllocMode::Active);
+        // Spawn ids 2 (first placement) and 3 (the re-placement) are
+        // both refused; then no untried host is left.
+        for did in [2, 3] {
+            assert!(failed_allocs(&ctx.sent, client).is_empty(), "answered too early");
+            rm.handle_spawn_resp(&mut ctx, did, false, Endpoint::new(HostId(0), 0), 0);
+            ctx.now += SPAWN_TIMEOUT + SimDuration::from_micros(1);
+            rm.check_pending(&mut ctx);
+        }
+        assert_eq!(failed_allocs(&ctx.sent, client), vec![9]);
+        assert!(rm.pending.next_deadline().is_none(), "allocation still pending");
+    }
+
+    /// Several allocations whose daemons never answer expire in one
+    /// tick. Their retries draw spawn ids from one counter and their
+    /// failures are replies on the wire, so both must come out in
+    /// allocation-id order, never `HashMap` iteration order.
+    #[test]
+    fn simultaneous_expiries_retry_and_fail_in_id_order() {
+        let (mut rm, mut ctx) = rm_with_hosts(12);
         let client = Endpoint::new(HostId(1), 40);
         let spec = SpawnSpec::program("idle", Bytes::new());
         for req_id in 1..=4u64 {
@@ -602,18 +649,7 @@ mod tests {
         // Third expiry: every allocation fails, replies oldest first.
         ctx.now += SPAWN_TIMEOUT + SimDuration::from_micros(1);
         rm.check_pending(&mut ctx);
-        let failed: Vec<u64> = ctx
-            .sent
-            .iter()
-            .map(|(to, b)| {
-                assert_eq!(*to, client);
-                let (_, body) = open(b.clone()).expect("sealed");
-                match RmMsg::decode_from_bytes(body) {
-                    Ok(RmMsg::AllocResp { req_id, ok: false, .. }) => req_id,
-                    other => panic!("expected a failed allocation, got {other:?}"),
-                }
-            })
-            .collect();
-        assert_eq!(failed, vec![1, 2, 3, 4]);
+        assert_eq!(ctx.sent.len(), 4, "only the four replies go out");
+        assert_eq!(failed_allocs(&ctx.sent, client), vec![1, 2, 3, 4]);
     }
 }
