@@ -263,10 +263,7 @@ fn reads_timing_out_together_fail_over_in_request_order() {
         w.spawn_on("host2", "reader", Bytes::new()).unwrap();
         w.run_for_secs(3);
         let got = log.lock().unwrap();
-        let want: Vec<String> = ["a", "b", "c"]
-            .iter()
-            .map(|n| snipe_util::SnipeError::NameNotFound(format!("lifn:snipe:file:{n}")).to_string())
-            .collect();
+        let want = ["a", "b", "c"].map(|n| format!("name not found: lifn:snipe:file:{n}"));
         assert_eq!(*got, want);
     }
 }

@@ -25,14 +25,16 @@
 //!   hash order to leak and no sort to forget.
 //!
 //! The container is one `Vec` kept sorted by key. Measured live sizes
-//! are tiny (at most 8 / 2 / 50 transport timers on the `wire-small` /
-//! `wire-bulk` / `campus` benchmark workloads, single digits for the
-//! request tables), so a scan answers `next_deadline` faster than any
-//! index could be maintained, and a `Vec` never gives memory back:
-//! once it has reached its high-water capacity, insert, replace,
-//! remove, `next_deadline` and an expiry with nothing due do not touch
-//! the allocator (a B-tree frees and re-allocates nodes as it shrinks
-//! and grows across a node boundary).
+//! are small — at most 8 / 2 / 50 transport timers on the `wire-small`
+//! / `wire-bulk` / `campus` benchmark workloads; the largest request
+//! table is the 96 host-descriptor lookups a campus resource manager
+//! has in flight after a refresh, filed and answered in id order — so
+//! a scan answers `next_deadline` as fast as any index could be kept
+//! up to date. And a `Vec` never gives memory back: once it has
+//! reached its high-water capacity, insert, replace, remove,
+//! `next_deadline` and an expiry with nothing due do not touch the
+//! allocator, where a B-tree frees and re-allocates nodes whenever a
+//! table of more than one node (11 entries) shrinks and grows.
 
 use crate::time::SimTime;
 

@@ -151,3 +151,134 @@ fn an_idle_flush_does_not_allocate() {
     assert!(flushes > 10_000, "only {flushes} flushes ran");
     assert_eq!(allocated, 0, "{flushes} idle flushes allocated {allocated} times");
 }
+
+/// The transports' deadline table, driven through every transition a
+/// lossy exchange makes — RTO filed on send (keep-the-earlier), the
+/// receiver's delayed SACK and reassembly sweep filed, the SACK firing,
+/// the RTO firing and re-arming, the final SACK cancelling it — must
+/// not drift: once warm, every round of the exchange costs the same
+/// number of allocations (message bodies, datagrams, the due lists),
+/// and the calls that reach nothing but the table — `next_deadline`, a
+/// timer sweep with nothing due — cost none. A table that grows with
+/// the clock (a bucket touched for the first time, an index rebuilt)
+/// shows up as a round that costs more than the one before.
+#[test]
+fn a_warmed_lossy_exchange_costs_the_same_every_round() {
+    use snipe_util::time::SimDuration;
+    use snipe_wire::Out;
+
+    let (ka, kb) = (1u64, 2u64);
+    let (ea, eb) = (Endpoint::new(HostId(1), 40), Endpoint::new(HostId(2), 40));
+    // Repeated timeouts back the RTO off to its cap; a low cap keeps
+    // the whole run short of the receiver's 60 s reassembly sweep,
+    // whose firing (a due list) would count against an idle call.
+    let mut cfg = StackConfig::default();
+    cfg.srudp.rto_max = SimDuration::from_millis(200);
+    let mut a = WireStack::new(ka, cfg.clone());
+    let mut b = WireStack::new(kb, cfg);
+    a.set_peer(kb, eb, Vec::new());
+    b.set_peer(ka, ea, Vec::new());
+    // Three fragments at the default 1400-byte fragment size.
+    let msg = Bytes::from(vec![7u8; 3000]);
+
+    fn sends(stack: &mut WireStack) -> Vec<Bytes> {
+        stack
+            .drain()
+            .into_iter()
+            .filter_map(|o| match o {
+                Out::Send { bytes, .. } => Some(bytes),
+                _ => None,
+            })
+            .collect()
+    }
+
+    let mut now = SimTime::ZERO;
+    let mut delivered = 0u32;
+    let mut idle_allocs = 0;
+    let mut round = |now: &mut SimTime| -> u64 {
+        let before = allocs();
+        a.send(*now, kb, msg.clone()).unwrap();
+        let data = sends(&mut a);
+        assert_eq!(data.len(), 3);
+        // The middle fragment is lost; the outer two file the
+        // receiver's delayed SACK, which then fires.
+        b.on_datagram(*now, ea, data[0].clone()).unwrap();
+        b.on_datagram(*now, ea, data[2].clone()).unwrap();
+        *now = b.next_deadline().expect("delayed SACK pending") + SimDuration::from_micros(1);
+        b.on_timer(*now);
+        // That SACK is lost too, so the sender's RTO fires, re-sends
+        // and re-arms.
+        assert!(!sends(&mut b).is_empty(), "delayed SACK flushed");
+        *now = a.next_deadline().expect("RTO pending") + SimDuration::from_micros(1);
+        a.on_timer(*now);
+        // Now everything gets through: message complete, final SACK
+        // cancels the RTO.
+        for d in sends(&mut a) {
+            b.on_datagram(*now, ea, d).unwrap();
+        }
+        for o in b.drain() {
+            match o {
+                Out::Send { bytes, .. } => {
+                    a.on_datagram(*now, eb, bytes).unwrap();
+                }
+                Out::Deliver { .. } => delivered += 1,
+                _ => {}
+            }
+        }
+        let _ = a.drain();
+        let spent = allocs() - before;
+        // Nothing due on either side: these reach only the table.
+        let before = allocs();
+        a.on_timer(*now);
+        b.on_timer(*now);
+        let _ = (a.next_deadline(), b.next_deadline());
+        idle_allocs += allocs() - before;
+        spent
+    };
+
+    for _ in 0..8 {
+        round(&mut now);
+    }
+    let costs: Vec<u64> = (0..64).map(|_| round(&mut now)).collect();
+    assert_eq!(delivered, 72, "every round delivers its message");
+    assert!(now < SimTime::ZERO + SimDuration::from_secs(60), "ran into the 60 s sweep");
+    assert!(costs.windows(2).all(|w| w[0] == w[1]), "allocations per round drift: {costs:?}");
+    assert_eq!(idle_allocs, 0, "table-only calls allocated");
+}
+
+/// The same transitions on the bare table, where every allocation is
+/// the table's own: once its `Vec` has reached the live high-water
+/// mark, filing, replacing, keeping the earlier, cancelling,
+/// `next_deadline` and an expiry with nothing due allocate nothing.
+#[test]
+fn warm_deadline_table_calls_do_not_allocate() {
+    use snipe_util::deadlines::Deadlines;
+    use snipe_util::time::SimDuration;
+
+    const EVICT: u8 = 0;
+    const SACK: u8 = 1;
+    const RTO: u8 = 2;
+    let mut table: Deadlines<(u8, u64)> = Deadlines::new();
+    let ms = SimDuration::from_millis;
+    let mut cycle = |now: SimTime| {
+        for peer in 0..PEERS {
+            table.insert_earlier((RTO, peer), now + ms(100), ());
+            table.insert_earlier((EVICT, peer), now + ms(60_000), ());
+            table.insert((SACK, peer), now + ms(5), ());
+        }
+        assert!(table.take_due(now + ms(4)).is_empty());
+        assert_eq!(table.next_deadline(), Some(now + ms(5)));
+        for peer in 0..PEERS {
+            table.remove(&(SACK, peer));
+            table.insert((RTO, peer), now + ms(50), ());
+            table.remove(&(RTO, peer));
+        }
+    };
+    cycle(SimTime::ZERO);
+    let before = allocs();
+    for i in 1..1_000 {
+        cycle(SimTime::ZERO + ms(i));
+    }
+    let allocated = allocs() - before;
+    assert_eq!(allocated, 0, "warm deadline-table calls allocated {allocated} times");
+}

@@ -31,6 +31,21 @@ if [ -n "$glue" ]; then
     echo "$glue"
     exit 1
 fi
+# Deadline-scan gate: "what is pending, when is it due, in which order
+# do due things fire" is written once, in `snipe_util::deadlines`. A
+# request map with its own expiry filter and its own earliest-deadline
+# scan is how retry order came to follow `HashMap` iteration three
+# times and how a pending entry came to exist with no deadline at all,
+# so the two fingerprints of such a copy may appear nowhere else.
+scan=$(
+    grep -rnE --include='*.rs' 'deadline <= now|\.deadline\)\.min\(\)' crates/*/src |
+        grep -v '^crates/util/src/deadlines\.rs:' || true
+)
+if [ -n "$scan" ]; then
+    echo "deadline-scan gate: FAIL — keep pending requests in a snipe_util::deadlines::Deadlines instead:"
+    echo "$scan"
+    exit 1
+fi
 cargo build --release
 cargo test -q
 cargo fmt --check
