@@ -6,8 +6,8 @@
 //! * [`time`] — the virtual clock ([`SimTime`], [`SimDuration`]) that the
 //!   whole system runs on; experiments are deterministic because no
 //!   component ever consults a wall clock.
-//! * [`deadlines`] — the keyed-deadline table ([`Deadlines`]) under every
-//!   retransmission timer and pending-request map: exact
+//! * [`deadlines`] — the keyed-deadline table ([`deadlines::Deadlines`]) under
+//!   every retransmission timer and pending-request map: exact
 //!   `next_deadline`, expiry in key order.
 //! * [`codec`] — the XDR-like wire codec. SNIPE's client library performs
 //!   "data conversion (e.g. between different host architectures)" (§3.4
@@ -32,7 +32,6 @@ pub mod stats;
 pub mod time;
 
 pub use codec::{Decoder, Encoder, WireDecode, WireEncode};
-pub use deadlines::Deadlines;
 pub use error::{SnipeError, SnipeResult};
 pub use id::{HostId, LinkId, NetId, ProcId};
 pub use metrics::{CounterId, GaugeId, HistoId, Log2Histogram, Registry};
