@@ -1215,7 +1215,8 @@ impl Srudp {
             return;
         };
         let rto = peer.rto;
-        let mut expired: Vec<(u64, u32)> =
+        // `inflight` is a B-tree: these come out in (message, index) order.
+        let expired: Vec<(u64, u32)> =
             peer.inflight.iter().filter(|(_, f)| f.sent_at + rto <= now).map(|(k, _)| *k).collect();
         if expired.is_empty() {
             // Early fire (flight shrank since arming): re-arm exactly.
@@ -1224,7 +1225,6 @@ impl Srudp {
             }
             return;
         }
-        expired.sort_unstable();
         peer.consecutive_timeouts += 1;
         peer.backoff = (peer.backoff + 1).min(10);
         peer.rto = (rto * 2).clamp(self.cfg.rto_min, self.cfg.rto_max);
