@@ -358,8 +358,7 @@ impl Rstream {
             }
             KIND_ACK => {
                 let cum = dec.get_u64()?;
-                self.on_ack(now, id, cum);
-                Ok(())
+                self.on_ack(now, id, cum)
             }
             KIND_FIN => {
                 if let Some(c) = self.conns.get_mut(&id) {
@@ -428,11 +427,20 @@ impl Rstream {
         }
     }
 
-    fn on_ack(&mut self, now: SimTime, id: ConnId, cum: u64) {
+    fn on_ack(&mut self, now: SimTime, id: ConnId, cum: u64) -> SnipeResult<()> {
         let cfg = self.cfg.clone();
         let Some(conn) = self.conns.get_mut(&id) else {
-            return;
+            return Ok(());
         };
+        // Bytes never transmitted cannot have arrived: a hostile peer,
+        // or a restarted one re-using the connection id. Taking the
+        // ACK would leave `snd_una` above `snd_nxt` for good.
+        if cum > conn.snd_nxt {
+            return Err(SnipeError::Protocol(format!(
+                "ACK of {cum} beyond the {} bytes sent",
+                conn.snd_nxt
+            )));
+        }
         if cum > conn.snd_una {
             // New data acked: RTT sample from the oldest acked segment.
             // Sorted so the sample is a function of the ack, not of
@@ -523,6 +531,7 @@ impl Rstream {
                 }
             }
         }
+        Ok(())
     }
 
     /// Fire due RTO deadlines. Safe to call early or spuriously —
@@ -840,5 +849,35 @@ mod tests {
             a.on_packet(SimTime::ZERO, ep(1, 5), e.finish()).unwrap_err().kind(),
             "protocol"
         );
+    }
+
+    fn control(kind: u8, id: ConnId, cum: Option<u64>) -> Bytes {
+        let mut e = Encoder::new();
+        e.put_u8(kind);
+        e.put_u64(id);
+        if let Some(cum) = cum {
+            e.put_u64(cum);
+        }
+        e.finish()
+    }
+
+    #[test]
+    fn ack_beyond_what_was_sent_is_a_protocol_error() {
+        let mut a = Rstream::new(RstreamConfig::default(), 1);
+        let id = a.connect(SimTime::ZERO, ep(1, 5));
+        a.on_packet(SimTime::ZERO, ep(1, 5), control(KIND_SYNACK, id, None)).unwrap();
+        a.send_message(SimTime::ZERO, id, b"thirteen bytes").unwrap();
+        let sent = a.unacked_bytes(id);
+        // A well-formed ACK for bytes never transmitted (a hostile peer,
+        // or a restarted one re-using the connection id).
+        let err = a.on_packet(SimTime::ZERO, ep(1, 5), control(KIND_ACK, id, Some(1 << 40)));
+        assert_eq!(err.unwrap_err().kind(), "protocol");
+        assert_eq!(a.unacked_bytes(id), sent, "nothing was acknowledged");
+        // The connection still works: the window arithmetic is intact
+        // and the genuine ACK is taken.
+        a.send_message(SimTime::ZERO, id, b"more").unwrap();
+        let all = a.unacked_bytes(id) as u64;
+        a.on_packet(SimTime::ZERO, ep(1, 5), control(KIND_ACK, id, Some(all))).unwrap();
+        assert_eq!(a.unacked_bytes(id), 0);
     }
 }

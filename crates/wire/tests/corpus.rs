@@ -281,3 +281,36 @@ fn forged_quorum_with_wrong_checksum_is_never_delivered() {
     // start clean rather than colliding with attacker state.
     assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 2, 6, 0xDEAD, b"abc")).is_ok());
 }
+
+#[test]
+fn rstream_ack_beyond_what_was_sent_is_a_counted_driver_drop() {
+    // A well-formed, well-sealed cumulative ACK for bytes the sender
+    // never transmitted. Taken at face value it put `snd_una` above
+    // `snd_nxt`: a subtract-overflow panic on the next send in debug
+    // builds, a connection wedged for good in release.
+    let control = |kind: u8, id: u64, cum: Option<u64>| {
+        let mut enc = Encoder::with_capacity(32);
+        enc.put_u8(kind);
+        enc.put_u64(id);
+        if let Some(cum) = cum {
+            enc.put_u64(cum);
+        }
+        seal(Proto::Rstream, enc.finish())
+    };
+    let mut a = full_stack(1);
+    let peer = ep(1, 5);
+    let id = a.rstream_mut().unwrap().connect(SimTime::ZERO, peer);
+    a.on_datagram(SimTime::ZERO, peer, control(2, id, None)).unwrap(); // KIND_SYNACK
+    a.rstream_mut().unwrap().send_message(SimTime::ZERO, id, b"thirteen bytes").unwrap();
+    let hostile = control(4, id, Some(1 << 40)); // KIND_ACK
+    assert!(a.on_datagram(SimTime::ZERO, peer, hostile).is_err());
+    assert_eq!(a.metrics().counter_by_name("wire.decode.body"), Some(1));
+    assert_eq!(a.decode_drops(), 1);
+    // The connection is unharmed: it keeps sending and takes the
+    // genuine ACK.
+    a.rstream_mut().unwrap().send_message(SimTime::ZERO, id, b"more").unwrap();
+    let sent = a.rstream().unwrap().unacked_bytes(id) as u64;
+    a.on_datagram(SimTime::ZERO, peer, control(4, id, Some(sent))).unwrap();
+    assert_eq!(a.rstream().unwrap().unacked_bytes(id), 0);
+    assert_eq!(a.decode_drops(), 1);
+}
