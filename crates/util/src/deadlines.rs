@@ -36,6 +36,8 @@
 //! allocator, where a B-tree frees and re-allocates nodes whenever a
 //! table of more than one node (11 entries) shrinks and grows.
 
+use std::ops::{Bound, RangeBounds};
+
 use crate::time::SimTime;
 
 struct Entry<K, V> {
@@ -82,6 +84,28 @@ impl<K: Ord + Copy, V> Deadlines<K, V> {
     /// Take `key` out, due or not.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         self.find(key).ok().map(|i| self.entries.remove(i).value)
+    }
+
+    /// Take out every entry whose key lies in `keys`, due or not:
+    /// `(key, deadline, value)`, ascending by key. All of them leave
+    /// the table even if the iterator is dropped early.
+    pub fn remove_range(
+        &mut self,
+        keys: impl RangeBounds<K>,
+    ) -> impl Iterator<Item = (K, SimTime, V)> + '_ {
+        let below = |k: &K| self.entries.partition_point(|e| e.key < *k);
+        let through = |k: &K| self.entries.partition_point(|e| e.key <= *k);
+        let lo = match keys.start_bound() {
+            Bound::Included(k) => below(k),
+            Bound::Excluded(k) => through(k),
+            Bound::Unbounded => 0,
+        };
+        let hi = match keys.end_bound() {
+            Bound::Included(k) => through(k),
+            Bound::Excluded(k) => below(k),
+            Bound::Unbounded => self.entries.len(),
+        };
+        self.entries.drain(lo..hi.max(lo)).map(|e| (e.key, e.deadline, e.value))
     }
 
     /// Drop every entry.
@@ -167,6 +191,20 @@ mod tests {
         assert_eq!(d.remove(&1), None);
         assert_eq!(d.take_due(t(6)), vec![(2, 'y')]);
         assert_eq!(d.next_deadline(), None);
+    }
+
+    #[test]
+    fn remove_range_takes_exactly_the_keys_in_range() {
+        let mut d = Deadlines::new();
+        for k in [1u32, 3, 5, 7, 9] {
+            d.insert(k, t(u64::from(100 - k)), k * 10);
+        }
+        assert_eq!(d.remove_range(3..7).collect::<Vec<_>>(), vec![(3, t(97), 30), (5, t(95), 50)]);
+        assert_eq!(d.remove_range(4..=4).count(), 0, "no key in range");
+        assert_eq!(d.remove_range(..=1).collect::<Vec<_>>(), vec![(1, t(99), 10)]);
+        // Dropped unread: the entries are gone all the same.
+        drop(d.remove_range(8..));
+        assert_eq!(d.take_due(t(1000)), vec![(7, 70)]);
     }
 
     #[test]

@@ -154,18 +154,23 @@ pub const MAX_FRAGMENTS: usize = 1 << 16;
 pub const MAX_PARTIAL_MSGS: usize = 256;
 
 /// Reassembly across many concurrent messages from one peer,
-/// capped at [`MAX_PARTIAL_MSGS`] in-progress entries.
+/// capped at [`MAX_PARTIAL_MSGS`] in-progress entries. Each partial
+/// carries a note `T` for its owner — what a driver must remember per
+/// incoming message lives and dies with the partial, so it cannot be
+/// left behind or outlive it.
 #[derive(Debug, Default)]
-pub struct ReassemblySet {
-    msgs: HashMap<u64, Reassembly>,
+pub struct ReassemblySet<T = ()> {
+    msgs: HashMap<u64, (Reassembly, T)>,
 }
 
 impl ReassemblySet {
-    /// Empty set.
+    /// Empty set, no notes.
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<T: Default> ReassemblySet<T> {
     /// Insert a fragment of message `msg_id` at virtual time `now`;
     /// returns the full message once complete (and forgets the
     /// buffer). A *fresh* fragment stamps the entry's last-activity
@@ -200,7 +205,8 @@ impl ReassemblySet {
                 self.msgs.remove(&stalest);
             }
         }
-        let r = self.msgs.entry(msg_id).or_insert_with(|| Reassembly::new(count));
+        let (r, _) =
+            self.msgs.entry(msg_id).or_insert_with(|| (Reassembly::new(count), T::default()));
         if r.expected() != count {
             return Err(SnipeError::Protocol(format!(
                 "fragment count changed for msg {msg_id}: {} vs {count}",
@@ -213,7 +219,7 @@ impl ReassemblySet {
             r.last_activity = now;
         }
         if r.complete() {
-            Ok(self.msgs.remove(&msg_id).map(Reassembly::assemble))
+            Ok(self.msgs.remove(&msg_id).map(|(r, _)| r.assemble()))
         } else {
             Ok(None)
         }
@@ -222,7 +228,7 @@ impl ReassemblySet {
     /// The entry with the oldest last-activity stamp (ties broken by
     /// lowest msg id, so eviction order is deterministic).
     fn stalest(&self) -> Option<u64> {
-        self.msgs.iter().map(|(id, r)| (r.last_activity, *id)).min().map(|(_, id)| id)
+        self.msgs.iter().map(|(id, (r, _))| (r.last_activity, *id)).min().map(|(_, id)| id)
     }
 
     /// Evict the stalest entry and return its msg id. Lets an owning
@@ -244,7 +250,7 @@ impl ReassemblySet {
         let mut evicted: Vec<u64> = self
             .msgs
             .iter()
-            .filter(|(_, r)| now.saturating_since(r.last_activity) > ttl)
+            .filter(|(_, (r, _))| now.saturating_since(r.last_activity) > ttl)
             .map(|(id, _)| *id)
             .collect();
         evicted.sort_unstable();
@@ -256,19 +262,34 @@ impl ReassemblySet {
 
     /// Is a specific fragment already present?
     pub fn has(&self, msg_id: u64, idx: usize) -> bool {
-        self.msgs.get(&msg_id).is_some_and(|r| r.has(idx))
+        self.msgs.get(&msg_id).is_some_and(|(r, _)| r.has(idx))
     }
 
     /// Fragments received so far for a message (0 if unknown).
     pub fn received(&self, msg_id: u64) -> usize {
-        self.msgs.get(&msg_id).map(|r| r.received()).unwrap_or(0)
+        self.msgs.get(&msg_id).map(|(r, _)| r.received()).unwrap_or(0)
+    }
+
+    /// Total fragments a message in progress expects.
+    pub fn expected(&self, msg_id: u64) -> Option<usize> {
+        self.msgs.get(&msg_id).map(|(r, _)| r.expected())
+    }
+
+    /// The owner's note on a message in progress.
+    pub fn note(&self, msg_id: u64) -> Option<&T> {
+        self.msgs.get(&msg_id).map(|(_, note)| note)
+    }
+
+    /// The owner's note on a message in progress, mutable.
+    pub fn note_mut(&mut self, msg_id: u64) -> Option<&mut T> {
+        self.msgs.get_mut(&msg_id).map(|(_, note)| note)
     }
 
     /// Remove a message's partial state and return the present
     /// fragments with their indices (FEC reconstruction takes over
     /// once a share quorum is in, before the buffer is "complete").
     pub fn take(&mut self, msg_id: u64) -> Option<Vec<(u32, Bytes)>> {
-        self.msgs.remove(&msg_id).map(|r| {
+        self.msgs.remove(&msg_id).map(|(r, _)| {
             r.frags.into_iter().enumerate().filter_map(|(i, f)| f.map(|b| (i as u32, b))).collect()
         })
     }
@@ -276,7 +297,7 @@ impl ReassemblySet {
     /// Fragments still missing for a message (empty if unknown —
     /// either never seen or already delivered).
     pub fn missing(&self, msg_id: u64) -> Vec<u32> {
-        self.msgs.get(&msg_id).map(|r| r.missing()).unwrap_or_default()
+        self.msgs.get(&msg_id).map(|(r, _)| r.missing()).unwrap_or_default()
     }
 
     /// Number of in-progress messages.
@@ -292,20 +313,18 @@ impl ReassemblySet {
     /// Export all partial reassembly state (for migration checkpoints).
     pub fn export(&self) -> Vec<(u64, Vec<Option<Bytes>>)> {
         let mut v: Vec<(u64, Vec<Option<Bytes>>)> =
-            self.msgs.iter().map(|(id, r)| (*id, r.frags.clone())).collect();
+            self.msgs.iter().map(|(id, (r, _))| (*id, r.frags.clone())).collect();
         v.sort_by_key(|(id, _)| *id);
         v
     }
 
-    /// Import previously exported state (replaces any current state for
-    /// the same message ids). Entries are stamped with `now`: a
-    /// restored partial gets a full TTL on its new host before
-    /// stale-eviction may claim it.
-    pub fn import(&mut self, now: SimTime, state: Vec<(u64, Vec<Option<Bytes>>)>) {
-        for (id, frags) in state {
-            let received = frags.iter().filter(|f| f.is_some()).count();
-            self.msgs.insert(id, Reassembly { frags, received, last_activity: now });
-        }
+    /// Import one previously exported partial with its note (replaces
+    /// any current state for the same message id). The entry is stamped
+    /// with `now`: a restored partial gets a full TTL on its new host
+    /// before stale-eviction may claim it.
+    pub fn import(&mut self, now: SimTime, msg_id: u64, frags: Vec<Option<Bytes>>, note: T) {
+        let received = frags.iter().filter(|f| f.is_some()).count();
+        self.msgs.insert(msg_id, (Reassembly { frags, received, last_activity: now }, note));
     }
 }
 
@@ -496,7 +515,9 @@ mod tests {
         set.insert(SimTime::ZERO, 3, 0, 2, Bytes::from_static(b"x")).unwrap();
         let state = set.export();
         let mut restored = ReassemblySet::new();
-        restored.import(t(1000), state);
+        for (id, frags) in state {
+            restored.import(t(1000), id, frags, ());
+        }
         assert_eq!(restored.received(3), 1);
         // Freshly imported: survives a sweep that would evict a ZERO stamp.
         let ttl = SimDuration::from_secs(60);

@@ -36,6 +36,7 @@ pub mod host;
 pub mod mcast;
 pub mod path;
 pub mod ports;
+mod recovery;
 pub mod rstream;
 pub mod srudp;
 pub mod stack;

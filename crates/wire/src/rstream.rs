@@ -23,6 +23,7 @@ use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
 
+use crate::recovery::{Flight, Rtt, Sent};
 use crate::Out;
 
 /// RSTREAM tuning knobs.
@@ -80,11 +81,10 @@ struct Conn {
     snd_una: u64,
     /// Next offset to transmit.
     snd_nxt: u64,
-    sent_at: HashMap<u64, (SimTime, bool)>, // segment start -> (time, retransmitted)
+    /// Every transmitted, unacknowledged segment, by its start offset.
+    flight: Flight<u64>,
     dup_acks: u32,
-    srtt: Option<SimDuration>,
-    rttvar: SimDuration,
-    rto: SimDuration,
+    rtt: Rtt,
     timeouts: u32,
     /// Loss-recovery horizon (NewReno): after an RTO, ACKs below this
     /// offset are partial — the hole extends further, so the next
@@ -95,8 +95,6 @@ struct Conn {
     rcv_nxt: u64,
     ooo: BTreeMap<u64, Bytes>,
     rcv_buf: Vec<u8>,
-    /// Messages waiting in snd_buf before the handshake completes.
-    connected: bool,
 }
 
 impl Conn {
@@ -107,17 +105,14 @@ impl Conn {
             snd_buf: VecDeque::new(),
             snd_una: 0,
             snd_nxt: 0,
-            sent_at: HashMap::new(),
+            flight: Flight::new(),
             dup_acks: 0,
-            srtt: None,
-            rttvar: SimDuration::ZERO,
-            rto: cfg.rto_initial,
+            rtt: Rtt::new(cfg.rto_initial, cfg.rto_min, cfg.rto_max),
             timeouts: 0,
             recover: 0,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             rcv_buf: Vec::new(),
-            connected: state == State::Established,
         }
     }
 }
@@ -174,10 +169,10 @@ impl Rstream {
         self.next_conn_seed =
             self.next_conn_seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let id = self.next_conn_seed | 1;
-        let conn = Conn::new(peer, State::SynSent, &self.cfg.clone());
+        let conn = Conn::new(peer, State::SynSent, &self.cfg);
         // The handshake has no ACK clock: arm the RTO so a lost SYN
         // is retransmitted instead of wedging the connection.
-        self.timers.insert(id, now + conn.rto, ());
+        self.timers.insert(id, now + conn.rtt.rto(), ());
         self.conns.insert(id, conn);
         Self::emit_syn(&mut self.out, peer, id);
         id
@@ -261,32 +256,16 @@ impl Rstream {
         std::mem::take(&mut self.out)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn emit_data(
-        out: &mut Vec<Out>,
-        stats: &mut RstreamStats,
-        now: SimTime,
-        conn: &Conn,
-        id: ConnId,
-        offset: u64,
-        payload: &[u8],
-        retx: bool,
-    ) {
-        let mut enc = Encoder::with_capacity(payload.len() + 24);
+    /// Put the `len` bytes of `conn`'s send buffer that start at stream
+    /// offset `offset` on the wire as one DATA segment.
+    fn emit_data(out: &mut Vec<Out>, conn: &Conn, id: ConnId, offset: u64, len: usize) {
+        let skip = (offset - conn.snd_una) as usize;
+        let seg: Vec<u8> = conn.snd_buf.iter().skip(skip).take(len).copied().collect();
+        let mut enc = Encoder::with_capacity(len + 24);
         enc.put_u8(KIND_DATA);
         enc.put_u64(id);
         enc.put_u64(offset);
-        enc.put_bytes(payload);
-        if retx {
-            stats.retransmits += 1;
-            if trace::enabled() {
-                // RSTREAM peers are endpoints, not keyed nodes: the
-                // connection id stands in as the peer discriminator.
-                trace::record(now, TraceKind::Retransmit { peer: id, len: payload.len() as u32 });
-            }
-        } else {
-            stats.segments_sent += 1;
-        }
+        enc.put_bytes(&seg);
         out.push(Out::Send { to: conn.peer, via: None, spray: None, bytes: enc.finish() });
     }
 
@@ -307,16 +286,38 @@ impl Rstream {
             let take = cfg_mss
                 .min(conn.snd_buf.len() - offset_in_buf)
                 .min(cfg_window - (conn.snd_nxt - conn.snd_una) as usize);
-            let seg: Vec<u8> =
-                conn.snd_buf.iter().skip(offset_in_buf).take(take).copied().collect();
             let offset = conn.snd_nxt;
             conn.snd_nxt += take as u64;
-            conn.sent_at.insert(offset, (now, false));
-            Self::emit_data(&mut self.out, &mut self.stats, now, conn, id, offset, &seg, false);
+            conn.flight.file(offset, now, Sent::default());
+            self.stats.segments_sent += 1;
+            Self::emit_data(&mut self.out, conn, id, offset, take);
             if self.timers.get(&id).is_none() {
-                self.timers.insert(id, now + conn.rto, ());
+                self.timers.insert(id, now + conn.rtt.rto(), ());
             }
         }
+    }
+
+    /// Re-send the first unacknowledged segment: the only way a segment
+    /// goes out twice, for a partial ACK, a fast retransmit and an RTO
+    /// alike. The caller has checked that something is outstanding.
+    fn retransmit(
+        out: &mut Vec<Out>,
+        stats: &mut RstreamStats,
+        mss: usize,
+        now: SimTime,
+        conn: &mut Conn,
+        id: ConnId,
+    ) {
+        let (offset, len) = (conn.snd_una, mss.min(conn.snd_buf.len()));
+        let retries = conn.flight.get(&offset).map_or(0, |sent| sent.retries);
+        conn.flight.file(offset, now, Sent { retries: retries + 1, retransmitted: true });
+        stats.retransmits += 1;
+        if trace::enabled() {
+            // RSTREAM peers are endpoints, not keyed nodes: the
+            // connection id stands in as the peer discriminator.
+            trace::record(now, TraceKind::Retransmit { peer: id, len: len as u32 });
+        }
+        Self::emit_data(out, conn, id, offset, len);
     }
 
     /// Handle an incoming RSTREAM body.
@@ -327,8 +328,8 @@ impl Rstream {
         match kind {
             KIND_SYN => {
                 // Passive open (every Rstream listens).
-                let cfg = self.cfg.clone();
-                self.conns.entry(id).or_insert_with(|| Conn::new(from, State::Established, &cfg));
+                let cfg = &self.cfg;
+                self.conns.entry(id).or_insert_with(|| Conn::new(from, State::Established, cfg));
                 let mut enc = Encoder::new();
                 enc.put_u8(KIND_SYNACK);
                 enc.put_u64(id);
@@ -339,11 +340,10 @@ impl Rstream {
                 if let Some(c) = self.conns.get_mut(&id) {
                     if c.state == State::SynSent {
                         c.state = State::Established;
-                        c.connected = true;
                         // Handshake retries must not count against the
                         // established connection's abort budget.
                         c.timeouts = 0;
-                        c.rto = self.cfg.rto_initial;
+                        c.rtt.reset();
                         self.timers.remove(&id);
                         self.pump(now, id);
                     }
@@ -428,7 +428,6 @@ impl Rstream {
     }
 
     fn on_ack(&mut self, now: SimTime, id: ConnId, cum: u64) -> SnipeResult<()> {
-        let cfg = self.cfg.clone();
         let Some(conn) = self.conns.get_mut(&id) else {
             return Ok(());
         };
@@ -442,69 +441,29 @@ impl Rstream {
             )));
         }
         if cum > conn.snd_una {
-            // New data acked: RTT sample from the oldest acked segment.
-            // Sorted so the sample is a function of the ack, not of
-            // `sent_at`'s hash iteration order — an order-dependent
-            // sample skews the RTO differently on every run, which
-            // breaks seeded-replay determinism.
-            let mut acked_segments: Vec<u64> =
-                conn.sent_at.keys().filter(|&&o| o < cum).copied().collect();
-            acked_segments.sort_unstable();
-            let mut sample: Option<SimDuration> = None;
-            for o in acked_segments {
-                if let Some((t, retx)) = conn.sent_at.remove(&o) {
-                    if !retx && sample.is_none() {
-                        sample = Some(now.saturating_since(t));
-                    }
-                }
-            }
+            // New data acked: RTT sample from the oldest acked segment
+            // that was never retransmitted.
+            let sample = conn.flight.ack_range(..cum, now);
             let advance = (cum - conn.snd_una) as usize;
             conn.snd_buf.drain(..advance.min(conn.snd_buf.len()));
             conn.snd_una = cum;
             conn.dup_acks = 0;
             conn.timeouts = 0;
-            if let Some(s) = sample {
-                match conn.srtt {
-                    None => {
-                        conn.srtt = Some(s);
-                        conn.rttvar = s / 2;
-                    }
-                    Some(srtt) => {
-                        let diff = if srtt > s { srtt - s } else { s - srtt };
-                        conn.rttvar = (conn.rttvar * 3 + diff) / 4;
-                        conn.srtt = Some((srtt * 7 + s) / 8);
-                    }
-                }
-                conn.rto =
-                    (conn.srtt.expect("set") + conn.rttvar * 4).clamp(cfg.rto_min, cfg.rto_max);
+            if let Some(sample) = sample {
+                conn.rtt.sample(sample);
             }
             if conn.snd_una < conn.recover && conn.snd_una < conn.snd_nxt {
                 // Partial ACK: the RTO-era hole extends past this
                 // segment. Retransmit the next unacked segment now —
                 // one segment per ACK keeps recovery self-clocked at
                 // RTT pace rather than one segment per escalated RTO.
-                let take = cfg.mss.min(conn.snd_buf.len());
-                if take > 0 {
-                    let seg: Vec<u8> = conn.snd_buf.iter().take(take).copied().collect();
-                    let offset = conn.snd_una;
-                    conn.sent_at.insert(offset, (now, true));
-                    Self::emit_data(
-                        &mut self.out,
-                        &mut self.stats,
-                        now,
-                        conn,
-                        id,
-                        offset,
-                        &seg,
-                        true,
-                    );
-                }
+                Self::retransmit(&mut self.out, &mut self.stats, self.cfg.mss, now, conn, id);
             }
             if conn.snd_una == conn.snd_nxt {
                 conn.recover = 0;
                 self.timers.remove(&id);
             } else {
-                self.timers.insert(id, now + conn.rto, ());
+                self.timers.insert(id, now + conn.rtt.rto(), ());
             }
             self.pump(now, id);
         } else if cum == conn.snd_una && conn.snd_nxt > conn.snd_una {
@@ -512,23 +471,8 @@ impl Rstream {
             if conn.dup_acks == 3 {
                 conn.dup_acks = 0;
                 // Fast retransmit the first unacked segment.
-                let take = cfg.mss.min(conn.snd_buf.len());
-                if take > 0 {
-                    let seg: Vec<u8> = conn.snd_buf.iter().take(take).copied().collect();
-                    let offset = conn.snd_una;
-                    conn.sent_at.insert(offset, (now, true));
-                    self.stats.fast_retransmits += 1;
-                    Self::emit_data(
-                        &mut self.out,
-                        &mut self.stats,
-                        now,
-                        conn,
-                        id,
-                        offset,
-                        &seg,
-                        true,
-                    );
-                }
+                self.stats.fast_retransmits += 1;
+                Self::retransmit(&mut self.out, &mut self.stats, self.cfg.mss, now, conn, id);
             }
         }
         Ok(())
@@ -544,50 +488,39 @@ impl Rstream {
     }
 
     fn fire_rto(&mut self, now: SimTime, id: ConnId) {
-        let cfg = self.cfg.clone();
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.state == State::SynSent {
-            conn.timeouts += 1;
-            if conn.timeouts >= cfg.max_timeouts {
-                conn.state = State::Closed;
-                self.stats.aborted += 1;
-                return;
-            }
-            conn.rto = (conn.rto * 2).clamp(cfg.rto_min, cfg.rto_max);
-            self.stats.retransmits += 1;
-            Self::emit_syn(&mut self.out, conn.peer, id);
-            self.timers.insert(id, now + conn.rto, ());
-            return;
-        }
-        if conn.state != State::Established || conn.snd_una == conn.snd_nxt {
-            return; // closed or fully acked: nothing outstanding
-        }
-        // Early/spurious fire: escalate only when the oldest
-        // outstanding segment has genuinely outlived the RTO.
-        if let Some(oldest) = conn.sent_at.values().map(|&(t, _)| t).min() {
-            if oldest + conn.rto > now {
-                self.timers.insert(id, oldest + conn.rto, ());
-                return;
+        match conn.state {
+            State::Closed => return,
+            State::SynSent => {}
+            State::Established => {
+                if conn.snd_una == conn.snd_nxt {
+                    return; // fully acked: nothing outstanding
+                }
+                // Early/spurious fire: escalate only when the oldest
+                // outstanding segment has genuinely outlived the RTO.
+                if let Some(at) = conn.flight.rto_deadline(conn.rtt.rto()).filter(|&at| at > now) {
+                    self.timers.insert(id, at, ());
+                    return;
+                }
             }
         }
         conn.timeouts += 1;
-        if conn.timeouts >= cfg.max_timeouts {
+        if conn.timeouts >= self.cfg.max_timeouts {
             conn.state = State::Closed;
             self.stats.aborted += 1;
             return;
         }
-        conn.rto = (conn.rto * 2).clamp(cfg.rto_min, cfg.rto_max);
-        conn.recover = conn.snd_nxt;
-        let take = cfg.mss.min(conn.snd_buf.len());
-        if take > 0 {
-            let seg: Vec<u8> = conn.snd_buf.iter().take(take).copied().collect();
-            let offset = conn.snd_una;
-            conn.sent_at.insert(offset, (now, true));
-            Self::emit_data(&mut self.out, &mut self.stats, now, conn, id, offset, &seg, true);
-            self.timers.insert(id, now + conn.rto, ());
+        conn.rtt.on_timeout();
+        if conn.state == State::SynSent {
+            self.stats.retransmits += 1;
+            Self::emit_syn(&mut self.out, conn.peer, id);
+        } else {
+            conn.recover = conn.snd_nxt;
+            Self::retransmit(&mut self.out, &mut self.stats, self.cfg.mss, now, conn, id);
         }
+        self.timers.insert(id, now + conn.rtt.rto(), ());
     }
 }
 

@@ -19,6 +19,7 @@
 //! machine and queue [`Out`] actions retrieved with [`Srudp::drain`].
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::RangeInclusive;
 
 use bytes::Bytes;
 
@@ -31,6 +32,7 @@ use snipe_util::time::{SimDuration, SimTime};
 
 use crate::fec::{self, FragStrategy};
 use crate::frag::{split, ReassemblySet};
+use crate::recovery::{Flight, Rtt, Sent};
 use crate::Out;
 
 /// Stable logical identity of a wire peer (a SNIPE process or daemon).
@@ -110,11 +112,18 @@ const REASM_TTL: SimDuration = SimDuration::from_secs(60);
 /// (2^16 × frag_size comfortably covers any real message).
 const MAX_FRAG_COUNT: u32 = 1 << 16;
 
-struct InFlight {
-    sent_at: SimTime,
-    retries: u32,
-    /// Karn: never sample RTT from retransmitted fragments.
-    retransmitted: bool,
+/// What identifies a DATA packet in flight: `(message, fragment)`.
+type Seq = (u64, u32);
+
+/// Every fragment of one message.
+fn frags_of(msg_id: u64) -> RangeInclusive<Seq> {
+    (msg_id, 0)..=(msg_id, u32::MAX)
+}
+
+/// Does a SACK bitmap report fragment `idx` as received? Fragments
+/// beyond the bitmap's end are not.
+fn sack_bit(bitmap: &[u8], idx: usize) -> bool {
+    bitmap.get(idx / 8).is_some_and(|byte| byte & (1 << (idx % 8)) != 0)
 }
 
 /// Erasure-coding parameters of one FEC-framed message, carried in
@@ -130,6 +139,30 @@ struct FecMeta {
     checksum: u32,
 }
 
+impl FecMeta {
+    fn encode(self, e: &mut Encoder) {
+        e.put_u8(self.b);
+        e.put_u32(self.msg_len);
+        e.put_u32(self.checksum);
+    }
+
+    fn decode(d: &mut Decoder) -> SnipeResult<FecMeta> {
+        Ok(FecMeta { b: d.get_u8()?, msg_len: d.get_u32()?, checksum: d.get_u32()? })
+    }
+
+    /// The checkpoint form: a presence flag, then the fields.
+    fn encode_opt(meta: Option<FecMeta>, e: &mut Encoder) {
+        e.put_bool(meta.is_some());
+        if let Some(meta) = meta {
+            meta.encode(e);
+        }
+    }
+
+    fn decode_opt(d: &mut Decoder) -> SnipeResult<Option<FecMeta>> {
+        Ok(if d.get_bool()? { Some(FecMeta::decode(d)?) } else { None })
+    }
+}
+
 struct OutMsg {
     msg_id: u64,
     /// Plain fragments, or the `2b-1` shares when `fec` is set (the
@@ -143,36 +176,45 @@ struct OutMsg {
     fec: Option<FecMeta>,
 }
 
+impl OutMsg {
+    /// Payload bytes not yet acknowledged.
+    fn unacked_bytes(&self) -> usize {
+        self.frags.iter().zip(&self.acked).filter(|(_, acked)| !**acked).map(|(f, _)| f.len()).sum()
+    }
+}
+
+/// What the receiver remembers about a message in progress, kept with
+/// its partial reassembly.
+#[derive(Default)]
+struct InMsg {
+    /// DATA packets received since the last SACK.
+    unsacked: usize,
+    /// FEC parameters of a coded message, pinned by the first share
+    /// (later shares must agree — a forged or corrupt divergent header
+    /// is a counted protocol error).
+    fec: Option<FecMeta>,
+}
+
 /// Per-peer protocol state.
 struct Peer {
     // --- sender side ---
     queue: VecDeque<OutMsg>,
-    inflight: BTreeMap<(u64, u32), InFlight>,
+    /// Every transmitted, unacknowledged fragment.
+    flight: Flight<Seq>,
     /// Index into `queue` of the first message that may still have
     /// untransmitted fragments (pump never rescans earlier entries).
     pump_hint: usize,
     /// Running count of unacked payload bytes in `queue`.
     backlog_bytes: usize,
     next_msg_id: u64,
-    srtt: Option<SimDuration>,
-    rttvar: SimDuration,
-    rto: SimDuration,
-    backoff: u32,
+    rtt: Rtt,
     consecutive_timeouts: u32,
     // --- receiver side ---
-    reasm: ReassemblySet,
+    reasm: ReassemblySet<InMsg>,
     /// Next msg id to deliver (FIFO per peer).
     next_deliver: u64,
     /// Completed-but-early messages awaiting FIFO order.
     held: BTreeMap<u64, Bytes>,
-    /// DATA packets received since last SACK, per message.
-    unsacked: HashMap<u64, usize>,
-    /// Fragment counts of in-progress incoming messages (for bitmaps).
-    counts: HashMap<u64, u32>,
-    /// FEC parameters of in-progress incoming coded messages, pinned by
-    /// the first share (later shares must agree — a forged or corrupt
-    /// divergent header is a counted protocol error).
-    fec_meta: HashMap<u64, FecMeta>,
     /// Message id awaiting a delayed-ACK flush; the deadline itself
     /// is the driver's `(Sack, peer)` entry in `Srudp::timers`.
     pending_sack: Option<u64>,
@@ -190,24 +232,45 @@ impl Peer {
     fn new(cfg: &SrudpConfig) -> Peer {
         Peer {
             queue: VecDeque::new(),
-            inflight: BTreeMap::new(),
+            flight: Flight::new(),
             pump_hint: 0,
             backlog_bytes: 0,
             next_msg_id: 0,
-            srtt: None,
-            rttvar: SimDuration::ZERO,
-            rto: cfg.rto_initial,
-            backoff: 0,
+            rtt: Rtt::new(cfg.rto_initial, cfg.rto_min, cfg.rto_max),
             consecutive_timeouts: 0,
-            reasm: ReassemblySet::new(),
+            reasm: ReassemblySet::default(),
             next_deliver: 0,
             held: BTreeMap::new(),
-            unsacked: HashMap::new(),
-            counts: HashMap::new(),
-            fec_meta: HashMap::new(),
             pending_sack: None,
             dup_streak: 0,
             last_fresh: None,
+        }
+    }
+
+    /// Where in `queue` message `msg_id` sits, while it is unfinished.
+    fn position(&self, msg_id: u64) -> Option<usize> {
+        self.queue.iter().position(|m| m.msg_id == msg_id)
+    }
+
+    /// Message `queue[pos]` is finished, delivered or abandoned: drop
+    /// it and whatever of it is still in flight.
+    fn finish(&mut self, pos: usize) {
+        let Some(m) = self.queue.remove(pos) else {
+            return;
+        };
+        self.backlog_bytes = self.backlog_bytes.saturating_sub(m.unacked_bytes());
+        self.flight.forget(frags_of(m.msg_id));
+        if pos < self.pump_hint {
+            self.pump_hint -= 1;
+        }
+    }
+
+    /// Drop a partial reassembly (its note goes with it) and the
+    /// delayed SACK that may be pending for it.
+    fn forget_partial(&mut self, msg_id: u64) {
+        self.reasm.forget(msg_id);
+        if self.pending_sack == Some(msg_id) {
+            self.pending_sack = None;
         }
     }
 }
@@ -337,7 +400,7 @@ impl Srudp {
     /// The smoothed RTT estimate toward a peer, once measured. Feeds
     /// the stack's [`PathSelector`](crate::path::PathSelector) scoring.
     pub fn peer_srtt(&self, key: NodeKey) -> Option<SimDuration> {
-        self.peers.get(&key).and_then(|p| p.srtt)
+        self.peers.get(&key).and_then(|p| p.rtt.srtt())
     }
 
     /// Unsent + unacked payload bytes queued toward a peer.
@@ -352,7 +415,7 @@ impl Srudp {
 
     /// True when nothing is queued or in flight anywhere.
     pub fn quiescent(&self) -> bool {
-        self.peers.values().all(|p| p.queue.is_empty() && p.inflight.is_empty())
+        self.peers.values().all(|p| p.queue.is_empty() && p.flight.is_empty())
     }
 
     /// Queue a message for reliable FIFO delivery to `to`.
@@ -413,54 +476,23 @@ impl Srudp {
         std::mem::take(&mut self.out)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn emit_data(
-        out: &mut Vec<Out>,
-        stats: &mut SrudpStats,
-        now: SimTime,
-        peer: NodeKey,
-        my_key: NodeKey,
-        to_ep: Endpoint,
-        msg_id: u64,
-        frag_idx: u32,
-        frag_count: u32,
-        payload: &Bytes,
-        retransmit: bool,
-        fec: Option<FecMeta>,
-    ) {
+    /// Put fragment `idx` of `m` on the wire.
+    fn emit_data(out: &mut Vec<Out>, my_key: NodeKey, to: Endpoint, m: &OutMsg, idx: usize) {
+        let payload = &m.frags[idx];
         let mut enc = Encoder::with_capacity(payload.len() + 40);
-        match fec {
-            None => {
-                enc.put_u8(KIND_DATA);
-                enc.put_u64(my_key);
-                enc.put_u64(msg_id);
-                enc.put_u32(frag_idx);
-                enc.put_u32(frag_count);
-                enc.put_bytes(payload);
-            }
-            Some(m) => {
-                enc.put_u8(KIND_FEC);
-                enc.put_u64(my_key);
-                enc.put_u64(msg_id);
-                enc.put_u32(frag_idx);
-                enc.put_u8(m.b);
-                enc.put_u32(m.msg_len);
-                enc.put_u32(m.checksum);
-                enc.put_bytes(payload);
-            }
+        enc.put_u8(if m.fec.is_some() { KIND_FEC } else { KIND_DATA });
+        enc.put_u64(my_key);
+        enc.put_u64(m.msg_id);
+        enc.put_u32(idx as u32);
+        match m.fec {
+            None => enc.put_u32(m.frags.len() as u32),
+            Some(meta) => meta.encode(&mut enc),
         }
-        if retransmit {
-            stats.retransmits += 1;
-            if trace::enabled() {
-                trace::record(now, TraceKind::Retransmit { peer, len: payload.len() as u32 });
-            }
-        } else {
-            stats.data_sent += 1;
-        }
+        enc.put_bytes(payload);
         // Shares advertise their index so the stack can spray them
         // across distinct routes; plain fragments route normally.
-        let spray = fec.map(|_| frag_idx);
-        out.push(Out::Send { to: to_ep, via: None, spray, bytes: enc.finish() });
+        let spray = m.fec.map(|_| idx as u32);
+        out.push(Out::Send { to, via: None, spray, bytes: enc.finish() });
     }
 
     /// Fill the window toward a peer with untransmitted fragments.
@@ -471,7 +503,7 @@ impl Srudp {
         let Some(peer) = self.peers.get_mut(&key) else {
             return;
         };
-        while peer.inflight.len() < self.cfg.window {
+        while peer.flight.len() < self.cfg.window {
             // Advance the cursor past fully-transmitted messages, then
             // take the next untransmitted fragment (skipping fragments
             // already acknowledged, e.g. after an imported checkpoint
@@ -490,30 +522,43 @@ impl Srudp {
             };
             let idx = m.next_tx;
             m.next_tx += 1;
-            let frag = m.frags[idx].clone();
-            let count = m.frags.len() as u32;
-            let msg_id = m.msg_id;
-            let fec = m.fec;
-            peer.inflight.insert(
-                (msg_id, idx as u32),
-                InFlight { sent_at: now, retries: 0, retransmitted: false },
-            );
-            self.timers.insert_earlier((TimerKind::Rto, key), now + peer.rto, ());
-            Self::emit_data(
-                &mut self.out,
-                &mut self.stats,
-                now,
-                key,
-                self.my_key,
-                ep,
-                msg_id,
-                idx as u32,
-                count,
-                &frag,
-                false,
-                fec,
-            );
+            peer.flight.file((m.msg_id, idx as u32), now, Sent::default());
+            self.timers.insert_earlier((TimerKind::Rto, key), now + peer.rtt.rto(), ());
+            self.stats.data_sent += 1;
+            Self::emit_data(&mut self.out, self.my_key, ep, m, idx);
         }
+    }
+
+    /// Re-send one fragment: the only way a fragment goes out twice,
+    /// for the SACK-driven and the RTO-driven path alike. `expired` is
+    /// the fragment's entry if an expiry just took it off the board;
+    /// otherwise whatever is on file for it stands in.
+    fn retransmit(
+        &mut self,
+        now: SimTime,
+        key: NodeKey,
+        ep: Endpoint,
+        seq: Seq,
+        expired: Option<Sent>,
+    ) {
+        let Some(peer) = self.peers.get_mut(&key) else {
+            return;
+        };
+        let (msg_id, idx) = (seq.0, seq.1 as usize);
+        let Some(m) = peer.position(msg_id).map(|pos| &peer.queue[pos]) else {
+            return;
+        };
+        if m.acked[idx] {
+            return;
+        }
+        let retries = expired.or_else(|| peer.flight.get(&seq)).map_or(0, |sent| sent.retries);
+        peer.flight.file(seq, now, Sent { retries: retries + 1, retransmitted: true });
+        self.timers.insert_earlier((TimerKind::Rto, key), now + peer.rtt.rto(), ());
+        self.stats.retransmits += 1;
+        if trace::enabled() {
+            trace::record(now, TraceKind::Retransmit { peer: key, len: m.frags[idx].len() as u32 });
+        }
+        Self::emit_data(&mut self.out, self.my_key, ep, m, idx);
     }
 
     /// Handle an incoming SRUDP body (after the envelope is opened).
@@ -532,18 +577,15 @@ impl Srudp {
                 let src_key = dec.get_u64()?;
                 let msg_id = dec.get_u64()?;
                 let share_idx = dec.get_u32()?;
-                let b = dec.get_u8()?;
-                let msg_len = dec.get_u32()?;
-                let checksum = dec.get_u32()?;
+                let meta = FecMeta::decode(&mut dec)?;
                 let payload = dec.get_bytes()?;
-                if !(2..=fec::MAX_B as u32).contains(&(b as u32)) {
-                    return Err(SnipeError::Protocol(format!("unacceptable FEC b {b}")));
+                if !(2..=fec::MAX_B).contains(&(meta.b as usize)) {
+                    return Err(SnipeError::Protocol(format!("unacceptable FEC b {}", meta.b)));
                 }
-                if msg_len == 0 {
+                if meta.msg_len == 0 {
                     return Err(SnipeError::Protocol("zero-length FEC message".into()));
                 }
-                let meta = FecMeta { b, msg_len, checksum };
-                let total = 2 * b as u32 - 1;
+                let total = 2 * meta.b as u32 - 1;
                 self.on_data(now, src_key, from_ep, msg_id, share_idx, total, payload, Some(meta))
             }
             KIND_SACK => {
@@ -597,25 +639,18 @@ impl Srudp {
             && peer.reasm.in_progress() >= crate::frag::MAX_PARTIAL_MSGS
         {
             if let Some(victim) = peer.reasm.evict_stalest() {
-                Self::forget_partial(peer, victim);
+                peer.forget_partial(victim);
                 self.stats.reasm_evicted += 1;
             }
         }
-        // Every share of an FEC-framed message must carry the same
-        // coding parameters; divergence is corruption made visible.
-        if let Some(meta) = fec {
-            let prev = peer.fec_meta.entry(msg_id).or_insert(meta);
-            if *prev != meta {
-                return Err(SnipeError::Protocol(format!(
-                    "FEC share header diverges for msg {msg_id}"
-                )));
-            }
-        } else if peer.fec_meta.contains_key(&msg_id) {
+        // Every fragment of a message must be framed as its first one
+        // was, an FEC share with the same coding parameters; divergence
+        // is corruption made visible.
+        if peer.reasm.note(msg_id).is_some_and(|note| note.fec != fec) {
             return Err(SnipeError::Protocol(format!(
-                "plain fragment for FEC-framed msg {msg_id}"
+                "framing of msg {msg_id} diverges from its first fragment"
             )));
         }
-        peer.counts.insert(msg_id, frag_count);
         let was_present = peer.reasm.has(msg_id, frag_idx as usize);
         if was_present {
             peer.dup_streak += 1;
@@ -647,7 +682,7 @@ impl Srudp {
                 match Self::fec_reconstruct(&mut self.stats, meta, &shares) {
                     Ok(msg) => Some(msg),
                     Err(e) => {
-                        Self::forget_partial(peer, msg_id);
+                        peer.forget_partial(msg_id);
                         return Err(e);
                     }
                 }
@@ -665,7 +700,7 @@ impl Srudp {
                     Err(e) => {
                         // Drop the poisoned partial entirely; honest
                         // retransmissions rebuild it from scratch.
-                        Self::forget_partial(peer, msg_id);
+                        peer.forget_partial(msg_id);
                         return Err(e);
                     }
                 }
@@ -674,9 +709,6 @@ impl Srudp {
         };
         match ready {
             Some(full_msg) => {
-                peer.unsacked.remove(&msg_id);
-                peer.counts.remove(&msg_id);
-                peer.fec_meta.remove(&msg_id);
                 peer.pending_sack = None;
                 self.timers.remove(&(TimerKind::Sack, src_key));
                 Self::emit_done_sack(&mut self.out, &mut self.stats, self.my_key, from_ep, msg_id);
@@ -694,10 +726,14 @@ impl Srudp {
                 }
             }
             None => {
-                let c = peer.unsacked.entry(msg_id).or_insert(0);
-                *c += 1;
-                if *c >= ack_every {
-                    *c = 0;
+                // Not ready, so the partial (and its note) exists.
+                let Some(note) = peer.reasm.note_mut(msg_id) else {
+                    return Ok(());
+                };
+                note.fec = fec;
+                note.unsacked += 1;
+                if note.unsacked >= ack_every {
+                    note.unsacked = 0;
                     peer.pending_sack = None;
                     self.timers.remove(&(TimerKind::Sack, src_key));
                     let missing = peer.reasm.missing(msg_id);
@@ -737,17 +773,6 @@ impl Srudp {
         }
         stats.fec_delivered += 1;
         Ok(Bytes::from(decoded))
-    }
-
-    /// Drop a message's partial reassembly *and* its side tables.
-    fn forget_partial(peer: &mut Peer, msg_id: u64) {
-        peer.reasm.forget(msg_id);
-        peer.counts.remove(&msg_id);
-        peer.unsacked.remove(&msg_id);
-        peer.fec_meta.remove(&msg_id);
-        if peer.pending_sack == Some(msg_id) {
-            peer.pending_sack = None;
-        }
     }
 
     fn emit_done_sack(
@@ -804,143 +829,48 @@ impl Srudp {
             return;
         };
         peer.consecutive_timeouts = 0;
-        peer.backoff = 0;
-        let Some(pos) = peer.queue.iter().position(|m| m.msg_id == msg_id) else {
+        let Some(pos) = peer.position(msg_id) else {
             return; // already freed
         };
+        let m = &mut peer.queue[pos];
         // RTT sample from the newest acked, never-retransmitted fragment.
-        let mut rtt_sample: Option<SimDuration> = None;
-        let mut newly_acked: Vec<u32> = Vec::new();
-        {
-            let m = &mut peer.queue[pos];
-            let count = m.frags.len() as u32;
-            for idx in 0..count {
-                let acked = if done {
-                    true
-                } else {
-                    let byte = (idx / 8) as usize;
-                    byte < bitmap.len() && bitmap[byte] & (1 << (idx % 8)) != 0
-                };
-                if acked && !m.acked[idx as usize] {
-                    m.acked[idx as usize] = true;
-                    m.acked_count += 1;
-                    newly_acked.push(idx);
+        let mut rtt_sample = None;
+        for idx in 0..m.frags.len() {
+            if (done || sack_bit(bitmap, idx)) && !m.acked[idx] {
+                m.acked[idx] = true;
+                m.acked_count += 1;
+                peer.backlog_bytes = peer.backlog_bytes.saturating_sub(m.frags[idx].len());
+                if let Some(sample) = peer.flight.ack((msg_id, idx as u32), now) {
+                    rtt_sample = Some(sample);
                 }
             }
-            for idx in &newly_acked {
-                peer.backlog_bytes =
-                    peer.backlog_bytes.saturating_sub(m.frags[*idx as usize].len());
-                if let Some(f) = peer.inflight.remove(&(msg_id, *idx)) {
-                    if !f.retransmitted {
-                        rtt_sample = Some(now.saturating_since(f.sent_at));
-                    }
-                }
-            }
-            if m.acked_count == m.frags.len() {
-                peer.queue.remove(pos);
-                if pos < peer.pump_hint {
-                    peer.pump_hint -= 1;
-                }
-                // Ensure no stale inflight entries remain for the message.
-                peer.inflight.retain(|(mid, _), _| *mid != msg_id);
-            }
-        }
-        if let Some(s) = rtt_sample {
-            Self::update_rtt(peer, s, &self.cfg);
         }
         // Selective resend with gap semantics: a fragment is presumed
         // lost only if the receiver already holds a *later* fragment of
         // the same message (otherwise it may simply still be in
         // flight). This is the datagram analogue of fast retransmit.
-        if !done {
-            let ep = self.locations.get(&src_key).copied();
-            if let (Some(ep), Some(m)) = (
-                ep,
-                self.peers
-                    .get_mut(&src_key)
-                    .and_then(|p| p.queue.iter_mut().find(|m| m.msg_id == msg_id)),
-            ) {
-                let count = m.frags.len() as u32;
-                let highest_acked = (0..count).rev().find(|&idx| {
-                    let byte = (idx / 8) as usize;
-                    byte < bitmap.len() && bitmap[byte] & (1 << (idx % 8)) != 0
-                });
-                let Some(highest_acked) = highest_acked else {
-                    self.pump(now, src_key);
-                    return;
-                };
-                let fec = m.fec;
-                let mut resend: Vec<(u32, Bytes)> = Vec::new();
-                for idx in 0..highest_acked {
-                    let byte = (idx / 8) as usize;
-                    let acked = byte < bitmap.len() && bitmap[byte] & (1 << (idx % 8)) != 0;
-                    if !acked && (idx as usize) < m.next_tx && !m.acked[idx as usize] {
-                        resend.push((idx, m.frags[idx as usize].clone()));
-                    }
-                }
-                // Invariant: `m` above was borrowed out of this very entry.
-                let peer = self.peers.get_mut(&src_key).expect("peer exists");
-                for (idx, frag) in resend {
-                    let count_total = peer
-                        .queue
-                        .iter()
-                        .find(|m| m.msg_id == msg_id)
-                        .map(|m| m.frags.len() as u32)
-                        .unwrap_or(count);
-                    if let Some(f) = peer.inflight.get_mut(&(msg_id, idx)) {
-                        f.sent_at = now;
-                        f.retries += 1;
-                        f.retransmitted = true;
-                    } else {
-                        peer.inflight.insert(
-                            (msg_id, idx),
-                            InFlight { sent_at: now, retries: 1, retransmitted: true },
-                        );
-                    }
-                    self.timers.insert_earlier((TimerKind::Rto, src_key), now + peer.rto, ());
-                    Self::emit_data(
-                        &mut self.out,
-                        &mut self.stats,
-                        now,
-                        src_key,
-                        self.my_key,
-                        ep,
-                        msg_id,
-                        idx,
-                        count_total,
-                        &frag,
-                        true,
-                        fec,
-                    );
-                }
-            }
+        let finished = m.acked_count == m.frags.len();
+        let holes_below = if finished {
+            0
+        } else {
+            let highest_acked = (0..m.frags.len()).rev().find(|&idx| sack_bit(bitmap, idx));
+            highest_acked.map_or(0, |highest| highest.min(m.next_tx))
+        };
+        if finished {
+            peer.finish(pos);
+        }
+        if let Some(sample) = rtt_sample {
+            peer.rtt.sample(sample);
+        }
+        for idx in (0..holes_below).filter(|&idx| !sack_bit(bitmap, idx)) {
+            self.retransmit(now, src_key, from_ep, (msg_id, idx as u32), None);
         }
         self.pump(now, src_key);
         // Fully drained flight: drop the RTO token so the deadline
         // report goes quiet with the peer.
-        if let Some(p) = self.peers.get(&src_key) {
-            if p.inflight.is_empty() {
-                self.timers.remove(&(TimerKind::Rto, src_key));
-            }
+        if self.peers.get(&src_key).is_some_and(|p| p.flight.is_empty()) {
+            self.timers.remove(&(TimerKind::Rto, src_key));
         }
-    }
-
-    fn update_rtt(peer: &mut Peer, sample: SimDuration, cfg: &SrudpConfig) {
-        // RFC 6298 style.
-        let srtt = match peer.srtt {
-            None => {
-                peer.rttvar = sample / 2;
-                sample
-            }
-            Some(srtt) => {
-                let diff = if srtt > sample { srtt - sample } else { sample - srtt };
-                peer.rttvar = (peer.rttvar * 3 + diff) / 4;
-                (srtt * 7 + sample) / 8
-            }
-        };
-        peer.srtt = Some(srtt);
-        let rto = srtt + peer.rttvar * 4;
-        peer.rto = rto.clamp(cfg.rto_min, cfg.rto_max);
     }
 
     /// Serialize the complete protocol state (sender queues + receiver
@@ -969,15 +899,7 @@ impl Srudp {
             e.put_u32(p.queue.len() as u32);
             for m in &p.queue {
                 e.put_u64(m.msg_id);
-                match m.fec {
-                    Some(meta) => {
-                        e.put_bool(true);
-                        e.put_u8(meta.b);
-                        e.put_u32(meta.msg_len);
-                        e.put_u32(meta.checksum);
-                    }
-                    None => e.put_bool(false),
-                }
+                FecMeta::encode_opt(m.fec, &mut e);
                 e.put_u32(m.frags.len() as u32);
                 for (i, f) in m.frags.iter().enumerate() {
                     e.put_bool(m.acked[i]);
@@ -995,17 +917,10 @@ impl Srudp {
             e.put_u32(partials.len() as u32);
             for (id, frags) in partials {
                 e.put_u64(id);
-                let count = p.counts.get(&id).copied().unwrap_or(frags.len() as u32);
-                e.put_u32(count);
-                match p.fec_meta.get(&id) {
-                    Some(meta) => {
-                        e.put_bool(true);
-                        e.put_u8(meta.b);
-                        e.put_u32(meta.msg_len);
-                        e.put_u32(meta.checksum);
-                    }
-                    None => e.put_bool(false),
-                }
+                // The fragment count, twice: once for the bitmap size,
+                // once as the length of the vector that follows.
+                e.put_u32(frags.len() as u32);
+                FecMeta::encode_opt(p.reasm.note(id).and_then(|note| note.fec), &mut e);
                 e.put_u32(frags.len() as u32);
                 for f in frags {
                     match f {
@@ -1042,11 +957,7 @@ impl Srudp {
             let n_msgs = d.get_u32()? as usize;
             for _ in 0..n_msgs {
                 let msg_id = d.get_u64()?;
-                let fec = if d.get_bool()? {
-                    Some(FecMeta { b: d.get_u8()?, msg_len: d.get_u32()?, checksum: d.get_u32()? })
-                } else {
-                    None
-                };
+                let fec = FecMeta::decode_opt(&mut d)?;
                 let n_frags = d.get_u32()? as usize;
                 // Every fragment costs ≥ 1 encoded byte, so a count
                 // beyond the remaining payload is corrupt — reject it
@@ -1067,10 +978,9 @@ impl Srudp {
                     }
                     frags.push(d.get_bytes()?);
                 }
-                let unacked: usize =
-                    frags.iter().zip(&acked).filter(|(_, a)| !**a).map(|(f, _)| f.len()).sum();
-                peer.backlog_bytes += unacked;
-                peer.queue.push_back(OutMsg { msg_id, frags, acked, acked_count, next_tx: 0, fec });
+                let m = OutMsg { msg_id, frags, acked, acked_count, next_tx: 0, fec };
+                peer.backlog_bytes += m.unacked_bytes();
+                peer.queue.push_back(m);
             }
             peer.next_deliver = d.get_u64()?;
             let n_held = d.get_u32()? as usize;
@@ -1084,15 +994,10 @@ impl Srudp {
                     "partial count {n_partials} exceeds payload"
                 )));
             }
-            let mut partials = Vec::with_capacity(n_partials);
             for _ in 0..n_partials {
                 let id = d.get_u64()?;
-                let count = d.get_u32()?;
-                if d.get_bool()? {
-                    let meta =
-                        FecMeta { b: d.get_u8()?, msg_len: d.get_u32()?, checksum: d.get_u32()? };
-                    peer.fec_meta.insert(id, meta);
-                }
+                let _bitmap_count = d.get_u32()?; // the vector below has its own length
+                let fec = FecMeta::decode_opt(&mut d)?;
                 let n = d.get_u32()? as usize;
                 if n > d.remaining() {
                     return Err(SnipeError::Codec(format!(
@@ -1103,10 +1008,8 @@ impl Srudp {
                 for _ in 0..n {
                     frags.push(if d.get_bool()? { Some(d.get_bytes()?) } else { None });
                 }
-                peer.counts.insert(id, count);
-                partials.push((id, frags));
+                peer.reasm.import(now, id, frags, InMsg { unsacked: 0, fec });
             }
-            peer.reasm.import(now, partials);
             let arm_evict = peer.reasm.in_progress() > 0;
             s.peers.insert(k, peer);
             if arm_evict {
@@ -1145,19 +1048,14 @@ impl Srudp {
     }
 
     /// Stale partial-reassembly sweep: evict entries idle longer than
-    /// [`REASM_TTL`] (with their side tables) and re-arm while partial
-    /// state remains. Virtual-time driven, so fully deterministic.
+    /// [`REASM_TTL`] and re-arm while partial state remains.
+    /// Virtual-time driven, so fully deterministic.
     fn fire_evict(&mut self, now: SimTime, key: NodeKey) {
         let Some(peer) = self.peers.get_mut(&key) else {
             return;
         };
         for id in peer.reasm.evict_stale(now, REASM_TTL) {
-            peer.counts.remove(&id);
-            peer.unsacked.remove(&id);
-            peer.fec_meta.remove(&id);
-            if peer.pending_sack == Some(id) {
-                peer.pending_sack = None;
-            }
+            peer.forget_partial(id);
             self.stats.reasm_evicted += 1;
         }
         if peer.reasm.in_progress() > 0 {
@@ -1182,18 +1080,18 @@ impl Srudp {
         let Some(msg_id) = peer.pending_sack.take() else {
             return; // already flushed by ack_every; stale fire
         };
-        peer.unsacked.insert(msg_id, 0);
-        let count = peer.counts.get(&msg_id).copied().unwrap_or(0);
-        let missing = peer.reasm.missing(msg_id);
-        if count > 0 {
+        if let Some(note) = peer.reasm.note_mut(msg_id) {
+            note.unsacked = 0;
+        }
+        if let Some(count) = peer.reasm.expected(msg_id) {
             Self::emit_bitmap_sack(
                 &mut self.out,
                 &mut self.stats,
                 self.my_key,
                 ep,
                 msg_id,
-                count,
-                &missing,
+                count as u32,
+                &peer.reasm.missing(msg_id),
             );
         }
     }
@@ -1201,89 +1099,45 @@ impl Srudp {
     /// RTO expiry against a peer: retransmit everything due, escalate
     /// backoff once per firing, re-arm for whatever remains in flight.
     fn fire_rto(&mut self, now: SimTime, key: NodeKey) {
-        let Some(&ep) = self.locations.get(&key) else {
-            // Can't retransmit anywhere yet; retry after one RTO so
-            // the flight isn't orphaned when the location resolves.
-            if let Some(p) = self.peers.get(&key) {
-                if !p.inflight.is_empty() {
-                    self.timers.insert((TimerKind::Rto, key), now + p.rto, ());
-                }
-            }
-            return;
-        };
         let Some(peer) = self.peers.get_mut(&key) else {
             return;
         };
-        let rto = peer.rto;
-        // `inflight` is a B-tree: these come out in (message, index) order.
-        let expired: Vec<(u64, u32)> =
-            peer.inflight.iter().filter(|(_, f)| f.sent_at + rto <= now).map(|(k, _)| *k).collect();
-        if expired.is_empty() {
-            // Early fire (flight shrank since arming): re-arm exactly.
-            if let Some(min) = peer.inflight.values().map(|f| f.sent_at + rto).min() {
-                self.timers.insert((TimerKind::Rto, key), min, ());
+        let Some(&ep) = self.locations.get(&key) else {
+            // Can't retransmit anywhere yet; retry after one RTO so
+            // the flight isn't orphaned when the location resolves.
+            if !peer.flight.is_empty() {
+                self.timers.insert((TimerKind::Rto, key), now + peer.rtt.rto(), ());
             }
             return;
+        };
+        // Nothing expired is an early fire (the flight shrank since
+        // arming): no escalation, just the exact re-arm below.
+        let expired = peer.flight.take_expired(now, peer.rtt.rto());
+        if !expired.is_empty() {
+            peer.consecutive_timeouts += 1;
+            peer.rtt.on_timeout();
         }
-        peer.consecutive_timeouts += 1;
-        peer.backoff = (peer.backoff + 1).min(10);
-        peer.rto = (rto * 2).clamp(self.cfg.rto_min, self.cfg.rto_max);
         let mut gave_up: Vec<u64> = Vec::new();
-        for (msg_id, idx) in expired {
-            // Invariant: `expired` was collected from `inflight`'s own
-            // keys just above and nothing has been removed since.
-            let f = peer.inflight.get_mut(&(msg_id, idx)).expect("expired entry");
-            if f.retries >= self.cfg.max_retries {
-                gave_up.push(msg_id);
-                continue;
-            }
-            f.retries += 1;
-            f.retransmitted = true;
-            f.sent_at = now;
-            let frag_data = peer
-                .queue
-                .iter()
-                .find(|m| m.msg_id == msg_id)
-                .map(|m| (m.frags[idx as usize].clone(), m.frags.len() as u32, m.fec));
-            if let Some((frag, count, fec)) = frag_data {
-                Self::emit_data(
-                    &mut self.out,
-                    &mut self.stats,
-                    now,
-                    key,
-                    self.my_key,
-                    ep,
-                    msg_id,
-                    idx,
-                    count,
-                    &frag,
-                    true,
-                    fec,
-                );
+        for (seq, sent) in expired {
+            if sent.retries >= self.cfg.max_retries {
+                gave_up.push(seq.0);
+            } else {
+                self.retransmit(now, key, ep, seq, Some(sent));
             }
         }
+        let Some(peer) = self.peers.get_mut(&key) else {
+            return;
+        };
         for msg_id in gave_up {
-            peer.inflight.retain(|(mid, _), _| *mid != msg_id);
-            if let Some(pos) = peer.queue.iter().position(|m| m.msg_id == msg_id) {
-                let m = &peer.queue[pos];
-                let unacked: usize = m
-                    .frags
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| !m.acked[*i])
-                    .map(|(_, f)| f.len())
-                    .sum();
-                peer.backlog_bytes = peer.backlog_bytes.saturating_sub(unacked);
-                peer.queue.remove(pos);
-                if pos < peer.pump_hint {
-                    peer.pump_hint -= 1;
-                }
+            if let Some(pos) = peer.position(msg_id) {
+                peer.finish(pos);
                 self.stats.failed += 1;
             }
         }
         // Re-arm for the earliest surviving in-flight fragment.
-        if let Some(min) = peer.inflight.values().map(|f| f.sent_at + peer.rto).min() {
-            self.timers.insert((TimerKind::Rto, key), min, ());
+        match peer.flight.rto_deadline(peer.rtt.rto()) {
+            Some(at) => self.timers.insert((TimerKind::Rto, key), at, ()),
+            None => drop(self.timers.remove(&(TimerKind::Rto, key))),
         }
     }
 }
@@ -1580,8 +1434,8 @@ mod tests {
             }
         }
         let peer = a.peers.get(&2).unwrap();
-        assert!(peer.srtt.is_some());
-        assert!(peer.rto < SimDuration::from_millis(50), "rto {}", peer.rto);
+        assert!(peer.rtt.srtt().is_some());
+        assert!(peer.rtt.rto() < SimDuration::from_millis(50), "rto {}", peer.rtt.rto());
     }
 
     #[test]
@@ -1636,13 +1490,16 @@ mod tests {
             a.on_timer(now);
         }
         assert!(blackholed > 0);
-        assert!(a.peers.get(&2).expect("peer").backoff > 0, "backoff escalated");
+        let backed_off = a.peers[&2].rtt.rto();
+        assert!(backed_off > cfg.rto_initial, "RTO backed off");
         // Peer comes back: shuttle traffic until delivery completes.
         let (_, got_b, _) = shuttle(&mut a, &mut b, a_ep, b_ep, now, |_| false, 200);
         assert_eq!(got_b.len(), 1, "message survives the outage");
         let peer = a.peers.get(&2).expect("peer");
         assert_eq!(peer.consecutive_timeouts, 0, "timeouts reset by SACK");
-        assert_eq!(peer.backoff, 0, "backoff reset by SACK");
+        // Karn: the fragment was retransmitted, so its acknowledgement
+        // is no sample and the backed-off RTO stands until one arrives.
+        assert_eq!((peer.rtt.srtt(), peer.rtt.rto()), (None, backed_off));
         assert_eq!(a.peer_timeouts(2), 0);
     }
 
@@ -1660,15 +1517,11 @@ mod tests {
             now = now + SimDuration::from_millis(5000);
             a.on_timer(now);
             let _ = a.drain();
-            let rto = a.peers.get(&2).expect("peer").rto;
+            let rto = a.peers[&2].rtt.rto();
             assert!(rto >= cfg.rto_min, "rto {rto} below floor");
             assert!(rto <= cfg.rto_max, "rto {rto} above ceiling");
         }
-        assert_eq!(
-            a.peers.get(&2).expect("peer").rto,
-            cfg.rto_max,
-            "escalation saturates at rto_max"
-        );
+        assert_eq!(a.peers[&2].rtt.rto(), cfg.rto_max, "escalation saturates at rto_max");
     }
 }
 
@@ -1980,7 +1833,6 @@ mod migration_tests {
         }
         let peer = &b.peers[&1];
         assert!(peer.reasm.in_progress() <= crate::frag::MAX_PARTIAL_MSGS);
-        assert_eq!(peer.counts.len(), peer.reasm.in_progress(), "side tables stay in lockstep");
         assert_eq!(b.stats().reasm_evicted, 2 * crate::frag::MAX_PARTIAL_MSGS as u64);
     }
 
@@ -2006,7 +1858,5 @@ mod migration_tests {
         }
         assert_eq!(b.peers[&1].reasm.in_progress(), 0);
         assert_eq!(b.stats().reasm_evicted, 1);
-        assert!(b.peers[&1].counts.is_empty());
-        assert!(b.peers[&1].fec_meta.is_empty());
     }
 }
