@@ -174,15 +174,20 @@ impl Rstream {
         // is retransmitted instead of wedging the connection.
         self.timers.insert(id, now + conn.rtt.rto(), ());
         self.conns.insert(id, conn);
-        Self::emit_syn(&mut self.out, peer, id);
+        Self::emit_control(&mut self.out, peer, KIND_SYN, id, None);
         id
     }
 
-    fn emit_syn(out: &mut Vec<Out>, peer: Endpoint, id: ConnId) {
+    /// A packet with no payload: SYN, SYNACK, FIN, or an ACK with its
+    /// cumulative offset.
+    fn emit_control(out: &mut Vec<Out>, to: Endpoint, kind: u8, id: ConnId, cum: Option<u64>) {
         let mut enc = Encoder::new();
-        enc.put_u8(KIND_SYN);
+        enc.put_u8(kind);
         enc.put_u64(id);
-        out.push(Out::Send { to: peer, via: None, spray: None, bytes: enc.finish() });
+        if let Some(cum) = cum {
+            enc.put_u64(cum);
+        }
+        out.push(Out::Send { to, via: None, spray: None, bytes: enc.finish() });
     }
 
     /// Is the connection established?
@@ -220,15 +225,7 @@ impl Rstream {
     pub fn close(&mut self, id: ConnId) {
         if let Some(c) = self.conns.get_mut(&id) {
             if c.state != State::Closed {
-                let mut enc = Encoder::new();
-                enc.put_u8(KIND_FIN);
-                enc.put_u64(id);
-                self.out.push(Out::Send {
-                    to: c.peer,
-                    via: None,
-                    spray: None,
-                    bytes: enc.finish(),
-                });
+                Self::emit_control(&mut self.out, c.peer, KIND_FIN, id, None);
                 c.state = State::Closed;
                 self.timers.remove(&id);
             }
@@ -270,22 +267,19 @@ impl Rstream {
     }
 
     fn pump(&mut self, now: SimTime, id: ConnId) {
-        let cfg_mss = self.cfg.mss;
-        let cfg_window = self.cfg.window;
+        let (mss, window) = (self.cfg.mss, self.cfg.window);
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
         if conn.state != State::Established {
             return;
         }
-        while (conn.snd_nxt - conn.snd_una) < cfg_window as u64 {
+        while (conn.snd_nxt - conn.snd_una) < window as u64 {
             let offset_in_buf = (conn.snd_nxt - conn.snd_una) as usize;
             if offset_in_buf >= conn.snd_buf.len() {
                 break;
             }
-            let take = cfg_mss
-                .min(conn.snd_buf.len() - offset_in_buf)
-                .min(cfg_window - (conn.snd_nxt - conn.snd_una) as usize);
+            let take = mss.min(conn.snd_buf.len() - offset_in_buf).min(window - offset_in_buf);
             let offset = conn.snd_nxt;
             conn.snd_nxt += take as u64;
             conn.flight.file(offset, now, Sent::default());
@@ -330,10 +324,7 @@ impl Rstream {
                 // Passive open (every Rstream listens).
                 let cfg = &self.cfg;
                 self.conns.entry(id).or_insert_with(|| Conn::new(from, State::Established, cfg));
-                let mut enc = Encoder::new();
-                enc.put_u8(KIND_SYNACK);
-                enc.put_u64(id);
-                self.out.push(Out::Send { to: from, via: None, spray: None, bytes: enc.finish() });
+                Self::emit_control(&mut self.out, from, KIND_SYNACK, id, None);
                 Ok(())
             }
             KIND_SYNACK => {
@@ -395,11 +386,7 @@ impl Rstream {
             }
         }
         // Cumulative ACK on every DATA.
-        let mut enc = Encoder::new();
-        enc.put_u8(KIND_ACK);
-        enc.put_u64(id);
-        enc.put_u64(conn.rcv_nxt);
-        self.out.push(Out::Send { to: conn.peer, via: None, spray: None, bytes: enc.finish() });
+        Self::emit_control(&mut self.out, conn.peer, KIND_ACK, id, Some(conn.rcv_nxt));
         // Extract length-framed messages.
         let peer = conn.peer;
         loop {
@@ -515,7 +502,7 @@ impl Rstream {
         conn.rtt.on_timeout();
         if conn.state == State::SynSent {
             self.stats.retransmits += 1;
-            Self::emit_syn(&mut self.out, conn.peer, id);
+            Self::emit_control(&mut self.out, conn.peer, KIND_SYN, id, None);
         } else {
             conn.recover = conn.snd_nxt;
             Self::retransmit(&mut self.out, &mut self.stats, self.cfg.mss, now, conn, id);

@@ -19,13 +19,12 @@
 //! machine and queue [`Out`] actions retrieved with [`Srudp::drain`].
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::ops::RangeInclusive;
 
 use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, TraceKind};
-use snipe_util::codec::{Decoder, Encoder};
+use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
@@ -106,24 +105,23 @@ const KIND_FEC: u8 = 3;
 /// chaos plan — are dropped.
 const REASM_TTL: SimDuration = SimDuration::from_secs(60);
 
-/// Upper bound on fragments per message accepted from the wire. The
-/// fragment count in a DATA header sizes the reassembly buffer, so a
-/// corrupt/hostile value must not be allowed to drive allocation
-/// (2^16 × frag_size comfortably covers any real message).
-const MAX_FRAG_COUNT: u32 = 1 << 16;
-
 /// What identifies a DATA packet in flight: `(message, fragment)`.
 type Seq = (u64, u32);
-
-/// Every fragment of one message.
-fn frags_of(msg_id: u64) -> RangeInclusive<Seq> {
-    (msg_id, 0)..=(msg_id, u32::MAX)
-}
 
 /// Does a SACK bitmap report fragment `idx` as received? Fragments
 /// beyond the bitmap's end are not.
 fn sack_bit(bitmap: &[u8], idx: usize) -> bool {
     bitmap.get(idx / 8).is_some_and(|byte| byte & (1 << (idx % 8)) != 0)
+}
+
+/// The SACK bitmap of a `count`-fragment message with `missing` still
+/// to come (padding bits in the last byte are set).
+fn sack_bitmap(count: usize, missing: &[u32]) -> Vec<u8> {
+    let mut bitmap = vec![0xFFu8; count.div_ceil(8)];
+    for &m in missing {
+        bitmap[(m / 8) as usize] &= !(1 << (m % 8));
+    }
+    bitmap
 }
 
 /// Erasure-coding parameters of one FEC-framed message, carried in
@@ -139,27 +137,17 @@ struct FecMeta {
     checksum: u32,
 }
 
-impl FecMeta {
-    fn encode(self, e: &mut Encoder) {
+impl WireEncode for FecMeta {
+    fn encode(&self, e: &mut Encoder) {
         e.put_u8(self.b);
         e.put_u32(self.msg_len);
         e.put_u32(self.checksum);
     }
+}
 
+impl WireDecode for FecMeta {
     fn decode(d: &mut Decoder) -> SnipeResult<FecMeta> {
         Ok(FecMeta { b: d.get_u8()?, msg_len: d.get_u32()?, checksum: d.get_u32()? })
-    }
-
-    /// The checkpoint form: a presence flag, then the fields.
-    fn encode_opt(meta: Option<FecMeta>, e: &mut Encoder) {
-        e.put_bool(meta.is_some());
-        if let Some(meta) = meta {
-            meta.encode(e);
-        }
-    }
-
-    fn decode_opt(d: &mut Decoder) -> SnipeResult<Option<FecMeta>> {
-        Ok(if d.get_bool()? { Some(FecMeta::decode(d)?) } else { None })
     }
 }
 
@@ -259,7 +247,7 @@ impl Peer {
             return;
         };
         self.backlog_bytes = self.backlog_bytes.saturating_sub(m.unacked_bytes());
-        self.flight.forget(frags_of(m.msg_id));
+        self.flight.forget((m.msg_id, 0)..=(m.msg_id, u32::MAX));
         if pos < self.pump_hint {
             self.pump_hint -= 1;
         }
@@ -565,28 +553,26 @@ impl Srudp {
     pub fn on_packet(&mut self, now: SimTime, from_ep: Endpoint, body: Bytes) -> SnipeResult<()> {
         let mut dec = Decoder::new(body);
         match dec.get_u8()? {
-            KIND_DATA => {
+            kind @ (KIND_DATA | KIND_FEC) => {
                 let src_key = dec.get_u64()?;
                 let msg_id = dec.get_u64()?;
-                let frag_idx = dec.get_u32()?;
-                let frag_count = dec.get_u32()?;
+                let idx = dec.get_u32()?;
+                // A plain fragment states its count; a share's follows
+                // from its coding parameters.
+                let (count, fec) = if kind == KIND_FEC {
+                    let meta = FecMeta::decode(&mut dec)?;
+                    if !(2..=fec::MAX_B).contains(&(meta.b as usize)) {
+                        return Err(SnipeError::Protocol(format!("unacceptable FEC b {}", meta.b)));
+                    }
+                    if meta.msg_len == 0 {
+                        return Err(SnipeError::Protocol("zero-length FEC message".into()));
+                    }
+                    (2 * meta.b as u32 - 1, Some(meta))
+                } else {
+                    (dec.get_u32()?, None)
+                };
                 let payload = dec.get_bytes()?;
-                self.on_data(now, src_key, from_ep, msg_id, frag_idx, frag_count, payload, None)
-            }
-            KIND_FEC => {
-                let src_key = dec.get_u64()?;
-                let msg_id = dec.get_u64()?;
-                let share_idx = dec.get_u32()?;
-                let meta = FecMeta::decode(&mut dec)?;
-                let payload = dec.get_bytes()?;
-                if !(2..=fec::MAX_B).contains(&(meta.b as usize)) {
-                    return Err(SnipeError::Protocol(format!("unacceptable FEC b {}", meta.b)));
-                }
-                if meta.msg_len == 0 {
-                    return Err(SnipeError::Protocol("zero-length FEC message".into()));
-                }
-                let total = 2 * meta.b as u32 - 1;
-                self.on_data(now, src_key, from_ep, msg_id, share_idx, total, payload, Some(meta))
+                self.on_data(now, src_key, from_ep, msg_id, idx, count, payload, fec)
             }
             KIND_SACK => {
                 let src_key = dec.get_u64()?;
@@ -612,7 +598,7 @@ impl Srudp {
         payload: Bytes,
         fec: Option<FecMeta>,
     ) -> SnipeResult<()> {
-        if frag_count == 0 || frag_count > MAX_FRAG_COUNT {
+        if frag_count == 0 || frag_count as usize > crate::frag::MAX_FRAGMENTS {
             return Err(SnipeError::Protocol(format!("unacceptable fragment count {frag_count}")));
         }
         // Reject before any per-message state exists: a bogus index
@@ -629,7 +615,7 @@ impl Srudp {
         // Already delivered? Re-SACK "done" so the sender frees state.
         if msg_id < peer.next_deliver || peer.held.contains_key(&msg_id) {
             peer.dup_streak += 1;
-            Self::emit_done_sack(&mut self.out, &mut self.stats, self.my_key, from_ep, msg_id);
+            Self::emit_sack(&mut self.out, &mut self.stats, self.my_key, from_ep, msg_id, None);
             return Ok(());
         }
         // Per-peer cap: creating one more partial beyond the cap
@@ -667,51 +653,42 @@ impl Srudp {
         }
         // A plain message is ready when every fragment arrived; an
         // FEC-framed one as soon as any `b` distinct shares are in.
-        let ready: Option<Bytes> = match (completed, fec) {
-            (Some(full), None) => Some(full),
-            (Some(full), Some(meta)) => {
-                // All 2b-1 shares piled up without the quorum path
-                // firing (reachable via an imported checkpoint that
-                // restored a near-complete partial). The buffer is the
-                // shares concatenated in index order: slice them back
-                // apart and decode as usual.
-                let slen = full.len() / frag_count as usize;
-                let shares: Vec<(u32, Bytes)> = (0..frag_count)
-                    .map(|i| (i, full.slice(i as usize * slen..(i as usize + 1) * slen)))
-                    .collect();
-                match Self::fec_reconstruct(&mut self.stats, meta, &shares) {
-                    Ok(msg) => Some(msg),
-                    Err(e) => {
-                        peer.forget_partial(msg_id);
-                        return Err(e);
+        let ready: Option<Bytes> = match fec {
+            None => completed,
+            Some(meta) => {
+                let quorum = match completed {
+                    // All 2b-1 shares piled up without the quorum path
+                    // firing (reachable via an imported checkpoint that
+                    // restored a near-complete partial). The buffer is
+                    // the shares concatenated in index order: slice
+                    // them back apart and decode as usual.
+                    Some(full) => {
+                        let slen = full.len() / frag_count as usize;
+                        let share = |i: u32| full.slice(i as usize * slen..(i as usize + 1) * slen);
+                        Some((0..frag_count).map(|i| (i, share(i))).collect())
                     }
-                }
-            }
-            (None, Some(meta)) if peer.reasm.received(msg_id) >= meta.b as usize => {
-                // Cannot fire: the guard's `received(msg_id) >= b >= 1`
-                // is only nonzero while the partial exists.
-                let Some(shares) = peer.reasm.take(msg_id) else {
-                    return Err(SnipeError::Protocol(format!(
-                        "FEC quorum for msg {msg_id} vanished before reconstruction"
-                    )));
+                    None if peer.reasm.received(msg_id) >= meta.b as usize => {
+                        peer.reasm.take(msg_id)
+                    }
+                    None => None,
                 };
-                match Self::fec_reconstruct(&mut self.stats, meta, &shares) {
-                    Ok(msg) => Some(msg),
-                    Err(e) => {
+                match quorum.map(|shares| Self::fec_reconstruct(&mut self.stats, meta, &shares)) {
+                    Some(Ok(msg)) => Some(msg),
+                    Some(Err(e)) => {
                         // Drop the poisoned partial entirely; honest
                         // retransmissions rebuild it from scratch.
                         peer.forget_partial(msg_id);
                         return Err(e);
                     }
+                    None => None,
                 }
             }
-            (None, _) => None,
         };
         match ready {
             Some(full_msg) => {
                 peer.pending_sack = None;
                 self.timers.remove(&(TimerKind::Sack, src_key));
-                Self::emit_done_sack(&mut self.out, &mut self.stats, self.my_key, from_ep, msg_id);
+                Self::emit_sack(&mut self.out, &mut self.stats, self.my_key, from_ep, msg_id, None);
                 peer.held.insert(msg_id, full_msg);
                 // FIFO delivery of any now-in-order messages.
                 while let Some(m) = peer.held.remove(&peer.next_deliver) {
@@ -736,15 +713,14 @@ impl Srudp {
                     note.unsacked = 0;
                     peer.pending_sack = None;
                     self.timers.remove(&(TimerKind::Sack, src_key));
-                    let missing = peer.reasm.missing(msg_id);
-                    Self::emit_bitmap_sack(
+                    let have = sack_bitmap(frag_count as usize, &peer.reasm.missing(msg_id));
+                    Self::emit_sack(
                         &mut self.out,
                         &mut self.stats,
                         self.my_key,
                         from_ep,
                         msg_id,
-                        frag_count,
-                        &missing,
+                        Some(&have),
                     );
                 } else if peer.pending_sack.is_none() {
                     peer.pending_sack = Some(msg_id);
@@ -775,42 +751,22 @@ impl Srudp {
         Ok(Bytes::from(decoded))
     }
 
-    fn emit_done_sack(
+    /// SACK message `msg_id`: what of it has arrived as a bitmap, or
+    /// "done" when there is none to send because all of it has.
+    fn emit_sack(
         out: &mut Vec<Out>,
         stats: &mut SrudpStats,
         my_key: NodeKey,
         to: Endpoint,
         msg_id: u64,
+        bitmap: Option<&[u8]>,
     ) {
         let mut enc = Encoder::new();
         enc.put_u8(KIND_SACK);
         enc.put_u64(my_key);
         enc.put_u64(msg_id);
-        enc.put_bool(true);
-        enc.put_bytes(&[]);
-        stats.sacks_sent += 1;
-        out.push(Out::Send { to, via: None, spray: None, bytes: enc.finish() });
-    }
-
-    fn emit_bitmap_sack(
-        out: &mut Vec<Out>,
-        stats: &mut SrudpStats,
-        my_key: NodeKey,
-        to: Endpoint,
-        msg_id: u64,
-        frag_count: u32,
-        missing: &[u32],
-    ) {
-        let mut bitmap = vec![0xFFu8; (frag_count as usize).div_ceil(8)];
-        for &m in missing {
-            bitmap[(m / 8) as usize] &= !(1 << (m % 8));
-        }
-        let mut enc = Encoder::new();
-        enc.put_u8(KIND_SACK);
-        enc.put_u64(my_key);
-        enc.put_u64(msg_id);
-        enc.put_bool(false);
-        enc.put_bytes(&bitmap);
+        enc.put_bool(bitmap.is_none());
+        enc.put_bytes(bitmap.unwrap_or_default());
         stats.sacks_sent += 1;
         out.push(Out::Send { to, via: None, spray: None, bytes: enc.finish() });
     }
@@ -880,8 +836,7 @@ impl Srudp {
     pub fn export_state(&self) -> Bytes {
         let mut e = Encoder::new();
         e.put_u64(self.my_key);
-        let mut keys: Vec<NodeKey> = self.peers.keys().copied().collect();
-        keys.sort_unstable();
+        let keys = self.peer_keys();
         e.put_u32(keys.len() as u32);
         for k in keys {
             let p = &self.peers[&k];
@@ -899,7 +854,7 @@ impl Srudp {
             e.put_u32(p.queue.len() as u32);
             for m in &p.queue {
                 e.put_u64(m.msg_id);
-                FecMeta::encode_opt(m.fec, &mut e);
+                m.fec.encode(&mut e);
                 e.put_u32(m.frags.len() as u32);
                 for (i, f) in m.frags.iter().enumerate() {
                     e.put_bool(m.acked[i]);
@@ -920,16 +875,10 @@ impl Srudp {
                 // The fragment count, twice: once for the bitmap size,
                 // once as the length of the vector that follows.
                 e.put_u32(frags.len() as u32);
-                FecMeta::encode_opt(p.reasm.note(id).and_then(|note| note.fec), &mut e);
+                p.reasm.note(id).and_then(|note| note.fec).encode(&mut e);
                 e.put_u32(frags.len() as u32);
                 for f in frags {
-                    match f {
-                        Some(b) => {
-                            e.put_bool(true);
-                            e.put_bytes(&b);
-                        }
-                        None => e.put_bool(false),
-                    }
+                    f.encode(&mut e);
                 }
             }
         }
@@ -957,7 +906,7 @@ impl Srudp {
             let n_msgs = d.get_u32()? as usize;
             for _ in 0..n_msgs {
                 let msg_id = d.get_u64()?;
-                let fec = FecMeta::decode_opt(&mut d)?;
+                let fec = Option::<FecMeta>::decode(&mut d)?;
                 let n_frags = d.get_u32()? as usize;
                 // Every fragment costs ≥ 1 encoded byte, so a count
                 // beyond the remaining payload is corrupt — reject it
@@ -997,7 +946,7 @@ impl Srudp {
             for _ in 0..n_partials {
                 let id = d.get_u64()?;
                 let _bitmap_count = d.get_u32()?; // the vector below has its own length
-                let fec = FecMeta::decode_opt(&mut d)?;
+                let fec = Option::<FecMeta>::decode(&mut d)?;
                 let n = d.get_u32()? as usize;
                 if n > d.remaining() {
                     return Err(SnipeError::Codec(format!(
@@ -1006,7 +955,7 @@ impl Srudp {
                 }
                 let mut frags = Vec::with_capacity(n);
                 for _ in 0..n {
-                    frags.push(if d.get_bool()? { Some(d.get_bytes()?) } else { None });
+                    frags.push(Option::<Bytes>::decode(&mut d)?);
                 }
                 peer.reasm.import(now, id, frags, InMsg { unsacked: 0, fec });
             }
@@ -1084,15 +1033,8 @@ impl Srudp {
             note.unsacked = 0;
         }
         if let Some(count) = peer.reasm.expected(msg_id) {
-            Self::emit_bitmap_sack(
-                &mut self.out,
-                &mut self.stats,
-                self.my_key,
-                ep,
-                msg_id,
-                count as u32,
-                &peer.reasm.missing(msg_id),
-            );
+            let have = sack_bitmap(count, &peer.reasm.missing(msg_id));
+            Self::emit_sack(&mut self.out, &mut self.stats, self.my_key, ep, msg_id, Some(&have));
         }
     }
 

@@ -138,7 +138,7 @@ fn run(mut ends: [&mut dyn Driver; 2], msgs: &[Bytes], loss: f64, seed: u64) -> 
 }
 
 fn messages(n: usize, seed: u64) -> Vec<Bytes> {
-    let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x6d73_67);
+    let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x006d_7367);
     (0..n)
         .map(|_| {
             let mut body = vec![0u8; MSG_LEN];

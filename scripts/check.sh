@@ -36,14 +36,29 @@ fi
 # request map with its own expiry filter and its own earliest-deadline
 # scan is how retry order came to follow `HashMap` iteration three
 # times and how a pending entry came to exist with no deadline at all,
-# so the two fingerprints of such a copy may appear nowhere else.
+# so the fingerprints of such a copy may appear nowhere else: the
+# `deadline`-field spellings of a request map, and the `sent_at`
+# spellings of a transport's in-flight table (which belongs in a
+# `snipe_wire::recovery::Flight`, a `Deadlines` filed at the last send).
 scan=$(
-    grep -rnE --include='*.rs' 'deadline <= now|\.deadline\)\.min\(\)' crates/*/src |
+    grep -rnE --include='*.rs' \
+        'deadline <= now|\.deadline\)\.min\(\)|sent_at \+ .*<= now|sent_at.*\.min\(\)' crates/*/src |
         grep -v '^crates/util/src/deadlines\.rs:' || true
 )
 if [ -n "$scan" ]; then
     echo "deadline-scan gate: FAIL — keep pending requests in a snipe_util::deadlines::Deadlines instead:"
     echo "$scan"
+    exit 1
+fi
+# Loss-recovery gate: the RFC 6298 estimator (smoothed RTT, its
+# variance, the clamped and backed-off RTO) is written once, in
+# `snipe_wire::recovery::Rtt`. Its variance term is the fingerprint of a
+# second copy. (`wire/src/path.rs` smooths samples to score routes,
+# keeps no variance and yields no timeout; it is deliberately separate.)
+rtt=$(grep -rn --include='*.rs' 'rttvar' crates/*/src | grep -v '^crates/wire/src/recovery\.rs:' || true)
+if [ -n "$rtt" ]; then
+    echo "loss-recovery gate: FAIL — keep the RTT estimate in a snipe_wire::recovery::Rtt instead:"
+    echo "$rtt"
     exit 1
 fi
 cargo build --release
