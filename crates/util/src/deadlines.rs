@@ -6,9 +6,10 @@
 //! needed to retry — and asks the same two questions: *when must I be
 //! woken next* and *what is due now*. [`Deadlines`] is that table,
 //! written once. The transports key it by `(timer kind, peer)` or
-//! connection id with no value; the RC client, the striped fetch, the
-//! resource manager and the process actor key it by request id and
-//! store the pending request itself.
+//! connection id with no value, and their in-flight scoreboards by
+//! sequence, filed at the last transmission; the RC client, the striped
+//! fetch, the resource manager and the process actor key it by request
+//! id and store the pending request itself.
 //!
 //! What the type guarantees, so that no caller has to remember it:
 //!
