@@ -23,7 +23,6 @@ use snipe_util::time::{SimDuration, SimTime};
 
 /// Smoothed round-trip estimate and the retransmission timeout derived
 /// from it (RFC 6298), clamped to the transport's configured range.
-#[derive(Clone, Debug)]
 pub(crate) struct Rtt {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
