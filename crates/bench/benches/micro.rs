@@ -133,7 +133,7 @@ fn bench_rcstore(c: &mut Criterion) {
                         break;
                     }
                     for u in ups {
-                        b_.apply(u);
+                        b_.apply(u.clone());
                     }
                 }
                 b_

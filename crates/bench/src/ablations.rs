@@ -429,7 +429,7 @@ pub fn store_merge_rounds(writes: usize) -> usize {
             break;
         }
         for u in ups {
-            b.apply(u);
+            b.apply(u.clone());
         }
         rounds += 1;
     }

@@ -103,6 +103,14 @@ impl WireEncode for Assertion {
     }
 }
 
+impl Assertion {
+    /// Exact length of [`WireEncode::encode`]'s output, without encoding.
+    pub fn wire_len(&self) -> usize {
+        let signature = self.signature.as_ref().map_or(0, |s| 4 + s.len());
+        (4 + self.name.len()) + (4 + self.value.len()) + 16 + 8 + 1 + 1 + signature
+    }
+}
+
 impl WireDecode for Assertion {
     fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
         Ok(Assertion {
@@ -143,12 +151,14 @@ mod tests {
         let mut a = Assertion::new("comm-address", "h3:100");
         a.stamp = Stamp { lamport: 7, server: 2 };
         a.stored_at_ns = 123_456;
+        assert_eq!(a.wire_len(), a.encode_to_bytes().len());
         let back = Assertion::decode_from_bytes(a.encode_to_bytes()).unwrap();
         assert_eq!(back, a);
 
         let mut s = a.clone();
         s.signature = Some(vec![1, 2, 3]);
         s.deleted = true;
+        assert_eq!(s.wire_len(), s.encode_to_bytes().len());
         let back = Assertion::decode_from_bytes(s.encode_to_bytes()).unwrap();
         assert_eq!(back, s);
     }

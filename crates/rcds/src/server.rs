@@ -14,7 +14,7 @@ use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::SimDuration;
 use snipe_wire::frame::{open, seal, Proto};
 
-use crate::proto::{RcMsg, RcOp};
+use crate::proto::{sync_push_bytes, RcMsg, RcOp};
 use crate::shard::ShardMap;
 use crate::store::RcStore;
 use crate::uri::Uri;
@@ -92,6 +92,11 @@ impl RcServerActor {
         ctx.send(to, seal(Proto::Raw, msg.encode_to_bytes()));
     }
 
+    /// Ask `peer` to push what this replica lacks.
+    fn send_sync_req(&self, ctx: &mut dyn SimCtx, peer: Endpoint) {
+        self.send(ctx, peer, &RcMsg::SyncReq { vector: self.store.version_vector().clone() });
+    }
+
     /// Does a URI-addressed op belong to this replica's shard? `Find`
     /// scans the local shard only (callers fan out across groups).
     fn owns(&mut self, op: &RcOp) -> bool {
@@ -166,8 +171,7 @@ impl Actor for RcServerActor {
                 let peers: Vec<Endpoint> =
                     self.peers.iter().copied().filter(|p| p.host != ctx.host()).collect();
                 if let Some(&peer) = ctx.rng().choose(&peers) {
-                    let msg = RcMsg::SyncReq { vector: self.store.version_vector().clone() };
-                    self.send(ctx, peer, &msg);
+                    self.send_sync_req(ctx, peer);
                 }
                 self.arm_timer(ctx);
             }
@@ -185,27 +189,25 @@ impl Actor for RcServerActor {
                     RcMsg::Request { id, op } => self.handle_request(ctx, from, id, op),
                     RcMsg::SyncReq { vector } => {
                         let candidates = self.store.updates_since(&vector, PUSH_BATCH);
-                        let total = candidates.len();
                         // Pack updates up to the byte budget; the
                         // `more` flag makes the peer re-request
                         // immediately, so a large backlog drains in a
                         // burst of MTU-sized pushes instead of one
                         // undeliverable datagram.
-                        let mut updates = Vec::new();
+                        let mut chosen = 0;
                         let mut budget = PUSH_BYTES;
-                        for u in candidates {
-                            let mut e = snipe_util::codec::Encoder::new();
-                            u.encode(&mut e);
-                            let sz = e.finish().len();
-                            if !updates.is_empty() && sz > budget {
+                        for u in &candidates {
+                            let sz = u.wire_len();
+                            if chosen > 0 && sz > budget {
                                 break;
                             }
                             budget = budget.saturating_sub(sz);
-                            updates.push(u);
+                            chosen += 1;
                         }
-                        let more = updates.len() < total || total == PUSH_BATCH;
-                        if !updates.is_empty() {
-                            self.send(ctx, from, &RcMsg::SyncPush { updates, more });
+                        let more = chosen < candidates.len() || candidates.len() == PUSH_BATCH;
+                        if chosen > 0 {
+                            let push = sync_push_bytes(&candidates[..chosen], more);
+                            ctx.send(from, seal(Proto::Raw, push));
                         }
                     }
                     RcMsg::SyncPush { updates, more } => {
@@ -214,9 +216,7 @@ impl Actor for RcServerActor {
                         }
                         if more {
                             // Keep draining the peer without waiting a round.
-                            let msg =
-                                RcMsg::SyncReq { vector: self.store.version_vector().clone() };
-                            self.send(ctx, from, &msg);
+                            self.send_sync_req(ctx, from);
                         }
                     }
                     RcMsg::Response { .. } => {}

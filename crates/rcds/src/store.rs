@@ -8,9 +8,10 @@
 //! delivery order — the availability-first consistency model §2.1
 //! argues for.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 
-use snipe_util::codec::{decode_seq, encode_seq, Decoder, Encoder, WireDecode, WireEncode};
+use snipe_util::codec::{decode_seq, Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
 
 use crate::assertion::{Assertion, Stamp};
@@ -38,6 +39,14 @@ impl WireEncode for Update {
     }
 }
 
+impl Update {
+    /// Exact length of [`WireEncode::encode`]'s output, without encoding:
+    /// what one more update costs a datagram's byte budget.
+    pub fn wire_len(&self) -> usize {
+        8 + 8 + (4 + self.uri.len()) + self.assertion.wire_len()
+    }
+}
+
 impl WireDecode for Update {
     fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
         Ok(Update {
@@ -50,7 +59,9 @@ impl WireDecode for Update {
 }
 
 /// A version vector: highest contiguous sequence seen per origin.
-pub type VersionVector = HashMap<u64, u64>;
+/// Ordered, so it encodes canonically and anti-entropy walks origins in
+/// log order without sorting.
+pub type VersionVector = BTreeMap<u64, u64>;
 
 /// One replica's state.
 #[derive(Clone, Debug)]
@@ -67,6 +78,9 @@ pub struct RcStore {
     log: BTreeMap<(u64, u64), Update>,
     /// Highest seq seen per origin.
     vector: VersionVector,
+    /// Log entries `updates_since` has visited (a `Cell` because the
+    /// query itself only reads).
+    log_visited: Cell<u64>,
 }
 
 impl RcStore {
@@ -79,6 +93,7 @@ impl RcStore {
             data: HashMap::new(),
             log: BTreeMap::new(),
             vector: VersionVector::new(),
+            log_visited: Cell::new(0),
         }
     }
 
@@ -154,7 +169,10 @@ impl RcStore {
         if update.seq + 1 > *e {
             *e = update.seq + 1;
         }
-        let by_name = self.data.entry(update.uri.clone()).or_default();
+        let by_name = match self.data.get_mut(&update.uri) {
+            Some(by_name) => by_name,
+            None => self.data.entry(update.uri.clone()).or_default(),
+        };
         match by_name.get(&update.assertion.name) {
             Some(existing) if !update.assertion.supersedes(existing) => {}
             _ => {
@@ -169,17 +187,20 @@ impl RcStore {
         &self.vector
     }
 
-    /// Updates the peer (described by `their` vector) has not seen,
-    /// capped at `limit` to bound datagram size.
-    pub fn updates_since(&self, their: &VersionVector, limit: usize) -> Vec<Update> {
+    /// Updates the peer (described by `their` vector) has not seen, in
+    /// log order, stopping once `limit` is reached (a missing update is
+    /// never withheld entirely: `limit` 0 behaves as 1) to bound
+    /// datagram size. Each origin's run is entered at the peer's `have`,
+    /// so the cost is what the peer lacks, not the length of the log.
+    pub fn updates_since(&self, their: &VersionVector, limit: usize) -> Vec<&Update> {
         let mut out = Vec::new();
-        for (key, u) in &self.log {
-            let (origin, seq) = *key;
+        for &origin in self.vector.keys() {
             let have = their.get(&origin).copied().unwrap_or(0);
-            if seq >= have {
-                out.push(u.clone());
+            for u in self.log.range((origin, have)..=(origin, u64::MAX)).map(|(_, u)| u) {
+                self.log_visited.set(self.log_visited.get() + 1);
+                out.push(u);
                 if out.len() >= limit {
-                    break;
+                    return out;
                 }
             }
         }
@@ -191,6 +212,12 @@ impl RcStore {
         self.log.len()
     }
 
+    /// Log entries visited by every `updates_since` so far: the exact
+    /// work anti-entropy has done on this replica.
+    pub fn log_visited(&self) -> u64 {
+        self.log_visited.get()
+    }
+
     /// Number of URIs with any assertion.
     pub fn uri_count(&self) -> usize {
         self.data.len()
@@ -199,10 +226,8 @@ impl RcStore {
 
 /// Encode a version vector.
 pub fn encode_vector(enc: &mut Encoder, v: &VersionVector) {
-    let mut entries: Vec<(u64, u64)> = v.iter().map(|(k, s)| (*k, *s)).collect();
-    entries.sort_unstable();
-    enc.put_u32(entries.len() as u32);
-    for (k, s) in entries {
+    enc.put_u32(v.len() as u32);
+    for (&k, &s) in v {
         enc.put_u64(k);
         enc.put_u64(s);
     }
@@ -212,23 +237,17 @@ pub fn encode_vector(enc: &mut Encoder, v: &VersionVector) {
 pub fn decode_vector(dec: &mut Decoder) -> SnipeResult<VersionVector> {
     let n = dec.get_u32()? as usize;
     // Each entry is 16 encoded bytes; a count beyond the remaining
-    // payload is corrupt. Rejecting here keeps a hostile count from
-    // sizing the allocation.
+    // payload is corrupt.
     if n > dec.remaining() / 16 {
         return Err(SnipeError::Codec(format!("vector length {n} exceeds payload")));
     }
-    let mut v = VersionVector::with_capacity(n);
+    let mut v = VersionVector::new();
     for _ in 0..n {
         let k = dec.get_u64()?;
         let s = dec.get_u64()?;
         v.insert(k, s);
     }
     Ok(v)
-}
-
-/// Encode a batch of updates.
-pub fn encode_updates(enc: &mut Encoder, ups: &[Update]) {
-    encode_seq(enc, ups.iter());
 }
 
 /// Decode a batch of updates.
@@ -291,10 +310,10 @@ mod tests {
         b.put(&uri(2), Assertion::new("y", "from-b"), 0);
         // Pull each way.
         for u in a.updates_since(b.version_vector(), 100) {
-            b.apply(u);
+            b.apply(u.clone());
         }
         for u in b.updates_since(a.version_vector(), 100) {
-            a.apply(u);
+            a.apply(u.clone());
         }
         assert_eq!(a.get_one(&uri(2), "y").unwrap().value, "from-b");
         assert_eq!(b.get_one(&uri(1), "x").unwrap().value, "from-a");
@@ -310,10 +329,10 @@ mod tests {
         a.put(&uri(1), Assertion::new("k", "a-wins?"), 0);
         b.put(&uri(1), Assertion::new("k", "b-wins?"), 0);
         for u in a.updates_since(b.version_vector(), 100) {
-            b.apply(u);
+            b.apply(u.clone());
         }
         for u in b.updates_since(a.version_vector(), 100) {
-            a.apply(u);
+            a.apply(u.clone());
         }
         let va = a.get_one(&uri(1), "k").unwrap().value.clone();
         let vb = b.get_one(&uri(1), "k").unwrap().value.clone();
@@ -327,11 +346,11 @@ mod tests {
         let mut b = RcStore::new(2);
         a.put(&uri(1), Assertion::new("k", "v"), 0);
         for u in a.updates_since(b.version_vector(), 100) {
-            b.apply(u);
+            b.apply(u.clone());
         }
         b.delete(&uri(1), "k", 1);
         for u in b.updates_since(a.version_vector(), 100) {
-            a.apply(u);
+            a.apply(u.clone());
         }
         assert!(a.get_one(&uri(1), "k").is_none());
     }
@@ -342,7 +361,7 @@ mod tests {
         let mut b = RcStore::new(2);
         a.put(&uri(1), Assertion::new("k", "v"), 0);
         let ups = a.updates_since(b.version_vector(), 100);
-        for u in &ups {
+        for u in ups {
             b.apply(u.clone());
             b.apply(u.clone());
         }
@@ -370,7 +389,11 @@ mod tests {
         for _ in 0..3 {
             for i in 0..3 {
                 let j = (i + 1) % 3;
-                let ups = replicas[i].updates_since(replicas[j].version_vector(), 100);
+                let ups: Vec<Update> = replicas[i]
+                    .updates_since(replicas[j].version_vector(), 100)
+                    .into_iter()
+                    .cloned()
+                    .collect();
                 for u in ups {
                     replicas[j].apply(u);
                 }

@@ -1,16 +1,41 @@
 //! Property tests for the catalog's anti-entropy machinery.
 //!
-//! Two contracts carry the sharded metadata plane: the version-vector
+//! Three contracts carry the sharded metadata plane: the version-vector
 //! codec must round-trip exactly (a replica that mis-reads a peer's
-//! vector re-sends or skips updates forever), and `updates_since`
+//! vector re-sends or skips updates forever), `updates_since`
 //! pagination must deliver every logged update exactly once across
-//! continuation batches no matter where the byte-budget cuts fall.
+//! continuation batches no matter where the byte-budget cuts fall, and
+//! its per-origin range walk must answer exactly what a scan of the
+//! whole log answers.
+
+use std::collections::BTreeMap;
 
 use proptest::{collection, prop_assert, prop_assert_eq, proptest};
-use snipe_rcds::assertion::Assertion;
-use snipe_rcds::store::{decode_vector, encode_vector, RcStore, VersionVector};
+use snipe_rcds::assertion::{Assertion, Stamp};
+use snipe_rcds::store::{decode_vector, encode_vector, RcStore, Update, VersionVector};
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{Decoder, Encoder};
+
+/// The reference `updates_since` is judged against: the scan of every
+/// log entry that it replaced, kept verbatim.
+fn full_scan<'a>(
+    log: &'a BTreeMap<(u64, u64), Update>,
+    their: &VersionVector,
+    limit: usize,
+) -> Vec<&'a Update> {
+    let mut out = Vec::new();
+    for (key, u) in log {
+        let (origin, seq) = *key;
+        let have = their.get(&origin).copied().unwrap_or(0);
+        if seq >= have {
+            out.push(u);
+            if out.len() >= limit {
+                break;
+            }
+        }
+    }
+    out
+}
 
 proptest! {
     /// Arbitrary vectors (any origin ids, any seqs, any size) survive
@@ -70,7 +95,7 @@ proptest! {
                 origin.put(&uri, Assertion::new("k", format!("v{o}.{i}")), i as u64);
             }
             for u in origin.updates_since(&VersionVector::new(), usize::MAX) {
-                source.apply(u);
+                source.apply(u.clone());
             }
         }
         let total = source.log_len();
@@ -89,7 +114,7 @@ proptest! {
             prop_assert!(batches <= total + 1, "pagination failed to make progress");
             for u in page {
                 seen.push((u.origin, u.seq));
-                sink.apply(u);
+                sink.apply(u.clone());
             }
         }
 
@@ -106,5 +131,33 @@ proptest! {
         prop_assert_eq!(got, expected);
         prop_assert_eq!(sink.log_len(), total);
         prop_assert_eq!(sink.version_vector(), source.version_vector());
+    }
+
+    /// Differential: over random multi-origin logs (gaps and arbitrary
+    /// arrival order included) and peer vectors — origins only one side
+    /// knows, a `have` past the highest logged seq, the empty vector —
+    /// the range walk returns the full scan's updates in the full
+    /// scan's order, at every limit the server or a test passes.
+    #[test]
+    fn updates_since_equals_the_full_scan(
+        entries in collection::vec((0u64..6, 0u64..40), 0..80),
+        their in collection::vec((0u64..9, 0u64..50), 0..6),
+        limit in 0usize..4,
+    ) {
+        let mut store = RcStore::new(99);
+        let mut log = BTreeMap::new();
+        for (i, &(origin, seq)) in entries.iter().enumerate() {
+            let mut assertion = Assertion::new("k", format!("v{i}"));
+            assertion.stamp = Stamp { lamport: i as u64 + 1, server: origin };
+            let uri = Uri::process(seq % 7).as_str().to_string();
+            let update = Update { origin, seq, uri, assertion };
+            store.apply(update.clone());
+            log.entry((origin, seq)).or_insert(update);
+        }
+        prop_assert_eq!(store.log_len(), log.len());
+        let their: VersionVector = their.into_iter().collect();
+        // 64 is the server's PUSH_BATCH.
+        let limit = [0, 1, 64, usize::MAX][limit];
+        prop_assert_eq!(store.updates_since(&their, limit), full_scan(&log, &their, limit));
     }
 }

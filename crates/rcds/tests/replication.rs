@@ -10,10 +10,14 @@ use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
+use snipe_rcds::proto::RcMsg;
 use snipe_rcds::server::RcServerActor;
+use snipe_rcds::store::{RcStore, Update, VersionVector};
 use snipe_rcds::uri::Uri;
+use snipe_util::codec::WireEncode;
 use snipe_util::id::HostId;
 use snipe_util::time::{SimDuration, SimTime};
+use snipe_wire::frame::{seal, Proto};
 use snipe_wire::ports;
 use std::sync::{Arc, Mutex};
 
@@ -227,5 +231,110 @@ fn short_host_flaps_do_not_multiply_the_sync_tick() {
         world.run_for(SimDuration::from_secs(10));
         let rounds = world.actor_ref::<RcServerActor>(eps[0]).unwrap().sync_rounds - before;
         assert!((19..=21).contains(&rounds), "{flaps} flaps: {rounds} sync rounds in 10 s idle");
+    }
+}
+
+/// `n` updates from each of three origins that are neither replica:
+/// the bulk of a long-lived catalog's log.
+fn three_origin_log(n: u64) -> Vec<Update> {
+    let mut log = Vec::new();
+    for origin in [7, 8, 9] {
+        let mut writer = RcStore::new(origin);
+        for i in 0..n {
+            writer.put(&Uri::process(origin * 1_000_000 + i), Assertion::new("k", "v"), i);
+        }
+        log.extend(writer.updates_since(&VersionVector::new(), usize::MAX).into_iter().cloned());
+    }
+    log
+}
+
+/// Ships updates to replicas as ordinary `SyncPush` datagrams: `level`
+/// to both at start, `late` to replica 0 alone at `LATE`.
+struct Feeder {
+    replicas: Vec<Endpoint>,
+    level: Vec<Update>,
+    late: Vec<Update>,
+}
+
+const TIMER_LATE: u64 = 102;
+const LATE: SimDuration = SimDuration::from_secs(40);
+
+fn push(ctx: &mut dyn SimCtx, to: Endpoint, updates: &[Update]) {
+    let msg = RcMsg::SyncPush { updates: updates.to_vec(), more: false };
+    ctx.send(to, seal(Proto::Raw, msg.encode_to_bytes()));
+}
+
+impl Actor for Feeder {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+        match event {
+            Event::Start => {
+                for chunk in self.level.chunks(10) {
+                    for &to in &self.replicas {
+                        push(ctx, to, chunk);
+                    }
+                }
+                ctx.set_timer(LATE, TIMER_LATE);
+            }
+            Event::Timer { token: TIMER_LATE } => push(ctx, self.replicas[0], &self.late),
+            _ => {}
+        }
+    }
+}
+
+/// The exact work gate of anti-entropy: a `SyncReq` costs the log
+/// entries its sender lacks, never the length of the log. Two replicas
+/// level on 50 000 updates answer 100 requests each without visiting
+/// one entry; a peer `k` behind costs exactly `min(k, limit)`.
+#[test]
+fn sync_req_visits_only_what_the_peer_lacks() {
+    let mut log = three_origin_log(16_668);
+    let late = log.split_off(50_000);
+    assert_eq!(late.len(), 4);
+
+    let (mut world, eps, client_host) = build_world(2);
+    let feeder = Feeder { replicas: eps.clone(), level: log.clone(), late };
+    world.spawn(client_host, 50, Box::new(feeder));
+    let probe = |world: &World, i: usize| {
+        let server = world.actor_ref::<RcServerActor>(eps[i]).unwrap();
+        (server.store().log_len(), server.store().log_visited(), server.sync_rounds)
+    };
+
+    // Level: both hold the whole log. Whatever one pushed the other
+    // while the feeder was mid-way is before the baseline.
+    world.run_for(SimDuration::from_secs(10));
+    let level = [probe(&world, 0), probe(&world, 1)];
+    assert_eq!((level[0].0, level[1].0), (50_000, 50_000));
+
+    // Up to date: ≥ 100 requests each way, zero entries visited.
+    world.run_for(SimDuration::from_secs(21));
+    for (i, &(_, visited_before, rounds_before)) in level.iter().enumerate() {
+        let (_, visited, rounds) = probe(&world, i);
+        assert!(rounds - rounds_before >= 100, "replica {i}: {} rounds", rounds - rounds_before);
+        assert_eq!(visited, visited_before, "replica {i} walked its log for an up-to-date peer");
+    }
+
+    // Replica 1 falls 4 behind: replica 0 visits those 4, once.
+    world.run_for(SimDuration::from_secs(19));
+    assert_eq!(probe(&world, 0).0, 50_004);
+    assert_eq!(probe(&world, 1).0, 50_004);
+    assert_eq!(probe(&world, 0).1 - level[0].1, 4);
+    assert_eq!(probe(&world, 1).1, level[1].1);
+
+    // Any lag against any limit, on the same 50 000-entry log.
+    let mut ahead = RcStore::new(1);
+    for u in &log {
+        ahead.apply(u.clone());
+    }
+    for k in [0usize, 1, 63, 64, 65, 1_000, 50_000] {
+        let mut behind = RcStore::new(2);
+        for u in &log[..50_000 - k] {
+            behind.apply(u.clone());
+        }
+        for limit in [1usize, 64, usize::MAX] {
+            let before = ahead.log_visited();
+            let got = ahead.updates_since(behind.version_vector(), limit).len();
+            assert_eq!(got, k.min(limit));
+            assert_eq!(ahead.log_visited() - before, k.min(limit) as u64, "k {k} limit {limit}");
+        }
     }
 }

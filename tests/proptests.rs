@@ -129,10 +129,10 @@ proptest! {
         }
         for _ in 0..3 {
             for u in a.updates_since(b.version_vector(), 1000) {
-                b.apply(u);
+                b.apply(u.clone());
             }
             for u in b.updates_since(a.version_vector(), 1000) {
-                a.apply(u);
+                a.apply(u.clone());
             }
         }
         prop_assert_eq!(a.log_len(), b.log_len());
