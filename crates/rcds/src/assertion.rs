@@ -84,6 +84,12 @@ impl Assertion {
     pub fn supersedes(&self, other: &Assertion) -> bool {
         self.stamp > other.stamp
     }
+
+    /// Exact length of [`WireEncode::encode`]'s output, without encoding.
+    pub fn wire_len(&self) -> usize {
+        let signature = self.signature.as_ref().map_or(0, |s| 4 + s.len());
+        (4 + self.name.len()) + (4 + self.value.len()) + 16 + 8 + 1 + 1 + signature
+    }
 }
 
 impl WireEncode for Assertion {
@@ -100,14 +106,6 @@ impl WireEncode for Assertion {
                 enc.put_bytes(s);
             }
         }
-    }
-}
-
-impl Assertion {
-    /// Exact length of [`WireEncode::encode`]'s output, without encoding.
-    pub fn wire_len(&self) -> usize {
-        let signature = self.signature.as_ref().map_or(0, |s| 4 + s.len());
-        (4 + self.name.len()) + (4 + self.value.len()) + 16 + 8 + 1 + 1 + signature
     }
 }
 

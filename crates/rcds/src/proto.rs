@@ -5,12 +5,11 @@
 //! idempotent, so datagram loss only delays convergence. (The 1998
 //! implementation used SUN RPC, §6 — the same at-least-once shape.)
 
-use bytes::Bytes;
 use snipe_util::codec::{decode_seq, encode_seq, Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
 
 use crate::assertion::Assertion;
-use crate::store::{decode_updates, decode_vector, encode_vector, Update, VersionVector};
+use crate::store::{decode_vector, encode_vector, Update, VersionVector};
 
 /// Operations a client can request.
 #[derive(Clone, Debug, PartialEq)]
@@ -114,28 +113,13 @@ impl WireEncode for RcMsg {
                 enc.put_u8(TAG_SYNC_REQ);
                 encode_vector(enc, vector);
             }
-            RcMsg::SyncPush { updates, more } => put_sync_push(enc, updates.iter(), *more),
+            RcMsg::SyncPush { updates, more } => {
+                enc.put_u8(TAG_SYNC_PUSH);
+                encode_seq(enc, updates.iter());
+                enc.put_bool(*more);
+            }
         }
     }
-}
-
-fn put_sync_push<'a>(
-    enc: &mut Encoder,
-    updates: impl ExactSizeIterator<Item = &'a Update>,
-    more: bool,
-) {
-    enc.put_u8(TAG_SYNC_PUSH);
-    encode_seq(enc, updates);
-    enc.put_bool(more);
-}
-
-/// The bytes of `RcMsg::SyncPush { updates, more }` for updates still
-/// borrowed from the sender's log, each encoded once and none cloned.
-pub fn sync_push_bytes(updates: &[&Update], more: bool) -> Bytes {
-    let mut enc = Encoder::new();
-    enc.put_u8(MAGIC);
-    put_sync_push(&mut enc, updates.iter().copied(), more);
-    enc.finish()
 }
 
 impl WireDecode for RcMsg {
@@ -162,9 +146,7 @@ impl WireDecode for RcMsg {
                 uris: decode_seq(dec)?,
             },
             TAG_SYNC_REQ => RcMsg::SyncReq { vector: decode_vector(dec)? },
-            TAG_SYNC_PUSH => {
-                RcMsg::SyncPush { updates: decode_updates(dec)?, more: dec.get_bool()? }
-            }
+            TAG_SYNC_PUSH => RcMsg::SyncPush { updates: decode_seq(dec)?, more: dec.get_bool()? },
             t => return Err(SnipeError::Codec(format!("unknown RC tag {t}"))),
         })
     }
@@ -204,30 +186,6 @@ mod tests {
         for m in msgs {
             let back = RcMsg::decode_from_bytes(m.encode_to_bytes()).unwrap();
             assert_eq!(back, m);
-        }
-    }
-
-    #[test]
-    fn borrowed_sync_push_is_the_owned_message() {
-        let mut signed = Assertion::new("public-key", "abc");
-        signed.signature = Some(vec![7; 64]);
-        let updates: Vec<Update> = [Assertion::new("k", "v"), signed]
-            .into_iter()
-            .enumerate()
-            .map(|(i, assertion)| Update {
-                origin: 3,
-                seq: i as u64,
-                uri: format!("urn:x{i}"),
-                assertion,
-            })
-            .collect();
-        for u in &updates {
-            assert_eq!(u.wire_len(), u.encode_to_bytes().len());
-        }
-        let borrowed: Vec<&Update> = updates.iter().collect();
-        for more in [false, true] {
-            let owned = RcMsg::SyncPush { updates: updates.clone(), more };
-            assert_eq!(sync_push_bytes(&borrowed, more), owned.encode_to_bytes());
         }
     }
 

@@ -14,7 +14,7 @@ use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::SimDuration;
 use snipe_wire::frame::{open, seal, Proto};
 
-use crate::proto::{sync_push_bytes, RcMsg, RcOp};
+use crate::proto::{RcMsg, RcOp};
 use crate::shard::ShardMap;
 use crate::store::RcStore;
 use crate::uri::Uri;
@@ -194,20 +194,20 @@ impl Actor for RcServerActor {
                         // immediately, so a large backlog drains in a
                         // burst of MTU-sized pushes instead of one
                         // undeliverable datagram.
-                        let mut chosen = 0;
+                        let mut updates = Vec::new();
                         let mut budget = PUSH_BYTES;
-                        for u in &candidates {
+                        for &u in &candidates {
                             let sz = u.wire_len();
-                            if chosen > 0 && sz > budget {
+                            if !updates.is_empty() && sz > budget {
                                 break;
                             }
                             budget = budget.saturating_sub(sz);
-                            chosen += 1;
+                            updates.push(u.clone());
                         }
-                        let more = chosen < candidates.len() || candidates.len() == PUSH_BATCH;
-                        if chosen > 0 {
-                            let push = sync_push_bytes(&candidates[..chosen], more);
-                            ctx.send(from, seal(Proto::Raw, push));
+                        let more =
+                            updates.len() < candidates.len() || candidates.len() == PUSH_BATCH;
+                        if !updates.is_empty() {
+                            self.send(ctx, from, &RcMsg::SyncPush { updates, more });
                         }
                     }
                     RcMsg::SyncPush { updates, more } => {

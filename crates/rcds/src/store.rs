@@ -11,7 +11,7 @@
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 
-use snipe_util::codec::{decode_seq, Decoder, Encoder, WireDecode, WireEncode};
+use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
 
 use crate::assertion::{Assertion, Stamp};
@@ -40,8 +40,7 @@ impl WireEncode for Update {
 }
 
 impl Update {
-    /// Exact length of [`WireEncode::encode`]'s output, without encoding:
-    /// what one more update costs a datagram's byte budget.
+    /// Exact length of [`WireEncode::encode`]'s output, without encoding.
     pub fn wire_len(&self) -> usize {
         8 + 8 + (4 + self.uri.len()) + self.assertion.wire_len()
     }
@@ -58,9 +57,8 @@ impl WireDecode for Update {
     }
 }
 
-/// A version vector: highest contiguous sequence seen per origin.
-/// Ordered, so it encodes canonically and anti-entropy walks origins in
-/// log order without sorting.
+/// A version vector: highest contiguous sequence seen per origin, in
+/// origin order (the order of the log and of the wire encoding).
 pub type VersionVector = BTreeMap<u64, u64>;
 
 /// One replica's state.
@@ -78,8 +76,7 @@ pub struct RcStore {
     log: BTreeMap<(u64, u64), Update>,
     /// Highest seq seen per origin.
     vector: VersionVector,
-    /// Log entries `updates_since` has visited (a `Cell` because the
-    /// query itself only reads).
+    /// Log entries `updates_since` has visited (that query only reads).
     log_visited: Cell<u64>,
 }
 
@@ -188,10 +185,9 @@ impl RcStore {
     }
 
     /// Updates the peer (described by `their` vector) has not seen, in
-    /// log order, stopping once `limit` is reached (a missing update is
-    /// never withheld entirely: `limit` 0 behaves as 1) to bound
-    /// datagram size. Each origin's run is entered at the peer's `have`,
-    /// so the cost is what the peer lacks, not the length of the log.
+    /// log order, stopping at `limit` (0 behaves as 1) to bound datagram
+    /// size. Each origin's run is entered at the peer's `have`: the cost
+    /// is what the peer lacks, not the length of the log.
     pub fn updates_since(&self, their: &VersionVector, limit: usize) -> Vec<&Update> {
         let mut out = Vec::new();
         for &origin in self.vector.keys() {
@@ -212,8 +208,7 @@ impl RcStore {
         self.log.len()
     }
 
-    /// Log entries visited by every `updates_since` so far: the exact
-    /// work anti-entropy has done on this replica.
+    /// Log entries every `updates_since` so far has visited.
     pub fn log_visited(&self) -> u64 {
         self.log_visited.get()
     }
@@ -248,11 +243,6 @@ pub fn decode_vector(dec: &mut Decoder) -> SnipeResult<VersionVector> {
         v.insert(k, s);
     }
     Ok(v)
-}
-
-/// Decode a batch of updates.
-pub fn decode_updates(dec: &mut Decoder) -> SnipeResult<Vec<Update>> {
-    decode_seq(dec)
 }
 
 #[cfg(test)]
@@ -402,6 +392,19 @@ mod tests {
         for r in &replicas {
             assert_eq!(r.uri_count(), 3, "server {} missing data", r.server_id());
             assert_eq!(r.log_len(), 3);
+        }
+    }
+
+    #[test]
+    fn wire_len_is_the_encoded_length() {
+        let mut a = RcStore::new(1);
+        let mut signed = Assertion::new("public-key", "abc");
+        signed.signature = Some(vec![7; 64]);
+        a.put(&uri(1), Assertion::new("k", "v"), 0);
+        a.put(&uri(2), signed, 1);
+        a.delete(&uri(1), "k", 2);
+        for u in a.updates_since(&VersionVector::new(), usize::MAX) {
+            assert_eq!(u.wire_len(), u.encode_to_bytes().len());
         }
     }
 
