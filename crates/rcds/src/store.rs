@@ -192,7 +192,7 @@ impl RcStore {
         let mut out = Vec::new();
         for &origin in self.vector.keys() {
             let have = their.get(&origin).copied().unwrap_or(0);
-            for u in self.log.range((origin, have)..=(origin, u64::MAX)).map(|(_, u)| u) {
+            for (_, u) in self.log.range((origin, have)..=(origin, u64::MAX)) {
                 self.log_visited.set(self.log_visited.get() + 1);
                 out.push(u);
                 if out.len() >= limit {
