@@ -112,14 +112,12 @@ fn run_e4() {
 /// `harness e4-shard`: the E4 spawn burst on a partitioned world — a
 /// 6-cluster campus (one region per cluster) at 1/2/4/8 worker
 /// threads. Virtual completion time and the engine digest must be
-/// thread-count invariant; wall-clock is what threads buy. Writes
-/// `results/bench_e4_shard.json`.
+/// thread-count invariant; wall-clock is what threads buy.
 fn run_e4_shard() -> bool {
     fresh("e4_shard.txt");
-    let (clusters, per_cluster, seed) = (6usize, 8usize, 40u64);
     let points: Vec<_> = [1usize, 2, 4, 8]
         .iter()
-        .map(|&th| e4_scalability::run_snipe_sharded(clusters, per_cluster, seed, th))
+        .map(|&th| e4_scalability::run_snipe_sharded(6, 8, 40, th))
         .collect();
     let mut t = Table::new(
         "E4-sharded: one task on each of 48 campus hosts, by worker threads",
@@ -141,24 +139,6 @@ fn run_e4_shard() -> bool {
     if !ok {
         println!("E4-sharded: digest or completion diverged across thread counts");
     }
-    let rows: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"threads\": {}, \"hosts\": {}, \"virtual_s\": {:.6}, \
-                 \"wall_ms\": {:.3}, \"digest\": \"{:#018x}\", \"complete\": {}}}",
-                p.threads, p.hosts, p.elapsed, p.wall_ms, p.digest, p.complete
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"experiment\": \"e4_shard\",\n  \"clusters\": {clusters},\n  \
-         \"per_cluster\": {per_cluster},\n  \"seed\": {seed},\n  \
-         \"thread_invariant\": {ok},\n  \"points\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n"),
-    );
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/bench_e4_shard.json", json);
     ok
 }
 
@@ -290,8 +270,8 @@ fn run_a1() {
 /// `harness fec`: the Fig.1-style A/B curve — goodput vs loss for
 /// plain fragmentation vs erasure-coded share spray, three seeds per
 /// point, strict stop-and-wait so both variants carry one message in
-/// flight. Writes `results/bench_fec.json` and fails if FEC is not
-/// strictly ahead at every loss rate ≥ 5%.
+/// flight. Fails unless FEC is strictly ahead at every loss rate ≥ 5%
+/// and every FEC delivery was reconstructed from shares.
 fn run_fec() -> bool {
     fresh("fec.txt");
     const SEEDS: [u64; 3] = [11, 12, 13];
@@ -319,9 +299,8 @@ fn run_fec() -> bool {
         &["loss", "plain B/s", "fec B/s", "fec/plain"],
     );
     let mut ok = true;
-    let mut rows = Vec::new();
     for &loss in &LOSSES {
-        let (plain_gp, plain_del, _) = cell(false, loss);
+        let (plain_gp, ..) = cell(false, loss);
         let (fec_gp, fec_del, fec_rec) = cell(true, loss);
         if loss >= 0.05 && fec_gp <= plain_gp {
             println!("FEC A/B: fec not ahead at loss {loss} ({fec_gp:.0} vs {plain_gp:.0} B/s)");
@@ -338,23 +317,8 @@ fn run_fec() -> bool {
             format!("{fec_gp:.0}"),
             format!("{:.2}", fec_gp / plain_gp),
         ]);
-        rows.push(format!(
-            "    {{\"loss\": {loss}, \"plain_goodput_bps\": {plain_gp:.1}, \
-             \"fec_goodput_bps\": {fec_gp:.1}, \"plain_delivered\": {plain_del}, \
-             \"fec_delivered\": {fec_del}, \"fec_reconstructions\": {fec_rec}}}"
-        ));
     }
     t.emit("fec.txt");
-    let json = format!(
-        "{{\n  \"experiment\": \"fec_ab\",\n  \"messages\": {},\n  \"msg_bytes\": {},\n  \
-         \"seeds\": {:?},\n  \"fec_ahead_at_5pct_and_up\": {ok},\n  \"points\": [\n{}\n  ]\n}}\n",
-        ablations::FEC_AB_COUNT,
-        ablations::FEC_AB_MSG,
-        SEEDS,
-        rows.join(",\n"),
-    );
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/bench_fec.json", json);
     ok
 }
 
@@ -386,76 +350,6 @@ fn run_a3() {
         ]);
     }
     t.emit("a3.txt");
-}
-
-/// Events/second of the seed engine (pre fast-path: per-packet route
-/// recomputation, `Medium` clones, single `BinaryHeap`, `HashMap`
-/// counters), measured on this machine with the identical storm
-/// (32 hosts, 2 s sim, seed 42) at the commit before the fast path
-/// landed. Kept so `results/bench_engine.json` always records the
-/// before/after pair the fast-path PR was gated on.
-const SEED_ENGINE_EVENTS_PER_SEC: f64 = 1_861_863.0;
-
-fn run_engine() {
-    let sim = SimDuration::from_secs(2);
-    let run = engine::storm("storm", 32, sim, 42);
-    let mut t = Table::new(
-        "ENGINE: event-loop throughput, 32-host multi-net storm with fault injection",
-        &["config", "events", "sent", "delivered", "drops", "wall (s)", "events/sec"],
-    );
-    t.row(vec![
-        run.label.clone(),
-        format!("{}", run.events),
-        format!("{}", run.sent),
-        format!("{}", run.delivered),
-        format!("{}", run.drops),
-        format!("{:.3}", run.wall_seconds),
-        format!("{:.0}", run.events_per_sec),
-    ]);
-    t.row(vec![
-        "seed engine".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        format!("{SEED_ENGINE_EVENTS_PER_SEC:.0}"),
-    ]);
-    let mut c = Table::new(
-        "ENGINE: queue-tier and route-cache counters",
-        &["heap pops", "now pops", "stream pops", "cache hits", "cache misses", "peak depth"],
-    );
-    c.row(vec![
-        format!("{}", run.heap_pops),
-        format!("{}", run.now_pops),
-        format!("{}", run.stream_pops),
-        format!("{}", run.route_cache_hits),
-        format!("{}", run.route_cache_misses),
-        format!("{}", run.peak_queue_depth),
-    ]);
-    t.emit("engine.txt");
-    c.emit("engine.txt");
-    let json = format!(
-        "{{\n  \"experiment\": \"bench_engine\",\n  \"storm\": {{\"hosts\": 32, \"sim_seconds\": {:.1}, \"seed\": 42}},\n  \"seed_engine_events_per_sec\": {:.0},\n  \"events_per_sec\": {:.0},\n  \"speedup_vs_seed\": {:.2},\n  \"events\": {},\n  \"sent\": {},\n  \"delivered\": {},\n  \"drops\": {},\n  \"wall_seconds\": {:.4},\n  \"engine\": {{\n    \"heap_pops\": {},\n    \"now_pops\": {},\n    \"stream_pops\": {},\n    \"route_cache_hits\": {},\n    \"route_cache_misses\": {},\n    \"peak_queue_depth\": {}\n  }},\n  \"metrics\": {}\n}}\n",
-        run.sim_seconds,
-        SEED_ENGINE_EVENTS_PER_SEC,
-        run.events_per_sec,
-        run.events_per_sec / SEED_ENGINE_EVENTS_PER_SEC,
-        run.events,
-        run.sent,
-        run.delivered,
-        run.drops,
-        run.wall_seconds,
-        run.heap_pops,
-        run.now_pops,
-        run.stream_pops,
-        run.route_cache_hits,
-        run.route_cache_misses,
-        run.peak_queue_depth,
-        run.metrics_json.trim_end(),
-    );
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/bench_engine.json", json);
 }
 
 fn print_dump(what: &str, dump: Option<&String>) {
@@ -618,15 +512,6 @@ fn run_trace(rest: &[String]) -> bool {
     ok
 }
 
-/// Allowed recorder-compiled-in-but-disabled overhead: best-of-N must
-/// stay at or above this fraction of the observability-free baseline
-/// (i.e. at most 2% slower).
-const GATE_FRACTION: f64 = 0.98;
-/// Trials for the standalone `engine-gate` form. Wall-clock noise on a
-/// shared machine dwarfs a 2% effect on any single run; best-of-N
-/// isolates the machine's quiet moments.
-const GATE_TRIALS: usize = 7;
-
 /// `harness engine-probe`: one storm, recorder disabled, events/s as a
 /// bare number on stdout. `scripts/check.sh` interleaves probes of the
 /// default build against an `--features obs-off` build (observability
@@ -635,50 +520,16 @@ const GATE_TRIALS: usize = 7;
 /// comparison.
 fn run_engine_probe() -> bool {
     assert!(!snipe_netsim::trace::enabled(), "probe measures the recorder-disabled configuration");
-    let r = engine::storm("probe", 32, SimDuration::from_secs(2), 42);
+    let r = engine::storm(32, SimDuration::from_secs(2), 42);
     println!("{:.0}", r.events_per_sec);
     true
-}
-
-/// `harness engine-gate <baseline-events-per-sec>`: best-of-N of the
-/// recorder-disabled storm must reach [`GATE_FRACTION`] of `baseline`
-/// (an `engine-probe` reading from the `obs-off` build of this tree).
-fn run_engine_gate(rest: &[String]) -> bool {
-    let baseline = match rest {
-        [b] => b.parse::<f64>().ok().filter(|b| *b > 0.0),
-        _ => None,
-    };
-    let Some(baseline) = baseline else {
-        eprintln!("usage: harness engine-gate <baseline-events-per-sec>");
-        eprintln!("(get the baseline from `harness engine-probe` built with --features obs-off)");
-        return false;
-    };
-    assert!(!snipe_netsim::trace::enabled(), "gate measures the recorder-disabled configuration");
-    let sim = SimDuration::from_secs(2);
-    let mut best = 0.0f64;
-    for trial in 0..GATE_TRIALS {
-        let r = engine::storm("gate", 32, sim, 42);
-        println!("  trial {trial}: {:.0} events/s", r.events_per_sec);
-        if r.events_per_sec > best {
-            best = r.events_per_sec;
-        }
-    }
-    let floor = baseline * GATE_FRACTION;
-    let ok = best >= floor;
-    println!(
-        "engine overhead gate: best-of-{GATE_TRIALS} {best:.0} events/s vs floor {floor:.0} \
-         ({:.1}% of observability-free baseline {baseline:.0}) -> {}",
-        best / baseline * 100.0,
-        if ok { "PASS" } else { "FAIL" },
-    );
-    ok
 }
 
 /// `harness shard`: the sharded-engine scaling matrix — every world
 /// size in [`shard_storm::scaling_matrix`] at every thread count in
 /// [`shard_storm::THREAD_SWEEP`]. Digests must agree across thread
 /// counts at each size (determinism is not optional in a benchmark
-/// that exists to prove it). Writes `results/bench_shard.json`.
+/// that exists to prove it).
 fn run_shard() -> bool {
     fresh("shard.txt");
     let mut t = Table::new(
@@ -689,13 +540,13 @@ fn run_shard() -> bool {
             "regions",
             "events",
             "delivered",
+            "digest",
             "wall (s)",
             "events/sec",
             "speedup",
         ],
     );
     let mut ok = true;
-    let mut size_json = Vec::new();
     for (hosts, sim) in shard_storm::scaling_matrix() {
         let mut runs = Vec::new();
         for &threads in &shard_storm::THREAD_SWEEP {
@@ -716,49 +567,14 @@ fn run_shard() -> bool {
                 format!("{}", r.regions),
                 format!("{}", r.events),
                 format!("{}", r.delivered),
+                format!("{:#018x}", r.digest),
                 format!("{:.3}", r.wall_seconds),
                 format!("{:.0}", r.events_per_sec),
                 format!("{:.2}x", r.events_per_sec / base),
             ]);
         }
-        let best = runs
-            .iter()
-            .cloned()
-            .reduce(|a, b| if b.events_per_sec > a.events_per_sec { b } else { a })
-            .expect("runs");
-        let run_json: Vec<String> = runs
-            .iter()
-            .map(|r| {
-                format!(
-                    "        {{\"threads\": {}, \"events\": {}, \"sent\": {}, \"delivered\": {}, \"wall_seconds\": {:.4}, \"events_per_sec\": {:.0}, \"speedup\": {:.2}}}",
-                    r.threads, r.events, r.sent, r.delivered, r.wall_seconds, r.events_per_sec,
-                    r.events_per_sec / base,
-                )
-            })
-            .collect();
-        size_json.push(format!(
-            "    {{\n      \"hosts\": {hosts},\n      \"sim_seconds\": {:.3},\n      \"regions\": {},\n      \"digest\": \"{:#x}\",\n      \"digests_agree\": {},\n      \"best_threads\": {},\n      \"best_speedup\": {:.2},\n      \"runs\": [\n{}\n      ]\n    }}",
-            runs[0].sim_seconds,
-            runs[0].regions,
-            runs[0].digest,
-            runs.iter().all(|r| r.digest == runs[0].digest),
-            best.threads,
-            best.events_per_sec / base,
-            run_json.join(",\n"),
-        ));
     }
     t.emit("shard.txt");
-    // Wall-clock speedup is bounded by the cores this process may
-    // actually use; record it so the sweep is interpretable (on a
-    // 1-core box the thread columns measure overhead, not scaling).
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let json = format!(
-        "{{\n  \"experiment\": \"bench_shard\",\n  \"storm\": {{\"cluster\": {}, \"seed\": 42, \"burst\": 6, \"cross_region_fraction\": 0.1}},\n  \"thread_sweep\": [1, 2, 4, 8],\n  \"cpu_cores\": {cores},\n  \"determinism_ok\": {ok},\n  \"sizes\": [\n{}\n  ]\n}}\n",
-        shard_storm::CLUSTER,
-        size_json.join(",\n"),
-    );
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/bench_shard.json", json);
     ok
 }
 
@@ -776,8 +592,9 @@ fn run_shard_digest(rest: &[String]) -> bool {
 
 /// `harness rcds` (RCDS): register [`rcds_bench::NAMES`] names into the
 /// sharded catalog and report resolution throughput with p50/p99 from
-/// the metrics registry. The check.sh gate requires ≥1M registered
-/// names and a written `results/bench_rcds.json`.
+/// the metrics registry into `results/bench_rcds.txt`. Fails unless
+/// ≥1M names register, every shard group owns some and the latency
+/// histogram is populated.
 fn run_rcds() -> bool {
     fresh("bench_rcds.txt");
     let r = rcds_bench::run(rcds_bench::NAMES);
@@ -811,8 +628,6 @@ fn run_rcds() -> bool {
         "shard balance: min {} / max {} names per shard across {} shards; cache hits {}",
         r.shard_min, r.shard_max, r.shards, r.cache_hits
     );
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/bench_rcds.json", r.to_json());
     let ok = r.names >= 1_000_000 && r.p99_ns > 0 && r.shard_min > 0;
     if !ok {
         eprintln!(
@@ -856,7 +671,6 @@ const COMMANDS: &[Command] = &[
     ("a1", |r| plain(r, "a1.txt", run_a1)),
     ("a2", |r| plain(r, "a2.txt", run_a2)),
     ("a3", |r| plain(r, "a3.txt", run_a3)),
-    ("engine", |r| plain(r, "engine.txt", run_engine)),
     ("chaos", run_chaos),
     // Bounded gate for CI: 2 plans per workload plus the drill.
     ("chaos-smoke", |r| r.is_empty() && chaos_soak(2)),
@@ -868,13 +682,12 @@ const COMMANDS: &[Command] = &[
     ("full-proto-digest", run_full_proto_digest),
     ("e4-shard", |r| r.is_empty() && run_e4_shard()),
     ("engine-probe", |r| r.is_empty() && run_engine_probe()),
-    ("engine-gate", run_engine_gate),
 ];
 
 /// What bare `harness` regenerates: the paper's figures and tables, the
-/// ablations, the engine storm and the full chaos soak.
+/// ablations and the full chaos soak.
 fn paper_set() -> Vec<String> {
-    let set = ["f1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a2", "a3", "engine", "chaos"];
+    let set = ["f1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a2", "a3", "chaos"];
     set.map(String::from).to_vec()
 }
 
@@ -960,7 +773,7 @@ mod tests {
         let ran = RAN.lock().unwrap()[before..].join(" ");
         assert_eq!(ran, r#"chaos["4"] e5[] e5[] gate[]"#);
         // Bare `harness` is the paper set, every word of it a command.
-        assert_eq!(parse(COMMANDS, &paper_set()).map(|runs| runs.len()), Ok(13));
+        assert_eq!(parse(COMMANDS, &paper_set()).map(|runs| runs.len()), Ok(12));
         // A stray operand on an operand-less experiment is refused.
         assert_eq!(dispatch(COMMANDS, &words("e5 e55")), 1);
     }
@@ -996,13 +809,52 @@ mod tests {
     #[test]
     fn a_command_clears_only_the_files_it_writes() {
         let _scratch = Scratch::enter();
-        for f in ["bench_shard.json", "e6.txt", "e5.txt"] {
+        for f in ["shard.txt", "e6.txt", "e5.txt"] {
             std::fs::write(format!("results/{f}"), "stale").unwrap();
         }
         assert_eq!(dispatch(COMMANDS, &words("e5")), 0);
-        assert_eq!(std::fs::read_to_string("results/bench_shard.json").unwrap(), "stale");
+        assert_eq!(std::fs::read_to_string("results/shard.txt").unwrap(), "stale");
         assert_eq!(std::fs::read_to_string("results/e6.txt").unwrap(), "stale");
         let e5 = std::fs::read_to_string("results/e5.txt").unwrap();
         assert!(e5.starts_with("== E5") && !e5.contains("stale"), "{e5}");
+    }
+
+    /// DESIGN.md's experiment index cites only this binary: every code
+    /// span of its "Bench target" column is `harness <cmd> …` for a row
+    /// of [`COMMANDS`], and the text between spans is separators and
+    /// parenthesised notes, never the name of another tool.
+    #[test]
+    fn design_index_cites_only_harness_commands() {
+        let design = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../DESIGN.md");
+        let design = std::fs::read_to_string(design).unwrap();
+        let rows: Vec<&str> = design
+            .lines()
+            .skip_while(|l| !l.ends_with("| Bench target |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .collect();
+        assert!(rows.len() >= 12, "experiment index not found in DESIGN.md");
+        for row in rows {
+            let cell = row.trim_end_matches('|').rsplit('|').next().unwrap();
+            let mut cited = 0;
+            for (i, part) in cell.split('`').enumerate() {
+                if i % 2 == 1 {
+                    let cmd = part.strip_prefix("harness ").and_then(|c| c.split(' ').next());
+                    assert!(
+                        cmd.is_some_and(|c| COMMANDS.iter().any(|k| k.0 == c)),
+                        "`{part}` names no harness command: {row}"
+                    );
+                    cited += 1;
+                } else {
+                    // Even pieces lie outside the parenthesised notes.
+                    let mut outside = part.split(['(', ')']).step_by(2);
+                    assert!(
+                        outside.all(|s| s.trim_matches([',', ' ']).is_empty()),
+                        "{part:?} cites something other than a harness command: {row}"
+                    );
+                }
+            }
+            assert!(cited > 0, "no harness command cited: {row}");
+        }
     }
 }

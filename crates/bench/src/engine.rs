@@ -5,8 +5,10 @@
 //! how large E4 host counts and how long E3 horizons can get. This
 //! module drives a packet storm over a multi-network topology with
 //! periodic fault injection (the workload shape of E3/E7) and reports
-//! simulator throughput; `results/bench_engine.json` tracks the number
-//! across PRs.
+//! simulator throughput. `harness engine-probe` prints that figure for
+//! the observability-overhead gate in `scripts/check.sh`; the
+//! benchmark's `storm` workload and its `netsim.*` rows track engine
+//! speed across changes.
 //!
 //! The storm is deterministic in simulation terms (event and packet
 //! counts depend only on the seed); only the wall-clock figures vary
@@ -22,13 +24,10 @@ use snipe_netsim::world::World;
 use snipe_util::id::{HostId, NetId};
 use snipe_util::time::SimDuration;
 
-/// Outcome of one storm run.
-#[derive(Clone, Debug)]
+/// Outcome of one storm run: the seed-deterministic counters and the
+/// one wall-clock figure `harness engine-probe` prints.
+#[derive(Debug)]
 pub struct EngineRun {
-    /// Configuration label.
-    pub label: String,
-    /// Simulated span.
-    pub sim_seconds: f64,
     /// Events dispatched by the engine.
     pub events: u64,
     /// Datagrams handed to `send_packet`.
@@ -37,25 +36,8 @@ pub struct EngineRun {
     pub delivered: u64,
     /// Datagrams dropped (loss, partitions, downed interfaces...).
     pub drops: u64,
-    /// Wall-clock time for the run.
-    pub wall_seconds: f64,
-    /// Engine throughput: `events / wall_seconds`.
+    /// Engine throughput: events per wall-clock second.
     pub events_per_sec: f64,
-    /// Events popped from the future-event heap.
-    pub heap_pops: u64,
-    /// Events popped from the same-timestamp now-queue.
-    pub now_pops: u64,
-    /// Deliveries popped from per-transmitter FIFO streams.
-    pub stream_pops: u64,
-    /// Route lookups answered from the cache.
-    pub route_cache_hits: u64,
-    /// Route lookups recomputed.
-    pub route_cache_misses: u64,
-    /// High-water mark of pending events.
-    pub peak_queue_depth: u64,
-    /// The world's metrics-registry snapshot, rendered as a JSON
-    /// object (counters, gauges, latency histogram).
-    pub metrics_json: String,
 }
 
 const STORM_PAYLOAD: &[u8] = &[0xA5; 64];
@@ -141,8 +123,7 @@ fn schedule_faults(world: &mut World, ids: &[HostId], nets: [NetId; 3], sim: Sim
     }
 }
 
-/// Build the storm world (shared by the harness run and the criterion
-/// bench).
+/// Build the storm world that [`storm`] runs.
 pub fn build_storm(hosts: usize, sim: SimDuration, seed: u64) -> World {
     let (topo, ids, nets) = storm_topology(hosts);
     let n = ids.len();
@@ -163,45 +144,34 @@ pub fn build_storm(hosts: usize, sim: SimDuration, seed: u64) -> World {
 
 /// Run the storm for `sim` simulated time and measure engine
 /// throughput.
-pub fn storm(label: &str, hosts: usize, sim: SimDuration, seed: u64) -> EngineRun {
+pub fn storm(hosts: usize, sim: SimDuration, seed: u64) -> EngineRun {
     let mut world = build_storm(hosts, sim, seed);
     let t0 = std::time::Instant::now();
     world.run_for(sim);
     let wall = t0.elapsed().as_secs_f64();
-    let metrics_json = world.metrics_json(2);
     let stats = world.stats();
     EngineRun {
-        label: label.to_string(),
-        sim_seconds: sim.as_secs_f64(),
         events: stats.events,
         sent: stats.sent,
         delivered: stats.delivered,
         drops: stats.total_drops(),
-        wall_seconds: wall,
         events_per_sec: stats.events as f64 / wall,
-        heap_pops: stats.engine.heap_pops,
-        now_pops: stats.engine.now_pops,
-        stream_pops: stats.engine.stream_pops,
-        route_cache_hits: stats.engine.route_cache_hits,
-        route_cache_misses: stats.engine.route_cache_misses,
-        peak_queue_depth: stats.engine.peak_queue_depth,
-        metrics_json,
     }
-}
-
-/// Deterministic fingerprint of a run (must not depend on wall clock).
-pub fn fingerprint(r: &EngineRun) -> (u64, u64, u64, u64) {
-    (r.events, r.sent, r.delivered, r.drops)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Deterministic fingerprint of a run (must not depend on wall clock).
+    fn fingerprint(r: &EngineRun) -> (u64, u64, u64, u64) {
+        (r.events, r.sent, r.delivered, r.drops)
+    }
+
     #[test]
     fn storm_is_deterministic_and_busy() {
-        let a = storm("a", 16, SimDuration::from_millis(200), 42);
-        let b = storm("b", 16, SimDuration::from_millis(200), 42);
+        let a = storm(16, SimDuration::from_millis(200), 42);
+        let b = storm(16, SimDuration::from_millis(200), 42);
         assert_eq!(fingerprint(&a), fingerprint(&b));
         assert!(a.delivered > 10_000, "storm too quiet: {a:?}");
         assert!(a.drops > 0, "faults should cause some drops: {a:?}");

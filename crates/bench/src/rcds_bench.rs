@@ -39,8 +39,6 @@ pub struct RcdsBenchReport {
     pub names: usize,
     /// Shard groups.
     pub shards: usize,
-    /// Registration wall time (seconds).
-    pub register_secs: f64,
     /// Registrations per second.
     pub register_per_sec: f64,
     /// Smallest / largest shard population (ring balance).
@@ -168,7 +166,6 @@ pub fn run(names: usize) -> RcdsBenchReport {
     RcdsBenchReport {
         names,
         shards: SHARDS,
-        register_secs,
         register_per_sec: names as f64 / register_secs.max(1e-9),
         shard_min,
         shard_max,
@@ -181,29 +178,6 @@ pub fn run(names: usize) -> RcdsBenchReport {
         client_p50_ns: reg.histo(client_h).quantile_bound(0.50),
         client_p99_ns: reg.histo(client_h).quantile_bound(0.99),
         cache_hits: client.stats().cache_hits,
-    }
-}
-
-impl RcdsBenchReport {
-    /// The `results/bench_rcds.json` payload.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"experiment\": \"bench_rcds\",\n  \"names_registered\": {},\n  \"shards\": {},\n  \"shard_min\": {},\n  \"shard_max\": {},\n  \"register_per_sec\": {:.0},\n  \"lookups\": {},\n  \"resolve_per_sec\": {:.0},\n  \"resolve_p50_ns\": {},\n  \"resolve_p99_ns\": {},\n  \"client_lookups\": {},\n  \"client_per_sec\": {:.0},\n  \"client_p50_ns\": {},\n  \"client_p99_ns\": {},\n  \"cache_hits\": {}\n}}\n",
-            self.names,
-            self.shards,
-            self.shard_min,
-            self.shard_max,
-            self.register_per_sec,
-            self.lookups,
-            self.resolve_per_sec,
-            self.p50_ns,
-            self.p99_ns,
-            self.client_lookups,
-            self.client_per_sec,
-            self.client_p50_ns,
-            self.client_p99_ns,
-            self.cache_hits,
-        )
     }
 }
 

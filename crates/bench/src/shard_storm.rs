@@ -7,8 +7,8 @@
 //! routable switched LANs ("clusters") of [`CLUSTER`] hosts each — one
 //! partition region per LAN — with ~10% of each burst crossing
 //! clusters through the deterministic mailbox. `harness shard` runs
-//! the scaling matrix (hosts × threads) and writes
-//! `results/bench_shard.json`; `harness shard-digest <threads>` prints
+//! the scaling matrix (hosts × threads) into `results/shard.txt`, one
+//! digest per run; `harness shard-digest <threads>` prints
 //! the behavioural digest of a fixed run for the `shard-determinism`
 //! gate in `scripts/check.sh`.
 
@@ -16,7 +16,6 @@ use bytes::Bytes;
 
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
-use snipe_netsim::shard::ShardLoad;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_util::id::HostId;
@@ -112,7 +111,7 @@ pub fn build_storm(hosts: usize, seed: u64, threads: usize) -> World {
 }
 
 /// Outcome of one sharded storm run.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ShardRun {
     /// Host count.
     pub hosts: usize,
@@ -120,13 +119,9 @@ pub struct ShardRun {
     pub threads: usize,
     /// Partition regions in the world.
     pub regions: usize,
-    /// Simulated span in seconds.
-    pub sim_seconds: f64,
     /// Events dispatched across all shards.
     pub events: u64,
-    /// Datagrams sent / delivered.
-    pub sent: u64,
-    /// See [`ShardRun::sent`].
+    /// Datagrams delivered.
     pub delivered: u64,
     /// Wall-clock seconds.
     pub wall_seconds: f64,
@@ -134,8 +129,6 @@ pub struct ShardRun {
     pub events_per_sec: f64,
     /// Behavioural digest — must be identical at every thread count.
     pub digest: u64,
-    /// Per-shard load figures (for boundedness reporting).
-    pub loads: Vec<ShardLoad>,
 }
 
 /// Run the storm for `sim` and measure wall-clock throughput.
@@ -149,14 +142,11 @@ pub fn storm(hosts: usize, sim: SimDuration, seed: u64, threads: usize) -> Shard
         hosts,
         threads,
         regions: w.regions(),
-        sim_seconds: sim.as_secs_f64(),
         events: stats.events,
-        sent: stats.sent,
         delivered: stats.delivered,
         wall_seconds: wall,
         events_per_sec: stats.events as f64 / wall,
         digest: w.digest(),
-        loads: w.shard_loads(),
     }
 }
 

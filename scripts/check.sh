@@ -96,7 +96,7 @@ fi
 # fragmentation vs erasure-coded share spray, 3 seeds per point). The
 # harness exits nonzero unless FEC is strictly ahead at every loss rate
 # >= 5% and every FEC delivery really used the reconstruction path;
-# results/bench_fec.json records the curve.
+# results/fec.txt records the curve.
 ./target/release/harness fec
 # Same property for the full protocol stack: the daemons + RCDS +
 # files + RM campus workload prints its engine digest plus the sorted
@@ -112,7 +112,7 @@ fi
 # consistent-hash-sharded catalog and resolve through the ring plus
 # the client TTL cache; exits nonzero unless the full count registers,
 # every shard group owns names and the latency histogram is populated.
-# results/bench_rcds.json records the measured table.
+# results/bench_rcds.txt records the measured table.
 ./target/release/harness rcds
 # Observability overhead gate: the flight recorder + metrics layer is
 # compiled into the engine hot path, so the recorder-disabled build must
@@ -120,28 +120,33 @@ fi
 # of the same tree. The comparison is differential — both binaries are
 # probed interleaved on this machine right now — because wall-clock
 # noise on a shared box dwarfs a 2% effect against any stored absolute
-# baseline. Best-of-15 each side (a probe is ~150ms, so trials are
-# cheap): the quiet-moment maxima are the stable statistic — best-of-5
-# was observed swinging ±5% between runs on a loaded 1-core box, wide
-# enough to both mask real regressions and fail clean builds.
-# It runs last: the ratio still flakes on a clean tree (ROADMAP 9a), and
-# a flake here must not hide the gates above, all of which have already
-# run against the normal `target/release/harness` by now.
+# baseline. The statistic is the one `scripts/ab.sh` uses for host
+# time: the median of per-pair ratios over 15 interleaved pairs (a
+# probe is ~150ms, so pairs are cheap). A pair shares the machine's
+# load, so its ratio cancels the drift that a per-side best-of-N keeps.
+# Five sets of 15 pairs from one tree on a 2-core Xeon VM:
+#   best-of-15 per side        0.954 0.980 1.004 1.004 1.020 (one set
+#                              failed, one sat on the floor)
+#   median of per-pair ratios  0.995 1.037 0.991 0.991 0.989 (all pass)
+#   single pairs ranged 0.726-1.109.
+# Fourteen more sets later on the same VM: the median failed 3, best-of
+# failed 9. Same-binary pairs read 0.982-1.011, so the recorder-disabled
+# build's real cost (~1-2%) sits close to the 2% budget.
+# It runs last, so a failure here cannot hide the gates above, all of
+# which have already run against the normal `target/release/harness`.
 cargo build -q --release -p snipe-bench --bin harness --features obs-off
 cp target/release/harness target/release/harness-obs-off
 cargo build -q --release -p snipe-bench --bin harness
-best_base=0
-best_head=0
+ratios=()
 for _ in $(seq 15); do
     b=$(./target/release/harness-obs-off engine-probe)
     h=$(./target/release/harness engine-probe)
-    [ "$b" -gt "$best_base" ] && best_base=$b
-    [ "$h" -gt "$best_head" ] && best_head=$h
+    ratios+=("$(awk -v h="$h" -v b="$b" 'BEGIN { printf "%.4f", h / b }')")
 done
-echo "overhead gate: recorder-disabled best $best_head events/s vs obs-off baseline $best_base"
-awk -v h="$best_head" -v b="$best_base" 'BEGIN {
-    ratio = h / b;
-    printf "overhead gate: ratio %.3f (floor 0.980)\n", ratio;
-    exit (ratio >= 0.98 ? 0 : 1);
+sorted=$(printf '%s\n' "${ratios[@]}" | sort -g)
+echo "overhead gate: per-pair ratios, recorder-disabled / obs-off:" $sorted
+awk -v m="$(sed -n 8p <<<"$sorted")" 'BEGIN {
+    printf "overhead gate: median ratio %.3f (floor 0.980)\n", m;
+    exit (m >= 0.98 ? 0 : 1);
 }'
 echo "check.sh: all gates green"
