@@ -7,23 +7,21 @@
 //! * **A3** — playground fuel-slice size vs completion time and
 //!   checkpoint cost (§5.8).
 
-use std::sync::{Arc, Mutex};
-
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
-use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
+use snipe_netsim::topology::Endpoint;
 use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
 use snipe_rcds::server::RcServerActor;
-use snipe_rcds::store::RcStore;
 use snipe_rcds::uri::Uri;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::ports;
 use snipe_wire::stack::StackConfig;
 
-use crate::fig1::{Hosted, Receiver, SrudpSender};
+use crate::fig1::{hosted, Hosted, Receiver, SrudpSender};
+use crate::{drive, lan};
 
 /// A1 result row.
 #[derive(Clone, Debug)]
@@ -40,36 +38,20 @@ pub struct A1Point {
 
 /// A1: sweep SRUDP (window, frag size) over a lossy WAN link.
 pub fn run_a1(window: usize, frag_size: usize, loss: f64, seed: u64) -> A1Point {
-    let mut topo = Topology::new();
-    let wan = topo.add_network("wan", Medium::wan_lossy(loss), true);
-    let a = topo.add_host(HostCfg::named("a"));
-    let b = topo.add_host(HostCfg::named("b"));
-    topo.attach(a, wan);
-    topo.attach(b, wan);
-    let mut world = World::new(topo, seed);
+    let (mut world, hosts) = lan(seed, &[Medium::wan_lossy(loss)], 2);
+    let (a, b) = (hosts[0], hosts[1]);
     let total = 2 << 20;
     let mut cfg = StackConfig::default();
     cfg.srudp.window = window;
     cfg.srudp.frag_size = frag_size;
     cfg.srudp.rto_initial = SimDuration::from_millis(150);
-    let received = Arc::new(Mutex::new(0usize));
-    let done_at: Arc<Mutex<Option<SimTime>>> = Arc::new(Mutex::new(None));
-    world.spawn(
-        b,
-        20,
-        Box::new(Hosted::new(Receiver {
-            cfg: cfg.clone(),
-            pin: None,
-            received: received.clone(),
-            done_at: done_at.clone(),
-            expect: total,
-        })),
-    );
+    let rx = Endpoint::new(b, 20);
+    world.spawn(b, 20, Box::new(Hosted::new(Receiver::new(cfg.clone(), None, total))));
     world.spawn(
         a,
         20,
         Box::new(Hosted::new(SrudpSender {
-            peer: Endpoint::new(b, 20),
+            peer: rx,
             msg_size: 64 * 1024,
             remaining: total,
             inflight: window * frag_size * 2,
@@ -77,16 +59,14 @@ pub fn run_a1(window: usize, frag_size: usize, loss: f64, seed: u64) -> A1Point 
             pin: None,
         })),
     );
-    for _ in 0..1200 {
-        world.run_for(SimDuration::from_millis(100));
-        if done_at.lock().unwrap().is_some() {
-            break;
-        }
-    }
-    let goodput = match *done_at.lock().unwrap() {
-        Some(t) => total as f64 / t.as_secs_f64(),
-        None => f64::NAN,
-    };
+    let done_at = |w: &World| hosted::<Receiver>(w, rx).app.done_at;
+    drive(
+        &mut world,
+        SimDuration::from_millis(100),
+        SimTime::ZERO + SimDuration::from_secs(120),
+        |w| done_at(w).is_some(),
+    );
+    let goodput = done_at(&world).map_or(f64::NAN, |t| total as f64 / t.as_secs_f64());
     A1Point { window, frag_size, loss, goodput }
 }
 
@@ -123,40 +103,20 @@ pub fn run_fec_ab(fec: bool, loss: f64, seed: u64) -> FecAbPoint {
     use crate::fig1::{FecReceiver, FecSender};
     use snipe_wire::fec::FragStrategy;
 
-    let mut topo = Topology::new();
-    let wan = topo.add_network("wan", Medium::wan_lossy(loss), true);
-    let a = topo.add_host(HostCfg::named("a"));
-    let b = topo.add_host(HostCfg::named("b"));
-    topo.attach(a, wan);
-    topo.attach(b, wan);
-    let mut world = World::new(topo, seed);
+    let (mut world, hosts) = lan(seed, &[Medium::wan_lossy(loss)], 2);
+    let (a, b) = (hosts[0], hosts[1]);
     let mut cfg = StackConfig::default();
     if fec {
         cfg.srudp.frag_strategy = FragStrategy::Fec;
     }
-    let seqs = Arc::new(Mutex::new(Vec::new()));
-    let mismatches = Arc::new(Mutex::new(Vec::new()));
-    let stats = Arc::new(Mutex::new(snipe_wire::srudp::SrudpStats::default()));
-    let done_at: Arc<Mutex<Option<SimTime>>> = Arc::new(Mutex::new(None));
-    world.spawn(
-        b,
-        20,
-        Box::new(Hosted::new(FecReceiver {
-            cfg: cfg.clone(),
-            pin: None,
-            expect: FEC_AB_COUNT,
-            msg_size: FEC_AB_MSG,
-            seqs: seqs.clone(),
-            mismatches: mismatches.clone(),
-            stats: stats.clone(),
-            done_at: done_at.clone(),
-        })),
-    );
+    let rx = Endpoint::new(b, 20);
+    let receiver = FecReceiver::new(cfg.clone(), None, FEC_AB_COUNT, FEC_AB_MSG);
+    world.spawn(b, 20, Box::new(Hosted::new(receiver)));
     world.spawn(
         a,
         20,
         Box::new(Hosted::new(FecSender {
-            peer: Endpoint::new(b, 20),
+            peer: rx,
             msg_size: FEC_AB_MSG,
             count: FEC_AB_COUNT,
             next: 0,
@@ -171,22 +131,23 @@ pub fn run_fec_ab(fec: bool, loss: f64, seed: u64) -> FecAbPoint {
             pin: None,
         })),
     );
-    for _ in 0..600 {
-        world.run_for(SimDuration::from_millis(100));
-        if done_at.lock().unwrap().is_some() {
-            break;
-        }
-    }
-    let delivered = seqs.lock().unwrap().len() as u64;
-    assert!(
-        mismatches.lock().unwrap().is_empty(),
-        "A/B run delivered corrupted payload: {:?}",
-        mismatches.lock().unwrap()
+    drive(
+        &mut world,
+        SimDuration::from_millis(100),
+        SimTime::ZERO + SimDuration::from_secs(60),
+        |w| hosted::<FecReceiver>(w, rx).app.done_at.is_some(),
     );
-    let elapsed = done_at.lock().unwrap().unwrap_or(world.now()).as_secs_f64();
+    let rx = hosted::<FecReceiver>(&world, rx);
+    let delivered = rx.app.seqs.len() as u64;
+    assert!(
+        rx.app.mismatches.is_empty(),
+        "A/B run delivered corrupted payload: {:?}",
+        rx.app.mismatches
+    );
+    let elapsed = rx.app.done_at.unwrap_or(world.now()).as_secs_f64();
     let goodput =
         if elapsed > 0.0 { delivered as f64 * FEC_AB_MSG as f64 / elapsed } else { f64::NAN };
-    let fec_delivered = stats.lock().unwrap().fec_delivered;
+    let fec_delivered = rx.srudp_stats().fec_delivered;
     FecAbPoint { fec, loss, delivered, fec_delivered, goodput }
 }
 
@@ -207,7 +168,7 @@ struct StalenessProbe {
     uri: Uri,
     expect: String,
     rc: RcHost,
-    visible_at: Arc<Mutex<Option<SimTime>>>,
+    visible_at: Option<SimTime>,
 }
 
 impl StalenessProbe {
@@ -217,9 +178,9 @@ impl StalenessProbe {
         for (_, result) in self.rc.flush(ctx) {
             if let Ok(reply) = result {
                 if reply.assertions.iter().any(|a| a.value == self.expect)
-                    && self.visible_at.lock().unwrap().is_none()
+                    && self.visible_at.is_none()
                 {
-                    *self.visible_at.lock().unwrap() = Some(ctx.now());
+                    self.visible_at = Some(ctx.now());
                 }
             }
         }
@@ -230,9 +191,7 @@ impl Actor for StalenessProbe {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         let now = ctx.now();
         match event {
-            Event::Start | Event::Timer { token: TIMER_PROBE }
-                if self.visible_at.lock().unwrap().is_none() =>
-            {
+            Event::Start | Event::Timer { token: TIMER_PROBE } if self.visible_at.is_none() => {
                 self.rc.get(now, &self.uri);
                 self.pump(ctx);
                 ctx.set_timer(SimDuration::from_millis(10), TIMER_PROBE);
@@ -253,7 +212,7 @@ struct OneShotWriter {
     uri: Uri,
     value: String,
     rc: RcHost,
-    wrote_at: Arc<Mutex<Option<SimTime>>>,
+    wrote_at: Option<SimTime>,
 }
 
 impl Actor for OneShotWriter {
@@ -262,7 +221,7 @@ impl Actor for OneShotWriter {
         match event {
             Event::Start => {
                 self.rc.put(now, &self.uri, vec![Assertion::new("k", self.value.clone())]);
-                *self.wrote_at.lock().unwrap() = Some(now);
+                self.wrote_at = Some(now);
             }
             Event::Timer { token: TIMER_RC } => self.rc.on_timer(now),
             Event::HostUp => self.rc.on_host_up(now),
@@ -275,15 +234,8 @@ impl Actor for OneShotWriter {
 
 /// A2: measure replication staleness for a sync interval.
 pub fn run_a2(sync_interval: SimDuration, seed: u64) -> A2Point {
-    let mut topo = Topology::new();
-    let net = topo.add_network("lan", Medium::ethernet100(), true);
-    let r0 = topo.add_host(HostCfg::named("rc0"));
-    let r1 = topo.add_host(HostCfg::named("rc1"));
-    let c = topo.add_host(HostCfg::named("c"));
-    for h in [r0, r1, c] {
-        topo.attach(h, net);
-    }
-    let mut world = World::new(topo, seed);
+    let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], 3);
+    let (r0, r1, c) = (hosts[0], hosts[1], hosts[2]);
     let ep0 = Endpoint::new(r0, ports::RC_SERVER);
     let ep1 = Endpoint::new(r1, ports::RC_SERVER);
     world.spawn(r0, ports::RC_SERVER, Box::new(RcServerActor::new(1, vec![ep1], sync_interval)));
@@ -291,31 +243,18 @@ pub fn run_a2(sync_interval: SimDuration, seed: u64) -> A2Point {
     // Let the replicas settle so the first sync tick isn't aligned with
     // the write.
     world.run_for(sync_interval + SimDuration::from_millis(37));
-    let wrote_at = Arc::new(Mutex::new(None));
-    let visible_at = Arc::new(Mutex::new(None));
     let uri = Uri::process(1);
-    world.spawn(
-        c,
-        50,
-        Box::new(OneShotWriter {
-            uri: uri.clone(),
-            value: "fresh".into(),
-            rc: RcHost::new(RcClient::new(vec![ep0], SimDuration::from_millis(200)), TIMER_RC),
-            wrote_at: wrote_at.clone(),
-        }),
-    );
-    world.spawn(
-        c,
-        51,
-        Box::new(StalenessProbe {
-            uri,
-            expect: "fresh".into(),
-            rc: RcHost::new(RcClient::new(vec![ep1], SimDuration::from_millis(200)), TIMER_RC),
-            visible_at: visible_at.clone(),
-        }),
-    );
+    let client = |ep| RcHost::new(RcClient::new(vec![ep], SimDuration::from_millis(200)), TIMER_RC);
+    let writer =
+        OneShotWriter { uri: uri.clone(), value: "fresh".into(), rc: client(ep0), wrote_at: None };
+    let probe = StalenessProbe { uri, expect: "fresh".into(), rc: client(ep1), visible_at: None };
+    world.spawn(c, 50, Box::new(writer));
+    world.spawn(c, 51, Box::new(probe));
     world.run_for(sync_interval * 4 + SimDuration::from_secs(2));
-    let staleness = match (*wrote_at.lock().unwrap(), *visible_at.lock().unwrap()) {
+    let wrote_at = world.actor_ref::<OneShotWriter>(Endpoint::new(c, 50)).and_then(|w| w.wrote_at);
+    let visible_at =
+        world.actor_ref::<StalenessProbe>(Endpoint::new(c, 51)).and_then(|p| p.visible_at);
+    let staleness = match (wrote_at, visible_at) {
         (Some(w), Some(v)) => v.saturating_since(w).as_secs_f64(),
         _ => f64::NAN,
     };
@@ -370,16 +309,11 @@ pub fn run_a3(slice: u64, seed: u64) -> A3Point {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let signer = KeyPair::generate_default(&mut rng);
     let image = CodeImage::sign(&mut rng, &signer, "kernel", &program);
-    let mut topo = Topology::new();
-    let net = topo.add_network("lan", Medium::ethernet100(), true);
-    let h = topo.add_host(HostCfg::named("pg"));
-    let s = topo.add_host(HostCfg::named("sup"));
-    topo.attach(h, net);
-    topo.attach(s, net);
-    let mut world = World::new(topo, seed);
-    let done = Arc::new(Mutex::new(None));
+    let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], 2);
+    let (h, s) = (hosts[0], hosts[1]);
+    /// Notes when the playground reports its program done.
     struct Sup {
-        done: Arc<Mutex<Option<SimTime>>>,
+        done: Option<SimTime>,
     }
     impl Actor for Sup {
         fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
@@ -387,53 +321,33 @@ pub fn run_a3(slice: u64, seed: u64) -> A3Point {
                 if let Ok((snipe_wire::frame::Proto::Raw, body)) = snipe_wire::frame::open(payload)
                 {
                     if let Ok(PlaygroundMsg::Done { .. }) = PlaygroundMsg::decode_from_bytes(body) {
-                        *self.done.lock().unwrap() = Some(ctx.now());
+                        self.done = Some(ctx.now());
                     }
                 }
             }
         }
     }
-    world.spawn(s, 10, Box::new(Sup { done: done.clone() }));
+    let sup = Endpoint::new(s, 10);
+    world.spawn(s, 10, Box::new(Sup { done: None }));
     let cfg = PlaygroundConfig {
         code_signer: signer.public.clone(),
         granted_caps: CAP_EMIT,
         quotas: Quotas { fuel: 10_000_000, ..Quotas::default() },
         slice,
         slice_interval: SimDuration::from_millis(1),
-        supervisor: Endpoint::new(s, 10),
+        supervisor: sup,
         address_book: Default::default(),
     };
     world.spawn(h, 100, Box::new(PlaygroundActor::new(cfg, image, vec![])));
-    for _ in 0..600 {
-        world.run_for(SimDuration::from_millis(100));
-        if done.lock().unwrap().is_some() {
-            break;
-        }
-    }
-    let completion = done.lock().unwrap().map(|t| t.as_secs_f64()).unwrap_or(f64::NAN);
+    let done = |w: &World| w.actor_ref::<Sup>(sup).and_then(|s| s.done);
+    drive(
+        &mut world,
+        SimDuration::from_millis(100),
+        SimTime::ZERO + SimDuration::from_secs(60),
+        |w| done(w).is_some(),
+    );
+    let completion = done(&world).map_or(f64::NAN, |t| t.as_secs_f64());
     A3Point { slice, completion, checkpoint_bytes }
-}
-
-/// Convenience: compare two replicas without networking (pure-store
-/// sanity used by the staleness reporting).
-pub fn store_merge_rounds(writes: usize) -> usize {
-    let mut a = RcStore::new(1);
-    let mut b = RcStore::new(2);
-    for i in 0..writes {
-        a.put(&Uri::process(i as u64), Assertion::new("k", "v"), 0);
-    }
-    let mut rounds = 0;
-    loop {
-        let ups = a.updates_since(b.version_vector(), 64);
-        if ups.is_empty() {
-            break;
-        }
-        for u in ups {
-            b.apply(u.clone());
-        }
-        rounds += 1;
-    }
-    rounds
 }
 
 #[cfg(test)]
@@ -481,10 +395,5 @@ mod tests {
         let big = run_a3(50_000, 33);
         assert!(big.completion < small.completion, "{small:?} vs {big:?}");
         assert!(small.checkpoint_bytes > 0);
-    }
-
-    #[test]
-    fn merge_rounds_bounded() {
-        assert_eq!(store_merge_rounds(100), 2); // 100 updates / 64 per round
     }
 }

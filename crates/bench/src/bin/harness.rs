@@ -7,10 +7,13 @@
 //! cargo run -p snipe-bench --release --bin harness -- chaos 4 # with operands
 //! ```
 //!
-//! Every word naming a row of [`COMMANDS`] starts a command; the words
-//! after it are that command's operands. Output goes to stdout and
-//! `results/`; a command clears only the files it writes. An unknown
-//! command prints the table and exits 2.
+//! The paper's figures and tables are the rows of [`PAPER`]: `harness
+//! <name>` runs the row and rewrites `results/<name>.txt`. Every other
+//! command (gates, digests, chaos, replay) is a row of [`COMMANDS`].
+//! Every word naming a row starts a command; the words after it are
+//! that command's operands. Output goes to stdout and `results/`; a
+//! command clears only the files it writes. An unknown command prints
+//! the command names and exits 2.
 
 use snipe_bench::report::{mbps, Table};
 use snipe_bench::{
@@ -19,7 +22,7 @@ use snipe_bench::{
 };
 use snipe_util::time::SimDuration;
 
-fn run_f1() {
+fn run_f1() -> Table {
     let mut jobs = Vec::new();
     for medium in fig1::standard_media() {
         for proto in [fig1::Protocol::Srudp, fig1::Protocol::Rstream, fig1::Protocol::Mcast] {
@@ -44,10 +47,10 @@ fn run_f1() {
             format!("{frac:.1}%"),
         ]);
     }
-    t.emit("f1.txt");
+    t
 }
 
-fn run_e2() {
+fn run_e2() -> Table {
     // Sizes stay below the Ethernet MTU: the mini-PVM baseline (like
     // early pvm_send without direct routing) does not fragment, and the
     // §6.1 claim is about point-to-point latency/overheads.
@@ -69,10 +72,10 @@ fn run_e2() {
             mbps(r.bandwidth),
         ]);
     }
-    t.emit("e2.txt");
+    t
 }
 
-fn run_e3() {
+fn run_e3() -> Table {
     let ks = vec![1usize, 2, 3, 4, 5];
     let points = par_map(ks, |&k| e3_availability::run(k, 365, 1000 + k as u64));
     let mut t = Table::new(
@@ -86,10 +89,10 @@ fn run_e3() {
             format!("{:.5}", p.single_host),
         ]);
     }
-    t.emit("e3.txt");
+    t
 }
 
-fn run_e4() {
+fn run_e4() -> Table {
     let ns = vec![4usize, 8, 16, 32, 64, 128];
     let snipe = par_map(ns.clone(), |&n| e4_scalability::run_snipe(n, 40));
     let pvm = par_map(ns.clone(), |&n| e4_scalability::run_pvm(n, 40));
@@ -106,8 +109,152 @@ fn run_e4() {
             format!("{ratio:.2}x"),
         ]);
     }
-    t.emit("e4.txt");
+    t
 }
+
+fn run_e5() -> Table {
+    let p = e5_migration::run(200, 6);
+    let mut t = Table::new(
+        "E5 (§5.6): migration under load — zero loss contract",
+        &["sent", "received", "lost", "out-of-order", "max stall (ms)", "migrated at (s)"],
+    );
+    t.row(vec![
+        format!("{}", p.sent),
+        format!("{}", p.received),
+        format!("{}", p.sent - p.received),
+        format!("{}", p.out_of_order),
+        format!("{:.1}", p.max_gap * 1e3),
+        format!("{:.3}", p.migrated_at),
+    ]);
+    t
+}
+
+fn run_e6() -> Table {
+    let configs = vec![(3usize, 1usize), (5, 2), (7, 3), (9, 4)];
+    let points = par_map(configs, |&(r, k)| e6_multicast::run(r, 6, k, 200, 11));
+    let mut t = Table::new(
+        "E6 (§5.4): multicast delivery with routers killed mid-stream",
+        &["routers", "killed", "sent", "min delivered", "delivery", "dup suppressed"],
+    );
+    for p in points {
+        t.row(vec![
+            format!("{}", p.routers),
+            format!("{}", p.killed),
+            format!("{}", p.sent),
+            format!("{}", p.min_delivered),
+            format!("{:.1}%", p.min_delivered as f64 / p.sent as f64 * 100.0),
+            format!("{}", p.duplicates),
+        ]);
+    }
+    t
+}
+
+fn run_e7() -> Table {
+    let p = e7_failover::run(4 << 20, 13);
+    let mut t = Table::new(
+        "E7 (§6): route failover when the preferred (ATM) path blackholes",
+        &["bytes", "delivered", "failover seen", "fault at (s)", "done at (s)"],
+    );
+    t.row(vec![
+        format!("{}", p.total),
+        format!("{}", p.delivered),
+        format!("{}", p.failovers_observed),
+        format!("{:.3}", p.fault_at),
+        format!("{:.3}", p.elapsed),
+    ]);
+    t
+}
+
+fn run_e8() -> Table {
+    let s = e8_spof::run_snipe(21);
+    let p = e8_spof::run_pvm(21);
+    let mut t = Table::new(
+        "E8 (§2.2): killing the name service mid-workload",
+        &["system", "ok before kill", "ok after kill", "post-kill availability"],
+    );
+    for r in [s, p] {
+        t.row(vec![
+            r.system.to_string(),
+            format!("{}/{}", r.ok_before, r.ops_before),
+            format!("{}/{}", r.ok_after, r.ops_after),
+            format!("{:.1}%", r.availability_after() * 100.0),
+        ]);
+    }
+    t
+}
+
+fn run_a1() -> Table {
+    let mut jobs = Vec::new();
+    for window in [4usize, 16, 64, 256] {
+        for frag in [512usize, 1400] {
+            jobs.push((window, frag));
+        }
+    }
+    let points = par_map(jobs, |&(w, f)| ablations::run_a1(w, f, 0.05, 31));
+    let mut t = Table::new(
+        "A1: SRUDP window/fragment sweep on 5%-loss WAN",
+        &["window", "frag size", "goodput MB/s"],
+    );
+    for p in points {
+        t.row(vec![
+            format!("{}", p.window),
+            format!("{}", p.frag_size),
+            if p.goodput.is_nan() { "stalled".into() } else { mbps(p.goodput) },
+        ]);
+    }
+    t
+}
+
+fn run_a2() -> Table {
+    let intervals = vec![100u64, 250, 500, 1000, 2000, 5000];
+    let points = par_map(intervals, |&ms| ablations::run_a2(SimDuration::from_millis(ms), 32));
+    let mut t = Table::new(
+        "A2: anti-entropy interval vs cross-replica staleness",
+        &["sync interval (s)", "staleness (s)"],
+    );
+    for p in points {
+        t.row(vec![format!("{:.2}", p.sync_interval), format!("{:.3}", p.staleness)]);
+    }
+    t
+}
+
+fn run_a3() -> Table {
+    let slices = vec![500u64, 1_000, 5_000, 20_000, 100_000];
+    let points = par_map(slices, |&s| ablations::run_a3(s, 33));
+    let mut t = Table::new(
+        "A3: playground fuel-slice size vs completion and checkpoint size",
+        &["slice (instr)", "completion (s)", "checkpoint (bytes)"],
+    );
+    for p in points {
+        t.row(vec![
+            format!("{}", p.slice),
+            format!("{:.3}", p.completion),
+            format!("{}", p.checkpoint_bytes),
+        ]);
+    }
+    t
+}
+
+/// A paper figure or table: its command name and the runner that
+/// builds it.
+type Paper = (&'static str, fn() -> Table);
+
+/// The paper's figures and tables, in the order bare `harness`
+/// regenerates them: `harness <name>` runs a row and rewrites
+/// `results/<name>.txt` with its table.
+const PAPER: &[Paper] = &[
+    ("f1", run_f1),
+    ("e2", run_e2),
+    ("e3", run_e3),
+    ("e4", run_e4),
+    ("e5", run_e5),
+    ("e6", run_e6),
+    ("e7", run_e7),
+    ("e8", run_e8),
+    ("a1", run_a1),
+    ("a2", run_a2),
+    ("a3", run_a3),
+];
 
 /// `harness e4-shard`: the E4 spawn burst on a partitioned world — a
 /// 6-cluster campus (one region per cluster) at 1/2/4/8 worker
@@ -174,99 +321,6 @@ fn run_full_proto_digest(rest: &[String]) -> bool {
     true
 }
 
-fn run_e5() {
-    let p = e5_migration::run(200, 6);
-    let mut t = Table::new(
-        "E5 (§5.6): migration under load — zero loss contract",
-        &["sent", "received", "lost", "out-of-order", "max stall (ms)", "migrated at (s)"],
-    );
-    t.row(vec![
-        format!("{}", p.sent),
-        format!("{}", p.received),
-        format!("{}", p.sent - p.received),
-        format!("{}", p.out_of_order),
-        format!("{:.1}", p.max_gap * 1e3),
-        format!("{:.3}", p.migrated_at),
-    ]);
-    t.emit("e5.txt");
-}
-
-fn run_e6() {
-    let configs = vec![(3usize, 1usize), (5, 2), (7, 3), (9, 4)];
-    let points = par_map(configs, |&(r, k)| e6_multicast::run(r, 6, k, 200, 11));
-    let mut t = Table::new(
-        "E6 (§5.4): multicast delivery with routers killed mid-stream",
-        &["routers", "killed", "sent", "min delivered", "delivery", "dup suppressed"],
-    );
-    for p in points {
-        t.row(vec![
-            format!("{}", p.routers),
-            format!("{}", p.killed),
-            format!("{}", p.sent),
-            format!("{}", p.min_delivered),
-            format!("{:.1}%", p.min_delivered as f64 / p.sent as f64 * 100.0),
-            format!("{}", p.duplicates),
-        ]);
-    }
-    t.emit("e6.txt");
-}
-
-fn run_e7() {
-    let p = e7_failover::run(4 << 20, 13);
-    let mut t = Table::new(
-        "E7 (§6): route failover when the preferred (ATM) path blackholes",
-        &["bytes", "delivered", "failover seen", "fault at (s)", "done at (s)"],
-    );
-    t.row(vec![
-        format!("{}", p.total),
-        format!("{}", p.delivered),
-        format!("{}", p.failovers_observed),
-        format!("{:.3}", p.fault_at),
-        format!("{:.3}", p.elapsed),
-    ]);
-    t.emit("e7.txt");
-}
-
-fn run_e8() {
-    let s = e8_spof::run_snipe(21);
-    let p = e8_spof::run_pvm(21);
-    let mut t = Table::new(
-        "E8 (§2.2): killing the name service mid-workload",
-        &["system", "ok before kill", "ok after kill", "post-kill availability"],
-    );
-    for r in [s, p] {
-        t.row(vec![
-            r.system.to_string(),
-            format!("{}/{}", r.ok_before, r.ops_before),
-            format!("{}/{}", r.ok_after, r.ops_after),
-            format!("{:.1}%", r.availability_after() * 100.0),
-        ]);
-    }
-    t.emit("e8.txt");
-}
-
-fn run_a1() {
-    let mut jobs = Vec::new();
-    for window in [4usize, 16, 64, 256] {
-        for frag in [512usize, 1400] {
-            jobs.push((window, frag));
-        }
-    }
-    let points = par_map(jobs, |&(w, f)| ablations::run_a1(w, f, 0.05, 31));
-    let mut t = Table::new(
-        "A1: SRUDP window/fragment sweep on 5%-loss WAN",
-        &["window", "frag size", "goodput MB/s"],
-    );
-    for p in points {
-        t.row(vec![
-            format!("{}", p.window),
-            format!("{}", p.frag_size),
-            if p.goodput.is_nan() { "stalled".into() } else { mbps(p.goodput) },
-        ]);
-    }
-    t.emit("a1.txt");
-}
-
 /// `harness fec`: the Fig.1-style A/B curve — goodput vs loss for
 /// plain fragmentation vs erasure-coded share spray, three seeds per
 /// point, strict stop-and-wait so both variants carry one message in
@@ -320,36 +374,6 @@ fn run_fec() -> bool {
     }
     t.emit("fec.txt");
     ok
-}
-
-fn run_a2() {
-    let intervals = vec![100u64, 250, 500, 1000, 2000, 5000];
-    let points = par_map(intervals, |&ms| ablations::run_a2(SimDuration::from_millis(ms), 32));
-    let mut t = Table::new(
-        "A2: anti-entropy interval vs cross-replica staleness",
-        &["sync interval (s)", "staleness (s)"],
-    );
-    for p in points {
-        t.row(vec![format!("{:.2}", p.sync_interval), format!("{:.3}", p.staleness)]);
-    }
-    t.emit("a2.txt");
-}
-
-fn run_a3() {
-    let slices = vec![500u64, 1_000, 5_000, 20_000, 100_000];
-    let points = par_map(slices, |&s| ablations::run_a3(s, 33));
-    let mut t = Table::new(
-        "A3: playground fuel-slice size vs completion and checkpoint size",
-        &["slice (instr)", "completion (s)", "checkpoint (bytes)"],
-    );
-    for p in points {
-        t.row(vec![
-            format!("{}", p.slice),
-            format!("{:.3}", p.completion),
-            format!("{}", p.checkpoint_bytes),
-        ]);
-    }
-    t.emit("a3.txt");
 }
 
 fn print_dump(what: &str, dump: Option<&String>) {
@@ -644,33 +668,11 @@ fn fresh(file: &str) {
     let _ = std::fs::remove_file(format!("results/{file}"));
 }
 
-/// An experiment without operands that regenerates `results/<file>`.
-fn plain(rest: &[String], file: &str, run: fn()) -> bool {
-    if let Some(extra) = rest.first() {
-        eprintln!("unexpected operand {extra:?}");
-        return false;
-    }
-    fresh(file);
-    run();
-    true
-}
-
 type Command = (&'static str, fn(&[String]) -> bool);
 
-/// Every subcommand. A command returns `false` on bad operands or a
-/// failed gate.
+/// Every command besides the [`PAPER`] rows. A command returns `false`
+/// on bad operands or a failed gate.
 const COMMANDS: &[Command] = &[
-    ("f1", |r| plain(r, "f1.txt", run_f1)),
-    ("e2", |r| plain(r, "e2.txt", run_e2)),
-    ("e3", |r| plain(r, "e3.txt", run_e3)),
-    ("e4", |r| plain(r, "e4.txt", run_e4)),
-    ("e5", |r| plain(r, "e5.txt", run_e5)),
-    ("e6", |r| plain(r, "e6.txt", run_e6)),
-    ("e7", |r| plain(r, "e7.txt", run_e7)),
-    ("e8", |r| plain(r, "e8.txt", run_e8)),
-    ("a1", |r| plain(r, "a1.txt", run_a1)),
-    ("a2", |r| plain(r, "a2.txt", run_a2)),
-    ("a3", |r| plain(r, "a3.txt", run_a3)),
     ("chaos", run_chaos),
     // Bounded gate for CI: 2 plans per workload plus the drill.
     ("chaos-smoke", |r| r.is_empty() && chaos_soak(2)),
@@ -687,50 +689,78 @@ const COMMANDS: &[Command] = &[
 /// What bare `harness` regenerates: the paper's figures and tables, the
 /// ablations and the full chaos soak.
 fn paper_set() -> Vec<String> {
-    let set = ["f1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "a1", "a2", "a3", "chaos"];
-    set.map(String::from).to_vec()
+    PAPER.iter().map(|p| p.0).chain(["chaos"]).map(String::from).collect()
 }
 
-/// Split `args` into `(command, operands)` runs: every word naming a
-/// row of `table` starts a command, the words after it are its
-/// operands. `Err` carries a leading word that names no command.
-fn parse<'a>(
-    table: &[Command],
-    args: &'a [String],
-) -> Result<Vec<(Command, &'a [String])>, &'a str> {
-    let find = |word: &str| table.iter().find(|c| c.0 == word).copied();
-    let mut runs = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let cmd = find(&args[i]).ok_or(args[i].as_str())?;
-        let operands = args[i + 1..].iter().take_while(|w| find(w).is_none()).count();
-        runs.push((cmd, &args[i + 1..i + 1 + operands]));
-        i += 1 + operands;
+/// The command table `harness` dispatches over.
+struct Harness {
+    paper: &'static [Paper],
+    commands: &'static [Command],
+}
+
+const HARNESS: Harness = Harness { paper: PAPER, commands: COMMANDS };
+
+impl Harness {
+    /// Every command name, paper rows first.
+    fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.paper.iter().map(|p| p.0).chain(self.commands.iter().map(|c| c.0))
     }
-    Ok(runs)
-}
 
-/// Run `args` (the paper set when empty) against `table`; returns the
-/// process exit code: 0, 1 if a command failed, 2 — with nothing run —
-/// if a word where a command belongs names none.
-fn dispatch(table: &[Command], args: &[String]) -> i32 {
-    let paper_set = paper_set();
-    match parse(table, if args.is_empty() { &paper_set } else { args }) {
-        Err(word) => {
-            let names: Vec<&str> = table.iter().map(|c| c.0).collect();
-            eprintln!("unknown command {word:?}; commands: {}", names.join(", "));
-            2
+    /// Split `args` into `(command, operands)` runs: every word naming a
+    /// command starts one, the words after it are its operands. `Err`
+    /// carries a leading word that names no command.
+    fn parse<'a>(&self, args: &'a [String]) -> Result<Vec<(&'a str, &'a [String])>, &'a str> {
+        let known = |w: &str| self.names().any(|n| n == w);
+        let mut runs = Vec::new();
+        let mut i = 0;
+        while i < args.len() {
+            let cmd = Some(args[i].as_str()).filter(|w| known(w)).ok_or(args[i].as_str())?;
+            let operands = args[i + 1..].iter().take_while(|w| !known(w)).count();
+            runs.push((cmd, &args[i + 1..i + 1 + operands]));
+            i += 1 + operands;
         }
-        Ok(runs) => {
-            let failed = runs.into_iter().filter(|(cmd, operands)| !(cmd.1)(operands)).count();
-            i32::from(failed > 0)
+        Ok(runs)
+    }
+
+    /// Run the command `name`. A paper row takes no operands and
+    /// rewrites `results/<name>.txt`.
+    fn run(&self, name: &str, operands: &[String]) -> bool {
+        let Some((_, table)) = self.paper.iter().find(|p| p.0 == name) else {
+            let (_, run) = self.commands.iter().find(|c| c.0 == name).expect("a parsed command");
+            return run(operands);
+        };
+        if let Some(extra) = operands.first() {
+            eprintln!("unexpected operand {extra:?}");
+            return false;
+        }
+        let file = format!("{name}.txt");
+        fresh(&file);
+        table().emit(&file);
+        true
+    }
+
+    /// Run `args` (the paper set when empty); returns the process exit
+    /// code: 0, 1 if a command failed, 2 — with nothing run — if a word
+    /// where a command belongs names none.
+    fn dispatch(&self, args: &[String]) -> i32 {
+        let paper_set = paper_set();
+        match self.parse(if args.is_empty() { &paper_set } else { args }) {
+            Err(word) => {
+                let names: Vec<&str> = self.names().collect();
+                eprintln!("unknown command {word:?}; commands: {}", names.join(", "));
+                2
+            }
+            Ok(runs) => {
+                let failed = runs.into_iter().filter(|(cmd, operands)| !self.run(cmd, operands));
+                i32::from(failed.count() > 0)
+            }
         }
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    std::process::exit(dispatch(COMMANDS, &args));
+    std::process::exit(HARNESS.dispatch(&args));
 }
 
 #[cfg(test)]
@@ -746,12 +776,15 @@ mod tests {
         name != "gate"
     }
 
-    const FAKE: &[Command] = &[
-        ("chaos", |r| note("chaos", r)),
-        ("chaos-smoke", |r| note("chaos-smoke", r)),
-        ("e5", |r| note("e5", r)),
-        ("gate", |r| note("gate", r)),
-    ];
+    const FAKE: Harness = Harness {
+        paper: &[],
+        commands: &[
+            ("chaos", |r| note("chaos", r)),
+            ("chaos-smoke", |r| note("chaos-smoke", r)),
+            ("e5", |r| note("e5", r)),
+            ("gate", |r| note("gate", r)),
+        ],
+    };
 
     fn words(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -761,21 +794,21 @@ mod tests {
     /// wherever a command is expected, not only in first position.
     #[test]
     fn unknown_command_runs_nothing_and_exits_2() {
-        assert!(parse(FAKE, &words("chaos-smok")).is_err());
-        assert!(parse(COMMANDS, &words("chaos-smok")).is_err());
+        assert!(FAKE.parse(&words("chaos-smok")).is_err());
+        assert!(HARNESS.parse(&words("chaos-smok")).is_err());
         let before = RAN.lock().unwrap().len();
-        assert_eq!(dispatch(FAKE, &words("chaos-smok")), 2);
-        assert_eq!(dispatch(FAKE, &words("soak 4")), 2);
+        assert_eq!(FAKE.dispatch(&words("chaos-smok")), 2);
+        assert_eq!(FAKE.dispatch(&words("soak 4")), 2);
         assert_eq!(RAN.lock().unwrap().len(), before, "a command ran");
         // Operands go to the command before them; a failed command is 1.
-        assert_eq!(dispatch(FAKE, &words("chaos 4 e5")), 0);
-        assert_eq!(dispatch(FAKE, &words("e5 gate")), 1);
+        assert_eq!(FAKE.dispatch(&words("chaos 4 e5")), 0);
+        assert_eq!(FAKE.dispatch(&words("e5 gate")), 1);
         let ran = RAN.lock().unwrap()[before..].join(" ");
         assert_eq!(ran, r#"chaos["4"] e5[] e5[] gate[]"#);
         // Bare `harness` is the paper set, every word of it a command.
-        assert_eq!(parse(COMMANDS, &paper_set()).map(|runs| runs.len()), Ok(12));
+        assert_eq!(HARNESS.parse(&paper_set()).map(|runs| runs.len()), Ok(12));
         // A stray operand on an operand-less experiment is refused.
-        assert_eq!(dispatch(COMMANDS, &words("e5 e55")), 1);
+        assert_eq!(HARNESS.dispatch(&words("e5 e55")), 1);
     }
 
     /// Run in a scratch directory; the process-wide cwd is put back (and
@@ -812,7 +845,7 @@ mod tests {
         for f in ["shard.txt", "e6.txt", "e5.txt"] {
             std::fs::write(format!("results/{f}"), "stale").unwrap();
         }
-        assert_eq!(dispatch(COMMANDS, &words("e5")), 0);
+        assert_eq!(HARNESS.dispatch(&words("e5")), 0);
         assert_eq!(std::fs::read_to_string("results/shard.txt").unwrap(), "stale");
         assert_eq!(std::fs::read_to_string("results/e6.txt").unwrap(), "stale");
         let e5 = std::fs::read_to_string("results/e5.txt").unwrap();
@@ -821,8 +854,9 @@ mod tests {
 
     /// DESIGN.md's experiment index cites only this binary: every code
     /// span of its "Bench target" column is `harness <cmd> …` for a row
-    /// of [`COMMANDS`], and the text between spans is separators and
-    /// parenthesised notes, never the name of another tool.
+    /// of [`PAPER`] or [`COMMANDS`], and the text between spans is
+    /// separators and parenthesised notes, never the name of another
+    /// tool.
     #[test]
     fn design_index_cites_only_harness_commands() {
         let design = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../DESIGN.md");
@@ -841,7 +875,7 @@ mod tests {
                 if i % 2 == 1 {
                     let cmd = part.strip_prefix("harness ").and_then(|c| c.split(' ').next());
                     assert!(
-                        cmd.is_some_and(|c| COMMANDS.iter().any(|k| k.0 == c)),
+                        cmd.is_some_and(|c| HARNESS.names().any(|n| n == c)),
                         "`{part}` names no harness command: {row}"
                     );
                     cited += 1;
@@ -855,6 +889,20 @@ mod tests {
                 }
             }
             assert!(cited > 0, "no harness command cited: {row}");
+        }
+    }
+
+    /// The cheap paper tables regenerate byte for byte: a change that
+    /// moves anything simulated under them, or a committed table left
+    /// stale, fails here rather than at the next hand-run `harness`.
+    #[test]
+    fn cheap_paper_tables_match_the_committed_results() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for name in ["e2", "e5", "e6", "e7", "e8", "a1", "a2"] {
+            let (_, table) = PAPER.iter().find(|p| p.0 == name).expect("a paper row");
+            let committed = std::fs::read_to_string(results.join(format!("{name}.txt"))).unwrap();
+            // `Table::emit` ends the file with a blank line.
+            assert_eq!(format!("{}\n", table().render()), committed, "results/{name}.txt");
         }
     }
 }

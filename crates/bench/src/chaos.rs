@@ -21,7 +21,7 @@
 //! [`REGRESSION_CORPUS`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -34,7 +34,7 @@ use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::chaos::{shrink_plan, ChaosBinding, ChaosOp, ChaosPlan, ChaosShape};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::shard::ActorFactory;
-use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
+use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, TraceKind};
 use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
@@ -52,10 +52,10 @@ use snipe_wire::stack::StackConfig;
 
 use crate::e6_multicast::{self, MemberActor};
 use crate::fig1::{
-    rstream_stack, FecReceiver, FecSender, Hosted, Receiver, RstreamSender, SrudpSender,
+    hosted, rstream_stack, FecReceiver, FecSender, Hosted, Receiver, RstreamSender, SrudpSender,
 };
 use crate::shard_storm::cluster_topology;
-use crate::{e5_migration, oracles, par_map};
+use crate::{drive, e5_migration, lan, oracles, par_map};
 
 /// How long a transfer may sit with zero progress while a physical path
 /// exists before the liveness watchdog declares a violation.
@@ -132,6 +132,13 @@ impl Arena for SnipeWorld {
 }
 
 impl<W: Arena> Stage<W> {
+    /// The cast on `world`, net faults rotating over every network of
+    /// it; no pin, no work.
+    fn new((mut world, cast): (W, Vec<HostId>)) -> Stage<W> {
+        let nets = (0..world.sim().topology().net_count() as u32).map(NetId).collect();
+        Stage { world, cast, nets, pin: None, work: 0, window: 0 }
+    }
+
     /// Bind the plan's abstract targets to this placement and schedule
     /// it: `flappable` cast members may crash (and their interfaces
     /// flap), net-level faults rotate over the stage's networks, `procs`
@@ -155,51 +162,24 @@ impl<W: Arena> Stage<W> {
     }
 }
 
-/// A one-region LAN: `hosts` hosts, each attached to every one of
-/// `media` in order (the first routable, the rest not). The cast is
-/// every host; net faults rotate over every medium.
-fn lan(wseed: u64, media: &[Medium], hosts: usize) -> Stage<World> {
-    let mut topo = Topology::new();
-    let nets: Vec<NetId> = media
-        .iter()
-        .enumerate()
-        .map(|(i, m)| topo.add_network(format!("net{i}"), m.clone(), i == 0))
-        .collect();
-    let cast = (0..hosts)
-        .map(|i| {
-            let h = topo.add_host(HostCfg::named(format!("h{i}")));
-            for &n in &nets {
-                topo.attach(h, n);
-            }
-            h
-        })
-        .collect();
-    Stage { world: World::new(topo, wseed), cast, nets, pin: None, work: 0, window: 0 }
-}
-
 /// The [`CAMPUS_HOSTS`]-host campus over its natural partition, the
 /// cast at the given host ids (64 per cluster, so `h / 64` is a host's
 /// region). Net faults rotate over the first six cluster LANs.
 fn campus(wseed: u64, threads: usize, cast: &[u32]) -> Stage<World> {
-    Stage {
-        world: World::sharded(cluster_topology(CAMPUS_HOSTS), wseed, threads),
-        cast: cast.iter().map(|&h| HostId(h)).collect(),
-        nets: (0..6).map(NetId).collect(),
-        pin: None,
-        work: 0,
-        window: 0,
-    }
+    let world = World::sharded(cluster_topology(CAMPUS_HOSTS), wseed, threads);
+    let cast = cast.iter().map(|&h| HostId(h)).collect();
+    Stage { nets: (0..6).map(NetId).collect(), ..Stage::new((world, cast)) }
 }
 
 /// A full SNIPE runtime with the cast at the named hosts; net faults
 /// rotate over every network of the world.
 fn snipe(mut world: SnipeWorld, cast: &[&str]) -> Stage<SnipeWorld> {
-    let (cast, nets) = {
+    let cast = {
         let topo = world.sim().topology();
         let host = |n: &&str| topo.host_by_name(n).expect("cast host exists in the stage's world");
-        (cast.iter().map(host).collect(), (0..topo.net_count() as u32).map(NetId).collect())
+        cast.iter().map(host).collect()
     };
-    Stage { world, cast, nets, pin: None, work: 0, window: 0 }
+    Stage::new((world, cast))
 }
 
 /// The full-protocol cast: publisher, three subscribers, and the host
@@ -263,7 +243,7 @@ pub static WORKLOADS: [Workload; 15] = [
                 pin: Some(vec![NetId(1), NetId(0)]),
                 work: 64 << 20,
                 window: 64 * 1400,
-                ..lan(s, &[Medium::ethernet100(), Medium::atm155()], 2)
+                ..Stage::new(lan(s, &[Medium::ethernet100(), Medium::atm155()], 2))
             },
             srudp_transfer,
         ),
@@ -285,7 +265,7 @@ pub static WORKLOADS: [Workload; 15] = [
             |s, _| Stage {
                 work: 32 << 20,
                 window: 64 * 1400,
-                ..lan(s, &[Medium::ethernet100()], 2)
+                ..Stage::new(lan(s, &[Medium::ethernet100()], 2))
             },
             rstream_transfer,
         ),
@@ -311,7 +291,7 @@ pub static WORKLOADS: [Workload; 15] = [
     Workload {
         name: "rcds-converge",
         shape: || ChaosShape { horizon: secs(8), hosts: 3, procs: 3, ..ChaosShape::default() },
-        play: Play::Net(|s, _| lan(s, &[Medium::ethernet100()], 4), rcds_converge),
+        play: Play::Net(|s, _| Stage::new(lan(s, &[Medium::ethernet100()], 4)), rcds_converge),
     },
     // E6-shape: majority-routed multicast. Routers relay unreliably:
     // only duplication, reordering and gray degradation are within
@@ -332,7 +312,7 @@ pub static WORKLOADS: [Workload; 15] = [
             jitter_max: ms(15),
             ..ChaosShape::default()
         },
-        play: Play::Net(|s, _| lan(s, &[Medium::ethernet100()], 9), mcast),
+        play: Play::Net(|s, _| Stage::new(lan(s, &[Medium::ethernet100()], 9)), mcast),
     },
     // FEC-shape: 200 × 7000-byte messages, each split into 9 erasure
     // shares sprayed across two WAN paths. With ~2 messages pipelined
@@ -358,7 +338,7 @@ pub static WORKLOADS: [Workload; 15] = [
                 pin: Some(vec![NetId(0), NetId(1)]),
                 work: 200,
                 window: 26_000,
-                ..lan(s, &[Medium::wan(), Medium::wan()], 2)
+                ..Stage::new(lan(s, &[Medium::wan(), Medium::wan()], 2))
             },
             fec_spray,
         ),
@@ -371,7 +351,7 @@ pub static WORKLOADS: [Workload; 15] = [
     Workload {
         name: "replica-crash",
         shape: || ChaosShape { horizon: secs(8), hosts: 6, procs: 6, ..ChaosShape::default() },
-        play: Play::Net(|s, _| lan(s, &[Medium::ethernet100()], 7), replica_crash),
+        play: Play::Net(|s, _| Stage::new(lan(s, &[Medium::ethernet100()], 7)), replica_crash),
     },
     // The campus placements. The transfers are stop-and-wait per
     // message across two cluster LANs (~1 ms round trip), so they are
@@ -575,16 +555,6 @@ fn judge<W: Arena, R>(
 // Drive loops
 // ---------------------------------------------------------------------------
 
-/// Drive `world` in `step` slices until `done` or `deadline`.
-fn drive(world: &mut World, step: SimDuration, deadline: SimTime, done: impl Fn(&World) -> bool) {
-    loop {
-        world.run_for(step);
-        if done(world) || world.now() >= deadline {
-            return;
-        }
-    }
-}
-
 /// Drive a point-to-point transfer until `progress` reaches `total`,
 /// under a virtual-time liveness watchdog: stalling while a physical
 /// path exists is a violation even before the completion deadline
@@ -595,7 +565,7 @@ fn drive_transfer(
     plan: &ChaosPlan,
     (a, b): (HostId, HostId),
     (total, unit): (usize, &str),
-    progress: impl Fn() -> usize,
+    progress: impl Fn(&World) -> usize,
 ) -> Vec<String> {
     let mut violations = Vec::new();
     let deadline = plan.quiesce_at() + RECOVERY_TAIL;
@@ -603,7 +573,7 @@ fn drive_transfer(
     let (mut last, mut stall) = (0, SimDuration::from_nanos(0));
     loop {
         world.run_for(step);
-        let got = progress();
+        let got = progress(world);
         if got >= total {
             break;
         }
@@ -629,7 +599,7 @@ fn drive_transfer(
             break;
         }
     }
-    let got = progress();
+    let got = progress(world);
     if got > total {
         violations.push(format!(
             "{label}: exactly-once violated — {got} {unit} delivered for {total} sent"
@@ -644,25 +614,15 @@ fn drive_transfer(
 
 fn srudp_transfer(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
     let (a, b, total) = (st.cast[0], st.cast[1], st.work);
-    let received = Arc::new(Mutex::new(0usize));
+    let rx = Endpoint::new(b, 20);
     let mut cfg = StackConfig::default();
     cfg.srudp.rto_initial = ms(20);
-    st.world.spawn(
-        b,
-        20,
-        Box::new(Hosted::new(Receiver {
-            cfg: cfg.clone(),
-            pin: st.pin.clone(),
-            received: received.clone(),
-            done_at: Arc::default(),
-            expect: total,
-        })),
-    );
+    st.world.spawn(b, 20, Box::new(Hosted::new(Receiver::new(cfg.clone(), st.pin.clone(), total))));
     st.world.spawn(
         a,
         20,
         Box::new(Hosted::new(SrudpSender {
-            peer: Endpoint::new(b, 20),
+            peer: rx,
             msg_size: 16 * 1024,
             remaining: total,
             inflight: st.window,
@@ -671,43 +631,33 @@ fn srudp_transfer(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<S
         })),
     );
     st.bind(plan, &[a, b], Vec::new());
-    drive_transfer(label, &mut st.world, plan, (a, b), (total, "bytes"), || {
-        *received.lock().unwrap()
+    drive_transfer(label, &mut st.world, plan, (a, b), (total, "bytes"), |w| {
+        hosted::<Receiver>(w, rx).app.received
     })
 }
 
 fn rstream_transfer(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
     let (a, b, total) = (st.cast[0], st.cast[1], st.work);
-    let received = Arc::new(Mutex::new(0usize));
+    let rx = Endpoint::new(b, 20);
     // Faults may sever connectivity for most of the horizon; widen the
     // abort budget so the stream outlives them and resumes.
     let cfg = RstreamConfig { max_timeouts: 100, ..RstreamConfig::default() };
-    st.world.spawn(
-        b,
-        20,
-        Box::new(Hosted::new(Receiver {
-            cfg: rstream_stack(&cfg),
-            pin: None,
-            received: received.clone(),
-            done_at: Arc::default(),
-            expect: total,
-        })),
-    );
+    st.world.spawn(b, 20, Box::new(Hosted::new(Receiver::new(rstream_stack(&cfg), None, total))));
     st.world.spawn(
         a,
         20,
         Box::new(Hosted::new(RstreamSender {
             cfg,
             conn: 0,
-            peer: Endpoint::new(b, 20),
+            peer: rx,
             msg_size: 16 * 1024,
             remaining: total,
             inflight_cap: st.window,
         })),
     );
     st.bind(plan, &[a, b], Vec::new());
-    drive_transfer(label, &mut st.world, plan, (a, b), (total, "bytes"), || {
-        *received.lock().unwrap()
+    drive_transfer(label, &mut st.world, plan, (a, b), (total, "bytes"), |w| {
+        hosted::<Receiver>(w, rx).app.received
     })
 }
 
@@ -716,31 +666,17 @@ fn rstream_transfer(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec
 /// peer evicted from partial-reassembly state.
 fn fec_spray(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
     let (a, b, count) = (st.cast[0], st.cast[1], st.work);
+    let rx = Endpoint::new(b, 20);
     let msg_size: usize = 7000;
-    let seqs: Arc<Mutex<Vec<u32>>> = Arc::default();
-    let mismatches: Arc<Mutex<Vec<String>>> = Arc::default();
-    let stats: Arc<Mutex<snipe_wire::srudp::SrudpStats>> = Arc::default();
     let mut cfg = StackConfig::default();
     cfg.srudp.frag_strategy = FragStrategy::Fec;
-    st.world.spawn(
-        b,
-        20,
-        Box::new(Hosted::new(FecReceiver {
-            cfg: cfg.clone(),
-            pin: st.pin.clone(),
-            expect: count as u64,
-            msg_size,
-            seqs: seqs.clone(),
-            mismatches: mismatches.clone(),
-            stats: stats.clone(),
-            done_at: Arc::default(),
-        })),
-    );
+    let receiver = FecReceiver::new(cfg.clone(), st.pin.clone(), count as u64, msg_size);
+    st.world.spawn(b, 20, Box::new(Hosted::new(receiver)));
     st.world.spawn(
         a,
         20,
         Box::new(Hosted::new(FecSender {
-            peer: Endpoint::new(b, 20),
+            peer: rx,
             msg_size,
             count: count as u64,
             next: 0,
@@ -751,21 +687,16 @@ fn fec_spray(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String
     );
     st.bind(plan, &[a, b], Vec::new());
     let mut violations =
-        drive_transfer(label, &mut st.world, plan, (a, b), (count, "messages"), || {
-            seqs.lock().unwrap().len()
+        drive_transfer(label, &mut st.world, plan, (a, b), (count, "messages"), |w| {
+            hosted::<FecReceiver>(w, rx).app.seqs.len()
         });
-    let seqs = seqs.lock().unwrap();
+    let rx = hosted::<FecReceiver>(&st.world, rx);
+    let (seqs, stats) = (&rx.app.seqs, rx.srudp_stats());
     let done = seqs.len() >= count;
     if done {
-        violations.extend(oracles::check_exactly_once_in_order(label, count as u32, &seqs));
+        violations.extend(oracles::check_exactly_once_in_order(label, count as u32, seqs));
     }
-    let stats = stats.lock().unwrap();
-    violations.extend(oracles::check_fec_integrity(
-        label,
-        &mismatches.lock().unwrap(),
-        &stats,
-        done,
-    ));
+    violations.extend(oracles::check_fec_integrity(label, &rx.app.mismatches, &stats, done));
     // REASM_TTL (60s) exceeds the whole watchdog window, so an
     // in-contract sender must never be swept from reassembly state.
     violations.extend(oracles::check_reasm_bounded(label, &stats, 0));
@@ -786,34 +717,21 @@ fn migration(st: &mut Stage<SnipeWorld>, plan: &ChaosPlan, label: &str) -> Vec<S
     let interval = ms(4);
     let name = |h: HostId| st.world.sim_ref().topology().host(h).name.clone();
     let (from, target, streamer) = (name(st.cast[0]), name(st.cast[1]), name(st.cast[2]));
-    let w = &mut st.world;
-    let deliveries = Arc::new(Mutex::new(Vec::new()));
-    let migrated_at = Arc::new(Mutex::new(None));
-    let (dl, ma) = (deliveries.clone(), migrated_at.clone());
-    w.register_process("worker", move |_| {
-        Box::new(e5_migration::Worker {
-            deliveries: dl.clone(),
-            migrated_at: ma.clone(),
-            move_after: ms(300),
-            target: target.clone(),
-        })
-    });
-    let (wkey, _) = w.spawn_on(&from, "worker", Bytes::new()).expect("spawn worker");
-    w.register_process("streamer", move |_| {
-        Box::new(e5_migration::Streamer { peer: wkey, total, sent: 0, interval })
-    });
-    w.spawn_on(&streamer, "streamer", Bytes::new()).expect("spawn streamer");
+    let log =
+        e5_migration::stage(&mut st.world, [&from, &target, &streamer], ms(300), total, interval);
     st.bind(plan, &[], Vec::new());
 
     let stream_end = SimTime::ZERO + interval * (total as u64 + 2);
     let deadline = plan.quiesce_at().max(stream_end) + RECOVERY_TAIL;
     drive(st.world.sim(), ms(500), deadline, |_| {
-        deliveries.lock().unwrap().len() as u32 >= total && migrated_at.lock().unwrap().is_some()
+        let log = log.lock().unwrap();
+        log.deliveries.len() as u32 >= total && log.migrated_at.is_some()
     });
 
-    let seqs: Vec<u32> = deliveries.lock().unwrap().iter().map(|&(_, s)| s).collect();
+    let log = log.lock().unwrap();
+    let seqs: Vec<u32> = log.deliveries.iter().map(|&(_, s)| s).collect();
     let mut violations = oracles::check_exactly_once_in_order(label, total, &seqs);
-    if migrated_at.lock().unwrap().is_none() {
+    if log.migrated_at.is_none() {
         violations.push(format!("{label}: process never completed its move"));
     }
     violations

@@ -14,6 +14,8 @@ use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_util::time::{SimDuration, SimTime};
 
+use crate::drive;
+
 /// One measured row.
 #[derive(Clone, Debug)]
 pub struct E2Point {
@@ -62,6 +64,28 @@ impl MpiRank for Ponger {
 
 const ROUNDS: u32 = 40;
 
+/// Drive until the pinger is done (a minute at most) and turn its two
+/// timestamps into a row.
+fn finish(
+    world: &mut World,
+    system: &'static str,
+    msg_size: usize,
+    start: &Mutex<Option<SimTime>>,
+    done: &Mutex<Option<SimTime>>,
+) -> E2Point {
+    let deadline = world.now() + SimDuration::from_secs(60);
+    drive(world, SimDuration::from_millis(500), deadline, |_| done.lock().unwrap().is_some());
+    let t0 = start.lock().unwrap().expect("started");
+    let t1 = done.lock().unwrap().expect("the pinger finishes within a minute");
+    let elapsed = t1.since(t0).as_secs_f64();
+    E2Point {
+        system,
+        msg_size,
+        latency: elapsed / (2.0 * ROUNDS as f64),
+        bandwidth: (ROUNDS as usize * msg_size) as f64 / elapsed,
+    }
+}
+
 /// Run the SNIPE-substrate (MPI Connect) side.
 pub fn run_snipe(msg_size: usize) -> E2Point {
     let mut w = SnipeWorldBuilder::two_site(2, 77).build();
@@ -84,21 +108,7 @@ pub fn run_snipe(msg_size: usize) -> E2Point {
         })))
     });
     w.spawn_on("site0-host1", "pinger", Bytes::new()).unwrap();
-    for _ in 0..120 {
-        w.run_for(SimDuration::from_millis(500));
-        if done.lock().unwrap().is_some() {
-            break;
-        }
-    }
-    let t0 = start.lock().unwrap().expect("started");
-    let t1 = done.lock().unwrap().expect("snipe e2 completed");
-    let elapsed = t1.since(t0).as_secs_f64();
-    E2Point {
-        system: "MPI Connect (SNIPE)",
-        msg_size,
-        latency: elapsed / (2.0 * ROUNDS as f64),
-        bandwidth: (ROUNDS as usize * msg_size) as f64 / elapsed,
-    }
+    finish(w.sim(), "MPI Connect (SNIPE)", msg_size, &start, &done)
 }
 
 /// Run the PVM-substrate (PVMPI) side on an identical physical layout.
@@ -143,21 +153,7 @@ pub fn run_pvmpi(msg_size: usize) -> E2Point {
         }),
     );
     world.spawn(hosts[1], 300, Box::new(ping));
-    for _ in 0..120 {
-        world.run_for(SimDuration::from_millis(500));
-        if done.lock().unwrap().is_some() {
-            break;
-        }
-    }
-    let t0 = start.lock().unwrap().expect("started");
-    let t1 = done.lock().unwrap().expect("pvmpi e2 completed");
-    let elapsed = t1.since(t0).as_secs_f64();
-    E2Point {
-        system: "PVMPI (PVM)",
-        msg_size,
-        latency: elapsed / (2.0 * ROUNDS as f64),
-        bandwidth: (ROUNDS as usize * msg_size) as f64 / elapsed,
-    }
+    finish(&mut world, "PVMPI (PVM)", msg_size, &start, &done)
 }
 
 #[cfg(test)]

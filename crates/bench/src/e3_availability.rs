@@ -7,13 +7,10 @@
 //! following exponential processes. We report the fraction of lookups
 //! answered, versus the replica count k.
 
-use std::sync::{Arc, Mutex};
-
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::fault::{schedule_host_failures, FailureModel};
 use snipe_netsim::medium::Medium;
-use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
-use snipe_netsim::world::World;
+use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
@@ -22,6 +19,8 @@ use snipe_rcds::uri::Uri;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::ports;
+
+use crate::lan;
 
 /// One measured row.
 #[derive(Clone, Debug)]
@@ -41,8 +40,8 @@ struct LookupLoad {
     rc: RcHost,
     interval: SimDuration,
     uri: Uri,
-    issued: Arc<Mutex<u64>>,
-    answered: Arc<Mutex<u64>>,
+    issued: u64,
+    answered: u64,
     seeded: bool,
 }
 
@@ -54,7 +53,7 @@ impl LookupLoad {
                 if !self.seeded {
                     self.seeded = true; // the initial put
                 } else if !reply.assertions.is_empty() {
-                    *self.answered.lock().unwrap() += 1;
+                    self.answered += 1;
                 }
             }
         }
@@ -72,7 +71,7 @@ impl Actor for LookupLoad {
             }
             Event::Timer { token: TIMER_TICK } => {
                 self.rc.get(now, &self.uri);
-                *self.issued.lock().unwrap() += 1;
+                self.issued += 1;
                 self.pump(ctx);
                 ctx.set_timer(self.interval, TIMER_TICK);
             }
@@ -99,19 +98,10 @@ impl Actor for LookupLoad {
 /// model; lookups every `lookup_interval`.
 pub fn run(replicas: usize, horizon_days: u64, seed: u64) -> E3Point {
     let model = FailureModel { mtbf: SimDuration::from_days(10), mttr: SimDuration::from_hours(4) };
-    let mut topo = Topology::new();
-    let net = topo.add_network("lan", Medium::ethernet100(), true);
-    let mut rc_hosts = Vec::new();
-    for i in 0..replicas {
-        let h = topo.add_host(HostCfg::named(format!("rc{i}")));
-        topo.attach(h, net);
-        rc_hosts.push(h);
-    }
-    // The client host never fails (we measure service availability, not
-    // client uptime).
-    let client = topo.add_host(HostCfg::named("client"));
-    topo.attach(client, net);
-    let mut world = World::new(topo, seed);
+    // The client (the last host) never fails: we measure service
+    // availability, not client uptime.
+    let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], replicas + 1);
+    let (rc_hosts, client) = (&hosts[..replicas], hosts[replicas]);
     let eps: Vec<Endpoint> = rc_hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
     for (i, ep) in eps.iter().enumerate() {
         let peers: Vec<Endpoint> = eps.iter().copied().filter(|e| e != ep).collect();
@@ -123,26 +113,23 @@ pub fn run(replicas: usize, horizon_days: u64, seed: u64) -> E3Point {
     }
     let horizon = SimTime::ZERO + SimDuration::from_days(horizon_days);
     let mut frng = Xoshiro256::seed_from_u64(seed ^ 0xFA11);
-    for &h in &rc_hosts {
+    for &h in rc_hosts {
         schedule_host_failures(&mut world, h, model, horizon, &mut frng);
     }
-    let issued = Arc::new(Mutex::new(0u64));
-    let answered = Arc::new(Mutex::new(0u64));
     let load = LookupLoad {
         rc: RcHost::new(RcClient::new(eps, SimDuration::from_millis(300)), TIMER_RC),
         interval: SimDuration::from_secs(600),
         uri: Uri::process(7),
-        issued: issued.clone(),
-        answered: answered.clone(),
+        issued: 0,
+        answered: 0,
         seeded: false,
     };
-    world.spawn(client, 50, Box::new(load));
+    let load = world.spawn(client, 50, Box::new(load)).expect("client host exists");
     world.run_until(horizon);
-    let i = *issued.lock().unwrap();
-    let a = *answered.lock().unwrap();
+    let LookupLoad { issued, answered, .. } = *world.actor_ref(load).expect("the load lives");
     E3Point {
         replicas,
-        availability: if i == 0 { 0.0 } else { a as f64 / i as f64 },
+        availability: if issued == 0 { 0.0 } else { answered as f64 / issued as f64 },
         single_host: model.single_host_availability(),
     }
 }

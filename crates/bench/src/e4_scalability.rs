@@ -16,12 +16,13 @@ use pvm_baseline::proto::Tid;
 use pvm_baseline::task::{PvmTask, PvmTaskActor, PvmTaskApi};
 use pvm_baseline::{PvmMaster, PvmSlave, MASTER_PORT, SLAVE_PORT};
 use snipe_core::api::TicketResult;
-use snipe_core::{SnipeApi, SnipeProcess, SnipeWorldBuilder, SpawnTarget};
+use snipe_core::{SnipeApi, SnipeProcess, SnipeWorld, SnipeWorldBuilder, SpawnTarget};
 use snipe_daemon::registry::ProgramRegistry;
 use snipe_netsim::medium::Medium;
-use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
-use snipe_netsim::world::World;
+use snipe_netsim::topology::Endpoint;
 use snipe_util::time::{SimDuration, SimTime};
+
+use crate::{drive, lan};
 
 /// One measured row.
 #[derive(Clone, Debug)]
@@ -34,6 +35,14 @@ pub struct E4Point {
     pub elapsed: f64,
     /// Whether every spawn succeeded.
     pub complete: bool,
+}
+
+impl E4Point {
+    /// A row from the seconds the burst took, `None` if it never
+    /// completed.
+    fn new(system: &'static str, hosts: usize, elapsed: Option<f64>) -> E4Point {
+        E4Point { system, hosts, elapsed: elapsed.unwrap_or(f64::NAN), complete: elapsed.is_some() }
+    }
 }
 
 // --- SNIPE side ------------------------------------------------------------
@@ -70,14 +79,14 @@ impl SnipeProcess for Coordinator {
     }
 }
 
-/// SNIPE: spawn one task per host from a coordinator.
-pub fn run_snipe(n: usize, seed: u64) -> E4Point {
-    let mut w = SnipeWorldBuilder::lan(n, seed).build();
+/// Spawn one idle task on each of `hosts` from a coordinator on `home`;
+/// returns the virtual seconds until every spawn was confirmed (`None`
+/// if one failed or two minutes passed).
+fn burst(w: &mut SnipeWorld, hosts: Vec<String>, home: &str) -> Option<f64> {
     w.register_process("idle", |_| Box::new(Idle));
     let done = Arc::new(Mutex::new(None));
     let failed = Arc::new(Mutex::new(false));
     let (d, f) = (done.clone(), failed.clone());
-    let hosts: Vec<String> = (0..n).map(|i| format!("host{i}")).collect();
     w.register_process("coord", move |_| {
         Box::new(Coordinator {
             hosts: hosts.clone(),
@@ -87,23 +96,19 @@ pub fn run_snipe(n: usize, seed: u64) -> E4Point {
         })
     });
     let t0 = w.now();
-    w.spawn_on("host0", "coord", Bytes::new()).unwrap();
-    for _ in 0..240 {
-        w.run_for(SimDuration::from_millis(500));
-        if done.lock().unwrap().is_some() || *failed.lock().unwrap() {
-            break;
-        }
-    }
-    let result = *done.lock().unwrap();
-    match result {
-        Some(t) => E4Point {
-            system: "SNIPE",
-            hosts: n,
-            elapsed: t.since(t0).as_secs_f64(),
-            complete: true,
-        },
-        None => E4Point { system: "SNIPE", hosts: n, elapsed: f64::NAN, complete: false },
-    }
+    w.spawn_on(home, "coord", Bytes::new()).unwrap();
+    drive(w.sim(), SimDuration::from_millis(500), t0 + SimDuration::from_secs(120), |_| {
+        done.lock().unwrap().is_some() || *failed.lock().unwrap()
+    });
+    let done = *done.lock().unwrap();
+    done.map(|t| t.since(t0).as_secs_f64())
+}
+
+/// SNIPE: spawn one task per host from a coordinator.
+pub fn run_snipe(n: usize, seed: u64) -> E4Point {
+    let mut w = SnipeWorldBuilder::lan(n, seed).build();
+    let elapsed = burst(&mut w, (0..n).map(|i| format!("host{i}")).collect(), "host0");
+    E4Point::new("SNIPE", n, elapsed)
 }
 
 // --- SNIPE on a partitioned world ------------------------------------------
@@ -138,44 +143,17 @@ pub fn run_snipe_sharded(
 ) -> E4ShardPoint {
     let wall = std::time::Instant::now();
     let mut w = SnipeWorldBuilder::campus(clusters, per_cluster, seed).build_sharded(threads);
-    w.register_process("idle", |_| Box::new(Idle));
-    let done = Arc::new(Mutex::new(None));
-    let failed = Arc::new(Mutex::new(false));
-    let (d, f) = (done.clone(), failed.clone());
     let hosts: Vec<String> =
         (0..clusters).flat_map(|c| (0..per_cluster).map(move |i| format!("c{c}h{i}"))).collect();
     let n = hosts.len();
-    w.register_process("coord", move |_| {
-        Box::new(Coordinator {
-            hosts: hosts.clone(),
-            confirmed: 0,
-            done: d.clone(),
-            failed: f.clone(),
-        })
-    });
-    let t0 = w.now();
-    w.spawn_on("c0h1", "coord", Bytes::new()).unwrap();
-    for _ in 0..240 {
-        w.run_for(SimDuration::from_millis(500));
-        if done.lock().unwrap().is_some() || *failed.lock().unwrap() {
-            break;
-        }
-    }
-    let digest = w.digest();
-    let result = *done.lock().unwrap();
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    match result {
-        Some(t) => E4ShardPoint {
-            threads,
-            hosts: n,
-            elapsed: t.since(t0).as_secs_f64(),
-            wall_ms,
-            digest,
-            complete: true,
-        },
-        None => {
-            E4ShardPoint { threads, hosts: n, elapsed: f64::NAN, wall_ms, digest, complete: false }
-        }
+    let elapsed = burst(&mut w, hosts, "c0h1");
+    E4ShardPoint {
+        threads,
+        hosts: n,
+        elapsed: elapsed.unwrap_or(f64::NAN),
+        wall_ms: wall.elapsed().as_secs_f64() * 1e3,
+        digest: w.digest(),
+        complete: elapsed.is_some(),
     }
 }
 
@@ -210,15 +188,7 @@ impl PvmTask for PvmCoordinator {
 
 /// PVM: spawn one task per host through the central master.
 pub fn run_pvm(n: usize, seed: u64) -> E4Point {
-    let mut topo = Topology::new();
-    let net = topo.add_network("lan", Medium::ethernet100(), true);
-    let mut hosts = Vec::new();
-    for i in 0..n {
-        let h = topo.add_host(HostCfg::named(format!("pvm{i}")));
-        topo.attach(h, net);
-        hosts.push(h);
-    }
-    let mut world = World::new(topo, seed);
+    let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], n);
     let registry = ProgramRegistry::new();
     let master_ep = Endpoint::new(hosts[0], MASTER_PORT);
     world.spawn(hosts[0], MASTER_PORT, Box::new(PvmMaster::new()));
@@ -240,19 +210,11 @@ pub fn run_pvm(n: usize, seed: u64) -> E4Point {
     );
     let t0 = world.now();
     world.spawn(hosts[0], 700, Box::new(coord));
-    for _ in 0..240 {
-        world.run_for(SimDuration::from_millis(500));
-        if done.lock().unwrap().is_some() {
-            break;
-        }
-    }
-    let result = *done.lock().unwrap();
-    match result {
-        Some(t) => {
-            E4Point { system: "PVM", hosts: n, elapsed: t.since(t0).as_secs_f64(), complete: true }
-        }
-        None => E4Point { system: "PVM", hosts: n, elapsed: f64::NAN, complete: false },
-    }
+    drive(&mut world, SimDuration::from_millis(500), t0 + SimDuration::from_secs(120), |_| {
+        done.lock().unwrap().is_some()
+    });
+    let done = *done.lock().unwrap();
+    E4Point::new("PVM", n, done.map(|t| t.since(t0).as_secs_f64()))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 
-use snipe_core::{ProcRef, SnipeApi, SnipeProcess, SnipeWorldBuilder};
+use snipe_core::{ProcRef, SnipeApi, SnipeProcess, SnipeWorld, SnipeWorldBuilder};
 use snipe_util::time::{SimDuration, SimTime};
 
 /// Measured outcome.
@@ -28,11 +28,20 @@ pub struct E5Point {
     pub migrated_at: f64,
 }
 
-pub(crate) struct Worker {
-    pub(crate) deliveries: Arc<Mutex<Vec<(SimTime, u32)>>>,
-    pub(crate) migrated_at: Arc<Mutex<Option<SimTime>>>,
-    pub(crate) move_after: SimDuration,
-    pub(crate) target: String,
+/// What the migrating worker saw. It lives outside the process: a move
+/// ends the process instance that filled it and resumes a fresh one.
+#[derive(Default)]
+pub(crate) struct Log {
+    /// Every delivery as `(when, sequence number)`, in arrival order.
+    pub(crate) deliveries: Vec<(SimTime, u32)>,
+    /// When the move completed.
+    pub(crate) migrated_at: Option<SimTime>,
+}
+
+struct Worker {
+    log: Arc<Mutex<Log>>,
+    move_after: SimDuration,
+    target: String,
 }
 
 impl SnipeProcess for Worker {
@@ -43,24 +52,23 @@ impl SnipeProcess for Worker {
         api.migrate_to(self.target.clone());
     }
     fn on_migrated(&mut self, api: &mut SnipeApi<'_, '_>) {
-        *self.migrated_at.lock().unwrap() = Some(api.now());
+        self.log.lock().unwrap().migrated_at = Some(api.now());
     }
     fn on_message(&mut self, api: &mut SnipeApi<'_, '_>, _from: ProcRef, msg: Bytes) {
         // Under chaos a peer could hand us a runt; never slice past it.
         let Some(head) = msg.get(..4) else { return };
         let mut b = [0u8; 4];
         b.copy_from_slice(head);
-        self.deliveries.lock().unwrap().push((api.now(), u32::from_be_bytes(b)));
+        self.log.lock().unwrap().deliveries.push((api.now(), u32::from_be_bytes(b)));
     }
-    // Worker state rides along: the delivery log lives outside (test
-    // instrumentation), so nothing to checkpoint.
+    // Nothing to checkpoint: the log lives outside the process.
 }
 
-pub(crate) struct Streamer {
-    pub(crate) peer: u64,
-    pub(crate) total: u32,
-    pub(crate) sent: u32,
-    pub(crate) interval: SimDuration,
+struct Streamer {
+    peer: u64,
+    total: u32,
+    sent: u32,
+    interval: SimDuration,
 }
 
 impl SnipeProcess for Streamer {
@@ -78,50 +86,41 @@ impl SnipeProcess for Streamer {
     }
 }
 
+/// Stage the drill on `w`: a worker on `from` that moves to `to` after
+/// `move_after`, and a streamer on `streamer` sending it `total`
+/// numbered messages one per `interval`. Returns the worker's log.
+pub(crate) fn stage(
+    w: &mut SnipeWorld,
+    [from, to, streamer]: [&str; 3],
+    move_after: SimDuration,
+    total: u32,
+    interval: SimDuration,
+) -> Arc<Mutex<Log>> {
+    let log = Arc::new(Mutex::new(Log::default()));
+    let (worker_log, target) = (log.clone(), to.to_string());
+    w.register_process("worker", move |_| {
+        Box::new(Worker { log: worker_log.clone(), move_after, target: target.clone() })
+    });
+    let (peer, _) = w.spawn_on(from, "worker", Bytes::new()).expect("spawn worker");
+    w.register_process("streamer", move |_| Box::new(Streamer { peer, total, sent: 0, interval }));
+    w.spawn_on(streamer, "streamer", Bytes::new()).expect("spawn streamer");
+    log
+}
+
 /// Run the migration drill.
 pub fn run(total_msgs: u32, seed: u64) -> E5Point {
     let mut w = SnipeWorldBuilder::lan(4, seed).build();
-    let deliveries = Arc::new(Mutex::new(Vec::new()));
-    let migrated_at = Arc::new(Mutex::new(None));
-    let (dl, ma) = (deliveries.clone(), migrated_at.clone());
-    w.register_process("worker", move |_| {
-        Box::new(Worker {
-            deliveries: dl.clone(),
-            migrated_at: ma.clone(),
-            move_after: SimDuration::from_millis(500),
-            target: "host3".into(),
-        })
-    });
-    let (wkey, _) = w.spawn_on("host1", "worker", Bytes::new()).unwrap();
-    w.register_process("streamer", move |_| {
-        Box::new(Streamer {
-            peer: wkey,
-            total: total_msgs,
-            sent: 0,
-            interval: SimDuration::from_millis(20),
-        })
-    });
-    w.spawn_on("host2", "streamer", Bytes::new()).unwrap();
+    let ms = SimDuration::from_millis;
+    let log = stage(&mut w, ["host1", "host3", "host2"], ms(500), total_msgs, ms(20));
     w.run_for_secs(5 + (total_msgs as u64 / 20));
-    let log = deliveries.lock().unwrap();
-    let mut out_of_order = 0;
-    let mut max_gap = 0.0f64;
-    for pair in log.windows(2) {
-        if pair[1].1 < pair[0].1 {
-            out_of_order += 1;
-        }
-        let gap = pair[1].0.since(pair[0].0).as_secs_f64();
-        max_gap = max_gap.max(gap);
-    }
-    let migrated = *migrated_at.lock().unwrap();
-    let received = log.len() as u32;
-    drop(log);
+    let log = log.lock().unwrap();
+    let pairs = || log.deliveries.windows(2);
     E5Point {
         sent: total_msgs,
-        received,
-        out_of_order,
-        max_gap,
-        migrated_at: migrated.map(|t| t.as_secs_f64()).unwrap_or(f64::NAN),
+        received: log.deliveries.len() as u32,
+        out_of_order: pairs().filter(|p| p[1].1 < p[0].1).count() as u32,
+        max_gap: pairs().map(|p| p[1].0.since(p[0].0).as_secs_f64()).fold(0.0, f64::max),
+        migrated_at: log.migrated_at.map_or(f64::NAN, |t| t.as_secs_f64()),
     }
 }
 

@@ -9,12 +9,14 @@ use snipe_daemon::McastRouterActor;
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::shard::FaultCmd;
-use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
+use snipe_netsim::topology::Endpoint;
 use snipe_netsim::world::World;
 use snipe_util::id::HostId;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
 use snipe_wire::mcast::{majority, McastMember, McastMsg, McastRouter};
+
+use crate::lan;
 
 /// Measured outcome.
 #[derive(Clone, Debug)]
@@ -134,18 +136,9 @@ pub(crate) fn spawn_group(
 /// Run the router-kill drill.
 pub fn run(routers: usize, members: usize, kill: usize, total: u32, seed: u64) -> E6Point {
     assert!(kill < majority(routers), "killing a majority is out of contract");
-    let mut topo = Topology::new();
-    let net = topo.add_network("eth", Medium::ethernet100(), true);
-    let hosts: Vec<HostId> = (0..routers + members + 1)
-        .map(|i| {
-            let h = topo.add_host(HostCfg::named(format!("h{i}")));
-            topo.attach(h, net);
-            h
-        })
-        .collect();
+    let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], routers + members + 1);
     let (router_hosts, rest) = hosts.split_at(routers);
     let (member_hosts, sender_host) = rest.split_at(members);
-    let mut world = World::new(topo, seed);
     spawn_group(&mut world, router_hosts, member_hosts, sender_host[0], total);
     // Kill `kill` routers midway through the stream.
     let mid = SimTime::ZERO + SEND_INTERVAL * (total as u64 / 2);

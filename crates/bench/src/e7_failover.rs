@@ -8,16 +8,15 @@
 //! must rotate to Ethernet and complete the transfer with no
 //! application involvement.
 
-use std::sync::{Arc, Mutex};
-
 use snipe_netsim::medium::Medium;
 use snipe_netsim::shard::FaultCmd;
-use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
-use snipe_netsim::world::World;
+use snipe_netsim::topology::Endpoint;
+use snipe_util::id::NetId;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::stack::StackConfig;
 
-use crate::fig1::{Hosted, Receiver, SrudpSender};
+use crate::fig1::{hosted, Hosted, Receiver, SrudpSender};
+use crate::{drive, lan};
 
 /// Measured outcome.
 #[derive(Clone, Debug)]
@@ -36,59 +35,40 @@ pub struct E7Point {
 
 /// Run the blackhole failover drill.
 pub fn run(total: usize, seed: u64) -> E7Point {
-    let mut topo = Topology::new();
-    let eth = topo.add_network("eth", Medium::ethernet100(), true);
-    let atm = topo.add_network("atm", Medium::atm155(), false);
-    let a = topo.add_host(HostCfg::named("a"));
-    let b = topo.add_host(HostCfg::named("b"));
-    for h in [a, b] {
-        topo.attach(h, eth);
-        topo.attach(h, atm);
-    }
-    let mut world = World::new(topo, seed);
-    let received = Arc::new(Mutex::new(0usize));
-    let done_at: Arc<Mutex<Option<SimTime>>> = Arc::new(Mutex::new(None));
+    // Ethernet is net 0 (routable), ATM net 1 (pinned routes only).
+    let (mut world, hosts) = lan(seed, &[Medium::ethernet100(), Medium::atm155()], 2);
+    let (a, b, eth, atm) = (hosts[0], hosts[1], NetId(0), NetId(1));
     let mut cfg = StackConfig::default();
     cfg.srudp.rto_initial = SimDuration::from_millis(20);
-    world.spawn(
-        b,
-        20,
-        Box::new(Hosted::new(Receiver {
-            cfg: cfg.clone(),
-            pin: Some(vec![atm, eth]),
-            received: received.clone(),
-            done_at: done_at.clone(),
-            expect: total,
-        })),
-    );
+    let rx = Endpoint::new(b, 20);
     // Pin routes: prefer ATM, fall back to Ethernet.
+    let pin = Some(vec![atm, eth]);
+    world.spawn(b, 20, Box::new(Hosted::new(Receiver::new(cfg.clone(), pin.clone(), total))));
     let sender = SrudpSender {
-        peer: Endpoint::new(b, 20),
+        peer: rx,
         msg_size: 16 * 1024,
         remaining: total,
         inflight: 64 * 1400,
         cfg,
-        pin: Some(vec![atm, eth]),
+        pin,
     };
     world.spawn(a, 20, Box::new(Hosted::new(sender)));
     // Blackhole the ATM fabric at 40% of the expected transfer time.
     let fault_at = SimTime::ZERO + SimDuration::from_millis(100);
     world.schedule_fault(fault_at, FaultCmd::NetLoss(atm, Some(1.0)));
-    for _ in 0..300 {
-        world.run_for(SimDuration::from_millis(100));
-        if done_at.lock().unwrap().is_some() {
-            break;
-        }
-    }
-    let elapsed = done_at.lock().unwrap().map(|t| t.as_secs_f64()).unwrap_or(f64::NAN);
-    // Failovers happened iff bytes flowed on Ethernet after the fault.
-    let eth_bytes = world.stats().bytes_on(eth);
-    let delivered = *received.lock().unwrap();
+    drive(
+        &mut world,
+        SimDuration::from_millis(100),
+        SimTime::ZERO + SimDuration::from_secs(30),
+        |w| hosted::<Receiver>(w, rx).app.done_at.is_some(),
+    );
+    let Receiver { received: delivered, done_at, .. } = hosted::<Receiver>(&world, rx).app;
     E7Point {
         total,
         delivered,
-        failovers_observed: eth_bytes > 0,
-        elapsed,
+        // Failovers happened iff bytes flowed on Ethernet after the fault.
+        failovers_observed: world.stats().bytes_on(eth) > 0,
+        elapsed: done_at.map_or(f64::NAN, |t| t.as_secs_f64()),
         fault_at: fault_at.as_secs_f64(),
     }
 }

@@ -3,13 +3,12 @@
 //! against a 2-replica RC service and against a PVM master; midway the
 //! preferred server dies. SNIPE fails over; PVM goes dark.
 
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
 
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::shard::FaultCmd;
-use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
-use snipe_netsim::world::World;
+use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
@@ -22,6 +21,8 @@ use snipe_wire::ports;
 
 use pvm_baseline::proto::PvmMsg;
 use pvm_baseline::{PvmMaster, MASTER_PORT};
+
+use crate::lan;
 
 /// Measured outcome of one system.
 #[derive(Clone, Debug)]
@@ -47,19 +48,45 @@ impl E8Point {
             self.ok_after as f64 / self.ops_after as f64
         }
     }
+
+    fn new(system: &'static str, t: &Tally) -> E8Point {
+        let ([ops_before, ops_after], [ok_before, ok_after]) = (t.issued, t.answered);
+        E8Point { system, ops_before, ok_before, ops_after, ok_after }
+    }
 }
 
 const TIMER_TICK: u64 = 1;
 const TIMER_RC: u64 = 2;
+
+/// Lookups issued and answered, indexed by epoch (0 before the kill, 1
+/// after); read in place once the run ends.
+#[derive(Default)]
+struct Tally {
+    issued: [u64; 2],
+    answered: [u64; 2],
+    /// The epoch of every outstanding lookup, by request id.
+    pending: HashMap<u64, usize>,
+}
+
+impl Tally {
+    fn issue(&mut self, id: u64, after_kill: bool) {
+        self.pending.insert(id, usize::from(after_kill));
+        self.issued[usize::from(after_kill)] += 1;
+    }
+
+    fn answer(&mut self, id: u64) {
+        if let Some(epoch) = self.pending.remove(&id) {
+            self.answered[epoch] += 1;
+        }
+    }
+}
 
 struct SnipeLoad {
     rc: RcHost,
     uri: Uri,
     kill_at: SimTime,
     stop_at: SimTime,
-    issued: Arc<Mutex<(u64, u64)>>,
-    answered: Arc<Mutex<(u64, u64)>>,
-    pending_epoch: std::collections::HashMap<u64, bool>,
+    tally: Tally,
     seeded: bool,
 }
 
@@ -71,14 +98,8 @@ impl SnipeLoad {
                 self.seeded = true;
                 continue;
             }
-            let after = self.pending_epoch.remove(&id).unwrap_or(false);
             if result.is_ok_and(|r| !r.assertions.is_empty()) {
-                let mut a = self.answered.lock().unwrap();
-                if after {
-                    a.1 += 1;
-                } else {
-                    a.0 += 1;
-                }
+                self.tally.answer(id);
             }
         }
     }
@@ -97,16 +118,8 @@ impl Actor for SnipeLoad {
                 if now >= self.stop_at {
                     return; // drain window: let pending ops finish
                 }
-                let after = now >= self.kill_at;
                 let id = self.rc.get(now, &self.uri);
-                self.pending_epoch.insert(id, after);
-                let mut i = self.issued.lock().unwrap();
-                if after {
-                    i.1 += 1;
-                } else {
-                    i.0 += 1;
-                }
-                drop(i);
+                self.tally.issue(id, now >= self.kill_at);
                 self.pump(ctx);
                 ctx.set_timer(SimDuration::from_millis(100), TIMER_TICK);
             }
@@ -129,15 +142,8 @@ impl Actor for SnipeLoad {
 
 /// SNIPE side: two RC replicas; kill the preferred one midway.
 pub fn run_snipe(seed: u64) -> E8Point {
-    let mut topo = Topology::new();
-    let net = topo.add_network("lan", Medium::ethernet100(), true);
-    let r0 = topo.add_host(HostCfg::named("rc0"));
-    let r1 = topo.add_host(HostCfg::named("rc1"));
-    let c = topo.add_host(HostCfg::named("client"));
-    for h in [r0, r1, c] {
-        topo.attach(h, net);
-    }
-    let mut world = World::new(topo, seed);
+    let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], 3);
+    let (r0, r1, c) = (hosts[0], hosts[1], hosts[2]);
     let eps = vec![Endpoint::new(r0, ports::RC_SERVER), Endpoint::new(r1, ports::RC_SERVER)];
     world.spawn(
         r0,
@@ -151,37 +157,24 @@ pub fn run_snipe(seed: u64) -> E8Point {
     );
     let kill_at = SimTime::ZERO + SimDuration::from_secs(5);
     world.schedule_fault(kill_at, FaultCmd::HostDown(r0));
-    let issued = Arc::new(Mutex::new((0u64, 0u64)));
-    let answered = Arc::new(Mutex::new((0u64, 0u64)));
     let load = SnipeLoad {
         rc: RcHost::new(RcClient::new(eps, SimDuration::from_millis(200)), TIMER_RC),
         uri: Uri::process(3),
         kill_at,
         stop_at: SimTime::ZERO + SimDuration::from_secs(10),
-        issued: issued.clone(),
-        answered: answered.clone(),
-        pending_epoch: Default::default(),
+        tally: Tally::default(),
         seeded: false,
     };
-    world.spawn(c, 50, Box::new(load));
+    let load = world.spawn(c, 50, Box::new(load)).expect("client host exists");
     world.run_for(SimDuration::from_secs(13));
-    let i = *issued.lock().unwrap();
-    let a = *answered.lock().unwrap();
-    E8Point {
-        system: "SNIPE (2 RC replicas)",
-        ops_before: i.0,
-        ok_before: a.0,
-        ops_after: i.1,
-        ok_after: a.1,
-    }
+    let load = world.actor_ref::<SnipeLoad>(load).expect("the load lives");
+    E8Point::new("SNIPE (2 RC replicas)", &load.tally)
 }
 
 struct PvmLoad {
     master: Endpoint,
     kill_at: SimTime,
-    issued: Arc<Mutex<(u64, u64)>>,
-    answered: Arc<Mutex<(u64, u64)>>,
-    pending_epoch: std::collections::HashMap<u64, bool>,
+    tally: Tally,
     next_req: u64,
 }
 
@@ -197,17 +190,9 @@ impl Actor for PvmLoad {
                 ctx.set_timer(SimDuration::from_millis(100), TIMER_TICK);
             }
             Event::Timer { token: TIMER_TICK } => {
-                let after = ctx.now() >= self.kill_at;
                 let req = self.next_req;
                 self.next_req += 1;
-                self.pending_epoch.insert(req, after);
-                let mut i = self.issued.lock().unwrap();
-                if after {
-                    i.1 += 1;
-                } else {
-                    i.0 += 1;
-                }
-                drop(i);
+                self.tally.issue(req, ctx.now() >= self.kill_at);
                 let msg = PvmMsg::LookupReq { req_id: req, tid: 3 };
                 ctx.send(self.master, seal(Proto::Raw, msg.encode_to_bytes()));
                 ctx.set_timer(SimDuration::from_millis(100), TIMER_TICK);
@@ -216,19 +201,10 @@ impl Actor for PvmLoad {
                 let Ok((Proto::Raw, body)) = open(payload) else {
                     return;
                 };
-                let Ok(PvmMsg::LookupResp { req_id, ok, .. }) = PvmMsg::decode_from_bytes(body)
-                else {
-                    return;
-                };
-                if ok {
-                    if let Some(after) = self.pending_epoch.remove(&req_id) {
-                        let mut a = self.answered.lock().unwrap();
-                        if after {
-                            a.1 += 1;
-                        } else {
-                            a.0 += 1;
-                        }
-                    }
+                if let Ok(PvmMsg::LookupResp { req_id, ok: true, .. }) =
+                    PvmMsg::decode_from_bytes(body)
+                {
+                    self.tally.answer(req_id);
                 }
             }
             _ => {}
@@ -238,39 +214,17 @@ impl Actor for PvmLoad {
 
 /// PVM side: single master; kill it midway.
 pub fn run_pvm(seed: u64) -> E8Point {
-    let mut topo = Topology::new();
-    let net = topo.add_network("lan", Medium::ethernet100(), true);
-    let m = topo.add_host(HostCfg::named("master"));
-    let c = topo.add_host(HostCfg::named("client"));
-    for h in [m, c] {
-        topo.attach(h, net);
-    }
-    let mut world = World::new(topo, seed);
+    let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], 2);
+    let (m, c) = (hosts[0], hosts[1]);
     let master_ep = Endpoint::new(m, MASTER_PORT);
     world.spawn(m, MASTER_PORT, Box::new(PvmMaster::new()));
     let kill_at = SimTime::ZERO + SimDuration::from_secs(5);
     world.schedule_fault(kill_at, FaultCmd::HostDown(m));
-    let issued = Arc::new(Mutex::new((0u64, 0u64)));
-    let answered = Arc::new(Mutex::new((0u64, 0u64)));
-    let load = PvmLoad {
-        master: master_ep,
-        kill_at,
-        issued: issued.clone(),
-        answered: answered.clone(),
-        pending_epoch: Default::default(),
-        next_req: 1,
-    };
-    world.spawn(c, 50, Box::new(load));
+    let load = PvmLoad { master: master_ep, kill_at, tally: Tally::default(), next_req: 1 };
+    let load = world.spawn(c, 50, Box::new(load)).expect("client host exists");
     world.run_for(SimDuration::from_secs(10));
-    let i = *issued.lock().unwrap();
-    let a = *answered.lock().unwrap();
-    E8Point {
-        system: "PVM (single master)",
-        ops_before: i.0,
-        ok_before: a.0,
-        ops_after: i.1,
-        ok_after: a.1,
-    }
+    let load = world.actor_ref::<PvmLoad>(load).expect("the load lives");
+    E8Point::new("PVM (single master)", &load.tally)
 }
 
 #[cfg(test)]

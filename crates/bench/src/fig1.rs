@@ -7,14 +7,12 @@
 //! simulated second, exactly the quantity the paper plots against
 //! message size for 100 Mbit Ethernet and 155 Mbit ATM.
 
-use std::sync::{Arc, Mutex};
-
 use bytes::Bytes;
 
 use snipe_daemon::McastRouterActor;
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
-use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
+use snipe_netsim::topology::Endpoint;
 use snipe_netsim::world::World;
 use snipe_util::id::NetId;
 use snipe_util::time::{SimDuration, SimTime};
@@ -22,7 +20,10 @@ use snipe_wire::frame::{seal, Proto};
 use snipe_wire::host::{Delivery, StackHost};
 use snipe_wire::mcast::{McastMsg, McastRouter};
 use snipe_wire::rstream::RstreamConfig;
+use snipe_wire::srudp::SrudpStats;
 use snipe_wire::stack::{endpoint_key, StackConfig, WireStack};
+
+use crate::{drive, lan};
 
 /// Protocol module under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,7 +84,7 @@ pub(crate) trait StackApp: Send + 'static {
 /// The actor around a [`StackApp`]: feeds the hosted stack, lets the
 /// app top it up, flushes, hands deliveries back.
 pub(crate) struct Hosted<A> {
-    app: A,
+    pub(crate) app: A,
     stack: StackHost,
 }
 
@@ -91,6 +92,17 @@ impl<A: StackApp> Hosted<A> {
     pub(crate) fn new(app: A) -> Hosted<A> {
         Hosted { app, stack: StackHost::new(TIMER_STACK) }
     }
+
+    /// The SRUDP counters of the hosted stack (zero before it starts).
+    pub(crate) fn srudp_stats(&self) -> SrudpStats {
+        self.stack.as_ref().map(WireStack::srudp_stats).unwrap_or_default()
+    }
+}
+
+/// The hosted app at `ep`, read in place between drive slices or after
+/// the run.
+pub(crate) fn hosted<A: StackApp>(world: &World, ep: Endpoint) -> &Hosted<A> {
+    world.actor_ref::<Hosted<A>>(ep).expect("a hosted app lives at its endpoint")
 }
 
 impl<A: StackApp> Actor for Hosted<A> {
@@ -209,12 +221,18 @@ impl StackApp for RstreamSender {
 /// Counts delivered payload bytes, whichever driver of `cfg` they come
 /// up through, and notes when `expect` of them have arrived.
 pub(crate) struct Receiver {
-    pub(crate) cfg: StackConfig,
+    cfg: StackConfig,
     /// Ranked routes to pin toward senders (multi-path, E7).
-    pub(crate) pin: Option<Vec<NetId>>,
-    pub(crate) received: Arc<Mutex<usize>>,
-    pub(crate) done_at: Arc<Mutex<Option<SimTime>>>,
-    pub(crate) expect: usize,
+    pin: Option<Vec<NetId>>,
+    expect: usize,
+    pub(crate) received: usize,
+    pub(crate) done_at: Option<SimTime>,
+}
+
+impl Receiver {
+    pub(crate) fn new(cfg: StackConfig, pin: Option<Vec<NetId>>, expect: usize) -> Receiver {
+        Receiver { cfg, pin, expect, received: 0, done_at: None }
+    }
 }
 
 impl StackApp for Receiver {
@@ -236,10 +254,9 @@ impl StackApp for Receiver {
             },
             _ => d.msg.len(),
         };
-        let mut r = self.received.lock().unwrap();
-        *r += len;
-        if *r >= self.expect && self.done_at.lock().unwrap().is_none() {
-            *self.done_at.lock().unwrap() = Some(now);
+        self.received += len;
+        if self.received >= self.expect && self.done_at.is_none() {
+            self.done_at = Some(now);
         }
     }
 }
@@ -290,17 +307,27 @@ impl StackApp for FecSender {
 /// Verifies every delivered message against [`fec_payload`]: indices
 /// land in `seqs` (order preserved), content mismatches in
 /// `mismatches` (each one is an integrity violation — reconstruction
-/// must fail closed, never fabricate), and the latest SRUDP stats
-/// snapshot in `stats`.
+/// must fail closed, never fabricate).
+#[derive(Default)]
 pub(crate) struct FecReceiver {
-    pub(crate) cfg: StackConfig,
-    pub(crate) pin: Option<Vec<NetId>>,
-    pub(crate) expect: u64,
-    pub(crate) msg_size: usize,
-    pub(crate) seqs: Arc<Mutex<Vec<u32>>>,
-    pub(crate) mismatches: Arc<Mutex<Vec<String>>>,
-    pub(crate) stats: Arc<Mutex<snipe_wire::srudp::SrudpStats>>,
-    pub(crate) done_at: Arc<Mutex<Option<SimTime>>>,
+    cfg: StackConfig,
+    pin: Option<Vec<NetId>>,
+    expect: u64,
+    msg_size: usize,
+    pub(crate) seqs: Vec<u32>,
+    pub(crate) mismatches: Vec<String>,
+    pub(crate) done_at: Option<SimTime>,
+}
+
+impl FecReceiver {
+    pub(crate) fn new(
+        cfg: StackConfig,
+        pin: Option<Vec<NetId>>,
+        expect: u64,
+        msg_size: usize,
+    ) -> FecReceiver {
+        FecReceiver { cfg, pin, expect, msg_size, ..FecReceiver::default() }
+    }
 }
 
 impl StackApp for FecReceiver {
@@ -310,29 +337,24 @@ impl StackApp for FecReceiver {
 
     fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
         pin_learned_peers(now, stack, &self.pin);
-        *self.stats.lock().unwrap() = stack.srudp_stats();
     }
 
     fn deliver(&mut self, now: SimTime, d: Delivery) {
         let msg = d.msg;
-        let mut seqs = self.seqs.lock().unwrap();
         if msg.len() >= 8 {
             let i = u64::from_be_bytes(msg[..8].try_into().unwrap());
             if msg != fec_payload(i, self.msg_size) {
-                self.mismatches.lock().unwrap().push(format!(
+                self.mismatches.push(format!(
                     "message {i}: {} bytes delivered with corrupted content",
                     msg.len()
                 ));
             }
-            seqs.push(i as u32);
+            self.seqs.push(i as u32);
         } else {
-            self.mismatches
-                .lock()
-                .unwrap()
-                .push(format!("runt message delivered ({} bytes)", msg.len()));
+            self.mismatches.push(format!("runt message delivered ({} bytes)", msg.len()));
         }
-        if seqs.len() as u64 >= self.expect && self.done_at.lock().unwrap().is_none() {
-            *self.done_at.lock().unwrap() = Some(now);
+        if self.seqs.len() as u64 >= self.expect && self.done_at.is_none() {
+            self.done_at = Some(now);
         }
     }
 }
@@ -395,28 +417,11 @@ pub fn measure(medium: Medium, protocol: Protocol, msg_size: usize) -> Option<Fi
         return None;
     }
     let ceiling = medium.goodput_ceiling(msg_size.min(medium.mtu));
-    let mut topo = Topology::new();
-    let net = topo.add_network("m", medium, true);
-    let a = topo.add_host(HostCfg::named("a"));
-    let b = topo.add_host(HostCfg::named("b"));
-    let c = topo.add_host(HostCfg::named("c"));
-    for h in [a, b, c] {
-        topo.attach(h, net);
-    }
-    let mut world = World::new(topo, 99);
+    let (mut world, hosts) = lan(99, &[medium], 3);
+    let (a, b, c) = (hosts[0], hosts[1], hosts[2]);
     let total = total_for(msg_size);
-    let received = Arc::new(Mutex::new(0usize));
-    let done_at = Arc::new(Mutex::new(None));
-    let receiver = |cfg| {
-        Box::new(Hosted::new(Receiver {
-            cfg,
-            pin: None,
-            received: received.clone(),
-            done_at: done_at.clone(),
-            expect: total,
-        }))
-    };
-    match protocol {
+    let receiver = |cfg| Box::new(Hosted::new(Receiver::new(cfg, None, total)));
+    let rx = match protocol {
         Protocol::Srudp => {
             world.spawn(b, 20, receiver(StackConfig::default()));
             world.spawn(
@@ -433,6 +438,7 @@ pub fn measure(medium: Medium, protocol: Protocol, msg_size: usize) -> Option<Fi
                     pin: None,
                 })),
             );
+            Endpoint::new(b, 20)
         }
         Protocol::Rstream => {
             let cfg = RstreamConfig::default();
@@ -449,6 +455,7 @@ pub fn measure(medium: Medium, protocol: Protocol, msg_size: usize) -> Option<Fi
                     inflight_cap: 64 * 1400,
                 })),
             );
+            Endpoint::new(b, 20)
         }
         Protocol::Mcast => {
             let member = StackConfig { mcast_member: true, ..StackConfig::default() };
@@ -471,17 +478,17 @@ pub fn measure(medium: Medium, protocol: Protocol, msg_size: usize) -> Option<Fi
                     burst: 8,
                 }),
             );
+            Endpoint::new(c, 20)
         }
-    }
-    // Run until done (bounded).
-    for _ in 0..600 {
-        world.run_for(SimDuration::from_millis(100));
-        if done_at.lock().unwrap().is_some() {
-            break;
-        }
-    }
-    let t = (*done_at.lock().unwrap())?;
-    let secs = t.as_secs_f64();
+    };
+    let done_at = |w: &World| hosted::<Receiver>(w, rx).app.done_at;
+    drive(
+        &mut world,
+        SimDuration::from_millis(100),
+        SimTime::ZERO + SimDuration::from_secs(60),
+        |w| done_at(w).is_some(),
+    );
+    let secs = done_at(&world)?.as_secs_f64();
     if secs <= 0.0 {
         return None;
     }

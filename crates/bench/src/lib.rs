@@ -1,9 +1,22 @@
 //! # snipe-bench — experiment runners for every figure and table
 //!
 //! Each module reproduces one artifact of the paper's evaluation (see
-//! `DESIGN.md` §4 for the index). The `harness` binary runs them and
-//! prints the same rows/series the paper reports; `EXPERIMENTS.md`
-//! records paper-vs-measured.
+//! `DESIGN.md` §4 for the index); `EXPERIMENTS.md` records
+//! paper-vs-measured. Every experiment goes through the same four
+//! steps:
+//!
+//! * **stage** — a one-region world built by `lan` (hosts `h0…` on the
+//!   given media), a `SnipeWorld`, or the multi-region campus;
+//! * **drive** — `drive` runs the world in fixed slices until a
+//!   condition on the world holds or a deadline passes;
+//! * **read** — an actor keeps its counters as plain fields, and the
+//!   runner reads them in place through `World::actor_ref` between
+//!   slices or after the run (a shared cell is left only where no
+//!   accessor reaches the state: MPI ranks and PVM/SNIPE coordinators
+//!   inside their wrapper actors, and E5's worker, whose log must
+//!   outlive the process instance that migrates);
+//! * **emit** — each runner returns its `report::Table`, and the
+//!   `harness` binary's `PAPER` rows write it to `results/<name>.txt`.
 //!
 //! Parameter sweeps are embarrassingly parallel across *simulations*
 //! (each is deterministic, and all but the multi-region chaos rows are
@@ -32,6 +45,50 @@ pub mod report;
 pub mod shard_storm;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use snipe_netsim::medium::Medium;
+use snipe_netsim::topology::{HostCfg, Topology};
+use snipe_netsim::world::World;
+use snipe_util::id::{HostId, NetId};
+use snipe_util::time::{SimDuration, SimTime};
+
+/// A one-region LAN: `hosts` hosts named `h0…`, each attached to every
+/// one of `media` in order (the first routable, the rest not). Returns
+/// the world and its hosts in id order.
+pub(crate) fn lan(seed: u64, media: &[Medium], hosts: usize) -> (World, Vec<HostId>) {
+    let mut topo = Topology::new();
+    let nets: Vec<NetId> = media
+        .iter()
+        .enumerate()
+        .map(|(i, m)| topo.add_network(format!("net{i}"), m.clone(), i == 0))
+        .collect();
+    let hosts = (0..hosts)
+        .map(|i| {
+            let h = topo.add_host(HostCfg::named(format!("h{i}")));
+            for &n in &nets {
+                topo.attach(h, n);
+            }
+            h
+        })
+        .collect();
+    (World::new(topo, seed), hosts)
+}
+
+/// Drive `world` in `step` slices until `done` holds after a slice or
+/// the clock reaches `deadline`.
+pub(crate) fn drive(
+    world: &mut World,
+    step: SimDuration,
+    deadline: SimTime,
+    done: impl Fn(&World) -> bool,
+) {
+    loop {
+        world.run_for(step);
+        if done(world) || world.now() >= deadline {
+            return;
+        }
+    }
+}
 
 /// Worker threads [`par_map`] uses: one per core this process may run
 /// on (the simulations are CPU-bound; more threads only add contention,

@@ -369,7 +369,7 @@ mod tests {
         let id = c.get(SimTime::ZERO, &Uri::process(1));
         let mut now = SimTime::ZERO;
         for _ in 0..10 {
-            now = now + SimDuration::from_millis(20);
+            now += SimDuration::from_millis(20);
             c.on_timer(now);
             c.drain_sends();
         }

@@ -129,7 +129,7 @@ mod tests {
     #[test]
     fn load_spreads_over_all_groups() {
         let m = ShardMap::new(groups(8));
-        let mut counts = vec![0usize; 8];
+        let mut counts = [0usize; 8];
         let total = 10_000;
         for k in keys(total) {
             counts[m.shard_of(&k)] += 1;

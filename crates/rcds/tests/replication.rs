@@ -21,11 +21,15 @@ use snipe_wire::frame::{seal, Proto};
 use snipe_wire::ports;
 use std::sync::{Arc, Mutex};
 
+/// What a scripted request came back with: request id, success, and
+/// the assertions returned.
+type Completed = (u64, bool, Vec<Assertion>);
+
 /// A test client actor wrapping RcClient.
 struct ClientActor {
     rc: RcHost,
     script: Vec<(SimDuration, Op)>,
-    results: Arc<Mutex<Vec<(u64, bool, Vec<Assertion>)>>>,
+    results: Arc<Mutex<Vec<Completed>>>,
 }
 
 enum Op {
@@ -54,10 +58,8 @@ impl ClientActor {
 impl Actor for ClientActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start => {
-                if !self.script.is_empty() {
-                    ctx.set_timer(self.script[0].0, TIMER_SCRIPT);
-                }
+            Event::Start if !self.script.is_empty() => {
+                ctx.set_timer(self.script[0].0, TIMER_SCRIPT);
             }
             Event::Timer { token: TIMER_SCRIPT } => {
                 let (_, op) = self.script.remove(0);

@@ -36,10 +36,8 @@ struct Driver {
 impl Actor for Driver {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start => {
-                if !self.script.is_empty() {
-                    ctx.set_timer(self.script[0].0, 1);
-                }
+            Event::Start if !self.script.is_empty() => {
+                ctx.set_timer(self.script[0].0, 1);
             }
             Event::Timer { .. } => {
                 let (_, to, msg) = self.script.remove(0);

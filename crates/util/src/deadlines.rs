@@ -239,7 +239,7 @@ mod tests {
         d.insert(1u32, clock + SimDuration::from_millis(3), ());
         let mut fires = 0;
         for _ in 0..10_000 {
-            clock = clock + SimDuration::from_micros(500);
+            clock += SimDuration::from_micros(500);
             for (k, ()) in d.take_due(clock) {
                 fires += 1;
                 // Re-filed already due: must not fire again in this batch.
@@ -276,7 +276,7 @@ mod tests {
                     assert_eq!(d.remove(&key).is_some(), model.remove(&key).is_some());
                 }
                 _ => {
-                    clock = clock + SimDuration::from_nanos((rng >> 11) % 3_000_000);
+                    clock += SimDuration::from_nanos((rng >> 11) % 3_000_000);
                     for k in due(&mut d, clock) {
                         let dl = model.remove(&k).expect("fired key not in model");
                         assert!(dl <= clock, "step {step}: early fire");

@@ -57,7 +57,7 @@ proptest! {
                     prop_assert_eq!(seen.len(), model.len());
                 }
                 _ => {
-                    clock = clock + span;
+                    clock += span;
                     let due = table.take_due(clock);
                     prop_assert!(due.windows(2).all(|w| w[0].0 < w[1].0), "due order {due:?}");
                     let mut want: Vec<(u8, u32)> = model

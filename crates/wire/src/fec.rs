@@ -372,8 +372,8 @@ mod tests {
     fn tables_are_a_permutation() {
         // Generator 2 must cycle through all 255 non-zero elements.
         let mut seen = [false; 256];
-        for i in 0..255 {
-            let v = GF_EXP[i] as usize;
+        for (i, &v) in GF_EXP[..255].iter().enumerate() {
+            let v = v as usize;
             assert!(v != 0 && !seen[v], "exp table not a permutation at {i}");
             seen[v] = true;
         }

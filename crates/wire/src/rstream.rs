@@ -612,11 +612,11 @@ mod tests {
                 }
             }
             if !moved {
-                now = now + SimDuration::from_millis(50);
+                now += SimDuration::from_millis(50);
                 a.on_timer(now);
                 b.on_timer(now);
             }
-            now = now + SimDuration::from_micros(100);
+            now += SimDuration::from_micros(100);
         }
         (got_a, got_b)
     }
@@ -715,11 +715,13 @@ mod tests {
 
     #[test]
     fn connection_aborts_after_repeated_timeouts() {
-        let mut cfg = RstreamConfig::default();
-        cfg.rto_initial = SimDuration::from_millis(1);
-        cfg.rto_min = SimDuration::from_millis(1);
-        cfg.rto_max = SimDuration::from_millis(1);
-        cfg.max_timeouts = 3;
+        let cfg = RstreamConfig {
+            rto_initial: SimDuration::from_millis(1),
+            rto_min: SimDuration::from_millis(1),
+            rto_max: SimDuration::from_millis(1),
+            max_timeouts: 3,
+            ..RstreamConfig::default()
+        };
         let mut a = Rstream::new(cfg, 1);
         let id = a.connect(SimTime::ZERO, ep(1, 5));
         // SYN+SYNACK never happen; force establishment to test data path.
@@ -734,7 +736,7 @@ mod tests {
         a.drain();
         let mut now = SimTime::ZERO;
         for _ in 0..10 {
-            now = now + SimDuration::from_millis(2);
+            now += SimDuration::from_millis(2);
             a.on_timer(now);
             a.drain();
         }

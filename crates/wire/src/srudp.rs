@@ -1185,11 +1185,11 @@ mod tests {
                 }
             }
             if !moved {
-                now = now + SimDuration::from_millis(30);
+                now += SimDuration::from_millis(30);
                 a.on_timer(now);
                 b.on_timer(now);
             }
-            now = now + SimDuration::from_micros(100);
+            now += SimDuration::from_micros(100);
         }
         // Collect any remaining delivers.
         for o in a.drain() {
@@ -1249,8 +1249,8 @@ mod tests {
 
     #[test]
     fn survives_heavy_loss() {
-        let mut cfg = SrudpConfig::default();
-        cfg.rto_initial = SimDuration::from_millis(10);
+        let cfg =
+            SrudpConfig { rto_initial: SimDuration::from_millis(10), ..SrudpConfig::default() };
         let mut a = Srudp::new(1, cfg.clone());
         let mut b = Srudp::new(2, cfg);
         a.set_peer_endpoint(2, ep(1, 5));
@@ -1297,8 +1297,8 @@ mod tests {
 
     #[test]
     fn migration_retargets_retransmissions() {
-        let mut cfg = SrudpConfig::default();
-        cfg.rto_initial = SimDuration::from_millis(10);
+        let cfg =
+            SrudpConfig { rto_initial: SimDuration::from_millis(10), ..SrudpConfig::default() };
         let mut a = Srudp::new(1, cfg.clone());
         let mut b = Srudp::new(2, cfg);
         a.set_peer_endpoint(2, ep(1, 5));
@@ -1335,17 +1335,19 @@ mod tests {
 
     #[test]
     fn gives_up_after_max_retries() {
-        let mut cfg = SrudpConfig::default();
-        cfg.rto_initial = SimDuration::from_millis(1);
-        cfg.rto_min = SimDuration::from_millis(1);
-        cfg.rto_max = SimDuration::from_millis(1);
-        cfg.max_retries = 3;
+        let cfg = SrudpConfig {
+            rto_initial: SimDuration::from_millis(1),
+            rto_min: SimDuration::from_millis(1),
+            rto_max: SimDuration::from_millis(1),
+            max_retries: 3,
+            ..SrudpConfig::default()
+        };
         let mut a = Srudp::new(1, cfg);
         a.set_peer_endpoint(2, ep(1, 5));
         a.send_message(SimTime::ZERO, 2, Bytes::from_static(b"void")).unwrap();
         let mut now = SimTime::ZERO;
         for _ in 0..10 {
-            now = now + SimDuration::from_millis(2);
+            now += SimDuration::from_millis(2);
             a.on_timer(now);
             a.drain();
         }
@@ -1368,7 +1370,7 @@ mod tests {
                     b.on_packet(now + SimDuration::from_micros(500), ep(0, 5), bytes).unwrap();
                 }
             }
-            now = now + SimDuration::from_millis(1);
+            now += SimDuration::from_millis(1);
             for o in b.drain() {
                 if let Out::Send { bytes, .. } = o {
                     a.on_packet(now, ep(1, 5), bytes).unwrap();
@@ -1428,7 +1430,7 @@ mod tests {
                     blackholed += 1;
                 }
             }
-            now = now + SimDuration::from_millis(5000);
+            now += SimDuration::from_millis(5000);
             a.on_timer(now);
         }
         assert!(blackholed > 0);
@@ -1456,7 +1458,7 @@ mod tests {
         // 40 unanswered timer rounds: rto doubles each round but must
         // never leave [rto_min, rto_max].
         for _ in 0..40 {
-            now = now + SimDuration::from_millis(5000);
+            now += SimDuration::from_millis(5000);
             a.on_timer(now);
             let _ = a.drain();
             let rto = a.peers[&2].rtt.rto();
@@ -1481,8 +1483,8 @@ mod migration_tests {
     /// resurrected elsewhere; nothing is lost, FIFO holds.
     #[test]
     fn export_import_preserves_in_flight_traffic() {
-        let mut cfg = SrudpConfig::default();
-        cfg.rto_initial = SimDuration::from_millis(5);
+        let cfg =
+            SrudpConfig { rto_initial: SimDuration::from_millis(5), ..SrudpConfig::default() };
         let mut a = Srudp::new(1, cfg.clone());
         let mut b = Srudp::new(2, cfg.clone());
         a.set_peer_endpoint(2, ep(1, 5));
@@ -1532,7 +1534,7 @@ mod migration_tests {
                 }
             }
             if !moved {
-                t = t + SimDuration::from_millis(10);
+                t += SimDuration::from_millis(10);
                 a2.on_timer(t);
                 b2.on_timer(t);
             }
@@ -1610,9 +1612,7 @@ mod migration_tests {
     }
 
     fn fec_cfg() -> SrudpConfig {
-        let mut cfg = SrudpConfig::default();
-        cfg.frag_strategy = FragStrategy::Fec;
-        cfg
+        SrudpConfig { frag_strategy: FragStrategy::Fec, ..SrudpConfig::default() }
     }
 
     fn patterned(len: usize) -> Bytes {
@@ -1725,7 +1725,7 @@ mod migration_tests {
                 break;
             }
             if !moved {
-                now = now + SimDuration::from_millis(120);
+                now += SimDuration::from_millis(120);
                 a.on_timer(now);
                 b.on_timer(now);
             }
@@ -1795,7 +1795,7 @@ mod migration_tests {
         // Walk time past the TTL in sweep-sized steps.
         let mut now = SimTime::ZERO;
         for _ in 0..3 {
-            now = now + REASM_TTL;
+            now += REASM_TTL;
             b.on_timer(now);
         }
         assert_eq!(b.peers[&1].reasm.in_progress(), 0);

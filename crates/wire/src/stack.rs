@@ -633,11 +633,11 @@ mod tests {
                 }
             }
             if !moved {
-                now = now + SimDuration::from_millis(50);
+                now += SimDuration::from_millis(50);
                 a.on_timer(now);
                 b.on_timer(now);
             }
-            now = now + SimDuration::from_micros(10);
+            now += SimDuration::from_micros(10);
         }
         (got_a, got_b)
     }
@@ -691,14 +691,14 @@ mod tests {
         a.drain();
         let mut now = SimTime::ZERO;
         for _ in 0..2 {
-            now = now + SimDuration::from_millis(2);
+            now += SimDuration::from_millis(2);
             a.on_timer(now);
             a.drain();
         }
         assert_eq!(a.failovers(2), 1, "route must rotate after repeated timeouts");
         // The fresh route gets the same threshold of grace before it
         // is abandoned in turn: one more timeout must NOT rotate…
-        now = now + SimDuration::from_millis(2);
+        now += SimDuration::from_millis(2);
         a.on_timer(now);
         a.drain();
         assert_eq!(a.failovers(2), 1, "grace period: no rotation on a single new timeout");
@@ -714,7 +714,7 @@ mod tests {
             .collect();
         assert!(vias.contains(&Some(NetId(4))), "vias: {vias:?}");
         // …but a full further threshold of timeouts rotates again.
-        now = now + SimDuration::from_millis(2);
+        now += SimDuration::from_millis(2);
         a.on_timer(now);
         a.drain();
         assert_eq!(a.failovers(2), 2, "continued timeouts keep probing other routes");
@@ -776,13 +776,10 @@ mod tests {
         for _ in 0..200 {
             let mut moved = false;
             for o in a.drain() {
-                match o {
-                    Out::Send { to, bytes, .. } => {
-                        moved = true;
-                        assert_eq!(to, ep(9, 5));
-                        b.on_datagram(now, ep(0, 5), bytes).unwrap();
-                    }
-                    _ => {}
+                if let Out::Send { to, bytes, .. } = o {
+                    moved = true;
+                    assert_eq!(to, ep(9, 5));
+                    b.on_datagram(now, ep(0, 5), bytes).unwrap();
                 }
             }
             for o in b.drain() {
@@ -796,10 +793,10 @@ mod tests {
                 }
             }
             if !moved {
-                now = now + SimDuration::from_millis(10);
+                now += SimDuration::from_millis(10);
                 a.on_timer(now);
             }
-            now = now + SimDuration::from_micros(10);
+            now += SimDuration::from_micros(10);
         }
         assert_eq!(got_b.len(), 5, "all pre-migration messages must arrive");
         for (i, m) in got_b.iter().enumerate() {
@@ -809,8 +806,7 @@ mod tests {
 
     #[test]
     fn rstream_driver_runs_over_the_stack() {
-        let mut cfg = StackConfig::default();
-        cfg.rstream = Some(RstreamConfig::default());
+        let cfg = StackConfig { rstream: Some(RstreamConfig::default()), ..StackConfig::default() };
         let mut a = WireStack::new(1, cfg.clone());
         let mut b = WireStack::new(2, cfg);
         let a_ep = ep(0, 5);
@@ -825,8 +821,7 @@ mod tests {
 
     #[test]
     fn rstream_sends_carry_the_rstream_envelope() {
-        let mut cfg = StackConfig::default();
-        cfg.rstream = Some(RstreamConfig::default());
+        let cfg = StackConfig { rstream: Some(RstreamConfig::default()), ..StackConfig::default() };
         let mut a = WireStack::new(1, cfg);
         a.rstream_mut().unwrap().connect(SimTime::ZERO, ep(1, 5));
         let outs = a.drain();
@@ -841,8 +836,7 @@ mod tests {
     #[test]
     fn mcast_member_driver_consumes_and_delivers() {
         use crate::mcast::McastMsg;
-        let mut cfg = StackConfig::default();
-        cfg.mcast_member = true;
+        let cfg = StackConfig { mcast_member: true, ..StackConfig::default() };
         let mut b = WireStack::new(2, cfg);
         let body = McastMsg::Data {
             group: 7,
@@ -869,9 +863,11 @@ mod tests {
 
     #[test]
     fn tagged_snapshot_round_trips_every_driver() {
-        let mut cfg = StackConfig::default();
-        cfg.rstream = Some(RstreamConfig::default());
-        cfg.mcast_member = true;
+        let cfg = StackConfig {
+            rstream: Some(RstreamConfig::default()),
+            mcast_member: true,
+            ..StackConfig::default()
+        };
         let mut a = WireStack::new(1, cfg.clone());
         a.set_peer(2, ep(1, 5), vec![]);
         a.send(SimTime::ZERO, 2, Bytes::from_static(b"unacked")).unwrap();
