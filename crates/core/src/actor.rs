@@ -18,10 +18,11 @@ use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
-use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
+use snipe_util::codec::{Encoder, WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
+use snipe_util::wire_codec;
 use snipe_wire::frame::{seal, Proto};
 use snipe_wire::host::StackHost;
 use snipe_wire::mcast::{majority, McastMsg};
@@ -30,7 +31,7 @@ use snipe_wire::stack::{Incoming, StackConfig, WireStack};
 
 use snipe_daemon::proto::{DaemonMsg, SpawnSpec, TaskState};
 use snipe_files::proto::FileMsg;
-use snipe_rm::proto::{AllocMode, RmMsg};
+use snipe_rm::proto::{AllocMode, MigrateOrder, RmMsg};
 
 use crate::api::{Command, GroupEvent, ProcRef, SnipeApi, SnipeProcess, SpawnTarget, TicketResult};
 use crate::names::{
@@ -66,15 +67,6 @@ const REDIRECT_GRACE: SimDuration = SimDuration::from_secs(1);
 /// Consecutive SRUDP timeouts before we suspect the peer migrated and
 /// re-resolve its location from RC.
 const RELOOKUP_TIMEOUTS: u32 = 4;
-
-/// Magic for core inter-process payloads.
-const CORE_MAGIC: u8 = 0xA7;
-const CORE_APP: u8 = 1;
-/// Magic for the raw redirect notice.
-const REDIRECT_MAGIC: u8 = 0xA8;
-/// Magic for the raw migrate-request control message (§3.5: an active
-/// resource manager "may ... migrate processes between hosts").
-pub(crate) const MIGRATE_MAGIC: u8 = 0xAA;
 
 /// Static configuration shared by every process of a world.
 #[derive(Clone, Default)]
@@ -137,30 +129,24 @@ pub(crate) struct MigrationPayload {
     pub groups: Vec<String>,
 }
 
-impl MigrationPayload {
-    pub(crate) fn encode(&self) -> Bytes {
-        let mut e = Encoder::new();
-        e.put_str(&self.program);
-        e.put_bytes(&self.args);
-        e.put_bytes(&self.user_state);
-        e.put_bytes(&self.stack_state);
-        snipe_util::codec::encode_seq(&mut e, self.groups.iter());
-        e.finish()
-    }
+wire_codec!(struct MigrationPayload { program, args, user_state, stack_state, groups });
 
-    pub(crate) fn decode(b: Bytes) -> SnipeResult<MigrationPayload> {
-        let mut d = Decoder::new(b);
-        let p = MigrationPayload {
-            program: d.get_str()?,
-            args: d.get_bytes()?,
-            user_state: d.get_bytes()?,
-            stack_state: d.get_bytes()?,
-            groups: snipe_util::codec::decode_seq(&mut d)?,
-        };
-        d.expect_end()?;
-        Ok(p)
-    }
+/// Process-to-process payloads, carried reliably over SRUDP.
+enum CoreMsg {
+    /// A user message for the peer's [`SnipeProcess::on_message`].
+    App(Bytes),
 }
+
+wire_codec!(enum CoreMsg: magic 0xA7 { 1 => App(payload) });
+
+/// Raw notice a migrated-away process sends a straggler: `proc_key`
+/// now lives at `to` (§5.6, "act as a relay or redirect").
+struct RedirectNotice {
+    proc_key: u64,
+    to: Endpoint,
+}
+
+wire_codec!(struct RedirectNotice: magic 0xA8 { proc_key, to });
 
 /// The actor hosting one [`SnipeProcess`].
 pub struct ProcessActor {
@@ -330,25 +316,15 @@ impl ProcessActor {
             }
             return;
         }
-        let mut d = Decoder::new(msg);
-        let Ok(magic) = d.get_u8() else { return };
-        if magic != CORE_MAGIC {
-            return;
-        }
-        let Ok(kind) = d.get_u8() else { return };
-        if kind == CORE_APP {
-            let Ok(payload) = d.get_bytes() else { return };
-            let from = ProcRef { key: from_key, endpoint: from_ep };
-            self.with_process(ctx, |p, api| p.on_message(api, from, payload));
-            self.run_commands(ctx);
-        }
+        let Ok(CoreMsg::App(payload)) = CoreMsg::decode_from_bytes(msg) else { return };
+        let from = ProcRef { key: from_key, endpoint: from_ep };
+        self.with_process(ctx, |p, api| p.on_message(api, from, payload));
+        self.run_commands(ctx);
     }
 
-    fn wrap_app(payload: &Bytes) -> Bytes {
+    fn wrap_app(payload: Bytes) -> Bytes {
         let mut e = Encoder::with_capacity(payload.len() + 8);
-        e.put_u8(CORE_MAGIC);
-        e.put_u8(CORE_APP);
-        e.put_bytes(payload);
+        CoreMsg::App(payload).encode(&mut e);
         e.finish()
     }
 
@@ -728,7 +704,7 @@ impl ProcessActor {
             }
             Command::SendProc { to_key, payload } => {
                 let now = ctx.now();
-                let wrapped = Self::wrap_app(&payload);
+                let wrapped = Self::wrap_app(payload);
                 let known = self.stack.as_ref().is_some_and(|s| s.peer_endpoint(to_key).is_some());
                 if let Some(stack) = self.stack.as_mut() {
                     stack.send(now, to_key, wrapped).expect("configured frag size");
@@ -984,7 +960,7 @@ impl ProcessActor {
             stack_state,
             groups: self.groups.keys().cloned().collect(),
         };
-        let mut spec = SpawnSpec::program(crate::world::MIGRATE_PROGRAM, payload.encode());
+        let mut spec = SpawnSpec::program(crate::world::MIGRATE_PROGRAM, payload.encode_to_bytes());
         spec.fixed_key = self.proc_key;
         let req = self.await_spawn(ctx, SpawnPending::Migration);
         let msg = DaemonMsg::SpawnReq { req_id: req, spec };
@@ -1055,42 +1031,28 @@ impl ProcessActor {
         let Some(new_ep) = self.redirect_to else {
             return;
         };
-        let mut e = Encoder::new();
-        e.put_u8(REDIRECT_MAGIC);
-        e.put_u64(self.proc_key);
-        e.put_u32(new_ep.host.0);
-        e.put_u16(new_ep.port);
-        ctx.send(to, seal(Proto::Raw, e.finish()));
+        let notice = RedirectNotice { proc_key: self.proc_key, to: new_ep };
+        ctx.send(to, seal(Proto::Raw, notice.encode_to_bytes()));
     }
 
     /// An authorized controller (resource manager) asks us to move.
-    fn try_migrate_request(&mut self, ctx: &mut dyn SimCtx, body: &Bytes) -> bool {
-        let mut d = Decoder::new(body.clone());
-        let Ok(m) = d.get_u8() else { return false };
-        if m != MIGRATE_MAGIC {
+    fn try_migrate_order(&mut self, ctx: &mut dyn SimCtx, body: &Bytes) -> bool {
+        let Ok(MigrateOrder { target_host }) = MigrateOrder::decode_from_bytes(body.clone()) else {
             return false;
-        }
-        let Ok(hostname) = d.get_str() else {
-            return true;
         };
-        self.log.push((ctx.now(), format!("resource manager requests migration to {hostname}")));
-        self.start_migration(ctx, hostname);
+        self.log.push((ctx.now(), format!("resource manager requests migration to {target_host}")));
+        self.start_migration(ctx, target_host);
         true
     }
 
     fn try_redirect_notice(&mut self, ctx: &mut dyn SimCtx, body: &Bytes) -> bool {
-        let mut d = Decoder::new(body.clone());
-        let Ok(m) = d.get_u8() else { return false };
-        if m != REDIRECT_MAGIC {
+        let Ok(RedirectNotice { proc_key, to }) = RedirectNotice::decode_from_bytes(body.clone())
+        else {
             return false;
-        }
-        let (Ok(key), Ok(h), Ok(p)) = (d.get_u64(), d.get_u32(), d.get_u16()) else {
-            return true;
         };
-        let ep = Endpoint::new(snipe_util::id::HostId(h), p);
         let now = ctx.now();
         if let Some(stack) = self.stack.as_mut() {
-            stack.set_peer_at(now, key, ep, vec![]);
+            stack.set_peer_at(now, proc_key, to, vec![]);
         }
         self.pump_stack(ctx);
         true
@@ -1316,8 +1278,7 @@ impl Actor for ProcessActor {
                     Some(Incoming::Mcast { .. }) => {}
                     Some(Incoming::Stream { .. }) => {}
                     Some(Incoming::Raw { from, msg }) => {
-                        if self.try_redirect_notice(ctx, &msg)
-                            || self.try_migrate_request(ctx, &msg)
+                        if self.try_redirect_notice(ctx, &msg) || self.try_migrate_order(ctx, &msg)
                         {
                             // handled
                         } else if let Ok(dmsg) = DaemonMsg::decode_from_bytes(msg.clone()) {
@@ -1353,5 +1314,53 @@ impl Actor for ProcessActor {
                 self.pump_stack(ctx);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snipe_util::id::HostId;
+
+    /// Pin one crate-private format as `tests/wire_format.rs` pins the
+    /// public ones: its hex and round trip, then the hostile corpus
+    /// (strict prefixes are errors, bit flips never panic, a sequence
+    /// count forged at byte `count` is an error).
+    fn pinned<T: WireDecode + WireEncode>(bytes: Bytes, hex: &str, count: Option<usize>) {
+        let decodes =
+            |b: Bytes| T::decode_from_bytes(b.clone()).is_ok_and(|v| v.encode_to_bytes() == b);
+        let now: String = bytes.iter().map(|x| format!("{x:02x}")).collect();
+        assert_eq!(now, hex);
+        assert!(decodes(bytes.clone()), "{hex} does not round-trip");
+        for len in 0..bytes.len() {
+            assert!(!decodes(bytes.slice(..len)), "{hex}: {len}-byte prefix decoded");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut hostile = bytes.to_vec();
+            hostile[bit / 8] ^= 1 << (bit % 8);
+            let _ = decodes(Bytes::from(hostile));
+        }
+        if let Some(at) = count {
+            let mut hostile = bytes.to_vec();
+            hostile[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+            assert!(!decodes(Bytes::from(hostile)), "{hex}: forged count decoded");
+        }
+    }
+
+    #[test]
+    fn core_formats_are_pinned_and_survive_hostile_input() {
+        let app = ProcessActor::wrap_app(Bytes::from_static(b"hi"));
+        pinned::<CoreMsg>(app, "a701000000026869", None);
+        let notice = RedirectNotice { proc_key: 7, to: Endpoint::new(HostId(3), 100) };
+        pinned::<RedirectNotice>(notice.encode_to_bytes(), "a80000000000000007000000030064", None);
+        let payload = MigrationPayload {
+            program: "p".into(),
+            args: Bytes::from_static(b"a"),
+            user_state: Bytes::from_static(b"u"),
+            stack_state: Bytes::new(),
+            groups: vec!["g".into()],
+        };
+        let hex = "00000001700000000161000000017500000000000000010000000167";
+        pinned::<MigrationPayload>(payload.encode_to_bytes(), hex, Some(19));
     }
 }

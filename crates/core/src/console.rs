@@ -15,14 +15,13 @@ use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::uri::Uri;
 use snipe_rcds::{RcClient, RcHost};
-use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
-use snipe_util::error::{SnipeError, SnipeResult};
+use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::SimDuration;
+use snipe_util::wire_codec;
 use snipe_wire::frame::{open, seal, Proto};
 
 use crate::names::{format_endpoint, parse_endpoint, ATTR_COMM_ADDRESS};
 
-const MAGIC: u8 = 0xA9;
 const TIMER_RC: u64 = 1;
 const TIMER_FETCH: u64 = 2;
 
@@ -47,41 +46,10 @@ pub enum HttpMsg {
     },
 }
 
-impl WireEncode for HttpMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(MAGIC);
-        match self {
-            HttpMsg::Get { req_id, path } => {
-                enc.put_u8(1);
-                enc.put_u64(*req_id);
-                enc.put_str(path);
-            }
-            HttpMsg::Resp { req_id, status, body } => {
-                enc.put_u8(2);
-                enc.put_u64(*req_id);
-                enc.put_u16(*status);
-                enc.put_str(body);
-            }
-        }
-    }
-}
-
-impl WireDecode for HttpMsg {
-    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
-        if dec.get_u8()? != MAGIC {
-            return Err(SnipeError::Codec("not an HTTP message".into()));
-        }
-        Ok(match dec.get_u8()? {
-            1 => HttpMsg::Get { req_id: dec.get_u64()?, path: dec.get_str()? },
-            2 => HttpMsg::Resp {
-                req_id: dec.get_u64()?,
-                status: dec.get_u16()?,
-                body: dec.get_str()?,
-            },
-            t => return Err(SnipeError::Codec(format!("unknown HTTP tag {t}"))),
-        })
-    }
-}
+wire_codec!(enum HttpMsg: magic 0xA9 {
+    1 => Get { req_id, path },
+    2 => Resp { req_id, status, body },
+});
 
 /// A console: serves registered pages over the simulated HTTP protocol
 /// and keeps its URL→location binding fresh in RC metadata.

@@ -43,15 +43,6 @@ pub fn group_id(name: &str) -> u64 {
     h
 }
 
-/// Build the raw migrate-request control payload an active resource
-/// manager sends to a process (§3.5). Seal with `Proto::Raw`.
-pub fn migrate_request(target_hostname: &str) -> bytes::Bytes {
-    let mut e = snipe_util::codec::Encoder::new();
-    e.put_u8(0xAA);
-    e.put_str(target_hostname);
-    e.finish()
-}
-
 /// Extract router endpoints from a group's assertions.
 pub fn parse_routers(assertions: &[snipe_rcds::assertion::Assertion]) -> Vec<Endpoint> {
     let mut v: Vec<Endpoint> = assertions

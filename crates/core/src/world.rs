@@ -17,6 +17,7 @@ use snipe_netsim::actor::Actor;
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
+use snipe_util::codec::WireDecode;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::id::{HostId, NetId};
 use snipe_util::time::{SimDuration, SimTime};
@@ -307,7 +308,7 @@ fn register_migration_shim(
     // stale SpawnReq must turn into a SpawnResp error the migration
     // protocol retries — never a panic.
     registry.register_fallible(MIGRATE_PROGRAM, move |sctx: &SpawnCtx| {
-        let payload = MigrationPayload::decode(sctx.args.clone())
+        let payload = MigrationPayload::decode_from_bytes(sctx.args.clone())
             .map_err(|e| SnipeError::Codec(format!("bad migration payload: {e}")))?;
         let factory =
             programs.read().expect("programs poisoned").get(&payload.program).cloned().ok_or_else(

@@ -14,9 +14,10 @@
 
 use std::collections::HashMap;
 
-use snipe_util::codec::{decode_seq, encode_seq, Decoder, Encoder, WireDecode, WireEncode};
+use snipe_util::codec::{encode_seq, Encoder, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::rng::Xoshiro256;
+use snipe_util::wire_codec;
 
 use crate::sign::{KeyPair, PublicKey, Signature};
 
@@ -58,18 +59,7 @@ pub struct CertClaim {
     pub value: String,
 }
 
-impl WireEncode for CertClaim {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(&self.name);
-        enc.put_str(&self.value);
-    }
-}
-
-impl WireDecode for CertClaim {
-    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
-        Ok(CertClaim { name: dec.get_str()?, value: dec.get_str()? })
-    }
-}
+wire_codec!(struct CertClaim { name, value });
 
 /// A signed subset of RC metadata: SNIPE's certificate format.
 #[derive(Clone, Debug, PartialEq)]
@@ -132,27 +122,7 @@ impl Certificate {
     }
 }
 
-impl WireEncode for Certificate {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(&self.subject);
-        self.subject_key.encode(enc);
-        encode_seq(enc, self.claims.iter());
-        enc.put_str(&self.issuer);
-        self.signature.encode(enc);
-    }
-}
-
-impl WireDecode for Certificate {
-    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
-        Ok(Certificate {
-            subject: dec.get_str()?,
-            subject_key: PublicKey::decode(dec)?,
-            claims: decode_seq(dec)?,
-            issuer: dec.get_str()?,
-            signature: Signature::decode(dec)?,
-        })
-    }
-}
+wire_codec!(struct Certificate { subject, subject_key, claims, issuer, signature });
 
 /// Which keys this client trusts, per purpose.
 #[derive(Clone, Debug, Default)]
@@ -217,6 +187,7 @@ impl TrustStore {
 mod tests {
     use super::*;
     use crate::group::SchnorrGroup;
+    use snipe_util::codec::WireDecode;
 
     fn setup() -> (Xoshiro256, KeyPair, KeyPair, SchnorrGroup) {
         let group = SchnorrGroup::generate(128, 64, 42);

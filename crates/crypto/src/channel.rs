@@ -17,9 +17,10 @@
 
 use bytes::Bytes;
 
-use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
+use snipe_util::codec::WireEncode;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::rng::Xoshiro256;
+use snipe_util::wire_codec;
 
 use crate::bigint::BigUint;
 use crate::chacha20::{chacha20_xor, KEY_LEN, NONCE_LEN};
@@ -46,18 +47,7 @@ pub struct HandshakeMsg {
     pub auth: Option<Signature>,
 }
 
-impl WireEncode for HandshakeMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        self.share.encode(enc);
-        self.auth.encode(enc);
-    }
-}
-
-impl WireDecode for HandshakeMsg {
-    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
-        Ok(HandshakeMsg { share: PublicKey::decode(dec)?, auth: Option::<Signature>::decode(dec)? })
-    }
-}
+wire_codec!(struct HandshakeMsg { share, auth });
 
 /// An in-progress handshake holding our ephemeral secret.
 pub struct Handshake {
@@ -155,24 +145,7 @@ pub struct Record {
     pub tag: [u8; 32],
 }
 
-impl WireEncode for Record {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.seq);
-        enc.put_bytes(&self.ciphertext);
-        enc.put_raw(&self.tag);
-    }
-}
-
-impl WireDecode for Record {
-    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
-        let seq = dec.get_u64()?;
-        let ciphertext = dec.get_bytes()?.to_vec();
-        let raw = dec.get_raw(32)?;
-        let mut tag = [0u8; 32];
-        tag.copy_from_slice(&raw);
-        Ok(Record { seq, ciphertext, tag })
-    }
-}
+wire_codec!(struct Record { seq, ciphertext, tag });
 
 /// An established secure channel (one side of it).
 #[derive(Debug)]
@@ -245,6 +218,7 @@ pub fn handshake_pair(rng: &mut Xoshiro256) -> (SecureChannel, SecureChannel) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snipe_util::codec::WireDecode;
 
     #[test]
     fn round_trip_both_directions() {

@@ -32,6 +32,8 @@ impl Endpoint {
     }
 }
 
+snipe_util::wire_codec!(struct Endpoint { host, port });
+
 impl std::fmt::Display for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}:{}", self.host, self.port)

@@ -17,9 +17,10 @@ use bytes::Bytes;
 use snipe_crypto::sign::PublicKey;
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
-use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
-use snipe_util::error::{SnipeError, SnipeResult};
+use snipe_util::codec::WireEncode;
+use snipe_util::error::SnipeResult;
 use snipe_util::time::{SimDuration, SimTime};
+use snipe_util::wire_codec;
 use snipe_wire::frame::{seal, Proto};
 
 use crate::bytecode::CodeImage;
@@ -62,45 +63,21 @@ pub enum PlaygroundMsg {
     },
 }
 
-const MAGIC: u8 = 0xA5;
+wire_codec!(enum PlaygroundMsg: magic 0xA5 {
+    1 => Done { outputs, fuel_used },
+    2 => Failed { reason },
+    3 => Checkpoint { state },
+});
 
-impl WireEncode for PlaygroundMsg {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u8(MAGIC);
-        match self {
-            PlaygroundMsg::Done { outputs, fuel_used } => {
-                enc.put_u8(1);
-                snipe_util::codec::encode_seq(enc, outputs.iter());
-                enc.put_u64(*fuel_used);
-            }
-            PlaygroundMsg::Failed { reason } => {
-                enc.put_u8(2);
-                enc.put_str(reason);
-            }
-            PlaygroundMsg::Checkpoint { state } => {
-                enc.put_u8(3);
-                enc.put_bytes(state);
-            }
-        }
-    }
+/// A value the program sent with the SEND syscall, Raw-sealed to the
+/// address-book target.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PlaygroundSend {
+    /// The value.
+    pub value: i64,
 }
 
-impl WireDecode for PlaygroundMsg {
-    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
-        if dec.get_u8()? != MAGIC {
-            return Err(SnipeError::Codec("not a playground message".into()));
-        }
-        Ok(match dec.get_u8()? {
-            1 => PlaygroundMsg::Done {
-                outputs: snipe_util::codec::decode_seq(dec)?,
-                fuel_used: dec.get_u64()?,
-            },
-            2 => PlaygroundMsg::Failed { reason: dec.get_str()? },
-            3 => PlaygroundMsg::Checkpoint { state: dec.get_bytes()? },
-            t => return Err(SnipeError::Codec(format!("unknown playground tag {t}"))),
-        })
-    }
-}
+wire_codec!(struct PlaygroundSend: magic 0xA6 { value });
 
 /// Playground configuration.
 #[derive(Clone)]
@@ -138,10 +115,8 @@ impl SyscallHost for ActorHost<'_> {
     fn send(&mut self, target: i64, value: i64) {
         match self.address_book.get(&target) {
             Some(&ep) => {
-                let mut e = Encoder::new();
-                e.put_u8(0xA6); // playground data message
-                e.put_i64(value);
-                self.ctx.send(ep, seal(Proto::Raw, e.finish()));
+                let msg = PlaygroundSend { value };
+                self.ctx.send(ep, seal(Proto::Raw, msg.encode_to_bytes()));
             }
             None => self.violations.push(Violation {
                 at: self.ctx.now(),
@@ -295,6 +270,7 @@ mod tests {
     use snipe_netsim::medium::Medium;
     use snipe_netsim::topology::{HostCfg, Topology};
     use snipe_netsim::world::World;
+    use snipe_util::codec::WireDecode;
     use snipe_util::rng::Xoshiro256;
     use snipe_wire::frame::open;
     use std::sync::{Arc, Mutex};
@@ -339,6 +315,13 @@ mod tests {
             supervisor: sup,
             address_book: HashMap::new(),
         }
+    }
+
+    #[test]
+    fn send_message_bytes() {
+        let b = PlaygroundSend { value: -2 }.encode_to_bytes();
+        assert_eq!(&b[..], &[0xA6, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFE]);
+        assert_eq!(PlaygroundSend::decode_from_bytes(b).unwrap(), PlaygroundSend { value: -2 });
     }
 
     #[test]

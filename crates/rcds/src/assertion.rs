@@ -13,8 +13,8 @@
 
 use bytes::Bytes;
 
-use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
-use snipe_util::error::SnipeResult;
+use snipe_util::codec::Encoder;
+use snipe_util::wire_codec;
 
 /// A total-ordered update stamp: (Lamport clock, origin server id).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -25,18 +25,7 @@ pub struct Stamp {
     pub server: u64,
 }
 
-impl WireEncode for Stamp {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.lamport);
-        enc.put_u64(self.server);
-    }
-}
-
-impl WireDecode for Stamp {
-    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
-        Ok(Stamp { lamport: dec.get_u64()?, server: dec.get_u64()? })
-    }
-}
+wire_codec!(struct Stamp { lamport, server });
 
 /// One attribute assertion about a resource.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -85,46 +74,19 @@ impl Assertion {
         self.stamp > other.stamp
     }
 
-    /// Exact length of [`WireEncode::encode`]'s output, without encoding.
+    /// Exact length of its encoding, without encoding.
     pub fn wire_len(&self) -> usize {
         let signature = self.signature.as_ref().map_or(0, |s| 4 + s.len());
         (4 + self.name.len()) + (4 + self.value.len()) + 16 + 8 + 1 + 1 + signature
     }
 }
 
-impl WireEncode for Assertion {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_str(&self.name);
-        enc.put_str(&self.value);
-        self.stamp.encode(enc);
-        enc.put_u64(self.stored_at_ns);
-        enc.put_bool(self.deleted);
-        match &self.signature {
-            None => enc.put_bool(false),
-            Some(s) => {
-                enc.put_bool(true);
-                enc.put_bytes(s);
-            }
-        }
-    }
-}
-
-impl WireDecode for Assertion {
-    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
-        Ok(Assertion {
-            name: dec.get_str()?,
-            value: dec.get_str()?,
-            stamp: Stamp::decode(dec)?,
-            stored_at_ns: dec.get_u64()?,
-            deleted: dec.get_bool()?,
-            signature: if dec.get_bool()? { Some(dec.get_bytes()?.to_vec()) } else { None },
-        })
-    }
-}
+wire_codec!(struct Assertion { name, value, stamp, stored_at_ns, deleted, signature });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snipe_util::codec::{WireDecode, WireEncode};
 
     #[test]
     fn stamp_total_order() {

@@ -11,8 +11,7 @@
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 
-use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
-use snipe_util::error::{SnipeError, SnipeResult};
+use snipe_util::wire_codec;
 
 use crate::assertion::{Assertion, Stamp};
 use crate::uri::Uri;
@@ -30,30 +29,12 @@ pub struct Update {
     pub assertion: Assertion,
 }
 
-impl WireEncode for Update {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.origin);
-        enc.put_u64(self.seq);
-        enc.put_str(&self.uri);
-        self.assertion.encode(enc);
-    }
-}
+wire_codec!(struct Update { origin, seq, uri, assertion });
 
 impl Update {
-    /// Exact length of [`WireEncode::encode`]'s output, without encoding.
+    /// Exact length of its encoding, without encoding.
     pub fn wire_len(&self) -> usize {
         8 + 8 + (4 + self.uri.len()) + self.assertion.wire_len()
-    }
-}
-
-impl WireDecode for Update {
-    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
-        Ok(Update {
-            origin: dec.get_u64()?,
-            seq: dec.get_u64()?,
-            uri: dec.get_str()?,
-            assertion: Assertion::decode(dec)?,
-        })
     }
 }
 
@@ -219,35 +200,10 @@ impl RcStore {
     }
 }
 
-/// Encode a version vector.
-pub fn encode_vector(enc: &mut Encoder, v: &VersionVector) {
-    enc.put_u32(v.len() as u32);
-    for (&k, &s) in v {
-        enc.put_u64(k);
-        enc.put_u64(s);
-    }
-}
-
-/// Decode a version vector.
-pub fn decode_vector(dec: &mut Decoder) -> SnipeResult<VersionVector> {
-    let n = dec.get_u32()? as usize;
-    // Each entry is 16 encoded bytes; a count beyond the remaining
-    // payload is corrupt.
-    if n > dec.remaining() / 16 {
-        return Err(SnipeError::Codec(format!("vector length {n} exceeds payload")));
-    }
-    let mut v = VersionVector::new();
-    for _ in 0..n {
-        let k = dec.get_u64()?;
-        let s = dec.get_u64()?;
-        v.insert(k, s);
-    }
-    Ok(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snipe_util::codec::{WireDecode, WireEncode};
 
     fn uri(i: u32) -> Uri {
         Uri::process(i as u64)
@@ -413,10 +369,6 @@ mod tests {
         let mut v = VersionVector::new();
         v.insert(1, 5);
         v.insert(9, 2);
-        let mut e = Encoder::new();
-        encode_vector(&mut e, &v);
-        let mut d = Decoder::new(e.finish());
-        let back = decode_vector(&mut d).unwrap();
-        assert_eq!(back, v);
+        assert_eq!(VersionVector::decode_from_bytes(v.encode_to_bytes()).unwrap(), v);
     }
 }

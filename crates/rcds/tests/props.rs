@@ -12,9 +12,9 @@ use std::collections::BTreeMap;
 
 use proptest::{collection, prop_assert, prop_assert_eq, proptest};
 use snipe_rcds::assertion::{Assertion, Stamp};
-use snipe_rcds::store::{decode_vector, encode_vector, RcStore, Update, VersionVector};
+use snipe_rcds::store::{RcStore, Update, VersionVector};
 use snipe_rcds::uri::Uri;
-use snipe_util::codec::{Decoder, Encoder};
+use snipe_util::codec::{Decoder, WireDecode, WireEncode};
 
 /// The reference `updates_since` is judged against: the scan of every
 /// log entry that it replaced, kept verbatim.
@@ -48,10 +48,8 @@ proptest! {
         for (origin, seq) in entries {
             v.insert(origin, seq);
         }
-        let mut e = Encoder::new();
-        encode_vector(&mut e, &v);
-        let mut d = Decoder::new(e.finish());
-        let back = decode_vector(&mut d).unwrap();
+        let mut d = Decoder::new(v.encode_to_bytes());
+        let back = VersionVector::decode(&mut d).unwrap();
         prop_assert_eq!(back, v);
         prop_assert_eq!(d.remaining(), 0);
     }
@@ -67,12 +65,10 @@ proptest! {
         for (origin, seq) in entries {
             v.insert(origin, seq);
         }
-        let mut e = Encoder::new();
-        encode_vector(&mut e, &v);
-        let full = e.finish();
+        let full = v.encode_to_bytes();
         let cut = cut % full.len();
         let mut d = Decoder::new(full.slice(..cut));
-        prop_assert!(decode_vector(&mut d).is_err());
+        prop_assert!(VersionVector::decode(&mut d).is_err());
     }
 
     /// Pagination: a peer that repeatedly asks "what am I missing?"

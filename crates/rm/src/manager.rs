@@ -26,7 +26,7 @@ use snipe_wire::frame::{open, seal, Proto};
 
 use snipe_daemon::proto::{DaemonMsg, SpawnSpec};
 
-use crate::proto::{AllocMode, Allocation, RmMsg};
+use crate::proto::{AllocMode, Allocation, MigrateOrder, RmMsg};
 
 const TIMER_REFRESH: u64 = 1;
 const TIMER_RC: u64 = 2;
@@ -488,10 +488,8 @@ impl Actor for RmActor {
                             // §3.5 active mode: the RM directs a mobile
                             // process to another host; the process
                             // checkpoint/cutover machinery does the rest.
-                            let mut e = snipe_util::codec::Encoder::new();
-                            e.put_u8(0xAA);
-                            e.put_str(&target_host);
-                            ctx.send(task, seal(Proto::Raw, e.finish()));
+                            let order = MigrateOrder { target_host };
+                            ctx.send(task, seal(Proto::Raw, order.encode_to_bytes()));
                         }
                         RmMsg::AllocResp { .. } | RmMsg::AuthResp { .. } => {}
                     }

@@ -6,14 +6,49 @@
 //! order), lengths are explicit `u32` prefixes, and every composite type
 //! implements [`WireEncode`]/[`WireDecode`] so the same bytes decode on
 //! any host. It doubles as the checkpoint format for process migration.
+//!
+//! # Declaring a message
+//!
+//! A message is an ordinary Rust type, listed once in
+//! [`wire_codec!`](crate::wire_codec), which writes both traits for it:
+//!
+//! ```
+//! use snipe_util::codec::{WireDecode, WireEncode};
+//! use snipe_util::wire_codec;
+//!
+//! #[derive(Debug, PartialEq)]
+//! pub enum Msg {
+//!     Ask { id: u64, what: String },
+//!     Grant(Vec<u16>),
+//!     Bye,
+//! }
+//! wire_codec!(enum Msg: magic 0xEE { 1 => Ask { id, what }, 2 => Grant(ports), 3 => Bye });
+//!
+//! let bytes = Msg::Grant(vec![7]).encode_to_bytes();
+//! assert_eq!(&bytes[..], &[0xEE, 2, 0, 0, 0, 1, 0, 7]);
+//! assert_eq!(Msg::decode_from_bytes(bytes).unwrap(), Msg::Grant(vec![7]));
+//! ```
+//!
+//! A value is its magic byte (if listed), its tag byte (enums), then its
+//! fields in **listing order**, each through its own codec (integers,
+//! `bool`, `f64`, `String`, `Bytes`, `Option`, `Vec`, `BTreeMap`,
+//! `[u8; N]`, `HostId`, or another listed type). Decoding checks magic
+//! and tag and reads the fields back in the same order.
+//!
+//! **The listing is the wire format**: a tag is never renumbered or
+//! reused and a field never moves; new fields and variants are appended.
+//! DESIGN.md ("Wire formats") tables the magic bytes in use.
+
+use std::collections::BTreeMap;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::{SnipeError, SnipeResult};
+use crate::id::HostId;
 
-/// Maximum length accepted for a single variable-length field (strings,
-/// byte blobs, vectors). Guards against corrupt length prefixes causing
-/// multi-gigabyte allocations.
+/// Maximum length accepted for a single string or byte blob. Guards
+/// against corrupt length prefixes causing multi-gigabyte allocations
+/// (a sequence count is bounded by the bytes left instead).
 pub const MAX_FIELD_LEN: usize = 64 << 20; // 64 MiB
 
 /// Streaming encoder over a growable buffer.
@@ -291,15 +326,18 @@ impl WireDecode for Bytes {
     }
 }
 
-impl WireEncode for Vec<u8> {
+/// Written raw: the length is part of the type.
+impl<const N: usize> WireEncode for [u8; N] {
     fn encode(&self, enc: &mut Encoder) {
-        enc.put_bytes(self);
+        enc.put_raw(self);
     }
 }
 
-impl WireDecode for Vec<u8> {
+impl<const N: usize> WireDecode for [u8; N] {
     fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
-        Ok(dec.get_bytes()?.to_vec())
+        let mut a = [0u8; N];
+        a.copy_from_slice(&dec.get_raw(N)?);
+        Ok(a)
     }
 }
 
@@ -325,13 +363,39 @@ impl<T: WireDecode> WireDecode for Option<T> {
     }
 }
 
-/// Vectors of encodable values (length-prefixed).
-///
-/// `Vec<u8>` has a dedicated blob impl above; this generic impl covers
-/// other element types.
-impl<T: WireEncode> WireEncode for Vec<Box<T>> {
+/// A `u32` count, then the elements (a `Vec<u8>` is therefore the same
+/// bytes as a [`Bytes`] blob).
+impl<T: WireEncode> WireEncode for Vec<T> {
     fn encode(&self, enc: &mut Encoder) {
-        encode_seq(enc, self.iter().map(|b| b.as_ref()));
+        encode_seq(enc, self.iter());
+    }
+}
+
+impl<T: WireDecode> WireDecode for Vec<T> {
+    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
+        decode_seq(dec)
+    }
+}
+
+/// A `u32` count, then each key and its value, in key order.
+impl<K: WireEncode, V: WireEncode> WireEncode for BTreeMap<K, V> {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u32(self.len() as u32);
+        for (k, v) in self {
+            k.encode(enc);
+            v.encode(enc);
+        }
+    }
+}
+
+impl<K: WireDecode + Ord, V: WireDecode> WireDecode for BTreeMap<K, V> {
+    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
+        let n = get_count(dec)?;
+        let mut map = BTreeMap::new();
+        for _ in 0..n {
+            map.insert(K::decode(dec)?, V::decode(dec)?);
+        }
+        Ok(map)
     }
 }
 
@@ -348,16 +412,97 @@ pub fn encode_seq<'a, T: WireEncode + 'a>(
 
 /// Decode a sequence previously written by [`encode_seq`].
 pub fn decode_seq<T: WireDecode>(dec: &mut Decoder) -> SnipeResult<Vec<T>> {
-    let n = dec.get_u32()? as usize;
-    if n > MAX_FIELD_LEN {
-        return Err(SnipeError::Codec(format!("sequence length {n} exceeds limit")));
-    }
+    let n = get_count(dec)?;
     let mut out = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
         out.push(T::decode(dec)?);
     }
     Ok(out)
 }
+
+/// Read a sequence's element count. Every element encodes to at least
+/// one byte, so a count beyond the bytes left can only be forged; it is
+/// refused before anything is read or reserved for it.
+fn get_count(dec: &mut Decoder) -> SnipeResult<usize> {
+    let n = dec.get_u32()? as usize;
+    if n > dec.remaining() {
+        return Err(SnipeError::Codec(format!(
+            "count {n} exceeds the {} bytes left",
+            dec.remaining()
+        )));
+    }
+    Ok(n)
+}
+
+/// Read one byte and require it to be `magic`. A miss is the expected
+/// answer when a receiver tries in turn the protocols sharing its port,
+/// so it allocates nothing: the error carries no text.
+pub fn expect_magic(dec: &mut Decoder, magic: u8) -> SnipeResult<()> {
+    match dec.get_u8()? {
+        b if b == magic => Ok(()),
+        _ => Err(SnipeError::Codec(String::new())),
+    }
+}
+
+/// The error for a tag no variant of `what` is listed under.
+pub fn unknown_tag(what: &str, tag: u8) -> SnipeError {
+    SnipeError::Codec(format!("unknown {what} tag {tag}"))
+}
+
+/// Implement [`WireEncode`] and [`WireDecode`] for a declared struct
+/// (`struct S { a, b }`; a tuple struct lists positions, `{ 0 }`) or enum
+/// (`enum E { 1 => Unit, 2 => Named { a, b }, 3 => Tuple(a, b) }`), with
+/// an optional magic byte (`E: magic 0xA1`). See the module docs.
+#[macro_export]
+macro_rules! wire_codec {
+    (struct $name:ident $(: magic $magic:literal)? { $($field:tt),* $(,)? }) => {
+        impl $crate::codec::WireEncode for $name {
+            fn encode(&self, enc: &mut $crate::codec::Encoder) {
+                $( enc.put_u8($magic); )?
+                $( $crate::codec::WireEncode::encode(&self.$field, enc); )*
+            }
+        }
+        impl $crate::codec::WireDecode for $name {
+            fn decode(dec: &mut $crate::codec::Decoder) -> $crate::error::SnipeResult<Self> {
+                $( $crate::codec::expect_magic(dec, $magic)?; )?
+                Ok($name { $( $field: $crate::codec::WireDecode::decode(dec)?, )* })
+            }
+        }
+    };
+    (enum $name:ident $(: magic $magic:literal)? { $(
+        $tag:literal => $variant:ident $({ $($named:ident),* })? $(( $($pos:ident),* ))?
+    ),* $(,)? }) => {
+        impl $crate::codec::WireEncode for $name {
+            fn encode(&self, enc: &mut $crate::codec::Encoder) {
+                $( enc.put_u8($magic); )?
+                match self {
+                    $( $name::$variant $({ $($named),* })? $(( $($pos),* ))? => {
+                        enc.put_u8($tag);
+                        $( $( $crate::codec::WireEncode::encode($named, enc); )* )?
+                        $( $( $crate::codec::WireEncode::encode($pos, enc); )* )?
+                    } )*
+                }
+            }
+        }
+        impl $crate::codec::WireDecode for $name {
+            fn decode(dec: &mut $crate::codec::Decoder) -> $crate::error::SnipeResult<Self> {
+                $( $crate::codec::expect_magic(dec, $magic)?; )?
+                Ok(match dec.get_u8()? {
+                    $( $tag => $name::$variant
+                        $({ $( $named: $crate::codec::WireDecode::decode(dec)?, )* })?
+                        $(( $( $crate::wire_codec!(@one dec $pos), )* ))?, )*
+                    tag => return Err($crate::codec::unknown_tag(stringify!($name), tag)),
+                })
+            }
+        }
+    };
+    // One positional field: `$field` only names the position.
+    (@one $dec:ident $field:ident) => {
+        $crate::codec::WireDecode::decode($dec)?
+    };
+}
+
+wire_codec!(struct HostId { 0 });
 
 #[cfg(test)]
 mod tests {
@@ -443,6 +588,19 @@ mod tests {
         let back: Vec<u32> = decode_seq(&mut d).unwrap();
         assert_eq!(back, v);
         d.expect_end().unwrap();
+    }
+
+    #[test]
+    fn a_count_beyond_the_bytes_left_is_refused_before_reading() {
+        // 1 000 elements claimed, 8 bytes present: refused as a forged
+        // count, not discovered element by element as a truncation.
+        let mut e = Encoder::new();
+        e.put_u32(1_000);
+        e.put_u64(7);
+        let mut d = Decoder::new(e.finish());
+        let err = decode_seq::<u8>(&mut d).unwrap_err();
+        assert!(err.to_string().contains("count 1000 exceeds the 8 bytes left"), "{err}");
+        assert_eq!(d.remaining(), 8, "elements were read for a forged count");
     }
 
     #[test]

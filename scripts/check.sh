@@ -31,6 +31,24 @@ if [ -n "$glue" ]; then
     echo "$glue"
     exit 1
 fi
+# Codec gate: a service-plane message is declared once, as a
+# `snipe_util::wire_codec!` listing next to its type, and an endpoint is
+# encoded by its own `WireEncode` impl. A hand decoder is where tag
+# tables, magic checks and count checks drifted apart (five private
+# endpoint helpers, two migrate-order encoders, a mode byte that read
+# anything but 1 as passive), so its fingerprints may appear only in the
+# codec itself, in `crates/wire` (datagram headers, not tagged
+# messages) and in `crypto/src/sign.rs` (big-integer keys and
+# signatures).
+codec=$(
+    grep -rnE --include='*.rs' 'fn (put|get)_(ep|endpoint)\b|!= MAGIC|impl WireDecode for' crates/*/src |
+        grep -v -e '^crates/util/src/codec\.rs:' -e '^crates/wire/' -e '^crates/crypto/src/sign\.rs:' || true
+)
+if [ -n "$codec" ]; then
+    echo "codec gate: FAIL — list the message in a snipe_util::wire_codec! instead:"
+    echo "$codec"
+    exit 1
+fi
 # Deadline-scan gate: "what is pending, when is it due, in which order
 # do due things fire" is written once, in `snipe_util::deadlines`. A
 # request map with its own expiry filter and its own earliest-deadline
