@@ -21,7 +21,7 @@ use std::collections::{HashMap, HashSet};
 use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
-use snipe_util::codec::{Decoder, Encoder};
+use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
 
 use crate::Out;
@@ -77,7 +77,17 @@ pub enum McastMsg {
 impl McastMsg {
     /// Encode to wire bytes (the MCAST envelope body).
     pub fn encode(&self) -> Bytes {
-        let mut e = Encoder::new();
+        self.encode_to_bytes()
+    }
+
+    /// Decode from wire bytes.
+    pub fn decode(body: Bytes) -> SnipeResult<McastMsg> {
+        <McastMsg as WireDecode>::decode(&mut Decoder::new(body))
+    }
+}
+
+impl WireEncode for McastMsg {
+    fn encode(&self, e: &mut Encoder) {
         match self {
             McastMsg::Data { group, origin, seq, ttl, payload } => {
                 e.put_u8(KIND_DATA);
@@ -106,12 +116,11 @@ impl McastMsg {
                 e.put_u16(router.port);
             }
         }
-        e.finish()
     }
+}
 
-    /// Decode from wire bytes.
-    pub fn decode(body: Bytes) -> SnipeResult<McastMsg> {
-        let mut d = Decoder::new(body);
+impl WireDecode for McastMsg {
+    fn decode(d: &mut Decoder) -> SnipeResult<McastMsg> {
         let kind = d.get_u8()?;
         let group = d.get_u64()?;
         Ok(match kind {

@@ -1,8 +1,9 @@
 //! The service-plane wire format, pinned.
 //!
 //! One sample per variant of every message the services exchange
-//! (RCDS, daemon, resource manager, files, PVM, playground, console and
-//! the crypto certificates and records), each with its exact encoding as
+//! (RCDS, daemon, resource manager, files, PVM, playground, console,
+//! multicast relay and the crypto certificates and records), each with
+//! its exact encoding as
 //! hex and its round trip. A change to how any of them is written, or a
 //! tag or field order that moves, fails here first.
 //!
@@ -35,6 +36,7 @@ use snipe::rm::proto::{AllocMode, Allocation, RmMsg};
 use snipe::util::codec::{WireDecode, WireEncode};
 use snipe::util::error::SnipeResult;
 use snipe::util::id::HostId;
+use snipe::wire::mcast::McastMsg;
 
 /// A decoder under test: the decoded value's `Debug` text and its
 /// re-encoding.
@@ -479,6 +481,15 @@ fn samples() -> Vec<Pin> {
             "a902000000000000000100c8000000026f6b",
             &[],
         ),
+        // ---- multicast relay (MCAST envelope body; no magic) ----
+        pin(
+            McastMsg::Data { group: 7, origin: 42, seq: 3, ttl: 2, payload: b(b"m") },
+            "010000000000000007000000000000002a000000000000000302000000016d",
+            &[],
+        ),
+        pin(McastMsg::Join { group: 7, member: ep(1, 2) }, "020000000000000007000000010002", &[]),
+        pin(McastMsg::Leave { group: 7, member: ep(1, 2) }, "030000000000000007000000010002", &[]),
+        pin(McastMsg::Peer { group: 7, router: ep(3, 5) }, "040000000000000007000000030005", &[]),
         // ---- crypto: certificates, handshakes, records ----
         pin(CertClaim { name: "k".into(), value: "v".into() }, "000000016b0000000176", &[]),
         pin(
