@@ -11,6 +11,7 @@ use snipe_netsim::medium::Medium;
 use snipe_netsim::shard::FaultCmd;
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::world::World;
+use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::id::HostId;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
@@ -47,7 +48,8 @@ impl Actor for MemberActor {
             let Ok((Proto::Mcast, body)) = open(payload) else {
                 return;
             };
-            let Ok(McastMsg::Data { group, origin, seq, payload, .. }) = McastMsg::decode(body)
+            let Ok(McastMsg::Data { group, origin, seq, payload, .. }) =
+                McastMsg::decode_from_bytes(body)
             else {
                 return;
             };
@@ -83,7 +85,7 @@ impl Actor for SenderActor {
                         ttl: 8,
                         payload: Bytes::from(vec![0u8; 256]),
                     };
-                    ctx.send(*r, seal(Proto::Mcast, msg.encode()));
+                    ctx.send(*r, seal(Proto::Mcast, msg.encode_to_bytes()));
                 }
                 self.seq += 1;
                 ctx.set_timer(SEND_INTERVAL, 1);

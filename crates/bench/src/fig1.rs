@@ -14,6 +14,7 @@ use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::world::World;
+use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::id::NetId;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{seal, Proto};
@@ -248,7 +249,7 @@ impl StackApp for Receiver {
         let len = match d.proto {
             // Member deliveries carry the whole MCAST envelope; goodput
             // counts only the application payload.
-            Proto::Mcast => match McastMsg::decode(d.msg) {
+            Proto::Mcast => match McastMsg::decode_from_bytes(d.msg) {
                 Ok(McastMsg::Data { payload, .. }) => payload.len(),
                 _ => return,
             },
@@ -391,7 +392,7 @@ impl Actor for McastSource {
                         payload: Bytes::from(vec![0xEF; size]),
                     };
                     self.seq += 1;
-                    ctx.send(self.router, seal(Proto::Mcast, msg.encode()));
+                    ctx.send(self.router, seal(Proto::Mcast, msg.encode_to_bytes()));
                 }
                 ctx.set_timer(SimDuration::from_micros(200), 1);
             }

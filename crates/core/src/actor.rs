@@ -511,13 +511,13 @@ impl ProcessActor {
             let join_targets: Vec<Endpoint> = routers.iter().copied().take(m).collect();
             for r in &join_targets {
                 let msg = McastMsg::Join { group: gid, member: me };
-                ctx.send(*r, seal(Proto::Mcast, msg.encode()));
+                ctx.send(*r, seal(Proto::Mcast, msg.encode_to_bytes()));
             }
             for a in &routers {
                 for b in &routers {
                     if a != b {
                         let msg = McastMsg::Peer { group: gid, router: *b };
-                        ctx.send(*a, seal(Proto::Mcast, msg.encode()));
+                        ctx.send(*a, seal(Proto::Mcast, msg.encode_to_bytes()));
                     }
                 }
             }
@@ -583,7 +583,7 @@ impl ProcessActor {
                 ttl: 8,
                 payload: payload.clone(),
             };
-            ctx.send(*r, seal(Proto::Mcast, msg.encode()));
+            ctx.send(*r, seal(Proto::Mcast, msg.encode_to_bytes()));
         }
     }
 
@@ -598,7 +598,8 @@ impl ProcessActor {
     /// A group message delivered by the stack's member driver (already
     /// dedup'd across router legs); `body` is the encoded [`McastMsg`].
     fn on_group_deliver(&mut self, ctx: &mut dyn SimCtx, body: Bytes) {
-        let Ok(McastMsg::Data { group, origin, payload, .. }) = McastMsg::decode(body) else {
+        let Ok(McastMsg::Data { group, origin, payload, .. }) = McastMsg::decode_from_bytes(body)
+        else {
             return;
         };
         let Some(name) = self.groups.iter().find(|(_, g)| g.gid == group).map(|(n, _)| n.clone())
@@ -746,7 +747,7 @@ impl ProcessActor {
                     let me = ctx.me();
                     for r in &g.routers {
                         let msg = McastMsg::Leave { group: g.gid, member: me };
-                        ctx.send(*r, seal(Proto::Mcast, msg.encode()));
+                        ctx.send(*r, seal(Proto::Mcast, msg.encode_to_bytes()));
                     }
                 }
             }

@@ -133,9 +133,9 @@ impl DaemonActor {
                     continue;
                 }
                 let m1 = McastMsg::Peer { group, router: mine };
-                ctx.send(other, seal(Proto::Mcast, m1.encode()));
+                ctx.send(other, seal(Proto::Mcast, m1.encode_to_bytes()));
                 let m2 = McastMsg::Peer { group, router: other };
-                ctx.send(mine, seal(Proto::Mcast, m2.encode()));
+                ctx.send(mine, seal(Proto::Mcast, m2.encode_to_bytes()));
             }
         }
     }
@@ -437,7 +437,7 @@ impl Actor for DaemonActor {
                         // router exists here: forward to our router if
                         // we have one for the group.
                         if let Ok(McastMsg::Data { group, .. } | McastMsg::Join { group, .. }) =
-                            McastMsg::decode(body.clone())
+                            McastMsg::decode_from_bytes(body.clone())
                         {
                             if let Some(&r) = self.routing.get(&group) {
                                 ctx.send(r, seal(Proto::Mcast, body));

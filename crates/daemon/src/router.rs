@@ -6,6 +6,7 @@
 //! without a world.
 
 use snipe_netsim::actor::{Actor, Event, SimCtx};
+use snipe_util::codec::WireDecode;
 use snipe_wire::frame::{open, Proto};
 use snipe_wire::mcast::{McastMsg, McastRouter};
 use snipe_wire::Out;
@@ -40,7 +41,7 @@ impl Actor for McastRouterActor {
             let Ok((Proto::Mcast, body)) = open(payload) else {
                 return;
             };
-            let Ok(msg) = McastMsg::decode(body) else {
+            let Ok(msg) = McastMsg::decode_from_bytes(body) else {
                 return;
             };
             let mut outs = Vec::new();

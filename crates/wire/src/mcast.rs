@@ -22,18 +22,14 @@ use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
-use snipe_util::error::{SnipeError, SnipeResult};
+use snipe_util::error::SnipeResult;
+use snipe_util::wire_codec;
 
 use crate::Out;
 
 /// A multicast group identifier (hash of the group URN; the URN itself
 /// lives in RC metadata).
 pub type GroupId = u64;
-
-const KIND_DATA: u8 = 1;
-const KIND_JOIN: u8 = 2;
-const KIND_LEAVE: u8 = 3;
-const KIND_PEER: u8 = 4;
 
 /// A parsed multicast packet.
 #[derive(Clone, Debug, PartialEq)]
@@ -74,79 +70,14 @@ pub enum McastMsg {
     },
 }
 
-impl McastMsg {
-    /// Encode to wire bytes (the MCAST envelope body).
-    pub fn encode(&self) -> Bytes {
-        self.encode_to_bytes()
-    }
-
-    /// Decode from wire bytes.
-    pub fn decode(body: Bytes) -> SnipeResult<McastMsg> {
-        <McastMsg as WireDecode>::decode(&mut Decoder::new(body))
-    }
-}
-
-impl WireEncode for McastMsg {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            McastMsg::Data { group, origin, seq, ttl, payload } => {
-                e.put_u8(KIND_DATA);
-                e.put_u64(*group);
-                e.put_u64(*origin);
-                e.put_u64(*seq);
-                e.put_u8(*ttl);
-                e.put_bytes(payload);
-            }
-            McastMsg::Join { group, member } => {
-                e.put_u8(KIND_JOIN);
-                e.put_u64(*group);
-                e.put_u32(member.host.0);
-                e.put_u16(member.port);
-            }
-            McastMsg::Leave { group, member } => {
-                e.put_u8(KIND_LEAVE);
-                e.put_u64(*group);
-                e.put_u32(member.host.0);
-                e.put_u16(member.port);
-            }
-            McastMsg::Peer { group, router } => {
-                e.put_u8(KIND_PEER);
-                e.put_u64(*group);
-                e.put_u32(router.host.0);
-                e.put_u16(router.port);
-            }
-        }
-    }
-}
-
-impl WireDecode for McastMsg {
-    fn decode(d: &mut Decoder) -> SnipeResult<McastMsg> {
-        let kind = d.get_u8()?;
-        let group = d.get_u64()?;
-        Ok(match kind {
-            KIND_DATA => McastMsg::Data {
-                group,
-                origin: d.get_u64()?,
-                seq: d.get_u64()?,
-                ttl: d.get_u8()?,
-                payload: d.get_bytes()?,
-            },
-            KIND_JOIN => McastMsg::Join {
-                group,
-                member: Endpoint::new(snipe_util::id::HostId(d.get_u32()?), d.get_u16()?),
-            },
-            KIND_LEAVE => McastMsg::Leave {
-                group,
-                member: Endpoint::new(snipe_util::id::HostId(d.get_u32()?), d.get_u16()?),
-            },
-            KIND_PEER => McastMsg::Peer {
-                group,
-                router: Endpoint::new(snipe_util::id::HostId(d.get_u32()?), d.get_u16()?),
-            },
-            k => return Err(SnipeError::Protocol(format!("unknown MCAST kind {k}"))),
-        })
-    }
-}
+// The MCAST envelope body: no magic byte (the envelope tag already
+// names the protocol), `group` first in every variant.
+wire_codec!(enum McastMsg {
+    1 => Data { group, origin, seq, ttl, payload },
+    2 => Join { group, member },
+    3 => Leave { group, member },
+    4 => Peer { group, router },
+});
 
 /// Per-group relay state held by a router (a SNIPE daemon that elected
 /// itself, §5.4).
@@ -220,7 +151,10 @@ impl McastRouter {
                         to: m,
                         via: None,
                         spray: None,
-                        bytes: crate::frame::seal(crate::frame::Proto::Mcast, fwd.encode()),
+                        bytes: crate::frame::seal(
+                            crate::frame::Proto::Mcast,
+                            fwd.encode_to_bytes(),
+                        ),
                     });
                 }
                 // Relay to peer routers while TTL remains.
@@ -239,7 +173,10 @@ impl McastRouter {
                             to: p,
                             via: None,
                             spray: None,
-                            bytes: crate::frame::seal(crate::frame::Proto::Mcast, fwd.encode()),
+                            bytes: crate::frame::seal(
+                                crate::frame::Proto::Mcast,
+                                fwd.encode_to_bytes(),
+                            ),
                         });
                     }
                 }
@@ -254,7 +191,7 @@ impl McastRouter {
 /// As a [`Driver`](crate::driver::Driver) the member consumes MCAST
 /// datagrams and emits one [`Out::Deliver`] per fresh `(origin, seq)`;
 /// the delivered `msg` is the *encoded* [`McastMsg`] body so consumers
-/// can recover the group id and payload with [`McastMsg::decode`].
+/// can recover the group id and payload with `McastMsg::decode_from_bytes`.
 #[derive(Debug, Default)]
 pub struct McastMember {
     seen: HashMap<GroupId, HashSet<(u64, u64)>>,
@@ -297,7 +234,7 @@ impl McastMember {
     /// group id travels with it); duplicates and router-side control
     /// messages (Join/Leave/Peer) are silently dropped.
     pub fn on_datagram(&mut self, from: Endpoint, body: Bytes) -> SnipeResult<()> {
-        let msg = McastMsg::decode(body.clone())?;
+        let msg = McastMsg::decode_from_bytes(body.clone())?;
         if let McastMsg::Data { group, origin, seq, .. } = msg {
             if self.accept(group, origin, seq, Bytes::new()).is_some() {
                 self.out.push(Out::Deliver {
@@ -438,7 +375,7 @@ mod tests {
             McastMsg::Leave { group: 7, member: ep(1, 2) },
             McastMsg::Peer { group: 7, router: ep(3, 5) },
         ] {
-            assert_eq!(McastMsg::decode(msg.encode()).unwrap(), msg);
+            assert_eq!(McastMsg::decode_from_bytes(msg.encode_to_bytes()).unwrap(), msg);
         }
     }
 
@@ -527,7 +464,7 @@ mod tests {
     fn member_driver_delivers_fresh_data_exactly_once() {
         use crate::driver::Driver;
         let mut m = McastMember::new();
-        let body = data(7, 42, 0, 3).encode();
+        let body = data(7, 42, 0, 3).encode_to_bytes();
         m.on_datagram(ep(1, 5), body.clone()).unwrap();
         m.on_datagram(ep(2, 5), body.clone()).unwrap(); // dup via second router
         let outs = Driver::drain(&mut m);
@@ -537,7 +474,7 @@ mod tests {
         };
         assert_eq!(*proto, crate::frame::Proto::Mcast);
         assert_eq!(*from_key, 42);
-        let decoded = McastMsg::decode(msg.clone()).unwrap();
+        let decoded = McastMsg::decode_from_bytes(msg.clone()).unwrap();
         assert_eq!(decoded, data(7, 42, 0, 3));
         assert!(m.quiescent());
     }
@@ -546,8 +483,10 @@ mod tests {
     fn member_driver_ignores_control_messages() {
         use crate::driver::Driver;
         let mut m = McastMember::new();
-        m.on_datagram(ep(1, 5), McastMsg::Join { group: 1, member: ep(9, 9) }.encode()).unwrap();
-        m.on_datagram(ep(1, 5), McastMsg::Peer { group: 1, router: ep(9, 9) }.encode()).unwrap();
+        m.on_datagram(ep(1, 5), McastMsg::Join { group: 1, member: ep(9, 9) }.encode_to_bytes())
+            .unwrap();
+        m.on_datagram(ep(1, 5), McastMsg::Peer { group: 1, router: ep(9, 9) }.encode_to_bytes())
+            .unwrap();
         assert!(Driver::drain(&mut m).is_empty());
         assert!(m.on_datagram(ep(1, 5), Bytes::from_static(b"\xff")).is_err());
     }
@@ -597,7 +536,7 @@ mod tests {
                     continue;
                 };
                 let (_, body) = crate::frame::open(bytes).unwrap();
-                let m = McastMsg::decode(body).unwrap();
+                let m = McastMsg::decode_from_bytes(body).unwrap();
                 if to == ep(9, 7) {
                     member_got += 1;
                 } else if let Some(i) = eps.iter().position(|&e| e == to) {

@@ -74,7 +74,7 @@ pub enum Incoming {
     Mcast {
         /// Sender endpoint.
         from: Endpoint,
-        /// MCAST body (decode with [`crate::mcast::McastMsg::decode`]).
+        /// MCAST body (decode as a [`crate::mcast::McastMsg`]).
         body: Bytes,
     },
     /// An RSTREAM body for a co-hosted [`Rstream`] not owned by this
@@ -836,6 +836,7 @@ mod tests {
     #[test]
     fn mcast_member_driver_consumes_and_delivers() {
         use crate::mcast::McastMsg;
+        use snipe_util::codec::{WireDecode, WireEncode};
         let cfg = StackConfig { mcast_member: true, ..StackConfig::default() };
         let mut b = WireStack::new(2, cfg);
         let body = McastMsg::Data {
@@ -845,7 +846,7 @@ mod tests {
             ttl: 2,
             payload: Bytes::from_static(b"group msg"),
         }
-        .encode();
+        .encode_to_bytes();
         let dg = seal(Proto::Mcast, body.clone());
         // Consumed by the member driver, not surfaced.
         assert_eq!(b.on_datagram(SimTime::ZERO, ep(0, 5), dg.clone()).unwrap(), None);
@@ -857,7 +858,7 @@ mod tests {
         let Out::Deliver { proto, from_key, msg, .. } = &delivers[0] else { unreachable!() };
         assert_eq!(*proto, Proto::Mcast);
         assert_eq!(*from_key, 42);
-        let decoded = McastMsg::decode(msg.clone()).unwrap();
+        let decoded = McastMsg::decode_from_bytes(msg.clone()).unwrap();
         assert!(matches!(decoded, McastMsg::Data { group: 7, .. }));
     }
 

@@ -11,6 +11,7 @@
 use bytes::Bytes;
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use snipe_netsim::topology::Endpoint;
+use snipe_util::codec::WireEncode;
 use snipe_util::id::{HostId, NetId};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{seal, Proto};
@@ -146,7 +147,7 @@ proptest! {
         let relay = Endpoint::new(HostId(99), 7);
         let data = |(group, origin, seq): (u64, u64, u64)| {
             McastMsg::Data { group, origin, seq, ttl: 2, payload: Bytes::from_static(b"x") }
-                .encode()
+                .encode_to_bytes()
         };
         for &m in &mcasts {
             let r = stack.on_datagram(now, relay, seal(Proto::Mcast, data(m))).unwrap();
