@@ -616,7 +616,7 @@ fn run_shard_digest(rest: &[String]) -> bool {
 
 /// `harness rcds` (RCDS): register [`rcds_bench::NAMES`] names into the
 /// sharded catalog and report resolution throughput with p50/p99 from
-/// the metrics registry into `results/bench_rcds.txt`. Fails unless
+/// a log2 latency histogram into `results/bench_rcds.txt`. Fails unless
 /// ≥1M names register, every shard group owns some and the latency
 /// histogram is populated.
 fn run_rcds() -> bool {

@@ -43,7 +43,6 @@ use snipe_rcds::host::RcHost;
 use snipe_rcds::server::RcServerActor;
 use snipe_rcds::uri::Uri;
 use snipe_util::id::{HostId, NetId};
-use snipe_util::metrics::Registry;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::fec::{msg_checksum, FragStrategy};
 use snipe_wire::ports;
@@ -1348,9 +1347,10 @@ pub struct ChaosRun {
     pub ring_dropped: u64,
 }
 
-/// Sum the flight-recorder totals over `runs` and render them as one
-/// metrics-registry snapshot (for `results/chaos.json` and `harness
-/// trace`).
+/// Sum the flight-recorder totals over `runs` and render them as a
+/// `metrics` object of `results/chaos.json` (also `harness trace`'s
+/// event totals): the `trace.*` counters sorted by name, beside the
+/// empty `gauges` and `histograms` objects readers of that file expect.
 pub fn trace_metrics_json<'a>(
     runs: impl IntoIterator<Item = &'a ChaosRun>,
     indent: usize,
@@ -1363,30 +1363,15 @@ pub fn trace_metrics_json<'a>(
         }
         dropped += r.ring_dropped;
     }
-    let mut metrics = Registry::new();
-    for (name, n) in TraceKind::NAMES.iter().zip(counts).chain([(&"ring_dropped", dropped)]) {
-        let id = metrics.counter(&format!("trace.{name}"));
-        metrics.set_counter(id, n);
-    }
-    metrics.render_json(indent)
-}
-
-/// The trace sink's per-kind totals: this thread's flight recorder for
-/// a one-region world (it runs inline), else the per-region rings,
-/// which `World` sums only into its metrics snapshot — a `trace.*` key
-/// missing from that snapshot panics rather than reading as zero.
-fn trace_totals(world: &mut World) -> ([u64; TraceKind::COUNT], u64) {
-    if world.regions() == 1 {
-        return (trace::kind_counts(), trace::trace_dropped());
-    }
-    let json = world.metrics_json(0);
-    let read = |name: &str| {
-        let key = format!("\"trace.{name}\": ");
-        let (_, rest) = json.split_once(&key).unwrap_or_else(|| panic!("no {key}in {json}"));
-        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
-        rest[..digits].parse::<u64>().unwrap_or_else(|e| panic!("{key}{e}"))
-    };
-    (std::array::from_fn(|i| read(TraceKind::NAMES[i])), read("ring_dropped"))
+    let mut named: Vec<(&str, u64)> =
+        TraceKind::NAMES.into_iter().zip(counts).chain([("ring_dropped", dropped)]).collect();
+    named.sort_unstable();
+    let counters: Vec<String> = named.iter().map(|(n, v)| format!("\"trace.{n}\": {v}")).collect();
+    let (pad, pad2) = (" ".repeat(indent), " ".repeat(indent + 2));
+    format!(
+        "{{\n{pad2}\"counters\": {{{}}},\n{pad2}\"gauges\": {{}},\n{pad2}\"histograms\": {{}}\n{pad}}}",
+        counters.join(", ")
+    )
 }
 
 /// Derive the `(plan_seed, workload_seed)` pair for soak index `i`.
@@ -1427,7 +1412,7 @@ fn run_traced(
             (false, true) => None,
         };
         let regions = world.regions();
-        let (kind_counts, ring_dropped) = trace_totals(world);
+        let (kind_counts, ring_dropped) = world.trace_totals();
         ChaosRun {
             workload: w.name,
             plan_seed,

@@ -4,9 +4,8 @@
 //! (16 shard groups as PR 10 wires into the RC plane), then measures
 //! name-resolution latency through the ring: raw store resolution at
 //! scale, and the client path with the TTL lookup cache both cold and
-//! hot. Latencies land in a [`Registry`] log2 histogram so the
-//! reported p50/p99 come from the same metrics machinery the actors
-//! export.
+//! hot. Latencies land in a [`Log2Histogram`], so the reported p50 and
+//! p99 are power-of-two upper bounds.
 
 use std::time::Instant;
 
@@ -19,7 +18,7 @@ use snipe_rcds::store::RcStore;
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::id::HostId;
-use snipe_util::metrics::Registry;
+use snipe_util::stats::Log2Histogram;
 use snipe_util::time::{SimDuration, SimTime};
 
 /// Names registered (the acceptance floor is one million).
@@ -97,11 +96,9 @@ pub fn run(names: usize) -> RcdsBenchReport {
     let shard_min = counts.iter().copied().min().unwrap_or(0);
     let shard_max = counts.iter().copied().max().unwrap_or(0);
 
-    // Phase 2: resolve a pseudo-random sample through the ring,
-    // latencies into the metrics registry.
-    let mut reg = Registry::new();
-    let resolve_h = reg.histogram("rcds.resolve.ns");
-    let client_h = reg.histogram("rcds.client.resolve.ns");
+    // Phase 2: resolve a pseudo-random sample through the ring.
+    let mut resolve_h = Log2Histogram::default();
+    let mut client_h = Log2Histogram::default();
 
     let mut idx = 0x9e37_79b9_7f4a_7c15u64;
     let sample: Vec<Uri> = (0..LOOKUPS)
@@ -115,7 +112,7 @@ pub fn run(names: usize) -> RcdsBenchReport {
         let t = Instant::now();
         let shard = map.shard_of(uri.as_str());
         let got = stores[shard].get(uri);
-        reg.observe(resolve_h, t.elapsed().as_nanos() as u64);
+        resolve_h.observe(t.elapsed().as_nanos() as u64);
         assert!(!got.is_empty(), "registered name must resolve: {uri}");
     }
     let resolve_secs = t1.elapsed().as_secs_f64();
@@ -156,7 +153,7 @@ pub fn run(names: usize) -> RcdsBenchReport {
                 client.on_packet(vnow, to, resp.encode_to_bytes());
             }
             client.drain_done();
-            reg.observe(client_h, t.elapsed().as_nanos() as u64);
+            client_h.observe(t.elapsed().as_nanos() as u64);
             client_lookups += 1;
             vnow += SimDuration::from_micros(1);
         }
@@ -171,12 +168,12 @@ pub fn run(names: usize) -> RcdsBenchReport {
         shard_max,
         lookups: LOOKUPS,
         resolve_per_sec: LOOKUPS as f64 / resolve_secs.max(1e-9),
-        p50_ns: reg.histo(resolve_h).quantile_bound(0.50),
-        p99_ns: reg.histo(resolve_h).quantile_bound(0.99),
+        p50_ns: resolve_h.quantile_bound(0.50),
+        p99_ns: resolve_h.quantile_bound(0.99),
         client_lookups,
         client_per_sec: client_lookups as f64 / client_secs.max(1e-9),
-        client_p50_ns: reg.histo(client_h).quantile_bound(0.50),
-        client_p99_ns: reg.histo(client_h).quantile_bound(0.99),
+        client_p50_ns: client_h.quantile_bound(0.50),
+        client_p99_ns: client_h.quantile_bound(0.99),
         cache_hits: client.stats().cache_hits,
     }
 }

@@ -4,22 +4,26 @@
 //! `World::sharded` run is a pure function of the world — the worker
 //! thread count must never leak into behaviour. Each case runs a small
 //! multi-region storm (with a seed-derived host flap so the coordinator
-//! path is exercised) at 1, 2, 4 and 8 threads and demands bit-identical
-//! digests *and* metrics. A pinned digest at the end catches silent
+//! path is exercised) at 1, 2, 3, 4 and 8 threads and demands
+//! bit-identical digests *and* counters: the merged `NetStats`, every
+//! region's `ShardLoad` and the trace totals. A pinned digest at the end catches silent
 //! behavioural drift between PRs (the digest folds event counts, drop
 //! taxonomies, chaos counters and per-shard clocks).
 
 use proptest::{prop_assert_eq, proptest};
 use snipe_bench::{chaos, shard_storm};
-use snipe_netsim::shard::FaultCmd;
+use snipe_netsim::shard::{FaultCmd, ShardLoad};
+use snipe_netsim::trace::{NetStats, TraceKind};
 use snipe_util::id::HostId;
 use snipe_util::time::{SimDuration, SimTime};
 
 /// A small cross-region storm (2 clusters) with a seed-derived flap,
-/// run to a short horizon; returns (digest, metrics snapshot).
-fn probe(seed: u64, threads: usize) -> (u64, String) {
+/// run to a short horizon; returns its digest and typed counters.
+fn probe(seed: u64, threads: usize) -> Probe {
     let hosts = 128;
     let mut w = shard_storm::build_storm(hosts, seed, threads);
+    // Per-region rings at every thread count, so the trace totals count.
+    w.enable_trace(256);
     // Flap a seed-chosen host across a seed-chosen window so fault
     // dispatch and post-recovery traffic are inside the property.
     let victim = HostId((seed % hosts as u64) as u32);
@@ -28,17 +32,21 @@ fn probe(seed: u64, threads: usize) -> (u64, String) {
     w.schedule_fault(SimTime::from_nanos(down_ns), FaultCmd::HostDown(victim));
     w.schedule_fault(SimTime::from_nanos(up_ns), FaultCmd::HostUp(victim));
     w.run_for(SimDuration::from_millis(8));
-    (w.digest(), w.metrics_json(0))
+    (w.digest(), w.stats(), w.shard_loads(), w.trace_totals())
 }
+
+type Probe = (u64, NetStats, Vec<ShardLoad>, ([u64; TraceKind::COUNT], u64));
 
 proptest! {
     #[test]
     fn digest_and_metrics_are_thread_count_invariant(seed in proptest::any::<u32>()) {
-        let (d1, m1) = probe(seed as u64, 1);
-        for threads in [2usize, 4, 8] {
-            let (dt, mt) = probe(seed as u64, threads);
+        let (d1, s1, l1, t1) = probe(seed as u64, 1);
+        for threads in [2usize, 3, 4, 8] {
+            let (dt, st, lt, tt) = probe(seed as u64, threads);
             prop_assert_eq!(d1, dt, "digest diverged at {} threads (seed {})", threads, seed);
-            prop_assert_eq!(&m1, &mt, "metrics diverged at {} threads (seed {})", threads, seed);
+            prop_assert_eq!(&s1, &st, "stats diverged at {} threads (seed {})", threads, seed);
+            prop_assert_eq!(&l1, &lt, "shard loads diverged at {} threads (seed {})", threads, seed);
+            prop_assert_eq!(t1, tt, "trace totals diverged at {} threads (seed {})", threads, seed);
         }
     }
 }

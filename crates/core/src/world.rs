@@ -437,11 +437,6 @@ impl SnipeWorld {
         &self.rt.file_eps
     }
 
-    /// The shared process configuration.
-    pub fn process_config(&self) -> &ProcessConfig {
-        &self.rt.proc_cfg
-    }
-
     /// Mutate the shared process configuration. Like
     /// [`SnipeWorld::echo_logs`], call **before** registering programs:
     /// each registration captures a snapshot of the configuration.

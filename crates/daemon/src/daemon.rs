@@ -96,11 +96,6 @@ impl DaemonActor {
         }
     }
 
-    /// Current task count (diagnostics).
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     fn send_msg(&self, ctx: &mut dyn SimCtx, to: Endpoint, msg: &DaemonMsg) {
         ctx.send(to, seal(Proto::Raw, msg.encode_to_bytes()));
     }

@@ -12,6 +12,7 @@
 //! Daemons also "elect themselves as multicast routers on a per-group
 //! basis" (§5.4) — see [`router`] and the election logic in
 //! [`daemon::DaemonActor`].
+#![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
 
 pub mod daemon;
 pub mod proto;

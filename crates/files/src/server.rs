@@ -121,11 +121,6 @@ impl FileServerActor {
             .insert(lifn.into(), Stored { content, hash, replicas: self.cfg.replication_factor });
     }
 
-    /// Number of files held.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
-    }
-
     /// Does this server hold `lifn`?
     pub fn holds(&self, lifn: &str) -> bool {
         self.files.contains_key(lifn)

@@ -84,7 +84,6 @@ use std::sync::{Arc, Barrier, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLock
 use bytes::Bytes;
 
 use snipe_util::id::{HostId, NetId};
-use snipe_util::metrics::{Log2Histogram, Registry};
 use snipe_util::rng::{SplitMix64, Xoshiro256};
 use snipe_util::time::{SimDuration, SimTime};
 
@@ -477,9 +476,6 @@ struct ShardCore {
     /// from `(plan seed, workload seed)` independently.
     chaos_rng: Xoshiro256,
     stats: NetStats,
-    /// End-to-end delivery latency (queue + serialization +
-    /// propagation) in nanoseconds, one sample per queued delivery.
-    h_latency: Log2Histogram,
     /// Busy-until per shared-bus segment of this region (dense local
     /// slots via [`Partition::net_slot`]).
     bus_busy: Vec<SimTime>,
@@ -523,7 +519,6 @@ impl ShardCore {
             chaos: None,
             chaos_rng: Xoshiro256::seed_from_u64(0),
             stats,
-            h_latency: Log2Histogram::default(),
             bus_busy: vec![SimTime::ZERO; part.bus_counts[region as usize] as usize],
             link_busy: vec![SimTime::ZERO; part.link_counts[region as usize] as usize],
             route_cache: FnvMap::default(),
@@ -685,9 +680,6 @@ impl ShardCore {
             // Loopback: constant small cost, no shared wire.
             let m = crate::medium::Medium::loopback();
             let at = self.now + m.tx_time(payload.len()) + m.latency;
-            if cfg!(not(feature = "obs-off")) {
-                self.h_latency.observe(at.since(self.now).as_nanos());
-            }
             self.push(at, Queued::Deliver { from, to, payload });
             return;
         }
@@ -742,9 +734,6 @@ impl ShardCore {
             self.stats.add_bytes(n, payload.len() as u64);
         }
         let at = finish + path.latency;
-        if cfg!(not(feature = "obs-off")) {
-            self.h_latency.observe(at.since(self.now).as_nanos());
-        }
         let cross = part.region_of_host(to.host) != self.region as usize;
         if let Some(fx) = self.chaos {
             self.chaos_deliver(fx, at, from, to, payload, channel, path.latency, cross);
@@ -1247,7 +1236,7 @@ struct CoreSlot {
 
 /// Per-shard load figures for the boundedness oracle: aggregate totals
 /// can hide one runaway shard, these cannot.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardLoad {
     /// Region index.
     pub region: usize,
@@ -1278,9 +1267,6 @@ pub struct World {
     slots: Vec<CoreSlot>,
     threads: usize,
     now: SimTime,
-    /// The registry is fully off the hot path: counters accumulate in
-    /// each core's flat `NetStats` and are mirrored in at snapshot time.
-    metrics: Registry,
 }
 
 impl World {
@@ -1325,7 +1311,6 @@ impl World {
             slots,
             threads,
             now: SimTime::ZERO,
-            metrics: Registry::new(),
         }
     }
 
@@ -1633,96 +1618,24 @@ impl World {
         h
     }
 
-    /// Mirror the flat hot-path counters into the registry: merged
-    /// `NetStats`/`EngineStats`/`ChaosStats`, the peak-depth gauge, the
-    /// latency histogram and per-net bytes, per-region
-    /// `shard.<i>.{slab_hwm,stream_hwm,mailbox_hwm,peak_queue_depth}`
-    /// gauges (so the boundedness oracle sees each region, not just the
-    /// aggregate) and the trace sink's per-kind totals. Cold: call at
-    /// snapshot/render time, idempotent across repeated syncs.
-    pub fn sync_metrics(&mut self) {
-        let s = self.stats();
-        let m = &mut self.metrics;
-        let pairs: [(&str, u64); 16] = [
-            ("net.sent", s.sent),
-            ("net.delivered", s.delivered),
-            ("net.events", s.events),
-            ("net.drop.loss", s.drops(DropReason::Loss)),
-            ("net.drop.no_route", s.drops(DropReason::NoRoute)),
-            ("net.drop.host_down", s.drops(DropReason::HostDown)),
-            ("net.drop.no_listener", s.drops(DropReason::NoListener)),
-            ("net.drop.too_big", s.drops(DropReason::TooBig)),
-            ("net.chaos.corrupted", s.chaos.corrupted),
-            ("net.chaos.duplicated", s.chaos.duplicated),
-            ("net.chaos.reordered", s.chaos.reordered),
-            ("engine.heap_pops", s.engine.heap_pops),
-            ("engine.now_pops", s.engine.now_pops),
-            ("engine.stream_pops", s.engine.stream_pops),
-            ("engine.route_cache_hits", s.engine.route_cache_hits),
-            ("engine.route_cache_misses", s.engine.route_cache_misses),
-        ];
-        for (name, v) in pairs {
-            let id = m.counter(name);
-            m.set_counter(id, v);
+    /// Flight-recorder totals of this world's trace sink (module docs,
+    /// "Trace sinks"): events recorded per [`TraceKind::tag`] and events
+    /// overwritten by ring wrap-around. Exact even after overwrite. A
+    /// world recording into its thread's recorder reports that
+    /// recorder (actor-level events included); otherwise the per-core
+    /// rings, summed (zero when [`World::enable_trace`] was never
+    /// called).
+    pub fn trace_totals(&self) -> ([u64; TraceKind::COUNT], u64) {
+        if self.coord.thread_trace {
+            return (trace::kind_counts(), trace::trace_dropped());
         }
-        let depth = m.gauge("engine.peak_queue_depth");
-        m.set(depth, s.engine.peak_queue_depth);
-        let mut merged_lat = Log2Histogram::default();
+        let mut kinds = [0u64; TraceKind::COUNT];
         for c in &self.cores {
-            merged_lat.merge(&c.h_latency);
-        }
-        let hid = m.histogram("net.delivery_latency_ns");
-        m.set_histo(hid, &merged_lat);
-        for (net, bytes) in s.bytes_by_net() {
-            let id = m.counter(&format!("net.bytes.{}", net.index()));
-            m.set_counter(id, bytes);
-        }
-        let count = m.gauge("shard.count");
-        m.set(count, self.cores.len() as u64);
-        let la = m.gauge("shard.lookahead_ns");
-        m.set(la, self.part.la_ns);
-        for (r, c) in self.cores.iter().enumerate() {
-            for (name, v) in [
-                (format!("shard.{r}.slab_hwm"), c.queue.slab_high_water() as u64),
-                (format!("shard.{r}.stream_hwm"), c.stream_hwm as u64),
-                (format!("shard.{r}.mailbox_hwm"), self.coord.mailbox_hwm[r]),
-                (format!("shard.{r}.peak_queue_depth"), c.stats.engine.peak_queue_depth),
-            ] {
-                let id = m.gauge(&name);
-                m.set(id, v);
+            for (k, v) in kinds.iter_mut().zip(c.ring.kind_counts) {
+                *k += v;
             }
         }
-        // Trace totals (exact even after ring overwrite): retransmit
-        // and rotation *rates* come from here.
-        let totals = if self.coord.thread_trace {
-            Some((trace::kind_counts(), trace::trace_dropped()))
-        } else if self.cores.iter().any(|c| c.sink == TraceSink::Ring) {
-            let mut kinds = [0u64; TraceKind::COUNT];
-            let mut dropped = 0u64;
-            for c in &self.cores {
-                for (k, v) in kinds.iter_mut().zip(c.ring.kind_counts.iter()) {
-                    *k += v;
-                }
-                dropped += c.ring.dropped;
-            }
-            Some((kinds, dropped))
-        } else {
-            None
-        };
-        if let Some((kinds, dropped)) = totals {
-            for (name, v) in TraceKind::NAMES.iter().zip(kinds) {
-                let id = m.counter(&format!("trace.{name}"));
-                m.set_counter(id, v);
-            }
-            let id = m.counter("trace.ring_dropped");
-            m.set_counter(id, dropped);
-        }
-    }
-
-    /// Sync and render the registry as a JSON object string.
-    pub fn metrics_json(&mut self, indent: usize) -> String {
-        self.sync_metrics();
-        self.metrics.render_json(indent)
+        (kinds, self.cores.iter().map(|c| c.ring.dropped).sum())
     }
 
     /// Run events with timestamps `<= t`, then set every clock to `t`.
@@ -1980,16 +1893,14 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_results() {
-        let base = {
-            let mut w = pinger_world(42, 1);
-            w.run_for(SimDuration::from_millis(50));
-            (w.digest(), w.metrics_json(0))
-        };
-        for threads in [2, 3, 4, 8] {
+        let run = |threads: usize| {
             let mut w = pinger_world(42, threads);
             w.run_for(SimDuration::from_millis(50));
-            assert_eq!(w.digest(), base.0, "digest diverged at {threads} threads");
-            assert_eq!(w.metrics_json(0), base.1, "metrics diverged at {threads} threads");
+            (w.digest(), w.stats(), w.shard_loads(), w.trace_totals())
+        };
+        let base = run(1);
+        for threads in [2, 3, 4, 8] {
+            assert_eq!(run(threads), base, "results diverged at {threads} threads");
         }
     }
 
@@ -2128,10 +2039,11 @@ mod tests {
         assert!(loads.iter().all(|l| l.queue_depth == 0), "quiesced");
         assert!(loads.iter().any(|l| l.slab_hwm > 0), "timers went through the heap");
         assert!(loads.iter().any(|l| l.mailbox_hwm > 0), "cross-region traffic flowed");
-        let json = w.metrics_json(0);
-        assert!(json.contains("\"shard.0.slab_hwm\""), "{json}");
-        assert!(json.contains("\"shard.3.mailbox_hwm\""), "{json}");
-        assert!(json.contains("\"shard.count\": 4"), "{json}");
+        // The merged counters agree with the per-shard figures.
+        let s = w.stats();
+        assert_eq!(loads.iter().map(|l| l.events).sum::<u64>(), s.events);
+        let worst = loads.iter().map(|l| l.peak_queue_depth).max();
+        assert_eq!(worst, Some(s.engine.peak_queue_depth));
     }
 
     #[test]
@@ -2142,8 +2054,39 @@ mod tests {
         let dump = w.render_trace(16);
         assert!(dump.contains("shard flight recorder"), "{dump}");
         assert!(dump.contains("Send"), "{dump}");
-        let json = w.metrics_json(0);
-        assert!(json.contains("\"trace.send\""), "{json}");
+        let (kinds, dropped) = w.trace_totals();
+        assert!(kinds[0] > 0 && dropped > 0, "{kinds:?} sends, {dropped} overwritten");
+    }
+
+    /// `trace_totals` over per-core rings is thread-count invariant and
+    /// counts exactly the events `render_trace` merges, kind by kind,
+    /// when the rings are large enough to keep every event.
+    #[test]
+    fn trace_totals_match_the_merged_rings_at_any_thread_count() {
+        // `Debug` names of the `TraceKind` variants, in tag order.
+        const VARIANTS: [&str; TraceKind::COUNT] =
+            ["Send", "Recv", "Drop", "Retransmit", "TimerFire", "PathRotate", "Fault", "Migration"];
+        let run = |threads: usize| {
+            let mut w = pinger_world(19, threads);
+            assert_eq!(w.regions(), 4);
+            w.enable_trace(1 << 16);
+            w.schedule_fault(SimTime::from_nanos(3_000_000), FaultCmd::HostDown(HostId(6)));
+            w.run_for(SimDuration::from_millis(20));
+            let mut rendered = [0u64; TraceKind::COUNT];
+            for line in w.render_trace(usize::MAX).lines().skip(1) {
+                let (_, kind) = line.split_once("ms  ").expect("an event line");
+                let name = kind.split([' ', '{']).next().unwrap_or_default();
+                let tag = VARIANTS.iter().position(|v| *v == name).expect("a TraceKind");
+                rendered[tag] += 1;
+            }
+            (w.trace_totals(), rendered)
+        };
+        let ((kinds, dropped), rendered) = run(2);
+        assert_eq!(dropped, 0, "the rings kept every event");
+        assert_eq!(kinds, rendered, "totals vs the merged dump");
+        assert!(kinds[0] > 0 && kinds[2] > 0 && kinds[6] > 0, "sends, drops, faults: {kinds:?}");
+        assert_eq!(run(4), ((kinds, dropped), rendered), "4 threads vs 2");
+        assert_eq!(run(1), ((kinds, dropped), rendered), "1 thread vs 2");
     }
 
     /// Streams one datagram per millisecond to `peer`.

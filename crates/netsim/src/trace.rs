@@ -60,7 +60,7 @@ impl DropReason {
         DropReason::TooBig,
     ];
 
-    /// Stable lowercase name (metrics keys, trace dumps).
+    /// Stable lowercase name (reports, trace dumps).
     pub fn name(self) -> &'static str {
         match self {
             DropReason::Loss => "loss",

@@ -21,8 +21,8 @@
 //!   with replica failover, a TTL lookup cache and shard routing;
 //! * [`host`] — the one adapter that embeds that client in a simulator
 //!   actor (transmit, wake-ups, recovery after a host outage);
-//! * [`shard`] — consistent-hash sharding of the URI namespace across
-//!   replica groups (ROADMAP open item 2).
+//! * [`shard`] — consistent-hash sharding of the URI namespace across replica groups.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
 
 pub mod assertion;
 pub mod client;

@@ -19,6 +19,7 @@
 //! RMs are also the certificate authorities of the §4 security model:
 //! [`manager::RmActor`] verifies the two certificates (user grant +
 //! requesting host) and issues its own signed resource authorization.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
 
 pub mod manager;
 pub mod proto;

@@ -147,11 +147,6 @@ impl RmActor {
         KeyPair::generate_default(&mut rng)
     }
 
-    /// Number of hosts currently cached.
-    pub fn known_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
     fn send_msg(&self, ctx: &mut dyn SimCtx, to: Endpoint, msg: &RmMsg) {
         ctx.send(to, seal(Proto::Raw, msg.encode_to_bytes()));
     }

@@ -16,17 +16,16 @@
 //!   (SplitMix64 / Xoshiro256**) used for failure injection and workload
 //!   generation.
 //! * [`error`] — the common error type.
-//! * [`stats`] — streaming statistics and histograms for the benchmark
-//!   harness.
-//! * [`metrics`] — the typed counter/gauge/histogram registry every
-//!   subsystem reports through (flat storage, zero-alloc updates).
+//! * [`stats`] — streaming statistics (a mean/variance summary and a
+//!   log2 latency histogram) for the benchmark harness. Counters are not
+//!   here: each subsystem keeps its own as plain fields of a typed
+//!   `*Stats` struct, read through a typed accessor.
 //! * [`id`] — small integer identifiers for simulation entities.
 
 pub mod codec;
 pub mod deadlines;
 pub mod error;
 pub mod id;
-pub mod metrics;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -34,6 +33,5 @@ pub mod time;
 pub use codec::{Decoder, Encoder, WireDecode, WireEncode};
 pub use error::{SnipeError, SnipeResult};
 pub use id::{HostId, LinkId, NetId, ProcId};
-pub use metrics::{CounterId, GaugeId, HistoId, Log2Histogram, Registry};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use time::{SimDuration, SimTime};

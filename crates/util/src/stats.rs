@@ -1,8 +1,8 @@
-//! Streaming statistics and fixed-bucket histograms.
+//! Streaming statistics: a mean/variance summary and a log2 histogram.
 //!
-//! Used by the benchmark harness to summarize experiment runs (mean,
-//! stddev, percentiles) without storing every sample, and by tests to
-//! check distributional properties of the failure injectors.
+//! [`Summary`] condenses a run's samples (mean, stddev, min, max)
+//! without storing them; [`Log2Histogram`] answers latency quantiles to
+//! the nearest power of two (`harness rcds`).
 
 /// Welford online mean/variance accumulator plus min/max.
 #[derive(Clone, Debug, Default)]
@@ -92,95 +92,55 @@ impl Summary {
     }
 }
 
-/// Exact-percentile reservoir: stores all samples (fine for bench-scale
-/// sample counts) and answers arbitrary quantiles.
-#[derive(Clone, Debug, Default)]
-pub struct Percentiles {
-    samples: Vec<f64>,
-    sorted: bool,
-}
+/// Number of log2 buckets: one per bit width of a `u64` sample, plus
+/// bucket 0 for the sample `0`.
+const LOG2_BUCKETS: usize = 65;
 
-impl Percentiles {
-    /// Empty reservoir.
-    pub fn new() -> Self {
-        Percentiles { samples: Vec::new(), sorted: true }
-    }
-
-    /// Add one sample.
-    pub fn add(&mut self, x: f64) {
-        self.samples.push(x);
-        self.sorted = false;
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank; NaN if empty.
-    pub fn quantile(&mut self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.samples.is_empty() {
-            return f64::NAN;
-        }
-        if !self.sorted {
-            self.samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
-            self.sorted = true;
-        }
-        let idx = ((self.samples.len() as f64 - 1.0) * q).floor() as usize;
-        self.samples[idx]
-    }
-
-    /// Median shorthand.
-    pub fn median(&mut self) -> f64 {
-        self.quantile(0.5)
-    }
-}
-
-/// Fixed-width linear histogram over `[lo, hi)` with overflow buckets.
+/// Power-of-two histogram: bucket `b` counts samples whose bit width
+/// is `b` (i.e. `2^(b-1) <= x < 2^b`; bucket 0 holds exact zeros).
+/// Fixed 65-slot array — recording is a shift and two adds, no
+/// allocation ever.
 #[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
+pub struct Log2Histogram {
+    buckets: [u64; LOG2_BUCKETS],
+    count: u64,
 }
 
-impl Histogram {
-    /// A histogram with `n` equal buckets spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo && n > 0, "invalid histogram bounds");
-        Histogram { lo, hi, buckets: vec![0; n], underflow: 0, overflow: 0 }
+impl Default for Log2Histogram {
+    fn default() -> Self {
+        Log2Histogram { buckets: [0; LOG2_BUCKETS], count: 0 }
     }
+}
 
+impl Log2Histogram {
     /// Record one sample.
-    pub fn add(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.buckets.len() as f64;
-            let i = ((x - self.lo) / w) as usize;
-            let i = i.min(self.buckets.len() - 1);
-            self.buckets[i] += 1;
+    #[inline]
+    pub fn observe(&mut self, x: u64) {
+        let b = (64 - x.leading_zeros()) as usize;
+        self.buckets[b] += 1;
+        self.count += 1;
+    }
+
+    /// Total samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Nearest-bucket quantile estimate: the upper bound `2^b` of the
+    /// bucket containing the `q`-th sample (0 for an empty histogram).
+    pub fn quantile_bound(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
         }
-    }
-
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Samples below `lo` / at-or-above `hi`.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-
-    /// Total samples recorded, including out-of-range.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
+        let rank = ((self.count as f64 - 1.0) * q.clamp(0.0, 1.0)) as u64;
+        let mut seen = 0u64;
+        for (b, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen > rank {
+                return if b >= 64 { u64::MAX } else { 1u64 << b };
+            }
+        }
+        u64::MAX
     }
 }
 
@@ -231,27 +191,29 @@ mod tests {
     }
 
     #[test]
-    fn percentiles() {
-        let mut p = Percentiles::new();
-        for i in 1..=100 {
-            p.add(i as f64);
+    fn log2_buckets_land_on_bit_width() {
+        let mut h = Log2Histogram::default();
+        for x in [0u64, 1, 2, 3, 4, 1024, u64::MAX] {
+            h.observe(x);
         }
-        assert_eq!(p.median(), 50.0);
-        assert_eq!(p.quantile(0.0), 1.0);
-        assert_eq!(p.quantile(1.0), 100.0);
-        assert_eq!(p.quantile(0.99), 99.0);
+        assert_eq!(h.count(), 7);
+        assert_eq!(h.buckets[0], 1); // 0
+        assert_eq!(h.buckets[1], 1); // 1
+        assert_eq!(h.buckets[2], 2); // 2, 3
+        assert_eq!(h.buckets[3], 1); // 4
+        assert_eq!(h.buckets[11], 1); // 1024
+        assert_eq!(h.buckets[64], 1); // u64::MAX
     }
 
     #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.0, 0.5, 5.0, 9.99, 10.0, 42.0] {
-            h.add(x);
+    fn quantile_bound_tracks_the_mass() {
+        let mut h = Log2Histogram::default();
+        for _ in 0..99 {
+            h.observe(100); // bucket 7, bound 128
         }
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.out_of_range(), (1, 2));
-        assert_eq!(h.buckets()[0], 2); // 0.0 and 0.5
-        assert_eq!(h.buckets()[5], 1);
-        assert_eq!(h.buckets()[9], 1);
+        h.observe(1 << 40);
+        assert_eq!(h.quantile_bound(0.5), 128);
+        assert_eq!(h.quantile_bound(1.0), 1 << 41);
+        assert_eq!(Log2Histogram::default().quantile_bound(0.5), 0);
     }
 }

@@ -77,10 +77,8 @@ impl Proto {
     }
 }
 
-/// Why an envelope failed to open. The dense classification the
-/// stack's decode-drop counters index by: hostile bytes are expected
-/// input on a real wire, so each failure class is *counted*, never
-/// panicked on.
+/// Why an envelope failed to open: the classes the stack counts its
+/// decode drops by ([`crate::stack::DecodeDrops`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameError {
     /// Shorter than tag + checksum ([`ENVELOPE_OVERHEAD`]).
@@ -92,10 +90,7 @@ pub enum FrameError {
 }
 
 impl FrameError {
-    /// Number of variants (size of a flat per-class counter array).
-    pub const COUNT: usize = 3;
-
-    /// Stable lowercase name (metrics keys).
+    /// Stable lowercase name (error messages).
     pub fn name(self) -> &'static str {
         match self {
             FrameError::Truncated => "truncated",

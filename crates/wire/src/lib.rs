@@ -27,6 +27,7 @@
 //! envelopes, applies [`path::PathSelector`] routing, and glues the
 //! modules together. [`host::StackHost`] is the one adapter that embeds
 //! a stack in a `snipe-netsim` actor.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
 
 pub mod driver;
 pub mod fec;

@@ -30,7 +30,6 @@ use snipe_netsim::trace::{self, TraceKind};
 use snipe_util::codec::{Decoder, Encoder};
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::id::NetId;
-use snipe_util::metrics::{CounterId, Registry};
 use snipe_util::time::{SimDuration, SimTime};
 
 use crate::driver::Driver;
@@ -119,29 +118,22 @@ pub struct WireStack {
     out: Vec<Out>,
     /// Reused scratch for failover scans (no steady-state allocation).
     key_scratch: Vec<NodeKey>,
-    /// Per-stack observability counters (decode drops, rotations).
-    metrics: Registry,
-    /// Flat ids cached at construction so hot increments never hash.
-    c_decode: [CounterId; FrameError::COUNT],
-    c_body: CounterId,
-    c_rotations: CounterId,
+    drops: DecodeDrops,
 }
 
-/// Build the stack's registry with its counters pre-registered; both
-/// constructors ([`WireStack::new`] and [`WireStack::import_state`])
-/// share it so ids always line up.
-fn stack_registry() -> (Registry, [CounterId; FrameError::COUNT], CounterId, CounterId) {
-    let mut m = Registry::new();
-    // Indexed by `FrameError as usize`: keep this order in sync with
-    // the enum's variant order.
-    let c_decode = [
-        m.counter("wire.decode.truncated"),
-        m.counter("wire.decode.checksum"),
-        m.counter("wire.decode.unknown_tag"),
-    ];
-    let c_body = m.counter("wire.decode.body");
-    let c_rotations = m.counter("wire.path.rotations");
-    (m, c_decode, c_body, c_rotations)
+/// Datagrams the stack rejected, by class: hostile bytes are expected
+/// input on a real wire, so each rejection is counted, never panicked
+/// on.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DecodeDrops {
+    /// Envelope cut short ([`FrameError::Truncated`]).
+    pub truncated: u64,
+    /// Envelope checksum mismatch ([`FrameError::Checksum`]).
+    pub checksum: u64,
+    /// Envelope tag names no protocol ([`FrameError::UnknownTag`]).
+    pub unknown_tag: u64,
+    /// A valid envelope whose registered driver refused the body.
+    pub body: u64,
 }
 
 impl WireStack {
@@ -162,17 +154,13 @@ impl WireStack {
         if cfg.mcast_member {
             drivers.push(Box::new(McastMember::new()));
         }
-        let (metrics, c_decode, c_body, c_rotations) = stack_registry();
         WireStack {
             my_key,
             drivers,
             paths: PathSelector::new(),
             out: Vec::new(),
             key_scratch: Vec::new(),
-            metrics,
-            c_decode,
-            c_body,
-            c_rotations,
+            drops: DecodeDrops::default(),
         }
     }
 
@@ -339,7 +327,12 @@ impl WireStack {
         let (proto, body) = match open_classified(datagram) {
             Ok(opened) => opened,
             Err(e) => {
-                self.metrics.inc(self.c_decode[e as usize]);
+                let d = &mut self.drops;
+                *match e {
+                    FrameError::Truncated => &mut d.truncated,
+                    FrameError::Checksum => &mut d.checksum,
+                    FrameError::UnknownTag => &mut d.unknown_tag,
+                } += 1;
                 return Err(SnipeError::Codec(format!("bad envelope: {}", e.name())));
             }
         };
@@ -347,7 +340,7 @@ impl WireStack {
             if let Err(e) = self.drivers[i].on_datagram(now, from, body) {
                 // A valid envelope carrying a malformed protocol body:
                 // counted, surfaced, never panicked on.
-                self.metrics.inc(self.c_body);
+                self.drops.body += 1;
                 return Err(e);
             }
             self.check_failover(now);
@@ -423,27 +416,24 @@ impl WireStack {
             if dup_rotated {
                 self.srudp_mut().reset_dup_streak(k);
             }
-            if timeout_rotated || dup_rotated {
-                self.metrics.inc(self.c_rotations);
-                if trace::enabled() {
-                    let net = self.paths.select(k).map(|n| n.0).unwrap_or(u32::MAX);
-                    trace::record(now, TraceKind::PathRotate { peer: k, rank: net });
-                }
+            if (timeout_rotated || dup_rotated) && trace::enabled() {
+                let net = self.paths.select(k).map(|n| n.0).unwrap_or(u32::MAX);
+                trace::record(now, TraceKind::PathRotate { peer: k, rank: net });
             }
         }
         self.key_scratch = keys;
     }
 
-    /// The stack's observability counters (decode drops by class, path
-    /// rotations).
-    pub fn metrics(&self) -> &Registry {
-        &self.metrics
+    /// Datagrams rejected by the decode path, by class.
+    pub fn decode_stats(&self) -> DecodeDrops {
+        self.drops
     }
 
     /// Total datagrams rejected by the decode path (any class),
     /// including valid envelopes with malformed protocol bodies.
     pub fn decode_drops(&self) -> u64 {
-        self.metrics.counter_prefix_sum("wire.decode.")
+        let d = self.drops;
+        d.truncated + d.checksum + d.unknown_tag + d.body
     }
 
     /// Earliest wanted wake-up across every registered driver.
@@ -565,17 +555,13 @@ impl WireStack {
         if cfg.mcast_member {
             drivers.push(Box::new(McastMember::new()));
         }
-        let (metrics, c_decode, c_body, c_rotations) = stack_registry();
         let mut stack = WireStack {
             my_key,
             drivers,
             paths: PathSelector::new(),
             out: Vec::new(),
             key_scratch: Vec::new(),
-            metrics,
-            c_decode,
-            c_body,
-            c_rotations,
+            drops: DecodeDrops::default(),
         };
         for (proto, payload) in sections {
             if proto == Proto::Srudp {

@@ -13,7 +13,7 @@ use snipe_util::id::HostId;
 use snipe_util::time::SimTime;
 use snipe_wire::frame::{seal, Proto, ENVELOPE_OVERHEAD};
 use snipe_wire::rstream::RstreamConfig;
-use snipe_wire::stack::{StackConfig, WireStack};
+use snipe_wire::stack::{DecodeDrops, StackConfig, WireStack};
 
 fn ep(h: u32, p: u16) -> Endpoint {
     Endpoint::new(HostId(h), p)
@@ -78,10 +78,8 @@ fn truncated_datagrams_are_counted_drops() {
         fed += 1;
     }
     assert_eq!(b.decode_drops(), fed);
-    assert_eq!(
-        b.metrics().counter_by_name("wire.decode.truncated"),
-        Some(ENVELOPE_OVERHEAD as u64)
-    );
+    let short = ENVELOPE_OVERHEAD as u64;
+    assert_eq!(b.decode_stats(), DecodeDrops { truncated: short, ..DecodeDrops::default() });
     // ...and longer prefixes, which pass the length guard but lose
     // their checksum trailer.
     for len in ENVELOPE_OVERHEAD..valid.len() {
@@ -89,6 +87,11 @@ fn truncated_datagrams_are_counted_drops() {
         fed += 1;
     }
     assert_eq!(b.decode_drops(), fed);
+    let torn = fed - short;
+    assert_eq!(
+        b.decode_stats(),
+        DecodeDrops { truncated: short, checksum: torn, ..DecodeDrops::default() }
+    );
 }
 
 #[test]
@@ -112,7 +115,7 @@ fn every_bit_flip_of_a_valid_frame_is_a_counted_drop() {
     // A single flip can break the checksum or (on the tag byte) the
     // checksum as well — either way nothing should classify as a valid
     // envelope with a bad body.
-    assert_eq!(b.metrics().counter_by_name("wire.decode.body"), Some(0));
+    assert_eq!(b.decode_stats(), DecodeDrops { checksum: flips, ..DecodeDrops::default() });
 }
 
 #[test]
@@ -131,6 +134,7 @@ fn random_garbage_never_panics() {
     // event; 2000 tries must all be rejected and all be counted.
     assert_eq!(fed, 2_000);
     assert_eq!(b.decode_drops(), 2_000);
+    assert_eq!(b.decode_stats().body, 0, "no garbage passed the envelope checksum");
 }
 
 #[test]
@@ -151,7 +155,7 @@ fn valid_envelope_with_garbage_body_is_a_counted_driver_drop() {
         assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), seal(proto, Bytes::new())).is_err());
         expected_body += 1;
     }
-    assert_eq!(b.metrics().counter_by_name("wire.decode.body"), Some(expected_body));
+    assert_eq!(b.decode_stats(), DecodeDrops { body: expected_body, ..DecodeDrops::default() });
     assert_eq!(b.decode_drops(), expected_body);
     // Raw frames have no driver; garbage raw bodies surface unharmed.
     let inc = b.on_datagram(SimTime::ZERO, ep(0, 5), seal(Proto::Raw, rng.bytes(16))).unwrap();
@@ -172,7 +176,7 @@ fn forged_giant_fragment_count_is_rejected_without_allocating() {
     let dg = seal(Proto::Srudp, enc.finish());
     let mut b = full_stack(2);
     assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), dg).is_err());
-    assert_eq!(b.metrics().counter_by_name("wire.decode.body"), Some(1));
+    assert_eq!(b.decode_stats().body, 1);
 }
 
 #[test]
@@ -216,7 +220,7 @@ fn oversized_datagrams_are_handled() {
     // size alone is not corruption (the netsim enforces MTU separately).
     let big = seal(Proto::Raw, rng.bytes(128 * 1024));
     assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), big).unwrap().is_some());
-    assert_eq!(b.decode_drops(), 1);
+    assert_eq!(b.decode_stats(), DecodeDrops { checksum: 1, ..DecodeDrops::default() });
 }
 
 /// A well-sealed KIND_FEC share with attacker-chosen header fields.
@@ -248,7 +252,7 @@ fn hostile_fec_headers_are_counted_driver_drops() {
     for dg in hostile {
         assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), dg).is_err());
         fed += 1;
-        assert_eq!(b.metrics().counter_by_name("wire.decode.body"), Some(fed));
+        assert_eq!(b.decode_stats().body, fed);
     }
     // No reassembly state was poisoned, nothing delivered.
     assert!(b.drain().iter().all(|o| !matches!(o, snipe_wire::Out::Deliver { .. })));
@@ -261,10 +265,10 @@ fn contradictory_fec_metadata_is_rejected_and_contained() {
     assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 3, 90, 7, b"abc")).is_ok());
     // ...a forged sibling with a different checksum contradicts it.
     assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(1, 3, 90, 8, b"abc")).is_err());
-    assert_eq!(b.metrics().counter_by_name("wire.decode.body"), Some(1));
+    assert_eq!(b.decode_stats().body, 1);
     // A conflicting duplicate of an already-held share is equally hostile.
     assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 3, 90, 7, b"xyz")).is_err());
-    assert_eq!(b.metrics().counter_by_name("wire.decode.body"), Some(2));
+    assert_eq!(b.decode_stats().body, 2);
 }
 
 #[test]
@@ -304,7 +308,7 @@ fn rstream_ack_beyond_what_was_sent_is_a_counted_driver_drop() {
     a.rstream_mut().unwrap().send_message(SimTime::ZERO, id, b"thirteen bytes").unwrap();
     let hostile = control(4, id, Some(1 << 40)); // KIND_ACK
     assert!(a.on_datagram(SimTime::ZERO, peer, hostile).is_err());
-    assert_eq!(a.metrics().counter_by_name("wire.decode.body"), Some(1));
+    assert_eq!(a.decode_stats(), DecodeDrops { body: 1, ..DecodeDrops::default() });
     assert_eq!(a.decode_drops(), 1);
     // The connection is unharmed: it keeps sending and takes the
     // genuine ACK.

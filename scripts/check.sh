@@ -146,8 +146,8 @@ fi
 # every shard group owns names and the latency histogram is populated.
 # results/bench_rcds.txt records the measured table.
 ./target/release/harness rcds
-# Observability overhead gate: the flight recorder + metrics layer is
-# compiled into the engine hot path, so the recorder-disabled build must
+# Observability overhead gate: the flight recorder is compiled into the
+# engine hot path, so the recorder-disabled build must
 # stay within 2% of an observability-free (`--features obs-off`) build
 # of the same tree. The comparison is differential — both binaries are
 # probed interleaved on this machine right now — because wall-clock
