@@ -121,11 +121,6 @@ impl Log2Histogram {
         self.count += 1;
     }
 
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Nearest-bucket quantile estimate: the upper bound `2^b` of the
     /// bucket containing the `q`-th sample (0 for an empty histogram).
     pub fn quantile_bound(&self, q: f64) -> u64 {
@@ -196,7 +191,7 @@ mod tests {
         for x in [0u64, 1, 2, 3, 4, 1024, u64::MAX] {
             h.observe(x);
         }
-        assert_eq!(h.count(), 7);
+        assert_eq!(h.count, 7);
         assert_eq!(h.buckets[0], 1); // 0
         assert_eq!(h.buckets[1], 1); // 1
         assert_eq!(h.buckets[2], 2); // 2, 3

@@ -25,6 +25,7 @@ use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::SnipeResult;
 use snipe_util::wire_codec;
 
+use crate::frame::{seal, Proto};
 use crate::Out;
 
 /// A multicast group identifier (hash of the group URN; the URN itself
@@ -151,10 +152,7 @@ impl McastRouter {
                         to: m,
                         via: None,
                         spray: None,
-                        bytes: crate::frame::seal(
-                            crate::frame::Proto::Mcast,
-                            fwd.encode_to_bytes(),
-                        ),
+                        bytes: seal(Proto::Mcast, fwd.encode_to_bytes()),
                     });
                 }
                 // Relay to peer routers while TTL remains.
@@ -173,10 +171,7 @@ impl McastRouter {
                             to: p,
                             via: None,
                             spray: None,
-                            bytes: crate::frame::seal(
-                                crate::frame::Proto::Mcast,
-                                fwd.encode_to_bytes(),
-                            ),
+                            bytes: seal(Proto::Mcast, fwd.encode_to_bytes()),
                         });
                     }
                 }
@@ -238,7 +233,7 @@ impl McastMember {
         if let McastMsg::Data { group, origin, seq, .. } = msg {
             if self.accept(group, origin, seq, Bytes::new()).is_some() {
                 self.out.push(Out::Deliver {
-                    proto: crate::frame::Proto::Mcast,
+                    proto: Proto::Mcast,
                     from_key: origin,
                     from_ep: from,
                     msg: body,
@@ -303,8 +298,8 @@ impl McastMember {
 }
 
 impl crate::driver::Driver for McastMember {
-    fn proto(&self) -> crate::frame::Proto {
-        crate::frame::Proto::Mcast
+    fn proto(&self) -> Proto {
+        Proto::Mcast
     }
 
     fn on_datagram(
