@@ -1,4 +1,4 @@
-//! The service-plane wire format, pinned.
+//! The wire formats, pinned.
 //!
 //! One sample per variant of every message the services exchange
 //! (RCDS, daemon, resource manager, files, PVM, playground, console,
@@ -7,12 +7,19 @@
 //! hex and its round trip. A change to how any of them is written, or a
 //! tag or field order that moves, fails here first.
 //!
+//! The transport's own formats are pinned the same way: one migration
+//! snapshot per migratable driver (SRUDP, multicast member), a stack
+//! snapshot, a playground VM checkpoint, and one datagram per SRUDP and
+//! RSTREAM kind. The datagrams come from driving a real sender and are
+//! decoded by a fresh receiving driver, the path the network reaches.
+//!
 //! The same samples are the hostile corpus for every one of those
 //! decoders:
 //! - every strict prefix of an encoding decodes to an error;
 //! - every single-bit flip decodes, to a value or an error, without
 //!   panicking;
-//! - a sequence count forged to `0xFFFF_FFFF` decodes to an error.
+//! - a sequence count (or a datagram's blob length) forged to
+//!   `0xFFFF_FFFF` decodes to an error.
 
 use std::fmt::Debug;
 
@@ -27,7 +34,7 @@ use snipe::daemon::proto::{DaemonMsg, SpawnSpec, TaskState};
 use snipe::files::proto::FileMsg;
 use snipe::netsim::topology::Endpoint;
 use snipe::playground::playground::PlaygroundMsg;
-use snipe::playground::{CodeImage, Instr, Program};
+use snipe::playground::{CodeImage, Instr, Program, Quotas, Vm, CAP_EMIT};
 use snipe::pvm::proto::PvmMsg;
 use snipe::rcds::assertion::{Assertion, Stamp};
 use snipe::rcds::proto::{RcMsg, RcOp};
@@ -36,7 +43,13 @@ use snipe::rm::proto::{AllocMode, Allocation, RmMsg};
 use snipe::util::codec::{WireDecode, WireEncode};
 use snipe::util::error::SnipeResult;
 use snipe::util::id::HostId;
-use snipe::wire::mcast::McastMsg;
+use snipe::util::time::{SimDuration, SimTime};
+use snipe::wire::fec::FragStrategy;
+use snipe::wire::mcast::{McastMember, McastMsg};
+use snipe::wire::rstream::{Rstream, RstreamConfig};
+use snipe::wire::srudp::{Srudp, SrudpConfig};
+use snipe::wire::stack::{StackConfig, WireStack};
+use snipe::wire::Out;
 
 /// A decoder under test: the decoded value's `Debug` text and its
 /// re-encoding.
@@ -141,8 +154,158 @@ fn every_instr() -> Program {
     }
 }
 
+const T0: SimTime = SimTime::ZERO;
+
+/// A pin whose decoder yields no `Debug` value of the sample itself (a
+/// driver snapshot, a datagram): its label is what the decoder reports.
+fn accepted(
+    bytes: Bytes,
+    decode: Decode,
+    hex: &'static str,
+    counts: &'static [(usize, u32)],
+) -> Pin {
+    let value = decode(bytes.clone()).map_or_else(|e| format!("undecodable: {e}"), |(v, _)| v);
+    Pin { value, bytes, decode, hex, counts }
+}
+
+fn srudp_snapshot(b: Bytes) -> SnipeResult<(String, Bytes)> {
+    let s = Srudp::import_state(b, SrudpConfig::default(), T0)?;
+    Ok((format!("SRUDP snapshot of key {}", s.key()), s.export_state()))
+}
+
+fn mcast_snapshot(b: Bytes) -> SnipeResult<(String, Bytes)> {
+    Ok(("MCAST member snapshot".into(), McastMember::import_state(b)?.export_state()))
+}
+
+fn stack_cfg() -> StackConfig {
+    StackConfig {
+        rstream: Some(RstreamConfig::default()),
+        mcast_member: true,
+        ..Default::default()
+    }
+}
+
+fn stack_snapshot(b: Bytes) -> SnipeResult<(String, Bytes)> {
+    Ok(("stack snapshot".into(), WireStack::import_state(b, stack_cfg(), T0)?.export_state()))
+}
+
+fn vm(b: Bytes) -> SnipeResult<(String, Bytes)> {
+    let vm = Vm::restore(b)?;
+    Ok((format!("{vm:?}"), vm.checkpoint()))
+}
+
+// A datagram has no decoded value to re-encode: a fresh receiving
+// driver taking it is its round trip.
+fn srudp_datagram(b: Bytes) -> SnipeResult<(String, Bytes)> {
+    Srudp::new(9, SrudpConfig::default()).on_packet(T0, ep(1, 5), b.clone())?;
+    Ok((format!("SRUDP datagram of kind {}", b[0]), b))
+}
+
+fn rstream_datagram(b: Bytes) -> SnipeResult<(String, Bytes)> {
+    Rstream::new(RstreamConfig::default(), 9).on_packet(T0, ep(1, 5), b.clone())?;
+    Ok((format!("RSTREAM datagram of kind {}", b[0]), b))
+}
+
+fn sends(outs: Vec<Out>) -> Vec<Bytes> {
+    outs.into_iter()
+        .filter_map(|o| match o {
+            Out::Send { bytes, .. } => Some(bytes),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Two SRUDP endpoints mid-transfer, with 4-byte fragments and FEC on.
+/// Key 1 sends a 10-byte message (five shares), then "xy" and "z"
+/// (plain, one fragment each); key 2 gets only "xy" and share 0, so it
+/// holds "xy" behind a partial, and its delayed SACK acknowledges
+/// share 0. Returns both snapshots and `[share 0, "z", the SACK]`.
+fn srudp_scene() -> (Bytes, Bytes, Vec<Bytes>) {
+    let cfg = SrudpConfig { frag_size: 4, frag_strategy: FragStrategy::Fec, ..Default::default() };
+    let mut a = Srudp::new(1, cfg.clone());
+    let mut b = Srudp::new(2, cfg);
+    a.set_peer_endpoint(2, ep(2, 5));
+    for m in [&b"abcdefghij"[..], b"xy", b"z"] {
+        a.send_message(T0, 2, Bytes::from_static(m)).unwrap();
+    }
+    let from_a = sends(a.drain());
+    b.on_packet(T0, ep(1, 5), from_a[5].clone()).unwrap();
+    b.on_packet(T0, ep(1, 5), from_a[0].clone()).unwrap();
+    let t = T0 + SimDuration::from_millis(5);
+    b.on_timer(t);
+    let from_b = sends(b.drain());
+    for sack in &from_b {
+        a.on_packet(t, ep(2, 5), sack.clone()).unwrap();
+    }
+    (
+        a.export_state(),
+        b.export_state(),
+        vec![from_a[0].clone(), from_a[6].clone(), from_b[1].clone()],
+    )
+}
+
+/// One RSTREAM connection's life: SYN, SYNACK, DATA ("hi"), ACK, FIN.
+fn rstream_scene() -> Vec<Bytes> {
+    let mut r = Rstream::new(RstreamConfig::default(), 1);
+    let mut s = Rstream::new(RstreamConfig::default(), 2);
+    let id = r.connect(T0, ep(2, 5));
+    let syn = sends(r.drain()).remove(0);
+    s.on_packet(T0, ep(1, 5), syn.clone()).unwrap();
+    let synack = sends(s.drain()).remove(0);
+    r.on_packet(T0, ep(2, 5), synack.clone()).unwrap();
+    r.send_message(T0, id, b"hi").unwrap();
+    let data = sends(r.drain()).remove(0);
+    s.on_packet(T0, ep(1, 5), data.clone()).unwrap();
+    let ack = sends(s.drain()).remove(0);
+    r.close(id);
+    let fin = sends(r.drain()).remove(0);
+    vec![syn, synack, data, ack, fin]
+}
+
+fn mcast_member() -> McastMember {
+    let mut m = McastMember::new();
+    for (group, origin, seq) in [(7, 42, 3), (7, 42, 1), (9, 1, 0)] {
+        m.accept(group, origin, seq, Bytes::new());
+    }
+    m.next_seq(7);
+    m.next_seq(7);
+    m
+}
+
+/// A VM stopped mid-call (six steps in, one output emitted) and one
+/// trapped on its first instruction.
+fn vms() -> (Vm, Vm) {
+    use Instr::*;
+    let code = vec![PushI(7), Store(0), Call(4), Halt, Load(0), Syscall(1), PushI(1), Ret];
+    let quotas = Quotas { fuel: 100, max_stack: 8, max_calls: 4, max_outputs: 4 };
+    let mut running =
+        Vm::new(&Program { code, locals: 1, required_caps: CAP_EMIT }, CAP_EMIT, quotas);
+    running.inputs = vec![3];
+    let mut host = snipe::playground::vm::NullHost::default();
+    running.run_slice(6, &mut host);
+    let mut trapped = Vm::new(&Program { code: vec![Pop], locals: 0, required_caps: 0 }, 0, quotas);
+    trapped.run_slice(1, &mut host);
+    (running, trapped)
+}
+
+/// The stack snapshot: a fresh stack with all three drivers.
+fn stack_sample() -> Pin {
+    accepted(
+        WireStack::new(5, stack_cfg()).export_state(),
+        stack_snapshot,
+        concat!(
+            "00000003010000000c000000000000000500000000020000000003000000080000",
+            "000000000000"
+        ),
+        &[],
+    )
+}
+
 fn samples() -> Vec<Pin> {
     let p = every_instr();
+    let (srudp_a, srudp_b, srudp) = srudp_scene();
+    let rstream = rstream_scene();
+    let (running, trapped) = vms();
     vec![
         // ---- RCDS (magic 0xA1) ----
         pin(
@@ -520,6 +683,95 @@ fn samples() -> Vec<Pin> {
             ),
             &[(8, 3)],
         ),
+        // ---- transport: migration snapshots and VM checkpoints ----
+        accepted(
+            srudp_a,
+            srudp_snapshot,
+            concat!(
+                "0000000000000001000000010000000000000002010000000200050000000000",
+                "00000300000002000000000000000001030000000a45e49a1100000005010000",
+                "0004616263640000000004656667680000000004696a000000000000046d6e04",
+                "0c0000000004717214410000000000000002000000000100000000017a000000",
+                "00000000000000000000000000",
+            ),
+            &[(8, 1), (35, 2), (57, 5), (115, 1), (133, 0), (137, 0)],
+        ),
+        accepted(
+            srudp_b,
+            srudp_snapshot,
+            concat!(
+                "0000000000000002000000010000000000000001010000000100050000000000",
+                "0000000000000000000000000000000000000100000000000000010000000278",
+                "790000000100000000000000000000000501030000000a45e49a110000000501",
+                "000000046162636400000000",
+            ),
+            &[(8, 1), (35, 0), (47, 1), (65, 1), (91, 5)],
+        ),
+        accepted(
+            mcast_member().export_state(),
+            mcast_snapshot,
+            concat!(
+                "00000002000000000000000700000002000000000000002a0000000000000001",
+                "000000000000002a000000000000000300000000000000090000000100000000",
+                "0000000100000000000000000000000100000000000000070000000000000002",
+            ),
+            &[(0, 2), (12, 2), (56, 1), (76, 1)],
+        ),
+        accepted(
+            running.checkpoint(),
+            vm,
+            concat!(
+                "000000080100000000000000071000001300000004150f000016010100000000",
+                "0000000114000000070000000100000000000000010000000100000000000000",
+                "070000000100000003000000000000005e000000000000006400000000000000",
+                "0800000000000000040000000000000004000000010000000100000000000000",
+                "03000000000000000000000001000000000000000700",
+            ),
+            &[(0, 8), (41, 1), (53, 1), (65, 1), (117, 1), (137, 1)],
+        ),
+        accepted(
+            trapped.checkpoint(),
+            vm,
+            concat!(
+                "0000000102000000010000000000000000000000000000000000000063000000",
+                "0000000064000000000000000800000000000000040000000000000004000000",
+                "00000000000000000000000000000000000302",
+            ),
+            &[(0, 1), (77, 0)],
+        ),
+        // ---- transport: SRUDP datagrams (FEC share, DATA, SACK) ----
+        accepted(
+            srudp[0].clone(),
+            srudp_datagram,
+            concat!(
+                "030000000000000001000000000000000000000000030000000a45e49a110000",
+                "000461626364",
+            ),
+            &[(30, 4)],
+        ),
+        accepted(
+            srudp[1].clone(),
+            srudp_datagram,
+            "01000000000000000100000000000000020000000000000001000000017a",
+            &[(21, 1), (25, 1)],
+        ),
+        accepted(
+            srudp[2].clone(),
+            srudp_datagram,
+            "02000000000000000200000000000000000000000001e1",
+            &[(18, 1)],
+        ),
+        // ---- transport: RSTREAM datagrams (SYN, SYNACK, DATA, ACK, FIN) ----
+        accepted(rstream[0].clone(), rstream_datagram, "016c576fac43fd007d", &[]),
+        accepted(rstream[1].clone(), rstream_datagram, "026c576fac43fd007d", &[]),
+        accepted(
+            rstream[2].clone(),
+            rstream_datagram,
+            "036c576fac43fd007d000000000000000000000006000000026869",
+            &[(17, 6)],
+        ),
+        accepted(rstream[3].clone(), rstream_datagram, "046c576fac43fd007d0000000000000006", &[]),
+        accepted(rstream[4].clone(), rstream_datagram, "056c576fac43fd007d", &[]),
     ]
 }
 
@@ -535,6 +787,15 @@ fn every_sample_encodes_to_its_pinned_hex() {
         .map(|p| format!("{}\n    pinned {}\n    now    {}", p.value, p.hex, hex(&p.bytes)))
         .collect();
     assert!(moved.is_empty(), "{} encodings moved:\n{}", moved.len(), moved.join("\n"));
+}
+
+/// Not yet in the hostile corpus: a forged section count aborts the
+/// process at `WireStack::import_state`.
+#[test]
+fn the_stack_snapshot_is_pinned_and_round_trips() {
+    let p = stack_sample();
+    assert_eq!(hex(&p.bytes), p.hex, "stack snapshot moved");
+    assert_eq!((p.decode)(p.bytes.clone()).unwrap().1, p.bytes);
 }
 
 #[test]
@@ -593,5 +854,5 @@ fn a_forged_sequence_count_is_an_error() {
             forged += 1;
         }
     }
-    assert_eq!(forged, 16, "a sequence count was added or dropped");
+    assert_eq!(forged, 44, "a sequence count was added or dropped");
 }
