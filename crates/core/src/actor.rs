@@ -1364,4 +1364,73 @@ mod tests {
         let hex = "00000001700000000161000000017500000000000000010000000167";
         pinned::<MigrationPayload>(payload.encode_to_bytes(), hex, Some(19));
     }
+
+    type Log = std::sync::Arc<std::sync::Mutex<Vec<String>>>;
+
+    /// Echoes every message, and logs where it resumed.
+    struct Resumed(Log);
+    impl SnipeProcess for Resumed {
+        fn on_start(&mut self, _api: &mut SnipeApi<'_, '_>) {}
+        fn on_migrated(&mut self, api: &mut SnipeApi<'_, '_>) {
+            self.0.lock().unwrap().push(format!("resumed on {}", api.my_hostname()));
+        }
+        fn on_message(&mut self, api: &mut SnipeApi<'_, '_>, from: ProcRef, msg: Bytes) {
+            api.send(from.key, msg);
+        }
+    }
+
+    /// Sends one message to `peer` and logs the reply.
+    struct Caller(u64, Log);
+    impl SnipeProcess for Caller {
+        fn on_start(&mut self, api: &mut SnipeApi<'_, '_>) {
+            api.send(self.0, b"ping".to_vec());
+        }
+        fn on_message(&mut self, _api: &mut SnipeApi<'_, '_>, _from: ProcRef, msg: Bytes) {
+            self.1.lock().unwrap().push(format!("reply {}", String::from_utf8_lossy(&msg)));
+        }
+    }
+
+    /// Sends one datagram at start, then leaves.
+    struct OneShot(Endpoint, Bytes);
+    impl Actor for OneShot {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+            if matches!(event, Event::Start) {
+                ctx.send(self.0, self.1.clone());
+                let me = ctx.me();
+                ctx.kill(me);
+            }
+        }
+    }
+
+    /// Anyone can send a daemon a `SpawnReq` for the migrate program,
+    /// so its transport snapshot is network input. Four bytes forging
+    /// a section count of `0xFFFF_FFFF` must leave the process running
+    /// on a fresh stack, and the world running around it.
+    #[test]
+    fn a_forged_stack_snapshot_resumes_on_a_fresh_stack() {
+        let mut w = crate::world::SnipeWorldBuilder::lan(3, 5).build();
+        let log = Log::default();
+        let l = log.clone();
+        w.register_process("resumed", move |_| Box::new(Resumed(l.clone())));
+        let payload = MigrationPayload {
+            program: "resumed".into(),
+            args: Bytes::new(),
+            user_state: Bytes::new(),
+            stack_state: Bytes::from_static(&[0xFF; 4]),
+            groups: Vec::new(),
+        };
+        let mut spec = SpawnSpec::program(crate::world::MIGRATE_PROGRAM, payload.encode_to_bytes());
+        spec.fixed_key = 77;
+        let req = DaemonMsg::SpawnReq { req_id: 1, spec }.encode_to_bytes();
+        let host1 = w.sim_ref().topology().host_by_name("host1").unwrap();
+        let host2 = w.sim_ref().topology().host_by_name("host2").unwrap();
+        let daemon = Endpoint::new(host1, ports::DAEMON);
+        w.sim().spawn(host2, 999, Box::new(OneShot(daemon, seal(Proto::Raw, req))));
+        w.run_for_secs(2);
+        let l = log.clone();
+        w.register_process("caller", move |_| Box::new(Caller(77, l.clone())));
+        w.spawn_on("host2", "caller", Bytes::new()).unwrap();
+        w.run_for_secs(5);
+        assert_eq!(*log.lock().unwrap(), ["resumed on host1", "reply ping"]);
+    }
 }

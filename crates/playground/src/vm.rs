@@ -1,8 +1,9 @@
 //! The playground virtual machine: quota-enforced execution with
 //! checkpointable state.
 
-use snipe_util::codec::{Decoder, Encoder};
+use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::error::SnipeResult;
+use snipe_util::wire_codec;
 
 use crate::bytecode::{Instr, Program};
 
@@ -36,12 +37,14 @@ pub struct Quotas {
     /// Maximum instructions over the program's lifetime (CPU time).
     pub fuel: u64,
     /// Maximum operand-stack depth (memory).
-    pub max_stack: usize,
+    pub max_stack: u64,
     /// Maximum call depth.
-    pub max_calls: usize,
+    pub max_calls: u64,
     /// Maximum emitted outputs.
-    pub max_outputs: usize,
+    pub max_outputs: u64,
 }
+
+wire_codec!(struct Quotas { fuel, max_stack, max_calls, max_outputs });
 
 impl Default for Quotas {
     fn default() -> Self {
@@ -76,6 +79,21 @@ pub enum Trap {
     PcOutOfRange,
 }
 
+// Tags are declaration order, as checkpoints have always written them.
+wire_codec!(enum Trap {
+    0 => FuelExhausted,
+    1 => StackOverflow,
+    2 => StackUnderflow,
+    3 => CallOverflow,
+    4 => CallUnderflow,
+    5 => DivideByZero,
+    6 => CapabilityDenied,
+    7 => OutputQuota,
+    8 => NoInput,
+    9 => BadSyscall,
+    10 => PcOutOfRange,
+});
+
 /// One step / run outcome.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -86,6 +104,11 @@ pub enum StepOutcome {
     /// Stopped by a trap (final).
     Trapped(Trap),
 }
+
+// A checkpoint's last field. `Running` is tag 0, the byte an unfinished
+// VM's checkpoint has always ended with; tag 1 (finished, yet running)
+// is no state a VM reaches, so it is not listed.
+wire_codec!(enum StepOutcome { 0 => Running, 2 => Halted, 3 => Trapped(trap) });
 
 /// Host services a running program may invoke (capability-gated).
 pub trait SyscallHost {
@@ -121,7 +144,8 @@ impl SyscallHost for NullHost {
 }
 
 /// The virtual machine. All state is plain data: checkpointing is
-/// [`Vm::checkpoint`] / [`Vm::restore`] through the canonical codec.
+/// [`Vm::checkpoint`] / [`Vm::restore`] through the canonical codec,
+/// fields in declaration order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Vm {
     code: Vec<Instr>,
@@ -135,11 +159,16 @@ pub struct Vm {
     caps: u32,
     /// Input queue (supervisor-provided).
     pub inputs: Vec<i64>,
-    input_pos: usize,
+    input_pos: u64,
     /// Emitted outputs.
     pub outputs: Vec<i64>,
-    finished: Option<StepOutcome>,
+    /// `Running` until the program halts or traps.
+    outcome: StepOutcome,
 }
+
+wire_codec!(struct Vm {
+    code, pc, stack, locals, calls, fuel_left, quotas, caps, inputs, input_pos, outputs, outcome
+});
 
 impl Vm {
     /// Load a (verified) program with granted capabilities and quotas.
@@ -156,7 +185,7 @@ impl Vm {
             inputs: Vec::new(),
             input_pos: 0,
             outputs: Vec::new(),
-            finished: None,
+            outcome: StepOutcome::Running,
         }
     }
 
@@ -167,7 +196,7 @@ impl Vm {
 
     /// Final outcome if the program has stopped.
     pub fn finished(&self) -> Option<StepOutcome> {
-        self.finished
+        (self.outcome != StepOutcome::Running).then_some(self.outcome)
     }
 
     fn pop(&mut self) -> Result<i64, Trap> {
@@ -175,7 +204,7 @@ impl Vm {
     }
 
     fn push(&mut self, v: i64) -> Result<(), Trap> {
-        if self.stack.len() >= self.quotas.max_stack {
+        if self.stack.len() as u64 >= self.quotas.max_stack {
             return Err(Trap::StackOverflow);
         }
         self.stack.push(v);
@@ -191,8 +220,8 @@ impl Vm {
 
     /// Execute one instruction.
     pub fn step(&mut self, host: &mut dyn SyscallHost) -> StepOutcome {
-        if let Some(done) = self.finished {
-            return done;
+        if self.outcome != StepOutcome::Running {
+            return self.outcome;
         }
         if self.fuel_left == 0 {
             return self.trap(Trap::FuelExhausted);
@@ -261,7 +290,7 @@ impl Vm {
                     }
                 }
                 Instr::Call(t) => {
-                    if self.calls.len() >= self.quotas.max_calls {
+                    if self.calls.len() as u64 >= self.quotas.max_calls {
                         return Err(Trap::CallOverflow);
                     }
                     self.calls.push(self.pc);
@@ -271,14 +300,14 @@ impl Vm {
                     self.pc = self.calls.pop().ok_or(Trap::CallUnderflow)?;
                 }
                 Instr::Halt => {
-                    self.finished = Some(StepOutcome::Halted);
+                    self.outcome = StepOutcome::Halted;
                 }
                 Instr::Syscall(n) => match n {
                     sys::EMIT => {
                         if self.caps & CAP_EMIT == 0 {
                             return Err(Trap::CapabilityDenied);
                         }
-                        if self.outputs.len() >= self.quotas.max_outputs {
+                        if self.outputs.len() as u64 >= self.quotas.max_outputs {
                             return Err(Trap::OutputQuota);
                         }
                         let v = self.pop()?;
@@ -307,10 +336,9 @@ impl Vm {
                         host.log(v);
                     }
                     sys::READ_INPUT => {
-                        if self.input_pos >= self.inputs.len() {
+                        let Some(&v) = self.inputs.get(self.input_pos as usize) else {
                             return Err(Trap::NoInput);
-                        }
-                        let v = self.inputs[self.input_pos];
+                        };
                         self.input_pos += 1;
                         self.push(v)?;
                     }
@@ -321,14 +349,13 @@ impl Vm {
         })();
         match r {
             Err(t) => self.trap(t),
-            Ok(()) => self.finished.unwrap_or(StepOutcome::Running),
+            Ok(()) => self.outcome,
         }
     }
 
     fn trap(&mut self, t: Trap) -> StepOutcome {
-        let out = StepOutcome::Trapped(t);
-        self.finished = Some(out);
-        out
+        self.outcome = StepOutcome::Trapped(t);
+        self.outcome
     }
 
     /// Run up to `slice` instructions (one fuel slice, §5.8 preemption).
@@ -344,94 +371,12 @@ impl Vm {
 
     /// Serialize the complete machine state.
     pub fn checkpoint(&self) -> bytes::Bytes {
-        let mut e = Encoder::new();
-        snipe_util::codec::encode_seq(&mut e, self.code.iter());
-        e.put_u32(self.pc);
-        snipe_util::codec::encode_seq(&mut e, self.stack.iter());
-        snipe_util::codec::encode_seq(&mut e, self.locals.iter());
-        snipe_util::codec::encode_seq(&mut e, self.calls.iter());
-        e.put_u64(self.fuel_left);
-        e.put_u64(self.quotas.fuel);
-        e.put_u64(self.quotas.max_stack as u64);
-        e.put_u64(self.quotas.max_calls as u64);
-        e.put_u64(self.quotas.max_outputs as u64);
-        e.put_u32(self.caps);
-        snipe_util::codec::encode_seq(&mut e, self.inputs.iter());
-        e.put_u64(self.input_pos as u64);
-        snipe_util::codec::encode_seq(&mut e, self.outputs.iter());
-        match self.finished {
-            None => e.put_u8(0),
-            Some(StepOutcome::Running) => e.put_u8(1),
-            Some(StepOutcome::Halted) => e.put_u8(2),
-            Some(StepOutcome::Trapped(t)) => {
-                e.put_u8(3);
-                e.put_u8(t as u8);
-            }
-        }
-        e.finish()
+        self.encode_to_bytes()
     }
 
     /// Restore a machine from a checkpoint.
     pub fn restore(bytes: bytes::Bytes) -> SnipeResult<Vm> {
-        let mut d = Decoder::new(bytes);
-        let code: Vec<Instr> = snipe_util::codec::decode_seq(&mut d)?;
-        let pc = d.get_u32()?;
-        let stack: Vec<i64> = snipe_util::codec::decode_seq(&mut d)?;
-        let locals: Vec<i64> = snipe_util::codec::decode_seq(&mut d)?;
-        let calls: Vec<u32> = snipe_util::codec::decode_seq(&mut d)?;
-        let fuel_left = d.get_u64()?;
-        let quotas = Quotas {
-            fuel: d.get_u64()?,
-            max_stack: d.get_u64()? as usize,
-            max_calls: d.get_u64()? as usize,
-            max_outputs: d.get_u64()? as usize,
-        };
-        let caps = d.get_u32()?;
-        let inputs: Vec<i64> = snipe_util::codec::decode_seq(&mut d)?;
-        let input_pos = d.get_u64()? as usize;
-        let outputs: Vec<i64> = snipe_util::codec::decode_seq(&mut d)?;
-        let finished = match d.get_u8()? {
-            0 => None,
-            1 => Some(StepOutcome::Running),
-            2 => Some(StepOutcome::Halted),
-            3 => {
-                let t = d.get_u8()?;
-                // Trap discriminants are stable by declaration order.
-                let trap = [
-                    Trap::FuelExhausted,
-                    Trap::StackOverflow,
-                    Trap::StackUnderflow,
-                    Trap::CallOverflow,
-                    Trap::CallUnderflow,
-                    Trap::DivideByZero,
-                    Trap::CapabilityDenied,
-                    Trap::OutputQuota,
-                    Trap::NoInput,
-                    Trap::BadSyscall,
-                    Trap::PcOutOfRange,
-                ]
-                .get(t as usize)
-                .copied()
-                .ok_or_else(|| snipe_util::error::SnipeError::Codec("bad trap".into()))?;
-                Some(StepOutcome::Trapped(trap))
-            }
-            _ => return Err(snipe_util::error::SnipeError::Codec("bad finished tag".into())),
-        };
-        d.expect_end()?;
-        Ok(Vm {
-            code,
-            pc,
-            stack,
-            locals,
-            calls,
-            fuel_left,
-            quotas,
-            caps,
-            inputs,
-            input_pos,
-            outputs,
-            finished,
-        })
+        Vm::decode_from_bytes(bytes)
     }
 }
 

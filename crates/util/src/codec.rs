@@ -363,6 +363,20 @@ impl<T: WireDecode> WireDecode for Option<T> {
     }
 }
 
+/// The two values in order.
+impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
+    fn encode(&self, enc: &mut Encoder) {
+        self.0.encode(enc);
+        self.1.encode(enc);
+    }
+}
+
+impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
+    fn decode(dec: &mut Decoder) -> SnipeResult<Self> {
+        Ok((A::decode(dec)?, B::decode(dec)?))
+    }
+}
+
 /// A `u32` count, then the elements (a `Vec<u8>` is therefore the same
 /// bytes as a [`Bytes`] blob).
 impl<T: WireEncode> WireEncode for Vec<T> {
@@ -452,7 +466,9 @@ pub fn unknown_tag(what: &str, tag: u8) -> SnipeError {
 /// Implement [`WireEncode`] and [`WireDecode`] for a declared struct
 /// (`struct S { a, b }`; a tuple struct lists positions, `{ 0 }`) or enum
 /// (`enum E { 1 => Unit, 2 => Named { a, b }, 3 => Tuple(a, b) }`), with
-/// an optional magic byte (`E: magic 0xA1`). See the module docs.
+/// an optional magic byte (`E: magic 0xA1`). An enum also gets
+/// `wire_tag()`, the tag its value's variant is listed under. See the
+/// module docs.
 #[macro_export]
 macro_rules! wire_codec {
     (struct $name:ident $(: magic $magic:literal)? { $($field:tt),* $(,)? }) => {
@@ -493,6 +509,15 @@ macro_rules! wire_codec {
                         $(( $( $crate::wire_codec!(@one dec $pos), )* ))?, )*
                     tag => return Err($crate::codec::unknown_tag(stringify!($name), tag)),
                 })
+            }
+        }
+        impl $name {
+            /// The tag byte this value's variant is listed under.
+            #[allow(dead_code)]
+            pub fn wire_tag(&self) -> u8 {
+                match self {
+                    $( $name::$variant { .. } => $tag, )*
+                }
             }
         }
     };

@@ -53,7 +53,7 @@
 //! the differential tests in `tests/fec_props.rs` compare against.
 //!
 //! Reconstruction is integrity-checked end to end: the share header
-//! (owned by the driver, see the SRUDP `KIND_FEC` layout) carries a
+//! (owned by the driver: SRUDP's `Fec` datagram header) carries a
 //! 32-bit [`msg_checksum`] over the *original message*, verified after
 //! interpolation. A decode that passes share-length validation but
 //! yields wrong bytes (corrupted or forged shares that slipped past

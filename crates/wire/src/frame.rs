@@ -38,10 +38,12 @@
 //! needs no format version.
 
 use bytes::Bytes;
-use snipe_util::codec::{Decoder, Encoder};
+use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
+use snipe_util::wire_codec;
 
-/// Protocol discriminators.
+/// Protocol discriminators: the envelope's tag byte, and the key of a
+/// driver's section in a stack snapshot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Proto {
     /// Selective-resend UDP (SNIPE's own reliable datagram protocol).
@@ -54,28 +56,7 @@ pub enum Proto {
     Raw,
 }
 
-impl Proto {
-    /// The one-byte wire discriminator (also used to tag per-driver
-    /// sections in stack snapshots).
-    pub(crate) fn tag(self) -> u8 {
-        match self {
-            Proto::Srudp => 1,
-            Proto::Rstream => 2,
-            Proto::Mcast => 3,
-            Proto::Raw => 4,
-        }
-    }
-
-    pub(crate) fn from_tag(t: u8) -> SnipeResult<Proto> {
-        Ok(match t {
-            1 => Proto::Srudp,
-            2 => Proto::Rstream,
-            3 => Proto::Mcast,
-            4 => Proto::Raw,
-            other => return Err(SnipeError::Codec(format!("unknown protocol tag {other}"))),
-        })
-    }
-}
+wire_codec!(enum Proto { 1 => Srudp, 2 => Rstream, 3 => Mcast, 4 => Raw });
 
 /// Why an envelope failed to open: the classes the stack counts its
 /// decode drops by ([`crate::stack::DecodeDrops`]).
@@ -158,10 +139,9 @@ pub(crate) fn checksum(tag: u8, body: &[u8]) -> u32 {
 /// Wrap a protocol body in the envelope.
 pub fn seal(proto: Proto, body: Bytes) -> Bytes {
     let mut enc = Encoder::with_capacity(body.len() + ENVELOPE_OVERHEAD);
-    let tag = proto.tag();
-    enc.put_u8(tag);
+    proto.encode(&mut enc);
     enc.put_raw(&body);
-    enc.put_u32(checksum(tag, &body));
+    enc.put_u32(checksum(proto.wire_tag(), &body));
     enc.finish()
 }
 
@@ -184,15 +164,25 @@ pub fn open_classified(datagram: Bytes) -> Result<(Proto, Bytes), FrameError> {
         return Err(FrameError::Truncated);
     }
     let mut dec = Decoder::new(datagram);
-    let tag = dec.get_u8().map_err(|_| FrameError::Truncated)?;
+    let tag = dec.get_raw(1).map_err(|_| FrameError::Truncated)?;
     let body = dec.get_raw(dec.remaining() - 4).map_err(|_| FrameError::Truncated)?;
     let want = dec.get_u32().map_err(|_| FrameError::Truncated)?;
-    let got = checksum(tag, &body);
+    let got = checksum(tag[0], &body);
     if want != got {
         return Err(FrameError::Checksum);
     }
-    let proto = Proto::from_tag(tag).map_err(|_| FrameError::UnknownTag)?;
+    let proto = Proto::decode_from_bytes(tag).map_err(|_| FrameError::UnknownTag)?;
     Ok((proto, body))
+}
+
+/// Split a transport datagram body into its header listing and the
+/// bytes after it (a payload or SACK bitmap as a length-prefixed blob,
+/// or nothing), without copying them.
+pub(crate) fn split_head<H: WireDecode>(body: Bytes) -> SnipeResult<(H, Bytes)> {
+    let mut dec = Decoder::new(body);
+    let head = H::decode(&mut dec)?;
+    let rest = dec.get_raw(dec.remaining())?;
+    Ok((head, rest))
 }
 
 /// Bytes of envelope overhead per datagram (tag + checksum).

@@ -16,12 +16,12 @@
 //! retransmission; this module implements the router relay state and
 //! member-side dedup as sans-IO state machines.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
-use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
+use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::error::SnipeResult;
 use snipe_util::wire_codec;
 
@@ -246,56 +246,32 @@ impl McastMember {
     /// Serialize dedup + sequence state (sorted, so snapshots are
     /// byte-for-byte deterministic).
     pub fn export_state(&self) -> Bytes {
-        let mut e = Encoder::new();
-        let mut groups: Vec<GroupId> = self.seen.keys().copied().collect();
-        groups.sort_unstable();
-        e.put_u32(groups.len() as u32);
-        for g in groups {
-            let set = &self.seen[&g];
+        let seen = self.seen.iter().map(|(&g, set)| {
             let mut pairs: Vec<(u64, u64)> = set.iter().copied().collect();
             pairs.sort_unstable();
-            e.put_u64(g);
-            e.put_u32(pairs.len() as u32);
-            for (origin, seq) in pairs {
-                e.put_u64(origin);
-                e.put_u64(seq);
-            }
-        }
-        let mut seqs: Vec<(GroupId, u64)> = self.next_seq.iter().map(|(&g, &s)| (g, s)).collect();
-        seqs.sort_unstable();
-        e.put_u32(seqs.len() as u32);
-        for (g, s) in seqs {
-            e.put_u64(g);
-            e.put_u64(s);
-        }
-        e.finish()
+            (g, pairs)
+        });
+        let next_seq = self.next_seq.iter().map(|(&g, &s)| (g, s)).collect();
+        McastSnapshot { seen: seen.collect(), next_seq }.encode_to_bytes()
     }
 
     /// Restore state produced by [`McastMember::export_state`].
     pub fn import_state(bytes: Bytes) -> SnipeResult<McastMember> {
-        let mut d = Decoder::new(bytes);
-        let mut seen: HashMap<GroupId, HashSet<(u64, u64)>> = HashMap::new();
-        let ngroups = d.get_u32()?;
-        for _ in 0..ngroups {
-            let g = d.get_u64()?;
-            let n = d.get_u32()?;
-            let set = seen.entry(g).or_default();
-            for _ in 0..n {
-                let origin = d.get_u64()?;
-                let seq = d.get_u64()?;
-                set.insert((origin, seq));
-            }
-        }
-        let mut next_seq = HashMap::new();
-        let nseqs = d.get_u32()?;
-        for _ in 0..nseqs {
-            let g = d.get_u64()?;
-            let s = d.get_u64()?;
-            next_seq.insert(g, s);
-        }
-        Ok(McastMember { seen, next_seq, out: Vec::new() })
+        let snapshot = McastSnapshot::decode_from_bytes(bytes)?;
+        let seen = snapshot.seen.into_iter().map(|(g, pairs)| (g, pairs.into_iter().collect()));
+        let next_seq = snapshot.next_seq.into_iter().collect();
+        Ok(McastMember { seen: seen.collect(), next_seq, out: Vec::new() })
     }
 }
+
+/// A member's migration snapshot: the `(origin, seq)` pairs seen per
+/// group and the next sequence number per group, all in key order.
+struct McastSnapshot {
+    seen: BTreeMap<GroupId, Vec<(u64, u64)>>,
+    next_seq: BTreeMap<GroupId, u64>,
+}
+
+wire_codec!(struct McastSnapshot { seen, next_seq });
 
 impl crate::driver::Driver for McastMember {
     fn proto(&self) -> Proto {
@@ -506,6 +482,16 @@ mod tests {
         assert!(r.accept(1, 9, 2, Bytes::new()).is_some());
         // Sequence allocation continues where it left off.
         assert_eq!(r.next_seq(5), 2);
+    }
+
+    #[test]
+    fn member_state_with_trailing_bytes_is_refused() {
+        let mut m = McastMember::new();
+        m.accept(1, 9, 0, Bytes::new());
+        let mut snap = m.export_state().to_vec();
+        snap.extend_from_slice(b"junk");
+        let err = McastMember::import_state(Bytes::from(snap)).unwrap_err();
+        assert!(err.to_string().contains("4 trailing bytes"), "{err}");
     }
 
     #[test]

@@ -18,11 +18,13 @@ use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, TraceKind};
-use snipe_util::codec::{Decoder, Encoder};
+use snipe_util::codec::{Encoder, WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
+use snipe_util::wire_codec;
 
+use crate::frame::split_head;
 use crate::recovery::{Flight, Rtt, Sent};
 use crate::Out;
 
@@ -59,11 +61,28 @@ impl Default for RstreamConfig {
 /// Connection identifier (chosen by the initiator, shared by both ends).
 pub type ConnId = u64;
 
-const KIND_SYN: u8 = 1;
-const KIND_SYNACK: u8 = 2;
-const KIND_DATA: u8 = 3;
-const KIND_ACK: u8 = 4;
-const KIND_FIN: u8 = 5;
+/// An RSTREAM datagram: the header of connection `id`. DATA's segment
+/// follows it as a length-prefixed blob, outside the listing.
+enum RstreamHead {
+    /// Open the connection.
+    Syn(ConnId),
+    /// Accept it.
+    SynAck(ConnId),
+    /// A segment at stream offset `offset`.
+    Data { id: ConnId, offset: u64 },
+    /// Everything below stream offset `cum` has arrived.
+    Ack { id: ConnId, cum: u64 },
+    /// Close it.
+    Fin(ConnId),
+}
+
+wire_codec!(enum RstreamHead {
+    1 => Syn(id),
+    2 => SynAck(id),
+    3 => Data { id, offset },
+    4 => Ack { id, cum },
+    5 => Fin(id),
+});
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
@@ -174,19 +193,14 @@ impl Rstream {
         // is retransmitted instead of wedging the connection.
         self.timers.insert(id, now + conn.rtt.rto(), ());
         self.conns.insert(id, conn);
-        Self::emit_control(&mut self.out, peer, KIND_SYN, id, None);
+        Self::emit_control(&mut self.out, peer, RstreamHead::Syn(id));
         id
     }
 
-    /// A packet with no payload: SYN, SYNACK, FIN, or an ACK with its
-    /// cumulative offset.
-    fn emit_control(out: &mut Vec<Out>, to: Endpoint, kind: u8, id: ConnId, cum: Option<u64>) {
+    /// A packet with no payload: SYN, SYNACK, ACK or FIN.
+    fn emit_control(out: &mut Vec<Out>, to: Endpoint, head: RstreamHead) {
         let mut enc = Encoder::new();
-        enc.put_u8(kind);
-        enc.put_u64(id);
-        if let Some(cum) = cum {
-            enc.put_u64(cum);
-        }
+        head.encode(&mut enc);
         out.push(Out::Send { to, via: None, spray: None, bytes: enc.finish() });
     }
 
@@ -225,7 +239,7 @@ impl Rstream {
     pub fn close(&mut self, id: ConnId) {
         if let Some(c) = self.conns.get_mut(&id) {
             if c.state != State::Closed {
-                Self::emit_control(&mut self.out, c.peer, KIND_FIN, id, None);
+                Self::emit_control(&mut self.out, c.peer, RstreamHead::Fin(id));
                 c.state = State::Closed;
                 self.timers.remove(&id);
             }
@@ -259,9 +273,7 @@ impl Rstream {
         let skip = (offset - conn.snd_una) as usize;
         let seg: Vec<u8> = conn.snd_buf.iter().skip(skip).take(len).copied().collect();
         let mut enc = Encoder::with_capacity(len + 24);
-        enc.put_u8(KIND_DATA);
-        enc.put_u64(id);
-        enc.put_u64(offset);
+        RstreamHead::Data { id, offset }.encode(&mut enc);
         enc.put_bytes(&seg);
         out.push(Out::Send { to: conn.peer, via: None, spray: None, bytes: enc.finish() });
     }
@@ -316,18 +328,16 @@ impl Rstream {
 
     /// Handle an incoming RSTREAM body.
     pub fn on_packet(&mut self, now: SimTime, from: Endpoint, body: Bytes) -> SnipeResult<()> {
-        let mut dec = Decoder::new(body);
-        let kind = dec.get_u8()?;
-        let id = dec.get_u64()?;
-        match kind {
-            KIND_SYN => {
+        let (head, rest) = split_head(body)?;
+        match head {
+            RstreamHead::Syn(id) => {
                 // Passive open (every Rstream listens).
                 let cfg = &self.cfg;
                 self.conns.entry(id).or_insert_with(|| Conn::new(from, State::Established, cfg));
-                Self::emit_control(&mut self.out, from, KIND_SYNACK, id, None);
+                Self::emit_control(&mut self.out, from, RstreamHead::SynAck(id));
                 Ok(())
             }
-            KIND_SYNACK => {
+            RstreamHead::SynAck(id) => {
                 if let Some(c) = self.conns.get_mut(&id) {
                     if c.state == State::SynSent {
                         c.state = State::Established;
@@ -341,24 +351,18 @@ impl Rstream {
                 }
                 Ok(())
             }
-            KIND_DATA => {
-                let offset = dec.get_u64()?;
-                let payload = dec.get_bytes()?;
-                self.on_data(now, id, offset, payload);
+            RstreamHead::Data { id, offset } => {
+                self.on_data(now, id, offset, Bytes::decode_from_bytes(rest)?);
                 Ok(())
             }
-            KIND_ACK => {
-                let cum = dec.get_u64()?;
-                self.on_ack(now, id, cum)
-            }
-            KIND_FIN => {
+            RstreamHead::Ack { id, cum } => self.on_ack(now, id, cum),
+            RstreamHead::Fin(id) => {
                 if let Some(c) = self.conns.get_mut(&id) {
                     c.state = State::Closed;
                     self.timers.remove(&id);
                 }
                 Ok(())
             }
-            k => Err(SnipeError::Protocol(format!("unknown RSTREAM kind {k}"))),
         }
     }
 
@@ -386,7 +390,7 @@ impl Rstream {
             }
         }
         // Cumulative ACK on every DATA.
-        Self::emit_control(&mut self.out, conn.peer, KIND_ACK, id, Some(conn.rcv_nxt));
+        Self::emit_control(&mut self.out, conn.peer, RstreamHead::Ack { id, cum: conn.rcv_nxt });
         // Extract length-framed messages.
         let peer = conn.peer;
         loop {
@@ -502,7 +506,7 @@ impl Rstream {
         conn.rtt.on_timeout();
         if conn.state == State::SynSent {
             self.stats.retransmits += 1;
-            Self::emit_control(&mut self.out, conn.peer, KIND_SYN, id, None);
+            Self::emit_control(&mut self.out, conn.peer, RstreamHead::Syn(id));
         } else {
             conn.recover = conn.snd_nxt;
             Self::retransmit(&mut self.out, &mut self.stats, self.cfg.mss, now, conn, id);
@@ -725,13 +729,7 @@ mod tests {
         let mut a = Rstream::new(cfg, 1);
         let id = a.connect(SimTime::ZERO, ep(1, 5));
         // SYN+SYNACK never happen; force establishment to test data path.
-        a.on_packet(SimTime::ZERO, ep(1, 5), {
-            let mut e = Encoder::new();
-            e.put_u8(KIND_SYNACK);
-            e.put_u64(id);
-            e.finish()
-        })
-        .unwrap();
+        a.on_packet(SimTime::ZERO, ep(1, 5), control(RstreamHead::SynAck(id))).unwrap();
         a.send_message(SimTime::ZERO, id, b"into the void").unwrap();
         a.drain();
         let mut now = SimTime::ZERO;
@@ -764,42 +762,33 @@ mod tests {
     fn malformed_rejected() {
         let mut a = Rstream::new(RstreamConfig::default(), 1);
         assert!(a.on_packet(SimTime::ZERO, ep(1, 5), Bytes::new()).is_err());
-        let mut e = Encoder::new();
-        e.put_u8(99);
-        e.put_u64(1);
-        assert_eq!(
-            a.on_packet(SimTime::ZERO, ep(1, 5), e.finish()).unwrap_err().kind(),
-            "protocol"
-        );
+        let err =
+            a.on_packet(SimTime::ZERO, ep(1, 5), Bytes::from_static(&[99, 0, 0, 0, 0, 0, 0, 0, 1]));
+        assert!(err.unwrap_err().to_string().contains("unknown RstreamHead tag 99"));
     }
 
-    fn control(kind: u8, id: ConnId, cum: Option<u64>) -> Bytes {
-        let mut e = Encoder::new();
-        e.put_u8(kind);
-        e.put_u64(id);
-        if let Some(cum) = cum {
-            e.put_u64(cum);
-        }
-        e.finish()
+    fn control(head: RstreamHead) -> Bytes {
+        head.encode_to_bytes()
     }
 
     #[test]
     fn ack_beyond_what_was_sent_is_a_protocol_error() {
         let mut a = Rstream::new(RstreamConfig::default(), 1);
         let id = a.connect(SimTime::ZERO, ep(1, 5));
-        a.on_packet(SimTime::ZERO, ep(1, 5), control(KIND_SYNACK, id, None)).unwrap();
+        a.on_packet(SimTime::ZERO, ep(1, 5), control(RstreamHead::SynAck(id))).unwrap();
         a.send_message(SimTime::ZERO, id, b"thirteen bytes").unwrap();
         let sent = a.unacked_bytes(id);
         // A well-formed ACK for bytes never transmitted (a hostile peer,
         // or a restarted one re-using the connection id).
-        let err = a.on_packet(SimTime::ZERO, ep(1, 5), control(KIND_ACK, id, Some(1 << 40)));
+        let err =
+            a.on_packet(SimTime::ZERO, ep(1, 5), control(RstreamHead::Ack { id, cum: 1 << 40 }));
         assert_eq!(err.unwrap_err().kind(), "protocol");
         assert_eq!(a.unacked_bytes(id), sent, "nothing was acknowledged");
         // The connection still works: the window arithmetic is intact
         // and the genuine ACK is taken.
         a.send_message(SimTime::ZERO, id, b"more").unwrap();
         let all = a.unacked_bytes(id) as u64;
-        a.on_packet(SimTime::ZERO, ep(1, 5), control(KIND_ACK, id, Some(all))).unwrap();
+        a.on_packet(SimTime::ZERO, ep(1, 5), control(RstreamHead::Ack { id, cum: all })).unwrap();
         assert_eq!(a.unacked_bytes(id), 0);
     }
 }

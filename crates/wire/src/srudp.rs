@@ -24,13 +24,15 @@ use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, TraceKind};
-use snipe_util::codec::{Decoder, Encoder, WireDecode, WireEncode};
+use snipe_util::codec::{Encoder, WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
+use snipe_util::wire_codec;
 
 use crate::fec::{self, FragStrategy};
 use crate::frag::{split, ReassemblySet};
+use crate::frame::split_head;
 use crate::recovery::{Flight, Rtt, Sent};
 use crate::Out;
 
@@ -94,10 +96,6 @@ impl Default for SrudpConfig {
     }
 }
 
-const KIND_DATA: u8 = 1;
-const KIND_SACK: u8 = 2;
-const KIND_FEC: u8 = 3;
-
 /// How long a partial reassembly may sit with no fresh fragment before
 /// the sweep evicts it. Longer than any in-contract sender keeps
 /// retrying (`max_retries` × `rto_max` ≈ 48 s with defaults), so only
@@ -137,19 +135,68 @@ struct FecMeta {
     checksum: u32,
 }
 
-impl WireEncode for FecMeta {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u8(self.b);
-        e.put_u32(self.msg_len);
-        e.put_u32(self.checksum);
-    }
+wire_codec!(struct FecMeta { b, msg_len, checksum });
+
+/// An SRUDP datagram's header. The fragment (DATA, FEC) or the SACK
+/// bitmap follows it as a length-prefixed blob, written and read
+/// outside the listing so that it stays a zero-copy slice.
+enum SrudpHead {
+    /// Plain fragment `idx` of a `count`-fragment message.
+    Data { src_key: NodeKey, msg_id: u64, idx: u32, count: u32 },
+    /// What of message `msg_id` has arrived: the bitmap, or `done`
+    /// (and an empty bitmap) once all of it has.
+    Sack { src_key: NodeKey, msg_id: u64, done: bool },
+    /// Reed-Solomon share `idx`; the share count follows from `meta`.
+    Fec { src_key: NodeKey, msg_id: u64, idx: u32, meta: FecMeta },
 }
 
-impl WireDecode for FecMeta {
-    fn decode(d: &mut Decoder) -> SnipeResult<FecMeta> {
-        Ok(FecMeta { b: d.get_u8()?, msg_len: d.get_u32()?, checksum: d.get_u32()? })
-    }
+wire_codec!(enum SrudpHead {
+    1 => Data { src_key, msg_id, idx, count },
+    2 => Sack { src_key, msg_id, done },
+    3 => Fec { src_key, msg_id, idx, meta },
+});
+
+/// A migration snapshot of a whole endpoint ([`Srudp::export_state`]),
+/// peers in key order.
+struct SrudpSnapshot {
+    my_key: NodeKey,
+    peers: Vec<PeerSnapshot>,
 }
+
+wire_codec!(struct SrudpSnapshot { my_key, peers });
+
+/// One peer's sender queue and receiver state.
+struct PeerSnapshot {
+    key: NodeKey,
+    location: Option<Endpoint>,
+    next_msg_id: u64,
+    queue: Vec<QueuedSnapshot>,
+    next_deliver: u64,
+    held: BTreeMap<u64, Bytes>,
+    partials: Vec<PartialSnapshot>,
+}
+
+wire_codec!(struct PeerSnapshot { key, location, next_msg_id, queue, next_deliver, held, partials });
+
+/// An unfinished outgoing message: each fragment with its acked flag.
+struct QueuedSnapshot {
+    msg_id: u64,
+    fec: Option<FecMeta>,
+    frags: Vec<(bool, Bytes)>,
+}
+
+wire_codec!(struct QueuedSnapshot { msg_id, fec, frags });
+
+/// A partial reassembly. `bitmap_count` repeats `frags.len()` and is
+/// ignored on import (ROADMAP 3 drops it).
+struct PartialSnapshot {
+    msg_id: u64,
+    bitmap_count: u32,
+    fec: Option<FecMeta>,
+    frags: Vec<Option<Bytes>>,
+}
+
+wire_codec!(struct PartialSnapshot { msg_id, bitmap_count, fec, frags });
 
 struct OutMsg {
     msg_id: u64,
@@ -466,16 +513,15 @@ impl Srudp {
 
     /// Put fragment `idx` of `m` on the wire.
     fn emit_data(out: &mut Vec<Out>, my_key: NodeKey, to: Endpoint, m: &OutMsg, idx: usize) {
-        let payload = &m.frags[idx];
+        let (src_key, msg_id, payload) = (my_key, m.msg_id, &m.frags[idx]);
+        let head = match m.fec {
+            None => {
+                SrudpHead::Data { src_key, msg_id, idx: idx as u32, count: m.frags.len() as u32 }
+            }
+            Some(meta) => SrudpHead::Fec { src_key, msg_id, idx: idx as u32, meta },
+        };
         let mut enc = Encoder::with_capacity(payload.len() + 40);
-        enc.put_u8(if m.fec.is_some() { KIND_FEC } else { KIND_DATA });
-        enc.put_u64(my_key);
-        enc.put_u64(m.msg_id);
-        enc.put_u32(idx as u32);
-        match m.fec {
-            None => enc.put_u32(m.frags.len() as u32),
-            Some(meta) => meta.encode(&mut enc),
-        }
+        head.encode(&mut enc);
         enc.put_bytes(payload);
         // Shares advertise their index so the stack can spray them
         // across distinct routes; plain fragments route normally.
@@ -551,38 +597,27 @@ impl Srudp {
 
     /// Handle an incoming SRUDP body (after the envelope is opened).
     pub fn on_packet(&mut self, now: SimTime, from_ep: Endpoint, body: Bytes) -> SnipeResult<()> {
-        let mut dec = Decoder::new(body);
-        match dec.get_u8()? {
-            kind @ (KIND_DATA | KIND_FEC) => {
-                let src_key = dec.get_u64()?;
-                let msg_id = dec.get_u64()?;
-                let idx = dec.get_u32()?;
-                // A plain fragment states its count; a share's follows
-                // from its coding parameters.
-                let (count, fec) = if kind == KIND_FEC {
-                    let meta = FecMeta::decode(&mut dec)?;
-                    if !(2..=fec::MAX_B).contains(&(meta.b as usize)) {
-                        return Err(SnipeError::Protocol(format!("unacceptable FEC b {}", meta.b)));
-                    }
-                    if meta.msg_len == 0 {
-                        return Err(SnipeError::Protocol("zero-length FEC message".into()));
-                    }
-                    (2 * meta.b as u32 - 1, Some(meta))
-                } else {
-                    (dec.get_u32()?, None)
-                };
-                let payload = dec.get_bytes()?;
-                self.on_data(now, src_key, from_ep, msg_id, idx, count, payload, fec)
+        let (head, rest) = split_head(body)?;
+        let blob = Bytes::decode_from_bytes(rest)?;
+        match head {
+            SrudpHead::Data { src_key, msg_id, idx, count } => {
+                self.on_data(now, src_key, from_ep, msg_id, idx, count, blob, None)
             }
-            KIND_SACK => {
-                let src_key = dec.get_u64()?;
-                let msg_id = dec.get_u64()?;
-                let done = dec.get_bool()?;
-                let bitmap = dec.get_bytes()?;
-                self.on_sack(now, src_key, from_ep, msg_id, done, &bitmap);
+            // A share's count follows from its coding parameters.
+            SrudpHead::Fec { src_key, msg_id, idx, meta } => {
+                if !(2..=fec::MAX_B).contains(&(meta.b as usize)) {
+                    return Err(SnipeError::Protocol(format!("unacceptable FEC b {}", meta.b)));
+                }
+                if meta.msg_len == 0 {
+                    return Err(SnipeError::Protocol("zero-length FEC message".into()));
+                }
+                let count = 2 * meta.b as u32 - 1;
+                self.on_data(now, src_key, from_ep, msg_id, idx, count, blob, Some(meta))
+            }
+            SrudpHead::Sack { src_key, msg_id, done } => {
+                self.on_sack(now, src_key, from_ep, msg_id, done, &blob);
                 Ok(())
             }
-            k => Err(SnipeError::Protocol(format!("unknown SRUDP kind {k}"))),
         }
     }
 
@@ -762,10 +797,7 @@ impl Srudp {
         bitmap: Option<&[u8]>,
     ) {
         let mut enc = Encoder::new();
-        enc.put_u8(KIND_SACK);
-        enc.put_u64(my_key);
-        enc.put_u64(msg_id);
-        enc.put_bool(bitmap.is_none());
+        SrudpHead::Sack { src_key: my_key, msg_id, done: bitmap.is_none() }.encode(&mut enc);
         enc.put_bytes(bitmap.unwrap_or_default());
         stats.sacks_sent += 1;
         out.push(Out::Send { to, via: None, spray: None, bytes: enc.finish() });
@@ -834,55 +866,30 @@ impl Srudp {
     /// import every unacked fragment is eligible for retransmission,
     /// and receivers deduplicate, so nothing is lost (§5.6).
     pub fn export_state(&self) -> Bytes {
-        let mut e = Encoder::new();
-        e.put_u64(self.my_key);
-        let keys = self.peer_keys();
-        e.put_u32(keys.len() as u32);
-        for k in keys {
-            let p = &self.peers[&k];
-            e.put_u64(k);
-            match self.locations.get(&k) {
-                Some(ep) => {
-                    e.put_bool(true);
-                    e.put_u32(ep.host.0);
-                    e.put_u16(ep.port);
-                }
-                None => e.put_bool(false),
+        let peers = self.peer_keys().into_iter().map(|key| {
+            let p = &self.peers[&key];
+            let queue = p.queue.iter().map(|m| QueuedSnapshot {
+                msg_id: m.msg_id,
+                fec: m.fec,
+                frags: m.acked.iter().copied().zip(m.frags.iter().cloned()).collect(),
+            });
+            let partials = p.reasm.export().into_iter().map(|(msg_id, frags)| PartialSnapshot {
+                msg_id,
+                bitmap_count: frags.len() as u32,
+                fec: p.reasm.note(msg_id).and_then(|note| note.fec),
+                frags,
+            });
+            PeerSnapshot {
+                key,
+                location: self.locations.get(&key).copied(),
+                next_msg_id: p.next_msg_id,
+                queue: queue.collect(),
+                next_deliver: p.next_deliver,
+                held: p.held.clone(),
+                partials: partials.collect(),
             }
-            e.put_u64(p.next_msg_id);
-            // Sender queue.
-            e.put_u32(p.queue.len() as u32);
-            for m in &p.queue {
-                e.put_u64(m.msg_id);
-                m.fec.encode(&mut e);
-                e.put_u32(m.frags.len() as u32);
-                for (i, f) in m.frags.iter().enumerate() {
-                    e.put_bool(m.acked[i]);
-                    e.put_bytes(f);
-                }
-            }
-            // Receiver state.
-            e.put_u64(p.next_deliver);
-            e.put_u32(p.held.len() as u32);
-            for (id, msg) in &p.held {
-                e.put_u64(*id);
-                e.put_bytes(msg);
-            }
-            let partials = p.reasm.export();
-            e.put_u32(partials.len() as u32);
-            for (id, frags) in partials {
-                e.put_u64(id);
-                // The fragment count, twice: once for the bitmap size,
-                // once as the length of the vector that follows.
-                e.put_u32(frags.len() as u32);
-                p.reasm.note(id).and_then(|note| note.fec).encode(&mut e);
-                e.put_u32(frags.len() as u32);
-                for f in frags {
-                    f.encode(&mut e);
-                }
-            }
-        }
-        e.finish()
+        });
+        SrudpSnapshot { my_key: self.my_key, peers: peers.collect() }.encode_to_bytes()
     }
 
     /// Restore exported state into a fresh endpoint with the given
@@ -890,82 +897,33 @@ impl Srudp {
     /// eviction TTL on the new host). The transmit cursors are reset
     /// so every unacked fragment is retransmitted.
     pub fn import_state(bytes: Bytes, cfg: SrudpConfig, now: SimTime) -> SnipeResult<Srudp> {
-        let mut d = Decoder::new(bytes);
-        let my_key = d.get_u64()?;
-        let mut s = Srudp::new(my_key, cfg);
-        let n_peers = d.get_u32()? as usize;
-        for _ in 0..n_peers {
-            let k = d.get_u64()?;
-            if d.get_bool()? {
-                let host = d.get_u32()?;
-                let port = d.get_u16()?;
-                s.locations.insert(k, Endpoint::new(snipe_util::id::HostId(host), port));
+        let snapshot = SrudpSnapshot::decode_from_bytes(bytes)?;
+        let mut s = Srudp::new(snapshot.my_key, cfg);
+        for p in snapshot.peers {
+            if let Some(ep) = p.location {
+                s.locations.insert(p.key, ep);
             }
             let mut peer = Peer::new(&s.cfg);
-            peer.next_msg_id = d.get_u64()?;
-            let n_msgs = d.get_u32()? as usize;
-            for _ in 0..n_msgs {
-                let msg_id = d.get_u64()?;
-                let fec = Option::<FecMeta>::decode(&mut d)?;
-                let n_frags = d.get_u32()? as usize;
-                // Every fragment costs ≥ 1 encoded byte, so a count
-                // beyond the remaining payload is corrupt — reject it
-                // before it sizes any allocation.
-                if n_frags > d.remaining() {
-                    return Err(SnipeError::Codec(format!(
-                        "fragment count {n_frags} exceeds payload"
-                    )));
-                }
-                let mut frags = Vec::with_capacity(n_frags);
-                let mut acked = Vec::with_capacity(n_frags);
-                let mut acked_count = 0;
-                for _ in 0..n_frags {
-                    let a = d.get_bool()?;
-                    acked.push(a);
-                    if a {
-                        acked_count += 1;
-                    }
-                    frags.push(d.get_bytes()?);
-                }
-                let m = OutMsg { msg_id, frags, acked, acked_count, next_tx: 0, fec };
+            peer.next_msg_id = p.next_msg_id;
+            for q in p.queue {
+                let (acked, frags): (Vec<bool>, Vec<Bytes>) = q.frags.into_iter().unzip();
+                let acked_count = acked.iter().filter(|&&a| a).count();
+                let m =
+                    OutMsg { msg_id: q.msg_id, frags, acked, acked_count, next_tx: 0, fec: q.fec };
                 peer.backlog_bytes += m.unacked_bytes();
                 peer.queue.push_back(m);
             }
-            peer.next_deliver = d.get_u64()?;
-            let n_held = d.get_u32()? as usize;
-            for _ in 0..n_held {
-                let id = d.get_u64()?;
-                peer.held.insert(id, d.get_bytes()?);
+            peer.next_deliver = p.next_deliver;
+            peer.held = p.held;
+            for part in p.partials {
+                let note = InMsg { unsacked: 0, fec: part.fec };
+                peer.reasm.import(now, part.msg_id, part.frags, note);
             }
-            let n_partials = d.get_u32()? as usize;
-            if n_partials > d.remaining() {
-                return Err(SnipeError::Codec(format!(
-                    "partial count {n_partials} exceeds payload"
-                )));
+            if peer.reasm.in_progress() > 0 {
+                s.timers.insert((TimerKind::Evict, p.key), now + REASM_TTL, ());
             }
-            for _ in 0..n_partials {
-                let id = d.get_u64()?;
-                let _bitmap_count = d.get_u32()?; // the vector below has its own length
-                let fec = Option::<FecMeta>::decode(&mut d)?;
-                let n = d.get_u32()? as usize;
-                if n > d.remaining() {
-                    return Err(SnipeError::Codec(format!(
-                        "partial fragment count {n} exceeds payload"
-                    )));
-                }
-                let mut frags = Vec::with_capacity(n);
-                for _ in 0..n {
-                    frags.push(Option::<Bytes>::decode(&mut d)?);
-                }
-                peer.reasm.import(now, id, frags, InMsg { unsacked: 0, fec });
-            }
-            let arm_evict = peer.reasm.in_progress() > 0;
-            s.peers.insert(k, peer);
-            if arm_evict {
-                s.timers.insert((TimerKind::Evict, k), now + REASM_TTL, ());
-            }
+            s.peers.insert(p.key, peer);
         }
-        d.expect_end()?;
         Ok(s)
     }
 
@@ -1386,7 +1344,7 @@ mod tests {
     fn malformed_packet_rejected() {
         let mut a = Srudp::new(1, SrudpConfig::default());
         let err = a.on_packet(SimTime::ZERO, ep(1, 5), Bytes::from_static(&[42])).unwrap_err();
-        assert_eq!(err.kind(), "protocol");
+        assert!(err.to_string().contains("unknown SrudpHead tag 42"), "{err}");
         assert!(a.on_packet(SimTime::ZERO, ep(1, 5), Bytes::new()).is_err());
     }
 
@@ -1566,29 +1524,28 @@ mod migration_tests {
         .is_err());
     }
 
+    /// A datagram body: `head`, then `blob` (fragment or SACK bitmap).
+    fn datagram(head: SrudpHead, blob: &[u8]) -> Bytes {
+        let mut e = Encoder::new();
+        head.encode(&mut e);
+        e.put_bytes(blob);
+        e.finish()
+    }
+
+    /// Plain fragment `idx` of `count` of message `msg_id` from key 1.
+    fn data(msg_id: u64, idx: u32, count: u32, payload: &[u8]) -> Bytes {
+        datagram(SrudpHead::Data { src_key: 1, msg_id, idx, count }, payload)
+    }
+
     #[test]
     fn hostile_frag_count_rejected_without_allocating() {
         let mut b = Srudp::new(2, SrudpConfig::default());
-        // Handcraft a DATA header claiming u32::MAX fragments; accepting
-        // it would size a multi-gigabyte reassembly buffer.
-        let mut e = Encoder::new();
-        e.put_u8(KIND_DATA);
-        e.put_u64(1); // src key
-        e.put_u64(0); // msg id
-        e.put_u32(0); // frag idx
-        e.put_u32(u32::MAX); // frag count
-        e.put_bytes(b"x");
-        let err = b.on_packet(SimTime::ZERO, ep(0, 5), e.finish()).unwrap_err();
+        // A DATA header claiming u32::MAX fragments; accepting it would
+        // size a multi-gigabyte reassembly buffer.
+        let err = b.on_packet(SimTime::ZERO, ep(0, 5), data(0, 0, u32::MAX, b"x")).unwrap_err();
         assert_eq!(err.kind(), "protocol");
         // Zero is equally corrupt (every message has ≥ 1 fragment).
-        let mut e = Encoder::new();
-        e.put_u8(KIND_DATA);
-        e.put_u64(1);
-        e.put_u64(0);
-        e.put_u32(0);
-        e.put_u32(0);
-        e.put_bytes(b"x");
-        assert!(b.on_packet(SimTime::ZERO, ep(0, 5), e.finish()).is_err());
+        assert!(b.on_packet(SimTime::ZERO, ep(0, 5), data(0, 0, 0, b"x")).is_err());
     }
 
     #[test]
@@ -1603,12 +1560,13 @@ mod migration_tests {
         e.put_u64(0); // next_msg_id
         e.put_u32(1); // one queued message
         e.put_u64(0); // msg id
-        e.put_u32(u32::MAX); // n_frags: hostile
+        e.put_bool(false); // no FEC parameters
+        e.put_u32(u32::MAX); // fragment count: hostile
         let err = match Srudp::import_state(e.finish(), SrudpConfig::default(), SimTime::ZERO) {
             Ok(_) => panic!("hostile checkpoint accepted"),
             Err(e) => e,
         };
-        assert_eq!(err.kind(), "codec");
+        assert!(err.to_string().contains("count 4294967295 exceeds"), "{err}");
     }
 
     fn fec_cfg() -> SrudpConfig {
@@ -1740,16 +1698,8 @@ mod migration_tests {
     fn fec_meta_mismatch_is_a_protocol_error() {
         let mut b = Srudp::new(2, SrudpConfig::default());
         let share = |checksum: u32| {
-            let mut e = Encoder::new();
-            e.put_u8(KIND_FEC);
-            e.put_u64(1); // src key
-            e.put_u64(0); // msg id
-            e.put_u32(0); // share idx
-            e.put_u8(3); // b
-            e.put_u32(100); // msg_len
-            e.put_u32(checksum);
-            e.put_bytes(b"abc");
-            e.finish()
+            let meta = FecMeta { b: 3, msg_len: 100, checksum };
+            datagram(SrudpHead::Fec { src_key: 1, msg_id: 0, idx: 0, meta }, b"abc")
         };
         b.on_packet(SimTime::ZERO, ep(0, 5), share(7)).unwrap();
         // Same message, contradictory metadata: hostile or corrupted.
@@ -1764,14 +1714,8 @@ mod migration_tests {
         let mut b = Srudp::new(2, SrudpConfig::default());
         let total = 3 * crate::frag::MAX_PARTIAL_MSGS as u64;
         for id in 0..total {
-            let mut e = Encoder::new();
-            e.put_u8(KIND_DATA);
-            e.put_u64(1);
-            e.put_u64(id);
-            e.put_u32(0);
-            e.put_u32(2);
-            e.put_bytes(b"never completes");
-            b.on_packet(SimTime::from_nanos(id), ep(0, 5), e.finish()).unwrap();
+            b.on_packet(SimTime::from_nanos(id), ep(0, 5), data(id, 0, 2, b"never completes"))
+                .unwrap();
         }
         let peer = &b.peers[&1];
         assert!(peer.reasm.in_progress() <= crate::frag::MAX_PARTIAL_MSGS);
@@ -1781,14 +1725,7 @@ mod migration_tests {
     #[test]
     fn stale_partials_are_swept_by_virtual_time() {
         let mut b = Srudp::new(2, SrudpConfig::default());
-        let mut e = Encoder::new();
-        e.put_u8(KIND_DATA);
-        e.put_u64(1);
-        e.put_u64(0);
-        e.put_u32(0);
-        e.put_u32(2);
-        e.put_bytes(b"half");
-        b.on_packet(SimTime::ZERO, ep(0, 5), e.finish()).unwrap();
+        b.on_packet(SimTime::ZERO, ep(0, 5), data(0, 0, 2, b"half")).unwrap();
         b.drain();
         assert_eq!(b.peers[&1].reasm.in_progress(), 1);
         assert!(b.next_deadline().is_some(), "evict sweep must be armed");

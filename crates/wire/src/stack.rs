@@ -27,10 +27,11 @@ use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, TraceKind};
-use snipe_util::codec::{Decoder, Encoder};
+use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::id::NetId;
 use snipe_util::time::{SimDuration, SimTime};
+use snipe_util::wire_codec;
 
 use crate::driver::Driver;
 use crate::frame::{open_classified, seal, FrameError, Proto};
@@ -120,6 +121,15 @@ pub struct WireStack {
     key_scratch: Vec<NodeKey>,
     drops: DecodeDrops,
 }
+
+/// One driver's section of a stack snapshot: its snapshot, keyed by
+/// its protocol.
+struct Section {
+    proto: Proto,
+    state: Bytes,
+}
+
+wire_codec!(struct Section { proto, state });
 
 /// Datagrams the stack rejected, by class: hostile bytes are expected
 /// input on a real wire, so each rejection is counted, never panicked
@@ -518,13 +528,9 @@ impl WireStack {
     /// new host has different interfaces, so routes are re-learned
     /// from RC metadata.
     pub fn export_state(&self) -> Bytes {
-        let mut e = Encoder::new();
-        e.put_u32(self.drivers.len() as u32);
-        for d in &self.drivers {
-            e.put_u8(d.proto().tag());
-            e.put_bytes(&d.export_state());
-        }
-        e.finish()
+        let sections =
+            self.drivers.iter().map(|d| Section { proto: d.proto(), state: d.export_state() });
+        sections.collect::<Vec<_>>().encode_to_bytes()
     }
 
     /// Rebuild a stack from exported state: drivers are registered per
@@ -532,17 +538,11 @@ impl WireStack {
     /// retransmission of everything unacknowledged. Sections for
     /// drivers the new configuration does not register are dropped.
     pub fn import_state(bytes: Bytes, cfg: StackConfig, now: SimTime) -> SnipeResult<WireStack> {
-        let mut d = Decoder::new(bytes);
-        let n = d.get_u32()?;
-        let mut sections: Vec<(Proto, Bytes)> = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let proto = Proto::from_tag(d.get_u8()?)?;
-            sections.push((proto, d.get_bytes()?));
-        }
+        let sections = Vec::<Section>::decode_from_bytes(bytes)?;
         let srudp_bytes = sections
             .iter()
-            .find(|(p, _)| *p == Proto::Srudp)
-            .map(|(_, b)| b.clone())
+            .find(|s| s.proto == Proto::Srudp)
+            .map(|s| s.state.clone())
             .ok_or_else(|| SnipeError::Codec("stack snapshot missing SRUDP section".into()))?;
         let mut srudp = Srudp::import_state(srudp_bytes, cfg.srudp, now)?;
         srudp.retransmit_all(now);
@@ -563,12 +563,12 @@ impl WireStack {
             key_scratch: Vec::new(),
             drops: DecodeDrops::default(),
         };
-        for (proto, payload) in sections {
+        for Section { proto, state } in sections {
             if proto == Proto::Srudp {
                 continue;
             }
             if let Some(i) = stack.driver_index(proto) {
-                stack.drivers[i].import_state(payload, now)?;
+                stack.drivers[i].import_state(state, now)?;
             }
         }
         Ok(stack)
@@ -874,5 +874,16 @@ mod tests {
         // RSTREAM deliberately restores nothing (connections die with
         // the process) but the driver is registered and usable.
         assert!(r.rstream().is_some());
+    }
+
+    /// Four bytes claiming 0xFFFF_FFFF sections once sized a 206 GB
+    /// allocation, which aborts the process; now they are refused.
+    #[test]
+    fn a_forged_section_count_is_an_error_not_an_abort() {
+        let forged = Bytes::from_static(&[0xFF; 4]);
+        let Err(e) = WireStack::import_state(forged, StackConfig::default(), SimTime::ZERO) else {
+            panic!("a forged stack snapshot was accepted");
+        };
+        assert!(e.to_string().contains("count 4294967295 exceeds the 0 bytes left"), "{e}");
     }
 }

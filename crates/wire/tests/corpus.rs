@@ -167,7 +167,7 @@ fn forged_giant_fragment_count_is_rejected_without_allocating() {
     // A single well-checksummed SRUDP DATA header claiming u32::MAX
     // fragments: before the reassembly bound this allocated gigabytes.
     let mut enc = Encoder::with_capacity(64);
-    enc.put_u8(1); // KIND_DATA
+    enc.put_u8(1); // SRUDP Data
     enc.put_u64(77); // src key
     enc.put_u64(0); // msg id
     enc.put_u32(0); // frag idx
@@ -185,7 +185,7 @@ fn forged_out_of_range_fragment_index_does_not_poison_state() {
     // leave a reassembly buffer behind that blocks the real message.
     let make = |idx: u32, count: u32, payload: &[u8]| {
         let mut enc = Encoder::with_capacity(64);
-        enc.put_u8(1); // KIND_DATA
+        enc.put_u8(1); // SRUDP Data
         enc.put_u64(77);
         enc.put_u64(0); // first msg id: FIFO delivery starts here
         enc.put_u32(idx);
@@ -223,10 +223,10 @@ fn oversized_datagrams_are_handled() {
     assert_eq!(b.decode_stats(), DecodeDrops { checksum: 1, ..DecodeDrops::default() });
 }
 
-/// A well-sealed KIND_FEC share with attacker-chosen header fields.
+/// A well-sealed SRUDP Fec share with attacker-chosen header fields.
 fn fec_share(idx: u32, b: u8, msg_len: u32, checksum: u32, payload: &[u8]) -> Bytes {
     let mut enc = Encoder::with_capacity(64 + payload.len());
-    enc.put_u8(3); // KIND_FEC
+    enc.put_u8(3); // SRUDP Fec
     enc.put_u64(77); // src key
     enc.put_u64(0); // msg id
     enc.put_u32(idx);
@@ -304,9 +304,9 @@ fn rstream_ack_beyond_what_was_sent_is_a_counted_driver_drop() {
     let mut a = full_stack(1);
     let peer = ep(1, 5);
     let id = a.rstream_mut().unwrap().connect(SimTime::ZERO, peer);
-    a.on_datagram(SimTime::ZERO, peer, control(2, id, None)).unwrap(); // KIND_SYNACK
+    a.on_datagram(SimTime::ZERO, peer, control(2, id, None)).unwrap(); // RSTREAM SynAck
     a.rstream_mut().unwrap().send_message(SimTime::ZERO, id, b"thirteen bytes").unwrap();
-    let hostile = control(4, id, Some(1 << 40)); // KIND_ACK
+    let hostile = control(4, id, Some(1 << 40)); // RSTREAM Ack
     assert!(a.on_datagram(SimTime::ZERO, peer, hostile).is_err());
     assert_eq!(a.decode_stats(), DecodeDrops { body: 1, ..DecodeDrops::default() });
     assert_eq!(a.decode_drops(), 1);

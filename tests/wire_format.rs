@@ -288,19 +288,6 @@ fn vms() -> (Vm, Vm) {
     (running, trapped)
 }
 
-/// The stack snapshot: a fresh stack with all three drivers.
-fn stack_sample() -> Pin {
-    accepted(
-        WireStack::new(5, stack_cfg()).export_state(),
-        stack_snapshot,
-        concat!(
-            "00000003010000000c000000000000000500000000020000000003000000080000",
-            "000000000000"
-        ),
-        &[],
-    )
-}
-
 fn samples() -> Vec<Pin> {
     let p = every_instr();
     let (srudp_a, srudp_b, srudp) = srudp_scene();
@@ -707,6 +694,16 @@ fn samples() -> Vec<Pin> {
             ),
             &[(8, 1), (35, 0), (47, 1), (65, 1), (91, 5)],
         ),
+        // A fresh stack with all three drivers: SRUDP, RSTREAM, MCAST.
+        accepted(
+            WireStack::new(5, stack_cfg()).export_state(),
+            stack_snapshot,
+            concat!(
+                "00000003010000000c000000000000000500000000020000000003000000080000",
+                "000000000000"
+            ),
+            &[(0, 3)],
+        ),
         accepted(
             mcast_member().export_state(),
             mcast_snapshot,
@@ -789,15 +786,6 @@ fn every_sample_encodes_to_its_pinned_hex() {
     assert!(moved.is_empty(), "{} encodings moved:\n{}", moved.len(), moved.join("\n"));
 }
 
-/// Not yet in the hostile corpus: a forged section count aborts the
-/// process at `WireStack::import_state`.
-#[test]
-fn the_stack_snapshot_is_pinned_and_round_trips() {
-    let p = stack_sample();
-    assert_eq!(hex(&p.bytes), p.hex, "stack snapshot moved");
-    assert_eq!((p.decode)(p.bytes.clone()).unwrap().1, p.bytes);
-}
-
 #[test]
 fn every_sample_round_trips() {
     for p in samples() {
@@ -854,5 +842,5 @@ fn a_forged_sequence_count_is_an_error() {
             forged += 1;
         }
     }
-    assert_eq!(forged, 44, "a sequence count was added or dropped");
+    assert_eq!(forged, 45, "a sequence count was added or dropped");
 }
