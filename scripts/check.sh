@@ -31,18 +31,27 @@ if [ -n "$glue" ]; then
     echo "$glue"
     exit 1
 fi
-# Codec gate: a service-plane message is declared once, as a
-# `snipe_util::wire_codec!` listing next to its type, and an endpoint is
-# encoded by its own `WireEncode` impl. A hand decoder is where tag
-# tables, magic checks and count checks drifted apart (five private
-# endpoint helpers, two migrate-order encoders, a mode byte that read
-# anything but 1 as passive), so its fingerprints may appear only in the
-# codec itself, in `crates/wire` (datagram headers, not tagged
-# messages) and in `crypto/src/sign.rs` (big-integer keys and
-# signatures).
+# Codec gate: a message, a transport header and a migration snapshot
+# are each declared once, as a `snipe_util::wire_codec!` listing next
+# to its type, and an endpoint is encoded by its own `WireEncode` impl.
+# A hand decoder is where tag tables, magic checks and count checks
+# drifted apart (five private endpoint helpers, two migrate-order
+# encoders, a mode byte that read anything but 1 as passive, a stack
+# snapshot whose forged section count aborted the process), so its
+# fingerprints may appear only in the codec itself, in
+# `wire/src/frame.rs` (the envelope and its checksum) and in
+# `crypto/src/sign.rs` (big-integer keys and signatures). Outside test
+# modules, a hand decoder's entry point, a `Decoder` built over raw
+# bytes, belongs to the codec and the envelope alone.
 codec=$(
     grep -rnE --include='*.rs' 'fn (put|get)_(ep|endpoint)\b|!= MAGIC|impl WireDecode for' crates/*/src |
-        grep -v -e '^crates/util/src/codec\.rs:' -e '^crates/wire/' -e '^crates/crypto/src/sign\.rs:' || true
+        grep -v -e '^crates/util/src/codec\.rs:' -e '^crates/wire/src/frame\.rs:' \
+            -e '^crates/crypto/src/sign\.rs:' || true
+    find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        !in_test && /Decoder::new\(/ { print FILENAME ":" FNR ":" $0 }
+    ' | grep -v -e '^crates/util/src/codec\.rs:' -e '^crates/wire/src/frame\.rs:' || true
 )
 if [ -n "$codec" ]; then
     echo "codec gate: FAIL — list the message in a snipe_util::wire_codec! instead:"
