@@ -18,9 +18,9 @@
 //! * emitted actions are collected via [`Driver::drain`], with `Send`
 //!   bodies sealed under the driver's [`Proto`] tag and routed through
 //!   the stack's [`PathSelector`](crate::path::PathSelector);
-//! * migration snapshots concatenate each driver's
-//!   [`Driver::export_state`] under its protocol tag, so a restored
-//!   stack can hand each section back to the matching driver.
+//! * a stack's migration snapshot is a list of sections, each a
+//!   driver's [`Driver::export_state`] keyed by its [`Proto`], so a
+//!   restored stack can hand each section back to the matching driver.
 //!
 //! `on_timer` must tolerate early or spurious firing (re-check your
 //! own state, reschedule if nothing is due): that is what lets the
@@ -60,13 +60,17 @@ pub trait Driver: Any + Send {
     /// unsealed; the stack adds the envelope and route.
     fn drain(&mut self) -> Vec<Out>;
 
-    /// Serialize migratable state (paired with [`Driver::import_state`]).
+    /// Serialize migratable state (paired with [`Driver::import_state`]),
+    /// declared as a `snipe_util::wire_codec!` listing like every other
+    /// format on the wire.
     fn export_state(&self) -> Bytes;
 
     /// Restore state exported by a previous incarnation and kick any
     /// recovery work (retransmits) as of `now`. Drivers that
     /// deliberately do not survive migration (Rstream: connections die
-    /// with the process, the E5 contrast case) restore nothing.
+    /// with the process, the E5 contrast case) restore nothing. The
+    /// bytes may come off the network (a daemon `SpawnReq`), so any
+    /// input yields a value or an error, never a panic.
     fn import_state(&mut self, bytes: Bytes, now: SimTime) -> SnipeResult<()>;
 
     /// True when nothing is buffered, unacked, or scheduled.
