@@ -96,7 +96,8 @@ artefacts+=("corpus($(wc -l <<<"$corpus")) corpus.out")
 
 # E4-sharded prints wall-clock milliseconds: keep every column but that.
 for side in base head; do
-    awk -F'|' -v OFS='|' 'NF > 4 { $5 = "" } { print }' "$out/$side/results/e4_shard.txt" \
+    table=$out/$side/results/e4_shard.txt
+    [ ! -f "$table" ] || awk -F'|' -v OFS='|' 'NF > 4 { $5 = "" } { print }' "$table" \
         >"$out/$side/e4-shard.txt"
 done
 
@@ -104,12 +105,18 @@ moved=0
 for row in "${artefacts[@]}"; do
     read -r name file <<<"$row"
     b=$out/base/$file h=$out/head/$file
-    if [ -f "$b" ] && [ -f "$h" ] && cmp -s "$b" "$h"; then
+    if [ ! -f "$b" ] || [ ! -f "$h" ]; then
+        moved=1
+        printf '%-22s moved: no %s on one side\n' "$name" "$file"
+    elif cmp -s "$b" "$h"; then
         printf '%-22s same\n' "$name"
     else
         moved=1
-        first=$(diff "$b" "$h" 2>&1 | grep -m1 -e '^[<>]' -e 'No such file' || true)
-        printf '%-22s moved %s\n' "$name" "$first"
+        # `cmp` names the first differing line (or where one side ends).
+        n=$(cmp "$b" "$h" 2>&1 | grep -o 'line [0-9]*' | cut -d' ' -f2 || true)
+        first=$(sed -n "${n:-1}p" "$h")
+        [ -n "$first" ] || first="(head ends; base has: $(sed -n "${n:-1}p" "$b"))"
+        printf '%-22s moved at line %s: %s\n' "$name" "${n:-?}" "$first"
     fi
 done
 exit $moved
