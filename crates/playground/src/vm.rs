@@ -374,9 +374,14 @@ impl Vm {
         self.encode_to_bytes()
     }
 
-    /// Restore a machine from a checkpoint.
+    /// Restore a machine from a checkpoint. A checkpoint can arrive
+    /// over the network with a migrating agent, so its code is held to
+    /// [`Program::verify_static`], which [`Vm::step`] relies on.
     pub fn restore(bytes: bytes::Bytes) -> SnipeResult<Vm> {
-        Vm::decode_from_bytes(bytes)
+        let vm = Vm::decode_from_bytes(bytes)?;
+        let locals = u16::try_from(vm.locals.len()).unwrap_or(u16::MAX);
+        Program { code: vm.code.clone(), locals, required_caps: 0 }.verify_static()?;
+        Ok(vm)
     }
 }
 
@@ -597,6 +602,14 @@ mod tests {
         assert_eq!(restored.run_slice(100_000, &mut host), StepOutcome::Halted);
         assert_eq!(restored.outputs, reference.outputs);
         assert_eq!(restored.fuel_left(), reference.fuel_left());
+    }
+
+    #[test]
+    fn a_checkpoint_naming_a_missing_local_is_refused() {
+        let p = Program { code: vec![Instr::Load(3)], locals: 1, required_caps: 0 };
+        let vm = Vm::new(&p, 0, Quotas::default());
+        let err = Vm::restore(vm.checkpoint()).unwrap_err();
+        assert!(err.to_string().contains("local 3 out of range (1)"), "{err}");
     }
 
     #[test]

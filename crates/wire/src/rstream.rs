@@ -729,7 +729,7 @@ mod tests {
         let mut a = Rstream::new(cfg, 1);
         let id = a.connect(SimTime::ZERO, ep(1, 5));
         // SYN+SYNACK never happen; force establishment to test data path.
-        a.on_packet(SimTime::ZERO, ep(1, 5), control(RstreamHead::SynAck(id))).unwrap();
+        a.on_packet(SimTime::ZERO, ep(1, 5), RstreamHead::SynAck(id).encode_to_bytes()).unwrap();
         a.send_message(SimTime::ZERO, id, b"into the void").unwrap();
         a.drain();
         let mut now = SimTime::ZERO;
@@ -767,28 +767,28 @@ mod tests {
         assert!(err.unwrap_err().to_string().contains("unknown RstreamHead tag 99"));
     }
 
-    fn control(head: RstreamHead) -> Bytes {
-        head.encode_to_bytes()
-    }
-
     #[test]
     fn ack_beyond_what_was_sent_is_a_protocol_error() {
         let mut a = Rstream::new(RstreamConfig::default(), 1);
         let id = a.connect(SimTime::ZERO, ep(1, 5));
-        a.on_packet(SimTime::ZERO, ep(1, 5), control(RstreamHead::SynAck(id))).unwrap();
+        a.on_packet(SimTime::ZERO, ep(1, 5), RstreamHead::SynAck(id).encode_to_bytes()).unwrap();
         a.send_message(SimTime::ZERO, id, b"thirteen bytes").unwrap();
         let sent = a.unacked_bytes(id);
         // A well-formed ACK for bytes never transmitted (a hostile peer,
         // or a restarted one re-using the connection id).
-        let err =
-            a.on_packet(SimTime::ZERO, ep(1, 5), control(RstreamHead::Ack { id, cum: 1 << 40 }));
+        let err = a.on_packet(
+            SimTime::ZERO,
+            ep(1, 5),
+            RstreamHead::Ack { id, cum: 1 << 40 }.encode_to_bytes(),
+        );
         assert_eq!(err.unwrap_err().kind(), "protocol");
         assert_eq!(a.unacked_bytes(id), sent, "nothing was acknowledged");
         // The connection still works: the window arithmetic is intact
         // and the genuine ACK is taken.
         a.send_message(SimTime::ZERO, id, b"more").unwrap();
         let all = a.unacked_bytes(id) as u64;
-        a.on_packet(SimTime::ZERO, ep(1, 5), control(RstreamHead::Ack { id, cum: all })).unwrap();
+        a.on_packet(SimTime::ZERO, ep(1, 5), RstreamHead::Ack { id, cum: all }.encode_to_bytes())
+            .unwrap();
         assert_eq!(a.unacked_bytes(id), 0);
     }
 }
