@@ -876,8 +876,9 @@ mod tests {
         assert!(r.rstream().is_some());
     }
 
-    /// Four bytes claiming 0xFFFF_FFFF sections once sized a 206 GB
-    /// allocation, which aborts the process; now they are refused.
+    /// A forged section count is refused before anything is sized for
+    /// it: room for 0xFFFF_FFFF sections is 206 GB, and a failed
+    /// allocation aborts the process rather than returning an error.
     #[test]
     fn a_forged_section_count_is_an_error_not_an_abort() {
         let forged = Bytes::from_static(&[0xFF; 4]);
