@@ -60,9 +60,11 @@ impl Bytes {
         Bytes { repr: Repr::Static(s), start: 0, end: s.len() }
     }
 
-    /// Copy a slice into a new shared buffer.
+    /// Copy a slice into a new shared buffer: one allocation of
+    /// exactly `s.len()` bytes (plus the reference counts) and one copy,
+    /// as in the real crate.
     pub fn copy_from_slice(s: &[u8]) -> Bytes {
-        Bytes::from(s.to_vec())
+        Bytes { repr: Repr::Shared(Arc::from(s)), start: 0, end: s.len() }
     }
 
     /// Length in bytes.
@@ -304,9 +306,9 @@ pub struct BytesMut {
 }
 
 impl BytesMut {
-    /// Empty buffer.
+    /// Empty buffer (no allocation).
     #[inline]
-    pub fn new() -> BytesMut {
+    pub const fn new() -> BytesMut {
         BytesMut { buf: Vec::new(), read: 0 }
     }
 
@@ -331,6 +333,12 @@ impl BytesMut {
     /// Append a slice.
     pub fn extend_from_slice(&mut self, s: &[u8]) {
         self.buf.extend_from_slice(s);
+    }
+
+    /// Empty the buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.read = 0;
     }
 
     /// Reserve space for at least `additional` more bytes.

@@ -39,6 +39,7 @@
 //! reused and a field never moves; new fields and variants are appended.
 //! DESIGN.md ("Wire formats") tables the magic bytes in use.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -52,13 +53,19 @@ use crate::id::HostId;
 pub const MAX_FIELD_LEN: usize = 64 << 20; // 64 MiB
 
 /// Streaming encoder over a growable buffer.
+///
+/// An encoder may be kept and reused: [`Encoder::clear`] empties it
+/// without giving its capacity back, [`Encoder::as_slice`] reads back
+/// what it holds, and [`encode_with`] copies that out. This is how a
+/// datagram costs one allocation (`snipe_wire::frame`).
+#[derive(Debug)]
 pub struct Encoder {
     buf: BytesMut,
 }
 
 impl Encoder {
-    /// Fresh empty encoder.
-    pub fn new() -> Self {
+    /// Fresh empty encoder (no allocation until the first write).
+    pub const fn new() -> Self {
         Encoder { buf: BytesMut::new() }
     }
 
@@ -80,6 +87,17 @@ impl Encoder {
     /// Finish, yielding the encoded bytes.
     pub fn finish(self) -> Bytes {
         self.buf.freeze()
+    }
+
+    /// Forget everything written, keeping the capacity for the next
+    /// value.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// The bytes written since the last [`Encoder::clear`].
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Write a single byte.
@@ -257,12 +275,34 @@ pub trait WireEncode {
     /// Append this value to the encoder.
     fn encode(&self, enc: &mut Encoder);
 
-    /// Convenience: encode standalone into bytes.
+    /// Convenience: encode standalone into bytes (one exact-size
+    /// allocation, see [`encode_with`]).
     fn encode_to_bytes(&self) -> Bytes {
-        let mut enc = Encoder::new();
-        self.encode(&mut enc);
-        enc.finish()
+        encode_with(|enc| self.encode(enc))
     }
+}
+
+thread_local! {
+    /// The encoder [`encode_with`] lends out, kept at the capacity of
+    /// the largest value its thread has encoded.
+    static SCRATCH: Cell<Encoder> = const { Cell::new(Encoder::new()) };
+}
+
+/// Run `write` on a cleared scratch encoder and copy what it wrote into
+/// a new [`Bytes`]: one allocation of exactly the encoded length, with
+/// no growth steps and no second copy. The scratch is taken out of its
+/// thread-local cell for the call and put back after it, so a nested
+/// call (an `encode` that itself calls `encode_to_bytes`) finds the
+/// cell empty, works in a fresh encoder and stays correct.
+pub fn encode_with(write: impl FnOnce(&mut Encoder)) -> Bytes {
+    SCRATCH.with(|cell| {
+        let mut enc = cell.take();
+        enc.clear();
+        write(&mut enc);
+        let bytes = Bytes::copy_from_slice(enc.as_slice());
+        cell.set(enc);
+        bytes
+    })
 }
 
 /// Types decodable from the canonical wire format.
@@ -626,6 +666,35 @@ mod tests {
         let err = decode_seq::<u8>(&mut d).unwrap_err();
         assert!(err.to_string().contains("count 1000 exceeds the 8 bytes left"), "{err}");
         assert_eq!(d.remaining(), 8, "elements were read for a forged count");
+    }
+
+    #[test]
+    fn a_cleared_encoder_reads_back_only_the_new_value() {
+        let mut e = Encoder::new();
+        e.put_u64(u64::MAX);
+        e.clear();
+        assert!(e.is_empty());
+        e.put_u16(0x0102);
+        assert_eq!(e.as_slice(), &[1, 2]);
+    }
+
+    /// A value whose encoding nests another standalone encoding.
+    struct Nested(u32);
+
+    impl WireEncode for Nested {
+        fn encode(&self, enc: &mut Encoder) {
+            enc.put_u8(0xAA);
+            enc.put_bytes(&self.0.encode_to_bytes());
+            enc.put_u8(0xBB);
+        }
+    }
+
+    #[test]
+    fn nested_encode_to_bytes_is_correct() {
+        let bytes = Nested(0x0102_0304).encode_to_bytes();
+        assert_eq!(&bytes[..], &[0xAA, 0, 0, 0, 4, 1, 2, 3, 4, 0xBB]);
+        // The scratch is back and clean for the next caller.
+        assert_eq!(&7u8.encode_to_bytes()[..], &[7]);
     }
 
     #[test]

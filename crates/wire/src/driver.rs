@@ -15,9 +15,18 @@
 //!   [`Deadlines`](snipe_util::deadlines::Deadlines) table); its host
 //!   ([`StackHost`](crate::host::StackHost)) keeps one wake-up armed
 //!   for that instant and the stack fans [`Driver::on_timer`] back out;
-//! * emitted actions are collected via [`Driver::drain`], with `Send`
-//!   bodies sealed under the driver's [`Proto`] tag and routed through
-//!   the stack's [`PathSelector`](crate::path::PathSelector);
+//! * emitted actions are collected via [`Driver::drain_into`]. A
+//!   driver emits finished datagrams: it seals each under its own
+//!   [`Proto`] tag as it writes it, in the
+//!   [`Outbox`](crate::frame::Outbox) it keeps for life, so a datagram
+//!   costs one allocation and one copy of its payload. The stack only
+//!   pins SRUDP routes through its
+//!   [`PathSelector`](crate::path::PathSelector); it re-encodes nothing;
+//! * the two directions are not symmetric: what a driver drains is
+//!   sealed, but [`Driver::on_datagram`] is handed the *opened* body —
+//!   the stack has already checked the envelope and demultiplexed on
+//!   its tag. A harness that shuttles one driver's output straight into
+//!   another opens each datagram with [`crate::frame::open`] first;
 //! * a stack's migration snapshot is a list of sections, each a
 //!   driver's [`Driver::export_state`] keyed by its [`Proto`], so a
 //!   restored stack can hand each section back to the matching driver.
@@ -46,7 +55,8 @@ pub trait Driver: Any + Send {
     /// The envelope tag this driver speaks; the stack demuxes on it.
     fn proto(&self) -> Proto;
 
-    /// An unsealed datagram body addressed to this driver arrived.
+    /// A datagram addressed to this driver arrived; `body` is what the
+    /// envelope held (tag and checksum already checked and removed).
     fn on_datagram(&mut self, now: SimTime, from: Endpoint, body: Bytes) -> SnipeResult<()>;
 
     /// The stack's timer fired (possibly early or spuriously — this is
@@ -56,9 +66,11 @@ pub trait Driver: Any + Send {
     /// Earliest instant at which this driver wants `on_timer`, if any.
     fn next_deadline(&self) -> Option<SimTime>;
 
-    /// Take this driver's pending output actions. `Send` bodies are
-    /// unsealed; the stack adds the envelope and route.
-    fn drain(&mut self) -> Vec<Out>;
+    /// Move this driver's pending output actions onto the end of
+    /// `into`, keeping the driver's own queue capacity. `Send` bytes are
+    /// sealed datagrams ([`crate::frame::Outbox`]); the stack adds only
+    /// the route.
+    fn drain_into(&mut self, into: &mut Vec<Out>);
 
     /// Serialize migratable state (paired with [`Driver::import_state`]),
     /// declared as a `snipe_util::wire_codec!` listing like every other
@@ -80,4 +92,21 @@ pub trait Driver: Any + Send {
     fn as_any(&self) -> &dyn Any;
     /// Downcast support for the stack's typed accessors.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// Test harness: everything `driver` queued, each datagram opened to
+/// the body a peer driver's `on_datagram` takes.
+#[cfg(test)]
+pub(crate) fn drain_opened(driver: &mut dyn Driver) -> Vec<Out> {
+    let mut outs = Vec::new();
+    driver.drain_into(&mut outs);
+    for o in &mut outs {
+        if let Out::Send { bytes, .. } = o {
+            let (proto, body) =
+                crate::frame::open(bytes.clone()).expect("drivers seal what they send");
+            assert_eq!(proto, driver.proto());
+            *bytes = body;
+        }
+    }
+    outs
 }

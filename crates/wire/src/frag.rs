@@ -14,6 +14,7 @@
 //! its messages, or a loss-burst chaos plan, costs bounded memory.
 
 use bytes::Bytes;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use snipe_util::error::{SnipeError, SnipeResult};
@@ -109,7 +110,7 @@ impl Reassembly {
         self.frags.len()
     }
 
-    /// Indices still missing (for SACK generation).
+    /// Indices still missing.
     pub fn missing(&self) -> Vec<u32> {
         self.frags.iter().enumerate().filter(|(_, f)| f.is_none()).map(|(i, _)| i as u32).collect()
     }
@@ -205,8 +206,13 @@ impl<T: Default> ReassemblySet<T> {
                 self.msgs.remove(&stalest);
             }
         }
-        let (r, _) =
-            self.msgs.entry(msg_id).or_insert_with(|| (Reassembly::new(count), T::default()));
+        let (r, _) = match self.msgs.entry(msg_id) {
+            // Complete on arrival: the buffer would be built, filled,
+            // completed and removed in this call, so it is not built.
+            Entry::Vacant(_) if count == 1 => return Ok(Some(data)),
+            Entry::Vacant(e) => e.insert((Reassembly::new(count), T::default())),
+            Entry::Occupied(e) => e.into_mut(),
+        };
         if r.expected() != count {
             return Err(SnipeError::Protocol(format!(
                 "fragment count changed for msg {msg_id}: {} vs {count}",
@@ -270,9 +276,9 @@ impl<T: Default> ReassemblySet<T> {
         self.msgs.get(&msg_id).map(|(r, _)| r.received()).unwrap_or(0)
     }
 
-    /// Total fragments a message in progress expects.
-    pub fn expected(&self, msg_id: u64) -> Option<usize> {
-        self.msgs.get(&msg_id).map(|(r, _)| r.expected())
+    /// The reassembly buffer of a message in progress.
+    pub fn partial(&self, msg_id: u64) -> Option<&Reassembly> {
+        self.msgs.get(&msg_id).map(|(r, _)| r)
     }
 
     /// The owner's note on a message in progress.
@@ -292,12 +298,6 @@ impl<T: Default> ReassemblySet<T> {
         self.msgs.remove(&msg_id).map(|(r, _)| {
             r.frags.into_iter().enumerate().filter_map(|(i, f)| f.map(|b| (i as u32, b))).collect()
         })
-    }
-
-    /// Fragments still missing for a message (empty if unknown —
-    /// either never seen or already delivered).
-    pub fn missing(&self, msg_id: u64) -> Vec<u32> {
-        self.msgs.get(&msg_id).map(|(r, _)| r.missing()).unwrap_or_default()
     }
 
     /// Number of in-progress messages.
@@ -447,12 +447,27 @@ mod tests {
     }
 
     #[test]
+    fn a_one_fragment_message_completes_without_a_buffer() {
+        let mut set = ReassemblySet::new();
+        let msg = Bytes::from_static(b"whole");
+        let done = set.insert(T0, 4, 0, 1, msg.clone()).unwrap().unwrap();
+        assert_eq!(done.as_ptr(), msg.as_ptr(), "handed back, not copied");
+        assert_eq!(set.in_progress(), 0);
+        // The same id claiming one fragment while a multi-fragment
+        // partial of it is held is still a changed count.
+        set.insert(T0, 5, 0, 3, Bytes::from_static(b"a")).unwrap();
+        let err = set.insert(T0, 5, 0, 1, Bytes::from_static(b"b")).unwrap_err();
+        assert!(err.to_string().contains("fragment count changed"), "{err}");
+        assert_eq!(set.received(5), 1, "the partial is untouched");
+    }
+
+    #[test]
     fn forget_discards_state() {
         let mut set = ReassemblySet::new();
         set.insert(T0, 1, 0, 2, Bytes::new()).unwrap();
         set.forget(1);
         assert_eq!(set.in_progress(), 0);
-        assert!(set.missing(1).is_empty());
+        assert!(set.partial(1).is_none());
     }
 
     #[test]
@@ -478,8 +493,12 @@ mod tests {
         // One more: msg 0 (stalest) makes room.
         set.insert(SimTime::from_nanos(1 << 40), 1 << 40, 0, 2, Bytes::new()).unwrap();
         assert_eq!(set.in_progress(), MAX_PARTIAL_MSGS);
-        assert!(set.missing(0).is_empty(), "stalest entry should have been evicted");
-        assert_eq!(set.missing(1).len(), 1, "fresher entries survive");
+        assert!(set.partial(0).is_none(), "stalest entry should have been evicted");
+        assert_eq!(
+            set.partial(1).map(Reassembly::missing),
+            Some(vec![1]),
+            "fresher entries survive"
+        );
     }
 
     #[test]

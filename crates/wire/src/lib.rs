@@ -23,9 +23,9 @@
 //! implements the [`driver::Driver`] trait, keeps its deadlines in a
 //! [`Deadlines`](snipe_util::deadlines::Deadlines) table, and is
 //! registered with
-//! [`stack::WireStack`] — a thin registry-plus-demux that seals
-//! envelopes, applies [`path::PathSelector`] routing, and glues the
-//! modules together. [`host::StackHost`] is the one adapter that embeds
+//! [`stack::WireStack`] — a thin registry-plus-demux that routes the
+//! datagrams drivers emit already sealed ([`frame::Outbox`]) through
+//! [`path::PathSelector`], and glues the modules together. [`host::StackHost`] is the one adapter that embeds
 //! a stack in a `snipe-netsim` actor.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
 

@@ -25,7 +25,7 @@ use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::error::SnipeResult;
 use snipe_util::wire_codec;
 
-use crate::frame::{seal, Proto};
+use crate::frame::{Outbox, Proto};
 use crate::Out;
 
 /// A multicast group identifier (hash of the group URN; the URN itself
@@ -90,13 +90,26 @@ struct GroupState {
 }
 
 /// The router relay: dedup + fan-out to members and peer routers.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct McastRouter {
     groups: HashMap<GroupId, GroupState>,
+    /// Where relays are sealed, kept for the router's life.
+    relays: Outbox,
     /// Messages relayed (for stats).
     pub relayed: u64,
     /// Duplicates suppressed.
     pub duplicates: u64,
+}
+
+impl Default for McastRouter {
+    fn default() -> McastRouter {
+        McastRouter {
+            groups: HashMap::new(),
+            relays: Outbox::new(Proto::Mcast),
+            relayed: 0,
+            duplicates: 0,
+        }
+    }
 }
 
 impl McastRouter {
@@ -121,8 +134,8 @@ impl McastRouter {
         v
     }
 
-    /// Handle one MCAST packet arriving at this router; emits relays
-    /// into `out`.
+    /// Handle one MCAST packet arriving at this router; appends the
+    /// sealed relays to `out`.
     pub fn on_message(&mut self, msg: McastMsg, out: &mut Vec<Out>) {
         match msg {
             McastMsg::Join { group, member } => {
@@ -148,12 +161,7 @@ impl McastRouter {
                 members.sort();
                 for m in members {
                     let fwd = McastMsg::Data { group, origin, seq, ttl, payload: payload.clone() };
-                    out.push(Out::Send {
-                        to: m,
-                        via: None,
-                        spray: None,
-                        bytes: seal(Proto::Mcast, fwd.encode_to_bytes()),
-                    });
+                    self.relays.send(m, None, |enc| fwd.encode(enc));
                 }
                 // Relay to peer routers while TTL remains.
                 if ttl > 0 {
@@ -167,14 +175,10 @@ impl McastRouter {
                             ttl: ttl - 1,
                             payload: payload.clone(),
                         };
-                        out.push(Out::Send {
-                            to: p,
-                            via: None,
-                            spray: None,
-                            bytes: seal(Proto::Mcast, fwd.encode_to_bytes()),
-                        });
+                        self.relays.send(p, None, |enc| fwd.encode(enc));
                     }
                 }
+                self.relays.drain_into(out);
             }
         }
     }
@@ -187,11 +191,21 @@ impl McastRouter {
 /// datagrams and emits one [`Out::Deliver`] per fresh `(origin, seq)`;
 /// the delivered `msg` is the *encoded* [`McastMsg`] body so consumers
 /// can recover the group id and payload with `McastMsg::decode_from_bytes`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct McastMember {
     seen: HashMap<GroupId, HashSet<(u64, u64)>>,
     next_seq: HashMap<GroupId, u64>,
-    out: Vec<Out>,
+    out: Outbox,
+}
+
+impl Default for McastMember {
+    fn default() -> McastMember {
+        McastMember {
+            seen: HashMap::new(),
+            next_seq: HashMap::new(),
+            out: Outbox::new(Proto::Mcast),
+        }
+    }
 }
 
 impl McastMember {
@@ -232,12 +246,7 @@ impl McastMember {
         let msg = McastMsg::decode_from_bytes(body.clone())?;
         if let McastMsg::Data { group, origin, seq, .. } = msg {
             if self.accept(group, origin, seq, Bytes::new()).is_some() {
-                self.out.push(Out::Deliver {
-                    proto: Proto::Mcast,
-                    from_key: origin,
-                    from_ep: from,
-                    msg: body,
-                });
+                self.out.deliver(origin, from, body);
             }
         }
         Ok(())
@@ -260,7 +269,7 @@ impl McastMember {
         let snapshot = McastSnapshot::decode_from_bytes(bytes)?;
         let seen = snapshot.seen.into_iter().map(|(g, pairs)| (g, pairs.into_iter().collect()));
         let next_seq = snapshot.next_seq.into_iter().collect();
-        Ok(McastMember { seen: seen.collect(), next_seq, out: Vec::new() })
+        Ok(McastMember { seen: seen.collect(), next_seq, ..McastMember::default() })
     }
 }
 
@@ -293,8 +302,8 @@ impl crate::driver::Driver for McastMember {
         None
     }
 
-    fn drain(&mut self) -> Vec<Out> {
-        std::mem::take(&mut self.out)
+    fn drain_into(&mut self, into: &mut Vec<Out>) {
+        self.out.drain_into(into);
     }
 
     fn export_state(&self) -> Bytes {
@@ -438,7 +447,7 @@ mod tests {
         let body = data(7, 42, 0, 3).encode_to_bytes();
         m.on_datagram(ep(1, 5), body.clone()).unwrap();
         m.on_datagram(ep(2, 5), body.clone()).unwrap(); // dup via second router
-        let outs = Driver::drain(&mut m);
+        let outs = crate::driver::drain_opened(&mut m);
         assert_eq!(outs.len(), 1);
         let Out::Deliver { proto, from_key, msg, .. } = &outs[0] else {
             panic!("expected Deliver");
@@ -452,13 +461,12 @@ mod tests {
 
     #[test]
     fn member_driver_ignores_control_messages() {
-        use crate::driver::Driver;
         let mut m = McastMember::new();
         m.on_datagram(ep(1, 5), McastMsg::Join { group: 1, member: ep(9, 9) }.encode_to_bytes())
             .unwrap();
         m.on_datagram(ep(1, 5), McastMsg::Peer { group: 1, router: ep(9, 9) }.encode_to_bytes())
             .unwrap();
-        assert!(Driver::drain(&mut m).is_empty());
+        assert!(crate::driver::drain_opened(&mut m).is_empty());
         assert!(m.on_datagram(ep(1, 5), Bytes::from_static(b"\xff")).is_err());
     }
 

@@ -49,6 +49,11 @@ pub const PENALTY_DECAY: f64 = 0.95;
 /// default initial RTO. Untried routes look mediocre, not perfect.
 pub const UNMEASURED_RTT_SCORE: f64 = 0.100;
 
+/// Candidate counts up to this are ranked in a stack array by
+/// [`PeerPaths::spray_route`]; a peer reachable over more media than
+/// this (none in any topology here) ranks in a heap one.
+const RANK_ON_STACK: usize = 8;
+
 /// Penalties below this are snapped to zero so scores converge exactly.
 const PENALTY_FLOOR: f64 = 1e-6;
 
@@ -330,10 +335,45 @@ impl PeerPaths {
         if n == 0 || k == 0 {
             return Vec::new();
         }
+        let mut order = vec![0; n];
+        self.rank_into(&mut order);
+        order.into_iter().take(k).map(|i| self.candidates[i].net).collect()
+    }
+
+    /// The route share `idx` of a spray over up to `k` distinct routes
+    /// takes: `select_k_distinct(k)[idx % len]`, or `None` when that
+    /// list would be empty. Called per sprayed share, so the ranking is
+    /// built on the stack (for up to eight candidates) by
+    /// the very sort [`Self::select_k_distinct`] runs, and every share
+    /// takes the route it would have taken from the list.
+    pub fn spray_route(&self, k: usize, idx: usize) -> Option<NetId> {
+        let n = self.candidates.len();
+        let m = k.min(n);
+        if m == 0 {
+            return None;
+        }
+        let mut on_stack = [0; RANK_ON_STACK];
+        let mut on_heap = Vec::new();
+        let order = if n <= RANK_ON_STACK {
+            &mut on_stack[..n]
+        } else {
+            on_heap.resize(n, 0);
+            &mut on_heap[..]
+        };
+        self.rank_into(order);
+        Some(self.candidates[order[idx % m]].net)
+    }
+
+    /// Fill `order` (one slot per candidate) with the candidate indices
+    /// in selection-preference order.
+    fn rank_into(&self, order: &mut [usize]) {
+        let n = order.len();
         // Rank candidates the way select() compares them: by score
         // with SCORE_EPSILON-blurred ties broken by cyclic distance
         // from the current route.
-        let mut order: Vec<usize> = (0..n).map(|off| (self.current + off) % n).collect();
+        for (off, slot) in order.iter_mut().enumerate() {
+            *slot = (self.current + off) % n;
+        }
         order.sort_by(|&a, &b| {
             let (sa, sb) = (self.candidates[a].score(), self.candidates[b].score());
             if sa + SCORE_EPSILON < sb {
@@ -348,7 +388,6 @@ impl PeerPaths {
                 da.cmp(&db)
             }
         });
-        order.into_iter().take(k).map(|i| self.candidates[i].net).collect()
     }
 }
 
@@ -427,11 +466,10 @@ impl PathSelector {
         into[start..].sort_unstable();
     }
 
-    /// Iterate every tracked peer key, in sorted (deterministic) order.
-    pub fn keys(&self) -> impl Iterator<Item = NodeKey> + '_ {
-        let mut v: Vec<NodeKey> = self.peers.keys().copied().collect();
-        v.sort_unstable();
-        v.into_iter()
+    /// The smallest tracked key satisfying `pred`: the first match of a
+    /// scan in sorted key order, found without collecting or sorting.
+    pub fn min_key_where(&self, mut pred: impl FnMut(NodeKey) -> bool) -> Option<NodeKey> {
+        self.peers.keys().copied().filter(|&k| pred(k)).min()
     }
 }
 
@@ -568,6 +606,39 @@ mod tests {
         r.rotate();
         // Equal scores: current leads, rank order continues cyclically.
         assert_eq!(r.select_k_distinct(3), vec![n(2), n(3), n(1)]);
+    }
+
+    #[test]
+    fn spray_route_is_the_share_index_into_select_k_distinct() {
+        let mut paths = vec![PeerPaths::unpinned(), PeerPaths::new(vec![n(1)])];
+        let mut r = PeerPaths::new((1..=6).map(n).collect());
+        paths.push(r.clone());
+        r.rotate();
+        r.record_rtt(SimDuration::from_millis(3));
+        r.rotate();
+        paths.push(r.clone());
+        // More media than the stack array holds: ranked on the heap.
+        paths.push(PeerPaths::new((1..=12).map(n).collect()));
+        for p in &paths {
+            for k in 0..6 {
+                let list = p.select_k_distinct(k);
+                for idx in 0..10 {
+                    let want = (!list.is_empty()).then(|| list[idx % list.len()]);
+                    assert_eq!(p.spray_route(k, idx), want, "k {k} idx {idx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn min_key_where_is_the_first_match_in_key_order() {
+        let mut s = PathSelector::new();
+        for key in [40, 7, 19, 3, 88] {
+            s.update(key, vec![]);
+        }
+        assert_eq!(s.min_key_where(|k| k % 2 == 1), Some(3));
+        assert_eq!(s.min_key_where(|k| k > 10), Some(19));
+        assert_eq!(s.min_key_where(|k| k > 100), None);
     }
 
     #[test]

@@ -18,13 +18,13 @@ use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, TraceKind};
-use snipe_util::codec::{Encoder, WireDecode, WireEncode};
+use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_util::wire_codec;
 
-use crate::frame::split_head;
+use crate::frame::{split_head, Outbox, Proto};
 use crate::recovery::{Flight, Rtt, Sent};
 use crate::Out;
 
@@ -158,7 +158,7 @@ pub struct Rstream {
     /// Per-connection RTO deadlines; the only timer source in this
     /// driver. Due together, they fire in connection-id order.
     timers: Deadlines<ConnId>,
-    out: Vec<Out>,
+    out: Outbox,
     stats: RstreamStats,
     next_conn_seed: u64,
 }
@@ -170,7 +170,7 @@ impl Rstream {
             cfg,
             conns: HashMap::new(),
             timers: Deadlines::new(),
-            out: Vec::new(),
+            out: Outbox::new(Proto::Rstream),
             stats: RstreamStats::default(),
             next_conn_seed: seed,
         }
@@ -198,10 +198,8 @@ impl Rstream {
     }
 
     /// A packet with no payload: SYN, SYNACK, ACK or FIN.
-    fn emit_control(out: &mut Vec<Out>, to: Endpoint, head: RstreamHead) {
-        let mut enc = Encoder::new();
-        head.encode(&mut enc);
-        out.push(Out::Send { to, via: None, spray: None, bytes: enc.finish() });
+    fn emit_control(out: &mut Outbox, to: Endpoint, head: RstreamHead) {
+        out.send(to, None, |enc| head.encode(enc));
     }
 
     /// Is the connection established?
@@ -262,20 +260,24 @@ impl Rstream {
         self.timers.next_deadline()
     }
 
-    /// Drain queued output actions.
-    pub fn drain(&mut self) -> Vec<Out> {
-        std::mem::take(&mut self.out)
-    }
-
     /// Put the `len` bytes of `conn`'s send buffer that start at stream
-    /// offset `offset` on the wire as one DATA segment.
-    fn emit_data(out: &mut Vec<Out>, conn: &Conn, id: ConnId, offset: u64, len: usize) {
+    /// offset `offset` on the wire as one DATA segment, copied straight
+    /// out of the ring buffer's two halves into the datagram.
+    fn emit_data(out: &mut Outbox, conn: &Conn, id: ConnId, offset: u64, len: usize) {
         let skip = (offset - conn.snd_una) as usize;
-        let seg: Vec<u8> = conn.snd_buf.iter().skip(skip).take(len).copied().collect();
-        let mut enc = Encoder::with_capacity(len + 24);
-        RstreamHead::Data { id, offset }.encode(&mut enc);
-        enc.put_bytes(&seg);
-        out.push(Out::Send { to: conn.peer, via: None, spray: None, bytes: enc.finish() });
+        let (front, back) = conn.snd_buf.as_slices();
+        let end = (skip + len).min(conn.snd_buf.len());
+        let start = skip.min(end);
+        let split = front.len();
+        let head_part = &front[start.min(split)..end.min(split)];
+        let tail_part = &back[start.max(split) - split..end.max(split) - split];
+        out.send(conn.peer, None, |enc| {
+            RstreamHead::Data { id, offset }.encode(enc);
+            // A length-prefixed blob, as `put_bytes` writes it.
+            enc.put_u32((end - start) as u32);
+            enc.put_raw(head_part);
+            enc.put_raw(tail_part);
+        });
     }
 
     fn pump(&mut self, now: SimTime, id: ConnId) {
@@ -307,7 +309,7 @@ impl Rstream {
     /// goes out twice, for a partial ACK, a fast retransmit and an RTO
     /// alike. The caller has checked that something is outstanding.
     fn retransmit(
-        out: &mut Vec<Out>,
+        out: &mut Outbox,
         stats: &mut RstreamStats,
         mss: usize,
         now: SimTime,
@@ -406,15 +408,10 @@ impl Rstream {
             if conn.rcv_buf.len() < 4 + len {
                 break;
             }
-            let msg = Bytes::from(conn.rcv_buf[4..4 + len].to_vec());
+            let msg = Bytes::copy_from_slice(&conn.rcv_buf[4..4 + len]);
             conn.rcv_buf.drain(..4 + len);
             self.stats.delivered += 1;
-            self.out.push(Out::Deliver {
-                proto: crate::frame::Proto::Rstream,
-                from_key: id,
-                from_ep: peer,
-                msg,
-            });
+            self.out.deliver(id, peer, msg);
         }
     }
 
@@ -532,8 +529,8 @@ impl crate::driver::Driver for Rstream {
         Rstream::next_deadline(self)
     }
 
-    fn drain(&mut self) -> Vec<Out> {
-        Rstream::drain(self)
+    fn drain_into(&mut self, into: &mut Vec<Out>) {
+        self.out.drain_into(into);
     }
 
     /// Connections are endpoint-addressed and deliberately die with
@@ -567,6 +564,7 @@ impl crate::driver::Driver for Rstream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::drain_opened;
     use snipe_util::id::HostId;
 
     fn ep(h: u32, p: u16) -> Endpoint {
@@ -589,7 +587,7 @@ mod tests {
         let mut n = 0usize;
         for _ in 0..steps {
             let mut moved = false;
-            for o in a.drain() {
+            for o in drain_opened(a) {
                 match o {
                     Out::Send { bytes, .. } => {
                         n += 1;
@@ -602,7 +600,7 @@ mod tests {
                     Out::Wake { .. } => {}
                 }
             }
-            for o in b.drain() {
+            for o in drain_opened(b) {
                 match o {
                     Out::Send { bytes, .. } => {
                         n += 1;
@@ -709,7 +707,7 @@ mod tests {
         let id = a.connect(SimTime::ZERO, ep(1, 5));
         let (_, _) = run(&mut a, &mut b, ep(0, 5), ep(1, 5), &mut |_| false, 20);
         a.close(id);
-        for o in a.drain() {
+        for o in drain_opened(&mut a) {
             if let Out::Send { bytes, .. } = o {
                 b.on_packet(SimTime::ZERO, ep(0, 5), bytes).unwrap();
             }
@@ -731,12 +729,12 @@ mod tests {
         // SYN+SYNACK never happen; force establishment to test data path.
         a.on_packet(SimTime::ZERO, ep(1, 5), RstreamHead::SynAck(id).encode_to_bytes()).unwrap();
         a.send_message(SimTime::ZERO, id, b"into the void").unwrap();
-        a.drain();
+        drain_opened(&mut a);
         let mut now = SimTime::ZERO;
         for _ in 0..10 {
             now += SimDuration::from_millis(2);
             a.on_timer(now);
-            a.drain();
+            drain_opened(&mut a);
         }
         assert!(a.is_closed(id));
         assert_eq!(a.stats().aborted, 1);

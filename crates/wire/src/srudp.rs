@@ -16,7 +16,9 @@
 //!
 //! The implementation is sans-IO: [`Srudp::send_message`],
 //! [`Srudp::on_packet`] and [`Srudp::on_timer`] mutate the state
-//! machine and queue [`Out`] actions retrieved with [`Srudp::drain`].
+//! machine and queue [`Out`] actions retrieved with
+//! [`Driver::drain_into`](crate::driver::Driver::drain_into); each DATA
+//! and SACK is sealed as it is written ([`Outbox`]).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -31,8 +33,8 @@ use snipe_util::time::{SimDuration, SimTime};
 use snipe_util::wire_codec;
 
 use crate::fec::{self, FragStrategy};
-use crate::frag::{split, ReassemblySet};
-use crate::frame::split_head;
+use crate::frag::{split, Reassembly, ReassemblySet};
+use crate::frame::{split_head, Outbox, Proto};
 use crate::recovery::{Flight, Rtt, Sent};
 use crate::Out;
 
@@ -112,14 +114,24 @@ fn sack_bit(bitmap: &[u8], idx: usize) -> bool {
     bitmap.get(idx / 8).is_some_and(|byte| byte & (1 << (idx % 8)) != 0)
 }
 
-/// The SACK bitmap of a `count`-fragment message with `missing` still
-/// to come (padding bits in the last byte are set).
-fn sack_bitmap(count: usize, missing: &[u32]) -> Vec<u8> {
-    let mut bitmap = vec![0xFFu8; count.div_ceil(8)];
-    for &m in missing {
-        bitmap[(m / 8) as usize] &= !(1 << (m % 8));
+/// Write the SACK bitmap of partial `r` as a length-prefixed blob: bit
+/// `i % 8` of byte `i / 8` set when fragment `i` has arrived, and the
+/// padding bits of the last byte set. Written straight into the
+/// datagram, so a SACK builds no bitmap of its own.
+fn put_sack_bitmap(enc: &mut Encoder, r: &Reassembly) {
+    let count = r.expected();
+    let len = count.div_ceil(8);
+    enc.put_u32(len as u32);
+    for byte in 0..len {
+        let mut bits = 0xFFu8;
+        for bit in 0..8 {
+            let idx = byte * 8 + bit;
+            if idx < count && !r.has(idx) {
+                bits &= !(1 << bit);
+            }
+        }
+        enc.put_u8(bits);
     }
-    bitmap
 }
 
 /// Erasure-coding parameters of one FEC-framed message, carried in
@@ -345,7 +357,7 @@ pub struct Srudp {
     /// the only timer source in this driver. Due together, they fire
     /// in key order: by kind, then by peer key.
     timers: Deadlines<(TimerKind, NodeKey)>,
-    out: Vec<Out>,
+    out: Outbox,
     stats: SrudpStats,
 }
 
@@ -358,7 +370,7 @@ impl Srudp {
             peers: HashMap::new(),
             locations: HashMap::new(),
             timers: Deadlines::new(),
-            out: Vec::new(),
+            out: Outbox::new(Proto::Srudp),
             stats: SrudpStats::default(),
         }
     }
@@ -506,13 +518,8 @@ impl Srudp {
         self.timers.next_deadline()
     }
 
-    /// Drain pending output actions.
-    pub fn drain(&mut self) -> Vec<Out> {
-        std::mem::take(&mut self.out)
-    }
-
     /// Put fragment `idx` of `m` on the wire.
-    fn emit_data(out: &mut Vec<Out>, my_key: NodeKey, to: Endpoint, m: &OutMsg, idx: usize) {
+    fn emit_data(out: &mut Outbox, my_key: NodeKey, to: Endpoint, m: &OutMsg, idx: usize) {
         let (src_key, msg_id, payload) = (my_key, m.msg_id, &m.frags[idx]);
         let head = match m.fec {
             None => {
@@ -520,13 +527,13 @@ impl Srudp {
             }
             Some(meta) => SrudpHead::Fec { src_key, msg_id, idx: idx as u32, meta },
         };
-        let mut enc = Encoder::with_capacity(payload.len() + 40);
-        head.encode(&mut enc);
-        enc.put_bytes(payload);
         // Shares advertise their index so the stack can spray them
         // across distinct routes; plain fragments route normally.
         let spray = m.fec.map(|_| idx as u32);
-        out.push(Out::Send { to, via: None, spray, bytes: enc.finish() });
+        out.send(to, spray, |enc| {
+            head.encode(enc);
+            enc.put_bytes(payload);
+        });
     }
 
     /// Fill the window toward a peer with untransmitted fragments.
@@ -727,12 +734,7 @@ impl Srudp {
                 peer.held.insert(msg_id, full_msg);
                 // FIFO delivery of any now-in-order messages.
                 while let Some(m) = peer.held.remove(&peer.next_deliver) {
-                    self.out.push(Out::Deliver {
-                        proto: crate::frame::Proto::Srudp,
-                        from_key: src_key,
-                        from_ep,
-                        msg: m,
-                    });
+                    self.out.deliver(src_key, from_ep, m);
                     self.stats.delivered += 1;
                     peer.next_deliver += 1;
                 }
@@ -748,14 +750,13 @@ impl Srudp {
                     note.unsacked = 0;
                     peer.pending_sack = None;
                     self.timers.remove(&(TimerKind::Sack, src_key));
-                    let have = sack_bitmap(frag_count as usize, &peer.reasm.missing(msg_id));
                     Self::emit_sack(
                         &mut self.out,
                         &mut self.stats,
                         self.my_key,
                         from_ep,
                         msg_id,
-                        Some(&have),
+                        peer.reasm.partial(msg_id),
                     );
                 } else if peer.pending_sack.is_none() {
                     peer.pending_sack = Some(msg_id);
@@ -786,21 +787,25 @@ impl Srudp {
         Ok(Bytes::from(decoded))
     }
 
-    /// SACK message `msg_id`: what of it has arrived as a bitmap, or
-    /// "done" when there is none to send because all of it has.
+    /// SACK message `msg_id`: what of its partial has arrived as a
+    /// bitmap, or "done" (and an empty bitmap) when there is no partial
+    /// because all of it has.
     fn emit_sack(
-        out: &mut Vec<Out>,
+        out: &mut Outbox,
         stats: &mut SrudpStats,
         my_key: NodeKey,
         to: Endpoint,
         msg_id: u64,
-        bitmap: Option<&[u8]>,
+        partial: Option<&Reassembly>,
     ) {
-        let mut enc = Encoder::new();
-        SrudpHead::Sack { src_key: my_key, msg_id, done: bitmap.is_none() }.encode(&mut enc);
-        enc.put_bytes(bitmap.unwrap_or_default());
         stats.sacks_sent += 1;
-        out.push(Out::Send { to, via: None, spray: None, bytes: enc.finish() });
+        out.send(to, None, |enc| {
+            SrudpHead::Sack { src_key: my_key, msg_id, done: partial.is_none() }.encode(enc);
+            match partial {
+                Some(r) => put_sack_bitmap(enc, r),
+                None => enc.put_bytes(&[]),
+            }
+        });
     }
 
     fn on_sack(
@@ -990,9 +995,8 @@ impl Srudp {
         if let Some(note) = peer.reasm.note_mut(msg_id) {
             note.unsacked = 0;
         }
-        if let Some(count) = peer.reasm.expected(msg_id) {
-            let have = sack_bitmap(count, &peer.reasm.missing(msg_id));
-            Self::emit_sack(&mut self.out, &mut self.stats, self.my_key, ep, msg_id, Some(&have));
+        if let Some(r) = peer.reasm.partial(msg_id) {
+            Self::emit_sack(&mut self.out, &mut self.stats, self.my_key, ep, msg_id, Some(r));
         }
     }
 
@@ -1059,8 +1063,8 @@ impl crate::driver::Driver for Srudp {
         Srudp::next_deadline(self)
     }
 
-    fn drain(&mut self) -> Vec<Out> {
-        Srudp::drain(self)
+    fn drain_into(&mut self, into: &mut Vec<Out>) {
+        self.out.drain_into(into);
     }
 
     fn export_state(&self) -> Bytes {
@@ -1090,6 +1094,7 @@ impl crate::driver::Driver for Srudp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::drain_opened;
     use snipe_util::id::HostId;
 
     fn ep(h: u32, p: u16) -> Endpoint {
@@ -1112,7 +1117,7 @@ mod tests {
         let mut n = 0usize;
         for _ in 0..steps {
             let mut moved = false;
-            for o in a.drain() {
+            for o in drain_opened(a) {
                 match o {
                     Out::Send { to, bytes, .. } => {
                         moved = true;
@@ -1127,7 +1132,7 @@ mod tests {
                     Out::Wake { .. } => {}
                 }
             }
-            for o in b.drain() {
+            for o in drain_opened(b) {
                 match o {
                     Out::Send { to, bytes, .. } => {
                         moved = true;
@@ -1150,12 +1155,12 @@ mod tests {
             now += SimDuration::from_micros(100);
         }
         // Collect any remaining delivers.
-        for o in a.drain() {
+        for o in drain_opened(a) {
             if let Out::Deliver { msg, .. } = o {
                 got_a.push(msg);
             }
         }
-        for o in b.drain() {
+        for o in drain_opened(b) {
             if let Out::Deliver { msg, .. } = o {
                 got_b.push(msg);
             }
@@ -1243,11 +1248,12 @@ mod tests {
         a.set_peer_endpoint(2, ep(1, 5));
         a.send_message(SimTime::ZERO, 2, Bytes::from_static(b"once")).unwrap();
         // Capture the DATA packet and play it twice.
-        let outs = a.drain();
+        let outs = drain_opened(&mut a);
         let Out::Send { bytes, .. } = &outs[0] else { panic!("expected send") };
         b.on_packet(SimTime::ZERO, ep(0, 5), bytes.clone()).unwrap();
         b.on_packet(SimTime::ZERO, ep(0, 5), bytes.clone()).unwrap();
-        let delivers = b.drain().into_iter().filter(|o| matches!(o, Out::Deliver { .. })).count();
+        let delivers =
+            drain_opened(&mut b).into_iter().filter(|o| matches!(o, Out::Deliver { .. })).count();
         assert_eq!(delivers, 1);
         assert_eq!(b.stats().delivered, 1);
         assert!(b.stats().sacks_sent >= 2, "duplicate must be re-SACKed");
@@ -1262,7 +1268,7 @@ mod tests {
         a.set_peer_endpoint(2, ep(1, 5));
         a.send_message(SimTime::ZERO, 2, Bytes::from_static(b"follow me")).unwrap();
         // Drop everything sent to the old endpoint.
-        for o in a.drain() {
+        for o in drain_opened(&mut a) {
             let Out::Send { to, .. } = o else { continue };
             assert_eq!(to, ep(1, 5));
         }
@@ -1271,7 +1277,7 @@ mod tests {
         a.set_peer_endpoint(2, ep(7, 9));
         let now = SimTime::ZERO + SimDuration::from_millis(20);
         a.on_timer(now);
-        let outs = a.drain();
+        let outs = drain_opened(&mut a);
         assert!(!outs.is_empty(), "RTO must retransmit");
         for o in &outs {
             if let Out::Send { to, bytes, .. } = o {
@@ -1279,8 +1285,7 @@ mod tests {
                 b.on_packet(now, ep(0, 5), bytes.clone()).unwrap();
             }
         }
-        let msgs: Vec<_> = b
-            .drain()
+        let msgs: Vec<_> = drain_opened(&mut b)
             .into_iter()
             .filter_map(|o| match o {
                 Out::Deliver { msg, .. } => Some(msg),
@@ -1307,7 +1312,7 @@ mod tests {
         for _ in 0..10 {
             now += SimDuration::from_millis(2);
             a.on_timer(now);
-            a.drain();
+            drain_opened(&mut a);
         }
         assert_eq!(a.stats().failed, 1);
         assert!(a.quiescent());
@@ -1323,13 +1328,13 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..10 {
             a.send_message(now, 2, Bytes::from(vec![0u8; 100])).unwrap();
-            for o in a.drain() {
+            for o in drain_opened(&mut a) {
                 if let Out::Send { bytes, .. } = o {
                     b.on_packet(now + SimDuration::from_micros(500), ep(0, 5), bytes).unwrap();
                 }
             }
             now += SimDuration::from_millis(1);
-            for o in b.drain() {
+            for o in drain_opened(&mut b) {
                 if let Out::Send { bytes, .. } = o {
                     a.on_packet(now, ep(1, 5), bytes).unwrap();
                 }
@@ -1383,7 +1388,7 @@ mod tests {
         // Black-hole the peer: fire timers until escalation piles up.
         let mut blackholed = 0u32;
         while a.peer_timeouts(2) < 5 {
-            for o in a.drain() {
+            for o in drain_opened(&mut a) {
                 if matches!(o, Out::Send { .. }) {
                     blackholed += 1;
                 }
@@ -1412,13 +1417,13 @@ mod tests {
         a.set_peer_endpoint(2, ep(1, 5));
         let mut now = SimTime::ZERO;
         a.send_message(now, 2, Bytes::from(vec![9u8; 100])).unwrap();
-        let _ = a.drain();
+        let _ = drain_opened(&mut a);
         // 40 unanswered timer rounds: rto doubles each round but must
         // never leave [rto_min, rto_max].
         for _ in 0..40 {
             now += SimDuration::from_millis(5000);
             a.on_timer(now);
-            let _ = a.drain();
+            let _ = drain_opened(&mut a);
             let rto = a.peers[&2].rtt.rto();
             assert!(rto >= cfg.rto_min, "rto {rto} below floor");
             assert!(rto <= cfg.rto_max, "rto {rto} above ceiling");
@@ -1431,6 +1436,7 @@ mod tests {
 mod migration_tests {
     use super::tests::shuttle;
     use super::*;
+    use crate::driver::drain_opened;
     use snipe_util::id::HostId;
 
     fn ep(h: u32, p: u16) -> Endpoint {
@@ -1452,7 +1458,7 @@ mod migration_tests {
         }
         // Deliver only the first few packets to b, drop the rest.
         let mut delivered_packets = 0;
-        for o in a.drain() {
+        for o in drain_opened(&mut a) {
             if let Out::Send { bytes, .. } = o {
                 if delivered_packets < 2 {
                     b.on_packet(SimTime::ZERO, ep(0, 5), bytes).unwrap();
@@ -1460,7 +1466,7 @@ mod migration_tests {
                 }
             }
         }
-        b.drain();
+        drain_opened(&mut b);
         // "Migrate" BOTH endpoints: checkpoint and restore.
         let a2_state = a.export_state();
         let b2_state = b.export_state();
@@ -1475,13 +1481,13 @@ mod migration_tests {
         let mut t = now;
         for _ in 0..500 {
             let mut moved = false;
-            for o in a2.drain() {
+            for o in drain_opened(&mut a2) {
                 if let Out::Send { bytes, .. } = o {
                     moved = true;
                     b2.on_packet(t, ep(0, 5), bytes).unwrap();
                 }
             }
-            for o in b2.drain() {
+            for o in drain_opened(&mut b2) {
                 match o {
                     Out::Send { bytes, .. } => {
                         moved = true;
@@ -1604,7 +1610,7 @@ mod migration_tests {
         let payload = patterned(5 * 1400);
         a.send_message(SimTime::ZERO, 2, payload.clone()).unwrap();
         let mut got = Vec::new();
-        for (i, o) in a.drain().into_iter().enumerate() {
+        for (i, o) in drain_opened(&mut a).into_iter().enumerate() {
             if let Out::Send { bytes, .. } = o {
                 if [1usize, 3, 5, 7].contains(&i) {
                     continue; // lost shares
@@ -1612,7 +1618,7 @@ mod migration_tests {
                 b.on_packet(SimTime::ZERO, ep(0, 5), bytes).unwrap();
             }
         }
-        for o in b.drain() {
+        for o in drain_opened(&mut b) {
             if let Out::Deliver { msg, .. } = o {
                 got.push(msg);
             }
@@ -1651,7 +1657,7 @@ mod migration_tests {
         let mut corrupted = false;
         for _ in 0..400 {
             let mut moved = false;
-            for o in a.drain() {
+            for o in drain_opened(&mut a) {
                 if let Out::Send { bytes, .. } = o {
                     moved = true;
                     let wire = if !corrupted {
@@ -1669,7 +1675,7 @@ mod migration_tests {
                     let _ = b.on_packet(now, ep(0, 5), wire);
                 }
             }
-            for o in b.drain() {
+            for o in drain_opened(&mut b) {
                 match o {
                     Out::Send { bytes, .. } => {
                         moved = true;
@@ -1726,7 +1732,7 @@ mod migration_tests {
     fn stale_partials_are_swept_by_virtual_time() {
         let mut b = Srudp::new(2, SrudpConfig::default());
         b.on_packet(SimTime::ZERO, ep(0, 5), data(0, 0, 2, b"half")).unwrap();
-        b.drain();
+        drain_opened(&mut b);
         assert_eq!(b.peers[&1].reasm.in_progress(), 1);
         assert!(b.next_deadline().is_some(), "evict sweep must be armed");
         // Walk time past the TTL in sweep-sized steps.

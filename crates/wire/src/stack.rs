@@ -12,8 +12,11 @@
 //!   messages come back as [`Out::Deliver`], tagged with the driver's
 //!   protocol), anything else is surfaced as [`Incoming`] for
 //!   host-level logic (raw datagrams, the daemon's multicast router);
-//! * outgoing `Send`s are sealed under the emitting driver's tag and
-//!   routed through one [`PathSelector`] (multi-path failover, §6);
+//! * drivers emit sealed datagrams ([`crate::frame::Outbox`]); the
+//!   stack moves them to its queue and routes SRUDP's through one
+//!   [`PathSelector`] (multi-path failover, §6), re-encoding nothing.
+//!   [`WireStack::send_raw`] and [`WireStack::send_mcast`] seal the
+//!   bodies their callers hand in;
 //! * migration snapshots concatenate each driver's exported state
 //!   under its protocol tag ([`WireStack::export_state`]).
 //!
@@ -461,60 +464,48 @@ impl WireStack {
         self.out.is_empty() && self.drivers.iter().all(|d| d.quiescent())
     }
 
-    /// Route an SRUDP datagram: find which peer owns this endpoint and
-    /// ask the selector for its current medium (linear scan: peer
-    /// counts are small per process).
-    fn select_via(&self, to: Endpoint) -> Option<NetId> {
+    /// Which peer an SRUDP datagram to `to` belongs to: the smallest
+    /// key located there (linear scan: peer counts are small per
+    /// process). Hash order cannot matter: the minimum of the matching
+    /// keys is the same whatever order they are visited in, and it is
+    /// the first match a scan of the sorted keys would find.
+    fn owner_of(&self, to: Endpoint) -> Option<NodeKey> {
         let srudp = self.srudp();
-        self.paths
-            .keys()
-            .find(|&k| srudp.peer_endpoint(k) == Some(to))
-            .and_then(|k| self.paths.select(k))
+        self.paths.min_key_where(|k| srudp.peer_endpoint(k) == Some(to))
     }
 
-    /// Route an erasure-coded share: spread share `idx` across up to
-    /// [`MAX_SPRAY_PATHS`] distinct media toward the peer at `to`, so
-    /// a single gray link drops some shares rather than the whole
-    /// message. Falls back to ordinary single-path selection when the
-    /// peer is unknown or has one route.
-    fn select_spray_via(&self, to: Endpoint, idx: u32) -> Option<NetId> {
-        let srudp = self.srudp();
-        let key = self.paths.keys().find(|&k| srudp.peer_endpoint(k) == Some(to));
-        match key {
-            Some(k) => {
-                let routes = self.paths.select_k_distinct(k, MAX_SPRAY_PATHS);
-                if routes.is_empty() {
-                    self.paths.select(k)
-                } else {
-                    Some(routes[idx as usize % routes.len()])
-                }
-            }
-            None => None,
+    /// Route an SRUDP datagram to `to`: the owning peer's current
+    /// medium. An erasure-coded share (`spray` is its index) is spread
+    /// across up to [`MAX_SPRAY_PATHS`] distinct media toward that
+    /// peer, so a single gray link drops some shares rather than the
+    /// whole message; a peer with no pinned routes falls back to
+    /// ordinary single-path selection.
+    fn route(&self, to: Endpoint, spray: Option<u32>) -> Option<NetId> {
+        let key = self.owner_of(to)?;
+        let peer = self.paths.peer(key)?;
+        match spray {
+            Some(idx) => peer.spray_route(MAX_SPRAY_PATHS, idx as usize).or_else(|| peer.select()),
+            None => peer.select(),
         }
     }
 
-    /// Move driver outputs into the stack queue, enveloping `Send`s
-    /// under the emitting driver's protocol tag and pinning routes.
+    /// Move driver outputs into the stack queue — their datagrams are
+    /// already sealed — and pin the routes of SRUDP's.
     fn harvest(&mut self) {
+        let mut out = std::mem::take(&mut self.out);
         for i in 0..self.drivers.len() {
-            let proto = self.drivers[i].proto();
-            for o in self.drivers[i].drain() {
-                match o {
-                    Out::Send { to, via, spray, bytes } => {
-                        let via = if proto == Proto::Srudp {
-                            match spray {
-                                Some(idx) => self.select_spray_via(to, idx),
-                                None => self.select_via(to),
-                            }
-                        } else {
-                            via
-                        };
-                        self.out.push(Out::Send { to, via, spray, bytes: seal(proto, bytes) });
-                    }
-                    other => self.out.push(other),
+            let start = out.len();
+            self.drivers[i].drain_into(&mut out);
+            if self.drivers[i].proto() != Proto::Srudp {
+                continue;
+            }
+            for o in &mut out[start..] {
+                if let Out::Send { to, via, spray, .. } = o {
+                    *via = self.route(*to, *spray);
                 }
             }
         }
+        self.out = out;
     }
 
     /// Drain pending actions (sends to execute + received messages).
@@ -663,6 +654,35 @@ mod tests {
                 assert_eq!(via, Some(NetId(3)));
             }
         }
+    }
+
+    /// Routing looks a datagram's peer up by endpoint. When two keys
+    /// share one, the smaller key's routes carry it — plain fragments
+    /// and sprayed shares alike — whichever key it was sent to.
+    #[test]
+    fn two_keys_on_one_endpoint_route_as_the_smaller_key() {
+        let mut cfg = StackConfig::default();
+        cfg.srudp.frag_strategy = crate::fec::FragStrategy::Fec;
+        let mut a = WireStack::new(1, cfg);
+        a.set_peer(9, ep(1, 5), vec![NetId(4)]);
+        a.set_peer(5, ep(1, 5), vec![NetId(3), NetId(6)]);
+        a.send(SimTime::ZERO, 9, Bytes::from_static(b"one fragment")).unwrap();
+        a.send(SimTime::ZERO, 9, Bytes::from(vec![1u8; 3000])).unwrap();
+        let vias: Vec<Option<NetId>> = a
+            .drain()
+            .into_iter()
+            .filter_map(|o| match o {
+                Out::Send { via, .. } => Some(via),
+                _ => None,
+            })
+            .collect();
+        let (plain, shares) = vias.split_first().unwrap();
+        assert_eq!(*plain, Some(NetId(3)));
+        // Five shares of a three-chunk message, alternating over key
+        // 5's two routes.
+        let want: Vec<Option<NetId>> =
+            [3, 6, 3, 6, 3].into_iter().map(|n| Some(NetId(n))).collect();
+        assert_eq!(shares, want);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Allocation regression test for the stack's steady-state queries.
+//! Allocation regression tests for the stack's steady-state queries
+//! and its per-message cost.
 //!
 //! The daemon's supervision sweep polls every process stack once per
 //! tick: which peers exist, which of them are in RTO trouble (and so
@@ -162,8 +163,8 @@ fn an_idle_flush_does_not_allocate() {
 /// timer sweep with nothing due — cost none. A table that grows with
 /// the clock (a bucket touched for the first time, an index rebuilt)
 /// shows up as a round that costs more than the one before. The cost of
-/// a round is also a ratchet for the wire layer's allocation diet: it
-/// may fall (lower the bound with it), never rise.
+/// a round is also pinned exactly for the wire layer's allocation diet:
+/// a rise is a regression, a fall lowers the pin.
 #[test]
 fn a_warmed_lossy_exchange_costs_the_same_every_round() {
     use snipe_util::time::SimDuration;
@@ -245,8 +246,114 @@ fn a_warmed_lossy_exchange_costs_the_same_every_round() {
     assert_eq!(delivered, 72, "every round delivers its message");
     assert!(now < SimTime::ZERO + SimDuration::from_secs(60), "ran into the 60 s sweep");
     assert!(costs.windows(2).all(|w| w[0] == w[1]), "allocations per round drift: {costs:?}");
-    assert!(costs[0] <= 73, "a round allocates {} times, up from 73", costs[0]);
+    assert_eq!(costs[0], 24, "allocations per round");
     assert_eq!(idle_allocs, 0, "table-only calls allocated");
+}
+
+/// Drive one message from `a` to `b` to completion over a lossless
+/// pipe: `send` queues it at `a`, then each stack's drain goes to the
+/// other until neither has a datagram left. Returns the deliveries.
+fn exchange(
+    a: &mut WireStack,
+    b: &mut WireStack,
+    now: SimTime,
+    send: &mut dyn FnMut(&mut WireStack, SimTime),
+) -> u32 {
+    use snipe_wire::Out;
+    let (ea, eb) = (Endpoint::new(HostId(1), 40), Endpoint::new(HostId(2), 40));
+    // One drain of `from` into `to`: (datagrams moved, deliveries).
+    fn pass(
+        from: &mut WireStack,
+        to: &mut WireStack,
+        from_ep: Endpoint,
+        now: SimTime,
+    ) -> (u32, u32) {
+        let (mut moved, mut delivered) = (0, 0);
+        for o in from.drain() {
+            match o {
+                Out::Send { bytes, .. } => {
+                    moved += 1;
+                    to.on_datagram(now, from_ep, bytes).unwrap();
+                }
+                Out::Deliver { .. } => delivered += 1,
+                Out::Wake { .. } => {}
+            }
+        }
+        (moved, delivered)
+    }
+    send(a, now);
+    let mut delivered = 0;
+    loop {
+        let (ab, da) = pass(a, b, ea, now);
+        let (ba, db) = pass(b, a, eb, now);
+        delivered += da + db;
+        if ab + ba == 0 {
+            return delivered;
+        }
+    }
+}
+
+/// Allocations of each of 16 warmed rounds of one message between two
+/// stacks (a located SRUDP peer each way, RSTREAM registered), after 8
+/// rounds of warm-up; `connect` opens an RSTREAM connection first.
+fn warmed_message_costs(len: usize, rstream: bool) -> Vec<u64> {
+    use snipe_util::time::SimDuration;
+    use snipe_wire::rstream::RstreamConfig;
+
+    let (ka, kb) = (1u64, 2u64);
+    let cfg = StackConfig { rstream: Some(RstreamConfig::default()), ..StackConfig::default() };
+    let mut a = WireStack::new(ka, cfg.clone());
+    let mut b = WireStack::new(kb, cfg);
+    a.set_peer(kb, Endpoint::new(HostId(2), 40), Vec::new());
+    b.set_peer(ka, Endpoint::new(HostId(1), 40), Vec::new());
+    let mut now = SimTime::ZERO;
+    let conn = rstream.then(|| {
+        let id = a.rstream_mut().unwrap().connect(now, Endpoint::new(HostId(2), 40));
+        exchange(&mut a, &mut b, now, &mut |_, _| {});
+        assert!(a.rstream().unwrap().is_established(id));
+        id
+    });
+    let msg = Bytes::from(vec![7u8; len]);
+    let mut send = |s: &mut WireStack, now: SimTime| match conn {
+        Some(id) => s.rstream_mut().unwrap().send_message(now, id, &msg).unwrap(),
+        None => s.send(now, kb, msg.clone()).unwrap(),
+    };
+    let mut costs = Vec::new();
+    for round in 0..24 {
+        let before = allocs();
+        assert_eq!(exchange(&mut a, &mut b, now, &mut send), 1, "round {round} delivers");
+        if round >= 8 {
+            costs.push(allocs() - before);
+        }
+        now += SimDuration::from_micros(10);
+    }
+    assert!(a.quiescent() && b.quiescent());
+    costs
+}
+
+/// One message between two warmed stacks, every allocation counted:
+/// the sender's fragment list and acknowledgement flags, each datagram
+/// (sealed once, in the driver's own buffer), the delivered message
+/// where it must be copied, and each `WireStack::drain` result vector.
+/// Nothing else — no header encoder, no re-sealing, no route list, no
+/// drained driver queue to regrow, no reassembly buffer for a message
+/// that arrives whole. The counts are exact: a rise is a regression, a
+/// fall lowers the pin.
+#[test]
+fn a_warmed_message_costs_a_pinned_number_of_allocations() {
+    // SRUDP, one fragment: split + acked flags, DATA, SACK, and three
+    // non-empty drains (DATA out; SACK out + delivery; nothing left).
+    let one = warmed_message_costs(1000, false);
+    // SRUDP, three fragments at the default 1400-byte fragment size.
+    let three = warmed_message_costs(3000, false);
+    // RSTREAM: DATA, ACK, the delivered copy out of the stream buffer.
+    let stream = warmed_message_costs(1000, true);
+    for (what, costs) in
+        [("1-fragment SRUDP", &one), ("3-fragment SRUDP", &three), ("RSTREAM", &stream)]
+    {
+        assert!(costs.windows(2).all(|w| w[0] == w[1]), "{what} drifts: {costs:?}");
+    }
+    assert_eq!((one[0], three[0], stream[0]), (6, 11, 5), "allocations per message");
 }
 
 /// The same transitions on the bare table, where every allocation is

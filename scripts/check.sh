@@ -88,6 +88,33 @@ if [ -n "$rtt" ]; then
     echo "$rtt"
     exit 1
 fi
+# One-allocation-per-datagram gate: a driver writes each datagram into
+# the buffer its `frame::Outbox` keeps for life and freezes it with one
+# exact-size copy, and the stack only routes what drivers drain. A fresh
+# encoder per datagram and a second seal in the stack's harvest are how
+# a DATA fragment came to cost four allocations and four payload
+# copies, so outside test modules the transports build no `Encoder`
+# and call no `seal(`, and the stack seals only the bodies its callers
+# hand to `send_raw` / `send_mcast`.
+dgram=$(
+    awk '
+        FNR == 1 { in_test = 0; in_fn = "" }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        in_test { next }
+        match($0, /fn [a-z0-9_]+/) { in_fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        FILENAME ~ /stack\.rs$/ {
+            if ($0 ~ /(^|[^a-z0-9_])seal\(/ && in_fn != "send_raw" && in_fn != "send_mcast")
+                print FILENAME ":" FNR ":" $0
+            next
+        }
+        /Encoder::new\(\)|Encoder::with_capacity\(|(^|[^a-z0-9_])seal\(/ { print FILENAME ":" FNR ":" $0 }
+    ' crates/wire/src/srudp.rs crates/wire/src/rstream.rs crates/wire/src/mcast.rs crates/wire/src/stack.rs
+)
+if [ -n "$dgram" ]; then
+    echo "datagram gate: FAIL — write the datagram through the driver's frame::Outbox instead:"
+    echo "$dgram"
+    exit 1
+fi
 # Side-channel gate: an experiment's actor keeps its counters as plain
 # fields, and the runner reads them in place (`World::actor_ref`)
 # between drive slices or after the run. A shared cell is left only

@@ -44,7 +44,9 @@ use snipe::util::codec::{WireDecode, WireEncode};
 use snipe::util::error::SnipeResult;
 use snipe::util::id::HostId;
 use snipe::util::time::{SimDuration, SimTime};
+use snipe::wire::driver::Driver;
 use snipe::wire::fec::FragStrategy;
+use snipe::wire::frame::open;
 use snipe::wire::mcast::{McastMember, McastMsg};
 use snipe::wire::rstream::{Rstream, RstreamConfig};
 use snipe::wire::srudp::{Srudp, SrudpConfig};
@@ -206,10 +208,14 @@ fn rstream_datagram(b: Bytes) -> SnipeResult<(String, Bytes)> {
     Ok((format!("RSTREAM datagram of kind {}", b[0]), b))
 }
 
-fn sends(outs: Vec<Out>) -> Vec<Bytes> {
+/// The datagrams `end` queued, each opened to the body the envelope
+/// holds (what the pins below are).
+fn sends(end: &mut dyn Driver) -> Vec<Bytes> {
+    let mut outs = Vec::new();
+    end.drain_into(&mut outs);
     outs.into_iter()
         .filter_map(|o| match o {
-            Out::Send { bytes, .. } => Some(bytes),
+            Out::Send { bytes, .. } => Some(open(bytes).unwrap().1),
             _ => None,
         })
         .collect()
@@ -228,12 +234,12 @@ fn srudp_scene() -> (Bytes, Bytes, Vec<Bytes>) {
     for m in [&b"abcdefghij"[..], b"xy", b"z"] {
         a.send_message(T0, 2, Bytes::from_static(m)).unwrap();
     }
-    let from_a = sends(a.drain());
+    let from_a = sends(&mut a);
     b.on_packet(T0, ep(1, 5), from_a[5].clone()).unwrap();
     b.on_packet(T0, ep(1, 5), from_a[0].clone()).unwrap();
     let t = T0 + SimDuration::from_millis(5);
     b.on_timer(t);
-    let from_b = sends(b.drain());
+    let from_b = sends(&mut b);
     for sack in &from_b {
         a.on_packet(t, ep(2, 5), sack.clone()).unwrap();
     }
@@ -249,16 +255,16 @@ fn rstream_scene() -> Vec<Bytes> {
     let mut r = Rstream::new(RstreamConfig::default(), 1);
     let mut s = Rstream::new(RstreamConfig::default(), 2);
     let id = r.connect(T0, ep(2, 5));
-    let syn = sends(r.drain()).remove(0);
+    let syn = sends(&mut r).remove(0);
     s.on_packet(T0, ep(1, 5), syn.clone()).unwrap();
-    let synack = sends(s.drain()).remove(0);
+    let synack = sends(&mut s).remove(0);
     r.on_packet(T0, ep(2, 5), synack.clone()).unwrap();
     r.send_message(T0, id, b"hi").unwrap();
-    let data = sends(r.drain()).remove(0);
+    let data = sends(&mut r).remove(0);
     s.on_packet(T0, ep(1, 5), data.clone()).unwrap();
-    let ack = sends(s.drain()).remove(0);
+    let ack = sends(&mut s).remove(0);
     r.close(id);
-    let fin = sends(r.drain()).remove(0);
+    let fin = sends(&mut r).remove(0);
     vec![syn, synack, data, ack, fin]
 }
 
