@@ -335,6 +335,12 @@ impl BytesMut {
         self.buf.extend_from_slice(s);
     }
 
+    /// Bytes the buffer can hold without reallocating.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
     /// Empty the buffer, keeping its capacity.
     pub fn clear(&mut self) {
         self.buf.clear();

@@ -137,9 +137,20 @@ impl Encoder {
 
     /// Write a length-prefixed byte blob.
     pub fn put_bytes(&mut self, v: &[u8]) {
-        assert!(v.len() <= MAX_FIELD_LEN, "field too large to encode");
-        self.buf.put_u32(v.len() as u32);
-        self.buf.put_slice(v);
+        self.put_blob(v.len(), |enc| enc.put_raw(v));
+    }
+
+    /// Write a length-prefixed byte blob of `len` bytes whose contents
+    /// `write` puts straight into this encoder, for a blob that exists
+    /// in pieces (a ring buffer's two halves, a bitmap built bit by
+    /// bit) rather than as one slice. The only writer of the blob
+    /// layout; panics if `write` writes other than `len` bytes.
+    pub fn put_blob(&mut self, len: usize, write: impl FnOnce(&mut Encoder)) {
+        assert!(len <= MAX_FIELD_LEN, "field too large to encode");
+        self.buf.put_u32(len as u32);
+        let start = self.buf.len();
+        write(self);
+        assert_eq!(self.buf.len() - start, len, "blob length differs from its prefix");
     }
 
     /// Write a length-prefixed UTF-8 string.
@@ -284,23 +295,33 @@ pub trait WireEncode {
 
 thread_local! {
     /// The encoder [`encode_with`] lends out, kept at the capacity of
-    /// the largest value its thread has encoded.
+    /// the largest datagram-sized value its thread has encoded.
     static SCRATCH: Cell<Encoder> = const { Cell::new(Encoder::new()) };
 }
+
+/// The largest scratch capacity a thread keeps between calls: the
+/// largest UDP datagram. Every datagram fits, so sealing one never
+/// grows the scratch once it is warm; a bigger value (a migration
+/// snapshot, a large Raw body) is written in an encoder that is freed
+/// when the call returns, as if there were no scratch.
+const SCRATCH_KEEP_MAX: usize = 1 << 16;
 
 /// Run `write` on a cleared scratch encoder and copy what it wrote into
 /// a new [`Bytes`]: one allocation of exactly the encoded length, with
 /// no growth steps and no second copy. The scratch is taken out of its
 /// thread-local cell for the call and put back after it, so a nested
 /// call (an `encode` that itself calls `encode_to_bytes`) finds the
-/// cell empty, works in a fresh encoder and stays correct.
+/// cell empty, works in a fresh encoder and stays correct. It is not
+/// put back once it has grown past a datagram (64 KiB).
 pub fn encode_with(write: impl FnOnce(&mut Encoder)) -> Bytes {
     SCRATCH.with(|cell| {
         let mut enc = cell.take();
         enc.clear();
         write(&mut enc);
         let bytes = Bytes::copy_from_slice(enc.as_slice());
-        cell.set(enc);
+        if enc.buf.capacity() <= SCRATCH_KEEP_MAX {
+            cell.set(enc);
+        }
         bytes
     })
 }
@@ -695,6 +716,46 @@ mod tests {
         assert_eq!(&bytes[..], &[0xAA, 0, 0, 0, 4, 1, 2, 3, 4, 0xBB]);
         // The scratch is back and clean for the next caller.
         assert_eq!(&7u8.encode_to_bytes()[..], &[7]);
+    }
+
+    /// The capacity of this thread's scratch encoder.
+    fn scratch_capacity() -> usize {
+        SCRATCH.with(|cell| {
+            let enc = cell.take();
+            let cap = enc.buf.capacity();
+            cell.set(enc);
+            cap
+        })
+    }
+
+    #[test]
+    fn a_large_value_does_not_stay_in_the_scratch() {
+        let big = vec![0x5Au8; 4 * SCRATCH_KEEP_MAX];
+        let bytes = encode_with(|enc| enc.put_bytes(&big));
+        assert_eq!(bytes.len(), 4 + big.len());
+        assert!(scratch_capacity() <= SCRATCH_KEEP_MAX);
+        // A datagram-sized value keeps the scratch warm.
+        let datagram = vec![1u8; 1500];
+        encode_with(|enc| enc.put_raw(&datagram));
+        assert!((1500..=SCRATCH_KEEP_MAX).contains(&scratch_capacity()));
+    }
+
+    #[test]
+    fn a_blob_written_in_pieces_is_what_put_bytes_writes() {
+        let mut whole = Encoder::new();
+        whole.put_bytes(b"front+back");
+        let mut pieces = Encoder::new();
+        pieces.put_blob(10, |enc| {
+            enc.put_raw(b"front");
+            enc.put_raw(b"+back");
+        });
+        assert_eq!(pieces.as_slice(), whole.as_slice());
+    }
+
+    #[test]
+    #[should_panic(expected = "blob length differs from its prefix")]
+    fn a_blob_shorter_than_its_prefix_panics() {
+        Encoder::new().put_blob(3, |enc| enc.put_u8(1));
     }
 
     #[test]

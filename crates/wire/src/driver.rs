@@ -17,16 +17,17 @@
 //!   for that instant and the stack fans [`Driver::on_timer`] back out;
 //! * emitted actions are collected via [`Driver::drain_into`]. A
 //!   driver emits finished datagrams: it seals each under its own
-//!   [`Proto`] tag as it writes it, in the
-//!   [`Outbox`](crate::frame::Outbox) it keeps for life, so a datagram
-//!   costs one allocation and one copy of its payload. The stack only
+//!   [`Proto`] tag as it writes it
+//!   ([`seal_with`](crate::frame::seal_with)), so a datagram costs one
+//!   allocation and one copy of its payload. The stack only
 //!   pins SRUDP routes through its
 //!   [`PathSelector`](crate::path::PathSelector); it re-encodes nothing;
 //! * the two directions are not symmetric: what a driver drains is
 //!   sealed, but [`Driver::on_datagram`] is handed the *opened* body —
 //!   the stack has already checked the envelope and demultiplexed on
 //!   its tag. A harness that shuttles one driver's output straight into
-//!   another opens each datagram with [`crate::frame::open`] first;
+//!   another opens each datagram with [`crate::frame::open`] first
+//!   ([`drain_opened`]);
 //! * a stack's migration snapshot is a list of sections, each a
 //!   driver's [`Driver::export_state`] keyed by its [`Proto`], so a
 //!   restored stack can hand each section back to the matching driver.
@@ -68,7 +69,7 @@ pub trait Driver: Any + Send {
 
     /// Move this driver's pending output actions onto the end of
     /// `into`, keeping the driver's own queue capacity. `Send` bytes are
-    /// sealed datagrams ([`crate::frame::Outbox`]); the stack adds only
+    /// sealed datagrams ([`crate::frame::seal_with`]); the stack adds only
     /// the route.
     fn drain_into(&mut self, into: &mut Vec<Out>);
 
@@ -95,9 +96,11 @@ pub trait Driver: Any + Send {
 }
 
 /// Test harness: everything `driver` queued, each datagram opened to
-/// the body a peer driver's `on_datagram` takes.
-#[cfg(test)]
-pub(crate) fn drain_opened(driver: &mut dyn Driver) -> Vec<Out> {
+/// the body a peer driver's `on_datagram` takes — the one place a
+/// harness that shuttles drivers' output into one another crosses from
+/// sealed to opened.
+#[doc(hidden)]
+pub fn drain_opened(driver: &mut dyn Driver) -> Vec<Out> {
     let mut outs = Vec::new();
     driver.drain_into(&mut outs);
     for o in &mut outs {

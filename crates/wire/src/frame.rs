@@ -40,22 +40,19 @@
 //! # Writing a datagram
 //!
 //! A datagram costs one allocation and one copy of its payload. A
-//! driver keeps an [`Outbox`] for life: it writes the tag, its header
-//! listing, the payload and the checksum into the outbox's scratch
-//! encoder and freezes them with one exact-size copy
-//! ([`Outbox::send`]), so what it drains is already sealed.
-//! [`seal`] is for a caller that holds a finished body — a Raw service
-//! message, an MCAST body — and seals it in the same way through the
-//! thread's scratch encoder ([`snipe_util::codec::encode_with`]). Both
-//! write the same bytes: the envelope format is this module's alone.
+//! driver writes the tag, its header listing, the payload and the
+//! checksum straight into the thread's scratch encoder
+//! ([`snipe_util::codec::encode_with`]) through [`seal_with`], which
+//! freezes them with one exact-size copy, so what it drains is already
+//! sealed. [`seal`] is for a caller that holds a finished body — a Raw
+//! service message, an MCAST body — and is `seal_with` writing that
+//! body: the envelope has one writer, and its format is this module's
+//! alone.
 
 use bytes::Bytes;
-use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{encode_with, Decoder, Encoder, WireDecode, WireEncode};
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::wire_codec;
-
-use crate::Out;
 
 /// Protocol discriminators: the envelope's tag byte, and the key of a
 /// driver's section in a stack snapshot.
@@ -154,61 +151,20 @@ pub(crate) fn checksum(tag: u8, body: &[u8]) -> u32 {
 /// Wrap a finished protocol body in the envelope: one exact-size
 /// allocation (see the module docs).
 pub fn seal(proto: Proto, body: Bytes) -> Bytes {
+    seal_with(proto, |enc| enc.put_raw(&body))
+}
+
+/// The envelope around whatever `body` writes (a driver's header
+/// listing, then its payload), written in the thread's scratch encoder
+/// and frozen with one exact-size copy: the only writer of the
+/// envelope, and how a driver seals a datagram as it writes it.
+pub fn seal_with(proto: Proto, body: impl FnOnce(&mut Encoder)) -> Bytes {
     encode_with(|enc| {
         proto.encode(enc);
-        enc.put_raw(&body);
-        enc.put_u32(checksum(proto.wire_tag(), &body));
-    })
-}
-
-/// A driver's pending output and the buffer its datagrams are sealed
-/// in, both kept for the driver's life: once warm, a datagram costs
-/// the one allocation of its frozen bytes, and queueing and draining
-/// cost none.
-#[derive(Debug)]
-pub struct Outbox {
-    proto: Proto,
-    scratch: Encoder,
-    queue: Vec<Out>,
-}
-
-impl Outbox {
-    /// An empty outbox whose datagrams carry `proto`'s tag.
-    pub fn new(proto: Proto) -> Outbox {
-        Outbox { proto, scratch: Encoder::new(), queue: Vec::new() }
-    }
-
-    /// Queue one datagram to `to`: the envelope around whatever `body`
-    /// writes (the protocol's header listing, then its payload), the
-    /// same bytes as [`seal`] of that body. `spray` tags an
-    /// erasure-coded share for the stack's route spreading.
-    pub fn send(&mut self, to: Endpoint, spray: Option<u32>, body: impl FnOnce(&mut Encoder)) {
-        let enc = &mut self.scratch;
-        enc.clear();
-        self.proto.encode(enc);
         body(enc);
-        let sum = checksum(self.proto.wire_tag(), &enc.as_slice()[1..]);
+        let sum = checksum(proto.wire_tag(), &enc.as_slice()[1..]);
         enc.put_u32(sum);
-        let bytes = Bytes::copy_from_slice(enc.as_slice());
-        self.queue.push(Out::Send { to, via: None, spray, bytes });
-    }
-
-    /// Queue a completed message for the application, tagged with this
-    /// outbox's protocol.
-    pub fn deliver(&mut self, from_key: u64, from_ep: Endpoint, msg: Bytes) {
-        self.queue.push(Out::Deliver { proto: self.proto, from_key, from_ep, msg });
-    }
-
-    /// Move everything queued onto the end of `into`, keeping this
-    /// queue's capacity.
-    pub fn drain_into(&mut self, into: &mut Vec<Out>) {
-        into.append(&mut self.queue);
-    }
-
-    /// Nothing queued?
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
+    })
 }
 
 /// Split an envelope into protocol and body, verifying the checksum.
@@ -397,26 +353,6 @@ mod tests {
         enc.put_u32(super::checksum(42, b"zz"));
         assert_eq!(open_classified(enc.finish()).unwrap_err(), FrameError::UnknownTag);
         assert!(open_classified(good).is_ok());
-    }
-
-    #[test]
-    fn an_outbox_seals_the_bytes_seal_does() {
-        let to = Endpoint::new(snipe_util::id::HostId(3), 9);
-        let mut outbox = Outbox::new(Proto::Rstream);
-        for body in [&b""[..], b"x", b"a longer body, past one checksum block"] {
-            outbox.send(to, Some(4), |enc| enc.put_raw(body));
-            let mut out = Vec::new();
-            outbox.drain_into(&mut out);
-            let want = seal(Proto::Rstream, Bytes::copy_from_slice(body));
-            assert_eq!(out, vec![Out::Send { to, via: None, spray: Some(4), bytes: want }]);
-            assert!(outbox.is_empty());
-        }
-        outbox.deliver(7, to, Bytes::from_static(b"m"));
-        let mut out = Vec::new();
-        outbox.drain_into(&mut out);
-        let want =
-            Out::Deliver { proto: Proto::Rstream, from_key: 7, from_ep: to, msg: "m".into() };
-        assert_eq!(out, vec![want]);
     }
 
     #[test]

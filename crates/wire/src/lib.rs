@@ -24,7 +24,7 @@
 //! [`Deadlines`](snipe_util::deadlines::Deadlines) table, and is
 //! registered with
 //! [`stack::WireStack`] — a thin registry-plus-demux that routes the
-//! datagrams drivers emit already sealed ([`frame::Outbox`]) through
+//! datagrams drivers emit already sealed ([`frame::seal_with`]) through
 //! [`path::PathSelector`], and glues the modules together. [`host::StackHost`] is the one adapter that embeds
 //! a stack in a `snipe-netsim` actor.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics

@@ -25,7 +25,7 @@ use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::error::SnipeResult;
 use snipe_util::wire_codec;
 
-use crate::frame::{Outbox, Proto};
+use crate::frame::{self, Proto};
 use crate::Out;
 
 /// A multicast group identifier (hash of the group URN; the URN itself
@@ -90,26 +90,13 @@ struct GroupState {
 }
 
 /// The router relay: dedup + fan-out to members and peer routers.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct McastRouter {
     groups: HashMap<GroupId, GroupState>,
-    /// Where relays are sealed, kept for the router's life.
-    relays: Outbox,
     /// Messages relayed (for stats).
     pub relayed: u64,
     /// Duplicates suppressed.
     pub duplicates: u64,
-}
-
-impl Default for McastRouter {
-    fn default() -> McastRouter {
-        McastRouter {
-            groups: HashMap::new(),
-            relays: Outbox::new(Proto::Mcast),
-            relayed: 0,
-            duplicates: 0,
-        }
-    }
 }
 
 impl McastRouter {
@@ -161,7 +148,8 @@ impl McastRouter {
                 members.sort();
                 for m in members {
                     let fwd = McastMsg::Data { group, origin, seq, ttl, payload: payload.clone() };
-                    self.relays.send(m, None, |enc| fwd.encode(enc));
+                    let bytes = frame::seal_with(Proto::Mcast, |enc| fwd.encode(enc));
+                    out.push(Out::Send { to: m, via: None, spray: None, bytes });
                 }
                 // Relay to peer routers while TTL remains.
                 if ttl > 0 {
@@ -175,10 +163,10 @@ impl McastRouter {
                             ttl: ttl - 1,
                             payload: payload.clone(),
                         };
-                        self.relays.send(p, None, |enc| fwd.encode(enc));
+                        let bytes = frame::seal_with(Proto::Mcast, |enc| fwd.encode(enc));
+                        out.push(Out::Send { to: p, via: None, spray: None, bytes });
                     }
                 }
-                self.relays.drain_into(out);
             }
         }
     }
@@ -191,21 +179,11 @@ impl McastRouter {
 /// datagrams and emits one [`Out::Deliver`] per fresh `(origin, seq)`;
 /// the delivered `msg` is the *encoded* [`McastMsg`] body so consumers
 /// can recover the group id and payload with `McastMsg::decode_from_bytes`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct McastMember {
     seen: HashMap<GroupId, HashSet<(u64, u64)>>,
     next_seq: HashMap<GroupId, u64>,
-    out: Outbox,
-}
-
-impl Default for McastMember {
-    fn default() -> McastMember {
-        McastMember {
-            seen: HashMap::new(),
-            next_seq: HashMap::new(),
-            out: Outbox::new(Proto::Mcast),
-        }
-    }
+    out: Vec<Out>,
 }
 
 impl McastMember {
@@ -246,7 +224,12 @@ impl McastMember {
         let msg = McastMsg::decode_from_bytes(body.clone())?;
         if let McastMsg::Data { group, origin, seq, .. } = msg {
             if self.accept(group, origin, seq, Bytes::new()).is_some() {
-                self.out.deliver(origin, from, body);
+                self.out.push(Out::Deliver {
+                    proto: Proto::Mcast,
+                    from_key: origin,
+                    from_ep: from,
+                    msg: body,
+                });
             }
         }
         Ok(())
@@ -269,7 +252,7 @@ impl McastMember {
         let snapshot = McastSnapshot::decode_from_bytes(bytes)?;
         let seen = snapshot.seen.into_iter().map(|(g, pairs)| (g, pairs.into_iter().collect()));
         let next_seq = snapshot.next_seq.into_iter().collect();
-        Ok(McastMember { seen: seen.collect(), next_seq, ..McastMember::default() })
+        Ok(McastMember { seen: seen.collect(), next_seq, out: Vec::new() })
     }
 }
 
@@ -303,7 +286,7 @@ impl crate::driver::Driver for McastMember {
     }
 
     fn drain_into(&mut self, into: &mut Vec<Out>) {
-        self.out.drain_into(into);
+        into.append(&mut self.out);
     }
 
     fn export_state(&self) -> Bytes {

@@ -24,7 +24,7 @@ use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_util::wire_codec;
 
-use crate::frame::{split_head, Outbox, Proto};
+use crate::frame::{self, split_head, Proto};
 use crate::recovery::{Flight, Rtt, Sent};
 use crate::Out;
 
@@ -158,7 +158,7 @@ pub struct Rstream {
     /// Per-connection RTO deadlines; the only timer source in this
     /// driver. Due together, they fire in connection-id order.
     timers: Deadlines<ConnId>,
-    out: Outbox,
+    out: Vec<Out>,
     stats: RstreamStats,
     next_conn_seed: u64,
 }
@@ -170,7 +170,7 @@ impl Rstream {
             cfg,
             conns: HashMap::new(),
             timers: Deadlines::new(),
-            out: Outbox::new(Proto::Rstream),
+            out: Vec::new(),
             stats: RstreamStats::default(),
             next_conn_seed: seed,
         }
@@ -198,8 +198,9 @@ impl Rstream {
     }
 
     /// A packet with no payload: SYN, SYNACK, ACK or FIN.
-    fn emit_control(out: &mut Outbox, to: Endpoint, head: RstreamHead) {
-        out.send(to, None, |enc| head.encode(enc));
+    fn emit_control(out: &mut Vec<Out>, to: Endpoint, head: RstreamHead) {
+        let bytes = frame::seal_with(Proto::Rstream, |enc| head.encode(enc));
+        out.push(Out::Send { to, via: None, spray: None, bytes });
     }
 
     /// Is the connection established?
@@ -263,7 +264,7 @@ impl Rstream {
     /// Put the `len` bytes of `conn`'s send buffer that start at stream
     /// offset `offset` on the wire as one DATA segment, copied straight
     /// out of the ring buffer's two halves into the datagram.
-    fn emit_data(out: &mut Outbox, conn: &Conn, id: ConnId, offset: u64, len: usize) {
+    fn emit_data(out: &mut Vec<Out>, conn: &Conn, id: ConnId, offset: u64, len: usize) {
         let skip = (offset - conn.snd_una) as usize;
         let (front, back) = conn.snd_buf.as_slices();
         let end = (skip + len).min(conn.snd_buf.len());
@@ -271,13 +272,14 @@ impl Rstream {
         let split = front.len();
         let head_part = &front[start.min(split)..end.min(split)];
         let tail_part = &back[start.max(split) - split..end.max(split) - split];
-        out.send(conn.peer, None, |enc| {
+        let bytes = frame::seal_with(Proto::Rstream, |enc| {
             RstreamHead::Data { id, offset }.encode(enc);
-            // A length-prefixed blob, as `put_bytes` writes it.
-            enc.put_u32((end - start) as u32);
-            enc.put_raw(head_part);
-            enc.put_raw(tail_part);
+            enc.put_blob(end - start, |enc| {
+                enc.put_raw(head_part);
+                enc.put_raw(tail_part);
+            });
         });
+        out.push(Out::Send { to: conn.peer, via: None, spray: None, bytes });
     }
 
     fn pump(&mut self, now: SimTime, id: ConnId) {
@@ -309,7 +311,7 @@ impl Rstream {
     /// goes out twice, for a partial ACK, a fast retransmit and an RTO
     /// alike. The caller has checked that something is outstanding.
     fn retransmit(
-        out: &mut Outbox,
+        out: &mut Vec<Out>,
         stats: &mut RstreamStats,
         mss: usize,
         now: SimTime,
@@ -411,7 +413,7 @@ impl Rstream {
             let msg = Bytes::copy_from_slice(&conn.rcv_buf[4..4 + len]);
             conn.rcv_buf.drain(..4 + len);
             self.stats.delivered += 1;
-            self.out.deliver(id, peer, msg);
+            self.out.push(Out::Deliver { proto: Proto::Rstream, from_key: id, from_ep: peer, msg });
         }
     }
 
@@ -530,7 +532,7 @@ impl crate::driver::Driver for Rstream {
     }
 
     fn drain_into(&mut self, into: &mut Vec<Out>) {
-        self.out.drain_into(into);
+        into.append(&mut self.out);
     }
 
     /// Connections are endpoint-addressed and deliberately die with

@@ -18,7 +18,7 @@
 //! [`Srudp::on_packet`] and [`Srudp::on_timer`] mutate the state
 //! machine and queue [`Out`] actions retrieved with
 //! [`Driver::drain_into`](crate::driver::Driver::drain_into); each DATA
-//! and SACK is sealed as it is written ([`Outbox`]).
+//! and SACK is sealed as it is written ([`frame::seal_with`]).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -34,7 +34,7 @@ use snipe_util::wire_codec;
 
 use crate::fec::{self, FragStrategy};
 use crate::frag::{split, Reassembly, ReassemblySet};
-use crate::frame::{split_head, Outbox, Proto};
+use crate::frame::{self, split_head, Proto};
 use crate::recovery::{Flight, Rtt, Sent};
 use crate::Out;
 
@@ -121,17 +121,18 @@ fn sack_bit(bitmap: &[u8], idx: usize) -> bool {
 fn put_sack_bitmap(enc: &mut Encoder, r: &Reassembly) {
     let count = r.expected();
     let len = count.div_ceil(8);
-    enc.put_u32(len as u32);
-    for byte in 0..len {
-        let mut bits = 0xFFu8;
-        for bit in 0..8 {
-            let idx = byte * 8 + bit;
-            if idx < count && !r.has(idx) {
-                bits &= !(1 << bit);
+    enc.put_blob(len, |enc| {
+        for byte in 0..len {
+            let mut bits = 0xFFu8;
+            for bit in 0..8 {
+                let idx = byte * 8 + bit;
+                if idx < count && !r.has(idx) {
+                    bits &= !(1 << bit);
+                }
             }
+            enc.put_u8(bits);
         }
-        enc.put_u8(bits);
-    }
+    });
 }
 
 /// Erasure-coding parameters of one FEC-framed message, carried in
@@ -357,7 +358,7 @@ pub struct Srudp {
     /// the only timer source in this driver. Due together, they fire
     /// in key order: by kind, then by peer key.
     timers: Deadlines<(TimerKind, NodeKey)>,
-    out: Outbox,
+    out: Vec<Out>,
     stats: SrudpStats,
 }
 
@@ -370,7 +371,7 @@ impl Srudp {
             peers: HashMap::new(),
             locations: HashMap::new(),
             timers: Deadlines::new(),
-            out: Outbox::new(Proto::Srudp),
+            out: Vec::new(),
             stats: SrudpStats::default(),
         }
     }
@@ -519,7 +520,7 @@ impl Srudp {
     }
 
     /// Put fragment `idx` of `m` on the wire.
-    fn emit_data(out: &mut Outbox, my_key: NodeKey, to: Endpoint, m: &OutMsg, idx: usize) {
+    fn emit_data(out: &mut Vec<Out>, my_key: NodeKey, to: Endpoint, m: &OutMsg, idx: usize) {
         let (src_key, msg_id, payload) = (my_key, m.msg_id, &m.frags[idx]);
         let head = match m.fec {
             None => {
@@ -530,10 +531,11 @@ impl Srudp {
         // Shares advertise their index so the stack can spray them
         // across distinct routes; plain fragments route normally.
         let spray = m.fec.map(|_| idx as u32);
-        out.send(to, spray, |enc| {
+        let bytes = frame::seal_with(Proto::Srudp, |enc| {
             head.encode(enc);
             enc.put_bytes(payload);
         });
+        out.push(Out::Send { to, via: None, spray, bytes });
     }
 
     /// Fill the window toward a peer with untransmitted fragments.
@@ -734,7 +736,9 @@ impl Srudp {
                 peer.held.insert(msg_id, full_msg);
                 // FIFO delivery of any now-in-order messages.
                 while let Some(m) = peer.held.remove(&peer.next_deliver) {
-                    self.out.deliver(src_key, from_ep, m);
+                    let deliver =
+                        Out::Deliver { proto: Proto::Srudp, from_key: src_key, from_ep, msg: m };
+                    self.out.push(deliver);
                     self.stats.delivered += 1;
                     peer.next_deliver += 1;
                 }
@@ -791,7 +795,7 @@ impl Srudp {
     /// bitmap, or "done" (and an empty bitmap) when there is no partial
     /// because all of it has.
     fn emit_sack(
-        out: &mut Outbox,
+        out: &mut Vec<Out>,
         stats: &mut SrudpStats,
         my_key: NodeKey,
         to: Endpoint,
@@ -799,13 +803,14 @@ impl Srudp {
         partial: Option<&Reassembly>,
     ) {
         stats.sacks_sent += 1;
-        out.send(to, None, |enc| {
+        let bytes = frame::seal_with(Proto::Srudp, |enc| {
             SrudpHead::Sack { src_key: my_key, msg_id, done: partial.is_none() }.encode(enc);
             match partial {
                 Some(r) => put_sack_bitmap(enc, r),
                 None => enc.put_bytes(&[]),
             }
         });
+        out.push(Out::Send { to, via: None, spray: None, bytes });
     }
 
     fn on_sack(
@@ -1064,7 +1069,7 @@ impl crate::driver::Driver for Srudp {
     }
 
     fn drain_into(&mut self, into: &mut Vec<Out>) {
-        self.out.drain_into(into);
+        into.append(&mut self.out);
     }
 
     fn export_state(&self) -> Bytes {

@@ -12,7 +12,7 @@
 //!   messages come back as [`Out::Deliver`], tagged with the driver's
 //!   protocol), anything else is surfaced as [`Incoming`] for
 //!   host-level logic (raw datagrams, the daemon's multicast router);
-//! * drivers emit sealed datagrams ([`crate::frame::Outbox`]); the
+//! * drivers emit sealed datagrams ([`crate::frame::seal_with`]); the
 //!   stack moves them to its queue and routes SRUDP's through one
 //!   [`PathSelector`] (multi-path failover, §6), re-encoding nothing.
 //!   [`WireStack::send_raw`] and [`WireStack::send_mcast`] seal the

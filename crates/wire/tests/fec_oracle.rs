@@ -21,9 +21,8 @@ use snipe_netsim::topology::Endpoint;
 use snipe_util::id::HostId;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::SimTime;
-use snipe_wire::driver::Driver;
+use snipe_wire::driver::drain_opened;
 use snipe_wire::fec::FragStrategy;
-use snipe_wire::frame::open;
 use snipe_wire::srudp::{Srudp, SrudpConfig};
 use snipe_wire::Out;
 
@@ -40,19 +39,6 @@ fn choose(n: usize, k: usize) -> f64 {
 fn quorum_probability(b: usize, p: f64) -> f64 {
     let n = 2 * b - 1;
     (b..=n).map(|k| choose(n, k) * p.powi(k as i32) * (1.0 - p).powi((n - k) as i32)).sum()
-}
-
-/// Everything `end` queued, each datagram opened to the body the peer's
-/// `on_packet` takes.
-fn drain(end: &mut Srudp) -> Vec<Out> {
-    let mut outs = Vec::new();
-    end.drain_into(&mut outs);
-    for o in &mut outs {
-        if let Out::Send { bytes, .. } = o {
-            *bytes = open(bytes.clone()).unwrap().1;
-        }
-    }
-    outs
 }
 
 /// Send `MESSAGES` messages of `b` chunks, each through a fresh endpoint
@@ -74,7 +60,7 @@ fn first_flight_deliveries(b: usize, p: f64, seed: u64) -> usize {
         tx.set_peer_endpoint(RX, rx_ep);
         let mut rx = Srudp::new(RX, cfg.clone());
         tx.send_message(now, RX, msg.clone()).unwrap();
-        let shares = drain(&mut tx);
+        let shares = drain_opened(&mut tx);
         assert_eq!(shares.len(), 2 * b - 1, "one flight carries every share");
         for share in shares {
             let Out::Send { to, spray, bytes, .. } = share else {
@@ -86,7 +72,7 @@ fn first_flight_deliveries(b: usize, p: f64, seed: u64) -> usize {
                 rx.on_packet(now, tx_ep, bytes).unwrap();
             }
         }
-        let got: Vec<Bytes> = drain(&mut rx)
+        let got: Vec<Bytes> = drain_opened(&mut rx)
             .into_iter()
             .filter_map(|o| match o {
                 Out::Deliver { msg, .. } => Some(msg),

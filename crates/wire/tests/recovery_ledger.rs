@@ -20,9 +20,8 @@ use snipe_netsim::topology::Endpoint;
 use snipe_util::id::HostId;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::SimTime;
-use snipe_wire::driver::Driver;
+use snipe_wire::driver::{drain_opened, Driver};
 use snipe_wire::fec::FragStrategy;
-use snipe_wire::frame::open;
 use snipe_wire::rstream::{Rstream, RstreamConfig};
 use snipe_wire::srudp::{Srudp, SrudpConfig};
 use snipe_wire::Out;
@@ -79,15 +78,11 @@ fn run(mut ends: [&mut dyn Driver; 2], msgs: &[Bytes], loss: f64, seed: u64) -> 
     let mut now = 0u64;
     let mut ledger = Ledger { datagrams: 0, wire: 0, deadlines: 0 };
     let (mut wire, mut deadlines) = (Fnv::new(), Fnv::new());
-    let mut outs = Vec::new();
     for _step in 0..200_000 {
         for (src, end) in ends.iter_mut().enumerate() {
-            end.drain_into(&mut outs);
-            for o in outs.drain(..) {
+            for o in drain_opened(&mut **end) {
                 match o {
                     Out::Send { to, bytes, .. } => {
-                        // Pinned as the protocol body the envelope holds.
-                        let (_, bytes) = open(bytes).unwrap();
                         assert_eq!(to, ep(1 - src));
                         ledger.datagrams += 1;
                         wire.word(src as u64);

@@ -89,8 +89,9 @@ if [ -n "$rtt" ]; then
     exit 1
 fi
 # One-allocation-per-datagram gate: a driver writes each datagram into
-# the buffer its `frame::Outbox` keeps for life and freezes it with one
-# exact-size copy, and the stack only routes what drivers drain. A fresh
+# the thread's scratch encoder through `frame::seal_with`, which freezes
+# it with one exact-size copy, and the stack only routes what drivers
+# drain. A fresh
 # encoder per datagram and a second seal in the stack's harvest are how
 # a DATA fragment came to cost four allocations and four payload
 # copies, so outside test modules the transports build no `Encoder`
@@ -111,7 +112,7 @@ dgram=$(
     ' crates/wire/src/srudp.rs crates/wire/src/rstream.rs crates/wire/src/mcast.rs crates/wire/src/stack.rs
 )
 if [ -n "$dgram" ]; then
-    echo "datagram gate: FAIL — write the datagram through the driver's frame::Outbox instead:"
+    echo "datagram gate: FAIL — write the datagram through frame::seal_with instead:"
     echo "$dgram"
     exit 1
 fi

@@ -15,27 +15,12 @@ use snipe::util::codec::{Decoder, Encoder};
 use snipe::util::id::HostId;
 use snipe::util::rng::Xoshiro256;
 use snipe::util::time::{SimDuration, SimTime};
-use snipe::wire::driver::Driver;
+use snipe::wire::driver::drain_opened;
 use snipe::wire::frag::{split, ReassemblySet};
-use snipe::wire::frame::open;
 use snipe::wire::srudp::{Srudp, SrudpConfig};
-use snipe::wire::Out;
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
-
-/// Everything `end` queued, each datagram opened to the body the peer's
-/// `on_packet` takes.
-fn drained(end: &mut Srudp) -> Vec<Out> {
-    let mut outs = Vec::new();
-    end.drain_into(&mut outs);
-    for o in &mut outs {
-        if let Out::Send { bytes, .. } = o {
-            *bytes = open(bytes.clone()).unwrap().1;
-        }
-    }
-    outs
-}
 
 proptest! {
     #[test]
@@ -178,7 +163,7 @@ proptest! {
         let mut now = SimTime::ZERO;
         for _ in 0..5000 {
             let mut moved = false;
-            for o in drained(&mut a) {
+            for o in drain_opened(&mut a) {
                 if let snipe::wire::Out::Send { bytes, .. } = o {
                     moved = true;
                     if rng.gen_range(drop_mod as u64) != 0 {
@@ -186,7 +171,7 @@ proptest! {
                     }
                 }
             }
-            for o in drained(&mut b) {
+            for o in drain_opened(&mut b) {
                 match o {
                     snipe::wire::Out::Send { bytes, .. } => {
                         moved = true;

@@ -44,9 +44,8 @@ use snipe::util::codec::{WireDecode, WireEncode};
 use snipe::util::error::SnipeResult;
 use snipe::util::id::HostId;
 use snipe::util::time::{SimDuration, SimTime};
-use snipe::wire::driver::Driver;
+use snipe::wire::driver::{drain_opened, Driver};
 use snipe::wire::fec::FragStrategy;
-use snipe::wire::frame::open;
 use snipe::wire::mcast::{McastMember, McastMsg};
 use snipe::wire::rstream::{Rstream, RstreamConfig};
 use snipe::wire::srudp::{Srudp, SrudpConfig};
@@ -211,11 +210,10 @@ fn rstream_datagram(b: Bytes) -> SnipeResult<(String, Bytes)> {
 /// The datagrams `end` queued, each opened to the body the envelope
 /// holds (what the pins below are).
 fn sends(end: &mut dyn Driver) -> Vec<Bytes> {
-    let mut outs = Vec::new();
-    end.drain_into(&mut outs);
-    outs.into_iter()
+    drain_opened(end)
+        .into_iter()
         .filter_map(|o| match o {
-            Out::Send { bytes, .. } => Some(open(bytes).unwrap().1),
+            Out::Send { bytes, .. } => Some(bytes),
             _ => None,
         })
         .collect()
