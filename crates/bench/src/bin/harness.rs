@@ -18,7 +18,7 @@
 use snipe_bench::report::{mbps, Table};
 use snipe_bench::{
     ablations, chaos, e2_mpiconnect, e3_availability, e4_scalability, e5_migration, e6_multicast,
-    e7_failover, e8_spof, engine, fig1, par_map, rcds_bench, shard_storm,
+    e7_failover, e8_spof, fig1, par_map, rcds_bench, shard_storm,
 };
 use snipe_util::time::SimDuration;
 
@@ -536,19 +536,6 @@ fn run_trace(rest: &[String]) -> bool {
     ok
 }
 
-/// `harness engine-probe`: one storm, recorder disabled, events/s as a
-/// bare number on stdout. `scripts/check.sh` interleaves probes of the
-/// default build against an `--features obs-off` build (observability
-/// compile-folded out of the same tree -- the hot path as it was before
-/// the flight recorder landed) so machine-load drift cancels out of the
-/// comparison.
-fn run_engine_probe() -> bool {
-    assert!(!snipe_netsim::trace::enabled(), "probe measures the recorder-disabled configuration");
-    let r = engine::storm(32, SimDuration::from_secs(2), 42);
-    println!("{:.0}", r.events_per_sec);
-    true
-}
-
 /// `harness shard`: the sharded-engine scaling matrix — every world
 /// size in [`shard_storm::scaling_matrix`] at every thread count in
 /// [`shard_storm::THREAD_SWEEP`]. Digests must agree across thread
@@ -683,7 +670,6 @@ const COMMANDS: &[Command] = &[
     ("shard-digest", run_shard_digest),
     ("full-proto-digest", run_full_proto_digest),
     ("e4-shard", |r| r.is_empty() && run_e4_shard()),
-    ("engine-probe", |r| r.is_empty() && run_engine_probe()),
 ];
 
 /// What bare `harness` regenerates: the paper's figures and tables, the

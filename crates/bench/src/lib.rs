@@ -37,7 +37,6 @@ pub mod e5_migration;
 pub mod e6_multicast;
 pub mod e7_failover;
 pub mod e8_spof;
-pub mod engine;
 pub mod fig1;
 pub mod oracles;
 pub mod rcds_bench;

@@ -1,9 +1,8 @@
-//! Scaling benchmark: the storm workload on a partitioned [`World`]
-//! at 1k–100k hosts.
+//! Scaling benchmark: a datagram storm on a partitioned [`World`] at
+//! 1k–100k hosts.
 //!
-//! The one-region storm ([`crate::engine`]) measures one core's
-//! ceiling; this module measures how far partitioning the world onto
-//! worker threads pushes it. The world is a campus of
+//! This module measures how far partitioning the world onto worker
+//! threads pushes engine throughput. The world is a campus of
 //! routable switched LANs ("clusters") of [`CLUSTER`] hosts each — one
 //! partition region per LAN — with ~10% of each burst crossing
 //! clusters through the deterministic mailbox. `harness shard` runs

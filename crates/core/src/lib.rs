@@ -29,6 +29,8 @@
 //! world.run_for_secs(1);
 //! ```
 
+#![deny(clippy::iter_over_hash_type)] // ROADMAP 3: hash order must not reach output
+
 pub mod actor;
 pub mod api;
 pub mod console;

@@ -198,6 +198,10 @@ impl DaemonActor {
             // Fixed-key spawns (migration) are idempotent: a duplicated
             // or retransmitted SpawnReq must not start a second
             // incarnation, it re-acks the one already running.
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "this check keeps a fixed key on at most one Running task, so at most one entry matches"
+            )]
             if let Some((&port, _)) = self
                 .tasks
                 .iter()
@@ -356,6 +360,10 @@ impl Actor for DaemonActor {
             Event::HostUp => {
                 self.rc.on_host_up(ctx.now());
                 // Reboot: tasks died with the host.
+                #[allow(
+                    clippy::disallowed_methods,
+                    reason = "order reaches output: each crash is an RC put and notify sends; ROADMAP 3 sorts it at the re-baseline"
+                )]
                 let ports_list: Vec<u16> = self.tasks.keys().copied().collect();
                 for p in ports_list {
                     self.broadcast_state(ctx, p, TaskState::Crashed);

@@ -13,6 +13,7 @@
 //! basis" (§5.4) — see [`router`] and the election logic in
 //! [`daemon::DaemonActor`].
 #![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
+#![deny(clippy::iter_over_hash_type)] // ROADMAP 3: hash order must not reach output
 
 pub mod daemon;
 pub mod proto;

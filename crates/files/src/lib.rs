@@ -16,6 +16,7 @@
 //! Files are named by LIFN; every stored file carries its SHA-256 so
 //! replicas and readers can verify integrity (§2.1).
 #![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
+#![deny(clippy::iter_over_hash_type)] // ROADMAP 3: hash order must not reach output
 
 pub mod fetch;
 pub mod proto;

@@ -160,6 +160,7 @@ impl FileServerActor {
             // Push under-replicated files to the first peers in the
             // (deterministic) peer order; acks raise the replica count.
             let mut pushes: Vec<(u64, FileMsg)> = Vec::new();
+            #[allow(clippy::disallowed_methods, reason = "the names are sorted")]
             let mut names: Vec<&String> = self
                 .files
                 .iter()

@@ -535,7 +535,7 @@ impl ShardCore {
     /// event is only built on the (cold) recording path.
     #[inline(always)]
     fn record(&mut self, kind: impl FnOnce() -> TraceKind) {
-        if cfg!(not(feature = "obs-off")) && self.sink != TraceSink::Off {
+        if self.sink != TraceSink::Off {
             self.record_to_sink(kind());
         }
     }
@@ -1153,7 +1153,7 @@ impl Coordinator {
         };
         if let Some((what, a, b)) = changed {
             topo.bump_epoch();
-            if cfg!(not(feature = "obs-off")) && self.thread_trace {
+            if self.thread_trace {
                 let op = FaultOp { what, a: a as u64, b };
                 trace::record_cached(at, TraceKind::Fault { op });
             }
@@ -1836,8 +1836,12 @@ mod tests {
     }
 
     fn pinger_world(seed: u64, threads: usize) -> World {
-        let topo = cluster_topology(4, 4);
-        let mut w = World::sharded(topo, seed, threads);
+        with_pingers(World::sharded(cluster_topology(4, 4), seed, threads))
+    }
+
+    /// Spawn a `Pinger` on each of the 16 hosts of a
+    /// `cluster_topology(4, 4)` world.
+    fn with_pingers(mut w: World) -> World {
         // Every host pings the "next" host — 1/4 of pairs cross regions.
         let hosts = 16u32;
         for i in 0..hosts {
@@ -2089,6 +2093,49 @@ mod tests {
         assert_eq!(run(1), ((kinds, dropped), rendered), "1 thread vs 2");
     }
 
+    /// A disabled recorder records nothing. A one-region world built
+    /// and run while the thread's recorder is off leaves that
+    /// recorder's counts and ring untouched (the same run with it on
+    /// does record), and a multi-region world that never called
+    /// `enable_trace` reports zero totals at any thread count.
+    #[test]
+    fn a_disabled_run_records_nothing() {
+        let busy_one_region = || {
+            let mut w = with_pingers(World::new(cluster_topology(4, 4), 23));
+            w.schedule_fault(SimTime::from_nanos(3_000_000), FaultCmd::HostDown(HostId(6)));
+            w.schedule_fault(SimTime::from_nanos(8_000_000), FaultCmd::HostUp(HostId(6)));
+            w.schedule_fault(
+                SimTime::from_nanos(4_000_000),
+                FaultCmd::NetLoss(NetId(1), Some(0.2)),
+            );
+            w.run_for(SimDuration::from_millis(20));
+            w.stats()
+        };
+        // A ring that exists but is off: a stray record would land in it.
+        trace::enable(1 << 12);
+        trace::disable();
+        let before = (trace::kind_counts(), trace::trace_dropped());
+        let s = busy_one_region();
+        assert!(s.delivered > 0 && s.total_drops() > 0, "busy and faulted: {s:?}");
+        assert_eq!((trace::kind_counts(), trace::trace_dropped()), before);
+        assert!(trace::last_events(usize::MAX).is_empty());
+        // The same run with the recorder on records sends and faults.
+        trace::enable(1 << 12);
+        busy_one_region();
+        let kinds = trace::kind_counts();
+        trace::disable();
+        assert!(kinds[0] > 0 && kinds[6] > 0, "sends, faults: {kinds:?}");
+
+        for threads in [1, 2] {
+            let mut w = pinger_world(29, threads);
+            assert_eq!(w.regions(), 4);
+            w.schedule_fault(SimTime::from_nanos(3_000_000), FaultCmd::HostDown(HostId(6)));
+            w.run_for(SimDuration::from_millis(20));
+            assert!(w.stats().delivered > 0);
+            assert_eq!(w.trace_totals(), ([0; TraceKind::COUNT], 0), "{threads} threads");
+        }
+    }
+
     /// Streams one datagram per millisecond to `peer`.
     struct Ticker {
         peer: Endpoint,
@@ -2192,6 +2239,8 @@ mod tests {
                 SimTime::from_nanos(2_000_000),
                 FaultCmd::NetLoss(NetId(0), Some(0.2)),
             );
+            w.schedule_fault(SimTime::from_nanos(5_000_000), FaultCmd::HostDown(HostId(2)));
+            w.schedule_fault(SimTime::from_nanos(9_000_000), FaultCmd::HostUp(HostId(2)));
             w.schedule_fault(
                 SimTime::ZERO,
                 FaultCmd::PacketChaos(
@@ -2208,7 +2257,11 @@ mod tests {
             (w.digest(), w.stats())
         };
         let forced = build(World::new(cluster_topology(1, 4), 31));
-        assert!(forced.1.drops(DropReason::Loss) > 0 && forced.1.chaos.duplicated > 0);
+        let s = &forced.1;
+        assert!(s.delivered > 0 && s.drops(DropReason::Loss) > 0 && s.chaos.duplicated > 0);
+        assert!(s.drops(DropReason::HostDown) + s.drops(DropReason::NoRoute) > 0, "{s:?}");
+        // A one-region world with scheduled faults replays exactly.
+        assert_eq!(build(World::new(cluster_topology(1, 4), 31)), forced);
         for threads in [1, 4] {
             let natural = World::sharded(cluster_topology(1, 4), 31, threads);
             assert_eq!(natural.regions(), 1);

@@ -407,11 +407,9 @@ pub fn disable() {
 
 /// Is the recorder on for this thread? One `Cell` load — cheap enough
 /// for cold call sites; hot loops should cache it (the engine cores do).
-/// Constant `false` under the `obs-off` gate-baseline feature, which
-/// compile-folds every recording branch away.
 #[inline]
 pub fn enabled() -> bool {
-    !cfg!(feature = "obs-off") && TRACE_ON.with(|t| t.get())
+    TRACE_ON.with(|t| t.get())
 }
 
 /// Record one event at virtual time `at`. No-op when disabled; never
@@ -419,8 +417,8 @@ pub fn enabled() -> bool {
 ///
 /// The enabled path is outlined (`#[cold]`): the TLS + ring machinery
 /// would otherwise be inlined — dead — into every guarded call site in
-/// the engine hot loop, and the I-cache bloat alone is measurable on
-/// the overhead gate.
+/// the engine hot loop, bloating the code the benchmark's `storm`
+/// workload times.
 #[inline]
 pub fn record(at: SimTime, kind: TraceKind) {
     if !enabled() {

@@ -23,6 +23,7 @@
 //!   actor (transmit, wake-ups, recovery after a host outage);
 //! * [`shard`] — consistent-hash sharding of the URI namespace across replica groups.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
+#![deny(clippy::iter_over_hash_type)] // ROADMAP 3: hash order must not reach output
 
 pub mod assertion;
 pub mod client;

@@ -105,6 +105,7 @@ impl RcStore {
     }
 
     /// Live assertions for a URI (tombstones filtered), sorted by name.
+    #[allow(clippy::disallowed_methods, reason = "sorted by name, the map's unique key")]
     pub fn get(&self, uri: &Uri) -> Vec<Assertion> {
         let mut v: Vec<Assertion> = self
             .data
@@ -122,6 +123,7 @@ impl RcStore {
 
     /// All URIs with a live assertion whose name equals `name` and
     /// value equals `value` (simple exact-match query).
+    #[allow(clippy::disallowed_methods, reason = "the URIs are sorted")]
     pub fn find_by_attr(&self, name: &str, value: &str) -> Vec<String> {
         let mut v: Vec<String> = self
             .data

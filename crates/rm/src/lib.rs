@@ -20,6 +20,7 @@
 //! [`manager::RmActor`] verifies the two certificates (user grant +
 //! requesting host) and issues its own signed resource authorization.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
+#![deny(clippy::iter_over_hash_type)] // ROADMAP 3: hash order must not reach output
 
 pub mod manager;
 pub mod proto;

@@ -630,6 +630,7 @@ mod tests {
         for _ in 0..2 {
             ctx.now += SPAWN_TIMEOUT + SimDuration::from_micros(1);
             rm.check_pending(&mut ctx);
+            #[allow(clippy::disallowed_methods, reason = "each map holds one retry")]
             let by_alloc: Vec<(u64, u64)> = rm
                 .pending
                 .iter_mut()

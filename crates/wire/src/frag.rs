@@ -233,6 +233,7 @@ impl<T: Default> ReassemblySet<T> {
 
     /// The entry with the oldest last-activity stamp (ties broken by
     /// lowest msg id, so eviction order is deterministic).
+    #[allow(clippy::disallowed_methods, reason = "a min over unique (stamp, id) keys")]
     fn stalest(&self) -> Option<u64> {
         self.msgs.iter().map(|(id, (r, _))| (r.last_activity, *id)).min().map(|(_, id)| id)
     }
@@ -252,6 +253,7 @@ impl<T: Default> ReassemblySet<T> {
     /// driver can clean its side tables. Drive this from a periodic
     /// timer with a `ttl` longer than the sender's give-up horizon:
     /// in-contract transfers are never evicted, only abandoned ones.
+    #[allow(clippy::disallowed_methods, reason = "the evicted ids are sorted")]
     pub fn evict_stale(&mut self, now: SimTime, ttl: SimDuration) -> Vec<u64> {
         let mut evicted: Vec<u64> = self
             .msgs
@@ -311,6 +313,7 @@ impl<T: Default> ReassemblySet<T> {
     }
 
     /// Export all partial reassembly state (for migration checkpoints).
+    #[allow(clippy::disallowed_methods, reason = "the export is sorted by id")]
     pub fn export(&self) -> Vec<(u64, Vec<Option<Bytes>>)> {
         let mut v: Vec<(u64, Vec<Option<Bytes>>)> =
             self.msgs.iter().map(|(id, (r, _))| (*id, r.frags.clone())).collect();

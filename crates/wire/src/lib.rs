@@ -28,6 +28,7 @@
 //! [`path::PathSelector`], and glues the modules together. [`host::StackHost`] is the one adapter that embeds
 //! a stack in a `snipe-netsim` actor.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
+#![deny(clippy::iter_over_hash_type)] // ROADMAP 3: hash order must not reach output
 
 pub mod driver;
 pub mod fec;

@@ -106,6 +106,7 @@ impl McastRouter {
     }
 
     /// Member endpoints of a group on this router.
+    #[allow(clippy::disallowed_methods, reason = "the list is sorted")]
     pub fn members(&self, g: GroupId) -> Vec<Endpoint> {
         let mut v: Vec<Endpoint> =
             self.groups.get(&g).map(|s| s.members.iter().copied().collect()).unwrap_or_default();
@@ -114,6 +115,7 @@ impl McastRouter {
     }
 
     /// Peer routers of a group on this router.
+    #[allow(clippy::disallowed_methods, reason = "the list is sorted")]
     pub fn peers(&self, g: GroupId) -> Vec<Endpoint> {
         let mut v: Vec<Endpoint> =
             self.groups.get(&g).map(|s| s.peers.iter().copied().collect()).unwrap_or_default();
@@ -144,6 +146,7 @@ impl McastRouter {
                 }
                 self.relayed += 1;
                 // Deliver to local members.
+                #[allow(clippy::disallowed_methods, reason = "sorted before sending")]
                 let mut members: Vec<Endpoint> = state.members.iter().copied().collect();
                 members.sort();
                 for m in members {
@@ -153,6 +156,7 @@ impl McastRouter {
                 }
                 // Relay to peer routers while TTL remains.
                 if ttl > 0 {
+                    #[allow(clippy::disallowed_methods, reason = "sorted before sending")]
                     let mut peers: Vec<Endpoint> = state.peers.iter().copied().collect();
                     peers.sort();
                     for p in peers {
@@ -237,6 +241,7 @@ impl McastMember {
 
     /// Serialize dedup + sequence state (sorted, so snapshots are
     /// byte-for-byte deterministic).
+    #[allow(clippy::disallowed_methods, reason = "collected into BTreeMaps and sorted Vecs")]
     pub fn export_state(&self) -> Bytes {
         let seen = self.seen.iter().map(|(&g, set)| {
             let mut pairs: Vec<(u64, u64)> = set.iter().copied().collect();

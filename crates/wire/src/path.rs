@@ -457,6 +457,7 @@ impl PathSelector {
 
     /// Append every tracked peer key to `into` (reused scratch, no
     /// per-call allocation in steady state).
+    #[allow(clippy::disallowed_methods, reason = "the keys are sorted")]
     pub fn keys_into(&self, into: &mut Vec<NodeKey>) {
         // Sorted: callers act on peers in this order (failover checks,
         // endpoint routing), and any behaviour keyed to hash iteration
@@ -468,6 +469,7 @@ impl PathSelector {
 
     /// The smallest tracked key satisfying `pred`: the first match of a
     /// scan in sorted key order, found without collecting or sorting.
+    #[allow(clippy::disallowed_methods, reason = "a min over unique keys")]
     pub fn min_key_where(&self, mut pred: impl FnMut(NodeKey) -> bool) -> Option<NodeKey> {
         self.peers.keys().copied().filter(|&k| pred(k)).min()
     }

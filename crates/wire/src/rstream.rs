@@ -246,6 +246,11 @@ impl Rstream {
     }
 
     /// Abort every connection to a peer (e.g. the peer host died).
+    #[allow(
+        clippy::disallowed_methods,
+        clippy::iter_over_hash_type,
+        reason = "closing each connection and dropping its timer commute"
+    )]
     pub fn abort_peer(&mut self, peer: Endpoint) {
         for (id, c) in self.conns.iter_mut() {
             if c.peer == peer && c.state != State::Closed {
@@ -549,6 +554,7 @@ impl crate::driver::Driver for Rstream {
         Ok(())
     }
 
+    #[allow(clippy::disallowed_methods, reason = "`all` is order-free")]
     fn quiescent(&self) -> bool {
         self.out.is_empty()
             && self.conns.values().all(|c| c.state != State::Established || c.snd_buf.is_empty())

@@ -439,6 +439,7 @@ impl Srudp {
     /// Append all peer keys (sorted) to `into` without allocating when
     /// `into` has capacity — the scratch-buffer form of
     /// [`Self::peer_keys`] for steady-state callers.
+    #[allow(clippy::disallowed_methods, reason = "the keys are sorted")]
     pub fn peer_keys_into(&self, into: &mut Vec<NodeKey>) {
         let start = into.len();
         into.extend(self.peers.keys().copied());
@@ -457,11 +458,13 @@ impl Srudp {
     }
 
     /// Unsent + unacked payload bytes across all peers.
+    #[allow(clippy::disallowed_methods, reason = "a sum is order-free")]
     pub fn backlog_total(&self) -> usize {
         self.peers.values().map(|p| p.backlog_bytes).sum()
     }
 
     /// True when nothing is queued or in flight anywhere.
+    #[allow(clippy::disallowed_methods, reason = "`all` is order-free")]
     pub fn quiescent(&self) -> bool {
         self.peers.values().all(|p| p.queue.is_empty() && p.flight.is_empty())
     }
