@@ -14,14 +14,12 @@ use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
-use snipe_rcds::server::RcServerActor;
 use snipe_rcds::uri::Uri;
 use snipe_util::time::{SimDuration, SimTime};
-use snipe_wire::ports;
 use snipe_wire::stack::StackConfig;
 
-use crate::fig1::{hosted, Hosted, Receiver, SrudpSender};
-use crate::{drive, lan};
+use crate::fig1::{hosted, Flow, Receiver, Transfer};
+use crate::{drive, lan, rc_group};
 
 /// A1 result row.
 #[derive(Clone, Debug)]
@@ -45,20 +43,14 @@ pub fn run_a1(window: usize, frag_size: usize, loss: f64, seed: u64) -> A1Point 
     cfg.srudp.window = window;
     cfg.srudp.frag_size = frag_size;
     cfg.srudp.rto_initial = SimDuration::from_millis(150);
-    let rx = Endpoint::new(b, 20);
-    world.spawn(b, 20, Box::new(Hosted::new(Receiver::new(cfg.clone(), None, total))));
-    world.spawn(
-        a,
-        20,
-        Box::new(Hosted::new(SrudpSender {
-            peer: rx,
-            msg_size: 64 * 1024,
-            remaining: total,
-            inflight: window * frag_size * 2,
-            cfg,
-            pin: None,
-        })),
-    );
+    let rx = Transfer {
+        flow: Flow::Srudp(cfg),
+        pin: None,
+        msg_size: 64 * 1024,
+        work: total,
+        window: window * frag_size * 2,
+    }
+    .spawn(&mut world, a, b);
     let done_at = |w: &World| hosted::<Receiver>(w, rx).app.done_at;
     drive(
         &mut world,
@@ -100,7 +92,6 @@ pub const FEC_AB_MSG: usize = 7000;
 /// dominate and FEC overtakes — that crossover is the claim
 /// `fec_beats_plain_on_a_lossy_wan` pins.
 pub fn run_fec_ab(fec: bool, loss: f64, seed: u64) -> FecAbPoint {
-    use crate::fig1::{FecReceiver, FecSender};
     use snipe_wire::fec::FragStrategy;
 
     let (mut world, hosts) = lan(seed, &[Medium::wan_lossy(loss)], 2);
@@ -109,35 +100,27 @@ pub fn run_fec_ab(fec: bool, loss: f64, seed: u64) -> FecAbPoint {
     if fec {
         cfg.srudp.frag_strategy = FragStrategy::Fec;
     }
-    let rx = Endpoint::new(b, 20);
-    let receiver = FecReceiver::new(cfg.clone(), None, FEC_AB_COUNT, FEC_AB_MSG);
-    world.spawn(b, 20, Box::new(Hosted::new(receiver)));
-    world.spawn(
-        a,
-        20,
-        Box::new(Hosted::new(FecSender {
-            peer: rx,
-            msg_size: FEC_AB_MSG,
-            count: FEC_AB_COUNT,
-            next: 0,
-            // Strict stop-and-wait: the next message enters the stack
-            // only when the previous one is fully acknowledged, so both
-            // variants carry exactly one message in flight and the
-            // comparison is per-message completion latency. (A byte
-            // budget would let plain pipeline deeper than FEC purely
-            // because shares cost 2b-1/b more bytes.)
-            inflight: 0,
-            cfg,
-            pin: None,
-        })),
-    );
+    let rx = Transfer {
+        flow: Flow::Patterned(cfg),
+        pin: None,
+        msg_size: FEC_AB_MSG,
+        work: FEC_AB_COUNT as usize,
+        // Strict stop-and-wait: the next message enters the stack only
+        // when the previous one is fully acknowledged, so both variants
+        // carry exactly one message in flight and the comparison is
+        // per-message completion latency. (A byte budget would let
+        // plain pipeline deeper than FEC purely because shares cost
+        // 2b-1/b more bytes.)
+        window: 0,
+    }
+    .spawn(&mut world, a, b);
     drive(
         &mut world,
         SimDuration::from_millis(100),
         SimTime::ZERO + SimDuration::from_secs(60),
-        |w| hosted::<FecReceiver>(w, rx).app.done_at.is_some(),
+        |w| hosted::<Receiver>(w, rx).app.done_at.is_some(),
     );
-    let rx = hosted::<FecReceiver>(&world, rx);
+    let rx = hosted::<Receiver>(&world, rx);
     let delivered = rx.app.seqs.len() as u64;
     assert!(
         rx.app.mismatches.is_empty(),
@@ -236,18 +219,20 @@ impl Actor for OneShotWriter {
 pub fn run_a2(sync_interval: SimDuration, seed: u64) -> A2Point {
     let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], 3);
     let (r0, r1, c) = (hosts[0], hosts[1], hosts[2]);
-    let ep0 = Endpoint::new(r0, ports::RC_SERVER);
-    let ep1 = Endpoint::new(r1, ports::RC_SERVER);
-    world.spawn(r0, ports::RC_SERVER, Box::new(RcServerActor::new(1, vec![ep1], sync_interval)));
-    world.spawn(r1, ports::RC_SERVER, Box::new(RcServerActor::new(2, vec![ep0], sync_interval)));
+    let eps = rc_group(&mut world, &[r0, r1], sync_interval);
     // Let the replicas settle so the first sync tick isn't aligned with
     // the write.
     world.run_for(sync_interval + SimDuration::from_millis(37));
     let uri = Uri::process(1);
     let client = |ep| RcHost::new(RcClient::new(vec![ep], SimDuration::from_millis(200)), TIMER_RC);
-    let writer =
-        OneShotWriter { uri: uri.clone(), value: "fresh".into(), rc: client(ep0), wrote_at: None };
-    let probe = StalenessProbe { uri, expect: "fresh".into(), rc: client(ep1), visible_at: None };
+    let writer = OneShotWriter {
+        uri: uri.clone(),
+        value: "fresh".into(),
+        rc: client(eps[0]),
+        wrote_at: None,
+    };
+    let probe =
+        StalenessProbe { uri, expect: "fresh".into(), rc: client(eps[1]), visible_at: None };
     world.spawn(c, 50, Box::new(writer));
     world.spawn(c, 51, Box::new(probe));
     world.run_for(sync_interval * 4 + SimDuration::from_secs(2));
@@ -334,7 +319,6 @@ pub fn run_a3(slice: u64, seed: u64) -> A3Point {
         granted_caps: CAP_EMIT,
         quotas: Quotas { fuel: 10_000_000, ..Quotas::default() },
         slice,
-        slice_interval: SimDuration::from_millis(1),
         supervisor: sup,
         address_book: Default::default(),
     };

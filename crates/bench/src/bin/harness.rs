@@ -427,6 +427,8 @@ fn chaos_soak(seeds_per_workload: u64) -> bool {
     for f in &failures {
         println!("VIOLATION in {}: {}", f.workload, f.violations[0]);
         println!("  {}", f.replay);
+        let shrunk = chaos::shrink_violation(f);
+        println!("  shrunk {} {:?}", shrunk.replay_line(f.workload, f.workload_seed), shrunk.ops);
         print_dump("before the verdict", f.trace_dump.as_ref());
     }
 

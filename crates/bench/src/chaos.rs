@@ -3,11 +3,12 @@
 //! A workload is data: a row of [`WORKLOADS`] names a [`ChaosShape`]
 //! (the fault envelope its contract tolerates), a *stage* and a *body*.
 //! The body is the experiment — it spawns the real actors of one of the
-//! paper's shapes (E7-style failover transfer, Fig. 1 stream, FEC
-//! spray, E5 migration, E3-style replicated metadata, E6 multicast, a
-//! striped read under replica crashes, the full protocol stack) onto
-//! the world it is handed, binds the seeded [`ChaosPlan`] to its cast,
-//! drives to done-or-deadline and judges with [`crate::oracles`]. The
+//! paper's shapes (one transfer body, a `fig1::Transfer`, for the
+//! E7-style failover transfer, the Fig. 1 stream and the FEC spray; E5
+//! migration, E3-style replicated metadata, E6 multicast, a striped
+//! read under replica crashes, the full protocol stack) onto the world
+//! it is handed, binds the seeded [`ChaosPlan`] to its cast, drives to
+//! done-or-deadline and judges with [`crate::oracles`]. The
 //! stage is the placement — it builds that world and says who plays
 //! where: a bespoke one-region LAN, or the multi-region campus with the
 //! cast spread over regions (`…@campus` rows) so every exchange crosses
@@ -17,7 +18,8 @@
 //! world it ran on turned out to have more than one region it re-runs
 //! the plan at a second thread count and demands the same digest. A
 //! failing `(plan_seed, workload_seed)` pair replays bit-for-bit, is
-//! greedily shrunk to a minimal violating plan, and gets pinned in
+//! greedily shrunk to a minimal plan that fails the same way (one
+//! routine for the soak and the drill), and gets pinned in
 //! [`REGRESSION_CORPUS`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,11 +52,9 @@ use snipe_wire::rstream::RstreamConfig;
 use snipe_wire::stack::StackConfig;
 
 use crate::e6_multicast::{self, MemberActor};
-use crate::fig1::{
-    hosted, rstream_stack, FecReceiver, FecSender, Hosted, Receiver, RstreamSender, SrudpSender,
-};
+use crate::fig1::{hosted, Flow, Receiver, Transfer};
 use crate::shard_storm::cluster_topology;
-use crate::{drive, e5_migration, lan, oracles, par_map};
+use crate::{drive, e5_migration, lan, oracles, par_map, rc_group};
 
 /// How long a transfer may sit with zero progress while a physical path
 /// exists before the liveness watchdog declares a violation.
@@ -551,21 +551,27 @@ fn judge<W: Arena, R>(
 }
 
 // ---------------------------------------------------------------------------
-// Drive loops
+// Bodies: point-to-point transfers (cast: sender, receiver)
 // ---------------------------------------------------------------------------
 
-/// Drive a point-to-point transfer until `progress` reaches `total`,
-/// under a virtual-time liveness watchdog: stalling while a physical
-/// path exists is a violation even before the completion deadline
-/// (quiesce plus the recovery tail). Overshooting `total` is one too.
-fn drive_transfer(
-    label: &str,
-    world: &mut World,
+/// The one transfer body: a [`Transfer`] of `flow` from the first cast
+/// member to the second, sized and pinned by the stage, under a
+/// virtual-time liveness watchdog: stalling while a physical path
+/// exists is a violation even before the completion deadline (quiesce
+/// plus the recovery tail). Overshooting `work` is one too.
+fn transfer(
+    st: &mut Stage<World>,
     plan: &ChaosPlan,
-    (a, b): (HostId, HostId),
-    (total, unit): (usize, &str),
-    progress: impl Fn(&World) -> usize,
-) -> Vec<String> {
+    label: &str,
+    flow: Flow,
+    msg_size: usize,
+) -> (Vec<String>, Endpoint) {
+    let (a, b, total, unit) = (st.cast[0], st.cast[1], st.work, flow.unit());
+    let t = Transfer { flow, pin: st.pin.clone(), msg_size, work: total, window: st.window };
+    let rx = t.spawn(&mut st.world, a, b);
+    st.bind(plan, &[a, b], Vec::new());
+    let world = &mut st.world;
+    let progress = |w: &World| hosted::<Receiver>(w, rx).app.received;
     let mut violations = Vec::new();
     let deadline = plan.quiesce_at() + RECOVERY_TAIL;
     let step = ms(250);
@@ -604,92 +610,30 @@ fn drive_transfer(
             "{label}: exactly-once violated — {got} {unit} delivered for {total} sent"
         ));
     }
-    violations
+    (violations, rx)
 }
-
-// ---------------------------------------------------------------------------
-// Bodies: point-to-point transfers (cast: sender, receiver)
-// ---------------------------------------------------------------------------
 
 fn srudp_transfer(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
-    let (a, b, total) = (st.cast[0], st.cast[1], st.work);
-    let rx = Endpoint::new(b, 20);
     let mut cfg = StackConfig::default();
     cfg.srudp.rto_initial = ms(20);
-    st.world.spawn(b, 20, Box::new(Hosted::new(Receiver::new(cfg.clone(), st.pin.clone(), total))));
-    st.world.spawn(
-        a,
-        20,
-        Box::new(Hosted::new(SrudpSender {
-            peer: rx,
-            msg_size: 16 * 1024,
-            remaining: total,
-            inflight: st.window,
-            cfg,
-            pin: st.pin.clone(),
-        })),
-    );
-    st.bind(plan, &[a, b], Vec::new());
-    drive_transfer(label, &mut st.world, plan, (a, b), (total, "bytes"), |w| {
-        hosted::<Receiver>(w, rx).app.received
-    })
+    transfer(st, plan, label, Flow::Srudp(cfg), 16 * 1024).0
 }
 
+/// Faults may sever connectivity for most of the horizon; the widened
+/// abort budget lets the stream outlive them and resume.
 fn rstream_transfer(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
-    let (a, b, total) = (st.cast[0], st.cast[1], st.work);
-    let rx = Endpoint::new(b, 20);
-    // Faults may sever connectivity for most of the horizon; widen the
-    // abort budget so the stream outlives them and resumes.
     let cfg = RstreamConfig { max_timeouts: 100, ..RstreamConfig::default() };
-    st.world.spawn(b, 20, Box::new(Hosted::new(Receiver::new(rstream_stack(&cfg), None, total))));
-    st.world.spawn(
-        a,
-        20,
-        Box::new(Hosted::new(RstreamSender {
-            cfg,
-            conn: 0,
-            peer: rx,
-            msg_size: 16 * 1024,
-            remaining: total,
-            inflight_cap: st.window,
-        })),
-    );
-    st.bind(plan, &[a, b], Vec::new());
-    drive_transfer(label, &mut st.world, plan, (a, b), (total, "bytes"), |w| {
-        hosted::<Receiver>(w, rx).app.received
-    })
+    transfer(st, plan, label, Flow::Rstream(cfg), 16 * 1024).0
 }
 
 /// The contract: exactly-once in-order delivery, every delivered
 /// message byte-exact (reconstruct-then-verify gate), no in-contract
 /// peer evicted from partial-reassembly state.
 fn fec_spray(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
-    let (a, b, count) = (st.cast[0], st.cast[1], st.work);
-    let rx = Endpoint::new(b, 20);
-    let msg_size: usize = 7000;
     let mut cfg = StackConfig::default();
     cfg.srudp.frag_strategy = FragStrategy::Fec;
-    let receiver = FecReceiver::new(cfg.clone(), st.pin.clone(), count as u64, msg_size);
-    st.world.spawn(b, 20, Box::new(Hosted::new(receiver)));
-    st.world.spawn(
-        a,
-        20,
-        Box::new(Hosted::new(FecSender {
-            peer: rx,
-            msg_size,
-            count: count as u64,
-            next: 0,
-            inflight: st.window,
-            cfg,
-            pin: st.pin.clone(),
-        })),
-    );
-    st.bind(plan, &[a, b], Vec::new());
-    let mut violations =
-        drive_transfer(label, &mut st.world, plan, (a, b), (count, "messages"), |w| {
-            hosted::<FecReceiver>(w, rx).app.seqs.len()
-        });
-    let rx = hosted::<FecReceiver>(&st.world, rx);
+    let (mut violations, rx) = transfer(st, plan, label, Flow::Patterned(cfg), 7000);
+    let (count, rx) = (st.work, hosted::<Receiver>(&st.world, rx));
     let (seqs, stats) = (&rx.app.seqs, rx.srudp_stats());
     let done = seqs.len() >= count;
     if done {
@@ -828,16 +772,6 @@ const RC_SYNC: SimDuration = ms(500);
 const RC_TIMEOUT: SimDuration = ms(300);
 const PROBE_PORT: u16 = 60;
 
-/// Spawn an RC replica group on `hosts`; returns the endpoints.
-fn spawn_rc_group(world: &mut World, hosts: &[HostId]) -> Vec<Endpoint> {
-    let eps: Vec<Endpoint> = hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
-    for (i, ep) in eps.iter().enumerate() {
-        let peers: Vec<Endpoint> = eps.iter().copied().filter(|e| e != ep).collect();
-        world.spawn(ep.host, ep.port, Box::new(RcServerActor::new(i as u64 + 1, peers, RC_SYNC)));
-    }
-    eps
-}
-
 /// Restart factories for a replica set: each crash brings the server
 /// back as a *fresh* replica (new server id from a shared counter, empty
 /// store) on the same endpoint — anti-entropy must repopulate it.
@@ -912,7 +846,7 @@ fn probe_answers(world: &World, client: HostId) -> Vec<Option<Vec<Assertion>>> {
 
 fn rcds_converge(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
     let (rc_hosts, client) = (st.cast[..3].to_vec(), st.cast[3]);
-    let eps = spawn_rc_group(&mut st.world, &rc_hosts);
+    let eps = rc_group(&mut st.world, &rc_hosts, RC_SYNC);
     let uri = spawn_writer(&mut st.world, client, &eps);
     st.bind(plan, &rc_hosts, fresh_rc_factories(&eps));
     let probe_at = spawn_probes(&mut st.world, plan, client, &eps, &uri);
@@ -928,7 +862,7 @@ const REPLICA_CRASH_STRIPES: u32 = 12;
 
 fn replica_crash(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
     let (rc_hosts, fs_hosts, client) = (st.cast[..3].to_vec(), st.cast[3..6].to_vec(), st.cast[6]);
-    let rc_eps = spawn_rc_group(&mut st.world, &rc_hosts);
+    let rc_eps = rc_group(&mut st.world, &rc_hosts, RC_SYNC);
     let fs_eps: Vec<Endpoint> =
         fs_hosts.iter().map(|&h| Endpoint::new(h, ports::FILE_SERVER)).collect();
     let content = Bytes::from(
@@ -1464,9 +1398,30 @@ pub fn soak(seeds_per_workload: u64) -> Vec<ChaosRun> {
     par_map(jobs, |&(w, ps, ws)| run_one(w, ps, ws))
 }
 
-/// Shrink a violating plan to a minimal one that still fails.
-pub fn shrink_violation(w: &Workload, plan: &ChaosPlan, workload_seed: u64) -> ChaosPlan {
-    shrink_plan(plan.clone(), |cand| !w.run(cand, workload_seed, SOAK_THREADS).0.is_empty())
+/// The one plan minimizer, of the soak and the drill: drop what `plan`
+/// holds while a candidate still fails a verdict the original failed —
+/// its oracles, or (`diverged`) its digest across thread counts, which
+/// the candidate must then diverge on too. `run` plays a candidate at a
+/// thread count and returns its violations and digest.
+fn shrink(
+    plan: ChaosPlan,
+    (oracles, diverged): (bool, bool),
+    run: impl Fn(&ChaosPlan, usize) -> (Vec<String>, u64),
+) -> ChaosPlan {
+    shrink_plan(plan, |cand| {
+        let (violations, digest) = run(cand, SOAK_THREADS);
+        (oracles && !violations.is_empty()) || (diverged && run(cand, DIFF_THREADS).1 != digest)
+    })
+}
+
+/// Shrink a failed soak run's plan to a minimal one that fails the same
+/// way.
+pub fn shrink_violation(run: &ChaosRun) -> ChaosPlan {
+    let w = Workload::from_name(run.workload).expect("a run names a table row");
+    // A divergence adds exactly one line to `violations`.
+    let failed = (run.violations.len() > usize::from(run.diverged), run.diverged);
+    let plan = ChaosPlan::generate(run.plan_seed, &w.shape());
+    shrink(plan, failed, |cand, threads| w.run(cand, run.workload_seed, threads))
 }
 
 /// Outcome of the planted-bug drill.
@@ -1514,7 +1469,7 @@ pub fn planted_bug_drill(max_seeds: u64) -> PlantedBugReport {
             continue;
         }
         let shrunk =
-            shrink_plan(plan, |cand| !run_migration_unfrozen(cand, workload_seed).is_empty());
+            shrink(plan, (true, false), |cand, _| (run_migration_unfrozen(cand, workload_seed), 0));
         let replay = format!(
             "{} disable_freeze=true shrunk_ops={} shrunk_packet={:?}",
             shrunk.replay_line("migration", workload_seed),

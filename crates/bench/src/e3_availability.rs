@@ -10,17 +10,14 @@
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::fault::{schedule_host_failures, FailureModel};
 use snipe_netsim::medium::Medium;
-use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
-use snipe_rcds::server::RcServerActor;
 use snipe_rcds::uri::Uri;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::{SimDuration, SimTime};
-use snipe_wire::ports;
 
-use crate::lan;
+use crate::{lan, rc_group};
 
 /// One measured row.
 #[derive(Clone, Debug)]
@@ -102,15 +99,7 @@ pub fn run(replicas: usize, horizon_days: u64, seed: u64) -> E3Point {
     // availability, not client uptime.
     let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], replicas + 1);
     let (rc_hosts, client) = (&hosts[..replicas], hosts[replicas]);
-    let eps: Vec<Endpoint> = rc_hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
-    for (i, ep) in eps.iter().enumerate() {
-        let peers: Vec<Endpoint> = eps.iter().copied().filter(|e| e != ep).collect();
-        world.spawn(
-            ep.host,
-            ep.port,
-            Box::new(RcServerActor::new(i as u64 + 1, peers, SimDuration::from_secs(30))),
-        );
-    }
+    let eps = rc_group(&mut world, rc_hosts, SimDuration::from_secs(30));
     let horizon = SimTime::ZERO + SimDuration::from_days(horizon_days);
     let mut frng = Xoshiro256::seed_from_u64(seed ^ 0xFA11);
     for &h in rc_hosts {

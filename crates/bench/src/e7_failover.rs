@@ -10,12 +10,11 @@
 
 use snipe_netsim::medium::Medium;
 use snipe_netsim::shard::FaultCmd;
-use snipe_netsim::topology::Endpoint;
 use snipe_util::id::NetId;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::stack::StackConfig;
 
-use crate::fig1::{hosted, Hosted, Receiver, SrudpSender};
+use crate::fig1::{hosted, Flow, Receiver, Transfer};
 use crate::{drive, lan};
 
 /// Measured outcome.
@@ -40,19 +39,15 @@ pub fn run(total: usize, seed: u64) -> E7Point {
     let (a, b, eth, atm) = (hosts[0], hosts[1], NetId(0), NetId(1));
     let mut cfg = StackConfig::default();
     cfg.srudp.rto_initial = SimDuration::from_millis(20);
-    let rx = Endpoint::new(b, 20);
     // Pin routes: prefer ATM, fall back to Ethernet.
-    let pin = Some(vec![atm, eth]);
-    world.spawn(b, 20, Box::new(Hosted::new(Receiver::new(cfg.clone(), pin.clone(), total))));
-    let sender = SrudpSender {
-        peer: rx,
+    let rx = Transfer {
+        flow: Flow::Srudp(cfg),
+        pin: Some(vec![atm, eth]),
         msg_size: 16 * 1024,
-        remaining: total,
-        inflight: 64 * 1400,
-        cfg,
-        pin,
-    };
-    world.spawn(a, 20, Box::new(Hosted::new(sender)));
+        work: total,
+        window: 64 * 1400,
+    }
+    .spawn(&mut world, a, b);
     // Blackhole the ATM fabric at 40% of the expected transfer time.
     let fault_at = SimTime::ZERO + SimDuration::from_millis(100);
     world.schedule_fault(fault_at, FaultCmd::NetLoss(atm, Some(1.0)));

@@ -12,17 +12,15 @@ use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
-use snipe_rcds::server::RcServerActor;
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
-use snipe_wire::ports;
 
 use pvm_baseline::proto::PvmMsg;
 use pvm_baseline::{PvmMaster, MASTER_PORT};
 
-use crate::lan;
+use crate::{lan, rc_group};
 
 /// Measured outcome of one system.
 #[derive(Clone, Debug)]
@@ -144,17 +142,7 @@ impl Actor for SnipeLoad {
 pub fn run_snipe(seed: u64) -> E8Point {
     let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], 3);
     let (r0, r1, c) = (hosts[0], hosts[1], hosts[2]);
-    let eps = vec![Endpoint::new(r0, ports::RC_SERVER), Endpoint::new(r1, ports::RC_SERVER)];
-    world.spawn(
-        r0,
-        ports::RC_SERVER,
-        Box::new(RcServerActor::new(1, vec![eps[1]], SimDuration::from_millis(200))),
-    );
-    world.spawn(
-        r1,
-        ports::RC_SERVER,
-        Box::new(RcServerActor::new(2, vec![eps[0]], SimDuration::from_millis(200))),
-    );
+    let eps = rc_group(&mut world, &[r0, r1], SimDuration::from_millis(200));
     let kill_at = SimTime::ZERO + SimDuration::from_secs(5);
     world.schedule_fault(kill_at, FaultCmd::HostDown(r0));
     let load = SnipeLoad {

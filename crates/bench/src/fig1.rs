@@ -15,7 +15,7 @@ use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::world::World;
 use snipe_util::codec::{WireDecode, WireEncode};
-use snipe_util::id::NetId;
+use snipe_util::id::{HostId, NetId};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{seal, Proto};
 use snipe_wire::host::{Delivery, StackHost};
@@ -90,7 +90,7 @@ pub(crate) struct Hosted<A> {
 }
 
 impl<A: StackApp> Hosted<A> {
-    pub(crate) fn new(app: A) -> Hosted<A> {
+    fn new(app: A) -> Hosted<A> {
         Hosted { app, stack: StackHost::new(TIMER_STACK) }
     }
 
@@ -127,237 +127,203 @@ impl<A: StackApp> Actor for Hosted<A> {
     }
 }
 
-/// A stack with one configured peer (the senders).
-fn stack_toward(
-    now: SimTime,
-    me: Endpoint,
-    cfg: &StackConfig,
-    peer: Endpoint,
-    pin: &Option<Vec<NetId>>,
-) -> WireStack {
-    let mut stack = WireStack::new(endpoint_key(me), cfg.clone());
-    stack.set_peer_at(now, endpoint_key(peer), peer, pin.clone().unwrap_or_default());
-    stack
+// ---------------------------------------------------------------------------
+// One transfer: a sender streaming to a receiver
+// ---------------------------------------------------------------------------
+
+/// What a [`Transfer`] streams, with the stack config both ends run.
+#[derive(Clone)]
+pub(crate) enum Flow {
+    /// `0xAB` bytes over SRUDP.
+    Srudp(StackConfig),
+    /// `0xCD` bytes over one RSTREAM connection.
+    Rstream(RstreamConfig),
+    /// Indexed [`fec_payload`] messages over SRUDP, each one verified
+    /// by the receiver.
+    Patterned(StackConfig),
 }
 
-/// Pin our return routes toward every sender whose key the stack has
-/// learned from its packets (multi-path, E7).
-fn pin_learned_peers(now: SimTime, stack: &mut WireStack, pin: &Option<Vec<NetId>>) {
-    let Some(pin) = pin else { return };
-    for key in stack.known_peers() {
-        if stack.route_candidates(key).is_empty() {
-            if let Some(ep) = stack.peer_endpoint(key) {
-                stack.set_peer_at(now, key, ep, pin.clone());
+impl Flow {
+    fn stack(&self) -> StackConfig {
+        match self {
+            Flow::Srudp(cfg) | Flow::Patterned(cfg) => cfg.clone(),
+            Flow::Rstream(cfg) => {
+                StackConfig { rstream: Some(cfg.clone()), ..StackConfig::default() }
             }
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Byte-stream endpoints: SRUDP and RSTREAM senders, one receiver
-// ---------------------------------------------------------------------------
-
-pub(crate) struct SrudpSender {
-    pub(crate) peer: Endpoint,
-    pub(crate) msg_size: usize,
-    pub(crate) remaining: usize,
-    /// Keep this many payload bytes queued at once.
-    pub(crate) inflight: usize,
-    pub(crate) cfg: StackConfig,
-    /// Ranked pinned routes toward the peer (multi-path, E7).
-    pub(crate) pin: Option<Vec<NetId>>,
-}
-
-impl StackApp for SrudpSender {
-    fn open(&mut self, now: SimTime, me: Endpoint) -> WireStack {
-        stack_toward(now, me, &self.cfg, self.peer, &self.pin)
-    }
-
-    fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
-        // Keep a bounded amount of payload queued in the transport so
-        // the wire stays saturated without unbounded memory use.
-        while self.remaining > 0 && stack.backlog_total() < self.inflight {
-            let size = self.msg_size.min(self.remaining);
-            stack
-                .send(now, endpoint_key(self.peer), Bytes::from(vec![0xAB; size]))
-                .expect("configured frag size");
-            self.remaining -= size;
+    /// What [`Transfer::work`] counts.
+    pub(crate) fn unit(&self) -> &'static str {
+        match self {
+            Flow::Patterned(_) => "messages",
+            _ => "bytes",
         }
     }
 }
 
-pub(crate) struct RstreamSender {
-    pub(crate) cfg: RstreamConfig,
-    pub(crate) conn: u64,
-    pub(crate) peer: Endpoint,
+/// One sender streaming to one receiver — Fig. 1's unicast arms, A1,
+/// the FEC A/B, E7 and the chaos transfer bodies.
+#[derive(Clone)]
+pub(crate) struct Transfer {
+    pub(crate) flow: Flow,
+    /// Ranked routes both ends pin toward each other (multi-path, E7);
+    /// `None`: the engine routes.
+    pub(crate) pin: Option<Vec<NetId>>,
     pub(crate) msg_size: usize,
-    pub(crate) remaining: usize,
-    pub(crate) inflight_cap: usize,
+    /// How much to stream, in [`Flow::unit`]s.
+    pub(crate) work: usize,
+    /// The sender queues while its backlog (RSTREAM: unacknowledged
+    /// bytes) is below this many bytes — at most this many for
+    /// patterned flows, so 0 is stop-and-wait.
+    pub(crate) window: usize,
 }
 
-/// The stack both ends of an RSTREAM transfer run.
-pub(crate) fn rstream_stack(cfg: &RstreamConfig) -> StackConfig {
-    StackConfig { rstream: Some(cfg.clone()), ..StackConfig::default() }
+impl Transfer {
+    /// Spawn the receiver at `(b, 20)`, then the sender at `(a, 20)`;
+    /// returns the receiver's endpoint.
+    pub(crate) fn spawn(&self, world: &mut World, a: HostId, b: HostId) -> Endpoint {
+        let rx = Endpoint::new(b, 20);
+        world.spawn(b, 20, Box::new(self.receiver()));
+        let sender = Sender { t: self.clone(), peer: rx, sent: 0, conn: 0 };
+        world.spawn(a, 20, Box::new(Hosted::new(sender)));
+        rx
+    }
+
+    /// The receiving end alone (Fig. 1's multicast member is one).
+    fn receiver(&self) -> Hosted<Receiver> {
+        let t = self.clone();
+        Hosted::new(Receiver { t, received: 0, seqs: vec![], mismatches: vec![], done_at: None })
+    }
 }
 
-impl StackApp for RstreamSender {
+struct Sender {
+    t: Transfer,
+    peer: Endpoint,
+    /// Units queued so far.
+    sent: usize,
+    conn: u64,
+}
+
+impl StackApp for Sender {
     fn open(&mut self, now: SimTime, me: Endpoint) -> WireStack {
-        let mut stack = WireStack::new(endpoint_key(me), rstream_stack(&self.cfg));
-        self.conn = stack.rstream_mut().expect("RSTREAM driver registered").connect(now, self.peer);
+        let mut stack = WireStack::new(endpoint_key(me), self.t.flow.stack());
+        let peer = self.peer;
+        if let Flow::Rstream(_) = self.t.flow {
+            let rs = stack.rstream_mut().expect("RSTREAM driver registered");
+            self.conn = rs.connect(now, peer);
+        } else {
+            let pin = self.t.pin.clone().unwrap_or_default();
+            stack.set_peer_at(now, endpoint_key(peer), peer, pin);
+        }
         stack
     }
 
+    /// Keep a bounded amount of payload queued in the transport so the
+    /// wire stays saturated without unbounded memory use.
     fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
-        let rs = stack.rstream_mut().expect("RSTREAM driver registered");
-        while self.remaining > 0 && rs.unacked_bytes(self.conn) < self.inflight_cap {
-            let size = self.msg_size.min(self.remaining);
-            if rs.send_message(now, self.conn, &vec![0xCD; size]).is_err() {
-                break;
+        let (t, peer) = (&self.t, endpoint_key(self.peer));
+        while self.sent < t.work {
+            let size = t.msg_size.min(t.work - self.sent);
+            match t.flow {
+                Flow::Srudp(_) if stack.backlog_total() < t.window => {
+                    let msg = Bytes::from(vec![0xAB; size]);
+                    stack.send(now, peer, msg).expect("configured frag size");
+                    self.sent += size;
+                }
+                Flow::Rstream(_) => {
+                    let rs = stack.rstream_mut().expect("RSTREAM driver registered");
+                    if rs.unacked_bytes(self.conn) >= t.window
+                        || rs.send_message(now, self.conn, &vec![0xCD; size]).is_err()
+                    {
+                        return;
+                    }
+                    self.sent += size;
+                }
+                Flow::Patterned(_) if stack.backlog_total() <= t.window => {
+                    let msg = fec_payload(self.sent as u64, t.msg_size);
+                    stack.send(now, peer, msg).expect("configured frag size");
+                    self.sent += 1;
+                }
+                _ => return,
             }
-            self.remaining -= size;
         }
     }
 }
 
-/// Counts delivered payload bytes, whichever driver of `cfg` they come
-/// up through, and notes when `expect` of them have arrived.
+/// Counts what arrives, whichever driver it comes up through, verifies
+/// patterned messages, and notes when the transfer's `work` has come.
 pub(crate) struct Receiver {
-    cfg: StackConfig,
-    /// Ranked routes to pin toward senders (multi-path, E7).
-    pin: Option<Vec<NetId>>,
-    expect: usize,
+    t: Transfer,
+    /// Payload bytes, or (patterned) messages delivered.
     pub(crate) received: usize,
+    /// Patterned: delivered message indices, in delivery order.
+    pub(crate) seqs: Vec<u32>,
+    /// Patterned: content mismatches. Each one is an integrity
+    /// violation — reconstruction must fail closed, never fabricate.
+    pub(crate) mismatches: Vec<String>,
     pub(crate) done_at: Option<SimTime>,
-}
-
-impl Receiver {
-    pub(crate) fn new(cfg: StackConfig, pin: Option<Vec<NetId>>, expect: usize) -> Receiver {
-        Receiver { cfg, pin, expect, received: 0, done_at: None }
-    }
 }
 
 impl StackApp for Receiver {
     fn open(&mut self, _now: SimTime, me: Endpoint) -> WireStack {
-        WireStack::new(endpoint_key(me), self.cfg.clone())
+        WireStack::new(endpoint_key(me), self.t.flow.stack())
     }
 
+    /// Pin our return routes toward every sender whose key the stack
+    /// has learned from its packets (multi-path, E7).
     fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
-        pin_learned_peers(now, stack, &self.pin);
+        let Some(pin) = &self.t.pin else { return };
+        for key in stack.known_peers() {
+            if stack.route_candidates(key).is_empty() {
+                if let Some(ep) = stack.peer_endpoint(key) {
+                    stack.set_peer_at(now, key, ep, pin.clone());
+                }
+            }
+        }
     }
 
     fn deliver(&mut self, now: SimTime, d: Delivery) {
-        let len = match d.proto {
+        let (msg, patterned) = (d.msg, matches!(self.t.flow, Flow::Patterned(_)));
+        match (patterned, d.proto) {
+            (true, _) if msg.len() >= 8 => {
+                let i = u64::from_be_bytes(msg[..8].try_into().unwrap());
+                if msg != fec_payload(i, self.t.msg_size) {
+                    self.mismatches.push(format!(
+                        "message {i}: {} bytes delivered with corrupted content",
+                        msg.len()
+                    ));
+                }
+                self.seqs.push(i as u32);
+                self.received += 1;
+            }
+            (true, _) => {
+                self.mismatches.push(format!("runt message delivered ({} bytes)", msg.len()));
+            }
             // Member deliveries carry the whole MCAST envelope; goodput
             // counts only the application payload.
-            Proto::Mcast => match McastMsg::decode_from_bytes(d.msg) {
-                Ok(McastMsg::Data { payload, .. }) => payload.len(),
+            (false, Proto::Mcast) => match McastMsg::decode_from_bytes(msg) {
+                Ok(McastMsg::Data { payload, .. }) => self.received += payload.len(),
                 _ => return,
             },
-            _ => d.msg.len(),
-        };
-        self.received += len;
-        if self.received >= self.expect && self.done_at.is_none() {
+            (false, _) => self.received += msg.len(),
+        }
+        if self.received >= self.t.work && self.done_at.is_none() {
             self.done_at = Some(now);
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// FEC integrity workload endpoints (chaos + A/B bench)
-// ---------------------------------------------------------------------------
 
 /// Deterministic patterned payload for message `i`: an 8-byte index
 /// header followed by an index-keyed byte pattern, so a receiver can
 /// verify *content*, not just byte counts — the integrity oracle for
 /// erasure-coded transfers.
-pub(crate) fn fec_payload(i: u64, size: usize) -> Bytes {
+fn fec_payload(i: u64, size: usize) -> Bytes {
     let size = size.max(8);
     let mut v = Vec::with_capacity(size);
     v.extend_from_slice(&i.to_be_bytes());
     v.extend((8..size).map(|j| ((i as usize).wrapping_mul(31).wrapping_add(j) % 251) as u8));
     Bytes::from(v)
-}
-
-/// Streams `count` indexed patterned messages, keeping the transport
-/// backlog under `inflight` bytes (set `inflight` below one message's
-/// wire cost for stop-and-wait pacing).
-pub(crate) struct FecSender {
-    pub(crate) peer: Endpoint,
-    pub(crate) msg_size: usize,
-    pub(crate) count: u64,
-    pub(crate) next: u64,
-    pub(crate) inflight: usize,
-    pub(crate) cfg: StackConfig,
-    pub(crate) pin: Option<Vec<NetId>>,
-}
-
-impl StackApp for FecSender {
-    fn open(&mut self, now: SimTime, me: Endpoint) -> WireStack {
-        stack_toward(now, me, &self.cfg, self.peer, &self.pin)
-    }
-
-    fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
-        while self.next < self.count && stack.backlog_total() <= self.inflight {
-            let msg = fec_payload(self.next, self.msg_size);
-            stack.send(now, endpoint_key(self.peer), msg).expect("configured frag size");
-            self.next += 1;
-        }
-    }
-}
-
-/// Verifies every delivered message against [`fec_payload`]: indices
-/// land in `seqs` (order preserved), content mismatches in
-/// `mismatches` (each one is an integrity violation — reconstruction
-/// must fail closed, never fabricate).
-#[derive(Default)]
-pub(crate) struct FecReceiver {
-    cfg: StackConfig,
-    pin: Option<Vec<NetId>>,
-    expect: u64,
-    msg_size: usize,
-    pub(crate) seqs: Vec<u32>,
-    pub(crate) mismatches: Vec<String>,
-    pub(crate) done_at: Option<SimTime>,
-}
-
-impl FecReceiver {
-    pub(crate) fn new(
-        cfg: StackConfig,
-        pin: Option<Vec<NetId>>,
-        expect: u64,
-        msg_size: usize,
-    ) -> FecReceiver {
-        FecReceiver { cfg, pin, expect, msg_size, ..FecReceiver::default() }
-    }
-}
-
-impl StackApp for FecReceiver {
-    fn open(&mut self, _now: SimTime, me: Endpoint) -> WireStack {
-        WireStack::new(endpoint_key(me), self.cfg.clone())
-    }
-
-    fn pump(&mut self, now: SimTime, stack: &mut WireStack) {
-        pin_learned_peers(now, stack, &self.pin);
-    }
-
-    fn deliver(&mut self, now: SimTime, d: Delivery) {
-        let msg = d.msg;
-        if msg.len() >= 8 {
-            let i = u64::from_be_bytes(msg[..8].try_into().unwrap());
-            if msg != fec_payload(i, self.msg_size) {
-                self.mismatches.push(format!(
-                    "message {i}: {} bytes delivered with corrupted content",
-                    msg.len()
-                ));
-            }
-            self.seqs.push(i as u32);
-        } else {
-            self.mismatches.push(format!("runt message delivered ({} bytes)", msg.len()));
-        }
-        if self.seqs.len() as u64 >= self.expect && self.done_at.is_none() {
-            self.done_at = Some(now);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -421,46 +387,20 @@ pub fn measure(medium: Medium, protocol: Protocol, msg_size: usize) -> Option<Fi
     let (mut world, hosts) = lan(99, &[medium], 3);
     let (a, b, c) = (hosts[0], hosts[1], hosts[2]);
     let total = total_for(msg_size);
-    let receiver = |cfg| Box::new(Hosted::new(Receiver::new(cfg, None, total)));
+    let transfer = |flow, window| Transfer { flow, pin: None, msg_size, work: total, window };
     let rx = match protocol {
+        // Pipeline depth: several messages or a window's worth of
+        // fragments, whichever is larger.
         Protocol::Srudp => {
-            world.spawn(b, 20, receiver(StackConfig::default()));
-            world.spawn(
-                a,
-                20,
-                Box::new(Hosted::new(SrudpSender {
-                    peer: Endpoint::new(b, 20),
-                    msg_size,
-                    remaining: total,
-                    // Pipeline depth: several messages or a window's
-                    // worth of fragments, whichever is larger.
-                    inflight: (4 * msg_size).max(64 * 1400),
-                    cfg: StackConfig::default(),
-                    pin: None,
-                })),
-            );
-            Endpoint::new(b, 20)
+            transfer(Flow::Srudp(StackConfig::default()), (4 * msg_size).max(64 * 1400))
+                .spawn(&mut world, a, b)
         }
         Protocol::Rstream => {
-            let cfg = RstreamConfig::default();
-            world.spawn(b, 20, receiver(rstream_stack(&cfg)));
-            world.spawn(
-                a,
-                20,
-                Box::new(Hosted::new(RstreamSender {
-                    cfg,
-                    conn: 0,
-                    peer: Endpoint::new(b, 20),
-                    msg_size,
-                    remaining: total,
-                    inflight_cap: 64 * 1400,
-                })),
-            );
-            Endpoint::new(b, 20)
+            transfer(Flow::Rstream(RstreamConfig::default()), 64 * 1400).spawn(&mut world, a, b)
         }
         Protocol::Mcast => {
             let member = StackConfig { mcast_member: true, ..StackConfig::default() };
-            world.spawn(c, 20, receiver(member));
+            world.spawn(c, 20, Box::new(transfer(Flow::Srudp(member), 0).receiver()));
             let mut router = McastRouter::new();
             let mut scratch = Vec::new();
             router.on_message(

@@ -6,11 +6,15 @@
 //! steps:
 //!
 //! * **stage** — a one-region world built by `lan` (hosts `h0…` on the
-//!   given media), a `SnipeWorld`, or the multi-region campus;
+//!   given media), a `SnipeWorld`, or the multi-region campus, with the
+//!   shared casts spawned onto it as values: one sender streaming to one
+//!   receiver is a `fig1::Transfer` (`Transfer::spawn`), one RC replica
+//!   group is `rc_group` over `RcServerActor::group`;
 //! * **drive** — `drive` runs the world in fixed slices until a
 //!   condition on the world holds or a deadline passes;
 //! * **read** — an actor keeps its counters as plain fields, and the
-//!   runner reads them in place through `World::actor_ref` between
+//!   runner reads them in place through `World::actor_ref` (a
+//!   transfer's receiver through `fig1::hosted`) between
 //!   slices or after the run (a shared cell is left only where no
 //!   accessor reaches the state: MPI ranks and PVM/SNIPE coordinators
 //!   inside their wrapper actors, and E5's worker, whose log must
@@ -25,8 +29,9 @@
 //!
 //! Robustness has one home: [`chaos`] holds every chaos workload as a
 //! table row — a *body* (the actors, the drive loop, the oracles)
-//! staged on a LAN or on the multi-region campus — with one soak, one
-//! regression corpus and one flight-recorder replay path.
+//! staged on a LAN or on the multi-region campus, its cast one of the
+//! shared set-ups above — with one soak, one shrinker, one regression
+//! corpus and one flight-recorder replay path.
 
 pub mod ablations;
 pub mod chaos;
@@ -46,10 +51,12 @@ pub mod shard_storm;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use snipe_netsim::medium::Medium;
-use snipe_netsim::topology::{HostCfg, Topology};
+use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
+use snipe_rcds::server::RcServerActor;
 use snipe_util::id::{HostId, NetId};
 use snipe_util::time::{SimDuration, SimTime};
+use snipe_wire::ports;
 
 /// A one-region LAN: `hosts` hosts named `h0…`, each attached to every
 /// one of `media` in order (the first routable, the rest not). Returns
@@ -71,6 +78,16 @@ pub(crate) fn lan(seed: u64, media: &[Medium], hosts: usize) -> (World, Vec<Host
         })
         .collect();
     (World::new(topo, seed), hosts)
+}
+
+/// One RC replica group on `hosts` ([`RcServerActor::group`]),
+/// anti-entropy every `sync`; returns the replicas' endpoints.
+pub(crate) fn rc_group(world: &mut World, hosts: &[HostId], sync: SimDuration) -> Vec<Endpoint> {
+    let eps: Vec<Endpoint> = hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
+    for (ep, server) in eps.iter().zip(RcServerActor::group(&eps, sync)) {
+        world.spawn(ep.host, ep.port, Box::new(server));
+    }
+    eps
 }
 
 /// Drive `world` in `step` slices until `done` holds after a slice or

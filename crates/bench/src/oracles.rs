@@ -85,19 +85,6 @@ pub fn check_replicas_converged(label: &str, replies: &[Option<Vec<Assertion>>])
     v
 }
 
-/// Corruption containment: chaos flipped bits in `corrupted` frames;
-/// the wire layer must have rejected them (checksums) without a panic —
-/// reaching this check at all proves no panic, so the oracle only
-/// verifies the injection really happened when the plan asked for it.
-pub fn check_corruption_exercised(label: &str, world: &World, expected: bool) -> Vec<String> {
-    let c = world.stats().chaos.corrupted;
-    if expected && c == 0 {
-        vec![format!("{label}: plan enabled corruption but no frame was corrupted")]
-    } else {
-        Vec::new()
-    }
-}
-
 /// FEC end-to-end integrity: an erasure-coded transfer may lose shares,
 /// retransmit, even catch corrupted reconstructions (counted in
 /// `fec_corrupt`) — but a *content mismatch in a delivered message* is

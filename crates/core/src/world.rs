@@ -224,9 +224,8 @@ impl SnipeWorldBuilder {
 
         let mut actors: ServiceRoster = Vec::new();
         // RC replicas.
-        for (i, ep) in rc_eps.iter().enumerate() {
-            let peers: Vec<Endpoint> = rc_eps.iter().copied().filter(|e| e != ep).collect();
-            let server = RcServerActor::new(i as u64 + 1, peers, self.rc_sync_interval);
+        let servers = RcServerActor::group(&rc_eps, self.rc_sync_interval);
+        for (ep, server) in rc_eps.iter().zip(servers) {
             actors.push((ep.host, ep.port, Box::new(server)));
         }
         // Daemons on every host.

@@ -21,6 +21,8 @@ use crate::router::McastRouterActor;
 
 const TIMER_LOAD: u64 = 1;
 const TIMER_RC: u64 = 2;
+/// How often a daemon publishes its load metadata.
+const LOAD_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
 /// Daemon configuration.
 #[derive(Clone)]
@@ -29,8 +31,6 @@ pub struct DaemonConfig {
     pub hostname: String,
     /// RC replica endpoints.
     pub rc_replicas: Vec<Endpoint>,
-    /// How often to publish load metadata.
-    pub load_interval: SimDuration,
     /// Architecture tag advertised in host metadata.
     pub arch: String,
     /// When set, spawn requests must carry a certificate issued by a
@@ -41,13 +41,7 @@ pub struct DaemonConfig {
 impl DaemonConfig {
     /// Permissive defaults for a named host.
     pub fn new(hostname: impl Into<String>, rc_replicas: Vec<Endpoint>) -> DaemonConfig {
-        DaemonConfig {
-            hostname: hostname.into(),
-            rc_replicas,
-            load_interval: SimDuration::from_secs(5),
-            arch: "sim64".into(),
-            trust: None,
-        }
+        DaemonConfig { hostname: hostname.into(), rc_replicas, arch: "sim64".into(), trust: None }
     }
 }
 
@@ -156,7 +150,7 @@ impl DaemonActor {
         let now = ctx.now();
         self.rc.put(now, &uri, asserts);
         self.pump_rc(ctx);
-        self.load_gate.arm_after(ctx, self.cfg.load_interval, TIMER_LOAD);
+        self.load_gate.arm_after(ctx, LOAD_INTERVAL, TIMER_LOAD);
     }
 
     fn authorize(&self, spec: &SpawnSpec) -> Result<(), String> {

@@ -22,6 +22,8 @@ use crate::sink::{FileSinkActor, FileSourceActor};
 const TIMER_REPLICATE: u64 = 1;
 const TIMER_RC: u64 = 2;
 const TIMER_STACK: u64 = 3;
+/// Replication daemon tick.
+const REPLICATE_INTERVAL: SimDuration = SimDuration::from_millis(500);
 
 /// File server configuration.
 #[derive(Clone)]
@@ -34,20 +36,12 @@ pub struct FileServerConfig {
     pub peers: Vec<Endpoint>,
     /// Desired replica count per file ("redundancy requirements", §3.2).
     pub replication_factor: usize,
-    /// Replication daemon tick.
-    pub replicate_interval: SimDuration,
 }
 
 impl FileServerConfig {
     /// Defaults for a named server.
     pub fn new(name: impl Into<String>, rc_replicas: Vec<Endpoint>, peers: Vec<Endpoint>) -> Self {
-        FileServerConfig {
-            name: name.into(),
-            rc_replicas,
-            peers,
-            replication_factor: 2,
-            replicate_interval: SimDuration::from_millis(500),
-        }
+        FileServerConfig { name: name.into(), rc_replicas, peers, replication_factor: 2 }
     }
 }
 
@@ -186,7 +180,7 @@ impl FileServerActor {
                 self.reliable_send(ctx, key, &msg);
             }
         }
-        self.replicate_gate.arm_after(ctx, self.cfg.replicate_interval, TIMER_REPLICATE);
+        self.replicate_gate.arm_after(ctx, REPLICATE_INTERVAL, TIMER_REPLICATE);
     }
 }
 
@@ -209,7 +203,7 @@ impl Actor for FileServerActor {
                     self.rc.on_host_up(ctx.now());
                     self.rc.flush(ctx);
                 }
-                self.replicate_gate.arm_after(ctx, self.cfg.replicate_interval, TIMER_REPLICATE);
+                self.replicate_gate.arm_after(ctx, REPLICATE_INTERVAL, TIMER_REPLICATE);
             }
             Event::HostDown => {}
             Event::Timer { token: TIMER_REPLICATE } => self.replicate_tick(ctx),

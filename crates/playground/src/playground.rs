@@ -30,6 +30,8 @@ use crate::vm::{Quotas, StepOutcome, SyscallHost, Vm};
 pub const SIG_CHECKPOINT: u32 = 20;
 
 const TIMER_SLICE: u64 = 1;
+/// Interval between scheduling slices.
+const SLICE_INTERVAL: SimDuration = SimDuration::from_millis(1);
 
 /// One logged access violation or quota event (§3.6: "logging access
 /// violations and excess resource use").
@@ -90,8 +92,6 @@ pub struct PlaygroundConfig {
     pub quotas: Quotas,
     /// Instructions per scheduling slice.
     pub slice: u64,
-    /// Interval between slices.
-    pub slice_interval: SimDuration,
     /// Where to send reports.
     pub supervisor: Endpoint,
     /// Address book for the SEND syscall: program-visible handle →
@@ -218,7 +218,7 @@ impl Actor for PlaygroundActor {
                     vm.inputs = std::mem::take(&mut self.inputs);
                     self.vm = Some(vm);
                 }
-                ctx.set_timer(self.cfg.slice_interval, TIMER_SLICE);
+                ctx.set_timer(SLICE_INTERVAL, TIMER_SLICE);
             }
             Event::Timer { token: TIMER_SLICE } => {
                 let Some(vm) = self.vm.as_mut() else { return };
@@ -232,7 +232,7 @@ impl Actor for PlaygroundActor {
                     vm.run_slice(self.cfg.slice, &mut host)
                 };
                 match outcome {
-                    StepOutcome::Running => ctx.set_timer(self.cfg.slice_interval, TIMER_SLICE),
+                    StepOutcome::Running => ctx.set_timer(SLICE_INTERVAL, TIMER_SLICE),
                     StepOutcome::Halted => {
                         let vm = self.vm.as_ref().expect("running vm");
                         let msg = PlaygroundMsg::Done {
@@ -311,7 +311,6 @@ mod tests {
             granted_caps: CAP_EMIT,
             quotas: Quotas::default(),
             slice: 1000,
-            slice_interval: SimDuration::from_millis(1),
             supervisor: sup,
             address_book: HashMap::new(),
         }

@@ -69,6 +69,18 @@ impl RcServerActor {
         }
     }
 
+    /// One replica group over `eps`, in endpoint order: server ids
+    /// `1..=n`, each server's peers all the other endpoints.
+    pub fn group(
+        eps: &[Endpoint],
+        sync_interval: SimDuration,
+    ) -> impl Iterator<Item = RcServerActor> + '_ {
+        (1..).zip(eps).map(move |(id, ep)| {
+            let peers = eps.iter().copied().filter(|e| e != ep).collect();
+            RcServerActor::new(id, peers, sync_interval)
+        })
+    }
+
     /// Declare this replica a member of shard `idx` of `map`. Peers
     /// should be the other replicas of the *same* group so anti-entropy
     /// stays within the shard.

@@ -106,9 +106,7 @@ fn build_world(replicas: usize) -> (World, Vec<Endpoint>, HostId) {
     let client_host = topo.add_host(HostCfg::named("client"));
     topo.attach(client_host, net);
     let mut world = World::new(topo, 42);
-    for (i, ep) in eps.iter().enumerate() {
-        let peers: Vec<Endpoint> = eps.iter().copied().filter(|e| e != ep).collect();
-        let server = RcServerActor::new(i as u64 + 1, peers, SimDuration::from_millis(200));
+    for (ep, server) in eps.iter().zip(RcServerActor::group(&eps, SimDuration::from_millis(200))) {
         world.spawn(ep.host, ep.port, Box::new(server));
     }
     (world, eps, client_host)
@@ -217,9 +215,9 @@ fn short_host_flaps_do_not_multiply_the_sync_tick() {
         let eps: Vec<Endpoint> =
             hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
         let mut world = World::new(topo, 42);
-        for (i, ep) in eps.iter().enumerate() {
-            let server =
-                RcServerActor::new(i as u64 + 1, vec![eps[1 - i]], SimDuration::from_millis(500));
+        for (ep, server) in
+            eps.iter().zip(RcServerActor::group(&eps, SimDuration::from_millis(500)))
+        {
             world.spawn(ep.host, ep.port, Box::new(server));
         }
         // 10 ms flaps of host 0, 100 ms apart, each well inside a tick.

@@ -31,6 +31,8 @@ use crate::proto::{AllocMode, Allocation, MigrateOrder, RmMsg};
 const TIMER_REFRESH: u64 = 1;
 const TIMER_RC: u64 = 2;
 const TIMER_PENDING: u64 = 3;
+/// How often an RM refreshes its host cache.
+const REFRESH_INTERVAL: SimDuration = SimDuration::from_secs(2);
 /// How long the daemons of one placement round may take to answer
 /// before the missing spawns are re-placed on other hosts.
 const SPAWN_TIMEOUT: SimDuration = SimDuration::from_millis(500);
@@ -40,8 +42,6 @@ const SPAWN_TIMEOUT: SimDuration = SimDuration::from_millis(500);
 pub struct RmConfig {
     /// RC replicas to read host metadata from.
     pub rc_replicas: Vec<Endpoint>,
-    /// How often to refresh the host cache.
-    pub refresh_interval: SimDuration,
     /// Keys this RM trusts for user/host certification (§4 CA role).
     pub trust: TrustStore,
     /// Deterministic seed for this RM's signing key.
@@ -51,12 +51,7 @@ pub struct RmConfig {
 impl RmConfig {
     /// Defaults against the given RC replicas.
     pub fn new(rc_replicas: Vec<Endpoint>) -> RmConfig {
-        RmConfig {
-            rc_replicas,
-            refresh_interval: SimDuration::from_secs(2),
-            trust: TrustStore::new(),
-            key_seed: 0x524d,
-        }
+        RmConfig { rc_replicas, trust: TrustStore::new(), key_seed: 0x524d }
     }
 }
 
@@ -435,7 +430,7 @@ impl RmActor {
         self.reserved.clear();
         self.rc.find(ctx.now(), "type", "host");
         self.pump_rc(ctx);
-        self.refresh_gate.arm_after(ctx, self.cfg.refresh_interval, TIMER_REFRESH);
+        self.refresh_gate.arm_after(ctx, REFRESH_INTERVAL, TIMER_REFRESH);
     }
 }
 

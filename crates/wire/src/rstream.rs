@@ -28,13 +28,14 @@ use crate::frame::{self, split_head, Proto};
 use crate::recovery::{Flight, Rtt, Sent};
 use crate::Out;
 
+/// Maximum segment size (payload bytes per DATA packet).
+const MSS: usize = 1400;
+/// Flow-control window in bytes.
+const WINDOW: usize = 64 * MSS;
+
 /// RSTREAM tuning knobs.
 #[derive(Clone, Debug)]
 pub struct RstreamConfig {
-    /// Maximum segment size (payload bytes per DATA packet).
-    pub mss: usize,
-    /// Flow-control window in bytes.
-    pub window: usize,
     /// Initial retransmission timeout.
     pub rto_initial: SimDuration,
     /// RTO clamp floor / ceiling.
@@ -48,8 +49,6 @@ pub struct RstreamConfig {
 impl Default for RstreamConfig {
     fn default() -> Self {
         RstreamConfig {
-            mss: 1400,
-            window: 64 * 1400,
             rto_initial: SimDuration::from_millis(100),
             rto_min: SimDuration::from_millis(2),
             rto_max: SimDuration::from_secs(4),
@@ -288,19 +287,18 @@ impl Rstream {
     }
 
     fn pump(&mut self, now: SimTime, id: ConnId) {
-        let (mss, window) = (self.cfg.mss, self.cfg.window);
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
         if conn.state != State::Established {
             return;
         }
-        while (conn.snd_nxt - conn.snd_una) < window as u64 {
+        while (conn.snd_nxt - conn.snd_una) < WINDOW as u64 {
             let offset_in_buf = (conn.snd_nxt - conn.snd_una) as usize;
             if offset_in_buf >= conn.snd_buf.len() {
                 break;
             }
-            let take = mss.min(conn.snd_buf.len() - offset_in_buf).min(window - offset_in_buf);
+            let take = MSS.min(conn.snd_buf.len() - offset_in_buf).min(WINDOW - offset_in_buf);
             let offset = conn.snd_nxt;
             conn.snd_nxt += take as u64;
             conn.flight.file(offset, now, Sent::default());
@@ -318,12 +316,11 @@ impl Rstream {
     fn retransmit(
         out: &mut Vec<Out>,
         stats: &mut RstreamStats,
-        mss: usize,
         now: SimTime,
         conn: &mut Conn,
         id: ConnId,
     ) {
-        let (offset, len) = (conn.snd_una, mss.min(conn.snd_buf.len()));
+        let (offset, len) = (conn.snd_una, MSS.min(conn.snd_buf.len()));
         let retries = conn.flight.get(&offset).map_or(0, |sent| sent.retries);
         conn.flight.file(offset, now, Sent { retries: retries + 1, retransmitted: true });
         stats.retransmits += 1;
@@ -452,7 +449,7 @@ impl Rstream {
                 // segment. Retransmit the next unacked segment now —
                 // one segment per ACK keeps recovery self-clocked at
                 // RTT pace rather than one segment per escalated RTO.
-                Self::retransmit(&mut self.out, &mut self.stats, self.cfg.mss, now, conn, id);
+                Self::retransmit(&mut self.out, &mut self.stats, now, conn, id);
             }
             if conn.snd_una == conn.snd_nxt {
                 conn.recover = 0;
@@ -467,7 +464,7 @@ impl Rstream {
                 conn.dup_acks = 0;
                 // Fast retransmit the first unacked segment.
                 self.stats.fast_retransmits += 1;
-                Self::retransmit(&mut self.out, &mut self.stats, self.cfg.mss, now, conn, id);
+                Self::retransmit(&mut self.out, &mut self.stats, now, conn, id);
             }
         }
         Ok(())
@@ -513,7 +510,7 @@ impl Rstream {
             Self::emit_control(&mut self.out, conn.peer, RstreamHead::Syn(id));
         } else {
             conn.recover = conn.snd_nxt;
-            Self::retransmit(&mut self.out, &mut self.stats, self.cfg.mss, now, conn, id);
+            Self::retransmit(&mut self.out, &mut self.stats, now, conn, id);
         }
         self.timers.insert(id, now + conn.rtt.rto(), ());
     }
@@ -730,7 +727,6 @@ mod tests {
             rto_min: SimDuration::from_millis(1),
             rto_max: SimDuration::from_millis(1),
             max_timeouts: 3,
-            ..RstreamConfig::default()
         };
         let mut a = Rstream::new(cfg, 1);
         let id = a.connect(SimTime::ZERO, ep(1, 5));

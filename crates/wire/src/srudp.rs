@@ -38,6 +38,13 @@ use crate::frame::{self, split_head, Proto};
 use crate::recovery::{Flight, Rtt, Sent};
 use crate::Out;
 
+/// A receiver sends a SACK after this many DATA packets of a message.
+const ACK_EVERY: usize = 8;
+/// A receiver flushes a SACK at most this long after the first
+/// unacknowledged DATA of a message (delayed-ACK bound; keeps small
+/// sender windows from stalling until [`ACK_EVERY`] accumulates).
+const ACK_DELAY: SimDuration = SimDuration::from_millis(5);
+
 /// Stable logical identity of a wire peer (a SNIPE process or daemon).
 pub type NodeKey = u64;
 
@@ -61,12 +68,6 @@ pub struct SrudpConfig {
     pub frag_size: usize,
     /// Maximum unacknowledged DATA packets in flight per peer.
     pub window: usize,
-    /// Receiver sends a SACK after this many DATA packets of a message.
-    pub ack_every: usize,
-    /// Receiver flushes a SACK at most this long after the first
-    /// unacknowledged DATA of a message (delayed-ACK bound; keeps small
-    /// sender windows from stalling until `ack_every` accumulates).
-    pub ack_delay: SimDuration,
     /// Initial retransmission timeout.
     pub rto_initial: SimDuration,
     /// RTO clamp floor.
@@ -87,8 +88,6 @@ impl Default for SrudpConfig {
         SrudpConfig {
             frag_size: 1400,
             window: 64,
-            ack_every: 8,
-            ack_delay: SimDuration::from_millis(5),
             rto_initial: SimDuration::from_millis(100),
             rto_min: SimDuration::from_millis(2),
             rto_max: SimDuration::from_secs(4),
@@ -657,7 +656,6 @@ impl Srudp {
         }
         // Learn / refresh the peer's location from live traffic.
         self.locations.insert(src_key, from_ep);
-        let ack_every = self.cfg.ack_every;
         let peer = self.peers.entry(src_key).or_insert_with(|| Peer::new(&self.cfg));
         // Already delivered? Re-SACK "done" so the sender frees state.
         if msg_id < peer.next_deliver || peer.held.contains_key(&msg_id) {
@@ -753,7 +751,7 @@ impl Srudp {
                 };
                 note.fec = fec;
                 note.unsacked += 1;
-                if note.unsacked >= ack_every {
+                if note.unsacked >= ACK_EVERY {
                     note.unsacked = 0;
                     peer.pending_sack = None;
                     self.timers.remove(&(TimerKind::Sack, src_key));
@@ -767,7 +765,7 @@ impl Srudp {
                     );
                 } else if peer.pending_sack.is_none() {
                     peer.pending_sack = Some(msg_id);
-                    self.timers.insert((TimerKind::Sack, src_key), now + self.cfg.ack_delay, ());
+                    self.timers.insert((TimerKind::Sack, src_key), now + ACK_DELAY, ());
                 }
             }
         }
@@ -990,7 +988,7 @@ impl Srudp {
             // DATA from, but keep the deadline alive rather than lose
             // the flush).
             if self.peers.get(&key).is_some_and(|p| p.pending_sack.is_some()) {
-                self.timers.insert((TimerKind::Sack, key), now + self.cfg.ack_delay, ());
+                self.timers.insert((TimerKind::Sack, key), now + ACK_DELAY, ());
             }
             return;
         };
@@ -998,7 +996,7 @@ impl Srudp {
             return;
         };
         let Some(msg_id) = peer.pending_sack.take() else {
-            return; // already flushed by ack_every; stale fire
+            return; // already flushed by ACK_EVERY; stale fire
         };
         if let Some(note) = peer.reasm.note_mut(msg_id) {
             note.unsacked = 0;

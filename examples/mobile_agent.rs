@@ -87,7 +87,6 @@ fn cfg(signer: &KeyPair, sup: Endpoint, fuel: u64) -> PlaygroundConfig {
         granted_caps: CAP_EMIT,
         quotas: Quotas { fuel, ..Quotas::default() },
         slice: 2_000,
-        slice_interval: SimDuration::from_millis(1),
         supervisor: sup,
         address_book: Default::default(),
     }

@@ -31,6 +31,29 @@ if [ -n "$glue" ]; then
     echo "$glue"
     exit 1
 fi
+# One-cast gate: a sender streaming to a receiver is one
+# `fig1::Transfer` value, spawned by `Transfer::spawn`, and an RC
+# replica group is one `RcServerActor::group`. Each was once written
+# out by hand, eight and five times, and the copies differed only by
+# accident, so their fingerprints may appear only where the casts are
+# written: `Hosted::new(` in `bench/src/fig1.rs`, and, outside test
+# modules, `RcServerActor::new(` under `rcds/src/` plus chaos.rs's
+# restart factory (a restarted replica gets a fresh server id on
+# purpose).
+cast=$(
+    grep -rn --include='*.rs' 'Hosted::new(' crates/bench/src |
+        grep -v '^crates/bench/src/fig1\.rs:' || true
+    find crates/*/src src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        !in_test && /RcServerActor::new\(/ { print FILENAME ":" FNR ":" $0 }
+    ' | grep -v -e '^crates/rcds/src/' -e '^crates/bench/src/chaos\.rs:.*RcServerActor::new(id, ' || true
+)
+if [ -n "$cast" ]; then
+    echo "one-cast gate: FAIL — stage the cast through Transfer::spawn / RcServerActor::group instead:"
+    echo "$cast"
+    exit 1
+fi
 # Codec gate: a message, a transport header and a migration snapshot
 # are each declared once, as a `snipe_util::wire_codec!` listing next
 # to its type, and an endpoint is encoded by its own `WireEncode` impl.
