@@ -7,6 +7,11 @@
 //! (last-writer-wins on [`Stamp`]), so replicas converge regardless of
 //! delivery order — the availability-first consistency model §2.1
 //! argues for.
+//!
+//! The layout is sized for many small names: a name's assertions are
+//! one `Vec` allocated at exact size and kept sorted by attribute name,
+//! and the log is one `seq`-sorted run per origin, so a one-attribute
+//! name costs its URI, one 104-byte list and one log slot.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
@@ -51,14 +56,21 @@ pub struct RcStore {
     lamport: u64,
     /// Next local sequence number.
     next_seq: u64,
-    /// uri -> name -> assertion (live and tombstoned).
-    data: HashMap<String, HashMap<String, Assertion>>,
-    /// All updates known, by (origin, seq) — the anti-entropy log.
-    log: BTreeMap<(u64, u64), Update>,
+    /// uri -> assertions (live and tombstoned), sorted by name.
+    data: HashMap<String, Vec<Assertion>>,
+    /// The anti-entropy log: every update known, one run per origin,
+    /// each sorted by seq.
+    log: BTreeMap<u64, Vec<Update>>,
     /// Highest seq seen per origin.
     vector: VersionVector,
     /// Log entries `updates_since` has visited (that query only reads).
     log_visited: Cell<u64>,
+}
+
+/// Where `name` sits in a name-sorted assertion list: `Ok` at its
+/// index, `Err` where it would go.
+fn slot(attrs: &[Assertion], name: &str) -> Result<usize, usize> {
+    attrs.binary_search_by(|a| a.name.as_str().cmp(name))
 }
 
 impl RcStore {
@@ -105,20 +117,17 @@ impl RcStore {
     }
 
     /// Live assertions for a URI (tombstones filtered), sorted by name.
-    #[allow(clippy::disallowed_methods, reason = "sorted by name, the map's unique key")]
     pub fn get(&self, uri: &Uri) -> Vec<Assertion> {
-        let mut v: Vec<Assertion> = self
-            .data
+        self.data
             .get(uri.as_str())
-            .map(|m| m.values().filter(|a| !a.deleted).cloned().collect())
-            .unwrap_or_default();
-        v.sort_by(|a, b| a.name.cmp(&b.name));
-        v
+            .map(|attrs| attrs.iter().filter(|a| !a.deleted).cloned().collect())
+            .unwrap_or_default()
     }
 
     /// One live attribute value.
     pub fn get_one(&self, uri: &Uri, name: &str) -> Option<&Assertion> {
-        self.data.get(uri.as_str()).and_then(|m| m.get(name)).filter(|a| !a.deleted)
+        let attrs = self.data.get(uri.as_str())?;
+        slot(attrs, name).ok().map(|i| &attrs[i]).filter(|a| !a.deleted)
     }
 
     /// All URIs with a live assertion whose name equals `name` and
@@ -128,7 +137,9 @@ impl RcStore {
         let mut v: Vec<String> = self
             .data
             .iter()
-            .filter(|(_, m)| m.get(name).is_some_and(|a| !a.deleted && a.value == value))
+            .filter(|(_, attrs)| {
+                slot(attrs, name).is_ok_and(|i| !attrs[i].deleted && attrs[i].value == value)
+            })
             .map(|(u, _)| u.clone())
             .collect();
         v.sort();
@@ -137,8 +148,9 @@ impl RcStore {
 
     /// Apply one update (local or replicated). Idempotent.
     pub fn apply(&mut self, update: Update) {
-        let key = (update.origin, update.seq);
-        if self.log.contains_key(&key) {
+        let run = self.log.entry(update.origin).or_default();
+        let at = run.partition_point(|u| u.seq < update.seq);
+        if run.get(at).is_some_and(|u| u.seq == update.seq) {
             return;
         }
         // Lamport clock advance.
@@ -149,17 +161,24 @@ impl RcStore {
         if update.seq + 1 > *e {
             *e = update.seq + 1;
         }
-        let by_name = match self.data.get_mut(&update.uri) {
-            Some(by_name) => by_name,
+        let attrs = match self.data.get_mut(&update.uri) {
+            Some(attrs) => attrs,
             None => self.data.entry(update.uri.clone()).or_default(),
         };
-        match by_name.get(&update.assertion.name) {
-            Some(existing) if !update.assertion.supersedes(existing) => {}
-            _ => {
-                by_name.insert(update.assertion.name.clone(), update.assertion.clone());
+        match slot(attrs, &update.assertion.name) {
+            Ok(i) => {
+                if update.assertion.supersedes(&attrs[i]) {
+                    attrs[i] = update.assertion.clone();
+                }
+            }
+            Err(i) => {
+                // `insert` into a full `Vec` would double it (4 slots
+                // for a fresh name); names rarely gain attributes.
+                attrs.reserve_exact(1);
+                attrs.insert(i, update.assertion.clone());
             }
         }
-        self.log.insert(key, update);
+        run.insert(at, update);
     }
 
     /// This replica's version vector.
@@ -168,14 +187,15 @@ impl RcStore {
     }
 
     /// Updates the peer (described by `their` vector) has not seen, in
-    /// log order, stopping at `limit` (0 behaves as 1) to bound datagram
-    /// size. Each origin's run is entered at the peer's `have`: the cost
-    /// is what the peer lacks, not the length of the log.
+    /// log order (by origin, then seq), stopping at `limit` (0 behaves
+    /// as 1) to bound datagram size. Each origin's run is entered at
+    /// the peer's `have`: the cost is what the peer lacks, not the
+    /// length of the log.
     pub fn updates_since(&self, their: &VersionVector, limit: usize) -> Vec<&Update> {
         let mut out = Vec::new();
-        for &origin in self.vector.keys() {
-            let have = their.get(&origin).copied().unwrap_or(0);
-            for (_, u) in self.log.range((origin, have)..=(origin, u64::MAX)) {
+        for (origin, run) in &self.log {
+            let have = their.get(origin).copied().unwrap_or(0);
+            for u in &run[run.partition_point(|u| u.seq < have)..] {
                 self.log_visited.set(self.log_visited.get() + 1);
                 out.push(u);
                 if out.len() >= limit {
@@ -188,7 +208,7 @@ impl RcStore {
 
     /// Total updates logged (diagnostics).
     pub fn log_len(&self) -> usize {
-        self.log.len()
+        self.log.values().map(Vec::len).sum()
     }
 
     /// Log entries every `updates_since` so far has visited.

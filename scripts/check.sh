@@ -167,6 +167,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p snipe-util -p snipe-netsim -p snipe-wire -p snipe-rcds \
     -p snipe-core -p snipe-crypto -p snipe-daemon -p snipe-files \
     -p snipe-rm -p snipe-bench -p snipe-playground -p snipe
+# Benchmark gate: `benchmark/` is a package of its own (own workspace,
+# own lock file) that nothing above builds, yet it is the last caller
+# of the names ROADMAP 15 means to delete, so an API change could break
+# it unseen. Build it in its own target directory and run one short
+# `names` pass, which exits nonzero if an operation fails or a replica
+# oracle trips.
+CARGO_TARGET_DIR=target/benchmark cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- --workload names --seconds 1
 # Bounded chaos smoke: two seeded fault plans for every row of the
 # workload table — LAN and campus placements alike, the campus ones run
 # at 4 threads and again at 1 with equal digests demanded — plus the
