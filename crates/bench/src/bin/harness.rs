@@ -604,12 +604,12 @@ fn run_shard_digest(rest: &[String]) -> bool {
 }
 
 /// `harness rcds` (RCDS): register [`rcds_bench::NAMES`] names into the
-/// sharded catalog and report resolution throughput with p50/p99 from
-/// a log2 latency histogram into `results/bench_rcds.txt`. Fails unless
+/// sharded catalog and print resolution throughput with p50/p99 from
+/// a log2 latency histogram. The table is wall-clock, so it goes to
+/// stdout only: no file under `results/` records it. Fails unless
 /// ≥1M names register, every shard group owns some and the latency
 /// histogram is populated.
 fn run_rcds() -> bool {
-    fresh("bench_rcds.txt");
     let r = rcds_bench::run(rcds_bench::NAMES);
     let mut t = Table::new(
         "RCDS: sharded metadata plane — 1M-name registration and resolution",
@@ -636,7 +636,7 @@ fn run_rcds() -> bool {
         format!("{}", r.client_p50_ns),
         format!("{}", r.client_p99_ns),
     ]);
-    t.emit("bench_rcds.txt");
+    println!("{}", t.render());
     println!(
         "shard balance: min {} / max {} names per shard across {} shards; cache hits {}",
         r.shard_min, r.shard_max, r.shards, r.cache_hits

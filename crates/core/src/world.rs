@@ -83,17 +83,6 @@ impl SnipeWorldBuilder {
         h
     }
 
-    /// Add a host with a CPU factor.
-    pub fn host_with_cpu(&mut self, name: &str, cpu_factor: f64, nets: &[NetId]) -> HostId {
-        let mut cfg = HostCfg::named(name);
-        cfg.cpu_factor = cpu_factor;
-        let h = self.topo.add_host(cfg);
-        for &n in nets {
-            self.topo.attach(h, n);
-        }
-        h
-    }
-
     /// Place an RC metadata replica on a host.
     pub fn rc_on(&mut self, h: HostId) -> &mut Self {
         self.rc_hosts.push(h);
@@ -468,11 +457,6 @@ impl SnipeWorld {
         self.world.run_for(SimDuration::from_secs(s));
     }
 
-    /// Run until the event queue drains (bounded).
-    pub fn run_until_idle(&mut self, limit: u64) -> u64 {
-        self.world.run_until_idle(limit)
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.world.now()
@@ -481,12 +465,6 @@ impl SnipeWorld {
     /// Engine digest over all regions (thread-count invariant).
     pub fn digest(&self) -> u64 {
         self.world.digest()
-    }
-
-    /// Borrow a root process spawned via [`SnipeWorld::spawn_on`]
-    /// (between runs), e.g. to read its log.
-    pub fn process_ref(&self, ep: Endpoint) -> Option<&ProcessActor> {
-        self.world.actor_ref::<ProcessActor>(ep)
     }
 }
 

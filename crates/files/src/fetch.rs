@@ -302,6 +302,10 @@ const TIMER_STACK: u64 = 1;
 const TIMER_FETCH: u64 = 2;
 const TIMER_BEGIN: u64 = 3;
 
+/// How long a [`FetchActor`] waits on one stripe request before it
+/// re-dispatches the stripe.
+const STRIPE_TIMEOUT: SimDuration = SimDuration::from_millis(400);
+
 /// Actor that runs one [`StripedFetch`] over a [`WireStack`]. It stays
 /// alive after completion so harnesses can read the result back via
 /// `actor_ref`.
@@ -310,7 +314,6 @@ pub struct FetchActor {
     candidates: Vec<Endpoint>,
     start_after: SimDuration,
     stripe_len: u32,
-    timeout: SimDuration,
     fetch: Option<StripedFetch>,
     stack: StackHost,
     fetch_gate: TimerGate,
@@ -338,7 +341,6 @@ impl FetchActor {
             candidates,
             start_after,
             stripe_len,
-            timeout: SimDuration::from_millis(400),
             fetch: None,
             stack: StackHost::new(TIMER_STACK),
             fetch_gate: TimerGate::new(),
@@ -347,12 +349,6 @@ impl FetchActor {
             stats: FetchStats::default(),
             failed: false,
         }
-    }
-
-    /// Override the per-stripe timeout.
-    pub fn with_timeout(mut self, t: SimDuration) -> FetchActor {
-        self.timeout = t;
-        self
     }
 
     fn pump(&mut self, ctx: &mut dyn SimCtx) {
@@ -416,8 +412,12 @@ impl Actor for FetchActor {
                         Some(stack) => rank_replicas(stack, &self.candidates),
                         None => self.candidates.clone(),
                     };
-                    let mut fetch =
-                        StripedFetch::new(self.lifn.clone(), ranked, self.stripe_len, self.timeout);
+                    let mut fetch = StripedFetch::new(
+                        self.lifn.clone(),
+                        ranked,
+                        self.stripe_len,
+                        STRIPE_TIMEOUT,
+                    );
                     fetch.start(ctx.now());
                     self.fetch = Some(fetch);
                     self.pump(ctx);

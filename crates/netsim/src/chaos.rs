@@ -59,11 +59,6 @@ impl PacketChaos {
             jitter: SimDuration::from_millis(1),
         }
     }
-
-    /// Does this level actually do anything?
-    pub fn is_noop(&self) -> bool {
-        self.corrupt == 0.0 && self.duplicate == 0.0 && self.reorder == 0.0
-    }
 }
 
 /// One timed fault. Targets are abstract indices resolved against a

@@ -342,11 +342,6 @@ impl Topology {
             .filter(move |&n| self.net(n).routable && self.iface_usable(h, n))
     }
 
-    /// Usable routable networks of a host (for "normal IP routing").
-    pub fn routable_networks(&self, h: HostId) -> Vec<NetId> {
-        self.routable_networks_iter(h).collect()
-    }
-
     /// Describe the direct path over one shared segment.
     pub fn direct_path(&self, net: NetId) -> PathInfo {
         let n = self.net(net);

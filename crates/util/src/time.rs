@@ -129,12 +129,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Span as fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Span as fractional microseconds.
     #[inline]
     pub fn as_micros_f64(self) -> f64 {

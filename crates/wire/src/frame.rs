@@ -177,6 +177,22 @@ pub fn open(datagram: Bytes) -> SnipeResult<(Proto, Bytes)> {
     })
 }
 
+/// Test harness: `outs` with each datagram opened to the body a peer
+/// transport's `on_packet` takes — the one place a harness that
+/// shuttles two bare transports' output into one another crosses from
+/// sealed to opened. Panics unless every datagram carries `proto`.
+#[doc(hidden)]
+pub fn open_sends(mut outs: Vec<crate::Out>, proto: Proto) -> Vec<crate::Out> {
+    for o in &mut outs {
+        if let crate::Out::Send { bytes, .. } = o {
+            let (tag, body) = open(bytes.clone()).expect("transports seal what they send");
+            assert_eq!(tag, proto);
+            *bytes = body;
+        }
+    }
+    outs
+}
+
 /// [`open`], but with the failure *class* preserved so the stack can
 /// count truncation, corruption and unknown tags separately. The
 /// length guard runs first: `remaining() - 4` below can never

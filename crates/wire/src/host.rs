@@ -30,7 +30,7 @@ use crate::frame::Proto;
 use crate::stack::{Incoming, WireStack};
 use crate::Out;
 
-/// A complete message handed up by one of the stack's drivers (the
+/// A complete message handed up by one of the stack's transports (the
 /// payload of an [`Out::Deliver`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Delivery {
@@ -82,7 +82,7 @@ impl StackHost {
     }
 
     /// A datagram arrived on the actor's port. Traffic for a
-    /// registered driver is consumed; anything else is handed back.
+    /// configured transport is consumed; anything else is handed back.
     /// Undecodable datagrams are counted by the stack and dropped.
     pub fn on_packet(&mut self, now: SimTime, from: Endpoint, payload: Bytes) -> Option<Incoming> {
         self.stack.as_mut()?.on_datagram(now, from, payload).unwrap_or_default()

@@ -19,18 +19,19 @@
 //!   tasks did not result in lost messages" ([`stack`]).
 //!
 //! All protocol logic is *sans-IO*: state machines consume
-//! `(now, packet)` and emit [`Out`] actions. Every transport
-//! implements the [`driver::Driver`] trait, keeps its deadlines in a
-//! [`Deadlines`](snipe_util::deadlines::Deadlines) table, and is
-//! registered with
-//! [`stack::WireStack`] — a thin registry-plus-demux that routes the
-//! datagrams drivers emit already sealed ([`frame::seal_with`]) through
-//! [`path::PathSelector`], and glues the modules together. [`host::StackHost`] is the one adapter that embeds
-//! a stack in a `snipe-netsim` actor.
+//! `(now, packet)` and emit [`Out`] actions. Each transport keeps its
+//! deadlines in a [`Deadlines`](snipe_util::deadlines::Deadlines)
+//! table, and its `on_timer` tolerates early or spurious fires (it
+//! re-checks its own state). It drains *sealed* datagrams
+//! ([`frame::seal_with`]) but takes *opened* bodies: the envelope is
+//! checked and demultiplexed before a transport sees a datagram.
+//! [`stack::WireStack`] holds the three transports as fields, routes
+//! SRUDP's datagrams through [`path::PathSelector`], and glues the
+//! modules together. [`host::StackHost`] is the one adapter that
+//! embeds a stack in a `snipe-netsim` actor.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))] // hostile input errs, never panics
 #![deny(clippy::iter_over_hash_type)] // ROADMAP 3: hash order must not reach output
 
-pub mod driver;
 pub mod fec;
 pub mod frag;
 pub mod frame;
@@ -57,7 +58,7 @@ pub enum Out {
         to: Endpoint,
         /// Pinned network (multi-path), or `None` for default routing.
         via: Option<NetId>,
-        /// Share-spray index: when a driver emits erasure-coded shares
+        /// Share-spray index: when SRUDP emits erasure-coded shares
         /// ([`fec`]) it tags each with its share index, and the stack
         /// maps index `i` onto the `i mod k`-th of `k` distinct routes
         /// ([`path::PathSelector::select_k_distinct`]) so one gray
@@ -69,7 +70,7 @@ pub enum Out {
     /// A complete application message arrived.
     Deliver {
         /// The protocol module that produced this delivery; a stack
-        /// can run several drivers at once, and consumers dispatch on
+        /// can run several transports at once, and consumers dispatch on
         /// this tag (SRUDP app messages vs multicast group traffic).
         proto: frame::Proto,
         /// The stable node key of the logical sender (survives

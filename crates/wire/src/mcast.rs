@@ -179,8 +179,8 @@ impl McastRouter {
 /// Member-side dedup: a process registered with several routers receives
 /// each message up to once per router and must deliver exactly once.
 ///
-/// As a [`Driver`](crate::driver::Driver) the member consumes MCAST
-/// datagrams and emits one [`Out::Deliver`] per fresh `(origin, seq)`;
+/// Inside a [`WireStack`](crate::stack::WireStack) the member consumes
+/// MCAST datagrams and emits one [`Out::Deliver`] per fresh `(origin, seq)`;
 /// the delivered `msg` is the *encoded* [`McastMsg`] body so consumers
 /// can recover the group id and payload with `McastMsg::decode_from_bytes`.
 #[derive(Debug, Default)]
@@ -239,6 +239,16 @@ impl McastMember {
         Ok(())
     }
 
+    /// Move the queued deliveries onto the end of `into`.
+    pub fn drain_into(&mut self, into: &mut Vec<Out>) {
+        into.append(&mut self.out);
+    }
+
+    /// True when no delivery is queued.
+    pub fn quiescent(&self) -> bool {
+        self.out.is_empty()
+    }
+
     /// Serialize dedup + sequence state (sorted, so snapshots are
     /// byte-for-byte deterministic).
     #[allow(clippy::disallowed_methods, reason = "collected into BTreeMaps and sorted Vecs")]
@@ -269,53 +279,6 @@ struct McastSnapshot {
 }
 
 wire_codec!(struct McastSnapshot { seen, next_seq });
-
-impl crate::driver::Driver for McastMember {
-    fn proto(&self) -> Proto {
-        Proto::Mcast
-    }
-
-    fn on_datagram(
-        &mut self,
-        _now: snipe_util::time::SimTime,
-        from: Endpoint,
-        body: Bytes,
-    ) -> SnipeResult<()> {
-        McastMember::on_datagram(self, from, body)
-    }
-
-    fn on_timer(&mut self, _now: snipe_util::time::SimTime) {}
-
-    fn next_deadline(&self) -> Option<snipe_util::time::SimTime> {
-        None
-    }
-
-    fn drain_into(&mut self, into: &mut Vec<Out>) {
-        into.append(&mut self.out);
-    }
-
-    fn export_state(&self) -> Bytes {
-        McastMember::export_state(self)
-    }
-
-    fn import_state(&mut self, bytes: Bytes, _now: snipe_util::time::SimTime) -> SnipeResult<()> {
-        let restored = McastMember::import_state(bytes)?;
-        *self = restored;
-        Ok(())
-    }
-
-    fn quiescent(&self) -> bool {
-        self.out.is_empty()
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
 
 /// How many routers a sender must initially target: "more than half".
 pub fn majority(router_count: usize) -> usize {
@@ -430,12 +393,11 @@ mod tests {
 
     #[test]
     fn member_driver_delivers_fresh_data_exactly_once() {
-        use crate::driver::Driver;
         let mut m = McastMember::new();
         let body = data(7, 42, 0, 3).encode_to_bytes();
         m.on_datagram(ep(1, 5), body.clone()).unwrap();
         m.on_datagram(ep(2, 5), body.clone()).unwrap(); // dup via second router
-        let outs = crate::driver::drain_opened(&mut m);
+        let outs = std::mem::take(&mut m.out);
         assert_eq!(outs.len(), 1);
         let Out::Deliver { proto, from_key, msg, .. } = &outs[0] else {
             panic!("expected Deliver");
@@ -454,7 +416,7 @@ mod tests {
             .unwrap();
         m.on_datagram(ep(1, 5), McastMsg::Peer { group: 1, router: ep(9, 9) }.encode_to_bytes())
             .unwrap();
-        assert!(crate::driver::drain_opened(&mut m).is_empty());
+        assert!(m.quiescent());
         assert!(m.on_datagram(ep(1, 5), Bytes::from_static(b"\xff")).is_err());
     }
 

@@ -180,6 +180,20 @@ impl Rstream {
         self.stats
     }
 
+    /// Move the queued actions onto the end of `into`, keeping this
+    /// endpoint's queue capacity. `Send` bytes are sealed datagrams.
+    pub fn drain_into(&mut self, into: &mut Vec<Out>) {
+        into.append(&mut self.out);
+    }
+
+    /// True when nothing is queued and no established connection holds
+    /// unsent or unacknowledged bytes.
+    #[allow(clippy::disallowed_methods, reason = "`all` is order-free")]
+    pub fn quiescent(&self) -> bool {
+        self.out.is_empty()
+            && self.conns.values().all(|c| c.state != State::Established || c.snd_buf.is_empty())
+    }
+
     /// Open a connection to `peer`. Data may be queued immediately; it
     /// flows once the handshake completes.
     pub fn connect(&mut self, now: SimTime, peer: Endpoint) -> ConnId {
@@ -516,61 +530,15 @@ impl Rstream {
     }
 }
 
-impl crate::driver::Driver for Rstream {
-    fn proto(&self) -> crate::frame::Proto {
-        crate::frame::Proto::Rstream
-    }
-
-    fn on_datagram(&mut self, now: SimTime, from: Endpoint, body: Bytes) -> SnipeResult<()> {
-        self.on_packet(now, from, body)
-    }
-
-    fn on_timer(&mut self, now: SimTime) {
-        Rstream::on_timer(self, now);
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        Rstream::next_deadline(self)
-    }
-
-    fn drain_into(&mut self, into: &mut Vec<Out>) {
-        into.append(&mut self.out);
-    }
-
-    /// Connections are endpoint-addressed and deliberately die with
-    /// the process (the E5 contrast case): the snapshot is an empty
-    /// marker.
-    fn export_state(&self) -> Bytes {
-        Bytes::new()
-    }
-
-    /// Restores nothing, by design — see [`Driver::export_state`].
-    ///
-    /// [`Driver::export_state`]: crate::driver::Driver::export_state
-    fn import_state(&mut self, _bytes: Bytes, _now: SimTime) -> SnipeResult<()> {
-        Ok(())
-    }
-
-    #[allow(clippy::disallowed_methods, reason = "`all` is order-free")]
-    fn quiescent(&self) -> bool {
-        self.out.is_empty()
-            && self.conns.values().all(|c| c.state != State::Established || c.snd_buf.is_empty())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::drain_opened;
     use snipe_util::id::HostId;
+
+    /// Everything `r` queued, each datagram opened.
+    fn drain_opened(r: &mut Rstream) -> Vec<Out> {
+        crate::frame::open_sends(std::mem::take(&mut r.out), Proto::Rstream)
+    }
 
     fn ep(h: u32, p: u16) -> Endpoint {
         Endpoint::new(HostId(h), p)

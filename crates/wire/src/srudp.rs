@@ -17,7 +17,7 @@
 //! The implementation is sans-IO: [`Srudp::send_message`],
 //! [`Srudp::on_packet`] and [`Srudp::on_timer`] mutate the state
 //! machine and queue [`Out`] actions retrieved with
-//! [`Driver::drain_into`](crate::driver::Driver::drain_into); each DATA
+//! [`Srudp::drain_into`]; each DATA
 //! and SACK is sealed as it is written ([`frame::seal_with`]).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -466,6 +466,12 @@ impl Srudp {
     #[allow(clippy::disallowed_methods, reason = "`all` is order-free")]
     pub fn quiescent(&self) -> bool {
         self.peers.values().all(|p| p.queue.is_empty() && p.flight.is_empty())
+    }
+
+    /// Move the queued actions onto the end of `into`, keeping this
+    /// endpoint's queue capacity. `Send` bytes are sealed datagrams.
+    pub fn drain_into(&mut self, into: &mut Vec<Out>) {
+        into.append(&mut self.out);
     }
 
     /// Queue a message for reliable FIFO delivery to `to`.
@@ -1052,56 +1058,15 @@ impl Srudp {
     }
 }
 
-impl crate::driver::Driver for Srudp {
-    fn proto(&self) -> crate::frame::Proto {
-        crate::frame::Proto::Srudp
-    }
-
-    fn on_datagram(&mut self, now: SimTime, from: Endpoint, body: Bytes) -> SnipeResult<()> {
-        self.on_packet(now, from, body)
-    }
-
-    fn on_timer(&mut self, now: SimTime) {
-        Srudp::on_timer(self, now);
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        Srudp::next_deadline(self)
-    }
-
-    fn drain_into(&mut self, into: &mut Vec<Out>) {
-        into.append(&mut self.out);
-    }
-
-    fn export_state(&self) -> Bytes {
-        Srudp::export_state(self)
-    }
-
-    fn import_state(&mut self, bytes: Bytes, now: SimTime) -> SnipeResult<()> {
-        let mut restored = Srudp::import_state(bytes, self.cfg.clone(), now)?;
-        restored.retransmit_all(now);
-        *self = restored;
-        Ok(())
-    }
-
-    fn quiescent(&self) -> bool {
-        Srudp::quiescent(self)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::drain_opened;
     use snipe_util::id::HostId;
+
+    /// Everything `s` queued, each datagram opened.
+    pub(super) fn drain_opened(s: &mut Srudp) -> Vec<Out> {
+        frame::open_sends(std::mem::take(&mut s.out), Proto::Srudp)
+    }
 
     fn ep(h: u32, p: u16) -> Endpoint {
         Endpoint::new(HostId(h), p)
@@ -1440,9 +1405,8 @@ mod tests {
 
 #[cfg(test)]
 mod migration_tests {
-    use super::tests::shuttle;
+    use super::tests::{drain_opened, shuttle};
     use super::*;
-    use crate::driver::drain_opened;
     use snipe_util::id::HostId;
 
     fn ep(h: u32, p: u16) -> Endpoint {

@@ -1,24 +1,27 @@
 //! The assembled wire stack embedded in every SNIPE process actor.
 //!
-//! [`WireStack`] is a registry-plus-demux over the wire protocol
-//! modules (§3's "multiplexing library"):
+//! [`WireStack`] holds the paper's fixed set of protocol modules behind
+//! one multiplexing library (§3), each as a field of its own type:
 //!
-//! * every registered transport implements [`Driver`] — SRUDP is
-//!   always present (reliable FIFO messaging keyed by stable node
-//!   keys, §5.6); RSTREAM and member-side multicast dedup are opt-in
-//!   via [`StackConfig`];
+//! * [`Srudp`] is always present (reliable FIFO messaging keyed by
+//!   stable node keys, §5.6); an [`Rstream`] and a member-side
+//!   [`McastMember`] are opt-in via [`StackConfig`]. Timers, deadlines,
+//!   drains and snapshots visit them in that order;
 //! * incoming datagrams are demultiplexed on the [`crate::frame`]
-//!   envelope tag: a registered driver consumes the body (completed
-//!   messages come back as [`Out::Deliver`], tagged with the driver's
+//!   envelope tag: a configured transport consumes the *opened* body
+//!   (completed messages come back as [`Out::Deliver`], tagged with its
 //!   protocol), anything else is surfaced as [`Incoming`] for
 //!   host-level logic (raw datagrams, the daemon's multicast router);
-//! * drivers emit sealed datagrams ([`crate::frame::seal_with`]); the
-//!   stack moves them to its queue and routes SRUDP's through one
+//! * transports drain *sealed* datagrams ([`crate::frame::seal_with`]):
+//!   the stack moves them to its queue and routes SRUDP's through one
 //!   [`PathSelector`] (multi-path failover, §6), re-encoding nothing.
 //!   [`WireStack::send_raw`] and [`WireStack::send_mcast`] seal the
 //!   bodies their callers hand in;
-//! * migration snapshots concatenate each driver's exported state
-//!   under its protocol tag ([`WireStack::export_state`]).
+//! * [`WireStack::on_timer`] tolerates early or spurious fires: each
+//!   transport re-checks its own deadlines, which is what lets the host
+//!   recover from an outage by firing everything on `HostUp`;
+//! * migration snapshots list each transport's exported state under
+//!   its protocol tag ([`WireStack::export_state`]).
 //!
 //! The stack is still sans-IO. Inside a `snipe-netsim` actor it lives
 //! in a [`StackHost`](crate::host::StackHost), the one adapter that
@@ -36,7 +39,6 @@ use snipe_util::id::NetId;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_util::wire_codec;
 
-use crate::driver::Driver;
 use crate::frame::{open_classified, seal, FrameError, Proto};
 use crate::mcast::McastMember;
 use crate::path::PathSelector;
@@ -49,10 +51,10 @@ use crate::Out;
 pub struct StackConfig {
     /// SRUDP tuning.
     pub srudp: SrudpConfig,
-    /// Register an RSTREAM driver with this tuning (off by default:
-    /// most SNIPE processes speak SRUDP only).
+    /// Run an RSTREAM endpoint with this tuning (off by default: most
+    /// SNIPE processes speak SRUDP only).
     pub rstream: Option<RstreamConfig>,
-    /// Register a member-side multicast dedup driver; MCAST datagrams
+    /// Run a member-side multicast dedup endpoint; MCAST datagrams
     /// are then consumed and delivered (tagged [`Proto::Mcast`])
     /// instead of surfacing as [`Incoming::Mcast`].
     pub mcast_member: bool,
@@ -60,7 +62,7 @@ pub struct StackConfig {
 
 /// An incoming item after protocol demultiplexing.
 ///
-/// Traffic for a *registered* driver is never surfaced here: the stack
+/// Traffic for a *configured* transport is never surfaced here: the stack
 /// consumes it internally and yields completed messages as
 /// [`Out::Deliver`] from [`WireStack::drain`] (they may complete later
 /// than the datagram that carried the final fragment).
@@ -115,9 +117,9 @@ const MAX_SPRAY_PATHS: usize = 4;
 
 /// The per-process wire stack.
 pub struct WireStack {
-    my_key: NodeKey,
-    /// Registered protocol modules; index 0 is always SRUDP.
-    drivers: Vec<Box<dyn Driver>>,
+    srudp: Srudp,
+    rstream: Option<Rstream>,
+    mcast: Option<McastMember>,
     paths: PathSelector,
     out: Vec<Out>,
     /// Reused scratch for failover scans (no steady-state allocation).
@@ -125,7 +127,7 @@ pub struct WireStack {
     drops: DecodeDrops,
 }
 
-/// One driver's section of a stack snapshot: its snapshot, keyed by
+/// One transport's section of a stack snapshot: its snapshot, keyed by
 /// its protocol.
 struct Section {
     proto: Proto,
@@ -145,12 +147,11 @@ pub struct DecodeDrops {
     pub checksum: u64,
     /// Envelope tag names no protocol ([`FrameError::UnknownTag`]).
     pub unknown_tag: u64,
-    /// A valid envelope whose registered driver refused the body.
+    /// A valid envelope whose transport refused the body.
     pub body: u64,
 }
 
 impl WireStack {
-    /// New stack for a process with the given stable key.
     /// Compile-time proof that a whole stack can live inside an actor
     /// (actors are `Send`: any worker thread may drive their region).
     const _ASSERT_SEND: () = {
@@ -158,18 +159,19 @@ impl WireStack {
         assert_send::<WireStack>()
     };
 
+    /// New stack for a process with the given stable key.
     pub fn new(my_key: NodeKey, cfg: StackConfig) -> WireStack {
-        let mut drivers: Vec<Box<dyn Driver>> = Vec::with_capacity(3);
-        drivers.push(Box::new(Srudp::new(my_key, cfg.srudp)));
-        if let Some(rc) = cfg.rstream {
-            drivers.push(Box::new(Rstream::new(rc, my_key)));
-        }
-        if cfg.mcast_member {
-            drivers.push(Box::new(McastMember::new()));
-        }
+        WireStack::around(Srudp::new(my_key, cfg.srudp), cfg.rstream, cfg.mcast_member)
+    }
+
+    /// A stack over `srudp`, plus the RSTREAM endpoint and multicast
+    /// member a [`StackConfig`] asks for.
+    fn around(srudp: Srudp, rstream: Option<RstreamConfig>, mcast_member: bool) -> WireStack {
+        let my_key = srudp.key();
         WireStack {
-            my_key,
-            drivers,
+            srudp,
+            rstream: rstream.map(|rc| Rstream::new(rc, my_key)),
+            mcast: mcast_member.then(McastMember::new),
             paths: PathSelector::new(),
             out: Vec::new(),
             key_scratch: Vec::new(),
@@ -179,51 +181,30 @@ impl WireStack {
 
     /// Our node key.
     pub fn key(&self) -> NodeKey {
-        self.my_key
+        self.srudp.key()
     }
 
-    fn srudp(&self) -> &Srudp {
-        self.drivers[0].as_any().downcast_ref::<Srudp>().expect("driver 0 is SRUDP")
-    }
-
-    fn srudp_mut(&mut self) -> &mut Srudp {
-        self.drivers[0].as_any_mut().downcast_mut::<Srudp>().expect("driver 0 is SRUDP")
-    }
-
-    fn driver_index(&self, proto: Proto) -> Option<usize> {
-        self.drivers.iter().position(|d| d.proto() == proto)
-    }
-
-    /// The stack-owned RSTREAM driver, if one was registered.
+    /// The stack-owned RSTREAM endpoint, if one is configured.
     pub fn rstream(&self) -> Option<&Rstream> {
-        self.driver_index(Proto::Rstream)
-            .and_then(|i| self.drivers[i].as_any().downcast_ref::<Rstream>())
+        self.rstream.as_ref()
     }
 
-    /// Mutable access to the stack-owned RSTREAM driver. Actions it
+    /// Mutable access to the stack-owned RSTREAM endpoint. Actions it
     /// emits (connect/send/close) are collected on the next
     /// [`WireStack::drain`].
     pub fn rstream_mut(&mut self) -> Option<&mut Rstream> {
-        self.driver_index(Proto::Rstream)
-            .and_then(|i| self.drivers[i].as_any_mut().downcast_mut::<Rstream>())
+        self.rstream.as_mut()
     }
 
-    /// The stack-owned multicast member driver, if one was registered.
-    pub fn mcast_member(&self) -> Option<&McastMember> {
-        self.driver_index(Proto::Mcast)
-            .and_then(|i| self.drivers[i].as_any().downcast_ref::<McastMember>())
-    }
-
-    /// Mutable access to the stack-owned multicast member driver
-    /// (sequence allocation for sending).
+    /// Mutable access to the stack-owned multicast member, if one is
+    /// configured (sequence allocation for sending).
     pub fn mcast_member_mut(&mut self) -> Option<&mut McastMember> {
-        self.driver_index(Proto::Mcast)
-            .and_then(|i| self.drivers[i].as_any_mut().downcast_mut::<McastMember>())
+        self.mcast.as_mut()
     }
 
     /// SRUDP counters.
     pub fn srudp_stats(&self) -> SrudpStats {
-        self.srudp().stats()
+        self.srudp.stats()
     }
 
     /// Record a peer's location and (optionally) its ranked candidate
@@ -236,15 +217,15 @@ impl WireStack {
     /// [`Self::set_peer`] with an explicit current time (affects RTT
     /// bookkeeping of the fragments transmitted right away).
     pub fn set_peer_at(&mut self, now: SimTime, key: NodeKey, ep: Endpoint, routes: Vec<NetId>) {
-        self.srudp_mut().set_peer_endpoint(key, ep);
+        self.srudp.set_peer_endpoint(key, ep);
         self.paths.update(key, routes);
-        self.srudp_mut().pump_peer(now, key);
+        self.srudp.pump_peer(now, key);
         self.harvest();
     }
 
     /// Current known location of a peer.
     pub fn peer_endpoint(&self, key: NodeKey) -> Option<Endpoint> {
-        self.srudp().peer_endpoint(key)
+        self.srudp.peer_endpoint(key)
     }
 
     /// Number of route failovers performed for a peer.
@@ -259,7 +240,7 @@ impl WireStack {
     /// the replica-selection hook — file clients sort candidate
     /// replicas by this score before opening a striped read.
     pub fn peer_score(&self, key: NodeKey) -> Option<f64> {
-        self.paths.peer_score(key).or_else(|| self.srudp().peer_srtt(key).map(|s| s.as_secs_f64()))
+        self.paths.peer_score(key).or_else(|| self.srudp.peer_srtt(key).map(|s| s.as_secs_f64()))
     }
 
     /// All peer keys with transport state (learned or configured).
@@ -272,7 +253,7 @@ impl WireStack {
     /// [`Self::known_peers`] into a caller-owned scratch vector:
     /// appends (sorted) without allocating when capacity suffices.
     pub fn known_peers_into(&self, into: &mut Vec<NodeKey>) {
-        self.srudp().peer_keys_into(into);
+        self.srudp.peer_keys_into(into);
     }
 
     /// The pinned route candidates for a peer (empty = default routing).
@@ -280,19 +261,12 @@ impl WireStack {
         self.paths.peer(key).map(|p| p.candidates().collect()).unwrap_or_default()
     }
 
-    /// Peers whose consecutive-timeout count reached `threshold` —
-    /// candidates for RC location re-resolution (they may have
-    /// migrated, §5.6).
-    pub fn peers_in_trouble(&self, threshold: u32) -> Vec<NodeKey> {
-        let mut v = Vec::new();
-        self.peers_in_trouble_into(threshold, &mut v);
-        v
-    }
-
-    /// [`Self::peers_in_trouble`] into a caller-owned scratch vector:
-    /// appends (sorted) without allocating when capacity suffices.
+    /// Append (sorted) the peers whose consecutive-timeout count reached
+    /// `threshold` — candidates for RC location re-resolution (they may
+    /// have migrated, §5.6) — without allocating when `into`'s capacity
+    /// suffices.
     pub fn peers_in_trouble_into(&self, threshold: u32, into: &mut Vec<NodeKey>) {
-        let srudp = self.srudp();
+        let srudp = &self.srudp;
         let start = into.len();
         srudp.peer_keys_into(into);
         let mut w = start;
@@ -310,7 +284,7 @@ impl WireStack {
     /// configured fragment size is unusable (zero) — a misconfiguration
     /// surfaced to the caller rather than a panic deep in [`crate::frag`].
     pub fn send(&mut self, now: SimTime, to: NodeKey, msg: Bytes) -> SnipeResult<()> {
-        self.srudp_mut().send_message(now, to, msg)?;
+        self.srudp.send_message(now, to, msg)?;
         self.harvest();
         Ok(())
     }
@@ -327,8 +301,8 @@ impl WireStack {
 
     /// Handle an incoming datagram from the simulator.
     ///
-    /// Traffic for a registered driver is consumed internally (drivers
-    /// answer with their own control packets and deliver complete
+    /// Traffic for a configured transport is consumed internally (it
+    /// answers with its own control packets and delivers complete
     /// messages through [`Self::drain`]); anything else is surfaced to
     /// the caller.
     pub fn on_datagram(
@@ -349,31 +323,31 @@ impl WireStack {
                 return Err(SnipeError::Codec(format!("bad envelope: {}", e.name())));
             }
         };
-        if let Some(i) = self.driver_index(proto) {
-            if let Err(e) = self.drivers[i].on_datagram(now, from, body) {
-                // A valid envelope carrying a malformed protocol body:
-                // counted, surfaced, never panicked on.
-                self.drops.body += 1;
-                return Err(e);
-            }
-            self.check_failover(now);
-            self.harvest();
-            return Ok(None);
+        let consumed = match (proto, &mut self.rstream, &mut self.mcast) {
+            (Proto::Srudp, ..) => self.srudp.on_packet(now, from, body),
+            (Proto::Rstream, Some(rstream), _) => rstream.on_packet(now, from, body),
+            (Proto::Mcast, _, Some(member)) => member.on_datagram(from, body),
+            (Proto::Rstream, None, _) => return Ok(Some(Incoming::Stream { from, body })),
+            (Proto::Mcast, _, None) => return Ok(Some(Incoming::Mcast { from, body })),
+            (Proto::Raw, ..) => return Ok(Some(Incoming::Raw { from, msg: body })),
+        };
+        if let Err(e) = consumed {
+            // A valid envelope carrying a malformed protocol body:
+            // counted, surfaced, never panicked on.
+            self.drops.body += 1;
+            return Err(e);
         }
-        Ok(match proto {
-            Proto::Raw => Some(Incoming::Raw { from, msg: body }),
-            Proto::Mcast => Some(Incoming::Mcast { from, body }),
-            Proto::Rstream => Some(Incoming::Stream { from, body }),
-            // SRUDP is always registered (driver index 0).
-            Proto::Srudp => unreachable!("SRUDP driver is always registered"),
-        })
+        self.check_failover(now);
+        self.harvest();
+        Ok(None)
     }
 
-    /// Fire protocol timers (safe to call early or spuriously: drivers
-    /// re-check their own deadlines).
+    /// Fire protocol timers (safe to call early or spuriously: each
+    /// transport re-checks its own deadlines).
     pub fn on_timer(&mut self, now: SimTime) {
-        for d in &mut self.drivers {
-            d.on_timer(now);
+        self.srudp.on_timer(now);
+        if let Some(r) = &mut self.rstream {
+            r.on_timer(now);
         }
         self.check_failover(now);
         self.harvest();
@@ -381,7 +355,7 @@ impl WireStack {
 
     /// Recover after the hosting actor's machine rebooted
     /// (`Event::HostUp`): fill every peer's window from its backlog and
-    /// fire every driver timer that came due during the outage (the
+    /// fire every transport timer that came due during the outage (the
     /// retransmissions are those timers' work). The wake-up itself
     /// is the host's: [`StackHost::on_host_up`](crate::host::StackHost::on_host_up)
     /// calls this and the flush that follows re-arms the timer the
@@ -389,7 +363,7 @@ impl WireStack {
     /// forever, a bug fixed actor by actor three times before the
     /// adapter existed.
     pub fn on_host_up(&mut self, now: SimTime) {
-        self.srudp_mut().retransmit_all(now);
+        self.srudp.retransmit_all(now);
         self.on_timer(now);
     }
 
@@ -404,11 +378,11 @@ impl WireStack {
         keys.clear();
         self.paths.keys_into(&mut keys);
         for &k in &keys {
-            let timeouts = self.srudp().peer_timeouts(k);
-            let srtt = self.srudp().peer_srtt(k);
-            let dup = self.srudp().peer_dup_streak(k);
+            let timeouts = self.srudp.peer_timeouts(k);
+            let srtt = self.srudp.peer_srtt(k);
+            let dup = self.srudp.peer_dup_streak(k);
             let fresh_stalled = self
-                .srudp()
+                .srudp
                 .peer_last_fresh(k)
                 .map(|t| now.since(t) >= DUP_FRESH_STALL)
                 .unwrap_or(true);
@@ -427,7 +401,7 @@ impl WireStack {
                 }
             }
             if dup_rotated {
-                self.srudp_mut().reset_dup_streak(k);
+                self.srudp.reset_dup_streak(k);
             }
             if (timeout_rotated || dup_rotated) && trace::enabled() {
                 let net = self.paths.select(k).map(|n| n.0).unwrap_or(u32::MAX);
@@ -449,19 +423,27 @@ impl WireStack {
         d.truncated + d.checksum + d.unknown_tag + d.body
     }
 
-    /// Earliest wanted wake-up across every registered driver.
+    /// Earliest wanted wake-up across every transport (a multicast
+    /// member keeps no timers).
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.drivers.iter().filter_map(|d| d.next_deadline()).min()
+        let rstream = self.rstream.as_ref().and_then(Rstream::next_deadline);
+        match (self.srudp.next_deadline(), rstream) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Unsent + unacked payload bytes across all peers.
     pub fn backlog_total(&self) -> usize {
-        self.srudp().backlog_total()
+        self.srudp.backlog_total()
     }
 
-    /// True when nothing is queued or in flight in any driver.
+    /// True when nothing is queued or in flight in any transport.
     pub fn quiescent(&self) -> bool {
-        self.out.is_empty() && self.drivers.iter().all(|d| d.quiescent())
+        self.out.is_empty()
+            && self.srudp.quiescent()
+            && self.rstream.as_ref().is_none_or(Rstream::quiescent)
+            && self.mcast.as_ref().is_none_or(McastMember::quiescent)
     }
 
     /// Which peer an SRUDP datagram to `to` belongs to: the smallest
@@ -470,7 +452,7 @@ impl WireStack {
     /// keys is the same whatever order they are visited in, and it is
     /// the first match a scan of the sorted keys would find.
     fn owner_of(&self, to: Endpoint) -> Option<NodeKey> {
-        let srudp = self.srudp();
+        let srudp = &self.srudp;
         self.paths.min_key_where(|k| srudp.peer_endpoint(k) == Some(to))
     }
 
@@ -489,21 +471,22 @@ impl WireStack {
         }
     }
 
-    /// Move driver outputs into the stack queue — their datagrams are
-    /// already sealed — and pin the routes of SRUDP's.
+    /// Move transport outputs into the stack queue — their datagrams
+    /// are already sealed — and pin the routes of SRUDP's.
     fn harvest(&mut self) {
         let mut out = std::mem::take(&mut self.out);
-        for i in 0..self.drivers.len() {
-            let start = out.len();
-            self.drivers[i].drain_into(&mut out);
-            if self.drivers[i].proto() != Proto::Srudp {
-                continue;
+        let start = out.len();
+        self.srudp.drain_into(&mut out);
+        for o in &mut out[start..] {
+            if let Out::Send { to, via, spray, .. } = o {
+                *via = self.route(*to, *spray);
             }
-            for o in &mut out[start..] {
-                if let Out::Send { to, via, spray, .. } = o {
-                    *via = self.route(*to, *spray);
-                }
-            }
+        }
+        if let Some(r) = &mut self.rstream {
+            r.drain_into(&mut out);
+        }
+        if let Some(m) = &mut self.mcast {
+            m.drain_into(&mut out);
         }
         self.out = out;
     }
@@ -514,20 +497,29 @@ impl WireStack {
         std::mem::take(&mut self.out)
     }
 
-    /// Serialize the migratable transport state (§5.6): each driver's
-    /// snapshot under its protocol tag. Path state is not carried: the
-    /// new host has different interfaces, so routes are re-learned
-    /// from RC metadata.
+    /// Serialize the migratable transport state (§5.6): each
+    /// transport's snapshot under its protocol tag. RSTREAM's is an
+    /// empty marker: its connections are endpoint-addressed and
+    /// deliberately die with the process (the E5 contrast case). Path
+    /// state is not carried: the new host has different interfaces, so
+    /// routes are re-learned from RC metadata.
     pub fn export_state(&self) -> Bytes {
-        let sections =
-            self.drivers.iter().map(|d| Section { proto: d.proto(), state: d.export_state() });
-        sections.collect::<Vec<_>>().encode_to_bytes()
+        let mut sections = Vec::with_capacity(3);
+        sections.push(Section { proto: Proto::Srudp, state: self.srudp.export_state() });
+        if self.rstream.is_some() {
+            sections.push(Section { proto: Proto::Rstream, state: Bytes::new() });
+        }
+        if let Some(m) = &self.mcast {
+            sections.push(Section { proto: Proto::Mcast, state: m.export_state() });
+        }
+        sections.encode_to_bytes()
     }
 
-    /// Rebuild a stack from exported state: drivers are registered per
-    /// `cfg`, handed their tagged snapshot section, and kick
-    /// retransmission of everything unacknowledged. Sections for
-    /// drivers the new configuration does not register are dropped.
+    /// Rebuild a stack from exported state, with the transports `cfg`
+    /// asks for: SRUDP restores the first SRUDP section and kicks
+    /// retransmission of everything unacknowledged, a multicast member
+    /// restores the last MCAST section, and RSTREAM starts empty.
+    /// Sections no configured transport restores are dropped unread.
     pub fn import_state(bytes: Bytes, cfg: StackConfig, now: SimTime) -> SnipeResult<WireStack> {
         let sections = Vec::<Section>::decode_from_bytes(bytes)?;
         let srudp_bytes = sections
@@ -537,29 +529,12 @@ impl WireStack {
             .ok_or_else(|| SnipeError::Codec("stack snapshot missing SRUDP section".into()))?;
         let mut srudp = Srudp::import_state(srudp_bytes, cfg.srudp, now)?;
         srudp.retransmit_all(now);
-        let my_key = srudp.key();
-        let mut drivers: Vec<Box<dyn Driver>> = Vec::with_capacity(3);
-        drivers.push(Box::new(srudp));
-        if let Some(rc) = cfg.rstream {
-            drivers.push(Box::new(Rstream::new(rc, my_key)));
-        }
-        if cfg.mcast_member {
-            drivers.push(Box::new(McastMember::new()));
-        }
-        let mut stack = WireStack {
-            my_key,
-            drivers,
-            paths: PathSelector::new(),
-            out: Vec::new(),
-            key_scratch: Vec::new(),
-            drops: DecodeDrops::default(),
-        };
-        for Section { proto, state } in sections {
-            if proto == Proto::Srudp {
-                continue;
-            }
-            if let Some(i) = stack.driver_index(proto) {
-                stack.drivers[i].import_state(state, now)?;
+        let mut stack = WireStack::around(srudp, cfg.rstream, cfg.mcast_member);
+        if let Some(m) = &mut stack.mcast {
+            for Section { proto, state } in sections {
+                if proto == Proto::Mcast {
+                    *m = McastMember::import_state(state)?;
+                }
             }
         }
         Ok(stack)
@@ -854,7 +829,7 @@ mod tests {
         }
         .encode_to_bytes();
         let dg = seal(Proto::Mcast, body.clone());
-        // Consumed by the member driver, not surfaced.
+        // Consumed by the multicast member, not surfaced.
         assert_eq!(b.on_datagram(SimTime::ZERO, ep(0, 5), dg.clone()).unwrap(), None);
         // Duplicate via a second router leg: dedup'd.
         assert_eq!(b.on_datagram(SimTime::ZERO, ep(3, 5), dg).unwrap(), None);
@@ -892,8 +867,64 @@ mod tests {
         assert!(r.mcast_member_mut().unwrap().accept(7, 9, 0, Bytes::new()).is_none());
         assert!(r.mcast_member_mut().unwrap().accept(7, 9, 1, Bytes::new()).is_some());
         // RSTREAM deliberately restores nothing (connections die with
-        // the process) but the driver is registered and usable.
+        // the process) but the endpoint is configured and usable.
         assert!(r.rstream().is_some());
+    }
+
+    /// What a restored stack takes from a snapshot: the first SRUDP
+    /// section, the last MCAST section when a member is configured,
+    /// nothing from RSTREAM, and nothing from a section no configured
+    /// transport speaks. Re-exported, it lists every configured
+    /// transport once, in stack order.
+    #[test]
+    fn import_takes_what_the_configuration_speaks() {
+        let three = StackConfig {
+            rstream: Some(RstreamConfig::default()),
+            mcast_member: true,
+            ..StackConfig::default()
+        };
+        let mut srudp = Srudp::new(1, SrudpConfig::default());
+        srudp.set_peer_endpoint(2, ep(1, 5));
+        srudp.send_message(SimTime::ZERO, 2, Bytes::from_static(b"unacked")).unwrap();
+        let srudp = srudp.export_state();
+        let member = |group, seq| {
+            let mut m = McastMember::new();
+            m.accept(group, 9, seq, Bytes::new());
+            m.next_seq(group);
+            m.export_state()
+        };
+        let (a, b) = (member(7, 0), member(8, 3));
+        assert_ne!(a, b);
+        let garbage = Bytes::from_static(b"\xff\xfe\xfd");
+        let snapshot = |mcast: Bytes| {
+            vec![
+                Section { proto: Proto::Srudp, state: srudp.clone() },
+                Section { proto: Proto::Mcast, state: a.clone() },
+                Section { proto: Proto::Raw, state: garbage.clone() },
+                Section { proto: Proto::Rstream, state: garbage.clone() },
+                Section { proto: Proto::Mcast, state: mcast },
+                Section { proto: Proto::Srudp, state: garbage.clone() },
+            ]
+            .encode_to_bytes()
+        };
+
+        let r = WireStack::import_state(snapshot(b.clone()), three.clone(), SimTime::ZERO).unwrap();
+        assert_eq!(r.backlog_total(), 7);
+        let again = Vec::<Section>::decode_from_bytes(r.export_state()).unwrap();
+        let listed: Vec<(Proto, Bytes)> = again.into_iter().map(|s| (s.proto, s.state)).collect();
+        let want =
+            vec![(Proto::Srudp, srudp.clone()), (Proto::Rstream, Bytes::new()), (Proto::Mcast, b)];
+        assert_eq!(listed, want);
+
+        let slim = WireStack::import_state(
+            snapshot(garbage.clone()),
+            StackConfig::default(),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        assert_eq!(slim.backlog_total(), 7);
+
+        assert!(WireStack::import_state(snapshot(garbage.clone()), three, SimTime::ZERO).is_err());
     }
 
     /// A forged section count is refused before anything is sized for

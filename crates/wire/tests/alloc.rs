@@ -392,3 +392,32 @@ fn warm_deadline_table_calls_do_not_allocate() {
     let allocated = allocs() - before;
     assert_eq!(allocated, 0, "warm deadline-table calls allocated {allocated} times");
 }
+
+/// Building a stack with all three transports, fresh or from a
+/// snapshot, costs a pinned number of allocations: each transport is a
+/// field of the stack, so none costs a box of its own and there is no
+/// list of them to allocate. Importing adds the decoded section list
+/// and whatever the SRUDP and multicast snapshots restore.
+#[test]
+fn building_a_three_transport_stack_costs_a_pinned_number_of_allocations() {
+    use snipe_wire::rstream::RstreamConfig;
+
+    let cfg = StackConfig {
+        rstream: Some(RstreamConfig::default()),
+        mcast_member: true,
+        ..StackConfig::default()
+    };
+    let before = allocs();
+    let mut stack = WireStack::new(1, cfg.clone());
+    let built = allocs() - before;
+    stack.set_peer(2, Endpoint::new(HostId(2), 40), Vec::new());
+    stack.send(SimTime::ZERO, 2, Bytes::from_static(b"unacked")).unwrap();
+    let _ = stack.drain();
+    stack.mcast_member_mut().unwrap().accept(7, 9, 0, Bytes::new());
+    let snapshot = stack.export_state();
+    let before = allocs();
+    let restored = WireStack::import_state(snapshot, cfg, SimTime::ZERO).unwrap();
+    let imported = allocs() - before;
+    assert_eq!(restored.backlog_total(), 7);
+    assert_eq!((built, imported), (0, 18), "allocations to build, to import");
+}

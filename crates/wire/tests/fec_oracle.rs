@@ -21,12 +21,19 @@ use snipe_netsim::topology::Endpoint;
 use snipe_util::id::HostId;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::SimTime;
-use snipe_wire::driver::drain_opened;
 use snipe_wire::fec::FragStrategy;
+use snipe_wire::frame::{open_sends, Proto};
 use snipe_wire::srudp::{Srudp, SrudpConfig};
 use snipe_wire::Out;
 
 const MESSAGES: usize = 2500;
+
+/// Everything `s` queued, each datagram opened.
+fn drain_opened(s: &mut Srudp) -> Vec<Out> {
+    let mut outs = Vec::new();
+    s.drain_into(&mut outs);
+    open_sends(outs, Proto::Srudp)
+}
 const FRAG: usize = 48;
 const TX: u64 = 1;
 const RX: u64 = 2;

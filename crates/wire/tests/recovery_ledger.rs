@@ -17,11 +17,12 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use snipe_netsim::topology::Endpoint;
+use snipe_util::error::SnipeResult;
 use snipe_util::id::HostId;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::SimTime;
-use snipe_wire::driver::{drain_opened, Driver};
 use snipe_wire::fec::FragStrategy;
+use snipe_wire::frame::{open_sends, Proto};
 use snipe_wire::rstream::{Rstream, RstreamConfig};
 use snipe_wire::srudp::{Srudp, SrudpConfig};
 use snipe_wire::Out;
@@ -57,6 +58,45 @@ impl Fnv {
     }
 }
 
+/// The sans-IO surface a run drives, common to both transports.
+trait Transport {
+    const PROTO: Proto;
+    fn on_packet(&mut self, now: SimTime, from: Endpoint, body: Bytes) -> SnipeResult<()>;
+    fn on_timer(&mut self, now: SimTime);
+    fn next_deadline(&self) -> Option<SimTime>;
+    fn drain_into(&mut self, into: &mut Vec<Out>);
+
+    /// Everything queued, each datagram opened.
+    fn drain_opened(&mut self) -> Vec<Out> {
+        let mut outs = Vec::new();
+        self.drain_into(&mut outs);
+        open_sends(outs, Self::PROTO)
+    }
+}
+
+macro_rules! transport {
+    ($t:ty, $proto:expr) => {
+        impl Transport for $t {
+            const PROTO: Proto = $proto;
+            fn on_packet(&mut self, now: SimTime, from: Endpoint, body: Bytes) -> SnipeResult<()> {
+                <$t>::on_packet(self, now, from, body)
+            }
+            fn on_timer(&mut self, now: SimTime) {
+                <$t>::on_timer(self, now)
+            }
+            fn next_deadline(&self) -> Option<SimTime> {
+                <$t>::next_deadline(self)
+            }
+            fn drain_into(&mut self, into: &mut Vec<Out>) {
+                <$t>::drain_into(self, into)
+            }
+        }
+    };
+}
+
+transport!(Srudp, Proto::Srudp);
+transport!(Rstream, Proto::Rstream);
+
 /// What one run leaves behind.
 #[derive(Debug, PartialEq, Eq)]
 struct Ledger {
@@ -70,7 +110,7 @@ struct Ledger {
 
 /// Shuttle datagrams between endpoint 0 (the sender) and endpoint 1
 /// until the pipe is empty and neither endpoint wants a timer.
-fn run(mut ends: [&mut dyn Driver; 2], msgs: &[Bytes], loss: f64, seed: u64) -> Ledger {
+fn run<T: Transport>(mut ends: [&mut T; 2], msgs: &[Bytes], loss: f64, seed: u64) -> Ledger {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     // (arrival ns, tiebreak) -> (destination index, bytes).
     let mut pipe: BTreeMap<(u64, u64), (usize, Bytes)> = BTreeMap::new();
@@ -80,7 +120,7 @@ fn run(mut ends: [&mut dyn Driver; 2], msgs: &[Bytes], loss: f64, seed: u64) -> 
     let (mut wire, mut deadlines) = (Fnv::new(), Fnv::new());
     for _step in 0..200_000 {
         for (src, end) in ends.iter_mut().enumerate() {
-            for o in drain_opened(&mut **end) {
+            for o in end.drain_opened() {
                 match o {
                     Out::Send { to, bytes, .. } => {
                         assert_eq!(to, ep(1 - src));
@@ -123,7 +163,7 @@ fn run(mut ends: [&mut dyn Driver; 2], msgs: &[Bytes], loss: f64, seed: u64) -> 
             (Some(at), t) if t.is_none_or(|t| at <= t) => {
                 now = now.max(at);
                 let (_, (to, bytes)) = pipe.pop_first().expect("peeked");
-                ends[to].on_datagram(SimTime::from_nanos(now), ep(1 - to), bytes).unwrap();
+                ends[to].on_packet(SimTime::from_nanos(now), ep(1 - to), bytes).unwrap();
             }
             (_, Some(t)) => {
                 now = now.max(t);

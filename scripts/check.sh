@@ -162,7 +162,7 @@ cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: first-party crates must document cleanly. Broken
 # intra-doc links and malformed examples rot fastest in the wire layer,
-# where the Driver trait docs double as the transport-author guide.
+# whose module docs state the transports' sans-IO contract.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p snipe-util -p snipe-netsim -p snipe-wire -p snipe-rcds \
     -p snipe-core -p snipe-crypto -p snipe-daemon -p snipe-files \
@@ -171,10 +171,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
 # own lock file) that nothing above builds, yet it is the last caller
 # of the names ROADMAP 15 means to delete, so an API change could break
 # it unseen. Build it in its own target directory and run one short
-# `names` pass, which exits nonzero if an operation fails or a replica
-# oracle trips.
-CARGO_TARGET_DIR=target/benchmark cargo run --release --offline --quiet \
-    --manifest-path benchmark/Cargo.toml -- --workload names --seconds 1
+# pass of every workload `BENCHMARK.json` declares; each exits nonzero
+# if an operation fails or an oracle trips.
+for workload in storm wire-small wire-bulk names campus; do
+    CARGO_TARGET_DIR=target/benchmark cargo run --release --offline --quiet \
+        --manifest-path benchmark/Cargo.toml -- --workload "$workload" --seconds 1
+done
 # Bounded chaos smoke: two seeded fault plans for every row of the
 # workload table — LAN and campus placements alike, the campus ones run
 # at 4 threads and again at 1 with equal digests demanded — plus the
@@ -212,6 +214,7 @@ fi
 # consistent-hash-sharded catalog and resolve through the ring plus
 # the client TTL cache; exits nonzero unless the full count registers,
 # every shard group owns names and the latency histogram is populated.
-# results/bench_rcds.txt records the measured table.
+# The measured table is wall-clock, so it is printed and never written
+# under results/: a green run leaves the tree as it found it.
 ./target/release/harness rcds
 echo "check.sh: all gates green"

@@ -15,12 +15,19 @@ use snipe::util::codec::{Decoder, Encoder};
 use snipe::util::id::HostId;
 use snipe::util::rng::Xoshiro256;
 use snipe::util::time::{SimDuration, SimTime};
-use snipe::wire::driver::drain_opened;
 use snipe::wire::frag::{split, ReassemblySet};
+use snipe::wire::frame::{open_sends, Proto};
 use snipe::wire::srudp::{Srudp, SrudpConfig};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
+
+/// Everything `s` queued, each datagram opened.
+fn drain_opened(s: &mut Srudp) -> Vec<snipe::wire::Out> {
+    let mut outs = Vec::new();
+    s.drain_into(&mut outs);
+    open_sends(outs, Proto::Srudp)
+}
 
 proptest! {
     #[test]

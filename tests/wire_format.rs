@@ -44,8 +44,8 @@ use snipe::util::codec::{WireDecode, WireEncode};
 use snipe::util::error::SnipeResult;
 use snipe::util::id::HostId;
 use snipe::util::time::{SimDuration, SimTime};
-use snipe::wire::driver::{drain_opened, Driver};
 use snipe::wire::fec::FragStrategy;
+use snipe::wire::frame::{open_sends, Proto};
 use snipe::wire::mcast::{McastMember, McastMsg};
 use snipe::wire::rstream::{Rstream, RstreamConfig};
 use snipe::wire::srudp::{Srudp, SrudpConfig};
@@ -207,10 +207,32 @@ fn rstream_datagram(b: Bytes) -> SnipeResult<(String, Bytes)> {
     Ok((format!("RSTREAM datagram of kind {}", b[0]), b))
 }
 
+/// A bare transport whose datagrams the pins below hold.
+trait Transport {
+    const PROTO: Proto;
+    fn drain_into(&mut self, into: &mut Vec<Out>);
+}
+
+impl Transport for Srudp {
+    const PROTO: Proto = Proto::Srudp;
+    fn drain_into(&mut self, into: &mut Vec<Out>) {
+        Srudp::drain_into(self, into)
+    }
+}
+
+impl Transport for Rstream {
+    const PROTO: Proto = Proto::Rstream;
+    fn drain_into(&mut self, into: &mut Vec<Out>) {
+        Rstream::drain_into(self, into)
+    }
+}
+
 /// The datagrams `end` queued, each opened to the body the envelope
 /// holds (what the pins below are).
-fn sends(end: &mut dyn Driver) -> Vec<Bytes> {
-    drain_opened(end)
+fn sends<T: Transport>(end: &mut T) -> Vec<Bytes> {
+    let mut outs = Vec::new();
+    end.drain_into(&mut outs);
+    open_sends(outs, T::PROTO)
         .into_iter()
         .filter_map(|o| match o {
             Out::Send { bytes, .. } => Some(bytes),
