@@ -144,7 +144,6 @@ pub struct A2Point {
 }
 
 const TIMER_PROBE: u64 = 3;
-const TIMER_RC: u64 = 4;
 
 /// Probes replica 1 until the expected value appears; records when.
 struct StalenessProbe {
@@ -180,14 +179,17 @@ impl Actor for StalenessProbe {
                 ctx.set_timer(SimDuration::from_millis(10), TIMER_PROBE);
                 return;
             }
-            Event::Timer { token: TIMER_RC } => self.rc.on_timer(now),
-            Event::HostUp => self.rc.on_host_up(now),
+            Event::Wake => self.rc.on_timer(now),
             Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
             // Including a probe tick still pending when the value
             // became visible.
             _ => return,
         }
         self.pump(ctx);
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.rc.next_deadline()
     }
 }
 
@@ -206,12 +208,15 @@ impl Actor for OneShotWriter {
                 self.rc.put(now, &self.uri, vec![Assertion::new("k", self.value.clone())]);
                 self.wrote_at = Some(now);
             }
-            Event::Timer { token: TIMER_RC } => self.rc.on_timer(now),
-            Event::HostUp => self.rc.on_host_up(now),
+            Event::Wake => self.rc.on_timer(now),
             Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
             _ => return,
         }
         self.rc.flush(ctx);
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.rc.next_deadline()
     }
 }
 
@@ -224,7 +229,7 @@ pub fn run_a2(sync_interval: SimDuration, seed: u64) -> A2Point {
     // the write.
     world.run_for(sync_interval + SimDuration::from_millis(37));
     let uri = Uri::process(1);
-    let client = |ep| RcHost::new(RcClient::new(vec![ep], SimDuration::from_millis(200)), TIMER_RC);
+    let client = |ep| RcHost::new(RcClient::new(vec![ep], SimDuration::from_millis(200)));
     let writer = OneShotWriter {
         uri: uri.clone(),
         value: "fresh".into(),

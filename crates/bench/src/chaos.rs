@@ -687,7 +687,11 @@ fn migration(st: &mut Stage<SnipeWorld>, plan: &ChaosPlan, label: &str) -> Vec<S
 // ---------------------------------------------------------------------------
 
 const TIMER_FIRE: u64 = 20;
-const TIMER_RC: u64 = 21;
+
+/// Puts a [`ChaosWriter`] makes, one every [`WRITE_INTERVAL`] from its
+/// start.
+const WRITES: u32 = 12;
+const WRITE_INTERVAL: SimDuration = ms(300);
 
 /// Writes an evolving assertion during the fault window.
 struct ChaosWriter {
@@ -711,12 +715,15 @@ impl Actor for ChaosWriter {
                 ctx.set_timer(self.interval, TIMER_FIRE);
                 return;
             }
-            Event::Timer { token: TIMER_RC } => self.rc.on_timer(now),
-            Event::HostUp => self.rc.on_host_up(now),
+            Event::Wake => self.rc.on_timer(now),
             Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
             _ => return,
         }
         self.rc.flush(ctx);
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.rc.next_deadline()
     }
 }
 
@@ -741,8 +748,7 @@ impl Actor for ReplicaProbe {
             Event::Timer { token: TIMER_FIRE } => {
                 self.rc.get(now, &self.uri);
             }
-            Event::Timer { token: TIMER_RC } => self.rc.on_timer(now),
-            Event::HostUp => self.rc.on_host_up(now),
+            Event::Wake => self.rc.on_timer(now),
             Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
             _ => return,
         }
@@ -765,6 +771,10 @@ impl Actor for ReplicaProbe {
                 }
             }
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.rc.next_deadline()
     }
 }
 
@@ -791,39 +801,42 @@ fn fresh_rc_factories(eps: &[Endpoint]) -> Vec<(Endpoint, ActorFactory)> {
 }
 
 /// Spawn a writer on `client` whose puts land throughout the fault
-/// window; returns the URI it writes.
-fn spawn_writer(world: &mut World, client: HostId, eps: &[Endpoint]) -> Uri {
+/// window; returns the URI it writes and the instant of its last put.
+fn spawn_writer(world: &mut World, client: HostId, eps: &[Endpoint]) -> (Uri, SimTime) {
     let uri = Uri::process(7);
+    let last_put = world.now() + WRITE_INTERVAL * (WRITES - 1) as u64;
     world.spawn(
         client,
         50,
         Box::new(ChaosWriter {
-            rc: RcHost::new(RcClient::new(eps.to_vec(), RC_TIMEOUT), TIMER_RC),
+            rc: RcHost::new(RcClient::new(eps.to_vec(), RC_TIMEOUT)),
             uri: uri.clone(),
-            interval: ms(300),
-            writes_left: 12,
+            interval: WRITE_INTERVAL,
+            writes_left: WRITES,
             next_val: 0,
         }),
     );
-    uri
+    (uri, last_put)
 }
 
 /// Spawn one probe per replica on `client`, firing several sync rounds
-/// after the plan's last fault healed; returns that time.
+/// after the later of the plan's last healed fault and the writer's
+/// `last_put` (an empty plan quiesces at 0, before the writer is done);
+/// returns that time.
 fn spawn_probes(
     world: &mut World,
     plan: &ChaosPlan,
     client: HostId,
     eps: &[Endpoint],
-    uri: &Uri,
+    (uri, last_put): &(Uri, SimTime),
 ) -> SimTime {
-    let at = plan.quiesce_at() + secs(4);
+    let at = plan.quiesce_at().max(*last_put) + secs(4);
     for (i, &ep) in eps.iter().enumerate() {
         world.spawn(
             client,
             PROBE_PORT + i as u16,
             Box::new(ReplicaProbe {
-                rc: RcHost::new(RcClient::new(vec![ep], RC_TIMEOUT), TIMER_RC),
+                rc: RcHost::new(RcClient::new(vec![ep], RC_TIMEOUT)),
                 uri: uri.clone(),
                 at,
                 attempts: 0,
@@ -847,9 +860,9 @@ fn probe_answers(world: &World, client: HostId) -> Vec<Option<Vec<Assertion>>> {
 fn rcds_converge(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<String> {
     let (rc_hosts, client) = (st.cast[..3].to_vec(), st.cast[3]);
     let eps = rc_group(&mut st.world, &rc_hosts, RC_SYNC);
-    let uri = spawn_writer(&mut st.world, client, &eps);
+    let writer = spawn_writer(&mut st.world, client, &eps);
     st.bind(plan, &rc_hosts, fresh_rc_factories(&eps));
-    let probe_at = spawn_probes(&mut st.world, plan, client, &eps, &uri);
+    let probe_at = spawn_probes(&mut st.world, plan, client, &eps, &writer);
     drive(&mut st.world, ms(500), probe_at + RECOVERY_TAIL, |w| {
         probe_answers(w, client).iter().all(Option::is_some)
     });
@@ -883,7 +896,7 @@ fn replica_crash(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<St
     for (i, ep) in fs_eps.iter().enumerate() {
         st.world.spawn(ep.host, ep.port, Box::new(make_fs(i)));
     }
-    let uri = spawn_writer(&mut st.world, client, &rc_eps);
+    let writer = spawn_writer(&mut st.world, client, &rc_eps);
     // The striped read starts two seconds in, well inside the fault
     // window, and must survive replica crashes mid-transfer.
     let fetch_ep = Endpoint::new(client, 51);
@@ -900,7 +913,7 @@ fn replica_crash(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<St
         procs.push((ep, Arc::new(move || Box::new(make_fs(i)) as Box<dyn Actor>)));
     }
     st.bind(plan, &[rc_hosts, fs_hosts].concat(), procs);
-    let probe_at = spawn_probes(&mut st.world, plan, client, &rc_eps, &uri);
+    let probe_at = spawn_probes(&mut st.world, plan, client, &rc_eps, &writer);
     drive(&mut st.world, ms(500), probe_at + RECOVERY_TAIL, |w| {
         let fetched =
             w.actor_ref::<FetchActor>(fetch_ep).is_some_and(|f| f.result.is_some() || f.failed);
@@ -1513,10 +1526,10 @@ pub fn planted_bug_drill(max_seeds: u64) -> PlantedBugReport {
 pub const REGRESSION_CORPUS: &[(&str, u64, u64)] = &[
     ("srudp-transfer", 0xC0FF_EE00, 0x5EED),
     ("srudp-transfer", 0xC0FF_EE07, 0x5EED + 7),
-    // These three wedged permanently before the SRUDP drivers learned to
-    // re-arm their timer gates on `Event::HostUp` (a host flap swallows
-    // any timer queued while the host is down). Shrunk repro: a single
-    // flap of the sender host mid-transfer.
+    // These three wedged permanently while nothing re-armed a wake-up
+    // after `Event::HostUp` (a host flap swallows any timer queued while
+    // the host is down; the engine re-arms wake-ups now). Shrunk repro:
+    // a single flap of the sender host mid-transfer.
     ("srudp-transfer", 0xC0FF_EE01, 0x5EED + 1),
     ("srudp-transfer", 0xC0FF_EE0A, 0x5EED + 10),
     ("srudp-transfer", 0xC0FF_EE0D, 0x5EED + 13),
@@ -1524,7 +1537,7 @@ pub const REGRESSION_CORPUS: &[(&str, u64, u64)] = &[
     // These wedged in the RTO death crawl: a receiver-side flap loses a
     // whole window, and without NewReno partial-ACK recovery the stream
     // refills the hole at one segment per fully-escalated RTO (~4s per
-    // 1400 bytes). Also covers the driver's HostUp timer re-arm and SYN
+    // 1400 bytes). Also covers the wake-up re-armed after HostUp and SYN
     // retransmission (a connect whose SYN is lost used to wedge forever).
     ("rstream-transfer", 0xC0FF_EE02, 0x5EED + 2),
     ("rstream-transfer", 0xC0FF_EE04, 0x5EED + 4),

@@ -31,7 +31,6 @@ pub struct E3Point {
 }
 
 const TIMER_TICK: u64 = 10;
-const TIMER_RC: u64 = 11;
 
 struct LookupLoad {
     rc: RcHost,
@@ -72,12 +71,8 @@ impl Actor for LookupLoad {
                 self.pump(ctx);
                 ctx.set_timer(self.interval, TIMER_TICK);
             }
-            Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(now);
-                self.pump(ctx);
-            }
-            Event::HostUp => {
-                self.rc.on_host_up(now);
+            Event::Wake => {
+                self.rc.on_wake(now);
                 self.pump(ctx);
             }
             Event::Packet { from, payload } => {
@@ -86,6 +81,10 @@ impl Actor for LookupLoad {
             }
             _ => {}
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.rc.next_deadline()
     }
 }
 
@@ -106,7 +105,7 @@ pub fn run(replicas: usize, horizon_days: u64, seed: u64) -> E3Point {
         schedule_host_failures(&mut world, h, model, horizon, &mut frng);
     }
     let load = LookupLoad {
-        rc: RcHost::new(RcClient::new(eps, SimDuration::from_millis(300)), TIMER_RC),
+        rc: RcHost::new(RcClient::new(eps, SimDuration::from_millis(300))),
         interval: SimDuration::from_secs(600),
         uri: Uri::process(7),
         issued: 0,

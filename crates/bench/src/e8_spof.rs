@@ -54,7 +54,6 @@ impl E8Point {
 }
 
 const TIMER_TICK: u64 = 1;
-const TIMER_RC: u64 = 2;
 
 /// Lookups issued and answered, indexed by epoch (0 before the kill, 1
 /// after); read in place once the run ends.
@@ -121,12 +120,8 @@ impl Actor for SnipeLoad {
                 self.pump(ctx);
                 ctx.set_timer(SimDuration::from_millis(100), TIMER_TICK);
             }
-            Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(now);
-                self.pump(ctx);
-            }
-            Event::HostUp => {
-                self.rc.on_host_up(now);
+            Event::Wake => {
+                self.rc.on_wake(now);
                 self.pump(ctx);
             }
             Event::Packet { from, payload } => {
@@ -135,6 +130,10 @@ impl Actor for SnipeLoad {
             }
             _ => {}
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.rc.next_deadline()
     }
 }
 
@@ -146,7 +145,7 @@ pub fn run_snipe(seed: u64) -> E8Point {
     let kill_at = SimTime::ZERO + SimDuration::from_secs(5);
     world.schedule_fault(kill_at, FaultCmd::HostDown(r0));
     let load = SnipeLoad {
-        rc: RcHost::new(RcClient::new(eps, SimDuration::from_millis(200)), TIMER_RC),
+        rc: RcHost::new(RcClient::new(eps, SimDuration::from_millis(200))),
         uri: Uri::process(3),
         kill_at,
         stop_at: SimTime::ZERO + SimDuration::from_secs(10),

@@ -67,8 +67,6 @@ pub struct Fig1Point {
 // One host for every stack-driving endpoint
 // ---------------------------------------------------------------------------
 
-const TIMER_STACK: u64 = 1;
-
 /// What tells one Fig. 1 endpoint from another: how its stack is
 /// built, what it enqueues and what a delivery means to it. The event
 /// loop around that is [`Hosted`].
@@ -91,7 +89,7 @@ pub(crate) struct Hosted<A> {
 
 impl<A: StackApp> Hosted<A> {
     fn new(app: A) -> Hosted<A> {
-        Hosted { app, stack: StackHost::new(TIMER_STACK) }
+        Hosted { app, stack: StackHost::new() }
     }
 
     /// The SRUDP counters of the hosted stack (zero before it starts).
@@ -114,8 +112,9 @@ impl<A: StackApp> Actor for Hosted<A> {
             Event::Packet { from, payload } => {
                 let _ = self.stack.on_packet(now, from, payload);
             }
-            Event::Timer { token: TIMER_STACK } => self.stack.on_timer(now),
-            Event::HostUp => self.stack.on_host_up(now),
+            Event::Wake => {
+                self.stack.on_wake(now);
+            }
             _ => return,
         }
         if let Some(stack) = self.stack.as_mut() {
@@ -124,6 +123,10 @@ impl<A: StackApp> Actor for Hosted<A> {
         for d in self.stack.flush(ctx) {
             self.app.deliver(now, d);
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.stack.next_deadline()
     }
 }
 

@@ -7,11 +7,11 @@
 //! election, replicated file access, notify lists, and self-initiated
 //! migration (§5.6).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, MigrationPhase, TraceKind};
 use snipe_rcds::assertion::Assertion;
@@ -39,13 +39,8 @@ use crate::names::{
     ATTR_LOCATION_PREFIX, ATTR_STATE,
 };
 
-const TIMER_RC: u64 = 1;
-const TIMER_STACK: u64 = 2;
-const TIMER_GROUP: u64 = 3;
 const TIMER_MIGRATE_GRACE: u64 = 4;
 const TIMER_RESOLVE_RETRY: u64 = 5;
-const TIMER_FILE: u64 = 6;
-const TIMER_SPAWN: u64 = 7;
 /// Per-attempt deadline for file server operations.
 const FILE_OP_TIMEOUT: SimDuration = SimDuration::from_millis(800);
 /// How long a spawn request (to a daemon, or to a resource manager)
@@ -164,18 +159,12 @@ pub struct ProcessActor {
     rc: RcHost,
     rc_pending: HashMap<u64, RcPending>,
     /// Peers with an in-flight location resolution.
-    resolving: HashMap<u64, u32>,
-    groups: HashMap<String, GroupState>,
+    resolving: BTreeMap<u64, u32>,
+    groups: BTreeMap<String, GroupState>,
     /// Spawn requests awaiting a daemon's or RM's answer, by request id.
     spawn_pending: Deadlines<u64, SpawnPending>,
     /// File operations awaiting their server's answer, by request id.
     file_pending: Deadlines<u64, FilePending>,
-    /// One wake-up per table. Each table files `now + one constant`,
-    /// so its earliest deadline never moves earlier while a wake-up is
-    /// armed and each gate keeps exactly one timer chain (no stale fire
-    /// for [`TimerGate::fired`] to mistake, ROADMAP 2).
-    spawn_gate: TimerGate,
-    file_gate: TimerGate,
     next_req: u64,
     hostname: String,
 
@@ -189,7 +178,8 @@ pub struct ProcessActor {
     migrating: bool,
     redirect_to: Option<Endpoint>,
     exited: bool,
-    group_timer_armed: bool,
+    /// When the joined groups are next refreshed.
+    next_group_refresh: Option<SimTime>,
     group_refreshes: u32,
 }
 
@@ -210,15 +200,13 @@ impl ProcessActor {
             args,
             process,
             resume: None,
-            stack: StackHost::new(TIMER_STACK),
-            rc: RcHost::new(rc, TIMER_RC),
+            stack: StackHost::new(),
+            rc: RcHost::new(rc),
             rc_pending: HashMap::new(),
-            resolving: HashMap::new(),
-            groups: HashMap::new(),
+            resolving: BTreeMap::new(),
+            groups: BTreeMap::new(),
             spawn_pending: Deadlines::new(),
             file_pending: Deadlines::new(),
-            spawn_gate: TimerGate::new(),
-            file_gate: TimerGate::new(),
             next_req: 1,
             hostname: String::new(),
             trouble_scratch: Vec::new(),
@@ -228,7 +216,7 @@ impl ProcessActor {
             migrating: false,
             redirect_to: None,
             exited: false,
-            group_timer_armed: false,
+            next_group_refresh: None,
             group_refreshes: 0,
         }
     }
@@ -530,7 +518,7 @@ impl ProcessActor {
                 self.with_process(ctx, |p, api| p.on_group_event(api, &n, GroupEvent::Joined));
                 self.run_commands(ctx);
             }
-            self.arm_group_timer(ctx);
+            self.schedule_group_refresh(ctx);
         } else {
             // No routers yet: ask the local daemon to elect itself.
             let daemon = Endpoint::new(ctx.host(), ports::DAEMON);
@@ -539,10 +527,6 @@ impl ProcessActor {
         }
     }
 
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "gid = group_id(name), so at most one group matches"
-    )]
     fn on_elect_resp(&mut self, ctx: &mut dyn SimCtx, gid: u64, router: Endpoint) {
         let Some(name) = self.groups.iter().find(|(_, g)| g.gid == gid).map(|(n, _)| n.clone())
         else {
@@ -591,20 +575,15 @@ impl ProcessActor {
         }
     }
 
-    fn arm_group_timer(&mut self, ctx: &mut dyn SimCtx) {
-        if !self.group_timer_armed && !self.groups.is_empty() {
-            self.group_timer_armed = true;
+    fn schedule_group_refresh(&mut self, ctx: &mut dyn SimCtx) {
+        if self.next_group_refresh.is_none() && !self.groups.is_empty() {
             let delay = if self.group_refreshes == 0 { GROUP_REFRESH_FIRST } else { GROUP_REFRESH };
-            ctx.set_timer(delay, TIMER_GROUP);
+            self.next_group_refresh = Some(ctx.now() + delay);
         }
     }
 
     /// A group message delivered by the stack's member driver (already
     /// dedup'd across router legs); `body` is the encoded [`McastMsg`].
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "gid = group_id(name), so at most one group matches"
-    )]
     fn on_group_deliver(&mut self, ctx: &mut dyn SimCtx, body: Bytes) {
         let Ok(McastMsg::Data { group, origin, payload, .. }) = McastMsg::decode_from_bytes(body)
         else {
@@ -667,7 +646,6 @@ impl ProcessActor {
             FileMsg::ReadReq { req_id, lifn }
         };
         self.file_pending.insert(req_id, ctx.now() + FILE_OP_TIMEOUT, fp);
-        self.file_gate.arm_deadline(ctx, self.file_pending.next_deadline(), TIMER_FILE);
         self.send_to_infra(ctx, server, m.encode_to_bytes());
     }
 
@@ -933,7 +911,6 @@ impl ProcessActor {
     fn await_spawn(&mut self, ctx: &mut dyn SimCtx, pending: SpawnPending) -> u64 {
         let req = self.req_id();
         self.spawn_pending.insert(req, ctx.now() + SPAWN_TIMEOUT, pending);
-        self.spawn_gate.arm_deadline(ctx, self.spawn_pending.next_deadline(), TIMER_SPAWN);
         req
     }
 
@@ -962,10 +939,6 @@ impl ProcessActor {
         }
         let user_state = self.process.checkpoint();
         let stack_state = self.stack.as_ref().map(|s| s.export_state()).unwrap_or_default();
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "order reaches output: the group list is encoded into the migrate request and rejoined in that order; ROADMAP 3 sorts it at the re-baseline"
-        )]
         let payload = MigrationPayload {
             program: self.program.clone(),
             args: self.args.clone(),
@@ -1071,6 +1044,74 @@ impl ProcessActor {
         true
     }
 
+    /// Service, in a fixed order, the machines that are due: the spawn
+    /// table, the file table, the stack, the RC client, the group
+    /// refresh. A migrating process services only its spawn table
+    /// (its answer to [`Actor::next_wake`] holds nothing else).
+    fn on_wake(&mut self, ctx: &mut dyn SimCtx) {
+        let now = ctx.now();
+        if due(self.spawn_pending.next_deadline(), now) {
+            for (_, pending) in self.spawn_pending.take_due(now) {
+                self.finish_spawn(ctx, pending, Err("no answer".into()));
+            }
+        }
+        if self.migrating || self.exited {
+            return;
+        }
+        if due(self.file_pending.next_deadline(), now) {
+            // Failovers draw fresh request ids in turn: the table's
+            // request-id order.
+            for (_, mut fp) in self.file_pending.take_due(now) {
+                if !fp.remaining.is_empty() {
+                    // Server unresponsive: fail over.
+                    let next = fp.remaining.remove(0);
+                    self.send_file_req(ctx, next, fp);
+                } else {
+                    let err = SnipeError::Timeout(format!(
+                        "file operation on {} timed out on every server",
+                        fp.lifn
+                    ));
+                    let result = if fp.write {
+                        TicketResult::FileWritten(Err(err))
+                    } else {
+                        TicketResult::FileRead(Err(err))
+                    };
+                    self.complete_ticket(ctx, fp.ticket, result);
+                    self.run_commands(ctx);
+                }
+            }
+        }
+        if self.stack.on_wake(now) {
+            self.pump_stack(ctx);
+            // Peers timing out repeatedly may have migrated: re-resolve
+            // their location from RC metadata (§5.6: "processes that do
+            // not notice its migration ... will find its new location
+            // via the RC servers").
+            let mut scratch = std::mem::take(&mut self.trouble_scratch);
+            scratch.clear();
+            if let Some(s) = self.stack.as_ref() {
+                s.peers_in_trouble_into(RELOOKUP_TIMEOUTS, &mut scratch);
+            }
+            scratch.retain(|k| k & (1 << 63) == 0);
+            for &k in &scratch {
+                self.resolve_peer(ctx, k, None);
+            }
+            self.trouble_scratch = scratch;
+        }
+        if self.rc.on_wake(now) {
+            self.pump_rc(ctx);
+        }
+        if due(self.next_group_refresh, now) {
+            self.next_group_refresh = None;
+            self.group_refreshes += 1;
+            let names: Vec<String> = self.groups.keys().cloned().collect();
+            for n in names {
+                self.start_join(ctx, &n, true);
+            }
+            self.schedule_group_refresh(ctx);
+        }
+    }
+
     // ---- event entry ----------------------------------------------------------
 
     fn on_start(&mut self, ctx: &mut dyn SimCtx) {
@@ -1145,10 +1186,9 @@ impl Actor for ProcessActor {
             }
             Event::HostDown => {}
             Event::Timer { token } => {
-                // Frozen for migration: no timers may mutate state. Except
-                // the two that end the freeze: the cutover's grace period,
-                // and the spawn deadline when the target daemon stays silent.
-                if self.migrating && !matches!(token, TIMER_MIGRATE_GRACE | TIMER_SPAWN) {
+                // Frozen for migration: no timers may mutate state, except
+                // the cutover's grace period that ends the freeze.
+                if self.migrating && token != TIMER_MIGRATE_GRACE {
                     return;
                 }
                 if token & APP_TIMER_BIT != 0 {
@@ -1158,42 +1198,6 @@ impl Actor for ProcessActor {
                     return;
                 }
                 match token {
-                    TIMER_RC => {
-                        self.rc.on_timer(ctx.now());
-                        self.pump_rc(ctx);
-                    }
-                    TIMER_STACK => {
-                        self.stack.on_timer(ctx.now());
-                        self.pump_stack(ctx);
-                        // Peers timing out repeatedly may have migrated:
-                        // re-resolve their location from RC metadata
-                        // (§5.6: "processes that do not notice its
-                        // migration ... will find its new location via
-                        // the RC servers").
-                        let mut scratch = std::mem::take(&mut self.trouble_scratch);
-                        scratch.clear();
-                        if let Some(s) = self.stack.as_ref() {
-                            s.peers_in_trouble_into(RELOOKUP_TIMEOUTS, &mut scratch);
-                        }
-                        scratch.retain(|k| k & (1 << 63) == 0);
-                        for &k in &scratch {
-                            self.resolve_peer(ctx, k, None);
-                        }
-                        self.trouble_scratch = scratch;
-                    }
-                    TIMER_GROUP => {
-                        self.group_timer_armed = false;
-                        self.group_refreshes += 1;
-                        #[allow(
-                            clippy::disallowed_methods,
-                            reason = "order reaches output: each refresh sends a join; ROADMAP 3 sorts it at the re-baseline"
-                        )]
-                        let names: Vec<String> = self.groups.keys().cloned().collect();
-                        for n in names {
-                            self.start_join(ctx, &n, true);
-                        }
-                        self.arm_group_timer(ctx);
-                    }
                     TIMER_MIGRATE_GRACE => {
                         // Done redirecting; vanish.
                         if trace::enabled() {
@@ -1209,45 +1213,7 @@ impl Actor for ProcessActor {
                         let me = ctx.me();
                         ctx.kill(me);
                     }
-                    TIMER_SPAWN => {
-                        self.spawn_gate.fired();
-                        for (_, pending) in self.spawn_pending.take_due(ctx.now()) {
-                            self.finish_spawn(ctx, pending, Err("no answer".into()));
-                        }
-                        let next = self.spawn_pending.next_deadline();
-                        self.spawn_gate.arm_deadline(ctx, next, TIMER_SPAWN);
-                    }
-                    TIMER_FILE => {
-                        self.file_gate.fired();
-                        // Failovers draw fresh request ids in turn: the
-                        // table's request-id order.
-                        for (_, mut fp) in self.file_pending.take_due(ctx.now()) {
-                            if !fp.remaining.is_empty() {
-                                // Server unresponsive: fail over.
-                                let next = fp.remaining.remove(0);
-                                self.send_file_req(ctx, next, fp);
-                            } else {
-                                let err = SnipeError::Timeout(format!(
-                                    "file operation on {} timed out on every server",
-                                    fp.lifn
-                                ));
-                                let result = if fp.write {
-                                    TicketResult::FileWritten(Err(err))
-                                } else {
-                                    TicketResult::FileRead(Err(err))
-                                };
-                                self.complete_ticket(ctx, fp.ticket, result);
-                                self.run_commands(ctx);
-                            }
-                        }
-                        let next = self.file_pending.next_deadline();
-                        self.file_gate.arm_deadline(ctx, next, TIMER_FILE);
-                    }
                     TIMER_RESOLVE_RETRY => {
-                        #[allow(
-                            clippy::disallowed_methods,
-                            reason = "order reaches output: each retry takes the next RC request id and sends; ROADMAP 3 sorts it at the re-baseline"
-                        )]
                         let keys: Vec<u64> = self.resolving.keys().copied().collect();
                         for k in keys {
                             let uri = Uri::process(k);
@@ -1261,6 +1227,7 @@ impl Actor for ProcessActor {
                     _ => {}
                 }
             }
+            Event::Wake => self.on_wake(ctx),
             Event::Signal { signum, .. } => {
                 self.with_process(ctx, |p, api| p.on_signal(api, signum));
                 self.run_commands(ctx);
@@ -1334,6 +1301,23 @@ impl Actor for ProcessActor {
                 }
                 self.pump_stack(ctx);
             }
+        }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        let spawn = self.spawn_pending.next_deadline();
+        if self.exited {
+            None
+        } else if self.migrating {
+            spawn
+        } else {
+            earliest([
+                spawn,
+                self.file_pending.next_deadline(),
+                self.stack.next_deadline(),
+                self.rc.next_deadline(),
+                self.next_group_refresh,
+            ])
         }
     }
 }

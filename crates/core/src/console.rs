@@ -16,14 +16,13 @@ use snipe_rcds::assertion::Assertion;
 use snipe_rcds::uri::Uri;
 use snipe_rcds::{RcClient, RcHost};
 use snipe_util::codec::{WireDecode, WireEncode};
-use snipe_util::time::SimDuration;
+use snipe_util::time::{SimDuration, SimTime};
 use snipe_util::wire_codec;
 use snipe_wire::frame::{open, seal, Proto};
 
 use crate::names::{format_endpoint, parse_endpoint, ATTR_COMM_ADDRESS};
 
-const TIMER_RC: u64 = 1;
-const TIMER_FETCH: u64 = 2;
+const TIMER_FETCH: u64 = 1;
 
 /// Minimal HTTP-shaped request/response pair.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,7 +65,7 @@ impl ConsoleActor {
     /// A console registered under `url`.
     pub fn new(url: Uri, rc_replicas: Vec<Endpoint>) -> ConsoleActor {
         let rc = RcClient::new(rc_replicas, SimDuration::from_millis(250));
-        ConsoleActor { url, rc: RcHost::new(rc, TIMER_RC), pages: HashMap::new(), served: 0 }
+        ConsoleActor { url, rc: RcHost::new(rc), pages: HashMap::new(), served: 0 }
     }
 
     /// Register a page.
@@ -89,12 +88,9 @@ impl ConsoleActor {
 impl Actor for ConsoleActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start | Event::HostUp => {
-                self.rc.on_host_up(ctx.now());
-                self.publish(ctx);
-            }
-            Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(ctx.now());
+            Event::Start | Event::HostUp => self.publish(ctx),
+            Event::Wake => {
+                self.rc.on_wake(ctx.now());
                 self.rc.flush(ctx);
             }
             Event::Packet { from, payload } => {
@@ -116,6 +112,10 @@ impl Actor for ConsoleActor {
             }
             _ => {}
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.rc.next_deadline()
     }
 }
 
@@ -141,7 +141,7 @@ impl BrowserActor {
     ) -> BrowserActor {
         let rc = RcClient::new(rc_replicas, SimDuration::from_millis(250));
         BrowserActor {
-            rc: RcHost::new(rc, TIMER_RC),
+            rc: RcHost::new(rc),
             script,
             pending_resolve: HashMap::new(),
             next_req: 1,
@@ -194,12 +194,8 @@ impl Actor for BrowserActor {
                 }
                 self.pump_rc(ctx);
             }
-            Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(ctx.now());
-                self.pump_rc(ctx);
-            }
-            Event::HostUp => {
-                self.rc.on_host_up(ctx.now());
+            Event::Wake => {
+                self.rc.on_wake(ctx.now());
                 self.pump_rc(ctx);
             }
             Event::Timer { .. } => {}
@@ -218,5 +214,9 @@ impl Actor for BrowserActor {
             }
             _ => {}
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.rc.next_deadline()
     }
 }

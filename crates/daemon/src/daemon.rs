@@ -1,16 +1,16 @@
 //! The per-host daemon actor.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use snipe_crypto::cert::{Certificate, TrustPurpose, TrustStore};
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, FaultOp, TraceKind};
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::uri::Uri;
 use snipe_rcds::{RcClient, RcHost};
 use snipe_util::codec::{WireDecode, WireEncode};
-use snipe_util::time::SimDuration;
+use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
 use snipe_wire::mcast::McastMsg;
 use snipe_wire::ports;
@@ -19,8 +19,6 @@ use crate::proto::{DaemonMsg, SpawnSpec, TaskState};
 use crate::registry::ProgramRegistry;
 use crate::router::McastRouterActor;
 
-const TIMER_LOAD: u64 = 1;
-const TIMER_RC: u64 = 2;
 /// How often a daemon publishes its load metadata.
 const LOAD_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
@@ -56,9 +54,9 @@ pub struct DaemonActor {
     cfg: DaemonConfig,
     registry: ProgramRegistry,
     rc: RcHost,
-    /// Keeps the periodic load tick to one chain across host flaps.
-    load_gate: TimerGate,
-    tasks: HashMap<u16, TaskInfo>,
+    /// When the host's load metadata is next published.
+    next_load: Option<SimTime>,
+    tasks: BTreeMap<u16, TaskInfo>,
     next_task_port: u16,
     next_local_key: u64,
     /// Groups this daemon routes (group id → router endpoint).
@@ -78,9 +76,9 @@ impl DaemonActor {
         DaemonActor {
             cfg,
             registry,
-            rc: RcHost::new(rc, TIMER_RC),
-            load_gate: TimerGate::new(),
-            tasks: HashMap::new(),
+            rc: RcHost::new(rc),
+            next_load: None,
+            tasks: BTreeMap::new(),
             next_task_port: ports::TASK_BASE,
             next_local_key: 1,
             routing: HashMap::new(),
@@ -150,7 +148,7 @@ impl DaemonActor {
         let now = ctx.now();
         self.rc.put(now, &uri, asserts);
         self.pump_rc(ctx);
-        self.load_gate.arm_after(ctx, LOAD_INTERVAL, TIMER_LOAD);
+        self.next_load = Some(now + LOAD_INTERVAL);
     }
 
     fn authorize(&self, spec: &SpawnSpec) -> Result<(), String> {
@@ -192,10 +190,6 @@ impl DaemonActor {
             // Fixed-key spawns (migration) are idempotent: a duplicated
             // or retransmitted SpawnReq must not start a second
             // incarnation, it re-acks the one already running.
-            #[allow(
-                clippy::disallowed_methods,
-                reason = "this check keeps a fixed key on at most one Running task, so at most one entry matches"
-            )]
             if let Some((&port, _)) = self
                 .tasks
                 .iter()
@@ -352,12 +346,7 @@ impl Actor for DaemonActor {
         match event {
             Event::Start => self.publish_host_metadata(ctx),
             Event::HostUp => {
-                self.rc.on_host_up(ctx.now());
-                // Reboot: tasks died with the host.
-                #[allow(
-                    clippy::disallowed_methods,
-                    reason = "order reaches output: each crash is an RC put and notify sends; ROADMAP 3 sorts it at the re-baseline"
-                )]
+                // Reboot: tasks died with the host, announced in port order.
                 let ports_list: Vec<u16> = self.tasks.keys().copied().collect();
                 for p in ports_list {
                     self.broadcast_state(ctx, p, TaskState::Crashed);
@@ -365,10 +354,14 @@ impl Actor for DaemonActor {
                 self.publish_host_metadata(ctx);
             }
             Event::HostDown => {}
-            Event::Timer { token: TIMER_LOAD } => self.publish_host_metadata(ctx),
-            Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(ctx.now());
-                self.pump_rc(ctx);
+            Event::Wake => {
+                let now = ctx.now();
+                if self.rc.on_wake(now) {
+                    self.pump_rc(ctx);
+                }
+                if due(self.next_load, now) {
+                    self.publish_host_metadata(ctx);
+                }
             }
             Event::Timer { .. } => {}
             Event::Signal { .. } => {}
@@ -445,5 +438,9 @@ impl Actor for DaemonActor {
                 }
             }
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        earliest([self.rc.next_deadline(), self.next_load])
     }
 }

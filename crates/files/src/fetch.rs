@@ -14,7 +14,7 @@
 use bytes::Bytes;
 
 use snipe_crypto::sha256::sha256;
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
@@ -298,9 +298,7 @@ impl StripedFetch {
     }
 }
 
-const TIMER_STACK: u64 = 1;
-const TIMER_FETCH: u64 = 2;
-const TIMER_BEGIN: u64 = 3;
+const TIMER_BEGIN: u64 = 1;
 
 /// How long a [`FetchActor`] waits on one stripe request before it
 /// re-dispatches the stripe.
@@ -316,7 +314,6 @@ pub struct FetchActor {
     stripe_len: u32,
     fetch: Option<StripedFetch>,
     stack: StackHost,
-    fetch_gate: TimerGate,
     /// Assembled content once every stripe verified.
     pub result: Option<Bytes>,
     /// Stripe completion log (exactly-once oracle input).
@@ -342,8 +339,7 @@ impl FetchActor {
             start_after,
             stripe_len,
             fetch: None,
-            stack: StackHost::new(TIMER_STACK),
-            fetch_gate: TimerGate::new(),
+            stack: StackHost::new(),
             result: None,
             completions: Vec::new(),
             stats: FetchStats::default(),
@@ -378,7 +374,6 @@ impl FetchActor {
             }
         }
         if let Some(fetch) = self.fetch.as_ref() {
-            self.fetch_gate.arm_deadline(ctx, fetch.next_deadline(), TIMER_FETCH);
             // Mirror progress into the readback fields.
             self.completions = fetch.completions.clone();
             self.stats = fetch.stats;
@@ -402,10 +397,6 @@ impl Actor for FetchActor {
                 self.stack.start(stack);
                 ctx.set_timer(self.start_after, TIMER_BEGIN);
             }
-            Event::HostUp => {
-                self.stack.on_host_up(ctx.now());
-                self.pump(ctx);
-            }
             Event::Timer { token: TIMER_BEGIN } => {
                 if self.fetch.is_none() {
                     let ranked = match self.stack.as_ref() {
@@ -423,14 +414,10 @@ impl Actor for FetchActor {
                     self.pump(ctx);
                 }
             }
-            Event::Timer { token: TIMER_STACK } => {
-                self.stack.on_timer(ctx.now());
-                self.pump(ctx);
-            }
-            Event::Timer { token: TIMER_FETCH } => {
-                self.fetch_gate.fired();
+            Event::Wake => {
                 let now = ctx.now();
-                if let Some(fetch) = self.fetch.as_mut() {
+                self.stack.on_wake(now);
+                if let Some(fetch) = self.fetch.as_mut().filter(|f| due(f.next_deadline(), now)) {
                     fetch.on_timer(now);
                 }
                 self.pump(ctx);
@@ -440,8 +427,13 @@ impl Actor for FetchActor {
                 let _ = self.stack.on_packet(ctx.now(), from, payload);
                 self.pump(ctx);
             }
-            Event::Timer { .. } | Event::HostDown | Event::Signal { .. } => {}
+            Event::Timer { .. } | Event::HostUp | Event::HostDown | Event::Signal { .. } => {}
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        let fetch = self.fetch.as_ref().and_then(StripedFetch::next_deadline);
+        earliest([self.stack.next_deadline(), fetch])
     }
 }
 
@@ -516,6 +508,26 @@ mod tests {
         let mut sorted = f.completions.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
+    }
+
+    /// The no-spin contract: with no replica answering, each
+    /// re-dispatch fired at exactly `next_deadline()` leaves a later
+    /// deadline, until the fetch gives up and none is left.
+    #[test]
+    fn woken_at_its_deadline_it_leaves_a_later_one() {
+        let mut f =
+            StripedFetch::new("lifn:c", vec![ep(1), ep(2)], 64, SimDuration::from_millis(100));
+        f.start(t(0));
+        let mut fired = 0;
+        while let Some(now) = f.next_deadline() {
+            f.on_timer(now);
+            f.drain_outbox();
+            fired += 1;
+            let left = f.next_deadline();
+            assert!(left.is_none_or(|d| d > now), "woken at {now}, left {left:?}");
+            assert!(fired < 1000, "a silent fetch must give up");
+        }
+        assert!(f.is_failed() && fired > 1, "gave up after {fired} firings");
     }
 
     #[test]

@@ -5,13 +5,13 @@ use std::collections::HashMap;
 use bytes::Bytes;
 
 use snipe_crypto::sha256::sha256;
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::uri::Uri;
 use snipe_rcds::{RcClient, RcHost};
 use snipe_util::codec::{WireDecode, WireEncode};
-use snipe_util::time::SimDuration;
+use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{seal, Proto};
 use snipe_wire::host::StackHost;
 use snipe_wire::stack::{endpoint_key, Incoming, StackConfig, WireStack};
@@ -19,9 +19,6 @@ use snipe_wire::stack::{endpoint_key, Incoming, StackConfig, WireStack};
 use crate::proto::FileMsg;
 use crate::sink::{FileSinkActor, FileSourceActor};
 
-const TIMER_REPLICATE: u64 = 1;
-const TIMER_RC: u64 = 2;
-const TIMER_STACK: u64 = 3;
 /// Replication daemon tick.
 const REPLICATE_INTERVAL: SimDuration = SimDuration::from_millis(500);
 
@@ -63,8 +60,8 @@ pub struct FileServerActor {
     cfg: FileServerConfig,
     rc: RcHost,
     stack: StackHost,
-    /// Keeps the periodic replicate tick to one chain across host flaps.
-    replicate_gate: TimerGate,
+    /// When the replicas are next compared and pushed.
+    next_replicate: Option<SimTime>,
     files: HashMap<String, Stored>,
     /// Integrity rejections observed (diagnostics).
     pub rejected_pushes: u64,
@@ -78,9 +75,9 @@ impl FileServerActor {
         let rc = RcClient::new(cfg.rc_replicas.clone(), SimDuration::from_millis(250));
         FileServerActor {
             cfg,
-            rc: RcHost::new(rc, TIMER_RC),
-            stack: StackHost::new(TIMER_STACK),
-            replicate_gate: TimerGate::new(),
+            rc: RcHost::new(rc),
+            stack: StackHost::new(),
+            next_replicate: None,
             files: HashMap::new(),
             rejected_pushes: 0,
             decode_drops: 0,
@@ -180,42 +177,41 @@ impl FileServerActor {
                 self.reliable_send(ctx, key, &msg);
             }
         }
-        self.replicate_gate.arm_after(ctx, REPLICATE_INTERVAL, TIMER_REPLICATE);
+        self.next_replicate = Some(ctx.now() + REPLICATE_INTERVAL);
     }
 }
 
 impl Actor for FileServerActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start | Event::HostUp => {
-                // A host that is down at spawn swallows `Start`; the
-                // first `HostUp` then finds no stack and starts one.
-                if self.stack.as_ref().is_none() {
-                    let me = ctx.me();
-                    let mut stack = WireStack::new(endpoint_key(me), StackConfig::default());
-                    for &peer in &self.cfg.peers {
-                        stack.set_peer(endpoint_key(peer), peer, vec![]);
-                    }
-                    self.stack.start(stack);
-                } else {
-                    self.stack.on_host_up(ctx.now());
+            // A host that is down at spawn swallows `Start`; the first
+            // `HostUp` then finds no stack and starts one.
+            Event::Start | Event::HostUp if self.stack.as_ref().is_none() => {
+                let me = ctx.me();
+                let mut stack = WireStack::new(endpoint_key(me), StackConfig::default());
+                for &peer in &self.cfg.peers {
+                    stack.set_peer(endpoint_key(peer), peer, vec![]);
+                }
+                self.stack.start(stack);
+                self.next_replicate = Some(ctx.now() + REPLICATE_INTERVAL);
+            }
+            Event::Wake => {
+                let now = ctx.now();
+                if self.stack.on_wake(now) {
                     self.pump_stack(ctx);
-                    self.rc.on_host_up(ctx.now());
+                }
+                if self.rc.on_wake(now) {
                     self.rc.flush(ctx);
                 }
-                self.replicate_gate.arm_after(ctx, REPLICATE_INTERVAL, TIMER_REPLICATE);
+                if due(self.next_replicate, now) {
+                    self.replicate_tick(ctx);
+                }
             }
-            Event::HostDown => {}
-            Event::Timer { token: TIMER_REPLICATE } => self.replicate_tick(ctx),
-            Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(ctx.now());
-                self.rc.flush(ctx);
-            }
-            Event::Timer { token: TIMER_STACK } => {
-                self.stack.on_timer(ctx.now());
-                self.pump_stack(ctx);
-            }
-            Event::Timer { .. } | Event::Signal { .. } => {}
+            Event::Start
+            | Event::HostUp
+            | Event::HostDown
+            | Event::Timer { .. }
+            | Event::Signal { .. } => {}
             Event::Packet { from, payload } => {
                 // StoreLocal from our own sinks arrives as a raw-sealed
                 // loopback datagram; everything else goes through the
@@ -233,6 +229,10 @@ impl Actor for FileServerActor {
                 self.pump_stack(ctx);
             }
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        earliest([self.stack.next_deadline(), self.rc.next_deadline(), self.next_replicate])
     }
 }
 

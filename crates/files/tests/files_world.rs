@@ -13,7 +13,7 @@ use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
 use snipe_rcds::server::RcServerActor;
 use snipe_util::codec::{WireDecode, WireEncode};
-use snipe_util::time::SimDuration;
+use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{seal, Proto};
 use snipe_wire::host::StackHost;
 use snipe_wire::ports;
@@ -37,11 +37,10 @@ struct StackDriver {
 }
 
 const TIMER_SCRIPT: u64 = 1;
-const TIMER_STACK: u64 = 2;
 
 impl StackDriver {
     fn new(script: Vec<(SimDuration, Step)>, log: Arc<Mutex<Vec<FileMsg>>>) -> StackDriver {
-        StackDriver { stack: StackHost::new(TIMER_STACK), script, log }
+        StackDriver { stack: StackHost::new(), script, log }
     }
 
     fn pump(&mut self, ctx: &mut dyn SimCtx) {
@@ -81,15 +80,11 @@ impl Actor for StackDriver {
                 }
                 self.pump(ctx);
             }
-            Event::Timer { token: TIMER_STACK } => {
-                self.stack.on_timer(ctx.now());
+            Event::Wake => {
+                self.stack.on_wake(ctx.now());
                 self.pump(ctx);
             }
             Event::Timer { .. } => {}
-            Event::HostUp => {
-                self.stack.on_host_up(ctx.now());
-                self.pump(ctx);
-            }
             Event::Packet { from, payload } => {
                 if let Some(Incoming::Raw { msg, .. }) =
                     self.stack.on_packet(ctx.now(), from, payload)
@@ -102,6 +97,10 @@ impl Actor for StackDriver {
             }
             _ => {}
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.stack.next_deadline()
     }
 }
 

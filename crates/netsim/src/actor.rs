@@ -7,13 +7,27 @@
 //! timers, spawning further actors). This shape is what makes process
 //! *migration* (paper §5.6) implementable: an actor's entire state is a
 //! value that can be checkpointed, shipped and resumed on another host.
+//!
+//! ## Wake-ups
+//!
+//! Protocol deadlines (retransmissions, request timeouts, periodic
+//! ticks) are not timers the actor sets: after every event the engine
+//! asks [`Actor::next_wake`] and keeps exactly one [`Event::Wake`]
+//! pending at that instant. A new answer replaces the pending one and
+//! `None` cancels it, so no actor can breed a second chain. A wake-up
+//! that comes due while the host is down is dropped; the answer read
+//! after [`Event::HostUp`] re-arms it at once. An actor's `Wake` arm
+//! services the machines that are due (deadline ≤ now) and must leave
+//! none due: the engine `debug_assert`s it. [`SimCtx::set_timer`] stays
+//! for fire-and-forget timers (application timers, slices, grace
+//! periods).
 
 use std::any::Any;
 
 use bytes::Bytes;
 
 use snipe_util::id::HostId;
-use snipe_util::time::{SimDuration, SimTime};
+use snipe_util::time::SimTime;
 
 use crate::topology::Endpoint;
 
@@ -38,6 +52,9 @@ pub enum Event {
         /// The caller-chosen token identifying which timer.
         token: u64,
     },
+    /// The instant the actor last answered from [`Actor::next_wake`]
+    /// has come.
+    Wake,
     /// The actor's host crashed. State survives (process images on disk
     /// survive a reboot); actors modelling RAM-only state should reset
     /// themselves on this event.
@@ -82,6 +99,23 @@ pub trait Actor: AsAny + Send {
     /// Handle one event. `ctx` exposes the world: current time, packet
     /// sending, timers, spawning.
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event);
+
+    /// When the actor next wants an [`Event::Wake`], read by the
+    /// engine after every event it handles (module docs, "Wake-ups").
+    fn next_wake(&self) -> Option<SimTime> {
+        None
+    }
+}
+
+/// The earliest of some deadlines (`None` when none is set): an
+/// actor's [`Actor::next_wake`] over its machines and periodic ticks.
+pub fn earliest<const N: usize>(deadlines: [Option<SimTime>; N]) -> Option<SimTime> {
+    deadlines.into_iter().flatten().min()
+}
+
+/// Is a machine with this next deadline due at `now`?
+pub fn due(deadline: Option<SimTime>, now: SimTime) -> bool {
+    deadline.is_some_and(|at| at <= now)
 }
 
 // benchmark/ compat — delete when benchmark/ stops importing it
@@ -142,13 +176,8 @@ macro_rules! portable_actor {
     ($ty:ty) => {};
 }
 
-/// Deduplicates wake-up timers for one token.
-///
-/// Simulator timers cannot be cancelled, so an actor that re-arms "wake
-/// me at my next protocol deadline" on every event would breed an
-/// ever-growing population of live timers (each firing spawns a new
-/// one). A `TimerGate` arms only when the requested deadline is earlier
-/// than the one already pending; spurious firings are cheap no-ops.
+// benchmark/ compat — delete when benchmark/ stops importing it
+/// One deduplicated timer token (the engine's wake-ups replaced it).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TimerGate {
     armed_until: Option<SimTime>,
@@ -160,64 +189,42 @@ impl TimerGate {
         TimerGate::default()
     }
 
-    /// Request a wake-up at `deadline` (token `token`); arms a real
-    /// timer only if nothing earlier is already pending.
+    /// Set a timer for `deadline` unless one no later is pending.
     pub fn arm_at(&mut self, ctx: &mut dyn SimCtx, deadline: SimTime, token: u64) {
         let now = ctx.now();
-        if let Some(armed) = self.armed_until {
-            if armed <= deadline && armed >= now {
-                return; // an earlier (or equal) wake-up is already scheduled
-            }
+        if self.armed_until.is_some_and(|armed| armed <= deadline && armed >= now) {
+            return;
         }
-        let delay = deadline.saturating_since(now);
-        ctx.set_timer(delay, token);
+        ctx.set_timer(deadline.saturating_since(now), token);
         self.armed_until = Some(deadline);
     }
 
-    /// Keep a periodic tick going: request a wake-up `delay` from now
-    /// unless one is still to come. Call it wherever the tick is
-    /// (re)started — `Event::Start`, the tick itself, `Event::HostUp`:
-    /// a tick still queued after a short host flap keeps its claim, one
-    /// the outage swallowed lies in the past and is replaced, so there
-    /// is always exactly one chain. A gate used only this way needs no
-    /// [`TimerGate::fired`].
-    pub fn arm_after(&mut self, ctx: &mut dyn SimCtx, delay: SimDuration, token: u64) {
-        let now = ctx.now();
-        if self.armed_until.is_some_and(|armed| armed > now) {
-            return;
-        }
-        ctx.set_timer(delay, token);
-        self.armed_until = Some(now + delay);
-    }
-
-    /// Request a wake-up for a sans-IO machine's `next_deadline()`:
-    /// nothing when it has none, else `DEADLINE_SKEW` past it.
-    pub fn arm_deadline(&mut self, ctx: &mut dyn SimCtx, deadline: Option<SimTime>, token: u64) {
-        if let Some(dl) = deadline {
-            self.arm_at(ctx, dl + DEADLINE_SKEW, token);
-        }
-    }
-
-    /// Must be called when the gated timer fires, before re-arming.
+    /// The gated timer fired.
     pub fn fired(&mut self) {
         self.armed_until = None;
     }
 }
 
-/// How far past a machine's deadline its wake-up lands. A wake-up at
-/// the deadline itself would rely on every machine counting a deadline
-/// equal to `now` as due; one that compares strictly, or answers
-/// `next_deadline` at a coarser grain than it expires, would be woken
-/// with nothing due, re-arm for the same instant and spin there
-/// forever. One tick of slack makes the wake-up land strictly after.
-const DEADLINE_SKEW: SimDuration = SimDuration::from_micros(1);
-
 #[cfg(test)]
 mod timer_gate_tests {
     use super::*;
     use crate::medium::Medium;
+    use crate::shard::FaultCmd;
     use crate::topology::{HostCfg, Topology};
     use crate::world::World;
+    use snipe_util::id::HostId;
+    use snipe_util::time::SimDuration;
+
+    fn at(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    fn one_host() -> (World, HostId) {
+        let mut t = Topology::new();
+        let _ = t.add_network("n", Medium::ethernet100(), true);
+        let h = t.add_host(HostCfg::named("h"));
+        (World::new(t, 1), h)
+    }
 
     struct Spammer {
         gate: TimerGate,
@@ -245,45 +252,43 @@ mod timer_gate_tests {
 
     #[test]
     fn gate_collapses_duplicate_arms() {
-        let mut t = Topology::new();
-        let _ = t.add_network("n", Medium::ethernet100(), true);
-        let h = t.add_host(HostCfg::named("h"));
-        let mut w = World::new(t, 1);
+        let (mut w, h) = one_host();
         let ep = w.spawn(h, 5, Box::new(Spammer { gate: TimerGate::new(), fired: 0 })).unwrap();
-        w.run_until_idle(1000);
+        w.run_for(SimDuration::from_secs(1));
         let fired = w.actor_ref::<Spammer>(ep).unwrap().fired;
         assert_eq!(fired, 1, "100 arm requests must yield one timer");
     }
 
+    /// A 100 ms periodic tick, written the one way: the next instant is
+    /// state, the engine keeps the wake-up.
     struct Ticker {
-        gate: TimerGate,
+        next: Option<SimTime>,
         ticks: u32,
     }
 
     impl Actor for Ticker {
         fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
             match event {
-                Event::Timer { .. } => self.ticks += 1,
-                Event::Start | Event::HostUp => {}
+                Event::Wake => self.ticks += 1,
+                Event::Start => {}
                 _ => return,
             }
-            self.gate.arm_after(ctx, SimDuration::from_millis(100), 1);
+            self.next = Some(ctx.now() + SimDuration::from_millis(100));
+        }
+
+        fn next_wake(&self) -> Option<SimTime> {
+            self.next
         }
     }
 
-    /// A periodic tick restarted on every `HostUp` stays one chain:
-    /// whether the flap left the pending tick queued, swallowed it, or
-    /// ended at the very instant it was due.
+    /// A periodic tick stays one chain across host flaps, whether the
+    /// flap left the pending tick queued, swallowed it, or ended at the
+    /// very instant it was due, with no `HostUp` handling in the actor.
     #[test]
     fn arm_after_keeps_one_tick_chain_across_host_flaps() {
-        use crate::shard::FaultCmd;
-        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
         for flap in [None, Some((250, 260)), Some((250, 300)), Some((250, 1000))] {
-            let mut t = Topology::new();
-            let _ = t.add_network("n", Medium::ethernet100(), true);
-            let h = t.add_host(HostCfg::named("h"));
-            let mut w = World::new(t, 1);
-            let ep = w.spawn(h, 5, Box::new(Ticker { gate: TimerGate::new(), ticks: 0 })).unwrap();
+            let (mut w, h) = one_host();
+            let ep = w.spawn(h, 5, Box::new(Ticker { next: None, ticks: 0 })).unwrap();
             if let Some((down, up)) = flap {
                 w.schedule_fault(at(down), FaultCmd::HostDown(h));
                 w.schedule_fault(at(up), FaultCmd::HostUp(h));
@@ -294,5 +299,119 @@ mod timer_gate_tests {
             let ticks = w.actor_ref::<Ticker>(ep).unwrap().ticks - before;
             assert_eq!(ticks, 100, "flap {flap:?}");
         }
+    }
+
+    /// Answers whatever the last signal set: signal `n` asks for a
+    /// wake-up at `n` ms, signal 0 cancels. Logs when it was woken.
+    struct Waker {
+        answer: Option<SimTime>,
+        woken: Vec<SimTime>,
+    }
+
+    impl Actor for Waker {
+        fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+            match event {
+                Event::Wake => {
+                    assert!(due(self.answer, ctx.now()), "woken before its answer");
+                    self.woken.push(ctx.now());
+                    self.answer = None;
+                }
+                Event::Signal { signum: 0, .. } => self.answer = None,
+                Event::Signal { signum, .. } => self.answer = Some(at(signum as u64)),
+                _ => {}
+            }
+        }
+
+        fn next_wake(&self) -> Option<SimTime> {
+            self.answer
+        }
+    }
+
+    /// Spawn a [`Waker`], then at each `(time, signal)` step deliver
+    /// the signal; returns the wake-up log and the superseded count.
+    fn drive_waker(steps: &[(u64, u32)], flap: Option<(u64, u64)>) -> (Vec<SimTime>, u64) {
+        let (mut w, h) = one_host();
+        let ep = w.spawn(h, 5, Box::new(Waker { answer: None, woken: Vec::new() })).unwrap();
+        if let Some((down, up)) = flap {
+            w.schedule_fault(at(down), FaultCmd::HostDown(h));
+            w.schedule_fault(at(up), FaultCmd::HostUp(h));
+        }
+        for &(t, signum) in steps {
+            w.run_until(at(t));
+            w.signal(None, ep, signum);
+        }
+        w.run_for(SimDuration::from_secs(2));
+        (w.actor_ref::<Waker>(ep).unwrap().woken.clone(), w.stats().engine.superseded_wakes)
+    }
+
+    /// A new answer replaces the pending wake-up, earlier or later,
+    /// and the replaced one is discarded, not delivered.
+    #[test]
+    fn a_new_answer_replaces_the_pending_wake_up() {
+        assert_eq!(drive_waker(&[(0, 100), (10, 50)], None), (vec![at(50)], 1));
+        assert_eq!(drive_waker(&[(0, 100), (10, 300)], None), (vec![at(300)], 1));
+        // The same answer again queues nothing new.
+        assert_eq!(drive_waker(&[(0, 100), (10, 100), (20, 100)], None), (vec![at(100)], 0));
+    }
+
+    /// `None` cancels: nothing is delivered.
+    #[test]
+    fn a_none_answer_cancels_the_wake_up() {
+        assert_eq!(drive_waker(&[(0, 100), (10, 0)], None), (vec![], 1));
+    }
+
+    /// The outage rule: a flap that ends before the deadline keeps the
+    /// one wake-up; an outage across it delivers right after `HostUp`.
+    #[test]
+    fn an_outage_keeps_one_wake_up_and_delivers_after_host_up() {
+        assert_eq!(drive_waker(&[(0, 100)], Some((10, 20))), (vec![at(100)], 0));
+        assert_eq!(drive_waker(&[(0, 100)], Some((50, 300))), (vec![at(300)], 0));
+    }
+
+    /// However an actor's answer jumps (earlier, later, cancelled), it
+    /// is woken exactly when its current answer comes due and at no
+    /// other instant: one live wake-up per actor, the rest superseded.
+    #[test]
+    fn at_most_one_live_wake_up_is_queued_per_actor() {
+        let mut rng = snipe_util::rng::Xoshiro256::seed_from_u64(7);
+        let (mut steps, mut expected) = (Vec::new(), Vec::new());
+        let mut answer: Option<SimTime> = None;
+        for t in (0..1000).step_by(5) {
+            if let Some(a) = answer.filter(|&a| a <= at(t)) {
+                expected.push(a); // came due before this step
+                answer = None;
+            }
+            let signum = rng.gen_range(1200);
+            if signum == 0 || signum > t {
+                answer = (signum != 0).then(|| at(signum));
+                steps.push((t, signum as u32));
+            }
+        }
+        expected.extend(answer);
+        let (woken, superseded) = drive_waker(&steps, None);
+        assert_eq!(woken, expected);
+        assert!(superseded > 20, "the plan replaced wake-ups: {superseded}");
+    }
+
+    /// Answers "now" again from its `Wake` arm.
+    struct Spinner;
+
+    impl Actor for Spinner {
+        fn on_event(&mut self, _: &mut dyn SimCtx, _: Event) {}
+
+        fn next_wake(&self) -> Option<SimTime> {
+            Some(at(1))
+        }
+    }
+
+    /// The no-spin contract: a `Wake` arm that leaves its deadline due
+    /// would be woken at the same instant forever.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "it would spin")]
+    fn a_wake_arm_that_leaves_a_due_deadline_panics() {
+        let (mut w, h) = one_host();
+        w.spawn(h, 5, Box::new(Spinner)).unwrap();
+        w.run_for(SimDuration::from_millis(10));
     }
 }

@@ -41,7 +41,7 @@ pub mod topology;
 pub mod trace;
 pub mod world;
 
-pub use actor::{Actor, Event, SimCtx, TimerGate};
+pub use actor::{Actor, Event, SimCtx};
 pub use chaos::{ChaosBinding, ChaosOp, ChaosPlan, ChaosShape, PacketChaos};
 pub use medium::Medium;
 pub use shard::{ActorFactory, FaultCmd, Partition, ShardLoad};

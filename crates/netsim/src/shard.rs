@@ -407,9 +407,11 @@ impl SimCtx for ShardCtx<'_> {
 // Core-internal types
 // ---------------------------------------------------------------------------
 
+/// A `Wake` is stale unless its `gen` is still its slot's.
 enum Queued {
     Deliver { from: Endpoint, to: Endpoint, payload: Bytes },
     Timer { actor: ActorId, token: u64 },
+    Wake { actor: ActorId, gen: u64 },
     Signal { from: Option<Endpoint>, to: Endpoint, signum: u32 },
 }
 
@@ -417,6 +419,21 @@ struct Slot {
     actor: Option<Box<dyn Actor>>,
     endpoint: Endpoint,
     alive: bool,
+    wake: WakeSlot,
+}
+
+/// An actor's engine-owned wake-up: its last [`Actor::next_wake`]
+/// answer (cleared when it fires or comes due while the host is down),
+/// and when its one live [`Queued::Wake`] pops, under which generation.
+/// An earlier answer queues a new entry under a new generation, so the
+/// old one goes stale where it sits; a later answer or `None` queues
+/// nothing, and the live entry follows the answer, or is discarded,
+/// when it pops.
+#[derive(Clone, Copy, Default)]
+struct WakeSlot {
+    answer: Option<SimTime>,
+    queued: Option<SimTime>,
+    gen: u64,
 }
 
 /// A cross-region packet in flight between rounds. `(at, src_region,
@@ -597,7 +614,8 @@ impl ShardCore {
             return None;
         }
         let id = ActorId(self.slots.len() as u64);
-        self.slots.push(Slot { actor: Some(actor), endpoint: ep, alive: true });
+        let wake = WakeSlot::default();
+        self.slots.push(Slot { actor: Some(actor), endpoint: ep, alive: true, wake });
         self.bindings.insert(ep, id);
         let now = self.now;
         self.push(now, Queued::Signal { from: None, to: ep, signum: SIGSTART });
@@ -830,13 +848,29 @@ impl ShardCore {
         let Some(mut actor) = self.slots[id.0 as usize].actor.take() else {
             return; // re-entrant dispatch to the same actor: drop
         };
+        let woken = matches!(event, Event::Wake);
         {
             let mut ctx = ShardCtx { core: self, topo, part, me: id, my_endpoint: ep };
             actor.on_event(&mut ctx, event);
         }
+        let now = self.now;
         let slot = &mut self.slots[id.0 as usize];
-        if slot.alive {
-            slot.actor = Some(actor);
+        if !slot.alive {
+            return;
+        }
+        let next = actor.next_wake();
+        slot.actor = Some(actor);
+        debug_assert!(
+            !woken || next.is_none_or(|at| at > now),
+            "{ep} answered a wake-up at {next:?} <= now ({now}) after Event::Wake: it would spin"
+        );
+        let wake = &mut slot.wake;
+        wake.answer = next;
+        let at = next.map(|at| at.max(now));
+        if let Some(at) = at.filter(|&at| wake.queued.is_none_or(|q| at < q)) {
+            (wake.gen, wake.queued) = (wake.gen + 1, Some(at));
+            let gen = wake.gen;
+            self.push(at, Queued::Wake { actor: id, gen });
         }
     }
 
@@ -852,6 +886,22 @@ impl ShardCore {
         }
         debug_assert!(ev.at >= self.now, "time went backwards in region {}", self.region);
         self.now = ev.at;
+        if let Queued::Wake { actor, gen } = ev.kind {
+            // Not an event unless it is the live entry and its answer is due.
+            let slot = &mut self.slots[actor.0 as usize];
+            let live = slot.alive && slot.wake.gen == gen;
+            if !live || slot.wake.answer.is_none_or(|at| at > self.now) {
+                self.stats.engine.superseded_wakes += 1;
+                if live {
+                    // Cancelled, or the answer moved later: follow it.
+                    slot.wake.queued = slot.wake.answer;
+                    if let Some(at) = slot.wake.answer {
+                        self.push(at, Queued::Wake { actor, gen });
+                    }
+                }
+                return true;
+            }
+        }
         self.stats.events += 1;
         match ev.kind {
             Queued::Deliver { from, to, payload } => {
@@ -875,6 +925,18 @@ impl ShardCore {
                         self.record(|| TraceKind::TimerFire { token });
                         self.dispatch_to(topo, part, ep, Event::Timer { token });
                     }
+                }
+            }
+            Queued::Wake { actor, .. } => {
+                // Fired or dropped here: either way the slot is cleared,
+                // so the read after `Event::HostUp` re-arms a wake-up
+                // the outage swallowed.
+                let slot = &mut self.slots[actor.0 as usize];
+                slot.wake = WakeSlot { answer: None, queued: None, ..slot.wake };
+                let ep = slot.endpoint;
+                if topo.host(ep.host).up {
+                    self.record(|| TraceKind::Wake { actor: ep });
+                    self.dispatch_id(topo, part, actor, ep, Event::Wake);
                 }
             }
             Queued::Signal { from, to, signum } => {
@@ -1053,14 +1115,6 @@ impl Coordinator {
         self.faults.front().map(|(at, _, _)| at.as_nanos())
     }
 
-    /// Pop the next fault if it is due at or before `by_ns`.
-    fn pop_fault_due(&mut self, by_ns: u64) -> Option<(SimTime, FaultCmd)> {
-        if self.next_fault_ns()? > by_ns {
-            return None;
-        }
-        self.faults.pop_front().map(|(at, _, cmd)| (at, cmd))
-    }
-
     /// Apply every fault due at or before `completed_ns` (and within
     /// the horizon): mutate the shared topology, and emit host-event /
     /// chaos / restart inbounds to the owning cores.
@@ -1072,7 +1126,9 @@ impl Coordinator {
         horizon_ns: u64,
     ) {
         // `horizon_ns` is exclusive and at least 1.
-        while let Some((at, cmd)) = self.pop_fault_due(completed_ns.min(horizon_ns - 1)) {
+        let by_ns = completed_ns.min(horizon_ns - 1);
+        while self.next_fault_ns().is_some_and(|at| at <= by_ns) {
+            let Some((at, _, cmd)) = self.faults.pop_front() else { break };
             self.apply_fault(topo, part, at, cmd);
         }
     }
@@ -1552,34 +1608,6 @@ impl World {
     /// Run for a span of simulated time.
     pub fn run_for(&mut self, d: SimDuration) {
         self.run_until(self.now + d);
-    }
-
-    /// Step one event (or one due fault) at a time until nothing is
-    /// pending or `limit` events have fired; returns the number of
-    /// events processed. The clock stops at the last thing that
-    /// happened.
-    ///
-    /// # Panics
-    /// One-region worlds only: with several regions "the next event"
-    /// is a per-core notion and the round driver is the only scheduler.
-    pub fn run_until_idle(&mut self, limit: u64) -> u64 {
-        assert_eq!(self.cores.len(), 1, "run_until_idle needs a one-region world (World::new)");
-        self.coord.sort_faults();
-        let mut n = 0;
-        while n < limit {
-            let next_event = self.cores[0].peek_ns();
-            if let Some((at, cmd)) = self.coord.pop_fault_due(next_event) {
-                self.cores[0].now = self.cores[0].now.max(at);
-                self.fault_now(at, cmd);
-            } else if next_event == u64::MAX {
-                break;
-            } else {
-                self.cores[0].step(&read_topo(&self.topo), &self.part);
-                n += 1;
-            }
-        }
-        self.now = self.now.max(self.cores[0].now);
-        n
     }
 
     /// FNV-1a digest of every core's behavioural counters: events,
@@ -2068,8 +2096,17 @@ mod tests {
     #[test]
     fn trace_totals_match_the_merged_rings_at_any_thread_count() {
         // `Debug` names of the `TraceKind` variants, in tag order.
-        const VARIANTS: [&str; TraceKind::COUNT] =
-            ["Send", "Recv", "Drop", "Retransmit", "TimerFire", "PathRotate", "Fault", "Migration"];
+        const VARIANTS: [&str; TraceKind::COUNT] = [
+            "Send",
+            "Recv",
+            "Drop",
+            "Retransmit",
+            "TimerFire",
+            "PathRotate",
+            "Fault",
+            "Migration",
+            "Wake",
+        ];
         let run = |threads: usize| {
             let mut w = pinger_world(19, threads);
             assert_eq!(w.regions(), 4);

@@ -90,6 +90,9 @@ pub struct EngineStats {
     pub route_cache_misses: u64,
     /// High-water mark of pending events (heap + now-queue).
     pub peak_queue_depth: u64,
+    /// Wake-ups popped but not delivered, not counted as events: the
+    /// actor's answer had moved (or it died).
+    pub superseded_wakes: u64,
 }
 
 /// Per-packet fault injections performed by the chaos layer. Corrupted
@@ -180,6 +183,7 @@ impl NetStats {
         self.engine.heap_pops += other.engine.heap_pops;
         self.engine.now_pops += other.engine.now_pops;
         self.engine.stream_pops += other.engine.stream_pops;
+        self.engine.superseded_wakes += other.engine.superseded_wakes;
         self.engine.route_cache_hits += other.engine.route_cache_hits;
         self.engine.route_cache_misses += other.engine.route_cache_misses;
         self.engine.peak_queue_depth =
@@ -285,11 +289,16 @@ pub enum TraceKind {
         /// The migrating process key.
         key: u64,
     },
+    /// An actor's wake-up fired ([`crate::actor::Actor::next_wake`]).
+    Wake {
+        /// The woken actor.
+        actor: Endpoint,
+    },
 }
 
 impl TraceKind {
     /// Number of variants (size of the per-kind counter array).
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 9;
 
     /// Kind names, indexed by [`TraceKind::tag`].
     pub const NAMES: [&'static str; TraceKind::COUNT] = [
@@ -301,6 +310,7 @@ impl TraceKind {
         "path_rotate",
         "fault_op",
         "migration",
+        "wake",
     ];
 
     /// Dense discriminant for the per-kind counters.
@@ -314,6 +324,7 @@ impl TraceKind {
             TraceKind::PathRotate { .. } => 5,
             TraceKind::Fault { .. } => 6,
             TraceKind::Migration { .. } => 7,
+            TraceKind::Wake { .. } => 8,
         }
     }
 }

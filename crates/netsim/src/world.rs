@@ -139,7 +139,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![1000] }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         let entries = log.lock().unwrap();
         assert_eq!(entries.len(), 1);
         let (at, len) = entries[0];
@@ -155,7 +155,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![1000, 1000] }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         let entries = log.lock().unwrap();
         assert_eq!(entries.len(), 2);
         let gap = entries[1].0.since(entries[0].0);
@@ -172,7 +172,7 @@ mod tests {
         // a:7 sends to b:5 which echoes back to a:7.
         w.spawn(a, 8, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![64] }));
         // redirect: make the sender the recorder instead
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         // the echo goes back to a:8 (the sender), which has no recorder;
         // verify delivery stats instead.
         assert_eq!(w.stats().delivered, 2);
@@ -183,16 +183,16 @@ mod tests {
         let (mut w, a, b) = eth_pair();
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
-        w.run_until_idle(10);
+        w.run_for(SimDuration::from_secs(1));
         w.host_down(b);
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![100] }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         assert!(log.lock().unwrap().is_empty());
         let d = w.stats().drops(DropReason::NoRoute) + w.stats().drops(DropReason::HostDown);
         assert_eq!(d, 1);
         w.host_up(b);
         w.spawn(a, 9, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![100] }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(log.lock().unwrap().len(), 1);
     }
 
@@ -200,7 +200,7 @@ mod tests {
     fn no_listener_counted() {
         let (mut w, a, b) = eth_pair();
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 99), sizes: vec![10] }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(w.stats().drops(DropReason::NoListener), 1);
     }
 
@@ -209,7 +209,7 @@ mod tests {
         let (mut w, a, b) = eth_pair();
         w.spawn(b, 5, Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())), echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![2000] }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(w.stats().drops(DropReason::TooBig), 1);
     }
 
@@ -225,7 +225,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![100; 1000] }));
-        w.run_until_idle(5000);
+        w.run_for(SimDuration::from_secs(1));
         let received = log.lock().unwrap().len() as f64;
         assert!((received / 1000.0 - 0.7).abs() < 0.05, "received {received}");
     }
@@ -245,7 +245,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log, echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![1000] }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         // ATM (faster) carried the bytes.
         assert_eq!(w.stats().bytes_on(atm), 1000);
         assert_eq!(w.stats().bytes_on(eth), 0);
@@ -277,7 +277,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.spawn(a, 6, Box::new(PinnedSend { to: Endpoint::new(b, 5), via: eth }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(w.stats().bytes_on(eth), 100);
         assert_eq!(log.lock().unwrap().len(), 1);
     }
@@ -295,7 +295,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone(), echo: false }));
         w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![500] }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(log.lock().unwrap().len(), 1);
         // Both edge networks carried the payload.
         assert_eq!(w.stats().bytes_on(n1), 500);
@@ -323,7 +323,7 @@ mod tests {
         }
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(a, 5, Box::new(TimerActor { log: log.clone() }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(&*log.lock().unwrap(), &[1, 2, 3]);
     }
 
@@ -352,15 +352,13 @@ mod tests {
         let on_b = w.spawn(b, 5, watch(a)).unwrap();
         let at = SimTime::from_nanos(5_000_000);
         w.schedule_fault(at, FaultCmd::HostDown(b));
-        w.run_until_idle(10);
+        w.run_for(SimDuration::from_secs(1));
         assert!(!w.topology().host(b).up);
         assert_eq!(w.actor_ref::<Watch>(on_b).unwrap().down_at, Some(at));
         // a's timer is due at exactly the fault time: the fault wins.
         assert_eq!(w.actor_ref::<Watch>(on_a).unwrap().peer_up_at_timer, Some(false));
-        // b's own timer never fires (host down), and the clock stopped
-        // at the last thing that happened.
+        // b's own timer never fires (host down).
         assert_eq!(w.actor_ref::<Watch>(on_b).unwrap().peer_up_at_timer, None);
-        assert_eq!(w.now(), at);
     }
 
     #[test]
@@ -369,7 +367,7 @@ mod tests {
         let ep = w
             .spawn(b, 5, Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())), echo: false }))
             .unwrap();
-        w.run_until_idle(10);
+        w.run_for(SimDuration::from_secs(1));
         assert!(w.is_bound(ep));
         w.kill(ep);
         assert!(!w.is_bound(ep));
@@ -408,7 +406,7 @@ mod tests {
             let mut w = World::new(t, seed);
             w.spawn(b, 5, Box::new(Recorder { log: Arc::new(Mutex::new(Vec::new())), echo: true }));
             w.spawn(a, 6, Box::new(SendOnStart { to: Endpoint::new(b, 5), sizes: vec![100; 200] }));
-            w.run_until_idle(10_000);
+            w.run_for(SimDuration::from_secs(1));
             (w.stats().delivered, w.stats().total_drops())
         };
         assert_eq!(run(42), run(42));
@@ -432,7 +430,7 @@ mod tests {
         }
         let fired = Arc::new(Mutex::new(0));
         w.spawn(a, 5, Box::new(T { fired: fired.clone() }));
-        w.run_until_idle(1); // deliver Start only
+        w.run_for(SimDuration::from_millis(1)); // deliver Start only
         w.host_down(a);
         w.run_for(SimDuration::from_millis(50));
         assert_eq!(*fired.lock().unwrap(), 0);
@@ -484,7 +482,7 @@ mod more_tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(a, 5, Box::new(Recorder { log: log.clone() }));
         w.spawn(a, 6, Box::new(Sender { to: Endpoint::new(a, 5), size: 1 << 20 }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         // Huge loopback datagrams pass (MTU is effectively unlimited).
         assert_eq!(&*log.lock().unwrap(), &[1 << 20]);
     }
@@ -515,7 +513,7 @@ mod more_tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone() }));
         w.spawn(a, 6, Box::new(Sender { to: Endpoint::new(b, 5), size: 500 }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(log.lock().unwrap().len(), 1);
         assert_eq!(w.stats().bytes_on(eth), 500);
         assert_eq!(w.stats().bytes_on(atm), 0);
@@ -535,11 +533,11 @@ mod more_tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone() }));
         w.spawn(a, 6, Box::new(Sender { to: Endpoint::new(b, 5), size: 10 }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         assert!(log.lock().unwrap().is_empty(), "partitioned: nothing may arrive");
         w.set_partition(n2, 0);
         w.spawn(a, 7, Box::new(Sender { to: Endpoint::new(b, 5), size: 10 }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(log.lock().unwrap().len(), 1, "healed: delivery resumes");
     }
 
@@ -618,7 +616,7 @@ mod more_tests {
         w.spawn(b, 5, Box::new(Recorder { log }));
         w.spawn(a, 6, Box::new(Sender { to: Endpoint::new(b, 5), size: 100 }));
         w.spawn(a, 7, Box::new(Sender { to: Endpoint::new(b, 5), size: 100 }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         let e = &w.stats().engine;
         // Start signals fire at t=0 (now-queue); bus deliveries ride
         // their transmitter's FIFO stream. Every event came off
@@ -692,7 +690,7 @@ mod more_tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         w.spawn(b, 5, Box::new(Recorder { log: log.clone() }));
         w.spawn(a, 6, Box::new(Sender { to: Endpoint::new(b, 5), size: 100 }));
-        w.run_until_idle(100);
+        w.run_for(SimDuration::from_secs(1));
         // Corruption is not a drop: the mangled payload arrives.
         assert_eq!(log.lock().unwrap().len(), 1);
         assert_eq!(w.stats().chaos.corrupted, 1);
@@ -722,7 +720,7 @@ mod more_tests {
         for p in 0..4 {
             w.spawn(a, 10 + p, Box::new(Sender { to: Endpoint::new(b, 5), size: 64 }));
         }
-        w.run_until_idle(1000);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(log.lock().unwrap().len(), 8, "every packet arrives twice");
         assert_eq!(w.stats().chaos.duplicated, 4);
     }
@@ -750,7 +748,7 @@ mod more_tests {
         for p in 0..8 {
             w.spawn(a, 10 + p, Box::new(Sender { to: Endpoint::new(b, 5), size: 64 }));
         }
-        w.run_until_idle(1000);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(log.lock().unwrap().len(), 8, "reordering never loses packets");
         assert_eq!(w.stats().chaos.reordered, 8);
     }
@@ -781,7 +779,7 @@ mod more_tests {
             for p in 0..50 {
                 w.spawn(a, 10 + p, Box::new(Sender { to: Endpoint::new(b, 5), size: 100 }));
             }
-            w.run_until_idle(10_000);
+            w.run_for(SimDuration::from_secs(1));
             (w.stats().delivered, w.stats().total_drops(), w.stats().chaos.corrupted)
         };
         // Chaos draws come from a separate stream: the workload's loss
@@ -835,9 +833,9 @@ mod more_tests {
         }
         let mut w = World::new(t, 1);
         let ep = w.spawn(a, 5, Box::new(SignalLog { got: Vec::new() })).unwrap();
-        w.run_until_idle(5);
+        w.run_for(SimDuration::from_secs(1));
         w.signal(None, ep, 15);
-        w.run_until_idle(5);
+        w.run_for(SimDuration::from_secs(1));
         assert_eq!(w.actor_ref::<SignalLog>(ep).unwrap().got, [(15, None)]);
     }
 }

@@ -344,6 +344,26 @@ mod tests {
         assert!(c.next_deadline().is_none(), "nothing left pending");
     }
 
+    /// The no-spin contract: with no replica answering, each retry
+    /// fired at exactly `next_deadline()` leaves a later deadline, until
+    /// the requests give up and none is left.
+    #[test]
+    fn woken_at_its_deadline_it_leaves_a_later_one() {
+        let mut c = RcClient::new(vec![ep(1), ep(2)], SimDuration::from_millis(100));
+        for i in 0..3 {
+            c.get(SimTime::ZERO + SimDuration::from_millis(i * 30), &Uri::process(i));
+        }
+        let mut fired = 0;
+        while let Some(now) = c.next_deadline() {
+            c.on_timer(now);
+            fired += 1;
+            let left = c.next_deadline();
+            assert!(left.is_none_or(|d| d > now), "woken at {now}, left {left:?}");
+        }
+        assert_eq!(c.drain_done().len(), 3, "every request gave up");
+        assert!(fired >= 6, "only {fired} firings");
+    }
+
     #[test]
     fn timeout_fails_over_to_next_replica() {
         let mut c = RcClient::new(vec![ep(1), ep(2)], SimDuration::from_millis(100));

@@ -4,35 +4,32 @@
 //! sans-IO machine every SNIPE component links: the actor issues
 //! requests through the client (an [`RcHost`] derefs to it), feeds
 //! inputs ([`on_datagram`](RcHost::on_datagram) or the client's own
-//! `on_packet` for an already opened body,
-//! [`on_timer`](RcHost::on_timer), [`on_host_up`](RcHost::on_host_up))
+//! `on_packet` for an already opened body, [`on_wake`](RcHost::on_wake))
 //! and ends the event with one [`flush`](RcHost::flush). The adapter
-//! Raw-seals and transmits the queued requests, keeps exactly one
-//! wake-up pending for the earliest request deadline, retries what
-//! timed out while the host was down, and hands back completions.
+//! Raw-seals and transmits the queued requests and hands back
+//! completions. The client's `next_deadline` is its share of the
+//! actor's `next_wake`; the engine keeps that one wake-up, and delivers
+//! one that came due while the host was down right after `HostUp`.
 
 use std::ops::{Deref, DerefMut};
 
 use bytes::Bytes;
-use snipe_netsim::actor::{SimCtx, TimerGate};
+use snipe_netsim::actor::{due, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::time::SimTime;
 use snipe_wire::frame::{open, seal, Proto};
 
 use crate::client::{Completion, RcClient};
 
-/// An [`RcClient`] together with the wake-up bookkeeping its hosting
-/// actor owes it.
+/// An [`RcClient`] hosted in an actor.
 pub struct RcHost {
     rc: RcClient,
-    gate: TimerGate,
-    token: u64,
 }
 
 impl RcHost {
-    /// Host `rc`; its wake-ups arrive as `Event::Timer { token }`.
-    pub fn new(rc: RcClient, token: u64) -> RcHost {
-        RcHost { rc, gate: TimerGate::new(), token }
+    /// Host `rc`.
+    pub fn new(rc: RcClient) -> RcHost {
+        RcHost { rc }
     }
 
     /// A datagram arrived on a port that carries nothing but RC
@@ -44,28 +41,22 @@ impl RcHost {
         }
     }
 
-    /// The host's wake-up timer fired: retry or fail over what expired.
-    pub fn on_timer(&mut self, now: SimTime) {
-        self.gate.fired();
-        self.rc.on_timer(now);
+    /// The actor was woken: retry or fail over what expired, if
+    /// anything has. Returns whether it had.
+    pub fn on_wake(&mut self, now: SimTime) -> bool {
+        let expired = due(self.rc.next_deadline(), now);
+        if expired {
+            self.rc.on_timer(now);
+        }
+        expired
     }
 
-    /// The actor's machine came back (`Event::HostUp`): requests whose
-    /// deadline passed during the outage are retried now. The gate is
-    /// not cleared — a swallowed wake-up lies in the past, so the
-    /// coming flush re-arms; one still queued keeps its claim.
-    pub fn on_host_up(&mut self, now: SimTime) {
-        self.rc.on_timer(now);
-    }
-
-    /// Transmit queued requests, keep the wake-up armed and hand back
-    /// completed operations. A completion handler that issues further
-    /// requests flushes again.
+    /// Transmit queued requests and hand back completed operations. A
+    /// completion handler that issues further requests flushes again.
     pub fn flush(&mut self, ctx: &mut dyn SimCtx) -> Vec<Completion> {
         for (to, bytes) in self.rc.drain_sends() {
             ctx.send(to, seal(Proto::Raw, bytes));
         }
-        self.gate.arm_deadline(ctx, self.rc.next_deadline(), self.token);
         self.rc.drain_done()
     }
 }
@@ -99,7 +90,6 @@ mod tests {
     use snipe_wire::ports;
 
     const TIMER_ISSUE: u64 = 1;
-    const TIMER_RC: u64 = 2;
     const TIMEOUT: SimDuration = SimDuration::from_millis(50);
 
     /// Issues `gets` lookups 1 ms apart — with none to issue, one put
@@ -124,11 +114,10 @@ mod tests {
                 Event::Start => {
                     self.rc.put(now, &Uri::process(0), vec![Assertion::new("k", "v")]);
                 }
-                Event::Timer { token: TIMER_RC } => {
+                Event::Wake => {
                     self.wakeups += 1;
-                    self.rc.on_timer(now);
+                    self.rc.on_wake(now);
                 }
-                Event::HostUp => self.rc.on_host_up(now),
                 Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
                 _ => return,
             }
@@ -138,6 +127,10 @@ mod tests {
                     Err(_) => self.failed += 1,
                 }
             }
+        }
+
+        fn next_wake(&self) -> Option<SimTime> {
+            self.rc.next_deadline()
         }
     }
 
@@ -152,16 +145,15 @@ mod tests {
         t.attach(c, net);
         let mut w = World::new(t, 9);
         let rc = RcClient::new(vec![Endpoint::new(s, ports::RC_SERVER)], TIMEOUT);
-        let client = Client { rc: RcHost::new(rc, TIMER_RC), gets, wakeups: 0, ok: 0, failed: 0 };
+        let client = Client { rc: RcHost::new(rc), gets, wakeups: 0, ok: 0, failed: 0 };
         let ep = w.spawn(c, 30, Box::new(client)).unwrap();
         (w, ep, s, c)
     }
 
-    /// `TimerGate`'s own test arms one deadline a hundred times; this
-    /// is the hosted case: a hundred overlapping requests against a
-    /// silent server, each timing out six times before it gives up.
-    /// One wake-up per distinct deadline is the most the client may
-    /// cost — arming a timer per flush costs a hundred times that.
+    /// A hundred overlapping requests against a silent server, each
+    /// timing out six times before it gives up. One wake-up per
+    /// distinct deadline is the most the client may cost — a timer per
+    /// flush costs a hundred times that.
     #[test]
     fn overlapping_requests_wake_once_per_deadline() {
         let (mut w, ep, _, _) = world(100);
@@ -172,9 +164,9 @@ mod tests {
     }
 
     /// A request is pending when the client's host goes down, and its
-    /// deadline passes during the outage (the wake-up is swallowed).
-    /// `on_host_up` + `flush` must retry it there and then, not leave
-    /// it for whatever unrelated flush comes next.
+    /// deadline passes during the outage (the wake-up is dropped). The
+    /// wake-up re-armed after `HostUp` must retry it there and then,
+    /// not leave it for whatever unrelated flush comes next.
     #[test]
     fn pending_request_is_retried_after_a_host_outage() {
         let (mut w, ep, s, c) = world(0);

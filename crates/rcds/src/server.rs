@@ -8,10 +8,10 @@
 //! reordering or crash/recovery — host state survives crashes as the
 //! paper's disk-backed servers did.
 
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
-use snipe_util::time::SimDuration;
+use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
 
 use crate::proto::{RcMsg, RcOp};
@@ -35,9 +35,11 @@ pub struct RcServerActor {
     store: RcStore,
     peers: Vec<Endpoint>,
     sync_interval: SimDuration,
-    /// Keeps the periodic anti-entropy tick to one chain across host
-    /// flaps.
-    sync_gate: TimerGate,
+    /// When the one live anti-entropy tick is due. The tick is a timer
+    /// chain, not a wake-up, so a replica wrapped by an actor that does
+    /// not forward `next_wake` still syncs; every `HostUp` starts a new
+    /// chain, and a tick at any other instant is one a flap orphaned.
+    next_sync: Option<SimTime>,
     /// When set, this replica owns exactly one shard of the namespace:
     /// URI-addressed requests routed here by mistake are rejected (and
     /// counted) instead of being stored where anti-entropy would never
@@ -60,7 +62,7 @@ impl RcServerActor {
             store: RcStore::new(server_id),
             peers,
             sync_interval,
-            sync_gate: TimerGate::new(),
+            next_sync: None,
             shard: None,
             requests_served: 0,
             sync_rounds: 0,
@@ -167,9 +169,10 @@ impl RcServerActor {
         self.send(ctx, from, &resp);
     }
 
-    fn arm_timer(&mut self, ctx: &mut dyn SimCtx) {
+    fn schedule_sync(&mut self, ctx: &mut dyn SimCtx) {
         if !self.peers.is_empty() {
-            self.sync_gate.arm_after(ctx, self.sync_interval, TIMER_SYNC);
+            self.next_sync = Some(ctx.now() + self.sync_interval);
+            ctx.set_timer(self.sync_interval, TIMER_SYNC);
         }
     }
 }
@@ -177,15 +180,15 @@ impl RcServerActor {
 impl Actor for RcServerActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start | Event::HostUp => self.arm_timer(ctx),
-            Event::Timer { token: TIMER_SYNC } => {
+            Event::Start | Event::HostUp => self.schedule_sync(ctx),
+            Event::Timer { token: TIMER_SYNC } if self.next_sync == Some(ctx.now()) => {
                 self.sync_rounds += 1;
                 let peers: Vec<Endpoint> =
                     self.peers.iter().copied().filter(|p| p.host != ctx.host()).collect();
                 if let Some(&peer) = ctx.rng().choose(&peers) {
                     self.send_sync_req(ctx, peer);
                 }
-                self.arm_timer(ctx);
+                self.schedule_sync(ctx);
             }
             Event::Timer { .. } => {}
             Event::Packet { from, payload } => {
@@ -234,7 +237,7 @@ impl Actor for RcServerActor {
                     RcMsg::Response { .. } => {}
                 }
             }
-            Event::HostDown | Event::Signal { .. } => {}
+            Event::HostDown | Event::Signal { .. } | Event::Wake => {}
         }
     }
 }

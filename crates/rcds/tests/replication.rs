@@ -38,10 +38,9 @@ enum Op {
 }
 
 const TIMER_SCRIPT: u64 = 100;
-const TIMER_RC: u64 = 101;
 
 fn client(replicas: Vec<Endpoint>) -> RcHost {
-    RcHost::new(RcClient::new(replicas, SimDuration::from_millis(50)), TIMER_RC)
+    RcHost::new(RcClient::new(replicas, SimDuration::from_millis(50)))
 }
 
 impl ClientActor {
@@ -77,12 +76,8 @@ impl Actor for ClientActor {
                 }
                 self.pump(ctx);
             }
-            Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(ctx.now());
-                self.pump(ctx);
-            }
-            Event::HostUp => {
-                self.rc.on_host_up(ctx.now());
+            Event::Wake => {
+                self.rc.on_wake(ctx.now());
                 self.pump(ctx);
             }
             Event::Packet { from, payload } => {
@@ -91,6 +86,10 @@ impl Actor for ClientActor {
             }
             _ => {}
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.rc.next_deadline()
     }
 }
 

@@ -13,7 +13,7 @@ use bytes::Bytes;
 
 use snipe_crypto::cert::{CertClaim, Certificate, TrustPurpose, TrustStore};
 use snipe_crypto::sign::KeyPair;
-use snipe_netsim::actor::{Actor, Event, SimCtx, TimerGate};
+use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::uri::Uri;
 use snipe_rcds::{RcClient, RcHost};
@@ -21,16 +21,13 @@ use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
 use snipe_util::id::HostId;
 use snipe_util::rng::Xoshiro256;
-use snipe_util::time::SimDuration;
+use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
 
 use snipe_daemon::proto::{DaemonMsg, SpawnSpec};
 
 use crate::proto::{AllocMode, Allocation, MigrateOrder, RmMsg};
 
-const TIMER_REFRESH: u64 = 1;
-const TIMER_RC: u64 = 2;
-const TIMER_PENDING: u64 = 3;
 /// How often an RM refreshes its host cache.
 const REFRESH_INTERVAL: SimDuration = SimDuration::from_secs(2);
 /// How long the daemons of one placement round may take to answer
@@ -83,8 +80,8 @@ struct PendingAlloc {
 pub struct RmActor {
     cfg: RmConfig,
     rc: RcHost,
-    /// Keeps the periodic refresh tick to one chain across host flaps.
-    refresh_gate: TimerGate,
+    /// When the host table is next refreshed.
+    next_refresh: Option<SimTime>,
     keypair: KeyPair,
     hosts: Vec<HostInfo>,
     /// Soft reservations: hostname -> count, decayed on refresh.
@@ -94,11 +91,6 @@ pub struct RmActor {
     /// Active allocations by allocation id, each due for re-placement
     /// at its deadline.
     pending: Deadlines<u64, PendingAlloc>,
-    /// One wake-up for the earliest of them. Every deadline filed is
-    /// `now + SPAWN_TIMEOUT`, so the earliest never moves earlier while
-    /// a wake-up is armed and the gate keeps exactly one timer chain
-    /// (no stale fire for [`TimerGate::fired`] to mistake, ROADMAP 2).
-    pending_gate: TimerGate,
     next_id: u64,
     /// Allocations served (diagnostics).
     pub allocations_served: u64,
@@ -116,14 +108,13 @@ impl RmActor {
         let rc = RcClient::new(cfg.rc_replicas.clone(), SimDuration::from_millis(250));
         RmActor {
             cfg,
-            rc: RcHost::new(rc, TIMER_RC),
-            refresh_gate: TimerGate::new(),
+            rc: RcHost::new(rc),
+            next_refresh: None,
             keypair,
             hosts: Vec::new(),
             reserved: HashMap::new(),
             rc_gets: HashMap::new(),
             pending: Deadlines::new(),
-            pending_gate: TimerGate::new(),
             next_id: 1,
             allocations_served: 0,
             auth_granted: 0,
@@ -285,7 +276,6 @@ impl RmActor {
                         retries: 0,
                     },
                 );
-                self.pending_gate.arm_deadline(ctx, self.pending.next_deadline(), TIMER_PENDING);
             }
         }
     }
@@ -349,7 +339,6 @@ impl RmActor {
             }
             self.pending.insert(alloc_id, now + SPAWN_TIMEOUT, p);
         }
-        self.pending_gate.arm_deadline(ctx, self.pending.next_deadline(), TIMER_PENDING);
     }
 
     /// Give up on an allocation: the client hears what was granted.
@@ -430,30 +419,27 @@ impl RmActor {
         self.reserved.clear();
         self.rc.find(ctx.now(), "type", "host");
         self.pump_rc(ctx);
-        self.refresh_gate.arm_after(ctx, REFRESH_INTERVAL, TIMER_REFRESH);
+        self.next_refresh = Some(ctx.now() + REFRESH_INTERVAL);
     }
 }
 
 impl Actor for RmActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start | Event::HostUp => {
-                self.rc.on_host_up(ctx.now());
-                self.refresh(ctx);
-                // Allocations that expired during the outage.
-                self.check_pending(ctx);
+            Event::Start => self.refresh(ctx),
+            Event::Wake => {
+                let now = ctx.now();
+                if self.rc.on_wake(now) {
+                    self.pump_rc(ctx);
+                }
+                if due(self.next_refresh, now) {
+                    self.refresh(ctx);
+                }
+                if due(self.pending.next_deadline(), now) {
+                    self.check_pending(ctx);
+                }
             }
-            Event::HostDown => {}
-            Event::Timer { token: TIMER_REFRESH } => self.refresh(ctx),
-            Event::Timer { token: TIMER_RC } => {
-                self.rc.on_timer(ctx.now());
-                self.pump_rc(ctx);
-            }
-            Event::Timer { token: TIMER_PENDING } => {
-                self.pending_gate.fired();
-                self.check_pending(ctx);
-            }
-            Event::Timer { .. } | Event::Signal { .. } => {}
+            Event::HostDown | Event::HostUp | Event::Timer { .. } | Event::Signal { .. } => {}
             Event::Packet { from, payload } => {
                 let Ok((Proto::Raw, body)) = open(payload) else {
                     return;
@@ -495,6 +481,10 @@ impl Actor for RmActor {
                 self.pump_rc(ctx);
             }
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        earliest([self.rc.next_deadline(), self.next_refresh, self.pending.next_deadline()])
     }
 }
 

@@ -2,27 +2,24 @@
 //!
 //! The stack is sans-IO; this is the one place its outputs become
 //! engine calls. An actor that embeds a [`StackHost`] feeds it inputs
-//! ([`on_packet`](StackHost::on_packet), [`on_timer`](StackHost::on_timer),
-//! [`on_host_up`](StackHost::on_host_up), or calls on the stack itself
-//! through [`as_mut`](StackHost::as_mut)) and ends every event that
-//! touched it with one [`flush`](StackHost::flush). In return:
+//! ([`on_packet`](StackHost::on_packet), [`on_wake`](StackHost::on_wake),
+//! or calls on the stack itself through [`as_mut`](StackHost::as_mut))
+//! and ends every event that touched it with one
+//! [`flush`](StackHost::flush), which transmits every queued
+//! `Out::Send` in emission order, pinned to its route when the path
+//! layer chose one.
 //!
-//! * every queued `Out::Send` is transmitted in emission order, pinned
-//!   to its route when the path layer chose one;
-//! * exactly one wake-up is kept pending for the stack's earliest
-//!   deadline (a [`TimerGate`] collapses the re-arms), so
-//!   `Event::Timer { token }` with the host's token means "call
-//!   `on_timer`, then `flush`";
-//! * after a host outage the wake-up that died with the host is
-//!   re-armed and the timers that came due meanwhile fire (so what is
-//!   unacknowledged is retransmitted), while a wake-up that survived a
-//!   short flap is left alone — never two live chains.
+//! The host arms nothing and needs no `Event::HostUp` recipe: the
+//! actor's `next_wake` includes
+//! [`next_deadline`](StackHost::next_deadline), and the engine keeps
+//! the one wake-up, delivering one that came due during an outage right
+//! after `Event::HostUp` (the retransmissions are that wake-up's work).
 //!
 //! Completed messages come back from `flush` as [`Delivery`]s; what
 //! they mean is the actor's business.
 
 use bytes::Bytes;
-use snipe_netsim::actor::{SimCtx, TimerGate};
+use snipe_netsim::actor::{due, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::time::SimTime;
 
@@ -44,19 +41,18 @@ pub struct Delivery {
     pub msg: Bytes,
 }
 
-/// A [`WireStack`] together with the wake-up bookkeeping its hosting
-/// actor owes it. Empty until [`StackHost::start`]: a stack is keyed by
-/// the actor's endpoint or process key, known only at `Event::Start`.
+/// A [`WireStack`] hosted in an actor. Empty until
+/// [`StackHost::start`]: a stack is keyed by the actor's endpoint or
+/// process key, known only at `Event::Start`.
+#[derive(Default)]
 pub struct StackHost {
     stack: Option<WireStack>,
-    gate: TimerGate,
-    token: u64,
 }
 
 impl StackHost {
-    /// An empty host whose wake-ups arrive as `Event::Timer { token }`.
-    pub fn new(token: u64) -> StackHost {
-        StackHost { stack: None, gate: TimerGate::new(), token }
+    /// An empty host.
+    pub fn new() -> StackHost {
+        StackHost::default()
     }
 
     /// Install the stack (at `Event::Start`, or on resuming a migrated
@@ -88,27 +84,24 @@ impl StackHost {
         self.stack.as_mut()?.on_datagram(now, from, payload).unwrap_or_default()
     }
 
-    /// The host's wake-up timer fired.
-    pub fn on_timer(&mut self, now: SimTime) {
-        self.gate.fired();
-        if let Some(stack) = self.stack.as_mut() {
-            stack.on_timer(now);
-        }
+    /// The stack's earliest deadline: its share of the hosting actor's
+    /// `next_wake`.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.stack.as_ref().and_then(WireStack::next_deadline)
     }
 
-    /// The actor's machine came back (`Event::HostUp`). The gate is
-    /// deliberately not cleared: a wake-up swallowed by the outage lies
-    /// in the past, so the coming flush re-arms; one still queued after
-    /// a short flap keeps its claim.
-    pub fn on_host_up(&mut self, now: SimTime) {
-        if let Some(stack) = self.stack.as_mut() {
-            stack.on_host_up(now);
-        }
+    /// The actor was woken: fire the stack's timers if they are due.
+    /// Returns whether they were.
+    pub fn on_wake(&mut self, now: SimTime) -> bool {
+        let Some(stack) = self.stack.as_mut().filter(|s| due(s.next_deadline(), now)) else {
+            return false;
+        };
+        stack.on_timer(now);
+        true
     }
 
-    /// Transmit everything the stack queued, keep its wake-up armed and
-    /// hand back what it delivered. Allocates only when there is a
-    /// delivery to return.
+    /// Transmit everything the stack queued and hand back what it
+    /// delivered. Allocates only when there is a delivery to return.
     pub fn flush(&mut self, ctx: &mut dyn SimCtx) -> Vec<Delivery> {
         let mut delivered = Vec::new();
         let Some(stack) = self.stack.as_mut() else {
@@ -124,7 +117,6 @@ impl StackHost {
                 Out::Wake { .. } => {}
             }
         }
-        self.gate.arm_deadline(ctx, stack.next_deadline(), self.token);
         delivered
     }
 }
@@ -140,8 +132,6 @@ mod tests {
     use snipe_netsim::world::World;
     use snipe_util::id::HostId;
     use snipe_util::time::SimDuration;
-
-    const TOKEN: u64 = 7;
 
     /// Sends "hello" to `peer` at start (when it has one); counts its
     /// wake-ups and keeps what it is delivered.
@@ -167,14 +157,17 @@ mod tests {
                 Event::Packet { from, payload } => {
                     let _ = self.stack.on_packet(now, from, payload);
                 }
-                Event::Timer { token: TOKEN } => {
+                Event::Wake => {
                     self.wakeups += 1;
-                    self.stack.on_timer(now);
+                    self.stack.on_wake(now);
                 }
-                Event::HostUp => self.stack.on_host_up(now),
                 _ => return,
             }
             self.got.extend(self.stack.flush(ctx).into_iter().map(|d| d.msg));
+        }
+
+        fn next_wake(&self) -> Option<SimTime> {
+            self.stack.next_deadline()
         }
     }
 
@@ -191,15 +184,15 @@ mod tests {
         t.attach(a, net);
         t.attach(b, net);
         let mut w = World::new(t, 5);
-        let node = |peer| Node { stack: StackHost::new(TOKEN), peer, wakeups: 0, got: Vec::new() };
+        let node = |peer| Node { stack: StackHost::new(), peer, wakeups: 0, got: Vec::new() };
         let rx = w.spawn(b, 20, Box::new(node(None))).unwrap();
         let tx = w.spawn(a, 20, Box::new(node(Some(rx)))).unwrap();
         (w, tx, rx, a, b)
     }
 
     /// The sender's host is down across its retransmit deadline, so
-    /// the engine swallows the wake-up; `on_host_up` + `flush` must
-    /// re-arm it and get the message through.
+    /// the engine drops the wake-up; the one it re-arms after `HostUp`
+    /// must get the message through.
     #[test]
     fn outage_across_the_deadline_resumes_and_delivers() {
         let (mut w, tx, rx, a, b) = world();
@@ -237,5 +230,81 @@ mod tests {
         let calm = wakeups(false);
         assert!(calm >= 4, "RTO backoff fires several times in 3 s, got {calm}");
         assert_eq!(wakeups(true), calm);
+    }
+    /// Two stacks exchange a 4 KB message each way every 2 ms for a
+    /// minute over a 35 ms WAN. Each side keeps an RTO pending the whole
+    /// time, and every partial message it receives files a 5 ms delayed
+    /// SACK: a deadline earlier than the wake-up already pending. The
+    /// wake-ups one delivered message costs must not grow with the
+    /// run's age. (With a per-actor timer gate, every earlier deadline
+    /// started a second live timer chain: 73 wake-ups per message in the
+    /// first 10 s, 911 in the last.)
+    #[test]
+    fn wake_ups_per_message_stay_flat_over_a_minute() {
+        const TICK: u64 = 1;
+        struct Chatty {
+            stack: StackHost,
+            peer: Endpoint,
+            /// Wake-ups and deliveries per 10 s window.
+            wakes: [u32; 6],
+            got: [u32; 6],
+        }
+        impl Actor for Chatty {
+            fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+                let now = ctx.now();
+                let window = (now.as_nanos() / 10_000_000_000).min(5) as usize;
+                match event {
+                    Event::Start => {
+                        let stack = WireStack::new(endpoint_key(ctx.me()), StackConfig::default());
+                        self.stack.start(stack);
+                        ctx.set_timer(SimDuration::from_millis(2), TICK);
+                    }
+                    Event::Timer { .. } => {
+                        let (key, peer) = (endpoint_key(self.peer), self.peer);
+                        if let Some(stack) = self.stack.as_mut() {
+                            stack.set_peer_at(now, key, peer, vec![]);
+                            stack.send(now, key, Bytes::from(vec![7u8; 4000])).unwrap();
+                        }
+                        ctx.set_timer(SimDuration::from_millis(2), TICK);
+                    }
+                    Event::Wake => {
+                        self.wakes[window] += 1;
+                        self.stack.on_wake(now);
+                    }
+                    Event::Packet { from, payload } => {
+                        let _ = self.stack.on_packet(now, from, payload);
+                    }
+                    _ => return,
+                }
+                self.got[window] += self.stack.flush(ctx).len() as u32;
+            }
+
+            fn next_wake(&self) -> Option<SimTime> {
+                self.stack.next_deadline()
+            }
+        }
+        let mut t = Topology::new();
+        let net = t.add_network("wan", Medium::wan(), true);
+        let a = t.add_host(HostCfg::named("a"));
+        let b = t.add_host(HostCfg::named("b"));
+        t.attach(a, net);
+        t.attach(b, net);
+        let mut w = World::new(t, 5);
+        let (ea, eb) = (Endpoint::new(a, 20), Endpoint::new(b, 20));
+        for (me, peer) in [(ea, eb), (eb, ea)] {
+            let chatty = Chatty { stack: StackHost::new(), peer, wakes: [0; 6], got: [0; 6] };
+            w.spawn(me.host, me.port, Box::new(chatty)).unwrap();
+        }
+        w.run_for(SimDuration::from_secs(60));
+        let per_msg = |i: usize| {
+            let (wakes, got) = [ea, eb].iter().fold((0, 0), |(wk, g), &ep| {
+                let c = w.actor_ref::<Chatty>(ep).unwrap();
+                (wk + c.wakes[i], g + c.got[i])
+            });
+            assert!(got > 1000, "window {i} delivered only {got}");
+            wakes as f64 / got as f64
+        };
+        let (first, last) = (per_msg(0), per_msg(5));
+        assert!(last <= first * 1.1, "wake-ups per message grew {first:.3} -> {last:.3}");
     }
 }

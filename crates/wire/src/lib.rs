@@ -83,11 +83,45 @@ pub enum Out {
         msg: Bytes,
     },
     /// benchmark/ compat — never constructed: wake-ups are pulled from
-    /// `next_deadline()` by the hosting adapter ([`host::StackHost`]),
-    /// not pushed as actions. Delete with the other compat shims when
+    /// `next_deadline()` by the hosting actor's `next_wake`, not pushed
+    /// as actions. Delete with the other compat shims when
     /// `benchmark/` stops matching on it.
     Wake {
         /// Deadline.
         at: SimTime,
     },
+}
+
+#[cfg(test)]
+/// The no-spin contract of a sans-IO machine: woken at exactly its
+/// `next_deadline()`, `on_timer` leaves a strictly later deadline or
+/// none, so an engine that wakes it at the deadline itself never wakes
+/// it twice at one instant. Drives `a` and `b` deadline to deadline:
+/// `exchange` moves what is in flight at `now` (dropping what it likes)
+/// and says whether anything moved. Returns the firings checked.
+pub(crate) fn assert_no_spin<M>(
+    a: &mut M,
+    b: &mut M,
+    mut exchange: impl FnMut(&mut M, &mut M, SimTime) -> bool,
+    deadline: impl Fn(&M) -> Option<SimTime>,
+    mut on_timer: impl FnMut(&mut M, SimTime),
+) -> u32 {
+    let (mut now, mut fired) = (SimTime::ZERO, 0);
+    for _ in 0..100_000 {
+        while exchange(a, b, now) {}
+        let Some(next) = deadline(a).into_iter().chain(deadline(b)).min() else {
+            return fired;
+        };
+        assert!(next >= now, "a deadline in the past: {next} < {now}");
+        now = next;
+        for m in [&mut *a, &mut *b] {
+            if deadline(m) == Some(now) {
+                on_timer(m, now);
+                fired += 1;
+                let left = deadline(m);
+                assert!(left.is_none_or(|d| d > now), "woken at {now}, left {left:?}");
+            }
+        }
+    }
+    panic!("still busy after 100 000 deadlines");
 }

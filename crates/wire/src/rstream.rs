@@ -596,6 +596,54 @@ mod tests {
         (got_a, got_b)
     }
 
+    /// Move everything `from` queued into `to`, dropping every third
+    /// datagram of the run; did anything move?
+    fn hop(
+        from: &mut Rstream,
+        to: &mut Rstream,
+        from_ep: Endpoint,
+        now: SimTime,
+        n: &mut u32,
+    ) -> bool {
+        let mut moved = false;
+        for o in drain_opened(from) {
+            if let Out::Send { bytes, .. } = o {
+                moved = true;
+                *n += 1;
+                if !(*n).is_multiple_of(3) {
+                    let _ = to.on_packet(now, from_ep, bytes);
+                }
+            }
+        }
+        moved
+    }
+
+    /// The no-spin contract through a lossy handshake and transfer:
+    /// SYN, RTO and delayed-ACK deadlines each fire at their instant
+    /// and leave a later one.
+    #[test]
+    fn woken_at_its_deadline_it_leaves_a_later_one() {
+        let mut a = Rstream::new(RstreamConfig::default(), 1);
+        let mut b = Rstream::new(RstreamConfig::default(), 2);
+        let id = a.connect(SimTime::ZERO, ep(1, 5));
+        for i in 0..8u8 {
+            a.send_message(SimTime::ZERO, id, &[i; 3000]).unwrap();
+        }
+        let mut n = 0;
+        let exchange = |a: &mut Rstream, b: &mut Rstream, now| {
+            let moved = hop(a, b, ep(0, 5), now, &mut n);
+            hop(b, a, ep(1, 5), now, &mut n) || moved
+        };
+        let fired = crate::assert_no_spin(
+            &mut a,
+            &mut b,
+            exchange,
+            Rstream::next_deadline,
+            Rstream::on_timer,
+        );
+        assert!(fired > 5, "only {fired} firings");
+    }
+
     #[test]
     fn handshake_and_message() {
         let mut a = Rstream::new(RstreamConfig::default(), 1);

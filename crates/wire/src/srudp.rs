@@ -958,9 +958,7 @@ impl Srudp {
     /// Fire due deadlines: retransmit fragments whose RTO expired
     /// (escalating backoff) and flush due delayed SACKs. Safe to call
     /// early or spuriously — a token whose work turns out not to be
-    /// due is re-armed at its true deadline without escalation, which
-    /// is what makes the HostUp "fire everything on resurrection"
-    /// pattern harmless.
+    /// due is re-armed at its true deadline without escalation.
     pub fn on_timer(&mut self, now: SimTime) {
         for ((kind, key), ()) in self.timers.take_due(now) {
             match kind {
@@ -1137,6 +1135,45 @@ mod tests {
             }
         }
         (got_a, got_b, now)
+    }
+
+    /// Move everything `from` queued into `to`, dropping every third
+    /// datagram of the run; did anything move?
+    fn hop(from: &mut Srudp, to: &mut Srudp, from_ep: Endpoint, now: SimTime, n: &mut u32) -> bool {
+        let mut moved = false;
+        for o in drain_opened(from) {
+            if let Out::Send { bytes, .. } = o {
+                moved = true;
+                *n += 1;
+                if !(*n).is_multiple_of(3) {
+                    let _ = to.on_packet(now, from_ep, bytes);
+                }
+            }
+        }
+        moved
+    }
+
+    /// The no-spin contract through a lossy two-way exchange of
+    /// multi-fragment messages: RTOs, delayed SACKs and reassembly
+    /// sweeps each fire at their deadline and leave a later one.
+    #[test]
+    fn woken_at_its_deadline_it_leaves_a_later_one() {
+        let mut a = Srudp::new(1, SrudpConfig::default());
+        let mut b = Srudp::new(2, SrudpConfig::default());
+        a.set_peer_endpoint(2, ep(1, 5));
+        b.set_peer_endpoint(1, ep(0, 5));
+        for i in 0..4u8 {
+            a.send_message(SimTime::ZERO, 2, Bytes::from(vec![i; 6000])).unwrap();
+            b.send_message(SimTime::ZERO, 1, Bytes::from(vec![i; 3000])).unwrap();
+        }
+        let mut n = 0;
+        let exchange = |a: &mut Srudp, b: &mut Srudp, now| {
+            let moved = hop(a, b, ep(0, 5), now, &mut n);
+            hop(b, a, ep(1, 5), now, &mut n) || moved
+        };
+        let fired =
+            crate::assert_no_spin(&mut a, &mut b, exchange, Srudp::next_deadline, Srudp::on_timer);
+        assert!(fired > 3, "only {fired} firings");
     }
 
     #[test]

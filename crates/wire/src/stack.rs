@@ -353,20 +353,6 @@ impl WireStack {
         self.harvest();
     }
 
-    /// Recover after the hosting actor's machine rebooted
-    /// (`Event::HostUp`): fill every peer's window from its backlog and
-    /// fire every transport timer that came due during the outage (the
-    /// retransmissions are those timers' work). The wake-up itself
-    /// is the host's: [`StackHost::on_host_up`](crate::host::StackHost::on_host_up)
-    /// calls this and the flush that follows re-arms the timer the
-    /// outage swallowed — without which an idle-but-unacked stack wedges
-    /// forever, a bug fixed actor by actor three times before the
-    /// adapter existed.
-    pub fn on_host_up(&mut self, now: SimTime) {
-        self.srudp.retransmit_all(now);
-        self.on_timer(now);
-    }
-
     /// Feed transport evidence into the path scorer and rotate routes
     /// for peers in trouble: sender-side evidence is consecutive RTO
     /// expiries; receiver-side evidence is a streak of duplicate DATA
@@ -592,6 +578,53 @@ mod tests {
             now += SimDuration::from_micros(10);
         }
         (got_a, got_b)
+    }
+
+    /// The no-spin contract for the whole stack (SRUDP, RSTREAM and a
+    /// multicast member, which keeps no timers) through a lossy
+    /// two-way SRUDP exchange: every firing at the stack's deadline
+    /// leaves a later one.
+    #[test]
+    fn woken_at_its_deadline_it_leaves_a_later_one() {
+        let cfg = StackConfig {
+            rstream: Some(RstreamConfig::default()),
+            mcast_member: true,
+            ..StackConfig::default()
+        };
+        let mut a = WireStack::new(1, cfg.clone());
+        let mut b = WireStack::new(2, cfg);
+        a.set_peer(2, ep(1, 5), vec![]);
+        b.set_peer(1, ep(0, 5), vec![]);
+        for i in 0..4u8 {
+            a.send(SimTime::ZERO, 2, Bytes::from(vec![i; 6000])).unwrap();
+            b.send(SimTime::ZERO, 1, Bytes::from(vec![i; 3000])).unwrap();
+        }
+        let mut n = 0u32;
+        let mut hop = |from: &mut WireStack, to: &mut WireStack, from_ep, now| {
+            let mut moved = false;
+            for o in from.drain() {
+                if let Out::Send { bytes, .. } = o {
+                    moved = true;
+                    n += 1;
+                    if !n.is_multiple_of(3) {
+                        let _ = to.on_datagram(now, from_ep, bytes);
+                    }
+                }
+            }
+            moved
+        };
+        let exchange = |a: &mut WireStack, b: &mut WireStack, now| {
+            let moved = hop(a, b, ep(0, 5), now);
+            hop(b, a, ep(1, 5), now) || moved
+        };
+        let fired = crate::assert_no_spin(
+            &mut a,
+            &mut b,
+            exchange,
+            WireStack::next_deadline,
+            WireStack::on_timer,
+        );
+        assert!(fired > 3, "only {fired} firings");
     }
 
     #[test]

@@ -112,7 +112,6 @@ fn an_idle_flush_does_not_allocate() {
     use snipe_wire::host::StackHost;
 
     const TICK: u64 = 1;
-    const TIMER_STACK: u64 = 2;
 
     struct Idle {
         stack: StackHost,
@@ -141,7 +140,7 @@ fn an_idle_flush_does_not_allocate() {
     let h = topo.add_host(HostCfg::named("h"));
     topo.attach(h, net);
     let mut world = World::new(topo, 1);
-    let ep = world.spawn(h, 40, Box::new(Idle { stack: StackHost::new(TIMER_STACK), flushes: 0 }));
+    let ep = world.spawn(h, 40, Box::new(Idle { stack: StackHost::new(), flushes: 0 }));
     world.run_for(SimDuration::from_millis(100));
 
     let before = allocs();

@@ -12,9 +12,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Hosting-glue gate: turning a sans-IO machine's outputs into engine
-# calls (transmit, arm the wake-up, recover on HostUp) is written once,
+# calls (transmit its sends, hand back its deliveries) is written once,
 # in `snipe_wire::host` for a `WireStack` and `snipe_rcds::host` for an
-# `RcClient`. A hand copy in an actor is how every timer wedge in this
+# `RcClient`; neither arms anything, since the engine keeps each actor's
+# one wake-up. A hand copy in an actor is how every timer wedge in this
 # repo was born, so its two fingerprints may appear nowhere else:
 # `ctx.send_via(` (only a stack host pins routes; the engine crate
 # defines and tests the call) and `.drain_sends()` (`rcds_bench.rs`
@@ -29,6 +30,27 @@ glue=$(
 if [ -n "$glue" ]; then
     echo "hosting-glue gate: FAIL — host the machine through StackHost / RcHost instead:"
     echo "$glue"
+    exit 1
+fi
+# One-wake gate: a protocol deadline is an actor's `next_wake` answer,
+# and the engine keeps the one wake-up per actor. A hand-held timer gate
+# (the deduplicating `TimerGate` type, its `arm_deadline` / `arm_after`,
+# the one-tick `DEADLINE_SKEW`, a `*_armed: bool` flag) is how a stale
+# fire came to start a second live timer chain, so outside test modules
+# none may appear in `crates/*/src`, except the three-method type kept
+# for the frozen benchmark in `netsim/src/actor.rs`.
+wake=$(
+    find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_test = 0; compat = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        FILENAME ~ /netsim\/src\/actor\.rs$/ && /^pub struct TimerGate / { compat = 2 }
+        compat > 0 { if ($0 ~ /^}$/) compat--; next }
+        !in_test && /TimerGate|arm_deadline|arm_after|DEADLINE_SKEW|_armed: bool/ { print FILENAME ":" FNR ":" $0 }
+    '
+)
+if [ -n "$wake" ]; then
+    echo "one-wake gate: FAIL — answer the deadline from Actor::next_wake instead:"
+    echo "$wake"
     exit 1
 fi
 # One-cast gate: a sender streaming to a receiver is one
