@@ -13,9 +13,7 @@ use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
 use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
-use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::{SimDuration, SimTime};
-use snipe_wire::frame::{open, seal, Proto};
 
 use pvm_baseline::proto::PvmMsg;
 use pvm_baseline::{PvmMaster, MASTER_PORT};
@@ -172,25 +170,18 @@ impl Actor for PvmLoad {
                 // Register tid 3 so lookups succeed while the master
                 // lives.
                 let me = ctx.me();
-                let reg = PvmMsg::Register { tid: 3, endpoint: me };
-                ctx.send(self.master, seal(Proto::Raw, reg.encode_to_bytes()));
+                ctx.send(self.master, PvmMsg::Register { tid: 3, endpoint: me }.sealed());
                 ctx.set_timer(SimDuration::from_millis(100), TIMER_TICK);
             }
             Event::Timer { token: TIMER_TICK } => {
                 let req = self.next_req;
                 self.next_req += 1;
                 self.tally.issue(req, ctx.now() >= self.kill_at);
-                let msg = PvmMsg::LookupReq { req_id: req, tid: 3 };
-                ctx.send(self.master, seal(Proto::Raw, msg.encode_to_bytes()));
+                ctx.send(self.master, PvmMsg::LookupReq { req_id: req, tid: 3 }.sealed());
                 ctx.set_timer(SimDuration::from_millis(100), TIMER_TICK);
             }
             Event::Packet { from: _, payload } => {
-                let Ok((Proto::Raw, body)) = open(payload) else {
-                    return;
-                };
-                if let Ok(PvmMsg::LookupResp { req_id, ok: true, .. }) =
-                    PvmMsg::decode_from_bytes(body)
-                {
+                if let Some(PvmMsg::LookupResp { req_id, ok: true, .. }) = PvmMsg::open(payload) {
                     self.tally.answer(req_id);
                 }
             }

@@ -39,8 +39,6 @@ use crate::names::{
     ATTR_LOCATION_PREFIX, ATTR_STATE,
 };
 
-const TIMER_MIGRATE_GRACE: u64 = 4;
-const TIMER_RESOLVE_RETRY: u64 = 5;
 /// Per-attempt deadline for file server operations.
 const FILE_OP_TIMEOUT: SimDuration = SimDuration::from_millis(800);
 /// How long a spawn request (to a daemon, or to a resource manager)
@@ -48,8 +46,10 @@ const FILE_OP_TIMEOUT: SimDuration = SimDuration::from_millis(800);
 /// budget of three 500 ms placement rounds, so that when the RM has an
 /// answer, the RM's answer is the one the caller hears.
 const SPAWN_TIMEOUT: SimDuration = SimDuration::from_secs(2);
-/// App timers: `(token << 4) | APP_TIMER_BIT`.
-const APP_TIMER_BIT: u64 = 0x8;
+/// Failed implicit resolutions of one peer before its queued sends are
+/// left unresolved; the k-th retry waits k times [`RESOLVE_BACKOFF`].
+const RESOLVE_ATTEMPTS: u32 = 10;
+const RESOLVE_BACKOFF: SimDuration = SimDuration::from_millis(50);
 
 /// Group refresh period (router liveness / re-registration).
 const GROUP_REFRESH: SimDuration = SimDuration::from_secs(2);
@@ -89,8 +89,8 @@ enum RcPending {
     ResolvePeer { peer_key: u64, ticket: Option<u64> },
     PseudoLookup { name: String, payload: Bytes },
     GroupRouters { name: String, refresh: bool },
-    ServiceLookup { ticket: u64, name: String },
-    WatchLookup { peer_key: u64 },
+    ServiceLookup { ticket: u64 },
+    WatchLookup,
     Publish,
 }
 
@@ -158,13 +158,18 @@ pub struct ProcessActor {
     stack: StackHost,
     rc: RcHost,
     rc_pending: HashMap<u64, RcPending>,
-    /// Peers with an in-flight location resolution.
+    /// Peers with a location lookup in flight → failed lookups so far.
     resolving: BTreeMap<u64, u32>,
+    /// Peers waiting out their own back-off → failed lookups so far.
+    resolve_retry: Deadlines<u64, u32>,
     groups: BTreeMap<String, GroupState>,
     /// Spawn requests awaiting a daemon's or RM's answer, by request id.
     spawn_pending: Deadlines<u64, SpawnPending>,
     /// File operations awaiting their server's answer, by request id.
     file_pending: Deadlines<u64, FilePending>,
+    /// App timers by arm order (ties fire as armed) → token.
+    app_timers: Deadlines<u64, u64>,
+    app_timers_armed: u64,
     next_req: u64,
     hostname: String,
 
@@ -177,6 +182,8 @@ pub struct ProcessActor {
     pub log: Vec<(SimTime, String)>,
     migrating: bool,
     redirect_to: Option<Endpoint>,
+    /// When a migrated-away process stops redirecting and vanishes.
+    grace_until: Option<SimTime>,
     exited: bool,
     /// When the joined groups are next refreshed.
     next_group_refresh: Option<SimTime>,
@@ -204,9 +211,12 @@ impl ProcessActor {
             rc: RcHost::new(rc),
             rc_pending: HashMap::new(),
             resolving: BTreeMap::new(),
+            resolve_retry: Deadlines::new(),
             groups: BTreeMap::new(),
             spawn_pending: Deadlines::new(),
             file_pending: Deadlines::new(),
+            app_timers: Deadlines::new(),
+            app_timers_armed: 0,
             next_req: 1,
             hostname: String::new(),
             trouble_scratch: Vec::new(),
@@ -215,6 +225,7 @@ impl ProcessActor {
             log: Vec::new(),
             migrating: false,
             redirect_to: None,
+            grace_until: None,
             exited: false,
             next_group_refresh: None,
             group_refreshes: 0,
@@ -343,9 +354,10 @@ impl ProcessActor {
                         .find(|a| a.name == ATTR_COMM_ADDRESS)
                         .and_then(|a| parse_endpoint(&a.value))
                 });
+                let attempts = self.resolving.remove(&peer_key);
                 match resolved {
                     Some(ep) => {
-                        self.resolving.remove(&peer_key);
+                        self.resolve_retry.remove(&peer_key);
                         let now = ctx.now();
                         if let Some(stack) = self.stack.as_mut() {
                             stack.set_peer_at(now, peer_key, ep, vec![]);
@@ -362,7 +374,7 @@ impl ProcessActor {
                     }
                     None => {
                         if let Some(t) = ticket {
-                            self.resolving.remove(&peer_key);
+                            self.resolve_retry.remove(&peer_key);
                             self.complete_ticket(
                                 ctx,
                                 t,
@@ -375,13 +387,10 @@ impl ProcessActor {
                             // Implicit resolution for a queued send:
                             // retry with backoff — the target may still
                             // be starting up or mid-migration.
-                            let attempts = self.resolving.entry(peer_key).or_insert(0);
-                            *attempts += 1;
-                            if *attempts <= 10 {
-                                let backoff = SimDuration::from_millis(50) * (*attempts as u64);
-                                ctx.set_timer(backoff, TIMER_RESOLVE_RETRY);
-                            } else {
-                                self.resolving.remove(&peer_key);
+                            let attempts = attempts.unwrap_or(0) + 1;
+                            if attempts <= RESOLVE_ATTEMPTS {
+                                let at = ctx.now() + RESOLVE_BACKOFF * attempts as u64;
+                                self.resolve_retry.insert(peer_key, at, attempts);
                             }
                         }
                     }
@@ -410,7 +419,7 @@ impl ProcessActor {
                 let routers = result.map(|r| parse_routers(&r.assertions)).unwrap_or_default();
                 self.on_group_routers(ctx, &name, routers, refresh);
             }
-            RcPending::ServiceLookup { ticket, name } => {
+            RcPending::ServiceLookup { ticket } => {
                 let refs = result.map(|r| {
                     let mut v: Vec<ProcRef> = r
                         .assertions
@@ -425,11 +434,10 @@ impl ProcessActor {
                     v.sort_by_key(|r| r.key);
                     v
                 });
-                let _ = name;
                 self.complete_ticket(ctx, ticket, TicketResult::Service(refs));
                 self.run_commands(ctx);
             }
-            RcPending::WatchLookup { peer_key } => {
+            RcPending::WatchLookup => {
                 // Find the peer's location, then ask its host daemon to
                 // add us to the notify list.
                 if let Ok(r) = result {
@@ -445,7 +453,6 @@ impl ProcessActor {
                         ctx.send(daemon, seal(Proto::Raw, msg.encode_to_bytes()));
                     }
                 }
-                let _ = peer_key;
             }
         }
     }
@@ -468,6 +475,21 @@ impl ProcessActor {
     }
 
     // ---- groups ------------------------------------------------------------
+
+    /// Track group `name`, holding `pending_out` until it is joined, and
+    /// look up its routers.
+    fn add_group(
+        &mut self,
+        ctx: &mut dyn SimCtx,
+        name: String,
+        pending_out: Vec<Bytes>,
+        refresh: bool,
+    ) {
+        let state =
+            GroupState { gid: group_id(&name), routers: Vec::new(), joined: false, pending_out };
+        self.groups.insert(name.clone(), state);
+        self.start_join(ctx, &name, refresh);
+    }
 
     fn start_join(&mut self, ctx: &mut dyn SimCtx, name: &str, refresh: bool) {
         let uri = Uri::mcast_group_wire(group_id(name));
@@ -687,7 +709,8 @@ impl ProcessActor {
                 }
             }
             Command::SetTimer { delay, token } => {
-                ctx.set_timer(delay, (token << 4) | APP_TIMER_BIT);
+                self.app_timers.insert(self.app_timers_armed, ctx.now() + delay, token);
+                self.app_timers_armed += 1;
             }
             Command::SendProc { to_key, payload } => {
                 let now = ctx.now();
@@ -716,16 +739,7 @@ impl ProcessActor {
             }
             Command::JoinGroup { name } => {
                 if !self.groups.contains_key(&name) {
-                    self.groups.insert(
-                        name.clone(),
-                        GroupState {
-                            gid: group_id(&name),
-                            routers: Vec::new(),
-                            joined: false,
-                            pending_out: Vec::new(),
-                        },
-                    );
-                    self.start_join(ctx, &name, false);
+                    self.add_group(ctx, name, Vec::new(), false);
                 }
             }
             Command::LeaveGroup { name } => {
@@ -739,16 +753,7 @@ impl ProcessActor {
             }
             Command::SendGroup { name, payload } => {
                 if !self.groups.contains_key(&name) {
-                    self.groups.insert(
-                        name.clone(),
-                        GroupState {
-                            gid: group_id(&name),
-                            routers: Vec::new(),
-                            joined: false,
-                            pending_out: vec![payload],
-                        },
-                    );
-                    self.start_join(ctx, &name, false);
+                    self.add_group(ctx, name, vec![payload], false);
                 } else {
                     self.do_send_group(ctx, &name, payload);
                 }
@@ -827,14 +832,14 @@ impl ProcessActor {
                 let uri = Uri::service(&name);
                 let now = ctx.now();
                 let id = self.rc.get(now, &uri);
-                self.rc_pending.insert(id, RcPending::ServiceLookup { ticket, name });
+                self.rc_pending.insert(id, RcPending::ServiceLookup { ticket });
                 self.pump_rc(ctx);
             }
             Command::WatchProcess { proc_key } => {
                 let uri = Uri::process(proc_key);
                 let now = ctx.now();
                 let id = self.rc.get(now, &uri);
-                self.rc_pending.insert(id, RcPending::WatchLookup { peer_key: proc_key });
+                self.rc_pending.insert(id, RcPending::WatchLookup);
                 self.pump_rc(ctx);
             }
             Command::MigrateTo { hostname } => {
@@ -851,10 +856,17 @@ impl ProcessActor {
     }
 
     fn resolve_peer(&mut self, ctx: &mut dyn SimCtx, peer_key: u64, ticket: Option<u64>) {
-        if ticket.is_none() && self.resolving.contains_key(&peer_key) {
-            return; // already in flight
+        let busy =
+            self.resolving.contains_key(&peer_key) || self.resolve_retry.get(&peer_key).is_some();
+        if ticket.is_none() && busy {
+            return; // already in flight, or backing off
         }
         self.resolving.entry(peer_key).or_insert(0);
+        self.lookup_peer(ctx, peer_key, ticket);
+    }
+
+    /// Ask RC where `peer_key` lives.
+    fn lookup_peer(&mut self, ctx: &mut dyn SimCtx, peer_key: u64, ticket: Option<u64>) {
         let uri = Uri::process(peer_key);
         let now = ctx.now();
         let id = self.rc.get(now, &uri);
@@ -921,9 +933,8 @@ impl ProcessActor {
             return;
         }
         let Some(target) = ctx.topology().host_by_name(&hostname) else {
-            self.with_process(ctx, |p, api| {
-                api.log(format!("migration failed: unknown host {hostname}"));
-                let _ = p;
+            self.with_process(ctx, |_, api| {
+                api.log(format!("migration failed: unknown host {hostname}"))
             });
             return;
         };
@@ -1008,7 +1019,7 @@ impl ProcessActor {
                 let daemon = Endpoint::new(ctx.host(), ports::DAEMON);
                 let msg = DaemonMsg::Detach { port: me.port };
                 ctx.send(daemon, seal(Proto::Raw, msg.encode_to_bytes()));
-                ctx.set_timer(REDIRECT_GRACE, TIMER_MIGRATE_GRACE);
+                self.grace_until = Some(ctx.now() + REDIRECT_GRACE);
             }
         }
     }
@@ -1045,15 +1056,29 @@ impl ProcessActor {
     }
 
     /// Service, in a fixed order, the machines that are due: the spawn
-    /// table, the file table, the stack, the RC client, the group
-    /// refresh. A migrating process services only its spawn table
-    /// (its answer to [`Actor::next_wake`] holds nothing else).
+    /// table, the file table, the stack, the RC client, the resolve
+    /// retries, the group refresh, the app's timers. A migrating
+    /// process is frozen: it services only its spawn table and, once
+    /// cut over, the end of its redirect grace (its answer to
+    /// [`Actor::next_wake`] holds nothing else).
     fn on_wake(&mut self, ctx: &mut dyn SimCtx) {
         let now = ctx.now();
         if due(self.spawn_pending.next_deadline(), now) {
             for (_, pending) in self.spawn_pending.take_due(now) {
                 self.finish_spawn(ctx, pending, Err("no answer".into()));
             }
+        }
+        if self.migrating && due(self.grace_until, now) {
+            // Done redirecting; vanish.
+            if trace::enabled() {
+                trace::record(
+                    now,
+                    TraceKind::Migration { phase: MigrationPhase::Vanish, key: self.proc_key },
+                );
+            }
+            self.exited = true;
+            let me = ctx.me();
+            ctx.kill(me);
         }
         if self.migrating || self.exited {
             return;
@@ -1101,6 +1126,10 @@ impl ProcessActor {
         if self.rc.on_wake(now) {
             self.pump_rc(ctx);
         }
+        for (peer_key, attempts) in self.resolve_retry.take_due(now) {
+            self.resolving.insert(peer_key, attempts);
+            self.lookup_peer(ctx, peer_key, None);
+        }
         if due(self.next_group_refresh, now) {
             self.next_group_refresh = None;
             self.group_refreshes += 1;
@@ -1110,15 +1139,20 @@ impl ProcessActor {
             }
             self.schedule_group_refresh(ctx);
         }
+        // A callback may arm a timer due at once, or start a migration.
+        while !self.migrating && !self.exited && due(self.app_timers.next_deadline(), now) {
+            for (_, token) in self.app_timers.take_due(now) {
+                self.with_process(ctx, |p, api| p.on_timer(api, token));
+                self.run_commands(ctx);
+            }
+        }
     }
 
     // ---- event entry ----------------------------------------------------------
 
     fn on_start(&mut self, ctx: &mut dyn SimCtx) {
         self.hostname = ctx.topology().host(ctx.host()).name.clone();
-        let me = ctx.me();
         let now = ctx.now();
-        let migrated = self.resume.is_some();
         if let Some(payload) = self.resume.take() {
             if trace::enabled() {
                 trace::record(
@@ -1137,30 +1171,18 @@ impl ProcessActor {
             // stack immediately retransmits everything unacknowledged,
             // and SRUDP receivers learn sender locations from live
             // traffic; peers that *send to us* re-resolve via RC after
-            // repeated timeouts (see TIMER_STACK) or get a redirect
+            // repeated timeouts (see `on_wake`) or get a redirect
             // from the shell we left behind.
             self.stack.start(stack);
             self.process.restore(payload.user_state);
             self.publish_location(ctx);
             // Re-join groups on the new host.
             for name in payload.groups {
-                self.groups.insert(
-                    name.clone(),
-                    GroupState {
-                        gid: group_id(&name),
-                        routers: Vec::new(),
-                        joined: false,
-                        pending_out: Vec::new(),
-                    },
-                );
-                self.start_join(ctx, &name, true);
+                self.add_group(ctx, name, Vec::new(), true);
             }
             self.pump_stack(ctx);
-            if migrated {
-                self.with_process(ctx, |p, api| p.on_migrated(api));
-                self.run_commands(ctx);
-            }
-            let _ = me;
+            self.with_process(ctx, |p, api| p.on_migrated(api));
+            self.run_commands(ctx);
         } else {
             self.stack.start(WireStack::new(self.proc_key, self.stack_config()));
             self.publish_location(ctx);
@@ -1184,49 +1206,7 @@ impl Actor for ProcessActor {
                 let me = ctx.me();
                 ctx.kill(me);
             }
-            Event::HostDown => {}
-            Event::Timer { token } => {
-                // Frozen for migration: no timers may mutate state, except
-                // the cutover's grace period that ends the freeze.
-                if self.migrating && token != TIMER_MIGRATE_GRACE {
-                    return;
-                }
-                if token & APP_TIMER_BIT != 0 {
-                    let app_token = token >> 4;
-                    self.with_process(ctx, |p, api| p.on_timer(api, app_token));
-                    self.run_commands(ctx);
-                    return;
-                }
-                match token {
-                    TIMER_MIGRATE_GRACE => {
-                        // Done redirecting; vanish.
-                        if trace::enabled() {
-                            trace::record(
-                                ctx.now(),
-                                TraceKind::Migration {
-                                    phase: MigrationPhase::Vanish,
-                                    key: self.proc_key,
-                                },
-                            );
-                        }
-                        self.exited = true;
-                        let me = ctx.me();
-                        ctx.kill(me);
-                    }
-                    TIMER_RESOLVE_RETRY => {
-                        let keys: Vec<u64> = self.resolving.keys().copied().collect();
-                        for k in keys {
-                            let uri = Uri::process(k);
-                            let now = ctx.now();
-                            let id = self.rc.get(now, &uri);
-                            self.rc_pending
-                                .insert(id, RcPending::ResolvePeer { peer_key: k, ticket: None });
-                        }
-                        self.pump_rc(ctx);
-                    }
-                    _ => {}
-                }
-            }
+            Event::HostDown | Event::Timer { .. } => {}
             Event::Wake => self.on_wake(ctx),
             Event::Signal { signum, .. } => {
                 self.with_process(ctx, |p, api| p.on_signal(api, signum));
@@ -1309,14 +1289,16 @@ impl Actor for ProcessActor {
         if self.exited {
             None
         } else if self.migrating {
-            spawn
+            earliest([spawn, self.grace_until])
         } else {
             earliest([
                 spawn,
                 self.file_pending.next_deadline(),
                 self.stack.next_deadline(),
                 self.rc.next_deadline(),
+                self.resolve_retry.next_deadline(),
                 self.next_group_refresh,
+                self.app_timers.next_deadline(),
             ])
         }
     }
@@ -1410,6 +1392,61 @@ mod tests {
     /// so its transport snapshot is network input. Four bytes forging
     /// a section count of `0xFFFF_FFFF` must leave the process running
     /// on a fresh stack, and the world running around it.
+    /// Sends one message to each key at start.
+    struct SendTo(Vec<u64>);
+    impl SnipeProcess for SendTo {
+        fn on_start(&mut self, api: &mut SnipeApi<'_, '_>) {
+            for &key in &self.0 {
+                api.send(key, b"hello".to_vec());
+            }
+        }
+    }
+
+    /// Run a process that sends to `keys`, none of them registered, for
+    /// 5 s, watching it every 100 µs (an RC round trip takes 400 µs):
+    /// per key, when it last had a lookup in flight or pending, and how
+    /// many RC lookups it made.
+    fn resolve_unregistered(keys: &[u64]) -> Vec<(SimTime, usize)> {
+        let mut w = crate::world::SnipeWorldBuilder::lan(3, 5).build();
+        let targets = keys.to_vec();
+        w.register_process("sender", move |_| Box::new(SendTo(targets.clone())));
+        let (_, ep) = w.spawn_on("host1", "sender", Bytes::new()).unwrap();
+        let mut seen = vec![(SimTime::ZERO, std::collections::BTreeSet::new()); keys.len()];
+        while w.now() < SimTime::ZERO + SimDuration::from_secs(5) {
+            w.run_for(SimDuration::from_micros(100));
+            let a = w.sim_ref().actor_ref::<ProcessActor>(ep).unwrap();
+            for (&key, (last, lookups)) in keys.iter().zip(&mut seen) {
+                if a.resolving.contains_key(&key) || a.resolve_retry.get(&key).is_some() {
+                    *last = w.now();
+                }
+                #[allow(clippy::disallowed_methods)] // into a set: hash order cannot reach it
+                let ids = a.rc_pending.iter().filter_map(|(&id, pending)| {
+                    matches!(pending, RcPending::ResolvePeer { peer_key, .. } if *peer_key == key)
+                        .then_some(id)
+                });
+                lookups.extend(ids);
+            }
+        }
+        seen.into_iter().map(|(last, lookups)| (last, lookups.len())).collect()
+    }
+
+    /// Each unresolvable key backs off on its own schedule: with four
+    /// of them, every key is looked up exactly as often, and given up
+    /// no sooner, than a lone key.
+    #[test]
+    fn each_unresolved_peer_backs_off_on_its_own() {
+        let [(alone_until, alone_lookups)] = resolve_unregistered(&[901])[..] else {
+            unreachable!()
+        };
+        assert_eq!(alone_lookups, 1 + RESOLVE_ATTEMPTS as usize);
+        assert!(alone_until > SimTime::ZERO + SimDuration::from_millis(2750), "{alone_until}");
+        assert!(alone_until < SimTime::ZERO + SimDuration::from_secs(4), "{alone_until}");
+        for (key, (until, lookups)) in (901..).zip(resolve_unregistered(&[901, 902, 903, 904])) {
+            assert_eq!(lookups, alone_lookups, "key {key}");
+            assert!(until >= alone_until, "key {key} given up at {until}, alone at {alone_until}");
+        }
+    }
+
     #[test]
     fn a_forged_stack_snapshot_resumes_on_a_fresh_stack() {
         let mut w = crate::world::SnipeWorldBuilder::lan(3, 5).build();

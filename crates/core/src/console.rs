@@ -7,10 +7,10 @@
 //! is that HTTP server; [`BrowserActor`] is the paper's proxy-resolving
 //! web browser, locating consoles through RC metadata.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use snipe_netsim::actor::{Actor, Event, SimCtx};
+use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::uri::Uri;
@@ -21,8 +21,6 @@ use snipe_util::wire_codec;
 use snipe_wire::frame::{open, seal, Proto};
 
 use crate::names::{format_endpoint, parse_endpoint, ATTR_COMM_ADDRESS};
-
-const TIMER_FETCH: u64 = 1;
 
 /// Minimal HTTP-shaped request/response pair.
 #[derive(Clone, Debug, PartialEq)]
@@ -123,8 +121,11 @@ impl Actor for ConsoleActor {
 /// §3.7 proxy behaviour) and fetches paths, logging responses.
 pub struct BrowserActor {
     rc: RcHost,
-    /// (delay, url, path) fetches to perform in order.
-    script: Vec<(SimDuration, Uri, String)>,
+    /// (delay, url, path) fetches to perform in order, each `delay`
+    /// after the one before (the first after start).
+    script: VecDeque<(SimDuration, Uri, String)>,
+    /// When the head of `script` is fetched.
+    next_fetch: Option<SimTime>,
     /// Pending RC lookups: rc req id → (req_id for HTTP, path).
     pending_resolve: HashMap<u64, (u64, String)>,
     next_req: u64,
@@ -142,7 +143,8 @@ impl BrowserActor {
         let rc = RcClient::new(rc_replicas, SimDuration::from_millis(250));
         BrowserActor {
             rc: RcHost::new(rc),
-            script,
+            script: script.into(),
+            next_fetch: None,
             pending_resolve: HashMap::new(),
             next_req: 1,
             responses,
@@ -180,25 +182,20 @@ impl BrowserActor {
 impl Actor for BrowserActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start if !self.script.is_empty() => {
-                ctx.set_timer(self.script[0].0, TIMER_FETCH);
-            }
-            Event::Timer { token: TIMER_FETCH } => {
-                let (_, url, path) = self.script.remove(0);
-                let req_id = self.next_req;
-                self.next_req += 1;
-                let id = self.rc.get(ctx.now(), &url);
-                self.pending_resolve.insert(id, (req_id, path));
-                if !self.script.is_empty() {
-                    ctx.set_timer(self.script[0].0, TIMER_FETCH);
-                }
-                self.pump_rc(ctx);
-            }
+            Event::Start => self.next_fetch = self.script.front().map(|s| ctx.now() + s.0),
             Event::Wake => {
-                self.rc.on_wake(ctx.now());
+                let now = ctx.now();
+                while due(self.next_fetch, now) {
+                    let (_, url, path) = self.script.pop_front().expect("a fetch is due");
+                    let req_id = self.next_req;
+                    self.next_req += 1;
+                    let id = self.rc.get(now, &url);
+                    self.pending_resolve.insert(id, (req_id, path));
+                    self.next_fetch = self.script.front().map(|s| now + s.0);
+                }
+                self.rc.on_wake(now);
                 self.pump_rc(ctx);
             }
-            Event::Timer { .. } => {}
             Event::Packet { from, payload } => {
                 let Ok((Proto::Raw, body)) = open(payload) else {
                     return;
@@ -217,6 +214,6 @@ impl Actor for BrowserActor {
     }
 
     fn next_wake(&self) -> Option<SimTime> {
-        self.rc.next_deadline()
+        earliest([self.next_fetch, self.rc.next_deadline()])
     }
 }

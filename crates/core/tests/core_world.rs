@@ -446,6 +446,42 @@ fn console_reachable_through_rc_binding() {
     assert!(got.iter().any(|(s, _)| *s == 404), "{got:?}");
 }
 
+/// The browser fetches on a script. A flap of its host across the
+/// first entry swallows that wake-up; the script must run once the
+/// host is back.
+#[test]
+fn browser_script_finishes_after_a_host_flap() {
+    use snipe_core::console::{BrowserActor, ConsoleActor};
+    use snipe_netsim::shard::FaultCmd;
+    use snipe_rcds::uri::Uri;
+    use snipe_util::time::SimTime;
+    let mut w = SnipeWorldBuilder::lan(3, 8).build();
+    let rc = w.rc_endpoints().to_vec();
+    let url = Uri::parse("http://console.snipe/").unwrap();
+    let console = ConsoleActor::new(url.clone(), rc.clone())
+        .page("/status", || "all systems nominal".to_string());
+    let h1 = w.sim_ref().topology().host_by_name("host1").unwrap();
+    let h2 = w.sim_ref().topology().host_by_name("host2").unwrap();
+    w.sim().spawn(h1, 80, Box::new(console));
+    let responses = Arc::new(Mutex::new(Vec::new()));
+    let browser = BrowserActor::new(
+        rc,
+        vec![
+            (SimDuration::from_secs(1), url.clone(), "/status".into()),
+            (SimDuration::from_millis(100), url, "/missing".into()),
+        ],
+        responses.clone(),
+    );
+    w.sim().spawn(h2, 8080, Box::new(browser));
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    w.sim().schedule_fault(ms(900), FaultCmd::HostDown(h2));
+    w.sim().schedule_fault(ms(1200), FaultCmd::HostUp(h2));
+    w.run_for_secs(5);
+    let got = responses.lock().unwrap();
+    assert!(got.contains(&(200, "all systems nominal".to_string())), "{got:?}");
+    assert!(got.iter().any(|(s, _)| *s == 404), "{got:?}");
+}
+
 /// Service provider registering under a LIFN (§5.7).
 struct Provider;
 impl SnipeProcess for Provider {

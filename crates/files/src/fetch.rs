@@ -298,8 +298,6 @@ impl StripedFetch {
     }
 }
 
-const TIMER_BEGIN: u64 = 1;
-
 /// How long a [`FetchActor`] waits on one stripe request before it
 /// re-dispatches the stripe.
 const STRIPE_TIMEOUT: SimDuration = SimDuration::from_millis(400);
@@ -311,6 +309,8 @@ pub struct FetchActor {
     lifn: String,
     candidates: Vec<Endpoint>,
     start_after: SimDuration,
+    /// When the fetch begins, until it has.
+    begin_at: Option<SimTime>,
     stripe_len: u32,
     fetch: Option<StripedFetch>,
     stack: StackHost,
@@ -337,6 +337,7 @@ impl FetchActor {
             lifn: lifn.into(),
             candidates,
             start_after,
+            begin_at: None,
             stripe_len,
             fetch: None,
             stack: StackHost::new(),
@@ -395,10 +396,12 @@ impl Actor for FetchActor {
                     stack.set_peer(endpoint_key(peer), peer, vec![]);
                 }
                 self.stack.start(stack);
-                ctx.set_timer(self.start_after, TIMER_BEGIN);
+                self.begin_at = Some(ctx.now() + self.start_after);
             }
-            Event::Timer { token: TIMER_BEGIN } => {
-                if self.fetch.is_none() {
+            Event::Wake => {
+                let now = ctx.now();
+                if due(self.begin_at, now) {
+                    self.begin_at = None;
                     let ranked = match self.stack.as_ref() {
                         Some(stack) => rank_replicas(stack, &self.candidates),
                         None => self.candidates.clone(),
@@ -409,13 +412,10 @@ impl Actor for FetchActor {
                         self.stripe_len,
                         STRIPE_TIMEOUT,
                     );
-                    fetch.start(ctx.now());
+                    fetch.start(now);
                     self.fetch = Some(fetch);
                     self.pump(ctx);
                 }
-            }
-            Event::Wake => {
-                let now = ctx.now();
                 self.stack.on_wake(now);
                 if let Some(fetch) = self.fetch.as_mut().filter(|f| due(f.next_deadline(), now)) {
                     fetch.on_timer(now);
@@ -433,7 +433,7 @@ impl Actor for FetchActor {
 
     fn next_wake(&self) -> Option<SimTime> {
         let fetch = self.fetch.as_ref().and_then(StripedFetch::next_deadline);
-        earliest([self.stack.next_deadline(), fetch])
+        earliest([self.begin_at, self.stack.next_deadline(), fetch])
     }
 }
 

@@ -5,6 +5,7 @@ use bytes::Bytes;
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
+use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
 
 use crate::proto::FileMsg;
@@ -62,21 +63,22 @@ pub struct FileSourceActor {
     content: Bytes,
     dest: Endpoint,
     next: usize,
+    next_burst: Option<SimTime>,
 }
 
 impl FileSourceActor {
     /// Source streaming `content` (named `lifn`) to `dest`.
     pub fn new(lifn: String, content: Bytes, dest: Endpoint) -> FileSourceActor {
-        FileSourceActor { lifn, content, dest, next: 0 }
+        FileSourceActor { lifn, content, dest, next: 0, next_burst: None }
     }
 }
 
 impl Actor for FileSourceActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Start | Event::Timer { .. } => {
+            Event::Start | Event::Wake => {
                 // Send a bounded burst per tick to avoid swamping the
-                // destination, then re-arm.
+                // destination, then wait for the next.
                 for _ in 0..8 {
                     let start = self.next * SOURCE_CHUNK;
                     if start >= self.content.len() && !(self.content.is_empty() && self.next == 0) {
@@ -100,9 +102,13 @@ impl Actor for FileSourceActor {
                         return;
                     }
                 }
-                ctx.set_timer(snipe_util::time::SimDuration::from_micros(500), 1);
+                self.next_burst = Some(ctx.now() + SimDuration::from_micros(500));
             }
             _ => {}
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.next_burst
     }
 }

@@ -291,6 +291,50 @@ fn source_streams_file_to_destination() {
     assert_eq!(Bytes::from(data), content);
 }
 
+/// A source streams in bursts. A flap of its host swallows the burst
+/// that came due while the host was down; the stream must pick up
+/// again when the host is back, and finish.
+#[test]
+fn source_stream_finishes_after_a_host_flap() {
+    let (mut world, eps, client) = build(1);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    // 200 chunks, 8 per burst every 0.5 ms: about 12 ms of streaming.
+    let content = Bytes::from((0..200_000u32).map(|i| (i % 253) as u8).collect::<Vec<u8>>());
+    let lifn = "lifn:snipe:file:flap";
+    let dest = Endpoint::new(client, 42);
+    let script = vec![
+        (
+            SimDuration::from_millis(10),
+            Step::Reliable(
+                eps[0],
+                FileMsg::StoreReq { req_id: 1, lifn: lifn.into(), content: content.clone() },
+            ),
+        ),
+        (
+            SimDuration::from_secs(1),
+            Step::Reliable(eps[0], FileMsg::OpenSource { req_id: 2, lifn: lifn.into(), dest }),
+        ),
+    ];
+    world.spawn(client, 40, Box::new(StackDriver::new(script, log.clone())));
+    let recv_log = Arc::new(Mutex::new(Vec::new()));
+    world.spawn(client, 42, Box::new(StackDriver::new(vec![], recv_log.clone())));
+    world.run_for(SimDuration::from_millis(1012));
+    let streaming = |log: &[FileMsg]| log.iter().any(|m| matches!(m, FileMsg::SourceData { .. }));
+    assert!(streaming(&recv_log.lock().unwrap()), "the stream started before the flap");
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    world.schedule_fault(ms(1013), FaultCmd::HostDown(eps[0].host));
+    world.schedule_fault(ms(1030), FaultCmd::HostUp(eps[0].host));
+    world.run_for(SimDuration::from_secs(2));
+    let chunks = recv_log.lock().unwrap();
+    let mut data = Vec::new();
+    for m in chunks.iter() {
+        if let FileMsg::SourceData { data: d, .. } = m {
+            data.extend_from_slice(d);
+        }
+    }
+    assert_eq!(Bytes::from(data), content);
+}
+
 #[test]
 fn replication_daemon_copies_to_peer() {
     let (mut world, eps, client) = build(3);
@@ -375,6 +419,35 @@ fn striped_read_assembles_across_replicas() {
     assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
     assert_eq!(fa.stats.stripes_completed, 5);
     assert_eq!(fa.stats.integrity_rejects, 0);
+}
+
+/// The fetch begins `start_after` into its life. A flap of the
+/// fetcher's host across that instant swallows the wake-up; the fetch
+/// must begin when the host is back.
+#[test]
+fn striped_read_begins_after_a_flap_across_its_start() {
+    let (mut world, eps, client) = build(2);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let content = Bytes::from((0..10_000u32).map(|i| (i * 7 % 239) as u8).collect::<Vec<u8>>());
+    let lifn = "lifn:snipe:file:late";
+    let store = |ep| {
+        let msg = FileMsg::StoreReq { req_id: 1, lifn: lifn.into(), content: content.clone() };
+        (SimDuration::from_millis(10), Step::Reliable(ep, msg))
+    };
+    let script = eps.iter().map(|&ep| store(ep)).collect();
+    world.spawn(client, 40, Box::new(StackDriver::new(script, log.clone())));
+    world.run_for(SimDuration::from_secs(1));
+    let fetcher =
+        snipe_files::FetchActor::new(lifn, eps.clone(), 4096, SimDuration::from_millis(5));
+    world.spawn(client, 50, Box::new(fetcher));
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    world.schedule_fault(ms(1002), FaultCmd::HostDown(client));
+    world.schedule_fault(ms(1020), FaultCmd::HostUp(client));
+    world.run_for(SimDuration::from_secs(3));
+    let fa = world
+        .actor_ref::<snipe_files::FetchActor>(Endpoint::new(client, 50))
+        .expect("fetch actor alive");
+    assert_eq!(fa.result.as_ref(), Some(&content), "the fetch must run after the flap");
 }
 
 #[test]

@@ -18,9 +18,9 @@
 //! that comes due while the host is down is dropped; the answer read
 //! after [`Event::HostUp`] re-arms it at once. An actor's `Wake` arm
 //! services the machines that are due (deadline ≤ now) and must leave
-//! none due: the engine `debug_assert`s it. [`SimCtx::set_timer`] stays
-//! for fire-and-forget timers (application timers, slices, grace
-//! periods).
+//! none due: the engine `debug_assert`s it. A [`SimCtx::set_timer`]
+//! timer due while its host is down is dropped, so a chain re-armed
+//! from it stops for good: self-scheduled work belongs in `next_wake`.
 
 use std::any::Any;
 

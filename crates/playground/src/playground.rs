@@ -3,7 +3,7 @@
 //!
 //! The actor verifies a [`CodeImage`] against the trusted code-signing
 //! key, refuses code whose required capabilities exceed the grant, then
-//! runs the VM in fuel slices on a timer (modelling the preemptive
+//! runs the VM in fuel slices, one per wake-up (modelling the preemptive
 //! scheduling a 1997 Unix host gave native playground processes).
 //! Violations are logged and reported; checkpoints can be taken on
 //! demand via a signal (§5.8: "the playground provides hooks for
@@ -29,7 +29,6 @@ use crate::vm::{Quotas, StepOutcome, SyscallHost, Vm};
 /// Signal number requesting a checkpoint (delivered by daemons/RMs).
 pub const SIG_CHECKPOINT: u32 = 20;
 
-const TIMER_SLICE: u64 = 1;
 /// Interval between scheduling slices.
 const SLICE_INTERVAL: SimDuration = SimDuration::from_millis(1);
 
@@ -141,6 +140,8 @@ pub struct PlaygroundActor {
     /// Values the program logged.
     pub logged: Vec<i64>,
     reported: bool,
+    /// When the next slice runs, while the program runs.
+    next_slice: Option<SimTime>,
 }
 
 impl PlaygroundActor {
@@ -154,6 +155,7 @@ impl PlaygroundActor {
             violations: Vec::new(),
             logged: Vec::new(),
             reported: false,
+            next_slice: None,
         }
     }
 
@@ -173,6 +175,7 @@ impl PlaygroundActor {
             violations: Vec::new(),
             logged: Vec::new(),
             reported: false,
+            next_slice: None,
         })
     }
 
@@ -218,9 +221,10 @@ impl Actor for PlaygroundActor {
                     vm.inputs = std::mem::take(&mut self.inputs);
                     self.vm = Some(vm);
                 }
-                ctx.set_timer(SLICE_INTERVAL, TIMER_SLICE);
+                self.next_slice = Some(ctx.now() + SLICE_INTERVAL);
             }
-            Event::Timer { token: TIMER_SLICE } => {
+            Event::Wake => {
+                self.next_slice = None;
                 let Some(vm) = self.vm.as_mut() else { return };
                 let outcome = {
                     let mut host = ActorHost {
@@ -232,7 +236,7 @@ impl Actor for PlaygroundActor {
                     vm.run_slice(self.cfg.slice, &mut host)
                 };
                 match outcome {
-                    StepOutcome::Running => ctx.set_timer(SLICE_INTERVAL, TIMER_SLICE),
+                    StepOutcome::Running => self.next_slice = Some(ctx.now() + SLICE_INTERVAL),
                     StepOutcome::Halted => {
                         let vm = self.vm.as_ref().expect("running vm");
                         let msg = PlaygroundMsg::Done {
@@ -258,6 +262,10 @@ impl Actor for PlaygroundActor {
             _ => {}
         }
     }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.next_slice
+    }
 }
 
 #[cfg(test)]
@@ -268,6 +276,7 @@ mod tests {
     use snipe_crypto::sign::KeyPair;
     use snipe_netsim::actor::{Actor, SimCtx};
     use snipe_netsim::medium::Medium;
+    use snipe_netsim::shard::FaultCmd;
     use snipe_netsim::topology::{HostCfg, Topology};
     use snipe_netsim::world::World;
     use snipe_util::codec::WireDecode;
@@ -407,6 +416,31 @@ mod tests {
             "{log:?}"
         );
         // The playground actor exited.
+        assert!(!world.is_bound(Endpoint::new(h, 100)));
+    }
+
+    /// A host outage swallows the slice that comes due while the host
+    /// is down; the engine re-arms it when the host is back, so the
+    /// program still runs out its quota and reports exactly once.
+    #[test]
+    fn runaway_code_is_still_stopped_after_a_host_flap() {
+        let mut rng = Xoshiro256::seed_from_u64(4);
+        let signer = KeyPair::generate_default(&mut rng);
+        let program = Program { code: vec![Instr::Jmp(0)], locals: 0, required_caps: 0 };
+        let image = CodeImage::sign(&mut rng, &signer, "spin", &program);
+        let (mut world, sup, h, log) = setup();
+        let mut c = cfg(&signer, sup);
+        c.quotas.fuel = 100_000;
+        world.spawn(h, 100, Box::new(PlaygroundActor::new(c, image, vec![])));
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        world.schedule_fault(ms(20), FaultCmd::HostDown(h));
+        world.schedule_fault(ms(40), FaultCmd::HostUp(h));
+        world.run_for(SimDuration::from_secs(10));
+        let log = log.lock().unwrap();
+        assert!(
+            matches!(&log[..], [PlaygroundMsg::Failed { reason }] if reason.contains("FuelExhausted")),
+            "{log:?}"
+        );
         assert!(!world.is_bound(Endpoint::new(h, 100)));
     }
 

@@ -3,7 +3,9 @@
 use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
+use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::wire_codec;
+use snipe_wire::frame::{open, seal, Proto};
 
 /// A PVM task identifier: valid only inside one virtual machine (the
 /// paper's point about the missing global name space).
@@ -120,6 +122,21 @@ wire_codec!(enum PvmMsg: magic 0xB0 {
     10 => Data { from, payload },
     11 => RouteData { dest, from, payload },
 });
+
+impl PvmMsg {
+    /// This message as a Raw-sealed datagram, ready to send.
+    pub fn sealed(&self) -> Bytes {
+        seal(Proto::Raw, self.encode_to_bytes())
+    }
+
+    /// A received datagram as a PVM message, if it is one.
+    pub fn open(datagram: Bytes) -> Option<PvmMsg> {
+        match open(datagram) {
+            Ok((Proto::Raw, body)) => PvmMsg::decode_from_bytes(body).ok(),
+            _ => None,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

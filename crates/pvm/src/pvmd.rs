@@ -8,15 +8,13 @@
 //! master host dies, the whole virtual machine is dead: slaves refuse
 //! everything.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 
 use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
-use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::{SimDuration, SimTime};
-use snipe_wire::frame::{open, seal, Proto};
 
 use snipe_daemon::registry::{ProgramRegistry, SpawnCtx};
 
@@ -32,8 +30,6 @@ pub const SERVICE_BASE: SimDuration = SimDuration::from_micros(150);
 /// Additional master service time per host in the table.
 pub const SERVICE_PER_HOST: SimDuration = SimDuration::from_micros(15);
 
-const TIMER_FLUSH: u64 = 1;
-
 /// The master pvmd: host table owner, central name service and
 /// resource manager.
 pub struct PvmMaster {
@@ -46,8 +42,9 @@ pub struct PvmMaster {
     next_spawn_slave: usize,
     /// When the master's single service queue is next free.
     cpu_free_at: SimTime,
-    /// Replies waiting for their service turn, ordered by release time.
-    deferred: Vec<(SimTime, Endpoint, Bytes)>,
+    /// Replies waiting for their service turn, by release time: every
+    /// request costs time, so the front is always the next one due.
+    deferred: VecDeque<(SimTime, Endpoint, Bytes)>,
     /// Requests served (diagnostics).
     pub served: u64,
     /// Committed host-table versions (diagnostics; stalls visible).
@@ -65,7 +62,7 @@ impl PvmMaster {
             next_tid: 1,
             next_spawn_slave: 0,
             cpu_free_at: SimTime::ZERO,
-            deferred: Vec::new(),
+            deferred: VecDeque::new(),
             served: 0,
             committed_version: 0,
         }
@@ -85,21 +82,14 @@ impl PvmMaster {
         let finish = start + per_req;
         self.cpu_free_at = finish;
         self.served += 1;
-        self.deferred.push((finish, to, seal(Proto::Raw, msg.encode_to_bytes())));
-        ctx.set_timer(finish.saturating_since(now), TIMER_FLUSH);
+        self.deferred.push_back((finish, to, msg.sealed()));
     }
 
     fn flush_deferred(&mut self, ctx: &mut dyn SimCtx) {
         let now = ctx.now();
-        let mut rest = Vec::new();
-        for (at, to, bytes) in std::mem::take(&mut self.deferred) {
-            if at <= now {
-                ctx.send(to, bytes);
-            } else {
-                rest.push((at, to, bytes));
-            }
+        while let Some((_, to, bytes)) = self.deferred.pop_front_if(|(at, ..)| *at <= now) {
+            ctx.send(to, bytes);
         }
-        self.deferred = rest;
     }
 }
 
@@ -112,14 +102,9 @@ impl Default for PvmMaster {
 impl Actor for PvmMaster {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
         match event {
-            Event::Timer { token: TIMER_FLUSH } => self.flush_deferred(ctx),
+            Event::Wake => self.flush_deferred(ctx),
             Event::Packet { from, payload } => {
-                let Ok((Proto::Raw, body)) = open(payload) else {
-                    return;
-                };
-                let Ok(msg) = PvmMsg::decode_from_bytes(body) else {
-                    return;
-                };
+                let Some(msg) = PvmMsg::open(payload) else { return };
                 match msg {
                     PvmMsg::AddHost { slave } => {
                         if !self.slaves.contains(&slave) {
@@ -182,6 +167,10 @@ impl Actor for PvmMaster {
             _ => {}
         }
     }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.deferred.front().map(|&(at, ..)| at)
+    }
 }
 
 /// A slave pvmd: spawns tasks on the master's order and dies with the
@@ -230,22 +219,17 @@ impl PvmSlave {
     fn route(&mut self, ctx: &mut dyn SimCtx, dest: Tid, from: Tid, payload: Bytes) {
         self.relayed += 1;
         if let Some(&ep) = self.local_tasks.get(&dest) {
-            let msg = PvmMsg::Data { from, payload };
-            ctx.send(ep, seal(Proto::Raw, msg.encode_to_bytes()));
+            ctx.send(ep, PvmMsg::Data { from, payload }.sealed());
             return;
         }
         if let Some(&ep) = self.route_cache.get(&dest) {
             if ep.host == ctx.host() {
                 // Destination lives on this host (it may have enrolled
                 // directly rather than through us): final delivery.
-                let msg = PvmMsg::Data { from, payload };
-                ctx.send(ep, seal(Proto::Raw, msg.encode_to_bytes()));
+                ctx.send(ep, PvmMsg::Data { from, payload }.sealed());
             } else {
                 let fwd = PvmMsg::RouteData { dest, from, payload };
-                ctx.send(
-                    Endpoint::new(ep.host, SLAVE_PORT),
-                    seal(Proto::Raw, fwd.encode_to_bytes()),
-                );
+                ctx.send(Endpoint::new(ep.host, SLAVE_PORT), fwd.sealed());
             }
             return;
         }
@@ -256,8 +240,7 @@ impl PvmSlave {
             let req = self.next_req;
             self.next_req += 1;
             self.route_lookups.insert(req, dest);
-            let msg = PvmMsg::LookupReq { req_id: req, tid: dest };
-            ctx.send(self.master, seal(Proto::Raw, msg.encode_to_bytes()));
+            ctx.send(self.master, PvmMsg::LookupReq { req_id: req, tid: dest }.sealed());
         }
     }
 
@@ -272,22 +255,15 @@ impl Actor for PvmSlave {
         match event {
             Event::Start => {
                 let me = ctx.me();
-                let msg = PvmMsg::AddHost { slave: me };
-                ctx.send(self.master, seal(Proto::Raw, msg.encode_to_bytes()));
+                ctx.send(self.master, PvmMsg::AddHost { slave: me }.sealed());
             }
             Event::Packet { from: _, payload } => {
-                let Ok((Proto::Raw, body)) = open(payload) else {
-                    return;
-                };
-                let Ok(msg) = PvmMsg::decode_from_bytes(body) else {
-                    return;
-                };
+                let Some(msg) = PvmMsg::open(payload) else { return };
                 match msg {
                     PvmMsg::HostTable { version, .. } => {
                         self.table_version = version;
                         let me = ctx.me();
-                        let ack = PvmMsg::HostTableAck { version, slave: me };
-                        ctx.send(self.master, seal(Proto::Raw, ack.encode_to_bytes()));
+                        ctx.send(self.master, PvmMsg::HostTableAck { version, slave: me }.sealed());
                     }
                     PvmMsg::RouteData { dest, from, payload } => {
                         self.route(ctx, dest, from, payload);
@@ -312,7 +288,7 @@ impl Actor for PvmSlave {
                         let Some(Ok(actor)) = self.registry.instantiate(&program, &sctx) else {
                             let resp =
                                 PvmMsg::SpawnResp { req_id, ok: false, tid, endpoint: ctx.me() };
-                            ctx.send(reply_to, seal(Proto::Raw, resp.encode_to_bytes()));
+                            ctx.send(reply_to, resp.sealed());
                             return;
                         };
                         let mut port = self.next_task_port;
@@ -324,10 +300,9 @@ impl Actor for PvmSlave {
                         self.started += 1;
                         self.local_tasks.insert(tid, ep);
                         // Register the task centrally, then answer.
-                        let reg = PvmMsg::Register { tid, endpoint: ep };
-                        ctx.send(self.master, seal(Proto::Raw, reg.encode_to_bytes()));
-                        let resp = PvmMsg::SpawnResp { req_id, ok: true, tid, endpoint: ep };
-                        ctx.send(reply_to, seal(Proto::Raw, resp.encode_to_bytes()));
+                        ctx.send(self.master, PvmMsg::Register { tid, endpoint: ep }.sealed());
+                        let msg = PvmMsg::SpawnResp { req_id, ok: true, tid, endpoint: ep };
+                        ctx.send(reply_to, msg.sealed());
                     }
                     _ => {}
                 }

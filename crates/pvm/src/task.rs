@@ -8,11 +8,10 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 
-use snipe_netsim::actor::{Actor, Event, SimCtx};
+use snipe_netsim::actor::{due, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
-use snipe_util::codec::{WireDecode, WireEncode};
+use snipe_util::deadlines::Deadlines;
 use snipe_util::time::{SimDuration, SimTime};
-use snipe_wire::frame::{open, seal, Proto};
 
 use crate::proto::{PvmMsg, Tid};
 
@@ -80,8 +79,6 @@ pub trait PvmTask: Send {
     }
 }
 
-const APP_TIMER_BIT: u64 = 0x8;
-
 /// The actor wrapping a [`PvmTask`].
 pub struct PvmTaskActor {
     tid: Tid,
@@ -101,6 +98,9 @@ pub struct PvmTaskActor {
     lookups: HashMap<u64, Tid>,
     /// spawn req id → ticket.
     spawns: HashMap<u64, u64>,
+    /// App timers by arm order (ties fire as armed) → token.
+    timers: Deadlines<u64, u64>,
+    timers_armed: u64,
 }
 
 impl PvmTaskActor {
@@ -118,6 +118,8 @@ impl PvmTaskActor {
             waiting: HashMap::new(),
             lookups: HashMap::new(),
             spawns: HashMap::new(),
+            timers: Deadlines::new(),
+            timers_armed: 0,
         }
     }
 
@@ -146,25 +148,25 @@ impl PvmTaskActor {
             for cmd in std::mem::take(&mut self.cmds) {
                 match cmd {
                     Cmd::SetTimer { delay, token } => {
-                        ctx.set_timer(delay, (token << 4) | APP_TIMER_BIT)
+                        self.timers.insert(self.timers_armed, ctx.now() + delay, token);
+                        self.timers_armed += 1;
                     }
                     Cmd::Spawn { ticket, program, args } => {
                         let req = self.next_req;
                         self.next_req += 1;
                         self.spawns.insert(req, ticket);
                         let msg = PvmMsg::SpawnReq { req_id: req, program, args };
-                        ctx.send(self.master, seal(Proto::Raw, msg.encode_to_bytes()));
+                        ctx.send(self.master, msg.sealed());
                     }
                     Cmd::Send { to, payload } if self.route_via_daemon => {
                         // Task → local pvmd → (remote pvmd) → task.
                         let slave = Endpoint::new(ctx.host(), crate::pvmd::SLAVE_PORT);
                         let msg = PvmMsg::RouteData { dest: to, from: self.tid, payload };
-                        ctx.send(slave, seal(Proto::Raw, msg.encode_to_bytes()));
+                        ctx.send(slave, msg.sealed());
                     }
                     Cmd::Send { to, payload } => match self.peers.get(&to) {
                         Some(&ep) => {
-                            let msg = PvmMsg::Data { from: self.tid, payload };
-                            ctx.send(ep, seal(Proto::Raw, msg.encode_to_bytes()));
+                            ctx.send(ep, PvmMsg::Data { from: self.tid, payload }.sealed());
                         }
                         None => {
                             let first = !self.waiting.contains_key(&to);
@@ -174,7 +176,7 @@ impl PvmTaskActor {
                                 self.next_req += 1;
                                 self.lookups.insert(req, to);
                                 let msg = PvmMsg::LookupReq { req_id: req, tid: to };
-                                ctx.send(self.master, seal(Proto::Raw, msg.encode_to_bytes()));
+                                ctx.send(self.master, msg.sealed());
                             }
                         }
                     },
@@ -192,24 +194,21 @@ impl Actor for PvmTaskActor {
                 // resolve us (pvmds did this for their children; a
                 // directly-launched console task does it itself).
                 let me = ctx.me();
-                let reg = PvmMsg::Register { tid: self.tid, endpoint: me };
-                ctx.send(self.master, seal(Proto::Raw, reg.encode_to_bytes()));
+                ctx.send(self.master, PvmMsg::Register { tid: self.tid, endpoint: me }.sealed());
                 self.with_task(ctx, |t, api| t.on_start(api));
                 self.run_cmds(ctx);
             }
-            Event::Timer { token } if token & APP_TIMER_BIT != 0 => {
-                let app = token >> 4;
-                self.with_task(ctx, |t, api| t.on_timer(api, app));
-                self.run_cmds(ctx);
+            Event::Wake => {
+                // A callback may arm a timer due at once.
+                while due(self.timers.next_deadline(), ctx.now()) {
+                    for (_, token) in self.timers.take_due(ctx.now()) {
+                        self.with_task(ctx, |t, api| t.on_timer(api, token));
+                        self.run_cmds(ctx);
+                    }
+                }
             }
-            Event::Timer { .. } => {}
             Event::Packet { from: _, payload } => {
-                let Ok((Proto::Raw, body)) = open(payload) else {
-                    return;
-                };
-                let Ok(msg) = PvmMsg::decode_from_bytes(body) else {
-                    return;
-                };
+                let Some(msg) = PvmMsg::open(payload) else { return };
                 match msg {
                     PvmMsg::Data { from, payload } => {
                         self.with_task(ctx, |t, api| t.on_message(api, from, payload));
@@ -221,18 +220,16 @@ impl Actor for PvmTaskActor {
                                 self.peers.insert(tid, endpoint);
                                 for payload in self.waiting.remove(&tid).unwrap_or_default() {
                                     let msg = PvmMsg::Data { from: self.tid, payload };
-                                    ctx.send(endpoint, seal(Proto::Raw, msg.encode_to_bytes()));
+                                    ctx.send(endpoint, msg.sealed());
                                 }
                             } else {
-                                // Retry shortly: the peer may still be
+                                // Ask again: the peer may still be
                                 // registering with the master.
                                 let req = self.next_req;
                                 self.next_req += 1;
                                 self.lookups.insert(req, tid);
-                                let m = self.master;
                                 let msg = PvmMsg::LookupReq { req_id: req, tid };
-                                ctx.set_timer(SimDuration::from_millis(20), 0);
-                                ctx.send(m, seal(Proto::Raw, msg.encode_to_bytes()));
+                                ctx.send(self.master, msg.sealed());
                             }
                         }
                     }
@@ -250,5 +247,9 @@ impl Actor for PvmTaskActor {
             }
             _ => {}
         }
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.timers.next_deadline()
     }
 }

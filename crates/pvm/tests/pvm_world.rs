@@ -2,15 +2,19 @@
 //! behaviours SNIPE was designed to fix.
 
 use bytes::Bytes;
-use pvm_baseline::proto::Tid;
+use pvm_baseline::proto::{PvmMsg, Tid};
 use pvm_baseline::{
     PvmMaster, PvmSlave, PvmTask, PvmTaskActor, PvmTaskApi, MASTER_PORT, SLAVE_PORT,
 };
 use snipe_daemon::registry::ProgramRegistry;
+use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
+use snipe_netsim::shard::FaultCmd;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
-use snipe_util::time::SimDuration;
+use snipe_util::codec::{WireDecode, WireEncode};
+use snipe_util::time::{SimDuration, SimTime};
+use snipe_wire::frame::{open, seal, Proto};
 use std::sync::{Arc, Mutex};
 
 type Log = Arc<Mutex<Vec<String>>>;
@@ -149,4 +153,49 @@ fn lookups_serialize_through_master() {
     world.spawn(snipe_util::id::HostId(0), 500, Box::new(root));
     world.run_for(SimDuration::from_secs(2));
     assert!(log.lock().unwrap().iter().any(|m| m.contains("echo:ping")));
+}
+
+/// Sends `asks` lookups to the master at start and counts the answers.
+struct Asker {
+    master: Endpoint,
+    asks: u64,
+    answers: u64,
+}
+
+impl Actor for Asker {
+    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
+        match event {
+            Event::Start => {
+                for req_id in 0..self.asks {
+                    let msg = PvmMsg::LookupReq { req_id, tid: 1 };
+                    ctx.send(self.master, seal(Proto::Raw, msg.encode_to_bytes()));
+                }
+            }
+            Event::Packet { payload, .. } => {
+                let msg = open(payload).ok().and_then(|(_, b)| PvmMsg::decode_from_bytes(b).ok());
+                if let Some(PvmMsg::LookupResp { .. }) = msg {
+                    self.answers += 1;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The master queues each answer until its service turn ends. A host
+/// flap across the end of the queue swallows the wake-ups that came
+/// due while the master was down; every queued answer must still go
+/// out once it is back.
+#[test]
+fn replies_queued_across_a_master_flap_still_arrive() {
+    let (mut world, master_ep, _registry) = build(3);
+    world.run_for(SimDuration::from_millis(100)); // slaves join
+    let asker = Asker { master: master_ep, asks: 20, answers: 0 };
+    let ep = world.spawn(snipe_util::id::HostId(1), 500, Box::new(asker)).unwrap();
+    // 20 lookups at 150 + 3·15 µs each keep the master busy for 3.9 ms.
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    world.schedule_fault(ms(101), FaultCmd::HostDown(master_ep.host));
+    world.schedule_fault(ms(120), FaultCmd::HostUp(master_ep.host));
+    world.run_for(SimDuration::from_secs(1));
+    assert_eq!(world.actor_ref::<Asker>(ep).unwrap().answers, 20);
 }
