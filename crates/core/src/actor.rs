@@ -35,7 +35,7 @@ use snipe_rm::proto::{AllocMode, MigrateOrder, RmMsg};
 
 use crate::api::{Command, GroupEvent, ProcRef, SnipeApi, SnipeProcess, SpawnTarget, TicketResult};
 use crate::names::{
-    format_endpoint, group_id, parse_endpoint, parse_routers, ATTR_COMM_ADDRESS,
+    comm_address, format_endpoint, group_id, parse_endpoint, parse_routers, ATTR_COMM_ADDRESS,
     ATTR_LOCATION_PREFIX, ATTR_STATE,
 };
 
@@ -348,52 +348,30 @@ impl ProcessActor {
         match pending {
             RcPending::Publish => {}
             RcPending::ResolvePeer { peer_key, ticket } => {
-                let resolved = result.as_ref().ok().and_then(|r| {
-                    r.assertions
-                        .iter()
-                        .find(|a| a.name == ATTR_COMM_ADDRESS)
-                        .and_then(|a| parse_endpoint(&a.value))
-                });
-                let attempts = self.resolving.remove(&peer_key);
-                match resolved {
-                    Some(ep) => {
-                        self.resolve_retry.remove(&peer_key);
-                        let now = ctx.now();
-                        if let Some(stack) = self.stack.as_mut() {
-                            stack.set_peer_at(now, peer_key, ep, vec![]);
-                        }
-                        self.pump_stack(ctx);
-                        if let Some(t) = ticket {
-                            self.complete_ticket(
-                                ctx,
-                                t,
-                                TicketResult::Lookup(Ok(ProcRef { key: peer_key, endpoint: ep })),
-                            );
-                            self.run_commands(ctx);
-                        }
+                let resolved = result.ok().and_then(|r| comm_address(&r.assertions));
+                let attempts = self.resolving.remove(&peer_key).unwrap_or(0) + 1;
+                if let Some(ep) = resolved {
+                    let now = ctx.now();
+                    if let Some(stack) = self.stack.as_mut() {
+                        stack.set_peer_at(now, peer_key, ep, vec![]);
                     }
-                    None => {
-                        if let Some(t) = ticket {
-                            self.resolve_retry.remove(&peer_key);
-                            self.complete_ticket(
-                                ctx,
-                                t,
-                                TicketResult::Lookup(Err(SnipeError::NameNotFound(format!(
-                                    "urn:snipe:proc:{peer_key}"
-                                )))),
-                            );
-                            self.run_commands(ctx);
-                        } else {
-                            // Implicit resolution for a queued send:
-                            // retry with backoff — the target may still
-                            // be starting up or mid-migration.
-                            let attempts = attempts.unwrap_or(0) + 1;
-                            if attempts <= RESOLVE_ATTEMPTS {
-                                let at = ctx.now() + RESOLVE_BACKOFF * attempts as u64;
-                                self.resolve_retry.insert(peer_key, at, attempts);
-                            }
-                        }
+                    self.pump_stack(ctx);
+                } else if ticket.is_none() {
+                    // Implicit resolution for a queued send: retry with
+                    // backoff — the target may still be starting up or
+                    // mid-migration.
+                    if attempts <= RESOLVE_ATTEMPTS {
+                        let at = ctx.now() + RESOLVE_BACKOFF * attempts as u64;
+                        self.resolve_retry.insert(peer_key, at, attempts);
                     }
+                    return;
+                }
+                self.resolve_retry.remove(&peer_key);
+                if let Some(t) = ticket {
+                    let found = resolved.map(|endpoint| ProcRef { key: peer_key, endpoint });
+                    let err = || SnipeError::NameNotFound(format!("urn:snipe:proc:{peer_key}"));
+                    self.complete_ticket(ctx, t, TicketResult::Lookup(found.ok_or_else(err)));
+                    self.run_commands(ctx);
                 }
             }
             RcPending::PseudoLookup { name, payload } => {
@@ -440,18 +418,10 @@ impl ProcessActor {
             RcPending::WatchLookup => {
                 // Find the peer's location, then ask its host daemon to
                 // add us to the notify list.
-                if let Ok(r) = result {
-                    if let Some(ep) = r
-                        .assertions
-                        .iter()
-                        .find(|a| a.name == ATTR_COMM_ADDRESS)
-                        .and_then(|a| parse_endpoint(&a.value))
-                    {
-                        let me = ctx.me();
-                        let daemon = Endpoint::new(ep.host, ports::DAEMON);
-                        let msg = DaemonMsg::Watch { port: ep.port, watcher: me };
-                        ctx.send(daemon, seal(Proto::Raw, msg.encode_to_bytes()));
-                    }
+                if let Some(ep) = result.ok().and_then(|r| comm_address(&r.assertions)) {
+                    let msg = DaemonMsg::Watch { port: ep.port, watcher: ctx.me() };
+                    let daemon = Endpoint::new(ep.host, ports::DAEMON);
+                    ctx.send(daemon, seal(Proto::Raw, msg.encode_to_bytes()));
                 }
             }
         }
@@ -1206,7 +1176,6 @@ impl Actor for ProcessActor {
                 let me = ctx.me();
                 ctx.kill(me);
             }
-            Event::HostDown | Event::Timer { .. } => {}
             Event::Wake => self.on_wake(ctx),
             Event::Signal { signum, .. } => {
                 self.with_process(ctx, |p, api| p.on_signal(api, signum));
@@ -1281,6 +1250,7 @@ impl Actor for ProcessActor {
                 }
                 self.pump_stack(ctx);
             }
+            _ => {}
         }
     }
 

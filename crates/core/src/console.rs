@@ -20,7 +20,7 @@ use snipe_util::time::{SimDuration, SimTime};
 use snipe_util::wire_codec;
 use snipe_wire::frame::{open, seal, Proto};
 
-use crate::names::{format_endpoint, parse_endpoint, ATTR_COMM_ADDRESS};
+use crate::names::{comm_address, format_endpoint, ATTR_COMM_ADDRESS};
 
 /// Minimal HTTP-shaped request/response pair.
 #[derive(Clone, Debug, PartialEq)]
@@ -158,13 +158,7 @@ impl BrowserActor {
             let Some((req_id, path)) = self.pending_resolve.remove(&id) else {
                 continue;
             };
-            let ep = result.ok().and_then(|r| {
-                r.assertions
-                    .iter()
-                    .find(|a| a.name == ATTR_COMM_ADDRESS)
-                    .and_then(|a| parse_endpoint(&a.value))
-            });
-            match ep {
+            match result.ok().and_then(|r| comm_address(&r.assertions)) {
                 Some(ep) => {
                     let msg = HttpMsg::Get { req_id, path };
                     ctx.send(ep, seal(Proto::Raw, msg.encode_to_bytes()));

@@ -43,6 +43,12 @@ pub fn group_id(name: &str) -> u64 {
     h
 }
 
+/// The communications address among a process's assertions.
+pub fn comm_address(assertions: &[snipe_rcds::assertion::Assertion]) -> Option<Endpoint> {
+    let a = assertions.iter().find(|a| a.name == ATTR_COMM_ADDRESS)?;
+    parse_endpoint(&a.value)
+}
+
 /// Extract router endpoints from a group's assertions.
 pub fn parse_routers(assertions: &[snipe_rcds::assertion::Assertion]) -> Vec<Endpoint> {
     let mut v: Vec<Endpoint> = assertions

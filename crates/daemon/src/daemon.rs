@@ -353,7 +353,6 @@ impl Actor for DaemonActor {
                 }
                 self.publish_host_metadata(ctx);
             }
-            Event::HostDown => {}
             Event::Wake => {
                 let now = ctx.now();
                 if self.rc.on_wake(now) {
@@ -363,8 +362,6 @@ impl Actor for DaemonActor {
                     self.publish_host_metadata(ctx);
                 }
             }
-            Event::Timer { .. } => {}
-            Event::Signal { .. } => {}
             Event::Packet { from, payload } => {
                 let Ok((proto, body)) = open(payload) else {
                     return;
@@ -437,6 +434,7 @@ impl Actor for DaemonActor {
                     _ => {}
                 }
             }
+            _ => {}
         }
     }
 

@@ -427,7 +427,7 @@ impl Actor for FetchActor {
                 let _ = self.stack.on_packet(ctx.now(), from, payload);
                 self.pump(ctx);
             }
-            Event::Timer { .. } | Event::HostUp | Event::HostDown | Event::Signal { .. } => {}
+            _ => {}
         }
     }
 

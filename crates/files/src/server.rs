@@ -207,11 +207,6 @@ impl Actor for FileServerActor {
                     self.replicate_tick(ctx);
                 }
             }
-            Event::Start
-            | Event::HostUp
-            | Event::HostDown
-            | Event::Timer { .. }
-            | Event::Signal { .. } => {}
             Event::Packet { from, payload } => {
                 // StoreLocal from our own sinks arrives as a raw-sealed
                 // loopback datagram; everything else goes through the
@@ -228,6 +223,7 @@ impl Actor for FileServerActor {
                 }
                 self.pump_stack(ctx);
             }
+            _ => {}
         }
     }
 

@@ -439,7 +439,6 @@ impl Actor for RmActor {
                     self.check_pending(ctx);
                 }
             }
-            Event::HostDown | Event::HostUp | Event::Timer { .. } | Event::Signal { .. } => {}
             Event::Packet { from, payload } => {
                 let Ok((Proto::Raw, body)) = open(payload) else {
                     return;
@@ -480,6 +479,7 @@ impl Actor for RmActor {
                 self.rc.on_packet(ctx.now(), from, body);
                 self.pump_rc(ctx);
             }
+            _ => {}
         }
     }
 
