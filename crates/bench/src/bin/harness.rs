@@ -93,20 +93,32 @@ fn run_e3() -> Table {
 }
 
 fn run_e4() -> Table {
-    let ns = vec![4usize, 8, 16, 32, 64, 128];
-    let snipe = par_map(ns.clone(), |&n| e4_scalability::run_snipe(n, 40));
-    let pvm = par_map(ns.clone(), |&n| e4_scalability::run_pvm(n, 40));
+    use e4_scalability::{pvm_burst_model, pvm_enrolment_model, HOSTS};
+    let snipe = par_map(HOSTS.to_vec(), |&n| e4_scalability::run_snipe(n, 40));
+    let pvm = par_map(HOSTS.to_vec(), |&n| e4_scalability::run_pvm(n, 40));
     let mut t = Table::new(
-        "E4 (§2.2): time to start one task on each of N hosts",
-        &["hosts", "SNIPE (s)", "PVM (s)", "PVM/SNIPE"],
+        "E4 (§2.2): time to start one task on each of N hosts, after PVM enrols them all",
+        &[
+            "hosts",
+            "SNIPE (s)",
+            "PVM (s)",
+            "PVM model (s)",
+            "PVM/SNIPE",
+            "enrol (s)",
+            "enrol model (s)",
+        ],
     );
+    let secs = |s: Option<f64>| s.map_or("DNF".into(), |s| format!("{s:.4}"));
     for (s, p) in snipe.iter().zip(&pvm) {
         let ratio = if s.complete && p.complete { p.elapsed / s.elapsed } else { f64::NAN };
         t.row(vec![
             format!("{}", s.hosts),
-            if s.complete { format!("{:.4}", s.elapsed) } else { "DNF".into() },
-            if p.complete { format!("{:.4}", p.elapsed) } else { "DNF".into() },
+            secs(s.complete.then_some(s.elapsed)),
+            secs(p.complete.then_some(p.elapsed)),
+            format!("{:.4}", pvm_burst_model(p.hosts)),
             format!("{ratio:.2}x"),
+            secs(p.enrolment),
+            format!("{:.4}", pvm_enrolment_model(p.hosts)),
         ]);
     }
     t

@@ -30,6 +30,11 @@ pub const SERVICE_BASE: SimDuration = SimDuration::from_micros(150);
 /// Additional master service time per host in the table.
 pub const SERVICE_PER_HOST: SimDuration = SimDuration::from_micros(15);
 
+/// The master's service time for one request with `hosts` in the table.
+pub fn service_time(hosts: usize) -> SimDuration {
+    SERVICE_BASE + SERVICE_PER_HOST * hosts as u64
+}
+
 /// The master pvmd: host table owner, central name service and
 /// resource manager.
 pub struct PvmMaster {
@@ -49,6 +54,8 @@ pub struct PvmMaster {
     pub served: u64,
     /// Committed host-table versions (diagnostics; stalls visible).
     pub committed_version: u32,
+    /// When `committed_version` last advanced.
+    pub committed_at: SimTime,
 }
 
 impl PvmMaster {
@@ -65,6 +72,7 @@ impl PvmMaster {
             deferred: VecDeque::new(),
             served: 0,
             committed_version: 0,
+            committed_at: SimTime::ZERO,
         }
     }
 
@@ -76,10 +84,7 @@ impl PvmMaster {
     /// Reserve the master's next service slot and queue `msg` for
     /// release when the slot completes.
     fn reply_after_service(&mut self, ctx: &mut dyn SimCtx, to: Endpoint, msg: &PvmMsg) {
-        let now = ctx.now();
-        let per_req = SERVICE_BASE + SERVICE_PER_HOST * self.slaves.len() as u64;
-        let start = if self.cpu_free_at > now { self.cpu_free_at } else { now };
-        let finish = start + per_req;
+        let finish = self.cpu_free_at.max(ctx.now()) + service_time(self.slaves.len());
         self.cpu_free_at = finish;
         self.served += 1;
         self.deferred.push_back((finish, to, msg.sealed()));
@@ -128,6 +133,7 @@ impl Actor for PvmMaster {
                                 self.pending_acks.remove(&version);
                                 if version > self.committed_version {
                                     self.committed_version = version;
+                                    self.committed_at = ctx.now();
                                 }
                             }
                         }
