@@ -44,7 +44,7 @@ pub fn group_id(name: &str) -> u64 {
 }
 
 /// The communications address among a process's assertions.
-pub fn comm_address(assertions: &[snipe_rcds::assertion::Assertion]) -> Option<Endpoint> {
+pub(crate) fn comm_address(assertions: &[snipe_rcds::assertion::Assertion]) -> Option<Endpoint> {
     let a = assertions.iter().find(|a| a.name == ATTR_COMM_ADDRESS)?;
     parse_endpoint(&a.value)
 }
