@@ -126,7 +126,8 @@ pub trait SnipeProcess: Send {
 }
 
 /// Commands collected from the process during a callback; executed by
-/// the owning `ProcessActor` afterwards.
+/// the owning `ProcessActor` afterwards. A `File` command with no
+/// `content` is a read.
 #[derive(Debug)]
 pub(crate) enum Command {
     SendProc { to_key: u64, payload: Bytes },
@@ -136,8 +137,7 @@ pub(crate) enum Command {
     JoinGroup { name: String },
     LeaveGroup { name: String },
     SendGroup { name: String, payload: Bytes },
-    WriteFile { ticket: u64, lifn: String, content: Bytes },
-    ReadFile { ticket: u64, lifn: String },
+    File { ticket: u64, lifn: String, content: Option<Bytes> },
     RegisterService { name: String },
     RegisterPseudo { name: String, group: String },
     SendPseudo { name: String, payload: Bytes },
@@ -189,9 +189,11 @@ impl SnipeApi<'_, '_> {
         self.my_hostname
     }
 
-    fn ticket(&mut self) -> u64 {
+    /// Issue the command `cmd` builds around a fresh ticket.
+    fn ticketed(&mut self, cmd: impl FnOnce(u64) -> Command) -> u64 {
         let t = *self.next_ticket;
         *self.next_ticket += 1;
+        self.commands.push(cmd(t));
         t
     }
 
@@ -210,9 +212,7 @@ impl SnipeApi<'_, '_> {
 
     /// Resolve a process's current location. Returns a ticket.
     pub fn lookup(&mut self, proc_key: u64) -> u64 {
-        let t = self.ticket();
-        self.commands.push(Command::Lookup { ticket: t, proc_key });
-        t
+        self.ticketed(|ticket| Command::Lookup { ticket, proc_key })
     }
 
     /// Start a program (§5.5). Returns a ticket resolving to the new
@@ -223,14 +223,8 @@ impl SnipeApi<'_, '_> {
         program: impl Into<String>,
         args: impl Into<Bytes>,
     ) -> u64 {
-        let t = self.ticket();
-        self.commands.push(Command::Spawn {
-            ticket: t,
-            target,
-            program: program.into(),
-            args: args.into(),
-        });
-        t
+        let (program, args) = (program.into(), args.into());
+        self.ticketed(|ticket| Command::Spawn { ticket, target, program, args })
     }
 
     /// Join a multicast group (§5.4), electing routers as needed.
@@ -250,20 +244,13 @@ impl SnipeApi<'_, '_> {
 
     /// Store a file on the SNIPE file servers (§5.9). Ticketed.
     pub fn write_file(&mut self, lifn: impl Into<String>, content: impl Into<Bytes>) -> u64 {
-        let t = self.ticket();
-        self.commands.push(Command::WriteFile {
-            ticket: t,
-            lifn: lifn.into(),
-            content: content.into(),
-        });
-        t
+        let (lifn, content) = (lifn.into(), Some(content.into()));
+        self.ticketed(|ticket| Command::File { ticket, lifn, content })
     }
 
     /// Read a file back (closest replica first). Ticketed.
     pub fn read_file(&mut self, lifn: impl Into<String>) -> u64 {
-        let t = self.ticket();
-        self.commands.push(Command::ReadFile { ticket: t, lifn: lifn.into() });
-        t
+        self.ticketed(|ticket| Command::File { ticket, lifn: lifn.into(), content: None })
     }
 
     /// Register this process as one location of a multi-location
@@ -287,9 +274,7 @@ impl SnipeApi<'_, '_> {
 
     /// Resolve all registered locations of a service LIFN. Ticketed.
     pub fn lookup_service(&mut self, name: impl Into<String>) -> u64 {
-        let t = self.ticket();
-        self.commands.push(Command::LookupService { ticket: t, name: name.into() });
-        t
+        self.ticketed(|ticket| Command::LookupService { ticket, name: name.into() })
     }
 
     /// Subscribe to state changes of another process (notify list).

@@ -34,7 +34,11 @@
 pub mod actor;
 pub mod api;
 pub mod console;
+mod fileops;
+mod groups;
+mod migration;
 pub mod names;
+mod resolver;
 pub mod service;
 pub mod world;
 

@@ -23,6 +23,12 @@ pub fn format_endpoint(ep: Endpoint) -> String {
     format!("{}:{}", ep.host.0, ep.port)
 }
 
+/// A service LIFN's `location:<key>` assertion as the process there.
+pub(crate) fn service_location(a: &snipe_rcds::assertion::Assertion) -> Option<crate::ProcRef> {
+    let key = a.name.strip_prefix(ATTR_LOCATION_PREFIX)?.parse().ok()?;
+    Some(crate::ProcRef { key, endpoint: parse_endpoint(&a.value)? })
+}
+
 /// Parse a metadata endpoint value.
 pub fn parse_endpoint(s: &str) -> Option<Endpoint> {
     let (h, p) = s.split_once(':')?;

@@ -29,8 +29,9 @@ use snipe_files::{FileServerActor, FileServerConfig};
 use snipe_rcds::server::RcServerActor;
 use snipe_rm::{RmActor, RmConfig};
 
-use crate::actor::{MigrationPayload, ProcessActor, ProcessConfig};
+use crate::actor::{ProcessActor, ProcessConfig};
 use crate::api::SnipeProcess;
+use crate::migration::MigrationPayload;
 
 /// The program name used internally for migrated processes.
 pub const MIGRATE_PROGRAM: &str = "__snipe_migrate__";
@@ -202,7 +203,7 @@ impl SnipeWorldBuilder {
     /// The service roster: every infrastructure actor the runtime
     /// needs, as `(host, port, actor)` triples, plus the shared
     /// registry/config the processes will use.
-    fn services(&self) -> (SnipeRuntime, ServiceRoster) {
+    fn services(&self) -> (ProgramRegistry, ProgramMap, ProcessConfig, ServiceRoster) {
         let registry = ProgramRegistry::new();
         let rc_eps: Vec<Endpoint> =
             self.rc_hosts.iter().map(|&h| Endpoint::new(h, ports::RC_SERVER)).collect();
@@ -238,26 +239,34 @@ impl SnipeWorldBuilder {
         }
 
         let proc_cfg = ProcessConfig {
-            rc_replicas: rc_eps.clone(),
-            file_servers: file_eps.clone(),
-            resource_managers: rm_eps.clone(),
+            rc_replicas: rc_eps,
+            file_servers: file_eps,
+            resource_managers: rm_eps,
             stack: Default::default(),
             echo_logs: false,
             chaos_disable_migration_freeze: false,
         };
         let programs: ProgramMap = Arc::new(RwLock::new(HashMap::new()));
-        register_migration_shim(&registry, &programs, &proc_cfg);
-
-        let rt = SnipeRuntime {
-            registry,
-            programs,
-            proc_cfg,
-            rc_eps,
-            rm_eps,
-            file_eps,
-            next_root_key: 1 << 20,
-        };
-        (rt, actors)
+        // The migration shim reconstructs the original process from the
+        // payload and resumes it under the same key. Fallible: the payload
+        // arrived over the wire, so a corrupt or stale SpawnReq must turn
+        // into a SpawnResp error the migration protocol retries, never a
+        // panic.
+        let (shim_programs, shim_cfg) = (programs.clone(), proc_cfg.clone());
+        registry.register_fallible(MIGRATE_PROGRAM, move |sctx: &SpawnCtx| {
+            let payload = MigrationPayload::decode_from_bytes(sctx.args.clone())
+                .map_err(|e| SnipeError::Codec(format!("bad migration payload: {e}")))?;
+            let factory =
+                shim_programs.read().expect("programs poisoned").get(&payload.program).cloned();
+            let factory = factory.ok_or_else(|| {
+                SnipeError::NameNotFound(format!("migrated program {:?}", payload.program))
+            })?;
+            let (program, args) = (payload.program.clone(), payload.args.clone());
+            let process = factory(args.clone());
+            let actor = ProcessActor::new(shim_cfg.clone(), sctx.proc_key, program, args, process);
+            Ok(Box::new(actor.resuming(payload)) as Box<dyn Actor>)
+        });
+        (registry, programs, proc_cfg, actors)
     }
 
     /// Assemble the runtime on a one-region world, run inline.
@@ -274,109 +283,29 @@ impl SnipeWorldBuilder {
     }
 
     fn install(self, engine: impl FnOnce(Topology, u64) -> World) -> SnipeWorld {
-        let (rt, actors) = self.services();
+        let (registry, programs, proc_cfg, actors) = self.services();
         let mut world = engine(self.topo, self.seed);
         for (h, port, actor) in actors {
             world.spawn(h, port, actor);
         }
-        SnipeWorld { world, rt }
-    }
-}
-
-/// Install the migration shim: reconstruct the original process from
-/// the payload and resume it under the same key.
-fn register_migration_shim(
-    registry: &ProgramRegistry,
-    programs: &ProgramMap,
-    proc_cfg: &ProcessConfig,
-) {
-    let programs = programs.clone();
-    let proc_cfg = proc_cfg.clone();
-    // Fallible: the payload arrived over the wire, so a corrupt or
-    // stale SpawnReq must turn into a SpawnResp error the migration
-    // protocol retries — never a panic.
-    registry.register_fallible(MIGRATE_PROGRAM, move |sctx: &SpawnCtx| {
-        let payload = MigrationPayload::decode_from_bytes(sctx.args.clone())
-            .map_err(|e| SnipeError::Codec(format!("bad migration payload: {e}")))?;
-        let factory =
-            programs.read().expect("programs poisoned").get(&payload.program).cloned().ok_or_else(
-                || SnipeError::NameNotFound(format!("migrated program {:?}", payload.program)),
-            )?;
-        let process = factory(payload.args.clone());
-        Ok(Box::new(ProcessActor::resume_from(proc_cfg.clone(), sctx.proc_key, payload, process))
-            as Box<dyn Actor>)
-    });
-}
-
-/// The engine-independent half of a running testbed: registry, program
-/// map, process configuration and service endpoints.
-struct SnipeRuntime {
-    registry: ProgramRegistry,
-    programs: ProgramMap,
-    proc_cfg: ProcessConfig,
-    rc_eps: Vec<Endpoint>,
-    rm_eps: Vec<Endpoint>,
-    file_eps: Vec<Endpoint>,
-    next_root_key: u64,
-}
-
-impl SnipeRuntime {
-    fn register_process(
-        &mut self,
-        name: String,
-        factory: impl Fn(Bytes) -> Box<dyn SnipeProcess> + Send + Sync + 'static,
-    ) {
-        let factory: Arc<ProcessFactory> = Arc::new(Box::new(factory));
-        self.programs.write().expect("programs poisoned").insert(name.clone(), factory.clone());
-        let cfg = self.proc_cfg.clone();
-        let prog_name = name.clone();
-        self.registry.register(name, move |sctx: &SpawnCtx| {
-            let process = factory(sctx.args.clone());
-            Box::new(ProcessActor::new(
-                cfg.clone(),
-                sctx.proc_key,
-                prog_name.clone(),
-                sctx.args.clone(),
-                process,
-            ))
-        });
-    }
-
-    /// Construct a root process actor for `spawn_on`, assigning it a
-    /// fresh key scoped to its host.
-    fn make_root(
-        &mut self,
-        h: HostId,
-        program: &str,
-        args: Bytes,
-    ) -> SnipeResult<(u64, ProcessActor)> {
-        let factory = self
-            .programs
-            .read()
-            .expect("programs poisoned")
-            .get(program)
-            .cloned()
-            .ok_or_else(|| SnipeError::NameNotFound(format!("program {program}")))?;
-        let process = factory(args.clone());
-        let key = ((h.0 as u64) << 32) | self.next_root_key;
-        self.next_root_key += 1;
-        let actor =
-            ProcessActor::new(self.proc_cfg.clone(), key, program.to_string(), args, process);
-        Ok((key, actor))
+        SnipeWorld { world, registry, programs, proc_cfg, next_root_key: 1 << 20 }
     }
 }
 
 /// A running SNIPE testbed.
 pub struct SnipeWorld {
     world: World,
-    rt: SnipeRuntime,
+    registry: ProgramRegistry,
+    programs: ProgramMap,
+    proc_cfg: ProcessConfig,
+    next_root_key: u64,
 }
 
 impl SnipeWorld {
     /// Echo every `api.log` line to stdout. Call **before** registering
     /// programs — each registration captures the configuration.
     pub fn echo_logs(&mut self) {
-        self.rt.proc_cfg.echo_logs = true;
+        self.proc_cfg.echo_logs = true;
     }
 
     /// Register an application program so daemons (and migration) can
@@ -386,7 +315,16 @@ impl SnipeWorld {
         name: impl Into<String>,
         factory: impl Fn(Bytes) -> Box<dyn SnipeProcess> + Send + Sync + 'static,
     ) {
-        self.rt.register_process(name.into(), factory);
+        let name = name.into();
+        let factory: Arc<ProcessFactory> = Arc::new(Box::new(factory));
+        self.programs.write().expect("programs poisoned").insert(name.clone(), factory.clone());
+        let cfg = self.proc_cfg.clone();
+        let prog_name = name.clone();
+        self.registry.register(name, move |sctx: &SpawnCtx| {
+            let process = factory(sctx.args.clone());
+            let (key, args) = (sctx.proc_key, sctx.args.clone());
+            Box::new(ProcessActor::new(cfg.clone(), key, prog_name.clone(), args, process))
+        });
     }
 
     /// Bootstrap a root process directly on a host (outside the daemon,
@@ -401,7 +339,14 @@ impl SnipeWorld {
         let Some(h) = self.world.topology().host_by_name(hostname) else {
             return Err(SnipeError::NameNotFound(format!("host {hostname}")));
         };
-        let (key, actor) = self.rt.make_root(h, program, args)?;
+        let factory = self.programs.read().expect("programs poisoned").get(program).cloned();
+        let factory =
+            factory.ok_or_else(|| SnipeError::NameNotFound(format!("program {program}")))?;
+        let process = factory(args.clone());
+        // A fresh key scoped to the host.
+        let key = ((h.0 as u64) << 32) | self.next_root_key;
+        self.next_root_key += 1;
+        let actor = ProcessActor::new(self.proc_cfg.clone(), key, program, args, process);
         let port = self.world.alloc_port(h);
         let ep = self
             .world
@@ -412,29 +357,29 @@ impl SnipeWorld {
 
     /// RC replica endpoints.
     pub fn rc_endpoints(&self) -> &[Endpoint] {
-        &self.rt.rc_eps
+        &self.proc_cfg.rc_replicas
     }
 
     /// Resource manager endpoints.
     pub fn rm_endpoints(&self) -> &[Endpoint] {
-        &self.rt.rm_eps
+        &self.proc_cfg.resource_managers
     }
 
     /// File server endpoints.
     pub fn file_endpoints(&self) -> &[Endpoint] {
-        &self.rt.file_eps
+        &self.proc_cfg.file_servers
     }
 
     /// Mutate the shared process configuration. Like
     /// [`SnipeWorld::echo_logs`], call **before** registering programs:
     /// each registration captures a snapshot of the configuration.
     pub fn process_config_mut(&mut self) -> &mut ProcessConfig {
-        &mut self.rt.proc_cfg
+        &mut self.proc_cfg
     }
 
     /// The program registry (for registering non-process actors).
     pub fn registry(&self) -> &ProgramRegistry {
-        &self.rt.registry
+        &self.registry
     }
 
     /// The underlying simulator (fault injection, stats, digests).

@@ -134,6 +134,14 @@ impl<K: Ord + Copy, V> Deadlines<K, V> {
     pub fn take_due(&mut self, now: SimTime) -> Vec<(K, V)> {
         self.entries.extract_if(.., |e| e.deadline <= now).map(|e| (e.key, e.value)).collect()
     }
+
+    /// [`Deadlines::take_due`] one entry at a time, for a handler that
+    /// must finish with one before it sees the next. Never allocates.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<(K, V)> {
+        let i = self.entries.iter().position(|e| e.deadline <= now)?;
+        let e = self.entries.remove(i);
+        Some((e.key, e.value))
+    }
 }
 
 impl<K: Ord + Copy, V> Default for Deadlines<K, V> {
@@ -206,6 +214,21 @@ mod tests {
         // Dropped unread: the entries are gone all the same.
         drop(d.remove_range(8..));
         assert_eq!(d.take_due(t(1000)), vec![(7, 70)]);
+    }
+
+    #[test]
+    fn pop_due_takes_the_lowest_due_key_one_at_a_time() {
+        let mut d = Deadlines::new();
+        d.insert(1u32, t(10), 'a');
+        d.insert(2u32, t(5), 'b');
+        d.insert(3u32, t(5), 'c');
+        assert_eq!(d.pop_due(t(4)), None);
+        assert_eq!(d.pop_due(t(5)), Some((2, 'b')));
+        d.insert(0u32, t(1), 'z'); // filed between pops: next in key order
+        assert_eq!(d.pop_due(t(5)), Some((0, 'z')));
+        assert_eq!(d.pop_due(t(5)), Some((3, 'c')));
+        assert_eq!(d.pop_due(t(5)), None);
+        assert_eq!(d.next_deadline(), Some(t(10)));
     }
 
     #[test]

@@ -174,6 +174,25 @@ if [ -n "$dgram" ]; then
     echo "$dgram"
     exit 1
 fi
+# Sans-IO gate: a process's protocols are machines in core (`Resolver`,
+# `Groups`, `FileOps`, `Migration`) that read `(now, input)` and queue
+# `Out`s, so each can be driven and explored without a world; only the
+# glue, `core/src/actor.rs`, turns those outputs into engine calls and
+# flight-recorder records. Outside test modules the machine modules may
+# therefore name neither the engine context nor the recorder.
+sansio=$(
+    awk '
+        FNR == 1 { in_test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        !in_test && /SimCtx|ctx\.|trace::record/ { print FILENAME ":" FNR ":" $0 }
+    ' crates/core/src/resolver.rs crates/core/src/groups.rs crates/core/src/fileops.rs \
+        crates/core/src/migration.rs
+)
+if [ -n "$sansio" ]; then
+    echo "sans-IO gate: FAIL — queue an Out and let ProcessActor make the engine call instead:"
+    echo "$sansio"
+    exit 1
+fi
 # Side-channel gate: an experiment's actor keeps its counters as plain
 # fields, and the runner reads them in place (`World::actor_ref`)
 # between drive slices or after the run. A shared cell is left only
