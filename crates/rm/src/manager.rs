@@ -137,13 +137,17 @@ impl RmActor {
         ctx.send(to, seal(Proto::Raw, msg.encode_to_bytes()));
     }
 
-    /// Flush the RC client; completed lookups update the host table.
+    /// Flush the RC client; completed lookups update the host table. A
+    /// `Find` completion issues a `Get` per host, so this flushes until
+    /// nothing completes: the `Get`s leave now, not at the RC deadline.
     fn pump_rc(&mut self, ctx: &mut dyn SimCtx) {
-        for (id, result) in self.rc.flush(ctx) {
+        let done = self.rc.flush(ctx);
+        if done.is_empty() {
+            return;
+        }
+        for (id, result) in done {
             let Some(uri) = self.rc_gets.remove(&id) else {
-                // A Find completion: schedule Gets for each found host
-                // (sent by the next flush: the pending wake-up's, if
-                // nothing comes sooner).
+                // A Find completion: a Get for each found host.
                 if let Ok(reply) = &result {
                     for u in &reply.uris {
                         if let Ok(parsed) = Uri::parse(u.clone()) {
@@ -191,6 +195,7 @@ impl RmActor {
                 }
             }
         }
+        self.pump_rc(ctx);
     }
 
     /// Rank usable hosts for a spec: effective load ascending.
@@ -492,6 +497,8 @@ impl Actor for RmActor {
 mod tests {
     use super::*;
     use snipe_netsim::topology::Topology;
+    use snipe_rcds::assertion::Assertion;
+    use snipe_rcds::proto::{RcMsg, RcOp};
     use snipe_util::id::NetId;
     use snipe_util::time::SimTime;
 
@@ -574,6 +581,51 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// The RC requests among what the RM sent to `replica`.
+    fn rc_requests(sent: &[(Endpoint, Bytes)], replica: Endpoint) -> Vec<(u64, RcOp)> {
+        let request =
+            |(_, b): &(Endpoint, Bytes)| match RcMsg::decode_from_bytes(open(b.clone()).ok()?.1) {
+                Ok(RcMsg::Request { id, op }) => Some((id, op)),
+                _ => None,
+            };
+        sent.iter().filter(|(to, _)| *to == replica).filter_map(request).collect()
+    }
+
+    /// A `Find` reply names the hosts; the `Get` of each host's
+    /// descriptor must leave with that reply, not wait for the RC
+    /// deadline 250 ms later. Held back, each left twice at the
+    /// deadline (the original beside a retry to the next replica), and
+    /// the original's answer was dropped as a mismatched reply.
+    #[test]
+    fn host_gets_leave_with_the_find_reply() {
+        let (r0, r1) = (Endpoint::new(HostId(5), 2), Endpoint::new(HostId(6), 2));
+        let mut rm = RmActor::new(RmConfig::new(vec![r0, r1]));
+        let (_, mut ctx) = rm_with_hosts(0);
+        rm.on_event(&mut ctx, Event::Start);
+        let [(find, RcOp::Find(..))] = rc_requests(&ctx.sent, r0)[..] else { panic!("no Find") };
+        ctx.sent.clear();
+        let uris = vec![Uri::host("w00").as_str().into(), Uri::host("w01").as_str().into()];
+        let found = RcMsg::Response { id: find, ok: true, assertions: vec![], uris };
+        ctx.now += SimDuration::from_millis(1);
+        let payload = seal(Proto::Raw, found.encode_to_bytes());
+        rm.on_event(&mut ctx, Event::Packet { from: r0, payload });
+        let gets = rc_requests(&ctx.sent, r0);
+        assert_eq!(gets.len(), 2, "the Gets leave with the Find reply: {gets:?}");
+        ctx.now += SimDuration::from_millis(1);
+        for (i, (id, _)) in gets.into_iter().enumerate() {
+            let daemon = Assertion::new("daemon-endpoint", format!("{}:7", 10 + i));
+            let reply = RcMsg::Response { id, ok: true, assertions: vec![daemon], uris: vec![] };
+            let payload = seal(Proto::Raw, reply.encode_to_bytes());
+            rm.on_event(&mut ctx, Event::Packet { from: r0, payload });
+        }
+        // Past the RC deadline, before the next refresh.
+        ctx.now += SimDuration::from_millis(300);
+        rm.on_event(&mut ctx, Event::Wake);
+        assert_eq!(rm.hosts.len(), 2, "both descriptors arrived");
+        assert_eq!(rm.rc.stats().mismatched_replies, 0);
+        assert!(rc_requests(&ctx.sent, r1).is_empty(), "nothing was retried");
     }
 
     /// A daemon that *refuses* (unknown program, rejected credential)
