@@ -52,8 +52,9 @@ impl E4Point {
 }
 
 /// Host counts of the E4 sweep. It stops at 240: the PVM master sends
-/// its host table as one datagram, and past 246 hosts that no longer
-/// fits a 1500-byte Ethernet frame, so enrolment can never commit.
+/// its host table as one datagram, and past 247 hosts that no longer
+/// fits a 1500-byte Ethernet frame, so enrolment can never commit
+/// (`crates/pvm/tests/host_table.rs` pins the cap against this list).
 pub const HOSTS: [usize; 8] = [4, 8, 16, 32, 64, 128, 192, 240];
 
 /// PVM's cost model, seconds: `n` requests served with `n` hosts in
