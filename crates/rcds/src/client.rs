@@ -6,7 +6,7 @@
 //! the paper's testbed observe "an almost perfect level of
 //! availability" (§6) — reproduced as experiment E3.
 //!
-//! At scale the client grows two more layers (ROADMAP open item 2):
+//! At scale the client grows two more layers:
 //! a [`ShardMap`] routes each operation to the replica group owning
 //! the URI's shard, and an optional TTL lookup cache absorbs repeated
 //! Gets, invalidated locally on every write the client itself issues
