@@ -20,7 +20,7 @@ use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, MigrationPhase, TraceKind};
 use snipe_rcds::assertion::Assertion;
-use snipe_rcds::client::{RcClient, RcReply};
+use snipe_rcds::client::{RcClient, RcReply, RC_TIMEOUT};
 use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
 use snipe_util::codec::{Encoder, WireDecode, WireEncode};
@@ -172,7 +172,7 @@ impl ProcessActor {
         args: Bytes,
         process: Box<dyn SnipeProcess>,
     ) -> ProcessActor {
-        let rc = RcClient::new(cfg.rc_replicas.clone(), SimDuration::from_millis(250));
+        let rc = RcClient::new(cfg.rc_replicas.clone(), RC_TIMEOUT);
         ProcessActor {
             files: FileOps::new(cfg.file_servers.clone()),
             migration: Migration::new(proc_key, cfg.chaos_disable_migration_freeze),

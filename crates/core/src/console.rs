@@ -14,7 +14,7 @@ use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::uri::Uri;
-use snipe_rcds::{RcClient, RcHost};
+use snipe_rcds::{RcClient, RcHost, RC_TIMEOUT};
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_util::wire_codec;
@@ -62,7 +62,7 @@ pub struct ConsoleActor {
 impl ConsoleActor {
     /// A console registered under `url`.
     pub fn new(url: Uri, rc_replicas: Vec<Endpoint>) -> ConsoleActor {
-        let rc = RcClient::new(rc_replicas, SimDuration::from_millis(250));
+        let rc = RcClient::new(rc_replicas, RC_TIMEOUT);
         ConsoleActor { url, rc: RcHost::new(rc), pages: HashMap::new(), served: 0 }
     }
 
@@ -140,7 +140,7 @@ impl BrowserActor {
         script: Vec<(SimDuration, Uri, String)>,
         responses: Arc<Mutex<Vec<(u16, String)>>>,
     ) -> BrowserActor {
-        let rc = RcClient::new(rc_replicas, SimDuration::from_millis(250));
+        let rc = RcClient::new(rc_replicas, RC_TIMEOUT);
         BrowserActor {
             rc: RcHost::new(rc),
             script: script.into(),

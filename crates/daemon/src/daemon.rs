@@ -8,7 +8,7 @@ use snipe_netsim::topology::Endpoint;
 use snipe_netsim::trace::{self, FaultOp, TraceKind};
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::uri::Uri;
-use snipe_rcds::{RcClient, RcHost};
+use snipe_rcds::{RcClient, RcHost, RC_TIMEOUT};
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
@@ -72,7 +72,7 @@ pub struct DaemonActor {
 impl DaemonActor {
     /// New daemon for a host.
     pub fn new(cfg: DaemonConfig, registry: ProgramRegistry) -> DaemonActor {
-        let rc = RcClient::new(cfg.rc_replicas.clone(), SimDuration::from_millis(250));
+        let rc = RcClient::new(cfg.rc_replicas.clone(), RC_TIMEOUT);
         DaemonActor {
             cfg,
             registry,

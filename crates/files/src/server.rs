@@ -9,7 +9,7 @@ use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::uri::Uri;
-use snipe_rcds::{RcClient, RcHost};
+use snipe_rcds::{RcClient, RcHost, RC_TIMEOUT};
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{seal, Proto};
@@ -72,7 +72,7 @@ pub struct FileServerActor {
 impl FileServerActor {
     /// New server.
     pub fn new(cfg: FileServerConfig) -> FileServerActor {
-        let rc = RcClient::new(cfg.rc_replicas.clone(), SimDuration::from_millis(250));
+        let rc = RcClient::new(cfg.rc_replicas.clone(), RC_TIMEOUT);
         FileServerActor {
             cfg,
             rc: RcHost::new(rc),

@@ -35,7 +35,7 @@ pub mod store;
 pub mod uri;
 
 pub use assertion::{Assertion, Stamp};
-pub use client::{RcClient, RcClientStats};
+pub use client::{RcClient, RcClientStats, RC_TIMEOUT};
 pub use host::RcHost;
 pub use server::RcServerActor;
 pub use shard::ShardMap;

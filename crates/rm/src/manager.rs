@@ -16,7 +16,7 @@ use snipe_crypto::sign::KeyPair;
 use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_rcds::uri::Uri;
-use snipe_rcds::{RcClient, RcHost};
+use snipe_rcds::{RcClient, RcHost, RC_TIMEOUT};
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
 use snipe_util::id::HostId;
@@ -105,7 +105,7 @@ impl RmActor {
     pub fn new(cfg: RmConfig) -> RmActor {
         let mut rng = Xoshiro256::seed_from_u64(cfg.key_seed);
         let keypair = KeyPair::generate_default(&mut rng);
-        let rc = RcClient::new(cfg.rc_replicas.clone(), SimDuration::from_millis(250));
+        let rc = RcClient::new(cfg.rc_replicas.clone(), RC_TIMEOUT);
         RmActor {
             cfg,
             rc: RcHost::new(rc),
