@@ -11,15 +11,13 @@ use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::Endpoint;
 use snipe_netsim::world::World;
-use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
-use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::stack::StackConfig;
 
 use crate::fig1::{hosted, Flow, Receiver, Transfer};
-use crate::{drive, lan, rc_group};
+use crate::{drive, lan, rc_group, RcLoad};
 
 /// A1 result row.
 #[derive(Clone, Debug)]
@@ -143,83 +141,6 @@ pub struct A2Point {
     pub staleness: f64,
 }
 
-const TIMER_PROBE: u64 = 3;
-
-/// Probes replica 1 until the expected value appears; records when.
-struct StalenessProbe {
-    uri: Uri,
-    expect: String,
-    rc: RcHost,
-    visible_at: Option<SimTime>,
-}
-
-impl StalenessProbe {
-    /// Flush the RC client and look for the expected value in what it
-    /// completed.
-    fn pump(&mut self, ctx: &mut dyn SimCtx) {
-        for (_, result) in self.rc.flush(ctx) {
-            if let Ok(reply) = result {
-                if reply.assertions.iter().any(|a| a.value == self.expect)
-                    && self.visible_at.is_none()
-                {
-                    self.visible_at = Some(ctx.now());
-                }
-            }
-        }
-    }
-}
-
-impl Actor for StalenessProbe {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        let now = ctx.now();
-        match event {
-            Event::Start | Event::Timer { token: TIMER_PROBE } if self.visible_at.is_none() => {
-                self.rc.get(now, &self.uri);
-                self.pump(ctx);
-                ctx.set_timer(SimDuration::from_millis(10), TIMER_PROBE);
-                return;
-            }
-            Event::Wake => self.rc.on_timer(now),
-            Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
-            // Including a probe tick still pending when the value
-            // became visible.
-            _ => return,
-        }
-        self.pump(ctx);
-    }
-
-    fn next_wake(&self) -> Option<SimTime> {
-        self.rc.next_deadline()
-    }
-}
-
-struct OneShotWriter {
-    uri: Uri,
-    value: String,
-    rc: RcHost,
-    wrote_at: Option<SimTime>,
-}
-
-impl Actor for OneShotWriter {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        let now = ctx.now();
-        match event {
-            Event::Start => {
-                self.rc.put(now, &self.uri, vec![Assertion::new("k", self.value.clone())]);
-                self.wrote_at = Some(now);
-            }
-            Event::Wake => self.rc.on_timer(now),
-            Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
-            _ => return,
-        }
-        self.rc.flush(ctx);
-    }
-
-    fn next_wake(&self) -> Option<SimTime> {
-        self.rc.next_deadline()
-    }
-}
-
 /// A2: measure replication staleness for a sync interval.
 pub fn run_a2(sync_interval: SimDuration, seed: u64) -> A2Point {
     let (mut world, hosts) = lan(seed, &[Medium::ethernet100()], 3);
@@ -228,26 +149,29 @@ pub fn run_a2(sync_interval: SimDuration, seed: u64) -> A2Point {
     // Let the replicas settle so the first sync tick isn't aligned with
     // the write.
     world.run_for(sync_interval + SimDuration::from_millis(37));
-    let uri = Uri::process(1);
-    let client = |ep| RcHost::new(RcClient::new(vec![ep], SimDuration::from_millis(200)));
-    let writer = OneShotWriter {
-        uri: uri.clone(),
-        value: "fresh".into(),
-        rc: client(eps[0]),
-        wrote_at: None,
+    // The writer puts once; the probe gets from replica 1 every 10 ms.
+    let (now, tick) = (world.now(), SimDuration::from_millis(10));
+    let load = |ep, puts, count| {
+        let rc = RcClient::new(vec![ep], SimDuration::from_millis(200));
+        RcLoad::new(rc, Uri::process(1), puts, now, tick, count)
     };
-    let probe =
-        StalenessProbe { uri, expect: "fresh".into(), rc: client(eps[1]), visible_at: None };
+    let (writer, probe) = (load(eps[0], vec!["fresh".into()], 1), load(eps[1], vec![], u32::MAX));
     world.spawn(c, 50, Box::new(writer));
     world.spawn(c, 51, Box::new(probe));
     world.run_for(sync_interval * 4 + SimDuration::from_secs(2));
-    let wrote_at = world.actor_ref::<OneShotWriter>(Endpoint::new(c, 50)).and_then(|w| w.wrote_at);
-    let visible_at =
-        world.actor_ref::<StalenessProbe>(Endpoint::new(c, 51)).and_then(|p| p.visible_at);
-    let staleness = match (wrote_at, visible_at) {
-        (Some(w), Some(v)) => v.saturating_since(w).as_secs_f64(),
-        _ => f64::NAN,
-    };
+    let log =
+        |port| &world.actor_ref::<RcLoad>(Endpoint::new(c, port)).expect("the load lives").log;
+    let wrote_at = log(50)[0].issued;
+    let visible_at = log(51)
+        .iter()
+        .filter_map(|op| match &op.done {
+            Some((at, Ok(reply))) if reply.assertions.iter().any(|a| a.value == "fresh") => {
+                Some(*at)
+            }
+            _ => None,
+        })
+        .min();
+    let staleness = visible_at.map_or(f64::NAN, |v| v.saturating_since(wrote_at).as_secs_f64());
     A2Point { sync_interval: sync_interval.as_secs_f64(), staleness }
 }
 

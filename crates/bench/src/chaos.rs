@@ -32,7 +32,7 @@ use snipe_core::{
     ProcessActor, SnipeApi, SnipeProcess, SnipeWorld, SnipeWorldBuilder, SpawnTarget,
 };
 use snipe_files::{FetchActor, FileServerActor, FileServerConfig};
-use snipe_netsim::actor::{Actor, Event, SimCtx};
+use snipe_netsim::actor::Actor;
 use snipe_netsim::chaos::{shrink_plan, ChaosBinding, ChaosOp, ChaosPlan, ChaosShape};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::shard::ActorFactory;
@@ -41,7 +41,6 @@ use snipe_netsim::trace::{self, TraceKind};
 use snipe_netsim::world::World;
 use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
-use snipe_rcds::host::RcHost;
 use snipe_rcds::server::RcServerActor;
 use snipe_rcds::uri::Uri;
 use snipe_util::id::{HostId, NetId};
@@ -54,7 +53,7 @@ use snipe_wire::stack::StackConfig;
 use crate::e6_multicast::{self, MemberActor};
 use crate::fig1::{hosted, Flow, Receiver, Transfer};
 use crate::shard_storm::cluster_topology;
-use crate::{drive, e5_migration, lan, oracles, par_map, rc_group};
+use crate::{drive, e5_migration, lan, oracles, par_map, rc_group, RcLoad};
 
 /// How long a transfer may sit with zero progress while a physical path
 /// exists before the liveness watchdog declares a violation.
@@ -686,97 +685,15 @@ fn migration(st: &mut Stage<SnipeWorld>, plan: &ChaosPlan, label: &str) -> Vec<S
 // file-server hosts, the client)
 // ---------------------------------------------------------------------------
 
-const TIMER_FIRE: u64 = 20;
-
-/// Puts a [`ChaosWriter`] makes, one every [`WRITE_INTERVAL`] from its
-/// start.
+/// Puts the writer makes, one every [`WRITE_INTERVAL`] from its
+/// start, each of a new value.
 const WRITES: u32 = 12;
 const WRITE_INTERVAL: SimDuration = ms(300);
-
-/// Writes an evolving assertion during the fault window.
-struct ChaosWriter {
-    rc: RcHost,
-    uri: Uri,
-    interval: SimDuration,
-    writes_left: u32,
-    next_val: u32,
-}
-
-impl Actor for ChaosWriter {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        let now = ctx.now();
-        match event {
-            Event::Start | Event::Timer { token: TIMER_FIRE } if self.writes_left > 0 => {
-                self.writes_left -= 1;
-                let v = format!("v{}", self.next_val);
-                self.next_val += 1;
-                self.rc.put(now, &self.uri, vec![Assertion::new("k", v)]);
-                self.rc.flush(ctx);
-                ctx.set_timer(self.interval, TIMER_FIRE);
-                return;
-            }
-            Event::Wake => self.rc.on_timer(now),
-            Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
-            _ => return,
-        }
-        self.rc.flush(ctx);
-    }
-
-    fn next_wake(&self) -> Option<SimTime> {
-        self.rc.next_deadline()
-    }
-}
-
-/// Queries exactly one replica once faults quiesce, retrying on
-/// timeout; `answer` is read back through `actor_ref`.
-struct ReplicaProbe {
-    rc: RcHost,
-    uri: Uri,
-    at: SimTime,
-    attempts: u32,
-    answer: Option<Vec<Assertion>>,
-}
-
-impl Actor for ReplicaProbe {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        let now = ctx.now();
-        match event {
-            Event::Start => {
-                ctx.set_timer(self.at.saturating_since(now), TIMER_FIRE);
-                return;
-            }
-            Event::Timer { token: TIMER_FIRE } => {
-                self.rc.get(now, &self.uri);
-            }
-            Event::Wake => self.rc.on_timer(now),
-            Event::Packet { from, payload } => self.rc.on_datagram(now, from, payload),
-            _ => return,
-        }
-        // A failed lookup is re-issued, which wants another flush.
-        loop {
-            let done = self.rc.flush(ctx);
-            if done.is_empty() {
-                return;
-            }
-            for (_, result) in done {
-                match result {
-                    Ok(reply) => {
-                        self.answer.get_or_insert(reply.assertions);
-                    }
-                    Err(_) if self.attempts < 30 => {
-                        self.attempts += 1;
-                        self.rc.get(now, &self.uri);
-                    }
-                    Err(_) => {}
-                }
-            }
-        }
-    }
-
-    fn next_wake(&self) -> Option<SimTime> {
-        self.rc.next_deadline()
-    }
-}
+/// A probe's lookups, one every [`PROBE_INTERVAL`]: a single replica
+/// answers a live one, and one that gives up (six attempts of
+/// [`RC_TIMEOUT`]) is followed by the next at that instant.
+const PROBES: u32 = 31;
+const PROBE_INTERVAL: SimDuration = ms(1800);
 
 const RC_SYNC: SimDuration = ms(500);
 const RC_TIMEOUT: SimDuration = ms(300);
@@ -805,17 +722,10 @@ fn fresh_rc_factories(eps: &[Endpoint]) -> Vec<(Endpoint, ActorFactory)> {
 fn spawn_writer(world: &mut World, client: HostId, eps: &[Endpoint]) -> (Uri, SimTime) {
     let uri = Uri::process(7);
     let last_put = world.now() + WRITE_INTERVAL * (WRITES - 1) as u64;
-    world.spawn(
-        client,
-        50,
-        Box::new(ChaosWriter {
-            rc: RcHost::new(RcClient::new(eps.to_vec(), RC_TIMEOUT)),
-            uri: uri.clone(),
-            interval: WRITE_INTERVAL,
-            writes_left: WRITES,
-            next_val: 0,
-        }),
-    );
+    let values = (0..WRITES).map(|i| format!("v{i}")).collect();
+    let rc = RcClient::new(eps.to_vec(), RC_TIMEOUT);
+    let writer = RcLoad::new(rc, uri.clone(), values, world.now(), WRITE_INTERVAL, WRITES);
+    world.spawn(client, 50, Box::new(writer));
     (uri, last_put)
 }
 
@@ -832,27 +742,22 @@ fn spawn_probes(
 ) -> SimTime {
     let at = plan.quiesce_at().max(*last_put) + secs(4);
     for (i, &ep) in eps.iter().enumerate() {
-        world.spawn(
-            client,
-            PROBE_PORT + i as u16,
-            Box::new(ReplicaProbe {
-                rc: RcHost::new(RcClient::new(vec![ep], RC_TIMEOUT)),
-                uri: uri.clone(),
-                at,
-                attempts: 0,
-                answer: None,
-            }),
-        );
+        let rc = RcClient::new(vec![ep], RC_TIMEOUT);
+        let probe = RcLoad::new(rc, uri.clone(), Vec::new(), at, PROBE_INTERVAL, PROBES);
+        world.spawn(client, PROBE_PORT + i as u16, Box::new(probe));
     }
     at
 }
 
-/// What each of the three replicas' probes heard, in replica order.
+/// What each of the three replicas' probes heard first, in replica
+/// order.
 fn probe_answers(world: &World, client: HostId) -> Vec<Option<Vec<Assertion>>> {
     (0..3)
         .map(|i| {
-            let probe = world.actor_ref::<ReplicaProbe>(Endpoint::new(client, PROBE_PORT + i));
-            probe.and_then(|p| p.answer.clone())
+            // A lookup ends before the next starts, so the first
+            // answered in issue order is the first heard.
+            let probe = world.actor_ref::<RcLoad>(Endpoint::new(client, PROBE_PORT + i))?;
+            probe.log.iter().find_map(|op| op.answer()).map(<[Assertion]>::to_vec)
         })
         .collect()
 }
@@ -1526,10 +1431,11 @@ pub fn planted_bug_drill(max_seeds: u64) -> PlantedBugReport {
 pub const REGRESSION_CORPUS: &[(&str, u64, u64)] = &[
     ("srudp-transfer", 0xC0FF_EE00, 0x5EED),
     ("srudp-transfer", 0xC0FF_EE07, 0x5EED + 7),
-    // These three wedged permanently while nothing re-armed a wake-up
-    // after `Event::HostUp` (a host flap swallows any timer queued while
-    // the host is down; the engine re-arms wake-ups now). Shrunk repro:
-    // a single flap of the sender host mid-transfer.
+    // These three wedged permanently while the sender's retransmit
+    // deadline was a timer: a host flap swallows any timer that comes
+    // due while the host is down. The engine re-reads `next_wake` after
+    // `HostUp` now. Shrunk repro: a single flap of the sender host
+    // mid-transfer.
     ("srudp-transfer", 0xC0FF_EE01, 0x5EED + 1),
     ("srudp-transfer", 0xC0FF_EE0A, 0x5EED + 10),
     ("srudp-transfer", 0xC0FF_EE0D, 0x5EED + 13),
@@ -1547,9 +1453,10 @@ pub const REGRESSION_CORPUS: &[(&str, u64, u64)] = &[
     ("rcds-converge", 0xC0FF_EE00, 0x5EED),
     ("rcds-converge", 0xC0FF_EE05, 0x5EED + 5),
     ("mcast", 0xC0FF_EE00, 0x5EED),
-    // Both plans flap the multicast source host mid-stream: without the
-    // `Event::HostUp` re-arm the pacing timer is swallowed and the
-    // stream never resumes.
+    // Both plans flap the multicast source host mid-stream. A pacing
+    // timer that comes due during the outage is swallowed, and the
+    // stream never resumes; the source's next send is a `next_wake`
+    // term now, re-read after `HostUp`.
     ("mcast", 0xC0FF_EE01, 0x5EED + 1),
     ("mcast", 0xC0FF_EE06, 0x5EED + 6),
     // FEC share-spray under loss bursts / gray links / partitions plus

@@ -7,17 +7,14 @@
 //! following exponential processes. We report the fraction of lookups
 //! answered, versus the replica count k.
 
-use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::fault::{schedule_host_failures, FailureModel};
 use snipe_netsim::medium::Medium;
-use snipe_rcds::assertion::Assertion;
 use snipe_rcds::client::RcClient;
-use snipe_rcds::host::RcHost;
 use snipe_rcds::uri::Uri;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::{SimDuration, SimTime};
 
-use crate::{lan, rc_group};
+use crate::{lan, rc_group, RcLoad};
 
 /// One measured row.
 #[derive(Clone, Debug)]
@@ -28,64 +25,6 @@ pub struct E3Point {
     pub availability: f64,
     /// Expected single-host availability under the failure model.
     pub single_host: f64,
-}
-
-const TIMER_TICK: u64 = 10;
-
-struct LookupLoad {
-    rc: RcHost,
-    interval: SimDuration,
-    uri: Uri,
-    issued: u64,
-    answered: u64,
-    seeded: bool,
-}
-
-impl LookupLoad {
-    /// Flush the RC client and count the lookups it answered.
-    fn pump(&mut self, ctx: &mut dyn SimCtx) {
-        for (_, result) in self.rc.flush(ctx) {
-            if let Ok(reply) = result {
-                if !self.seeded {
-                    self.seeded = true; // the initial put
-                } else if !reply.assertions.is_empty() {
-                    self.answered += 1;
-                }
-            }
-        }
-    }
-}
-
-impl Actor for LookupLoad {
-    fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        let now = ctx.now();
-        match event {
-            Event::Start => {
-                self.rc.put(now, &self.uri, vec![Assertion::new("k", "v")]);
-                self.pump(ctx);
-                ctx.set_timer(self.interval, TIMER_TICK);
-            }
-            Event::Timer { token: TIMER_TICK } => {
-                self.rc.get(now, &self.uri);
-                self.issued += 1;
-                self.pump(ctx);
-                ctx.set_timer(self.interval, TIMER_TICK);
-            }
-            Event::Wake => {
-                self.rc.on_wake(now);
-                self.pump(ctx);
-            }
-            Event::Packet { from, payload } => {
-                self.rc.on_datagram(now, from, payload);
-                self.pump(ctx);
-            }
-            _ => {}
-        }
-    }
-
-    fn next_wake(&self) -> Option<SimTime> {
-        self.rc.next_deadline()
-    }
 }
 
 /// Run one availability measurement.
@@ -104,20 +43,22 @@ pub fn run(replicas: usize, horizon_days: u64, seed: u64) -> E3Point {
     for &h in rc_hosts {
         schedule_host_failures(&mut world, h, model, horizon, &mut frng);
     }
-    let load = LookupLoad {
-        rc: RcHost::new(RcClient::new(eps, SimDuration::from_millis(300))),
-        interval: SimDuration::from_secs(600),
-        uri: Uri::process(7),
-        issued: 0,
-        answered: 0,
-        seeded: false,
-    };
+    // Op 0 seeds the URI; the lookups follow, one every ten minutes.
+    let load = RcLoad::new(
+        RcClient::new(eps, SimDuration::from_millis(300)),
+        Uri::process(7),
+        vec!["v".into()],
+        world.now(),
+        SimDuration::from_secs(600),
+        u32::MAX,
+    );
     let load = world.spawn(client, 50, Box::new(load)).expect("client host exists");
     world.run_until(horizon);
-    let LookupLoad { issued, answered, .. } = *world.actor_ref(load).expect("the load lives");
+    let lookups = &world.actor_ref::<RcLoad>(load).expect("the load lives").log[1..];
+    let answered = lookups.iter().filter(|op| op.answer().is_some_and(|a| !a.is_empty())).count();
     E3Point {
         replicas,
-        availability: if issued == 0 { 0.0 } else { answered as f64 / issued as f64 },
+        availability: if lookups.is_empty() { 0.0 } else { answered as f64 / lookups.len() as f64 },
         single_host: model.single_host_availability(),
     }
 }

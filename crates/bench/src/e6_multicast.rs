@@ -66,32 +66,32 @@ struct SenderActor {
     routers: Vec<Endpoint>,
     total: u32,
     seq: u64,
+    /// When the next message goes out; `None` once all are sent.
+    next: Option<SimTime>,
 }
 
 impl Actor for SenderActor {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            // HostUp: a flap swallows the pacing timer; restart it.
-            Event::Start | Event::Timer { .. } | Event::HostUp => {
-                if self.seq as u32 >= self.total {
-                    return;
-                }
-                let m = majority(self.routers.len());
-                for r in self.routers.iter().take(m) {
-                    let msg = McastMsg::Data {
-                        group: 1,
-                        origin: 7,
-                        seq: self.seq,
-                        ttl: 8,
-                        payload: Bytes::from(vec![0u8; 256]),
-                    };
-                    ctx.send(*r, seal(Proto::Mcast, msg.encode_to_bytes()));
-                }
-                self.seq += 1;
-                ctx.set_timer(SEND_INTERVAL, 1);
-            }
-            _ => {}
+        if !matches!(event, Event::Start | Event::Wake) || self.seq as u32 >= self.total {
+            return;
         }
+        let m = majority(self.routers.len());
+        for r in self.routers.iter().take(m) {
+            let msg = McastMsg::Data {
+                group: 1,
+                origin: 7,
+                seq: self.seq,
+                ttl: 8,
+                payload: Bytes::from(vec![0u8; 256]),
+            };
+            ctx.send(*r, seal(Proto::Mcast, msg.encode_to_bytes()));
+        }
+        self.seq += 1;
+        self.next = (self.seq < self.total as u64).then(|| ctx.now() + SEND_INTERVAL);
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.next
     }
 }
 
@@ -132,7 +132,11 @@ pub(crate) fn spawn_group(
         let member = MemberActor { dedup: McastMember::new(), delivered: 0, duplicates: 0 };
         world.spawn(h, MEMBER_PORT, Box::new(member));
     }
-    world.spawn(sender, 20, Box::new(SenderActor { routers: router_eps, total, seq: 0 }));
+    world.spawn(
+        sender,
+        20,
+        Box::new(SenderActor { routers: router_eps, total, seq: 0, next: None }),
+    );
 }
 
 /// Run the router-kill drill.

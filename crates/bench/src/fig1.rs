@@ -340,33 +340,36 @@ struct McastSource {
     seq: u64,
     /// Pace: messages per tick to avoid infinite same-time loops.
     burst: usize,
+    /// When the next burst goes out; `None` once all is sent.
+    next: Option<SimTime>,
 }
 
 impl Actor for McastSource {
     fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
-        match event {
-            // HostUp: a flap swallows the pacing timer; restart it.
-            Event::Start | Event::Timer { .. } | Event::HostUp => {
-                for _ in 0..self.burst {
-                    if self.remaining == 0 {
-                        return;
-                    }
-                    let size = self.msg_size.min(self.remaining);
-                    self.remaining -= size;
-                    let msg = McastMsg::Data {
-                        group: 1,
-                        origin: 42,
-                        seq: self.seq,
-                        ttl: 2,
-                        payload: Bytes::from(vec![0xEF; size]),
-                    };
-                    self.seq += 1;
-                    ctx.send(self.router, seal(Proto::Mcast, msg.encode_to_bytes()));
-                }
-                ctx.set_timer(SimDuration::from_micros(200), 1);
-            }
-            _ => {}
+        if !matches!(event, Event::Start | Event::Wake) {
+            return;
         }
+        for _ in 0..self.burst {
+            if self.remaining == 0 {
+                break;
+            }
+            let size = self.msg_size.min(self.remaining);
+            self.remaining -= size;
+            let msg = McastMsg::Data {
+                group: 1,
+                origin: 42,
+                seq: self.seq,
+                ttl: 2,
+                payload: Bytes::from(vec![0xEF; size]),
+            };
+            self.seq += 1;
+            ctx.send(self.router, seal(Proto::Mcast, msg.encode_to_bytes()));
+        }
+        self.next = (self.remaining > 0).then(|| ctx.now() + SimDuration::from_micros(200));
+    }
+
+    fn next_wake(&self) -> Option<SimTime> {
+        self.next
     }
 }
 
@@ -420,6 +423,7 @@ pub fn measure(medium: Medium, protocol: Protocol, msg_size: usize) -> Option<Fi
                     remaining: total,
                     seq: 0,
                     burst: 8,
+                    next: None,
                 }),
             );
             Endpoint::new(c, 20)

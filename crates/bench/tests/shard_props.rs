@@ -62,7 +62,7 @@ fn pinned_digest_run_stays_stable() {
     assert_eq!(d, PINNED_DIGEST, "digest_run(_, 42) drifted — intentional? re-pin with rationale");
 }
 
-const PINNED_DIGEST: u64 = 0x9493_0970_f057_78f1;
+const PINNED_DIGEST: u64 = 0x0437_25c4_f776_9ff2;
 
 /// The full protocol stack (daemons, RCDS, replicated files, RM) on a
 /// 6-cluster campus must also be a pure function of the world: same

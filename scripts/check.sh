@@ -40,12 +40,13 @@ fi
 # none may appear in `crates/*/src`, except the three-method type kept
 # for the frozen benchmark in `netsim/src/actor.rs`. A chain an actor
 # re-arms with `set_timer` dies for good when one link comes due while
-# its host is down, so outside test modules the product crates (all but
-# the engine and the bench harness) may name `set_timer(` only in the
-# two app APIs (`core/src/api.rs`, `PvmTaskApi` in `pvm/src/task.rs`),
-# `mpiconnect`'s transport trait and its forwards, and the RC server's
-# sync tick (until ROADMAP 15); and no token may be bit-packed with an
-# `APP_TIMER_BIT` anywhere.
+# its host is down, so outside test modules every crate but the engine
+# (the bench harness's drivers included) may name `set_timer(` only in
+# the two app APIs (`core/src/api.rs`, `PvmTaskApi` in `pvm/src/task.rs`)
+# and an application's calls through its `api` handle, `mpiconnect`'s
+# transport trait and its forwards, and the RC server's sync tick (until
+# ROADMAP 15); and no token may be bit-packed with an `APP_TIMER_BIT`
+# anywhere.
 wake=$(
     find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
         FNR == 1 { in_test = 0; compat = 0 }
@@ -54,9 +55,10 @@ wake=$(
         compat > 0 { if ($0 ~ /^}$/) compat--; next }
         in_test { next }
         /TimerGate|arm_deadline|arm_after|DEADLINE_SKEW|_armed: bool/ { print FILENAME ":" FNR ":" $0 }
-        /set_timer\(/ && FILENAME !~ /^crates\/(netsim|bench)\/|^crates\/(core\/src\/api|rcds\/src\/server)\.rs$/ {
+        /set_timer\(/ && FILENAME !~ /^crates\/netsim\/|^crates\/(core\/src\/api|rcds\/src\/server)\.rs$/ {
             api = FILENAME ~ /^crates\/(pvm\/src\/task\.rs|mpiconnect\/src\/)/ && /fn set_timer\(|self\.inner\.set_timer\(/
-            if (!api) print FILENAME ":" FNR ":" $0
+            app = /(^|[^[:alnum:]_.])api\.set_timer\(/
+            if (!api && !app) print FILENAME ":" FNR ":" $0
         }
     '
     grep -rn 'APP_TIMER_BIT' crates src tests examples benchmark/src || true
