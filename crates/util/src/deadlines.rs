@@ -119,6 +119,11 @@ impl<K: Ord + Copy, V> Deadlines<K, V> {
         self.find(key).ok().map(|i| &self.entries[i].value)
     }
 
+    /// When `key` is due.
+    pub fn deadline(&self, key: &K) -> Option<SimTime> {
+        self.find(key).ok().map(|i| self.entries[i].deadline)
+    }
+
     /// Every entry, ascending by key, values mutable.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (K, &mut V)> {
         self.entries.iter_mut().map(|e| (e.key, &mut e.value))

@@ -223,14 +223,16 @@ fn oversized_datagrams_are_handled() {
     assert_eq!(b.decode_stats(), DecodeDrops { checksum: 1, ..DecodeDrops::default() });
 }
 
-/// A well-sealed SRUDP Fec share with attacker-chosen header fields.
-fn fec_share(idx: u32, b: u8, msg_len: u32, checksum: u32, payload: &[u8]) -> Bytes {
+/// A well-sealed SRUDP Fec share with attacker-chosen header fields:
+/// share `idx` of block `block`, blocks of at most `b`.
+fn fec_share(idx: u32, b: u8, block: u16, msg_len: u32, checksum: u32, payload: &[u8]) -> Bytes {
     let mut enc = Encoder::with_capacity(64 + payload.len());
     enc.put_u8(3); // SRUDP Fec
     enc.put_u64(77); // src key
     enc.put_u64(0); // msg id
     enc.put_u32(idx);
     enc.put_u8(b);
+    enc.put_u16(block);
     enc.put_u32(msg_len);
     enc.put_u32(checksum);
     enc.put_bytes(payload);
@@ -240,13 +242,20 @@ fn fec_share(idx: u32, b: u8, msg_len: u32, checksum: u32, payload: &[u8]) -> By
 #[test]
 fn hostile_fec_headers_are_counted_driver_drops() {
     let mut b = full_stack(2);
+    // With 1-byte shares a 100-byte message is 100 data shares; in
+    // blocks of at most 3 that is 34 blocks, the first 32 of b = 3
+    // (five shares each).
     let hostile = [
-        fec_share(0, 0, 100, 9, b"x"),        // b = 0: no such code
-        fec_share(0, 1, 100, 9, b"x"),        // b = 1: FEC never emits it
-        fec_share(0, 200, 100, 9, b"x"),      // b > MAX_B
-        fec_share(0, 3, 0, 9, b"x"),          // zero-length message
-        fec_share(u32::MAX, 3, 100, 9, b"x"), // share index ≥ 2b-1
-        fec_share(5, 3, 100, 9, b"x"),        // 5 ≥ 2*3-1
+        fec_share(0, 0, 0, 100, 9, b"x"),        // b = 0: no such code
+        fec_share(0, 1, 0, 100, 9, b"x"),        // b = 1: FEC never emits it
+        fec_share(0, 200, 0, 100, 9, b"x"),      // b > MAX_B
+        fec_share(0, 3, 0, 0, 9, b"x"),          // zero-length message
+        fec_share(0, 3, 0, 1, 9, b"x"),          // one data share: never coded
+        fec_share(0, 3, 0, 100, 9, b""),         // empty share
+        fec_share(u32::MAX, 3, 0, 100, 9, b"x"), // share index ≥ 2b-1
+        fec_share(5, 3, 0, 100, 9, b"x"),        // 5 ≥ 2*3-1: beyond its block
+        fec_share(0, 3, 34, 100, 9, b"x"),       // block 34 of 34
+        fec_share(0, 3, u16::MAX, 100, 9, b"x"), // block far out of range
     ];
     let mut fed = 0u64;
     for dg in hostile {
@@ -262,13 +271,16 @@ fn hostile_fec_headers_are_counted_driver_drops() {
 fn contradictory_fec_metadata_is_rejected_and_contained() {
     let mut b = full_stack(2);
     // First share pins the message metadata...
-    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 3, 90, 7, b"abc")).is_ok());
-    // ...a forged sibling with a different checksum contradicts it.
-    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(1, 3, 90, 8, b"abc")).is_err());
+    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 3, 0, 90, 7, b"abc")).is_ok());
+    // ...a forged sibling with a different checksum contradicts it...
+    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(1, 3, 0, 90, 8, b"abc")).is_err());
     assert_eq!(b.decode_stats().body, 1);
-    // A conflicting duplicate of an already-held share is equally hostile.
-    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 3, 90, 7, b"xyz")).is_err());
+    // ...and so does one with another block size, in another block.
+    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(1, 4, 2, 90, 7, b"abc")).is_err());
     assert_eq!(b.decode_stats().body, 2);
+    // A conflicting duplicate of an already-held share is equally hostile.
+    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 3, 0, 90, 7, b"xyz")).is_err());
+    assert_eq!(b.decode_stats().body, 3);
 }
 
 #[test]
@@ -277,13 +289,13 @@ fn forged_quorum_with_wrong_checksum_is_never_delivered() {
     // checksum does not match what they reconstruct to: the stack must
     // reject at the reconstruct-then-verify gate, not deliver garbage.
     let mut b = full_stack(2);
-    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 2, 6, 0xDEAD, b"abc")).is_ok());
-    let err = b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(1, 2, 6, 0xDEAD, b"def"));
+    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 2, 0, 6, 0xDEAD, b"abc")).is_ok());
+    let err = b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(1, 2, 0, 6, 0xDEAD, b"def"));
     assert!(err.is_err(), "checksum-mismatched reconstruction must error");
     assert!(b.drain().iter().all(|o| !matches!(o, snipe_wire::Out::Deliver { .. })));
     // The poisoned partial is forgotten: the real sender's retry can
     // start clean rather than colliding with attacker state.
-    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 2, 6, 0xDEAD, b"abc")).is_ok());
+    assert!(b.on_datagram(SimTime::ZERO, ep(0, 5), fec_share(0, 2, 0, 6, 0xDEAD, b"abc")).is_ok());
 }
 
 #[test]

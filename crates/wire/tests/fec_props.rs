@@ -16,7 +16,9 @@
 use bytes::Bytes;
 use proptest::{prop_assert, prop_assert_eq, proptest};
 use snipe_util::rng::Xoshiro256;
-use snipe_wire::fec::{decode, encode, msg_checksum, share_len, MAX_B};
+use snipe_wire::fec::{
+    decode, decode_blocks, encode, encode_blocks, msg_checksum, share_len, Blocks, MAX_B,
+};
 
 /// The byte-at-a-time Reed-Solomon codec: one scalar multiply per byte
 /// per output row, one O(b) product per Lagrange coefficient. Slow and
@@ -251,6 +253,51 @@ proptest! {
         prop_assert_eq!(back, msg);
     }
 
+    /// A message coded in blocks is, block by block, the single-block
+    /// code of that block's bytes (zero-padded to the message's share
+    /// length), its shares in message-wide order; and any `b` shares of
+    /// every block, in any order, bring the message back.
+    #[test]
+    fn blocks_are_single_block_codes_and_any_b_of_each_reconstruct(
+        len in 1usize..4000,
+        n in 1usize..60,
+        max_b in 1usize..17,
+        seed in 0u64..u64::MAX,
+    ) {
+        let n = n.min(len);
+        let msg = Bytes::from(seeded_msg(len, seed ^ 0xB10C));
+        let blocks = Blocks::new(n, max_b).unwrap();
+        let shares = encode_blocks(&msg, blocks).unwrap();
+        prop_assert_eq!(shares.len(), blocks.shares());
+        let slen = share_len(len, n);
+        let mut padded = msg.to_vec();
+        padded.resize(n * slen, 0);
+        let mut first = 0;
+        let mut survivors = Vec::new();
+        for k in 0..blocks.count() {
+            let b = blocks.b(k);
+            prop_assert!(b <= max_b && b + 1 >= n / blocks.count());
+            let own = encode(&padded[first * slen..(first + b) * slen], b).unwrap();
+            for (i, share) in own.iter().enumerate() {
+                let g = blocks.share(k, i);
+                prop_assert_eq!(blocks.locate(g), (k, i));
+                prop_assert_eq!(&shares[g], share, "block {} share {}", k, i);
+            }
+            for i in choose(2 * b - 1, b, seed ^ k as u64) {
+                let g = blocks.share(k, i);
+                survivors.push((g as u32, shares[g].clone()));
+            }
+            first += b;
+        }
+        prop_assert_eq!(first, n);
+        let mut rng = Xoshiro256::seed_from_u64(seed);
+        rng.shuffle(&mut survivors);
+        prop_assert_eq!(decode_blocks(blocks, len, &survivors).unwrap(), msg.to_vec());
+        // One share short in one block is never enough.
+        let short = survivors[1..].to_vec();
+        prop_assert!(decode_blocks(blocks, len, &short).is_err());
+    }
+
     /// Fewer than b distinct shares must never reconstruct.
     #[test]
     fn below_quorum_always_errors(
@@ -330,6 +377,21 @@ proptest! {
         let _ = decode(b, len, &junk);
         let _ = decode(b, len * MAX_B, &junk);
         let _ = decode(MAX_B + 1, len, &junk);
+        let blocks = Blocks::new(b.max(1), 9).unwrap();
+        let _ = decode_blocks(blocks, len, &junk);
         let _ = decode(0, len, &junk);
     }
+}
+
+/// Block layouts no sender builds are errors, never panics.
+#[test]
+fn hostile_block_layouts_are_rejected() {
+    assert!(Blocks::new(0, 9).is_err(), "no data shares");
+    assert!(Blocks::new(10, 0).is_err(), "blocks of zero");
+    assert!(Blocks::new(10, MAX_B + 1).is_err(), "blocks beyond MAX_B");
+    let blocks = Blocks::new(94, 9).unwrap();
+    assert_eq!((blocks.count(), blocks.shares()), (11, 177));
+    assert_eq!((0..11).map(|k| blocks.b(k)).collect::<Vec<_>>(), [9, 9, 9, 9, 9, 9, 8, 8, 8, 8, 8]);
+    let junk = vec![(177u32, Bytes::from_static(b"x")), (u32::MAX, Bytes::from_static(b"y"))];
+    assert!(decode_blocks(blocks, 94, &junk).is_err(), "indices beyond the family never count");
 }

@@ -233,6 +233,14 @@ for workload in storm wire-small wire-bulk names campus; do
     CARGO_TARGET_DIR=target/benchmark cargo run --release --offline --quiet \
         --manifest-path benchmark/Cargo.toml -- --workload "$workload" --seconds 1
 done
+# Traced benchmark run: one process over the probes and every workload
+# with the flight recorder on (about 40 s on two cores). It exits
+# nonzero on any failed operation, a replay that is not bit-for-bit, a
+# missing per-layer row or a generator share above 20 % on any
+# workload, none of which the short passes above check.
+CARGO_TARGET_DIR=target/benchmark cargo run --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml -- --workload storm --seed 1997 --trace 1 \
+    --out target/benchmark/out
 # Bounded chaos smoke: two seeded fault plans for every row of the
 # workload table — LAN and campus placements alike, the campus ones run
 # at 4 threads and again at 1 with equal digests demanded — plus the

@@ -702,12 +702,12 @@ fn samples() -> Vec<Pin> {
             srudp_snapshot,
             concat!(
                 "0000000000000001000000010000000000000002010000000200050000000000",
-                "00000300000002000000000000000001030000000a45e49a1100000005010000",
-                "0004616263640000000004656667680000000004696a000000000000046d6e04",
-                "0c0000000004717214410000000000000002000000000100000000017a000000",
-                "00000000000000000000000000",
+                "000003000000020000000000000000010900000000000a45e49a110000000501",
+                "00000004616263640000000004656667680000000004696a000000000000046d",
+                "6e040c0000000004717214410000000000000002000000000100000000017a00",
+                "000000000000000000000000000000",
             ),
-            &[(8, 1), (35, 2), (57, 5), (115, 1), (133, 0), (137, 0)],
+            &[(8, 1), (35, 2), (59, 5), (117, 1), (135, 0), (139, 0)],
         ),
         accepted(
             srudp_b,
@@ -715,10 +715,10 @@ fn samples() -> Vec<Pin> {
             concat!(
                 "0000000000000002000000010000000000000001010000000100050000000000",
                 "0000000000000000000000000000000000000100000000000000010000000278",
-                "790000000100000000000000000000000501030000000a45e49a110000000501",
-                "000000046162636400000000",
+                "79000000010000000000000000010900000000000a45e49a1100000005010000",
+                "00046162636400000000",
             ),
-            &[(8, 1), (35, 0), (47, 1), (65, 1), (91, 5)],
+            &[(8, 1), (35, 0), (47, 1), (65, 1), (89, 5)],
         ),
         // A fresh stack with all three drivers: SRUDP, RSTREAM, MCAST.
         accepted(
@@ -767,10 +767,10 @@ fn samples() -> Vec<Pin> {
             srudp[0].clone(),
             srudp_datagram,
             concat!(
-                "030000000000000001000000000000000000000000030000000a45e49a110000",
-                "000461626364",
+                "0300000000000000010000000000000000000000000900000000000a45e49a11",
+                "0000000461626364",
             ),
-            &[(30, 4)],
+            &[(32, 4)],
         ),
         accepted(
             srudp[1].clone(),
