@@ -27,6 +27,11 @@ pub struct E3Point {
     pub single_host: f64,
 }
 
+/// One RC attempt's timeout.
+const RC_TRY: SimDuration = SimDuration::from_millis(300);
+/// The RC client's whole retry budget: six attempts of [`RC_TRY`].
+const RC_BUDGET: SimDuration = SimDuration::from_millis(6 * 300);
+
 /// Run one availability measurement.
 ///
 /// `horizon_days` of simulated operation, hosts failing with the given
@@ -45,7 +50,7 @@ pub fn run(replicas: usize, horizon_days: u64, seed: u64) -> E3Point {
     }
     // Op 0 seeds the URI; the lookups follow, one every ten minutes.
     let load = RcLoad::new(
-        RcClient::new(eps, SimDuration::from_millis(300)),
+        RcClient::new(eps, RC_TRY),
         Uri::process(7),
         vec!["v".into()],
         world.now(),
@@ -54,7 +59,11 @@ pub fn run(replicas: usize, horizon_days: u64, seed: u64) -> E3Point {
     );
     let load = world.spawn(client, 50, Box::new(load)).expect("client host exists");
     world.run_until(horizon);
-    let lookups = &world.actor_ref::<RcLoad>(load).expect("the load lives").log[1..];
+    // A lookup counts only if its whole retry budget fits before the
+    // horizon: one issued later is cut off by the end of the run, not
+    // by an outage (the last lookup is issued at the horizon itself).
+    let log = &world.actor_ref::<RcLoad>(load).expect("the load lives").log[1..];
+    let lookups: Vec<_> = log.iter().filter(|op| op.issued + RC_BUDGET <= horizon).collect();
     let answered = lookups.iter().filter(|op| op.answer().is_some_and(|a| !a.is_empty())).count();
     E3Point {
         replicas,
