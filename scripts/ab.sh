@@ -46,6 +46,14 @@ git diff --quiet HEAD -- || head_commit=$head_commit-dirty
 rm -rf "$ab/base" "$ab/head" "$ab/base-src"
 mkdir -p "$ab/base" "$ab/head" "$ab/base-src"
 git archive "$base_commit" | tar -x -C "$ab/base-src"
+# The export keeps the base commit's file dates, older than any build,
+# so cargo would take artefacts built from another base for fresh: the
+# base target directory serves one base commit only.
+if [ "$(cat "$ab/base-target/base-commit" 2>/dev/null)" != "$base_commit" ]; then
+    rm -rf "$ab/base-target"
+    mkdir -p "$ab/base-target"
+    echo "$base_commit" >"$ab/base-target/base-commit"
+fi
 
 echo "ab: building base $base_commit and head $head_commit"
 CARGO_TARGET_DIR=$ab/base-target cargo build --release --offline --quiet \
