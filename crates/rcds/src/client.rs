@@ -13,9 +13,10 @@
 //! the URI's shard, and an optional TTL lookup cache absorbs repeated
 //! Gets, invalidated locally on every write the client itself issues
 //! and forgotten once its TTL has passed.
-//! Replies are matched to the replica actually queried — a late reply
-//! from a replica we have already failed away from is dropped and
-//! counted, never surfaced as a completion.
+//! Requests live in a [`Requests`] table, so replies are matched to the
+//! replica actually queried — a late reply from a replica we have
+//! already failed away from is dropped and counted, never surfaced as a
+//! completion — and a retry keeps its request id.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -23,8 +24,8 @@ use bytes::Bytes;
 
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
-use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
+use snipe_util::requests::{RequestStats, Requests};
 use snipe_util::time::{SimDuration, SimTime};
 
 use crate::assertion::Assertion;
@@ -35,6 +36,8 @@ use crate::uri::Uri;
 /// The request timeout of every SNIPE component's RC client: a replica
 /// silent this long is retried, then failed over.
 pub const RC_TIMEOUT: SimDuration = SimDuration::from_millis(250);
+/// Sends of one RC request before it fails as unavailable.
+const MAX_ATTEMPTS: u32 = 6;
 
 /// The payload of a completed RC operation.
 #[derive(Clone, Debug, PartialEq)]
@@ -49,7 +52,8 @@ pub struct RcReply {
 pub type Completion = (u64, SnipeResult<RcReply>);
 
 /// Drop/cache counters, mirroring the `wire` stack's style of counted
-/// (never silent) discards.
+/// (never silent) discards. The reply counters are the request table's
+/// ([`RcClient::request_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RcClientStats {
     /// Datagrams that failed to decode as RC messages.
@@ -70,13 +74,9 @@ pub struct RcClientStats {
 
 struct Pending {
     op: RcOp,
-    attempts: u32,
     /// The replica index this request is at: the preferred one when it
     /// was issued, plus one per retry.
     cursor: usize,
-    /// The replica this request was last transmitted to; replies from
-    /// anyone else are dropped as mismatched.
-    target: Option<Endpoint>,
 }
 
 struct CacheEntry {
@@ -89,11 +89,10 @@ pub struct RcClient {
     replicas: Vec<Endpoint>,
     shard_map: Option<ShardMap>,
     preferred: usize,
-    timeout: SimDuration,
-    max_attempts: u32,
     next_id: u64,
-    /// Outstanding requests by id, each due for a retry at its deadline.
-    pending: Deadlines<u64, Pending>,
+    /// Outstanding requests by id, each targeting the replica it was
+    /// last sent to (`None` if no replica was known).
+    pending: Requests<Option<Endpoint>, Pending>,
     sends: Vec<(Endpoint, Bytes)>,
     done: Vec<Completion>,
     cache_ttl: Option<SimDuration>,
@@ -112,10 +111,8 @@ impl RcClient {
             replicas,
             shard_map: None,
             preferred: 0,
-            timeout,
-            max_attempts: 6,
             next_id: 1,
-            pending: Deadlines::new(),
+            pending: Requests::new(timeout, MAX_ATTEMPTS),
             sends: Vec::new(),
             done: Vec::new(),
             cache_ttl: None,
@@ -147,7 +144,17 @@ impl RcClient {
 
     /// Drop/cache counters.
     pub fn stats(&self) -> RcClientStats {
-        self.stats
+        let requests = self.pending.stats();
+        RcClientStats {
+            stale_replies: requests.stale,
+            mismatched_replies: requests.mismatched,
+            ..self.stats
+        }
+    }
+
+    /// The request table's retry, reply and give-up counters.
+    pub fn request_stats(&self) -> RequestStats {
+        self.pending.stats()
     }
 
     /// The replica an op routes to at `cursor`: the owning shard group
@@ -176,16 +183,10 @@ impl RcClient {
         let id = self.next_id;
         self.next_id += 1;
         let cursor = self.preferred;
-        let target = self.transmit(id, &op, cursor);
-        self.pending.insert(id, now + self.timeout, Pending { op, attempts: 1, cursor, target });
+        let target = self.route(&op, cursor);
+        transmit(&mut self.sends, id, &op, target);
+        self.pending.send(now, id, target, Pending { op, cursor });
         id
-    }
-
-    fn transmit(&mut self, id: u64, op: &RcOp, cursor: usize) -> Option<Endpoint> {
-        let target = self.route(op, cursor)?;
-        let msg = RcMsg::Request { id, op: op.clone() };
-        self.sends.push((target, msg.encode_to_bytes()));
-        Some(target)
     }
 
     /// Fetch assertions for a URI. Returns the request id. With caching
@@ -255,20 +256,13 @@ impl RcClient {
             self.stats.decode_drops += 1;
             return;
         };
-        let Some(p) = self.pending.get(&id) else {
-            self.stats.stale_replies += 1;
+        // A replica we already failed away from may finally answer: the
+        // live retry owns this ticket now, and surfacing that copy could
+        // complete a Get with data older than the failover target's, so
+        // the table drops it (the regression test below pins this).
+        let Some(p) = self.pending.on_reply(id, &Some(from)).map(|r| r.value) else {
             return;
         };
-        if p.target != Some(from) {
-            // A replica we already failed away from finally answered.
-            // The live retry owns this ticket now; surfacing this copy
-            // could complete a Get with data older than the failover
-            // target's, so drop it (the regression test below pins
-            // this).
-            self.stats.mismatched_replies += 1;
-            return;
-        }
-        let p = self.pending.remove(&id).expect("checked above");
         self.preferred = p.cursor;
         let result = if ok {
             if let (Some(ttl), RcOp::Get(uri)) = (self.cache_ttl, p.op) {
@@ -287,21 +281,18 @@ impl RcClient {
     /// Retry / fail over requests whose deadline passed, each at the
     /// replica after the one it last tried, in request-id order.
     pub fn on_timer(&mut self, now: SimTime) {
-        for (id, mut p) in self.pending.take_due(now) {
-            if p.attempts >= self.max_attempts {
-                self.done.push((
-                    id,
-                    Err(SnipeError::Unavailable(format!(
-                        "RC request gave up after {} attempts",
-                        p.attempts
-                    ))),
-                ));
-                continue;
+        for (id, mut req) in self.pending.take_due(now) {
+            req.value.cursor += 1;
+            let target = self.route(&req.value.op, req.value.cursor);
+            match self.pending.retry(now, id, target, req) {
+                Ok(p) => transmit(&mut self.sends, id, &p.op, target),
+                Err(req) => {
+                    let n = req.attempts;
+                    let err =
+                        SnipeError::Unavailable(format!("RC request gave up after {n} attempts"));
+                    self.done.push((id, Err(err)));
+                }
             }
-            p.attempts += 1;
-            p.cursor += 1;
-            p.target = self.transmit(id, &p.op, p.cursor);
-            self.pending.insert(id, now + self.timeout, p);
         }
     }
 
@@ -319,6 +310,13 @@ impl RcClient {
     /// Completed operations.
     pub fn drain_done(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.done)
+    }
+}
+
+/// Queue request `id` for `target`, if there is one.
+fn transmit(sends: &mut Vec<(Endpoint, Bytes)>, id: u64, op: &RcOp, target: Option<Endpoint>) {
+    if let Some(to) = target {
+        sends.push((to, RcMsg::Request { id, op: op.clone() }.encode_to_bytes()));
     }
 }
 
@@ -438,6 +436,8 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0, id);
         assert_eq!(done[0].1.as_ref().unwrap_err().kind(), "unavailable");
+        let s = c.request_stats();
+        assert_eq!((s.retries, s.gave_up), (u64::from(MAX_ATTEMPTS) - 1, 1));
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! * [`deadlines`] — the keyed-deadline table ([`deadlines::Deadlines`]) under
 //!   every retransmission timer and pending-request map: exact
 //!   `next_deadline`, expiry in key order.
+//! * [`requests`] — the request table ([`requests::Requests`]) on top of it
+//!   that every service client sends through: one retry, stale-reply and
+//!   mismatched-reply rule, one set of counters.
 //! * [`codec`] — the XDR-like wire codec. SNIPE's client library performs
 //!   "data conversion (e.g. between different host architectures)" (§3.4
 //!   of the paper); this module is that canonical network byte format.
@@ -26,6 +29,7 @@ pub mod codec;
 pub mod deadlines;
 pub mod error;
 pub mod id;
+pub mod requests;
 pub mod rng;
 pub mod stats;
 pub mod time;
