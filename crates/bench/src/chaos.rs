@@ -31,7 +31,7 @@ use snipe_core::api::TicketResult;
 use snipe_core::{
     ProcessActor, SnipeApi, SnipeProcess, SnipeWorld, SnipeWorldBuilder, SpawnTarget,
 };
-use snipe_files::{FetchActor, FileServerActor, FileServerConfig};
+use snipe_files::{FetchActor, FileServerActor, FileServerConfig, StripedFetch};
 use snipe_netsim::actor::Actor;
 use snipe_netsim::chaos::{shrink_plan, ChaosBinding, ChaosOp, ChaosPlan, ChaosShape};
 use snipe_netsim::medium::Medium;
@@ -820,22 +820,22 @@ fn replica_crash(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<St
     st.bind(plan, &[rc_hosts, fs_hosts].concat(), procs);
     let probe_at = spawn_probes(&mut st.world, plan, client, &rc_eps, &writer);
     drive(&mut st.world, ms(500), probe_at + RECOVERY_TAIL, |w| {
-        let fetched =
-            w.actor_ref::<FetchActor>(fetch_ep).is_some_and(|f| f.result.is_some() || f.failed);
-        fetched && probe_answers(w, client).iter().all(Option::is_some)
+        let fetched = w.actor_ref::<FetchActor>(fetch_ep).and_then(FetchActor::fetch);
+        fetched.is_some_and(StripedFetch::done)
+            && probe_answers(w, client).iter().all(Option::is_some)
     });
 
     let mut violations =
         oracles::check_replicas_converged(label, &probe_answers(&st.world, client));
-    match st.world.actor_ref::<FetchActor>(fetch_ep) {
+    match st.world.actor_ref::<FetchActor>(fetch_ep).and_then(FetchActor::fetch) {
         Some(f) => {
-            if f.result.as_ref() != Some(&content) {
+            if f.result() != Some(&content) {
                 violations.push(format!(
                     "{label}: striped fetch wrong/incomplete (got {:?} bytes, failed={}, \
                      stats={:?})",
-                    f.result.as_ref().map(Bytes::len),
-                    f.failed,
-                    f.stats
+                    f.result().map(Bytes::len),
+                    f.is_failed(),
+                    f.stats()
                 ));
             }
             let mut sorted = f.completions.clone();
@@ -846,7 +846,7 @@ fn replica_crash(st: &mut Stage<World>, plan: &ChaosPlan, label: &str) -> Vec<St
                 &sorted,
             ));
         }
-        None => violations.push(format!("{label}: fetch actor disappeared")),
+        None => violations.push(format!("{label}: fetch actor disappeared or never began")),
     }
     violations
 }

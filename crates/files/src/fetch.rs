@@ -6,7 +6,8 @@
 //! reuses those measurements to *rank* replicas and then stripes the
 //! transfer across the best few — each stripe is fetched with its own
 //! integrity hash, verified independently, and re-dispatched to the
-//! next-best replica if it times out, fails, or arrives corrupt.
+//! next-best replica if it times out, fails, or arrives corrupt. Stripe
+//! requests live in a [`Requests`] table, each attempt under a fresh id.
 //!
 //! [`StripedFetch`] is the sans-IO state machine (fully unit-testable);
 //! [`FetchActor`] wraps it with a [`WireStack`] as a simulator actor.
@@ -17,7 +18,7 @@ use snipe_crypto::sha256::sha256;
 use snipe_netsim::actor::{due, earliest, Actor, Event, SimCtx};
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::{WireDecode, WireEncode};
-use snipe_util::deadlines::Deadlines;
+use snipe_util::requests::{Request, RequestStats, Requests};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::host::StackHost;
 use snipe_wire::path::UNMEASURED_RTT_SCORE;
@@ -42,7 +43,8 @@ pub fn rank_replicas(stack: &WireStack, candidates: &[Endpoint]) -> Vec<Endpoint
     ranked.into_iter().map(|(_, ep)| ep).collect()
 }
 
-/// Counters a striped fetch accumulates (diagnostics and oracles).
+/// Counters a striped fetch accumulates (diagnostics and oracles). The
+/// reply counters are the request table's ([`StripedFetch::request_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FetchStats {
     /// Stripe requests sent (including re-dispatches).
@@ -65,19 +67,13 @@ struct Slot {
     offset: u32,
     len: u32,
     data: Option<Bytes>,
-    attempts: u32,
     next_replica: usize,
 }
 
-struct Pending {
-    slot: usize,
-    target: Endpoint,
-}
-
-/// Default cap on per-stripe dispatch attempts. Generous because chaos
-/// runs re-dispatch through long partitions; the cap only exists to
-/// bound a fetch whose replicas are all permanently gone.
-const DEFAULT_MAX_ATTEMPTS: u32 = 200;
+/// Cap on per-stripe dispatch attempts. Generous because chaos runs
+/// re-dispatch through long partitions; the cap only exists to bound a
+/// fetch whose replicas are all permanently gone.
+const MAX_ATTEMPTS: u32 = 200;
 
 /// Sans-IO striped fetch: drives stripe requests against a ranked
 /// replica list, verifies every stripe, re-dispatches stragglers.
@@ -85,22 +81,19 @@ pub struct StripedFetch {
     lifn: String,
     replicas: Vec<Endpoint>,
     stripe_len: u32,
-    timeout: SimDuration,
-    max_attempts: u32,
     next_id: u64,
     total_len: Option<u32>,
     slots: Vec<Slot>,
-    /// Stripe requests on the wire by request id, each due for
-    /// re-dispatch at its deadline.
-    pending: Deadlines<u64, Pending>,
+    /// Stripe requests on the wire by request id, each valued with its
+    /// slot and due for re-dispatch at its deadline.
+    pending: Requests<Endpoint, usize>,
     outbox: Vec<(Endpoint, FileMsg)>,
     /// Stripe indices in completion order — the exactly-once oracle
     /// checks this log (sorted) for loss and duplication.
     pub completions: Vec<u32>,
     result: Option<Bytes>,
     failed: bool,
-    /// Counters.
-    pub stats: FetchStats,
+    stats: FetchStats,
 }
 
 impl StripedFetch {
@@ -117,24 +110,16 @@ impl StripedFetch {
             lifn: lifn.into(),
             replicas,
             stripe_len,
-            timeout,
-            max_attempts: DEFAULT_MAX_ATTEMPTS,
             next_id: 1,
             total_len: None,
             slots: Vec::new(),
-            pending: Deadlines::new(),
+            pending: Requests::new(timeout, MAX_ATTEMPTS),
             outbox: Vec::new(),
             completions: Vec::new(),
             result: None,
             failed: false,
             stats: FetchStats::default(),
         }
-    }
-
-    /// Cap per-stripe dispatch attempts.
-    pub fn with_max_attempts(mut self, n: u32) -> StripedFetch {
-        self.max_attempts = n.max(1);
-        self
     }
 
     /// Re-order the replica preference list (e.g. after fresh RTT
@@ -149,6 +134,21 @@ impl StripedFetch {
     /// The assembled, verified content once every stripe landed.
     pub fn result(&self) -> Option<&Bytes> {
         self.result.as_ref()
+    }
+
+    /// Counters.
+    pub fn stats(&self) -> FetchStats {
+        let requests = self.pending.stats();
+        FetchStats {
+            stale_replies: requests.stale,
+            mismatched_replies: requests.mismatched,
+            ..self.stats
+        }
+    }
+
+    /// The request table's retry, reply and give-up counters.
+    pub fn request_stats(&self) -> RequestStats {
+        self.pending.stats()
     }
 
     /// Did the fetch give up (a stripe exhausted its attempts)?
@@ -177,30 +177,30 @@ impl StripedFetch {
         if !self.slots.is_empty() {
             return;
         }
-        self.slots.push(Slot {
-            offset: 0,
-            len: self.stripe_len,
-            data: None,
-            attempts: 0,
-            next_replica: 0,
-        });
-        self.dispatch(now, 0);
+        self.slots.push(Slot { offset: 0, len: self.stripe_len, data: None, next_replica: 0 });
+        self.dispatch(now, 0, None);
     }
 
-    fn dispatch(&mut self, now: SimTime, slot_idx: usize) {
+    /// Send stripe `slot_idx` to its next replica under a fresh id: its
+    /// first attempt, or another of `prev`. A stripe out of attempts
+    /// fails the fetch.
+    fn dispatch(&mut self, now: SimTime, slot_idx: usize, prev: Option<Request<Endpoint, usize>>) {
         let n = self.replicas.len();
         let slot = &mut self.slots[slot_idx];
-        if slot.attempts >= self.max_attempts {
-            self.failed = true;
-            return;
-        }
-        slot.attempts += 1;
         let target = self.replicas[slot.next_replica % n];
-        slot.next_replica = (slot.next_replica + 1) % n;
         let req_id = self.next_id;
+        match prev {
+            None => self.pending.send(now, req_id, target, slot_idx),
+            Some(req) => {
+                if self.pending.retry(now, req_id, target, req).is_err() {
+                    self.failed = true;
+                    return;
+                }
+            }
+        }
+        slot.next_replica = (slot.next_replica + 1) % n;
         self.next_id += 1;
         let (offset, len) = (slot.offset, slot.len);
-        self.pending.insert(req_id, now + self.timeout, Pending { slot: slot_idx, target });
         self.outbox
             .push((target, FileMsg::ReadStripe { req_id, lifn: self.lifn.clone(), offset, len }));
         self.stats.requests_sent += 1;
@@ -210,10 +210,10 @@ impl StripedFetch {
     /// request-id order (each re-dispatch draws the next id). The stale
     /// request stays forgotten: a late reply counts as stale.
     pub fn on_timer(&mut self, now: SimTime) {
-        for (_, p) in self.pending.take_due(now) {
+        for (_, req) in self.pending.take_due(now) {
             self.stats.timeouts += 1;
-            if self.slots[p.slot].data.is_none() && !self.done() {
-                self.dispatch(now, p.slot);
+            if !self.failed {
+                self.dispatch(now, req.value, Some(req));
             }
         }
     }
@@ -223,27 +223,15 @@ impl StripedFetch {
         let FileMsg::StripeData { req_id, ok, offset, total_len, data, hash } = msg else {
             return;
         };
-        let Some(p) = self.pending.get(&req_id) else {
-            self.stats.stale_replies += 1;
+        // Only the replica queried may answer a ticket: the table drops
+        // a forged or misrouted reply and keeps waiting for the real one.
+        let Some(req) = self.pending.on_reply(req_id, &from) else {
             return;
         };
-        if p.target != from {
-            // Forged or misrouted: only the replica we queried may
-            // answer this ticket. Keep waiting for the real one.
-            self.stats.mismatched_replies += 1;
-            return;
-        }
-        let slot_idx = p.slot;
-        self.pending.remove(&req_id);
-        if self.slots[slot_idx].data.is_some() {
-            // A straggler's re-dispatch already landed this stripe.
-            self.stats.stale_replies += 1;
-            return;
-        }
+        let slot_idx = req.value;
         if !ok {
             self.stats.failed_replies += 1;
-            self.dispatch(now, slot_idx);
-            return;
+            return self.dispatch(now, slot_idx, Some(req));
         }
         // Verify before trusting: echoed offset, per-stripe hash, and
         // a length consistent with the (agreed) total.
@@ -257,8 +245,7 @@ impl StripedFetch {
             || data.len() != expected_len
         {
             self.stats.integrity_rejects += 1;
-            self.dispatch(now, slot_idx);
-            return;
+            return self.dispatch(now, slot_idx, Some(req));
         }
         let first = self.total_len.is_none();
         self.total_len = Some(total);
@@ -288,12 +275,11 @@ impl StripedFetch {
                 offset: i as u32 * self.stripe_len,
                 len: self.stripe_len,
                 data: None,
-                attempts: 0,
                 next_replica: i % n_replicas,
             });
         }
         for i in 1..n_slots {
-            self.dispatch(now, i);
+            self.dispatch(now, i, None);
         }
     }
 }
@@ -314,10 +300,10 @@ pub struct FetchActor {
     stripe_len: u32,
     fetch: Option<StripedFetch>,
     stack: StackHost,
+    // benchmark/ compat: the frozen `campus` probe reads these three
+    // copies of the fetch's state; everything else reads `fetch()`.
     /// Assembled content once every stripe verified.
     pub result: Option<Bytes>,
-    /// Stripe completion log (exactly-once oracle input).
-    pub completions: Vec<u32>,
     /// Counters snapshot.
     pub stats: FetchStats,
     /// Fetch gave up.
@@ -342,10 +328,14 @@ impl FetchActor {
             fetch: None,
             stack: StackHost::new(),
             result: None,
-            completions: Vec::new(),
             stats: FetchStats::default(),
             failed: false,
         }
+    }
+
+    /// The fetch, once it has begun.
+    pub fn fetch(&self) -> Option<&StripedFetch> {
+        self.fetch.as_ref()
     }
 
     fn pump(&mut self, ctx: &mut dyn SimCtx) {
@@ -375,9 +365,8 @@ impl FetchActor {
             }
         }
         if let Some(fetch) = self.fetch.as_ref() {
-            // Mirror progress into the readback fields.
-            self.completions = fetch.completions.clone();
-            self.stats = fetch.stats;
+            // benchmark/ compat: refresh the frozen probe's copies.
+            self.stats = fetch.stats();
             self.failed = fetch.is_failed();
             if self.result.is_none() {
                 self.result = fetch.result().cloned();
@@ -504,7 +493,7 @@ mod tests {
         f.on_msg(t(2), rest[1].0, reply_for(&rest[1].1, &body, 128));
         f.on_msg(t(3), rest[0].0, reply_for(&rest[0].1, &body, 128));
         assert_eq!(f.result(), Some(&body));
-        assert_eq!(f.stats.stripes_completed, 3);
+        assert_eq!(f.stats().stripes_completed, 3);
         let mut sorted = f.completions.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
@@ -540,13 +529,13 @@ mod tests {
         assert_eq!(first[0].0, ep(1));
         // Past the deadline: re-dispatch goes to the other replica.
         f.on_timer(t(200));
-        assert_eq!(f.stats.timeouts, 1);
+        assert_eq!(f.stats().timeouts, 1);
         let second = f.drain_outbox();
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].0, ep(2));
         // The original reply limps in late: dropped as stale.
         f.on_msg(t(210), ep(1), reply_for(&first[0].1, &body, 64));
-        assert_eq!(f.stats.stale_replies, 1);
+        assert_eq!(f.stats().stale_replies, 1);
         assert!(f.result().is_none());
         f.on_msg(t(220), ep(2), reply_for(&second[0].1, &body, 64));
         assert_eq!(f.result(), Some(&body));
@@ -570,7 +559,7 @@ mod tests {
             hash: Bytes::from_static(&[0u8; 32]),
         };
         f.on_msg(t(1), ep(1), bad);
-        assert_eq!(f.stats.integrity_rejects, 1);
+        assert_eq!(f.stats().integrity_rejects, 1);
         let retry = f.drain_outbox();
         assert_eq!(retry.len(), 1);
         assert_eq!(retry[0].0, ep(2));
@@ -588,7 +577,7 @@ mod tests {
         assert_eq!(first[0].0, ep(1));
         // A forged reply from a replica we never asked.
         f.on_msg(t(1), ep(2), reply_for(&first[0].1, &body, 64));
-        assert_eq!(f.stats.mismatched_replies, 1);
+        assert_eq!(f.stats().mismatched_replies, 1);
         assert!(f.result().is_none());
         // The real one still completes the ticket.
         f.on_msg(t(2), ep(1), reply_for(&first[0].1, &body, 64));
@@ -612,7 +601,7 @@ mod tests {
             hash: Bytes::new(),
         };
         f.on_msg(t(1), ep(1), miss);
-        assert_eq!(f.stats.failed_replies, 1);
+        assert_eq!(f.stats().failed_replies, 1);
         let retry = f.drain_outbox();
         assert_eq!(retry[0].0, ep(2));
         f.on_msg(t(2), ep(2), reply_for(&retry[0].1, &body, 64));
@@ -621,15 +610,17 @@ mod tests {
 
     #[test]
     fn fetch_gives_up_after_max_attempts() {
-        let mut f = StripedFetch::new("lifn:g", vec![ep(1)], 64, SimDuration::from_millis(100))
-            .with_max_attempts(3);
+        let mut f = StripedFetch::new("lifn:g", vec![ep(1)], 64, SimDuration::from_millis(100));
         f.start(t(0));
-        for round in 1..=3 {
+        for round in 1..=u64::from(MAX_ATTEMPTS) {
+            assert!(!f.is_failed(), "gave up after {round} attempts");
             let _ = f.drain_outbox();
             f.on_timer(t(200 * round));
         }
         assert!(f.is_failed() && f.done());
-        assert_eq!(f.stats.timeouts, 3);
+        assert_eq!(f.stats().timeouts, u64::from(MAX_ATTEMPTS));
+        let s = f.request_stats();
+        assert_eq!((s.retries, s.gave_up), (u64::from(MAX_ATTEMPTS) - 1, 1));
     }
 
     /// Fifteen stripes fanned out in one instant share a deadline. Each
@@ -647,7 +638,7 @@ mod tests {
             f.on_msg(t(1), ep(1), reply_for(&first[0].1, &body, 64));
             assert_eq!(f.drain_outbox().len(), 15);
             f.on_timer(t(101));
-            assert_eq!(f.stats.timeouts, 15);
+            assert_eq!(f.stats().timeouts, 15);
             f.drain_outbox()
                 .into_iter()
                 .map(|(_, m)| match m {

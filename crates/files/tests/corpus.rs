@@ -159,7 +159,7 @@ fn forged_stripe_replies_are_counted_not_absorbed() {
             hash: Bytes::new(),
         },
     );
-    assert_eq!(f.stats.stale_replies, 1);
+    assert_eq!(f.stats().stale_replies, 1);
 
     // Right id, wrong replica: mismatched, the pending slot survives.
     let other = replicas.iter().copied().find(|e| e != target).unwrap();
@@ -177,7 +177,7 @@ fn forged_stripe_replies_are_counted_not_absorbed() {
             hash: good_hash.clone(),
         },
     );
-    assert_eq!(f.stats.mismatched_replies, 1);
+    assert_eq!(f.stats().mismatched_replies, 1);
 
     // Right id and replica, forged hash: integrity reject + refetch.
     f.on_msg(
@@ -192,7 +192,7 @@ fn forged_stripe_replies_are_counted_not_absorbed() {
             hash: Bytes::from(vec![0u8; 32]),
         },
     );
-    assert_eq!(f.stats.integrity_rejects, 1);
+    assert_eq!(f.stats().integrity_rejects, 1);
     assert!(!f.done(), "a forged stripe must not complete the fetch");
     assert!(!f.drain_outbox().is_empty(), "the rejected stripe must be re-requested");
 }

@@ -410,15 +410,16 @@ fn striped_read_assembles_across_replicas() {
     world.run_for(SimDuration::from_secs(3));
     let fa = world
         .actor_ref::<snipe_files::FetchActor>(Endpoint::new(client, 50))
-        .expect("fetch actor alive");
-    assert_eq!(fa.result.as_ref(), Some(&content), "striped fetch must reassemble the file");
-    assert!(!fa.failed);
+        .and_then(snipe_files::FetchActor::fetch)
+        .expect("fetch begun");
+    assert_eq!(fa.result(), Some(&content), "striped fetch must reassemble the file");
+    assert!(!fa.is_failed());
     // 20 000 bytes / 4096 ⇒ 5 stripes, each completed exactly once.
     let mut sorted = fa.completions.clone();
     sorted.sort_unstable();
     assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-    assert_eq!(fa.stats.stripes_completed, 5);
-    assert_eq!(fa.stats.integrity_rejects, 0);
+    assert_eq!(fa.stats().stripes_completed, 5);
+    assert_eq!(fa.stats().integrity_rejects, 0);
 }
 
 /// The fetch begins `start_after` into its life. A flap of the
@@ -446,8 +447,9 @@ fn striped_read_begins_after_a_flap_across_its_start() {
     world.run_for(SimDuration::from_secs(3));
     let fa = world
         .actor_ref::<snipe_files::FetchActor>(Endpoint::new(client, 50))
-        .expect("fetch actor alive");
-    assert_eq!(fa.result.as_ref(), Some(&content), "the fetch must run after the flap");
+        .and_then(snipe_files::FetchActor::fetch)
+        .expect("fetch begun");
+    assert_eq!(fa.result(), Some(&content), "the fetch must run after the flap");
 }
 
 #[test]
@@ -487,8 +489,9 @@ fn striped_read_survives_replica_death_mid_transfer() {
     world.run_for(SimDuration::from_secs(8));
     let fa = world
         .actor_ref::<snipe_files::FetchActor>(Endpoint::new(client, 50))
-        .expect("fetch actor alive");
-    assert_eq!(fa.result.as_ref(), Some(&content), "fetch must survive a replica crash");
+        .and_then(snipe_files::FetchActor::fetch)
+        .expect("fetch begun");
+    assert_eq!(fa.result(), Some(&content), "fetch must survive a replica crash");
     let mut sorted = fa.completions.clone();
     sorted.sort_unstable();
     sorted.dedup();
