@@ -336,7 +336,7 @@ impl ProcessActor {
         // Infrastructure peers (bit 63 set) speak their own protocols.
         if from_key & (1 << 63) != 0 {
             if let Ok(reply) = FileMsg::decode_from_bytes(msg) {
-                self.files.on_reply(ctx.now(), &mut self.next_req, reply);
+                self.files.on_reply(ctx.now(), &mut self.next_req, from_ep, reply);
                 self.drain(ctx);
             }
             return;

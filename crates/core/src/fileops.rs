@@ -1,17 +1,18 @@
 //! Replicated file access (§5.9) as a sans-IO machine.
 //!
-//! An operation goes to the file servers nearest first. A server silent
-//! for [`FILE_OP_TIMEOUT`], or without a copy of a file being read,
-//! passes it to the next; the last one's failure is the operation's.
-//! Each attempt draws an id from the host's shared request counter.
+//! An operation goes to the file servers nearest first: its k-th
+//! attempt to the k-th server. A server silent for [`FILE_OP_TIMEOUT`],
+//! or without a copy of a file being read, passes it to the next; the
+//! last one's failure is the operation's. Each attempt draws an id from
+//! the host's shared request counter and lives in a [`Requests`] table.
 
 use bytes::Bytes;
 
 use snipe_files::proto::FileMsg;
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::WireEncode;
-use snipe_util::deadlines::Deadlines;
 use snipe_util::error::SnipeError;
+use snipe_util::requests::{Request, RequestStats, Requests};
 use snipe_util::time::{SimDuration, SimTime};
 
 use crate::actor::Out;
@@ -25,21 +26,21 @@ struct FileOp {
     lifn: String,
     /// What to store; `None` for a read.
     content: Option<Bytes>,
-    /// Index of the server asked last.
-    server: usize,
 }
 
 /// The file operations of one process; see the module doc.
 pub struct FileOps {
     servers: Vec<Endpoint>,
-    /// Operations awaiting their server's answer, by request id.
-    pending: Deadlines<u64, FileOp>,
+    /// Operations awaiting their server's answer, by request id; one
+    /// attempt per server.
+    pending: Requests<Endpoint, FileOp>,
     pub out: Vec<Out>,
 }
 
 impl FileOps {
     pub fn new(servers: Vec<Endpoint>) -> FileOps {
-        FileOps { servers, pending: Deadlines::new(), out: Vec::new() }
+        let pending = Requests::new(FILE_OP_TIMEOUT, servers.len() as u32);
+        FileOps { servers, pending, out: Vec::new() }
     }
 
     /// Start a write of `content`, or a read if there is none.
@@ -51,35 +52,35 @@ impl FileOps {
         lifn: String,
         content: Option<Bytes>,
     ) {
-        if self.servers.is_empty() {
+        let Some(&server) = self.servers.first() else {
             let err = SnipeError::Unavailable("no file servers configured".into());
             return self.out.push(Out::Ticket(ticket, result(content.is_some(), Err(err))));
-        }
-        self.send(now, req, FileOp { ticket, lifn, content, server: 0 });
-    }
-
-    /// Put `op` to its server under a fresh id, pending until the
-    /// server answers or [`FILE_OP_TIMEOUT`] passes.
-    fn send(&mut self, now: SimTime, next_req: &mut u64, op: FileOp) {
-        let req_id = *next_req;
-        *next_req += 1;
-        let lifn = op.lifn.clone();
-        let msg = match &op.content {
-            Some(content) => FileMsg::StoreReq { req_id, lifn, content: content.clone() },
-            None => FileMsg::ReadReq { req_id, lifn },
         };
-        let server = self.servers[op.server];
-        self.pending.insert(req_id, now + FILE_OP_TIMEOUT, op);
-        self.out.push(Out::Reliable(server, msg.encode_to_bytes()));
+        let op = FileOp { ticket, lifn, content };
+        let req_id = *req;
+        *req += 1;
+        self.out.push(Out::Reliable(server, request(req_id, &op)));
+        self.pending.send(now, req_id, server, op);
     }
 
-    /// Try `op` on the next server, or fail it: the last server had no
-    /// copy, or it `timed_out`.
-    fn fail_over(&mut self, now: SimTime, next_req: &mut u64, mut op: FileOp, timed_out: bool) {
-        if op.server + 1 < self.servers.len() {
-            op.server += 1;
-            return self.send(now, next_req, op);
-        }
+    /// Try `op` on the next server under a fresh id, or fail it: the
+    /// last server had no copy, or it `timed_out`.
+    fn fail_over(
+        &mut self,
+        now: SimTime,
+        next_req: &mut u64,
+        op: Request<Endpoint, FileOp>,
+        timed_out: bool,
+    ) {
+        let server = self.servers[op.attempts as usize % self.servers.len()];
+        let req_id = *next_req;
+        let op = match self.pending.retry(now, req_id, server, op) {
+            Ok(op) => {
+                *next_req += 1;
+                return self.out.push(Out::Reliable(server, request(req_id, op)));
+            }
+            Err(op) => op.value,
+        };
         let err = if timed_out {
             SnipeError::Timeout(format!("file operation on {} timed out on every server", op.lifn))
         } else {
@@ -89,14 +90,14 @@ impl FileOps {
         self.out.push(Out::Ticket(op.ticket, done));
     }
 
-    /// A file server answered.
-    pub fn on_reply(&mut self, now: SimTime, next_req: &mut u64, msg: FileMsg) {
+    /// File server `from` answered.
+    pub fn on_reply(&mut self, now: SimTime, next_req: &mut u64, from: Endpoint, msg: FileMsg) {
         let (req_id, ok, content) = match msg {
             FileMsg::StoreResp { req_id, ok } => (req_id, ok, None),
             FileMsg::ReadResp { req_id, ok, content, .. } => (req_id, ok, Some(content)),
             _ => return,
         };
-        let Some(op) = self.pending.remove(&req_id) else {
+        let Some(op) = self.pending.on_reply(req_id, &from) else {
             return;
         };
         let done = match content {
@@ -105,7 +106,12 @@ impl FileOps {
             None if ok => TicketResult::FileWritten(Ok(())),
             None => result(true, Err(SnipeError::Unavailable("file store rejected".into()))),
         };
-        self.out.push(Out::Ticket(op.ticket, done));
+        self.out.push(Out::Ticket(op.value.ticket, done));
+    }
+
+    /// The request table's counters.
+    pub fn stats(&self) -> RequestStats {
+        self.pending.stats()
     }
 
     pub fn next_deadline(&self) -> Option<SimTime> {
@@ -124,10 +130,57 @@ impl FileOps {
     }
 }
 
+/// The wire request for `op` under `req_id`.
+fn request(req_id: u64, op: &FileOp) -> Bytes {
+    let lifn = op.lifn.clone();
+    let msg = match &op.content {
+        Some(content) => FileMsg::StoreReq { req_id, lifn, content: content.clone() },
+        None => FileMsg::ReadReq { req_id, lifn },
+    };
+    msg.encode_to_bytes()
+}
+
 fn result(write: bool, r: Result<Bytes, SnipeError>) -> TicketResult {
     if write {
         TicketResult::FileWritten(r.map(drop))
     } else {
         TicketResult::FileRead(r)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snipe_util::id::HostId;
+
+    fn read_resp(req_id: u64, ok: bool) -> FileMsg {
+        let content = Bytes::from_static(b"x");
+        FileMsg::ReadResp { req_id, ok, content, hash: Bytes::new() }
+    }
+
+    /// A read goes to the nearest server; a reply from anyone else is
+    /// dropped as mismatched, a missing copy passes it on under a fresh
+    /// id, and silence at the last server fails it.
+    #[test]
+    fn a_read_fails_over_nearest_first_and_only_its_server_answers() {
+        let (a, b) = (Endpoint::new(HostId(1), 9), Endpoint::new(HostId(2), 9));
+        let mut f = FileOps::new(vec![a, b]);
+        let mut next_req = 1;
+        f.start(SimTime::ZERO, &mut next_req, 7, "lifn:x".into(), None);
+        assert!(matches!(f.out.drain(..).as_slice(), [Out::Reliable(to, _)] if *to == a));
+        f.on_reply(SimTime::ZERO, &mut next_req, b, read_resp(1, true));
+        assert!(f.out.is_empty(), "a reply from the wrong server completes nothing");
+        f.on_reply(SimTime::ZERO, &mut next_req, a, read_resp(1, false));
+        assert!(matches!(f.out.drain(..).as_slice(), [Out::Reliable(to, _)] if *to == b));
+        assert_eq!(next_req, 3, "each attempt draws an id");
+        let late = SimTime::ZERO + FILE_OP_TIMEOUT;
+        assert!(f.on_wake(late, &mut next_req));
+        let [Out::Ticket(7, TicketResult::FileRead(Err(e)))] = f.out.as_slice() else {
+            panic!("expected a failed read, got {:?}", f.out);
+        };
+        assert_eq!(e.kind(), "timeout");
+        f.on_reply(late, &mut next_req, b, read_resp(2, true));
+        let s = f.stats();
+        assert_eq!((s.mismatched, s.retries, s.gave_up, s.stale), (1, 1, 1, 1));
     }
 }
