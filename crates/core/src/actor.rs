@@ -27,6 +27,7 @@ use snipe_util::codec::{Encoder, WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
 use snipe_util::error::{SnipeError, SnipeResult};
 use snipe_util::id::HostId;
+use snipe_util::requests::{RequestStats, Requests};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_util::wire_codec;
 use snipe_wire::frame::{seal, Proto};
@@ -95,7 +96,7 @@ pub(crate) enum Out {
     Joined(String),
     Ticket(u64, TicketResult),
     /// A daemon answered a spawn request while the process was frozen.
-    Daemon(DaemonMsg),
+    Daemon(Endpoint, DaemonMsg),
     /// Checkpoint the process and ask this host's daemon to respawn it.
     Checkpoint(HostId),
     /// The new incarnation is up: drop the stack, detach from the daemon.
@@ -146,8 +147,9 @@ pub struct ProcessActor {
     groups: Groups,
     files: FileOps,
     migration: Migration,
-    /// Spawn requests awaiting a daemon's or RM's answer, by request id.
-    spawns: Deadlines<u64, SpawnPending>,
+    /// Spawn requests awaiting a daemon's or RM's answer, by request
+    /// id: one attempt each.
+    spawns: Requests<Endpoint, SpawnPending>,
     /// App timers by arm order (ties fire as armed) → token.
     app_timers: Deadlines<u64, u64>,
     app_timers_armed: u64,
@@ -187,7 +189,7 @@ impl ProcessActor {
             rc_pending: HashMap::new(),
             resolver: Resolver::default(),
             groups: Groups::default(),
-            spawns: Deadlines::new(),
+            spawns: Requests::new(SPAWN_TIMEOUT, 1),
             app_timers: Deadlines::new(),
             app_timers_armed: 0,
             next_req: 1,
@@ -283,7 +285,7 @@ impl ProcessActor {
             Out::Ticket(ticket, result) => {
                 self.callback(ctx, |p, api| p.on_ticket(api, ticket, result))
             }
-            Out::Daemon(msg) => self.on_daemon(ctx, msg),
+            Out::Daemon(from, msg) => self.on_daemon(ctx, from, msg),
             Out::Checkpoint(target) => {
                 trace::record(now, phase(MigrationPhase::Checkpoint));
                 let payload = MigrationPayload {
@@ -296,8 +298,10 @@ impl ProcessActor {
                 let mut spec =
                     SpawnSpec::program(crate::world::MIGRATE_PROGRAM, payload.encode_to_bytes());
                 spec.fixed_key = key;
-                let req_id = self.await_spawn(ctx, SpawnPending::Migration);
-                to_daemon(ctx, target, DaemonMsg::SpawnReq { req_id, spec });
+                let daemon = Endpoint::new(target, ports::DAEMON);
+                self.request_spawn(ctx, daemon, SpawnPending::Migration, |req_id| {
+                    DaemonMsg::SpawnReq { req_id, spec }.encode_to_bytes()
+                });
             }
             Out::Cutover => {
                 // The new incarnation owns all protocol state now: drop
@@ -482,8 +486,13 @@ impl ProcessActor {
                     SpawnTarget::Host(host) => match ctx.topology().host_by_name(&host) {
                         None => Some(SnipeError::NameNotFound(host)),
                         Some(h) => {
-                            let req_id = self.await_spawn(ctx, SpawnPending::App { ticket });
-                            to_daemon(ctx, h, DaemonMsg::SpawnReq { req_id, spec });
+                            let daemon = Endpoint::new(h, ports::DAEMON);
+                            self.request_spawn(
+                                ctx,
+                                daemon,
+                                SpawnPending::App { ticket },
+                                |req_id| DaemonMsg::SpawnReq { req_id, spec }.encode_to_bytes(),
+                            );
                             None
                         }
                     },
@@ -492,10 +501,10 @@ impl ProcessActor {
                             Some(SnipeError::Unavailable("no resource managers configured".into()))
                         }
                         Some(&rm) => {
-                            let req_id = self.await_spawn(ctx, SpawnPending::App { ticket });
-                            let mode = AllocMode::Active;
-                            let msg = RmMsg::AllocReq { req_id, spec, count: 1, mode };
-                            ctx.send(rm, seal(Proto::Raw, msg.encode_to_bytes()));
+                            self.request_spawn(ctx, rm, SpawnPending::App { ticket }, |req_id| {
+                                let mode = AllocMode::Active;
+                                RmMsg::AllocReq { req_id, spec, count: 1, mode }.encode_to_bytes()
+                            });
                             None
                         }
                     },
@@ -545,14 +554,26 @@ impl ProcessActor {
         self.drain(ctx);
     }
 
-    /// File a spawn request about to go out as one unreliable datagram:
-    /// if no answer comes within [`SPAWN_TIMEOUT`] it fails like a
-    /// refusal. Returns the request id to send it under.
-    fn await_spawn(&mut self, ctx: &mut dyn SimCtx, pending: SpawnPending) -> u64 {
-        let req = self.next_req;
+    /// Send `to` the spawn request `msg` builds for a fresh id, as one
+    /// unreliable datagram: if no answer comes within [`SPAWN_TIMEOUT`]
+    /// it fails like a refusal.
+    fn request_spawn(
+        &mut self,
+        ctx: &mut dyn SimCtx,
+        to: Endpoint,
+        pending: SpawnPending,
+        msg: impl FnOnce(u64) -> Bytes,
+    ) {
+        let req_id = self.next_req;
         self.next_req += 1;
-        self.spawns.insert(req, ctx.now() + SPAWN_TIMEOUT, pending);
-        req
+        self.spawns.send(ctx.now(), req_id, to, pending);
+        ctx.send(to, seal(Proto::Raw, msg(req_id)));
+    }
+
+    /// The counters of this process's request tables: RC lookups, file
+    /// operations, spawns.
+    pub fn request_stats(&self) -> [RequestStats; 3] {
+        [self.rc.request_stats(), self.files.stats(), self.spawns.stats()]
     }
 
     /// A spawn request was answered, refused, or timed out.
@@ -583,7 +604,8 @@ impl ProcessActor {
     /// first two (its answer to [`Actor::next_wake`] holds nothing else).
     fn on_wake(&mut self, ctx: &mut dyn SimCtx) {
         let now = ctx.now();
-        for (_, pending) in self.spawns.take_due(now) {
+        for (_, req) in self.spawns.take_due(now) {
+            let pending = self.spawns.give_up(req);
             self.finish_spawn(ctx, Some(pending), Err("no answer".into()));
         }
         self.migration.on_wake(now);
@@ -678,14 +700,14 @@ impl ProcessActor {
             if self.migration.on_raw(&msg) {
                 self.drain(ctx);
             } else if let Ok(msg) = DaemonMsg::decode_from_bytes(msg.clone()) {
-                self.on_daemon(ctx, msg);
+                self.on_daemon(ctx, from, msg);
             } else if let Ok(rmsg) = RmMsg::decode_from_bytes(msg.clone()) {
                 if let RmMsg::AllocResp { req_id, ok, allocations, error } = rmsg {
                     let outcome = match allocations.first() {
                         Some(a) if ok => Ok(ProcRef { key: a.proc_key, endpoint: a.task }),
                         _ => Err(error),
                     };
-                    let pending = self.spawns.remove(&req_id);
+                    let pending = self.spawns.on_reply(req_id, &from).map(|r| r.value);
                     self.finish_spawn(ctx, pending, outcome);
                 }
             } else {
@@ -696,11 +718,11 @@ impl ProcessActor {
         self.pump_stack(ctx);
     }
 
-    fn on_daemon(&mut self, ctx: &mut dyn SimCtx, msg: DaemonMsg) {
+    fn on_daemon(&mut self, ctx: &mut dyn SimCtx, from: Endpoint, msg: DaemonMsg) {
         match msg {
             DaemonMsg::SpawnResp { req_id, ok, endpoint, proc_key, error } => {
                 let outcome = if ok { Ok(ProcRef { key: proc_key, endpoint }) } else { Err(error) };
-                let pending = self.spawns.remove(&req_id);
+                let pending = self.spawns.on_reply(req_id, &from).map(|r| r.value);
                 self.finish_spawn(ctx, pending, outcome);
             }
             DaemonMsg::TaskEvent { proc_key, state } => {
@@ -900,6 +922,74 @@ mod tests {
             assert_eq!(lookups, alone_lookups, "key {key}");
             assert!(until >= alone_until, "key {key} given up at {until}, alone at {alone_until}");
         }
+    }
+
+    /// Moves to host2 100 ms after it starts, logging when; echoes.
+    struct Mover(Log);
+    impl SnipeProcess for Mover {
+        fn on_start(&mut self, api: &mut SnipeApi<'_, '_>) {
+            api.set_timer(SimDuration::from_millis(100), 1);
+        }
+        fn on_timer(&mut self, api: &mut SnipeApi<'_, '_>, _token: u64) {
+            self.0.lock().unwrap().push(format!("moving at {}", api.now().as_nanos()));
+            api.migrate_to("host2");
+        }
+        fn on_message(&mut self, api: &mut SnipeApi<'_, '_>, from: ProcRef, msg: Bytes) {
+            api.send(from.key, msg);
+        }
+    }
+
+    /// The checkpoint's respawn request is a spawn request like any
+    /// other: when it is lost (host2 is down), the spawn table gives it
+    /// up exactly `SPAWN_TIMEOUT` after the checkpoint, the move is
+    /// dropped and the process runs again where it was, serving its
+    /// app. An answer that comes after that is stale and moves nothing.
+    #[test]
+    fn a_lost_respawn_request_runs_the_process_again_at_the_spawn_deadline() {
+        let mut w = crate::world::SnipeWorldBuilder::lan(3, 5).build();
+        let log = Log::default();
+        let l = log.clone();
+        w.register_process("mover", move |_| Box::new(Mover(l.clone())));
+        let (key, ep) = w.spawn_on("host1", "mover", Bytes::new()).unwrap();
+        let host2 = w.sim_ref().topology().host_by_name("host2").unwrap();
+        w.sim().host_down(host2);
+        w.run_for(SimDuration::from_millis(500));
+        let moved_at = log.lock().unwrap().first().cloned().expect("the move started");
+        let nanos = moved_at.strip_prefix("moving at ").unwrap().parse().unwrap();
+        let deadline = SimTime::from_nanos(nanos) + SPAWN_TIMEOUT;
+        fn actor(w: &crate::world::SnipeWorld, ep: Endpoint) -> &ProcessActor {
+            w.sim_ref().actor_ref::<ProcessActor>(ep).expect("the process stays")
+        }
+        assert_eq!(actor(&w, ep).migration.state, Lifecycle::Frozen);
+        w.sim().run_until(deadline - SimDuration::from_nanos(1));
+        assert_eq!(actor(&w, ep).migration.state, Lifecycle::Frozen, "thawed before the deadline");
+        w.sim().run_until(deadline);
+        assert_eq!(
+            actor(&w, ep).migration.state,
+            Lifecycle::Running,
+            "still frozen at the deadline"
+        );
+        let [_, files, spawns] = actor(&w, ep).request_stats();
+        assert_eq!((spawns.gave_up, spawns.stale, files), (1, 0, RequestStats::default()));
+
+        // The answer the lost request would have had, late: stale, and
+        // the process does not cut over.
+        let req_id = actor(&w, ep).next_req - 1;
+        let endpoint = Endpoint::new(host2, ports::TASK_BASE);
+        let error = String::new();
+        let late = DaemonMsg::SpawnResp { req_id, ok: true, endpoint, proc_key: key, error };
+        let late = seal(Proto::Raw, late.encode_to_bytes());
+        w.sim().host_up(host2);
+        w.sim().spawn(host2, 999, Box::new(OneShot(ep, late)));
+        w.run_for(SimDuration::from_millis(10));
+        assert_eq!(actor(&w, ep).request_stats()[2].stale, 1);
+        assert_eq!(actor(&w, ep).migration.state, Lifecycle::Running, "a stale answer moved it");
+        let l = log.clone();
+        w.register_process("caller", move |_| Box::new(Caller(key, l.clone())));
+        w.spawn_on("host0", "caller", Bytes::new()).unwrap();
+        w.run_for_secs(2);
+        assert_eq!(log.lock().unwrap()[1..], ["reply ping"]);
+        assert!(w.sim_ref().is_bound(ep));
     }
 
     #[test]

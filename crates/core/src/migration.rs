@@ -115,7 +115,7 @@ impl Migration {
             _ => None,
         };
         match (daemon, self.state) {
-            (Some(msg @ DaemonMsg::SpawnResp { .. }), _) => self.out.push(Out::Daemon(msg)),
+            (Some(msg @ DaemonMsg::SpawnResp { .. }), _) => self.out.push(Out::Daemon(from, msg)),
             (Some(DaemonMsg::DetachResp { .. }), _) => {}
             (_, Lifecycle::Redirecting { to, .. }) => {
                 let notice = RedirectNotice { proc_key: self.proc_key, to }.encode_to_bytes();
@@ -209,7 +209,7 @@ mod tests {
         assert!(m.out.is_empty(), "not cut over yet: nothing to redirect to");
         // Only the daemon's answer to the respawn gets through.
         assert_eq!(m.admit(ep(1, 7), daemon(spawn_resp())), None);
-        assert!(matches!(m.out.as_slice(), [Out::Daemon(msg)] if *msg == spawn_resp()));
+        assert!(matches!(m.out.as_slice(), [Out::Daemon(_, msg)] if *msg == spawn_resp()));
         // The planted bug: the drill switch lets data reach the stack.
         assert_eq!(frozen(true).admit(ep(3, 40), data()), Some(data()));
     }
