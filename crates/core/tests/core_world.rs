@@ -683,3 +683,18 @@ fn resource_manager_initiated_migration() {
         last = n;
     }
 }
+
+/// The RM refreshes its host table with a `Find` and then one `Get` per
+/// host it names. Each `Get` must leave with the `Find` reply: held to
+/// the RC deadline, each went out twice (a retry to the next replica
+/// beside the original), and the answers came back mismatched or stale
+/// (288 retries, 192 mismatched and 96 stale replies here).
+#[test]
+fn the_resource_manager_looks_each_host_up_once() {
+    let mut w = SnipeWorldBuilder::campus(4, 8, 1997).build();
+    w.run_for_secs(20);
+    let rm = w.rm_endpoints()[0];
+    let rm = w.sim_ref().actor_ref::<snipe_rm::RmActor>(rm).expect("the RM runs");
+    let s = rm.rc_requests();
+    assert_eq!((s.retries, s.mismatched, s.stale), (0, 0, 0), "{s:?}");
+}

@@ -20,6 +20,7 @@ use snipe_rcds::{RcClient, RcHost, RC_TIMEOUT};
 use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::deadlines::Deadlines;
 use snipe_util::id::HostId;
+use snipe_util::requests::RequestStats;
 use snipe_util::rng::Xoshiro256;
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::frame::{open, seal, Proto};
@@ -120,6 +121,11 @@ impl RmActor {
             auth_granted: 0,
             auth_denied: 0,
         }
+    }
+
+    /// The retry, reply and give-up counters of the RM's RC lookups.
+    pub fn rc_requests(&self) -> RequestStats {
+        self.rc.request_stats()
     }
 
     /// The RM's public key (trust anchor for daemons, §4).
