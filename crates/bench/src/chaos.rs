@@ -691,8 +691,14 @@ const WRITES: u32 = 12;
 const WRITE_INTERVAL: SimDuration = ms(300);
 /// A probe's lookups, one every [`PROBE_INTERVAL`]: a single replica
 /// answers a live one, and one that gives up (six attempts of
-/// [`RC_TIMEOUT`]) is followed by the next at that instant.
-const PROBES: u32 = 31;
+/// [`RC_TIMEOUT`]) is followed by the next at that instant. The bodies
+/// stop driving [`RECOVERY_TAIL`] after the probes start, so the count
+/// is what fits in the tail (17), not the other way round: a live
+/// replica answers the first lookup it gets, and a restarted one is
+/// refilled by anti-entropy every [`RC_SYNC`], so 17 lookups over 28.8 s
+/// leave each replica dozens of sync rounds to converge. A tail long
+/// enough for more lookups would only lengthen the soak and the smoke.
+const PROBES: u32 = (RECOVERY_TAIL.as_nanos() / PROBE_INTERVAL.as_nanos()) as u32 + 1;
 const PROBE_INTERVAL: SimDuration = ms(1800);
 
 const RC_SYNC: SimDuration = ms(500);
