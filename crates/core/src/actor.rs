@@ -299,9 +299,8 @@ impl ProcessActor {
                     SpawnSpec::program(crate::world::MIGRATE_PROGRAM, payload.encode_to_bytes());
                 spec.fixed_key = key;
                 let daemon = Endpoint::new(target, ports::DAEMON);
-                self.request_spawn(ctx, daemon, SpawnPending::Migration, |req_id| {
-                    DaemonMsg::SpawnReq { req_id, spec }.encode_to_bytes()
-                });
+                let msg = |req_id| DaemonMsg::SpawnReq { req_id, spec };
+                self.request_spawn(ctx, daemon, SpawnPending::Migration, msg);
             }
             Out::Cutover => {
                 // The new incarnation owns all protocol state now: drop
@@ -486,13 +485,9 @@ impl ProcessActor {
                     SpawnTarget::Host(host) => match ctx.topology().host_by_name(&host) {
                         None => Some(SnipeError::NameNotFound(host)),
                         Some(h) => {
+                            let msg = |req_id| DaemonMsg::SpawnReq { req_id, spec };
                             let daemon = Endpoint::new(h, ports::DAEMON);
-                            self.request_spawn(
-                                ctx,
-                                daemon,
-                                SpawnPending::App { ticket },
-                                |req_id| DaemonMsg::SpawnReq { req_id, spec }.encode_to_bytes(),
-                            );
+                            self.request_spawn(ctx, daemon, SpawnPending::App { ticket }, msg);
                             None
                         }
                     },
@@ -501,10 +496,9 @@ impl ProcessActor {
                             Some(SnipeError::Unavailable("no resource managers configured".into()))
                         }
                         Some(&rm) => {
-                            self.request_spawn(ctx, rm, SpawnPending::App { ticket }, |req_id| {
-                                let mode = AllocMode::Active;
-                                RmMsg::AllocReq { req_id, spec, count: 1, mode }.encode_to_bytes()
-                            });
+                            let mode = AllocMode::Active;
+                            let msg = |req_id| RmMsg::AllocReq { req_id, spec, count: 1, mode };
+                            self.request_spawn(ctx, rm, SpawnPending::App { ticket }, msg);
                             None
                         }
                     },
@@ -557,23 +551,23 @@ impl ProcessActor {
     /// Send `to` the spawn request `msg` builds for a fresh id, as one
     /// unreliable datagram: if no answer comes within [`SPAWN_TIMEOUT`]
     /// it fails like a refusal.
-    fn request_spawn(
+    fn request_spawn<M: WireEncode>(
         &mut self,
         ctx: &mut dyn SimCtx,
         to: Endpoint,
         pending: SpawnPending,
-        msg: impl FnOnce(u64) -> Bytes,
+        msg: impl FnOnce(u64) -> M,
     ) {
         let req_id = self.next_req;
         self.next_req += 1;
         self.spawns.send(ctx.now(), req_id, to, pending);
-        ctx.send(to, seal(Proto::Raw, msg(req_id)));
+        ctx.send(to, seal(Proto::Raw, msg(req_id).encode_to_bytes()));
     }
 
     /// The counters of this process's request tables: RC lookups, file
     /// operations, spawns.
     pub fn request_stats(&self) -> [RequestStats; 3] {
-        [self.rc.request_stats(), self.files.stats(), self.spawns.stats()]
+        [self.rc.request_stats(), self.files.pending.stats(), self.spawns.stats()]
     }
 
     /// A spawn request was answered, refused, or timed out.

@@ -12,7 +12,7 @@ use snipe_files::proto::FileMsg;
 use snipe_netsim::topology::Endpoint;
 use snipe_util::codec::WireEncode;
 use snipe_util::error::SnipeError;
-use snipe_util::requests::{Request, RequestStats, Requests};
+use snipe_util::requests::{Request, Requests};
 use snipe_util::time::{SimDuration, SimTime};
 
 use crate::actor::Out;
@@ -21,19 +21,21 @@ use crate::api::TicketResult;
 /// Per-attempt deadline for file server operations.
 const FILE_OP_TIMEOUT: SimDuration = SimDuration::from_millis(800);
 
-struct FileOp {
+pub(crate) struct FileOp {
     ticket: u64,
     lifn: String,
     /// What to store; `None` for a read.
     content: Option<Bytes>,
 }
 
+type Pending = Request<Endpoint, FileOp>;
+
 /// The file operations of one process; see the module doc.
 pub struct FileOps {
     servers: Vec<Endpoint>,
     /// Operations awaiting their server's answer, by request id; one
     /// attempt per server.
-    pending: Requests<Endpoint, FileOp>,
+    pub pending: Requests<Endpoint, FileOp>,
     pub out: Vec<Out>,
 }
 
@@ -65,13 +67,7 @@ impl FileOps {
 
     /// Try `op` on the next server under a fresh id, or fail it: the
     /// last server had no copy, or it `timed_out`.
-    fn fail_over(
-        &mut self,
-        now: SimTime,
-        next_req: &mut u64,
-        op: Request<Endpoint, FileOp>,
-        timed_out: bool,
-    ) {
+    fn fail_over(&mut self, now: SimTime, next_req: &mut u64, op: Pending, timed_out: bool) {
         let server = self.servers[op.attempts as usize % self.servers.len()];
         let req_id = *next_req;
         let op = match self.pending.retry(now, req_id, server, op) {
@@ -107,11 +103,6 @@ impl FileOps {
             None => result(true, Err(SnipeError::Unavailable("file store rejected".into()))),
         };
         self.out.push(Out::Ticket(op.value.ticket, done));
-    }
-
-    /// The request table's counters.
-    pub fn stats(&self) -> RequestStats {
-        self.pending.stats()
     }
 
     pub fn next_deadline(&self) -> Option<SimTime> {
@@ -180,7 +171,7 @@ mod tests {
         };
         assert_eq!(e.kind(), "timeout");
         f.on_reply(late, &mut next_req, b, read_resp(2, true));
-        let s = f.stats();
+        let s = f.pending.stats();
         assert_eq!((s.mismatched, s.retries, s.gave_up, s.stale), (1, 1, 1, 1));
     }
 }

@@ -138,12 +138,8 @@ impl StripedFetch {
 
     /// Counters.
     pub fn stats(&self) -> FetchStats {
-        let requests = self.pending.stats();
-        FetchStats {
-            stale_replies: requests.stale,
-            mismatched_replies: requests.mismatched,
-            ..self.stats
-        }
+        let r = self.pending.stats();
+        FetchStats { stale_replies: r.stale, mismatched_replies: r.mismatched, ..self.stats }
     }
 
     /// The request table's retry, reply and give-up counters.
@@ -261,7 +257,6 @@ impl StripedFetch {
                 out.extend_from_slice(s.data.as_ref().expect("all complete"));
             }
             self.result = Some(Bytes::from(out));
-            self.pending.clear();
         }
     }
 
@@ -365,7 +360,7 @@ impl FetchActor {
             }
         }
         if let Some(fetch) = self.fetch.as_ref() {
-            // benchmark/ compat: refresh the frozen probe's copies.
+            // Refresh the copies the frozen benchmark reads.
             self.stats = fetch.stats();
             self.failed = fetch.is_failed();
             if self.result.is_none() {

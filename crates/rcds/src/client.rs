@@ -144,12 +144,8 @@ impl RcClient {
 
     /// Drop/cache counters.
     pub fn stats(&self) -> RcClientStats {
-        let requests = self.pending.stats();
-        RcClientStats {
-            stale_replies: requests.stale,
-            mismatched_replies: requests.mismatched,
-            ..self.stats
-        }
+        let r = self.pending.stats();
+        RcClientStats { stale_replies: r.stale, mismatched_replies: r.mismatched, ..self.stats }
     }
 
     /// The request table's retry, reply and give-up counters.

@@ -123,7 +123,7 @@ impl RmActor {
         }
     }
 
-    /// The retry, reply and give-up counters of the RM's RC lookups.
+    /// The RM's RC request counters.
     pub fn rc_requests(&self) -> RequestStats {
         self.rc.request_stats()
     }

@@ -1,58 +1,35 @@
-//! Requests to a target: the one retry, stale-reply and
-//! mismatched-reply rule of every service client.
+//! The request table of every service client: send to a target, wait
+//! one timeout, then retry or give up, and drop a late or misdirected
+//! reply.
 //!
-//! A service client sends a request to a target, waits until a
-//! deadline, then tries again or gives up, and drops a reply that comes
-//! too late or from the wrong endpoint. [`Requests`] is that job,
-//! written once over [`Deadlines`]: each request id maps to its value,
-//! its current target and its attempt count, due one table-wide timeout
-//! after its last send. The RC client, the striped fetch, a process's
-//! file operations and its spawn table keep one each. Routing stays with
-//! the caller — which target an attempt goes to, and whether a retry
-//! keeps its id or draws a fresh one (ids travel in packets) — and so
-//! does the message itself.
-//!
-//! What the table guarantees:
-//!
-//! * **Expiry order is id order**, as in [`Deadlines`]; retries that draw
-//!   from a shared counter replay from the seed alone.
-//! * **A reply is live only from the request's target.** [`Requests::on_reply`]
-//!   counts a reply for no pending id as stale and one from any other
-//!   endpoint as mismatched; either way the caller sees nothing.
-//! * **Attempts are bounded here.** [`Requests::retry`] files another
-//!   attempt, or refuses once a request has had `max_attempts`, and
-//!   counts which; a caller that gives up on its own says so through
-//!   [`Requests::give_up`]. Every client reports the same [`RequestStats`].
-//!
-//! Filing a request allocates nothing beyond the table's high-water
-//! capacity.
+//! [`Requests`] is [`Deadlines`] keyed by request id, each entry a
+//! [`Request`]: the caller's value, the target of the last attempt and
+//! the attempts so far. Expiry order is id order. The caller supplies
+//! ids (a retry may keep its id or draw a fresh one: ids travel in
+//! packets) and routes each attempt; the table holds the rule: a reply
+//! is live only from its request's target, a request has at most
+//! `max_attempts`, and every client counts the same [`RequestStats`].
 
 use crate::deadlines::Deadlines;
 use crate::time::{SimDuration, SimTime};
 
-/// What one request table has counted.
+/// What a request table has counted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RequestStats {
-    /// Attempts filed after the first (timeouts and failed answers).
+    /// Attempts re-filed after the first.
     pub retries: u64,
-    /// Replies for a live request from an endpoint other than its
-    /// target: dropped, the request stays pending.
+    /// Replies from an endpoint other than the live request's target.
     pub mismatched: u64,
-    /// Replies whose id matched no pending request (duplicates, or a
-    /// reply landing after its request moved on or gave up).
+    /// Replies for no pending request (duplicates, late, given up).
     pub stale: u64,
-    /// Requests that ended unanswered: out of attempts, or given up by
-    /// their caller.
+    /// Requests that ended unanswered.
     pub gave_up: u64,
 }
 
-/// One pending request, as the table hands it back.
+/// A pending request, as the table hands it back.
 pub struct Request<T, V> {
-    /// The caller's own state for the request.
     pub value: V,
-    /// Where the current attempt went.
     pub target: T,
-    /// Attempts sent so far, this one included.
     pub attempts: u32,
 }
 
@@ -65,16 +42,11 @@ pub struct Requests<T, V> {
 }
 
 impl<T: PartialEq, V> Requests<T, V> {
-    /// An empty table: each attempt is due `timeout` after it is filed,
-    /// and a request has at most `max_attempts` (at least one).
+    /// Each attempt is due `timeout` after it is filed; a request has
+    /// at most `max_attempts` (at least one).
     pub fn new(timeout: SimDuration, max_attempts: u32) -> Self {
-        let max_attempts = max_attempts.max(1);
-        Requests {
-            pending: Deadlines::new(),
-            timeout,
-            max_attempts,
-            stats: RequestStats::default(),
-        }
+        let (pending, stats) = (Deadlines::new(), RequestStats::default());
+        Requests { pending, timeout, max_attempts: max_attempts.max(1), stats }
     }
 
     /// File the first attempt of a request sent to `target` under `id`.
@@ -82,10 +54,9 @@ impl<T: PartialEq, V> Requests<T, V> {
         self.pending.insert(id, now + self.timeout, Request { value, target, attempts: 1 });
     }
 
-    /// File another attempt of `req` (handed back by this table) to
-    /// `target` under `id`, the old id or a fresh one, and count a
-    /// retry. A request that has had its attempts is not filed: it
-    /// comes back as `Err`, counted as given up.
+    /// File another attempt of `req` to `target` under `id`, counted as
+    /// a retry; or, once `req` has had its attempts, count it given up
+    /// and hand it back.
     pub fn retry(
         &mut self,
         now: SimTime,
@@ -98,54 +69,42 @@ impl<T: PartialEq, V> Requests<T, V> {
             return Err(req);
         }
         self.stats.retries += 1;
-        let req = Request { value: req.value, target, attempts: req.attempts + 1 };
+        let req = Request { target, attempts: req.attempts + 1, ..req };
         self.pending.insert(id, now + self.timeout, req);
         Ok(&self.pending.get(&id).expect("just filed").value)
     }
 
-    /// The caller ends `req` unanswered without trying again.
+    /// The caller ends `req` unanswered.
     pub fn give_up(&mut self, req: Request<T, V>) -> V {
         self.stats.gave_up += 1;
         req.value
     }
 
-    /// A reply for `id` came from `from`: the live request, taken out,
-    /// if `from` is its target. Otherwise the reply is counted stale
-    /// (no such request) or mismatched (the request stays pending).
+    /// A reply to `id` from `from`: the request, taken out, if `from`
+    /// is its target; else counted stale or mismatched.
     pub fn on_reply(&mut self, id: u64, from: &T) -> Option<Request<T, V>> {
-        let Some(req) = self.pending.get(&id) else {
-            self.stats.stale += 1;
-            return None;
-        };
-        if req.target != *from {
-            self.stats.mismatched += 1;
-            return None;
+        match self.pending.get(&id) {
+            None => self.stats.stale += 1,
+            Some(req) if req.target != *from => self.stats.mismatched += 1,
+            Some(_) => return self.pending.remove(&id),
         }
-        self.pending.remove(&id)
+        None
     }
 
-    /// Take out every request whose attempt timed out by `now`, in id
-    /// order.
+    /// Every request whose attempt timed out by `now`, in id order.
     pub fn take_due(&mut self, now: SimTime) -> Vec<(u64, Request<T, V>)> {
         self.pending.take_due(now)
     }
 
-    /// [`Requests::take_due`] one request at a time.
+    /// [`Requests::take_due`] one at a time.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(u64, Request<T, V>)> {
         self.pending.pop_due(now)
     }
 
-    /// Forget every pending request; their replies will count as stale.
-    pub fn clear(&mut self) {
-        self.pending.clear();
-    }
-
-    /// When the earliest pending attempt times out.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.pending.next_deadline()
     }
 
-    /// The table's counters.
     pub fn stats(&self) -> RequestStats {
         self.stats
     }
@@ -224,8 +183,6 @@ mod tests {
         let rest: Vec<u64> = r.take_due(t(100)).into_iter().map(|(id, _)| id).collect();
         assert_eq!(rest, [5, 9]);
         assert_eq!(r.stats().gave_up, 1);
-        r.send(t(0), 1, 'a', "op");
-        r.clear();
-        assert!(r.on_reply(1, &'a').is_none() && r.next_deadline().is_none());
+        assert!(r.next_deadline().is_none());
     }
 }
