@@ -137,6 +137,33 @@ if [ -n "$scan" ]; then
     echo "$scan"
     exit 1
 fi
+# Request-table gate: "send to a target, wait until a deadline, then
+# retry or give up, and drop a late or misdirected reply" is written
+# once, in `snipe_util::requests::Requests`. Five service clients once
+# kept that rule each in its own id-keyed `Deadlines`, with its own
+# attempt count and its own idea of a stale reply, and counted it five
+# ways or not at all. Outside test modules, an id-keyed table
+# (`Deadlines<u64, _>`) may therefore appear only in `requests.rs`, the
+# two app-timer tables (`core/src/actor.rs`, `pvm/src/task.rs`), the
+# resolver's back-off and the resource manager's allocation table (whose
+# unit of retry is a whole allocation over several daemon spawns); and
+# only `requests.rs` may bump a stale or mismatched counter.
+requests=$(
+    find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        in_test || FILENAME == "crates/util/src/requests.rs" { next }
+        /Deadlines<u64,|(stale|mismatched)[a-z_]* *\+=/ { print FILENAME ":" FNR ":" $0 }
+    ' | grep -v -e '^crates/core/src/actor\.rs:[0-9]*: *app_timers: Deadlines<u64, u64>,$' \
+        -e '^crates/pvm/src/task\.rs:[0-9]*: *timers: Deadlines<u64, u64>,$' \
+        -e '^crates/core/src/resolver\.rs:[0-9]*: *retry: Deadlines<u64, u32>,$' \
+        -e '^crates/rm/src/manager\.rs:[0-9]*: *pending: Deadlines<u64, PendingAlloc>,$' || true
+)
+if [ -n "$requests" ]; then
+    echo "request-table gate: FAIL — keep pending requests in a snipe_util::requests::Requests instead:"
+    echo "$requests"
+    exit 1
+fi
 # Loss-recovery gate: the RFC 6298 estimator (smoothed RTT, its
 # variance, the clamped and backed-off RTO) is written once, in
 # `snipe_wire::recovery::Rtt`. Its variance term is the fingerprint of a
