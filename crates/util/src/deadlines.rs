@@ -7,9 +7,9 @@
 //! woken next* and *what is due now*. [`Deadlines`] is that table,
 //! written once. The transports key it by `(timer kind, peer)` or
 //! connection id with no value, and their in-flight scoreboards by
-//! sequence, filed at the last transmission; the RC client, the striped
-//! fetch, the resource manager and the process actor key it by request
-//! id and store the pending request itself.
+//! sequence, filed at the last transmission; the resource manager's
+//! allocation table and every service client's request table
+//! ([`Requests`](crate::requests::Requests)) key it by request id.
 //!
 //! What the type guarantees, so that no caller has to remember it:
 //!

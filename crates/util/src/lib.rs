@@ -9,9 +9,8 @@
 //! * [`deadlines`] — the keyed-deadline table ([`deadlines::Deadlines`]) under
 //!   every retransmission timer and pending-request map: exact
 //!   `next_deadline`, expiry in key order.
-//! * [`requests`] — the request table ([`requests::Requests`]) on top of it
-//!   that every service client sends through: one retry, stale-reply and
-//!   mismatched-reply rule, one set of counters.
+//! * [`requests`] — the request table on top of it that every service
+//!   client sends through ([`requests::Requests`]).
 //! * [`codec`] — the XDR-like wire codec. SNIPE's client library performs
 //!   "data conversion (e.g. between different host architectures)" (§3.4
 //!   of the paper); this module is that canonical network byte format.
