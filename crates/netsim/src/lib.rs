@@ -33,9 +33,12 @@
 
 pub mod actor;
 pub mod chaos;
+mod coord;
 pub mod fault;
 pub mod medium;
+mod partition;
 pub(crate) mod queue;
+mod region;
 pub mod shard;
 pub mod topology;
 pub mod trace;

@@ -77,38 +77,22 @@
 //! at construction ([`crate::trace`]); otherwise
 //! [`World::enable_trace`] gives every core its own ring.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-use bytes::Bytes;
+use std::sync::{Barrier, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use snipe_util::id::{HostId, NetId};
-use snipe_util::rng::{SplitMix64, Xoshiro256};
 use snipe_util::time::{SimDuration, SimTime};
 
-use crate::actor::{Actor, Event, SimCtx};
+use crate::actor::Actor;
 use crate::chaos::PacketChaos;
-use crate::queue::{EventQueue, FnvMap, Tier, TxChannel};
+use crate::coord::Coordinator;
+use crate::region::{spawn_region, Inbound, MailboxItem, Queued, ShardCore, TraceSink};
 use crate::topology::{Endpoint, GrayLevel, PathInfo, Topology};
-use crate::trace::{self, DropReason, FaultOp, NetStats, Recorder, TraceEvent, TraceKind};
-use crate::world::{compute_path, EPHEMERAL_BASE, SIGSTART};
+use crate::trace::{self, DropReason, NetStats, Recorder, TraceEvent, TraceKind};
+use crate::world::compute_path;
 
-/// Derive a per-region seed from the world seed. Distinct regions get
-/// decorrelated streams.
-fn mix_seed(seed: u64, region: u32) -> u64 {
-    SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(region as u64 + 1)).next_u64()
-}
-
-/// The seed rule (module docs): the seed itself for a one-region world,
-/// a per-region stream otherwise.
-fn region_seed(seed: u64, region: u32, regions: u32) -> u64 {
-    if regions == 1 {
-        seed
-    } else {
-        mix_seed(seed, region)
-    }
-}
+pub use crate::coord::{ActorFactory, FaultCmd};
+pub use crate::partition::Partition;
 
 // The only `expect`s in the engine. A poisoned lock means a worker (or
 // an actor on it) already panicked; propagating that panic is the only
@@ -117,1165 +101,12 @@ fn read_topo(topo: &RwLock<Topology>) -> RwLockReadGuard<'_, Topology> {
     topo.read().expect("topology lock poisoned by an earlier panic")
 }
 
-fn write_topo(topo: &RwLock<Topology>) -> RwLockWriteGuard<'_, Topology> {
+pub(crate) fn write_topo(topo: &RwLock<Topology>) -> RwLockWriteGuard<'_, Topology> {
     topo.write().expect("topology lock poisoned by an earlier panic")
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().expect("round slot poisoned by an earlier panic")
-}
-
-// ---------------------------------------------------------------------------
-// Partition
-// ---------------------------------------------------------------------------
-
-/// Static partition of a topology into schedulable regions, plus the
-/// conservative lookahead and dense per-region transmitter-slot maps.
-///
-/// Computed once from the pristine topology; faults never move a host
-/// between regions (they only flip up/down state), so the partition is
-/// valid for the lifetime of the world.
-pub struct Partition {
-    region_of_host: Vec<u32>,
-    region_of_net: Vec<u32>,
-    regions: u32,
-    /// Conservative lookahead in nanoseconds (`u64::MAX` when no
-    /// cross-region traffic is possible).
-    la_ns: u64,
-    /// Global net index → dense per-region bus-slot index.
-    net_slot: Vec<u32>,
-    /// Global link index → dense per-region link-slot index.
-    link_slot: Vec<u32>,
-    /// Bus slots per region.
-    bus_counts: Vec<u32>,
-    /// Link slots per region.
-    link_counts: Vec<u32>,
-}
-
-impl Partition {
-    /// Partition `topo` into regions (connected components of the
-    /// host–segment incidence graph) and derive the lookahead.
-    ///
-    /// # Panics
-    /// Panics if the topology has ≥ 2 regions connected by routable
-    /// media with zero base latency — conservative lookahead would be
-    /// zero and parallel execution could not make safe progress. All
-    /// built-in media have latency ≥ 1µs.
-    pub fn of(topo: &Topology) -> Partition {
-        let h = topo.host_count();
-        let n = topo.net_count();
-        // Union-find over host nodes [0, h) and net nodes [h, h + n).
-        let mut uf: Vec<u32> = (0..(h + n) as u32).collect();
-        fn find(uf: &mut [u32], mut x: u32) -> u32 {
-            while uf[x as usize] != x {
-                uf[x as usize] = uf[uf[x as usize] as usize]; // path halving
-                x = uf[x as usize];
-            }
-            x
-        }
-        for net in topo.nets() {
-            let nn = (h + net.id.index()) as u32;
-            for &(host, _) in &net.attached {
-                let a = find(&mut uf, nn);
-                let b = find(&mut uf, host.index() as u32);
-                if a != b {
-                    uf[b as usize] = a;
-                }
-            }
-        }
-        // Dense region ids in first-seen order (hosts first, then
-        // nets) — deterministic, independent of union order.
-        let mut dense = vec![u32::MAX; h + n];
-        let mut regions = 0u32;
-        let mut region_of = |uf: &mut [u32], node: usize| {
-            let root = find(uf, node as u32) as usize;
-            if dense[root] == u32::MAX {
-                dense[root] = regions;
-                regions += 1;
-            }
-            dense[root]
-        };
-        let region_of_host: Vec<u32> = (0..h).map(|i| region_of(&mut uf, i)).collect();
-        let region_of_net: Vec<u32> = (0..n).map(|j| region_of(&mut uf, h + j)).collect();
-        // Lookahead: a cross-region path is routed over two routable
-        // edges, so its latency is ≥ 2 × the minimum base latency.
-        let min_lat =
-            topo.nets().filter(|net| net.routable).map(|net| net.medium.latency.as_nanos()).min();
-        let la_ns = if regions <= 1 {
-            u64::MAX
-        } else {
-            match min_lat {
-                // No routable media: regions cannot talk at all.
-                None => u64::MAX,
-                Some(0) => panic!(
-                    "a partitioned world requires routable media with nonzero latency \
-                     (conservative lookahead would be zero)"
-                ),
-                Some(ns) => ns.saturating_mul(2),
-            }
-        };
-        Partition::with_regions(topo, region_of_host, region_of_net, regions, la_ns)
-    }
-
-    /// The whole topology as one region — the [`World::new`] case.
-    /// With a single core nothing is ever cross-region, so there is no
-    /// lookahead bound and zero-latency routable media are fine.
-    pub fn single(topo: &Topology) -> Partition {
-        let hosts = vec![0; topo.host_count()];
-        let nets = vec![0; topo.net_count()];
-        Partition::with_regions(topo, hosts, nets, 1, u64::MAX)
-    }
-
-    /// Dense per-region transmitter slots, so a core's busy vectors
-    /// are sized by its own region, not the whole world.
-    fn with_regions(
-        topo: &Topology,
-        region_of_host: Vec<u32>,
-        region_of_net: Vec<u32>,
-        regions: u32,
-        la_ns: u64,
-    ) -> Partition {
-        let mut bus_counts = vec![0u32; regions as usize];
-        let mut net_slot = vec![0u32; region_of_net.len()];
-        for (j, slot) in net_slot.iter_mut().enumerate() {
-            let r = region_of_net[j] as usize;
-            *slot = bus_counts[r];
-            bus_counts[r] += 1;
-        }
-        let total_links: usize = topo.hosts().map(|host| host.interfaces.len()).sum();
-        let mut link_counts = vec![0u32; regions as usize];
-        let mut link_slot = vec![0u32; total_links];
-        for host in topo.hosts() {
-            for iface in &host.interfaces {
-                let r = region_of_net[iface.net.index()] as usize;
-                link_slot[iface.link.index()] = link_counts[r];
-                link_counts[r] += 1;
-            }
-        }
-        Partition {
-            region_of_host,
-            region_of_net,
-            regions,
-            la_ns,
-            net_slot,
-            link_slot,
-            bus_counts,
-            link_counts,
-        }
-    }
-
-    /// Number of regions (independent of thread count).
-    pub fn regions(&self) -> usize {
-        self.regions as usize
-    }
-
-    /// The region owning a host.
-    pub fn region_of_host(&self, h: HostId) -> usize {
-        self.region_of_host[h.index()] as usize
-    }
-
-    /// The region owning a network segment.
-    pub fn region_of_net(&self, n: NetId) -> usize {
-        self.region_of_net[n.index()] as usize
-    }
-
-    /// Conservative lookahead (`SimDuration::MAX` when regions cannot
-    /// exchange traffic, e.g. a single-region world).
-    pub fn lookahead(&self) -> SimDuration {
-        if self.la_ns == u64::MAX {
-            SimDuration::MAX
-        } else {
-            SimDuration::from_nanos(self.la_ns)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The actor-facing context
-// ---------------------------------------------------------------------------
-
-/// Dense actor handle within one core.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct ActorId(u64);
-
-/// The [`SimCtx`] handed to an actor during dispatch: its core plus
-/// the shared read-only topology and partition.
-struct ShardCtx<'a> {
-    core: &'a mut ShardCore,
-    topo: &'a Topology,
-    part: &'a Partition,
-    me: ActorId,
-    my_endpoint: Endpoint,
-}
-
-/// The region owning `host`, or `None` for an unknown host id.
-fn spawn_region(topo: &Topology, part: &Partition, host: HostId) -> Option<usize> {
-    if host.index() >= topo.host_count() {
-        return None;
-    }
-    Some(part.region_of_host(host))
-}
-
-impl SimCtx for ShardCtx<'_> {
-    fn now(&self) -> SimTime {
-        self.core.now
-    }
-
-    fn me(&self) -> Endpoint {
-        self.my_endpoint
-    }
-
-    fn host(&self) -> HostId {
-        self.my_endpoint.host
-    }
-
-    fn send(&mut self, to: Endpoint, payload: Bytes) {
-        let from = self.my_endpoint;
-        self.core.send_packet(self.topo, self.part, from, to, payload, None);
-    }
-
-    fn send_via(&mut self, to: Endpoint, payload: Bytes, via: NetId) {
-        let from = self.my_endpoint;
-        self.core.send_packet(self.topo, self.part, from, to, payload, Some(via));
-    }
-
-    fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        let at = self.core.now + delay;
-        self.core.push(at, Queued::Timer { actor: self.me, token });
-    }
-
-    fn spawn_portable(
-        &mut self,
-        host: HostId,
-        port: u16,
-        actor: Box<dyn Actor>,
-    ) -> Option<Endpoint> {
-        let r = spawn_region(self.topo, self.part, host)?;
-        if r != self.core.region as usize {
-            debug_assert_eq!(
-                r, self.core.region as usize,
-                "cross-region spawn from region {}",
-                self.core.region
-            );
-            return None;
-        }
-        self.core.spawn(host, port, actor)
-    }
-
-    fn alloc_port(&mut self, host: HostId) -> u16 {
-        self.core.alloc_port(host)
-    }
-
-    fn is_bound(&self, ep: Endpoint) -> bool {
-        self.core.bindings.contains_key(&ep)
-    }
-
-    fn kill(&mut self, ep: Endpoint) {
-        debug_assert_eq!(
-            self.part.region_of_host(ep.host),
-            self.core.region as usize,
-            "cross-region kill"
-        );
-        self.core.kill(ep);
-    }
-
-    fn signal(&mut self, to: Endpoint, signum: u32) {
-        debug_assert_eq!(
-            self.part.region_of_host(to.host),
-            self.core.region as usize,
-            "cross-region signal"
-        );
-        let from = Some(self.my_endpoint);
-        let now = self.core.now;
-        self.core.push(now, Queued::Signal { from, to, signum });
-    }
-
-    fn rng(&mut self) -> &mut Xoshiro256 {
-        &mut self.core.rng
-    }
-
-    fn topology(&self) -> &Topology {
-        self.topo
-    }
-
-    fn host_up(&self, h: HostId) -> bool {
-        self.topo.host(h).up
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Core-internal types
-// ---------------------------------------------------------------------------
-
-/// A `Wake` is stale unless its `gen` is still its slot's.
-enum Queued {
-    Deliver { from: Endpoint, to: Endpoint, payload: Bytes },
-    Timer { actor: ActorId, token: u64 },
-    Wake { actor: ActorId, gen: u64 },
-    Signal { from: Option<Endpoint>, to: Endpoint, signum: u32 },
-}
-
-struct Slot {
-    actor: Option<Box<dyn Actor>>,
-    endpoint: Endpoint,
-    alive: bool,
-    wake: WakeSlot,
-}
-
-/// An actor's engine-owned wake-up: its last [`Actor::next_wake`]
-/// answer (cleared when it fires or comes due while the host is down),
-/// and when its one live [`Queued::Wake`] pops, under which generation.
-/// An earlier answer queues a new entry under a new generation, so the
-/// old one goes stale where it sits; a later answer or `None` queues
-/// nothing, and the live entry follows the answer, or is discarded,
-/// when it pops.
-#[derive(Clone, Copy, Default)]
-struct WakeSlot {
-    answer: Option<SimTime>,
-    queued: Option<SimTime>,
-    gen: u64,
-}
-
-/// A cross-region packet in flight between rounds. `(at, src_region,
-/// src_seq)` totally orders every item of a round — the mailbox
-/// tie-break that makes destination-side sequence numbers independent
-/// of thread count.
-struct MailboxItem {
-    at: SimTime,
-    src_region: u32,
-    src_seq: u64,
-    from: Endpoint,
-    to: Endpoint,
-    payload: Bytes,
-}
-
-/// Work the coordinator hands a core at a round boundary, applied
-/// in-order before the window runs.
-enum Inbound {
-    Deliver { at: SimTime, from: Endpoint, to: Endpoint, payload: Bytes },
-    HostEvent { at: SimTime, host: HostId, up: bool },
-    SetChaos { at: SimTime, chaos: Option<PacketChaos>, seed: u64 },
-    Restart { at: SimTime, ep: Endpoint, actor: Box<dyn Actor> },
-}
-
-/// Where a core's engine events are recorded (module docs, "Trace
-/// sinks").
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum TraceSink {
-    Off,
-    /// The constructing thread's flight recorder.
-    Thread,
-    /// This core's own ring.
-    Ring,
-}
-
-// ---------------------------------------------------------------------------
-// ShardCore
-// ---------------------------------------------------------------------------
-
-type RouteKey = (HostId, HostId, Option<NetId>);
-
-/// One region's complete engine state: queue, clock, stats, RNG
-/// streams, route cache, dense busy vectors, actors, outbox, ring.
-struct ShardCore {
-    region: u32,
-    now: SimTime,
-    queue: EventQueue<Queued>,
-    slots: Vec<Slot>,
-    bindings: FnvMap<Endpoint, ActorId>,
-    ephemeral: FnvMap<HostId, u16>,
-    rng: Xoshiro256,
-    /// Per-packet chaos injection, `None` when chaos is off (the common
-    /// case — one branch per send).
-    chaos: Option<PacketChaos>,
-    /// Chaos draws come from their own stream so a chaos plan never
-    /// perturbs the workload's RNG: a failing run replays bit-for-bit
-    /// from `(plan seed, workload seed)` independently.
-    chaos_rng: Xoshiro256,
-    stats: NetStats,
-    /// Busy-until per shared-bus segment of this region (dense local
-    /// slots via [`Partition::net_slot`]).
-    bus_busy: Vec<SimTime>,
-    /// Busy-until per switched interface of this region.
-    link_busy: Vec<SimTime>,
-    /// Memoized `compute_path` results, valid while `route_epoch`
-    /// matches the topology epoch. Negative results (`None`) are cached
-    /// too: a partitioned destination is asked for just as often.
-    route_cache: FnvMap<RouteKey, Option<PathInfo>>,
-    route_epoch: u64,
-    outbox: Vec<MailboxItem>,
-    /// Monotone per-core mailbox emission counter — the `src_seq` of
-    /// the deterministic mailbox tie-break.
-    out_seq: u64,
-    /// High-water mark of the longest single delivery stream.
-    stream_hwm: usize,
-    /// One predictable branch on a plain field per hot-path record
-    /// site, not a TLS lookup per event.
-    sink: TraceSink,
-    ring: Recorder,
-}
-
-impl ShardCore {
-    fn new(
-        region: u32,
-        topo: &Topology,
-        part: &Partition,
-        seed: u64,
-        sink: TraceSink,
-    ) -> ShardCore {
-        let mut stats = NetStats::default();
-        stats.reserve_nets(topo.net_count());
-        ShardCore {
-            region,
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            slots: Vec::new(),
-            bindings: FnvMap::default(),
-            ephemeral: FnvMap::default(),
-            rng: Xoshiro256::seed_from_u64(region_seed(seed, region, part.regions)),
-            chaos: None,
-            chaos_rng: Xoshiro256::seed_from_u64(0),
-            stats,
-            bus_busy: vec![SimTime::ZERO; part.bus_counts[region as usize] as usize],
-            link_busy: vec![SimTime::ZERO; part.link_counts[region as usize] as usize],
-            route_cache: FnvMap::default(),
-            route_epoch: topo.epoch(),
-            outbox: Vec::new(),
-            out_seq: 0,
-            stream_hwm: 0,
-            sink,
-            ring: Recorder::empty(),
-        }
-    }
-
-    /// Record an engine event if a sink is on. Takes a closure so the
-    /// event is only built on the (cold) recording path.
-    #[inline(always)]
-    fn record(&mut self, kind: impl FnOnce() -> TraceKind) {
-        if self.sink != TraceSink::Off {
-            self.record_to_sink(kind());
-        }
-    }
-
-    /// Outlined like [`trace::record_cached`]: the ring machinery must
-    /// not be inlined, dead, into every guarded hot-loop site.
-    #[cold]
-    #[inline(never)]
-    fn record_to_sink(&mut self, kind: TraceKind) {
-        if self.sink == TraceSink::Thread {
-            trace::record_cached(self.now, kind);
-        } else {
-            self.ring.push(self.now, kind);
-        }
-    }
-
-    fn record_fault(&mut self, what: &'static str, a: u64, b: u64) {
-        self.record(|| TraceKind::Fault { op: FaultOp { what, a, b } });
-    }
-
-    fn note_depth(&mut self) {
-        let depth = self.queue.depth() as u64;
-        if depth > self.stats.engine.peak_queue_depth {
-            self.stats.engine.peak_queue_depth = depth;
-        }
-    }
-
-    fn note_drop(&mut self, reason: DropReason) {
-        self.stats.drop(reason);
-        self.record(|| TraceKind::Drop { reason });
-    }
-
-    fn push(&mut self, at: SimTime, kind: Queued) {
-        self.queue.push(self.now, at, kind);
-        self.note_depth();
-    }
-
-    /// Queue a delivery serialized by `channel` with a fixed
-    /// propagation latency, using its FIFO stream when the arrival
-    /// order allows.
-    fn push_delivery(
-        &mut self,
-        at: SimTime,
-        kind: Queued,
-        channel: TxChannel,
-        latency: SimDuration,
-    ) {
-        self.queue.push_delivery(self.now, at, kind, channel, latency);
-        self.note_depth();
-    }
-
-    fn peek_ns(&self) -> u64 {
-        self.queue.peek_at().map(|t| t.as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    fn spawn(&mut self, host: HostId, port: u16, actor: Box<dyn Actor>) -> Option<Endpoint> {
-        let ep = Endpoint::new(host, port);
-        if self.bindings.contains_key(&ep) {
-            return None;
-        }
-        let id = ActorId(self.slots.len() as u64);
-        let wake = WakeSlot::default();
-        self.slots.push(Slot { actor: Some(actor), endpoint: ep, alive: true, wake });
-        self.bindings.insert(ep, id);
-        let now = self.now;
-        self.push(now, Queued::Signal { from: None, to: ep, signum: SIGSTART });
-        Some(ep)
-    }
-
-    fn alloc_port(&mut self, host: HostId) -> u16 {
-        let ctr = self.ephemeral.entry(host).or_insert(EPHEMERAL_BASE);
-        let span = (u16::MAX - EPHEMERAL_BASE) as u32 + 1;
-        for _ in 0..span {
-            let p = *ctr;
-            *ctr = p.checked_add(1).unwrap_or(EPHEMERAL_BASE);
-            if !self.bindings.contains_key(&Endpoint::new(host, p)) {
-                return p;
-            }
-        }
-        panic!("alloc_port: all {span} ephemeral ports on host {host} are bound");
-    }
-
-    fn kill(&mut self, ep: Endpoint) {
-        if let Some(id) = self.bindings.remove(&ep) {
-            let slot = &mut self.slots[id.0 as usize];
-            slot.alive = false;
-            slot.actor = None; // drop immediately unless currently executing
-        }
-    }
-
-    fn actor_at(&self, ep: Endpoint) -> Option<&dyn Actor> {
-        let id = self.bindings.get(&ep)?;
-        self.slots[id.0 as usize].actor.as_deref()
-    }
-
-    fn endpoints_on(&self, h: HostId) -> Vec<Endpoint> {
-        let mut eps: Vec<Endpoint> =
-            self.bindings.keys().filter(|ep| ep.host == h).copied().collect();
-        eps.sort(); // determinism
-        eps
-    }
-
-    /// Route selection per §5.3, memoized. Cache entries live until the
-    /// next topology epoch bump (any fault/attach mutation).
-    fn select_path(
-        &mut self,
-        topo: &Topology,
-        from: HostId,
-        to: HostId,
-        via: Option<NetId>,
-    ) -> Option<PathInfo> {
-        if self.route_epoch != topo.epoch() {
-            self.route_cache.clear();
-            self.route_epoch = topo.epoch();
-        }
-        if let Some(&hit) = self.route_cache.get(&(from, to, via)) {
-            self.stats.engine.route_cache_hits += 1;
-            return hit;
-        }
-        self.stats.engine.route_cache_misses += 1;
-        let path = compute_path(topo, from, to, via);
-        self.route_cache.insert((from, to, via), path);
-        path
-    }
-
-    /// Send a datagram (the delivery model is in [`crate::world`]).
-    /// Wire occupancy lives in the core's dense busy vectors (the
-    /// shared topology is read-only during a window), and deliveries
-    /// whose destination is another region go to the outbox.
-    fn send_packet(
-        &mut self,
-        topo: &Topology,
-        part: &Partition,
-        from: Endpoint,
-        to: Endpoint,
-        payload: Bytes,
-        via: Option<NetId>,
-    ) {
-        self.stats.sent += 1;
-        let len = payload.len() as u32;
-        self.record(|| TraceKind::Send { from, to, len });
-        if from.host == to.host {
-            // Loopback: constant small cost, no shared wire.
-            let m = crate::medium::Medium::loopback();
-            let at = self.now + m.tx_time(payload.len()) + m.latency;
-            self.push(at, Queued::Deliver { from, to, payload });
-            return;
-        }
-        if !topo.host(from.host).up {
-            self.note_drop(DropReason::HostDown);
-            return;
-        }
-        let Some(path) = self.select_path(topo, from.host, to.host, via) else {
-            self.note_drop(DropReason::NoRoute);
-            return;
-        };
-        if payload.len() > path.mtu {
-            self.note_drop(DropReason::TooBig);
-            return;
-        }
-        // Serialization on the first-hop transmitter, at the bottleneck
-        // bandwidth for routed paths.
-        let src_net = path.first_net();
-        let medium = &topo.net(src_net).medium;
-        let tx = medium.tx_time_at(path.bandwidth_bps, payload.len());
-        let (free, channel) = if medium.shared_bus {
-            let slot = part.net_slot[src_net.index()] as usize;
-            (self.bus_busy[slot], TxChannel::Bus(src_net))
-        } else {
-            topo.host(from.host)
-                .interfaces
-                .iter()
-                .find(|i| i.net == src_net)
-                .map(|i| {
-                    (
-                        self.link_busy[part.link_slot[i.link.index()] as usize],
-                        TxChannel::Link(i.link),
-                    )
-                })
-                .unwrap_or((SimTime::ZERO, TxChannel::Bus(src_net)))
-        };
-        let start = if free > self.now { free } else { self.now };
-        let finish = start + tx;
-        match channel {
-            TxChannel::Bus(n) if medium.shared_bus => {
-                self.bus_busy[part.net_slot[n.index()] as usize] = finish;
-            }
-            TxChannel::Link(l) => self.link_busy[part.link_slot[l.index()] as usize] = finish,
-            TxChannel::Bus(_) => {}
-        }
-        // Loss after occupancy: a lost frame still burned air time.
-        if path.loss > 0.0 && self.rng.gen_bool(path.loss) {
-            self.note_drop(DropReason::Loss);
-            return;
-        }
-        for &n in path.nets() {
-            self.stats.add_bytes(n, payload.len() as u64);
-        }
-        let at = finish + path.latency;
-        let cross = part.region_of_host(to.host) != self.region as usize;
-        if let Some(fx) = self.chaos {
-            self.chaos_deliver(fx, at, from, to, payload, channel, path.latency, cross);
-        } else if cross {
-            self.push_outbox(at, from, to, payload);
-        } else {
-            self.push_delivery(at, Queued::Deliver { from, to, payload }, channel, path.latency);
-        }
-    }
-
-    fn push_outbox(&mut self, at: SimTime, from: Endpoint, to: Endpoint, payload: Bytes) {
-        let item =
-            MailboxItem { at, src_region: self.region, src_seq: self.out_seq, from, to, payload };
-        self.out_seq += 1;
-        self.outbox.push(item);
-    }
-
-    /// Deliver one packet under per-packet chaos `fx`: maybe corrupt
-    /// the payload, maybe inject a duplicate, maybe jitter the arrival.
-    /// Jittered copies go through the heap, not the delivery streams —
-    /// their arrival times are not monotone per channel, which is the
-    /// invariant the streams rely on. Cross-region copies (jittered or
-    /// not) ride the mailbox; their arrival times only grow (jitter ≥
-    /// 1ns), so the lookahead bound still holds.
-    #[allow(clippy::too_many_arguments)]
-    fn chaos_deliver(
-        &mut self,
-        fx: PacketChaos,
-        at: SimTime,
-        from: Endpoint,
-        to: Endpoint,
-        payload: Bytes,
-        channel: TxChannel,
-        latency: SimDuration,
-        cross: bool,
-    ) {
-        let mut payload = payload;
-        if fx.corrupt > 0.0 && !payload.is_empty() && self.chaos_rng.gen_bool(fx.corrupt) {
-            let mut bytes = payload.to_vec();
-            let flips = self.chaos_rng.gen_range_inclusive(1, 3);
-            for _ in 0..flips {
-                let i = self.chaos_rng.gen_range(bytes.len() as u64) as usize;
-                let bit = self.chaos_rng.gen_range(8) as u8;
-                bytes[i] ^= 1 << bit;
-            }
-            payload = Bytes::from(bytes);
-            self.stats.chaos.corrupted += 1;
-        }
-        if fx.duplicate > 0.0 && self.chaos_rng.gen_bool(fx.duplicate) {
-            let dup_at = at + self.jitter_draw(fx.jitter);
-            if cross {
-                self.push_outbox(dup_at, from, to, payload.clone());
-            } else {
-                self.push(dup_at, Queued::Deliver { from, to, payload: payload.clone() });
-            }
-            self.stats.chaos.duplicated += 1;
-        }
-        if fx.reorder > 0.0 && self.chaos_rng.gen_bool(fx.reorder) {
-            let late_at = at + self.jitter_draw(fx.jitter);
-            if cross {
-                self.push_outbox(late_at, from, to, payload);
-            } else {
-                self.push(late_at, Queued::Deliver { from, to, payload });
-            }
-            self.stats.chaos.reordered += 1;
-            return;
-        }
-        if cross {
-            self.push_outbox(at, from, to, payload);
-        } else {
-            self.push_delivery(at, Queued::Deliver { from, to, payload }, channel, latency);
-        }
-    }
-
-    fn jitter_draw(&mut self, max: SimDuration) -> SimDuration {
-        SimDuration::from_nanos(1 + self.chaos_rng.gen_range(max.as_nanos().max(1)))
-    }
-
-    fn dispatch_to(&mut self, topo: &Topology, part: &Partition, ep: Endpoint, event: Event) {
-        let Some(&id) = self.bindings.get(&ep) else {
-            return;
-        };
-        self.dispatch_id(topo, part, id, ep, event);
-    }
-
-    fn dispatch_id(
-        &mut self,
-        topo: &Topology,
-        part: &Partition,
-        id: ActorId,
-        ep: Endpoint,
-        event: Event,
-    ) {
-        let Some(mut actor) = self.slots[id.0 as usize].actor.take() else {
-            return; // re-entrant dispatch to the same actor: drop
-        };
-        let woken = matches!(event, Event::Wake);
-        {
-            let mut ctx = ShardCtx { core: self, topo, part, me: id, my_endpoint: ep };
-            actor.on_event(&mut ctx, event);
-        }
-        let now = self.now;
-        let slot = &mut self.slots[id.0 as usize];
-        if !slot.alive {
-            return;
-        }
-        let next = actor.next_wake();
-        slot.actor = Some(actor);
-        debug_assert!(
-            !woken || next.is_none_or(|at| at > now),
-            "{ep} answered a wake-up at {next:?} <= now ({now}) after Event::Wake: it would spin"
-        );
-        let wake = &mut slot.wake;
-        wake.answer = next;
-        let at = next.map(|at| at.max(now));
-        if let Some(at) = at.filter(|&at| wake.queued.is_none_or(|q| at < q)) {
-            (wake.gen, wake.queued) = (wake.gen + 1, Some(at));
-            let gen = wake.gen;
-            self.push(at, Queued::Wake { actor: id, gen });
-        }
-    }
-
-    /// Run one queued event. Returns false if the queue is empty.
-    fn step(&mut self, topo: &Topology, part: &Partition) -> bool {
-        let Some((ev, tier)) = self.queue.pop() else {
-            return false;
-        };
-        match tier {
-            Tier::Now => self.stats.engine.now_pops += 1,
-            Tier::Heap => self.stats.engine.heap_pops += 1,
-            Tier::Stream => self.stats.engine.stream_pops += 1,
-        }
-        debug_assert!(ev.at >= self.now, "time went backwards in region {}", self.region);
-        self.now = ev.at;
-        if let Queued::Wake { actor, gen } = ev.kind {
-            // Not an event unless it is the live entry and its answer is due.
-            let slot = &mut self.slots[actor.0 as usize];
-            let live = slot.alive && slot.wake.gen == gen;
-            if !live || slot.wake.answer.is_none_or(|at| at > self.now) {
-                self.stats.engine.superseded_wakes += 1;
-                if live {
-                    // Cancelled, or the answer moved later: follow it.
-                    slot.wake.queued = slot.wake.answer;
-                    if let Some(at) = slot.wake.answer {
-                        self.push(at, Queued::Wake { actor, gen });
-                    }
-                }
-                return true;
-            }
-        }
-        self.stats.events += 1;
-        match ev.kind {
-            Queued::Deliver { from, to, payload } => {
-                if !topo.host(to.host).up {
-                    self.note_drop(DropReason::HostDown);
-                } else if let Some(&id) = self.bindings.get(&to) {
-                    self.stats.delivered += 1;
-                    let len = payload.len() as u32;
-                    self.record(|| TraceKind::Recv { from, to, len });
-                    self.dispatch_id(topo, part, id, to, Event::Packet { from, payload });
-                } else {
-                    self.note_drop(DropReason::NoListener);
-                }
-            }
-            Queued::Timer { actor, token } => {
-                let idx = actor.0 as usize;
-                if idx < self.slots.len() && self.slots[idx].alive {
-                    let ep = self.slots[idx].endpoint;
-                    // Timers do not fire while the host is down.
-                    if topo.host(ep.host).up {
-                        self.record(|| TraceKind::TimerFire { token });
-                        self.dispatch_to(topo, part, ep, Event::Timer { token });
-                    }
-                }
-            }
-            Queued::Wake { actor, .. } => {
-                // Fired or dropped here: either way the slot is cleared,
-                // so the read after `Event::HostUp` re-arms a wake-up
-                // the outage swallowed.
-                let slot = &mut self.slots[actor.0 as usize];
-                slot.wake = WakeSlot { answer: None, queued: None, ..slot.wake };
-                let ep = slot.endpoint;
-                if topo.host(ep.host).up {
-                    self.record(|| TraceKind::Wake { actor: ep });
-                    self.dispatch_id(topo, part, actor, ep, Event::Wake);
-                }
-            }
-            Queued::Signal { from, to, signum } => {
-                if topo.host(to.host).up {
-                    if signum == SIGSTART {
-                        self.dispatch_to(topo, part, to, Event::Start);
-                    } else {
-                        self.dispatch_to(topo, part, to, Event::Signal { signum, from });
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Apply (and drain) a round's inbound list: mailbox deliveries,
-    /// fault dispatches, chaos toggles and restarts, in the order the
-    /// coordinator built it.
-    fn apply_inbound(&mut self, topo: &Topology, part: &Partition, inbound: &mut Vec<Inbound>) {
-        for item in inbound.drain(..) {
-            match item {
-                Inbound::Deliver { at, from, to, payload } => {
-                    debug_assert!(at >= self.now, "mailbox item in this core's past");
-                    self.push(at, Queued::Deliver { from, to, payload });
-                }
-                Inbound::HostEvent { at, host, up } => {
-                    self.now = self.now.max(at);
-                    self.record_fault(
-                        if up { "host_up" } else { "host_down" },
-                        host.index() as u64,
-                        0,
-                    );
-                    for ep in self.endpoints_on(host) {
-                        let event = if up { Event::HostUp } else { Event::HostDown };
-                        self.dispatch_to(topo, part, ep, event);
-                    }
-                }
-                Inbound::SetChaos { at, chaos, seed } => {
-                    self.now = self.now.max(at);
-                    self.record_fault("set_packet_chaos", chaos.is_some() as u64, seed);
-                    self.chaos = chaos;
-                    // Reseeded on every toggle, so the injection pattern
-                    // depends only on `(seed, traffic)` — never on how
-                    // long a previous chaos window ran.
-                    self.chaos_rng = Xoshiro256::seed_from_u64(seed);
-                }
-                Inbound::Restart { at, ep, actor } => {
-                    self.now = self.now.max(at);
-                    self.record_fault("restart", ep.host.index() as u64, ep.port as u64);
-                    self.kill(ep);
-                    self.spawn(ep.host, ep.port, actor);
-                }
-            }
-        }
-    }
-
-    /// One round: apply `inbound`, then run all events with
-    /// `at < end_ns`.
-    fn run_round(
-        &mut self,
-        topo: &Topology,
-        part: &Partition,
-        inbound: &mut Vec<Inbound>,
-        end_ns: u64,
-    ) {
-        self.apply_inbound(topo, part, inbound);
-        while let Some(at) = self.queue.peek_at() {
-            if at.as_nanos() >= end_ns {
-                break;
-            }
-            self.step(topo, part);
-        }
-        let smax = self.queue.stream_depth_max();
-        if smax > self.stream_hwm {
-            self.stream_hwm = smax;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Faults
-// ---------------------------------------------------------------------------
-
-/// Builds the replacement actor for a [`FaultCmd::Restart`].
-pub type ActorFactory = Arc<dyn Fn() -> Box<dyn Actor> + Send + Sync>;
-
-/// A fault as plain data: scheduled with [`World::schedule_fault`] or
-/// applied immediately by the fault methods on [`World`], and routed to
-/// the owning core at a round boundary.
-#[derive(Clone)]
-pub enum FaultCmd {
-    /// Crash a host (actors on it get [`Event::HostDown`]).
-    HostDown(HostId),
-    /// Repair a host.
-    HostUp(HostId),
-    /// Take a segment down/up.
-    NetUp(NetId, bool),
-    /// Flap one host interface.
-    IfaceUp(HostId, NetId, bool),
-    /// Override (or restore) a segment's loss rate.
-    NetLoss(NetId, Option<f64>),
-    /// Move a segment into a partition group (0 heals).
-    PartitionNet(NetId, u32),
-    /// Degrade a segment into a gray link (None restores). The
-    /// scheduler clamps `latency_factor` to ≥ 1.0 so gray links can
-    /// only *raise* latency — the conservative lookahead depends on it.
-    Gray(NetId, Option<GrayLevel>),
-    /// Install (or clear) per-packet chaos. Each core's chaos RNG is
-    /// reseeded from the seed (per the module's seed rule).
-    PacketChaos(Option<PacketChaos>, u64),
-    /// Crash the process at an endpoint and start the factory's
-    /// replacement there at the same instant (the host stays up): the
-    /// new actor gets [`Event::Start`] at the fault's timestamp and
-    /// every later packet to the endpoint.
-    Restart(Endpoint, ActorFactory),
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator
-// ---------------------------------------------------------------------------
-
-/// Round-planning state: the fault timeline, the per-core inbound
-/// lists and the mailbox. One implementation serves the inline path,
-/// the threaded path and the immediate fault API, so they cannot
-/// diverge. Every buffer is reused across rounds and runs — the
-/// steady state allocates nothing.
-struct Coordinator {
-    /// Pending faults; `(at, seq)`-sorted when `faults_sorted`.
-    faults: VecDeque<(SimTime, u64, FaultCmd)>,
-    fault_seq: u64,
-    faults_sorted: bool,
-    /// Most mailbox items routed into each core in one round.
-    mailbox_hwm: Vec<u64>,
-    inbound: Vec<Vec<Inbound>>,
-    /// Lower bound (ns) on any event the pending inbound lists can
-    /// introduce. Cores report their queue minima *before* inbound
-    /// application, so the window planner folds this in.
-    floor_ns: u64,
-    have_inbound: bool,
-    /// Each core's earliest pending event after the previous window.
-    mins: Vec<u64>,
-    /// The round's outbox items, gathered from every core.
-    items: Vec<MailboxItem>,
-    counts: Vec<u64>,
-    /// Record segment-level faults into the calling thread's flight
-    /// recorder (host faults, chaos toggles and restarts are recorded
-    /// by the core that applies them).
-    thread_trace: bool,
-}
-
-impl Coordinator {
-    fn new(regions: usize, thread_trace: bool) -> Coordinator {
-        Coordinator {
-            faults: VecDeque::new(),
-            fault_seq: 0,
-            faults_sorted: true,
-            mailbox_hwm: vec![0; regions],
-            inbound: (0..regions).map(|_| Vec::new()).collect(),
-            floor_ns: u64::MAX,
-            have_inbound: false,
-            mins: vec![u64::MAX; regions],
-            items: Vec::new(),
-            counts: vec![0; regions],
-            thread_trace,
-        }
-    }
-
-    fn sort_faults(&mut self) {
-        if !self.faults_sorted {
-            self.faults.make_contiguous().sort_by_key(|f| (f.0, f.1));
-            self.faults_sorted = true;
-        }
-    }
-
-    fn next_fault_ns(&self) -> Option<u64> {
-        self.faults.front().map(|(at, _, _)| at.as_nanos())
-    }
-
-    /// Apply every fault due at or before `completed_ns` (and within
-    /// the horizon): mutate the shared topology, and emit host-event /
-    /// chaos / restart inbounds to the owning cores.
-    fn apply_due_faults(
-        &mut self,
-        topo: &RwLock<Topology>,
-        part: &Partition,
-        completed_ns: u64,
-        horizon_ns: u64,
-    ) {
-        // `horizon_ns` is exclusive and at least 1.
-        let by_ns = completed_ns.min(horizon_ns - 1);
-        while self.next_fault_ns().is_some_and(|at| at <= by_ns) {
-            let Some((at, _, cmd)) = self.faults.pop_front() else { break };
-            self.apply_fault(topo, part, at, cmd);
-        }
-    }
-
-    fn note_inbound(&mut self, at_ns: u64) {
-        self.have_inbound = true;
-        if at_ns < self.floor_ns {
-            self.floor_ns = at_ns;
-        }
-    }
-
-    /// Apply one fault at `at`. Idempotent: a command that does not
-    /// change state leaves the topology epoch (and thus every route
-    /// cache) alone and notifies nobody.
-    fn apply_fault(
-        &mut self,
-        topo: &RwLock<Topology>,
-        part: &Partition,
-        at: SimTime,
-        cmd: FaultCmd,
-    ) {
-        /// Store `v`; did that change anything?
-        fn set<T: PartialEq>(slot: &mut T, v: T) -> bool {
-            let changed = *slot != v;
-            *slot = v;
-            changed
-        }
-        let mut topo = write_topo(topo);
-        // Segment-level faults yield `(what, a, b)` for the flight
-        // recorder when they changed state; the rest are recorded by
-        // the core that applies their inbound.
-        let changed = match cmd {
-            FaultCmd::HostDown(host) | FaultCmd::HostUp(host) => {
-                let up = matches!(cmd, FaultCmd::HostUp(_));
-                if set(&mut topo.host_mut(host).up, up) {
-                    topo.bump_epoch();
-                    let event = Inbound::HostEvent { at, host, up };
-                    self.inbound[part.region_of_host(host)].push(event);
-                    self.note_inbound(at.as_nanos());
-                }
-                None
-            }
-            FaultCmd::NetUp(n, up) => {
-                set(&mut topo.net_mut(n).up, up).then_some(("set_net_up", n.index(), up as u64))
-            }
-            FaultCmd::IfaceUp(h, n, up) => {
-                let iface = topo.host_mut(h).interfaces.iter_mut().find(|i| i.net == n);
-                iface.is_some_and(|i| set(&mut i.up, up)).then_some((
-                    "set_iface_up",
-                    h.index(),
-                    n.index() as u64,
-                ))
-            }
-            FaultCmd::NetLoss(n, loss) => set(&mut topo.net_mut(n).loss_override, loss)
-                .then_some(("set_net_loss", n.index(), loss.is_some() as u64)),
-            FaultCmd::PartitionNet(n, group) => set(&mut topo.net_mut(n).partition, group)
-                .then_some(("set_partition", n.index(), group as u64)),
-            FaultCmd::Gray(n, gray) => set(&mut topo.net_mut(n).gray, gray).then_some((
-                "set_gray",
-                n.index(),
-                gray.is_some() as u64,
-            )),
-            FaultCmd::PacketChaos(pc, seed) => {
-                let regions = part.regions;
-                for (r, inb) in self.inbound.iter_mut().enumerate() {
-                    let seed = region_seed(seed, r as u32, regions);
-                    inb.push(Inbound::SetChaos { at, chaos: pc, seed });
-                }
-                self.note_inbound(at.as_nanos());
-                None
-            }
-            FaultCmd::Restart(ep, factory) => {
-                let actor = factory();
-                self.inbound[part.region_of_host(ep.host)].push(Inbound::Restart { at, ep, actor });
-                self.note_inbound(at.as_nanos());
-                None
-            }
-        };
-        if let Some((what, a, b)) = changed {
-            topo.bump_epoch();
-            if self.thread_trace {
-                let op = FaultOp { what, a: a as u64, b };
-                trace::record_cached(at, TraceKind::Fault { op });
-            }
-        }
-    }
-
-    /// Plan the next window end (exclusive, in ns), or `None` when the
-    /// run is complete.
-    fn plan(&mut self, la_ns: u64, horizon_ns: u64) -> Option<u64> {
-        let ev_min = self.mins.iter().copied().min().unwrap_or(u64::MAX);
-        let t_min = ev_min.min(self.floor_ns);
-        let fault = self.next_fault_ns().filter(|&f| f < horizon_ns);
-        let next = t_min.min(fault.unwrap_or(u64::MAX));
-        if next >= horizon_ns {
-            if self.have_inbound {
-                // Final apply-only round: pending cross-region arrivals
-                // (due after the horizon) still need to land in their
-                // cores' queues for a later `run_until`.
-                return Some(horizon_ns);
-            }
-            return None;
-        }
-        let mut end = horizon_ns;
-        end = end.min(t_min.saturating_add(la_ns));
-        if let Some(f) = fault {
-            end = end.min(f);
-        }
-        Some(end)
-    }
-
-    /// The inbound lists are about to be handed to the cores.
-    fn begin_round(&mut self) {
-        self.have_inbound = false;
-        self.floor_ns = u64::MAX;
-    }
-
-    /// Route the round's outbox items (`self.items`) through the
-    /// deterministic mailbox: global `(at, src_region, src_seq)` order,
-    /// then appended to the destination cores' inbound lists.
-    fn route(&mut self, part: &Partition, end_ns: u64) {
-        if self.items.is_empty() {
-            return;
-        }
-        self.items.sort_by_key(|i| (i.at, i.src_region, i.src_seq));
-        self.counts.fill(0);
-        let mut items = std::mem::take(&mut self.items);
-        for it in items.drain(..) {
-            debug_assert!(
-                it.at.as_nanos() >= end_ns,
-                "cross-region arrival inside the window violates lookahead"
-            );
-            let r = part.region_of_host(it.to.host);
-            self.counts[r] += 1;
-            self.note_inbound(it.at.as_nanos());
-            self.inbound[r].push(Inbound::Deliver {
-                at: it.at,
-                from: it.from,
-                to: it.to,
-                payload: it.payload,
-            });
-        }
-        self.items = items; // keep the capacity
-        for (hwm, c) in self.mailbox_hwm.iter_mut().zip(&self.counts) {
-            *hwm = (*hwm).max(*c);
-        }
-    }
 }
 
 /// Per-core slots the worker threads and the coordinator exchange
@@ -1428,7 +259,7 @@ impl World {
     }
 
     /// Spawn an actor bound to `(host, port)` on its owning core.
-    /// Delivers [`Event::Start`] at the current time. `None` if the
+    /// Delivers [`Event::Start`](crate::Event::Start) at the current time. `None` if the
     /// port is taken or the host id is unknown.
     pub fn spawn(&mut self, host: HostId, port: u16, actor: Box<dyn Actor>) -> Option<Endpoint> {
         let r = spawn_region(&self.topology(), &self.part, host)?;
@@ -1525,7 +356,7 @@ impl World {
         }
     }
 
-    /// Take a host down; every actor on it gets [`Event::HostDown`].
+    /// Take a host down; every actor on it gets [`Event::HostDown`](crate::Event::HostDown).
     /// Like every fault method here, a no-op when already in the
     /// requested state: the topology epoch (and so every route cache)
     /// is left alone.
@@ -1533,7 +364,7 @@ impl World {
         self.fault_now(self.now, FaultCmd::HostDown(h));
     }
 
-    /// Bring a host back up; every actor on it gets [`Event::HostUp`].
+    /// Bring a host back up; every actor on it gets [`Event::HostUp`](crate::Event::HostUp).
     pub fn host_up(&mut self, h: HostId) {
         self.fault_now(self.now, FaultCmd::HostUp(h));
     }
@@ -1794,7 +625,12 @@ impl std::ops::DerefMut for ShardedWorld {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use bytes::Bytes;
+
     use super::*;
+    use crate::actor::{Event, SimCtx};
     use crate::chaos::{ChaosBinding, ChaosPlan, ChaosShape};
     use crate::medium::Medium;
     use crate::topology::HostCfg;
