@@ -103,7 +103,7 @@ impl Coordinator {
         }
     }
 
-    pub(crate) fn sort_faults(&mut self) {
+    fn sort_faults(&mut self) {
         if !self.faults_sorted {
             self.faults.make_contiguous().sort_by_key(|f| (f.0, f.1));
             self.faults_sorted = true;
@@ -117,7 +117,7 @@ impl Coordinator {
     /// Apply every fault due at or before `completed_ns` (and within
     /// the horizon): mutate the shared topology, and emit host-event /
     /// chaos / restart inbounds to the owning cores.
-    pub(crate) fn apply_due_faults(
+    fn apply_due_faults(
         &mut self,
         topo: &RwLock<Topology>,
         part: &Partition,
@@ -215,9 +215,37 @@ impl Coordinator {
         }
     }
 
+    /// The round loop, the only one in the engine: apply the faults due
+    /// by the last window's end, plan the next window, hand the inbound
+    /// lists over, let `window` run every core up to the window end, and
+    /// route the mailbox. `window` leaves the cores' outboxes in
+    /// `items` and their queue minima in `mins`, and answers `false`
+    /// when a worker thread is gone (it panicked), which ends the loop.
+    /// `mins` must hold every core's queue minimum on entry.
+    pub(crate) fn run(
+        &mut self,
+        topo: &RwLock<Topology>,
+        part: &Partition,
+        horizon_ns: u64,
+        mut window: impl FnMut(&mut Coordinator, u64) -> bool,
+    ) {
+        self.sort_faults();
+        let mut completed = 0u64;
+        loop {
+            self.apply_due_faults(topo, part, completed, horizon_ns);
+            let Some(end) = self.plan(part.la_ns, horizon_ns) else { break };
+            self.begin_round();
+            if !window(self, end) {
+                break;
+            }
+            completed = end;
+            self.route(part, end);
+        }
+    }
+
     /// Plan the next window end (exclusive, in ns), or `None` when the
     /// run is complete.
-    pub(crate) fn plan(&mut self, la_ns: u64, horizon_ns: u64) -> Option<u64> {
+    fn plan(&mut self, la_ns: u64, horizon_ns: u64) -> Option<u64> {
         let ev_min = self.mins.iter().copied().min().unwrap_or(u64::MAX);
         let t_min = ev_min.min(self.floor_ns);
         let fault = self.next_fault_ns().filter(|&f| f < horizon_ns);
@@ -248,7 +276,7 @@ impl Coordinator {
     /// Route the round's outbox items (`self.items`) through the
     /// deterministic mailbox: global `(at, src_region, src_seq)` order,
     /// then appended to the destination cores' inbound lists.
-    pub(crate) fn route(&mut self, part: &Partition, end_ns: u64) {
+    fn route(&mut self, part: &Partition, end_ns: u64) {
         if self.items.is_empty() {
             return;
         }

@@ -77,8 +77,9 @@
 //! at construction ([`crate::trace`]); otherwise
 //! [`World::enable_trace`] gives every core its own ring.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::thread::ScopedJoinHandle;
 
 use snipe_util::id::{HostId, NetId};
 use snipe_util::time::{SimDuration, SimTime};
@@ -94,9 +95,9 @@ use crate::world::compute_path;
 pub use crate::coord::{ActorFactory, FaultCmd};
 pub use crate::partition::Partition;
 
-// The only `expect`s in the engine. A poisoned lock means a worker (or
-// an actor on it) already panicked; propagating that panic is the only
-// sound continuation.
+// The only `expect`s in the engine. A poisoned lock means an actor
+// already panicked while the lock was held; propagating that panic is
+// the only sound continuation.
 fn read_topo(topo: &RwLock<Topology>) -> RwLockReadGuard<'_, Topology> {
     topo.read().expect("topology lock poisoned by an earlier panic")
 }
@@ -105,16 +106,47 @@ pub(crate) fn write_topo(topo: &RwLock<Topology>) -> RwLockWriteGuard<'_, Topolo
     topo.write().expect("topology lock poisoned by an earlier panic")
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().expect("round slot poisoned by an earlier panic")
+/// One worker thread's round buffers, handed over by value: the
+/// coordinator sends the window end and the chunk's inbound lists, the
+/// worker answers with the chunk's outboxes and queue minima. They live
+/// in the world between runs, so every buffer keeps its capacity and
+/// the steady state allocates nothing.
+#[derive(Default)]
+struct Hand {
+    /// The chunk's first region.
+    base: usize,
+    end_ns: u64,
+    inbound: Vec<Vec<Inbound>>,
+    items: Vec<MailboxItem>,
+    mins: Vec<u64>,
 }
 
-/// Per-core slots the worker threads and the coordinator exchange
-/// round data through.
-struct CoreSlot {
-    inbound: Mutex<Vec<Inbound>>,
-    outbox: Mutex<Vec<MailboxItem>>,
-    min_ns: AtomicU64,
+/// The coordinator's end of one worker thread. Dropping `to` stops it.
+struct Worker<'s> {
+    to: SyncSender<Hand>,
+    from: Receiver<Hand>,
+    thread: ScopedJoinHandle<'s, ()>,
+}
+
+/// Run one window on a chunk of cores: each applies its inbound list
+/// and runs its events before `end_ns`, then leaves its outbox in
+/// `items` and its earliest pending event in `mins`. The calling
+/// thread and every worker run exactly this.
+fn run_window(
+    topo: &RwLock<Topology>,
+    part: &Partition,
+    cores: &mut [ShardCore],
+    inbound: &mut [Vec<Inbound>],
+    items: &mut Vec<MailboxItem>,
+    mins: &mut [u64],
+    end_ns: u64,
+) {
+    let topo = read_topo(topo);
+    for ((core, inb), min) in cores.iter_mut().zip(inbound).zip(mins) {
+        core.run_round(&topo, part, inb, end_ns);
+        items.append(&mut core.outbox);
+        *min = core.peek_ns();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -151,8 +183,11 @@ pub struct World {
     part: Partition,
     cores: Vec<ShardCore>,
     coord: Coordinator,
-    slots: Vec<CoreSlot>,
-    threads: usize,
+    /// Regions per chunk of a round's work: the calling thread runs the
+    /// first chunk, one worker thread each later chunk.
+    chunk: usize,
+    /// One per worker thread.
+    hands: Vec<Hand>,
     now: SimTime,
 }
 
@@ -176,27 +211,31 @@ impl World {
 
     fn over(topo: Topology, part: Partition, seed: u64, threads: usize) -> World {
         let regions = part.regions();
-        let threads = threads.max(1);
+        // The one place the thread count is read: `threads` threads
+        // split the regions into equal chunks (4 regions on 3 threads
+        // are two chunks of 2, so two threads).
+        let chunk = regions.div_ceil(threads.clamp(1, regions.max(1))).max(1);
+        let hands: Vec<Hand> = (chunk..regions)
+            .step_by(chunk)
+            .map(|base| {
+                let len = chunk.min(regions - base);
+                let inbound = (0..len).map(|_| Vec::new()).collect();
+                Hand { base, inbound, mins: vec![u64::MAX; len], ..Hand::default() }
+            })
+            .collect();
         // Inline execution stays on this thread, so its recorder (if
         // on) is a valid sink for the cores' engine events.
-        let thread_trace = threads.min(regions) <= 1 && trace::enabled();
+        let thread_trace = hands.is_empty() && trace::enabled();
         let sink = if thread_trace { TraceSink::Thread } else { TraceSink::Off };
         let cores =
             (0..part.regions).map(|r| ShardCore::new(r, &topo, &part, seed, sink)).collect();
-        let slots = (0..regions)
-            .map(|_| CoreSlot {
-                inbound: Mutex::new(Vec::new()),
-                outbox: Mutex::new(Vec::new()),
-                min_ns: AtomicU64::new(0),
-            })
-            .collect();
         World {
             topo: RwLock::new(topo),
             part,
             cores,
             coord: Coordinator::new(regions, thread_trace),
-            slots,
-            threads,
+            chunk,
+            hands,
             now: SimTime::ZERO,
         }
     }
@@ -499,96 +538,83 @@ impl World {
 
     /// Run events with timestamps `<= t`, then set every clock to `t`.
     ///
-    /// This is the round driver. Inline when one thread drives the
-    /// cores, otherwise a scoped thread pool; both paths run the same
-    /// per-core methods against the same coordinator decisions, which
-    /// is the determinism argument. A one-region world has no lookahead
-    /// bound, so its single round per fault-free stretch runs straight
-    /// to the horizon.
+    /// The coordinator's one round loop drives the cores. A world of
+    /// one chunk runs it on the calling thread; otherwise the calling
+    /// thread runs the first chunk and one scoped worker thread each
+    /// later chunk, all through [`run_window`]. A worker that panics
+    /// ends the loop, and its panic propagates from here. A one-region
+    /// world has no lookahead bound, so its single round per
+    /// fault-free stretch runs straight to the horizon.
     pub fn run_until(&mut self, t: SimTime) {
-        let World { topo, part, cores, coord, slots, threads, .. } = self;
-        let (topo, part, slots) = (&*topo, &*part, &*slots);
-        let threads = (*threads).min(cores.len());
-        coord.sort_faults();
+        let World { topo, part, cores, coord, chunk, hands, .. } = self;
+        let (topo, part, chunk) = (&*topo, &*part, *chunk);
         let horizon_ns = t.as_nanos().saturating_add(1);
-        let la_ns = part.la_ns;
         for (min, core) in coord.mins.iter_mut().zip(cores.iter()) {
             *min = core.peek_ns();
         }
-        if threads <= 1 {
-            let mut completed = 0u64;
-            loop {
-                coord.apply_due_faults(topo, part, completed, horizon_ns);
-                let Some(end) = coord.plan(la_ns, horizon_ns) else { break };
-                coord.begin_round();
-                {
-                    let topo = read_topo(topo);
-                    for (core, inb) in cores.iter_mut().zip(&mut coord.inbound) {
-                        core.run_round(&topo, part, inb, end);
-                    }
-                }
-                completed = end;
-                for (min, core) in coord.mins.iter_mut().zip(cores.iter_mut()) {
-                    coord.items.append(&mut core.outbox);
-                    *min = core.peek_ns();
-                }
-                coord.route(part, end);
-            }
+        if hands.is_empty() {
+            coord.run(topo, part, horizon_ns, |coord, end| {
+                let Coordinator { inbound, items, mins, .. } = coord;
+                run_window(topo, part, cores, inbound, items, mins, end);
+                true
+            });
         } else {
-            let regions = cores.len();
-            let end_ns = AtomicU64::new(0);
-            let stop = AtomicBool::new(false);
-            let chunk = regions.div_ceil(threads);
-            // chunks_mut may yield fewer chunks than `threads` (e.g.
-            // 4 regions on 3 threads → two chunks of 2) — size the
-            // barrier by the real worker count or the round deadlocks.
-            let workers = regions.div_ceil(chunk);
-            let barrier = Barrier::new(workers + 1);
             std::thread::scope(|scope| {
-                for (w, cores) in cores.chunks_mut(chunk).enumerate() {
-                    let base = w * chunk;
-                    let (end_ns, stop, barrier) = (&end_ns, &stop, &barrier);
-                    scope.spawn(move || loop {
-                        barrier.wait(); // coordinator published end/stop + inbounds
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let end = end_ns.load(Ordering::Acquire);
-                        {
-                            let topo = read_topo(topo);
-                            for (k, core) in cores.iter_mut().enumerate() {
-                                let slot = &slots[base + k];
-                                core.run_round(&topo, part, &mut lock(&slot.inbound), end);
-                                // Swap, not take: both vectors keep
-                                // their capacity for the next round.
-                                std::mem::swap(&mut *lock(&slot.outbox), &mut core.outbox);
-                                slot.min_ns.store(core.peek_ns(), Ordering::Release);
+                let (own, rest) = cores.split_at_mut(chunk);
+                let pool: Vec<Worker> = rest
+                    .chunks_mut(chunk)
+                    .map(|cores| {
+                        let (to, work) = sync_channel::<Hand>(1);
+                        let (done, from) = sync_channel::<Hand>(1);
+                        let thread = scope.spawn(move || {
+                            for mut hand in work {
+                                let Hand { end_ns, inbound, items, mins, .. } = &mut hand;
+                                run_window(topo, part, cores, inbound, items, mins, *end_ns);
+                                if done.send(hand).is_err() {
+                                    break;
+                                }
                             }
+                        });
+                        Worker { to, from, thread }
+                    })
+                    .collect();
+                coord.run(topo, part, horizon_ns, |coord, end| {
+                    for (worker, hand) in pool.iter().zip(hands.iter_mut()) {
+                        let mut hand = std::mem::take(hand);
+                        hand.end_ns = end;
+                        for (ours, theirs) in
+                            coord.inbound[hand.base..].iter_mut().zip(&mut hand.inbound)
+                        {
+                            std::mem::swap(ours, theirs);
                         }
-                        barrier.wait(); // window done, results in the slots
-                    });
-                }
-                let mut completed = 0u64;
-                loop {
-                    coord.apply_due_faults(topo, part, completed, horizon_ns);
-                    let Some(end) = coord.plan(la_ns, horizon_ns) else {
-                        stop.store(true, Ordering::Release);
-                        barrier.wait();
-                        break;
-                    };
-                    coord.begin_round();
-                    for (slot, inb) in slots.iter().zip(&mut coord.inbound) {
-                        std::mem::swap(&mut *lock(&slot.inbound), inb);
+                        if worker.to.send(hand).is_err() {
+                            return false;
+                        }
                     }
-                    end_ns.store(end, Ordering::Release);
-                    barrier.wait(); // release the round
-                    barrier.wait(); // wait for every core's window
-                    completed = end;
-                    for (min, slot) in coord.mins.iter_mut().zip(slots) {
-                        coord.items.append(&mut lock(&slot.outbox));
-                        *min = slot.min_ns.load(Ordering::Acquire);
+                    let Coordinator { inbound, items, mins, .. } = coord;
+                    run_window(
+                        topo,
+                        part,
+                        own,
+                        &mut inbound[..chunk],
+                        items,
+                        &mut mins[..chunk],
+                        end,
+                    );
+                    for (worker, hand) in pool.iter().zip(hands.iter_mut()) {
+                        let Ok(mut back) = worker.from.recv() else { return false };
+                        coord.items.append(&mut back.items);
+                        coord.mins[back.base..][..back.mins.len()].copy_from_slice(&back.mins);
+                        *hand = back;
                     }
-                    coord.route(part, end);
+                    true
+                });
+                // Stop every worker; a panicked one re-raises its panic.
+                for Worker { to, thread, .. } in pool {
+                    drop(to);
+                    if let Err(panic) = thread.join() {
+                        std::panic::resume_unwind(panic);
+                    }
                 }
             });
         }
@@ -625,7 +651,8 @@ impl std::ops::DerefMut for ShardedWorld {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex};
 
     use bytes::Bytes;
 
@@ -714,6 +741,50 @@ mod tests {
             w.spawn(me, 5, Box::new(Pinger { peer, burst: 3, ticks: 10, got: 0, echo: false }));
         }
         w
+    }
+
+    /// Panics on its first packet: an actor bug.
+    struct Panicker;
+
+    impl Actor for Panicker {
+        fn on_event(&mut self, _ctx: &mut dyn SimCtx, event: Event) {
+            if let Event::Packet { .. } = event {
+                panic!("actor bug on its first packet");
+            }
+        }
+    }
+
+    /// An actor's panic ends the run at every thread count, whichever
+    /// thread ran its region, and the panic that propagates is the
+    /// actor's own. The run happens on a spawned thread, so a run that
+    /// hangs instead fails this test rather than the whole suite.
+    #[test]
+    fn a_panicking_actor_fails_the_run_at_any_thread_count() {
+        for threads in [1, 2, 4] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let mut w = pinger_world(3, threads);
+                let victim = Endpoint::new(HostId(5), 5);
+                w.kill(victim);
+                w.spawn(victim.host, victim.port, Box::new(Panicker));
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    w.run_for(SimDuration::from_millis(50))
+                }));
+                let message = run.err().map(|panic| match panic.downcast::<&str>() {
+                    Ok(s) => s.to_string(),
+                    Err(panic) => panic.downcast::<String>().map(|s| *s).unwrap_or_default(),
+                });
+                let _ = tx.send(message);
+            });
+            match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok(message) => assert_eq!(
+                    message.as_deref(),
+                    Some("actor bug on its first packet"),
+                    "{threads} threads"
+                ),
+                Err(_) => panic!("{threads} threads: the run is still running after 10 s"),
+            }
+        }
     }
 
     #[test]
@@ -1035,7 +1106,9 @@ mod tests {
         fn on_event(&mut self, ctx: &mut dyn SimCtx, event: Event) {
             match event {
                 Event::Start => self.started = Some(ctx.now()),
-                Event::Packet { .. } => lock(&self.log).push((self.incarnation, ctx.now())),
+                Event::Packet { .. } => {
+                    self.log.lock().unwrap().push((self.incarnation, ctx.now()))
+                }
                 _ => {}
             }
         }
@@ -1059,7 +1132,7 @@ mod tests {
             w.schedule_fault(fault_at, FaultCmd::Restart(svc, factory));
             w.run_for(SimDuration::from_millis(20));
             let started = w.actor_ref::<Service>(svc).unwrap().started;
-            let log = lock(&log).clone();
+            let log = log.lock().unwrap().clone();
             (w.digest(), started, log)
         };
         let (digest, started, log) = run(1);
