@@ -5,6 +5,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, RwLock};
 
 use snipe_util::id::{HostId, NetId};
+use snipe_util::stats::Log2Histogram;
 use snipe_util::time::SimTime;
 
 use crate::actor::Actor;
@@ -15,19 +16,16 @@ use crate::shard::write_topo;
 use crate::topology::{Endpoint, GrayLevel, Topology};
 use crate::trace::{self, FaultOp, TraceKind};
 
-// ---------------------------------------------------------------------------
-// Faults
-// ---------------------------------------------------------------------------
-
 /// Builds the replacement actor for a [`FaultCmd::Restart`].
 pub type ActorFactory = Arc<dyn Fn() -> Box<dyn Actor> + Send + Sync>;
 
-/// A fault as plain data: scheduled with [`World::schedule_fault`](crate::World::schedule_fault) or
-/// applied immediately by the fault methods on [`World`](crate::World), and routed to
-/// the owning core at a round boundary.
+/// A fault as plain data: scheduled with
+/// [`World::schedule_fault`](crate::World::schedule_fault) or applied
+/// immediately by the fault methods on [`World`](crate::World), and
+/// routed to the owning core at a round boundary.
 #[derive(Clone)]
 pub enum FaultCmd {
-    /// Crash a host (actors on it get [`Event::HostDown`](crate::Event::HostDown)).
+    /// Crash a host (its actors get [`Event::HostDown`](crate::Event)).
     HostDown(HostId),
     /// Repair a host.
     HostUp(HostId),
@@ -48,70 +46,61 @@ pub enum FaultCmd {
     PacketChaos(Option<PacketChaos>, u64),
     /// Crash the process at an endpoint and start the factory's
     /// replacement there at the same instant (the host stays up): the
-    /// new actor gets [`Event::Start`](crate::Event::Start) at the fault's timestamp and
-    /// every later packet to the endpoint.
+    /// new actor gets [`Event::Start`](crate::Event::Start) at the
+    /// fault's timestamp and every later packet to the endpoint.
     Restart(Endpoint, ActorFactory),
 }
 
-// ---------------------------------------------------------------------------
-// Coordinator
-// ---------------------------------------------------------------------------
-
 /// Round-planning state: the fault timeline, the per-core inbound
-/// lists and the mailbox. One implementation serves the inline path,
-/// the threaded path and the immediate fault API, so they cannot
+/// lists and the mailbox. One implementation serves the round loop at
+/// any thread count and the immediate fault API, so they cannot
 /// diverge. Every buffer is reused across rounds and runs — the
 /// steady state allocates nothing.
 pub(crate) struct Coordinator {
-    /// Pending faults; `(at, seq)`-sorted when `faults_sorted`.
-    pub(crate) faults: VecDeque<(SimTime, u64, FaultCmd)>,
-    pub(crate) fault_seq: u64,
-    pub(crate) faults_sorted: bool,
+    /// Pending faults in time order, ties in scheduling order.
+    faults: VecDeque<(SimTime, FaultCmd)>,
     /// Most mailbox items routed into each core in one round.
     pub(crate) mailbox_hwm: Vec<u64>,
     pub(crate) inbound: Vec<Vec<Inbound>>,
     /// Lower bound (ns) on any event the pending inbound lists can
-    /// introduce. Cores report their queue minima *before* inbound
-    /// application, so the window planner folds this in.
-    pub(crate) floor_ns: u64,
-    pub(crate) have_inbound: bool,
+    /// introduce, `u64::MAX` when they are empty. Cores report their
+    /// queue minima *before* inbound application, so the window planner
+    /// folds this in.
+    floor_ns: u64,
     /// Each core's earliest pending event after the previous window.
     pub(crate) mins: Vec<u64>,
     /// The round's outbox items, gathered from every core.
     pub(crate) items: Vec<MailboxItem>,
-    pub(crate) counts: Vec<u64>,
     /// Record segment-level faults into the calling thread's flight
     /// recorder (host faults, chaos toggles and restarts are recorded
     /// by the core that applies them).
     pub(crate) thread_trace: bool,
+    /// Rounds run, and the events each ran. Host-independent, like the
+    /// digest, but not part of it.
+    pub(crate) rounds: u64,
+    pub(crate) events_per_round: Log2Histogram,
 }
 
 impl Coordinator {
     pub(crate) fn new(regions: usize, thread_trace: bool) -> Coordinator {
         Coordinator {
             faults: VecDeque::new(),
-            fault_seq: 0,
-            faults_sorted: true,
             mailbox_hwm: vec![0; regions],
             inbound: (0..regions).map(|_| Vec::new()).collect(),
             floor_ns: u64::MAX,
-            have_inbound: false,
             mins: vec![u64::MAX; regions],
             items: Vec::new(),
-            counts: vec![0; regions],
             thread_trace,
+            rounds: 0,
+            events_per_round: Log2Histogram::default(),
         }
     }
 
-    fn sort_faults(&mut self) {
-        if !self.faults_sorted {
-            self.faults.make_contiguous().sort_by_key(|f| (f.0, f.1));
-            self.faults_sorted = true;
-        }
-    }
-
-    fn next_fault_ns(&self) -> Option<u64> {
-        self.faults.front().map(|(at, _, _)| at.as_nanos())
+    /// Put a fault on the timeline, after every fault due at or before
+    /// `at`.
+    pub(crate) fn schedule(&mut self, at: SimTime, cmd: FaultCmd) {
+        let i = self.faults.partition_point(|f| f.0 <= at);
+        self.faults.insert(i, (at, cmd));
     }
 
     /// Apply every fault due at or before `completed_ns` (and within
@@ -126,17 +115,13 @@ impl Coordinator {
     ) {
         // `horizon_ns` is exclusive and at least 1.
         let by_ns = completed_ns.min(horizon_ns - 1);
-        while self.next_fault_ns().is_some_and(|at| at <= by_ns) {
-            let Some((at, _, cmd)) = self.faults.pop_front() else { break };
+        while let Some((at, cmd)) = self.faults.pop_front_if(|f| f.0.as_nanos() <= by_ns) {
             self.apply_fault(topo, part, at, cmd);
         }
     }
 
     fn note_inbound(&mut self, at_ns: u64) {
-        self.have_inbound = true;
-        if at_ns < self.floor_ns {
-            self.floor_ns = at_ns;
-        }
+        self.floor_ns = self.floor_ns.min(at_ns);
     }
 
     /// Apply one fault at `at`. Idempotent: a command that does not
@@ -218,26 +203,25 @@ impl Coordinator {
     /// The round loop, the only one in the engine: apply the faults due
     /// by the last window's end, plan the next window, hand the inbound
     /// lists over, let `window` run every core up to the window end, and
-    /// route the mailbox. `window` leaves the cores' outboxes in
-    /// `items` and their queue minima in `mins`, and answers `false`
-    /// when a worker thread is gone (it panicked), which ends the loop.
-    /// `mins` must hold every core's queue minimum on entry.
+    /// route the mailbox. `window` leaves the cores' outboxes in `items`
+    /// and their queue minima in `mins`, and answers the events it ran,
+    /// or `None` when a worker thread is gone (it panicked), which ends
+    /// the loop. `mins` must hold every core's queue minimum on entry.
     pub(crate) fn run(
         &mut self,
         topo: &RwLock<Topology>,
         part: &Partition,
         horizon_ns: u64,
-        mut window: impl FnMut(&mut Coordinator, u64) -> bool,
+        mut window: impl FnMut(&mut Coordinator, u64) -> Option<u64>,
     ) {
-        self.sort_faults();
         let mut completed = 0u64;
         loop {
             self.apply_due_faults(topo, part, completed, horizon_ns);
             let Some(end) = self.plan(part.la_ns, horizon_ns) else { break };
             self.begin_round();
-            if !window(self, end) {
-                break;
-            }
+            let Some(events) = window(self, end) else { break };
+            self.rounds += 1;
+            self.events_per_round.observe(events);
             completed = end;
             self.route(part, end);
         }
@@ -248,10 +232,10 @@ impl Coordinator {
     fn plan(&mut self, la_ns: u64, horizon_ns: u64) -> Option<u64> {
         let ev_min = self.mins.iter().copied().min().unwrap_or(u64::MAX);
         let t_min = ev_min.min(self.floor_ns);
-        let fault = self.next_fault_ns().filter(|&f| f < horizon_ns);
+        let fault = self.faults.front().map(|f| f.0.as_nanos()).filter(|&f| f < horizon_ns);
         let next = t_min.min(fault.unwrap_or(u64::MAX));
         if next >= horizon_ns {
-            if self.have_inbound {
+            if self.floor_ns < u64::MAX {
                 // Final apply-only round: pending cross-region arrivals
                 // (due after the horizon) still need to land in their
                 // cores' queues for a later `run_until`.
@@ -259,17 +243,11 @@ impl Coordinator {
             }
             return None;
         }
-        let mut end = horizon_ns;
-        end = end.min(t_min.saturating_add(la_ns));
-        if let Some(f) = fault {
-            end = end.min(f);
-        }
-        Some(end)
+        Some(horizon_ns.min(t_min.saturating_add(la_ns)).min(fault.unwrap_or(u64::MAX)))
     }
 
     /// The inbound lists are about to be handed to the cores.
     pub(crate) fn begin_round(&mut self) {
-        self.have_inbound = false;
         self.floor_ns = u64::MAX;
     }
 
@@ -277,30 +255,22 @@ impl Coordinator {
     /// deterministic mailbox: global `(at, src_region, src_seq)` order,
     /// then appended to the destination cores' inbound lists.
     fn route(&mut self, part: &Partition, end_ns: u64) {
-        if self.items.is_empty() {
-            return;
-        }
-        self.items.sort_by_key(|i| (i.at, i.src_region, i.src_seq));
-        self.counts.fill(0);
-        let mut items = std::mem::take(&mut self.items);
-        for it in items.drain(..) {
+        // The key is unique (`src_seq` counts each region's emissions),
+        // so the unstable sort yields the one order, with no scratch.
+        self.items.sort_unstable_by_key(|i| (i.at, i.src_region, i.src_seq));
+        let Some(first) = self.items.first() else { return };
+        self.note_inbound(first.at.as_nanos());
+        for item in self.items.drain(..) {
             debug_assert!(
-                it.at.as_nanos() >= end_ns,
+                item.at.as_nanos() >= end_ns,
                 "cross-region arrival inside the window violates lookahead"
             );
-            let r = part.region_of_host(it.to.host);
-            self.counts[r] += 1;
-            self.note_inbound(it.at.as_nanos());
-            self.inbound[r].push(Inbound::Deliver {
-                at: it.at,
-                from: it.from,
-                to: it.to,
-                payload: it.payload,
-            });
+            self.inbound[part.region_of_host(item.to.host)].push(Inbound::Deliver(item));
         }
-        self.items = items; // keep the capacity
-        for (hwm, c) in self.mailbox_hwm.iter_mut().zip(&self.counts) {
-            *hwm = (*hwm).max(*c);
+        // The window drained every inbound list, so each now holds this
+        // round's mail alone.
+        for (hwm, mail) in self.mailbox_hwm.iter_mut().zip(&self.inbound) {
+            *hwm = (*hwm).max(mail.len() as u64);
         }
     }
 }

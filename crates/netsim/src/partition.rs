@@ -1,5 +1,19 @@
-//! The static partition of a topology into regions, the conservative
-//! lookahead between them, and the seed rule (see [`crate::shard`]).
+//! Regions, the lookahead and the seed rule (see [`crate::shard`]).
+//!
+//! Two hosts in different regions share no segment, so a cross-region
+//! packet takes a routed path of two segments, whose latency is at
+//! least twice the least base latency of any routable medium. That is
+//! the **lookahead** `L`: where the earliest pending work is at `t_min`,
+//! every core may run its events before `min(t_min + L, next fault,
+//! horizon)`, since nothing sent inside that window arrives in another
+//! region before its end. Gray links only raise latency (the fault
+//! scheduler clamps `latency_factor` to ≥ 1.0), so the bound holds
+//! under chaos.
+//!
+//! **Seed rule.** A one-region world seeds its workload and packet-chaos
+//! RNGs from the seed itself; a world of ≥ 2 regions derives one
+//! decorrelated stream per region. Either way the mapping is pure, so
+//! it is identical at every thread count.
 
 use snipe_util::id::{HostId, NetId};
 use snipe_util::rng::SplitMix64;
@@ -7,25 +21,14 @@ use snipe_util::time::SimDuration;
 
 use crate::topology::Topology;
 
-/// Derive a per-region seed from the world seed. Distinct regions get
-/// decorrelated streams.
-fn mix_seed(seed: u64, region: u32) -> u64 {
-    SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(region as u64 + 1)).next_u64()
-}
-
 /// The seed rule (module docs): the seed itself for a one-region world,
-/// a per-region stream otherwise.
+/// a decorrelated stream per region otherwise.
 pub(crate) fn region_seed(seed: u64, region: u32, regions: u32) -> u64 {
     if regions == 1 {
-        seed
-    } else {
-        mix_seed(seed, region)
+        return seed;
     }
+    SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(region as u64 + 1)).next_u64()
 }
-
-// ---------------------------------------------------------------------------
-// Partition
-// ---------------------------------------------------------------------------
 
 /// Static partition of a topology into schedulable regions, plus the
 /// conservative lookahead and dense per-region transmitter-slot maps.
@@ -99,18 +102,15 @@ impl Partition {
         // edges, so its latency is ≥ 2 × the minimum base latency.
         let min_lat =
             topo.nets().filter(|net| net.routable).map(|net| net.medium.latency.as_nanos()).min();
-        let la_ns = if regions <= 1 {
-            u64::MAX
-        } else {
-            match min_lat {
-                // No routable media: regions cannot talk at all.
-                None => u64::MAX,
-                Some(0) => panic!(
-                    "a partitioned world requires routable media with nonzero latency \
-                     (conservative lookahead would be zero)"
-                ),
-                Some(ns) => ns.saturating_mul(2),
-            }
+        let la_ns = match min_lat {
+            // One region, or no routable media: regions cannot talk at all.
+            _ if regions <= 1 => u64::MAX,
+            None => u64::MAX,
+            Some(0) => panic!(
+                "a partitioned world requires routable media with nonzero latency \
+                 (conservative lookahead would be zero)"
+            ),
+            Some(ns) => ns.saturating_mul(2),
         };
         Partition::with_regions(topo, region_of_host, region_of_net, regions, la_ns)
     }
@@ -180,10 +180,6 @@ impl Partition {
     /// Conservative lookahead (`SimDuration::MAX` when regions cannot
     /// exchange traffic, e.g. a single-region world).
     pub fn lookahead(&self) -> SimDuration {
-        if self.la_ns == u64::MAX {
-            SimDuration::MAX
-        } else {
-            SimDuration::from_nanos(self.la_ns)
-        }
+        SimDuration::from_nanos(self.la_ns)
     }
 }

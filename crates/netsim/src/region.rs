@@ -16,10 +16,6 @@ use crate::topology::{Endpoint, PathInfo, Topology};
 use crate::trace::{self, DropReason, FaultOp, NetStats, Recorder, TraceKind};
 use crate::world::{compute_path, EPHEMERAL_BASE, SIGSTART};
 
-// ---------------------------------------------------------------------------
-// The actor-facing context
-// ---------------------------------------------------------------------------
-
 /// Dense actor handle within one core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct ActorId(u64);
@@ -36,10 +32,7 @@ struct ShardCtx<'a> {
 
 /// The region owning `host`, or `None` for an unknown host id.
 pub(crate) fn spawn_region(topo: &Topology, part: &Partition, host: HostId) -> Option<usize> {
-    if host.index() >= topo.host_count() {
-        return None;
-    }
-    Some(part.region_of_host(host))
+    (host.index() < topo.host_count()).then(|| part.region_of_host(host))
 }
 
 impl SimCtx for ShardCtx<'_> {
@@ -56,18 +49,15 @@ impl SimCtx for ShardCtx<'_> {
     }
 
     fn send(&mut self, to: Endpoint, payload: Bytes) {
-        let from = self.my_endpoint;
-        self.core.send_packet(self.topo, self.part, from, to, payload, None);
+        self.core.send_packet(self.topo, self.part, self.my_endpoint, to, payload, None);
     }
 
     fn send_via(&mut self, to: Endpoint, payload: Bytes, via: NetId) {
-        let from = self.my_endpoint;
-        self.core.send_packet(self.topo, self.part, from, to, payload, Some(via));
+        self.core.send_packet(self.topo, self.part, self.my_endpoint, to, payload, Some(via));
     }
 
     fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        let at = self.core.now + delay;
-        self.core.push(at, Queued::Timer { actor: self.me, token });
+        self.core.push(self.core.now + delay, Queued::Timer { actor: self.me, token });
     }
 
     fn spawn_portable(
@@ -77,12 +67,8 @@ impl SimCtx for ShardCtx<'_> {
         actor: Box<dyn Actor>,
     ) -> Option<Endpoint> {
         let r = spawn_region(self.topo, self.part, host)?;
+        debug_assert_eq!(r, self.core.region as usize, "cross-region spawn");
         if r != self.core.region as usize {
-            debug_assert_eq!(
-                r, self.core.region as usize,
-                "cross-region spawn from region {}",
-                self.core.region
-            );
             return None;
         }
         self.core.spawn(host, port, actor)
@@ -112,8 +98,7 @@ impl SimCtx for ShardCtx<'_> {
             "cross-region signal"
         );
         let from = Some(self.my_endpoint);
-        let now = self.core.now;
-        self.core.push(now, Queued::Signal { from, to, signum });
+        self.core.push(self.core.now, Queued::Signal { from, to, signum });
     }
 
     fn rng(&mut self) -> &mut Xoshiro256 {
@@ -128,10 +113,6 @@ impl SimCtx for ShardCtx<'_> {
         self.topo.host(h).up
     }
 }
-
-// ---------------------------------------------------------------------------
-// Core-internal types
-// ---------------------------------------------------------------------------
 
 /// A `Wake` is stale unless its `gen` is still its slot's.
 pub(crate) enum Queued {
@@ -178,7 +159,7 @@ pub(crate) struct MailboxItem {
 /// Work the coordinator hands a core at a round boundary, applied
 /// in-order before the window runs.
 pub(crate) enum Inbound {
-    Deliver { at: SimTime, from: Endpoint, to: Endpoint, payload: Bytes },
+    Deliver(MailboxItem),
     HostEvent { at: SimTime, host: HostId, up: bool },
     SetChaos { at: SimTime, chaos: Option<PacketChaos>, seed: u64 },
     Restart { at: SimTime, ep: Endpoint, actor: Box<dyn Actor> },
@@ -194,10 +175,6 @@ pub(crate) enum TraceSink {
     /// This core's own ring.
     Ring,
 }
-
-// ---------------------------------------------------------------------------
-// ShardCore
-// ---------------------------------------------------------------------------
 
 type RouteKey = (HostId, HostId, Option<NetId>);
 
@@ -300,10 +277,8 @@ impl ShardCore {
     }
 
     fn note_depth(&mut self) {
-        let depth = self.queue.depth() as u64;
-        if depth > self.stats.engine.peak_queue_depth {
-            self.stats.engine.peak_queue_depth = depth;
-        }
+        let peak = &mut self.stats.engine.peak_queue_depth;
+        *peak = (*peak).max(self.queue.depth() as u64);
     }
 
     fn note_drop(&mut self, reason: DropReason) {
@@ -348,8 +323,7 @@ impl ShardCore {
         let wake = WakeSlot::default();
         self.slots.push(Slot { actor: Some(actor), endpoint: ep, alive: true, wake });
         self.bindings.insert(ep, id);
-        let now = self.now;
-        self.push(now, Queued::Signal { from: None, to: ep, signum: SIGSTART });
+        self.push(self.now, Queued::Signal { from: None, to: ep, signum: SIGSTART });
         Some(ep)
     }
 
@@ -449,30 +423,23 @@ impl ShardCore {
         let src_net = path.first_net();
         let medium = &topo.net(src_net).medium;
         let tx = medium.tx_time_at(path.bandwidth_bps, payload.len());
-        let (free, channel) = if medium.shared_bus {
+        // The serializing transmitter and its busy-until slot (none for a
+        // switched sender with no interface on the segment).
+        let (busy, channel) = if medium.shared_bus {
             let slot = part.net_slot[src_net.index()] as usize;
-            (self.bus_busy[slot], TxChannel::Bus(src_net))
+            (Some(&mut self.bus_busy[slot]), TxChannel::Bus(src_net))
         } else {
-            topo.host(from.host)
-                .interfaces
-                .iter()
-                .find(|i| i.net == src_net)
-                .map(|i| {
-                    (
-                        self.link_busy[part.link_slot[i.link.index()] as usize],
-                        TxChannel::Link(i.link),
-                    )
-                })
-                .unwrap_or((SimTime::ZERO, TxChannel::Bus(src_net)))
-        };
-        let start = if free > self.now { free } else { self.now };
-        let finish = start + tx;
-        match channel {
-            TxChannel::Bus(n) if medium.shared_bus => {
-                self.bus_busy[part.net_slot[n.index()] as usize] = finish;
+            match topo.host(from.host).interfaces.iter().find(|i| i.net == src_net) {
+                Some(i) => {
+                    let slot = part.link_slot[i.link.index()] as usize;
+                    (Some(&mut self.link_busy[slot]), TxChannel::Link(i.link))
+                }
+                None => (None, TxChannel::Bus(src_net)),
             }
-            TxChannel::Link(l) => self.link_busy[part.link_slot[l.index()] as usize] = finish,
-            TxChannel::Bus(_) => {}
+        };
+        let finish = busy.as_deref().map_or(self.now, |&free| free.max(self.now)) + tx;
+        if let Some(busy) = busy {
+            *busy = finish;
         }
         // Loss after occupancy: a lost frame still burned air time.
         if path.loss > 0.0 && self.rng.gen_bool(path.loss) {
@@ -533,20 +500,12 @@ impl ShardCore {
         }
         if fx.duplicate > 0.0 && self.chaos_rng.gen_bool(fx.duplicate) {
             let dup_at = at + self.jitter_draw(fx.jitter);
-            if cross {
-                self.push_outbox(dup_at, from, to, payload.clone());
-            } else {
-                self.push(dup_at, Queued::Deliver { from, to, payload: payload.clone() });
-            }
+            self.push_jittered(dup_at, from, to, payload.clone(), cross);
             self.stats.chaos.duplicated += 1;
         }
         if fx.reorder > 0.0 && self.chaos_rng.gen_bool(fx.reorder) {
             let late_at = at + self.jitter_draw(fx.jitter);
-            if cross {
-                self.push_outbox(late_at, from, to, payload);
-            } else {
-                self.push(late_at, Queued::Deliver { from, to, payload });
-            }
+            self.push_jittered(late_at, from, to, payload, cross);
             self.stats.chaos.reordered += 1;
             return;
         }
@@ -557,14 +516,27 @@ impl ShardCore {
         }
     }
 
+    fn push_jittered(
+        &mut self,
+        at: SimTime,
+        from: Endpoint,
+        to: Endpoint,
+        payload: Bytes,
+        cross: bool,
+    ) {
+        if cross {
+            self.push_outbox(at, from, to, payload);
+        } else {
+            self.push(at, Queued::Deliver { from, to, payload });
+        }
+    }
+
     fn jitter_draw(&mut self, max: SimDuration) -> SimDuration {
         SimDuration::from_nanos(1 + self.chaos_rng.gen_range(max.as_nanos().max(1)))
     }
 
     fn dispatch_to(&mut self, topo: &Topology, part: &Partition, ep: Endpoint, event: Event) {
-        let Some(&id) = self.bindings.get(&ep) else {
-            return;
-        };
+        let Some(&id) = self.bindings.get(&ep) else { return };
         self.dispatch_id(topo, part, id, ep, event);
     }
 
@@ -607,9 +579,7 @@ impl ShardCore {
 
     /// Run one queued event. Returns false if the queue is empty.
     fn step(&mut self, topo: &Topology, part: &Partition) -> bool {
-        let Some((ev, tier)) = self.queue.pop() else {
-            return false;
-        };
+        let Some((ev, tier)) = self.queue.pop() else { return false };
         match tier {
             Tier::Now => self.stats.engine.now_pops += 1,
             Tier::Heap => self.stats.engine.heap_pops += 1,
@@ -648,14 +618,11 @@ impl ShardCore {
                 }
             }
             Queued::Timer { actor, token } => {
-                let idx = actor.0 as usize;
-                if idx < self.slots.len() && self.slots[idx].alive {
-                    let ep = self.slots[idx].endpoint;
-                    // Timers do not fire while the host is down.
-                    if topo.host(ep.host).up {
-                        self.record(|| TraceKind::TimerFire { token });
-                        self.dispatch_to(topo, part, ep, Event::Timer { token });
-                    }
+                let Slot { alive, endpoint: ep, .. } = self.slots[actor.0 as usize];
+                // Timers do not fire while the host is down.
+                if alive && topo.host(ep.host).up {
+                    self.record(|| TraceKind::TimerFire { token });
+                    self.dispatch_to(topo, part, ep, Event::Timer { token });
                 }
             }
             Queued::Wake { actor, .. } => {
@@ -694,7 +661,7 @@ impl ShardCore {
     ) {
         for item in inbound.drain(..) {
             match item {
-                Inbound::Deliver { at, from, to, payload } => {
+                Inbound::Deliver(MailboxItem { at, from, to, payload, .. }) => {
                     debug_assert!(at >= self.now, "mailbox item in this core's past");
                     self.push(at, Queued::Deliver { from, to, payload });
                 }
@@ -739,15 +706,9 @@ impl ShardCore {
         end_ns: u64,
     ) {
         self.apply_inbound(topo, part, inbound);
-        while let Some(at) = self.queue.peek_at() {
-            if at.as_nanos() >= end_ns {
-                break;
-            }
+        while self.queue.peek_at().is_some_and(|at| at.as_nanos() < end_ns) {
             self.step(topo, part);
         }
-        let smax = self.queue.stream_depth_max();
-        if smax > self.stream_hwm {
-            self.stream_hwm = smax;
-        }
+        self.stream_hwm = self.stream_hwm.max(self.queue.stream_depth_max());
     }
 }

@@ -1,74 +1,52 @@
-//! The engine: one `ShardCore` per topology region, advanced by a
-//! deterministic round driver. Every [`World`] is this engine; there is
-//! no other event loop.
-//!
-//! A topology is partitioned into independent **regions**. Each region
-//! gets its own `ShardCore` — a private three-tier event queue, flat
-//! stats, RNG streams, route cache, transmitter busy-tracking, actors
-//! and trace sink — which implements queueing, routing, transmission,
-//! packet chaos, timers, signals, spawn/kill and dispatch exactly once.
+//! The engine: one `ShardCore` per topology region, advanced by one
+//! deterministic round loop. Every [`World`] is this engine; there is
+//! no other event loop. A region's core, with its own three-tier event
+//! queue, flat stats, RNG streams, route cache, transmitter
+//! busy-tracking, actors and trace sink, implements queueing, routing,
+//! transmission, packet chaos, timers, signals, spawn/kill and dispatch
+//! exactly once. The partition, the lookahead and the seed rule are in
+//! `partition.rs`, the core and the actor context in `region.rs`, the
+//! fault timeline, window planning and mailbox in `coord.rs`.
 //!
 //! ## Region rule
 //!
-//! * [`World::new`] forces **one region** ([`Partition::single`]). The
-//!   single core runs inline on the calling thread straight to the
-//!   horizon: no lookahead bound, no barrier, no mailbox traffic. One
-//!   queue means global same-timestamp ordering, zero-latency routable
-//!   media are fine, and an actor may spawn/kill/signal on any host.
+//! * [`World::new`] forces **one region** ([`Partition::single`]): one
+//!   round per fault-free stretch, straight to the horizon, with no
+//!   lookahead bound and no mailbox traffic. One queue means global
+//!   same-timestamp ordering, zero-latency routable media are fine, and
+//!   an actor may spawn/kill/signal on any host.
 //! * [`World::sharded`] uses the **natural partition**
-//!   ([`Partition::of`]: connected components of "hosts share a network
-//!   segment" — every segment, with all its attached hosts, lives
-//!   wholly inside one region) and advances all cores in barrier rounds
-//!   with conservative lookahead on up to `threads` worker threads.
-//!
-//! ## Seed rule
-//!
-//! A one-region world seeds its workload RNG and its packet-chaos RNG
-//! from the seed directly; a world with ≥ 2 regions derives one
-//! decorrelated stream per region (`mix_seed`). Either way the mapping
-//! is pure, so it is identical at every thread count.
+//!   ([`Partition::of`]: every segment, with all its attached hosts,
+//!   lives wholly inside one region), and a round is at most one
+//!   lookahead wide.
 //!
 //! ## Why determinism survives parallelism
 //!
-//! * Regions are a property of the *topology*, not of the thread
-//!   count: `threads` only chooses how many OS threads execute the
-//!   fixed region set. Every per-core decision (event order, RNG
-//!   draws, sequence numbers) depends only on that core's own inputs.
-//! * Cross-region packets never touch another core directly. They are
-//!   collected into per-core outboxes and exchanged at the round
-//!   barrier through a **deterministic mailbox**: all items are sorted
-//!   by `(at, src_region, src_seq)` and enqueued into their
-//!   destination cores in that order, so destination-side sequence
-//!   numbers are identical at any thread count.
-//! * The inline path and the thread-pool path execute the *same*
-//!   per-round core methods in the same per-core order — equality of
-//!   results across 1/2/4/8 threads holds by construction and is
-//!   pinned by differential tests and the `shard-determinism` gate in
-//!   `scripts/check.sh`.
-//!
-//! ## Conservative lookahead
-//!
-//! Two hosts in different regions share no segment, so every
-//! cross-region packet takes a routed (two-segment) path whose
-//! propagation latency is at least twice the minimum base latency over
-//! all routable media. That bound is the **lookahead** `L`: in a round
-//! where the globally earliest pending work is at `t_min`, every core
-//! may safely execute events with `at < min(t_min + L, next_fault,
-//! horizon)` — any cross-region arrival generated inside the window
-//! lands at or after its end. Gray-link degradation only *raises*
-//! latency (the fault scheduler clamps `latency_factor` to ≥ 1.0), so
-//! the static bound stays sound under chaos.
+//! * Regions are a property of the topology; `threads` only chooses how
+//!   many OS threads run the fixed region set. Every per-core decision
+//!   (event order, RNG draws, sequence numbers) depends only on that
+//!   core's own inputs.
+//! * Cross-region packets never touch another core directly. Between
+//!   rounds they are gathered from per-core outboxes, sorted by `(at,
+//!   src_region, src_seq)` and enqueued into their destination cores in
+//!   that order: the **deterministic mailbox**.
+//! * There is one loop. A world of one chunk of regions runs every core
+//!   on the calling thread; otherwise the calling thread runs the first
+//!   chunk and one worker thread each later chunk, all through the same
+//!   per-chunk body and against the same coordinator decisions. Equality
+//!   across 1/2/4/8 threads holds by construction and is pinned by
+//!   differential tests and the `shard-determinism` gate in
+//!   `scripts/check.sh`. A panic on a worker ends the loop and
+//!   propagates from [`World::run_until`], as it does inline.
 //!
 //! ## Faults are data
 //!
-//! Scripted faults are [`FaultCmd`] values on a sorted timeline the
-//! coordinator applies between rounds (windows are capped at the next
-//! fault time, so a fault at `t` is observed by every core before any
-//! event at or after `t` runs). The immediate fault API
-//! ([`World::host_down`] …) applies the same command now. Process
-//! crashes are data too: [`FaultCmd::Restart`] kills the actor at an
-//! endpoint and spawns a factory-built replacement on the owning core
-//! at the fault's timestamp, at any thread count.
+//! [`FaultCmd`] values on a sorted timeline are applied between rounds,
+//! and windows are capped at the next fault, so every core sees a fault
+//! at `t` before any event at `t` runs. The immediate fault API
+//! ([`World::host_down`] …) applies the same command now.
+//! [`FaultCmd::Restart`] replaces the actor at an endpoint at the
+//! fault's timestamp, at any thread count.
 //!
 //! ## Trace sinks
 //!
@@ -82,6 +60,7 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::ScopedJoinHandle;
 
 use snipe_util::id::{HostId, NetId};
+use snipe_util::stats::Log2Histogram;
 use snipe_util::time::{SimDuration, SimTime};
 
 use crate::actor::Actor;
@@ -108,9 +87,9 @@ pub(crate) fn write_topo(topo: &RwLock<Topology>) -> RwLockWriteGuard<'_, Topolo
 
 /// One worker thread's round buffers, handed over by value: the
 /// coordinator sends the window end and the chunk's inbound lists, the
-/// worker answers with the chunk's outboxes and queue minima. They live
-/// in the world between runs, so every buffer keeps its capacity and
-/// the steady state allocates nothing.
+/// worker answers with the chunk's outboxes, queue minima and event
+/// count. They stay in the world between runs, so the steady state
+/// allocates nothing.
 #[derive(Default)]
 struct Hand {
     /// The chunk's first region.
@@ -119,6 +98,7 @@ struct Hand {
     inbound: Vec<Vec<Inbound>>,
     items: Vec<MailboxItem>,
     mins: Vec<u64>,
+    events: u64,
 }
 
 /// The coordinator's end of one worker thread. Dropping `to` stops it.
@@ -130,8 +110,8 @@ struct Worker<'s> {
 
 /// Run one window on a chunk of cores: each applies its inbound list
 /// and runs its events before `end_ns`, then leaves its outbox in
-/// `items` and its earliest pending event in `mins`. The calling
-/// thread and every worker run exactly this.
+/// `items` and its earliest pending event in `mins`. Returns the events
+/// run. The calling thread and every worker run exactly this.
 fn run_window(
     topo: &RwLock<Topology>,
     part: &Partition,
@@ -140,18 +120,18 @@ fn run_window(
     items: &mut Vec<MailboxItem>,
     mins: &mut [u64],
     end_ns: u64,
-) {
+) -> u64 {
     let topo = read_topo(topo);
+    let mut events = 0;
     for ((core, inb), min) in cores.iter_mut().zip(inbound).zip(mins) {
+        let before = core.stats.events;
         core.run_round(&topo, part, inb, end_ns);
+        events += core.stats.events - before;
         items.append(&mut core.outbox);
         *min = core.peek_ns();
     }
+    events
 }
-
-// ---------------------------------------------------------------------------
-// World
-// ---------------------------------------------------------------------------
 
 /// Per-shard load figures for the boundedness oracle: aggregate totals
 /// can hide one runaway shard, these cannot.
@@ -183,8 +163,7 @@ pub struct World {
     part: Partition,
     cores: Vec<ShardCore>,
     coord: Coordinator,
-    /// Regions per chunk of a round's work: the calling thread runs the
-    /// first chunk, one worker thread each later chunk.
+    /// Regions per thread of a round's work.
     chunk: usize,
     /// One per worker thread.
     hands: Vec<Hand>,
@@ -211,9 +190,9 @@ impl World {
 
     fn over(topo: Topology, part: Partition, seed: u64, threads: usize) -> World {
         let regions = part.regions();
-        // The one place the thread count is read: `threads` threads
-        // split the regions into equal chunks (4 regions on 3 threads
-        // are two chunks of 2, so two threads).
+        // The one place the thread count is read: the regions split
+        // into equal chunks (4 regions on 3 threads are two chunks of
+        // 2); the calling thread runs the first, one worker each other.
         let chunk = regions.div_ceil(threads.clamp(1, regions.max(1))).max(1);
         let hands: Vec<Hand> = (chunk..regions)
             .step_by(chunk)
@@ -287,6 +266,13 @@ impl World {
                 events: c.stats.events,
             })
             .collect()
+    }
+
+    /// Coordinator rounds run so far, and how many events each ran.
+    /// Like the digest they are equal at every thread count, but they
+    /// are not part of it.
+    pub fn rounds(&self) -> (u64, &Log2Histogram) {
+        (self.coord.rounds, &self.coord.events_per_round)
     }
 
     fn core_of(&self, host: HostId) -> &ShardCore {
@@ -367,31 +353,22 @@ impl World {
     /// Schedule a fault command for `at`; it is applied before any
     /// event at `at`. Gray faults are clamped to `latency_factor >=
     /// 1.0` (see [`FaultCmd::Gray`]).
-    pub fn schedule_fault(&mut self, at: SimTime, cmd: FaultCmd) {
-        let cmd = match cmd {
-            FaultCmd::Gray(n, Some(mut g)) => {
-                if g.latency_factor < 1.0 {
-                    g.latency_factor = 1.0;
-                }
-                FaultCmd::Gray(n, Some(g))
-            }
-            c => c,
-        };
-        self.coord.faults.push_back((at, self.coord.fault_seq, cmd));
-        self.coord.fault_seq += 1;
-        self.coord.faults_sorted = false;
+    pub fn schedule_fault(&mut self, at: SimTime, mut cmd: FaultCmd) {
+        if let FaultCmd::Gray(_, Some(g)) = &mut cmd {
+            g.latency_factor = g.latency_factor.max(1.0);
+        }
+        self.coord.schedule(at, cmd);
     }
 
     /// Apply a fault at the current time, notifying affected actors
-    /// before returning.
+    /// before returning. Between runs every inbound list is empty, so
+    /// the cores see this fault's work alone.
     fn fault_now(&mut self, at: SimTime, cmd: FaultCmd) {
         self.coord.apply_fault(&self.topo, &self.part, at, cmd);
-        if self.coord.have_inbound {
-            self.coord.begin_round();
-            let topo = read_topo(&self.topo);
-            for (core, inb) in self.cores.iter_mut().zip(&mut self.coord.inbound) {
-                core.apply_inbound(&topo, &self.part, inb);
-            }
+        self.coord.begin_round();
+        let topo = read_topo(&self.topo);
+        for (core, inb) in self.cores.iter_mut().zip(&mut self.coord.inbound) {
+            core.apply_inbound(&topo, &self.part, inb);
         }
     }
 
@@ -538,13 +515,12 @@ impl World {
 
     /// Run events with timestamps `<= t`, then set every clock to `t`.
     ///
-    /// The coordinator's one round loop drives the cores. A world of
-    /// one chunk runs it on the calling thread; otherwise the calling
-    /// thread runs the first chunk and one scoped worker thread each
-    /// later chunk, all through [`run_window`]. A worker that panics
-    /// ends the loop, and its panic propagates from here. A one-region
-    /// world has no lookahead bound, so its single round per
-    /// fault-free stretch runs straight to the horizon.
+    /// The coordinator's one round loop drives the cores: each window,
+    /// the calling thread runs the first chunk of regions and one scoped
+    /// worker thread each later chunk, all through [`run_window`]. A
+    /// worker that panics ends the loop, and its panic propagates from
+    /// here. A one-region world has no lookahead bound, so its single
+    /// round per fault-free stretch runs straight to the horizon.
     pub fn run_until(&mut self, t: SimTime) {
         let World { topo, part, cores, coord, chunk, hands, .. } = self;
         let (topo, part, chunk) = (&*topo, &*part, *chunk);
@@ -552,15 +528,30 @@ impl World {
         for (min, core) in coord.mins.iter_mut().zip(cores.iter()) {
             *min = core.peek_ns();
         }
-        if hands.is_empty() {
-            coord.run(topo, part, horizon_ns, |coord, end| {
-                let Coordinator { inbound, items, mins, .. } = coord;
-                run_window(topo, part, cores, inbound, items, mins, end);
-                true
-            });
+        let (own, rest) = cores.split_at_mut(chunk);
+        let mut rounds = |pool: &[Worker]| {
+            coord.run(topo, part, horizon_ns, |c, end_ns| {
+                for (worker, hand) in pool.iter().zip(hands.iter_mut()) {
+                    let mut hand = Hand { end_ns, ..std::mem::take(hand) };
+                    c.inbound[hand.base..][..hand.inbound.len()].swap_with_slice(&mut hand.inbound);
+                    worker.to.send(hand).ok()?;
+                }
+                let (inbound, items, mins) = (&mut c.inbound, &mut c.items, &mut c.mins);
+                let mut events = run_window(topo, part, own, inbound, items, mins, end_ns);
+                for (worker, hand) in pool.iter().zip(hands.iter_mut()) {
+                    let mut back = worker.from.recv().ok()?;
+                    events += back.events;
+                    c.items.append(&mut back.items);
+                    c.mins[back.base..][..back.mins.len()].copy_from_slice(&back.mins);
+                    *hand = back;
+                }
+                Some(events)
+            })
+        };
+        if rest.is_empty() {
+            rounds(&[]);
         } else {
             std::thread::scope(|scope| {
-                let (own, rest) = cores.split_at_mut(chunk);
                 let pool: Vec<Worker> = rest
                     .chunks_mut(chunk)
                     .map(|cores| {
@@ -568,8 +559,9 @@ impl World {
                         let (done, from) = sync_channel::<Hand>(1);
                         let thread = scope.spawn(move || {
                             for mut hand in work {
-                                let Hand { end_ns, inbound, items, mins, .. } = &mut hand;
-                                run_window(topo, part, cores, inbound, items, mins, *end_ns);
+                                let Hand { end_ns, inbound, items, mins, events, .. } = &mut hand;
+                                *events =
+                                    run_window(topo, part, cores, inbound, items, mins, *end_ns);
                                 if done.send(hand).is_err() {
                                     break;
                                 }
@@ -578,38 +570,8 @@ impl World {
                         Worker { to, from, thread }
                     })
                     .collect();
-                coord.run(topo, part, horizon_ns, |coord, end| {
-                    for (worker, hand) in pool.iter().zip(hands.iter_mut()) {
-                        let mut hand = std::mem::take(hand);
-                        hand.end_ns = end;
-                        for (ours, theirs) in
-                            coord.inbound[hand.base..].iter_mut().zip(&mut hand.inbound)
-                        {
-                            std::mem::swap(ours, theirs);
-                        }
-                        if worker.to.send(hand).is_err() {
-                            return false;
-                        }
-                    }
-                    let Coordinator { inbound, items, mins, .. } = coord;
-                    run_window(
-                        topo,
-                        part,
-                        own,
-                        &mut inbound[..chunk],
-                        items,
-                        &mut mins[..chunk],
-                        end,
-                    );
-                    for (worker, hand) in pool.iter().zip(hands.iter_mut()) {
-                        let Ok(mut back) = worker.from.recv() else { return false };
-                        coord.items.append(&mut back.items);
-                        coord.mins[back.base..][..back.mins.len()].copy_from_slice(&back.mins);
-                        *hand = back;
-                    }
-                    true
-                });
-                // Stop every worker; a panicked one re-raises its panic.
+                rounds(&pool);
+                // Stop every worker; one that panicked re-raises its panic.
                 for Worker { to, thread, .. } in pool {
                     drop(to);
                     if let Err(panic) = thread.join() {

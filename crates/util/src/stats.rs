@@ -100,7 +100,7 @@ const LOG2_BUCKETS: usize = 65;
 /// is `b` (i.e. `2^(b-1) <= x < 2^b`; bucket 0 holds exact zeros).
 /// Fixed 65-slot array — recording is a shift and two adds, no
 /// allocation ever.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Log2Histogram {
     buckets: [u64; LOG2_BUCKETS],
     count: u64,
