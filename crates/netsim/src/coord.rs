@@ -229,21 +229,18 @@ impl Coordinator {
 
     /// Plan the next window end (exclusive, in ns), or `None` when the
     /// run is complete.
-    fn plan(&mut self, la_ns: u64, horizon_ns: u64) -> Option<u64> {
-        let ev_min = self.mins.iter().copied().min().unwrap_or(u64::MAX);
-        let t_min = ev_min.min(self.floor_ns);
-        let fault = self.faults.front().map(|f| f.0.as_nanos()).filter(|&f| f < horizon_ns);
-        let next = t_min.min(fault.unwrap_or(u64::MAX));
-        if next >= horizon_ns {
-            if self.floor_ns < u64::MAX {
-                // Final apply-only round: pending cross-region arrivals
-                // (due after the horizon) still need to land in their
-                // cores' queues for a later `run_until`.
-                return Some(horizon_ns);
-            }
-            return None;
+    fn plan(&self, la_ns: u64, horizon_ns: u64) -> Option<u64> {
+        let t_min = self.mins.iter().copied().min().unwrap_or(u64::MAX).min(self.floor_ns);
+        // A fault at or past the horizon caps nothing: the horizon does.
+        let fault = self.faults.front().map_or(u64::MAX, |f| f.0.as_nanos());
+        if t_min.min(fault) < horizon_ns {
+            Some(horizon_ns.min(t_min.saturating_add(la_ns)).min(fault))
+        } else {
+            // Final apply-only round: pending cross-region arrivals (due
+            // after the horizon) still need to land in their cores'
+            // queues for a later `run_until`.
+            (self.floor_ns < u64::MAX).then_some(horizon_ns)
         }
-        Some(horizon_ns.min(t_min.saturating_add(la_ns)).min(fault.unwrap_or(u64::MAX)))
     }
 
     /// The inbound lists are about to be handed to the cores.
@@ -272,5 +269,138 @@ impl Coordinator {
         for (hwm, mail) in self.mailbox_hwm.iter_mut().zip(&self.inbound) {
             *hwm = (*hwm).max(mail.len() as u64);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bytes::Bytes;
+    use snipe_util::time::SimDuration;
+
+    use super::*;
+    use crate::medium::Medium;
+    use crate::topology::HostCfg;
+
+    /// Two routable LANs of two hosts each (hosts 0–1 and 2–3): two
+    /// regions and a 400 µs lookahead.
+    fn two_regions() -> (RwLock<Topology>, Partition) {
+        let mut t = Topology::new();
+        for lan in 0..2 {
+            let medium = Medium { latency: SimDuration::from_micros(200), ..Medium::ethernet100() };
+            let net = t.add_network("lan", medium, true);
+            for i in 0..2 {
+                let h = t.add_host(HostCfg::named(format!("l{lan}h{i}")));
+                t.attach(h, net);
+            }
+        }
+        let part = Partition::of(&t);
+        assert_eq!((part.regions(), part.la_ns), (2, 400_000));
+        (RwLock::new(t), part)
+    }
+
+    fn item(at: u64, src_region: u32, src_seq: u64, to: u32) -> MailboxItem {
+        MailboxItem {
+            at: SimTime::from_nanos(at),
+            src_region,
+            src_seq,
+            from: Endpoint::new(HostId(0), 1),
+            to: Endpoint::new(HostId(to), 1),
+            payload: Bytes::new(),
+        }
+    }
+
+    #[test]
+    fn plan_ends_the_window_at_the_lookahead_the_next_fault_or_the_horizon() {
+        let (_, part) = two_regions();
+        let la = part.la_ns;
+        let mut c = Coordinator::new(2, false);
+        c.mins = vec![7_000, 1_000];
+        assert_eq!(c.plan(la, 10_000_000), Some(1_000 + la), "lookahead");
+        assert_eq!(c.plan(la, 2_000), Some(2_000), "horizon");
+        c.schedule(SimTime::from_nanos(50_000), FaultCmd::HostDown(HostId(0)));
+        assert_eq!(c.plan(la, 10_000_000), Some(50_000), "fault");
+        c.mins = vec![u64::MAX; 2];
+        assert_eq!(c.plan(la, 10_000_000), Some(50_000), "a fault alone is work");
+        assert_eq!(c.plan(la, 50_000), None, "nothing due before the horizon");
+    }
+
+    #[test]
+    fn pending_inbound_lowers_the_earliest_work() {
+        let (_, part) = two_regions();
+        let la = part.la_ns;
+        let mut c = Coordinator::new(2, false);
+        c.mins = vec![900_000, u64::MAX];
+        assert_eq!(c.plan(la, u64::MAX), Some(900_000 + la));
+        c.items.push(item(300_000, 0, 0, 2));
+        c.route(&part, 0);
+        assert_eq!(c.plan(la, u64::MAX), Some(300_000 + la), "the mail is due first");
+        c.begin_round();
+        assert_eq!(c.plan(la, u64::MAX), Some(900_000 + la), "handed over");
+    }
+
+    #[test]
+    fn a_fault_at_or_past_the_horizon_waits_for_a_later_run() {
+        let (topo, part) = two_regions();
+        let la = part.la_ns;
+        let horizon = 300_000;
+        let mut c = Coordinator::new(2, false);
+        c.mins = vec![1_000, u64::MAX];
+        for at in [horizon, horizon + 1] {
+            c.schedule(SimTime::from_nanos(at), FaultCmd::HostDown(HostId(at as u32 % 2)));
+        }
+        assert_eq!(c.plan(la, horizon), Some(horizon), "the horizon caps, not the fault");
+        c.apply_due_faults(&topo, &part, u64::MAX, horizon);
+        assert_eq!(c.faults.len(), 2, "neither fault applied");
+        assert!(topo.read().unwrap().hosts().all(|h| h.up));
+        c.mins = vec![u64::MAX; 2];
+        assert_eq!(c.plan(la, horizon), None);
+    }
+
+    #[test]
+    fn mail_due_past_the_horizon_gets_one_apply_only_round() {
+        let (_, part) = two_regions();
+        let la = part.la_ns;
+        let horizon = 1_000_000;
+        let mut c = Coordinator::new(2, false);
+        c.mins = vec![u64::MAX; 2];
+        c.items.push(item(horizon + 5, 0, 0, 2));
+        c.route(&part, horizon - la);
+        assert_eq!(c.plan(la, horizon), Some(horizon), "hand the mail over");
+        // The window hands the list to region 1, whose queue now holds it.
+        c.begin_round();
+        c.inbound[1].clear();
+        c.mins[1] = horizon + 5;
+        assert_eq!(c.plan(la, horizon), None);
+    }
+
+    #[test]
+    fn route_orders_mail_whatever_the_gathering_order() {
+        let (_, part) = two_regions();
+        // `(at, src_region, src_seq, to host)`; hosts 2 and 3 are region 1.
+        let mail = [(500, 1, 0, 2), (500, 0, 3, 3), (400, 1, 1, 2), (500, 0, 2, 2), (600, 0, 0, 0)];
+        let mut c = Coordinator::new(2, false);
+        for turn in 0..mail.len() {
+            for &(at, r, seq, to) in mail.iter().cycle().skip(turn).take(mail.len()) {
+                c.items.push(item(at, r, seq, to));
+            }
+            c.route(&part, 0);
+            let keys = |list: &mut Vec<Inbound>| -> Vec<(u64, u32, u64)> {
+                list.drain(..)
+                    .map(|i| match i {
+                        Inbound::Deliver(m) => (m.at.as_nanos(), m.src_region, m.src_seq),
+                        _ => panic!("only mail was routed"),
+                    })
+                    .collect()
+            };
+            let to_r1 = [(400, 1, 1), (500, 0, 2), (500, 0, 3), (500, 1, 0)];
+            assert_eq!(keys(&mut c.inbound[1]), to_r1, "turn {turn}");
+            assert_eq!(keys(&mut c.inbound[0]), [(600, 0, 0)], "turn {turn}");
+            assert!(c.items.is_empty());
+            c.begin_round();
+        }
+        assert_eq!(c.mailbox_hwm, [1, 4]);
+        c.items.push(item(700, 0, 4, 2));
+        c.route(&part, 0);
+        assert_eq!(c.mailbox_hwm, [1, 4], "a high-water mark, not the last round");
     }
 }

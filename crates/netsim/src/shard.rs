@@ -749,6 +749,34 @@ mod tests {
         }
     }
 
+    /// The round counters are coordinator decisions, so every thread
+    /// count sees the same rounds with the same events in each; a
+    /// one-region world takes one round per fault-free stretch.
+    #[test]
+    fn round_counters_are_equal_at_any_thread_count() {
+        let faults = |w: &mut World| {
+            w.schedule_fault(SimTime::from_nanos(3_000_000), FaultCmd::HostDown(HostId(6)));
+            w.schedule_fault(SimTime::from_nanos(8_000_000), FaultCmd::HostUp(HostId(6)));
+        };
+        let run = |threads: usize| {
+            let mut w = pinger_world(37, threads);
+            faults(&mut w);
+            w.run_for(SimDuration::from_millis(20));
+            let (rounds, per_round) = w.rounds();
+            (rounds, per_round.clone(), w.stats().events)
+        };
+        let base = run(1);
+        assert!(base.0 > 20, "{} rounds", base.0);
+        assert!(base.1.quantile_bound(1.0) > 1, "some round ran several events");
+        for threads in [2, 4, 8] {
+            assert_eq!(run(threads), base, "{threads} threads");
+        }
+        let mut one = with_pingers(World::new(cluster_topology(4, 4), 37));
+        faults(&mut one);
+        one.run_for(SimDuration::from_millis(20));
+        assert_eq!(one.rounds().0, 3, "0–3 ms, 3–8 ms, 8–20 ms");
+    }
+
     #[test]
     fn partition_finds_connected_components() {
         let topo = cluster_topology(4, 4);

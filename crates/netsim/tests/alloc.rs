@@ -1,10 +1,13 @@
-//! Allocation regression test for the cached send path.
+//! Allocation regression tests for the cached send path and the round
+//! driver.
 //!
 //! After warm-up (route cache populated, queue tiers and slabs at
 //! steady-state capacity) the engine must drive packets without heap
 //! allocation: no `Medium` clones, no per-packet `Vec` collection in
-//! path selection, no per-event boxing. A counting global allocator
-//! makes any regression an immediate test failure.
+//! path selection, no per-event boxing, and no per-round cost in the
+//! mailbox, the inbound lists or the hand-off to worker threads. A
+//! counting global allocator makes any regression an immediate test
+//! failure.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -52,6 +55,7 @@ use snipe_netsim::actor::{Actor, Event, SimCtx};
 use snipe_netsim::medium::Medium;
 use snipe_netsim::topology::{Endpoint, HostCfg, Topology};
 use snipe_netsim::world::World;
+use snipe_util::id::HostId;
 use snipe_util::time::SimDuration;
 
 /// Timer-driven flooder. Deliberately does NOT echo received packets:
@@ -101,4 +105,53 @@ fn steady_state_send_path_does_not_allocate() {
     let sent = w.stats().sent - sent_before;
     assert!(sent > 1_000, "workload too quiet: {sent} packets");
     assert_eq!(allocated, 0, "cached send path allocated {allocated} times over {sent} packets");
+}
+
+/// Two routable segments of two hosts each, so two regions, and every
+/// flooder sends to the other region: each round routes mail through
+/// the coordinator. At 1 thread a warmed run allocates nothing. At 2
+/// the calling thread pays a small cost to start each run's worker (its
+/// thread and channels) and nothing per round, so runs of 100 and of
+/// 400 rounds stay under the same small bound. Worker-thread
+/// allocations land in that thread's count, not this one.
+#[test]
+fn steady_state_round_driver_does_not_allocate_per_round() {
+    for threads in [1, 2] {
+        let mut topo = Topology::new();
+        let mut hosts: Vec<HostId> = Vec::new();
+        for seg in 0..2 {
+            let eth = topo.add_network("eth", Medium::ethernet100(), true);
+            for i in 0..2 {
+                let h = topo.add_host(HostCfg::named(format!("s{seg}h{i}")));
+                topo.attach(h, eth);
+                hosts.push(h);
+            }
+        }
+        let mut w = World::sharded(topo, 7, threads);
+        assert_eq!(w.regions(), 2);
+        for (i, &h) in hosts.iter().enumerate() {
+            let peer = Endpoint::new(hosts[(i + 2) % 4], 40);
+            w.spawn(h, 40, Box::new(Flooder { peer, burst: 4 }));
+        }
+        w.run_for(SimDuration::from_millis(200));
+        let mut run = |ms: u64| {
+            let (rounds, before) = (w.rounds().0, allocs());
+            w.run_for(SimDuration::from_millis(ms));
+            (allocs() - before, w.rounds().0 - rounds)
+        };
+        let (short, short_rounds) = run(50);
+        let (long, long_rounds) = run(200);
+        assert!(
+            long_rounds > 3 * short_rounds && short_rounds > 50,
+            "{short_rounds}, {long_rounds} rounds"
+        );
+        assert!(w.shard_loads().iter().all(|l| l.mailbox_hwm > 0), "mail both ways");
+        // Whether the calling thread ever blocks on a channel (and so
+        // registers a waker) is timing, so the start-up cost is bounded,
+        // not exact; a per-round cost would be hundreds.
+        assert!(short.max(long) <= 16, "{threads} threads: {short} and {long} allocations");
+        if threads == 1 {
+            assert_eq!((short, long), (0, 0), "a one-thread run allocated");
+        }
+    }
 }

@@ -239,6 +239,31 @@ if [ -n "$cells" ]; then
     echo "$cells"
     exit 1
 fi
+# One-round-loop gate: the engine's round loop (apply the due faults,
+# plan the window, run it, route the mailbox) is written once, in
+# `Coordinator::run`, and every thread count runs its windows through
+# the one closure in `World::run_until`. A second copy of the loop for
+# the thread pool is how a worker's panic came to hang the run instead
+# of failing it, so outside test modules in `crates/netsim/src` the
+# window planner has one call site and the scoped pool is opened once.
+loops=$(
+    find crates/netsim/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        in_test { next }
+        /\.plan\(/ { plan = plan FILENAME ":" FNR ":" $0 "\n"; plans++ }
+        /thread::scope/ { scope = scope FILENAME ":" FNR ":" $0 "\n"; scopes++ }
+        END {
+            if (plans != 1) printf "%d call sites of the window planner, want 1:\n%s", plans, plan
+            if (scopes != 1) printf "%d scoped thread pools, want 1:\n%s", scopes, scope
+        }
+    '
+)
+if [ -n "$loops" ]; then
+    echo "one-round-loop gate: FAIL — drive every window through Coordinator::run instead:"
+    printf '%s\n' "$loops"
+    exit 1
+fi
 cargo build --release
 cargo test -q
 cargo fmt --check
