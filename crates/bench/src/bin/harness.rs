@@ -280,7 +280,16 @@ fn run_e4_shard() -> bool {
         .collect();
     let mut t = Table::new(
         "E4-sharded: one task on each of 48 campus hosts, by worker threads",
-        &["threads", "hosts", "virtual (s)", "wall (ms)", "digest", "complete"],
+        &[
+            "threads",
+            "hosts",
+            "virtual (s)",
+            "wall (ms)",
+            "digest",
+            "complete",
+            "rounds",
+            "events/round",
+        ],
     );
     for p in &points {
         t.row(vec![
@@ -290,6 +299,8 @@ fn run_e4_shard() -> bool {
             format!("{:.1}", p.wall_ms),
             format!("{:#018x}", p.digest),
             format!("{}", p.complete),
+            format!("{}", p.rounds),
+            format!("{:.1}", p.events_per_round),
         ]);
     }
     t.emit("e4_shard.txt");

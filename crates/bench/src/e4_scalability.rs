@@ -156,6 +156,10 @@ pub struct E4ShardPoint {
     pub digest: u64,
     /// Whether every spawn succeeded.
     pub complete: bool,
+    /// Coordinator rounds the run took (thread-count invariant).
+    pub rounds: u64,
+    /// Events per round, on average (thread-count invariant).
+    pub events_per_round: f64,
 }
 
 /// The same one-task-per-host burst, but on a multi-cluster campus
@@ -173,6 +177,7 @@ pub fn run_snipe_sharded(
         (0..clusters).flat_map(|c| (0..per_cluster).map(move |i| format!("c{c}h{i}"))).collect();
     let n = hosts.len();
     let elapsed = burst(&mut w, hosts, "c0h1");
+    let rounds = w.sim_ref().rounds().0;
     E4ShardPoint {
         threads,
         hosts: n,
@@ -180,6 +185,8 @@ pub fn run_snipe_sharded(
         wall_ms: wall.elapsed().as_secs_f64() * 1e3,
         digest: w.digest(),
         complete: elapsed.is_some(),
+        rounds,
+        events_per_round: w.sim_ref().stats().events as f64 / rounds.max(1) as f64,
     }
 }
 
