@@ -14,11 +14,12 @@
 //! * [`world::World`] — the simulation world: actor scheduling and
 //!   packet delivery, with link-level serialization so protocols
 //!   saturate a medium realistically (that is what Fig. 1 measures);
-//! * [`shard`] — the one engine behind every world: a per-region event
-//!   core plus a deterministic round driver. `World::new` runs the
-//!   whole topology as one region inline; `World::sharded` runs the
-//!   natural partition on worker threads, bit-for-bit identically at
-//!   any thread count, for 10k–100k-host worlds;
+//! * [`shard`] — the one engine behind every world: one event core per
+//!   region (`region.rs`) of a static partition (`partition.rs`),
+//!   advanced by one deterministic round loop (`coord.rs`).
+//!   `World::new` runs the whole topology as one region inline;
+//!   `World::sharded` runs the natural partition on worker threads,
+//!   bit-for-bit identically at any thread count, for 10k–100k hosts;
 //! * [`actor`] — the process model: SNIPE daemons, RC servers, file
 //!   servers and application tasks are all [`actor::Actor`]s, written
 //!   against one context trait, [`actor::SimCtx`];

@@ -30,14 +30,15 @@
 //!   rounds they are gathered from per-core outboxes, sorted by `(at,
 //!   src_region, src_seq)` and enqueued into their destination cores in
 //!   that order: the **deterministic mailbox**.
-//! * There is one loop. A world of one chunk of regions runs every core
-//!   on the calling thread; otherwise the calling thread runs the first
-//!   chunk and one worker thread each later chunk, all through the same
-//!   per-chunk body and against the same coordinator decisions. Equality
-//!   across 1/2/4/8 threads holds by construction and is pinned by
-//!   differential tests and the `shard-determinism` gate in
-//!   `scripts/check.sh`. A panic on a worker ends the loop and
-//!   propagates from [`World::run_until`], as it does inline.
+//! * There is one loop, the coordinator's. A world of one chunk of
+//!   regions runs every core on the calling thread; otherwise the
+//!   calling thread runs the first chunk and one worker thread each
+//!   later chunk, all through the same per-chunk body and against the
+//!   same coordinator decisions. Equality across 1/2/4/8 threads holds by
+//!   construction and is pinned by differential tests and the
+//!   `shard-determinism` gate in `scripts/check.sh`. A panic on a worker
+//!   ends the loop and propagates from [`World::run_until`], as one on
+//!   the calling thread does.
 //!
 //! ## Faults are data
 //!
@@ -517,7 +518,7 @@ impl World {
     ///
     /// The coordinator's one round loop drives the cores: each window,
     /// the calling thread runs the first chunk of regions and one scoped
-    /// worker thread each later chunk, all through [`run_window`]. A
+    /// worker thread each later chunk, all through `run_window`. A
     /// worker that panics ends the loop, and its panic propagates from
     /// here. A one-region world has no lookahead bound, so its single
     /// round per fault-free stretch runs straight to the horizon.
