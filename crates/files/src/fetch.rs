@@ -1,9 +1,9 @@
 //! Striped, performance-aware file reads.
 //!
 //! A large file read does not have to come from one replica: the RC
-//! catalog names several holders, and the wire layer already measures
-//! per-peer RTT EWMAs for its own failover decisions. This module
-//! reuses those measurements to *rank* replicas and then stripes the
+//! catalog names several holders, and SRUDP already keeps a smoothed
+//! RTT per peer for its retransmission timer. This module reuses those
+//! measurements to *rank* replicas and then stripes the
 //! transfer across the best few — each stripe is fetched with its own
 //! integrity hash, verified independently, and re-dispatched to the
 //! next-best replica if it times out, fails, or arrives corrupt. Stripe
@@ -21,15 +21,19 @@ use snipe_util::codec::{WireDecode, WireEncode};
 use snipe_util::requests::{Request, RequestStats, Requests};
 use snipe_util::time::{SimDuration, SimTime};
 use snipe_wire::host::StackHost;
-use snipe_wire::path::UNMEASURED_RTT_SCORE;
 use snipe_wire::stack::{endpoint_key, StackConfig, WireStack};
 
 use crate::proto::FileMsg;
 
+/// The score a replica with no measured round trip ranks at, in
+/// seconds: SRUDP's default initial RTO, so an untried replica ranks
+/// behind a fast measured one and ahead of a slow one.
+const UNMEASURED_RTT_SCORE: f64 = 0.100;
+
 /// Order replica candidates by measured path quality: lowest
-/// [`WireStack::peer_score`] first (smoothed RTT plus failure
-/// penalties), unmeasured peers at the neutral prior, ties broken by
-/// endpoint so the ranking is deterministic.
+/// [`WireStack::peer_score`] (smoothed RTT) first, unmeasured peers at
+/// `UNMEASURED_RTT_SCORE`, ties broken by endpoint so the ranking is
+/// deterministic.
 pub fn rank_replicas(stack: &WireStack, candidates: &[Endpoint]) -> Vec<Endpoint> {
     let mut ranked: Vec<(f64, Endpoint)> = candidates
         .iter()
@@ -654,5 +658,41 @@ mod tests {
         let stack = WireStack::new(endpoint_key(me), StackConfig::default());
         let ranked = rank_replicas(&stack, &[ep(3), ep(1), ep(2)]);
         assert_eq!(ranked, vec![ep(1), ep(2), ep(3)]);
+    }
+
+    /// Measured replicas rank by smoothed RTT, an unmeasured one at the
+    /// 100 ms prior (behind a 5 ms replica, ahead of a 150 ms one), and
+    /// equal scores by endpoint.
+    #[test]
+    fn measured_replicas_rank_around_the_unmeasured_prior() {
+        let me = Endpoint { host: HostId(99), port: 7100 };
+        let mut stack = WireStack::new(endpoint_key(me), StackConfig::default());
+        // One round trip of `rtt` to `peer`: its SACK sets the srtt.
+        let mut measure = |peer: Endpoint, rtt: u64| {
+            let key = endpoint_key(peer);
+            let mut remote = WireStack::new(key, StackConfig::default());
+            stack.set_peer(key, peer, vec![]);
+            stack.send(t(0), key, Bytes::from_static(b"ping")).unwrap();
+            let sends = |outs: Vec<snipe_wire::Out>| {
+                outs.into_iter().filter_map(|o| match o {
+                    snipe_wire::Out::Send { bytes, .. } => Some(bytes),
+                    _ => None,
+                })
+            };
+            for d in sends(stack.drain()) {
+                remote.on_datagram(t(0), me, d).unwrap();
+            }
+            for d in sends(remote.drain()) {
+                stack.on_datagram(t(rtt), peer, d).unwrap();
+            }
+            let srtt = stack.peer_score(key).expect("measured");
+            assert!((srtt - rtt as f64 / 1e3).abs() < 1e-9, "srtt {srtt}");
+        };
+        measure(ep(4), 5);
+        measure(ep(2), 5);
+        measure(ep(1), 150);
+        measure(ep(6), 20);
+        let ranked = rank_replicas(&stack, &[ep(1), ep(3), ep(6), ep(4), ep(5), ep(2)]);
+        assert_eq!(ranked, vec![ep(2), ep(4), ep(6), ep(3), ep(5), ep(1)]);
     }
 }

@@ -7,9 +7,8 @@
 //! reconstruct the block — the sender can lose any `b-1` shares (about
 //! half) and the receiver still assembles it on the first flight, with
 //! no retransmission round-trips. Combined with spraying shares across
-//! distinct routes
-//! ([`crate::path::PathSelector::select_k_distinct`]), a gray link
-//! costs shares, not messages.
+//! distinct routes ([`crate::path::PeerPaths::spray_route`]), a gray
+//! link costs shares, not messages.
 //!
 //! # Blocks
 //!

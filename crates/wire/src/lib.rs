@@ -14,7 +14,9 @@
 //!   ([`fec`]) and framing ([`frame`]);
 //! * **multiple communication paths** with transparent failover
 //!   ([`path`]): "the ability to switch routes/interfaces as links
-//!   failed without user applications intervention" (§6);
+//!   failed without user applications intervention" (§6). A peer's
+//!   traffic takes its current route, and only timeout or
+//!   duplicate evidence rotates it;
 //! * **system buffering** so "migrating or temporarily unavailable
 //!   tasks did not result in lost messages" ([`stack`]).
 //!
@@ -61,8 +63,9 @@ pub enum Out {
         /// Share-spray index: when SRUDP emits erasure-coded shares
         /// ([`fec`]) it tags each with its share index, and the stack
         /// maps index `i` onto the `i mod k`-th of `k` distinct routes
-        /// ([`path::PathSelector::select_k_distinct`]) so one gray
-        /// link costs shares, not messages. `None` routes normally.
+        /// in rank order from the current one
+        /// ([`path::PeerPaths::spray_route`]) so one gray link costs
+        /// shares, not messages. `None` routes normally.
         spray: Option<u32>,
         /// Wire bytes.
         bytes: Bytes,

@@ -522,8 +522,8 @@ impl Srudp {
         into[start..].sort_unstable();
     }
 
-    /// The smoothed RTT estimate toward a peer, once measured. Feeds
-    /// the stack's [`PathSelector`](crate::path::PathSelector) scoring.
+    /// The smoothed RTT estimate toward a peer, once measured: the
+    /// stack's [`peer_score`](crate::stack::WireStack::peer_score).
     pub fn peer_srtt(&self, key: NodeKey) -> Option<SimDuration> {
         self.peers.get(&key).and_then(|p| p.rtt.srtt())
     }

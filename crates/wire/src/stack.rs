@@ -14,7 +14,10 @@
 //!   host-level logic (raw datagrams, the daemon's multicast router);
 //! * transports drain *sealed* datagrams ([`crate::frame::seal_with`]):
 //!   the stack moves them to its queue and routes SRUDP's through one
-//!   [`PathSelector`] (multi-path failover, §6), re-encoding nothing.
+//!   [`PathSelector`] (multi-path failover, §6), re-encoding nothing:
+//!   a datagram to a peer with pinned routes takes the peer's current
+//!   route, which only a rotation on timeout or duplicate evidence
+//!   moves ([`crate::path`]);
 //!   [`WireStack::send_raw`] and [`WireStack::send_mcast`] seal the
 //!   bodies their callers hand in;
 //! * [`WireStack::on_timer`] tolerates early or spurious fires: each
@@ -122,8 +125,6 @@ pub struct WireStack {
     mcast: Option<McastMember>,
     paths: PathSelector,
     out: Vec<Out>,
-    /// Reused scratch for failover scans (no steady-state allocation).
-    key_scratch: Vec<NodeKey>,
     drops: DecodeDrops,
 }
 
@@ -174,7 +175,6 @@ impl WireStack {
             mcast: mcast_member.then(McastMember::new),
             paths: PathSelector::new(),
             out: Vec::new(),
-            key_scratch: Vec::new(),
             drops: DecodeDrops::default(),
         }
     }
@@ -233,14 +233,13 @@ impl WireStack {
         self.paths.failovers(key)
     }
 
-    /// Read-only performance score for a peer: the path layer's best
-    /// route score when candidates are pinned, else the transport's
-    /// smoothed RTT in seconds. Lower is better; `None` means we have
-    /// neither routes nor measurements (rank such peers last). This is
-    /// the replica-selection hook — file clients sort candidate
-    /// replicas by this score before opening a striped read.
+    /// Read-only performance score for a peer: SRUDP's smoothed RTT
+    /// toward it, in seconds. Lower is better; `None` until a round
+    /// trip has been measured. This is the replica-selection hook —
+    /// file clients sort candidate replicas by this score before
+    /// opening a striped read.
     pub fn peer_score(&self, key: NodeKey) -> Option<f64> {
-        self.paths.peer_score(key).or_else(|| self.srudp.peer_srtt(key).map(|s| s.as_secs_f64()))
+        self.srudp.peer_srtt(key).map(|s| s.as_secs_f64())
     }
 
     /// All peer keys with transport state (learned or configured).
@@ -258,7 +257,7 @@ impl WireStack {
 
     /// The pinned route candidates for a peer (empty = default routing).
     pub fn route_candidates(&self, key: NodeKey) -> Vec<NetId> {
-        self.paths.peer(key).map(|p| p.candidates().collect()).unwrap_or_default()
+        self.paths.peer(key).map(|p| p.candidates().to_vec()).unwrap_or_default()
     }
 
     /// Append (sorted) the peers whose consecutive-timeout count reached
@@ -353,48 +352,27 @@ impl WireStack {
         self.harvest();
     }
 
-    /// Feed transport evidence into the path scorer and rotate routes
-    /// for peers in trouble: sender-side evidence is consecutive RTO
-    /// expiries; receiver-side evidence is a streak of duplicate DATA
-    /// (our SACKs are not getting back, §6 failover). Forward progress
-    /// (no outstanding timeouts) decays past penalties and folds the
-    /// transport's RTT estimate into the current route's score.
+    /// Rotate the routes of pinned peers in trouble (§6 failover):
+    /// sender-side evidence is consecutive RTO expiries; receiver-side
+    /// evidence is a streak of duplicate DATA (our SACKs are not
+    /// getting back).
     fn check_failover(&mut self, now: SimTime) {
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        keys.clear();
-        self.paths.keys_into(&mut keys);
-        for &k in &keys {
-            let timeouts = self.srudp.peer_timeouts(k);
-            let srtt = self.srudp.peer_srtt(k);
-            let dup = self.srudp.peer_dup_streak(k);
-            let fresh_stalled = self
-                .srudp
-                .peer_last_fresh(k)
-                .map(|t| now.since(t) >= DUP_FRESH_STALL)
-                .unwrap_or(true);
-            let mut dup_rotated = false;
-            let mut timeout_rotated = false;
-            if let Some(p) = self.paths.peer_mut(k) {
-                timeout_rotated = p.report_timeouts(timeouts);
-                if timeouts == 0 {
-                    if let Some(s) = srtt {
-                        p.record_rtt(s);
-                    }
-                    p.record_progress();
-                }
-                if dup >= DUP_STREAK_ROTATE && fresh_stalled {
-                    dup_rotated = p.rotate_for_dups(now);
-                }
-            }
+        let srudp = &mut self.srudp;
+        for (k, p) in self.paths.peers_mut() {
+            let timeout_rotated = p.report_timeouts(srudp.peer_timeouts(k));
+            let fresh_stalled =
+                srudp.peer_last_fresh(k).is_none_or(|t| now.since(t) >= DUP_FRESH_STALL);
+            let dup_rotated = srudp.peer_dup_streak(k) >= DUP_STREAK_ROTATE
+                && fresh_stalled
+                && p.rotate_for_dups(now);
             if dup_rotated {
-                self.srudp.reset_dup_streak(k);
+                srudp.reset_dup_streak(k);
             }
             if (timeout_rotated || dup_rotated) && trace::enabled() {
-                let net = self.paths.select(k).map(|n| n.0).unwrap_or(u32::MAX);
+                let net = p.current().map(|n| n.0).unwrap_or(u32::MAX);
                 trace::record(now, TraceKind::PathRotate { peer: k, rank: net });
             }
         }
-        self.key_scratch = keys;
     }
 
     /// Datagrams rejected by the decode path, by class.
@@ -432,11 +410,9 @@ impl WireStack {
             && self.mcast.as_ref().is_none_or(McastMember::quiescent)
     }
 
-    /// Which peer an SRUDP datagram to `to` belongs to: the smallest
-    /// key located there (linear scan: peer counts are small per
-    /// process). Hash order cannot matter: the minimum of the matching
-    /// keys is the same whatever order they are visited in, and it is
-    /// the first match a scan of the sorted keys would find.
+    /// Which pinned peer an SRUDP datagram to `to` belongs to: the
+    /// smallest pinned key located there (linear scan in key order:
+    /// pinned peers are few per process).
     fn owner_of(&self, to: Endpoint) -> Option<NodeKey> {
         let srudp = &self.srudp;
         self.paths.min_key_where(|k| srudp.peer_endpoint(k) == Some(to))
@@ -445,15 +421,14 @@ impl WireStack {
     /// Route an SRUDP datagram to `to`: the owning peer's current
     /// medium. An erasure-coded share (`spray` is its index) is spread
     /// across up to [`MAX_SPRAY_PATHS`] distinct media toward that
-    /// peer, so a single gray link drops some shares rather than the
-    /// whole message; a peer with no pinned routes falls back to
-    /// ordinary single-path selection.
+    /// peer, in rank order from the current one, so a single gray link
+    /// drops some shares rather than the whole message. A peer with no
+    /// pinned routes is left to the simulator.
     fn route(&self, to: Endpoint, spray: Option<u32>) -> Option<NetId> {
-        let key = self.owner_of(to)?;
-        let peer = self.paths.peer(key)?;
+        let peer = self.paths.peer(self.owner_of(to)?)?;
         match spray {
-            Some(idx) => peer.spray_route(MAX_SPRAY_PATHS, idx as usize).or_else(|| peer.select()),
-            None => peer.select(),
+            Some(idx) => peer.spray_route(MAX_SPRAY_PATHS, idx as usize),
+            None => peer.current(),
         }
     }
 
@@ -734,21 +709,84 @@ mod tests {
         assert_eq!(a.failovers(2), 2, "continued timeouts keep probing other routes");
     }
 
+    /// After every rotation the next SRUDP datagram to the peer leaves
+    /// on the route rotated to, whatever the routes' history: here the
+    /// first route has failed twice before and then carried traffic for
+    /// a while, and when it fails again the stack must leave it.
+    #[test]
+    fn the_next_datagram_after_a_rotation_takes_the_route_rotated_to() {
+        let mut cfg = StackConfig::default();
+        cfg.srudp.rto_initial = SimDuration::from_millis(1);
+        cfg.srudp.rto_min = SimDuration::from_millis(1);
+        cfg.srudp.rto_max = SimDuration::from_millis(1);
+        let (a_ep, b_ep) = (ep(0, 5), ep(1, 5));
+        let (first, second) = (NetId(3), NetId(4));
+        let mut a = WireStack::new(1, cfg.clone());
+        let mut b = WireStack::new(2, cfg);
+        a.set_peer(2, b_ep, vec![first, second]);
+        let sends = |outs: Vec<Out>| -> Vec<(Option<NetId>, Bytes)> {
+            outs.into_iter()
+                .filter_map(|o| match o {
+                    Out::Send { via, bytes, .. } => Some((via, bytes)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut now = SimTime::ZERO;
+        // Lose everything until the route rotates; the datagrams the
+        // rotating timer retransmits are the first after it.
+        let rotate = |a: &mut WireStack, now: &mut SimTime, want: NetId| {
+            let before = a.failovers(2);
+            let mut outs = Vec::new();
+            while a.failovers(2) == before {
+                *now += SimDuration::from_millis(2);
+                a.on_timer(*now);
+                outs = sends(a.drain());
+            }
+            assert!(!outs.is_empty(), "the rotating timer retransmits");
+            for (via, _) in &outs {
+                assert_eq!(*via, Some(want), "rotation {} ignored", a.failovers(2));
+            }
+            outs
+        };
+        a.send(now, 2, Bytes::from_static(b"first")).unwrap();
+        a.drain();
+        for want in [second, first, second] {
+            rotate(&mut a, &mut now, want);
+        }
+        // Back on the first route, the retransmission gets through and
+        // its SACK gets back: the first route makes progress, and the
+        // stack polls it.
+        for (_, bytes) in rotate(&mut a, &mut now, first) {
+            b.on_datagram(now, a_ep, bytes).unwrap();
+        }
+        for (_, bytes) in sends(b.drain()) {
+            a.on_datagram(now, b_ep, bytes).unwrap();
+        }
+        assert_eq!(a.backlog_total(), 0, "the message is acknowledged");
+        for _ in 0..20 {
+            now += SimDuration::from_micros(100);
+            a.on_timer(now);
+        }
+        a.send(now, 2, Bytes::from_static(b"second")).unwrap();
+        assert!(sends(a.drain()).iter().all(|(via, _)| *via == Some(first)));
+        // The first route fails again: the next datagram leaves on the
+        // second, and so does the next message.
+        rotate(&mut a, &mut now, second);
+        a.send(now, 2, Bytes::from_static(b"third")).unwrap();
+        assert!(sends(a.drain()).iter().all(|(via, _)| *via == Some(second)));
+    }
+
     #[test]
     fn peer_score_reflects_measured_rtt() {
         let mut a = WireStack::new(1, StackConfig::default());
         let mut b = WireStack::new(2, StackConfig::default());
-        assert_eq!(a.peer_score(2), None, "no routes, no measurements");
+        assert_eq!(a.peer_score(2), None, "nothing measured yet");
         a.set_peer(2, ep(1, 5), vec![]);
         a.send(SimTime::ZERO, 2, Bytes::from_static(b"ping")).unwrap();
         pump(&mut a, &mut b, ep(0, 5), ep(1, 5), 50);
         let s = a.peer_score(2).expect("srtt measured after a round trip");
         assert!((0.0..10.0).contains(&s), "score {s} out of range");
-        // Pinned routes report the path layer's score instead.
-        let mut c = WireStack::new(3, StackConfig::default());
-        c.set_peer(4, ep(2, 5), vec![NetId(1)]);
-        let sc = c.peer_score(4).expect("pinned route has a prior score");
-        assert!((sc - crate::path::UNMEASURED_RTT_SCORE).abs() < 1e-9);
     }
 
     #[test]

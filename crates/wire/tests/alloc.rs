@@ -51,8 +51,9 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 use bytes::Bytes;
 use snipe_netsim::topology::Endpoint;
-use snipe_util::id::HostId;
+use snipe_util::id::{HostId, NetId};
 use snipe_util::time::SimTime;
+use snipe_wire::fec::FragStrategy;
 use snipe_wire::stack::{StackConfig, WireStack};
 
 const PEERS: u64 = 32;
@@ -293,18 +294,25 @@ fn exchange(
 }
 
 /// Allocations of each of 16 warmed rounds of one message between two
-/// stacks (a located SRUDP peer each way, RSTREAM registered), after 8
-/// rounds of warm-up; `connect` opens an RSTREAM connection first.
-fn warmed_message_costs(len: usize, rstream: bool) -> Vec<u64> {
+/// stacks (a located SRUDP peer each way over `routes`, RSTREAM
+/// registered, SRUDP fragmenting by `frag`), after 8 rounds of warm-up;
+/// `rstream` opens an RSTREAM connection first and sends over it.
+fn warmed_message_costs(
+    len: usize,
+    rstream: bool,
+    routes: &[NetId],
+    frag: FragStrategy,
+) -> Vec<u64> {
     use snipe_util::time::SimDuration;
     use snipe_wire::rstream::RstreamConfig;
 
     let (ka, kb) = (1u64, 2u64);
-    let cfg = StackConfig { rstream: Some(RstreamConfig::default()), ..StackConfig::default() };
+    let mut cfg = StackConfig { rstream: Some(RstreamConfig::default()), ..StackConfig::default() };
+    cfg.srudp.frag_strategy = frag;
     let mut a = WireStack::new(ka, cfg.clone());
     let mut b = WireStack::new(kb, cfg);
-    a.set_peer(kb, Endpoint::new(HostId(2), 40), Vec::new());
-    b.set_peer(ka, Endpoint::new(HostId(1), 40), Vec::new());
+    a.set_peer(kb, Endpoint::new(HostId(2), 40), routes.to_vec());
+    b.set_peer(ka, Endpoint::new(HostId(1), 40), routes.to_vec());
     let mut now = SimTime::ZERO;
     let conn = rstream.then(|| {
         let id = a.rstream_mut().unwrap().connect(now, Endpoint::new(HostId(2), 40));
@@ -342,17 +350,30 @@ fn warmed_message_costs(len: usize, rstream: bool) -> Vec<u64> {
 fn a_warmed_message_costs_a_pinned_number_of_allocations() {
     // SRUDP, one fragment: split + acked flags, DATA, SACK, and three
     // non-empty drains (DATA out; SACK out + delivery; nothing left).
-    let one = warmed_message_costs(1000, false);
+    let one = warmed_message_costs(1000, false, &[], FragStrategy::Plain);
     // SRUDP, three fragments at the default 1400-byte fragment size.
-    let three = warmed_message_costs(3000, false);
+    let three = warmed_message_costs(3000, false, &[], FragStrategy::Plain);
     // RSTREAM: DATA, ACK, the delivered copy out of the stream buffer.
-    let stream = warmed_message_costs(1000, true);
-    for (what, costs) in
-        [("1-fragment SRUDP", &one), ("3-fragment SRUDP", &three), ("RSTREAM", &stream)]
-    {
+    let stream = warmed_message_costs(1000, true, &[], FragStrategy::Plain);
+    // The same message between a pair pinned to two routes, plain and
+    // erasure-coded: choosing the current route for a fragment, or the
+    // rank order from it for a sprayed share, allocates nothing.
+    let routes = [NetId(0), NetId(1)];
+    let pinned = warmed_message_costs(3000, false, &routes, FragStrategy::Plain);
+    let fec = warmed_message_costs(3000, false, &[], FragStrategy::Fec);
+    let fec_pinned = warmed_message_costs(3000, false, &routes, FragStrategy::Fec);
+    for (what, costs) in [
+        ("1-fragment SRUDP", &one),
+        ("3-fragment SRUDP", &three),
+        ("RSTREAM", &stream),
+        ("pinned 3-fragment SRUDP", &pinned),
+        ("FEC SRUDP", &fec),
+        ("pinned FEC SRUDP", &fec_pinned),
+    ] {
         assert!(costs.windows(2).all(|w| w[0] == w[1]), "{what} drifts: {costs:?}");
     }
     assert_eq!((one[0], three[0], stream[0]), (6, 11, 5), "allocations per message");
+    assert_eq!((pinned[0], fec_pinned[0]), (three[0], fec[0]), "routing allocated");
 }
 
 /// The same transitions on the bare table, where every allocation is

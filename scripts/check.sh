@@ -166,13 +166,34 @@ if [ -n "$requests" ]; then
 fi
 # Loss-recovery gate: the RFC 6298 estimator (smoothed RTT, its
 # variance, the clamped and backed-off RTO) is written once, in
-# `snipe_wire::recovery::Rtt`. Its variance term is the fingerprint of a
-# second copy. (`wire/src/path.rs` smooths samples to score routes,
-# keeps no variance and yields no timeout; it is deliberately separate.)
+# `snipe_wire::recovery::Rtt`, the tree's only RTT smoother. Its
+# variance term is the fingerprint of a second copy.
 rtt=$(grep -rn --include='*.rs' 'rttvar' crates/*/src | grep -v '^crates/wire/src/recovery\.rs:' || true)
 if [ -n "$rtt" ]; then
     echo "loss-recovery gate: FAIL — keep the RTT estimate in a snipe_wire::recovery::Rtt instead:"
     echo "$rtt"
+    exit 1
+fi
+# Route-rule gate: a pinned peer's traffic takes its current route, and
+# only a rotation on timeout or duplicate evidence moves it
+# (`snipe_wire::path`). A per-route score of smoothed RTT plus a
+# decaying failover penalty once overruled that rotation and sent
+# traffic back to the route just left, so outside test modules in
+# `crates/*/src` the score's fingerprints may not appear: a penalty,
+# the calls that fed it samples and progress, the best-score read and
+# the score-ranked route list.
+route=$(
+    find crates/*/src -name '*.rs' -print0 | sort -z | xargs -0 awk '
+        FNR == 1 { in_test = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        !in_test && /penalty|record_rtt|record_progress|best_score|select_k_distinct/ {
+            print FILENAME ":" FNR ":" $0
+        }
+    '
+)
+if [ -n "$route" ]; then
+    echo "route-rule gate: FAIL — route on the current route and move it only by PeerPaths::rotate instead:"
+    echo "$route"
     exit 1
 fi
 # One-allocation-per-datagram gate: a driver writes each datagram into
