@@ -275,29 +275,78 @@ mod tests {
         assert_eq!(s.peer(7).and_then(PeerPaths::current), Some(n(1)));
     }
 
-    /// A share's route is the share index into the candidates in rank
-    /// order from the current route, wrapped at `min(k, n)`.
+    /// Share 0 of any spray, like SRUDP traffic, takes the current
+    /// route, before and after a rotation.
     #[test]
-    fn spray_walks_rank_order_from_the_current_route() {
+    fn select_prefers_current_on_equal_scores() {
+        let mut r = PeerPaths::new(vec![n(1), n(2), n(3)]);
+        assert_eq!(r.current(), Some(n(1)));
+        for k in 1..6 {
+            assert_eq!(r.spray_route(k, 0), Some(n(1)));
+        }
+        r.rotate();
+        assert_eq!(r.current(), Some(n(2)));
+        for k in 1..6 {
+            assert_eq!(r.spray_route(k, 0), Some(n(2)));
+        }
+    }
+
+    /// Spray order is the rank order, cyclic from the current route.
+    #[test]
+    fn select_k_distinct_is_cyclic_from_current_on_ties() {
         let mut r = PeerPaths::new(vec![n(1), n(2), n(3)]);
         let spray = |r: &PeerPaths, k| (0..6).map(|i| r.spray_route(k, i).unwrap()).collect();
         let order: Vec<NetId> = spray(&r, 3);
         assert_eq!(order, [1, 2, 3, 1, 2, 3].map(n));
         let two: Vec<NetId> = spray(&r, 2);
         assert_eq!(two, [1, 2, 1, 2, 1, 2].map(n));
-        // Fewer routes than `k`: every route, wrapped.
-        let wide: Vec<NetId> = spray(&r, 5);
-        assert_eq!(wide, order);
         r.rotate();
         let rotated: Vec<NetId> = spray(&r, 3);
         assert_eq!(rotated, [2, 3, 1, 2, 3, 1].map(n));
         let two: Vec<NetId> = spray(&r, 2);
         assert_eq!(two, [2, 3, 2, 3, 2, 3].map(n));
-        assert_eq!(r.spray_route(0, 1), None);
-        // Share 0 always takes the current route.
-        for k in 1..6 {
-            assert_eq!(r.spray_route(k, 0), r.current());
+    }
+
+    /// A share's route is the share index into the first `min(k, n)`
+    /// candidates in rank order from the current route, checked against
+    /// a list built from the public candidates and current route.
+    #[test]
+    fn spray_route_is_the_share_index_into_select_k_distinct() {
+        let ranked = |p: &PeerPaths, k: usize| -> Vec<NetId> {
+            let c = p.candidates();
+            let at = p.current().and_then(|cur| c.iter().position(|&x| x == cur)).unwrap_or(0);
+            (0..k.min(c.len())).map(|i| c[(at + i) % c.len()]).collect()
+        };
+        let mut paths = vec![PeerPaths::new(vec![]), PeerPaths::new(vec![n(1)])];
+        let mut r = PeerPaths::new((1..=6).map(n).collect());
+        paths.push(r.clone());
+        r.rotate();
+        r.rotate();
+        paths.push(r.clone());
+        r.update((3..=14).map(n).collect());
+        paths.push(r);
+        for p in &paths {
+            for k in 0..6 {
+                let list = ranked(p, k);
+                for idx in 0..10 {
+                    let want = (!list.is_empty()).then(|| list[idx % list.len()]);
+                    assert_eq!(p.spray_route(k, idx), want, "k {k} idx {idx}");
+                }
+            }
         }
+    }
+
+    /// With fewer routes than `k` every route is used; with none, or
+    /// `k` zero, there is no route; one route takes every share.
+    #[test]
+    fn select_k_distinct_degrades_to_available_routes() {
+        let r = PeerPaths::new(vec![n(1), n(2)]);
+        let wide: Vec<NetId> = (0..4).map(|i| r.spray_route(5, i).unwrap()).collect();
+        assert_eq!(wide, [1, 2, 1, 2].map(n));
+        assert_eq!(r.spray_route(0, 1), None);
+        assert_eq!(PeerPaths::new(vec![]).spray_route(4, 0), None);
+        let one = PeerPaths::new(vec![n(7)]);
+        assert!((0..4).all(|i| one.spray_route(3, i) == Some(n(7))));
     }
 
     #[test]
